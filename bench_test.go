@@ -1,5 +1,6 @@
 // Benchmarks regenerating the paper's tables and figures as testing.B
-// targets, plus the design-choice ablations called out in DESIGN.md §6.
+// targets, plus two design-choice ablations (merge vs hash join, fused vs
+// composed BM25).
 // Run everything:
 //
 //	go test -bench=. -benchmem
@@ -446,7 +447,7 @@ func BenchmarkVectorSize(b *testing.B) {
 	}
 }
 
-// ---- DESIGN.md §6 ablation: merge join vs hash join over posting lists ----
+// ---- ablation: merge join vs hash join over posting lists ----
 
 // BenchmarkJoinAblation intersects two realistic posting lists with the
 // ordered MergeJoin (exploiting the (term,docid) storage order) and with
@@ -496,7 +497,7 @@ func BenchmarkJoinAblation(b *testing.B) {
 	})
 }
 
-// ---- DESIGN.md §6 ablation: fused vs composed BM25 expression ----
+// ---- ablation: fused vs composed BM25 expression ----
 
 // BenchmarkBM25Expression compares the fused BM25 map primitive against
 // the equivalent tree of generic arithmetic primitives a naive query

@@ -12,175 +12,88 @@ import (
 	"repro/internal/corpus"
 	"repro/internal/ir"
 	"repro/internal/obs"
-	"repro/internal/qos"
+	"repro/internal/serving"
 	"repro/internal/storage"
-	"repro/internal/trace"
 )
 
 // DefaultK is the result-list depth used when a SearchRequest leaves K
 // zero (the paper's evaluation depth is 20; interactive callers usually
 // want the first page).
-const DefaultK = 20
+const DefaultK = serving.DefaultK
 
 // StrategyDefault (the Strategy zero value) asks the engine to run the
 // strongest strategy the index supports.
 const StrategyDefault = ir.StrategyDefault
 
 // ErrEngineClosed is returned by every entry point of a closed engine.
-var ErrEngineClosed = errors.New("repro: engine is closed")
+var ErrEngineClosed = serving.ErrClosed
 
-// SearchRequest is one keyword query against an Engine.
-type SearchRequest struct {
-	// Terms are the query keywords. At least one is required.
-	Terms []string
-	// K is the number of results wanted; 0 means DefaultK.
-	K int
-	// Strategy selects the Table 2 run. The zero value, StrategyDefault,
-	// runs the strongest strategy the index's physical columns support; an
-	// explicit ranked strategy the index cannot run is substituted with the
-	// nearest supported one (the response reports what actually ran).
-	Strategy Strategy
-	// Trace requests this query's span trace in the response regardless
-	// of the engine's slow-query threshold or sampling rate — the
-	// "explain why THIS request was slow" switch. The trace covers
-	// admission, cache lookup, pool wait, and per-operator execution;
-	// it costs one tree build per traced request.
-	Trace bool
-}
+// The request and response types of the serving core, under the names the
+// Engine API has always used.
+type (
+	// SearchRequest is one keyword query against an Engine: Terms, K
+	// (0 = DefaultK), Strategy (zero = StrategyDefault) and the per-query
+	// Trace switch.
+	SearchRequest = serving.Request
+	// SearchResponse is the structured result of Engine.Search: Hits,
+	// Stats, the Strategy that actually ran, the Cached flag, and the span
+	// Trace when the request asked for one.
+	SearchResponse = serving.Response
+	// BatchResult is one request's outcome within a SearchMany batch:
+	// either a response or a per-request error.
+	BatchResult = serving.BatchResult
+	// BatchStats aggregates one SearchMany call — the throughput-side
+	// accounting that complements the per-request QueryStats.
+	BatchStats = serving.BatchStats
+	// CachePolicy selects how the engine result cache evicts (see
+	// WithResultCachePolicy).
+	CachePolicy = serving.CachePolicy
+	// ResultCacheStats reports the engine result cache counters.
+	ResultCacheStats = serving.ResultCacheStats
+)
 
-// SearchResponse is the structured result of Engine.Search.
-type SearchResponse struct {
-	// Hits are the ranked documents, names resolved.
-	Hits []Result
-	// Stats carries per-query wall time, simulated I/O, second-pass and
-	// candidate-count accounting.
-	Stats QueryStats
-	// Strategy is the strategy that actually executed (after resolving
-	// StrategyDefault and physical-column substitutions).
-	Strategy Strategy
-	// Cached marks a response served from the engine result cache (see
-	// WithResultCache): Hits are a private copy, Stats are those of the
-	// execution that populated the entry, and no searcher was acquired.
-	Cached bool
-	// Trace is the query's span tree, present only when the request set
-	// SearchRequest.Trace (cached responses carry a fresh trace of the
-	// lookup, not the execution that populated the entry).
-	Trace *TraceSpan
-}
+// Result cache eviction policies.
+const (
+	// CachePolicyLRU evicts the least-recently-used entry (the default).
+	CachePolicyLRU = serving.CachePolicyLRU
+	// CachePolicyCost evicts the cheapest-to-recompute entry among the
+	// least-recently-used tail.
+	CachePolicyCost = serving.CachePolicyCost
+)
 
-// epoch is one served index generation: an immutable snapshot plus its
-// searcher pool, reference-counted so a Refresh can swap the current
-// generation without dropping in-flight searches. The engine holds one
-// reference for as long as the epoch is current; every search holds one
-// for its duration. When the count drains to zero the snapshot's storage
-// closes and the drain hook fires (deregistration + segment GC).
-type epoch struct {
-	snap *ir.Snapshot
-	pool *ir.SearcherPool
-
-	// segNames are the segment directory names this generation references
-	// (empty for non-segmented engines) — the in-use set segment GC
-	// honors.
-	segNames []string
-
-	refs     atomic.Int64
-	done     chan struct{}
-	closeErr error
-	closeOne sync.Once
-	// deregister runs synchronously at drain time, before done closes, so
-	// anyone who observed done can rely on the epoch being out of the live
-	// registry (Close's final sweep depends on this ordering); sweep runs
-	// asynchronously afterwards.
-	deregister func()
-	sweep      func()
-}
-
-// release drops one reference; the last one out closes the snapshot. A
-// late acquirer that lost the swap race may push the count 0->1->0 again —
-// the Once keeps the close single-shot, and the loser never uses the
-// epoch (its re-check of the current pointer fails first).
-func (ep *epoch) release() {
-	if ep.refs.Add(-1) == 0 {
-		ep.closeOne.Do(func() {
-			ep.closeErr = ep.snap.Close()
-			if ep.deregister != nil {
-				ep.deregister()
-			}
-			close(ep.done)
-			if ep.sweep != nil {
-				go ep.sweep()
-			}
-		})
-	}
-}
-
-// Engine is the long-lived, concurrency-safe entry point to the system: it
-// owns the storage, the index snapshot (one or many segments), and a
-// bounded pool of searchers, so Search may be called from any number of
-// goroutines. Construct one with Open, close it with Close.
+// Engine is the long-lived, concurrency-safe entry point to the system: a
+// serving core (internal/serving — the generation registry, searcher
+// pool, result cache, admission control, metrics and tracing that a
+// dist.Server wraps too) plus what only a standalone engine needs: option
+// parsing, the Open* build-or-open dispatch, the background merge policy,
+// and the ops endpoint. Construct one with Open, close it with Close.
 //
 // Concurrency model: storage (buffer manager, stores) is shared and
 // internally synchronized; execution state is not shared — each query
-// checks a whole single-owner searcher out of the current epoch's pool,
-// which also bounds the number of in-flight plans (admission control under
-// heavy traffic). Generations swap under an epoch reference count: Refresh
-// (and Add, which appends a segment and refreshes) installs a new
-// snapshot+pool pair while searches already running keep their old one
-// until they finish; the superseded generation's storage closes when its
-// last search drains, and its segment directories are garbage-collected
-// once no generation references them.
+// checks a whole single-owner searcher out of the current generation's
+// pool, which also bounds the number of in-flight plans. Generations swap
+// under a reference count: Refresh (and Add, which appends a segment and
+// refreshes) installs a new snapshot+pool pair while searches already
+// running keep their old one until they finish; the superseded
+// generation's storage closes when its last search drains, and its
+// segment directories are garbage-collected once no generation references
+// them.
 type Engine struct {
-	cfg   engineConfig
-	cache *resultCache
-
-	// met collects the serving metrics every engine carries (latency and
-	// pool-wait histograms, shed counter); qosCtl is the admission
-	// controller, nil unless WithAdmissionControl was given.
-	met    *engineMetrics
-	qosCtl *qos.Controller
-
-	// tracer decides which requests record span traces and keeps the
-	// slow-query log (always present — a zero-config tracer records only
-	// explicitly requested traces); ops is the WithOpsServer HTTP
-	// endpoint, nil without it.
-	tracer *trace.Tracer
-	ops    *obs.Server
-
-	cur    atomic.Pointer[epoch]
-	closed atomic.Bool
-
-	// segDir is the segmented index directory this engine serves ("" for
-	// monolithic and in-memory engines); segCfg is the physical layout
-	// appends must match; segMgr is the long-lived buffer manager shared
-	// across generations so a refresh keeps unchanged segments' chunks
-	// warm instead of cold-starting the pool.
-	segDir string
-	segCfg ir.BuildConfig
-	segMgr *storage.Manager
-
-	// commitMu serializes everything that rewrites SEGMENTS.json or swaps
-	// the current epoch: Add, merge commits, Refresh, sweeps, Close.
-	commitMu sync.Mutex
-	// regMu guards the live-epoch registry and the set of segment
-	// directories currently being built (both feed the GC's in-use set).
-	regMu   sync.Mutex
-	epochs  map[*epoch]struct{}
-	pending map[string]bool
+	cfg  engineConfig
+	core *serving.Core
+	ops  *obs.Server // the WithOpsServer HTTP endpoint, nil without it
 
 	merger *merger
 	merges atomic.Int64
 
-	// inflight counts ranked searches currently executing (admitted or
-	// not — this is the always-on load signal, independent of admission
-	// control). The merge throttle reads it to park background merges
-	// while query traffic is hot.
-	inflight atomic.Int64
+	closeOnce sync.Once
+	closeErr  error
 }
 
 // InflightQueries reports how many ranked searches are executing right
 // now — the live load signal WithMergeThrottle compares against its
 // threshold.
-func (e *Engine) InflightQueries() int64 { return e.inflight.Load() }
+func (e *Engine) InflightQueries() int64 { return e.core.Inflight() }
 
 // Open builds an index over the collection and returns an Engine
 // configured by the options. All option errors are reported together.
@@ -272,7 +185,7 @@ func Open(coll *Collection, opts ...Option) (*Engine, error) {
 	if err != nil {
 		return nil, err
 	}
-	return newEngine(snap, nil, cfg)
+	return newEngine(serving.New(snap, cfg.Config), cfg)
 }
 
 // OpenDir opens a persisted index directory (written by Open with
@@ -343,7 +256,7 @@ func openPersisted(cfg engineConfig) (*Engine, error) {
 		ix.Close()
 		return nil, err
 	}
-	return newEngine(snap, nil, cfg)
+	return newEngine(serving.New(snap, cfg.Config), cfg)
 }
 
 // openSegmented opens cfg.storageDir's current generation as a segmented
@@ -356,48 +269,23 @@ func openSegmented(cfg engineConfig) (*Engine, error) {
 			return nil, err
 		}
 	}
-	sm, err := storage.ReadSegments(cfg.storageDir)
+	core, err := serving.OpenDir(cfg.storageDir, cfg.pool, cfg.storageOpts(), cfg.Config)
 	if err != nil {
 		return nil, err
 	}
-	if cfg.autoMerge > 0 && sm.External {
+	if cfg.autoMerge > 0 && core.External() {
+		core.Close()
 		return nil, fmt.Errorf("repro: %q carries externally coordinated statistics; merge by rebuilding the partition set, not WithAutoMerge", cfg.storageDir)
 	}
-	mgr := storage.NewManager(cfg.pool, storage.WithAdmissionPolicy(cfg.cacheAdmission))
-	snap, err := storage.OpenSegmented(cfg.storageDir, cfg.pool,
-		append(cfg.storageOpts(), storage.WithSharedManager(mgr))...)
+	e, err := newEngine(core, cfg)
 	if err != nil {
 		return nil, err
 	}
-	e, err := newEngine(snap, segNamesOf(sm), cfg)
-	if err != nil {
-		return nil, err
-	}
-	e.segDir = cfg.storageDir
-	e.segCfg = layoutOf(snap.Primary().Config())
-	e.segMgr = mgr
 	if cfg.autoMerge > 0 {
 		e.merger = newMerger(e, cfg.autoMerge)
 		e.merger.notify() // an already-oversized directory merges right away
 	}
 	return e, nil
-}
-
-func segNamesOf(sm *storage.SegmentsManifest) []string {
-	names := make([]string, len(sm.Segments))
-	for i, s := range sm.Segments {
-		names[i] = s.Name
-	}
-	return names
-}
-
-// layoutOf strips the build-time-only fields from a segment's recorded
-// configuration, leaving the physical layout appends must reproduce.
-func layoutOf(bc ir.BuildConfig) ir.BuildConfig {
-	bc.Stats = nil
-	bc.DocIDBase = 0
-	bc.TablePrefix = ""
-	return bc
 }
 
 // OpenIndex wraps an already-built index in an Engine. Options that shape
@@ -422,24 +310,11 @@ func OpenIndex(ix *Index, opts ...Option) (*Engine, error) {
 	if len(cfg.errs) > 0 {
 		return nil, errors.Join(cfg.errs...)
 	}
-	return newEngine(ir.SingleSnapshot(ix), nil, cfg)
+	return newEngine(serving.New(ir.SingleSnapshot(ix), cfg.Config), cfg)
 }
 
-func newEngine(snap *ir.Snapshot, segNames []string, cfg engineConfig) (*Engine, error) {
-	e := &Engine{
-		cfg:     cfg,
-		met:     newEngineMetrics(),
-		tracer:  trace.NewTracer(cfg.slowQuery, cfg.traceRate, 0),
-		epochs:  make(map[*epoch]struct{}),
-		pending: make(map[string]bool),
-	}
-	if cfg.resultCache > 0 {
-		e.cache = newResultCache(cfg.resultCache, cfg.cachePolicy)
-	}
-	if cfg.admission {
-		e.qosCtl = qos.NewController(cfg.searchers, cfg.admissionQueue)
-	}
-	e.cur.Store(e.newEpoch(snap, segNames))
+func newEngine(core *serving.Core, cfg engineConfig) (*Engine, error) {
+	e := &Engine{cfg: cfg, core: core}
 	if cfg.opsAddr != "" {
 		srv, err := obs.Start(cfg.opsAddr, engineOps{e})
 		if err != nil {
@@ -451,81 +326,36 @@ func newEngine(snap *ir.Snapshot, segNames []string, cfg engineConfig) (*Engine,
 	return e, nil
 }
 
-// newEpoch wraps a snapshot in a registered, referenced epoch.
-func (e *Engine) newEpoch(snap *ir.Snapshot, segNames []string) *epoch {
-	ep := &epoch{
-		snap:     snap,
-		pool:     ir.NewSnapshotSearcherPool(snap, e.cfg.vectorSize, e.cfg.searchers),
-		segNames: segNames,
-		done:     make(chan struct{}),
-	}
-	ep.refs.Store(1)
-	ep.deregister = func() {
-		e.regMu.Lock()
-		delete(e.epochs, ep)
-		e.regMu.Unlock()
-	}
-	ep.sweep = func() {
-		if e.segDir != "" {
-			e.gcSweep()
-		}
-	}
-	e.regMu.Lock()
-	e.epochs[ep] = struct{}{}
-	e.regMu.Unlock()
-	return ep
-}
-
-// acquireEpoch takes a reference on the current epoch. The increment is
-// re-validated against the pointer so a concurrent swap-and-drain can
-// never hand out a closed epoch.
-func (e *Engine) acquireEpoch() (*epoch, error) {
-	for {
-		ep := e.cur.Load()
-		if ep == nil {
-			return nil, ErrEngineClosed
-		}
-		ep.refs.Add(1)
-		if e.cur.Load() == ep {
-			return ep, nil
-		}
-		ep.release()
-	}
-}
-
 // Index exposes the underlying index for inspection (sizes, compression
 // ratios, BM25 parameters); for a segmented engine it is the first
 // segment of the currently served generation. Treat it as read-only, and
 // only while the engine stays open; nil after Close.
 func (e *Engine) Index() *Index {
-	ep := e.cur.Load()
-	if ep == nil {
-		return nil
+	if snap := e.core.Snapshot(); snap != nil {
+		return snap.Primary()
 	}
-	return ep.snap.Primary()
+	return nil
 }
 
 // Searchers returns the concurrency bound of the searcher pool.
-func (e *Engine) Searchers() int { return e.cfg.searchers }
+func (e *Engine) Searchers() int { return e.cfg.Searchers }
 
 // NumDocs returns the document count of the serving generation, across
 // all segments (0 after Close).
 func (e *Engine) NumDocs() int {
-	ep := e.cur.Load()
-	if ep == nil {
-		return 0
+	if snap := e.core.Snapshot(); snap != nil {
+		return snap.NumDocs()
 	}
-	return ep.snap.NumDocs()
+	return 0
 }
 
 // NumPostings returns the posting count of the serving generation, across
 // all segments (0 after Close).
 func (e *Engine) NumPostings() int {
-	ep := e.cur.Load()
-	if ep == nil {
-		return 0
+	if snap := e.core.Snapshot(); snap != nil {
+		return snap.NumPostings()
 	}
-	return ep.snap.NumPostings()
+	return 0
 }
 
 // SegmentStats reports the serving generation's segment shape.
@@ -545,38 +375,16 @@ type SegmentStats struct {
 // SegmentStats returns the serving generation's segment shape (zero value
 // after Close).
 func (e *Engine) SegmentStats() SegmentStats {
-	ep := e.cur.Load()
-	if ep == nil {
+	snap := e.core.Snapshot()
+	if snap == nil {
 		return SegmentStats{}
 	}
 	return SegmentStats{
-		Segments:   ep.snap.NumSegments(),
-		Virtual:    ep.snap.NumVirtual(),
-		Generation: ep.snap.Gen(),
+		Segments:   snap.NumSegments(),
+		Virtual:    snap.NumVirtual(),
+		Generation: snap.Gen(),
 		Merges:     e.merges.Load(),
 	}
-}
-
-// admit validates a request and resolves its defaults: the terms must be
-// non-empty, K zero means DefaultK, negative K is rejected (consistently
-// with SearchBool), and the strategy is resolved against the index's
-// physical columns.
-func (e *Engine) admit(ep *epoch, req SearchRequest) (int, Strategy, error) {
-	if len(req.Terms) == 0 {
-		return 0, 0, errors.New("repro: search request has no terms")
-	}
-	k := req.K
-	if k == 0 {
-		k = DefaultK
-	}
-	if k < 0 {
-		return 0, 0, fmt.Errorf("repro: search request k=%d", k)
-	}
-	strat, err := ep.snap.Resolve(req.Strategy)
-	if err != nil {
-		return 0, 0, err
-	}
-	return k, strat, nil
 }
 
 // Search runs one keyword query. It is safe for concurrent use, honors ctx
@@ -593,21 +401,53 @@ func (e *Engine) Search(ctx context.Context, req SearchRequest) (SearchResponse,
 	if ctx == nil {
 		ctx = context.Background()
 	}
-	ep, err := e.acquireEpoch()
+	g, err := e.core.Acquire()
 	if err != nil {
 		return SearchResponse{}, err
 	}
-	defer ep.release()
-	// One-request batch: the admit → cache → execute → cache-put pipeline
-	// lives in searchBatched so the single and batched paths cannot
-	// diverge; the searcher (acquired only on a cache miss) goes straight
-	// back to the pool.
-	var s *ir.Searcher
-	r := e.searchBatched(ctx, ep, &s, req, false)
-	if s != nil {
-		ep.pool.Release(s)
+	defer g.Release()
+	return g.Search(ctx, req)
+}
+
+// SearchMany executes a batch of requests, fanning them across the
+// searcher pool: up to Searchers() requests run concurrently, each worker
+// holding one pooled searcher for at most one sub-batch (large batches
+// split, so early requests complete before the tail is scheduled and the
+// pool breathes between slices). Results are returned in request order,
+// failures are recorded per request, and the result cache (if enabled) is
+// consulted first — a fully cached batch never acquires a searcher at
+// all. The whole batch runs against one index generation: a concurrent
+// Refresh does not split it. The error return is reserved for batch-level
+// failure (a done context, a closed engine); it is ctx.Err() when the
+// context expired mid-batch, with the already-completed results still
+// returned.
+func (e *Engine) SearchMany(ctx context.Context, reqs []SearchRequest) ([]BatchResult, BatchStats, error) {
+	return e.searchMany(ctx, reqs, nil)
+}
+
+// SearchManyFunc is SearchMany delivering each result as it completes:
+// fn(i, res) fires once per request, from worker goroutines (make it
+// safe for concurrent use), in completion order. Sub-batch splitting makes
+// delivery incremental for large batches — every result of sub-batch n
+// arrives before any request of sub-batch n+1 starts. No results slice is
+// allocated or retained (each result is dropped after delivery, so a
+// million-request batch holds worker-count responses at a time); the
+// aggregate accounting arrives in BatchStats.
+func (e *Engine) SearchManyFunc(ctx context.Context, reqs []SearchRequest, fn func(i int, res BatchResult)) (BatchStats, error) {
+	_, bs, err := e.searchMany(ctx, reqs, fn)
+	return bs, err
+}
+
+func (e *Engine) searchMany(ctx context.Context, reqs []SearchRequest, fn func(int, BatchResult)) ([]BatchResult, BatchStats, error) {
+	if ctx == nil {
+		ctx = context.Background()
 	}
-	return r.Response, r.Err
+	g, err := e.core.Acquire()
+	if err != nil {
+		return nil, BatchStats{Queries: len(reqs)}, err
+	}
+	defer g.Release()
+	return g.SearchMany(ctx, reqs, fn)
 }
 
 // Add indexes a batch of live documents as one fresh immutable segment and
@@ -621,10 +461,8 @@ func (e *Engine) Add(ctx context.Context, docs []Doc) error {
 	if ctx == nil {
 		ctx = context.Background()
 	}
-	if e.closed.Load() {
-		return ErrEngineClosed
-	}
-	if e.segDir == "" {
+	dir := e.core.Dir()
+	if dir == "" {
 		return errors.New("repro: live appends need a segmented index (Open with WithSegments, or OpenDir on a segmented directory)")
 	}
 	if err := ctx.Err(); err != nil {
@@ -634,16 +472,10 @@ func (e *Engine) Add(ctx context.Context, docs []Doc) error {
 	if err != nil {
 		return err
 	}
-	e.commitMu.Lock()
-	if e.closed.Load() {
-		e.commitMu.Unlock()
-		return ErrEngineClosed
-	}
-	_, err = storage.AppendSegment(e.segDir, batch, e.segCfg)
-	if err == nil {
-		err = e.refreshLocked()
-	}
-	e.commitMu.Unlock()
+	err = e.core.Commit(func() error {
+		_, err := storage.AppendSegment(dir, batch, e.core.Layout())
+		return err
+	})
 	if err == nil && e.merger != nil {
 		e.merger.notify()
 	}
@@ -659,88 +491,24 @@ func (e *Engine) Refresh(ctx context.Context) error {
 	if ctx == nil {
 		ctx = context.Background()
 	}
-	if e.closed.Load() {
-		return ErrEngineClosed
-	}
-	if e.segDir == "" {
+	if e.core.Dir() == "" {
 		return errors.New("repro: Refresh needs a segmented index directory")
 	}
 	if err := ctx.Err(); err != nil {
 		return err
 	}
-	e.commitMu.Lock()
-	defer e.commitMu.Unlock()
-	if e.closed.Load() {
-		return ErrEngineClosed
-	}
-	return e.refreshLocked()
-}
-
-// refreshLocked (commitMu held) swaps the current epoch for the
-// directory's newest generation if it moved.
-func (e *Engine) refreshLocked() error {
-	sm, err := storage.ReadSegments(e.segDir)
-	if err != nil {
-		return err
-	}
-	cur := e.cur.Load()
-	if cur != nil && cur.snap.Gen() == sm.Generation {
-		return nil
-	}
-	// The long-lived manager carries every unchanged segment's cached
-	// chunks across the swap; replaced segments' entries are dropped by
-	// the GC sweep once their directories go.
-	snap, err := storage.OpenSegmented(e.segDir, e.cfg.pool,
-		append(e.cfg.storageOpts(), storage.WithSharedManager(e.segMgr))...)
-	if err != nil {
-		return err
-	}
-	ep := e.newEpoch(snap, segNamesOf(sm))
-	old := e.cur.Swap(ep)
-	if old != nil {
-		old.release()
-	}
-	return nil
-}
-
-// gcSweep removes segment directories no generation references anymore:
-// neither the manifest's current generation, nor any live epoch (readers
-// drain first), nor a merge build in progress. Serialized with commits so
-// it can never observe a segment mid-construction.
-func (e *Engine) gcSweep() {
-	e.commitMu.Lock()
-	defer e.commitMu.Unlock()
-	live := make(map[string]bool)
-	e.regMu.Lock()
-	for ep := range e.epochs {
-		for _, name := range ep.segNames {
-			live[name] = true
-		}
-	}
-	for name := range e.pending {
-		live[name] = true
-	}
-	e.regMu.Unlock()
-	// Best effort: a failed sweep (e.g. the directory disappeared under a
-	// test) retries at the next drain or at Close.
-	removed, _ := storage.SweepSegments(e.segDir, func(name string) bool { return live[name] })
-	// A removed segment's cached chunks must go with it: under an
-	// unbounded budget nothing else would ever release them, and under a
-	// bounded one they would squat on budget until CLOCK cycled past.
-	if e.segMgr != nil {
-		for _, name := range removed {
-			e.segMgr.DropPrefix(name + ".")
-		}
-	}
+	return e.core.Refresh()
 }
 
 // mergeOnce runs one tiered merge if the policy calls for one: pick the
 // cheapest adjacent run, build the merged segment off to the side (no
 // locks held — appends and searches proceed; cancel aborts the build so a
 // closing engine never waits out work it will discard), then commit and
-// refresh under the commit lock. Returns whether a merge happened.
+// refresh under the core's commit lock and sweep the replaced
+// directories. Returns whether a merge happened.
 func (e *Engine) mergeOnce(maxSegments int, cancel func() bool) (bool, error) {
-	sm, err := storage.ReadSegments(e.segDir)
+	dir := e.core.Dir()
+	sm, err := storage.ReadSegments(dir)
 	if err != nil {
 		return false, err
 	}
@@ -748,54 +516,41 @@ func (e *Engine) mergeOnce(maxSegments int, cancel func() bool) (bool, error) {
 	if names == nil {
 		return false, nil
 	}
-	into, err := storage.AllocSegmentDir(e.segDir)
+	into, err := storage.AllocSegmentDir(dir)
 	if err != nil {
 		return false, err
 	}
-	e.regMu.Lock()
-	e.pending[into] = true
-	e.regMu.Unlock()
-	defer func() {
-		e.regMu.Lock()
-		delete(e.pending, into)
-		e.regMu.Unlock()
-	}()
-	bakedEpoch, err := storage.BuildMergedSegment(e.segDir, names, into, cancel)
+	built := e.core.Building(into)
+	defer built()
+	bakedEpoch, err := storage.BuildMergedSegment(dir, names, into, cancel)
 	if err != nil {
-		os.RemoveAll(filepath.Join(e.segDir, into))
+		os.RemoveAll(filepath.Join(dir, into))
 		if errors.Is(err, storage.ErrBuildCanceled) {
 			return false, nil
 		}
 		return false, err
 	}
-	e.commitMu.Lock()
-	if e.closed.Load() {
-		e.commitMu.Unlock()
-		os.RemoveAll(filepath.Join(e.segDir, into))
+	err = e.core.Commit(func() error {
+		_, err := storage.CommitMerge(dir, names, into, bakedEpoch)
+		return err
+	})
+	if errors.Is(err, serving.ErrClosed) {
+		// The engine closed while the build ran; nothing was committed.
+		os.RemoveAll(filepath.Join(dir, into))
 		return false, nil
 	}
-	_, err = storage.CommitMerge(e.segDir, names, into, bakedEpoch)
-	if err == nil {
-		err = e.refreshLocked()
-	}
-	e.commitMu.Unlock()
 	if err != nil {
 		return false, err
 	}
 	e.merges.Add(1)
-	e.gcSweep()
+	e.core.Sweep()
 	return true, nil
 }
 
 // ResultCacheStats returns the hit/miss counters and occupancy of the
 // engine result cache. It is zero-valued when the engine was opened
 // without WithResultCache, and after Close.
-func (e *Engine) ResultCacheStats() ResultCacheStats {
-	if e.cache == nil || e.closed.Load() {
-		return ResultCacheStats{}
-	}
-	return e.cache.stats()
-}
+func (e *Engine) ResultCacheStats() ResultCacheStats { return e.core.ResultCacheStats() }
 
 // SearchBool runs a parsed §3.2 boolean query (see ParseBoolQuery) under
 // the same concurrency and cancellation regime as Search. k zero means
@@ -810,12 +565,12 @@ func (e *Engine) SearchBool(ctx context.Context, expr BoolExpr, k int) ([]Result
 	if k < 0 {
 		return nil, QueryStats{}, fmt.Errorf("repro: search request k=%d", k)
 	}
-	ep, err := e.acquireEpoch()
+	g, err := e.core.Acquire()
 	if err != nil {
 		return nil, QueryStats{}, err
 	}
-	defer ep.release()
-	return ep.pool.SearchBool(ctx, expr, k)
+	defer g.Release()
+	return g.Pool().SearchBool(ctx, expr, k)
 }
 
 // ExplainPlan renders the relational plan a query would run under a
@@ -827,61 +582,37 @@ func (e *Engine) ExplainPlan(ctx context.Context, terms []string, k int, strat S
 	if k <= 0 {
 		k = DefaultK
 	}
-	ep, err := e.acquireEpoch()
+	g, err := e.core.Acquire()
 	if err != nil {
 		return "", err
 	}
-	defer ep.release()
-	resolved, err := ep.snap.Resolve(strat)
+	defer g.Release()
+	resolved, err := g.Snapshot().Resolve(strat)
 	if err != nil {
 		return "", err
 	}
-	s, err := ep.pool.Acquire(ctx)
+	s, err := g.Pool().Acquire(ctx)
 	if err != nil {
 		return "", err
 	}
-	defer ep.pool.Release(s)
+	defer g.Pool().Release(s)
 	return s.ExplainPlan(terms, k, resolved)
 }
 
-// Close releases the engine: new calls fail with ErrEngineClosed
-// immediately, in-flight searches finish on their epoch, and Close blocks
-// until every generation has drained and released its storage (file
-// handles, prefetch workers). The background merger is stopped first; for
-// segmented engines a final sweep then reclaims every unreferenced
-// segment directory. Closing twice is a no-op.
+// Close releases the engine. The ops endpoint and the background merger
+// stop first (an in-progress merge build is canceled, not waited out);
+// then new calls fail with ErrEngineClosed, in-flight searches finish on
+// their generation, and Close blocks until every generation has drained
+// and released its storage (file handles, prefetch workers). For
+// segmented engines a final sweep reclaims every unreferenced segment
+// directory. Closing twice is a no-op.
 func (e *Engine) Close() error {
-	if !e.closed.CompareAndSwap(false, true) {
-		return nil
-	}
-	e.ops.Close()
-	if e.merger != nil {
-		e.merger.stop()
-	}
-	e.commitMu.Lock()
-	ep := e.cur.Swap(nil)
-	e.commitMu.Unlock()
-	// Snapshot the registry BEFORE dropping the engine reference: an idle
-	// current epoch drains (and deregisters) synchronously inside
-	// release(), and its storage-close error must still be collected.
-	e.regMu.Lock()
-	waiting := make([]*epoch, 0, len(e.epochs))
-	for old := range e.epochs {
-		waiting = append(waiting, old)
-	}
-	e.regMu.Unlock()
-	if ep != nil {
-		ep.release()
-	}
-	var err error
-	for _, old := range waiting {
-		<-old.done
-		if old.closeErr != nil && err == nil {
-			err = old.closeErr
+	e.closeOnce.Do(func() {
+		e.ops.Close()
+		if e.merger != nil {
+			e.merger.stop()
 		}
-	}
-	if e.segDir != "" {
-		e.gcSweep()
-	}
-	return err
+		e.closeErr = e.core.Close()
+	})
+	return e.closeErr
 }

@@ -8,6 +8,9 @@ import (
 	"sync"
 	"testing"
 	"time"
+
+	"repro/internal/colbm"
+	"repro/internal/corpus"
 )
 
 // Tests for the context-aware Engine API: concurrent Search under -race,
@@ -32,7 +35,7 @@ func engineFixture(t *testing.T, opts ...Option) (*Collection, *Engine) {
 
 func TestEngineSearchQuickstart(t *testing.T) {
 	// The package-comment quickstart flow, end to end.
-	coll, eng := engineFixture(t, WithBufferPool(256<<20), WithSearchers(4), WithVectorSize(1024))
+	coll, eng := engineFixture(t, WithBufferPoolBytes(256<<20), WithSearchers(4), WithVectorSize(1024))
 	q := coll.PrecisionQueries(1, 5)[0]
 	resp, err := eng.Search(context.Background(), SearchRequest{Terms: q.Terms, K: 20, Strategy: BM25TCMQ8})
 	if err != nil {
@@ -164,7 +167,7 @@ func TestOpenOptionValidation(t *testing.T) {
 	cfg := DefaultCollectionConfig()
 	cfg.NumDocs = 200
 	coll := GenerateCollection(cfg)
-	_, err := Open(coll, WithSearchers(0), WithVectorSize(-1), WithBufferPool(-5))
+	_, err := Open(coll, WithSearchers(0), WithVectorSize(-1), WithBufferPoolBytes(-5))
 	if err == nil {
 		t.Fatal("invalid options accepted")
 	}
@@ -254,7 +257,7 @@ func TestEngineNegativeK(t *testing.T) {
 func TestEngineResultCache(t *testing.T) {
 	coll, eng := engineFixture(t, WithSearchers(1), WithResultCache(8))
 	ctx := context.Background()
-	var q Query
+	var q corpus.Query
 	for _, cand := range coll.EfficiencyQueries(20, 21) {
 		if len(cand.Terms) >= 2 {
 			q = cand
@@ -295,7 +298,12 @@ func TestEngineResultCache(t *testing.T) {
 
 	// Hold the engine's ONLY searcher and cancel the context: a cold query
 	// cannot run, a cached one must still be answered.
-	pool := eng.cur.Load().pool
+	g, err := eng.core.Acquire()
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer g.Release()
+	pool := g.Pool()
 	s, err := pool.Acquire(ctx)
 	if err != nil {
 		t.Fatal(err)
@@ -446,7 +454,7 @@ func TestPlanBuilderJoin(t *testing.T) {
 	pool := NewBufferPool(0)
 	mk := func(name string, step int) *Table {
 		b := NewTableBuilder(name, disk, pool, []ColumnSpec{
-			{Name: "k", Type: TypeInt64, Enc: EncPFORDelta},
+			{Name: "k", Type: TypeInt64, Enc: colbm.EncPFORDelta},
 		})
 		for i := 0; i < 600; i++ {
 			b.AppendInt64("k", int64(i*step))

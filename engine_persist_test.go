@@ -6,6 +6,9 @@ import (
 	"path/filepath"
 	"reflect"
 	"testing"
+
+	"repro/internal/ir"
+	"repro/internal/storage"
 )
 
 // Tests for the persistent storage path of the public API: WithStorageDir,
@@ -32,7 +35,7 @@ func TestEngineWithStorageDir(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !IsIndexDir(dir) {
+	if !storage.IsIndexDir(dir) {
 		t.Fatal("Open(WithStorageDir) left no index behind")
 	}
 	if eng.Index().Store.Simulated() {
@@ -188,7 +191,7 @@ func TestLoadIndexRoundTrip(t *testing.T) {
 		t.Errorf("loaded index shape mismatch")
 	}
 	// Compression ratios — physical layout — survive the round trip.
-	for _, col := range []string{ColDocIDC, ColTFC} {
+	for _, col := range []string{ir.ColDocIDC, ir.ColTFC} {
 		a, err := ix.BitsPerPosting(col)
 		if err != nil {
 			t.Fatal(err)

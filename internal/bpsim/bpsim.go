@@ -10,7 +10,7 @@
 // gshare with global history) replays the trace and reports the miss rate.
 // The characteristic rise-and-fall of the NAIVE curve — near-zero misses at
 // exception rates 0 and 1, worst case near 0.5 — is predictor mathematics
-// and survives the substitution; see DESIGN.md §5.
+// and survives the substitution.
 package bpsim
 
 // TwoBit is the classic two-bit saturating counter predictor: states

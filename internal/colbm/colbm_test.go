@@ -405,7 +405,7 @@ func TestColdVsHotIOAccounting(t *testing.T) {
 	}
 }
 
-// DESIGN.md invariant: query answers are identical under any buffer pool
+// Invariant: query answers are identical under any buffer pool
 // capacity, only the I/O counts change.
 func TestPoolCapacityInvariance(t *testing.T) {
 	rng := rand.New(rand.NewSource(66))

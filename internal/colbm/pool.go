@@ -25,10 +25,20 @@ type CachedChunk struct {
 
 // CacheStats reports hit/miss/eviction counters and occupancy of a
 // ChunkCache.
+//
+// Accounting identity: every successful GetChunk is counted exactly once
+// as a hit or a miss, so Hits+Misses is the number of completed lookups
+// (plus, for storage.Manager, the keys a batched prefetch claimed, which
+// count as misses — each costs a store fetch). Shared is not a third
+// outcome: a lookup that waited on another caller's load and got its
+// chunk paid no store fetch of its own, so it is a hit that is also
+// counted in Shared. Shared <= Hits as long as no load fails (a failed
+// shared wait keeps its Shared count and retries as a fresh lookup).
 type CacheStats struct {
 	Hits, Misses int64
-	// Shared counts fetches coalesced onto another caller's in-flight load
-	// (singleflight); implementations without fetch deduplication report 0.
+	// Shared counts lookups coalesced onto another caller's in-flight load
+	// (singleflight), a subset of Hits; implementations without fetch
+	// deduplication report 0.
 	Shared    int64
 	Evictions int64
 	Used, Cap int64

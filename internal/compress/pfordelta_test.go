@@ -151,7 +151,7 @@ func TestPFORDeltaAutoRoundTripProperty(t *testing.T) {
 }
 
 // Property: every EntryStride-aligned suffix decodes identically to the
-// suffix of the full decode (DESIGN.md invariant).
+// suffix of the full decode.
 func TestPFORDeltaSuffixProperty(t *testing.T) {
 	rng := rand.New(rand.NewSource(24))
 	for trial := 0; trial < 40; trial++ {

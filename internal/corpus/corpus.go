@@ -2,8 +2,8 @@
 // reproduction runs against. The real GOV2 collection (25M web documents,
 // 426GB) and the official 50,000-query efficiency workload are not
 // redistributable, so this package produces a statistical stand-in that
-// preserves the four properties the paper's experiments actually exercise
-// (DESIGN.md §5):
+// preserves the four properties the paper's experiments actually
+// exercise:
 //
 //  1. Zipfian term frequencies, so posting-list lengths span the realistic
 //     range from stop-word-like lists to rare terms;

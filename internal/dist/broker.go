@@ -319,7 +319,7 @@ type Broker struct {
 	// groups and pinned generations — behind one atomic pointer so the
 	// elastic control plane can swap the whole layout under live traffic.
 	// Every call acquires the membership for its duration (refcounted,
-	// validate-after-increment like srvEpoch); a topology change publishes
+	// validate-after-increment like serving.Core.Acquire); a topology change publishes
 	// a new membership and drains the old one. memMu serializes swaps.
 	memMu sync.Mutex
 	mem   atomic.Pointer[membership]

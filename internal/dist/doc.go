@@ -55,8 +55,9 @@
 // (the latency the paper's Table 3 measures is dominated by the slowest
 // server, not the wire), while staying inside the standard library. One
 // wireRequest carries a whole query batch; servers execute batches
-// concurrently through an ir.SearcherPool and honor the forwarded
-// remainder of the client's deadline. The package is designed against the
+// concurrently through their serving core (internal/serving — the same
+// pipeline and searcher pool a repro.Engine runs on) and honor the
+// forwarded remainder of the client's deadline. The package is designed against the
 // context-aware API: Broker.SearchContext/SearchMany compose client-side
 // cancellation with the server-side pools.
 package dist

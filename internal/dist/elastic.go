@@ -425,7 +425,7 @@ func (cl *Cluster) SplitPartition(ctx context.Context, p int, at int64, brokers 
 	if _, err := storage.CommitSplit(left.dir, at); err != nil {
 		return abort(err)
 	}
-	if err := left.srv.tryRefresh(); err != nil {
+	if err := left.srv.core.Refresh(); err != nil {
 		// The commit landed but the left server still serves the pre-split
 		// epoch, which covers the full range — reverting the brokers keeps
 		// answers complete, and a re-run resumes at the commit.
@@ -466,9 +466,10 @@ func (cl *Cluster) SplitPartition(ctx context.Context, p int, at int64, brokers 
 		}
 		b.unseal(old, nm)
 	}
-	// Reclaim the left directory's dropped segments once no serving epoch
-	// references them (the data lives on as hardlinks in the right half).
-	storage.SweepSegments(left.dir, left.srv.segInUse)
+	// Reclaim the left directory's dropped segments (and their cached
+	// chunks) once no serving generation references them; the data lives on
+	// as hardlinks in the right half.
+	left.srv.core.Sweep()
 	return firstErr
 }
 
@@ -536,8 +537,8 @@ func (cl *Cluster) MergePartitions(ctx context.Context, p int, brokers ...*Broke
 	// The commit landed: publish the merged layout even if the local
 	// refresh failed (reverting would double-count the absorbed documents
 	// once dst eventually refreshes; until then dst serves the pre-merge
-	// epoch and the absorbed range is briefly dark).
-	refreshErr := dst.srv.tryRefresh()
+	// generation and the absorbed range is briefly dark).
+	refreshErr := dst.srv.core.Refresh()
 
 	cl.mu.Lock()
 	nextSlots := make([][]*slotMeta, 0, len(cl.slots)-1)

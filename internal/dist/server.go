@@ -5,52 +5,37 @@ import (
 	"encoding/gob"
 	"fmt"
 	"net"
-	"runtime"
 	"sync"
 	"sync/atomic"
 	"time"
 
 	"repro/internal/corpus"
 	"repro/internal/ir"
+	"repro/internal/serving"
 	"repro/internal/storage"
 	"repro/internal/trace"
 )
 
-// Server is one partition node: a full single-node snapshot (one index,
-// or the segment set of a segmented partition directory) over its docid
-// range plus a TCP accept loop. Every connection is served by its own
-// goroutine, and query execution goes through a shared SearcherPool, so
-// one server handles concurrent query streams with bounded parallelism —
-// the Table 3 multi-stream regime.
+// Server is one partition node: a serving core (internal/serving — the
+// same generation registry, searcher pool, query pipeline and metrics a
+// repro.Engine wraps) over the partition's docid range, plus what only a
+// network node needs: a TCP accept loop, gob framing, fault injection,
+// Drain, and the ingest/ship verbs. Every connection is served by its own
+// goroutine and every query runs through the core's pipeline, so one
+// server handles concurrent query streams with bounded parallelism — the
+// Table 3 multi-stream regime.
 //
 // A dir-backed server (serveSegmentedDir; StartClusterFromDirs with
 // WithIngest) additionally serves the ingest verbs: it can append a
 // document batch as a new committed generation, accept shipped segment
 // files and manifest installs from its group's primary, and refresh its
-// serving snapshot to the directory's newest generation — all without
-// dropping in-flight searches, via the same epoch-refcounted generation
-// swap the engine uses.
+// serving snapshot to the directory's newest generation — all through
+// the core's Commit/Refresh/Sweep, so in-flight searches are never
+// dropped and replaced segments are reclaimed once no generation reads
+// them.
 type Server struct {
-	cur atomic.Pointer[srvEpoch]
-	ln  net.Listener
-
-	// Dir-backed state, zero for in-memory/monolithic servers: the
-	// segmented directory served, its long-lived buffer manager (refresh
-	// keeps unchanged segments warm), the open options and layout appends
-	// must match, and whether stats are externally coordinated (External
-	// directories serve and ship but refuse appends).
-	dir       string
-	mgr       *storage.Manager
-	storeOpts []storage.OpenOption
-	segCfg    ir.BuildConfig
-	external  bool
-
-	// commitMu serializes everything that rewrites the directory or swaps
-	// the serving epoch: appends, installs, refreshes.
-	commitMu sync.Mutex
-
-	epochMu sync.Mutex
-	epochs  map[*srvEpoch]struct{}
+	core *serving.Core
+	ln   net.Listener
 
 	mu     sync.Mutex
 	closed bool
@@ -70,76 +55,6 @@ type Server struct {
 	faultMode  FaultMode
 	faultDur   time.Duration
 	faultCount int
-}
-
-// srvEpoch is one serving generation: a snapshot, its searcher pool, and
-// a reference count. The count starts at 1 (the "current" reference);
-// every request acquires/releases around execution, an install/refresh
-// swap drops the current reference, and the snapshot's storage closes
-// when the last reference drains — a search started on the old
-// generation finishes on it.
-type srvEpoch struct {
-	s        *Server
-	snap     *ir.Snapshot
-	pool     *ir.SearcherPool
-	gen      uint64
-	segNames []string
-
-	refs      atomic.Int64
-	done      chan struct{}
-	closeOnce sync.Once
-	closeErr  error
-}
-
-func (ep *srvEpoch) release() {
-	if ep.refs.Add(-1) != 0 {
-		return
-	}
-	ep.closeOnce.Do(func() {
-		ep.s.epochMu.Lock()
-		delete(ep.s.epochs, ep)
-		ep.s.epochMu.Unlock()
-		ep.closeErr = ep.snap.Close()
-		close(ep.done)
-	})
-}
-
-// acquire returns the current epoch with a reference held, or nil when
-// the server is closed. Validate-after-increment: a swap between the
-// load and the increment is detected and retried, so a reference is
-// never handed out on a generation that already began draining.
-func (s *Server) acquire() *srvEpoch {
-	for {
-		ep := s.cur.Load()
-		if ep == nil {
-			return nil
-		}
-		ep.refs.Add(1)
-		if s.cur.Load() == ep {
-			return ep
-		}
-		ep.release()
-	}
-}
-
-// installEpoch makes snap the serving generation and begins draining the
-// previous one.
-func (s *Server) installEpoch(snap *ir.Snapshot, segNames []string) {
-	ep := &srvEpoch{
-		s:        s,
-		snap:     snap,
-		pool:     ir.NewSnapshotSearcherPool(snap, 0, runtime.GOMAXPROCS(0)),
-		gen:      snap.Gen(),
-		segNames: segNames,
-		done:     make(chan struct{}),
-	}
-	ep.refs.Store(1)
-	s.epochMu.Lock()
-	s.epochs[ep] = struct{}{}
-	s.epochMu.Unlock()
-	if old := s.cur.Swap(ep); old != nil {
-		old.release()
-	}
 }
 
 // FaultMode selects what an injected fault (SetFault) does to the
@@ -189,15 +104,7 @@ func serveIndex(ix *ir.Index) (*Server, error) {
 // partition's segment set — in a serving partition node. The server takes
 // ownership of the snapshot's storage (Close releases it).
 func serveSnapshot(snap *ir.Snapshot) (*Server, error) {
-	s := &Server{
-		epochs: make(map[*srvEpoch]struct{}),
-		conns:  make(map[net.Conn]struct{}),
-	}
-	s.installEpoch(snap, nil)
-	if err := s.start("127.0.0.1:0"); err != nil {
-		return nil, err
-	}
-	return s, nil
+	return serve(serving.New(snap, serving.Config{}), "127.0.0.1:0")
 }
 
 // serveSegmentedDir opens a segmented partition directory as an
@@ -205,64 +112,26 @@ func serveSnapshot(snap *ir.Snapshot) (*Server, error) {
 // ephemeral port; a fixed address revives a replica in place). The
 // directory must hold at least one segment already.
 func serveSegmentedDir(dir, addr string, poolBytes int64, opts []storage.OpenOption) (*Server, error) {
-	sm, err := storage.ReadSegments(dir)
+	core, err := serving.OpenDir(dir, poolBytes, opts, serving.Config{})
 	if err != nil {
 		return nil, err
 	}
-	s := &Server{
-		dir:       dir,
-		mgr:       storage.NewManager(poolBytes),
-		storeOpts: opts,
-		external:  sm.External,
-		epochs:    make(map[*srvEpoch]struct{}),
-		conns:     make(map[net.Conn]struct{}),
-	}
-	snap, err := storage.OpenSegmented(dir, poolBytes, s.openOpts()...)
-	if err != nil {
-		return nil, err
-	}
-	s.segCfg = stripLayout(snap.Primary().Config())
-	s.installEpoch(snap, segNames(sm))
-	if err := s.start(addr); err != nil {
-		return nil, err
-	}
-	return s, nil
+	return serve(core, addr)
 }
 
-func (s *Server) openOpts() []storage.OpenOption {
-	return append([]storage.OpenOption{storage.WithSharedManager(s.mgr)}, s.storeOpts...)
-}
-
-// start begins accepting on addr; on failure the installed epoch is
-// drained so the snapshot's storage is released.
-func (s *Server) start(addr string) error {
+// serve begins accepting on addr in front of a core built with the
+// defaults of a zero-option Engine; on failure the core is closed so its
+// storage is released.
+func serve(core *serving.Core, addr string) (*Server, error) {
 	ln, err := net.Listen("tcp", addr)
 	if err != nil {
-		if ep := s.cur.Swap(nil); ep != nil {
-			ep.release()
-		}
-		return err
+		core.Close()
+		return nil, err
 	}
-	s.ln = ln
+	s := &Server{core: core, ln: ln, conns: make(map[net.Conn]struct{})}
 	s.wg.Add(1)
 	go s.acceptLoop()
-	return nil
-}
-
-// stripLayout clears per-segment identity (statistics override, docid
-// base, table prefix) from a recorded build config, leaving the physical
-// layout appends must match.
-func stripLayout(bc ir.BuildConfig) ir.BuildConfig {
-	bc.Stats, bc.DocIDBase, bc.TablePrefix = nil, 0, ""
-	return bc
-}
-
-func segNames(sm *storage.SegmentsManifest) []string {
-	names := make([]string, len(sm.Segments))
-	for i, e := range sm.Segments {
-		names[i] = e.Name
-	}
-	return names
+	return s, nil
 }
 
 // Addr returns the server's listen address.
@@ -271,8 +140,8 @@ func (s *Server) Addr() string { return s.ln.Addr().String() }
 // Gen returns the serving generation (0 for servers without a
 // generation-stamped directory, or after Close).
 func (s *Server) Gen() uint64 {
-	if ep := s.cur.Load(); ep != nil {
-		return ep.gen
+	if snap := s.core.Snapshot(); snap != nil {
+		return snap.Gen()
 	}
 	return 0
 }
@@ -280,23 +149,29 @@ func (s *Server) Gen() uint64 {
 // Index exposes the partition's first (often only) segment index (sizes,
 // statistics). The returned index is borrowed from the serving
 // generation; callers must not retain it across a refresh.
-func (s *Server) Index() *ir.Index { return s.cur.Load().snap.Primary() }
+func (s *Server) Index() *ir.Index { return s.core.Snapshot().Primary() }
 
 // Snapshot exposes the partition's full segment set (borrowed from the
 // serving generation, like Index).
-func (s *Server) Snapshot() *ir.Snapshot { return s.cur.Load().snap }
+func (s *Server) Snapshot() *ir.Snapshot { return s.core.Snapshot() }
+
+// Metrics returns the server's serving metrics — query and pool-wait
+// latency histograms, in-flight searches, the storage chunk cache, the
+// serving generation — the same snapshot type Engine.MetricsSnapshot
+// returns, collected by the same core.
+func (s *Server) Metrics() serving.Metrics { return s.core.Metrics() }
 
 // Warm runs the queries locally (no network) at result depth k so later
 // measurements see a buffer pool warmed by the same plans they will run.
 func (s *Server) Warm(strat ir.Strategy, queries []corpus.Query, k int) error {
-	ep := s.acquire()
-	if ep == nil {
-		return fmt.Errorf("dist: server closed")
+	g, err := s.core.Acquire()
+	if err != nil {
+		return err
 	}
-	defer ep.release()
+	defer g.Release()
 	ctx := context.Background()
 	for _, q := range queries {
-		if _, _, err := ep.pool.Search(ctx, q.Terms, k, strat); err != nil {
+		if _, err := g.Search(ctx, serving.Request{Terms: q.Terms, K: k, Strategy: strat}); err != nil {
 			return err
 		}
 	}
@@ -353,10 +228,10 @@ func (s *Server) fault() (FaultMode, time.Duration) {
 
 // Close stops accepting, closes every open broker connection (which
 // aborts their blocked reads), waits for the connection goroutines to
-// exit, and releases every serving generation's storage once its last
-// in-flight search drains. A request already executing finishes but its
-// reply may be lost — the broker sees a dropped connection, the same
-// failure mode as a server crash.
+// exit, and closes the core: every serving generation's storage is
+// released once its last in-flight search drains. A request already
+// executing finishes but its reply may be lost — the broker sees a
+// dropped connection, the same failure mode as a server crash.
 func (s *Server) Close() error {
 	s.mu.Lock()
 	if s.closed {
@@ -370,23 +245,8 @@ func (s *Server) Close() error {
 	s.mu.Unlock()
 	err := s.ln.Close()
 	s.wg.Wait()
-	// Drop the current reference and wait for every generation to drain;
-	// connection goroutines have exited, so all request references are
-	// already released.
-	if ep := s.cur.Swap(nil); ep != nil {
-		ep.release()
-	}
-	s.epochMu.Lock()
-	var draining []*srvEpoch
-	for ep := range s.epochs {
-		draining = append(draining, ep)
-	}
-	s.epochMu.Unlock()
-	for _, ep := range draining {
-		<-ep.done
-		if err == nil {
-			err = ep.closeErr
-		}
+	if cerr := s.core.Close(); err == nil {
+		err = cerr
 	}
 	return err
 }
@@ -465,7 +325,7 @@ func (s *Server) serve(conn net.Conn) {
 		var resp wireResponse
 		switch req.Verb {
 		case verbSearch:
-			resp = s.answer(&req)
+			resp = s.handleSearch(&req)
 		case verbStatus:
 			resp = s.handleStatus(&req)
 		case verbAppend:
@@ -487,79 +347,40 @@ func (s *Server) serve(conn net.Conn) {
 	}
 }
 
-// tryRefresh reopens the serving snapshot if the directory's on-disk
-// generation moved ahead (an install this server committed, or — for
-// shared-directory topologies — a generation some other handle wrote).
-func (s *Server) tryRefresh() error {
-	if s.dir == "" {
-		return nil
-	}
-	s.commitMu.Lock()
-	defer s.commitMu.Unlock()
-	return s.refreshLocked()
-}
-
-func (s *Server) refreshLocked() error {
-	cur := s.cur.Load()
-	if cur == nil {
-		return fmt.Errorf("dist: server closed")
-	}
-	sm, err := storage.ReadSegments(s.dir)
-	if err != nil {
-		return err
-	}
-	if sm.Generation <= cur.gen {
-		return nil
-	}
-	snap, err := storage.OpenSegmented(s.dir, 0, s.openOpts()...)
-	if err != nil {
-		return err
-	}
-	s.installEpoch(snap, segNames(sm))
-	return nil
-}
-
-// answer executes one wire request. A batch of one runs inline; a larger
-// batch fans across goroutines, with the searcher pool bounding actual
-// parallelism — the server-side half of the SearchMany pipeline. When
-// the request pins a generation this replica has not reached, it tries
-// one refresh from its directory and otherwise refuses with Stale — the
-// broker fails over instead of accepting an answer missing documents the
-// caller already observed.
-func (s *Server) answer(req *wireRequest) wireResponse {
+// handleSearch executes one wire request on one generation. A batch of
+// one runs inline; a larger batch fans across goroutines, with the core's
+// searcher pool bounding actual parallelism. When the request pins a
+// generation this replica has not reached, it tries one refresh from its
+// directory and otherwise refuses with Stale — the broker fails over
+// instead of accepting an answer missing documents the caller already
+// observed.
+func (s *Server) handleSearch(req *wireRequest) wireResponse {
 	resp := wireResponse{Seq: req.Seq, Queries: make([]wireAnswer, len(req.Queries))}
-	ep := s.acquire()
-	if ep == nil {
-		for i := range resp.Queries {
-			resp.Queries[i].Err = "dist: server closed"
-		}
-		return resp
-	}
-	if req.PinGen > 0 && ep.gen < req.PinGen && s.dir != "" {
-		ep.release()
-		if err := s.tryRefresh(); err != nil {
-			for i := range resp.Queries {
-				resp.Queries[i].Err = err.Error()
-			}
-			resp.Stale = true
-			return resp
-		}
-		if ep = s.acquire(); ep == nil {
-			for i := range resp.Queries {
-				resp.Queries[i].Err = "dist: server closed"
-			}
-			return resp
-		}
-	}
-	defer ep.release()
-	resp.Gen = ep.gen
-	if req.PinGen > 0 && ep.gen < req.PinGen {
-		resp.Stale = true
-		msg := fmt.Sprintf("dist: replica at generation %d, behind pinned %d", ep.gen, req.PinGen)
+	fail := func(msg string) wireResponse {
 		for i := range resp.Queries {
 			resp.Queries[i].Err = msg
 		}
 		return resp
+	}
+	g, err := s.core.Acquire()
+	if err != nil {
+		return fail(err.Error())
+	}
+	if req.PinGen > 0 && g.Snapshot().Gen() < req.PinGen && s.core.Dir() != "" {
+		g.Release()
+		if err := s.core.Refresh(); err != nil {
+			resp.Stale = true
+			return fail(err.Error())
+		}
+		if g, err = s.core.Acquire(); err != nil {
+			return fail(err.Error())
+		}
+	}
+	defer g.Release()
+	resp.Gen = g.Snapshot().Gen()
+	if req.PinGen > 0 && resp.Gen < req.PinGen {
+		resp.Stale = true
+		return fail(fmt.Sprintf("dist: replica at generation %d, behind pinned %d", resp.Gen, req.PinGen))
 	}
 
 	ctx := context.Background()
@@ -569,7 +390,7 @@ func (s *Server) answer(req *wireRequest) wireResponse {
 		defer cancel()
 	}
 	if len(req.Queries) == 1 {
-		resp.Queries[0] = s.answerOne(ctx, ep, req, &req.Queries[0])
+		resp.Queries[0] = s.answerQuery(ctx, g, req, &req.Queries[0])
 		return resp
 	}
 	var wg sync.WaitGroup
@@ -577,42 +398,33 @@ func (s *Server) answer(req *wireRequest) wireResponse {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			resp.Queries[i] = s.answerOne(ctx, ep, req, &req.Queries[i])
+			resp.Queries[i] = s.answerQuery(ctx, g, req, &req.Queries[i])
 		}(i)
 	}
 	wg.Wait()
 	return resp
 }
 
-// answerOne executes one query of a batch, forwarding the full per-query
-// stats (wall, simulated I/O, second pass, candidates) onto the wire.
-// When the request carries a sampled trace context, the query records a
-// server-local span tree — pool wait, execution, the per-operator
-// breakdown the searcher adds — and ships it back for the broker to
+// answerQuery runs one query of a wire request through the core's
+// pipeline and forwards the full per-query stats (wall, simulated I/O,
+// second pass, candidates) onto the wire. When the request carries a
+// sampled trace context, the query gets a server-local root span riding
+// ctx — the pipeline's pool wait and execution spans and the searcher's
+// per-operator breakdown land under it — shipped back for the broker to
 // graft under the attempt that carried it.
-func (s *Server) answerOne(ctx context.Context, ep *srvEpoch, req *wireRequest, q *wireQuery) wireAnswer {
+func (s *Server) answerQuery(ctx context.Context, g *serving.Gen, req *wireRequest, q *wireQuery) wireAnswer {
 	var t *trace.Trace
 	if req.TraceSampled {
 		t = trace.New(req.TraceID, "server")
 		t.SetAttrStr(trace.Root, "addr", s.Addr())
 		ctx = trace.NewContext(ctx, t)
 	}
-	pw := t.Begin("pool.wait")
-	sr, err := ep.pool.Acquire(ctx)
-	t.End(pw)
-	var results []ir.Result
-	var stats ir.QueryStats
-	if err == nil {
-		ex := t.Begin("execute")
-		results, stats, err = sr.SearchContext(ctx, q.Terms, q.K, ir.Strategy(q.Strategy))
-		t.End(ex)
-		ep.pool.Release(sr)
-	}
+	r, err := g.Search(ctx, serving.Request{Terms: q.Terms, K: q.K, Strategy: ir.Strategy(q.Strategy)})
 	a := wireAnswer{
-		WallNanos:  stats.Wall.Nanoseconds(),
-		SimIONanos: stats.SimIO.Nanoseconds(),
-		SecondPass: stats.SecondPass,
-		Candidates: stats.Candidates,
+		WallNanos:  r.Stats.Wall.Nanoseconds(),
+		SimIONanos: r.Stats.SimIO.Nanoseconds(),
+		SecondPass: r.Stats.SecondPass,
+		Candidates: r.Stats.Candidates,
 	}
 	if t != nil {
 		if err != nil {
@@ -625,9 +437,9 @@ func (s *Server) answerOne(ctx context.Context, ep *srvEpoch, req *wireRequest, 
 		a.Err = err.Error()
 		return a
 	}
-	a.Results = make([]wireResult, len(results))
-	for i, r := range results {
-		a.Results[i] = wireResult{DocID: r.DocID, Name: r.Name, Score: r.Score}
+	a.Results = make([]wireResult, len(r.Hits))
+	for i, h := range r.Hits {
+		a.Results[i] = wireResult{DocID: h.DocID, Name: h.Name, Score: h.Score}
 	}
 	return a
 }
@@ -638,13 +450,10 @@ func (s *Server) answerOne(ctx context.Context, ep *srvEpoch, req *wireRequest, 
 func (s *Server) handleStatus(req *wireRequest) wireResponse {
 	resp := wireResponse{Seq: req.Seq}
 	st := &wireStatus{}
-	if ep := s.acquire(); ep != nil {
-		st.Gen = ep.gen
-		resp.Gen = ep.gen
-		ep.release()
-	}
-	if s.dir != "" {
-		sm, err := storage.ReadSegments(s.dir)
+	st.Gen = s.Gen()
+	resp.Gen = st.Gen
+	if dir := s.core.Dir(); dir != "" {
+		sm, err := storage.ReadSegments(dir)
 		if err != nil {
 			resp.Err = err.Error()
 			return resp
@@ -657,8 +466,8 @@ func (s *Server) handleStatus(req *wireRequest) wireResponse {
 		for _, e := range sm.Segments {
 			st.NumDocs += e.Docs
 		}
-		st.Segs = segNames(sm)
-		st.Ingest = !s.external
+		st.Segs = sm.Names()
+		st.Ingest = !s.core.External()
 	}
 	resp.Status = st
 	return resp
@@ -671,7 +480,8 @@ func (s *Server) handleStatus(req *wireRequest) wireResponse {
 // and file list, and the exact committed manifest bytes.
 func (s *Server) handleAppend(req *wireRequest) wireResponse {
 	resp := wireResponse{Seq: req.Seq}
-	if s.dir == "" || s.external {
+	dir := s.core.Dir()
+	if dir == "" || s.core.External() {
 		resp.Err = "dist: server does not accept appends (not a live ingest partition)"
 		return resp
 	}
@@ -689,26 +499,25 @@ func (s *Server) handleAppend(req *wireRequest) wireResponse {
 		return resp
 	}
 
-	s.commitMu.Lock()
-	gen, err := storage.AppendSegment(s.dir, batch, s.segCfg)
+	var gen uint64
 	var manifest []byte
 	var sm *storage.SegmentsManifest
-	if err == nil {
+	err = s.core.Commit(func() (err error) {
+		if gen, err = storage.AppendSegment(dir, batch, s.core.Layout()); err != nil {
+			return err
+		}
 		// Re-read inside the commit lock: the manifest bytes must be the
 		// exact generation this append committed.
-		manifest, sm, err = storage.ReadSegmentsRaw(s.dir)
-	}
-	if err == nil {
-		err = s.refreshLocked()
-	}
-	s.commitMu.Unlock()
+		manifest, sm, err = storage.ReadSegmentsRaw(dir)
+		return err
+	})
 	if err != nil {
 		resp.Err = err.Error()
 		return resp
 	}
 
 	seg := sm.Segments[len(sm.Segments)-1].Name
-	files, err := storage.SegmentFiles(s.dir, seg)
+	files, err := storage.SegmentFiles(dir, seg)
 	if err != nil {
 		resp.Err = err.Error()
 		return resp
@@ -730,7 +539,8 @@ func (s *Server) handleAppend(req *wireRequest) wireResponse {
 // of a committed segment file, or (File empty) the segment's file list.
 func (s *Server) handleFetch(req *wireRequest) wireResponse {
 	resp := wireResponse{Seq: req.Seq}
-	if s.dir == "" {
+	dir := s.core.Dir()
+	if dir == "" {
 		resp.Err = "dist: server has no partition directory to fetch from"
 		return resp
 	}
@@ -740,7 +550,7 @@ func (s *Server) handleFetch(req *wireRequest) wireResponse {
 		return resp
 	}
 	if f.File == "" {
-		files, err := storage.SegmentFiles(s.dir, f.Seg)
+		files, err := storage.SegmentFiles(dir, f.Seg)
 		if err != nil {
 			resp.Err = err.Error()
 			return resp
@@ -751,7 +561,7 @@ func (s *Server) handleFetch(req *wireRequest) wireResponse {
 		}
 		return resp
 	}
-	data, err := storage.ReadSegmentFileAt(s.dir, f.Seg, f.File, f.Off, f.Len)
+	data, err := storage.ReadSegmentFileAt(dir, f.Seg, f.File, f.Off, f.Len)
 	if err != nil {
 		resp.Err = err.Error()
 		return resp
@@ -762,13 +572,15 @@ func (s *Server) handleFetch(req *wireRequest) wireResponse {
 
 // handleInstall serves the replica side of segment shipping: chunk
 // writes land in the directory without committing anything; the commit
-// is the manifest install, which goes through the storage writer lock
-// (so it can never interleave with a local append), refreshes serving to
-// the new generation, and sweeps segment directories no live generation
-// references anymore.
+// is the manifest install, which goes through the core's commit lock and
+// the storage writer lock (so it can never interleave with a local
+// append), refreshes serving to the new generation, and sweeps segment
+// directories — and their cached chunks — no live generation references
+// anymore.
 func (s *Server) handleInstall(req *wireRequest) wireResponse {
 	resp := wireResponse{Seq: req.Seq}
-	if s.dir == "" || s.external {
+	dir := s.core.Dir()
+	if dir == "" || s.core.External() {
 		resp.Err = "dist: server does not accept installs (not a live ingest partition)"
 		return resp
 	}
@@ -778,26 +590,23 @@ func (s *Server) handleInstall(req *wireRequest) wireResponse {
 		return resp
 	}
 	if req.Verb == verbInstallChunk {
-		if err := storage.WriteSegmentFileChunk(s.dir, in.Seg, in.File, in.Off, in.Data); err != nil {
+		if err := storage.WriteSegmentFileChunk(dir, in.Seg, in.File, in.Off, in.Data); err != nil {
 			resp.Err = err.Error()
 		}
 		return resp
 	}
-	s.commitMu.Lock()
-	gen, err := storage.InstallManifest(s.dir, in.Manifest)
-	if err == nil {
-		err = s.refreshLocked()
-	}
-	if err == nil {
-		// Best-effort reclaim of segments no generation serves anymore
-		// (replaced by shipped merges, or orphaned by a lost race).
-		storage.SweepSegments(s.dir, s.segInUse)
-	}
-	s.commitMu.Unlock()
+	var gen uint64
+	err := s.core.Commit(func() (err error) {
+		gen, err = storage.InstallManifest(dir, in.Manifest)
+		return err
+	})
 	if err != nil {
 		resp.Err = err.Error()
 		return resp
 	}
+	// Best-effort reclaim of segments no generation serves anymore
+	// (replaced by shipped merges, or orphaned by a lost race).
+	s.core.Sweep()
 	resp.Gen = gen
 	return resp
 }
@@ -808,13 +617,12 @@ func (s *Server) handleInstall(req *wireRequest) wireResponse {
 // return manifest bytes otherwise, and a bootstrap has no append to ride).
 func (s *Server) handleManifest(req *wireRequest) wireResponse {
 	resp := wireResponse{Seq: req.Seq}
-	if s.dir == "" {
+	dir := s.core.Dir()
+	if dir == "" {
 		resp.Err = "dist: server has no partition directory"
 		return resp
 	}
-	s.commitMu.Lock()
-	manifest, sm, err := storage.ReadSegmentsRaw(s.dir)
-	s.commitMu.Unlock()
+	manifest, sm, err := storage.ReadSegmentsRaw(dir)
 	if err != nil {
 		resp.Err = err.Error()
 		return resp
@@ -839,19 +647,4 @@ func (s *Server) Drain(ctx context.Context) error {
 		case <-time.After(time.Millisecond):
 		}
 	}
-}
-
-// segInUse reports whether any live serving generation still references
-// the named segment directory — the GC guard for install-time sweeps.
-func (s *Server) segInUse(name string) bool {
-	s.epochMu.Lock()
-	defer s.epochMu.Unlock()
-	for ep := range s.epochs {
-		for _, n := range ep.segNames {
-			if n == name {
-				return true
-			}
-		}
-	}
-	return false
 }

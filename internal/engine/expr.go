@@ -321,7 +321,7 @@ func (c *ToFloat) String() string { return fmt.Sprintf("float(%s)", c.Arg) }
 // column, an Int64 doclen column and the per-term document frequency, it
 // computes w(D,T) in a single pass (see primitives.MapBM25TfLenCol). The
 // equivalent composed expression tree is constructed by BM25Composed; the
-// fused-vs-composed difference is one of the DESIGN.md ablations.
+// fused-vs-composed difference is measured by BenchmarkBM25Expression.
 type BM25 struct {
 	TF, DocLen Expr
 	Ftd        float64

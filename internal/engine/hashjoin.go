@@ -10,7 +10,7 @@ import (
 // HashJoin is the inner equi-join alternative to MergeJoin: the right
 // (build) side is materialized into a hash table, then the left (probe)
 // side streams through. It does not require sorted inputs and serves as
-// the ablation baseline for merge-join over inverted lists (DESIGN.md §6):
+// the ablation baseline for merge-join over inverted lists (BenchmarkJoinAblation):
 // merging exploits the (term, docid) ordering the storage layout already
 // provides, hashing pays materialization.
 type HashJoin struct {

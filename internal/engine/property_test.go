@@ -21,7 +21,7 @@ func randSortedUnique(rng *rand.Rand, n, domain int) []int64 {
 	return out
 }
 
-// DESIGN.md invariant: MergeJoin equals nested-loop intersection,
+// Invariant: MergeJoin equals nested-loop intersection,
 // MergeOuterJoin equals union, on random sorted unique inputs.
 func TestMergeJoinMatchesOracleProperty(t *testing.T) {
 	rng := rand.New(rand.NewSource(71))
@@ -102,7 +102,7 @@ func sameRows(a, b [][]int64) bool {
 	return reflect.DeepEqual(a, b)
 }
 
-// DESIGN.md invariant: TopN(k) equals full sort + take k, with
+// Invariant: TopN(k) equals full sort + take k, with
 // deterministic tie-breaking by arrival order.
 func TestTopNMatchesSortOracleProperty(t *testing.T) {
 	rng := rand.New(rand.NewSource(72))

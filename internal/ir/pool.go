@@ -20,12 +20,6 @@ type SearcherPool struct {
 	free chan *Searcher
 }
 
-// NewSearcherPool builds n searchers over the index (vectorSize 0 = the
-// 1024 default). n < 1 is treated as 1.
-func NewSearcherPool(ix *Index, vectorSize, n int) *SearcherPool {
-	return NewSnapshotSearcherPool(SingleSnapshot(ix), vectorSize, n)
-}
-
 // NewSnapshotSearcherPool builds n searchers over a snapshot's segment set
 // (vectorSize 0 = the 1024 default). n < 1 is treated as 1. All searchers
 // share the snapshot's immutable segments; the engine swaps whole
@@ -67,19 +61,9 @@ func (p *SearcherPool) Release(s *Searcher) {
 	}
 }
 
-// Search checks a searcher out, runs the query under the context, and
-// returns the searcher to the pool. This is the one-call path
-// Engine.Search and the distributed servers use.
-func (p *SearcherPool) Search(ctx context.Context, terms []string, k int, strat Strategy) ([]Result, QueryStats, error) {
-	s, err := p.Acquire(ctx)
-	if err != nil {
-		return nil, QueryStats{}, err
-	}
-	defer p.Release(s)
-	return s.SearchContext(ctx, terms, k, strat)
-}
-
-// SearchBool is the boolean-language counterpart of Search.
+// SearchBool checks a searcher out, runs the boolean query under the
+// context, and returns the searcher to the pool. (Ranked searches go
+// through the serving core's pipeline, which holds its searcher itself.)
 func (p *SearcherPool) SearchBool(ctx context.Context, expr BoolExpr, k int) ([]Result, QueryStats, error) {
 	s, err := p.Acquire(ctx)
 	if err != nil {

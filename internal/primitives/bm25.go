@@ -15,7 +15,7 @@ import "math"
 // primitives; MapBM25TfLenCol is the fused alternative a query compiler
 // would emit for the hot path, computing the whole weight in one pass over
 // the tf and doclen vectors. Both forms are exercised by the benchmarks
-// (fused-vs-composed is one of the DESIGN.md ablations).
+// (fused-vs-composed is the BenchmarkBM25Expression ablation).
 
 // BM25Params carries the collection statistics and tuning constants needed
 // to evaluate a term weight.

@@ -1,4 +1,4 @@
-package repro
+package serving
 
 import (
 	"container/list"
@@ -7,10 +7,11 @@ import (
 	"strings"
 	"sync"
 	"time"
+
+	"repro/internal/ir"
 )
 
-// CachePolicy selects how the engine result cache evicts (see
-// WithResultCachePolicy).
+// CachePolicy selects how the result cache evicts.
 type CachePolicy int
 
 const (
@@ -29,7 +30,7 @@ const (
 // eviction would turn every put into O(n)).
 const costSample = 8
 
-// ResultCacheStats reports the engine result cache counters: lookups served
+// ResultCacheStats reports the result cache counters: lookups served
 // from the cache (without acquiring a searcher), lookups that went to the
 // execution path, and occupancy.
 type ResultCacheStats struct {
@@ -45,7 +46,7 @@ func (s ResultCacheStats) HitRate() float64 {
 	return float64(s.Hits) / float64(s.Hits+s.Misses)
 }
 
-// resultCache is the engine-level LRU of complete search responses, keyed
+// resultCache is the LRU of complete search responses, keyed
 // on normalized terms + k + resolved strategy. Indexes are immutable, so
 // entries never need invalidation; a hit is served without ever touching
 // the searcher pool. It is safe for concurrent use.
@@ -61,7 +62,7 @@ type resultCache struct {
 
 type cacheEntry struct {
 	key  string
-	resp SearchResponse
+	resp Response
 	// cost is the wall time of the execution that populated the entry —
 	// what a future hit saves, and what CachePolicyCost evicts by.
 	cost time.Duration
@@ -85,7 +86,7 @@ func newResultCache(entries int, policy CachePolicy) *resultCache {
 // that refreshes to a newer generation (live appends, background merges)
 // thereby invalidates every prior entry without any flush — stale keys are
 // simply never asked for again and age out of the LRU.
-func cacheKey(terms []string, k int, strat Strategy, gen uint64) string {
+func cacheKey(terms []string, k int, strat ir.Strategy, gen uint64) string {
 	sorted := append(make([]string, 0, len(terms)), terms...)
 	sort.Strings(sorted)
 	var b strings.Builder
@@ -103,27 +104,27 @@ func cacheKey(terms []string, k int, strat Strategy, gen uint64) string {
 
 // get returns a private copy of the cached response for key, updating
 // recency. The copy's Cached flag is set.
-func (c *resultCache) get(key string) (SearchResponse, bool) {
+func (c *resultCache) get(key string) (Response, bool) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	el, ok := c.entries[key]
 	if !ok {
 		c.misses++
-		return SearchResponse{}, false
+		return Response{}, false
 	}
 	c.hits++
 	c.lru.MoveToFront(el)
 	resp := el.Value.(*cacheEntry).resp
 	// Callers own their result slice; the cached one stays immutable.
-	resp.Hits = append([]Result(nil), resp.Hits...)
+	resp.Hits = append([]ir.Result(nil), resp.Hits...)
 	resp.Cached = true
 	return resp, true
 }
 
 // put stores a response under key, evicting least-recently-used entries
 // beyond capacity. The stored copy detaches from the caller's slice.
-func (c *resultCache) put(key string, resp SearchResponse) {
-	resp.Hits = append([]Result(nil), resp.Hits...)
+func (c *resultCache) put(key string, resp Response) {
+	resp.Hits = append([]ir.Result(nil), resp.Hits...)
 	resp.Cached = false
 	c.mu.Lock()
 	defer c.mu.Unlock()

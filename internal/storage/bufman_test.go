@@ -268,7 +268,9 @@ func TestManagerConcurrentMixedKeys(t *testing.T) {
 	if st.Used > 64 {
 		t.Errorf("budget violated after concurrent churn: %+v", st)
 	}
-	if st.Hits+st.Misses+st.Shared != 8*500 {
+	// Every successful lookup is a hit or a miss; a shared wait is a hit
+	// that also counts as Shared (see colbm.CacheStats).
+	if st.Hits+st.Misses != 8*500 || st.Shared > st.Hits {
 		t.Errorf("lookups leaked: %+v", st)
 	}
 }

@@ -27,8 +27,8 @@
 // background merge; SweepSegments garbage-collects directories no
 // generation references. Every mutation is a new generation sharing all
 // unchanged segment directories with the old one, which is what lets the
-// engine refresh under an epoch refcount without dropping in-flight
-// searches.
+// serving core (internal/serving) swap generations under a reference
+// count without dropping in-flight searches.
 //
 // # Prefetch
 //

@@ -143,6 +143,16 @@ type SegmentsManifest struct {
 	Segments []SegmentEntry `json:"segments"`
 }
 
+// Names returns the generation's segment directory names in docid order —
+// the set a reader of this generation keeps alive against segment GC.
+func (sm *SegmentsManifest) Names() []string {
+	names := make([]string, len(sm.Segments))
+	for i, e := range sm.Segments {
+		names[i] = e.Name
+	}
+	return names
+}
+
 func segmentsPath(dir string) string { return filepath.Join(dir, SegmentsManifestName) }
 
 // IsSegmentedDir reports whether dir holds a readable segmented-index
@@ -1144,7 +1154,7 @@ func CommitMerge(dir string, names []string, into string, bakedEpoch uint64) (ui
 
 // SweepSegments garbage-collects segment directories that are neither
 // referenced by the current generation nor reported in use (by a live
-// reader epoch or an in-progress build). Returns the removed names.
+// reader generation or an in-progress build). Returns the removed names.
 func SweepSegments(dir string, inUse func(name string) bool) ([]string, error) {
 	sm, err := ReadSegments(dir)
 	if err != nil {

@@ -6,8 +6,8 @@ import "time"
 // WithAutoMerge): every Add nudges it, and while the tiered policy finds
 // the segment count above its bound it merges the cheapest adjacent run —
 // building off to the side with no locks held, committing a new generation
-// under the engine's commit lock, refreshing, and garbage-collecting the
-// replaced directories once no reader references them. Merging re-bakes
+// under the serving core's commit lock, refreshing, and garbage-collecting
+// the replaced directories once no reader references them. Merging re-bakes
 // materialized score columns against current collection statistics, so the
 // amortized cost of appends (stale segments scoring through the virtual
 // kernels) is paid down continuously.
@@ -44,9 +44,8 @@ func (m *merger) notify() {
 // its next cancellation poll — between segments and term scans while
 // streaming the run, and once more before the final index build (the
 // build itself is not interruptible, so that much can still run out); a
-// build that completes anyway is discarded at mergeOnce's closed re-check
-// before commit, and the orphaned directory is reclaimed by the engine's
-// final sweep.
+// build that completes after the core closed is refused at commit and
+// its directory removed by mergeOnce.
 func (m *merger) stop() {
 	close(m.stopCh)
 	<-m.done
@@ -81,7 +80,7 @@ func (e *Engine) mergeYield(stopped func() bool) func() bool {
 	}
 	thr := int64(e.cfg.mergeThrottle)
 	return func() bool {
-		for e.inflight.Load() > thr {
+		for e.core.Inflight() > thr {
 			if stopped() {
 				return true
 			}

@@ -1,10 +1,9 @@
 package repro
 
 import (
-	"time"
-
 	"repro/internal/metrics"
 	"repro/internal/qos"
+	"repro/internal/serving"
 )
 
 // ErrOverloaded is the sentinel shed requests wrap: when admission
@@ -22,82 +21,13 @@ var ErrOverloaded = qos.ErrOverloaded
 type LatencySnapshot = metrics.HistSnapshot
 
 // EngineMetrics is one coherent snapshot of an engine's serving-side
-// metrics, the single API in front of counters that previously lived in
-// three layers (and several that are new): request latency, searcher-
-// pool wait, admission state, the result cache, and the storage-layer
-// chunk cache of the serving generation.
-type EngineMetrics struct {
-	// Queries is the latency distribution of completed requests (cache
-	// hits included — they are real requests with real latencies).
-	Queries LatencySnapshot
-	// PoolWait is the distribution of time spent waiting for a pooled
-	// searcher; a growing p99 here is the leading indicator of
-	// saturation, visible before request latency degrades.
-	PoolWait LatencySnapshot
-	// Inflight is the number of ranked searches executing right now (the
-	// always-on load signal the merge throttle also reads);
-	// ServiceEstimate is the EWMA of per-request execution time, zero
-	// unless WithAdmissionControl is on.
-	Inflight        int64
-	ServiceEstimate time.Duration
-	// Shed counts requests rejected by admission control.
-	Shed int64
-	// ResultCache mirrors Engine.ResultCacheStats.
-	ResultCache ResultCacheStats
-	// Storage is the chunk-cache snapshot of the serving generation: the
-	// shared buffer manager for segmented engines, the primary index's
-	// cache otherwise (hits, misses, singleflight shares, evictions,
-	// occupancy).
-	Storage CacheStats
-}
-
-// engineMetrics is the always-on collection side: two sliding-window
-// histograms and a counter, all allocation-free on the hot path.
-type engineMetrics struct {
-	queries  *metrics.Histogram
-	poolWait *metrics.Histogram
-	shed     metrics.Counter
-}
-
-// metricsWindow is the trailing window engine latency quantiles cover.
-const (
-	metricsWindow = 2 * time.Minute
-	metricsSlices = 8
-)
-
-func newEngineMetrics() *engineMetrics {
-	return &engineMetrics{
-		queries:  metrics.NewHistogram(metricsWindow, metricsSlices),
-		poolWait: metrics.NewHistogram(metricsWindow, metricsSlices),
-	}
-}
+// metrics: request latency (Queries), searcher-pool wait (PoolWait),
+// Inflight searches, admission state (ServiceEstimate, Shed), the
+// ResultCache, the Storage chunk cache of the serving generation, and the
+// serving generation itself (Gen). A dist.Server reports the same type.
+type EngineMetrics = serving.Metrics
 
 // MetricsSnapshot returns the engine's serving metrics. Safe for
 // concurrent use; cheap enough to poll (it merges fixed-size bucket
-// arrays, no sample retention anywhere).
-func (e *Engine) MetricsSnapshot() EngineMetrics {
-	// A closed engine has released its epoch and storage; report zeros
-	// rather than racing Close over the segment manager and chunk caches
-	// (an ops scrape can land at any time relative to shutdown).
-	if e.closed.Load() {
-		return EngineMetrics{}
-	}
-	m := EngineMetrics{
-		Queries:     e.met.queries.Snapshot(),
-		PoolWait:    e.met.poolWait.Snapshot(),
-		Shed:        e.met.shed.Load(),
-		ResultCache: e.ResultCacheStats(),
-	}
-	m.Inflight = e.inflight.Load()
-	if e.qosCtl != nil {
-		m.ServiceEstimate = e.qosCtl.ServiceEstimate()
-	}
-	if e.segMgr != nil {
-		m.Storage = e.segMgr.Stats()
-	} else if ep := e.cur.Load(); ep != nil {
-		if c := ep.snap.Primary().Cache; c != nil {
-			m.Storage = c.Stats()
-		}
-	}
-	return m
-}
+// arrays, no sample retention anywhere). A closed engine reports zeros.
+func (e *Engine) MetricsSnapshot() EngineMetrics { return e.core.Metrics() }

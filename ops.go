@@ -25,7 +25,7 @@ type QueryTrace = trace.QueryTrace
 // WithTraceSampling sample, bounded to the most recent few dozen. Safe
 // for concurrent use; empty without either option.
 func (e *Engine) SlowQueries() []QueryTrace {
-	return e.tracer.SlowQueries()
+	return e.core.SlowQueries()
 }
 
 // OpsAddr returns the bound address of the WithOpsServer HTTP endpoint
@@ -87,12 +87,12 @@ func (o engineOps) OpsHealth() any {
 		Generation    uint64        `json:"generation"`
 		SlowThreshold time.Duration `json:"slow_threshold_ns"`
 	}{
-		Closed:        o.e.closed.Load(),
+		Closed:        o.e.core.Snapshot() == nil,
 		Docs:          o.e.NumDocs(),
 		Postings:      o.e.NumPostings(),
 		Searchers:     o.e.Searchers(),
 		Segments:      seg.Segments,
 		Generation:    seg.Generation,
-		SlowThreshold: o.e.tracer.SlowThreshold(),
+		SlowThreshold: o.e.core.SlowThreshold(),
 	}
 }

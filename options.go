@@ -5,6 +5,8 @@ import (
 	"math"
 	"runtime"
 	"time"
+
+	"repro/internal/serving"
 )
 
 // engineConfig is the resolved configuration an Engine is opened with.
@@ -13,9 +15,12 @@ import (
 // the first knob — the "validating entry point" discipline this API
 // replaces the old bag of positional constructors with.
 type engineConfig struct {
-	index      IndexConfig
-	vectorSize int
-	searchers  int
+	// The serving-side knobs (searchers, vector size, result cache,
+	// admission, slow-query log, trace sampling) are the serving core's
+	// configuration, handed to it as is.
+	serving.Config
+
+	index IndexConfig
 
 	poolSet bool  // WithBufferPoolBytes given (overrides index.PoolBytes)
 	pool    int64 // buffer pool capacity in bytes
@@ -28,21 +33,14 @@ type engineConfig struct {
 	autoMerge     int    // WithAutoMerge: background merge above this segment count (0 = off)
 	mergeThrottle int    // WithMergeThrottle: pause merges above this many inflight queries (-1 = off)
 
-	resultCache     int         // WithResultCache: entries (0 = disabled)
-	cachePolicy     CachePolicy // WithResultCachePolicy: eviction policy
-	prefetchWorkers int         // WithPrefetch: read-ahead workers (0 = disabled)
+	prefetchWorkers int // WithPrefetch: read-ahead workers (0 = disabled)
 
 	mmapReads      bool           // WithMmapReads: serve column blobs via memory mappings
 	cacheAdmission CacheAdmission // WithCacheAdmission: buffer-manager admission policy
 	approxSet      bool           // WithApproxBounds given
 	approxBounds   float64        // quantization-bounds drift fraction (0 = exact)
 
-	admission      bool // WithAdmissionControl given
-	admissionQueue int  // waiters allowed beyond the searcher pool (0 = no hard cap)
-
-	slowQuery time.Duration // WithSlowQueryThreshold: keep traces of queries over this (0 = off)
-	traceRate float64       // WithTraceSampling: fraction of queries traced regardless of duration
-	opsAddr   string        // WithOpsServer: HTTP ops endpoint listen address ("" = off)
+	opsAddr string // WithOpsServer: HTTP ops endpoint listen address ("" = off)
 
 	errs []error
 }
@@ -51,7 +49,7 @@ type engineConfig struct {
 // can see on its own; every Open-family entry point calls it after the
 // option loop.
 func (c *engineConfig) crossValidate() {
-	if c.cachePolicy != CachePolicyLRU && c.resultCache == 0 {
+	if c.CachePolicy != CachePolicyLRU && c.ResultCache == 0 {
 		c.errs = append(c.errs,
 			fmt.Errorf("repro: WithResultCachePolicy needs a result cache (add WithResultCache)"))
 	}
@@ -66,15 +64,14 @@ type Option func(*engineConfig)
 
 func defaultEngineConfig() engineConfig {
 	return engineConfig{
+		Config:        serving.Config{Searchers: runtime.GOMAXPROCS(0)},
 		index:         DefaultIndexConfig(),
-		vectorSize:    0, // searcher default (1024)
-		searchers:     runtime.GOMAXPROCS(0),
 		mergeThrottle: -1,
 	}
 }
 
 // WithIndexConfig replaces the physical index configuration (which columns
-// are stored, chunk length, storage simulation). Later WithBufferPool /
+// are stored, chunk length, storage simulation). Later WithBufferPoolBytes /
 // WithDiskParams options still override the corresponding fields.
 func WithIndexConfig(cfg IndexConfig) Option {
 	return func(c *engineConfig) { c.index = cfg }
@@ -94,10 +91,6 @@ func WithBufferPoolBytes(capacityBytes int64) Option {
 		c.poolSet, c.pool = true, capacityBytes
 	}
 }
-
-// WithBufferPool is WithBufferPoolBytes under its original name; both
-// remain valid.
-func WithBufferPool(capacityBytes int64) Option { return WithBufferPoolBytes(capacityBytes) }
 
 // WithStorageDir routes the engine's index through real persistent storage
 // rooted at dir. If dir already holds a valid index (a versioned manifest
@@ -176,7 +169,7 @@ func WithResultCache(entries int) Option {
 			c.errs = append(c.errs, fmt.Errorf("repro: result cache size %d < 1", entries))
 			return
 		}
-		c.resultCache = entries
+		c.ResultCache = entries
 	}
 }
 
@@ -192,7 +185,7 @@ func WithResultCachePolicy(p CachePolicy) Option {
 			c.errs = append(c.errs, fmt.Errorf("repro: unknown result cache policy %d", p))
 			return
 		}
-		c.cachePolicy = p
+		c.CachePolicy = p
 	}
 }
 
@@ -211,8 +204,8 @@ func WithAdmissionControl(maxQueue int) Option {
 			c.errs = append(c.errs, fmt.Errorf("repro: negative admission queue cap %d", maxQueue))
 			return
 		}
-		c.admission = true
-		c.admissionQueue = maxQueue
+		c.Admission = true
+		c.AdmissionQueue = maxQueue
 	}
 }
 
@@ -292,7 +285,7 @@ func WithVectorSize(n int) Option {
 			c.errs = append(c.errs, fmt.Errorf("repro: negative vector size %d", n))
 			return
 		}
-		c.vectorSize = n
+		c.VectorSize = n
 	}
 }
 
@@ -305,7 +298,7 @@ func WithSearchers(n int) Option {
 			c.errs = append(c.errs, fmt.Errorf("repro: searcher pool size %d < 1", n))
 			return
 		}
-		c.searchers = n
+		c.Searchers = n
 	}
 }
 
@@ -325,7 +318,7 @@ func WithSlowQueryThreshold(d time.Duration) Option {
 			c.errs = append(c.errs, fmt.Errorf("repro: negative slow-query threshold %v", d))
 			return
 		}
-		c.slowQuery = d
+		c.SlowQuery = d
 	}
 }
 
@@ -339,7 +332,7 @@ func WithTraceSampling(rate float64) Option {
 			c.errs = append(c.errs, fmt.Errorf("repro: trace sampling rate %v outside [0, 1]", rate))
 			return
 		}
-		c.traceRate = rate
+		c.TraceRate = rate
 	}
 }
 

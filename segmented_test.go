@@ -48,7 +48,7 @@ func TestEngineSegmentedLifecycle(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer eng.Close()
-	if !IsSegmentedDir(dir) {
+	if !storage.IsSegmentedDir(dir) {
 		t.Fatal("WithSegments left no segmented directory behind")
 	}
 	if st := eng.SegmentStats(); st.Segments != 1 || st.Generation != 1 {
@@ -347,7 +347,7 @@ func TestSearchManySubBatchOrdering(t *testing.T) {
 	defer eng.Close()
 
 	const workers = 2
-	chunk := workers * subBatchPerWorker
+	chunk := workers * 8 // the serving core's subBatchPerWorker; SubBatches below pins it
 	n := 3 * chunk
 	queries := coll.EfficiencyQueries(n, 45)
 	reqs := make([]SearchRequest, n)

@@ -32,8 +32,12 @@ func TestMergeThrottleYieldsToSearches(t *testing.T) {
 
 	// Check out the only pooled searcher, then start a real Search: it
 	// registers in flight and blocks waiting for the searcher.
-	ep := eng.cur.Load()
-	sr, err := ep.pool.Acquire(ctx)
+	g, err := eng.core.Acquire()
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer g.Release()
+	sr, err := g.Pool().Acquire(ctx)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -79,7 +83,7 @@ func TestMergeThrottleYieldsToSearches(t *testing.T) {
 
 	// Release the searcher: the held search finishes, traffic drains, and
 	// the parked merger must now complete and bound the segment count.
-	ep.pool.Release(sr)
+	g.Pool().Release(sr)
 	if err := <-searchDone; err != nil {
 		t.Fatalf("held search failed: %v", err)
 	}

@@ -23,13 +23,16 @@
 //	engine   — vectorized operators (Scan, Select, Project, MergeJoin,
 //	           MergeOuterJoin, HashJoin, Aggregate, TopN, Sort)
 //	ir       — inverted index as relations, BM25 plans, Table 2 strategies
+//	serving  — the serving core Engine and dist.Server both wrap:
+//	           generation registry, refresh and segment GC, the query
+//	           pipeline (cache, admission, pool, metrics, tracing)
 //	dist     — partitioned TCP cluster, broadcast + top-k merge (Table 3)
 //
 // Quick start:
 //
 //	coll := repro.GenerateCollection(repro.DefaultCollectionConfig())
 //	eng, err := repro.Open(coll,
-//		repro.WithBufferPool(256<<20),
+//		repro.WithBufferPoolBytes(256<<20),
 //		repro.WithSearchers(8))
 //	if err != nil { ... }
 //	defer eng.Close()
@@ -55,8 +58,8 @@
 //
 // Scale-out (§3.4, Table 3) goes through internal/dist: StartCluster
 // partitions a collection across loopback-TCP servers (BuildPartitions +
-// StartClusterFromDirs is the persisted variant), DialCluster returns a
-// Broker whose Search broadcasts and merges top-k; the context-aware
+// StartClusterFromDirs is the persisted variant), Cluster.NewBroker returns
+// a Broker whose Search broadcasts and merges top-k; the context-aware
 // Broker.SearchContext composes with each server's searcher pool. With
 // WithClusterReplicas every partition range is served by a replica group,
 // and a group-aware broker (Cluster.NewBroker) adds the tail-latency
@@ -66,7 +69,6 @@
 package repro
 
 import (
-	"context"
 	"time"
 
 	"repro/internal/colbm"
@@ -75,9 +77,7 @@ import (
 	"repro/internal/dist"
 	"repro/internal/engine"
 	"repro/internal/ir"
-	"repro/internal/primitives"
 	"repro/internal/storage"
-	"repro/internal/topology"
 	"repro/internal/vector"
 )
 
@@ -87,8 +87,6 @@ type (
 	CollectionConfig = corpus.Config
 	// Collection is a generated document collection with ground truth.
 	Collection = corpus.Collection
-	// Query is a keyword query, optionally tied to a hidden topic.
-	Query = corpus.Query
 )
 
 // DefaultCollectionConfig returns the scaled-down GOV2 stand-in.
@@ -107,16 +105,12 @@ type (
 	Index = ir.Index
 	// IndexConfig selects physical columns and storage simulation.
 	IndexConfig = ir.BuildConfig
-	// Searcher executes keyword queries under a Strategy.
-	Searcher = ir.Searcher
 	// Strategy is a Table 2 run (retrieval model + optimizations).
 	Strategy = ir.Strategy
 	// Result is one ranked document.
 	Result = ir.Result
 	// QueryStats reports per-query wall and simulated-I/O cost.
 	QueryStats = ir.QueryStats
-	// BM25Params are the Okapi constants and collection statistics.
-	BM25Params = primitives.BM25Params
 )
 
 // The Table 2 strategies. StrategyDefault (the Strategy zero value,
@@ -134,32 +128,12 @@ const (
 // AllStrategies lists the Table 2 runs in order.
 var AllStrategies = ir.AllStrategies
 
-// Physical column names of the TD posting table, one per storage
-// treatment of the Table 2 ladder.
-const (
-	ColDocID32 = ir.ColDocID32
-	ColTF32    = ir.ColTF32
-	ColDocIDC  = ir.ColDocIDC
-	ColTFC     = ir.ColTFC
-	ColScore   = ir.ColScore
-	ColQScore  = ir.ColQScore
-)
-
 // DefaultIndexConfig enables every physical column so one index serves all
 // strategies.
 func DefaultIndexConfig() IndexConfig { return ir.DefaultBuildConfig() }
 
 // BuildIndex constructs an index from a collection.
 func BuildIndex(c *Collection, cfg IndexConfig) (*Index, error) { return ir.Build(c, cfg) }
-
-// SearcherPool recycles single-owner searchers for concurrent use of one
-// index; the Engine owns one internally.
-type SearcherPool = ir.SearcherPool
-
-// NewSearcherPool builds a pool of n searchers over an index.
-func NewSearcherPool(ix *Index, vectorSize, n int) *SearcherPool {
-	return ir.NewSearcherPool(ix, vectorSize, n)
-}
 
 // PrecisionAtK evaluates early precision against relevance judgments.
 func PrecisionAtK(results []Result, relevant map[int64]bool, k int) float64 {
@@ -182,9 +156,6 @@ type (
 	// ExecContext carries the vector size.
 	ExecContext = engine.ExecContext
 )
-
-// NewContext returns an execution context with the default vector size.
-func NewContext() *ExecContext { return engine.NewContext() }
 
 // Explain renders an executed plan annotated with profiling counters.
 func Explain(op Operator) string { return engine.Explain(op) }
@@ -227,42 +198,17 @@ type (
 	Cluster = dist.Cluster
 	// Broker fans queries out to a cluster and merges top-k results.
 	Broker = dist.Broker
-	// ClusterRunStats aggregates a batch run (Table 3 columns).
-	ClusterRunStats = dist.RunStats
 	// ClusterTiming reports one broadcast query's total and per-server
 	// response times.
 	ClusterTiming = dist.Timing
 	// ClusterRequest is one query of a broker batch (Broker.SearchMany
 	// ships a whole batch in one round trip per server).
 	ClusterRequest = dist.Request
-	// ClusterBatchResult is one ClusterRequest's globally merged outcome.
-	ClusterBatchResult = dist.BatchResult
 	// ClusterOption tunes cluster startup (replication factor, storage
 	// options for persisted partitions).
 	ClusterOption = dist.ClusterOption
 	// BrokerOption tunes a broker at dial time (hedge budget).
 	BrokerOption = dist.BrokerOption
-	// ReplicaStatus is one replica's broker-side health/latency view
-	// (Broker.Replicas).
-	ReplicaStatus = dist.ReplicaStatus
-	// BrokerMetrics is one coherent snapshot of a broker's serving
-	// metrics (Broker.MetricsSnapshot): counters, shed/degraded counts,
-	// call-latency distribution, per-group hedge and replica state.
-	BrokerMetrics = dist.BrokerMetrics
-	// GroupMetrics is one partition group's slice of a BrokerMetrics.
-	GroupMetrics = dist.GroupMetrics
-	// FaultMode selects what Server.SetFault injects (stall, error,
-	// dropped connection).
-	FaultMode = dist.FaultMode
-)
-
-// Fault modes for (dist.Server).SetFault — the failure-injection hook
-// behind the hedging, shedding, and failover experiments.
-const (
-	FaultNone  = dist.FaultNone
-	FaultStall = dist.FaultStall
-	FaultError = dist.FaultError
-	FaultDrop  = dist.FaultDrop
 )
 
 // WithClusterReplicas serves every partition range with r servers instead
@@ -272,29 +218,10 @@ const (
 // (Cluster.NewBroker) hedge targets and failover capacity.
 func WithClusterReplicas(r int) ClusterOption { return dist.WithReplicas(r) }
 
-// WithClusterStorage forwards storage open options (WithPrefetchWorkers,
-// WithPrefetchWindow) to every partition replica StartClusterFromDirs
-// opens.
-func WithClusterStorage(opts ...StorageOpenOption) ClusterOption {
-	return dist.WithStorageOptions(opts...)
-}
-
-// WithClusterSharedPool serves every partition replica
-// StartClusterFromDirs opens through ONE cross-server buffer manager
-// with the given byte budget (0 = unbounded), instead of a private
-// manager per replica: on a single host, residency follows the actual
-// access skew across partitions rather than fragmenting into fixed
-// per-replica slices. Cache keys are namespaced per server slot, so
-// partitions whose blob names collide can never read each other's
-// chunks. Inspect the pool via Cluster.SharedPool.
-func WithClusterSharedPool(budgetBytes int64) ClusterOption {
-	return dist.WithSharedPool(budgetBytes)
-}
-
 // WithHedgeBudget arms hedged fan-out on a broker dialed over replica
 // groups: a partition whose primary replica has not answered within d has
 // its batch slice re-issued to the next-best replica, first answer wins,
-// loser canceled. Timing.Hedged / ClusterRunStats.Hedged count the hedges
+// loser canceled. Timing.Hedged / dist.RunStats.Hedged count the hedges
 // that fired. 0 disables hedging.
 func WithHedgeBudget(d time.Duration) BrokerOption { return dist.WithHedgeBudget(d) }
 
@@ -322,44 +249,10 @@ func WithBrokerAdmission(limit, maxQueue int) BrokerOption {
 	return dist.WithAdmission(limit, maxQueue)
 }
 
-// WithBrokerSlowQueryThreshold arms the broker's slow-query log: every
-// SearchMany call records a stitched distributed trace (fan-out,
-// per-group attempts with hedges and retries, each winning server's own
-// span subtree), and calls over d are kept — Broker.SlowQueries returns
-// the worst recent ones, and the broker ops endpoint renders them at
-// /debug/slow. The engine-side WithSlowQueryThreshold is the
-// single-node counterpart.
-func WithBrokerSlowQueryThreshold(d time.Duration) BrokerOption {
-	return dist.WithSlowQueryThreshold(d)
-}
-
-// WithBrokerTraceSampling keeps a random fraction of broker call traces
-// regardless of duration (the engine-side WithTraceSampling
-// counterpart); sampled traces land in the same log SlowQueries reads.
-func WithBrokerTraceSampling(rate float64) BrokerOption {
-	return dist.WithTraceSampling(rate)
-}
-
-// WithBrokerOpsServer starts a broker HTTP ops endpoint on addr
-// (host:port; port 0 picks a free port, see Broker.OpsAddr): Prometheus
-// metrics at /metrics, pprof at /debug/pprof/*, cluster health at
-// /health, rendered slow traces at /debug/slow. Broker.Close shuts it
-// down. The engine-side WithOpsServer is the single-node counterpart.
-func WithBrokerOpsServer(addr string) BrokerOption {
-	return dist.WithOpsServer(addr)
-}
-
 // StartCluster partitions a collection across n TCP partition ranges
 // (each served by WithClusterReplicas servers; one by default).
 func StartCluster(c *Collection, n int, cfg IndexConfig, opts ...ClusterOption) (*Cluster, error) {
 	return dist.StartCluster(c, n, cfg, opts...)
-}
-
-// DialCluster connects a broker to server addresses, one partition per
-// address. For a replicated cluster use Cluster.NewBroker (or
-// dist.DialGroups), which understands replica groups.
-func DialCluster(addrs []string, opts ...BrokerOption) (*Broker, error) {
-	return dist.Dial(addrs, opts...)
 }
 
 // BuildPartitions builds the collection's n partition indexes with global
@@ -370,29 +263,15 @@ func BuildPartitions(c *Collection, n int, cfg IndexConfig, baseDir string) ([]s
 	return dist.BuildPartitions(c, n, cfg, baseDir)
 }
 
-// BuildSegmentedPartitions is BuildPartitions emitting each partition as a
-// segmented directory of segsPer segments, the layout partition servers
-// share with the single-node segmented engine. Global statistics (idf,
-// document counts, quantization bounds) stay coordinated across every
-// segment of every partition, preserving merged == centralized ranking.
-func BuildSegmentedPartitions(c *Collection, n, segsPer int, cfg IndexConfig, baseDir string) ([]string, error) {
-	return dist.BuildSegmentedPartitions(c, n, segsPer, cfg, baseDir)
-}
-
 // StartClusterFromDirs serves persisted partition directories — monolithic
 // or segmented, detected per directory — each through a buffer manager
 // with poolBytes budget (0 = unbounded). WithClusterReplicas(r) opens
 // every directory r times (a replica group sharing the on-disk layout);
-// storage options ride in via WithClusterStorage and apply to every
+// storage options ride in via dist.WithStorageOptions and apply to every
 // replica.
 func StartClusterFromDirs(dirs []string, poolBytes int64, opts ...ClusterOption) (*Cluster, error) {
 	return dist.StartClusterFromDirs(dirs, poolBytes, opts...)
 }
-
-// ClusterAddStats reports one distributed Add (Broker.Add): the
-// partition the batch was routed to, the generation its primary
-// committed, and how much replication the commit triggered.
-type ClusterAddStats = dist.AddStats
 
 // WithClusterIngest starts every replica of a segmented partition as a
 // live ingest node (StartClusterFromDirs only): Broker.Add then routes
@@ -411,7 +290,7 @@ func WithClusterIngest() ClusterOption {
 // BuildLivePartitions lays out n live-ingest partition directories under
 // baseDir, each owning a strided docid range, seeded with contiguous
 // slices of the collection (a partition may start empty — Broker.Add
-// fills it). Unlike BuildSegmentedPartitions the directories carry
+// fills it). Unlike dist.BuildSegmentedPartitions the directories carry
 // partition-local statistics that recompute as appends land, the
 // property that lets the cluster ingest without a global-statistics
 // coordinator; with a single partition (any replica count) local
@@ -421,134 +300,41 @@ func BuildLivePartitions(c *Collection, n int, cfg IndexConfig, baseDir string) 
 	return dist.BuildLivePartitions(c, n, cfg, baseDir)
 }
 
-// Control-plane surface: the declarative topology spec, the differ, and
-// the reconciler that converges a live cluster onto a desired shape one
-// resumable step at a time (see internal/topology). The elastic steps it
-// composes are methods on Cluster: AddReplica, RetireReplica,
-// MoveReplica, SplitPartition, MergePartitions.
-type (
-	// TopologySpec is the versioned desired cluster shape — partition
-	// docid ranges, replica counts, optional host pins — serializable to
-	// TOPOLOGY.json (SaveTopology / LoadTopology).
-	TopologySpec = topology.Spec
-	// TopologyPartition is one partition range of a TopologySpec.
-	TopologyPartition = topology.PartitionSpec
-	// TopologyStep is one reconfiguration step of a reconcile plan.
-	TopologyStep = topology.Step
-	// TopologyReconciler drives a cluster toward a desired TopologySpec,
-	// re-observing the live layout between steps so an interrupted
-	// reconcile resumes by re-running.
-	TopologyReconciler = topology.Reconciler
-	// ReconcileStatus is the reconciler's live progress document,
-	// embedded in bound brokers' /health output while a reconcile runs.
-	ReconcileStatus = topology.Status
-)
-
-// ErrBadTopologySpec reports a topology spec failing validation; every
-// parse failure wraps it. ErrStaleTopologySpec reports a SaveTopology
-// whose revision is older than the one on disk.
-var (
-	ErrBadTopologySpec   = topology.ErrBadSpec
-	ErrStaleTopologySpec = topology.ErrStaleSpec
-)
-
-// TopologyFileName is the canonical on-disk name of a saved topology
-// spec ("TOPOLOGY.json").
-const TopologyFileName = topology.SpecFileName
-
-// Topology observes a cluster's live shape as a TopologySpec — each
-// partition's docid range start and replica placements — the "actual"
-// side every reconcile diffs against.
-func Topology(cl *Cluster) (*TopologySpec, error) { return topology.Observe(cl) }
-
-// DiffTopology returns the ordered reconcile plan from the observed
-// layout to the desired one: range changes first (each preceded by the
-// retires that bring the affected partitions to one replica), then
-// replica-count corrections and host moves.
-func DiffTopology(desired, observed *TopologySpec) ([]TopologyStep, error) {
-	return topology.Diff(desired, observed)
-}
-
-// NewTopologyReconciler binds a reconciler to the cluster and the
-// brokers serving it; each broker's /health document carries the
-// reconciler's status for the duration of the binding.
-func NewTopologyReconciler(cl *Cluster, brokers ...*Broker) *TopologyReconciler {
-	return topology.NewReconciler(cl, brokers...)
-}
-
-// ApplyTopology converges the cluster onto the desired spec — observe,
-// diff, apply one resumable elastic step, repeat — while queries and
-// ingest keep serving. Interrupted anywhere, calling it again with the
-// same spec resumes. Brokers not passed here would go stale
-// mid-reconcile.
-func ApplyTopology(ctx context.Context, cl *Cluster, desired *TopologySpec, brokers ...*Broker) error {
-	return topology.NewReconciler(cl, brokers...).Apply(ctx, desired)
-}
-
-// SaveTopology atomically writes the spec to dir/TOPOLOGY.json, refusing
-// to overwrite a newer revision; LoadTopology reads it back;
-// ParseTopologySpec decodes and validates raw spec bytes (malformed
-// input returns ErrBadTopologySpec, never panics).
-func SaveTopology(dir string, s *TopologySpec) error       { return topology.Save(dir, s) }
-func LoadTopology(dir string) (*TopologySpec, error)       { return topology.Load(dir) }
-func ParseTopologySpec(data []byte) (*TopologySpec, error) { return topology.ParseSpec(data) }
-
 // Storage surface: the BlockStore/ChunkCache contracts, their simulated
 // and persistent implementations, and the on-disk index format.
 type (
 	// BlockStore stores named column blobs read with large sequential
-	// requests (SimDisk simulates one, FileStore is real files).
+	// requests (SimDisk simulates one, storage.FileStore is real files).
 	BlockStore = colbm.BlockStore
 	// ChunkCache caches compressed column chunks (BufferPool is the LRU
-	// used with SimDisk, BufferManager the real ColumnBM manager).
+	// used with SimDisk, storage.Manager the real ColumnBM manager).
 	ChunkCache = colbm.ChunkCache
-	// CacheStats reports chunk-cache hits, misses, evictions, occupancy.
-	CacheStats = colbm.CacheStats
-	// DiskStats aggregates BlockStore read activity.
-	DiskStats = colbm.DiskStats
 	// DiskParams models seek latency and sequential bandwidth.
 	DiskParams = colbm.DiskParams
 	// SimDisk is the virtual-clock disk that stores column blobs.
 	SimDisk = colbm.SimDisk
 	// BufferPool caches compressed chunks in RAM with LRU eviction.
 	BufferPool = colbm.BufferPool
-	// FileStore is the persistent BlockStore: one file per column blob,
-	// aligned large sequential reads.
-	FileStore = storage.FileStore
-	// BufferManager is the real ColumnBM buffer manager: a byte budget
-	// over compressed chunks, clock eviction, singleflight fetches.
-	BufferManager = storage.Manager
 	// CacheAdmission selects how fetched chunks enter the buffer manager
 	// (AdmissionClock or the scan-resistant Admission2Q).
 	CacheAdmission = storage.AdmissionPolicy
-	// IndexManifest is the versioned root of the on-disk index format.
-	IndexManifest = storage.Manifest
 	// Table is a stored columnar table.
 	Table = colbm.Table
 	// TableBuilder bulk-builds a Table.
 	TableBuilder = colbm.Builder
 	// ColumnSpec describes one stored column.
 	ColumnSpec = colbm.ColumnSpec
-	// Encoding selects a column's on-disk representation.
-	Encoding = colbm.Encoding
-	// VecType is the physical type of a column or vector.
-	VecType = vector.Type
 )
 
 // Column encodings.
 const (
-	EncNone      = colbm.EncNone
-	EncPFOR      = colbm.EncPFOR
-	EncPFORDelta = colbm.EncPFORDelta
-	EncPDict     = colbm.EncPDict
-	EncFixed32   = colbm.EncFixed32
+	EncPFOR = colbm.EncPFOR
 )
 
 // Physical types.
 const (
 	TypeInt64   = vector.Int64
 	TypeFloat64 = vector.Float64
-	TypeUInt8   = vector.UInt8
 	TypeStr     = vector.Str
 )
 
@@ -574,19 +360,11 @@ func NewSimDisk(p DiskParams) *SimDisk { return colbm.NewSimDisk(p) }
 func NewBufferPool(capacity int64) *BufferPool { return colbm.NewBufferPool(capacity) }
 
 // NewTableBuilder starts a bulk table build over any store/cache pair
-// (SimDisk+BufferPool for simulation, FileStore+BufferManager for real
-// persistence).
+// (SimDisk+BufferPool for simulation, storage.FileStore+storage.Manager
+// for real persistence).
 func NewTableBuilder(name string, store BlockStore, cache ChunkCache, specs []ColumnSpec) *TableBuilder {
 	return colbm.NewBuilder(name, store, cache, specs)
 }
-
-// NewFileStore opens (creating if needed) a directory as a persistent
-// block store.
-func NewFileStore(dir string) (*FileStore, error) { return storage.NewFileStore(dir) }
-
-// NewBufferManager returns a ColumnBM buffer manager with the given byte
-// budget (0 = unbounded).
-func NewBufferManager(budgetBytes int64) *BufferManager { return storage.NewManager(budgetBytes) }
 
 // SaveIndex persists an index into dir as the versioned on-disk format
 // (MANIFEST.json plus one .col file per column). The manifest is written
@@ -597,28 +375,6 @@ func SaveIndex(dir string, ix *Index) error { return storage.WriteIndex(dir, ix)
 // (LoadIndex, StartClusterFromDirs).
 type StorageOpenOption = storage.OpenOption
 
-// WithPrefetchWorkers enables manifest-driven chunk prefetch with n
-// read-ahead workers on the opened index: posting ranges a plan is about
-// to scan are batch-fetched in large sequential reads ahead of the
-// cursors. The Engine-level equivalent is WithPrefetch.
-func WithPrefetchWorkers(n int) StorageOpenOption { return storage.WithPrefetchWorkers(n) }
-
-// WithPrefetchWindow bounds how many chunks the prefetcher holds claimed
-// ahead of a scanning cursor (0 = default window): long ranges are
-// claimed and fetched window by window, pacing the read-ahead to the scan
-// so concurrent cold scans cannot flood the buffer manager.
-func WithPrefetchWindow(n int) StorageOpenOption { return storage.WithPrefetchWindow(n) }
-
-// WithStorageMmap serves the opened directory's column files out of
-// memory mappings instead of positioned reads (see the Engine-level
-// WithMmapReads); platforms that cannot map fall back transparently.
-func WithStorageMmap() StorageOpenOption { return storage.WithMmapReads() }
-
-// WithStorageAdmission selects the opened directory's buffer-manager
-// admission policy (see the Engine-level WithCacheAdmission). Ignored
-// when the open serves through a pre-built shared manager.
-func WithStorageAdmission(p CacheAdmission) StorageOpenOption { return storage.WithCacheAdmission(p) }
-
 // LoadIndex opens a persisted index for querying: the manifest is read
 // eagerly, posting data streams in lazily through a buffer manager with
 // the given byte budget (0 = unbounded). Close the returned index when
@@ -626,14 +382,6 @@ func WithStorageAdmission(p CacheAdmission) StorageOpenOption { return storage.W
 func LoadIndex(dir string, poolBytes int64, opts ...StorageOpenOption) (*Index, error) {
 	return storage.OpenIndex(dir, poolBytes, opts...)
 }
-
-// IsIndexDir reports whether dir holds a readable persisted index.
-func IsIndexDir(dir string) bool { return storage.IsIndexDir(dir) }
-
-// IsSegmentedDir reports whether dir holds a segmented index (a
-// generation-stamped SEGMENTS.json over immutable segment directories).
-// Open and OpenDir serve such directories with live-append support.
-func IsSegmentedDir(dir string) bool { return storage.IsSegmentedDir(dir) }
 
 // AppendSegment indexes a batch of live documents into one fresh segment
 // of the segmented directory (creating the directory on first use) and
@@ -666,36 +414,24 @@ type (
 	ArithOp = engine.ArithOp
 	// CmpIntColVal compares an Int64 column against a constant.
 	CmpIntColVal = engine.CmpIntColVal
-	// CmpStrColVal is string equality against a constant.
-	CmpStrColVal = engine.CmpStrColVal
 	// ConstFloat is a float literal expression.
 	ConstFloat = engine.ConstFloat
 )
 
 // Arithmetic operators.
 const (
-	OpAdd = engine.Add
-	OpSub = engine.Sub
 	OpMul = engine.Mul
-	OpDiv = engine.Div
 )
 
 // Aggregate functions.
 const (
 	AggSum   = engine.AggSum
 	AggCount = engine.AggCount
-	AggMin   = engine.AggMin
-	AggMax   = engine.AggMax
 )
 
 // Comparison operators.
 const (
 	CmpLT = engine.LT
-	CmpLE = engine.LE
-	CmpGT = engine.GT
-	CmpGE = engine.GE
-	CmpEQ = engine.EQ
-	CmpNE = engine.NE
 )
 
 // NewColRef references an input column in an expression.
@@ -707,13 +443,5 @@ func NewArith(op ArithOp, l, r Expr) Expr { return engine.NewArith(op, l, r) }
 // NewToFloat widens an integer expression to Float64.
 func NewToFloat(arg Expr) Expr { return engine.NewToFloat(arg) }
 
-// Collect drains an operator into boxed rows (for small results/demos).
-func Collect(op Operator, ctx *ExecContext) ([][]any, error) { return engine.Collect(op, ctx) }
-
 // Batch is a horizontal slice of vectors with an optional selection.
 type Batch = vector.Batch
-
-// Drain runs an operator to completion, invoking fn on every batch.
-func Drain(op Operator, ctx *ExecContext, fn func(*Batch) error) error {
-	return engine.Drain(op, ctx, fn)
-}

@@ -4,6 +4,10 @@ import (
 	"context"
 	"strings"
 	"testing"
+
+	"repro/internal/colbm"
+	"repro/internal/dist"
+	"repro/internal/engine"
 )
 
 // Integration tests against the public facade: everything an application
@@ -114,7 +118,7 @@ func TestFacadeRelationalPlan(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rows, err := Collect(plan, NewContext())
+	rows, err := engine.Collect(plan, engine.NewContext())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -157,7 +161,7 @@ func TestFacadeCluster(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer cluster.Close()
-	broker, err := DialCluster(cluster.Addrs)
+	broker, err := dist.Dial(cluster.Addrs)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -173,7 +177,7 @@ func TestFacadeCluster(t *testing.T) {
 	if len(timing.PerServer) != 2 {
 		t.Errorf("per-server timings: %d", len(timing.PerServer))
 	}
-	var stats ClusterRunStats
+	var stats dist.RunStats
 	stats, err = cluster.RunStreams(coll.EfficiencyQueries(20, 7), 2, 10, BM25TCMQ8)
 	if err != nil {
 		t.Fatal(err)
@@ -187,7 +191,7 @@ func TestFacadeJoinsAndTopN(t *testing.T) {
 	disk := NewSimDisk(DefaultDiskParams())
 	pool := NewBufferPool(1 << 20)
 	b := NewTableBuilder("s", disk, pool, []ColumnSpec{
-		{Name: "k", Type: TypeInt64, Enc: EncPFORDelta},
+		{Name: "k", Type: TypeInt64, Enc: colbm.EncPFORDelta},
 		{Name: "v", Type: TypeFloat64},
 	})
 	for i := 0; i < 1000; i++ {
@@ -199,7 +203,7 @@ func TestFacadeJoinsAndTopN(t *testing.T) {
 		t.Fatal(err)
 	}
 	b2 := NewTableBuilder("r", disk, pool, []ColumnSpec{
-		{Name: "k", Type: TypeInt64, Enc: EncPFORDelta},
+		{Name: "k", Type: TypeInt64, Enc: colbm.EncPFORDelta},
 	})
 	for i := 0; i < 1000; i++ {
 		b2.AppendInt64("k", int64(i*3))

@@ -679,10 +679,10 @@ func BenchmarkMaxScorePruning(b *testing.B) {
 func BenchmarkPersistedStorage(b *testing.B) {
 	_, ix, eff := fixtures(b)
 	dir := b.TempDir()
-	if err := storage.WriteIndex(dir, ix); err != nil {
+	if err := SaveIndex(dir, ix); err != nil {
 		b.Fatal(err)
 	}
-	pix, err := storage.OpenIndex(dir, 0)
+	pix, err := LoadIndex(dir, 0)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -774,7 +774,7 @@ func BenchmarkSegmentedLiveAppend(b *testing.B) {
 		b.Fatal(err)
 	}
 	dir := b.TempDir()
-	eng, err := Open(first, WithStorageDir(dir), WithSegments(), WithAutoMerge(6),
+	eng, err := Open(first, WithStorageDir(dir), WithAutoMerge(6),
 		WithSearchers(runtime.GOMAXPROCS(0)))
 	if err != nil {
 		b.Fatal(err)

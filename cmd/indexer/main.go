@@ -2,17 +2,14 @@
 // its physical statistics: per-column sizes, bits per posting, and buffer
 // pool behaviour under a chosen capacity. It is the index-construction
 // half of the system (what the paper does once for GOV2 before running
-// queries). With -out it also persists the index in the versioned on-disk
-// format, so ir-search -index (or any OpenDir caller) can serve it later
-// with zero corpus re-parsing.
+// queries). With -out it also persists the index as an index directory
+// (SEGMENTS.json over immutable segment subdirectories), so ir-search
+// -index (or any OpenDir caller) can serve it later with zero corpus
+// re-parsing; -append adds the generated collection as one MORE segment of
+// the directory at -out — the offline ingest path a live deployment pairs
+// with Engine.Refresh:
 //
-// Segmented mode: -out with -segmented persists the build as the first
-// segment of a segmented directory (SEGMENTS.json over immutable segment
-// subdirectories), and -append adds the generated collection as one MORE
-// segment to an existing segmented directory — the offline ingest path a
-// live deployment pairs with Engine.Refresh:
-//
-//	indexer -docs 200000 -out /data/ix -segmented   # initial build
+//	indexer -docs 200000 -out /data/ix               # initial build
 //	indexer -docs 5000 -seed 9 -out /data/ix -append # nightly delta
 package main
 
@@ -33,9 +30,8 @@ func main() {
 		avgLen    = flag.Int("avglen", 200, "average document length in tokens")
 		seed      = flag.Int64("seed", 2007, "collection seed")
 		poolBytes = flag.Int64("pool", 0, "buffer pool capacity in bytes (0 = unbounded)")
-		out       = flag.String("out", "", "persist the index into this directory (versioned on-disk format)")
-		segmented = flag.Bool("segmented", false, "with -out: persist as a segmented directory (enables later -append)")
-		appendSeg = flag.Bool("append", false, "append the generated collection as one new segment of the existing segmented directory at -out")
+		out       = flag.String("out", "", "persist the index into this directory")
+		appendSeg = flag.Bool("append", false, "append the generated collection as one new segment of the index directory at -out")
 	)
 	flag.Parse()
 
@@ -50,13 +46,9 @@ func main() {
 	c := corpus.Generate(cfg)
 	fmt.Printf("collection: %d postings, realized avg doc length %.1f\n\n", c.NumPostings(), c.AvgDocLen())
 
-	if *appendSeg || *segmented {
+	if *appendSeg {
 		if *out == "" {
-			fmt.Fprintln(os.Stderr, "indexer: -segmented/-append need -out")
-			os.Exit(1)
-		}
-		if *appendSeg && !storage.IsSegmentedDir(*out) {
-			fmt.Fprintf(os.Stderr, "indexer: %s is not a segmented index directory (build one with -segmented first)\n", *out)
+			fmt.Fprintln(os.Stderr, "indexer: -append needs -out")
 			os.Exit(1)
 		}
 		gen, err := storage.AppendSegment(*out, c, ir.DefaultBuildConfig())
@@ -115,18 +107,11 @@ func main() {
 
 	if *out != "" {
 		fmt.Printf("\npersisting index to %s ...\n", *out)
-		if err := storage.WriteIndex(*out, ix); err != nil {
+		if err := storage.WriteSegmentedIndex(*out, []*ir.Index{ix}); err != nil {
 			fmt.Fprintln(os.Stderr, "indexer:", err)
 			os.Exit(1)
 		}
-		fs, err := storage.NewFileStore(*out)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "indexer:", err)
-			os.Exit(1)
-		}
-		fmt.Printf("persisted: %.2f MB in %s (format v%d)\n",
-			float64(fs.TotalSize())/1e6, *out, storage.FormatVersion)
-		fs.Close()
+		fmt.Printf("persisted generation 1 of %s (grow it with -append)\n", *out)
 		fmt.Printf("serve it with:  ir-search -index %s\n", *out)
 	}
 }

@@ -802,7 +802,7 @@ func runLatencies(ctx context.Context, brk *dist.Broker, queries []corpus.Query,
 }
 
 // coldwarm exercises the persistent storage subsystem end to end: the
-// index is written in the versioned on-disk format, reopened over a
+// index is saved as an index directory, reopened over a
 // FileStore (real aligned file reads — nothing survives from the build),
 // and a TREC query batch is run once cold and twice warm under several
 // buffer-manager budgets. The cold batch pays real file I/O; the warm
@@ -820,16 +820,11 @@ func coldwarm(docs, nq int, seed int64) error {
 		return err
 	}
 	defer os.RemoveAll(dir)
-	if err := storage.WriteIndex(dir, ix); err != nil {
+	if err := repro.SaveIndex(dir, ix); err != nil {
 		return err
 	}
-	fs, err := storage.NewFileStore(dir)
-	if err != nil {
-		return err
-	}
-	onDisk := fs.TotalSize()
-	fs.Close()
-	fmt.Printf("persisted: %.1f MB in %s (format v%d)\n\n", float64(onDisk)/1e6, dir, storage.FormatVersion)
+	onDisk := ix.Store.TotalSize() // column blobs persist byte for byte
+	fmt.Printf("persisted: %.1f MB in %s\n\n", float64(onDisk)/1e6, dir)
 
 	queries := c.EfficiencyQueries(min(nq, 500), seed+6)
 	const warmReps = 2
@@ -837,7 +832,7 @@ func coldwarm(docs, nq int, seed int64) error {
 		"budget", "cold ms/q", "warm ms/q", "hit rate", "evictions", "cold MB read")
 	for _, frac := range []float64{0.05, 0.25, 1.0} {
 		budget := int64(float64(onDisk) * frac)
-		pix, err := storage.OpenIndex(dir, budget)
+		pix, err := repro.LoadIndex(dir, budget)
 		if err != nil {
 			return err
 		}
@@ -893,7 +888,7 @@ func coldwarm(docs, nq int, seed int64) error {
 		return err
 	}
 	defer os.RemoveAll(fdir)
-	if err := storage.WriteIndex(fdir, fix); err != nil {
+	if err := repro.SaveIndex(fdir, fix); err != nil {
 		return err
 	}
 	fmt.Printf("%-22s %12s %12s %12s\n", "mode", "cold ms/q", "file reads", "MB read")
@@ -904,7 +899,7 @@ func coldwarm(docs, nq int, seed int64) error {
 			opts = append(opts, storage.WithPrefetchWorkers(workers))
 			name = fmt.Sprintf("prefetch (%d workers)", workers)
 		}
-		pix, err := storage.OpenIndex(fdir, 0, opts...)
+		pix, err := repro.LoadIndex(fdir, 0, opts...)
 		if err != nil {
 			return err
 		}
@@ -960,7 +955,7 @@ func segmentsExperiment(docs, nq int, seed int64) error {
 		return err
 	}
 	start := time.Now()
-	eng, err := repro.Open(first, repro.WithStorageDir(dir), repro.WithSegments(),
+	eng, err := repro.Open(first, repro.WithStorageDir(dir),
 		repro.WithAutoMerge(4), repro.WithSearchers(runtime.GOMAXPROCS(0)))
 	if err != nil {
 		return err

@@ -3,10 +3,12 @@ package main
 import (
 	"fmt"
 	"os"
+	"path/filepath"
 	"sort"
 	"strings"
 	"time"
 
+	"repro"
 	"repro/internal/corpus"
 	"repro/internal/ir"
 	"repro/internal/storage"
@@ -50,22 +52,22 @@ func scanExperiment(docs, nq int, seed int64) error {
 		return err
 	}
 	defer os.RemoveAll(dir)
-	if err := storage.WriteIndex(dir, ix); err != nil {
+	if err := repro.SaveIndex(dir, ix); err != nil {
 		return err
 	}
-	fs, err := storage.NewFileStore(dir)
-	if err != nil {
-		return err
-	}
-	onDisk := fs.TotalSize()
-	fs.Close()
+	onDisk := ix.Store.TotalSize() // column blobs persist byte for byte
 	fmt.Printf("persisted: %.1f MB (1Ki-value chunks) in %s\n\n", float64(onDisk)/1e6, dir)
 
 	// --- 1. Sequential store scan: positioned reads vs mmap -------------
 	// Every blob read front to back in 64KB requests — the access pattern
 	// of a cold column scan — once cold (page cache and mappings empty for
 	// mmap; the first pass pays the faults) and twice steady-state.
-	entries, err := os.ReadDir(dir)
+	sm, err := storage.ReadSegments(dir)
+	if err != nil {
+		return err
+	}
+	blobDir := filepath.Join(dir, sm.Segments[0].Name) // the raw scans read the one segment's files
+	entries, err := os.ReadDir(blobDir)
 	if err != nil {
 		return err
 	}
@@ -85,7 +87,7 @@ func scanExperiment(docs, nq int, seed int64) error {
 			fsOpts = append(fsOpts, storage.WithMmap())
 			name = "mmap"
 		}
-		st, err := storage.NewFileStore(dir, fsOpts...)
+		st, err := storage.NewFileStore(blobDir, fsOpts...)
 		if err != nil {
 			return err
 		}
@@ -167,7 +169,7 @@ func scanExperiment(docs, nq int, seed int64) error {
 	// much larger and the hot ghosts fall off the (budget/2) ghost list
 	// before the hot set returns.
 	sizeByBytes := func(pool []corpus.Query, target int64) ([]corpus.Query, error) {
-		tix, err := storage.OpenIndex(dir, 0)
+		tix, err := repro.LoadIndex(dir, 0)
 		if err != nil {
 			return nil, err
 		}
@@ -196,7 +198,7 @@ func scanExperiment(docs, nq int, seed int64) error {
 	// Baseline: the number of chunk loads the hot batch costs against an
 	// empty cache — the denominator for "how much of the hot set did the
 	// scan flush".
-	base, err := storage.OpenIndex(dir, budget)
+	base, err := repro.LoadIndex(dir, budget)
 	if err != nil {
 		return err
 	}
@@ -218,7 +220,7 @@ func scanExperiment(docs, nq int, seed int64) error {
 		if policy == storage.Admission2Q {
 			name = "2q"
 		}
-		pix, err := storage.OpenIndex(dir, budget, storage.WithCacheAdmission(policy))
+		pix, err := repro.LoadIndex(dir, budget, storage.WithCacheAdmission(policy))
 		if err != nil {
 			return err
 		}

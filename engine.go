@@ -28,6 +28,11 @@ const StrategyDefault = ir.StrategyDefault
 // ErrEngineClosed is returned by every entry point of a closed engine.
 var ErrEngineClosed = serving.ErrClosed
 
+// ErrReadOnly is matched by the error Engine.Add (and WithAutoMerge,
+// WithApproxBounds) report for an index that serves but takes no local
+// writes: its statistics are coordinated outside its directory.
+var ErrReadOnly = storage.ErrExternalStats
+
 // The request and response types of the serving core, under the names the
 // Engine API has always used.
 type (
@@ -105,12 +110,9 @@ func (e *Engine) InflightQueries() int64 { return e.core.Inflight() }
 //
 // With WithStorageDir the index lives on real disk: an existing index
 // directory is served as-is (the collection is not re-indexed), a missing
-// or empty one is populated by building from the collection and persisting
-// — after which queries run against the persisted form either way. Adding
-// WithSegments persists the build as the first segment of a *segmented*
-// directory, unlocking live appends (Engine.Add) and background merges
-// (WithAutoMerge); a directory that already holds a segmented index is
-// detected and served segmented regardless.
+// or empty one is populated by indexing the collection as the directory's
+// first segment — after which queries run against the persisted form
+// either way, and Engine.Add, Refresh and WithAutoMerge work on it.
 func Open(coll *Collection, opts ...Option) (*Engine, error) {
 	if coll == nil {
 		return nil, errors.New("repro: Open with nil collection")
@@ -119,44 +121,24 @@ func Open(coll *Collection, opts ...Option) (*Engine, error) {
 	for _, opt := range opts {
 		opt(&cfg)
 	}
-	if cfg.prefetchWorkers > 0 && cfg.storageDir == "" {
-		cfg.errs = append(cfg.errs,
-			errors.New("repro: WithPrefetch needs a persisted index (add WithStorageDir, or use OpenDir)"))
-	}
-	if cfg.mmapReads && cfg.storageDir == "" {
-		cfg.errs = append(cfg.errs,
-			errors.New("repro: WithMmapReads needs a persisted index (add WithStorageDir, or use OpenDir)"))
-	}
-	if cfg.cacheAdmission != AdmissionClock && cfg.storageDir == "" {
-		cfg.errs = append(cfg.errs,
-			errors.New("repro: WithCacheAdmission needs a persisted index (add WithStorageDir, or use OpenDir)"))
-	}
-	if cfg.approxSet && cfg.storageDir == "" {
-		cfg.errs = append(cfg.errs,
-			errors.New("repro: WithApproxBounds needs a segmented persisted index (add WithStorageDir and WithSegments)"))
-	}
-	if cfg.segmented && cfg.storageDir == "" {
-		cfg.errs = append(cfg.errs,
-			errors.New("repro: WithSegments needs a storage directory (add WithStorageDir)"))
+	for _, o := range []struct {
+		set  bool
+		name string
+	}{
+		{cfg.prefetchWorkers > 0, "WithPrefetch"},
+		{cfg.mmapReads, "WithMmapReads"},
+		{cfg.cacheAdmission != AdmissionClock, "WithCacheAdmission"},
+		{cfg.approxSet, "WithApproxBounds"},
+		{cfg.autoMerge > 0, "WithAutoMerge"},
+	} {
+		if o.set && cfg.storageDir == "" {
+			cfg.errs = append(cfg.errs,
+				fmt.Errorf("repro: %s needs a persisted index (add WithStorageDir, or use OpenDir)", o.name))
+		}
 	}
 	cfg.crossValidate()
 	if len(cfg.errs) > 0 {
 		return nil, errors.Join(cfg.errs...)
-	}
-	if cfg.storageDir != "" && storage.IsSegmentedDir(cfg.storageDir) {
-		return openSegmented(cfg)
-	}
-	if cfg.autoMerge > 0 && !cfg.segmented {
-		return nil, errors.New("repro: WithAutoMerge needs a segmented index (add WithSegments)")
-	}
-	if cfg.approxSet && !cfg.segmented {
-		return nil, errors.New("repro: WithApproxBounds needs a segmented index (add WithSegments)")
-	}
-	if cfg.storageDir != "" && storage.IsIndexDir(cfg.storageDir) {
-		if cfg.segmented {
-			return nil, fmt.Errorf("repro: %q already holds a monolithic index; WithSegments cannot convert it", cfg.storageDir)
-		}
-		return openPersisted(cfg)
 	}
 	bc := cfg.index
 	if cfg.poolSet {
@@ -165,38 +147,32 @@ func Open(coll *Collection, opts ...Option) (*Engine, error) {
 	if cfg.diskSet {
 		bc.Disk = cfg.disk
 	}
-	if cfg.segmented {
+	if cfg.storageDir == "" {
+		ix, err := BuildIndex(coll, bc)
+		if err != nil {
+			return nil, err
+		}
+		snap, err := ir.NewSnapshot([]*ir.Index{ix}, ir.SnapshotConfig{Owned: true})
+		if err != nil {
+			return nil, err
+		}
+		return newEngine(serving.New(snap, cfg.Config), cfg)
+	}
+	if _, err := storage.ReadSegments(cfg.storageDir); errors.Is(err, os.ErrNotExist) {
 		if _, err := storage.AppendSegment(cfg.storageDir, coll, bc); err != nil {
 			return nil, err
 		}
-		return openSegmented(cfg)
 	}
-	ix, err := BuildIndex(coll, bc)
-	if err != nil {
-		return nil, err
-	}
-	if cfg.storageDir != "" {
-		if err := storage.WriteIndex(cfg.storageDir, ix); err != nil {
-			return nil, err
-		}
-		return openPersisted(cfg)
-	}
-	snap, err := ir.NewSnapshot([]*ir.Index{ix}, ir.SnapshotConfig{Owned: true})
-	if err != nil {
-		return nil, err
-	}
-	return newEngine(serving.New(snap, cfg.Config), cfg)
+	return openDir(cfg)
 }
 
 // OpenDir opens a persisted index directory (written by Open with
-// WithStorageDir, SaveIndex, cmd/indexer -out, or dist.BuildPartitions)
-// and serves it without any collection in hand: only the manifests are
-// read up front, and posting data streams in through the buffer manager
-// as queries touch it. Segmented directories (Open with WithSegments,
-// cmd/indexer -segmented, AppendSegment) are detected and served with
-// live-append support. Options that shape index construction
-// (WithIndexConfig, WithDiskParams, WithStorageDir) are rejected — the
-// directory already fixes the physical layout.
+// WithStorageDir, SaveIndex, AppendSegment, cmd/indexer -out, or
+// dist.BuildPartitions) and serves it without any collection in hand: only
+// the manifests are read up front, and posting data streams in through the
+// buffer manager as queries touch it. Options that shape index
+// construction (WithIndexConfig, WithDiskParams, WithStorageDir) are
+// rejected — the directory already fixes the physical layout.
 func OpenDir(dir string, opts ...Option) (*Engine, error) {
 	cfg := defaultEngineConfig()
 	for _, opt := range opts {
@@ -215,19 +191,7 @@ func OpenDir(dir string, opts ...Option) (*Engine, error) {
 		return nil, errors.Join(cfg.errs...)
 	}
 	cfg.storageDir = dir
-	if storage.IsSegmentedDir(dir) {
-		return openSegmented(cfg)
-	}
-	if cfg.segmented {
-		return nil, fmt.Errorf("repro: %q does not hold a segmented index (WithSegments applies to Open, which builds one)", dir)
-	}
-	if cfg.autoMerge > 0 {
-		return nil, fmt.Errorf("repro: WithAutoMerge needs a segmented index directory, %q is monolithic", dir)
-	}
-	if cfg.approxSet {
-		return nil, fmt.Errorf("repro: WithApproxBounds needs a segmented index directory, %q is monolithic", dir)
-	}
-	return openPersisted(cfg)
+	return openDir(cfg)
 }
 
 // storageOpts translates engine options to storage open options.
@@ -245,23 +209,9 @@ func (cfg *engineConfig) storageOpts() []storage.OpenOption {
 	return opts
 }
 
-// openPersisted opens cfg.storageDir as a monolithic persisted index.
-func openPersisted(cfg engineConfig) (*Engine, error) {
-	ix, err := storage.OpenIndex(cfg.storageDir, cfg.pool, cfg.storageOpts()...)
-	if err != nil {
-		return nil, err
-	}
-	snap, err := ir.NewSnapshot([]*ir.Index{ix}, ir.SnapshotConfig{Owned: true})
-	if err != nil {
-		ix.Close()
-		return nil, err
-	}
-	return newEngine(serving.New(snap, cfg.Config), cfg)
-}
-
-// openSegmented opens cfg.storageDir's current generation as a segmented
-// engine with live-append support.
-func openSegmented(cfg engineConfig) (*Engine, error) {
+// openDir serves cfg.storageDir's current generation — the one open path
+// of every persisted engine.
+func openDir(cfg engineConfig) (*Engine, error) {
 	// The bounds policy is a directory property; declare it before the
 	// generation is read so the first Add already appends under it.
 	if cfg.approxSet {
@@ -273,9 +223,12 @@ func openSegmented(cfg engineConfig) (*Engine, error) {
 	if err != nil {
 		return nil, err
 	}
-	if cfg.autoMerge > 0 && core.External() {
-		core.Close()
-		return nil, fmt.Errorf("repro: %q carries externally coordinated statistics; merge by rebuilding the partition set, not WithAutoMerge", cfg.storageDir)
+	if cfg.autoMerge > 0 {
+		// A merger that can never commit should fail the open, not idle.
+		if err := core.Writable(); err != nil {
+			core.Close()
+			return nil, fmt.Errorf("repro: WithAutoMerge: %w", err)
+		}
 	}
 	e, err := newEngine(core, cfg)
 	if err != nil {
@@ -302,9 +255,9 @@ func OpenIndex(ix *Index, opts ...Option) (*Engine, error) {
 		opt(&cfg)
 	}
 	if cfg.poolSet || cfg.diskSet || cfg.storageDir != "" || cfg.prefetchWorkers > 0 ||
-		cfg.segmented || cfg.autoMerge > 0 || cfg.index != DefaultIndexConfig() {
+		cfg.autoMerge > 0 || cfg.index != DefaultIndexConfig() {
 		cfg.errs = append(cfg.errs,
-			errors.New("repro: OpenIndex cannot reconfigure index storage (WithIndexConfig/WithBufferPoolBytes/WithDiskParams/WithStorageDir/WithPrefetch/WithSegments/WithAutoMerge)"))
+			errors.New("repro: OpenIndex cannot reconfigure index storage (WithIndexConfig/WithBufferPoolBytes/WithDiskParams/WithStorageDir/WithPrefetch/WithAutoMerge)"))
 	}
 	cfg.crossValidate()
 	if len(cfg.errs) > 0 {
@@ -327,8 +280,8 @@ func newEngine(core *serving.Core, cfg engineConfig) (*Engine, error) {
 }
 
 // Index exposes the underlying index for inspection (sizes, compression
-// ratios, BM25 parameters); for a segmented engine it is the first
-// segment of the currently served generation. Treat it as read-only, and
+// ratios, BM25 parameters): the first segment of the currently served
+// generation. Treat it as read-only, and
 // only while the engine stays open; nil after Close.
 func (e *Engine) Index() *Index {
 	if snap := e.core.Snapshot(); snap != nil {
@@ -360,13 +313,13 @@ func (e *Engine) NumPostings() int {
 
 // SegmentStats reports the serving generation's segment shape.
 type SegmentStats struct {
-	// Segments in the serving generation (1 for monolithic engines).
+	// Segments in the serving generation.
 	Segments int
 	// Virtual counts segments whose materialized strategies recompute
 	// scores at query time because their baked columns predate the latest
 	// append; the next merge re-bakes them.
 	Virtual int
-	// Generation of the serving snapshot (0 for non-segmented engines).
+	// Generation of the serving snapshot (0 for in-memory engines).
 	Generation uint64
 	// Merges completed by this engine's background merger.
 	Merges int64
@@ -452,18 +405,15 @@ func (e *Engine) searchMany(ctx context.Context, reqs []SearchRequest, fn func(i
 
 // Add indexes a batch of live documents as one fresh immutable segment and
 // refreshes the engine to the new generation — the incremental-update path
-// that replaces "rebuild the whole index" for a growing collection. It
-// requires a segmented engine (Open with WithSegments, or OpenDir on a
-// segmented directory). Concurrent Adds serialize; concurrent Searches
-// proceed against the prior generation until the refresh lands. The
-// background merger (WithAutoMerge) is nudged afterwards.
+// that replaces "rebuild the whole index" for a growing collection. Every
+// persisted engine accepts it except one whose statistics are coordinated
+// elsewhere (a dist partition directory, an in-memory engine): those refuse
+// with an error matching ErrReadOnly. Concurrent Adds serialize; concurrent
+// Searches proceed against the prior generation until the refresh lands.
+// The background merger (WithAutoMerge) is nudged afterwards.
 func (e *Engine) Add(ctx context.Context, docs []Doc) error {
 	if ctx == nil {
 		ctx = context.Background()
-	}
-	dir := e.core.Dir()
-	if dir == "" {
-		return errors.New("repro: live appends need a segmented index (Open with WithSegments, or OpenDir on a segmented directory)")
 	}
 	if err := ctx.Err(); err != nil {
 		return err
@@ -473,7 +423,7 @@ func (e *Engine) Add(ctx context.Context, docs []Doc) error {
 		return err
 	}
 	err = e.core.Commit(func() error {
-		_, err := storage.AppendSegment(dir, batch, e.core.Layout())
+		_, err := storage.AppendSegment(e.core.Dir(), batch, e.core.Layout())
 		return err
 	})
 	if err == nil && e.merger != nil {
@@ -482,17 +432,15 @@ func (e *Engine) Add(ctx context.Context, docs []Doc) error {
 	return err
 }
 
-// Refresh re-reads the segmented directory's super-manifest and, if a
-// newer generation exists (another process appended, a merge committed),
-// swaps it in without dropping in-flight searches: running queries finish
-// on the old snapshot, whose storage closes when the last one drains. The
-// result cache needs no flush — the generation is part of every cache key.
+// Refresh re-reads the index directory's super-manifest and, if a newer
+// generation exists (another process appended, a merge committed), swaps
+// it in without dropping in-flight searches: running queries finish on the
+// old snapshot, whose storage closes when the last one drains. The result
+// cache needs no flush — the generation is part of every cache key. An
+// in-memory engine has no directory and nothing newer to find.
 func (e *Engine) Refresh(ctx context.Context) error {
 	if ctx == nil {
 		ctx = context.Background()
-	}
-	if e.core.Dir() == "" {
-		return errors.New("repro: Refresh needs a segmented index directory")
 	}
 	if err := ctx.Err(); err != nil {
 		return err
@@ -603,9 +551,9 @@ func (e *Engine) ExplainPlan(ctx context.Context, terms []string, k int, strat S
 // stop first (an in-progress merge build is canceled, not waited out);
 // then new calls fail with ErrEngineClosed, in-flight searches finish on
 // their generation, and Close blocks until every generation has drained
-// and released its storage (file handles, prefetch workers). For
-// segmented engines a final sweep reclaims every unreferenced segment
-// directory. Closing twice is a no-op.
+// and released its storage (file handles, prefetch workers). For persisted
+// engines a final sweep reclaims every unreferenced segment directory.
+// Closing twice is a no-op.
 func (e *Engine) Close() error {
 	e.closeOnce.Do(func() {
 		e.ops.Close()

@@ -35,8 +35,8 @@ func TestEngineWithStorageDir(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !storage.IsIndexDir(dir) {
-		t.Fatal("Open(WithStorageDir) left no index behind")
+	if _, err := storage.ReadSegments(dir); err != nil {
+		t.Fatal("Open(WithStorageDir) left no index directory behind")
 	}
 	if eng.Index().Store.Simulated() {
 		t.Error("storage-dir engine serves from a simulated store")
@@ -51,7 +51,7 @@ func TestEngineWithStorageDir(t *testing.T) {
 
 	// Second Open with the same dir: must reuse the persisted index, not
 	// rebuild — detectable because the manifest is not rewritten.
-	before, err := os.Stat(filepath.Join(dir, "MANIFEST.json"))
+	before, err := os.Stat(filepath.Join(dir, storage.SegmentsManifestName))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -60,7 +60,7 @@ func TestEngineWithStorageDir(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer eng2.Close()
-	after, err := os.Stat(filepath.Join(dir, "MANIFEST.json"))
+	after, err := os.Stat(filepath.Join(dir, storage.SegmentsManifestName))
 	if err != nil {
 		t.Fatal(err)
 	}

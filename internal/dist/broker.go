@@ -91,8 +91,9 @@ type brokerConfig struct {
 // lands first, canceling the loser. The budget should sit just above the
 // expected response time (a small multiple of the p50) so hedges fire only
 // in the tail; 0 (the default) disables hedging. Partitions with a single
-// replica never hedge. See WithAdaptiveHedge for a budget that calibrates
-// itself.
+// replica never hedge. Hedging at a fixed budget is uncapped unless
+// WithHedgeRateCap is given. See WithAdaptiveHedge for a budget that
+// calibrates itself.
 func WithHedgeBudget(d time.Duration) BrokerOption {
 	return func(c *brokerConfig) { c.hedgeBudget = d }
 }
@@ -114,10 +115,11 @@ func WithAdaptiveHedge(quantile float64) BrokerOption {
 	}
 }
 
-// WithHedgeRateCap bounds the fraction of calls the adaptive hedger may
-// duplicate (<= 0 keeps the 5% default). The cap is what makes adaptive
-// hedging safe to leave on: a group whose every request turns slow gets
-// at most frac extra load, not a doubling.
+// WithHedgeRateCap bounds the fraction of calls a group may duplicate,
+// under WithAdaptiveHedge (<= 0 keeps its 5% default) and WithHedgeBudget
+// (<= 0 keeps it uncapped) alike. The cap is what makes hedging safe to
+// leave on: a group whose every request turns slow gets at most frac extra
+// load, not a doubling.
 func WithHedgeRateCap(frac float64) BrokerOption {
 	return func(c *brokerConfig) { c.hedgeCap = frac }
 }
@@ -252,12 +254,12 @@ func (r *replica) status(now time.Time) ReplicaStatus {
 }
 
 // group is one partition's replica set plus the round-robin cursor that
-// spreads primary duty across healthy replicas and, under
-// WithAdaptiveHedge, the group's hedge-budget tracker.
+// spreads primary duty across healthy replicas and, when hedging is on,
+// the group's hedge-budget source.
 type group struct {
 	replicas []*replica
 	rr       uint32
-	hedger   *qos.Hedger // nil unless adaptive hedging is on
+	hedger   *qos.Hedger // nil = hedging off
 	// frozen marks a partition undergoing a range operation (split or
 	// merge prepare): queries keep serving, but Add routing skips it so
 	// no commit lands between the reconciler's prepare and its commit.
@@ -324,12 +326,11 @@ type Broker struct {
 	memMu sync.Mutex
 	mem   atomic.Pointer[membership]
 
-	cfg         brokerConfig // kept for rebuilding groups on retarget
-	hedgeBudget time.Duration
-	partial     bool
-	admit       *qos.Controller // nil unless WithAdmission
-	tracer      *trace.Tracer
-	ops         *obs.Server // nil unless WithOpsServer
+	cfg     brokerConfig // kept for rebuilding groups on retarget
+	partial bool
+	admit   *qos.Controller // nil unless WithAdmission
+	tracer  *trace.Tracer
+	ops     *obs.Server // nil unless WithOpsServer
 
 	// healthExtra, when set (SetHealthExtra), is folded into the ops
 	// endpoint's /health document — the reconciler publishes its live
@@ -478,6 +479,8 @@ func (b *Broker) newMembership(lists [][]string, old *membership, gens []*atomic
 			g.hedger = h
 		} else if b.cfg.adaptive {
 			g.hedger = qos.NewHedger(b.cfg.hedgeQuantile, b.cfg.hedgeCap)
+		} else if b.cfg.hedgeBudget > 0 {
+			g.hedger = qos.NewFixedHedger(b.cfg.hedgeBudget, b.cfg.hedgeCap)
 		}
 		live := 0
 		var dialErr error
@@ -669,11 +672,10 @@ func DialGroups(groups [][]string, opts ...BrokerOption) (*Broker, error) {
 		o(&cfg)
 	}
 	b := &Broker{
-		cfg:         cfg,
-		hedgeBudget: cfg.hedgeBudget,
-		partial:     cfg.partial,
-		tracer:      trace.NewTracer(cfg.slowQuery, cfg.traceRate, 0),
-		latency:     metrics.NewHistogram(2*time.Minute, 8),
+		cfg:     cfg,
+		partial: cfg.partial,
+		tracer:  trace.NewTracer(cfg.slowQuery, cfg.traceRate, 0),
+		latency: metrics.NewHistogram(2*time.Minute, 8),
 	}
 	if cfg.admitLimit > 0 {
 		b.admit = qos.NewController(cfg.admitLimit, cfg.admitQueue)
@@ -1103,9 +1105,9 @@ func (b *Broker) searchGroup(ctx context.Context, m *membership, gi int, g *grou
 	gctx, cancel := context.WithCancel(ctx)
 	defer cancel() // cancels the losers of a hedge race
 
-	budget := b.hedgeBudget
+	var budget time.Duration // hedging is off without a hedger
 	if g.hedger != nil {
-		budget = g.hedger.Budget() // 0 while the group is still cold
+		budget = g.hedger.Budget() // 0 while an adaptive group is still cold
 	}
 
 	type attempt struct {
@@ -1216,10 +1218,10 @@ func (b *Broker) searchGroup(ctx context.Context, m *membership, gi int, g *grou
 			}
 		case <-hedgeC:
 			hedgeC = nil // one hedge per partition per call
-			// An adaptive hedger may veto the hedge: past the rate cap the
-			// slow attempt rides unhedged, bounding duplicated work at the
-			// cap even when the whole group turns slow.
-			if next < len(order) && (g.hedger == nil || g.hedger.TryHedge()) {
+			// The hedger may veto the hedge: past the rate cap the slow
+			// attempt rides unhedged, bounding duplicated work at the cap
+			// even when the whole group turns slow.
+			if next < len(order) && g.hedger.TryHedge() {
 				launch(true, false)
 				rep.hedged++
 				inflight++
@@ -1274,9 +1276,10 @@ func buildGroupSpan(gi int, start, end time.Duration, recs []*attemptRec) *trace
 // GroupMetrics is one partition group's slice of a BrokerMetrics
 // snapshot.
 type GroupMetrics struct {
-	// HedgeBudget is the delay the group's next adaptive hedge timer
-	// would arm (0 = cold or fixed-budget broker); HedgeCalls and Hedges
-	// are the windowed counters the hedge-rate cap is enforced against.
+	// HedgeBudget is the delay the group's next hedge timer would arm
+	// (the fixed budget, or the live quantile; 0 = hedging off or an
+	// adaptive group still cold); HedgeCalls and Hedges are the windowed
+	// counters the hedge-rate cap is enforced against.
 	HedgeBudget time.Duration
 	HedgeCalls  int64
 	Hedges      int64

@@ -2,8 +2,8 @@ package dist
 
 import (
 	"context"
+	"errors"
 	"fmt"
-	"io/fs"
 	"os"
 	"path/filepath"
 	"sync"
@@ -51,9 +51,9 @@ func WithStorageOptions(opts ...storage.OpenOption) ClusterOption {
 // fragment memory — an idle partition hoards its slice while a hot one
 // thrashes; one shared pool lets residency follow the actual access skew.
 // Every server slot reads through its own cache-key namespace, so
-// co-located partitions whose blob names collide (live-ingest partitions
-// reuse segment names, monolithic partitions share blob names outright)
-// can never read each other's chunks; replicas serving the same
+// co-located partitions whose blob names collide (every partition
+// directory allocates seg-000001) can never read each other's chunks;
+// replicas serving the same
 // directory share a namespace and therefore share cached chunks. A
 // WithCacheAdmission riding in WithStorageOptions applies to the shared
 // manager. Ignored by in-memory StartCluster.
@@ -61,16 +61,17 @@ func WithSharedPool(budgetBytes int64) ClusterOption {
 	return func(c *clusterConfig) { c.sharedPool, c.sharedPoolSet = budgetBytes, true }
 }
 
-// WithIngest starts every replica of a segmented partition as a live
-// ingest node (StartClusterFromDirs only): replica 0 of each partition
-// serves the partition directory itself and replicas 1..r-1 serve their
-// own per-replica copy (<dir>-r<i>, bootstrapped by file copy on first
-// start, reused on revival) — real replication, where Broker.Add commits
-// on one node and ships segment files to the others, instead of every
-// replica reading one shared directory. Ingesting servers answer the
-// append/fetch/install verbs and refresh their serving snapshot across
-// generations without dropping in-flight searches. Requires segmented,
-// non-External partition directories (see BuildLivePartitions).
+// WithIngest gives every replica of a partition its own directory
+// (StartClusterFromDirs only): replica 0 serves the partition directory
+// itself and replicas 1..r-1 serve their own per-replica copy (<dir>-r<i>,
+// bootstrapped by file copy on first start, reused on revival) — real
+// replication, where Broker.Add commits on one node and ships segment
+// files to the others, instead of every replica reading one shared
+// directory — and enables the elastic operations (elastic.go). Every
+// dir-backed server answers the append/fetch/install verbs and refreshes
+// its serving snapshot across generations without dropping in-flight
+// searches; appends land only in directories that own their statistics
+// (see BuildLivePartitions).
 func WithIngest() ClusterOption {
 	return func(c *clusterConfig) { c.ingest = true }
 }
@@ -369,117 +370,80 @@ func closeOnError(servers []*Server, errs []error) error {
 	return nil
 }
 
+// eachPartition runs build(i, baseDir/part-<i>) for the n partitions in
+// parallel and returns the directories in partition order, or every
+// partition's error joined.
+func eachPartition(n int, baseDir string, build func(i int, dir string) error) ([]string, error) {
+	if n < 1 {
+		return nil, fmt.Errorf("dist: partition count %d < 1", n)
+	}
+	dirs := make([]string, n)
+	errs := make([]error, n)
+	var wg sync.WaitGroup
+	for i := range dirs {
+		dirs[i] = filepath.Join(baseDir, fmt.Sprintf("part-%d", i))
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			errs[i] = build(i, dirs[i])
+		}(i)
+	}
+	wg.Wait()
+	if err := errors.Join(errs...); err != nil {
+		return nil, err
+	}
+	return dirs, nil
+}
+
 // BuildPartitions range-partitions the collection, builds every partition
 // index with the *global* statistics (idf and quantization bounds, so the
 // distributed merge equals the centralized ranking), and persists each one
-// under baseDir/part-<i> in the versioned on-disk format. It returns the
+// under baseDir/part-<i> as a one-segment index directory. It returns the
 // partition directories in partition order. This is the offline half of a
 // persisted deployment: run it once, then any number of server processes
 // open the directories with StartClusterFromDirs — no corpus in sight.
 // Partition builds run in parallel. Replication needs nothing here: a
 // replica group's members all open the same directory.
 func BuildPartitions(c *corpus.Collection, n int, cfg ir.BuildConfig, baseDir string) ([]string, error) {
-	if n < 1 {
-		return nil, fmt.Errorf("dist: partition count %d < 1", n)
-	}
-	cfg.Stats = ir.CollectionStats(c)
-	parts := partition(c, n)
-
-	dirs := make([]string, n)
-	errs := make([]error, n)
-	var wg sync.WaitGroup
-	for i := range parts {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			dir := filepath.Join(baseDir, fmt.Sprintf("part-%d", i))
-			ix, err := ir.Build(parts[i], cfg)
-			if err != nil {
-				errs[i] = err
-				return
-			}
-			if err := storage.WriteIndex(dir, ix); err != nil {
-				errs[i] = err
-				return
-			}
-			dirs[i] = dir
-		}(i)
-	}
-	wg.Wait()
-	for _, err := range errs {
-		if err != nil {
-			return nil, err
-		}
-	}
-	return dirs, nil
+	return BuildSegmentedPartitions(c, n, 1, cfg, baseDir)
 }
 
 // BuildSegmentedPartitions is BuildPartitions emitting each partition as
-// a *segmented* directory of segsPer segments (contiguous docid
-// sub-ranges), the layout partition servers share with the single-node
-// segmented engine — and, replicated, with every member of the
-// partition's replica group. Statistics stay globally coordinated — every
-// segment of every partition is built with the collection-wide idf,
-// document statistics and quantization bounds, and the directories are
-// marked external so nothing recomputes them locally — which preserves
-// the merged-equals-centralized ranking guarantee across partition,
-// segment, and replica boundaries.
+// segsPer segments (contiguous docid sub-ranges). Statistics stay globally
+// coordinated — every segment of every partition is built with the
+// collection-wide idf, document statistics and quantization bounds, and
+// the directories are marked external so nothing recomputes them locally
+// — which preserves the merged-equals-centralized ranking guarantee across
+// partition, segment, and replica boundaries.
 func BuildSegmentedPartitions(c *corpus.Collection, n, segsPer int, cfg ir.BuildConfig, baseDir string) ([]string, error) {
-	if n < 1 {
-		return nil, fmt.Errorf("dist: partition count %d < 1", n)
-	}
 	if segsPer < 1 {
 		return nil, fmt.Errorf("dist: segment count %d < 1", segsPer)
 	}
-	stats := ir.CollectionStats(c)
+	cfg.Stats = ir.CollectionStats(c)
 	numDocs := len(c.DocLens)
-
-	dirs := make([]string, n)
-	errs := make([]error, n)
-	var wg sync.WaitGroup
-	for i := 0; i < n; i++ {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			dir := filepath.Join(baseDir, fmt.Sprintf("part-%d", i))
-			plo, phi := i*numDocs/n, (i+1)*numDocs/n
-			var segs []*ir.Index
-			for j := 0; j < segsPer; j++ {
-				slo := plo + j*(phi-plo)/segsPer
-				shi := plo + (j+1)*(phi-plo)/segsPer
-				if slo >= shi {
-					continue
-				}
-				sub, err := c.Slice(slo, shi)
-				if err != nil {
-					errs[i] = err
-					return
-				}
-				bc := cfg
-				bc.Stats = stats
-				bc.DocIDBase = int64(slo)
-				bc.TablePrefix = fmt.Sprintf("p%d-s%d.", i, j)
-				ix, err := ir.Build(sub, bc)
-				if err != nil {
-					errs[i] = err
-					return
-				}
-				segs = append(segs, ix)
+	return eachPartition(n, baseDir, func(i int, dir string) error {
+		plo, phi := i*numDocs/n, (i+1)*numDocs/n
+		var segs []*ir.Index
+		for j := 0; j < segsPer; j++ {
+			slo := plo + j*(phi-plo)/segsPer
+			shi := plo + (j+1)*(phi-plo)/segsPer
+			if slo >= shi {
+				continue
 			}
-			if err := storage.WriteSegmentedIndex(dir, segs); err != nil {
-				errs[i] = err
-				return
+			sub, err := c.Slice(slo, shi)
+			if err != nil {
+				return err
 			}
-			dirs[i] = dir
-		}(i)
-	}
-	wg.Wait()
-	for _, err := range errs {
-		if err != nil {
-			return nil, err
+			bc := cfg
+			bc.DocIDBase = int64(slo)
+			ix, err := ir.Build(sub, bc)
+			if err != nil {
+				return err
+			}
+			segs = append(segs, ix)
 		}
-	}
-	return dirs, nil
+		return storage.WriteSegmentedIndex(dir, segs)
+	})
 }
 
 // LiveDocIDStride is the docid-range stride between live ingest
@@ -488,8 +452,8 @@ func BuildSegmentedPartitions(c *corpus.Collection, n, segsPer int, cfg ir.Build
 // encodings cap global docids at 2^31 — room for 127 live partitions.
 const LiveDocIDStride = 1 << 24
 
-// BuildLivePartitions lays out n *live* segmented partition directories
-// under baseDir (part-<i>), each owning a strided docid range
+// BuildLivePartitions lays out n *live* partition directories under
+// baseDir (part-<i>), each owning a strided docid range
 // (LiveDocIDStride apart, so partitions can grow independently without
 // docid collisions), and seeds partition i with the i-th contiguous
 // slice of the collection as its first segment — or leaves it empty when
@@ -501,51 +465,29 @@ const LiveDocIDStride = 1 << 24
 // between partitions' statistics. A 1-partition layout — any replica
 // count — keeps partition-local statistics exactly global.)
 func BuildLivePartitions(c *corpus.Collection, n int, cfg ir.BuildConfig, baseDir string) ([]string, error) {
-	if n < 1 {
-		return nil, fmt.Errorf("dist: partition count %d < 1", n)
-	}
 	cfg.Stats = nil // partition-local: AppendSegment computes per-directory stats
 	numDocs := len(c.DocLens)
-	dirs := make([]string, n)
-	errs := make([]error, n)
-	var wg sync.WaitGroup
-	for i := 0; i < n; i++ {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			dir := filepath.Join(baseDir, fmt.Sprintf("part-%d", i))
-			if err := storage.InitSegmented(dir, int64(i)*LiveDocIDStride); err != nil {
-				errs[i] = err
-				return
-			}
-			lo, hi := i*numDocs/n, (i+1)*numDocs/n
-			if lo < hi {
-				sub, err := c.Slice(lo, hi)
-				if err == nil {
-					_, err = storage.AppendSegment(dir, sub, cfg)
-				}
-				if err != nil {
-					errs[i] = err
-					return
-				}
-			}
-			dirs[i] = dir
-		}(i)
-	}
-	wg.Wait()
-	for _, err := range errs {
-		if err != nil {
-			return nil, err
+	return eachPartition(n, baseDir, func(i int, dir string) error {
+		if err := storage.InitSegmented(dir, int64(i)*LiveDocIDStride); err != nil {
+			return err
 		}
-	}
-	return dirs, nil
+		lo, hi := i*numDocs/n, (i+1)*numDocs/n
+		if lo >= hi {
+			return nil
+		}
+		sub, err := c.Slice(lo, hi)
+		if err == nil {
+			_, err = storage.AppendSegment(dir, sub, cfg)
+		}
+		return err
+	})
 }
 
 // StartClusterFromDirs opens persisted partition directories (from
-// BuildPartitions or BuildSegmentedPartitions — monolithic and segmented
-// layouts are detected per directory) and starts one TCP server per
-// partition replica (WithReplicas; one by default — each replica opens
-// the shared directory with its own file handles and buffer manager).
+// BuildPartitions, BuildSegmentedPartitions or BuildLivePartitions — any
+// index directory) and starts one TCP server per partition replica
+// (WithReplicas; one by default — each replica opens the shared directory
+// with its own file handles and buffer manager).
 // Nothing is rebuilt and no collection is needed: each server reads its
 // manifests and serves, with posting data streaming in through a buffer
 // manager with poolBytes budget (0 = unbounded) as queries arrive — the
@@ -594,45 +536,22 @@ func StartClusterFromDirs(dirs []string, poolBytes int64, opts ...ClusterOption)
 			go func(p, r int) {
 				defer wg.Done()
 				i := p*ccfg.replicas + r
-				if ccfg.ingest {
-					if !storage.IsSegmentedDir(dirs[p]) {
-						errs[i] = fmt.Errorf("dist: WithIngest needs a segmented partition directory, %q is not one", dirs[p])
-						return
-					}
-					dir := dirs[p]
-					if r > 0 {
-						// Each replica past the first serves its own copy:
-						// bootstrap by file copy on first start (bulk catch-up
-						// is a local concern, not the wire protocol's), reuse
-						// the directory on later starts — a revived replica
-						// keeps its data and catches up by shipped segments.
-						dir = fmt.Sprintf("%s-r%d", dirs[p], r)
-						if !storage.IsSegmentedDir(dir) {
-							if err := copyDir(dirs[p], dir); err != nil {
-								errs[i] = err
-								return
-							}
+				dir := dirs[p]
+				if ccfg.ingest && r > 0 {
+					// Each ingest replica past the first serves its own copy:
+					// bootstrap by file copy on first start (bulk catch-up
+					// is a local concern, not the wire protocol's), reuse
+					// the directory on later starts — a revived replica
+					// keeps its data and catches up by shipped segments.
+					dir = fmt.Sprintf("%s-r%d", dirs[p], r)
+					if _, err := storage.ReadSegments(dir); errors.Is(err, os.ErrNotExist) {
+						if errs[i] = storage.CopyDir(dirs[p], dir); errs[i] != nil {
+							return
 						}
 					}
-					replicaDirs[i] = dir
-					servers[i], errs[i] = serveSegmentedDir(dir, "127.0.0.1:0", poolBytes, slotOpts[i])
-					return
 				}
-				if storage.IsSegmentedDir(dirs[p]) {
-					snap, err := storage.OpenSegmented(dirs[p], poolBytes, slotOpts[i]...)
-					if err != nil {
-						errs[i] = err
-						return
-					}
-					servers[i], errs[i] = serveSnapshot(snap)
-					return
-				}
-				ix, err := storage.OpenIndex(dirs[p], poolBytes, slotOpts[i]...)
-				if err != nil {
-					errs[i] = err
-					return
-				}
-				servers[i], errs[i] = serveIndex(ix)
+				replicaDirs[i] = dir
+				servers[i], errs[i] = serveSegmentedDir(dir, "127.0.0.1:0", poolBytes, slotOpts[i])
 			}(p, r)
 		}
 	}
@@ -648,40 +567,10 @@ func StartClusterFromDirs(dirs []string, poolBytes int64, opts ...ClusterOption)
 	for i := range servers {
 		p, r := i/ccfg.replicas, i%ccfg.replicas
 		sl := cl.slots[p][r]
-		sl.opts = slotOpts[i]
-		if ccfg.ingest {
-			sl.dir = replicaDirs[i]
-		}
+		sl.opts, sl.dir = slotOpts[i], replicaDirs[i]
 	}
 	cl.ingest = ccfg.ingest
 	return cl, nil
-}
-
-// copyDir recursively copies a partition directory (replica bootstrap).
-// Writer lock files are skipped — a copied lock would wedge the replica's
-// install path behind a writer that never existed.
-func copyDir(src, dst string) error {
-	return filepath.WalkDir(src, func(p string, d fs.DirEntry, err error) error {
-		if err != nil {
-			return err
-		}
-		rel, err := filepath.Rel(src, p)
-		if err != nil {
-			return err
-		}
-		target := filepath.Join(dst, rel)
-		if d.IsDir() {
-			return os.MkdirAll(target, 0o755)
-		}
-		if d.Name() == storage.WriterLockName {
-			return nil
-		}
-		data, err := os.ReadFile(p)
-		if err != nil {
-			return err
-		}
-		return os.WriteFile(target, data, 0o644)
-	})
 }
 
 // KillReplica shuts partition p's replica r down in place — connections
@@ -705,7 +594,7 @@ func (cl *Cluster) ReviveReplica(p, r int) error {
 	poolBytes := cl.poolBytes
 	cl.mu.Unlock()
 	if sl.dir == "" {
-		return fmt.Errorf("dist: partition %d replica %d not revivable (cluster not started with WithIngest)", p, r)
+		return fmt.Errorf("dist: partition %d replica %d not revivable (in-memory partition, no directory to reopen)", p, r)
 	}
 	// The old listener's port can linger briefly after Close; retry the
 	// bind rather than failing a revival that would succeed a moment

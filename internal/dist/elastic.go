@@ -395,7 +395,7 @@ func (cl *Cluster) SplitPartition(ctx context.Context, p int, at int64, brokers 
 		if err := storage.PrepareSplit(left.dir, rightDir, at); err != nil {
 			return fail(err)
 		}
-	} else if !storage.IsSegmentedDir(rightDir) {
+	} else if _, err := storage.ReadSegments(rightDir); err != nil {
 		return fail(fmt.Errorf("dist: partition %d already split below %d but right half %s is missing",
 			p, at, rightDir))
 	}

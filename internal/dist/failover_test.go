@@ -261,6 +261,9 @@ func TestHedgeBeatsStalledPrimary(t *testing.T) {
 	if timing.Hedged == 0 {
 		t.Error("stalled primary but Hedged == 0")
 	}
+	if got := brk.MetricsSnapshot().Groups[0].HedgeBudget; got != 10*time.Millisecond {
+		t.Errorf("GroupMetrics.HedgeBudget = %v, want the fixed 10ms", got)
+	}
 	if took >= stall {
 		t.Errorf("hedge did not beat the stall: batch took %v", took)
 	}

@@ -25,8 +25,8 @@ import (
 // server handles concurrent query streams with bounded parallelism — the
 // Table 3 multi-stream regime.
 //
-// A dir-backed server (serveSegmentedDir; StartClusterFromDirs with
-// WithIngest) additionally serves the ingest verbs: it can append a
+// A dir-backed server (serveSegmentedDir; every StartClusterFromDirs
+// server) additionally serves the ingest verbs: it can append a
 // document batch as a new committed generation, accept shipped segment
 // files and manifest installs from its group's primary, and refresh its
 // serving snapshot to the directory's newest generation — all through
@@ -85,32 +85,18 @@ func startServer(part *corpus.Collection, cfg ir.BuildConfig) (*Server, error) {
 	if err != nil {
 		return nil, err
 	}
-	return serveIndex(ix)
-}
-
-// serveIndex wraps an index — freshly built or reopened from a persisted
-// partition directory — in a serving partition node. The server takes
-// ownership of the index's storage (Close releases it).
-func serveIndex(ix *ir.Index) (*Server, error) {
 	snap, err := ir.NewSnapshot([]*ir.Index{ix}, ir.SnapshotConfig{Owned: true})
 	if err != nil {
 		ix.Close()
 		return nil, err
 	}
-	return serveSnapshot(snap)
-}
-
-// serveSnapshot wraps a snapshot — a single index or a segmented
-// partition's segment set — in a serving partition node. The server takes
-// ownership of the snapshot's storage (Close releases it).
-func serveSnapshot(snap *ir.Snapshot) (*Server, error) {
 	return serve(serving.New(snap, serving.Config{}), "127.0.0.1:0")
 }
 
-// serveSegmentedDir opens a segmented partition directory as an
-// ingest-capable server listening on addr ("127.0.0.1:0" for an
-// ephemeral port; a fixed address revives a replica in place). The
-// directory must hold at least one segment already.
+// serveSegmentedDir opens a partition directory as a dir-backed server
+// listening on addr ("127.0.0.1:0" for an ephemeral port; a fixed address
+// revives a replica in place). The directory must hold at least one
+// segment already.
 func serveSegmentedDir(dir, addr string, poolBytes int64, opts []storage.OpenOption) (*Server, error) {
 	core, err := serving.OpenDir(dir, poolBytes, opts, serving.Config{})
 	if err != nil {
@@ -366,7 +352,7 @@ func (s *Server) handleSearch(req *wireRequest) wireResponse {
 	if err != nil {
 		return fail(err.Error())
 	}
-	if req.PinGen > 0 && g.Snapshot().Gen() < req.PinGen && s.core.Dir() != "" {
+	if req.PinGen > 0 && g.Snapshot().Gen() < req.PinGen {
 		g.Release()
 		if err := s.core.Refresh(); err != nil {
 			resp.Stale = true
@@ -467,7 +453,7 @@ func (s *Server) handleStatus(req *wireRequest) wireResponse {
 			st.NumDocs += e.Docs
 		}
 		st.Segs = sm.Names()
-		st.Ingest = !s.core.External()
+		st.Ingest = s.core.Writable() == nil
 	}
 	resp.Status = st
 	return resp
@@ -481,10 +467,6 @@ func (s *Server) handleStatus(req *wireRequest) wireResponse {
 func (s *Server) handleAppend(req *wireRequest) wireResponse {
 	resp := wireResponse{Seq: req.Seq}
 	dir := s.core.Dir()
-	if dir == "" || s.core.External() {
-		resp.Err = "dist: server does not accept appends (not a live ingest partition)"
-		return resp
-	}
 	if req.Append == nil || len(req.Append.Docs) == 0 {
 		resp.Err = "dist: append with no documents"
 		return resp
@@ -580,8 +562,8 @@ func (s *Server) handleFetch(req *wireRequest) wireResponse {
 func (s *Server) handleInstall(req *wireRequest) wireResponse {
 	resp := wireResponse{Seq: req.Seq}
 	dir := s.core.Dir()
-	if dir == "" || s.core.External() {
-		resp.Err = "dist: server does not accept installs (not a live ingest partition)"
+	if err := s.core.Writable(); err != nil {
+		resp.Err = err.Error() // before any chunk lands
 		return resp
 	}
 	in := req.Install

@@ -11,10 +11,10 @@ import (
 // aliasing safety: co-located partition servers draining ONE shared
 // manager — under a budget small enough to force cross-partition eviction
 // churn — must still merge to exactly the centralized ranking. This is the
-// hazard case by construction: monolithic partition directories use
-// identical blob names ("postings.dict", chunk keys and all), and
-// segmented partitions all allocate "seg-000001"; without per-slot cache
-// namespaces, partition 2's cached chunk would satisfy partition 0's read.
+// hazard case by construction: every partition directory allocates
+// "seg-000001" (chunk keys and all), whether it holds one segment or
+// several; without per-slot cache namespaces, partition 2's cached chunk
+// would satisfy partition 0's read.
 // Replicas are in play too (same-dir replicas share a namespace, so they
 // share cached chunks), and the shared manager runs the 2Q policy to pin
 // that WithCacheAdmission reaches it.
@@ -27,14 +27,14 @@ func TestSharedPoolMatchesCentralized(t *testing.T) {
 	s := ir.NewSearcher(central, 0)
 
 	arms := map[string]func(t *testing.T) []string{
-		"monolithic": func(t *testing.T) []string {
+		"one-segment": func(t *testing.T) []string {
 			dirs, err := BuildPartitions(c, 3, ir.DefaultBuildConfig(), t.TempDir())
 			if err != nil {
 				t.Fatal(err)
 			}
 			return dirs
 		},
-		"segmented": func(t *testing.T) []string {
+		"two-segment": func(t *testing.T) []string {
 			dirs, err := BuildSegmentedPartitions(c, 3, 2, ir.DefaultBuildConfig(), t.TempDir())
 			if err != nil {
 				t.Fatal(err)

@@ -1,6 +1,7 @@
 package qos
 
 import (
+	"math"
 	"sync"
 	"time"
 
@@ -21,15 +22,17 @@ const (
 	hedgeSlices = 6
 )
 
-// Hedger computes an adaptive hedge budget: instead of a hand-tuned
-// constant, the budget is a live latency quantile (default p95) of the
-// replica group's recent wins — "if this attempt is slower than 95% of
-// recent attempts, assume it hit a straggler and duplicate it". A
-// hedge-rate cap bounds the duplicated work: TryHedge refuses once
-// hedges exceed the configured fraction of calls, so a pathological
-// group (every request slow) degrades to at most cap× extra load
-// instead of doubling it.
+// Hedger computes a replica group's hedge budget. The adaptive source
+// (NewHedger) replaces a hand-tuned constant with a live latency quantile
+// (default p95) of the group's recent wins — "if this attempt is slower
+// than 95% of recent attempts, assume it hit a straggler and duplicate
+// it"; the fixed source (NewFixedHedger) is that hand-tuned constant. A
+// hedge-rate cap bounds the duplicated work under either: TryHedge refuses
+// once hedges exceed the configured fraction of calls, so a pathological
+// group (every request slow) degrades to at most cap× extra load instead
+// of doubling it.
 type Hedger struct {
+	fixed    time.Duration // > 0: the constant budget source
 	quantile float64
 	rateCap  float64
 	hist     *metrics.Histogram
@@ -56,8 +59,24 @@ func NewHedger(quantile, rateCap float64) *Hedger {
 	}
 }
 
-// Observe records the latency of a completed (winning) attempt.
-func (h *Hedger) Observe(d time.Duration) { h.hist.Observe(d) }
+// NewFixedHedger returns a hedger whose budget is the constant d from the
+// first call on (no warm-up: there is no quantile to trust). rateCap <= 0
+// leaves hedging uncapped — a fixed budget is an explicit operator choice
+// — while a positive cap bounds it exactly as for the adaptive source.
+func NewFixedHedger(d time.Duration, rateCap float64) *Hedger {
+	if rateCap <= 0 {
+		rateCap = math.Inf(1)
+	}
+	return &Hedger{fixed: d, rateCap: rateCap}
+}
+
+// Observe records the latency of a completed (winning) attempt; a fixed
+// budget has no distribution to feed.
+func (h *Hedger) Observe(d time.Duration) {
+	if h.fixed == 0 {
+		h.hist.Observe(d)
+	}
+}
 
 // Budget registers one call and returns the hedge delay it should arm,
 // or 0 if the hedger is still cold (not enough windowed samples to
@@ -74,6 +93,9 @@ func (h *Hedger) Budget() time.Duration {
 }
 
 func (h *Hedger) budget() time.Duration {
+	if h.fixed > 0 {
+		return h.fixed
+	}
 	if h.hist.Count() < hedgeWarmup {
 		return 0
 	}

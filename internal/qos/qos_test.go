@@ -155,3 +155,35 @@ func TestHedgerRateCap(t *testing.T) {
 		t.Fatalf("stats = %+v, want %d hedges", st, granted)
 	}
 }
+
+// TestFixedHedgerConstantSource: a fixed budget is the same hedger with a
+// constant in place of the quantile — armed from the first call, uncapped
+// unless a cap is given, capped exactly like the adaptive source when one
+// is.
+func TestFixedHedgerConstantSource(t *testing.T) {
+	h := NewFixedHedger(7*time.Millisecond, 0)
+	for i := 0; i < 100; i++ {
+		if got := h.Budget(); got != 7*time.Millisecond {
+			t.Fatalf("call %d: budget %v, want the fixed 7ms", i, got)
+		}
+		h.Observe(time.Duration(i) * time.Millisecond) // must not move it
+		if !h.TryHedge() {
+			t.Fatalf("call %d: uncapped fixed hedger refused a hedge", i)
+		}
+	}
+	if st := h.Stats(); st.Budget != 7*time.Millisecond || st.Hedges != 100 {
+		t.Fatalf("stats = %+v, want the fixed budget and 100 hedges", st)
+	}
+
+	capped := NewFixedHedger(7*time.Millisecond, 0.05)
+	granted := 0
+	for i := 0; i < 1000; i++ {
+		capped.Budget()
+		if capped.TryHedge() {
+			granted++
+		}
+	}
+	if granted == 0 || granted > 55 {
+		t.Fatalf("capped fixed hedger granted %d of 1000, want (0, 5.5%%]", granted)
+	}
+}

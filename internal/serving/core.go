@@ -18,6 +18,7 @@ package serving
 
 import (
 	"errors"
+	"fmt"
 	"runtime"
 	"slices"
 	"sync"
@@ -131,15 +132,16 @@ func newCore(cfg Config) *Core {
 
 // New returns a core serving snap, which it takes ownership of (Close
 // releases its storage if the snapshot owns it). The core has no
-// directory: Refresh is a no-op and Commit and Sweep must not be used.
+// directory: Refresh is a no-op, Commit refuses (see Writable), and Sweep
+// must not be used.
 func New(snap *ir.Snapshot, cfg Config) *Core {
 	c := newCore(cfg)
 	c.installLocked(snap, nil)
 	return c
 }
 
-// OpenDir returns a core serving the current generation of a segmented
-// index directory, with live-commit support (Refresh, Commit, Sweep). One
+// OpenDir returns a core serving the current generation of an index
+// directory, with live-commit support (Refresh, Commit, Sweep). One
 // buffer manager with a poolBytes budget (0 = unbounded) lives as long as
 // the core and is shared by every generation it opens; a manager riding in
 // opts (a cross-server shared pool) takes its place.
@@ -170,10 +172,21 @@ func (c *Core) Dir() string { return c.dir }
 // Layout returns the physical index layout appends to Dir must use.
 func (c *Core) Layout() ir.BuildConfig { return c.layout }
 
-// External reports whether the directory's collection statistics are
-// coordinated outside it (dist partitions built with global statistics);
-// such a directory serves and ships but must not be appended to or merged.
-func (c *Core) External() bool { return c.external }
+// Writable reports whether Commit can write this core's index: nil for a
+// directory whose statistics are its own; an error matching
+// storage.ErrExternalStats — the one refusal every append, merge and
+// install path reports — for a directory marked External (dist partitions
+// built with global statistics) and for a core built with New, whose index
+// lives wherever the caller built it.
+func (c *Core) Writable() error {
+	if c.dir == "" {
+		return fmt.Errorf("serving: in-memory index: %w", storage.ErrExternalStats)
+	}
+	if c.external {
+		return fmt.Errorf("serving: %q: %w", c.dir, storage.ErrExternalStats)
+	}
+	return nil
+}
 
 // Inflight reports how many ranked searches are executing right now.
 func (c *Core) Inflight() int64 { return c.inflight.Load() }
@@ -320,8 +333,11 @@ func (c *Core) refreshLocked() error {
 // Commit runs fn — a storage commit that writes the directory's next
 // generation (append, merge, manifest install) — under the commit lock,
 // then refreshes serving to what it committed. fn does not run on a closed
-// core.
+// core, nor on one that is not Writable.
 func (c *Core) Commit(fn func() error) error {
+	if err := c.Writable(); err != nil {
+		return err
+	}
 	c.commitMu.Lock()
 	defer c.commitMu.Unlock()
 	if c.closed.Load() {

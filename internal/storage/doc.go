@@ -8,27 +8,29 @@
 //   - Manager, the ColumnBM buffer manager: a fixed byte budget over
 //     *compressed* chunks, CLOCK (second chance) eviction, singleflight
 //     deduplication of concurrent fetches, and hit/miss/eviction stats;
-//   - a versioned on-disk index format (MANIFEST.json plus one blob file
-//     per column), written by WriteIndex and lazily reopened by
-//     OpenIndex: opening reads only the manifest (column files are
-//     eagerly verified to exist at their recorded sizes), and posting
-//     chunks stream in through the buffer manager as queries touch them.
+//   - a versioned on-disk index format with exactly one layout: an index
+//     directory is an ordered set of immutable segment subdirectories
+//     (each MANIFEST.json plus one blob file per column) under a
+//     generation-stamped SEGMENTS.json super-manifest. An index nobody
+//     has appended to is the one-segment case. Opening reads only the
+//     manifests (column files are eagerly verified to exist at their
+//     recorded sizes), and posting chunks stream in through the buffer
+//     manager as queries touch them.
 //
-// # Segmented layout
+// # Index directories
 //
-// On top of the single-index format sits the *segmented* layout: an
-// ordered set of immutable per-segment subdirectories (each holding an
-// unchanged MANIFEST.json v1) under a generation-stamped SEGMENTS.json
-// super-manifest. AppendSegment indexes a document batch into one fresh
-// segment and atomically commits generation+1; OpenSegmented opens every
-// segment of the newest generation against one shared buffer manager and
-// recomputes collection-wide statistics exactly from the manifests;
-// PlanMerge/BuildMergedSegment/CommitMerge implement the tiered
-// background merge; SweepSegments garbage-collects directories no
-// generation references. Every mutation is a new generation sharing all
-// unchanged segment directories with the old one, which is what lets the
-// serving core (internal/serving) swap generations under a reference
-// count without dropping in-flight searches.
+// WriteSegmentedIndex persists pre-built indexes as generation 1;
+// AppendSegment indexes a document batch into one fresh segment and
+// atomically commits generation+1; OpenSegmented opens every segment of
+// the newest generation against one shared buffer manager and recomputes
+// collection-wide statistics exactly from the manifests (directories
+// marked External carry statistics coordinated elsewhere and refuse local
+// writers with ErrExternalStats); PlanMerge/BuildMergedSegment/CommitMerge
+// implement the tiered background merge; SweepSegments garbage-collects
+// directories no generation references. Every mutation is a new generation
+// sharing all unchanged segment directories with the old one, which is
+// what lets the serving core (internal/serving) swap generations under a
+// reference count without dropping in-flight searches.
 //
 // # Prefetch
 //

@@ -10,15 +10,15 @@ import (
 	"repro/internal/ir"
 )
 
-// WriteIndex persists an index into dir as the versioned on-disk format:
-// one <blob>.col file per column plus MANIFEST.json. Column data is copied
-// blob-at-a-time through the index's block store, so both freshly built
-// (SimDisk-backed) and already persisted (FileStore-backed) indexes can be
-// written anywhere. The manifest is written last: a crashed or interrupted
-// WriteIndex leaves a directory OpenIndex refuses, never a torn index.
-func WriteIndex(dir string, ix *ir.Index) error {
+// writeSegment persists one index into dir as a segment: one <blob>.col
+// file per column plus MANIFEST.json. Column data is copied blob-at-a-time
+// through the index's block store, so both freshly built (SimDisk-backed)
+// and already persisted (FileStore-backed) indexes can be written anywhere.
+// The manifest is written last: a crashed or interrupted write leaves a
+// directory openSegment refuses, never a torn segment.
+func writeSegment(dir string, ix *ir.Index) error {
 	if ix == nil {
-		return fmt.Errorf("storage: WriteIndex(nil index)")
+		return fmt.Errorf("storage: writeSegment(nil index)")
 	}
 	fs, err := NewFileStore(dir)
 	if err != nil {
@@ -42,12 +42,22 @@ func WriteIndex(dir string, ix *ir.Index) error {
 	// columns); persisting it would duplicate the collection-wide term map
 	// into every partition manifest.
 	m.Config.Stats = nil
+	// On disk a segment's table and blob names carry its directory name,
+	// whatever prefix (if any) the index was built under: segments of one
+	// directory share a buffer manager whose keys are blob-derived, and
+	// segment GC drops a removed segment's cached chunks by that prefix.
+	built := m.Config.TablePrefix
+	m.Config.TablePrefix = filepath.Base(dir) + "."
+	rename := func(s string) string { return m.Config.TablePrefix + strings.TrimPrefix(s, built) }
 	for _, table := range []*colbm.StoredTable{&m.TD, &m.D} {
-		for _, col := range table.Columns {
+		table.Name = rename(table.Name)
+		for i := range table.Columns {
+			col := &table.Columns[i]
 			data, err := ix.Store.Read(col.Blob, 0, col.DiskSize())
 			if err != nil {
 				return fmt.Errorf("storage: persist column %q: %w", col.Blob, err)
 			}
+			col.Blob = rename(col.Blob)
 			if err := fs.Write(col.Blob, data); err != nil {
 				return err
 			}
@@ -56,7 +66,7 @@ func WriteIndex(dir string, ix *ir.Index) error {
 	return writeManifest(dir, m)
 }
 
-// OpenOption tunes how OpenIndex serves a persisted directory.
+// OpenOption tunes how OpenSegmented serves a persisted directory.
 type OpenOption func(*openConfig)
 
 type openConfig struct {
@@ -131,9 +141,8 @@ func WithCacheAdmission(p AdmissionPolicy) OpenOption {
 // WithCacheNamespace scopes the opened index's chunk-cache keys under the
 // given prefix. Required whenever indexes whose blob names may collide
 // share one manager (WithSharedManager across co-located partition
-// servers: live-ingest partitions reuse segment names, monolithic
-// partitions share blob names outright); pointless — but harmless — for
-// an index with a manager of its own.
+// servers: every partition directory allocates seg-000001); pointless — but
+// harmless — for an index with a manager of its own.
 func WithCacheNamespace(ns string) OpenOption {
 	return func(c *openConfig) { c.namespace = ns }
 }
@@ -191,32 +200,13 @@ func verifyIndexFiles(dir string, m *Manifest) error {
 	return nil
 }
 
-// OpenIndex opens a persisted index for querying. Only the manifest is
-// read eagerly; column data stays on disk and streams in through a buffer
-// manager with the given byte budget (0 = unbounded) as queries touch it —
-// the cold-start an indexed-once, queried-forever deployment wants, and
-// the reason distributed servers can open prebuilt partitions instead of
-// re-indexing their corpus slice.
-//
-// The caller owns the returned index: Close it (engine.Close does) to
-// release the file handles and stop any prefetch workers.
-func OpenIndex(dir string, poolBytes int64, opts ...OpenOption) (*ir.Index, error) {
-	var oc openConfig
-	for _, opt := range opts {
-		opt(&oc)
-	}
-	mgr := oc.manager
-	if mgr == nil {
-		mgr = NewManager(poolBytes, WithAdmissionPolicy(oc.admission))
-	}
-	return openIndexWith(dir, mgr, oc)
-}
-
-// openIndexWith is OpenIndex over a caller-provided buffer manager — the
-// segmented path opens every segment of a generation against one shared
+// openSegment opens one persisted segment for querying. Only the manifest
+// is read eagerly; column data stays on disk and streams in through mgr as
+// queries touch it. Every segment of a generation opens against one shared
 // manager so the byte budget covers the whole directory, not each segment
-// separately.
-func openIndexWith(dir string, mgr *Manager, oc openConfig) (*ir.Index, error) {
+// separately. The caller owns the returned index: Close it to release the
+// file handles and stop any prefetch workers.
+func openSegment(dir string, mgr *Manager, oc openConfig) (*ir.Index, error) {
 	m, err := readManifest(dir)
 	if err != nil {
 		return nil, err

@@ -172,9 +172,5 @@ func ManifestSegNames(manifest []byte) ([]string, error) {
 	if err != nil {
 		return nil, err
 	}
-	names := make([]string, len(sm.Segments))
-	for i, e := range sm.Segments {
-		names[i] = e.Name
-	}
-	return names, nil
+	return sm.Names(), nil
 }

@@ -12,23 +12,23 @@ import (
 	"repro/internal/primitives"
 )
 
-// FormatMagic identifies an index manifest.
+// FormatMagic identifies a segment manifest.
 const FormatMagic = "x100-index"
 
-// FormatVersion is the current on-disk index format version. Readers
+// FormatVersion is the current on-disk segment format version. Readers
 // reject other versions outright: the format carries compressed physical
 // blocks whose layout has no in-band schema, so cross-version guessing
 // would corrupt silently rather than fail loudly.
 const FormatVersion = 1
 
-// ManifestName is the manifest filename inside an index directory.
+// ManifestName is the manifest filename inside a segment directory.
 const ManifestName = "MANIFEST.json"
 
-// Manifest is the versioned root of the on-disk index format: everything
-// about an index except the column data itself. The column blobs live next
-// to it as one <blob>.col file each; the manifest records their logical
-// structure (specs, chunk extents) so OpenIndex can reattach cursors
-// without reading a byte of posting data.
+// Manifest is the versioned root of one on-disk segment: everything about
+// the segment's index except the column data itself. The column blobs live
+// next to it as one <blob>.col file each; the manifest records their
+// logical structure (specs, chunk extents) so openSegment can reattach
+// cursors without reading a byte of posting data.
 type Manifest struct {
 	Magic   string `json:"magic"`
 	Version int    `json:"version"`
@@ -52,14 +52,6 @@ type Manifest struct {
 // manifestPath returns the manifest location inside dir.
 func manifestPath(dir string) string { return filepath.Join(dir, ManifestName) }
 
-// IsIndexDir reports whether dir holds a readable index manifest (of any
-// version). It is the cheap "can I open this?" probe callers use to decide
-// between opening and building.
-func IsIndexDir(dir string) bool {
-	fi, err := os.Stat(manifestPath(dir))
-	return err == nil && fi.Mode().IsRegular()
-}
-
 // writeManifest serializes the manifest into dir, via a temp file and
 // rename so a torn write never yields a plausible manifest.
 func writeManifest(dir string, m *Manifest) error {
@@ -78,7 +70,7 @@ func readManifest(dir string) (*Manifest, error) {
 	data, err := os.ReadFile(manifestPath(dir))
 	if err != nil {
 		if errors.Is(err, os.ErrNotExist) {
-			return nil, fmt.Errorf("storage: %q is not an index directory (no %s)", dir, ManifestName)
+			return nil, fmt.Errorf("storage: %q holds no segment (no %s): %w", dir, ManifestName, os.ErrNotExist)
 		}
 		return nil, fmt.Errorf("storage: %w", err)
 	}

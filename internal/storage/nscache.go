@@ -9,10 +9,9 @@ import (
 // CacheView is a key-namespaced view over a shared Manager: every cache
 // key is prefixed with the view's namespace before it reaches the
 // manager, so several indexes whose blob names collide — co-located
-// partition servers most of all: live-ingest partitions all allocate
-// seg-000001, monolithic partitions share blob names outright — can
-// safely draw from ONE process-wide byte budget without ever reading each
-// other's chunks. Views are cheap (two words); budget, eviction state,
+// partition servers most of all: every partition directory allocates
+// seg-000001 — can safely draw from ONE process-wide byte budget without
+// ever reading each other's chunks. Views are cheap (two words); budget, eviction state,
 // and singleflight remain the shared manager's.
 //
 // Stats/ResetStats deliberately report the shared manager's counters:

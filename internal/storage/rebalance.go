@@ -4,13 +4,12 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"io/fs"
 	"os"
 	"path/filepath"
-	"sort"
+	"strings"
 
-	"repro/internal/colbm"
 	"repro/internal/ir"
-	"repro/internal/vector"
 )
 
 // Partition range surgery. The elastic control plane reshapes a cluster's
@@ -78,6 +77,30 @@ func splitIndex(dir string, sm *SegmentsManifest, at int64) (int, error) {
 	}
 	return 0, fmt.Errorf("storage: %q cannot split at docid %d (segment boundaries: %v): %w",
 		dir, at, bounds, ErrNotSegmentBoundary)
+}
+
+// CopyDir clones an index directory into dst — the local bootstrap of a
+// replica that will then evolve on its own. Segment files are hardlinked
+// where the filesystem allows (see linkOrCopyFile), copied as a stream
+// otherwise. The writer lock file is skipped: a copied lock would wedge
+// the clone's commits behind a writer that never existed there.
+func CopyDir(src, dst string) error {
+	return filepath.WalkDir(src, func(p string, d fs.DirEntry, err error) error {
+		if err != nil {
+			return fmt.Errorf("storage: %w", err)
+		}
+		target := filepath.Join(dst, strings.TrimPrefix(p, src))
+		switch {
+		case d.IsDir():
+			if err := os.MkdirAll(target, 0o755); err != nil {
+				return fmt.Errorf("storage: %w", err)
+			}
+			return nil
+		case d.Name() == WriterLockName:
+			return nil
+		}
+		return linkOrCopyFile(p, target)
+	})
 }
 
 // linkOrCopyFile hardlinks src to dst, falling back to a byte copy on
@@ -305,114 +328,20 @@ func PrepareAbsorb(dstDir, srcDir string, cancel func() bool) (*AbsorbPrep, erro
 	bc := srcManifests[0].Config
 	bc.Stats = st.globalStats(false, 0, 0)
 	bc.DocIDBase = dstNext
-	bc.TablePrefix = name + "."
 	w, err := ir.NewIndexWriter(bc, srcDocs, srcPostings)
 	if err != nil {
 		return fail(err)
 	}
 
-	srcs := make([]*ir.Index, 0, len(ssm.Segments))
-	defer func() {
-		for _, ix := range srcs {
-			ix.Close()
-		}
-	}()
-	for _, e := range ssm.Segments {
-		ix, err := OpenIndex(filepath.Join(srcDir, e.Name), 64<<20)
-		if err != nil {
-			return fail(err)
-		}
-		srcs = append(srcs, ix)
+	// The docid-base rewrite that makes the merged range contiguous: source
+	// docids are rebased to writer-local, and the writer re-globalizes
+	// them against its own DocIDBase.
+	segDirs := make([]string, len(ssm.Segments))
+	for i, e := range ssm.Segments {
+		segDirs[i] = filepath.Join(srcDir, e.Name)
 	}
-
-	// Documents first (posting scores read lengths by writer-local docid),
-	// in segment order — source docid order is preserved, only rebased.
-	for _, ix := range srcs {
-		lenCol, err := ix.D.Column("len")
-		if err != nil {
-			return fail(err)
-		}
-		nameCol, err := ix.D.Column("name")
-		if err != nil {
-			return fail(err)
-		}
-		var addErr error
-		if err := scanInt64Column(lenCol, func(vals []int64) {
-			if addErr == nil {
-				addErr = w.AddDocLens(vals)
-			}
-		}); err != nil {
-			return fail(err)
-		}
-		if err := scanStrColumn(nameCol, func(vals []string) {
-			if addErr == nil {
-				addErr = w.AddDocNames(vals)
-			}
-		}); err != nil {
-			return fail(err)
-		}
-		if addErr != nil {
-			return fail(addErr)
-		}
-	}
-
-	// Sorted union of the source dictionaries; within a term, segments
-	// stream in docid order, rebased from source-global to writer-local
-	// (the writer re-globalizes against its own DocIDBase) — this is the
-	// docid-base rewrite that makes the merged range contiguous.
-	termSet := make(map[string]bool)
-	for _, m := range srcManifests {
-		for t := range m.Terms {
-			termSet[t] = true
-		}
-	}
-	terms := make([]string, 0, len(termSet))
-	for t := range termSet {
-		terms = append(terms, t)
-	}
-	sort.Strings(terms)
-
-	docVec := vector.New(vector.Int64, vector.DefaultSize)
-	tfVec := vector.New(vector.Int64, vector.DefaultSize)
-	for _, t := range terms {
-		if cancel != nil && cancel() {
-			return fail(ErrBuildCanceled)
-		}
-		if err := w.BeginTerm(t); err != nil {
-			return fail(err)
-		}
-		for _, ix := range srcs {
-			ti, ok := ix.Terms[t]
-			if !ok {
-				continue
-			}
-			docName, tfName := ir.ColDocIDC, ir.ColTFC
-			if !ix.Config().Compressed {
-				docName, tfName = ir.ColDocID32, ir.ColTF32
-			}
-			docCol, err := ix.TD.Column(docName)
-			if err != nil {
-				return fail(err)
-			}
-			tfCol, err := ix.TD.Column(tfName)
-			if err != nil {
-				return fail(err)
-			}
-			docCur, tfCur := colbm.NewCursor(docCol), colbm.NewCursor(tfCol)
-			for pos := ti.Start; pos < ti.End; {
-				n := min(ti.End-pos, vector.DefaultSize)
-				if err := docCur.ReadOffset(docVec, pos, n, -srcBase); err != nil {
-					return fail(err)
-				}
-				if err := tfCur.Read(tfVec, pos, n); err != nil {
-					return fail(err)
-				}
-				if err := w.Postings(docVec.I64[:n], tfVec.I64[:n]); err != nil {
-					return fail(err)
-				}
-				pos += n
-			}
-		}
+	if err := streamSegments(w, segDirs, srcBase, cancel); err != nil {
+		return fail(err)
 	}
 
 	if cancel != nil && cancel() {
@@ -420,7 +349,7 @@ func PrepareAbsorb(dstDir, srcDir string, cancel func() bool) (*AbsorbPrep, erro
 	}
 	ix, err := w.Finish()
 	if err == nil {
-		err = WriteIndex(segDir, ix)
+		err = writeSegment(segDir, ix)
 	}
 	if err != nil {
 		return fail(err)

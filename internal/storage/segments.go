@@ -18,14 +18,15 @@ import (
 	"repro/internal/vector"
 )
 
-// Segmented index layout. A segmented directory holds an *ordered set of
-// immutable segments* instead of one monolithic index:
+// Index directory layout — the only one. An index directory holds an
+// *ordered set of immutable segments*; an index nobody has appended to is
+// the one-segment case:
 //
 //	dir/
 //	  SEGMENTS.json      generation-stamped super-manifest (written last,
 //	                     atomically — the only mutable file)
-//	  seg-000001/        one segment: MANIFEST.json v1 + .col files,
-//	  seg-000002/        exactly the single-index on-disk format
+//	  seg-000001/        one segment: MANIFEST.json + one .col file per
+//	  seg-000002/        column
 //	  ...
 //
 // Appending documents writes a brand-new segment directory and commits a
@@ -57,6 +58,11 @@ const (
 // monotonically and never reused, so a merged segment can never be
 // confused with one of its inputs.
 const segDirPrefix = "seg-"
+
+// scanPoolBytes is the private chunk-cache budget of the maintenance scans
+// (bounds re-scan, merge, absorb) that stream a segment once, outside any
+// serving buffer manager.
+const scanPoolBytes = 64 << 20
 
 // Okapi constants, identical to the ones ir.Build bakes in.
 const (
@@ -155,15 +161,9 @@ func (sm *SegmentsManifest) Names() []string {
 
 func segmentsPath(dir string) string { return filepath.Join(dir, SegmentsManifestName) }
 
-// IsSegmentedDir reports whether dir holds a readable segmented-index
-// super-manifest.
-func IsSegmentedDir(dir string) bool {
-	fi, err := os.Stat(segmentsPath(dir))
-	return err == nil && fi.Mode().IsRegular()
-}
-
-// ReadSegments loads and validates the super-manifest of a segmented
-// directory. A missing manifest returns an error wrapping os.ErrNotExist.
+// ReadSegments loads and validates the super-manifest of an index
+// directory. A directory that holds no index returns an error wrapping
+// os.ErrNotExist — the one "is there an index here" probe.
 func ReadSegments(dir string) (*SegmentsManifest, error) {
 	_, sm, err := ReadSegmentsRaw(dir)
 	return sm, err
@@ -173,13 +173,34 @@ func ReadSegments(dir string) (*SegmentsManifest, error) {
 // alongside the decoded form — the distributed ingest path ships the
 // exact committed bytes to replicas, so install commits byte-identical
 // manifests instead of re-marshaling.
+//
+// This is the one place that knows a pre-segment layout existed: a
+// directory with a top-level MANIFEST.json and no SEGMENTS.json (written
+// before every directory became segmented) reads as one External segment
+// named "." — it opens and serves exactly as it always did, and because
+// its statistics cannot be recomputed from a super-manifest it never had,
+// it takes no appends; "." is not a shippable name, so it does not
+// replicate either. Re-save it to convert.
 func ReadSegmentsRaw(dir string) ([]byte, *SegmentsManifest, error) {
 	data, err := os.ReadFile(segmentsPath(dir))
-	if err != nil {
-		if errors.Is(err, os.ErrNotExist) {
+	if errors.Is(err, os.ErrNotExist) {
+		m, merr := readManifest(dir)
+		if errors.Is(merr, os.ErrNotExist) {
 			return nil, nil, fmt.Errorf("storage: %q is not a segmented index directory (no %s): %w",
 				dir, SegmentsManifestName, os.ErrNotExist)
 		}
+		if merr != nil {
+			return nil, nil, merr
+		}
+		sm := &SegmentsManifest{
+			Magic: SegmentsMagic, Version: SegmentsFormatVersion,
+			Generation: 1, NextSeq: 1, External: true,
+			Segments: []SegmentEntry{{Name: ".", Docs: m.D.N, Postings: m.TD.N, DocBase: m.Config.DocIDBase}},
+		}
+		data, err = json.Marshal(sm)
+		return data, sm, err
+	}
+	if err != nil {
 		return nil, nil, fmt.Errorf("storage: %w", err)
 	}
 	sm, err := decodeSegments(dir, data)
@@ -190,8 +211,9 @@ func ReadSegmentsRaw(dir string) ([]byte, *SegmentsManifest, error) {
 }
 
 // ErrBadManifest reports super-manifest bytes that fail validation —
-// malformed JSON, wrong magic or version, or segment entries whose docid
-// ranges are not contiguous and disjoint (overlaps, gaps, duplicates).
+// malformed JSON, wrong magic or version, segment names that are not
+// distinct single path components, or segment entries whose docid ranges
+// are not contiguous and disjoint (overlaps, gaps, duplicates).
 // Manifests arrive off the wire and out of fuzzers as well as off local
 // disk, so every decode failure is this typed error, never a panic.
 var ErrBadManifest = errors.New("storage: invalid segments manifest")
@@ -211,7 +233,17 @@ func decodeSegments(dir string, data []byte) (*SegmentsManifest, error) {
 			dir, sm.Version, SegmentsFormatVersion, ErrBadManifest)
 	}
 	var base int64
+	seen := make(map[string]bool, len(sm.Segments))
 	for i, e := range sm.Segments {
+		// Names become paths under dir and chunk-cache key prefixes: one
+		// that climbs out of dir would read (or install) another
+		// directory's files, one that repeats would alias two segments'
+		// cached chunks.
+		if err := validShipName(e.Name); err != nil || seen[e.Name] {
+			return nil, fmt.Errorf("storage: segments manifest in %q: segment name %q is repeated or not a single path component: %w",
+				dir, e.Name, ErrBadManifest)
+		}
+		seen[e.Name] = true
 		if e.Docs < 0 {
 			return nil, fmt.Errorf("storage: segments manifest in %q: segment %q has negative doc count %d: %w",
 				dir, e.Name, e.Docs, ErrBadManifest)
@@ -236,7 +268,7 @@ func InitSegmented(dir string, baseDocID int64) error {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return fmt.Errorf("storage: %w", err)
 	}
-	if IsSegmentedDir(dir) || IsIndexDir(dir) {
+	if _, err := ReadSegments(dir); !errors.Is(err, os.ErrNotExist) {
 		return fmt.Errorf("storage: %q already holds an index", dir)
 	}
 	if baseDocID < 0 {
@@ -249,6 +281,14 @@ func InitSegmented(dir string, baseDocID int64) error {
 		BaseDocID: baseDocID,
 	})
 }
+
+// ErrExternalStats is the one refusal a directory gives a local writer
+// (append, merge, bounds policy): its collection statistics are
+// coordinated outside it — a dist partition built with global statistics,
+// or an index saved from such a build — so a local commit would silently
+// break the score comparability those statistics guarantee. The directory
+// serves and ships; change it by rebuilding where the statistics live.
+var ErrExternalStats = errors.New("the index does not own its statistics (they are coordinated outside its directory); it serves but takes no local appends, merges or installs")
 
 // ErrConcurrentWriter reports that another writer committed a generation
 // of SEGMENTS.json between this writer's read and its commit (or is
@@ -444,6 +484,24 @@ func sumInt64Column(col *colbm.Column) (int64, error) {
 // caller's to remove.
 var ErrBuildCanceled = errors.New("storage: segment build canceled")
 
+// postingCursors returns cursors over a segment's docid and tf columns —
+// compressed or fixed-width, whichever its layout stores.
+func postingCursors(ix *ir.Index) (docCur, tfCur *colbm.Cursor, err error) {
+	docName, tfName := ir.ColDocIDC, ir.ColTFC
+	if !ix.Config().Compressed {
+		docName, tfName = ir.ColDocID32, ir.ColTF32
+	}
+	docCol, err := ix.TD.Column(docName)
+	if err != nil {
+		return nil, nil, err
+	}
+	tfCol, err := ix.TD.Column(tfName)
+	if err != nil {
+		return nil, nil, err
+	}
+	return colbm.NewCursor(docCol), colbm.NewCursor(tfCol), nil
+}
+
 // scanPostings streams a segment's postings term at a time through its
 // docid and tf columns (compressed or fixed, per the segment's layout),
 // docids shifted by delta, handing each vector of parallel (docids, tfs)
@@ -451,19 +509,10 @@ var ErrBuildCanceled = errors.New("storage: segment build canceled")
 // merge rebuild share. cancel, when non-nil, is polled between terms.
 func scanPostings(ix *ir.Index, delta int64, cancel func() bool,
 	fn func(term string, docids, tfs []int64)) error {
-	docName, tfName := ir.ColDocIDC, ir.ColTFC
-	if !ix.Config().Compressed {
-		docName, tfName = ir.ColDocID32, ir.ColTF32
-	}
-	docCol, err := ix.TD.Column(docName)
+	docCur, tfCur, err := postingCursors(ix)
 	if err != nil {
 		return err
 	}
-	tfCol, err := ix.TD.Column(tfName)
-	if err != nil {
-		return err
-	}
-	docCur, tfCur := colbm.NewCursor(docCol), colbm.NewCursor(tfCol)
 	docVec := vector.New(vector.Int64, vector.DefaultSize)
 	tfVec := vector.New(vector.Int64, vector.DefaultSize)
 	for t, ti := range ix.Terms {
@@ -494,7 +543,7 @@ func scanPostings(ix *ir.Index, delta int64, cancel func() bool,
 // are scanned through their tf and docid columns (a sequential read; no
 // tokenization, no sorting — the part of a rebuild appends actually skip).
 func (st *mergedStats) segScoreBounds(segDir string, lo, hi *float64) error {
-	ix, err := OpenIndex(segDir, 64<<20)
+	ix, err := openSegment(segDir, NewManager(scanPoolBytes), openConfig{})
 	if err != nil {
 		return err
 	}
@@ -605,9 +654,6 @@ func AppendSegment(dir string, batch *corpus.Collection, cfg ir.BuildConfig) (ui
 	}
 	sm, err := ReadSegments(dir)
 	if errors.Is(err, os.ErrNotExist) {
-		if IsIndexDir(dir) {
-			return 0, fmt.Errorf("storage: %q holds a monolithic index; appends need the segmented layout", dir)
-		}
 		sm = &SegmentsManifest{Magic: SegmentsMagic, Version: SegmentsFormatVersion, NextSeq: 1}
 		err = nil
 	}
@@ -619,7 +665,7 @@ func AppendSegment(dir string, batch *corpus.Collection, cfg ir.BuildConfig) (ui
 	// them stale) fails this append instead of corrupting the directory.
 	startGen := sm.Generation
 	if sm.External {
-		return 0, fmt.Errorf("storage: %q carries externally coordinated statistics (a dist partition); local appends would break cross-partition score comparability", dir)
+		return 0, fmt.Errorf("storage: append to %q: %w", dir, ErrExternalStats)
 	}
 	st, err := collectStats(dir, sm, batch)
 	if err != nil {
@@ -677,12 +723,9 @@ func AppendSegment(dir string, batch *corpus.Collection, cfg ir.BuildConfig) (ui
 	bc := cfg
 	bc.Stats = st.globalStats(hasBounds, lo, hi)
 	bc.DocIDBase = st.nextBase
-	// Segments share one buffer manager; the prefix keeps their
-	// chunk-cache keys (blob-name derived) from aliasing each other.
-	bc.TablePrefix = name + "."
 	ix, err := ir.Build(batch, bc)
 	if err == nil {
-		err = WriteIndex(segDir, ix)
+		err = writeSegment(segDir, ix)
 	}
 	if err != nil {
 		os.RemoveAll(segDir)
@@ -775,7 +818,7 @@ func SetBoundsPolicy(dir string, drift float64) error {
 		return err
 	}
 	if sm.External {
-		return fmt.Errorf("storage: %q carries externally coordinated statistics (a dist partition); set the bounds policy where the partitions are built", dir)
+		return fmt.Errorf("storage: bounds policy of %q: %w", dir, ErrExternalStats)
 	}
 	if sm.BoundsDrift == drift {
 		return nil
@@ -822,7 +865,7 @@ func OpenSegmented(dir string, poolBytes int64, opts ...OpenOption) (*ir.Snapsho
 	}
 	prefixes := make(map[string]bool, len(sm.Segments))
 	for _, e := range sm.Segments {
-		ix, err := openIndexWith(filepath.Join(dir, e.Name), mgr, oc)
+		ix, err := openSegment(filepath.Join(dir, e.Name), mgr, oc)
 		if err != nil {
 			return fail(err)
 		}
@@ -916,6 +959,107 @@ func (sm *SegmentsManifest) findRun(names []string) (int, error) {
 	return 0, fmt.Errorf("storage: merge run %v not found in the current generation", names)
 }
 
+// streamSegments feeds the segment directories, in docid order, into w —
+// the rewrite both a merge and a partition absorb are. Documents go first
+// (posting scores read lengths by writer-local docid); postings follow
+// term-at-a-time in the sorted union of the sources' dictionaries, and
+// within a term the sources stream in order, so rewritten lists stay
+// docid-ordered with no sort. Docids are rebased from source-global to
+// writer-local (minus base) on the offset read path. Every source opens
+// once and keeps its cursors across terms; nothing is materialized beyond
+// one vector per cursor. cancel, when non-nil, is polled between terms.
+func streamSegments(w *ir.IndexWriter, segDirs []string, base int64, cancel func() bool) error {
+	type source struct {
+		ix            *ir.Index
+		docCur, tfCur *colbm.Cursor
+	}
+	srcs := make([]source, 0, len(segDirs))
+	defer func() {
+		for _, s := range srcs {
+			s.ix.Close()
+		}
+	}()
+	termSet := make(map[string]bool)
+	for _, segDir := range segDirs {
+		ix, err := openSegment(segDir, NewManager(scanPoolBytes), openConfig{})
+		if err != nil {
+			return err
+		}
+		docCur, tfCur, err := postingCursors(ix)
+		if err != nil {
+			ix.Close()
+			return err
+		}
+		srcs = append(srcs, source{ix, docCur, tfCur})
+		for t := range ix.Terms {
+			termSet[t] = true
+		}
+
+		lenCol, err := ix.D.Column("len")
+		if err != nil {
+			return err
+		}
+		nameCol, err := ix.D.Column("name")
+		if err != nil {
+			return err
+		}
+		var addErr error
+		if err := scanInt64Column(lenCol, func(vals []int64) {
+			if addErr == nil {
+				addErr = w.AddDocLens(vals)
+			}
+		}); err != nil {
+			return err
+		}
+		if err := scanStrColumn(nameCol, func(vals []string) {
+			if addErr == nil {
+				addErr = w.AddDocNames(vals)
+			}
+		}); err != nil {
+			return err
+		}
+		if addErr != nil {
+			return addErr
+		}
+	}
+
+	terms := make([]string, 0, len(termSet))
+	for t := range termSet {
+		terms = append(terms, t)
+	}
+	sort.Strings(terms)
+	docVec := vector.New(vector.Int64, vector.DefaultSize)
+	tfVec := vector.New(vector.Int64, vector.DefaultSize)
+	for _, t := range terms {
+		if cancel != nil && cancel() {
+			return ErrBuildCanceled
+		}
+		if err := w.BeginTerm(t); err != nil {
+			return err
+		}
+		for _, s := range srcs {
+			ti, ok := s.ix.Terms[t]
+			if !ok {
+				continue
+			}
+			for pos := ti.Start; pos < ti.End; {
+				n := min(ti.End-pos, vector.DefaultSize)
+				if err := s.docCur.ReadOffset(docVec, pos, n, -base); err != nil {
+					return err
+				}
+				if err := s.tfCur.Read(tfVec, pos, n); err != nil {
+					return err
+				}
+				if err := w.Postings(docVec.I64[:n], tfVec.I64[:n]); err != nil {
+					return err
+				}
+				pos += n
+			}
+		}
+	}
+	return nil
+}
+
 // BuildMergedSegment merges the named adjacent segments into the
 // preallocated segment directory `into` (from AllocSegmentDir), re-baking
 // score columns with the collection statistics current at build time.
@@ -945,7 +1089,7 @@ func BuildMergedSegment(dir string, names []string, into string, cancel func() b
 		return 0, err
 	}
 	if sm.External {
-		return 0, fmt.Errorf("storage: %q carries externally coordinated statistics; merge it by rebuilding the partition set", dir)
+		return 0, fmt.Errorf("storage: merge in %q: %w", dir, ErrExternalStats)
 	}
 	at, err := sm.findRun(names)
 	if err != nil {
@@ -965,125 +1109,21 @@ func BuildMergedSegment(dir string, names []string, into string, cancel func() b
 	}
 
 	// The merged layout is the run's layout with per-segment identity
-	// stripped (manifest configs carry no Stats — WriteIndex clears it).
+	// stripped (manifest configs carry no Stats — writeSegment clears it).
 	bc := st.segs[at].Config
 	bc.Stats = st.globalStats(sm.HasBounds, sm.ScoreLo, sm.ScoreHi)
 	bc.DocIDBase = runBase
-	bc.TablePrefix = into + "."
 	w, err := ir.NewIndexWriter(bc, docs, postings)
 	if err != nil {
 		return 0, err
 	}
 
-	// Open every input segment once; per-term streaming revisits each
-	// segment's cursors for every shared term, so open/close per segment
-	// (the old discipline) would reopen files per term instead.
-	type mergeSrc struct {
-		ix     *ir.Index
-		docCur *colbm.Cursor
-		tfCur  *colbm.Cursor
+	segDirs := make([]string, len(run))
+	for i, e := range run {
+		segDirs[i] = filepath.Join(dir, e.Name)
 	}
-	srcs := make([]mergeSrc, 0, len(run))
-	defer func() {
-		for _, s := range srcs {
-			s.ix.Close()
-		}
-	}()
-	for _, e := range run {
-		ix, err := OpenIndex(filepath.Join(dir, e.Name), 64<<20)
-		if err != nil {
-			return 0, err
-		}
-		docName, tfName := ir.ColDocIDC, ir.ColTFC
-		if !ix.Config().Compressed {
-			docName, tfName = ir.ColDocID32, ir.ColTF32
-		}
-		docCol, err := ix.TD.Column(docName)
-		if err != nil {
-			ix.Close()
-			return 0, err
-		}
-		tfCol, err := ix.TD.Column(tfName)
-		if err != nil {
-			ix.Close()
-			return 0, err
-		}
-		srcs = append(srcs, mergeSrc{ix, colbm.NewCursor(docCol), colbm.NewCursor(tfCol)})
-	}
-
-	// Documents first — posting scores read lengths by merged-local docid.
-	for _, s := range srcs {
-		lenCol, err := s.ix.D.Column("len")
-		if err != nil {
-			return 0, err
-		}
-		nameCol, err := s.ix.D.Column("name")
-		if err != nil {
-			return 0, err
-		}
-		var addErr error
-		if err := scanInt64Column(lenCol, func(vals []int64) {
-			if addErr == nil {
-				addErr = w.AddDocLens(vals)
-			}
-		}); err != nil {
-			return 0, err
-		}
-		if err := scanStrColumn(nameCol, func(vals []string) {
-			if addErr == nil {
-				addErr = w.AddDocNames(vals)
-			}
-		}); err != nil {
-			return 0, err
-		}
-		if addErr != nil {
-			return 0, addErr
-		}
-	}
-
-	// Sorted union of the run's dictionaries fixes the merged term order;
-	// within a term, segments stream in run order (ascending docid ranges),
-	// so merged lists stay docid-ordered with no sort.
-	termSet := make(map[string]bool)
-	for _, m := range st.segs[at : at+len(names)] {
-		for t := range m.Terms {
-			termSet[t] = true
-		}
-	}
-	terms := make([]string, 0, len(termSet))
-	for t := range termSet {
-		terms = append(terms, t)
-	}
-	sort.Strings(terms)
-
-	docVec := vector.New(vector.Int64, vector.DefaultSize)
-	tfVec := vector.New(vector.Int64, vector.DefaultSize)
-	for _, t := range terms {
-		if cancel != nil && cancel() {
-			return 0, ErrBuildCanceled
-		}
-		if err := w.BeginTerm(t); err != nil {
-			return 0, err
-		}
-		for _, s := range srcs {
-			ti, ok := s.ix.Terms[t]
-			if !ok {
-				continue
-			}
-			for pos := ti.Start; pos < ti.End; {
-				n := min(ti.End-pos, vector.DefaultSize)
-				if err := s.docCur.ReadOffset(docVec, pos, n, -runBase); err != nil {
-					return 0, err
-				}
-				if err := s.tfCur.Read(tfVec, pos, n); err != nil {
-					return 0, err
-				}
-				if err := w.Postings(docVec.I64[:n], tfVec.I64[:n]); err != nil {
-					return 0, err
-				}
-				pos += n
-			}
-		}
+	if err := streamSegments(w, segDirs, runBase, cancel); err != nil {
+		return 0, err
 	}
 
 	// Last poll before the (uninterruptible) table encode of the merged
@@ -1093,7 +1133,7 @@ func BuildMergedSegment(dir string, names []string, into string, cancel func() b
 	}
 	ix, err := w.Finish()
 	if err == nil {
-		err = WriteIndex(filepath.Join(dir, into), ix)
+		err = writeSegment(filepath.Join(dir, into), ix)
 	}
 	if err != nil {
 		return 0, err
@@ -1186,25 +1226,37 @@ func SweepSegments(dir string, inUse func(name string) bool) ([]string, error) {
 }
 
 // WriteSegmentedIndex persists pre-built indexes as the segments of a new
-// segmented directory with externally coordinated statistics — the dist
-// partition path, where collection-wide stats (including quantization
-// bounds) were shared across *directories* at build time and must not be
-// recomputed from any one directory's segments. Segment docid ranges must
-// be contiguous; bounds are taken from the first index (identical across
-// externally coordinated builds by construction).
+// index directory, generation 1. Indexes built with a statistics override
+// (BuildConfig.Stats — the dist partition path, where collection-wide
+// statistics and quantization bounds were shared across *directories* at
+// build time) are marked External: nothing recomputes their statistics
+// from this directory's segments, and local appends are refused. A single
+// index built with its own statistics is an ordinary appendable directory,
+// exactly what AppendSegment leaves after a first batch. Segment docid
+// ranges must be contiguous; bounds are taken from the first index
+// (identical across externally coordinated builds by construction).
 func WriteSegmentedIndex(dir string, segs []*ir.Index) error {
 	if len(segs) == 0 {
 		return errors.New("storage: WriteSegmentedIndex with no segments")
+	}
+	if _, err := ReadSegments(dir); !errors.Is(err, os.ErrNotExist) {
+		return fmt.Errorf("storage: %q already holds an index (a generation-1 manifest over it would orphan what it serves)", dir)
+	}
+	external := segs[0].Config().Stats != nil
+	if !external && len(segs) > 1 {
+		return errors.New("storage: WriteSegmentedIndex of several segments needs them built with shared statistics (BuildConfig.Stats)")
 	}
 	sm := &SegmentsManifest{
 		Magic:      SegmentsMagic,
 		Version:    SegmentsFormatVersion,
 		Generation: 1,
-		External:   true,
-		HasBounds:  true,
-		ScoreLo:    segs[0].ScoreLo,
-		ScoreHi:    segs[0].ScoreHi,
+		StatsEpoch: 1,
+		External:   external,
+		HasBounds:  external || segs[0].Config().Quantized,
 		NextSeq:    1,
+	}
+	if sm.HasBounds {
+		sm.ScoreLo, sm.ScoreHi = segs[0].ScoreLo, segs[0].ScoreHi
 	}
 	next := segs[0].DocBase()
 	for _, ix := range segs {
@@ -1216,7 +1268,7 @@ func WriteSegmentedIndex(dir string, segs []*ir.Index) error {
 		if err != nil {
 			return err
 		}
-		if err := WriteIndex(filepath.Join(dir, name), ix); err != nil {
+		if err := writeSegment(filepath.Join(dir, name), ix); err != nil {
 			return err
 		}
 		lenCol, err := ix.D.Column("len")
@@ -1228,11 +1280,12 @@ func WriteSegmentedIndex(dir string, segs []*ir.Index) error {
 			return err
 		}
 		sm.Segments = append(sm.Segments, SegmentEntry{
-			Name:      name,
-			Docs:      ix.NumDocs(),
-			Postings:  ix.NumPostings(),
-			DocBase:   ix.DocBase(),
-			DocLenSum: lenSum,
+			Name:       name,
+			Docs:       ix.NumDocs(),
+			Postings:   ix.NumPostings(),
+			DocBase:    ix.DocBase(),
+			DocLenSum:  lenSum,
+			StatsEpoch: sm.StatsEpoch,
 		})
 		if seq := segSeq(name); seq >= sm.NextSeq {
 			sm.NextSeq = seq + 1

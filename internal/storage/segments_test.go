@@ -1,6 +1,7 @@
 package storage
 
 import (
+	"errors"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -255,17 +256,19 @@ func TestAppendSegmentGuards(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// A monolithic index directory refuses appends.
-	mono := filepath.Join(t.TempDir(), "mono")
+	// A pre-segment directory has no super-manifest to recompute its
+	// statistics from: it reads as External and refuses appends, with the
+	// one typed statistics error.
+	legacy := filepath.Join(t.TempDir(), "legacy")
 	ix, err := ir.Build(coll, ir.DefaultBuildConfig())
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := WriteIndex(mono, ix); err != nil {
+	if err := writeSegment(legacy, ix); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := AppendSegment(mono, batch, ir.DefaultBuildConfig()); err == nil {
-		t.Error("AppendSegment accepted a monolithic index directory")
+	if _, err := AppendSegment(legacy, batch, ir.DefaultBuildConfig()); !errors.Is(err, ErrExternalStats) {
+		t.Errorf("AppendSegment on a pre-segment directory: %v, want ErrExternalStats", err)
 	}
 
 	// Layout mismatches are rejected.
@@ -278,13 +281,27 @@ func TestAppendSegmentGuards(t *testing.T) {
 		t.Error("AppendSegment accepted a mismatched physical layout")
 	}
 
-	// Externally coordinated directories refuse appends.
-	ext := filepath.Join(t.TempDir(), "ext")
-	if err := WriteSegmentedIndex(ext, []*ir.Index{ix}); err != nil {
+	// A saved index built with a statistics override is External and
+	// refuses appends; one built with its own statistics takes them.
+	extCfg := ir.DefaultBuildConfig()
+	extCfg.Stats = ir.CollectionStats(coll)
+	extIx, err := ir.Build(coll, extCfg)
+	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := AppendSegment(ext, batch, ir.DefaultBuildConfig()); err == nil {
-		t.Error("AppendSegment accepted an external-stats directory")
+	ext := filepath.Join(t.TempDir(), "ext")
+	if err := WriteSegmentedIndex(ext, []*ir.Index{extIx}); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := AppendSegment(ext, batch, ir.DefaultBuildConfig()); !errors.Is(err, ErrExternalStats) {
+		t.Errorf("AppendSegment on an external-stats directory: %v, want ErrExternalStats", err)
+	}
+	own := filepath.Join(t.TempDir(), "own")
+	if err := WriteSegmentedIndex(own, []*ir.Index{ix}); err != nil {
+		t.Fatal(err)
+	}
+	if gen, err := AppendSegment(own, batch, ir.DefaultBuildConfig()); err != nil || gen != 2 {
+		t.Errorf("AppendSegment on a saved own-statistics index: generation %d, %v; want 2, nil", gen, err)
 	}
 }
 

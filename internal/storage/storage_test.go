@@ -3,6 +3,7 @@ package storage
 import (
 	"bytes"
 	"encoding/json"
+	"errors"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -118,52 +119,83 @@ func buildSmallIndex(t *testing.T) (*corpus.Collection, *ir.Index) {
 	return c, ix
 }
 
-// TestIndexRoundTripIdenticalTopK is the acceptance check of the on-disk
-// format: OpenIndex(WriteIndex(ix)) must return byte-identical rankings —
-// same docids, same names, same scores, same order — for every strategy,
-// both with an unbounded buffer manager and with one small enough to force
-// eviction mid-query.
-func TestIndexRoundTripIdenticalTopK(t *testing.T) {
-	c, ix := buildSmallIndex(t)
-	dir := t.TempDir()
-	if err := WriteIndex(dir, ix); err != nil {
+// saveIndex writes ix as a one-segment index directory and returns the
+// segment's own directory (where its MANIFEST.json and .col files live).
+func saveIndex(t *testing.T, dir string, ix *ir.Index) string {
+	t.Helper()
+	if err := WriteSegmentedIndex(dir, []*ir.Index{ix}); err != nil {
 		t.Fatal(err)
 	}
+	return filepath.Join(dir, segDirPrefix+"000001")
+}
 
+// openSole opens a one-segment directory and returns its segment; closing
+// the segment releases everything the open acquired.
+func openSole(dir string, budget int64) (*ir.Index, error) {
+	snap, err := OpenSegmented(dir, budget)
+	if err != nil {
+		return nil, err
+	}
+	return snap.Primary(), nil
+}
+
+// TestIndexRoundTripIdenticalTopK is the acceptance check of the on-disk
+// format: opening what was written must return byte-identical rankings —
+// same docids, same names, same scores, same order — for every strategy,
+// both with an unbounded buffer manager and with one small enough to force
+// eviction mid-query. It holds for a directory this build writes and for a
+// pre-segment one (top-level MANIFEST.json, no SEGMENTS.json), which reads
+// as one External segment.
+func TestIndexRoundTripIdenticalTopK(t *testing.T) {
+	c, ix := buildSmallIndex(t)
 	queries := append(c.PrecisionQueries(5, 11), c.EfficiencyQueries(15, 12)...)
 	mem := ir.NewSearcher(ix, 0)
 
-	for _, budget := range []int64{0, 64 << 10} {
-		pix, err := OpenIndex(dir, budget)
-		if err != nil {
-			t.Fatal(err)
+	for name, write := range map[string]func(dir string){
+		"current": func(dir string) { saveIndex(t, dir, ix) },
+		"legacy": func(dir string) {
+			if err := writeSegment(dir, ix); err != nil {
+				t.Fatal(err)
+			}
+		},
+	} {
+		dir := t.TempDir()
+		write(dir)
+		if sm, err := ReadSegments(dir); err != nil || len(sm.Segments) != 1 || sm.External != (name == "legacy") {
+			t.Fatalf("%s: ReadSegments = %+v, %v; want one segment, External only for legacy", name, sm, err)
 		}
-		disk := ir.NewSearcher(pix, 0)
-		for _, strat := range ir.AllStrategies {
-			for _, q := range queries {
-				want, _, err := mem.Search(q.Terms, 20, strat)
-				if err != nil {
-					t.Fatal(err)
-				}
-				got, stats, err := disk.Search(q.Terms, 20, strat)
-				if err != nil {
-					t.Fatalf("budget %d, %v %q: %v", budget, strat, q.Terms, err)
-				}
-				if !reflect.DeepEqual(got, want) {
-					t.Fatalf("budget %d, %v %q: persisted top-k diverged\n got %v\nwant %v",
-						budget, strat, q.Terms, got, want)
-				}
-				if stats.SimIO != 0 {
-					t.Fatalf("persisted search charged simulated I/O: %v", stats.SimIO)
+		for _, budget := range []int64{0, 64 << 10} {
+			pix, err := openSole(dir, budget)
+			if err != nil {
+				t.Fatal(err)
+			}
+			disk := ir.NewSearcher(pix, 0)
+			for _, strat := range ir.AllStrategies {
+				for _, q := range queries {
+					want, _, err := mem.Search(q.Terms, 20, strat)
+					if err != nil {
+						t.Fatal(err)
+					}
+					got, stats, err := disk.Search(q.Terms, 20, strat)
+					if err != nil {
+						t.Fatalf("%s budget %d, %v %q: %v", name, budget, strat, q.Terms, err)
+					}
+					if !reflect.DeepEqual(got, want) {
+						t.Fatalf("%s budget %d, %v %q: persisted top-k diverged\n got %v\nwant %v",
+							name, budget, strat, q.Terms, got, want)
+					}
+					if stats.SimIO != 0 {
+						t.Fatalf("persisted search charged simulated I/O: %v", stats.SimIO)
+					}
 				}
 			}
-		}
-		if budget > 0 {
-			if st := pix.Cache.Stats(); st.Evictions == 0 {
-				t.Errorf("budget %d never evicted; the eviction path went untested", budget)
+			if budget > 0 {
+				if st := pix.Cache.Stats(); st.Evictions == 0 {
+					t.Errorf("%s budget %d never evicted; the eviction path went untested", name, budget)
+				}
 			}
+			pix.Close()
 		}
-		pix.Store.Close()
 	}
 }
 
@@ -173,14 +205,12 @@ func TestIndexRoundTripIdenticalTopK(t *testing.T) {
 func TestPersistedWarmHitRate(t *testing.T) {
 	c, ix := buildSmallIndex(t)
 	dir := t.TempDir()
-	if err := WriteIndex(dir, ix); err != nil {
-		t.Fatal(err)
-	}
-	pix, err := OpenIndex(dir, 0)
+	saveIndex(t, dir, ix)
+	pix, err := openSole(dir, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer pix.Store.Close()
+	defer pix.Close()
 	s := ir.NewSearcher(pix, 0)
 	queries := c.EfficiencyQueries(100, 13)
 
@@ -205,40 +235,37 @@ func TestPersistedWarmHitRate(t *testing.T) {
 	}
 }
 
-func TestOpenIndexLazyAndValidating(t *testing.T) {
+func TestOpenSegmentLazyAndValidating(t *testing.T) {
 	_, ix := buildSmallIndex(t)
 	dir := t.TempDir()
-	if err := WriteIndex(dir, ix); err != nil {
-		t.Fatal(err)
-	}
+	segDir := saveIndex(t, dir, ix)
 
 	// Lazy: opening reads no column data.
-	pix, err := OpenIndex(dir, 0)
+	pix, err := openSole(dir, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if reads := pix.Store.Stats().Reads; reads != 0 {
-		t.Errorf("OpenIndex did %d column reads; the format is supposed to load lazily", reads)
+		t.Errorf("open did %d column reads; the format is supposed to load lazily", reads)
 	}
 	if pix.NumDocs() != ix.NumDocs() || pix.NumPostings() != ix.NumPostings() {
 		t.Errorf("restored shape: %d docs / %d postings, want %d / %d",
 			pix.NumDocs(), pix.NumPostings(), ix.NumDocs(), ix.NumPostings())
 	}
-	pix.Store.Close()
+	pix.Close()
 
-	// Not an index dir.
-	if _, err := OpenIndex(t.TempDir(), 0); err == nil {
-		t.Error("OpenIndex accepted an empty directory")
+	// Not an index dir: the error says what is absent, and matches
+	// os.ErrNotExist so callers can tell "build it" from "it is broken".
+	if _, err := OpenSegmented(t.TempDir(), 0); !errors.Is(err, os.ErrNotExist) {
+		t.Errorf("OpenSegmented on an empty directory: %v, want os.ErrNotExist", err)
 	}
-	if IsIndexDir(t.TempDir()) {
-		t.Error("IsIndexDir true on empty directory")
-	}
-	if !IsIndexDir(dir) {
-		t.Error("IsIndexDir false on a written index")
+	// Saving over a directory that already serves an index is refused.
+	if err := WriteSegmentedIndex(dir, []*ir.Index{ix}); err == nil {
+		t.Error("WriteSegmentedIndex overwrote an existing index directory")
 	}
 
 	// Wrong version must be rejected loudly.
-	raw, err := os.ReadFile(filepath.Join(dir, ManifestName))
+	raw, err := os.ReadFile(filepath.Join(segDir, ManifestName))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -248,83 +275,81 @@ func TestOpenIndexLazyAndValidating(t *testing.T) {
 	}
 	m.Version = FormatVersion + 1
 	bumped, _ := json.Marshal(&m)
-	if err := os.WriteFile(filepath.Join(dir, ManifestName), bumped, 0o644); err != nil {
+	if err := os.WriteFile(filepath.Join(segDir, ManifestName), bumped, 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := OpenIndex(dir, 0); err == nil {
-		t.Error("OpenIndex accepted a future format version")
+	if _, err := OpenSegmented(dir, 0); err == nil {
+		t.Error("open accepted a future segment format version")
 	}
 	// Restore, then truncate a column file: size check must catch it.
-	if err := os.WriteFile(filepath.Join(dir, ManifestName), raw, 0o644); err != nil {
+	if err := os.WriteFile(filepath.Join(segDir, ManifestName), raw, 0o644); err != nil {
 		t.Fatal(err)
 	}
-	col := filepath.Join(dir, m.TD.Columns[0].Blob+blobExt)
+	col := filepath.Join(segDir, m.TD.Columns[0].Blob+blobExt)
 	if err := os.Truncate(col, 10); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := OpenIndex(dir, 0); err == nil {
-		t.Error("OpenIndex accepted a truncated column file")
+	if _, err := OpenSegmented(dir, 0); err == nil {
+		t.Error("open accepted a truncated column file")
 	}
 }
 
-// TestOpenIndexNamesCorruptFiles is the corruption-injection suite: a
-// truncated, missing, or stray .col file must fail OpenIndex *eagerly*
-// with an error naming the offending file — never lazily in the middle of
-// some later query.
-func TestOpenIndexNamesCorruptFiles(t *testing.T) {
+// TestOpenNamesCorruptFiles is the corruption-injection suite: a
+// truncated, missing, or stray .col file in a segment directory must fail
+// the open *eagerly* with an error naming the offending file — never
+// lazily in the middle of some later query.
+func TestOpenNamesCorruptFiles(t *testing.T) {
 	_, ix := buildSmallIndex(t)
-	write := func(t *testing.T) (string, *Manifest) {
+	write := func(t *testing.T) (dir, segDir string, m *Manifest) {
 		t.Helper()
-		dir := t.TempDir()
-		if err := WriteIndex(dir, ix); err != nil {
-			t.Fatal(err)
-		}
-		m, err := readManifest(dir)
+		dir = t.TempDir()
+		segDir = saveIndex(t, dir, ix)
+		m, err := readManifest(segDir)
 		if err != nil {
 			t.Fatal(err)
 		}
-		return dir, m
+		return dir, segDir, m
 	}
 
 	t.Run("truncated", func(t *testing.T) {
-		dir, m := write(t)
+		dir, segDir, m := write(t)
 		victim := m.TD.Columns[1].Blob + blobExt
-		if err := os.Truncate(filepath.Join(dir, victim), 7); err != nil {
+		if err := os.Truncate(filepath.Join(segDir, victim), 7); err != nil {
 			t.Fatal(err)
 		}
-		_, err := OpenIndex(dir, 0)
+		_, err := OpenSegmented(dir, 0)
 		if err == nil || !strings.Contains(err.Error(), victim) {
 			t.Errorf("truncated column error does not name %q: %v", victim, err)
 		}
 	})
 	t.Run("missing", func(t *testing.T) {
-		dir, m := write(t)
+		dir, segDir, m := write(t)
 		victim := m.D.Columns[0].Blob + blobExt
-		if err := os.Remove(filepath.Join(dir, victim)); err != nil {
+		if err := os.Remove(filepath.Join(segDir, victim)); err != nil {
 			t.Fatal(err)
 		}
-		_, err := OpenIndex(dir, 0)
+		_, err := OpenSegmented(dir, 0)
 		if err == nil || !strings.Contains(err.Error(), victim) {
 			t.Errorf("missing column error does not name %q: %v", victim, err)
 		}
 	})
 	t.Run("stray", func(t *testing.T) {
-		dir, _ := write(t)
+		dir, segDir, _ := write(t)
 		stray := "leftover.partial" + blobExt
-		if err := os.WriteFile(filepath.Join(dir, stray), []byte("junk"), 0o644); err != nil {
+		if err := os.WriteFile(filepath.Join(segDir, stray), []byte("junk"), 0o644); err != nil {
 			t.Fatal(err)
 		}
-		_, err := OpenIndex(dir, 0)
+		_, err := OpenSegmented(dir, 0)
 		if err == nil || !strings.Contains(err.Error(), stray) {
 			t.Errorf("stray column error does not name %q: %v", stray, err)
 		}
 	})
 	t.Run("clean", func(t *testing.T) {
-		dir, _ := write(t)
-		pix, err := OpenIndex(dir, 0)
+		dir, _, _ := write(t)
+		snap, err := OpenSegmented(dir, 0)
 		if err != nil {
 			t.Fatalf("clean directory rejected: %v", err)
 		}
-		pix.Close()
+		snap.Close()
 	})
 }

@@ -435,7 +435,7 @@ func TestReconcilerChaosMidMoveConverges(t *testing.T) {
 	// The half-shipped directory never committed a manifest: nothing
 	// half-installed can ever serve (the install verifies every file).
 	partial := filepath.Join(liveBase, "elastic-lo0-hb")
-	if storage.IsSegmentedDir(partial) {
+	if _, err := storage.ReadSegments(partial); err == nil {
 		t.Errorf("%s has a committed manifest after a mid-ship crash", partial)
 	}
 

@@ -1,0 +1,194 @@
+package repro
+
+import (
+	"context"
+	"errors"
+	"os"
+	"path/filepath"
+	"reflect"
+	"testing"
+
+	"repro/internal/ir"
+	"repro/internal/storage"
+)
+
+// rankedStrategies are the Table 2 runs that score documents.
+var rankedStrategies = []Strategy{BM25, BM25T, BM25TC, BM25TCM, BM25TCMQ8}
+
+// flattenToV1 turns a freshly saved one-segment directory into what builds
+// before the single layout wrote: the segment's MANIFEST.json and .col
+// files at the top level, no SEGMENTS.json.
+func flattenToV1(t *testing.T, dir string) {
+	t.Helper()
+	sm, err := storage.ReadSegments(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	seg := filepath.Join(dir, sm.Segments[0].Name)
+	entries, err := os.ReadDir(seg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, e := range entries {
+		if err := os.Rename(filepath.Join(seg, e.Name()), filepath.Join(dir, e.Name())); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for _, gone := range []string{seg, filepath.Join(dir, storage.SegmentsManifestName)} {
+		if err := os.Remove(gone); err != nil {
+			t.Fatal(err)
+		}
+	}
+}
+
+// TestEveryDirectoryShape opens every kind of index directory the system
+// has ever written through the one open path and requires DocID+Score
+// bit-exact agreement with an in-memory ir.Build, for every ranked
+// strategy. Then the write side: directories that own their statistics
+// (SaveIndex, Open with WithStorageDir) take Engine.Add with no layout
+// option and keep agreeing with a build over the grown collection;
+// directories whose statistics live elsewhere (a pre-segment directory, a
+// dist partition) refuse with the one typed error.
+func TestEveryDirectoryShape(t *testing.T) {
+	whole := smallCollection()
+	total := len(whole.DocLens)
+	seed, err := whole.Slice(0, 3*total/4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	extra, err := whole.Docs(3*total/4, total)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx := context.Background()
+	queries := whole.PrecisionQueries(6, 61)
+
+	reference := func(c *Collection) map[Strategy][][]Result {
+		t.Helper()
+		ix, err := BuildIndex(c, DefaultIndexConfig())
+		if err != nil {
+			t.Fatal(err)
+		}
+		s := ir.NewSearcher(ix, 0)
+		want := map[Strategy][][]Result{}
+		for _, strat := range rankedStrategies {
+			for _, q := range queries {
+				hits, _, err := s.Search(q.Terms, 10, strat)
+				if err != nil {
+					t.Fatal(err)
+				}
+				want[strat] = append(want[strat], hits)
+			}
+		}
+		return want
+	}
+	agree := func(t *testing.T, want map[Strategy][][]Result, search func([]string, Strategy) ([]Result, error)) {
+		t.Helper()
+		for _, strat := range rankedStrategies {
+			for i, q := range queries {
+				got, err := search(q.Terms, strat)
+				if err != nil {
+					t.Fatalf("%v %v: %v", strat, q.Terms, err)
+				}
+				if !reflect.DeepEqual(got, want[strat][i]) {
+					t.Errorf("%v %v diverged from the in-memory build:\n got %v\nwant %v", strat, q.Terms, got, want[strat][i])
+				}
+			}
+		}
+	}
+	engineSearch := func(eng *Engine) func([]string, Strategy) ([]Result, error) {
+		return func(terms []string, strat Strategy) ([]Result, error) {
+			resp, err := eng.Search(ctx, SearchRequest{Terms: terms, K: 10, Strategy: strat})
+			return resp.Hits, err
+		}
+	}
+	wantSeed, wantWhole := reference(seed), reference(whole)
+
+	save := func(t *testing.T, dir string) {
+		ix, err := BuildIndex(seed, DefaultIndexConfig())
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := SaveIndex(dir, ix); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for _, shape := range []struct {
+		name     string
+		write    func(t *testing.T, dir string)
+		writable bool
+	}{
+		{"v1-top-level-manifest", func(t *testing.T, dir string) { save(t, dir); flattenToV1(t, dir) }, false},
+		{"SaveIndex", save, true},
+		{"Open-WithStorageDir", func(t *testing.T, dir string) {
+			eng, err := Open(seed, WithStorageDir(dir))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := eng.Close(); err != nil {
+				t.Fatal(err)
+			}
+		}, true},
+	} {
+		t.Run(shape.name, func(t *testing.T) {
+			dir := filepath.Join(t.TempDir(), "ix")
+			shape.write(t, dir)
+			eng, err := OpenDir(dir, WithBufferPoolBytes(32<<20))
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer eng.Close()
+			agree(t, wantSeed, engineSearch(eng))
+
+			err = eng.Add(ctx, extra)
+			if !shape.writable {
+				if !errors.Is(err, ErrReadOnly) {
+					t.Fatalf("Add on a directory that does not own its statistics: %v, want ErrReadOnly", err)
+				}
+				return
+			}
+			if err != nil {
+				t.Fatalf("Add: %v", err)
+			}
+			if err := eng.Refresh(ctx); err != nil {
+				t.Fatalf("Refresh: %v", err)
+			}
+			if st := eng.SegmentStats(); st.Segments != 2 || st.Generation != 2 || eng.NumDocs() != total {
+				t.Fatalf("after Add: %+v, %d docs; want 2 segments at generation 2, %d docs", st, eng.NumDocs(), total)
+			}
+			agree(t, wantWhole, engineSearch(eng))
+			if _, err := LoadIndex(dir, 0); !errors.Is(err, ErrNotSingleSegment) {
+				t.Errorf("LoadIndex on a two-segment directory: %v, want ErrNotSingleSegment", err)
+			}
+		})
+	}
+
+	t.Run("BuildPartitions", func(t *testing.T) {
+		dirs, err := BuildPartitions(seed, 2, DefaultIndexConfig(), t.TempDir())
+		if err != nil {
+			t.Fatal(err)
+		}
+		cl, err := StartClusterFromDirs(dirs, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer cl.Close()
+		broker, err := cl.NewBroker()
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer broker.Close()
+		agree(t, wantSeed, func(terms []string, strat Strategy) ([]Result, error) {
+			hits, _, err := broker.SearchContext(ctx, terms, 10, strat)
+			return hits, err
+		})
+		eng, err := OpenDir(dirs[0])
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer eng.Close()
+		if err := eng.Add(ctx, extra); !errors.Is(err, ErrReadOnly) {
+			t.Errorf("Add on a global-statistics partition: %v, want ErrReadOnly", err)
+		}
+	})
+}

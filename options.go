@@ -29,7 +29,6 @@ type engineConfig struct {
 	disk    DiskParams
 
 	storageDir    string // WithStorageDir: persist to / serve from this directory
-	segmented     bool   // WithSegments: segmented layout (live appends)
 	autoMerge     int    // WithAutoMerge: background merge above this segment count (0 = off)
 	mergeThrottle int    // WithMergeThrottle: pause merges above this many inflight queries (-1 = off)
 
@@ -93,10 +92,10 @@ func WithBufferPoolBytes(capacityBytes int64) Option {
 }
 
 // WithStorageDir routes the engine's index through real persistent storage
-// rooted at dir. If dir already holds a valid index (a versioned manifest
-// plus column files), Open serves it directly — zero corpus re-parsing,
-// zero index building; otherwise Open builds the index from the collection,
-// persists it into dir, and serves the persisted form. Either way queries
+// rooted at dir. If dir already holds an index directory, Open serves it
+// directly — zero corpus re-parsing, zero index building; otherwise Open
+// indexes the collection as the directory's first segment and serves the
+// persisted form. Either way queries
 // run against FileStore-backed columns through the real buffer manager
 // (size it with WithBufferPoolBytes). Use OpenDir to open an existing
 // index directory without a collection in hand.
@@ -110,24 +109,17 @@ func WithStorageDir(dir string) Option {
 	}
 }
 
-// WithSegments lays the persisted index out as a *segmented* directory —
-// an ordered set of immutable segments under one generation-stamped
-// super-manifest — instead of one monolithic index. This is what unlocks
-// live updates: Engine.Add indexes new documents into fresh segments (cost
-// proportional to the batch, not the collection) and Refresh swaps
-// generations without dropping in-flight searches. Requires WithStorageDir;
-// a directory that already holds a segmented index is served segmented
-// with or without this option.
-func WithSegments() Option {
-	return func(c *engineConfig) { c.segmented = true }
-}
+// WithSegments does nothing: every index directory is segmented, so every
+// persisted engine already accepts Engine.Add and WithAutoMerge. It remains
+// only because bench/ (frozen by BENCHMARK.json) still passes it.
+func WithSegments() Option { return func(*engineConfig) {} }
 
 // WithAutoMerge starts the engine's background merger: whenever the
 // segment count exceeds maxSegments (after an Add, or at open), the
 // cheapest adjacent run of segments is merged into one — re-baking
 // materialized score columns against current collection statistics — and
 // the replaced directories are garbage-collected once no in-flight search
-// references them. maxSegments must be at least 1; segmented engines only.
+// references them. maxSegments must be at least 1; persisted indexes only.
 func WithAutoMerge(maxSegments int) Option {
 	return func(c *engineConfig) {
 		if maxSegments < 1 {
@@ -255,7 +247,7 @@ func WithCacheAdmission(p CacheAdmission) Option {
 	}
 }
 
-// WithApproxBounds switches the segmented directory's quantized score
+// WithApproxBounds switches the index directory's quantized score
 // bounds from exact to approximate: instead of re-scanning every existing
 // segment's postings on each append to recompute exact collection-wide
 // bounds, the directory commits an *envelope* — exact bounds widened by
@@ -265,8 +257,7 @@ func WithCacheAdmission(p CacheAdmission) Option {
 // scan and re-bakes a fresh envelope. Quantization buckets scores into
 // the envelope's grid, so rankings stay within the declared drift of the
 // exact grid's. drift 0 reverts to exact bounds on every append.
-// Segmented persisted indexes only (WithStorageDir + WithSegments, or
-// OpenDir on a segmented directory).
+// Persisted indexes only (WithStorageDir, or OpenDir).
 func WithApproxBounds(drift float64) Option {
 	return func(c *engineConfig) {
 		if drift < 0 || math.IsNaN(drift) || math.IsInf(drift, 0) {

@@ -43,13 +43,13 @@ func TestEngineSegmentedLifecycle(t *testing.T) {
 		t.Fatal(err)
 	}
 	dir := filepath.Join(t.TempDir(), "segix")
-	eng, err := Open(first, WithStorageDir(dir), WithSegments(), WithResultCache(16))
+	eng, err := Open(first, WithStorageDir(dir), WithResultCache(16))
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer eng.Close()
-	if !storage.IsSegmentedDir(dir) {
-		t.Fatal("WithSegments left no segmented directory behind")
+	if _, err := storage.ReadSegments(dir); err != nil {
+		t.Fatal("Open(WithStorageDir) left no index directory behind")
 	}
 	if st := eng.SegmentStats(); st.Segments != 1 || st.Generation != 1 {
 		t.Fatalf("fresh segmented engine stats %+v", st)
@@ -129,7 +129,7 @@ func TestEngineSegmentedLifecycle(t *testing.T) {
 func TestEngineCloseRacesInFlightSearch(t *testing.T) {
 	coll := segColl(t)
 	dir := filepath.Join(t.TempDir(), "segix")
-	eng, err := Open(coll, WithStorageDir(dir), WithSegments(), WithSearchers(4))
+	eng, err := Open(coll, WithStorageDir(dir), WithSearchers(4))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -181,7 +181,7 @@ func TestEngineCloseRacesInFlightSearch(t *testing.T) {
 func TestClosedEngineMetricsAreZero(t *testing.T) {
 	coll := segColl(t)
 	dir := filepath.Join(t.TempDir(), "segix")
-	eng, err := Open(coll, WithStorageDir(dir), WithSegments(), WithResultCache(8))
+	eng, err := Open(coll, WithStorageDir(dir), WithResultCache(8))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -221,7 +221,7 @@ func TestSegmentedMergeRacesSearchAndRefresh(t *testing.T) {
 		t.Fatal(err)
 	}
 	dir := filepath.Join(t.TempDir(), "segix")
-	eng, err := Open(first, WithStorageDir(dir), WithSegments(), WithAutoMerge(3), WithSearchers(4))
+	eng, err := Open(first, WithStorageDir(dir), WithAutoMerge(3), WithSearchers(4))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -23,7 +23,7 @@ func TestMergeThrottleYieldsToSearches(t *testing.T) {
 		t.Fatal(err)
 	}
 	dir := filepath.Join(t.TempDir(), "segix")
-	eng, err := Open(first, WithStorageDir(dir), WithSegments(),
+	eng, err := Open(first, WithStorageDir(dir),
 		WithAutoMerge(2), WithMergeThrottle(0), WithSearchers(1))
 	if err != nil {
 		t.Fatal(err)
@@ -105,7 +105,7 @@ func TestMergeThrottleYieldsToSearches(t *testing.T) {
 func TestMergeThrottleOptionValidation(t *testing.T) {
 	coll := segColl(t)
 	dir := filepath.Join(t.TempDir(), "segix")
-	if _, err := Open(coll, WithStorageDir(dir), WithSegments(), WithMergeThrottle(0)); err == nil {
+	if _, err := Open(coll, WithStorageDir(dir), WithMergeThrottle(0)); err == nil {
 		t.Error("WithMergeThrottle without WithAutoMerge did not error")
 	}
 	if _, err := Open(coll, WithMergeThrottle(-1)); err == nil {

@@ -18,8 +18,8 @@
 //	           simulated disk, and the LRU chunk pool
 //	storage  — the persistent backends: FileStore (real aligned file
 //	           I/O), the ColumnBM buffer manager (byte budget, clock
-//	           eviction, singleflight), and the versioned on-disk index
-//	           format (WriteIndex / OpenIndex)
+//	           eviction, singleflight), and the one on-disk layout
+//	           (SEGMENTS.json over immutable segment directories)
 //	engine   — vectorized operators (Scan, Select, Project, MergeJoin,
 //	           MergeOuterJoin, HashJoin, Aggregate, TopN, Sort)
 //	ir       — inverted index as relations, BM25 plans, Table 2 strategies
@@ -52,9 +52,11 @@
 // Indexes persist: Open(coll, WithStorageDir(dir)) builds once and serves
 // the on-disk form from then on, OpenDir(dir) opens a prebuilt index with
 // no collection in hand, and SaveIndex/LoadIndex expose the same round
-// trip for manually managed indexes. Persisted queries run through the
-// real ColumnBM buffer manager — compressed chunks under a byte budget
-// (WithBufferPoolBytes), clock eviction, singleflight fetches.
+// trip for manually managed indexes. Every index directory has the same
+// layout and grows the same way: Engine.Add appends a segment. Persisted
+// queries run through the real ColumnBM buffer manager — compressed chunks
+// under a byte budget (WithBufferPoolBytes), clock eviction, singleflight
+// fetches.
 //
 // Scale-out (§3.4, Table 3) goes through internal/dist: StartCluster
 // partitions a collection across loopback-TCP servers (BuildPartitions +
@@ -69,6 +71,8 @@
 package repro
 
 import (
+	"errors"
+	"fmt"
 	"time"
 
 	"repro/internal/colbm"
@@ -263,18 +267,17 @@ func BuildPartitions(c *Collection, n int, cfg IndexConfig, baseDir string) ([]s
 	return dist.BuildPartitions(c, n, cfg, baseDir)
 }
 
-// StartClusterFromDirs serves persisted partition directories — monolithic
-// or segmented, detected per directory — each through a buffer manager
-// with poolBytes budget (0 = unbounded). WithClusterReplicas(r) opens
-// every directory r times (a replica group sharing the on-disk layout);
-// storage options ride in via dist.WithStorageOptions and apply to every
-// replica.
+// StartClusterFromDirs serves persisted partition directories, each
+// through a buffer manager with poolBytes budget (0 = unbounded).
+// WithClusterReplicas(r) opens every directory r times (a replica group
+// sharing the on-disk files); storage options ride in via
+// dist.WithStorageOptions and apply to every replica.
 func StartClusterFromDirs(dirs []string, poolBytes int64, opts ...ClusterOption) (*Cluster, error) {
 	return dist.StartClusterFromDirs(dirs, poolBytes, opts...)
 }
 
-// WithClusterIngest starts every replica of a segmented partition as a
-// live ingest node (StartClusterFromDirs only): Broker.Add then routes
+// WithClusterIngest gives every replica of a partition its own directory
+// copy (StartClusterFromDirs only): Broker.Add then routes
 // document batches to the least-loaded partition, whose primary commits
 // them as a new index generation; the committed segment files ship to
 // the group's other replicas, which install and refresh without dropping
@@ -366,25 +369,43 @@ func NewTableBuilder(name string, store BlockStore, cache ChunkCache, specs []Co
 	return colbm.NewBuilder(name, store, cache, specs)
 }
 
-// SaveIndex persists an index into dir as the versioned on-disk format
-// (MANIFEST.json plus one .col file per column). The manifest is written
-// last, so an interrupted save is never mistaken for a valid index.
-func SaveIndex(dir string, ix *Index) error { return storage.WriteIndex(dir, ix) }
+// SaveIndex persists an index into dir as a one-segment index directory
+// (SEGMENTS.json over seg-000001/). The super-manifest is written last, so
+// an interrupted save is never mistaken for a valid index. An index built
+// with its own statistics yields an ordinary directory that Engine.Add
+// can grow; one built with a statistics override (IndexConfig.Stats, the
+// dist partition path) is marked read-only.
+func SaveIndex(dir string, ix *Index) error {
+	return storage.WriteSegmentedIndex(dir, []*Index{ix})
+}
 
 // StorageOpenOption tunes how a persisted index directory is opened
 // (LoadIndex, StartClusterFromDirs).
 type StorageOpenOption = storage.OpenOption
 
-// LoadIndex opens a persisted index for querying: the manifest is read
-// eagerly, posting data streams in lazily through a buffer manager with
-// the given byte budget (0 = unbounded). Close the returned index when
-// done, or wrap the directory with OpenDir and let Engine.Close do it.
+// ErrNotSingleSegment is matched by LoadIndex's error for a directory that
+// has grown past one segment; serve such a directory with OpenDir.
+var ErrNotSingleSegment = errors.New("repro: index directory does not hold exactly one segment")
+
+// LoadIndex opens the sole segment of a one-segment index directory (what
+// SaveIndex writes) for querying: the manifests are read eagerly, posting
+// data streams in lazily through a buffer manager with the given byte
+// budget (0 = unbounded). Close the returned index when done, or wrap the
+// directory with OpenDir and let Engine.Close do it.
 func LoadIndex(dir string, poolBytes int64, opts ...StorageOpenOption) (*Index, error) {
-	return storage.OpenIndex(dir, poolBytes, opts...)
+	snap, err := storage.OpenSegmented(dir, poolBytes, opts...)
+	if err != nil {
+		return nil, err
+	}
+	if n := snap.NumSegments(); n != 1 {
+		snap.Close()
+		return nil, fmt.Errorf("repro: LoadIndex(%q): %d segments: %w", dir, n, ErrNotSingleSegment)
+	}
+	return snap.Primary(), nil
 }
 
 // AppendSegment indexes a batch of live documents into one fresh segment
-// of the segmented directory (creating the directory on first use) and
+// of the index directory (creating the directory on first use) and
 // commits a new generation — the offline counterpart of Engine.Add for
 // ingest pipelines that run without a serving engine. Readers pick the new
 // generation up via Engine.Refresh (or the next OpenDir).

@@ -1,12 +1,14 @@
-// Benchmarks regenerating the paper's tables and figures as testing.B
-// targets, plus two design-choice ablations (merge vs hash join, fused vs
-// composed BM25).
+// Benchmarks of paths that cross packages — the Engine API, the Table 2
+// and Table 3 runs, persisted storage, live appends — plus two
+// design-choice ablations (merge vs hash join, fused vs composed BM25).
 // Run everything:
 //
 //	go test -bench=. -benchmem
 //
-// The full experiment harness with formatted tables is cmd/trecbench;
-// these benches are the per-experiment entry points.
+// Benchmarks of one package's kernels live in that package (the Figure 3
+// decoders and the codecs in internal/compress, the buffer manager in
+// internal/storage); the gated yardstick is bench/, and cmd/trecbench
+// prints the paper's tables.
 package repro
 
 import (
@@ -18,15 +20,12 @@ import (
 	"testing"
 	"time"
 
-	"repro/internal/bpsim"
-	"repro/internal/colbm"
 	"repro/internal/compress"
 	"repro/internal/corpus"
 	"repro/internal/dist"
 	"repro/internal/engine"
 	"repro/internal/ir"
 	"repro/internal/primitives"
-	"repro/internal/storage"
 	"repro/internal/vector"
 )
 
@@ -188,71 +187,6 @@ func BenchmarkEngineSearchMany(b *testing.B) {
 		b.ReportMetric(st.HitRate()*100, "hit%")
 		b.ReportMetric(batch, "queries/op")
 	})
-}
-
-// ---- Figure 3: decompression bandwidth, NAIVE vs PATCHED ----
-
-func fig3Block(rate float64, layout compress.Layout) *compress.Block {
-	rng := rand.New(rand.NewSource(42))
-	n := 1 << 20
-	vals := make([]int64, n)
-	for i := range vals {
-		if rng.Float64() < rate {
-			vals[i] = 1 << 40
-		} else {
-			vals[i] = int64(rng.Intn(250))
-		}
-	}
-	bl, err := compress.EncodePFOR(vals, 8, 0, layout)
-	if err != nil {
-		panic(err)
-	}
-	return bl
-}
-
-func benchDecode(b *testing.B, bl *compress.Block) {
-	dec := compress.NewDecoder(bl.N)
-	out := make([]int64, bl.N)
-	b.SetBytes(int64(bl.N) * 8)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if err := dec.Decode(bl, out); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// BenchmarkFigure3Decompression regenerates the bandwidth axis of
-// Figure 3: MB/s throughput of the naive and patched decoders across
-// exception rates (the printed B/op-per-ns converts to GB/s via -benchmem
-// bytes accounting).
-func BenchmarkFigure3Decompression(b *testing.B) {
-	for _, rate := range []float64{0, 0.1, 0.25, 0.5, 0.75, 1.0} {
-		b.Run(fmt.Sprintf("NAIVE/exc=%.2f", rate), func(b *testing.B) {
-			benchDecode(b, fig3Block(rate, compress.Naive))
-		})
-		b.Run(fmt.Sprintf("PFOR/exc=%.2f", rate), func(b *testing.B) {
-			benchDecode(b, fig3Block(rate, compress.Patched))
-		})
-	}
-}
-
-// BenchmarkFigure3BranchSim regenerates the branch-miss-rate axis: the
-// simulated two-bit predictor replaying the decoders' branch traces. The
-// miss rates themselves are reported via b.ReportMetric.
-func BenchmarkFigure3BranchSim(b *testing.B) {
-	for _, rate := range []float64{0, 0.25, 0.5, 0.75, 1.0} {
-		b.Run(fmt.Sprintf("exc=%.2f", rate), func(b *testing.B) {
-			bl := fig3Block(rate, compress.Naive)
-			trace := bl.NaiveBranchTrace()
-			var miss float64
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				miss = bpsim.ReplayTwoBit(trace).MissRate()
-			}
-			b.ReportMetric(miss*100, "naiveBMR%")
-		})
-	}
 }
 
 // ---- Table 2: the strategy ladder, hot data ----
@@ -547,62 +481,6 @@ func BenchmarkBM25Expression(b *testing.B) {
 	})
 }
 
-// ---- compression scheme encode/decode micro-benchmarks ----
-
-// BenchmarkSchemes measures raw encode and decode cost of all three
-// schemes on their natural data shapes.
-func BenchmarkSchemes(b *testing.B) {
-	rng := rand.New(rand.NewSource(11))
-	n := 1 << 18
-	sorted := make([]int64, n)
-	cur := int64(0)
-	for i := range sorted {
-		cur += int64(1 + rng.Intn(9))
-		sorted[i] = cur
-	}
-	small := make([]int64, n)
-	for i := range small {
-		small[i] = int64(rng.Intn(200))
-	}
-	skewed := make([]int64, n)
-	for i := range skewed {
-		skewed[i] = int64(rng.Intn(9)) * 1000003
-	}
-	type scheme struct {
-		name string
-		data []int64
-		enc  func([]int64) (*compress.Block, error)
-	}
-	schemes := []scheme{
-		{"PFOR", small, func(v []int64) (*compress.Block, error) {
-			return compress.EncodePFOR(v, 8, 0, compress.Patched)
-		}},
-		{"PFOR-DELTA", sorted, func(v []int64) (*compress.Block, error) {
-			return compress.EncodePFORDelta(v, 8, 0, compress.Patched)
-		}},
-		{"PDICT", skewed, func(v []int64) (*compress.Block, error) {
-			return compress.EncodePDict(v, 4, compress.Patched)
-		}},
-	}
-	for _, sc := range schemes {
-		b.Run("Encode/"+sc.name, func(b *testing.B) {
-			b.SetBytes(int64(n) * 8)
-			for i := 0; i < b.N; i++ {
-				if _, err := sc.enc(sc.data); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-		bl, err := sc.enc(sc.data)
-		if err != nil {
-			b.Fatal(err)
-		}
-		b.Run("Decode/"+sc.name, func(b *testing.B) {
-			benchDecode(b, bl)
-		})
-	}
-}
-
 // ---- ablation: buffer-pool capacity (cold/hot continuum) ----
 
 // BenchmarkPoolCapacity sweeps the buffer-pool size from "nothing fits"
@@ -717,40 +595,6 @@ func BenchmarkPersistedStorage(b *testing.B) {
 		if st.HitRate() <= 0.9 {
 			b.Fatalf("warm hit rate %.3f, want > 0.9", st.HitRate())
 		}
-	})
-}
-
-// BenchmarkBufferManagerGet isolates the manager's hot path: a resident
-// lookup under a single goroutine (hit latency) and under parallel load.
-func BenchmarkBufferManagerGet(b *testing.B) {
-	m := storage.NewManager(1 << 30)
-	keys := make([]string, 256)
-	for i := range keys {
-		keys[i] = fmt.Sprintf("TD.docidc#%d", i)
-		if _, err := m.GetChunk(keys[i], func() (*colbm.CachedChunk, error) {
-			return &colbm.CachedChunk{Raw: make([]byte, 1024), Size: 1024}, nil
-		}); err != nil {
-			b.Fatal(err)
-		}
-	}
-	load := func() (*colbm.CachedChunk, error) { b.Fatal("unexpected miss"); return nil, nil }
-	b.Run("serial", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			if _, err := m.GetChunk(keys[i%len(keys)], load); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
-	b.Run("parallel", func(b *testing.B) {
-		b.RunParallel(func(pb *testing.PB) {
-			i := 0
-			for pb.Next() {
-				if _, err := m.GetChunk(keys[i%len(keys)], load); err != nil {
-					b.Fatal(err)
-				}
-				i++
-			}
-		})
 	})
 }
 

@@ -4,9 +4,6 @@ import (
 	"context"
 	"fmt"
 	"os"
-	"runtime"
-	"sync"
-	"sync/atomic"
 	"time"
 
 	"repro/internal/corpus"
@@ -20,29 +17,19 @@ import (
 // batches into it. The cluster is seeded with half the collection via
 // BuildLivePartitions; the other half arrives as a sequence of Add
 // calls, each of which indexes a new segment on the owning partition's
-// primary and ships the committed files to the other replicas. Three
-// query-latency phases bracket the ingest:
+// primary and ships the committed files to the other replicas.
 //
-//	quiesced-before  closed-loop load against the half-size index
-//	during-ingest    the same load while the Add stream runs
-//	quiesced-after   the same load against the full index, ingest done
-//
-// The claim under test is that live ingest is a background activity:
-// the during-ingest p99 should stay within ~2x of the quiesced p99 on
-// the same index (the after phase, which has the same data volume),
-// because segment installs swap atomically under the servers'
-// epoch-refcounted refresh instead of blocking searches.
-//
-// Machine-readable "ingest-phase ..." lines report the three latency
-// phases and a final "ingest-run ..." line reports the Add stream
-// itself (add latency, shipped bytes, replication health) for CI.
-func ingestExperiment(docs, nq int, seed int64) error {
+// The claim under test (servePhases asserts it) is that live ingest is a
+// background activity: segment installs swap atomically under the
+// servers' epoch-refcounted refresh instead of blocking searches.
+func ingestExperiment(p params) error {
 	header("Distributed live ingest: Broker.Add while serving")
+	docs := p.docs
 	cfg := corpus.DefaultConfig()
 	cfg.NumDocs = docs
-	cfg.Seed = seed
+	cfg.Seed = p.seed
 	c := corpus.Generate(cfg)
-	queries := c.EfficiencyQueries(min(nq, 1000), seed+23)
+	queries := c.EfficiencyQueries(min(p.queries, 1000), p.seed+23)
 	strat := ir.BM25TCMQ8
 	ctx := context.Background()
 
@@ -80,157 +67,47 @@ func ingestExperiment(docs, nq int, seed int64) error {
 		}
 	}
 
-	// Closed-loop load sized to leave headroom for the ingest path: live
-	// ingest is a background activity, not a second saturating workload,
-	// and the paced Add stream below is sized the same way (each batch is
-	// followed by think time, a ~25% ingest duty cycle).
-	loadWorkers := max(1, runtime.GOMAXPROCS(0)/2)
-	const phaseDur = 1200 * time.Millisecond
-	phase := func(name string) ([]time.Duration, error) {
-		deadline := time.Now().Add(phaseDur)
-		lats, err := ingestQueryLoad(ctx, brk, queries, loadWorkers, strat,
-			func() bool { return time.Now().After(deadline) })
-		if err != nil {
-			return nil, fmt.Errorf("%s query load: %w", name, err)
+	// The disturbance: the second half of the collection through Broker.Add
+	// in two dozen paced batches (think time after each keeps the ingest
+	// duty cycle near 25% instead of hammering back-to-back appends).
+	addStream := func() error {
+		const nBatches = 24
+		batch := (docs - seedDocs + nBatches - 1) / nBatches
+		var addLats []time.Duration
+		var added, shippedFiles, lagging int
+		var shippedBytes int64
+		partsHit := map[int]int{}
+		for lo := seedDocs; lo < docs; lo += batch {
+			ds, err := c.Docs(lo, min(lo+batch, docs))
+			if err != nil {
+				return err
+			}
+			t0 := time.Now()
+			st, err := brk.Add(ctx, ds)
+			if err != nil {
+				return fmt.Errorf("add of docs [%d,%d): %w", lo, lo+len(ds), err)
+			}
+			addLat := time.Since(t0)
+			addLats = append(addLats, addLat)
+			time.Sleep(3 * addLat)
+			added += st.Docs
+			shippedFiles += st.ShippedFiles
+			shippedBytes += st.ShippedBytes
+			lagging += st.Lagging
+			partsHit[st.Partition]++
 		}
-		return lats, nil
+		fmt.Printf("%d adds (%d docs) across %d partitions: add p50 %.2f ms, p99 %.2f ms\n",
+			len(addLats), added, len(partsHit), loadgen.Ms(loadgen.Percentile(addLats, 50)), loadgen.Ms(loadgen.Percentile(addLats, 99)))
+		fmt.Printf("shipped %d files / %.2f MB to replicas, %d lagging installs, gens %v\n",
+			shippedFiles, float64(shippedBytes)/(1<<20), lagging, brk.PartitionGens())
+		return nil
 	}
-
-	beforeLats, err := phase("quiesced-before")
-	if err != nil {
+	if err := servePhases(ctx, brk, queries, strat, "during-ingest", addStream); err != nil {
 		return err
 	}
-
-	// Ingest phase: the same closed-loop load runs in the background
-	// while the main goroutine streams the second half of the collection
-	// through Broker.Add in a dozen batches.
-	var stop atomic.Bool
-	type loadResult struct {
-		lats []time.Duration
-		err  error
-	}
-	loadCh := make(chan loadResult, 1)
-	go func() {
-		lats, err := ingestQueryLoad(ctx, brk, queries, loadWorkers, strat, stop.Load)
-		loadCh <- loadResult{lats, err}
-	}()
-
-	const nBatches = 24
-	batch := (docs - seedDocs + nBatches - 1) / nBatches
-	var addLats []time.Duration
-	var added, shippedFiles, lagging int
-	var shippedBytes int64
-	partsHit := map[int]int{}
-	for lo := seedDocs; lo < docs; lo += batch {
-		ds, err := c.Docs(lo, min(lo+batch, docs))
-		if err != nil {
-			stop.Store(true)
-			<-loadCh
-			return err
-		}
-		t0 := time.Now()
-		st, err := brk.Add(ctx, ds)
-		if err != nil {
-			stop.Store(true)
-			<-loadCh
-			return fmt.Errorf("add of docs [%d,%d): %w", lo, lo+len(ds), err)
-		}
-		addLat := time.Since(t0)
-		addLats = append(addLats, addLat)
-		// Pace the stream: think time equal to the add keeps the ingest
-		// duty cycle near 25% instead of hammering back-to-back appends.
-		time.Sleep(3 * addLat)
-		added += st.Docs
-		shippedFiles += st.ShippedFiles
-		shippedBytes += st.ShippedBytes
-		lagging += st.Lagging
-		partsHit[st.Partition]++
-	}
-	if err := brk.WaitConverged(ctx); err != nil {
-		stop.Store(true)
-		<-loadCh
-		return err
-	}
-	stop.Store(true)
-	lr := <-loadCh
-	if lr.err != nil {
-		return fmt.Errorf("during-ingest query load: %w", lr.err)
-	}
-	ingestLats := lr.lats
-
-	afterLats, err := phase("quiesced-after")
-	if err != nil {
-		return err
-	}
-
-	fmt.Printf("\n%-16s %8s %10s %10s\n", "phase", "queries", "p50 ms", "p99 ms")
-	for _, ph := range []struct {
-		name string
-		lats []time.Duration
-	}{
-		{"quiesced-before", beforeLats},
-		{"during-ingest", ingestLats},
-		{"quiesced-after", afterLats},
-	} {
-		fmt.Printf("%-16s %8d %10.2f %10.2f\n", ph.name, len(ph.lats),
-			loadgen.Ms(loadgen.Percentile(ph.lats, 50)), loadgen.Ms(loadgen.Percentile(ph.lats, 99)))
-		fmt.Printf("ingest-phase {\"phase\":%q,\"queries\":%d,\"p50_ms\":%.3f,\"p99_ms\":%.3f}\n",
-			ph.name, len(ph.lats), loadgen.Ms(loadgen.Percentile(ph.lats, 50)), loadgen.Ms(loadgen.Percentile(ph.lats, 99)))
-	}
-
-	// The ratio compares against the quiesced phase with the same data
-	// volume; the before phase is printed for the index-size effect.
-	ratio := 0.0
-	if p := loadgen.Percentile(afterLats, 99); p > 0 {
-		ratio = float64(loadgen.Percentile(ingestLats, 99)) / float64(p)
-	}
-	gens := brk.PartitionGens()
-	fmt.Printf("\n%d adds (%d docs) across %d partitions: add p50 %.2f ms, p99 %.2f ms\n",
-		len(addLats), added, len(partsHit), loadgen.Ms(loadgen.Percentile(addLats, 50)), loadgen.Ms(loadgen.Percentile(addLats, 99)))
-	fmt.Printf("shipped %d files / %.2f MB to replicas, %d lagging installs, final gens %v\n",
-		shippedFiles, float64(shippedBytes)/(1<<20), lagging, gens)
-	fmt.Printf("during-ingest p99 is %.2fx the quiesced-after p99\n", ratio)
-	fmt.Printf("ingest-run {\"adds\":%d,\"docs_added\":%d,\"partitions_hit\":%d,"+
-		"\"add_p50_ms\":%.3f,\"add_p99_ms\":%.3f,\"shipped_files\":%d,\"shipped_bytes\":%d,"+
-		"\"lagging\":%d,\"p99_ratio\":%.3f}\n",
-		len(addLats), added, len(partsHit),
-		loadgen.Ms(loadgen.Percentile(addLats, 50)), loadgen.Ms(loadgen.Percentile(addLats, 99)),
-		shippedFiles, shippedBytes, lagging, ratio)
 	fmt.Println("\n(shape: during-ingest p99 tracks quiesced-after p99 — segment installs")
 	fmt.Println(" swap under the epoch-refcounted refresh, so a search never waits on an")
 	fmt.Println(" install; shipping runs on separate ingest connections, so bulk transfer")
 	fmt.Println(" never queues behind or ahead of a query round trip)")
 	return nil
-}
-
-// ingestQueryLoad drives closed-loop query workers against the broker
-// until done() reports true, returning every observed latency.
-func ingestQueryLoad(ctx context.Context, brk *dist.Broker, queries []corpus.Query, workers int, strat ir.Strategy, done func() bool) ([]time.Duration, error) {
-	lats := make([][]time.Duration, workers)
-	errs := make([]error, workers)
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			for i := w; !done(); i += workers {
-				q := queries[i%len(queries)]
-				t0 := time.Now()
-				if _, _, err := brk.SearchContext(ctx, q.Terms, 20, strat); err != nil {
-					errs[w] = err
-					return
-				}
-				lats[w] = append(lats[w], time.Since(t0))
-			}
-		}(w)
-	}
-	wg.Wait()
-	var all []time.Duration
-	for w := range lats {
-		if errs[w] != nil {
-			return nil, errs[w]
-		}
-		all = append(all, lats[w]...)
-	}
-	return all, nil
 }

@@ -1,27 +1,17 @@
-// Command trecbench reproduces every table and figure of the paper's
-// evaluation on the synthetic TREC-TB testbed:
+// Command trecbench reproduces the tables and figures of the paper's
+// evaluation on the synthetic TREC-TB testbed, and runs the chaos and
+// overload scenarios that bench/README.md deliberately keeps out of the
+// benchmark's workloads:
 //
-//	trecbench -experiment fig2       # compressed block layout (pi digits)
-//	trecbench -experiment fig3       # decompression bandwidth + BMR curve
-//	trecbench -experiment table1     # reference TREC-TB 2005 systems
-//	trecbench -experiment table2     # the strategy ladder, cold + hot
-//	trecbench -experiment table3     # distributed runs
-//	trecbench -experiment ratios     # §3.3 compression ratios
-//	trecbench -experiment vecsize    # §4 vector-size ablation
-//	trecbench -experiment concurrent # single-node Engine scaling (searcher pool)
-//	trecbench -experiment coldwarm   # cold vs warm batches over real files (FileStore)
-//	trecbench -experiment batch      # SearchMany vs sequential + result cache
-//	trecbench -experiment segments   # append-heavy live updates + background merge
-//	trecbench -experiment hedge      # replica groups: hedged tail latency + failover
-//	trecbench -experiment qps        # open-loop QoS: shedding, adaptive hedge, partial results
-//	trecbench -experiment trace      # tracing overhead + stitched trace trees
-//	trecbench -experiment ingest     # distributed live ingest: Broker.Add while serving
-//	trecbench -experiment scan       # mmap vs ReadAt, CLOCK vs 2Q, exact vs approx bounds
-//	trecbench -experiment rebalance  # online topology reconcile while serving
-//	trecbench -experiment all        # everything above, in order
+//	trecbench -experiment NAME   # one row of the registry below
+//	trecbench -experiment all    # every row, in order
 //
-// Scale knobs: -docs, -queries, -precqueries, -servers, -seed. The
-// defaults run in a few minutes on a laptop.
+// An experiment that asserts a bound (ingest, rebalance) fails the run
+// when the bound is exceeded, so the exit status is the check. Steady-state
+// performance is not measured here: that is bench/ (BENCHMARK.json).
+//
+// Scale knobs: -docs, -queries, -coldqueries, -precqueries, -servers,
+// -seed. The defaults run in a few minutes on a laptop.
 package main
 
 import (
@@ -30,102 +20,89 @@ import (
 	"fmt"
 	"math/rand"
 	"os"
-	"runtime"
-	"sync"
+	"slices"
+	"strings"
 	"time"
 
-	"repro"
 	"repro/internal/bpsim"
 	"repro/internal/compress"
 	"repro/internal/corpus"
 	"repro/internal/dist"
 	"repro/internal/ir"
 	"repro/internal/loadgen"
-	"repro/internal/storage"
 )
 
+// params are the scale knobs every experiment reads its share of.
+type params struct {
+	docs, queries, coldQueries, precQueries, servers int
+	seed                                             int64
+}
+
+type experiment struct {
+	name string
+	run  func(params) error
+}
+
+// registry is the one list of experiments: dispatch, "all", the flag help
+// and the unknown-name error all read it.
+var registry = []experiment{
+	// Paper reproduction.
+	{"fig2", figure2},    // compressed block layout (pi digits)
+	{"fig3", figure3},    // decompression bandwidth + BMR curve
+	{"table1", table1},   // reference TREC-TB 2005 systems
+	{"ratios", ratios},   // §3.3 compression ratios
+	{"table2", table2},   // the strategy ladder, cold + hot
+	{"table3", table3},   // distributed runs
+	{"vecsize", vecsize}, // §4 vector-size ablation
+	// Chaos and overload scenarios.
+	{"hedge", hedgeExperiment},         // replica groups: hedged tail latency + failover
+	{"qps", qpsExperiment},             // open-loop QoS: shedding, adaptive hedge, partial results
+	{"ingest", ingestExperiment},       // Broker.Add while serving, p99 held to 3x quiesced
+	{"rebalance", rebalanceExperiment}, // topology reconcile while serving, p99 held to 3x quiesced
+}
+
+func names(reg []experiment) []string {
+	out := make([]string, len(reg))
+	for i, e := range reg {
+		out[i] = e.name
+	}
+	return out
+}
+
 func main() {
-	var (
-		experiment  = flag.String("experiment", "all", "fig2|fig3|table1|table2|table3|ratios|vecsize|concurrent|coldwarm|batch|segments|hedge|qps|trace|ingest|scan|rebalance|all")
-		docs        = flag.Int("docs", 50000, "collection size in documents")
-		queries     = flag.Int("queries", 2000, "efficiency queries for hot timing")
-		coldQueries = flag.Int("coldqueries", 200, "efficiency queries for cold timing")
-		precQueries = flag.Int("precqueries", 50, "precision queries (p@20 subset)")
-		servers     = flag.Int("servers", 8, "servers for the distributed experiment")
-		seed        = flag.Int64("seed", 2007, "collection seed")
-	)
+	var p params
+	name := flag.String("experiment", "all", strings.Join(names(registry), "|")+"|all")
+	flag.IntVar(&p.docs, "docs", 50000, "collection size in documents")
+	flag.IntVar(&p.queries, "queries", 2000, "efficiency queries for hot timing")
+	flag.IntVar(&p.coldQueries, "coldqueries", 200, "efficiency queries for cold timing")
+	flag.IntVar(&p.precQueries, "precqueries", 50, "precision queries (p@20 subset)")
+	flag.IntVar(&p.servers, "servers", 8, "servers for the distributed experiment")
+	flag.Int64Var(&p.seed, "seed", 2007, "collection seed")
 	flag.Parse()
 
-	if err := run(*experiment, *docs, *queries, *coldQueries, *precQueries, *servers, *seed); err != nil {
+	if err := run(registry, *name, p); err != nil {
 		fmt.Fprintln(os.Stderr, "trecbench:", err)
 		os.Exit(1)
 	}
 }
 
-func run(experiment string, docs, nq, nCold, nPrec, servers int, seed int64) error {
-	switch experiment {
-	case "fig2":
-		return figure2()
-	case "fig3":
-		return figure3()
-	case "table1":
-		return table1()
-	case "table2":
-		return table2(docs, nq, nCold, nPrec, seed)
-	case "table3":
-		return table3(docs, nq, servers, seed)
-	case "ratios":
-		return ratios(docs, seed)
-	case "vecsize":
-		return vecsize(docs, nq, seed)
-	case "concurrent":
-		return concurrent(docs, nq, seed)
-	case "coldwarm":
-		return coldwarm(docs, nq, seed)
-	case "batch":
-		return batchServe(docs, nq, seed)
-	case "segments":
-		return segmentsExperiment(docs, nq, seed)
-	case "hedge":
-		return hedgeExperiment(docs, nq, servers, seed)
-	case "qps":
-		return qpsExperiment(docs, nq, servers, seed)
-	case "trace":
-		return traceExperiment(docs, nq, servers, seed)
-	case "ingest":
-		return ingestExperiment(docs, nq, seed)
-	case "scan":
-		return scanExperiment(docs, nq, seed)
-	case "rebalance":
-		return rebalanceExperiment(docs, nq, seed)
-	case "all":
-		for _, fn := range []func() error{
-			figure2,
-			figure3,
-			table1,
-			func() error { return ratios(docs, seed) },
-			func() error { return table2(docs, nq, nCold, nPrec, seed) },
-			func() error { return table3(docs, nq, servers, seed) },
-			func() error { return vecsize(docs, nq, seed) },
-			func() error { return concurrent(docs, nq, seed) },
-			func() error { return coldwarm(docs, nq, seed) },
-			func() error { return batchServe(docs, nq, seed) },
-			func() error { return segmentsExperiment(docs, nq, seed) },
-			func() error { return hedgeExperiment(docs, nq, servers, seed) },
-			func() error { return qpsExperiment(docs, nq, servers, seed) },
-			func() error { return traceExperiment(docs, nq, servers, seed) },
-			func() error { return ingestExperiment(docs, nq, seed) },
-			func() error { return scanExperiment(docs, nq, seed) },
-			func() error { return rebalanceExperiment(docs, nq, seed) },
-		} {
-			if err := fn(); err != nil {
-				return err
-			}
+// run executes the named experiment of reg, or every one in order for
+// "all".
+func run(reg []experiment, name string, p params) error {
+	selected := reg
+	if name != "all" {
+		i := slices.IndexFunc(reg, func(e experiment) bool { return e.name == name })
+		if i < 0 {
+			return fmt.Errorf("unknown experiment %q (have %s, all)", name, strings.Join(names(reg), ", "))
 		}
-		return nil
-	default:
-		return fmt.Errorf("unknown experiment %q", experiment)
+		selected = reg[i : i+1]
 	}
+	for _, e := range selected {
+		if err := e.run(p); err != nil {
+			return fmt.Errorf("%s: %w", e.name, err)
+		}
+	}
+	return nil
 }
 
 func header(title string) {
@@ -135,7 +112,7 @@ func header(title string) {
 // figure2 encodes the digits of pi with PFOR(b=3) and prints the block
 // layout of Figure 2: entry points, code section with chain links,
 // backward exception section.
-func figure2() error {
+func figure2(params) error {
 	header("Figure 2: compressed block layout (digits of pi, PFOR b=3)")
 	digits := []int64{3, 1, 4, 1, 5, 9, 2, 6, 5, 3, 5, 8, 9, 7, 9, 3, 2}
 	bl, err := compress.EncodePFOR(digits, 3, 0, compress.Patched)
@@ -175,10 +152,9 @@ func figure2() error {
 // figure3 sweeps the exception rate and reports decompression bandwidth
 // (measured) and branch miss rate (simulated two-bit predictor) for the
 // NAIVE and PFOR (patched) decoders.
-func figure3() error {
+func figure3(params) error {
 	header("Figure 3: branch miss rate and decompression bandwidth vs exception rate")
 	const n = 1 << 20
-	const b = 8
 	rng := rand.New(rand.NewSource(42))
 	fmt.Printf("%-10s %12s %12s %12s %12s\n", "exc.rate", "NAIVE GB/s", "PFOR GB/s", "NAIVE BMR%", "PFOR BMR%")
 
@@ -186,19 +162,7 @@ func figure3() error {
 	out := make([]int64, n)
 	for _, rate := range []float64{0, 0.05, 0.1, 0.15, 0.2, 0.25, 0.3, 0.35, 0.4, 0.45, 0.5,
 		0.55, 0.6, 0.65, 0.7, 0.75, 0.8, 0.85, 0.9, 0.95, 1.0} {
-		vals := make([]int64, n)
-		for i := range vals {
-			if rng.Float64() < rate {
-				vals[i] = 1 << 40 // exception
-			} else {
-				vals[i] = int64(rng.Intn(250)) // codeable under b=8
-			}
-		}
-		naive, err := compress.EncodePFOR(vals, b, 0, compress.Naive)
-		if err != nil {
-			return err
-		}
-		patched, err := compress.EncodePFOR(vals, b, 0, compress.Patched)
+		naive, patched, err := fig3Blocks(rng, n, rate)
 		if err != nil {
 			return err
 		}
@@ -212,6 +176,24 @@ func figure3() error {
 	fmt.Println(" branch miss rate peaks; PFOR degrades linearly with patching work and")
 	fmt.Println(" its miss rate stays near zero)")
 	return nil
+}
+
+// fig3Blocks encodes n values, a rate share of them exceptions under b=8,
+// with the NAIVE and the PFOR (patched) layout.
+func fig3Blocks(rng *rand.Rand, n int, rate float64) (naive, patched *compress.Block, err error) {
+	vals := make([]int64, n)
+	for i := range vals {
+		if rng.Float64() < rate {
+			vals[i] = 1 << 40 // exception
+		} else {
+			vals[i] = int64(rng.Intn(250)) // codeable under b=8
+		}
+	}
+	if naive, err = compress.EncodePFOR(vals, 8, 0, compress.Naive); err != nil {
+		return nil, nil, err
+	}
+	patched, err = compress.EncodePFOR(vals, 8, 0, compress.Patched)
+	return naive, patched, err
 }
 
 func bandwidth(dec *compress.Decoder, bl *compress.Block, out []int64) float64 {
@@ -230,7 +212,7 @@ func bandwidth(dec *compress.Decoder, bl *compress.Block, out []int64) float64 {
 	return bytes / secs / 1e9
 }
 
-func table1() error {
+func table1(params) error {
 	header("Table 1: top results for TREC-TB 2005 (published reference numbers)")
 	fmt.Printf("%-14s %8s %6s %16s\n", "Run", "p@20", "CPUs", "Time/query (ms)")
 	for _, e := range ir.TrecTB2005 {
@@ -258,7 +240,8 @@ func buildTestbed(docs int, seed int64) (*corpus.Collection, *ir.Index, error) {
 // table2 runs the full strategy ladder: p@20 over the precision subset,
 // average query time cold (empty buffer pool, simulated disk I/O charged)
 // and hot (warmed pool).
-func table2(docs, nq, nCold, nPrec int, seed int64) error {
+func table2(p params) error {
+	docs, nq, nCold, nPrec, seed := p.docs, p.queries, p.coldQueries, p.precQueries, p.seed
 	header("Table 2: MonetDB/X100 TREC-TB experiments (reproduction)")
 	c, ix, err := buildTestbed(docs, seed)
 	if err != nil {
@@ -324,7 +307,8 @@ func table2(docs, nq, nCold, nPrec int, seed int64) error {
 
 // table3 reproduces the distributed runs: speedup from 1..N servers and
 // multi-stream throughput on N servers, hot data.
-func table3(docs, nq, servers int, seed int64) error {
+func table3(p params) error {
+	docs, nq, servers, seed := p.docs, p.queries, p.servers, p.seed
 	header("Table 3: performance of the distributed runs (hot data)")
 	cfg := corpus.DefaultConfig()
 	cfg.NumDocs = docs
@@ -406,9 +390,9 @@ func printRun(name string, st dist.RunStats) {
 }
 
 // ratios reports the §3.3 compression ratios of the inverted-list columns.
-func ratios(docs int, seed int64) error {
+func ratios(p params) error {
 	header("§3.3 compression ratios (bits per posting tuple)")
-	_, ix, err := buildTestbed(docs, seed)
+	_, ix, err := buildTestbed(p.docs, p.seed)
 	if err != nil {
 		return err
 	}
@@ -434,72 +418,10 @@ func ratios(docs int, seed int64) error {
 	return nil
 }
 
-// concurrent measures single-node throughput scaling of the Engine API:
-// hot BM25TCMQ8 queries pushed through Engine.Search from 1..16 client
-// goroutines, with the searcher pool sized to match. Storage (buffer
-// pool, simulated disk) is shared and internally synchronized; execution
-// state is per-searcher, so amortized per-query time should fall with
-// workers until CPU saturation.
-func concurrent(docs, nq int, seed int64) error {
-	header("Engine concurrency: hot BM25TCMQ8 amortized time vs client goroutines")
-	c, ix, err := buildTestbed(docs, seed)
-	if err != nil {
-		return err
-	}
-	queries := c.EfficiencyQueries(min(nq, 2000), seed+5)
-	// Warm over the full workload: every configuration below shares the
-	// buffer pool, so any cold miss would be billed to whichever row runs
-	// first and skew the scaling comparison.
-	warm := ir.NewSearcher(ix, 0)
-	for _, q := range queries {
-		if _, _, err := warm.Search(q.Terms, 20, ir.BM25TCMQ8); err != nil {
-			return err
-		}
-	}
-	ctx := context.Background()
-	fmt.Printf("%-12s %16s %14s\n", "goroutines", "amortized ms/q", "queries/sec")
-	for _, workers := range []int{1, 2, 4, 8, 16} {
-		eng, err := repro.OpenIndex(ix, repro.WithSearchers(workers))
-		if err != nil {
-			return err
-		}
-		var wg sync.WaitGroup
-		errs := make([]error, workers)
-		start := time.Now()
-		for w := 0; w < workers; w++ {
-			wg.Add(1)
-			go func(w int) {
-				defer wg.Done()
-				for qi := w; qi < len(queries); qi += workers {
-					if _, err := eng.Search(ctx, repro.SearchRequest{
-						Terms: queries[qi].Terms, K: 20, Strategy: repro.BM25TCMQ8,
-					}); err != nil {
-						errs[w] = err
-						return
-					}
-				}
-			}(w)
-		}
-		wg.Wait()
-		total := time.Since(start)
-		eng.Close()
-		for _, err := range errs {
-			if err != nil {
-				return err
-			}
-		}
-		perQ := float64(total.Microseconds()) / float64(len(queries)) / 1000
-		fmt.Printf("%-12d %16.3f %14.0f\n", workers, perQ, float64(len(queries))/total.Seconds())
-	}
-	fmt.Println("\n(execution state is per-searcher and storage is internally synchronized,")
-	fmt.Println(" so throughput scales with cores; the searcher pool also bounds in-flight")
-	fmt.Println(" plans, which is the admission control a loaded server needs)")
-	return nil
-}
-
 // vecsize sweeps the vector size of the execution pipeline over hot BM25
 // queries — the §4 "varying MonetDB/X100 parameters" demonstration.
-func vecsize(docs, nq int, seed int64) error {
+func vecsize(p params) error {
+	docs, nq, seed := p.docs, p.queries, p.seed
 	header("§4 ablation: query time vs vector size (hot data, BM25TC)")
 	c, ix, err := buildTestbed(docs, seed)
 	if err != nil {
@@ -531,131 +453,6 @@ func vecsize(docs, nq int, seed int64) error {
 	return nil
 }
 
-// batchServe measures the query-serving throughput layer: the same hot
-// query batch pushed through N sequential Engine.Search calls, through one
-// Engine.SearchMany (fanned across the searcher pool), through SearchMany
-// with a warm result cache (no searcher checkout at all), and through the
-// distributed broker both one-round-trip-per-query and batched
-// (Broker.SearchMany — one round trip per server for the whole batch).
-func batchServe(docs, nq int, seed int64) error {
-	header("Batched serving: SearchMany, result cache, broker pipelining (hot data)")
-	c, ix, err := buildTestbed(docs, seed)
-	if err != nil {
-		return err
-	}
-	queries := c.EfficiencyQueries(min(nq, 2000), seed+7)
-	reqs := make([]repro.SearchRequest, len(queries))
-	for i, q := range queries {
-		reqs[i] = repro.SearchRequest{Terms: q.Terms, K: 20, Strategy: repro.BM25TCMQ8}
-	}
-	ctx := context.Background()
-	workers := runtime.GOMAXPROCS(0)
-
-	eng, err := repro.OpenIndex(ix, repro.WithSearchers(workers))
-	if err != nil {
-		return err
-	}
-	defer eng.Close()
-	// Warm the buffer pool so every row below measures CPU, not first-touch
-	// I/O.
-	for _, r := range reqs {
-		if _, err := eng.Search(ctx, r); err != nil {
-			return err
-		}
-	}
-
-	fmt.Printf("%d queries, %d searchers\n\n", len(reqs), workers)
-	fmt.Printf("%-34s %12s %14s\n", "serving mode", "total ms", "queries/sec")
-	row := func(name string, d time.Duration) {
-		fmt.Printf("%-34s %12.1f %14.0f\n", name, float64(d.Microseconds())/1000,
-			float64(len(reqs))/d.Seconds())
-	}
-
-	start := time.Now()
-	for _, r := range reqs {
-		if _, err := eng.Search(ctx, r); err != nil {
-			return err
-		}
-	}
-	row("sequential Search", time.Since(start))
-
-	out, bs, err := eng.SearchMany(ctx, reqs)
-	if err != nil {
-		return err
-	}
-	if bs.Failed > 0 {
-		return fmt.Errorf("batch: %d of %d queries failed: %v", bs.Failed, bs.Queries, out)
-	}
-	row("SearchMany", bs.Wall)
-
-	// Result cache: the first batch populates, the second is served without
-	// acquiring a single searcher.
-	ceng, err := repro.OpenIndex(ix, repro.WithSearchers(workers), repro.WithResultCache(len(reqs)))
-	if err != nil {
-		return err
-	}
-	defer ceng.Close()
-	if _, _, err := ceng.SearchMany(ctx, reqs); err != nil {
-		return err
-	}
-	_, bs, err = ceng.SearchMany(ctx, reqs)
-	if err != nil {
-		return err
-	}
-	row(fmt.Sprintf("SearchMany, result cache (%d hits)", bs.CacheHits), bs.Wall)
-	st := ceng.ResultCacheStats()
-	fmt.Printf("result cache: %d hits / %d lookups (%.1f%%), %d entries\n",
-		st.Hits, st.Hits+st.Misses, st.HitRate()*100, st.Entries)
-
-	// Distributed: the same batch through a 4-server loopback cluster, one
-	// round trip per query versus one pipelined batch per server.
-	fmt.Printf("\nbuilding 4-server cluster ...\n")
-	cl, err := dist.StartCluster(c, 4, ir.DefaultBuildConfig())
-	if err != nil {
-		return err
-	}
-	defer cl.Close()
-	warm := queries
-	if len(warm) > 200 {
-		warm = warm[:200]
-	}
-	if err := cl.WarmAll(repro.BM25TCMQ8, warm, 20); err != nil {
-		return err
-	}
-	brk, err := dist.Dial(cl.Addrs)
-	if err != nil {
-		return err
-	}
-	defer brk.Close()
-	dreqs := make([]dist.Request, len(queries))
-	for i, q := range queries {
-		dreqs[i] = dist.Request{Terms: q.Terms, K: 20, Strategy: repro.BM25TCMQ8}
-	}
-	start = time.Now()
-	for _, r := range dreqs {
-		if _, _, err := brk.SearchContext(ctx, r.Terms, r.K, r.Strategy); err != nil {
-			return err
-		}
-	}
-	row("broker, round trip per query", time.Since(start))
-	bout, btiming, err := brk.SearchMany(ctx, dreqs)
-	if err != nil {
-		return err
-	}
-	for _, r := range bout {
-		if r.Err != nil {
-			return r.Err
-		}
-	}
-	row("broker SearchMany (pipelined)", btiming.Total)
-
-	fmt.Println("\n(shape: SearchMany spreads a batch over the searcher pool, so total")
-	fmt.Println(" time approaches sequential/cores; the result cache answers repeats in")
-	fmt.Println(" microseconds without a searcher; the pipelined broker pays one gob")
-	fmt.Println(" round trip per server for the whole batch instead of one per query)")
-	return nil
-}
-
 // hedgeExperiment measures the replica-group tail-latency defenses: a
 // partitioned cluster where every partition range is served by two
 // replicas, one of which is an induced intermittent straggler (it stalls
@@ -667,7 +464,8 @@ func batchServe(docs, nq int, seed int64) error {
 // budget because the slice is re-issued to the healthy replica and the
 // first answer wins. A final round kills a whole replica per partition
 // mid-service and shows the broker failing over without dropping a query.
-func hedgeExperiment(docs, nq, servers int, seed int64) error {
+func hedgeExperiment(p params) error {
+	docs, nq, servers, seed := p.docs, p.queries, p.servers, p.seed
 	header("Replica groups: hedged fan-out vs an intermittent straggler, then failover")
 	cfg := corpus.DefaultConfig()
 	cfg.NumDocs = docs
@@ -799,229 +597,4 @@ func runLatencies(ctx context.Context, brk *dist.Broker, queries []corpus.Query,
 		lats = append(lats, timing.Total)
 	}
 	return lats, agg, nil
-}
-
-// coldwarm exercises the persistent storage subsystem end to end: the
-// index is saved as an index directory, reopened over a
-// FileStore (real aligned file reads — nothing survives from the build),
-// and a TREC query batch is run once cold and twice warm under several
-// buffer-manager budgets. The cold batch pays real file I/O; the warm
-// batches should be served almost entirely from the manager (hit rate
-// well above 90% when the working set fits), which is the ColumnBM
-// promise the simulated experiments assume.
-func coldwarm(docs, nq int, seed int64) error {
-	header("Persistent storage: cold vs warm batches (FileStore + buffer manager)")
-	c, ix, err := buildTestbed(docs, seed)
-	if err != nil {
-		return err
-	}
-	dir, err := os.MkdirTemp("", "trecbench-index-")
-	if err != nil {
-		return err
-	}
-	defer os.RemoveAll(dir)
-	if err := repro.SaveIndex(dir, ix); err != nil {
-		return err
-	}
-	onDisk := ix.Store.TotalSize() // column blobs persist byte for byte
-	fmt.Printf("persisted: %.1f MB in %s\n\n", float64(onDisk)/1e6, dir)
-
-	queries := c.EfficiencyQueries(min(nq, 500), seed+6)
-	const warmReps = 2
-	fmt.Printf("%-14s %12s %12s %10s %10s %12s\n",
-		"budget", "cold ms/q", "warm ms/q", "hit rate", "evictions", "cold MB read")
-	for _, frac := range []float64{0.05, 0.25, 1.0} {
-		budget := int64(float64(onDisk) * frac)
-		pix, err := repro.LoadIndex(dir, budget)
-		if err != nil {
-			return err
-		}
-		s := ir.NewSearcher(pix, 0)
-
-		start := time.Now()
-		for _, q := range queries {
-			if _, _, err := s.Search(q.Terms, 20, ir.BM25TCMQ8); err != nil {
-				return err
-			}
-		}
-		cold := time.Since(start)
-		coldRead := pix.Store.Stats().BytesRead
-
-		pix.Cache.ResetStats()
-		start = time.Now()
-		for r := 0; r < warmReps; r++ {
-			for _, q := range queries {
-				if _, _, err := s.Search(q.Terms, 20, ir.BM25TCMQ8); err != nil {
-					return err
-				}
-			}
-		}
-		warm := time.Since(start)
-		st := pix.Cache.Stats()
-		pix.Store.Close()
-
-		fmt.Printf("%-14s %12.3f %12.3f %9.1f%% %10d %12.1f\n",
-			fmt.Sprintf("%.0f%% (%dMB)", frac*100, budget>>20),
-			float64(cold.Microseconds())/float64(len(queries))/1000,
-			float64(warm.Microseconds())/float64(len(queries)*warmReps)/1000,
-			st.HitRate()*100, st.Evictions, float64(coldRead)/1e6)
-	}
-	fmt.Println("\n(shape: with the full budget the warm batches never touch the files —")
-	fmt.Println(" hit rate ~100% and warm time is pure CPU; starving the manager forces")
-	fmt.Println(" evictions and the warm runs pay file I/O again, the 426GB-over-4GB")
-	fmt.Println(" regime of the paper's cold column)")
-
-	// Manifest-driven prefetch: the same workload cold, demand paging vs
-	// read-ahead. Finer chunks (1Ki values instead of 128Ki) make the
-	// demand-paging cost visible — a frequent term's posting range spans
-	// many chunks, each a separate file read unless the prefetcher
-	// coalesces them into one sequential request.
-	fmt.Printf("\nPrefetch: cold batch, demand paging vs manifest-driven read-ahead (1Ki-value chunks)\n\n")
-	bc := ir.DefaultBuildConfig()
-	bc.ChunkLen = 1024
-	fix, err := ir.Build(c, bc)
-	if err != nil {
-		return err
-	}
-	fdir, err := os.MkdirTemp("", "trecbench-prefetch-")
-	if err != nil {
-		return err
-	}
-	defer os.RemoveAll(fdir)
-	if err := repro.SaveIndex(fdir, fix); err != nil {
-		return err
-	}
-	fmt.Printf("%-22s %12s %12s %12s\n", "mode", "cold ms/q", "file reads", "MB read")
-	for _, workers := range []int{0, 4} {
-		var opts []storage.OpenOption
-		name := "demand paging"
-		if workers > 0 {
-			opts = append(opts, storage.WithPrefetchWorkers(workers))
-			name = fmt.Sprintf("prefetch (%d workers)", workers)
-		}
-		pix, err := repro.LoadIndex(fdir, 0, opts...)
-		if err != nil {
-			return err
-		}
-		s := ir.NewSearcher(pix, 0)
-		start := time.Now()
-		for _, q := range queries {
-			if _, _, err := s.Search(q.Terms, 20, ir.BM25TCMQ8); err != nil {
-				pix.Close()
-				return err
-			}
-		}
-		cold := time.Since(start)
-		ds := pix.Store.Stats()
-		pix.Close()
-		fmt.Printf("%-22s %12.3f %12d %12.1f\n", name,
-			float64(cold.Microseconds())/float64(len(queries))/1000,
-			ds.Reads, float64(ds.BytesRead)/1e6)
-	}
-	fmt.Println("\n(shape: the prefetcher claims a scan's missing chunks up front and reads")
-	fmt.Println(" contiguous runs in single large requests, so the cold batch issues far")
-	fmt.Println(" fewer file reads than one-chunk-at-a-time demand paging)")
-	return nil
-}
-
-// segmentsExperiment measures the segmented index under an append-heavy
-// live workload: the collection arrives as an initial build plus a stream
-// of document batches, each Add committing one fresh immutable segment
-// while searches keep running; the background merger re-bakes and bounds
-// the segment count. Reported per phase: append cost, search latency over
-// the growing segment set, segment/virtual counts, and merge activity —
-// the amortization story (append cost stays proportional to the batch,
-// search cost to the merged segment count, not to the collection).
-func segmentsExperiment(docs, nq int, seed int64) error {
-	header("Segmented index: interleaved appends + searches, background merge")
-	cfg := corpus.DefaultConfig()
-	cfg.NumDocs = docs
-	cfg.Seed = seed
-	c := corpus.Generate(cfg)
-	queries := c.EfficiencyQueries(min(nq, 400), seed+13)
-	ctx := context.Background()
-
-	const batches = 8
-	total := len(c.DocLens)
-	firstDocs := total / 2 // initial build: half the collection
-	dir, err := os.MkdirTemp("", "trecbench-segments-*")
-	if err != nil {
-		return err
-	}
-	defer os.RemoveAll(dir)
-
-	first, err := c.Slice(0, firstDocs)
-	if err != nil {
-		return err
-	}
-	start := time.Now()
-	eng, err := repro.Open(first, repro.WithStorageDir(dir),
-		repro.WithAutoMerge(4), repro.WithSearchers(runtime.GOMAXPROCS(0)))
-	if err != nil {
-		return err
-	}
-	defer eng.Close()
-	fmt.Printf("initial build: %d docs in %.0f ms\n\n", firstDocs,
-		float64(time.Since(start).Microseconds())/1000)
-
-	searchBatch := func() (time.Duration, error) {
-		t0 := time.Now()
-		for _, q := range queries {
-			if _, err := eng.Search(ctx, repro.SearchRequest{Terms: q.Terms, K: 20}); err != nil {
-				return 0, err
-			}
-		}
-		return time.Since(t0) / time.Duration(len(queries)), nil
-	}
-
-	fmt.Printf("%-8s %10s %12s %12s %10s %10s %8s\n",
-		"phase", "docs", "add ms", "search µs", "segments", "virtual", "merges")
-	report := func(phase string, addCost time.Duration) error {
-		perQ, err := searchBatch()
-		if err != nil {
-			return err
-		}
-		st := eng.SegmentStats()
-		fmt.Printf("%-8s %10d %12.1f %12.1f %10d %10d %8d\n",
-			phase, eng.NumDocs(), float64(addCost.Microseconds())/1000,
-			float64(perQ.Nanoseconds())/1000, st.Segments, st.Virtual, st.Merges)
-		return nil
-	}
-	if err := report("initial", 0); err != nil {
-		return err
-	}
-
-	half := total - firstDocs
-	for b := 0; b < batches; b++ {
-		lo := firstDocs + b*half/batches
-		hi := firstDocs + (b+1)*half/batches
-		liveDocs, err := c.Docs(lo, hi)
-		if err != nil {
-			return err
-		}
-		t0 := time.Now()
-		if err := eng.Add(ctx, liveDocs); err != nil {
-			return err
-		}
-		if err := report(fmt.Sprintf("add-%d", b+1), time.Since(t0)); err != nil {
-			return err
-		}
-	}
-
-	// Let the merger settle, then the final shape.
-	deadline := time.Now().Add(30 * time.Second)
-	for eng.SegmentStats().Segments > 4 && time.Now().Before(deadline) {
-		time.Sleep(10 * time.Millisecond)
-	}
-	if err := report("settled", 0); err != nil {
-		return err
-	}
-	fmt.Println("\n(shape: each Add commits one immutable segment — indexing cost tracks the")
-	fmt.Println(" batch; the default quantized layout additionally re-scans existing")
-	fmt.Println(" segments' tf columns to keep the collection-wide quantization bounds")
-	fmt.Println(" exact, which is the growing add-ms component. Stale segments score")
-	fmt.Println(" materialized strategies through the query-time kernels (virtual column)")
-	fmt.Println(" until the background merge re-bakes them and garbage-collects the")
-	fmt.Println(" replaced directories)")
-	return nil
 }

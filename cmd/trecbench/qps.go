@@ -31,10 +31,8 @@ import (
 //  3. Partial results: a whole replica group is killed; a broker opted
 //     into WithPartialResults keeps answering from the survivors with
 //     every result flagged Degraded.
-//
-// Machine-readable "qps-point ..." / "qps-hedge ..." / "qps-partial ..."
-// lines accompany the tables for CI to collect.
-func qpsExperiment(docs, nq, servers int, seed int64) error {
+func qpsExperiment(p params) error {
+	docs, nq, servers, seed := p.docs, p.queries, p.servers, p.seed
 	header("Serving QoS: open-loop load, admission control, adaptive hedging, partial results")
 	cfg := corpus.DefaultConfig()
 	cfg.NumDocs = docs
@@ -116,11 +114,6 @@ func qpsExperiment(docs, nq, servers int, seed int64) error {
 				mode.name, mult, st.Offered, st.Throughput,
 				float64(st.P99.Microseconds())/1000,
 				st.Shed, st.Failed, st.Dropped, st.SLOAttainment*100)
-			fmt.Printf("qps-point {\"mode\":%q,\"load\":%.2f,\"offered\":%d,\"throughput\":%.1f,"+
-				"\"p99_ms\":%.3f,\"shed\":%d,\"failed\":%d,\"dropped\":%d,\"slo_attainment\":%.4f}\n",
-				mode.name, mult, st.Offered, st.Throughput,
-				float64(st.P99.Microseconds())/1000, st.Shed, st.Failed, st.Dropped,
-				st.SLOAttainment)
 		}
 		brk.Close()
 	}
@@ -182,8 +175,6 @@ func qpsExperiment(docs, nq, servers int, seed int64) error {
 		fmt.Printf("%-22s %10.2f %10.2f %10.2f %8d %9.2f%%\n",
 			mode.name, loadgen.Ms(loadgen.Percentile(lats, 50)), loadgen.Ms(loadgen.Percentile(lats, 99)),
 			loadgen.Ms(loadgen.Percentile(lats, 100)), m.Hedged, rate*100)
-		fmt.Printf("qps-hedge {\"policy\":%q,\"p50_ms\":%.3f,\"p99_ms\":%.3f,\"hedged\":%d,\"hedge_rate\":%.4f}\n",
-			mode.name, loadgen.Ms(loadgen.Percentile(lats, 50)), loadgen.Ms(loadgen.Percentile(lats, 99)), m.Hedged, rate)
 	}
 	cl.Replica(0, 0).SetStall(0, 0)
 	fmt.Println("\n(shape: the adaptive budget lands near the fixed hand-tuned one — it is")
@@ -221,8 +212,6 @@ func qpsExperiment(docs, nq, servers int, seed int64) error {
 		}
 	}
 	fmt.Printf("%d/%d queries answered from the survivors, %d flagged degraded (%d group(s) down)\n",
-		answered, len(preqs), degraded, timing.DegradedGroups)
-	fmt.Printf("qps-partial {\"answered\":%d,\"total\":%d,\"degraded\":%d,\"down_groups\":%d}\n",
 		answered, len(preqs), degraded, timing.DegradedGroups)
 	fmt.Println("\n(shape: without WithPartialResults a dead replica group fails the whole")
 	fmt.Println(" batch; with it the ranking is computed over the partitions that answered")

@@ -4,14 +4,11 @@ import (
 	"context"
 	"fmt"
 	"os"
-	"runtime"
-	"sync/atomic"
 	"time"
 
 	"repro/internal/corpus"
 	"repro/internal/dist"
 	"repro/internal/ir"
-	"repro/internal/loadgen"
 	"repro/internal/topology"
 )
 
@@ -19,28 +16,20 @@ import (
 // reconciler walks a cluster through a scripted reconfiguration — add a
 // replica to partition 0, move that replica to a different host, retire
 // it again — while closed-loop query load runs against the broker the
-// whole time. Three latency phases bracket the reconcile:
+// whole time.
 //
-//	quiesced-before   closed-loop load against the initial layout
-//	during-reconcile  the same load while the three specs converge
-//	quiesced-after    the same load, reconcile done (same layout as before)
-//
-// The claim under test is that reconciliation is a background activity:
-// replica bootstrap ships segments on ingest connections and installs
-// them under the epoch-refcounted refresh, retirement drains in-flight
-// requests before closing, and the broker retargets between steps — so
-// the during-reconcile p99 stays within 3x of the quiesced p99.
-//
-// Machine-readable "rebalance-phase ..." lines report the three latency
-// phases and a final "rebalance-run ..." line reports the reconcile
-// itself (steps applied, wall time, p99 ratio vs. the 3x bound) for CI.
-func rebalanceExperiment(docs, nq int, seed int64) error {
+// The claim under test (servePhases asserts it) is that reconciliation is
+// a background activity: replica bootstrap ships segments on ingest
+// connections and installs them under the epoch-refcounted refresh,
+// retirement drains in-flight requests before closing, and the broker
+// retargets between steps.
+func rebalanceExperiment(p params) error {
 	header("Online rebalancing: topology reconcile while serving")
 	cfg := corpus.DefaultConfig()
-	cfg.NumDocs = docs
-	cfg.Seed = seed
+	cfg.NumDocs = p.docs
+	cfg.Seed = p.seed
 	c := corpus.Generate(cfg)
-	queries := c.EfficiencyQueries(min(nq, 1000), seed+29)
+	queries := c.EfficiencyQueries(min(p.queries, 1000), p.seed+29)
 	strat := ir.BM25TCMQ8
 	ctx := context.Background()
 
@@ -51,7 +40,7 @@ func rebalanceExperiment(docs, nq int, seed int64) error {
 	defer os.RemoveAll(baseDir)
 
 	const partitions = 2
-	fmt.Printf("seeding %d single-replica partitions with %d docs ...\n", partitions, docs)
+	fmt.Printf("seeding %d single-replica partitions with %d docs ...\n", partitions, p.docs)
 	dirs, err := dist.BuildLivePartitions(c, partitions, ir.DefaultBuildConfig(), baseDir)
 	if err != nil {
 		return err
@@ -102,111 +91,37 @@ func rebalanceExperiment(docs, nq int, seed int64) error {
 		{"retire-replica", reshape(3, 1, nil)},
 	}
 
-	loadWorkers := max(1, runtime.GOMAXPROCS(0)/2)
-	const phaseDur = 1200 * time.Millisecond
-	phase := func(name string) ([]time.Duration, error) {
-		deadline := time.Now().Add(phaseDur)
-		lats, err := ingestQueryLoad(ctx, brk, queries, loadWorkers, strat,
-			func() bool { return time.Now().After(deadline) })
-		if err != nil {
-			return nil, fmt.Errorf("%s query load: %w", name, err)
+	reconcile := func() error {
+		for _, sp := range specs {
+			t0 := time.Now()
+			if err := rec.Apply(ctx, sp.spec); err != nil {
+				return fmt.Errorf("reconcile %s: %w", sp.name, err)
+			}
+			st := rec.Status()
+			fmt.Printf("reconcile %-14s rev %d: %d steps in %.2f s\n",
+				sp.name, st.Revision, st.Applied, time.Since(t0).Seconds())
+			// Pace the script the way a production rollout would: the cluster
+			// serves between steps, and the during-reconcile window collects
+			// enough samples for its p99 to be a distribution, not a max.
+			time.Sleep(phaseDur / 3)
 		}
-		return lats, nil
+		return nil
 	}
-
-	beforeLats, err := phase("quiesced-before")
-	if err != nil {
+	if err := servePhases(ctx, brk, queries, strat, "during-reconcile", reconcile); err != nil {
 		return err
 	}
-
-	// Reconcile phase: the same closed-loop load runs in the background
-	// while the main goroutine feeds the three specs to the reconciler.
-	var stop atomic.Bool
-	type loadResult struct {
-		lats []time.Duration
-		err  error
-	}
-	loadCh := make(chan loadResult, 1)
-	go func() {
-		lats, err := ingestQueryLoad(ctx, brk, queries, loadWorkers, strat, stop.Load)
-		loadCh <- loadResult{lats, err}
-	}()
-
-	recStart := time.Now()
-	applied := 0
-	for _, sp := range specs {
-		t0 := time.Now()
-		if err := rec.Apply(ctx, sp.spec); err != nil {
-			stop.Store(true)
-			<-loadCh
-			return fmt.Errorf("reconcile %s: %w", sp.name, err)
-		}
-		st := rec.Status()
-		applied += st.Applied
-		fmt.Printf("reconcile %-14s rev %d: %d steps in %.2f s\n",
-			sp.name, st.Revision, st.Applied, time.Since(t0).Seconds())
-		// Pace the script the way a production rollout would: the cluster
-		// serves between steps, and the during-reconcile window collects
-		// enough samples for its p99 to be a distribution, not a max.
-		time.Sleep(phaseDur / 3)
-	}
-	recWall := time.Since(recStart)
-	if err := brk.WaitConverged(ctx); err != nil {
-		stop.Store(true)
-		<-loadCh
-		return err
-	}
-	stop.Store(true)
-	lr := <-loadCh
-	if lr.err != nil {
-		return fmt.Errorf("during-reconcile query load: %w", lr.err)
-	}
-	reconLats := lr.lats
-
-	afterLats, err := phase("quiesced-after")
-	if err != nil {
-		return err
-	}
-
-	fmt.Printf("\n%-18s %8s %10s %10s\n", "phase", "queries", "p50 ms", "p99 ms")
-	for _, ph := range []struct {
-		name string
-		lats []time.Duration
-	}{
-		{"quiesced-before", beforeLats},
-		{"during-reconcile", reconLats},
-		{"quiesced-after", afterLats},
-	} {
-		fmt.Printf("%-18s %8d %10.2f %10.2f\n", ph.name, len(ph.lats),
-			loadgen.Ms(loadgen.Percentile(ph.lats, 50)), loadgen.Ms(loadgen.Percentile(ph.lats, 99)))
-		fmt.Printf("rebalance-phase {\"phase\":%q,\"queries\":%d,\"p50_ms\":%.3f,\"p99_ms\":%.3f}\n",
-			ph.name, len(ph.lats), loadgen.Ms(loadgen.Percentile(ph.lats, 50)), loadgen.Ms(loadgen.Percentile(ph.lats, 99)))
-	}
-
-	// The acceptance bound: mid-reconcile p99 within 3x of the quiesced p99
-	// on the same (final) layout.
-	const bound = 3.0
-	ratio := 0.0
-	if p := loadgen.Percentile(afterLats, 99); p > 0 {
-		ratio = float64(loadgen.Percentile(reconLats, 99)) / float64(p)
+	if !rec.Status().Converged {
+		return fmt.Errorf("reconciler did not converge: %+v", rec.Status())
 	}
 	final, err := topology.Observe(cl)
 	if err != nil {
 		return err
 	}
-	layout := ""
-	for i, p := range final.Partitions {
-		if i > 0 {
-			layout += " "
-		}
-		layout += fmt.Sprintf("[lo=%d x%d %v]", p.Lo, p.Replicas, p.Hosts)
+	fmt.Printf("final layout")
+	for _, part := range final.Partitions {
+		fmt.Printf(" [lo=%d x%d %v]", part.Lo, part.Replicas, part.Hosts)
 	}
-	fmt.Printf("\n%d reconcile steps in %.2f s, final layout %s\n", applied, recWall.Seconds(), layout)
-	fmt.Printf("during-reconcile p99 is %.2fx the quiesced-after p99 (bound %.1fx)\n", ratio, bound)
-	fmt.Printf("rebalance-run {\"steps\":%d,\"reconcile_s\":%.3f,\"p99_ratio\":%.3f,"+
-		"\"bound\":%.1f,\"within_bound\":%t,\"converged\":%t}\n",
-		applied, recWall.Seconds(), ratio, bound, ratio <= bound, rec.Status().Converged)
-	fmt.Println("\n(shape: during-reconcile p99 tracks quiesced p99 — replica bootstrap")
+	fmt.Println("\n\n(shape: during-reconcile p99 tracks quiesced p99 — replica bootstrap")
 	fmt.Println(" ships on ingest connections and installs under the epoch-refcounted")
 	fmt.Println(" refresh, retirement drains before closing, and the broker retargets")
 	fmt.Println(" between steps, so a search never waits on a reconfiguration)")

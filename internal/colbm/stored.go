@@ -38,8 +38,9 @@ type StoredTable struct {
 }
 
 // Stored returns the table's persistable metadata: the input half of the
-// on-disk index format (storage.WriteIndex records it in the manifest,
-// storage.OpenIndex feeds it back through OpenTable).
+// on-disk index format (the storage package's segment writer records it in
+// each segment's manifest, and storage.OpenSegmented feeds it back through
+// OpenTable when it opens the segment).
 func (t *Table) Stored() StoredTable {
 	st := StoredTable{Name: t.Name, N: t.N}
 	for _, name := range t.ColumnNames() {

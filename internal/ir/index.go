@@ -158,8 +158,8 @@ type Index struct {
 
 	// Prefetcher, when non-nil, receives the posting ranges a plan is about
 	// to scan so the covering chunks stream into the Cache ahead of the
-	// cursors (storage.OpenIndex installs one when prefetch is enabled). Nil
-	// means demand paging only.
+	// cursors (storage.OpenSegmented installs one per segment when prefetch
+	// is enabled). Nil means demand paging only.
 	Prefetcher colbm.Prefetcher
 
 	cfg BuildConfig
@@ -332,8 +332,9 @@ func assembleIndex(bc BuildConfig, store colbm.BlockStore, cache colbm.ChunkCach
 
 // RestoreIndex reassembles an Index from persisted components: the tables
 // reopened over a block store and chunk cache, plus the scalar state the
-// manifest carries. storage.OpenIndex is the only intended caller; Build
-// remains the constructor for in-memory indexes.
+// manifest carries. The storage package's segment opener, under
+// storage.OpenSegmented, is the only intended caller; Build remains the
+// constructor for in-memory indexes.
 func RestoreIndex(td, d *colbm.Table, terms map[string]TermInfo, params primitives.BM25Params,
 	scoreLo, scoreHi float64, store colbm.BlockStore, cache colbm.ChunkCache, cfg BuildConfig) *Index {
 	return &Index{

@@ -9,9 +9,9 @@ import (
 // nearest-rank definition (rank = ceil(p*n/100), so p=100 is the maximum
 // and any p > 0 of a 1-sample set is that sample). The input is not
 // modified; an empty sample reports 0. Every latency summary in the
-// repository — the load generator's run stats and all trecbench
-// experiment output — quotes this definition, so numbers are comparable
-// across harnesses.
+// repository — the load generator's run stats, bench/ and the trecbench
+// hedge, qps, ingest and rebalance experiments — quotes this definition,
+// so numbers are comparable across harnesses.
 func Percentile(sample []time.Duration, p int) time.Duration {
 	if len(sample) == 0 {
 		return 0

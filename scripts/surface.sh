@@ -12,6 +12,12 @@ engine_options=$(grep -cE '^func With[A-Z]' options.go)
 # layout or the server's mode, not because of the data.
 refusals=$(grep -hE 'errors\.New\(|fmt\.Errorf\(|resp\.Err = ' "${files[@]}" |
 	grep -cE 'needs? a segmented|monolithic|not a live ingest' || true)
+ci=.github/workflows/ci.yml
+ci_lines=$(wc -l <"$ci")
+uploads=$(grep -c 'uses: actions/upload-artifact' "$ci" || true)
+# Names in the -experiment help string, which lists every experiment.
+experiments=$(go run ./cmd/trecbench -h 2>&1 | grep -oE '[a-z0-9]+(\|[a-z0-9]+)+' | head -1 |
+	tr '|' '\n' | grep -vcx all || true)
 cat <<EOF
 | surface | count |
 |---|---|
@@ -19,4 +25,7 @@ cat <<EOF
 | exported With* options (all packages) | $options |
 | exported With* engine options (options.go) | $engine_options |
 | layout/mode refusal messages | $refusals |
+| lines of ci.yml | $ci_lines |
+| upload-artifact steps in ci.yml | $uploads |
+| registered trecbench experiments | $experiments |
 EOF

@@ -121,32 +121,21 @@ func Open(coll *Collection, opts ...Option) (*Engine, error) {
 	for _, opt := range opts {
 		opt(&cfg)
 	}
-	for _, o := range []struct {
-		set  bool
-		name string
-	}{
-		{cfg.prefetchWorkers > 0, "WithPrefetch"},
-		{cfg.mmapReads, "WithMmapReads"},
-		{cfg.cacheAdmission != AdmissionClock, "WithCacheAdmission"},
-		{cfg.approxSet, "WithApproxBounds"},
-		{cfg.autoMerge > 0, "WithAutoMerge"},
-	} {
-		if o.set && cfg.storageDir == "" {
-			cfg.errs = append(cfg.errs,
-				fmt.Errorf("repro: %s needs a persisted index (add WithStorageDir, or use OpenDir)", o.name))
-		}
+	if cfg.storageDir == "" {
+		cfg.refusePersistedOnly()
 	}
 	cfg.crossValidate()
 	if len(cfg.errs) > 0 {
 		return nil, errors.Join(cfg.errs...)
 	}
+	// One pool budget however it arrived: WithBufferPoolBytes wins over
+	// IndexConfig.PoolBytes, and both the in-memory build and the persisted
+	// engine's buffer manager (openDir) are sized from the result.
+	if !cfg.poolSet {
+		cfg.pool = cfg.index.PoolBytes
+	}
 	bc := cfg.index
-	if cfg.poolSet {
-		bc.PoolBytes = cfg.pool
-	}
-	if cfg.diskSet {
-		bc.Disk = cfg.disk
-	}
+	bc.PoolBytes = cfg.pool
 	if cfg.storageDir == "" {
 		ix, err := BuildIndex(coll, bc)
 		if err != nil {
@@ -171,16 +160,16 @@ func Open(coll *Collection, opts ...Option) (*Engine, error) {
 // dist.BuildPartitions) and serves it without any collection in hand: only
 // the manifests are read up front, and posting data streams in through the
 // buffer manager as queries touch it. Options that shape index
-// construction (WithIndexConfig, WithDiskParams, WithStorageDir) are
-// rejected — the directory already fixes the physical layout.
+// construction (WithIndexConfig, WithStorageDir) are rejected — the
+// directory already fixes the physical layout.
 func OpenDir(dir string, opts ...Option) (*Engine, error) {
 	cfg := defaultEngineConfig()
 	for _, opt := range opts {
 		opt(&cfg)
 	}
-	if cfg.diskSet || cfg.index != DefaultIndexConfig() {
+	if cfg.index != DefaultIndexConfig() {
 		cfg.errs = append(cfg.errs,
-			errors.New("repro: OpenDir cannot reconfigure index storage (WithIndexConfig/WithDiskParams)"))
+			errors.New("repro: OpenDir cannot reconfigure index storage (WithIndexConfig)"))
 	}
 	if cfg.storageDir != "" {
 		cfg.errs = append(cfg.errs,
@@ -194,23 +183,9 @@ func OpenDir(dir string, opts ...Option) (*Engine, error) {
 	return openDir(cfg)
 }
 
-// storageOpts translates engine options to storage open options.
-func (cfg *engineConfig) storageOpts() []storage.OpenOption {
-	var opts []storage.OpenOption
-	if cfg.prefetchWorkers > 0 {
-		opts = append(opts, storage.WithPrefetchWorkers(cfg.prefetchWorkers))
-	}
-	if cfg.mmapReads {
-		opts = append(opts, storage.WithMmapReads())
-	}
-	if cfg.cacheAdmission != AdmissionClock {
-		opts = append(opts, storage.WithCacheAdmission(cfg.cacheAdmission))
-	}
-	return opts
-}
-
 // openDir serves cfg.storageDir's current generation — the one open path
-// of every persisted engine.
+// of every persisted engine — through one buffer manager that lives as long
+// as the engine, so a refresh keeps the unchanged segments' chunks warm.
 func openDir(cfg engineConfig) (*Engine, error) {
 	// The bounds policy is a directory property; declare it before the
 	// generation is read so the first Add already appends under it.
@@ -219,7 +194,8 @@ func openDir(cfg engineConfig) (*Engine, error) {
 			return nil, err
 		}
 	}
-	core, err := serving.OpenDir(cfg.storageDir, cfg.pool, cfg.storageOpts(), cfg.Config)
+	mgr := storage.NewManager(cfg.pool, storage.WithAdmissionPolicy(cfg.cacheAdmission))
+	core, err := serving.OpenDir(cfg.storageDir, mgr, cfg.prefetchWorkers, cfg.Config)
 	if err != nil {
 		return nil, err
 	}
@@ -242,10 +218,10 @@ func openDir(cfg engineConfig) (*Engine, error) {
 }
 
 // OpenIndex wraps an already-built index in an Engine. Options that shape
-// index construction (WithIndexConfig, WithBufferPoolBytes, WithDiskParams,
-// WithStorageDir) are rejected here — the index's physical layout is fixed,
-// and the caller keeps ownership of its storage (Close will not release
-// it).
+// index construction (WithIndexConfig, WithBufferPoolBytes, WithStorageDir)
+// are rejected here — the index's physical layout is fixed, and the caller
+// keeps ownership of its storage (Close will not release it) — and so is
+// every option Open refuses without a persisted directory.
 func OpenIndex(ix *Index, opts ...Option) (*Engine, error) {
 	if ix == nil {
 		return nil, errors.New("repro: OpenIndex with nil index")
@@ -254,11 +230,11 @@ func OpenIndex(ix *Index, opts ...Option) (*Engine, error) {
 	for _, opt := range opts {
 		opt(&cfg)
 	}
-	if cfg.poolSet || cfg.diskSet || cfg.storageDir != "" || cfg.prefetchWorkers > 0 ||
-		cfg.autoMerge > 0 || cfg.index != DefaultIndexConfig() {
+	if cfg.poolSet || cfg.storageDir != "" || cfg.index != DefaultIndexConfig() {
 		cfg.errs = append(cfg.errs,
-			errors.New("repro: OpenIndex cannot reconfigure index storage (WithIndexConfig/WithBufferPoolBytes/WithDiskParams/WithStorageDir/WithPrefetch/WithAutoMerge)"))
+			errors.New("repro: OpenIndex cannot reconfigure index storage (WithIndexConfig/WithBufferPoolBytes/WithStorageDir)"))
 	}
+	cfg.refusePersistedOnly()
 	cfg.crossValidate()
 	if len(cfg.errs) > 0 {
 		return nil, errors.Join(cfg.errs...)

@@ -2,6 +2,7 @@ package repro
 
 import (
 	"context"
+	"errors"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -114,8 +115,10 @@ func TestOpenDirServesWithoutCollection(t *testing.T) {
 	}
 
 	// Every construction-shaping option is rejected.
-	if _, err := OpenDir(dir, WithDiskParams(DefaultDiskParams())); err == nil {
-		t.Error("OpenDir accepted WithDiskParams")
+	ic := DefaultIndexConfig()
+	ic.Disk.SeekLatency *= 2
+	if _, err := OpenDir(dir, WithIndexConfig(ic)); err == nil {
+		t.Error("OpenDir accepted WithIndexConfig")
 	}
 	if _, err := OpenDir(dir, WithStorageDir(dir)); err == nil {
 		t.Error("OpenDir accepted WithStorageDir")
@@ -163,12 +166,27 @@ func TestEnginePrefetchEquivalence(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// Prefetch without persisted storage is a configuration error.
-	if _, err := Open(coll, WithPrefetch(2)); err == nil {
-		t.Error("WithPrefetch accepted without WithStorageDir")
+	// Every option that needs a persisted index is a configuration error
+	// without one, at both in-memory entry points alike.
+	persistedOnly := map[string]Option{
+		"WithPrefetch":       WithPrefetch(2),
+		"WithCacheAdmission": WithCacheAdmission(Admission2Q),
+		"WithApproxBounds":   WithApproxBounds(0.1),
+		"WithAutoMerge":      WithAutoMerge(2),
 	}
-	if _, err := OpenIndex(plain.Index(), WithPrefetch(2)); err == nil {
-		t.Error("OpenIndex accepted WithPrefetch")
+	var all []Option
+	for name, opt := range persistedOnly {
+		all = append(all, opt)
+		_, err := Open(coll, opt)
+		refused(t, err, name)
+		_, err = OpenIndex(plain.Index(), opt)
+		refused(t, err, name)
+	}
+	// Set together they are reported together.
+	_, err = OpenIndex(plain.Index(), all...)
+	var joined interface{ Unwrap() []error }
+	if !errors.As(err, &joined) || len(joined.Unwrap()) != len(all) {
+		t.Errorf("OpenIndex with every persisted-only option: %v, want %d errors", err, len(all))
 	}
 }
 

@@ -73,7 +73,6 @@ type brokerConfig struct {
 
 	adaptive      bool    // WithAdaptiveHedge given
 	hedgeQuantile float64 // latency quantile the adaptive budget tracks
-	hedgeCap      float64 // max fraction of calls that may hedge
 
 	partial bool // WithPartialResults given
 
@@ -91,9 +90,9 @@ type brokerConfig struct {
 // lands first, canceling the loser. The budget should sit just above the
 // expected response time (a small multiple of the p50) so hedges fire only
 // in the tail; 0 (the default) disables hedging. Partitions with a single
-// replica never hedge. Hedging at a fixed budget is uncapped unless
-// WithHedgeRateCap is given. See WithAdaptiveHedge for a budget that
-// calibrates itself.
+// replica never hedge. Hedging at a fixed budget is uncapped — the budget
+// is the operator's explicit choice. See WithAdaptiveHedge for a budget
+// that calibrates itself.
 func WithHedgeBudget(d time.Duration) BrokerOption {
 	return func(c *brokerConfig) { c.hedgeBudget = d }
 }
@@ -105,23 +104,15 @@ func WithHedgeBudget(d time.Duration) BrokerOption {
 // to 0.95) — "slower than 95% of recent calls" is the definition of a
 // straggler, at whatever absolute latency the group currently runs at.
 // A group stays unhedged until it has enough samples to trust the
-// quantile, and a hedge-rate cap (default 5%, see WithHedgeRateCap)
-// bounds the duplicated work even when the distribution degrades.
-// Overrides WithHedgeBudget.
+// quantile, and a 5% hedge-rate cap bounds the duplicated work even when
+// the distribution degrades: a group whose every request turns slow gets
+// at most 5% extra load, not a doubling — what makes adaptive hedging safe
+// to leave on. Overrides WithHedgeBudget.
 func WithAdaptiveHedge(quantile float64) BrokerOption {
 	return func(c *brokerConfig) {
 		c.adaptive = true
 		c.hedgeQuantile = quantile
 	}
-}
-
-// WithHedgeRateCap bounds the fraction of calls a group may duplicate,
-// under WithAdaptiveHedge (<= 0 keeps its 5% default) and WithHedgeBudget
-// (<= 0 keeps it uncapped) alike. The cap is what makes hedging safe to
-// leave on: a group whose every request turns slow gets at most frac extra
-// load, not a doubling.
-func WithHedgeRateCap(frac float64) BrokerOption {
-	return func(c *brokerConfig) { c.hedgeCap = frac }
 }
 
 // WithPartialResults opts the broker into degraded answers: when an
@@ -478,9 +469,9 @@ func (b *Broker) newMembership(lists [][]string, old *membership, gens []*atomic
 		if h, ok := oldHedger[gen]; ok && h != nil {
 			g.hedger = h
 		} else if b.cfg.adaptive {
-			g.hedger = qos.NewHedger(b.cfg.hedgeQuantile, b.cfg.hedgeCap)
+			g.hedger = qos.NewHedger(b.cfg.hedgeQuantile)
 		} else if b.cfg.hedgeBudget > 0 {
-			g.hedger = qos.NewFixedHedger(b.cfg.hedgeBudget, b.cfg.hedgeCap)
+			g.hedger = qos.NewFixedHedger(b.cfg.hedgeBudget)
 		}
 		live := 0
 		var dialErr error

@@ -20,7 +20,6 @@ type ClusterOption func(*clusterConfig)
 
 type clusterConfig struct {
 	replicas      int
-	storeOpts     []storage.OpenOption
 	ingest        bool
 	sharedPool    int64
 	sharedPoolSet bool
@@ -37,13 +36,6 @@ func WithReplicas(r int) ClusterOption {
 	return func(c *clusterConfig) { c.replicas = r }
 }
 
-// WithStorageOptions forwards storage open options (e.g.
-// storage.WithPrefetchWorkers) to every partition replica opened by
-// StartClusterFromDirs. Ignored by in-memory StartCluster.
-func WithStorageOptions(opts ...storage.OpenOption) ClusterOption {
-	return func(c *clusterConfig) { c.storeOpts = append(c.storeOpts, opts...) }
-}
-
 // WithSharedPool serves every partition replica StartClusterFromDirs
 // opens through ONE cross-server buffer manager with the given byte
 // budget (0 = unbounded) instead of a private manager per replica. On a
@@ -54,9 +46,8 @@ func WithStorageOptions(opts ...storage.OpenOption) ClusterOption {
 // co-located partitions whose blob names collide (every partition
 // directory allocates seg-000001) can never read each other's chunks;
 // replicas serving the same
-// directory share a namespace and therefore share cached chunks. A
-// WithCacheAdmission riding in WithStorageOptions applies to the shared
-// manager. Ignored by in-memory StartCluster.
+// directory share a namespace and therefore share cached chunks. Ignored
+// by in-memory StartCluster.
 func WithSharedPool(budgetBytes int64) ClusterOption {
 	return func(c *clusterConfig) { c.sharedPool, c.sharedPoolSet = budgetBytes, true }
 }
@@ -89,16 +80,16 @@ func applyClusterOptions(opts []ClusterOption) clusterConfig {
 
 // slotMeta is the cluster-side record of one serving slot: the server,
 // its last known address (revival reuses it), the directory it serves
-// (empty for in-memory partitions), the storage options a reopen must
-// repeat (shared-pool slots carry their cache namespace), the logical
-// host label placement decisions are made against, and whether the
-// directory is cluster-owned — created by an elastic operation and
-// deleted when the slot retires.
+// (empty for in-memory partitions), the cache namespace a reopen must
+// repeat under a shared pool (see slotCache), the logical host label
+// placement decisions are made against, and whether the directory is
+// cluster-owned — created by an elastic operation and deleted when the
+// slot retires.
 type slotMeta struct {
 	srv   *Server
 	addr  string
 	dir   string
-	opts  []storage.OpenOption
+	ns    string
 	host  string
 	owned bool
 }
@@ -128,8 +119,7 @@ type Cluster struct {
 	elastic sync.Mutex
 	slots   [][]*slotMeta
 
-	ingest    bool // started with WithIngest — elastic ops require it
-	storeOpts []storage.OpenOption
+	ingest    bool   // started with WithIngest — elastic ops require it
 	baseDir   string // parent dir for cluster-owned partition copies
 	nextNS    int    // monotonic cache-namespace counter for elastic slots
 	poolBytes int64
@@ -146,6 +136,18 @@ type Cluster struct {
 	// sharedMgr is the cross-server buffer manager (WithSharedPool), nil
 	// without one.
 	sharedMgr *storage.Manager
+}
+
+// slotCache returns the chunk cache a dir-backed slot's server reads
+// through — the one place a cluster decides it, for first start, revival
+// and elastic placement alike: a view of the cross-server pool under the
+// slot's namespace (WithSharedPool), else a manager of the slot's own with
+// the cluster's per-replica budget.
+func slotCache(shared *storage.Manager, poolBytes int64, ns string) storage.FetchCache {
+	if shared != nil {
+		return storage.NewCacheView(shared, ns)
+	}
+	return storage.NewManager(poolBytes)
 }
 
 // SharedPool returns the cross-server buffer manager a WithSharedPool
@@ -491,8 +493,7 @@ func BuildLivePartitions(c *corpus.Collection, n int, cfg ir.BuildConfig, baseDi
 // Nothing is rebuilt and no collection is needed: each server reads its
 // manifests and serves, with posting data streaming in through a buffer
 // manager with poolBytes budget (0 = unbounded) as queries arrive — the
-// cold-start path a production fleet restarts through. Storage options
-// ride in via WithStorageOptions and apply to every replica. Opens run in
+// cold-start path a production fleet restarts through. Opens run in
 // parallel.
 func StartClusterFromDirs(dirs []string, poolBytes int64, opts ...ClusterOption) (*Cluster, error) {
 	if len(dirs) == 0 {
@@ -501,7 +502,6 @@ func StartClusterFromDirs(dirs []string, poolBytes int64, opts ...ClusterOption)
 	ccfg := applyClusterOptions(opts)
 	servers := make([]*Server, len(dirs)*ccfg.replicas)
 	replicaDirs := make([]string, len(servers))
-	slotOpts := make([][]storage.OpenOption, len(servers))
 	// One cross-server pool (WithSharedPool): every slot reads through a
 	// namespaced view of this manager instead of a private one. Slots
 	// serving the same directory share a namespace (and so share cached
@@ -509,24 +509,18 @@ func StartClusterFromDirs(dirs []string, poolBytes int64, opts ...ClusterOption)
 	// so colliding blob names can never alias.
 	var shared *storage.Manager
 	if ccfg.sharedPoolSet {
-		shared = storage.NewManager(ccfg.sharedPool,
-			storage.WithAdmissionPolicy(storage.ResolveAdmission(ccfg.storeOpts)))
+		shared = storage.NewManager(ccfg.sharedPool)
 	}
-	for i := range slotOpts {
+	slotNS := make([]string, len(servers))
+	for i := range slotNS {
 		p, r := i/ccfg.replicas, i%ccfg.replicas
-		slotOpts[i] = ccfg.storeOpts
-		if shared == nil {
-			continue
-		}
-		ns := fmt.Sprintf("p%d/", p)
+		slotNS[i] = fmt.Sprintf("p%d/", p)
 		if ccfg.ingest && r > 0 {
 			// Ingest replicas past the first serve their own directory copy
 			// (see below) — same segment names, independently evolving
 			// generations — so each gets its own namespace.
-			ns = fmt.Sprintf("p%d-r%d/", p, r)
+			slotNS[i] = fmt.Sprintf("p%d-r%d/", p, r)
 		}
-		slotOpts[i] = append(append([]storage.OpenOption{}, ccfg.storeOpts...),
-			storage.WithSharedManager(shared), storage.WithCacheNamespace(ns))
 	}
 	errs := make([]error, len(servers))
 	var wg sync.WaitGroup
@@ -551,7 +545,7 @@ func StartClusterFromDirs(dirs []string, poolBytes int64, opts ...ClusterOption)
 					}
 				}
 				replicaDirs[i] = dir
-				servers[i], errs[i] = serveSegmentedDir(dir, "127.0.0.1:0", poolBytes, slotOpts[i])
+				servers[i], errs[i] = serveSegmentedDir(dir, "127.0.0.1:0", slotCache(shared, poolBytes, slotNS[i]))
 			}(p, r)
 		}
 	}
@@ -561,13 +555,12 @@ func StartClusterFromDirs(dirs []string, poolBytes int64, opts ...ClusterOption)
 	}
 	cl := assemble(servers, len(dirs), ccfg.replicas)
 	cl.sharedMgr = shared
-	cl.storeOpts = ccfg.storeOpts
 	cl.poolBytes = poolBytes
 	cl.baseDir = filepath.Dir(dirs[0])
 	for i := range servers {
 		p, r := i/ccfg.replicas, i%ccfg.replicas
 		sl := cl.slots[p][r]
-		sl.opts, sl.dir = slotOpts[i], replicaDirs[i]
+		sl.ns, sl.dir = slotNS[i], replicaDirs[i]
 	}
 	cl.ingest = ccfg.ingest
 	return cl, nil
@@ -591,7 +584,6 @@ func (cl *Cluster) KillReplica(p, r int) error {
 func (cl *Cluster) ReviveReplica(p, r int) error {
 	cl.mu.Lock()
 	sl := cl.slots[p][r]
-	poolBytes := cl.poolBytes
 	cl.mu.Unlock()
 	if sl.dir == "" {
 		return fmt.Errorf("dist: partition %d replica %d not revivable (in-memory partition, no directory to reopen)", p, r)
@@ -602,7 +594,7 @@ func (cl *Cluster) ReviveReplica(p, r int) error {
 	var s *Server
 	var err error
 	for deadline := time.Now().Add(2 * time.Second); ; {
-		s, err = serveSegmentedDir(sl.dir, sl.addr, poolBytes, sl.opts)
+		s, err = serveSegmentedDir(sl.dir, sl.addr, slotCache(cl.sharedMgr, cl.poolBytes, sl.ns))
 		if err == nil || time.Now().After(deadline) {
 			break
 		}

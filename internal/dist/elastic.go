@@ -41,21 +41,16 @@ func (cl *Cluster) elasticDir(lo int64, host string) string {
 	return filepath.Join(cl.baseDir, fmt.Sprintf("elastic-lo%d-%s", lo, host))
 }
 
-// elasticOpts builds the storage options for a newly placed slot: the
-// cluster's base options plus, under a shared pool, a fresh cache
-// namespace — elastic slots serve independently evolving directories, so
-// they must never alias another slot's cached chunks.
-func (cl *Cluster) elasticOpts() []storage.OpenOption {
+// elasticCache returns the chunk cache (and, for revival, its namespace)
+// of a newly placed slot: under a shared pool a fresh namespace — elastic
+// slots serve independently evolving directories, so they must never alias
+// another slot's cached chunks.
+func (cl *Cluster) elasticCache() (storage.FetchCache, string) {
 	cl.mu.Lock()
 	defer cl.mu.Unlock()
-	opts := append([]storage.OpenOption{}, cl.storeOpts...)
-	if cl.sharedMgr != nil {
-		ns := fmt.Sprintf("e%d/", cl.nextNS)
-		cl.nextNS++
-		opts = append(opts,
-			storage.WithSharedManager(cl.sharedMgr), storage.WithCacheNamespace(ns))
-	}
-	return opts
+	ns := fmt.Sprintf("e%d/", cl.nextNS)
+	cl.nextNS++
+	return slotCache(cl.sharedMgr, cl.poolBytes, ns), ns
 }
 
 // retargetAll rebinds every broker to the given replica layout.
@@ -132,7 +127,6 @@ func (cl *Cluster) AddReplica(ctx context.Context, p int, host string, brokers .
 			return fmt.Errorf("dist: partition %d already has a replica on host %s", p, host)
 		}
 	}
-	poolBytes := cl.poolBytes
 	cl.mu.Unlock()
 
 	lo, err := partitionLo(src.dir)
@@ -144,8 +138,8 @@ func (cl *Cluster) AddReplica(ctx context.Context, p int, host string, brokers .
 		return err
 	}
 
-	opts := cl.elasticOpts()
-	srv, err := serveSegmentedDir(dst, "127.0.0.1:0", poolBytes, opts)
+	cache, ns := cl.elasticCache()
+	srv, err := serveSegmentedDir(dst, "127.0.0.1:0", cache)
 	if err != nil {
 		return err
 	}
@@ -163,7 +157,7 @@ func (cl *Cluster) AddReplica(ctx context.Context, p int, host string, brokers .
 
 	cl.mu.Lock()
 	cl.slots[p] = append(cl.slots[p],
-		&slotMeta{srv: srv, addr: srv.Addr(), dir: dst, opts: opts, host: host, owned: true})
+		&slotMeta{srv: srv, addr: srv.Addr(), dir: dst, ns: ns, host: host, owned: true})
 	cl.rebuildViews()
 	groups := cl.currentGroupsLocked()
 	cl.mu.Unlock()
@@ -364,7 +358,6 @@ func (cl *Cluster) SplitPartition(ctx context.Context, p int, at int64, brokers 
 	}
 	left := cl.slots[p][0]
 	n := len(cl.slots)
-	poolBytes := cl.poolBytes
 	cl.mu.Unlock()
 
 	if err := freezeAll(ctx, brokers, n, p); err != nil {
@@ -399,8 +392,8 @@ func (cl *Cluster) SplitPartition(ctx context.Context, p int, at int64, brokers 
 		return fail(fmt.Errorf("dist: partition %d already split below %d but right half %s is missing",
 			p, at, rightDir))
 	}
-	opts := cl.elasticOpts()
-	rsrv, err := serveSegmentedDir(rightDir, "127.0.0.1:0", poolBytes, opts)
+	cache, ns := cl.elasticCache()
+	rsrv, err := serveSegmentedDir(rightDir, "127.0.0.1:0", cache)
 	if err != nil {
 		return fail(err)
 	}
@@ -433,7 +426,7 @@ func (cl *Cluster) SplitPartition(ctx context.Context, p int, at int64, brokers 
 	}
 
 	cl.mu.Lock()
-	rslot := &slotMeta{srv: rsrv, addr: rsrv.Addr(), dir: rightDir, opts: opts, host: left.host, owned: true}
+	rslot := &slotMeta{srv: rsrv, addr: rsrv.Addr(), dir: rightDir, ns: ns, host: left.host, owned: true}
 	next := make([][]*slotMeta, 0, len(cl.slots)+1)
 	next = append(next, cl.slots[:p+1]...)
 	next = append(next, []*slotMeta{rslot})

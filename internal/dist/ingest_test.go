@@ -209,7 +209,7 @@ func TestPinnedGenerationMatchesCentralized(t *testing.T) {
 	shadowCfg := bc
 	shadowCfg.Stats = nil // match the append path: per-directory statistics
 	snapshotExpected := func(gen uint64) {
-		snap, err := storage.OpenSegmented(shadow, 0)
+		snap, err := storage.OpenSegmented(shadow, storage.NewManager(0), 0)
 		if err != nil {
 			t.Fatalf("open shadow at generation %d: %v", gen, err)
 		}

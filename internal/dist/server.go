@@ -95,10 +95,10 @@ func startServer(part *corpus.Collection, cfg ir.BuildConfig) (*Server, error) {
 
 // serveSegmentedDir opens a partition directory as a dir-backed server
 // listening on addr ("127.0.0.1:0" for an ephemeral port; a fixed address
-// revives a replica in place). The directory must hold at least one
-// segment already.
-func serveSegmentedDir(dir, addr string, poolBytes int64, opts []storage.OpenOption) (*Server, error) {
-	core, err := serving.OpenDir(dir, poolBytes, opts, serving.Config{})
+// revives a replica in place), reading through cache (see slotCache) with
+// demand paging only. The directory must hold at least one segment already.
+func serveSegmentedDir(dir, addr string, cache storage.FetchCache) (*Server, error) {
+	core, err := serving.OpenDir(dir, cache, 0, serving.Config{})
 	if err != nil {
 		return nil, err
 	}

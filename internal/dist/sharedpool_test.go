@@ -4,7 +4,6 @@ import (
 	"testing"
 
 	"repro/internal/ir"
-	"repro/internal/storage"
 )
 
 // TestSharedPoolMatchesCentralized pins the cross-server buffer pool's
@@ -16,8 +15,7 @@ import (
 // several; without per-slot cache namespaces, partition 2's cached chunk
 // would satisfy partition 0's read.
 // Replicas are in play too (same-dir replicas share a namespace, so they
-// share cached chunks), and the shared manager runs the 2Q policy to pin
-// that WithCacheAdmission reaches it.
+// share cached chunks).
 func TestSharedPoolMatchesCentralized(t *testing.T) {
 	c := testCollection(t)
 	central, err := ir.Build(c, ir.DefaultBuildConfig())
@@ -46,8 +44,7 @@ func TestSharedPoolMatchesCentralized(t *testing.T) {
 		t.Run(name, func(t *testing.T) {
 			cl, err := StartClusterFromDirs(build(t), 32<<20,
 				WithReplicas(2),
-				WithSharedPool(256<<10), // tight: partitions evict each other
-				WithStorageOptions(storage.WithCacheAdmission(storage.Admission2Q)))
+				WithSharedPool(256<<10)) // tight: partitions evict each other
 			if err != nil {
 				t.Fatal(err)
 			}

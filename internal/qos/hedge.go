@@ -20,6 +20,9 @@ const (
 	// quantile is computed over.
 	hedgeWindow = 30 * time.Second
 	hedgeSlices = 6
+	// hedgeRateCap is the fraction of calls an adaptive hedger may
+	// duplicate.
+	hedgeRateCap = 0.05
 )
 
 // Hedger computes a replica group's hedge budget. The adaptive source
@@ -27,10 +30,10 @@ const (
 // (default p95) of the group's recent wins — "if this attempt is slower
 // than 95% of recent attempts, assume it hit a straggler and duplicate
 // it"; the fixed source (NewFixedHedger) is that hand-tuned constant. A
-// hedge-rate cap bounds the duplicated work under either: TryHedge refuses
-// once hedges exceed the configured fraction of calls, so a pathological
-// group (every request slow) degrades to at most cap× extra load instead
-// of doubling it.
+// hedge-rate cap bounds the duplicated work of the adaptive source:
+// TryHedge refuses once hedges exceed hedgeRateCap of calls, so a
+// pathological group (every request slow) degrades to at most 5% extra
+// load instead of doubling it.
 type Hedger struct {
 	fixed    time.Duration // > 0: the constant budget source
 	quantile float64
@@ -43,31 +46,24 @@ type Hedger struct {
 }
 
 // NewHedger returns a hedger targeting the given latency quantile
-// (<=0 or >=1 defaults to 0.95) under the given hedge-rate cap
-// (<=0 defaults to 0.05, i.e. at most 5% of calls hedge).
-func NewHedger(quantile, rateCap float64) *Hedger {
+// (<=0 or >=1 defaults to 0.95) under the hedge-rate cap: at most 5% of
+// calls hedge.
+func NewHedger(quantile float64) *Hedger {
 	if quantile <= 0 || quantile >= 1 {
 		quantile = 0.95
 	}
-	if rateCap <= 0 {
-		rateCap = 0.05
-	}
 	return &Hedger{
 		quantile: quantile,
-		rateCap:  rateCap,
+		rateCap:  hedgeRateCap,
 		hist:     metrics.NewHistogram(hedgeWindow, hedgeSlices),
 	}
 }
 
 // NewFixedHedger returns a hedger whose budget is the constant d from the
-// first call on (no warm-up: there is no quantile to trust). rateCap <= 0
-// leaves hedging uncapped — a fixed budget is an explicit operator choice
-// — while a positive cap bounds it exactly as for the adaptive source.
-func NewFixedHedger(d time.Duration, rateCap float64) *Hedger {
-	if rateCap <= 0 {
-		rateCap = math.Inf(1)
-	}
-	return &Hedger{fixed: d, rateCap: rateCap}
+// first call on (no warm-up: there is no quantile to trust), uncapped — a
+// fixed budget is an explicit operator choice.
+func NewFixedHedger(d time.Duration) *Hedger {
+	return &Hedger{fixed: d, rateCap: math.Inf(1)}
 }
 
 // Observe records the latency of a completed (winning) attempt; a fixed

@@ -82,16 +82,17 @@ type Core struct {
 	closed atomic.Bool
 
 	// Directory-backed state, zero for cores built with New: the segmented
-	// directory served, the options every generation opens with (they carry
-	// the long-lived buffer manager, so a refresh keeps unchanged segments'
-	// chunks warm), the physical layout appends must match, the chunk cache
-	// a removed segment's frames are dropped from, and whether the
-	// directory's statistics are externally coordinated.
-	dir      string
-	openOpts []storage.OpenOption
-	layout   ir.BuildConfig
-	chunks   interface{ DropPrefix(string) int64 }
-	external bool
+	// directory served, the chunk cache every generation opens against (it
+	// outlives them, so a refresh keeps unchanged segments' chunks warm, and
+	// a removed segment's frames are dropped from it), the read-ahead
+	// workers each segment opens with, the physical layout appends must
+	// match, and whether the directory's statistics are externally
+	// coordinated.
+	dir             string
+	chunks          storage.FetchCache
+	prefetchWorkers int
+	layout          ir.BuildConfig
+	external        bool
 
 	// commitMu serializes everything that rewrites SEGMENTS.json, swaps the
 	// current generation, or deletes segment directories.
@@ -141,27 +142,26 @@ func New(snap *ir.Snapshot, cfg Config) *Core {
 }
 
 // OpenDir returns a core serving the current generation of an index
-// directory, with live-commit support (Refresh, Commit, Sweep). One
-// buffer manager with a poolBytes budget (0 = unbounded) lives as long as
-// the core and is shared by every generation it opens; a manager riding in
-// opts (a cross-server shared pool) takes its place.
-func OpenDir(dir string, poolBytes int64, opts []storage.OpenOption, cfg Config) (*Core, error) {
+// directory, with live-commit support (Refresh, Commit, Sweep). Every
+// generation the core opens reads through chunks — a *storage.Manager of
+// the core's own or a storage.CacheView of one it shares; the caller built
+// it, so the caller chose its budget, admission policy and co-tenants —
+// with prefetchWorkers read-ahead workers per segment (0 = demand paging
+// only, see storage.OpenSegmented).
+func OpenDir(dir string, chunks storage.FetchCache, prefetchWorkers int, cfg Config) (*Core, error) {
 	sm, err := storage.ReadSegments(dir)
 	if err != nil {
 		return nil, err
 	}
-	mgr := storage.NewManager(poolBytes, storage.WithAdmissionPolicy(storage.ResolveAdmission(opts)))
-	opts = append([]storage.OpenOption{storage.WithSharedManager(mgr)}, opts...)
-	snap, err := storage.OpenSegmented(dir, poolBytes, opts...)
+	snap, err := storage.OpenSegmented(dir, chunks, prefetchWorkers)
 	if err != nil {
 		return nil, err
 	}
 	c := newCore(cfg)
-	c.dir, c.openOpts, c.external = dir, opts, sm.External
+	c.dir, c.chunks, c.prefetchWorkers, c.external = dir, chunks, prefetchWorkers, sm.External
 	c.layout = snap.Primary().Config()
 	// Appends reproduce the physical layout, not a segment's identity.
 	c.layout.Stats, c.layout.DocIDBase, c.layout.TablePrefix = nil, 0, ""
-	c.chunks, _ = snap.Primary().Cache.(interface{ DropPrefix(string) int64 })
 	c.installLocked(snap, sm.Names())
 	return c, nil
 }
@@ -322,7 +322,7 @@ func (c *Core) refreshLocked() error {
 	if sm.Generation <= cur.snap.Gen() {
 		return nil
 	}
-	snap, err := storage.OpenSegmented(c.dir, 0, c.openOpts...)
+	snap, err := storage.OpenSegmented(c.dir, c.chunks, c.prefetchWorkers)
 	if err != nil {
 		return err
 	}
@@ -396,10 +396,8 @@ func (c *Core) sweep(only []string) {
 	// A removed segment's cached chunks go with it: under an unbounded
 	// budget nothing else would ever release them, and under a bounded one
 	// they would squat on budget until the clock hand cycled past.
-	if c.chunks != nil {
-		for _, name := range removed {
-			c.chunks.DropPrefix(name + ".")
-		}
+	for _, name := range removed {
+		c.chunks.DropPrefix(name + ".")
 	}
 }
 

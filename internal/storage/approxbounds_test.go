@@ -245,7 +245,7 @@ func TestApproxBoundsRankingEquivalence(t *testing.T) {
 	}
 	want := searchAll(t, ir.NewSearcher(plain, 0), queries, k)
 
-	snap, err := OpenSegmented(dir, 0)
+	snap, err := OpenSegmented(dir, NewManager(0), 0)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -22,7 +22,8 @@
 // WriteSegmentedIndex persists pre-built indexes as generation 1;
 // AppendSegment indexes a document batch into one fresh segment and
 // atomically commits generation+1; OpenSegmented opens every segment of
-// the newest generation against one shared buffer manager and recomputes
+// the newest generation against the one chunk cache its caller hands in
+// (a Manager, or a CacheView of a shared one) and recomputes
 // collection-wide statistics exactly from the manifests (directories
 // marked External carry statistics coordinated elsewhere and refuse local
 // writers with ErrExternalStats); PlanMerge/BuildMergedSegment/CommitMerge

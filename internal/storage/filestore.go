@@ -23,63 +23,37 @@ const readAlign = 4096
 // directory.
 const blobExt = ".col"
 
-// FileStoreOption tunes a FileStore at construction.
-type FileStoreOption func(*FileStore)
-
-// WithMmap switches the store's read path to memory mapping: each blob
-// file is mapped once (read-only, shared) on first read, and Read serves
-// a single copy out of the mapping — no read(2) per request, no widened
-// private buffer, and warm requests resolve entirely in user space. Blobs
-// that fail to map (zero-length files, exotic filesystems, platforms
-// without mmap) fall back to the positioned-read path transparently, so
-// the option is always safe to set.
-func WithMmap() FileStoreOption {
-	return func(fs *FileStore) { fs.useMmap = true }
-}
-
 // FileStore is a colbm.BlockStore over real files: every blob is one file
-// in a directory, written once at index-build time and read back either
-// with aligned sequential positioned reads or — under WithMmap — straight
-// out of a per-blob memory mapping. It is safe for concurrent use; the
-// read path takes only a read-lock for the handle lookup and counts its
-// statistics on atomics, so reads on distinct goroutines proceed in
-// parallel.
+// in a directory, written once at index-build time and read back with
+// aligned sequential positioned reads — the one read path, on every
+// platform. It is safe for concurrent use; the read path takes only a
+// read-lock for the handle lookup and counts its statistics on atomics, so
+// reads on distinct goroutines proceed in parallel.
 type FileStore struct {
-	dir     string
-	useMmap bool
+	dir string
 
 	mu     sync.RWMutex
 	files  map[string]*os.File
 	sizes  map[string]int64
-	maps   map[string][]byte // blob -> mapping; nil entry = mapping failed, use ReadAt
 	closed bool
 
 	reads, bytesRead, ioNanos atomic.Int64
 }
 
 // NewFileStore opens (creating if needed) the directory as a block store.
-func NewFileStore(dir string, opts ...FileStoreOption) (*FileStore, error) {
+func NewFileStore(dir string) (*FileStore, error) {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, fmt.Errorf("storage: %w", err)
 	}
-	fs := &FileStore{
+	return &FileStore{
 		dir:   dir,
 		files: make(map[string]*os.File),
 		sizes: make(map[string]int64),
-		maps:  make(map[string][]byte),
-	}
-	for _, opt := range opts {
-		opt(fs)
-	}
-	return fs, nil
+	}, nil
 }
 
 // Dir returns the directory backing the store.
 func (fs *FileStore) Dir() string { return fs.dir }
-
-// MmapEnabled reports whether the store was opened with WithMmap on a
-// platform that supports it (individual blobs may still fall back).
-func (fs *FileStore) MmapEnabled() bool { return fs.useMmap && mmapSupported }
 
 func (fs *FileStore) path(name string) string {
 	return filepath.Join(fs.dir, name+blobExt)
@@ -93,12 +67,6 @@ func (fs *FileStore) Write(name string, data []byte) error {
 	if fs.closed {
 		fs.mu.Unlock()
 		return fmt.Errorf("storage: write %q on closed store", name)
-	}
-	if m, ok := fs.maps[name]; ok { // invalidate a stale mapping
-		if m != nil {
-			munmapFile(m)
-		}
-		delete(fs.maps, name)
 	}
 	if f, ok := fs.files[name]; ok { // invalidate a stale read handle
 		f.Close()
@@ -175,81 +143,22 @@ func (fs *FileStore) handle(name string) (*os.File, int64, error) {
 	return f, fi.Size(), nil
 }
 
-// mapping returns the blob's memory mapping, establishing it on first
-// use. A blob that cannot be mapped is remembered with a nil entry so the
-// fallback decision is made once, not per read.
-func (fs *FileStore) mapping(name string) ([]byte, bool) {
-	fs.mu.RLock()
-	m, ok := fs.maps[name]
-	fs.mu.RUnlock()
-	if ok {
-		return m, m != nil
-	}
-	f, size, err := fs.handle(name)
-	if err != nil {
-		return nil, false // Read surfaces the error through the ReadAt path
-	}
-	fs.mu.Lock()
-	defer fs.mu.Unlock()
-	if fs.closed {
-		return nil, false
-	}
-	if m, ok := fs.maps[name]; ok { // raced another mapper
-		return m, m != nil
-	}
-	m, err = mmapFile(f, size)
-	if err != nil {
-		m = nil // fall back to ReadAt for this blob, permanently
-	}
-	fs.maps[name] = m
-	return m, m != nil
-}
-
 // Read returns size bytes of blob name starting at off. The returned
 // slice is private to the caller: a fresh sub-slice of the widened
-// positioned read, or a single copy out of the blob's memory mapping
-// under WithMmap.
+// positioned read.
 func (fs *FileStore) Read(name string, off, size int) ([]byte, error) {
-	data, _, _, err := fs.readSpan(name, off, size)
+	data, _, _, err := fs.ReadSpan(name, off, size)
 	return data, err
 }
 
 // ReadSpan is Read surfacing the whole span the store touched to satisfy
 // the request: span covers [spanOff, spanOff+len(span)) of the blob and
-// contains data's bytes, so a caller that knows the blob's chunk layout
-// can admit *adjacent* chunks the aligned read already paid for. Unlike
-// data (caller-owned), span may alias store-internal state (the mmap
-// mapping); it is read-only and valid only until the blob is rewritten or
-// the store closes — copy out anything worth keeping.
+// contains data's bytes (data is a sub-slice of it), so a caller that knows
+// the blob's chunk layout can admit *adjacent* chunks the aligned read
+// already paid for.
 func (fs *FileStore) ReadSpan(name string, off, size int) (data, span []byte, spanOff int, err error) {
-	return fs.readSpan(name, off, size)
-}
-
-func (fs *FileStore) readSpan(name string, off, size int) (data, span []byte, spanOff int, err error) {
 	if off < 0 || size < 0 {
 		return nil, nil, 0, fmt.Errorf("storage: read [%d,%d) of blob %q", off, off+size, name)
-	}
-	if fs.useMmap {
-		if m, ok := fs.mapping(name); ok {
-			if off+size > len(m) {
-				return nil, nil, 0, fmt.Errorf("storage: read [%d,%d) out of blob %q of %d bytes",
-					off, off+size, name, len(m))
-			}
-			start := time.Now()
-			data = append([]byte(nil), m[off:off+size]...)
-			fs.reads.Add(1)
-			fs.bytesRead.Add(int64(size))
-			fs.ioNanos.Add(time.Since(start).Nanoseconds())
-			lo := off - off%readAlign
-			hi := off + size
-			if rem := hi % readAlign; rem != 0 {
-				hi += readAlign - rem
-			}
-			if hi > len(m) {
-				hi = len(m)
-			}
-			return data, m[lo:hi:hi], lo, nil
-		}
 	}
 	f, fileSize, err := fs.handle(name)
 	if err != nil {
@@ -276,31 +185,6 @@ func (fs *FileStore) readSpan(name string, off, size int) (data, span []byte, sp
 	fs.bytesRead.Add(int64(len(buf)))
 	fs.ioNanos.Add(time.Since(start).Nanoseconds())
 	return buf[int64(off)-lo : int64(off)-lo+int64(size)], buf, int(lo), nil
-}
-
-// AdviseSequential hints the kernel that [off, off+size) of the blob is
-// about to be read sequentially — the prefetcher calls it ahead of each
-// coalesced run, so the mapped pages stream in with aggressive kernel
-// read-ahead instead of faulting one page at a time. No-op without an
-// established mapping (the positioned-read path is already one large
-// sequential request).
-func (fs *FileStore) AdviseSequential(name string, off, size int) {
-	if !fs.useMmap || off < 0 || size <= 0 {
-		return
-	}
-	m, ok := fs.mapping(name)
-	if !ok {
-		return
-	}
-	lo := off - off%readAlign
-	hi := off + size
-	if hi > len(m) {
-		hi = len(m)
-	}
-	if lo >= hi {
-		return
-	}
-	madviseSequential(m[lo:hi])
 }
 
 // Size returns the stored size of a blob, or 0 if absent.
@@ -336,8 +220,7 @@ func (fs *FileStore) TotalSize() int64 {
 	return total
 }
 
-// Stats returns a snapshot of the read counters. IOTime is measured time
-// (under mmap: the copy out of the mapping, page faults included),
+// Stats returns a snapshot of the read counters. IOTime is measured time,
 // already part of any wall-clock measurement that covers the reads.
 func (fs *FileStore) Stats() DiskStats {
 	return DiskStats{
@@ -358,8 +241,7 @@ func (fs *FileStore) ResetStats() {
 // time.
 func (fs *FileStore) Simulated() bool { return false }
 
-// Close releases every mapping and open file handle; the store is
-// unusable afterwards.
+// Close releases every open file handle; the store is unusable afterwards.
 func (fs *FileStore) Close() error {
 	fs.mu.Lock()
 	defer fs.mu.Unlock()
@@ -368,15 +250,6 @@ func (fs *FileStore) Close() error {
 	}
 	fs.closed = true
 	var first error
-	for _, m := range fs.maps {
-		if m == nil {
-			continue
-		}
-		if err := munmapFile(m); err != nil && first == nil {
-			first = err
-		}
-	}
-	fs.maps = nil
 	for _, f := range fs.files {
 		if err := f.Close(); err != nil && first == nil {
 			first = err

@@ -1,0 +1,132 @@
+package storage
+
+import (
+	"bytes"
+	"testing"
+)
+
+// seededStore opens a store over a fresh directory holding the given blobs.
+func seededStore(t *testing.T, blobs map[string][]byte) *FileStore {
+	t.Helper()
+	fs, err := NewFileStore(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { fs.Close() })
+	for name, data := range blobs {
+		if err := fs.Write(name, data); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return fs
+}
+
+// pattern fills n bytes with a position-derived pattern so any misaligned
+// read is caught byte-for-byte.
+func pattern(n int) []byte {
+	b := make([]byte, n)
+	for i := range b {
+		b[i] = byte(i*7 + i>>8)
+	}
+	return b
+}
+
+// TestFileStoreReadMatchesBlob pins the read path's correctness contract:
+// the alignment-widened positioned read hands back exactly the requested
+// bytes, across aligned and unaligned offsets, sizes spanning alignment
+// boundaries, whole-blob reads, empty reads and a zero-length blob — in a
+// slice that is the caller's to scribble on.
+func TestFileStoreReadMatchesBlob(t *testing.T) {
+	blobs := map[string][]byte{
+		"big":   pattern(3*readAlign + 517), // spans several pages, odd tail
+		"small": pattern(37),                // sub-page blob
+		"empty": {},
+	}
+	fs := seededStore(t, blobs)
+	reqs := []struct {
+		name      string
+		off, size int
+	}{
+		{"big", 0, len(blobs["big"])},     // whole blob
+		{"big", 0, readAlign},             // aligned prefix
+		{"big", readAlign, readAlign},     // aligned interior
+		{"big", 13, 517},                  // unaligned, sub-page
+		{"big", readAlign - 1, 2},         // straddles a boundary
+		{"big", len(blobs["big"]) - 5, 5}, // odd tail
+		{"big", len(blobs["big"]), 0},     // empty read at EOF
+		{"small", 0, 37},
+		{"small", 5, 0},
+		{"empty", 0, 0},
+	}
+	for _, r := range reqs {
+		got, err := fs.Read(r.name, r.off, r.size)
+		if err != nil {
+			t.Fatalf("read %+v: %v", r, err)
+		}
+		if !bytes.Equal(got, blobs[r.name][r.off:r.off+r.size]) {
+			t.Errorf("read %+v: bytes differ from the blob", r)
+		}
+		for i := range got {
+			got[i] = 0xFF // the slice is the caller's: scribbling must not reach the next reader
+		}
+		if again, _ := fs.Read(r.name, r.off, r.size); !bytes.Equal(again, blobs[r.name][r.off:r.off+r.size]) {
+			t.Errorf("read %+v: a caller's scribble reached the next read", r)
+		}
+	}
+	if _, err := fs.Read("big", len(blobs["big"])-1, 2); err == nil {
+		t.Error("read past the end of the blob succeeded")
+	}
+	if _, err := fs.Read("big", -1, 2); err == nil {
+		t.Error("read at a negative offset succeeded")
+	}
+}
+
+// TestFileStoreReadSpan pins the ReadSpan surface the prefetcher's adjacent
+// admission depends on: the span covers the requested bytes at the
+// advertised offset and is alignment-widened.
+func TestFileStoreReadSpan(t *testing.T) {
+	data := pattern(3 * readAlign)
+	fs := seededStore(t, map[string][]byte{"b": data})
+	got, span, spanOff, err := fs.ReadSpan("b", readAlign+100, 200)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(got, data[readAlign+100:readAlign+300]) {
+		t.Error("data wrong")
+	}
+	if spanOff != readAlign {
+		t.Errorf("spanOff %d, want %d (aligned down)", spanOff, readAlign)
+	}
+	if end := spanOff + len(span); end < readAlign+300 || end > len(data) {
+		t.Errorf("span end %d outside [%d,%d]", end, readAlign+300, len(data))
+	}
+	if !bytes.Equal(span, data[spanOff:spanOff+len(span)]) {
+		t.Error("span bytes wrong")
+	}
+	lo := readAlign + 100 - spanOff
+	if !bytes.Equal(span[lo:lo+200], got) {
+		t.Error("data not at its offset within span")
+	}
+}
+
+// TestFileStoreRewriteDropsHandle: rewriting a blob must drop its cached
+// read handle and size, so readers see the new bytes, not the renamed-over
+// old file's.
+func TestFileStoreRewriteDropsHandle(t *testing.T) {
+	old := pattern(readAlign)
+	fs := seededStore(t, map[string][]byte{"b": old})
+	if _, err := fs.Read("b", 0, len(old)); err != nil { // open the handle
+		t.Fatal(err)
+	}
+	fresh := bytes.Repeat([]byte{0xAB}, 2*readAlign)
+	if err := fs.Write("b", fresh); err != nil {
+		t.Fatal(err)
+	}
+	got, err := fs.Read("b", 0, len(fresh))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(got, fresh) {
+		t.Error("read served stale bytes after rewrite (handle not invalidated)")
+	}
+}

@@ -164,7 +164,7 @@ func TestMergeStreamsBoundedMemory(t *testing.T) {
 	}
 
 	// The merge must still be a correct one.
-	snap, err := OpenSegmented(dir, 0)
+	snap, err := OpenSegmented(dir, NewManager(0), 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -261,12 +261,12 @@ func TestShipAndInstallRoundTrip(t *testing.T) {
 	}
 
 	queries := c.PrecisionQueries(5, 19)
-	snapP, err := OpenSegmented(primary, 0)
+	snapP, err := OpenSegmented(primary, NewManager(0), 0)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer snapP.Close()
-	snapR, err := OpenSegmented(replica, 0)
+	snapR, err := OpenSegmented(replica, NewManager(0), 0)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -32,16 +32,18 @@ const DefaultPrefetchWindow = 32
 // themselves.
 var errPrefetchDropped = errors.New("storage: prefetch queue full, run dropped")
 
-// FetchCache is the slice of the buffer-manager surface the prefetcher
-// drives: demand caching plus the claim/deliver protocol of batched
-// fetches and the free-admission hook. *Manager implements it directly;
-// CacheView implements it over a shared manager with a private key
-// namespace.
+// FetchCache is the buffer-manager surface an opened directory reads
+// through: demand caching, the claim/deliver protocol of batched fetches
+// and the free-admission hook the prefetcher drives, and the by-prefix
+// eviction segment GC drops a removed segment's chunks with. *Manager
+// implements it directly; CacheView implements it over a shared manager
+// with a private key namespace.
 type FetchCache interface {
 	colbm.ChunkCache
 	BeginFetch(keys []string) []string
 	EndFetch(claimed []string, chunks map[string]*colbm.CachedChunk, err error)
 	Admit(key string, c *colbm.CachedChunk) bool
+	DropPrefix(prefix string) int64
 }
 
 // spanReader is the optional BlockStore extension surfacing the whole
@@ -49,12 +51,6 @@ type FetchCache interface {
 // it to admit adjacent chunks from bytes already paid for.
 type spanReader interface {
 	ReadSpan(name string, off, size int) (data, span []byte, spanOff int, err error)
-}
-
-// sequentialAdviser is the optional BlockStore extension for read-ahead
-// hints on memory-mapped blobs (FileStore.AdviseSequential).
-type sequentialAdviser interface {
-	AdviseSequential(name string, off, size int)
 }
 
 // Prefetcher is the manifest-driven read-ahead stage of the storage
@@ -362,9 +358,6 @@ func (p *Prefetcher) fetchRun(run *prefetchRun) {
 	off := first.Off
 	size := last.Off + last.Size - off
 
-	if adv, ok := p.store.(sequentialAdviser); ok {
-		adv.AdviseSequential(col.BlobName(), off, size)
-	}
 	var raw, span []byte
 	var spanOff int
 	var err error
@@ -417,8 +410,8 @@ func (p *Prefetcher) admitAdjacent(col *colbm.Column, cis []int, span []byte, sp
 		if m.Off < spanOff || m.Off+m.Size > spanOff+len(span) {
 			return false
 		}
-		// A private copy, like run chunks: cached chunks must never alias
-		// the span (it may be store-internal, e.g. an mmap mapping).
+		// A private copy, like run chunks: aliasing the span would pin the
+		// whole read in memory for as long as the chunk stays cached.
 		data := append([]byte(nil), span[m.Off-spanOff:m.Off-spanOff+m.Size]...)
 		ch, err := colbm.ParseCachedChunk(&col.Spec, data)
 		if err != nil {

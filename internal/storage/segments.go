@@ -543,7 +543,7 @@ func scanPostings(ix *ir.Index, delta int64, cancel func() bool,
 // are scanned through their tf and docid columns (a sequential read; no
 // tokenization, no sorting — the part of a rebuild appends actually skip).
 func (st *mergedStats) segScoreBounds(segDir string, lo, hi *float64) error {
-	ix, err := openSegment(segDir, NewManager(scanPoolBytes), openConfig{})
+	ix, err := openSegment(segDir, NewManager(scanPoolBytes), 0)
 	if err != nil {
 		return err
 	}
@@ -833,26 +833,30 @@ func SetBoundsPolicy(dir string, drift float64) error {
 }
 
 // OpenSegmented opens the current generation of a segmented directory as
-// an ir.Snapshot: every segment opens lazily (manifest only) against ONE
-// shared buffer manager with the given byte budget, collection-wide
+// an ir.Snapshot: every segment opens lazily (manifest only) against the
+// one chunk cache the caller hands in — a *Manager, or a CacheView of a
+// manager shared with other directories — so the caller decides the byte
+// budget, the admission policy and what else shares them; collection-wide
 // statistics are recomputed from the manifests and patched in, and
 // segments whose baked columns lag the statistics epoch are flagged for
-// virtual scoring. The returned snapshot owns the segments' storage.
-func OpenSegmented(dir string, poolBytes int64, opts ...OpenOption) (*ir.Snapshot, error) {
+// virtual scoring. A caller that reopens the directory generation after
+// generation passes the same cache each time: chunk keys are
+// segment-name-scoped and segment names are never reused, so the unchanged
+// segments stay warm and stale entries cannot alias. The returned snapshot
+// owns the segments' storage.
+//
+// prefetchWorkers > 0 turns on manifest-driven chunk prefetch with that
+// many read-ahead workers per segment: before a plan scans a posting
+// range, the searcher hands the range's chunk extents (recorded in the
+// manifest) to a Prefetcher that batch-fetches the missing chunks in large
+// sequential reads, ahead of the scanning cursor. 0 is demand paging only.
+func OpenSegmented(dir string, cache FetchCache, prefetchWorkers int) (*ir.Snapshot, error) {
 	sm, err := ReadSegments(dir)
 	if err != nil {
 		return nil, err
 	}
 	if len(sm.Segments) == 0 {
 		return nil, fmt.Errorf("storage: segmented index in %q has no segments", dir)
-	}
-	var oc openConfig
-	for _, opt := range opts {
-		opt(&oc)
-	}
-	mgr := oc.manager
-	if mgr == nil {
-		mgr = NewManager(poolBytes, WithAdmissionPolicy(oc.admission))
 	}
 	segs := make([]*ir.Index, 0, len(sm.Segments))
 	virtual := make([]bool, 0, len(sm.Segments))
@@ -865,7 +869,7 @@ func OpenSegmented(dir string, poolBytes int64, opts ...OpenOption) (*ir.Snapsho
 	}
 	prefixes := make(map[string]bool, len(sm.Segments))
 	for _, e := range sm.Segments {
-		ix, err := openSegment(filepath.Join(dir, e.Name), mgr, oc)
+		ix, err := openSegment(filepath.Join(dir, e.Name), cache, prefetchWorkers)
 		if err != nil {
 			return fail(err)
 		}
@@ -981,7 +985,7 @@ func streamSegments(w *ir.IndexWriter, segDirs []string, base int64, cancel func
 	}()
 	termSet := make(map[string]bool)
 	for _, segDir := range segDirs {
-		ix, err := openSegment(segDir, NewManager(scanPoolBytes), openConfig{})
+		ix, err := openSegment(segDir, NewManager(scanPoolBytes), 0)
 		if err != nil {
 			return err
 		}

@@ -128,7 +128,7 @@ func TestSegmentedEquivalence(t *testing.T) {
 		t.Run(name, func(t *testing.T) {
 			dir := filepath.Join(t.TempDir(), "segix")
 			build(dir)
-			snap, err := OpenSegmented(dir, 0)
+			snap, err := OpenSegmented(dir, NewManager(0), 0)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -158,7 +158,7 @@ func TestSegmentedStalenessFlags(t *testing.T) {
 	dir := filepath.Join(t.TempDir(), "segix")
 	appendInBatches(t, dir, coll, 3)
 
-	snap, err := OpenSegmented(dir, 0)
+	snap, err := OpenSegmented(dir, NewManager(0), 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -184,7 +184,7 @@ func TestSegmentedStalenessFlags(t *testing.T) {
 	if _, err := CommitMerge(dir, names, into, epoch); err != nil {
 		t.Fatal(err)
 	}
-	snap, err = OpenSegmented(dir, 0)
+	snap, err = OpenSegmented(dir, NewManager(0), 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -353,7 +353,7 @@ func TestSegmentedNewVocabularyEquivalence(t *testing.T) {
 	if _, err := AppendSegment(dir, batchB, ir.DefaultBuildConfig()); err != nil {
 		t.Fatal(err)
 	}
-	snap, err := OpenSegmented(dir, 0)
+	snap, err := OpenSegmented(dir, NewManager(0), 0)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -25,16 +25,12 @@ type engineConfig struct {
 	poolSet bool  // WithBufferPoolBytes given (overrides index.PoolBytes)
 	pool    int64 // buffer pool capacity in bytes
 
-	diskSet bool
-	disk    DiskParams
-
 	storageDir    string // WithStorageDir: persist to / serve from this directory
 	autoMerge     int    // WithAutoMerge: background merge above this segment count (0 = off)
 	mergeThrottle int    // WithMergeThrottle: pause merges above this many inflight queries (-1 = off)
 
 	prefetchWorkers int // WithPrefetch: read-ahead workers (0 = disabled)
 
-	mmapReads      bool           // WithMmapReads: serve column blobs via memory mappings
 	cacheAdmission CacheAdmission // WithCacheAdmission: buffer-manager admission policy
 	approxSet      bool           // WithApproxBounds given
 	approxBounds   float64        // quantization-bounds drift fraction (0 = exact)
@@ -58,6 +54,26 @@ func (c *engineConfig) crossValidate() {
 	}
 }
 
+// refusePersistedOnly appends one error per option that is set but only
+// means something over a persisted index directory; Open without
+// WithStorageDir and OpenIndex — the two in-memory entry points — call it.
+func (c *engineConfig) refusePersistedOnly() {
+	for _, o := range []struct {
+		set  bool
+		name string
+	}{
+		{c.prefetchWorkers > 0, "WithPrefetch"},
+		{c.cacheAdmission != AdmissionClock, "WithCacheAdmission"},
+		{c.approxSet, "WithApproxBounds"},
+		{c.autoMerge > 0, "WithAutoMerge"},
+	} {
+		if o.set {
+			c.errs = append(c.errs,
+				fmt.Errorf("repro: %s needs a persisted index (Open with WithStorageDir, or OpenDir)", o.name))
+		}
+	}
+}
+
 // Option configures an Engine at Open time.
 type Option func(*engineConfig)
 
@@ -70,8 +86,9 @@ func defaultEngineConfig() engineConfig {
 }
 
 // WithIndexConfig replaces the physical index configuration (which columns
-// are stored, chunk length, storage simulation). Later WithBufferPoolBytes /
-// WithDiskParams options still override the corresponding fields.
+// are stored, chunk length, storage simulation: IndexConfig.Disk is the
+// simulated disk model). WithBufferPoolBytes, before or after, overrides
+// IndexConfig.PoolBytes.
 func WithIndexConfig(cfg IndexConfig) Option {
 	return func(c *engineConfig) { c.index = cfg }
 }
@@ -218,17 +235,6 @@ func WithPrefetch(workers int) Option {
 	}
 }
 
-// WithMmapReads serves the persisted index's column files out of per-file
-// memory mappings instead of positioned reads: each .col file is mapped
-// once and a chunk read is a single copy out of the mapping — no read(2)
-// system call per request — with madvise(SEQUENTIAL) issued ahead of
-// prefetched runs. Platforms or files that cannot map fall back to the
-// positioned-read path transparently, byte-for-byte equivalent. Persisted
-// indexes only (Open with WithStorageDir, or OpenDir).
-func WithMmapReads() Option {
-	return func(c *engineConfig) { c.mmapReads = true }
-}
-
 // WithCacheAdmission selects the buffer manager's admission policy.
 // AdmissionClock (the default) inserts every fetched chunk into the main
 // clock ring; Admission2Q is the scan-resistant choice — a chunk enters a
@@ -341,17 +347,5 @@ func WithOpsServer(addr string) Option {
 			return
 		}
 		c.opsAddr = addr
-	}
-}
-
-// WithDiskParams replaces the simulated disk model (seek latency and
-// sequential bandwidth).
-func WithDiskParams(p DiskParams) Option {
-	return func(c *engineConfig) {
-		if p.SeekLatency < 0 || p.Bandwidth <= 0 {
-			c.errs = append(c.errs, fmt.Errorf("repro: invalid disk params %+v", p))
-			return
-		}
-		c.diskSet, c.disk = true, p
 	}
 }

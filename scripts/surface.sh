@@ -1,17 +1,31 @@
 #!/usr/bin/env bash
-# Report-only surface counts (ROADMAP: "lines, options and refusals go
-# down"): run from anywhere, prints one markdown table for the tree it
-# lives in. Nothing here gates a build.
+# Surface counts (ROADMAP: "lines, options and refusals go down"): run from
+# anywhere, prints one markdown table for the tree it lives in.
+#
+#	scripts/surface.sh [--max-options N]
+#
+# Report only, except under --max-options: more than N exported With*
+# options exits 1, so CI lets the count fall in any change but rise only in
+# one that edits N in the same diff.
 set -euo pipefail
+max_options=
+if [[ ${1:-} == --max-options ]]; then
+	max_options=${2:?usage: scripts/surface.sh [--max-options N]}
+fi
 cd "$(dirname "${BASH_SOURCE[0]}")/.."
 mapfile -t files < <(find . -name '*.go' ! -name '*_test.go' ! -path './bench/*' | sort)
 lines=$(cat "${files[@]}" | wc -l)
 options=$(grep -hE '^func With[A-Z]' "${files[@]}" | wc -l)
 engine_options=$(grep -cE '^func With[A-Z]' options.go)
+# Functional-option types: each is one more place a knob can be declared.
+option_types=$(grep -hE '^type ([A-Z][A-Za-z]*)?Option func\(' "${files[@]}" | wc -l)
 # Error messages that refuse an operation because of the directory's
 # layout or the server's mode, not because of the data.
 refusals=$(grep -hE 'errors\.New\(|fmt\.Errorf\(|resp\.Err = ' "${files[@]}" |
 	grep -cE 'needs? a segmented|monolithic|not a live ingest' || true)
+# ... and those that refuse an option because of how the engine was opened.
+persisted_refusals=$(grep -hE 'errors\.New\(|fmt\.Errorf\(' "${files[@]}" |
+	grep -cE 'needs a persisted index|cannot reconfigure' || true)
 ci=.github/workflows/ci.yml
 ci_lines=$(wc -l <"$ci")
 uploads=$(grep -c 'uses: actions/upload-artifact' "$ci" || true)
@@ -24,8 +38,14 @@ cat <<EOF
 | non-test Go lines outside bench/ | $lines |
 | exported With* options (all packages) | $options |
 | exported With* engine options (options.go) | $engine_options |
+| functional-option types | $option_types |
 | layout/mode refusal messages | $refusals |
+| persisted-only / cannot-reconfigure refusal messages | $persisted_refusals |
 | lines of ci.yml | $ci_lines |
 | upload-artifact steps in ci.yml | $uploads |
 | registered trecbench experiments | $experiments |
 EOF
+if [[ -n $max_options ]] && ((options > max_options)); then
+	echo "surface.sh: $options exported With* options, the bound is $max_options: delete one, or raise --max-options in ci.yml in this same change and say why" >&2
+	exit 1
+fi

@@ -208,8 +208,8 @@ type (
 	// ClusterRequest is one query of a broker batch (Broker.SearchMany
 	// ships a whole batch in one round trip per server).
 	ClusterRequest = dist.Request
-	// ClusterOption tunes cluster startup (replication factor, storage
-	// options for persisted partitions).
+	// ClusterOption tunes cluster startup (replication factor, live
+	// ingest).
 	ClusterOption = dist.ClusterOption
 	// BrokerOption tunes a broker at dial time (hedge budget).
 	BrokerOption = dist.BrokerOption
@@ -231,14 +231,10 @@ func WithHedgeBudget(d time.Duration) BrokerOption { return dist.WithHedgeBudget
 
 // WithAdaptiveHedge replaces the fixed hedge budget with a live one:
 // each partition group arms its hedge timer at the given quantile
-// (<= 0: 0.95) of its own recent win latencies, under a hedge-rate cap
-// (WithHedgeRateCap, default 5%). A cold group does not hedge until it
-// has enough samples to trust the quantile. Overrides WithHedgeBudget.
+// (<= 0: 0.95) of its own recent win latencies, and at most 5% of its
+// calls hedge. A cold group does not hedge until it has enough samples to
+// trust the quantile. Overrides WithHedgeBudget.
 func WithAdaptiveHedge(quantile float64) BrokerOption { return dist.WithAdaptiveHedge(quantile) }
-
-// WithHedgeRateCap bounds the fraction of calls the adaptive hedger may
-// duplicate (<= 0 keeps the 5% default).
-func WithHedgeRateCap(frac float64) BrokerOption { return dist.WithHedgeRateCap(frac) }
 
 // WithPartialResults opts a broker into degraded answers: when a whole
 // replica group is down, surviving partitions answer and every result is
@@ -268,10 +264,9 @@ func BuildPartitions(c *Collection, n int, cfg IndexConfig, baseDir string) ([]s
 }
 
 // StartClusterFromDirs serves persisted partition directories, each
-// through a buffer manager with poolBytes budget (0 = unbounded).
-// WithClusterReplicas(r) opens every directory r times (a replica group
-// sharing the on-disk files); storage options ride in via
-// dist.WithStorageOptions and apply to every replica.
+// replica through a buffer manager of its own with poolBytes budget (0 =
+// unbounded). WithClusterReplicas(r) opens every directory r times (a
+// replica group sharing the on-disk files).
 func StartClusterFromDirs(dirs []string, poolBytes int64, opts ...ClusterOption) (*Cluster, error) {
 	return dist.StartClusterFromDirs(dirs, poolBytes, opts...)
 }
@@ -379,10 +374,6 @@ func SaveIndex(dir string, ix *Index) error {
 	return storage.WriteSegmentedIndex(dir, []*Index{ix})
 }
 
-// StorageOpenOption tunes how a persisted index directory is opened
-// (LoadIndex, StartClusterFromDirs).
-type StorageOpenOption = storage.OpenOption
-
 // ErrNotSingleSegment is matched by LoadIndex's error for a directory that
 // has grown past one segment; serve such a directory with OpenDir.
 var ErrNotSingleSegment = errors.New("repro: index directory does not hold exactly one segment")
@@ -392,8 +383,8 @@ var ErrNotSingleSegment = errors.New("repro: index directory does not hold exact
 // data streams in lazily through a buffer manager with the given byte
 // budget (0 = unbounded). Close the returned index when done, or wrap the
 // directory with OpenDir and let Engine.Close do it.
-func LoadIndex(dir string, poolBytes int64, opts ...StorageOpenOption) (*Index, error) {
-	snap, err := storage.OpenSegmented(dir, poolBytes, opts...)
+func LoadIndex(dir string, poolBytes int64) (*Index, error) {
+	snap, err := storage.OpenSegmented(dir, storage.NewManager(poolBytes), 0)
 	if err != nil {
 		return nil, err
 	}

@@ -68,6 +68,25 @@ type ColumnSpec struct {
 	ChunkLen int
 }
 
+// rawWidth returns the bytes per value of the column's fixed-width raw
+// layouts, and 0 for block-encoded and string columns.
+func (s *ColumnSpec) rawWidth() int {
+	switch s.Type {
+	case vector.Int64:
+		switch s.Enc {
+		case EncNone:
+			return 8
+		case EncFixed32:
+			return 4
+		}
+	case vector.Float64:
+		return 4
+	case vector.UInt8:
+		return 1
+	}
+	return 0
+}
+
 func (s *ColumnSpec) chunkLen() int {
 	if s.ChunkLen > 0 {
 		return s.ChunkLen
@@ -76,9 +95,10 @@ func (s *ColumnSpec) chunkLen() int {
 }
 
 type chunkMeta struct {
-	off  int // byte offset in the column blob
-	size int // byte size
-	n    int // number of values
+	off  int    // byte offset in the column blob
+	size int    // byte size
+	n    int    // number of values
+	key  string // ChunkKey(blob, index), formatted once
 }
 
 // Column is the immutable on-disk representation of one column: a named

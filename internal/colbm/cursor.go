@@ -19,16 +19,15 @@ func float32frombits(b uint32) float32 { return math.Float32frombits(b) }
 // each scan owns one per column.
 type Cursor struct {
 	col     *Column
-	decoder *compress.Decoder
+	decoder compress.Decoder // grows its scratch on the first block decode
 	scratch []int64
 }
 
-// NewCursor returns a cursor over the column.
+// NewCursor returns a cursor over the column. It allocates nothing else:
+// the decode scratch appears when a compressed chunk is first read, so a
+// cursor over a string or raw column never pays for one.
 func NewCursor(col *Column) *Cursor {
-	return &Cursor{
-		col:     col,
-		decoder: compress.NewDecoder(vector.DefaultSize + compress.EntryStride),
-	}
+	return &Cursor{col: col}
 }
 
 // Read fills dst with n values starting at the global row position start.
@@ -92,20 +91,89 @@ func ChunkKey(blob string, ci int) string {
 }
 
 // ParseCachedChunk converts raw chunk bytes, exactly as stored, into the
-// in-cache form: block encodings get their header parsed once at load time
-// (a cheap decode), everything else stays raw. The raw slice must be owned
-// by the chunk — callers batching several chunks out of one large read must
-// hand each chunk a private copy.
+// in-cache form, doing once per load what would otherwise be done per read:
+// block encodings get their header parsed, string chunks get the prefix sums
+// of their length header (StrOff, charged to Size), everything else stays
+// raw. Bytes that cannot be a chunk of the column's type are an error here
+// rather than an out-of-range slice in a later read. The raw slice must be
+// owned by the chunk — callers batching several chunks out of one large
+// read must hand each chunk a private copy.
 func ParseCachedChunk(spec *ColumnSpec, raw []byte) (*CachedChunk, error) {
 	ch := &CachedChunk{Size: int64(len(raw))}
-	if spec.Type == vector.Int64 && isBlockEncoding(spec.Enc) {
+	switch {
+	case spec.Type == vector.Int64 && isBlockEncoding(spec.Enc):
 		bl, err := compress.Unmarshal(raw)
 		if err != nil {
 			return nil, err
 		}
 		ch.Block = bl
-	} else {
+	case spec.Type == vector.Str:
+		off, err := strOffsets(raw)
+		if err != nil {
+			return nil, err
+		}
+		ch.Raw, ch.StrOff = raw, off
+		ch.Size += 4 * int64(len(off))
+	default:
+		if w := spec.rawWidth(); w == 0 || len(raw)%w != 0 {
+			return nil, fmt.Errorf("colbm: %d bytes are not a whole number of %v/%v values", len(raw), spec.Type, spec.Enc)
+		}
 		ch.Raw = raw
+	}
+	return ch, nil
+}
+
+// strOffsets returns the n+1 byte offsets of a string chunk's n values:
+// value i is raw[off[i]:off[i+1]]. The chunk stores n uint32 lengths and
+// then the bytes, and not n itself; 4n plus the first n lengths grows by at
+// least 4 with every n, so at most one n makes it len(raw), and a header no
+// n fits is corrupt. Nothing is allocated until that n is known.
+func strOffsets(raw []byte) ([]uint32, error) {
+	if uint64(len(raw)) > math.MaxUint32 {
+		return nil, fmt.Errorf("colbm: string chunk of %d bytes exceeds 32-bit offsets", len(raw))
+	}
+	n, end := 0, 0 // end = 4n + the first n lengths
+	for end < len(raw) && 4*n+4 <= len(raw) {
+		end += 4 + int(leU32(raw[4*n:]))
+		n++
+	}
+	if end != len(raw) {
+		return nil, fmt.Errorf("colbm: string chunk of %d bytes: no value count fits its length header", len(raw))
+	}
+	off := make([]uint32, n+1)
+	pos := uint32(4 * n)
+	for i := 0; i < n; i++ {
+		off[i] = pos
+		pos += leU32(raw[4*i:])
+	}
+	off[n] = pos
+	return off, nil
+}
+
+// values returns the number of values a parsed chunk of the column holds.
+func (s *ColumnSpec) values(ch *CachedChunk) int {
+	switch {
+	case ch.Block != nil:
+		return ch.Block.N
+	case s.Type == vector.Str:
+		return len(ch.StrOff) - 1
+	default:
+		return len(ch.Raw) / s.rawWidth()
+	}
+}
+
+// ParseChunk is ParseCachedChunk for chunk ci of the column, which also
+// knows how many values the chunk must hold: a chunk whose bytes disagree
+// with the column's metadata is refused before it can enter a cache. Errors
+// name the chunk's cache key.
+func (c *Column) ParseChunk(ci int, raw []byte) (*CachedChunk, error) {
+	m := c.chunks[ci]
+	ch, err := ParseCachedChunk(&c.Spec, raw)
+	if err != nil {
+		return nil, fmt.Errorf("colbm: chunk %s: %w", m.key, err)
+	}
+	if got := c.Spec.values(ch); got != m.n {
+		return nil, fmt.Errorf("colbm: chunk %s holds %d values, the column's metadata says %d", m.key, got, m.n)
 	}
 	return ch, nil
 }
@@ -115,18 +183,13 @@ func ParseCachedChunk(spec *ColumnSpec, raw []byte) (*CachedChunk, error) {
 // request — large sequential I/O — and cached in compressed form; the
 // cache (buffer manager) owns admission, eviction, and fetch deduplication.
 func (c *Cursor) loadChunk(ci int) (*CachedChunk, error) {
-	key := ChunkKey(c.col.blobName, ci)
-	return c.col.cache.GetChunk(key, func() (*CachedChunk, error) {
-		m := c.col.chunks[ci]
+	m := &c.col.chunks[ci]
+	return c.col.cache.GetChunk(m.key, func() (*CachedChunk, error) {
 		raw, err := c.col.store.Read(c.col.blobName, m.off, m.size)
 		if err != nil {
 			return nil, err
 		}
-		ch, err := ParseCachedChunk(&c.col.Spec, raw)
-		if err != nil {
-			return nil, fmt.Errorf("colbm: chunk %s: %w", key, err)
-		}
-		return ch, nil
+		return c.col.ParseChunk(ci, raw)
 	})
 }
 
@@ -158,18 +221,9 @@ func (c *Cursor) readFromChunk(dst *vector.Vector, dstOff, ci, inChunk, n int) e
 	case vector.UInt8:
 		copy(dst.U8[dstOff:dstOff+n], e.Raw[inChunk:inChunk+n])
 	case vector.Str:
-		raw := e.Raw
-		nvals := c.col.chunks[ci].n
-		// Offsets are prefix sums over the length header.
-		base := 4 * nvals
-		off := base
-		for i := 0; i < inChunk; i++ {
-			off += int(leU32(raw[i*4:]))
-		}
+		raw, off := e.Raw, e.StrOff[inChunk:inChunk+n+1]
 		for i := 0; i < n; i++ {
-			l := int(leU32(raw[(inChunk+i)*4:]))
-			dst.S[dstOff+i] = string(raw[off : off+l])
-			off += l
+			dst.S[dstOff+i] = string(raw[off[i]:off[i+1]])
 		}
 	default:
 		return fmt.Errorf("colbm: unsupported cursor type %v", c.col.Spec.Type)

@@ -15,12 +15,17 @@ import (
 //
 // A chunk is either a parsed compress.Block (for encoded chunks — parsing
 // is a cheap header decode done once per load) or raw bytes (for
-// uncompressed chunks such as materialized float scores). Cached chunks are
-// immutable and may be shared by any number of concurrent readers.
+// uncompressed chunks such as materialized float scores). A string chunk
+// also carries the byte offsets of its values, computed once at load.
+// Cached chunks are immutable and may be shared by any number of concurrent
+// readers.
 type CachedChunk struct {
 	Block *compress.Block // non-nil for encoded chunks
 	Raw   []byte          // non-nil for uncompressed chunks
-	Size  int64           // compressed footprint charged against the budget
+	// StrOff, for string chunks, holds n+1 offsets into Raw: value i is
+	// Raw[StrOff[i]:StrOff[i+1]].
+	StrOff []uint32
+	Size   int64 // footprint charged against the budget: the stored bytes plus StrOff
 }
 
 // CacheStats reports hit/miss/eviction counters and occupancy of a

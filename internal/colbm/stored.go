@@ -74,7 +74,7 @@ func OpenTable(st StoredTable, store BlockStore, cache ChunkCache) (*Table, erro
 				return nil, fmt.Errorf("colbm: stored column %q has a non-contiguous chunk layout at offset %d",
 					sc.Spec.Name, ch.Off)
 			}
-			col.chunks = append(col.chunks, chunkMeta{off: ch.Off, size: ch.Size, n: ch.N})
+			col.chunks = append(col.chunks, chunkMeta{off: ch.Off, size: ch.Size, n: ch.N, key: ChunkKey(sc.Blob, len(col.chunks))})
 			values += ch.N
 			off += ch.Size
 		}

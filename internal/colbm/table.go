@@ -184,7 +184,7 @@ func (b *Builder) buildColumn(spec *ColumnSpec, n int) (*Column, error) {
 		if err != nil {
 			return nil, err
 		}
-		col.chunks = append(col.chunks, chunkMeta{off: len(blob), size: len(chunk), n: end - start})
+		col.chunks = append(col.chunks, chunkMeta{off: len(blob), size: len(chunk), n: end - start, key: ChunkKey(blobName, len(col.chunks))})
 		blob = append(blob, chunk...)
 		if n == 0 {
 			break

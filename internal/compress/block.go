@@ -181,10 +181,7 @@ func (bl *Block) Marshal() []byte {
 	}
 
 	// Code section, forward growing.
-	cb := codeSectionBytes(bl.N, bl.B)
-	for i := 0; i < cb; i++ {
-		buf[off+i] = byte(bl.Words[i/8] >> (uint(i%8) * 8))
-	}
+	putCodeSection(buf[off:off+codeSectionBytes(bl.N, bl.B)], bl.Words)
 
 	// Exception section, backward growing: exception j (encounter order)
 	// sits at distance (j+1)*excWidth from the end of the block.
@@ -257,9 +254,7 @@ func Unmarshal(buf []byte) (*Block, error) {
 
 	cb := codeSectionBytes(bl.N, bl.B)
 	bl.Words = make([]uint64, PackedWords(bl.N, bl.B))
-	for i := 0; i < cb; i++ {
-		bl.Words[i/8] |= uint64(buf[off+i]) << (uint(i%8) * 8)
-	}
+	getCodeSection(bl.Words, buf[off:off+cb])
 	off += cb
 
 	end := len(buf)
@@ -273,4 +268,28 @@ func Unmarshal(buf []byte) (*Block, error) {
 		}
 	}
 	return bl, nil
+}
+
+// putCodeSection writes the packed words into the code section, little
+// endian, a word at a time; the section ends on a byte boundary, so the
+// last word may contribute fewer than eight bytes.
+func putCodeSection(sec []byte, words []uint64) {
+	full := len(sec) / 8
+	for i, w := range words[:full] {
+		binary.LittleEndian.PutUint64(sec[i*8:], w)
+	}
+	for i := full * 8; i < len(sec); i++ {
+		sec[i] = byte(words[full] >> (uint(i%8) * 8))
+	}
+}
+
+// getCodeSection is the inverse of putCodeSection; words must be zeroed.
+func getCodeSection(words []uint64, sec []byte) {
+	full := len(sec) / 8
+	for i := range words[:full] {
+		words[i] = binary.LittleEndian.Uint64(sec[i*8:])
+	}
+	for i := full * 8; i < len(sec); i++ {
+		words[full] |= uint64(sec[i]) << (uint(i%8) * 8)
+	}
 }

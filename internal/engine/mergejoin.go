@@ -32,9 +32,10 @@ type MergeJoin struct {
 	lDone, rDone     bool
 	lPrev, rPrev     int64
 
-	out     *vector.Batch
-	vecSize int
-	nLeft   int // columns contributed by the left side
+	out        *vector.Batch
+	lIdx, rIdx []int32 // phase-1 output: positions (inner) or output slots (outer)
+	vecSize    int
+	nLeft      int // columns contributed by the left side
 }
 
 // NewMergeJoin builds an inner merge join; output columns are the left
@@ -86,6 +87,7 @@ func (j *MergeJoin) Open(ctx *ExecContext) error {
 		vecs[i] = vector.New(c.Type, j.vecSize)
 	}
 	j.out = &vector.Batch{Vecs: vecs}
+	j.lIdx, j.rIdx = make([]int32, j.vecSize), make([]int32, j.vecSize)
 	j.lBatch, j.rBatch = nil, nil
 	j.lPos, j.rPos = 0, 0
 	j.lDone, j.rDone = false, false
@@ -104,7 +106,7 @@ func (j *MergeJoin) ensureLeft() (bool, error) {
 		}
 		if b == nil {
 			j.lDone = true
-			j.lBatch = nil
+			j.lBatch, j.lPos = nil, 0
 			break
 		}
 		b.Compact()
@@ -127,7 +129,7 @@ func (j *MergeJoin) ensureRight() (bool, error) {
 		}
 		if b == nil {
 			j.rDone = true
-			j.rBatch = nil
+			j.rBatch, j.rPos = nil, 0
 			break
 		}
 		b.Compact()
@@ -156,7 +158,13 @@ func checkIncreasing(side string, keys []int64, prev *int64) error {
 	return nil
 }
 
-// Next produces the next vector of joined tuples.
+// Next produces the next vector of joined tuples, vector-at-a-time. Over
+// the rows left in the two current input batches it runs one tight loop on
+// the key slices that only records positions (phase 1: matchInner or
+// matchOuter), then moves every output column through those positions with
+// one typed loop per column (phase 2: gatherColumn or scatterColumn). Phase
+// 2 runs before the next child batch is pulled, because child batches are
+// buffers the children reuse; an output vector may take several rounds.
 func (j *MergeJoin) Next() (*vector.Batch, error) {
 	start := time.Now()
 	emit := 0
@@ -177,36 +185,32 @@ func (j *MergeJoin) Next() (*vector.Batch, error) {
 			// other child is still drained lazily by Close.
 			break
 		}
-		switch {
-		case !lOK: // outer, right remainder
-			j.emitRight(emit)
-			emit++
-		case !rOK: // outer, left remainder
-			j.emitLeft(emit)
-			emit++
-		default:
-			lk := j.lBatch.Vecs[j.lKeyIdx].I64[j.lPos]
-			rk := j.rBatch.Vecs[j.rKeyIdx].I64[j.rPos]
-			switch {
-			case lk == rk:
-				j.emitBoth(emit)
-				emit++
-			case lk < rk:
-				if j.outer {
-					j.emitLeft(emit) // advances lPos
-					emit++
-				} else {
-					j.lPos++
-				}
-			default:
-				if j.outer {
-					j.emitRight(emit) // advances rPos
-					emit++
-				} else {
-					j.rPos++
-				}
+		lKeys, rKeys := restOfKeys(j.lBatch, j.lKeyIdx, j.lPos), restOfKeys(j.rBatch, j.rKeyIdx, j.rPos)
+		lIdx, rIdx := j.lIdx[:j.vecSize-emit], j.rIdx[:j.vecSize-emit]
+		var nl, nr, n int
+		if j.outer {
+			nl, nr, n = matchOuter(lKeys, rKeys, lIdx, rIdx)
+			lIdx, rIdx = lIdx[:nl], rIdx[:nr]
+		} else {
+			nl, nr, n = matchInner(lKeys, rKeys, lIdx, rIdx)
+			lIdx, rIdx = lIdx[:n], rIdx[:n]
+		}
+		for c, dst := range j.out.Vecs {
+			src, pos, idx := j.lBatch, j.lPos, lIdx
+			if c >= j.nLeft {
+				src, pos, idx, c = j.rBatch, j.rPos, rIdx, c-j.nLeft
+			}
+			col := &exhausted
+			if src != nil {
+				col = src.Vecs[c]
+			}
+			if j.outer {
+				scatterColumn(dst, emit, n, col, pos, idx)
+			} else {
+				gatherColumn(dst, emit, col, pos, idx)
 			}
 		}
+		j.lPos, j.rPos, emit = j.lPos+nl, j.rPos+nr, emit+n
 	}
 	if emit == 0 {
 		j.observe(start, nil)
@@ -221,35 +225,128 @@ func (j *MergeJoin) Next() (*vector.Batch, error) {
 	return j.out, nil
 }
 
-func (j *MergeJoin) emitBoth(at int) {
-	for c, v := range j.lBatch.Vecs {
-		copyValue(j.out.Vecs[c], at, v, j.lPos)
+// restOfKeys returns the keys of a batch from row pos on; none for the nil
+// batch of an exhausted input.
+func restOfKeys(b *vector.Batch, keyIdx, pos int) []int64 {
+	if b == nil {
+		return nil
 	}
-	for c, v := range j.rBatch.Vecs {
-		copyValue(j.out.Vecs[j.nLeft+c], at, v, j.rPos)
-	}
-	j.lPos++
-	j.rPos++
+	return b.Vecs[keyIdx].I64[pos:b.N]
 }
 
-func (j *MergeJoin) emitLeft(at int) {
-	for c, v := range j.lBatch.Vecs {
-		copyValue(j.out.Vecs[c], at, v, j.lPos)
+// exhausted stands in for the columns of an input that has ended; it is
+// never written.
+var exhausted vector.Vector
+
+// matchInner is phase 1 of the inner join: it walks two strictly increasing
+// key slices and records the position pair of every equal key, until a
+// slice or the position vectors run out. It returns the rows consumed from
+// each side and the number of pairs written.
+func matchInner(lKeys, rKeys []int64, lIdx, rIdx []int32) (nl, nr, n int) {
+	for nl < len(lKeys) && nr < len(rKeys) && n < len(lIdx) {
+		lk, rk := lKeys[nl], rKeys[nr]
+		// Branch-free: the pair is always written and kept only on a match.
+		lIdx[n], rIdx[n] = int32(nl), int32(nr)
+		n += b2i(lk == rk)
+		nl += b2i(lk <= rk)
+		nr += b2i(lk >= rk)
 	}
-	for c := range j.right.Schema() {
-		zeroValue(j.out.Vecs[j.nLeft+c], at)
-	}
-	j.lPos++
+	return nl, nr, n
 }
 
-func (j *MergeJoin) emitRight(at int) {
-	for c := range j.left.Schema() {
-		zeroValue(j.out.Vecs[c], at)
+// matchOuter is phase 1 of the full outer join. Every key of either slice
+// yields one output tuple, so each input is consumed as a run of consecutive
+// rows, and what is recorded is where each row goes: lSlot[k] is the output
+// slot of left row k, likewise rSlot; a slot no row of a side is sent to is
+// that side's zero padding. An empty slice is an exhausted input (a live
+// one always has rows left), and the other side's rows then go out as one
+// run. It returns the rows consumed from each side and the number of
+// output tuples.
+func matchOuter(lKeys, rKeys []int64, lSlot, rSlot []int32) (nl, nr, n int) {
+	switch {
+	case len(lKeys) == 0:
+		for ; nr < len(rKeys) && nr < len(rSlot); nr++ {
+			rSlot[nr] = int32(nr)
+		}
+		return 0, nr, nr
+	case len(rKeys) == 0:
+		for ; nl < len(lKeys) && nl < len(lSlot); nl++ {
+			lSlot[nl] = int32(nl)
+		}
+		return nl, 0, nl
 	}
-	for c, v := range j.rBatch.Vecs {
-		copyValue(j.out.Vecs[j.nLeft+c], at, v, j.rPos)
+	for nl < len(lKeys) && nr < len(rKeys) && n < len(lSlot) {
+		lk, rk := lKeys[nl], rKeys[nr]
+		// Branch-free: both slots are written, and a side keeps its slot
+		// only if its row went out.
+		lSlot[nl], rSlot[nr] = int32(n), int32(n)
+		nl += b2i(lk <= rk)
+		nr += b2i(lk >= rk)
+		n++
 	}
-	j.rPos++
+	return nl, nr, n
+}
+
+// b2i is 1 for true. It compiles to a flag-setting instruction, not a jump,
+// which keeps the phase-1 loops free of data-dependent branches.
+func b2i(b bool) int {
+	if b {
+		return 1
+	}
+	return 0
+}
+
+// gatherColumn is phase 2 of the inner join for one output column:
+// dst[at+i] = src[pos+idx[i]].
+func gatherColumn(dst *vector.Vector, at int, src *vector.Vector, pos int, idx []int32) {
+	switch dst.Type() {
+	case vector.Int64:
+		gather(dst.I64[at:], src.I64[pos:], idx)
+	case vector.Int32:
+		gather(dst.I32[at:], src.I32[pos:], idx)
+	case vector.Float64:
+		gather(dst.F64[at:], src.F64[pos:], idx)
+	case vector.UInt8:
+		gather(dst.U8[at:], src.U8[pos:], idx)
+	case vector.Str:
+		gather(dst.S[at:], src.S[pos:], idx)
+	case vector.Bool:
+		gather(dst.B[at:], src.B[pos:], idx)
+	}
+}
+
+func gather[T any](dst, src []T, idx []int32) {
+	dst = dst[:len(idx)]
+	for i, p := range idx {
+		dst[i] = src[p]
+	}
+}
+
+// scatterColumn is phase 2 of the outer join for one output column: the n
+// values dst[at:at+n] are zero except dst[at+slot[k]] = src[pos+k].
+func scatterColumn(dst *vector.Vector, at, n int, src *vector.Vector, pos int, slot []int32) {
+	switch dst.Type() {
+	case vector.Int64:
+		scatter(dst.I64[at:at+n], src.I64[pos:], slot)
+	case vector.Int32:
+		scatter(dst.I32[at:at+n], src.I32[pos:], slot)
+	case vector.Float64:
+		scatter(dst.F64[at:at+n], src.F64[pos:], slot)
+	case vector.UInt8:
+		scatter(dst.U8[at:at+n], src.U8[pos:], slot)
+	case vector.Str:
+		scatter(dst.S[at:at+n], src.S[pos:], slot)
+	case vector.Bool:
+		scatter(dst.B[at:at+n], src.B[pos:], slot)
+	}
+}
+
+func scatter[T any](dst, src []T, slot []int32) {
+	clear(dst)
+	src = src[:len(slot)]
+	for k, s := range slot {
+		dst[s] = src[k]
+	}
 }
 
 // Close closes both children.

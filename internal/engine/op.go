@@ -184,22 +184,3 @@ func copyValue(dst *vector.Vector, di int, src *vector.Vector, si int) {
 		dst.B[di] = src.B[si]
 	}
 }
-
-// zeroValue writes the type's zero value (the padding emitted for the
-// missing side of an outer join).
-func zeroValue(dst *vector.Vector, di int) {
-	switch dst.Type() {
-	case vector.Int64:
-		dst.I64[di] = 0
-	case vector.Int32:
-		dst.I32[di] = 0
-	case vector.Float64:
-		dst.F64[di] = 0
-	case vector.UInt8:
-		dst.U8[di] = 0
-	case vector.Str:
-		dst.S[di] = ""
-	case vector.Bool:
-		dst.B[di] = false
-	}
-}

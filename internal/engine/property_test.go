@@ -1,10 +1,13 @@
 package engine
 
 import (
+	"fmt"
 	"math/rand"
 	"reflect"
 	"sort"
 	"testing"
+
+	"repro/internal/vector"
 )
 
 // randSortedUnique builds a strictly increasing key set.
@@ -22,8 +25,16 @@ func randSortedUnique(rng *rand.Rand, n, domain int) []int64 {
 }
 
 // Invariant: MergeJoin equals nested-loop intersection,
-// MergeOuterJoin equals union, on random sorted unique inputs.
+// MergeOuterJoin equals union, on random sorted unique inputs; and the
+// vector-at-a-time kernel equals a tuple-at-a-time reference operator —
+// rows, batch boundaries and counters — over every column type, selection
+// vectors, lopsided and empty sides, and vector sizes down to 1.
 func TestMergeJoinMatchesOracleProperty(t *testing.T) {
+	t.Run("set oracle", testMergeJoinMatchesSetOracle)
+	t.Run("tuple-at-a-time reference", testMergeJoinMatchesTupleReference)
+}
+
+func testMergeJoinMatchesSetOracle(t *testing.T) {
 	rng := rand.New(rand.NewSource(71))
 	for trial := 0; trial < 40; trial++ {
 		nl, nr := rng.Intn(300), rng.Intn(300)
@@ -91,6 +102,215 @@ func TestMergeJoinMatchesOracleProperty(t *testing.T) {
 		got = collectInts(t, outer, ctx)
 		if !sameRows(got, wantOuter) {
 			t.Fatalf("trial %d (vs=%d): outer join mismatch\n got %v\nwant %v", trial, vs, got, wantOuter)
+		}
+	}
+}
+
+// tupleMergeJoin is the tuple-at-a-time reference of MergeJoin.Next: it
+// shares Open, the ensure* input handling and Close with MergeJoin and
+// differs only in how a Next call fills the output vector — one copyValue
+// per value.
+type tupleMergeJoin struct{ *MergeJoin }
+
+func (r tupleMergeJoin) Next() (*vector.Batch, error) {
+	j := r.MergeJoin
+	emit := 0
+	for emit < j.vecSize {
+		lOK, err := j.ensureLeft()
+		if err != nil {
+			return nil, err
+		}
+		rOK, err := j.ensureRight()
+		if err != nil {
+			return nil, err
+		}
+		if !lOK && !rOK || !j.outer && (!lOK || !rOK) {
+			break
+		}
+		switch {
+		case !lOK:
+			r.emitRight(emit)
+			emit++
+		case !rOK:
+			r.emitLeft(emit)
+			emit++
+		default:
+			lk := j.lBatch.Vecs[j.lKeyIdx].I64[j.lPos]
+			rk := j.rBatch.Vecs[j.rKeyIdx].I64[j.rPos]
+			switch {
+			case lk == rk:
+				r.emitBoth(emit)
+				emit++
+			case lk < rk && j.outer:
+				r.emitLeft(emit)
+				emit++
+			case lk < rk:
+				j.lPos++
+			case j.outer:
+				r.emitRight(emit)
+				emit++
+			default:
+				j.rPos++
+			}
+		}
+	}
+	j.stats.NextCalls++
+	if emit == 0 {
+		return nil, nil
+	}
+	for _, v := range j.out.Vecs {
+		v.SetLen(emit)
+	}
+	j.out.Sel, j.out.N = nil, emit
+	j.stats.Tuples += int64(emit)
+	return j.out, nil
+}
+
+func (r tupleMergeJoin) emitBoth(at int) {
+	for c, v := range r.lBatch.Vecs {
+		copyValue(r.out.Vecs[c], at, v, r.lPos)
+	}
+	for c, v := range r.rBatch.Vecs {
+		copyValue(r.out.Vecs[r.nLeft+c], at, v, r.rPos)
+	}
+	r.lPos++
+	r.rPos++
+}
+
+func (r tupleMergeJoin) emitLeft(at int) {
+	for c, v := range r.lBatch.Vecs {
+		copyValue(r.out.Vecs[c], at, v, r.lPos)
+	}
+	for _, dst := range r.out.Vecs[r.nLeft:] {
+		zeroValue(dst, at)
+	}
+	r.lPos++
+}
+
+func (r tupleMergeJoin) emitRight(at int) {
+	for _, dst := range r.out.Vecs[:r.nLeft] {
+		zeroValue(dst, at)
+	}
+	for c, v := range r.rBatch.Vecs {
+		copyValue(r.out.Vecs[r.nLeft+c], at, v, r.rPos)
+	}
+	r.rPos++
+}
+
+// zeroValue writes the type's zero value (the padding emitted for the
+// missing side of an outer join).
+func zeroValue(dst *vector.Vector, di int) {
+	switch dst.Type() {
+	case vector.Int64:
+		dst.I64[di] = 0
+	case vector.Int32:
+		dst.I32[di] = 0
+	case vector.Float64:
+		dst.F64[di] = 0
+	case vector.UInt8:
+		dst.U8[di] = 0
+	case vector.Str:
+		dst.S[di] = ""
+	case vector.Bool:
+		dst.B[di] = false
+	}
+}
+
+// joinSide is one join input: a strictly increasing key, a filter column
+// the Select under the join cuts on, and a payload column of every type.
+type joinSide struct {
+	names []string
+	cols  []*vector.Vector
+}
+
+func randJoinSide(rng *rand.Rand, n, domain int) joinSide {
+	keys := randSortedUnique(rng, n, domain)
+	keep, i32 := make([]int64, n), make([]int32, n)
+	f64, u8 := make([]float64, n), make([]uint8, n)
+	str, bl := make([]string, n), make([]bool, n)
+	for i := range keys {
+		keep[i] = int64(rng.Intn(10))
+		i32[i] = rng.Int31()
+		f64[i] = rng.NormFloat64()
+		u8[i] = uint8(1 + rng.Intn(255))
+		str[i] = fmt.Sprintf("s%d", rng.Intn(1000))
+		bl[i] = true
+	}
+	return joinSide{
+		names: []string{"k", "keep", "i32", "f64", "u8", "s", "b"},
+		cols: []*vector.Vector{vector.NewInt64(keys), vector.NewInt64(keep), vector.NewInt32(i32),
+			vector.NewFloat64(f64), vector.NewUInt8(u8), vector.NewStr(str), vector.NewBool(bl)},
+	}
+}
+
+// op serves the side through a Select that drops about a third of the
+// rows, so the join's children hand over batches with selection vectors.
+func (s joinSide) op(t *testing.T) Operator {
+	v, err := NewValues(s.names, s.cols)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return NewSelect(v, &CmpIntColVal{Col: "keep", Op: LT, Val: 7})
+}
+
+// drainJoin runs a join to the end, returning its rows and the size of
+// every batch it produced.
+func drainJoin(t *testing.T, op Operator, vecSize int) (rows [][]any, batches []int) {
+	t.Helper()
+	err := Drain(op, &ExecContext{VectorSize: vecSize}, func(b *vector.Batch) error {
+		batches = append(batches, b.N)
+		for i := 0; i < b.N; i++ {
+			rows = append(rows, b.Row(i))
+		}
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return rows, batches
+}
+
+func testMergeJoinMatchesTupleReference(t *testing.T) {
+	rng := rand.New(rand.NewSource(75))
+	shapes := []struct {
+		name   string
+		nl, nr int
+	}{
+		{"balanced", 700, 900},
+		{"lopsided 1:1000", 3, 3000},
+		{"lopsided 1000:1", 3000, 3},
+		{"empty left", 0, 400},
+		{"empty right", 400, 0},
+		{"both empty", 0, 0},
+	}
+	for _, sh := range shapes {
+		left, right := randJoinSide(rng, sh.nl, 4000), randJoinSide(rng, sh.nr, 4000)
+		for _, outer := range []bool{false, true} {
+			for _, vs := range []int{1, 2, 7, 1024} {
+				name := fmt.Sprintf("%s/outer=%v/vec=%d", sh.name, outer, vs)
+				build := NewMergeJoin
+				if outer {
+					build = NewMergeOuterJoin
+				}
+				got := build(left.op(t), right.op(t), "k", "k", "l.", "r.")
+				want := tupleMergeJoin{build(left.op(t), right.op(t), "k", "k", "l.", "r.")}
+				gotRows, gotBatches := drainJoin(t, got, vs)
+				wantRows, wantBatches := drainJoin(t, want, vs)
+				if !reflect.DeepEqual(gotRows, wantRows) {
+					t.Fatalf("%s: %d rows differ from the reference's %d", name, len(gotRows), len(wantRows))
+				}
+				if !reflect.DeepEqual(gotBatches, wantBatches) {
+					t.Fatalf("%s: batch sizes %v, reference %v", name, gotBatches, wantBatches)
+				}
+				gs, ws := got.Stats(), want.Stats()
+				if gs.Tuples != ws.Tuples || gs.NextCalls != ws.NextCalls {
+					t.Fatalf("%s: stats tuples=%d next_calls=%d, reference tuples=%d next_calls=%d",
+						name, gs.Tuples, gs.NextCalls, ws.Tuples, ws.NextCalls)
+				}
+				if sh.nl > 100 && sh.nr > 100 && len(gotRows) == 0 {
+					t.Fatalf("%s: joined nothing; the test compares empty outputs", name)
+				}
+			}
 		}
 	}
 }

@@ -28,6 +28,13 @@ const (
 	ColQScore  = "qscore"
 )
 
+// nameChunkLen is the values per storage chunk of the document table's name
+// column. The posting columns are scanned, so they take colbm's large chunks;
+// names are read one at a time, after top-k (Index.DocName), so their chunk
+// is sized for a point lookup: a miss reads a page or two of the column, not
+// all of it.
+const nameChunkLen = 256
+
 // TermInfo is the range-index entry for one term: its posting rows occupy
 // TD rows [Start, End), and Ftd documents contain the term (equal to
 // End-Start except under a distributed global-statistics override).
@@ -48,7 +55,7 @@ type BuildConfig struct {
 	Materialized bool // score column (requires Compressed for docidc)
 	Quantized    bool // qscore column
 
-	ChunkLen  int // values per storage chunk; 0 = colbm default
+	ChunkLen  int // values per storage chunk of every column but the names (nameChunkLen); 0 = colbm default
 	PoolBytes int64
 	Disk      colbm.DiskParams
 
@@ -301,7 +308,7 @@ func assembleIndex(bc BuildConfig, store colbm.BlockStore, cache colbm.ChunkCach
 	db := colbm.NewBuilder(bc.TablePrefix+"D", store, cache, []colbm.ColumnSpec{
 		{Name: "docid", Type: vector.Int64, Enc: colbm.EncPFORDelta, Bits: 8, ChunkLen: bc.ChunkLen},
 		{Name: "len", Type: vector.Int64, Enc: colbm.EncPFOR, Bits: 8, ChunkLen: bc.ChunkLen},
-		{Name: "name", Type: vector.Str, ChunkLen: bc.ChunkLen},
+		{Name: "name", Type: vector.Str, ChunkLen: nameChunkLen},
 	})
 	dense := make([]int64, len(docLens))
 	for i := range dense {

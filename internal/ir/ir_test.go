@@ -517,6 +517,39 @@ func TestDocNamesResolved(t *testing.T) {
 	}
 }
 
+// TestDocNameMissReadsOneSmallChunk pins the name column's chunking: a name
+// lookup that misses the cache reads one nameChunkLen-value chunk, not the
+// column, and every row still resolves to its name across the chunks.
+func TestDocNameMissReadsOneSmallChunk(t *testing.T) {
+	c, ix := getIndex(t)
+	col, err := ix.D.Column("name")
+	if err != nil {
+		t.Fatal(err)
+	}
+	n := len(c.DocNames)
+	if want := (n + nameChunkLen - 1) / nameChunkLen; col.NumChunks() != want {
+		t.Fatalf("name column of %d values has %d chunks, want %d", n, col.NumChunks(), want)
+	}
+	ix.Cache.Drop()
+	ix.Store.ResetStats()
+	if _, err := ix.DocName(int64(n - 1)); err != nil {
+		t.Fatal(err)
+	}
+	st, last := ix.Store.Stats(), col.Chunk(col.NumChunks()-1)
+	if st.Reads != 1 || st.BytesRead != int64(last.Size) {
+		t.Errorf("one cold lookup made %d reads of %d bytes, want 1 read of the last chunk's %d",
+			st.Reads, st.BytesRead, last.Size)
+	}
+	if st.BytesRead*4 > int64(col.DiskSize()) {
+		t.Errorf("one cold lookup read %d of the column's %d bytes", st.BytesRead, col.DiskSize())
+	}
+	for id, want := range c.DocNames {
+		if got, err := ix.DocName(int64(id)); err != nil || got != want {
+			t.Fatalf("DocName(%d) = %q, %v; want %q", id, got, err, want)
+		}
+	}
+}
+
 func TestExplainPlan(t *testing.T) {
 	c, ix := getIndex(t)
 	s := NewSearcher(ix, 0)

@@ -376,7 +376,7 @@ func (p *Prefetcher) fetchRun(run *prefetchRun) {
 		// Each chunk owns a private copy: aliasing the run buffer would pin
 		// the whole run in memory for as long as any one chunk stays cached.
 		data := append([]byte(nil), raw[m.Off-off:m.Off-off+m.Size]...)
-		ch, perr := colbm.ParseCachedChunk(&col.Spec, data)
+		ch, perr := col.ParseChunk(ci, data)
 		if perr != nil {
 			p.cache.EndFetch(keys, nil, perr)
 			return
@@ -413,7 +413,7 @@ func (p *Prefetcher) admitAdjacent(col *colbm.Column, cis []int, span []byte, sp
 		// A private copy, like run chunks: aliasing the span would pin the
 		// whole read in memory for as long as the chunk stays cached.
 		data := append([]byte(nil), span[m.Off-spanOff:m.Off-spanOff+m.Size]...)
-		ch, err := colbm.ParseCachedChunk(&col.Spec, data)
+		ch, err := col.ParseChunk(ci, data)
 		if err != nil {
 			return false
 		}

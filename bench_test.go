@@ -520,33 +520,6 @@ func BenchmarkPoolCapacity(b *testing.B) {
 	}
 }
 
-// ---- ablation: max-score pruning vs exhaustive evaluation ----
-
-// BenchmarkMaxScorePruning compares the §5 Buckley-style pruned
-// term-at-a-time strategy against the exhaustive materialized plan on the
-// same queries.
-func BenchmarkMaxScorePruning(b *testing.B) {
-	_, ix, eff := fixtures(b)
-	b.Run("Exhaustive/BM25TCM", func(b *testing.B) {
-		s := ir.NewSearcher(ix, 0)
-		for i := 0; i < b.N; i++ {
-			q := eff[i%len(eff)]
-			if _, _, err := s.Search(q.Terms, 20, ir.BM25TCM); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
-	b.Run("MaxScore", func(b *testing.B) {
-		s := ir.NewSearcher(ix, 0)
-		for i := 0; i < b.N; i++ {
-			q := eff[i%len(eff)]
-			if _, _, err := s.SearchMaxScore(q.Terms, 20); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
-}
-
 // BenchmarkPersistedStorage measures the storage subsystem end to end:
 // one iteration is the full TREC batch against an index persisted in the
 // on-disk format and served over FileStore through the buffer manager.

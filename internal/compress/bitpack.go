@@ -193,28 +193,3 @@ func unpack32(out []uint32, words []uint64, n int) {
 		out[n-1] = uint32(words[full])
 	}
 }
-
-// UnpackAt extracts n codes starting at code index `start` (any alignment)
-// without decoding the prefix; used for vector-granularity access within a
-// block.
-func UnpackAt(out []uint32, words []uint64, b uint, start, n int) {
-	if b == 0 || b > 32 {
-		panic("compress: bit width out of range 1..32")
-	}
-	mask := uint64(1)<<b - 1
-	bitPos := uint(start) * b
-	w := int(bitPos / 64)
-	bitPos %= 64
-	for i := 0; i < n; i++ {
-		v := words[w] >> bitPos
-		if bitPos+b > 64 {
-			v |= words[w+1] << (64 - bitPos)
-		}
-		out[i] = uint32(v & mask)
-		bitPos += b
-		if bitPos >= 64 {
-			bitPos -= 64
-			w++
-		}
-	}
-}

@@ -231,14 +231,29 @@ func Unmarshal(buf []byte) (*Block, error) {
 	if len(buf) != want {
 		return nil, fmt.Errorf("compress: block size %d, want %d", len(buf), want)
 	}
+	if bl.Scheme == PFORDelta && nBound < nEntries-1 {
+		return nil, fmt.Errorf("%w: %d boundary carries for %d strides", ErrCorruptBlock, nBound, nEntries)
+	}
+	if bl.Scheme == PDict && nDict < 1<<bl.B {
+		return nil, fmt.Errorf("%w: dictionary of %d entries for %d-bit codes", ErrCorruptBlock, nDict, bl.B)
+	}
 	off := 40
 
 	bl.Entries = make([]Entry, nEntries)
-	for i := range bl.Entries {
-		bl.Entries[i] = Entry{
+	prev := Entry{}
+	for k := range bl.Entries {
+		e := Entry{
 			FirstExc: int32(le.Uint32(buf[off:])),
 			ExcIdx:   int32(le.Uint32(buf[off+4:])),
 		}
+		// The decoders start a stride's exception chain at its entry point
+		// and index the exception section from its ExcIdx: both must lie in
+		// range and move forward from stride to stride.
+		if int(e.FirstExc) < k*EntryStride || int(e.FirstExc) > bl.N ||
+			e.ExcIdx < 0 || int(e.ExcIdx) > nExc || e.FirstExc < prev.FirstExc || e.ExcIdx < prev.ExcIdx {
+			return nil, fmt.Errorf("%w: entry point %d is {%d, %d}", ErrCorruptBlock, k, e.FirstExc, e.ExcIdx)
+		}
+		bl.Entries[k], prev = e, e
 		off += 8
 	}
 	bl.Boundary = make([]int64, nBound)

@@ -1,6 +1,9 @@
 package compress
 
-import "fmt"
+import (
+	"errors"
+	"fmt"
+)
 
 // Decoder decompresses blocks into int64 output vectors. It owns a
 // reusable scratch buffer for unpacked codes so vector-at-a-time decoding
@@ -43,28 +46,33 @@ func (d *Decoder) DecodeRange(bl *Block, out []int64, start, count int) error {
 		return nil
 	}
 	codes := d.grow(count)
-	UnpackAt(codes, bl.Words, bl.B, start, count)
+	// start is a multiple of EntryStride, and EntryStride codes of any width
+	// fill whole words, so the stride starts on a word boundary and the
+	// width-specialised kernels apply.
+	Unpack(codes, bl.Words[start*int(bl.B)/64:], bl.B, count)
 
+	var err error
 	switch {
-	case bl.Scheme == PFOR && bl.Layout == Patched:
-		decodePatchedFOR(bl, codes, out, start, count)
-	case bl.Scheme == PFOR && bl.Layout == Naive:
-		decodeNaiveFOR(bl, codes, out, start, count)
-	case bl.Scheme == PFORDelta && bl.Layout == Patched:
-		decodePatchedFOR(bl, codes, out, start, count)
-		prefixSum(bl, out, start, count)
-	case bl.Scheme == PFORDelta && bl.Layout == Naive:
-		decodeNaiveFOR(bl, codes, out, start, count)
-		prefixSum(bl, out, start, count)
+	case (bl.Scheme == PFOR || bl.Scheme == PFORDelta) && bl.Layout == Patched:
+		err = decodePatchedFOR(bl, codes, out, start, count)
+	case (bl.Scheme == PFOR || bl.Scheme == PFORDelta) && bl.Layout == Naive:
+		err = decodeNaiveFOR(bl, codes, out, start, count)
 	case bl.Scheme == PDict && bl.Layout == Patched:
-		decodePatchedDict(bl, codes, out, start, count)
+		err = decodePatchedDict(bl, codes, out, start, count)
 	case bl.Scheme == PDict && bl.Layout == Naive:
-		decodeNaiveDict(bl, codes, out, start, count)
+		err = decodeNaiveDict(bl, codes, out, start, count)
 	default:
 		return fmt.Errorf("compress: unknown scheme/layout %v/%v", bl.Scheme, bl.Layout)
 	}
-	return nil
+	if err == nil && bl.Scheme == PFORDelta {
+		prefixSum(bl, out, start, count)
+	}
+	return err
 }
+
+// ErrCorruptBlock is wrapped by every error that reports a block whose
+// entry points or exception chain contradict its code section.
+var ErrCorruptBlock = errors.New("compress: corrupt block")
 
 // decodePatchedFOR is the two-loop patched decoder of the paper:
 //
@@ -72,69 +80,90 @@ func (d *Decoder) DecodeRange(bl *Block, out []int64, start, count int) error {
 //	garbage), LOOP2 walks the linked exception list and patches the true
 //	values in. Neither loop contains a data-dependent branch, so both can
 //	be pipelined and the branch predictor is immune to the exception rate.
-func decodePatchedFOR(bl *Block, codes []uint32, out []int64, start, count int) {
+func decodePatchedFOR(bl *Block, codes []uint32, out []int64, start, count int) error {
 	base := bl.Base
 	// LOOP1: decode regardless.
 	for i := 0; i < count; i++ {
 		out[i] = base + int64(codes[i])
 	}
 	// LOOP2: patch it up.
+	return patchExceptions(bl, codes, out, start, count)
+}
+
+// patchExceptions is LOOP2 of both patched decoders: from the stride's
+// entry point it follows the chain of links stored in the exception
+// positions' code slots, writing each exception value over LOOP1's
+// garbage. Unmarshal has checked that the entry point lies inside the
+// stride; the two checks here, which never fire on a block the encoder
+// wrote, stop a zero link from looping for ever and a chain longer than the
+// exception section from indexing past it.
+func patchExceptions(bl *Block, codes []uint32, out []int64, start, count int) error {
 	e := bl.Entries[start/EntryStride]
+	exc := bl.ExcVals
 	end := start + count
 	j := int(e.ExcIdx)
 	for pos := int(e.FirstExc); pos < end; {
 		gap := int(codes[pos-start])
-		out[pos-start] = bl.ExcVals[j]
+		if gap == 0 || j >= len(exc) {
+			return fmt.Errorf("%w: exception chain breaks at position %d (link %d, exception %d of %d)",
+				ErrCorruptBlock, pos, gap, j, len(exc))
+		}
+		out[pos-start] = exc[j]
 		j++
 		pos += gap
 	}
+	return nil
 }
 
 // decodeNaiveFOR is the baseline decoder with the per-value if-then-else
 // on the reserved MAXCODE; its throughput collapses near 50% exception
 // rate due to branch mispredictions (Figure 3).
-func decodeNaiveFOR(bl *Block, codes []uint32, out []int64, start, count int) {
+func decodeNaiveFOR(bl *Block, codes []uint32, out []int64, start, count int) error {
 	base := bl.Base
 	maxcode := uint32(1)<<bl.B - 1
 	j := int(bl.Entries[start/EntryStride].ExcIdx)
 	for i := 0; i < count; i++ {
 		if c := codes[i]; c < maxcode {
 			out[i] = base + int64(c)
-		} else {
+		} else if j < len(bl.ExcVals) {
 			out[i] = bl.ExcVals[j]
 			j++
+		} else {
+			return naiveOverrun(start+i, len(bl.ExcVals))
 		}
 	}
+	return nil
 }
 
-func decodePatchedDict(bl *Block, codes []uint32, out []int64, start, count int) {
+// naiveOverrun reports a Naive block with more MAXCODE positions than
+// exception values.
+func naiveOverrun(pos, nExc int) error {
+	return fmt.Errorf("%w: MAXCODE at position %d past the last of %d exceptions", ErrCorruptBlock, pos, nExc)
+}
+
+func decodePatchedDict(bl *Block, codes []uint32, out []int64, start, count int) error {
 	dict := bl.Dict
 	for i := 0; i < count; i++ {
 		out[i] = dict[codes[i]]
 	}
-	e := bl.Entries[start/EntryStride]
-	end := start + count
-	j := int(e.ExcIdx)
-	for pos := int(e.FirstExc); pos < end; {
-		gap := int(codes[pos-start])
-		out[pos-start] = bl.ExcVals[j]
-		j++
-		pos += gap
-	}
+	return patchExceptions(bl, codes, out, start, count)
 }
 
-func decodeNaiveDict(bl *Block, codes []uint32, out []int64, start, count int) {
+func decodeNaiveDict(bl *Block, codes []uint32, out []int64, start, count int) error {
 	dict := bl.Dict
 	maxcode := uint32(1)<<bl.B - 1
 	j := int(bl.Entries[start/EntryStride].ExcIdx)
 	for i := 0; i < count; i++ {
 		if c := codes[i]; c < maxcode {
 			out[i] = dict[c]
-		} else {
+		} else if j < len(bl.ExcVals) {
 			out[i] = bl.ExcVals[j]
 			j++
+		} else {
+			return naiveOverrun(start+i, len(bl.ExcVals))
 		}
 	}
+	return nil
 }
 
 // prefixSum turns decoded deltas into values. Position 0 of the sequence

@@ -2,6 +2,7 @@ package engine
 
 import (
 	"fmt"
+	"slices"
 	"time"
 
 	"repro/internal/vector"
@@ -34,6 +35,7 @@ type MergeJoin struct {
 
 	out        *vector.Batch
 	lIdx, rIdx []int32 // phase-1 output: positions (inner) or output slots (outer)
+	ctx        *ExecContext
 	vecSize    int
 	nLeft      int // columns contributed by the left side
 }
@@ -81,7 +83,7 @@ func (j *MergeJoin) Open(ctx *ExecContext) error {
 	}
 	j.nLeft = len(ls)
 
-	j.vecSize = ctx.VectorSize
+	j.ctx, j.vecSize = ctx, ctx.VectorSize
 	vecs := make([]*vector.Vector, len(j.schema))
 	for i, c := range j.schema {
 		vecs[i] = vector.New(c.Type, j.vecSize)
@@ -160,7 +162,7 @@ func checkIncreasing(side string, keys []int64, prev *int64) error {
 
 // Next produces the next vector of joined tuples, vector-at-a-time. Over
 // the rows left in the two current input batches it runs one tight loop on
-// the key slices that only records positions (phase 1: matchInner or
+// the key slices that only records positions (phase 1: matchWindow or
 // matchOuter), then moves every output column through those positions with
 // one typed loop per column (phase 2: gatherColumn or scatterColumn). Phase
 // 2 runs before the next child batch is pulled, because child batches are
@@ -192,7 +194,7 @@ func (j *MergeJoin) Next() (*vector.Batch, error) {
 			nl, nr, n = matchOuter(lKeys, rKeys, lIdx, rIdx)
 			lIdx, rIdx = lIdx[:nl], rIdx[:nr]
 		} else {
-			nl, nr, n = matchInner(lKeys, rKeys, lIdx, rIdx)
+			nl, nr, n = matchWindow(lKeys, rKeys, lIdx, rIdx, j.ctx)
 			lIdx, rIdx = lIdx[:n], rIdx[:n]
 		}
 		for c, dst := range j.out.Vecs {
@@ -252,6 +254,71 @@ func matchInner(lKeys, rKeys []int64, lIdx, rIdx []int32) (nl, nr, n int) {
 		nr += b2i(lk >= rk)
 	}
 	return nl, nr, n
+}
+
+// maxWindow caps the key window matchWindow handles positionally, and with
+// it the ExecContext's slot array: 64 Ki int32 slots, 256 KB.
+const maxWindow = 1 << 16
+
+// matchWindow is phase 1 of the inner join, with matchInner's results —
+// the same pairs in the same order, the same rows consumed — but no
+// dependency from one key to the next. Every match lies in the window
+// [lo, hi] both key slices cover. The positions of the left keys in the
+// window are scattered into a slot array indexed by key - lo; each right
+// key in the window then reads its slot, and the pair is kept where the
+// slot is set; the left keys are walked once more to clear their slots.
+// Unless the output fills, matchInner would stop when the slice ending at
+// hi runs out, having consumed every key up to hi on both sides, which two
+// binary searches give; when it fills, both sides have consumed up to the
+// last pair. A window wider than maxWindow — sparse keys — runs matchInner.
+func matchWindow(lKeys, rKeys []int64, lIdx, rIdx []int32, ctx *ExecContext) (nl, nr, n int) {
+	if len(lKeys) == 0 || len(rKeys) == 0 || len(lIdx) == 0 {
+		return 0, 0, 0
+	}
+	lo := max(lKeys[0], rKeys[0])
+	hi := min(lKeys[len(lKeys)-1], rKeys[len(rKeys)-1])
+	if lo <= hi && uint64(hi-lo) >= maxWindow {
+		return matchInner(lKeys, rKeys, lIdx, rIdx)
+	}
+	nl, nr = upperBound(lKeys, hi), upperBound(rKeys, hi)
+	if lo > hi {
+		return nl, nr, 0
+	}
+	slots := ctx.joinSlots(int(hi-lo) + 1)
+	la, ra := lowerBound(lKeys, lo), lowerBound(rKeys, lo)
+	lWin := lKeys[la:nl]
+	for i, k := range lWin {
+		slots[k-lo] = int32(la + i + 1)
+	}
+	// Probe in runs no longer than the output room left, so that not even a
+	// run of nothing but matches can overflow it.
+	for r := ra; r < nr && n < len(lIdx); {
+		end := min(nr, r+len(lIdx)-n)
+		for ; r < end; r++ {
+			s := slots[rKeys[r]-lo]
+			lIdx[n], rIdx[n] = s-1, int32(r)
+			n += b2i(s != 0)
+		}
+	}
+	for _, k := range lWin {
+		slots[k-lo] = 0
+	}
+	if n == len(lIdx) {
+		return int(lIdx[n-1]) + 1, int(rIdx[n-1]) + 1, n
+	}
+	return nl, nr, n
+}
+
+// lowerBound returns the number of keys below k in a strictly increasing
+// slice; upperBound the number at or below k.
+func lowerBound(keys []int64, k int64) int {
+	i, _ := slices.BinarySearch(keys, k)
+	return i
+}
+
+func upperBound(keys []int64, k int64) int {
+	i, found := slices.BinarySearch(keys, k)
+	return i + b2i(found)
 }
 
 // matchOuter is phase 1 of the full outer join. Every key of either slice

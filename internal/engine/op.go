@@ -14,6 +14,7 @@ package engine
 
 import (
 	"fmt"
+	"math/bits"
 	"time"
 
 	"repro/internal/vector"
@@ -61,6 +62,11 @@ type ExecContext struct {
 	// ctx.Err() } and every pipeline bottoms out at a leaf within one
 	// vector's worth of work.
 	Interrupt func() error
+
+	// slots is MergeJoin's positional-kernel scratch (matchWindow), shared
+	// by every join of the plans run on this context and all-zero between
+	// calls. A context is single-owner: it runs one plan at a time.
+	slots []int32
 }
 
 // NewContext returns a context with the default vector size.
@@ -73,6 +79,15 @@ func (c *ExecContext) Interrupted() error {
 		return c.Interrupt()
 	}
 	return nil
+}
+
+// joinSlots returns the zeroed slot array, grown to at least width slots
+// (the next power of two, at most maxWindow).
+func (c *ExecContext) joinSlots(width int) []int32 {
+	if len(c.slots) < width {
+		c.slots = make([]int32, min(maxWindow, 1<<bits.Len(uint(width-1))))
+	}
+	return c.slots
 }
 
 // OpStats are per-operator profiling counters, displayed by Explain as the

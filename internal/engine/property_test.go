@@ -2,8 +2,10 @@ package engine
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
 	"reflect"
+	"slices"
 	"sort"
 	"testing"
 
@@ -425,5 +427,157 @@ func TestAggregateMatchesOracleProperty(t *testing.T) {
 		if !sameRows(got, want) {
 			t.Fatalf("trial %d: aggregate mismatch\n got %v\nwant %v", trial, got, want)
 		}
+	}
+}
+
+// Invariant: the select-then-heap TopN equals sort-then-truncate over every
+// shape its select loop and slot heap specialise on — one to three order
+// keys of either type and direction, 256-level quantized keys (heavy ties,
+// as with the 8-bit score), inputs behind a Select (batches with a
+// selection vector), n of 1, 20 and beyond the row count, and Sort's
+// unbounded n — in rows, order and counters.
+func TestTopNSelectThenHeapMatchesOracle(t *testing.T) {
+	rng := rand.New(rand.NewSource(77))
+	for trial := 0; trial < 200; trial++ {
+		rows := rng.Intn(3000)
+		names := []string{"id", "keep", "i1", "i2", "f1", "f2", "s"}
+		id, keep, i1, i2 := make([]int64, rows), make([]int64, rows), make([]int64, rows), make([]int64, rows)
+		f1, f2, s := make([]float64, rows), make([]float64, rows), make([]string, rows)
+		for r := 0; r < rows; r++ {
+			id[r], keep[r] = int64(r), int64(rng.Intn(10))
+			i1[r], i2[r] = int64(rng.Intn(256)), int64(rng.Intn(256))-128
+			f1[r], f2[r] = float64(rng.Intn(256))/7, float64(rng.Intn(256))/-3
+			s[r] = fmt.Sprintf("row%d", r)
+		}
+		cols := []*vector.Vector{vector.NewInt64(id), vector.NewInt64(keep), vector.NewInt64(i1),
+			vector.NewInt64(i2), vector.NewFloat64(f1), vector.NewFloat64(f2), vector.NewStr(s)}
+		keyCols := []string{"i1", "i2", "f1", "f2"}
+		order := make([]OrderSpec, 1+rng.Intn(3))
+		for k, c := range rng.Perm(len(keyCols))[:len(order)] {
+			order[k] = OrderSpec{Col: keyCols[c], Desc: rng.Intn(2) == 0}
+		}
+		filtered := rng.Intn(2) == 0
+		n := []int{1, 20, rows + 1 + rng.Intn(5), 1 << 62}[rng.Intn(4)]
+		vs := []int{1, 7, 100, 1024}[rng.Intn(4)]
+
+		// Oracle: a stable sort (arrival order breaks ties), truncated.
+		var want [][]any
+		for r := 0; r < rows; r++ {
+			if !filtered || keep[r] < 7 {
+				row := make([]any, len(cols))
+				for c, v := range cols {
+					row[c] = v.Get(r)
+				}
+				want = append(want, row)
+			}
+		}
+		keyOf := func(row []any, o OrderSpec) float64 {
+			v, ok := row[slices.Index(names, o.Col)].(float64)
+			if !ok {
+				v = float64(row[slices.Index(names, o.Col)].(int64))
+			}
+			if o.Desc {
+				return v
+			}
+			return -v
+		}
+		sort.SliceStable(want, func(a, b int) bool {
+			for _, o := range order {
+				if ka, kb := keyOf(want[a], o), keyOf(want[b], o); ka != kb {
+					return ka > kb
+				}
+			}
+			return false
+		})
+		want = want[:min(len(want), n)]
+
+		values, err := NewValues(names, cols)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var child Operator = values
+		if filtered {
+			child = NewSelect(values, &CmpIntColVal{Col: "keep", Op: LT, Val: 7})
+		}
+		var op Operator = NewTopN(child, n, order)
+		if n == 1<<62 && rng.Intn(2) == 0 {
+			op = NewSort(child, order)
+		}
+		got, err := Collect(op, &ExecContext{VectorSize: vs})
+		if err != nil {
+			t.Fatal(err)
+		}
+		name := fmt.Sprintf("trial %d (%s, rows=%d, n=%d, vs=%d, filtered=%v)", trial, op.Describe(), rows, n, vs, filtered)
+		if len(got) != len(want) || len(want) > 0 && !reflect.DeepEqual(got, want) {
+			t.Fatalf("%s: %d rows differ from the oracle's %d", name, len(got), len(want))
+		}
+		st := op.Stats()
+		if wantCalls := int64((len(want)+vs-1)/vs + 1); st.Tuples != int64(len(want)) || st.NextCalls != wantCalls {
+			t.Fatalf("%s: stats tuples=%d next_calls=%d, want %d and %d", name, st.Tuples, st.NextCalls, len(want), wantCalls)
+		}
+	}
+}
+
+// Invariant: matchWindow returns exactly what matchInner, its oracle,
+// returns — pairs, their order and the rows consumed — at key densities
+// from 0.1 % to 99 %, for windows just under, at and over the slot cap,
+// keys at both ends of int64, and output room that runs out mid-window;
+// and it leaves the slot array all-zero.
+func TestMatchWindowMatchesMatchInner(t *testing.T) {
+	rng := rand.New(rand.NewSource(78))
+	ctx := NewContext()
+	// keys draws a strictly increasing slice of up to n keys from
+	// [from, from+span) at the given density.
+	keys := func(n int, from int64, span uint64, density float64) []int64 {
+		var out []int64
+		for off := uint64(0); off < span && len(out) < n; off++ {
+			if rng.Float64() < density {
+				out = append(out, from+int64(off))
+			}
+		}
+		return out
+	}
+	check := func(name string, l, r []int64, room int) {
+		t.Helper()
+		wl, wr := make([]int32, room), make([]int32, room)
+		gl, gr := make([]int32, room), make([]int32, room)
+		nl, nr, n := matchInner(l, r, wl, wr)
+		gnl, gnr, gn := matchWindow(l, r, gl, gr, ctx)
+		if gnl != nl || gnr != nr || gn != n {
+			t.Fatalf("%s: consumed (%d, %d) with %d pairs, matchInner (%d, %d) with %d", name, gnl, gnr, gn, nl, nr, n)
+		}
+		if !slices.Equal(gl[:n], wl[:n]) || !slices.Equal(gr[:n], wr[:n]) {
+			t.Fatalf("%s: pairs differ from matchInner's", name)
+		}
+		if i := slices.IndexFunc(ctx.slots, func(s int32) bool { return s != 0 }); i >= 0 {
+			t.Fatalf("%s: slot %d left at %d", name, i, ctx.slots[i])
+		}
+	}
+	for trial := 0; trial < 300; trial++ {
+		density := []float64{0.001, 0.01, 0.1, 0.33, 0.9, 0.99}[rng.Intn(6)]
+		from := []int64{0, -1 << 40, math.MinInt64, math.MaxInt64 - 1<<20}[rng.Intn(4)]
+		span := uint64(1 + rng.Intn(1<<20))
+		l := keys(1+rng.Intn(1500), from, span, density)
+		r := keys(1+rng.Intn(1500), from+int64(rng.Intn(64)), span, density)
+		room := []int{1, 2, 17, 1024, 4096}[rng.Intn(5)]
+		check(fmt.Sprintf("trial %d (density %g, from %d, room %d)", trial, density, from, room), l, r, room)
+	}
+	// Windows of maxWindow-1, maxWindow and maxWindow+1 key distances, the
+	// first the widest the slots hold, the others run by matchInner.
+	for _, from := range []int64{0, math.MinInt64, math.MaxInt64 - maxWindow - 1} {
+		for d := int64(maxWindow - 1); d <= maxWindow+1; d++ {
+			mid := keys(2000, from+1, uint64(d-1), 0.05)
+			l := append(append([]int64{from}, mid...), from+d)
+			r := append(append([]int64{from}, keys(2000, from+1, uint64(d-1), 0.05)...), from+d)
+			for _, room := range []int{1, 50, 4096} {
+				check(fmt.Sprintf("window %d from %d, room %d", d, from, room), l, r, room)
+			}
+		}
+	}
+	// Extreme keys, both ends of int64 in one pair of slices: the window is
+	// the whole range and its width overflows int64.
+	check("full int64 range", []int64{math.MinInt64, 0, math.MaxInt64}, []int64{math.MinInt64, 5, math.MaxInt64}, 8)
+	if len(ctx.slots) > maxWindow {
+		t.Fatalf("slot array grew to %d, cap %d", len(ctx.slots), maxWindow)
 	}
 }

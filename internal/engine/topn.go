@@ -1,9 +1,8 @@
 package engine
 
 import (
-	"container/heap"
 	"fmt"
-	"sort"
+	"math"
 	"time"
 
 	"repro/internal/vector"
@@ -30,6 +29,13 @@ func (o OrderSpec) String() string {
 // Ordering columns may be Int64 or Float64; ties beyond the listed keys
 // are broken by arrival order (first seen wins), making results
 // deterministic for deterministic inputs.
+//
+// It works select-then-heap: once N rows are held, the worst one's first
+// key is a threshold, one typed loop per input batch computes every row's
+// first key and drops those below it, and only the survivors are compared
+// on every key and may enter the heap. Retained rows live in slots, written
+// in place, so nothing is allocated after Open (Sort's unbounded N aside,
+// whose slots grow by doubling).
 type TopN struct {
 	base
 	child Operator
@@ -39,42 +45,25 @@ type TopN struct {
 	orderIdx  []int
 	orderType []vector.Type
 
-	h       *topHeap
+	// Slot s holds a retained row: its direction-adjusted order keys
+	// keys[s*len(order):], its arrival number seq[s] and its column values
+	// at position s of vals.
+	keys []float64
+	seq  []int64
+	vals []*vector.Vector
+	// heap holds the slot ids of the retained rows, worst row first.
+	heap []int32
+
+	first   []float64 // per batch row: its first order key
+	surv    []int32   // per batch: the rows not below the threshold
+	cand    []float64 // the order keys of the row being compared
+	arrived int64     // rows consumed so far
+
 	out     *vector.Batch
 	vecSize int
 	done    bool
-	rows    []topRow
 	emitPos int
 }
-
-type topRow struct {
-	keys []float64 // numeric order keys, already direction-adjusted
-	seq  int64     // arrival order, for deterministic ties
-	vals []any     // full row snapshot
-}
-
-type topHeap struct {
-	rows []topRow
-}
-
-// Less defines a min-heap on the *worst* retained row so it can be evicted
-// in O(log n): row i is "less" when it ranks worse than row j.
-func (h *topHeap) Less(i, j int) bool { return worseThan(&h.rows[i], &h.rows[j]) }
-
-func worseThan(a, b *topRow) bool {
-	for k := range a.keys {
-		if a.keys[k] != b.keys[k] {
-			return a.keys[k] < b.keys[k] // smaller adjusted key = worse
-		}
-	}
-	return a.seq > b.seq // later arrival = worse
-}
-
-func (h *topHeap) Len() int           { return len(h.rows) }
-func (h *topHeap) Swap(i, j int)      { h.rows[i], h.rows[j] = h.rows[j], h.rows[i] }
-func (h *topHeap) Push(x any)         { h.rows = append(h.rows, x.(topRow)) }
-func (h *topHeap) Pop() any           { r := h.rows[len(h.rows)-1]; h.rows = h.rows[:len(h.rows)-1]; return r }
-func (h *topHeap) peekWorst() *topRow { return &h.rows[0] }
 
 // NewTopN builds a top-n node.
 func NewTopN(child Operator, n int, order []OrderSpec) *TopN {
@@ -105,17 +94,35 @@ func (t *TopN) Open(ctx *ExecContext) error {
 		t.orderIdx = append(t.orderIdx, i)
 		t.orderType = append(t.orderType, typ)
 	}
-	t.h = &topHeap{}
 	t.vecSize = ctx.VectorSize
 	t.done = false
-	t.rows = nil
 	t.emitPos = 0
+	t.arrived = 0
+	t.vals = make([]*vector.Vector, len(in))
 	vecs := make([]*vector.Vector, len(in))
 	for i, c := range in {
+		t.vals[i] = vector.New(c.Type, 0)
 		vecs[i] = vector.New(c.Type, t.vecSize)
 	}
 	t.out = &vector.Batch{Vecs: vecs}
+	t.keys, t.seq, t.heap = nil, nil, nil
+	t.growSlots(min(t.n, t.vecSize))
+	t.first, t.surv = make([]float64, t.vecSize), make([]int32, t.vecSize)
+	t.cand = make([]float64, len(t.order))
 	return nil
+}
+
+// growSlots moves the retained rows to slot storage for capn rows.
+func (t *TopN) growSlots(capn int) {
+	for c, v := range t.vals {
+		grown := vector.New(v.Type(), capn)
+		grown.CopyFrom(v)
+		grown.SetLen(capn)
+		t.vals[c] = grown
+	}
+	t.keys = append(make([]float64, 0, capn*len(t.order)), t.keys...)[:capn*len(t.order)]
+	t.seq = append(make([]int64, 0, capn), t.seq...)[:capn]
+	t.heap = append(make([]int32, 0, capn), t.heap...)
 }
 
 // Next drains the child on first call, then emits the retained rows in
@@ -126,24 +133,23 @@ func (t *TopN) Next() (*vector.Batch, error) {
 		if err := t.consume(); err != nil {
 			return nil, err
 		}
-		// Sort retained rows best-first.
-		t.rows = t.h.rows
-		sort.Slice(t.rows, func(i, j int) bool { return worseThan(&t.rows[j], &t.rows[i]) })
+		// Heapsort in place: each pass moves the worst row left to the end,
+		// so the slot ids end up best-first.
+		for end := len(t.heap) - 1; end > 0; end-- {
+			t.heap[0], t.heap[end] = t.heap[end], t.heap[0]
+			t.siftDown(0, end)
+		}
 		t.done = true
 	}
-	if t.emitPos >= len(t.rows) {
+	if t.emitPos >= len(t.heap) {
 		t.observe(start, nil)
 		return nil, nil
 	}
-	n := len(t.rows) - t.emitPos
-	if n > t.vecSize {
-		n = t.vecSize
-	}
+	n := min(len(t.heap)-t.emitPos, t.vecSize)
+	idx := t.heap[t.emitPos : t.emitPos+n]
 	for c, v := range t.out.Vecs {
 		v.SetLen(n)
-		for r := 0; r < n; r++ {
-			v.Set(r, t.rows[t.emitPos+r].vals[c])
-		}
+		gatherColumn(v, 0, t.vals[c], 0, idx)
 	}
 	t.emitPos += n
 	t.out.Sel = nil
@@ -153,8 +159,6 @@ func (t *TopN) Next() (*vector.Batch, error) {
 }
 
 func (t *TopN) consume() error {
-	var seq int64
-	keybuf := make([]float64, len(t.order))
 	for {
 		b, err := t.child.Next()
 		if err != nil {
@@ -163,47 +167,173 @@ func (t *TopN) consume() error {
 		if b == nil {
 			return nil
 		}
-		for i := 0; i < b.N; i++ {
-			pos := i
-			if b.Sel != nil {
-				pos = int(b.Sel[i])
-			}
-			for k, ci := range t.orderIdx {
-				var v float64
-				if t.orderType[k] == vector.Int64 {
-					v = float64(b.Vecs[ci].I64[pos])
-				} else {
-					v = b.Vecs[ci].F64[pos]
-				}
-				if t.order[k].Desc {
-					keybuf[k] = v
-				} else {
-					keybuf[k] = -v
-				}
-			}
-			cand := topRow{keys: keybuf, seq: seq}
-			seq++
-			if t.h.Len() >= t.n {
-				if !worseThan(t.h.peekWorst(), &cand) {
-					continue // candidate is no better than the current worst
-				}
-				heap.Pop(t.h)
-			}
-			// Snapshot only rows that enter the heap.
-			keys := make([]float64, len(keybuf))
-			copy(keys, keybuf)
-			vals := make([]any, len(t.schema))
-			for c, v := range b.Vecs {
-				vals[c] = v.Get(pos)
-			}
-			heap.Push(t.h, topRow{keys: keys, seq: cand.seq, vals: vals})
+		t.push(b)
+	}
+}
+
+// push offers one batch: the select loop first, then the survivors one by
+// one against the current worst row.
+func (t *TopN) push(b *vector.Batch) {
+	if cap(t.first) < b.N {
+		t.first, t.surv = make([]float64, b.N), make([]int32, b.N)
+	}
+	thr := math.Inf(-1)
+	if len(t.heap) == t.n {
+		thr = t.slotKeys(t.heap[0])[0]
+	}
+	var m int
+	col, first, surv := b.Vecs[t.orderIdx[0]], t.first[:b.N], t.surv[:b.N]
+	if t.orderType[0] == vector.Int64 {
+		m = selectKeys(first, surv, col.I64, b.Sel, t.order[0].Desc, thr)
+	} else {
+		m = selectKeys(first, surv, col.F64, b.Sel, t.order[0].Desc, thr)
+	}
+	for _, i := range surv[:m] {
+		full := len(t.heap) == t.n
+		// The threshold rises as the batch's survivors fill the heap: a
+		// survivor already below it needs no more than this compare.
+		if full && first[i] < t.slotKeys(t.heap[0])[0] {
+			continue
 		}
+		pos := int(i)
+		if b.Sel != nil {
+			pos = int(b.Sel[i])
+		}
+		t.cand[0] = first[i]
+		for k := 1; k < len(t.cand); k++ {
+			t.cand[k] = t.key(b, k, pos)
+		}
+		seq := t.arrived + int64(i)
+		if !full {
+			if len(t.heap) == cap(t.heap) {
+				t.growSlots(min(t.n, 2*cap(t.heap)))
+			}
+			s := int32(len(t.heap))
+			t.heap = append(t.heap, s)
+			t.store(s, b, pos, seq)
+			t.siftUp(len(t.heap) - 1)
+			continue
+		}
+		// A later arrival must beat the worst row on some key: a tie on
+		// every key goes to the row already held.
+		w := t.heap[0]
+		if !lessKeys(t.slotKeys(w), t.cand) {
+			continue
+		}
+		t.store(w, b, pos, seq)
+		t.siftDown(0, len(t.heap))
+	}
+	t.arrived += int64(b.N)
+}
+
+// selectKeys is the select loop: it writes the direction-adjusted first key
+// of each batch row to first (sel applied) and the rows whose key is not
+// below thr to surv, returning how many there are. A row below thr ranks
+// under the worst retained row on the first key already.
+func selectKeys[T int64 | float64](first []float64, surv []int32, col []T, sel []int32, desc bool, thr float64) int {
+	sign := -1.0
+	if desc {
+		sign = 1
+	}
+	m := 0
+	for i := range first {
+		p := i
+		if sel != nil {
+			p = int(sel[i])
+		}
+		k := sign * float64(col[p])
+		first[i] = k
+		surv[m] = int32(i)
+		m += b2i(!(k < thr))
+	}
+	return m
+}
+
+// key returns order key k of the row at pos, direction-adjusted: larger is
+// better.
+func (t *TopN) key(b *vector.Batch, k, pos int) float64 {
+	var v float64
+	if t.orderType[k] == vector.Int64 {
+		v = float64(b.Vecs[t.orderIdx[k]].I64[pos])
+	} else {
+		v = b.Vecs[t.orderIdx[k]].F64[pos]
+	}
+	if t.order[k].Desc {
+		return v
+	}
+	return -v
+}
+
+// store writes the candidate row into slot s.
+func (t *TopN) store(s int32, b *vector.Batch, pos int, seq int64) {
+	copy(t.slotKeys(s), t.cand)
+	t.seq[s] = seq
+	for c, v := range b.Vecs {
+		copyValue(t.vals[c], int(s), v, pos)
+	}
+}
+
+func (t *TopN) slotKeys(s int32) []float64 {
+	nk := len(t.order)
+	return t.keys[int(s)*nk : int(s+1)*nk]
+}
+
+// lessKeys reports whether order keys a rank below b.
+func lessKeys(a, b []float64) bool {
+	for k := range a {
+		if a[k] != b[k] {
+			return a[k] < b[k]
+		}
+	}
+	return false
+}
+
+// worse reports whether slot a ranks below slot b: lower keys, or equal keys
+// and a later arrival.
+func (t *TopN) worse(a, b int32) bool {
+	ka, kb := t.slotKeys(a), t.slotKeys(b)
+	for k := range ka {
+		if ka[k] != kb[k] {
+			return ka[k] < kb[k]
+		}
+	}
+	return t.seq[a] > t.seq[b]
+}
+
+func (t *TopN) siftUp(i int) {
+	h := t.heap
+	for i > 0 {
+		p := (i - 1) / 2
+		if !t.worse(h[i], h[p]) {
+			return
+		}
+		h[i], h[p] = h[p], h[i]
+		i = p
+	}
+}
+
+// siftDown restores the heap order of h[:n] below position i.
+func (t *TopN) siftDown(i, n int) {
+	h := t.heap
+	for {
+		c := 2*i + 1
+		if c >= n {
+			return
+		}
+		if r := c + 1; r < n && t.worse(h[r], h[c]) {
+			c = r
+		}
+		if !t.worse(h[c], h[i]) {
+			return
+		}
+		h[i], h[c] = h[c], h[i]
+		i = c
 	}
 }
 
 // Close closes the child.
 func (t *TopN) Close() error {
-	t.h, t.rows, t.out = nil, nil, nil
+	t.keys, t.seq, t.vals, t.heap, t.out = nil, nil, nil, nil, nil
 	return t.child.Close()
 }
 
@@ -236,8 +366,8 @@ func NewSort(child Operator, order []OrderSpec) *Sort {
 	return &Sort{child: child, order: order}
 }
 
-// Open delegates to an unbounded TopN (n = MaxInt), which shares the
-// row-snapshot machinery.
+// Open delegates to an unbounded TopN (n = 1<<62), whose slots grow by
+// doubling and whose threshold never fires.
 func (s *Sort) Open(ctx *ExecContext) error {
 	s.top = NewTopN(s.child, 1<<62, s.order)
 	if err := s.top.Open(ctx); err != nil {

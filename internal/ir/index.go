@@ -38,9 +38,9 @@ const nameChunkLen = 256
 // TermInfo is the range-index entry for one term: its posting rows occupy
 // TD rows [Start, End), and Ftd documents contain the term (equal to
 // End-Start except under a distributed global-statistics override).
-// MaxScore is the largest w(D,T) in the term's posting list, the bound the
-// max-score pruning strategy (§5, Buckley & Lewit) stops on; it is
-// populated when scores are materialized.
+// MaxScore is the largest w(D,T) in the term's posting list, the per-term
+// bound of max-score pruning (§5, Buckley & Lewit); it is populated when
+// scores are materialized and persisted with the range index.
 type TermInfo struct {
 	Start, End int
 	Ftd        int

@@ -67,6 +67,19 @@ func TestBuildIndexShape(t *testing.T) {
 	}
 }
 
+// Every term's MaxScore is set, and bounded by the index-wide ScoreHi.
+func TestMaxScorePopulated(t *testing.T) {
+	_, ix := getIndex(t)
+	for term, ti := range ix.Terms {
+		if ti.MaxScore <= 0 {
+			t.Fatalf("term %q has MaxScore %v", term, ti.MaxScore)
+		}
+		if ti.MaxScore > ix.ScoreHi+1e-9 {
+			t.Fatalf("term %q MaxScore %v exceeds global bound %v", term, ti.MaxScore, ix.ScoreHi)
+		}
+	}
+}
+
 func TestBuildRequiresDocidForMaterialized(t *testing.T) {
 	bc := BuildConfig{Materialized: true}
 	if _, err := Build(testCollection(), bc); err == nil {

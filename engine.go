@@ -9,6 +9,7 @@ import (
 	"sync"
 	"sync/atomic"
 
+	"repro/internal/colbm"
 	"repro/internal/corpus"
 	"repro/internal/ir"
 	"repro/internal/obs"
@@ -194,7 +195,7 @@ func openDir(cfg engineConfig) (*Engine, error) {
 			return nil, err
 		}
 	}
-	mgr := storage.NewManager(cfg.pool, storage.WithAdmissionPolicy(cfg.cacheAdmission))
+	mgr := colbm.NewManager(cfg.pool, colbm.WithAdmissionPolicy(cfg.cacheAdmission))
 	core, err := serving.OpenDir(cfg.storageDir, mgr, cfg.prefetchWorkers, cfg.Config)
 	if err != nil {
 		return nil, err

@@ -412,7 +412,7 @@ func TestEngineSearchBool(t *testing.T) {
 func builderTable(t *testing.T) *Table {
 	t.Helper()
 	disk := NewSimDisk(DefaultDiskParams())
-	pool := NewBufferPool(0)
+	pool := NewBufferManager(0)
 	b := NewTableBuilder("t", disk, pool, []ColumnSpec{
 		{Name: "k", Type: TypeInt64, Enc: EncPFOR},
 		{Name: "flag", Type: TypeStr},
@@ -451,7 +451,7 @@ func TestPlanBuilderHappyPath(t *testing.T) {
 
 func TestPlanBuilderJoin(t *testing.T) {
 	disk := NewSimDisk(DefaultDiskParams())
-	pool := NewBufferPool(0)
+	pool := NewBufferManager(0)
 	mk := func(name string, step int) *Table {
 		b := NewTableBuilder(name, disk, pool, []ColumnSpec{
 			{Name: "k", Type: TypeInt64, Enc: colbm.EncPFORDelta},

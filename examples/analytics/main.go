@@ -18,7 +18,7 @@ import (
 
 func main() {
 	disk := repro.NewSimDisk(repro.DefaultDiskParams())
-	pool := repro.NewBufferPool(0)
+	pool := repro.NewBufferManager(0)
 
 	// lineitem(shipdate, returnflag, extprice): shipdate as days since
 	// epoch, returnflag one of A/N/R, extended price in cents.

@@ -1,12 +1,10 @@
-package storage
+package colbm
 
 import (
 	"container/list"
 	"fmt"
 	"strings"
 	"sync"
-
-	"repro/internal/colbm"
 )
 
 // AdmissionPolicy selects how the Manager admits chunks against its byte
@@ -51,7 +49,7 @@ const (
 	ghostDivisor = 2
 )
 
-// Manager is the ColumnBM buffer manager: a colbm.ChunkCache with a fixed
+// Manager is the ColumnBM buffer manager: a ChunkCache with a fixed
 // byte budget over *compressed* chunks (the central ColumnBM decision —
 // caching compressed multiplies effective capacity, and the PFOR decoders
 // are fast enough to decompress per access), CLOCK (second chance)
@@ -92,7 +90,7 @@ type Manager struct {
 // frames still in the 2Q probationary FIFO.
 type frame struct {
 	key   string
-	chunk *colbm.CachedChunk
+	chunk *CachedChunk
 	ref   bool
 	prob  bool
 	elem  *list.Element
@@ -109,7 +107,7 @@ type ghostEntry struct {
 // fetch is one in-flight load other callers of the same key wait on.
 type fetch struct {
 	done  chan struct{}
-	chunk *colbm.CachedChunk
+	chunk *CachedChunk
 	err   error
 	// sharers counts callers that coalesced onto this load. A chunk that
 	// had waiters is hot by definition, so it is admitted with its CLOCK
@@ -149,7 +147,7 @@ func (m *Manager) Policy() AdmissionPolicy { return m.policy }
 // herd of cold queries costs one disk fetch per chunk, not one per query.
 // A failed *shared* fetch (e.g. a dropped prefetch batch) does not fail
 // the waiters: they retry, and one of them becomes the loader.
-func (m *Manager) GetChunk(key string, load func() (*colbm.CachedChunk, error)) (*colbm.CachedChunk, error) {
+func (m *Manager) GetChunk(key string, load func() (*CachedChunk, error)) (*CachedChunk, error) {
 	var fl *fetch
 	for {
 		m.mu.Lock()
@@ -237,7 +235,7 @@ func (m *Manager) BeginFetch(keys []string) []string {
 // waiting) and its waiters are woken. A key missing from chunks — or every
 // key, when err is non-nil — fails its waiters instead; they will retry
 // through the demand path. Keys never claimed are ignored.
-func (m *Manager) EndFetch(claimed []string, chunks map[string]*colbm.CachedChunk, err error) {
+func (m *Manager) EndFetch(claimed []string, chunks map[string]*CachedChunk, err error) {
 	var done []*fetch
 	m.mu.Lock()
 	for _, key := range claimed {
@@ -248,7 +246,7 @@ func (m *Manager) EndFetch(claimed []string, chunks map[string]*colbm.CachedChun
 		delete(m.inflight, key)
 		fl.chunk, fl.err = chunks[key], err
 		if fl.err == nil && fl.chunk == nil {
-			fl.err = fmt.Errorf("storage: batched fetch did not deliver chunk %q", key)
+			fl.err = fmt.Errorf("colbm: batched fetch did not deliver chunk %q", key)
 		}
 		if fl.err == nil {
 			m.insertLocked(key, fl.chunk, fl.sharers > 0)
@@ -267,7 +265,7 @@ func (m *Manager) EndFetch(claimed []string, chunks map[string]*colbm.CachedChun
 // flight, or would force an eviction is declined (evicting paid-for data
 // to keep incidental bytes would invert the cache's priorities). Returns
 // whether the chunk was admitted.
-func (m *Manager) Admit(key string, c *colbm.CachedChunk) bool {
+func (m *Manager) Admit(key string, c *CachedChunk) bool {
 	if c == nil {
 		return false
 	}
@@ -294,7 +292,7 @@ func (m *Manager) Admit(key string, c *colbm.CachedChunk) bool {
 // budget) are admitted transiently: they evict everything else and fall
 // out on the next insert, which keeps the manager useful under
 // pathological budgets.
-func (m *Manager) insertLocked(key string, c *colbm.CachedChunk, ref bool) {
+func (m *Manager) insertLocked(key string, c *CachedChunk, ref bool) {
 	if old, ok := m.frames[key]; ok {
 		m.removeLocked(old)
 	}
@@ -469,4 +467,4 @@ func (m *Manager) Stats() CacheStats {
 	}
 }
 
-var _ colbm.ChunkCache = (*Manager)(nil)
+var _ ChunkCache = (*Manager)(nil)

@@ -1,15 +1,13 @@
-package storage
+package colbm
 
 import (
 	"fmt"
 	"testing"
-
-	"repro/internal/colbm"
 )
 
 // resident reports whether key is cached without loading it on a miss.
 func resident(m *Manager, key string) bool {
-	got, err := m.GetChunk(key, func() (*colbm.CachedChunk, error) {
+	got, err := m.GetChunk(key, func() (*CachedChunk, error) {
 		return nil, fmt.Errorf("miss")
 	})
 	return err == nil && got != nil
@@ -160,7 +158,7 @@ func TestManagerAdmitHeadroomOnly(t *testing.T) {
 	if m.Admit("d", chunk(1)) {
 		t.Error("Admit raced an in-flight claim")
 	}
-	m.EndFetch(claimed, map[string]*colbm.CachedChunk{"d": chunk(1)}, nil)
+	m.EndFetch(claimed, map[string]*CachedChunk{"d": chunk(1)}, nil)
 	if m.Admit(string([]byte{'e'}), nil) {
 		t.Error("Admit accepted a nil chunk")
 	}

@@ -1,10 +1,8 @@
-package storage
+package colbm
 
 import (
 	"fmt"
 	"testing"
-
-	"repro/internal/colbm"
 )
 
 // BenchmarkBufferManagerGet isolates the manager's hot path: a resident
@@ -14,13 +12,13 @@ func BenchmarkBufferManagerGet(b *testing.B) {
 	keys := make([]string, 256)
 	for i := range keys {
 		keys[i] = fmt.Sprintf("TD.docidc#%d", i)
-		if _, err := m.GetChunk(keys[i], func() (*colbm.CachedChunk, error) {
-			return &colbm.CachedChunk{Raw: make([]byte, 1024), Size: 1024}, nil
+		if _, err := m.GetChunk(keys[i], func() (*CachedChunk, error) {
+			return &CachedChunk{Raw: make([]byte, 1024), Size: 1024}, nil
 		}); err != nil {
 			b.Fatal(err)
 		}
 	}
-	load := func() (*colbm.CachedChunk, error) { b.Fatal("unexpected miss"); return nil, nil }
+	load := func() (*CachedChunk, error) { b.Fatal("unexpected miss"); return nil, nil }
 	b.Run("serial", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			if _, err := m.GetChunk(keys[i%len(keys)], load); err != nil {

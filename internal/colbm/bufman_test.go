@@ -1,4 +1,4 @@
-package storage
+package colbm
 
 import (
 	"fmt"
@@ -6,17 +6,15 @@ import (
 	"sync/atomic"
 	"testing"
 	"time"
-
-	"repro/internal/colbm"
 )
 
-func chunk(size int64) *colbm.CachedChunk {
-	return &colbm.CachedChunk{Raw: []byte{1}, Size: size}
+func chunk(size int64) *CachedChunk {
+	return &CachedChunk{Raw: []byte{1}, Size: size}
 }
 
-func mustGet(t *testing.T, m *Manager, key string, c *colbm.CachedChunk) *colbm.CachedChunk {
+func mustGet(t *testing.T, m *Manager, key string, c *CachedChunk) *CachedChunk {
 	t.Helper()
-	got, err := m.GetChunk(key, func() (*colbm.CachedChunk, error) { return c, nil })
+	got, err := m.GetChunk(key, func() (*CachedChunk, error) { return c, nil })
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -61,7 +59,7 @@ func TestManagerClockSecondChance(t *testing.T) {
 	if m.Stats().Hits != hitsBefore+1 {
 		t.Error("referenced frame was evicted; unreferenced one should have been")
 	}
-	if _, err := m.GetChunk("b", func() (*colbm.CachedChunk, error) {
+	if _, err := m.GetChunk("b", func() (*CachedChunk, error) {
 		return nil, fmt.Errorf("b was evicted (expected)")
 	}); err == nil {
 		t.Error("unreferenced frame b survived while a was referenced")
@@ -118,7 +116,7 @@ func TestManagerStatsAccounting(t *testing.T) {
 		t.Errorf("hit rate %v, want 0.5", got)
 	}
 	// A failed load counts as a miss and caches nothing.
-	if _, err := m.GetChunk("c", func() (*colbm.CachedChunk, error) {
+	if _, err := m.GetChunk("c", func() (*CachedChunk, error) {
 		return nil, fmt.Errorf("boom")
 	}); err == nil {
 		t.Fatal("load error swallowed")
@@ -137,13 +135,13 @@ func TestManagerSingleflight(t *testing.T) {
 	const readers = 32
 	var loads atomic.Int64
 	var wg sync.WaitGroup
-	results := make([]*colbm.CachedChunk, readers)
+	results := make([]*CachedChunk, readers)
 	errs := make([]error, readers)
 	for i := 0; i < readers; i++ {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			results[i], errs[i] = m.GetChunk("hot", func() (*colbm.CachedChunk, error) {
+			results[i], errs[i] = m.GetChunk("hot", func() (*CachedChunk, error) {
 				loads.Add(1)
 				time.Sleep(20 * time.Millisecond) // hold the fetch open so others pile up
 				return chunk(8), nil
@@ -184,7 +182,7 @@ func TestSharedFetchSetsRefBit(t *testing.T) {
 	wg.Add(1)
 	go func() {
 		defer wg.Done()
-		if _, err := m.GetChunk("a", func() (*colbm.CachedChunk, error) {
+		if _, err := m.GetChunk("a", func() (*CachedChunk, error) {
 			close(loadStarted)
 			<-release
 			return chunk(40), nil
@@ -198,7 +196,7 @@ func TestSharedFetchSetsRefBit(t *testing.T) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			if _, err := m.GetChunk("a", func() (*colbm.CachedChunk, error) {
+			if _, err := m.GetChunk("a", func() (*CachedChunk, error) {
 				t.Error("sharer ran its own load despite the in-flight fetch")
 				return chunk(40), nil
 			}); err != nil {
@@ -225,13 +223,13 @@ func TestSharedFetchSetsRefBit(t *testing.T) {
 	// "b" instead.
 	mustGet(t, m, "b", chunk(40))
 	mustGet(t, m, "c", chunk(40)) // exceeds the budget: one eviction
-	if _, err := m.GetChunk("a", func() (*colbm.CachedChunk, error) {
+	if _, err := m.GetChunk("a", func() (*CachedChunk, error) {
 		return nil, fmt.Errorf("contended chunk was evicted first")
 	}); err != nil {
 		t.Fatal(err)
 	}
 	reloaded := false
-	if _, err := m.GetChunk("b", func() (*colbm.CachedChunk, error) {
+	if _, err := m.GetChunk("b", func() (*CachedChunk, error) {
 		reloaded = true
 		return chunk(40), nil
 	}); err != nil {
@@ -254,7 +252,7 @@ func TestManagerConcurrentMixedKeys(t *testing.T) {
 			defer wg.Done()
 			for i := 0; i < 500; i++ {
 				key := fmt.Sprintf("k%d", (g*7+i)%20)
-				if _, err := m.GetChunk(key, func() (*colbm.CachedChunk, error) {
+				if _, err := m.GetChunk(key, func() (*CachedChunk, error) {
 					return chunk(16), nil
 				}); err != nil {
 					t.Error(err)
@@ -269,7 +267,7 @@ func TestManagerConcurrentMixedKeys(t *testing.T) {
 		t.Errorf("budget violated after concurrent churn: %+v", st)
 	}
 	// Every successful lookup is a hit or a miss; a shared wait is a hit
-	// that also counts as Shared (see colbm.CacheStats).
+	// that also counts as Shared (see CacheStats).
 	if st.Hits+st.Misses != 8*500 || st.Shared > st.Hits {
 		t.Errorf("lookups leaked: %+v", st)
 	}
@@ -279,9 +277,9 @@ func TestManagerConcurrentMixedKeys(t *testing.T) {
 // key prefix — under an unbounded budget nothing else ever would.
 func TestManagerDropPrefix(t *testing.T) {
 	m := NewManager(0)
-	load := func(val byte) func() (*colbm.CachedChunk, error) {
-		return func() (*colbm.CachedChunk, error) {
-			return &colbm.CachedChunk{Raw: []byte{val}, Size: 10}, nil
+	load := func(val byte) func() (*CachedChunk, error) {
+		return func() (*CachedChunk, error) {
+			return &CachedChunk{Raw: []byte{val}, Size: 10}, nil
 		}
 	}
 	for _, key := range []string{"seg-000001.TD.docidc#0", "seg-000001.TD.tfc#0", "seg-000002.TD.docidc#0"} {

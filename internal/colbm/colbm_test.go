@@ -10,8 +10,8 @@ import (
 	"repro/internal/vector"
 )
 
-func newTestEnv() (*SimDisk, *BufferPool) {
-	return NewSimDisk(DefaultDiskParams()), NewBufferPool(0)
+func newTestEnv() (*SimDisk, *Manager) {
+	return NewSimDisk(DefaultDiskParams()), NewManager(0)
 }
 
 func TestSimDiskAccounting(t *testing.T) {
@@ -52,62 +52,7 @@ func TestSimDiskErrors(t *testing.T) {
 	}
 }
 
-func TestBufferPoolLRU(t *testing.T) {
-	p := NewBufferPool(100)
-	p.put("a", &CachedChunk{Size: 40, Raw: []byte{1}})
-	p.put("b", &CachedChunk{Size: 40, Raw: []byte{2}})
-	if _, ok := p.get("a"); !ok {
-		t.Fatal("a missing")
-	}
-	// Inserting c (40) must evict LRU, which is now b.
-	p.put("c", &CachedChunk{Size: 40, Raw: []byte{3}})
-	if _, ok := p.get("b"); ok {
-		t.Error("b should have been evicted")
-	}
-	if _, ok := p.get("a"); !ok {
-		t.Error("a should have survived (recently used)")
-	}
-	st := p.Stats()
-	if st.Used > st.Cap {
-		t.Errorf("pool over capacity: %+v", st)
-	}
-	p.Drop()
-	if _, ok := p.get("a"); ok {
-		t.Error("Drop did not empty pool")
-	}
-	p.ResetStats()
-	if _, ok := p.get("a"); ok {
-		t.Error("entry survived Drop")
-	}
-	if s := p.Stats(); s.Hits != 0 || s.Misses != 1 {
-		t.Errorf("after reset + one miss: %+v", s)
-	}
-}
-
-func TestBufferPoolUnbounded(t *testing.T) {
-	p := NewBufferPool(0)
-	for i := 0; i < 100; i++ {
-		p.put(string(rune('a'+i)), &CachedChunk{Size: 1 << 20, Raw: []byte{1}})
-	}
-	if st := p.Stats(); st.Used != 100<<20 {
-		t.Errorf("unbounded pool evicted: %+v", st)
-	}
-}
-
-func TestBufferPoolReplaceSameKey(t *testing.T) {
-	p := NewBufferPool(100)
-	p.put("a", &CachedChunk{Size: 30, Raw: []byte{1}})
-	p.put("a", &CachedChunk{Size: 50, Raw: []byte{2}})
-	if st := p.Stats(); st.Used != 50 {
-		t.Errorf("replace did not adjust size: %+v", st)
-	}
-	e, _ := p.get("a")
-	if e.Raw[0] != 2 {
-		t.Error("replace kept old value")
-	}
-}
-
-func buildInt64Table(t *testing.T, vals []int64, spec ColumnSpec) (*Table, *SimDisk, *BufferPool) {
+func buildInt64Table(t *testing.T, vals []int64, spec ColumnSpec) (*Table, *SimDisk, *Manager) {
 	t.Helper()
 	disk, pool := newTestEnv()
 	b := NewBuilder("t", disk, pool, []ColumnSpec{spec})
@@ -419,7 +364,7 @@ func TestPoolCapacityInvariance(t *testing.T) {
 	var want []int64
 	for _, capBytes := range []int64{0, 1 << 30, 64 << 10, 4 << 10} {
 		disk := NewSimDisk(DefaultDiskParams())
-		pool := NewBufferPool(capBytes)
+		pool := NewManager(capBytes)
 		b := NewBuilder("t", disk, pool, []ColumnSpec{
 			{Name: "c", Type: vector.Int64, Enc: EncPFORDelta, Bits: 8, ChunkLen: 8192},
 		})
@@ -476,15 +421,6 @@ func TestSimDiskReadReturnsCopy(t *testing.T) {
 	}
 }
 
-func TestBufferPoolEvictionCounting(t *testing.T) {
-	p := NewBufferPool(100)
-	p.put("a", &CachedChunk{Size: 60, Raw: []byte{1}})
-	p.put("b", &CachedChunk{Size: 60, Raw: []byte{2}}) // evicts a
-	if st := p.Stats(); st.Evictions != 1 {
-		t.Errorf("evictions = %d, want 1", st.Evictions)
-	}
-}
-
 func TestStoredTableRoundTrip(t *testing.T) {
 	rng := rand.New(rand.NewSource(67))
 	n := 200000
@@ -506,7 +442,7 @@ func TestStoredTableRoundTrip(t *testing.T) {
 	}
 
 	// Reopen over the same store with a fresh cache: identical data.
-	reopened, err := OpenTable(st, disk, NewBufferPool(0))
+	reopened, err := OpenTable(st, disk, NewManager(0))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -519,7 +455,7 @@ func TestStoredTableRoundTrip(t *testing.T) {
 	bad.Columns = append([]StoredColumn(nil), st.Columns...)
 	bad.Columns[0].Chunks = append([]ChunkInfo(nil), st.Columns[0].Chunks...)
 	bad.Columns[0].Chunks[0].N += 5
-	if _, err := OpenTable(bad, disk, NewBufferPool(0)); err == nil {
+	if _, err := OpenTable(bad, disk, NewManager(0)); err == nil {
 		t.Error("OpenTable accepted inconsistent chunk counts")
 	}
 }
@@ -529,7 +465,7 @@ func TestStoredTableRoundTrip(t *testing.T) {
 // non-integer columns.
 func TestCursorReadOffset(t *testing.T) {
 	store := NewSimDisk(DefaultDiskParams())
-	cache := NewBufferPool(0)
+	cache := NewManager(0)
 	b := NewBuilder("T", store, cache, []ColumnSpec{
 		{Name: "id", Type: vector.Int64, Enc: EncPFORDelta, Bits: 8, ChunkLen: 256},
 		{Name: "s", Type: vector.Str, ChunkLen: 256},

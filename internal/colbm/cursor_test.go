@@ -83,7 +83,7 @@ func TestStrReadTouchesNoHeaderWords(t *testing.T) {
 }
 
 // corruptBlob rewrites a column's blob through fn and empties the cache.
-func corruptBlob(t *testing.T, disk *SimDisk, pool *BufferPool, col *Column, fn func(blob []byte) []byte) {
+func corruptBlob(t *testing.T, disk *SimDisk, pool *Manager, col *Column, fn func(blob []byte) []byte) {
 	t.Helper()
 	blob, err := disk.Read(col.BlobName(), 0, disk.Size(col.BlobName()))
 	if err != nil {

@@ -19,9 +19,10 @@
 //     I/O time. storage.FileStore is the real counterpart, doing large
 //     aligned sequential reads against files on disk.
 //   - ChunkCache — compressed column chunks cached in RAM under a byte
-//     budget. BufferPool (here) is the simple LRU paired with SimDisk;
-//     storage.Manager is the real ColumnBM manager (CLOCK eviction,
-//     singleflight fetches).
+//     budget. Manager (here) is the ColumnBM buffer manager every index
+//     reads through, over SimDisk or FileStore alike: CLOCK eviction,
+//     optionally behind scan-resistant 2Q admission, and singleflight
+//     fetches.
 //
 // # Tables, columns, cursors
 //

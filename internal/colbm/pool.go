@@ -1,11 +1,6 @@
 package colbm
 
-import (
-	"container/list"
-	"sync"
-
-	"repro/internal/compress"
-)
+import "repro/internal/compress"
 
 // CachedChunk is one column chunk held in RAM *in compressed form*, the
 // central ColumnBM design decision: keeping blocks compressed multiplies
@@ -33,8 +28,8 @@ type CachedChunk struct {
 //
 // Accounting identity: every successful GetChunk is counted exactly once
 // as a hit or a miss, so Hits+Misses is the number of completed lookups
-// (plus, for storage.Manager, the keys a batched prefetch claimed, which
-// count as misses — each costs a store fetch). Shared is not a third
+// (plus the keys a batched prefetch claimed through Manager.BeginFetch,
+// which count as misses — each costs a store fetch). Shared is not a third
 // outcome: a lookup that waited on another caller's load and got its
 // chunk paid no store fetch of its own, so it is a hit that is also
 // counted in Shared. Shared <= Hits as long as no load fails (a failed
@@ -42,8 +37,7 @@ type CachedChunk struct {
 type CacheStats struct {
 	Hits, Misses int64
 	// Shared counts lookups coalesced onto another caller's in-flight load
-	// (singleflight), a subset of Hits; implementations without fetch
-	// deduplication report 0.
+	// (singleflight), a subset of Hits.
 	Shared    int64
 	Evictions int64
 	Used, Cap int64
@@ -59,9 +53,8 @@ func (s CacheStats) HitRate() float64 {
 
 // ChunkCache is the caching contract column cursors read chunks through: a
 // keyed, size-budgeted cache of compressed chunks. Implementations must be
-// safe for concurrent use. BufferPool (here) is the plain LRU used with the
-// simulated disk; storage.Manager is the real ColumnBM buffer manager with
-// clock eviction and singleflight fetch deduplication.
+// safe for concurrent use. Manager is the one implementation, for simulated
+// and persisted stores alike; storage.CacheView namespaces a shared one.
 type ChunkCache interface {
 	// GetChunk returns the cached chunk for key, calling load on a miss and
 	// retaining the result subject to the implementation's budget.
@@ -88,113 +81,4 @@ type Prefetcher interface {
 	// Close stops the workers and waits for in-flight fetches to settle;
 	// Prefetch calls after Close are no-ops.
 	Close() error
-}
-
-// BufferPool is the simple LRU ChunkCache paired with SimDisk: eviction is
-// least-recently-used by compressed size, and concurrent misses on the same
-// key may load twice (the simulated disk has no latency worth
-// deduplicating — storage.Manager adds singleflight for real stores).
-type BufferPool struct {
-	mu       sync.Mutex
-	capacity int64
-	used     int64
-	entries  map[string]*list.Element
-	lru      *list.List // front = most recent
-
-	hits      int64
-	misses    int64
-	evictions int64
-}
-
-type poolEntry struct {
-	key   string
-	chunk *CachedChunk
-}
-
-// NewBufferPool returns a pool with the given capacity in bytes. A zero or
-// negative capacity means "unbounded" (everything stays hot once loaded).
-func NewBufferPool(capacity int64) *BufferPool {
-	return &BufferPool{
-		capacity: capacity,
-		entries:  make(map[string]*list.Element),
-		lru:      list.New(),
-	}
-}
-
-// GetChunk implements ChunkCache. The load callback runs without the pool
-// lock held, so slow loads do not serialize unrelated lookups.
-func (p *BufferPool) GetChunk(key string, load func() (*CachedChunk, error)) (*CachedChunk, error) {
-	if c, ok := p.get(key); ok {
-		return c, nil
-	}
-	c, err := load()
-	if err != nil {
-		return nil, err
-	}
-	p.put(key, c)
-	return c, nil
-}
-
-// get returns the cached chunk for key, updating recency.
-func (p *BufferPool) get(key string) (*CachedChunk, bool) {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	el, ok := p.entries[key]
-	if !ok {
-		p.misses++
-		return nil, false
-	}
-	p.hits++
-	p.lru.MoveToFront(el)
-	return el.Value.(*poolEntry).chunk, true
-}
-
-// put inserts a chunk, evicting least-recently-used entries as needed.
-// Oversized entries (bigger than the whole pool) are admitted transiently:
-// they evict everything else and are themselves dropped on the next insert,
-// which keeps the pool useful under pathological capacities in the
-// buffer-size ablation tests.
-func (p *BufferPool) put(key string, c *CachedChunk) {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	if old, ok := p.entries[key]; ok {
-		p.used -= old.Value.(*poolEntry).chunk.Size
-		p.lru.Remove(old)
-		delete(p.entries, key)
-	}
-	if p.capacity > 0 {
-		for p.used+c.Size > p.capacity && p.lru.Len() > 0 {
-			back := p.lru.Back()
-			victim := back.Value.(*poolEntry)
-			p.lru.Remove(back)
-			delete(p.entries, victim.key)
-			p.used -= victim.chunk.Size
-			p.evictions++
-		}
-	}
-	p.entries[key] = p.lru.PushFront(&poolEntry{key: key, chunk: c})
-	p.used += c.Size
-}
-
-// Drop empties the pool (the "cold run" reset).
-func (p *BufferPool) Drop() {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	p.entries = make(map[string]*list.Element)
-	p.lru.Init()
-	p.used = 0
-}
-
-// ResetStats zeroes the hit/miss/eviction counters without evicting.
-func (p *BufferPool) ResetStats() {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	p.hits, p.misses, p.evictions = 0, 0, 0
-}
-
-// Stats returns a snapshot of the pool counters.
-func (p *BufferPool) Stats() CacheStats {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	return CacheStats{Hits: p.hits, Misses: p.misses, Evictions: p.evictions, Used: p.used, Cap: p.capacity}
 }

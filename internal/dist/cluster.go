@@ -9,6 +9,7 @@ import (
 	"sync"
 	"time"
 
+	"repro/internal/colbm"
 	"repro/internal/corpus"
 	"repro/internal/ir"
 	"repro/internal/storage"
@@ -135,7 +136,7 @@ type Cluster struct {
 
 	// sharedMgr is the cross-server buffer manager (WithSharedPool), nil
 	// without one.
-	sharedMgr *storage.Manager
+	sharedMgr *colbm.Manager
 }
 
 // slotCache returns the chunk cache a dir-backed slot's server reads
@@ -143,17 +144,17 @@ type Cluster struct {
 // and elastic placement alike: a view of the cross-server pool under the
 // slot's namespace (WithSharedPool), else a manager of the slot's own with
 // the cluster's per-replica budget.
-func slotCache(shared *storage.Manager, poolBytes int64, ns string) storage.FetchCache {
+func slotCache(shared *colbm.Manager, poolBytes int64, ns string) storage.FetchCache {
 	if shared != nil {
 		return storage.NewCacheView(shared, ns)
 	}
-	return storage.NewManager(poolBytes)
+	return colbm.NewManager(poolBytes)
 }
 
 // SharedPool returns the cross-server buffer manager a WithSharedPool
 // cluster serves through (its Stats cover every co-located replica), or
 // nil when each replica has a private manager.
-func (cl *Cluster) SharedPool() *storage.Manager { return cl.sharedMgr }
+func (cl *Cluster) SharedPool() *colbm.Manager { return cl.sharedMgr }
 
 // SetShipHook installs an observer called before every chunk the replica
 // bootstrap path writes (AddReplica shipping). An error return aborts the
@@ -507,9 +508,9 @@ func StartClusterFromDirs(dirs []string, poolBytes int64, opts ...ClusterOption)
 	// serving the same directory share a namespace (and so share cached
 	// chunks); slots serving different directories get distinct namespaces
 	// so colliding blob names can never alias.
-	var shared *storage.Manager
+	var shared *colbm.Manager
 	if ccfg.sharedPoolSet {
-		shared = storage.NewManager(ccfg.sharedPool)
+		shared = colbm.NewManager(ccfg.sharedPool)
 	}
 	slotNS := make([]string, len(servers))
 	for i := range slotNS {

@@ -476,7 +476,7 @@ func TestExplainOutput(t *testing.T) {
 
 func TestScanFromStorage(t *testing.T) {
 	disk := colbm.NewSimDisk(colbm.DefaultDiskParams())
-	pool := colbm.NewBufferPool(0)
+	pool := colbm.NewManager(0)
 	b := colbm.NewBuilder("tab", disk, pool, []colbm.ColumnSpec{
 		{Name: "id", Type: vector.Int64, Enc: colbm.EncPFORDelta, Bits: 8},
 		{Name: "val", Type: vector.Int64, Enc: colbm.EncPFOR, Bits: 8},

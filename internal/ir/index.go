@@ -178,7 +178,7 @@ func Build(c *corpus.Collection, bc BuildConfig) (*Index, error) {
 		return nil, fmt.Errorf("ir: materialized scores require the compressed docid column")
 	}
 	store := colbm.NewSimDisk(bc.Disk)
-	cache := colbm.NewBufferPool(bc.PoolBytes)
+	cache := colbm.NewManager(bc.PoolBytes)
 
 	numDocs := len(c.DocLens)
 	params := primitives.BM25Params{

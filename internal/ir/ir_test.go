@@ -453,29 +453,47 @@ func TestSingleTermRunsOnePass(t *testing.T) {
 	}
 }
 
+// TestColdHotQueryCost is the Table 2 cold/hot I/O guard: under every
+// strategy a cold run (after Drop) pays exactly one store read per chunk
+// miss, its hot repeat misses nothing and charges no simulated I/O, and
+// the compressed columns shrink the cold bytes — BM25TC reads less than
+// BM25T, BM25TCMQ8 less than BM25TCM.
 func TestColdHotQueryCost(t *testing.T) {
 	c, ix := getIndex(t)
 	s := NewSearcher(ix, 0)
 	q := c.EfficiencyQueries(1, 82)[0]
 
-	ix.Cache.Drop()
-	ix.Store.ResetStats()
-	_, cold, err := s.Search(q.Terms, 20, BM25TC)
-	if err != nil {
-		t.Fatal(err)
+	coldBytes := make(map[Strategy]int64)
+	for _, strat := range AllStrategies {
+		ix.Cache.Drop()
+		ix.Cache.ResetStats()
+		ix.Store.ResetStats()
+		_, cold, err := s.Search(q.Terms, 20, strat)
+		if err != nil {
+			t.Fatal(err)
+		}
+		io, cache := ix.Store.Stats(), ix.Cache.Stats()
+		if io.Reads != cache.Misses || cold.SimIO == 0 {
+			t.Errorf("%v: cold run did %d store reads for %d chunk misses, charged %v simulated I/O",
+				strat, io.Reads, cache.Misses, cold.SimIO)
+		}
+		coldBytes[strat] = io.BytesRead
+		_, hot, err := s.Search(q.Terms, 20, strat)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if misses := ix.Cache.Stats().Misses - cache.Misses; misses != 0 || hot.SimIO != 0 {
+			t.Errorf("%v: hot repeat missed %d chunks and charged %v simulated I/O", strat, misses, hot.SimIO)
+		}
+		if cold.Total() <= hot.Total() {
+			t.Errorf("%v: cold (%v) not slower than hot (%v)", strat, cold.Total(), hot.Total())
+		}
 	}
-	_, hot, err := s.Search(q.Terms, 20, BM25TC)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if cold.SimIO == 0 {
-		t.Error("cold query charged no simulated I/O")
-	}
-	if hot.SimIO != 0 {
-		t.Errorf("hot query charged %v simulated I/O", hot.SimIO)
-	}
-	if cold.Total() <= hot.Total() {
-		t.Errorf("cold (%v) not slower than hot (%v)", cold.Total(), hot.Total())
+	for _, pair := range [][2]Strategy{{BM25TC, BM25T}, {BM25TCMQ8, BM25TCM}} {
+		if coldBytes[pair[0]] >= coldBytes[pair[1]] {
+			t.Errorf("cold %v read %d bytes, %v %d: compression did not shrink the I/O",
+				pair[0], coldBytes[pair[0]], pair[1], coldBytes[pair[1]])
+		}
 	}
 }
 

@@ -199,7 +199,7 @@ func (w *IndexWriter) Finish() (*Index, error) {
 		lo, hi = w.bc.Stats.ScoreLo, w.bc.Stats.ScoreHi
 	}
 	store := colbm.NewSimDisk(w.bc.Disk)
-	cache := colbm.NewBufferPool(w.bc.PoolBytes)
+	cache := colbm.NewManager(w.bc.PoolBytes)
 	return assembleIndex(w.bc, store, cache, w.params, w.terms,
 		w.docids, w.tfs, w.scores, lo, hi, w.docLens, w.docNames)
 }

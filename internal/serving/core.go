@@ -143,7 +143,7 @@ func New(snap *ir.Snapshot, cfg Config) *Core {
 
 // OpenDir returns a core serving the current generation of an index
 // directory, with live-commit support (Refresh, Commit, Sweep). Every
-// generation the core opens reads through chunks — a *storage.Manager of
+// generation the core opens reads through chunks — a *colbm.Manager of
 // the core's own or a storage.CacheView of one it shares; the caller built
 // it, so the caller chose its budget, admission policy and co-tenants —
 // with prefetchWorkers read-ahead workers per segment (0 = demand paging

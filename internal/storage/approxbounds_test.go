@@ -6,6 +6,7 @@ import (
 	"reflect"
 	"testing"
 
+	"repro/internal/colbm"
 	"repro/internal/corpus"
 	"repro/internal/ir"
 )
@@ -245,7 +246,7 @@ func TestApproxBoundsRankingEquivalence(t *testing.T) {
 	}
 	want := searchAll(t, ir.NewSearcher(plain, 0), queries, k)
 
-	snap, err := OpenSegmented(dir, NewManager(0), 0)
+	snap, err := OpenSegmented(dir, colbm.NewManager(0), 0)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,13 +1,11 @@
 // Package storage is the persistent storage subsystem: the real
-// (non-simulated) counterpart of the ColumnBM simulation in
-// internal/colbm, built from three pieces:
+// (non-simulated) counterpart of colbm.SimDisk. Both are read through
+// colbm.Manager, the one ColumnBM buffer manager; this package adds two
+// pieces beneath it:
 //
 //   - FileStore, a colbm.BlockStore doing large aligned sequential reads
 //     against real files — the paper's "disk accesses in blocks of
 //     several megabytes" discipline on an actual filesystem;
-//   - Manager, the ColumnBM buffer manager: a fixed byte budget over
-//     *compressed* chunks, CLOCK (second chance) eviction, singleflight
-//     deduplication of concurrent fetches, and hit/miss/eviction stats;
 //   - a versioned on-disk index format with exactly one layout: an index
 //     directory is an ordered set of immutable segment subdirectories
 //     (each MANIFEST.json plus one blob file per column) under a
@@ -23,15 +21,16 @@
 // AppendSegment indexes a document batch into one fresh segment and
 // atomically commits generation+1; OpenSegmented opens every segment of
 // the newest generation against the one chunk cache its caller hands in
-// (a Manager, or a CacheView of a shared one) and recomputes
-// collection-wide statistics exactly from the manifests (directories
-// marked External carry statistics coordinated elsewhere and refuse local
-// writers with ErrExternalStats); PlanMerge/BuildMergedSegment/CommitMerge
-// implement the tiered background merge; SweepSegments garbage-collects
-// directories no generation references. Every mutation is a new generation
-// sharing all unchanged segment directories with the old one, which is
-// what lets the serving core (internal/serving) swap generations under a
-// reference count without dropping in-flight searches.
+// (a colbm.Manager, or a CacheView namespacing a shared one) and
+// recomputes collection-wide statistics exactly from the manifests
+// (directories marked External carry statistics coordinated elsewhere and
+// refuse local writers with ErrExternalStats);
+// PlanMerge/BuildMergedSegment/CommitMerge implement the tiered background
+// merge; SweepSegments garbage-collects directories no generation
+// references. Every mutation is a new generation sharing all unchanged
+// segment directories with the old one, which is what lets the serving
+// core (internal/serving) swap generations under a reference count without
+// dropping in-flight searches.
 //
 // # Prefetch
 //
@@ -44,7 +43,7 @@
 //
 // The package sits above internal/ir in the dependency order (it persists
 // and restores ir.Index values); below it, colbm defines the BlockStore
-// and ChunkCache contracts both the simulated and the real
-// implementations satisfy, so every layer in between — cursors,
-// operators, search plans — is storage-agnostic.
+// and ChunkCache contracts and the buffer manager that both the simulated
+// and the real stores are read through, so every layer in between —
+// cursors, operators, search plans — is storage-agnostic.
 package storage

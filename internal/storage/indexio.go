@@ -107,24 +107,26 @@ func verifyIndexFiles(dir string, m *Manifest) error {
 	return nil
 }
 
-// openSegment opens one persisted segment for querying. Only the manifest
-// is read eagerly; column data stays on disk and streams in through cache
-// as queries touch it. Every segment of a generation opens against the one
+// openSegment opens segment seg of the index directory dir for querying
+// ("." is the legacy one-segment layout). Only the manifest is read
+// eagerly; column data stays on disk and streams in through cache as
+// queries touch it. Every segment of a generation opens against the one
 // cache its directory reads through, so the byte budget covers the whole
 // directory, not each segment separately. prefetchWorkers > 0 attaches a
 // manifest-driven Prefetcher with that many read-ahead workers. The caller
 // owns the returned index: Close it to release the file handles and stop
 // any prefetch workers.
-func openSegment(dir string, cache FetchCache, prefetchWorkers int) (*ir.Index, error) {
-	m, err := readManifest(dir)
+func openSegment(dir, seg string, cache FetchCache, prefetchWorkers int) (*ir.Index, error) {
+	m, err := readManifest(dir, seg)
 	if err != nil {
 		return nil, err
 	}
-	fs, err := NewFileStore(dir)
+	segDir := filepath.Join(dir, seg)
+	fs, err := NewFileStore(segDir)
 	if err != nil {
 		return nil, err
 	}
-	if err := verifyIndexFiles(dir, m); err != nil {
+	if err := verifyIndexFiles(segDir, m); err != nil {
 		fs.Close()
 		return nil, err
 	}

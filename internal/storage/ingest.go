@@ -146,15 +146,14 @@ func InstallManifest(dir string, manifest []byte) (uint64, error) {
 		return 0, err
 	}
 	for _, e := range sm.Segments {
-		segDir := filepath.Join(dir, e.Name)
-		m, err := readManifest(segDir)
+		m, err := readManifest(dir, e.Name)
 		if err != nil {
 			return 0, fmt.Errorf("storage: install of generation %d references segment %q not present in %q (ship its files first): %w",
 				sm.Generation, e.Name, dir, err)
 		}
 		// Size-check every column file now: a truncated ship must fail the
 		// install, not the first query that pages the missing chunk in.
-		if err := verifyIndexFiles(segDir, m); err != nil {
+		if err := verifyIndexFiles(filepath.Join(dir, e.Name), m); err != nil {
 			return 0, err
 		}
 	}

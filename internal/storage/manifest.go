@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"strings"
 
 	"repro/internal/colbm"
 	"repro/internal/ir"
@@ -65,25 +66,54 @@ func writeManifest(dir string, m *Manifest) error {
 	return nil
 }
 
-// readManifest loads and validates the manifest in dir.
-func readManifest(dir string) (*Manifest, error) {
-	data, err := os.ReadFile(manifestPath(dir))
+// readManifest loads and validates the manifest of segment seg of the
+// index directory dir ("." is the legacy one-segment layout).
+func readManifest(dir, seg string) (*Manifest, error) {
+	segDir := filepath.Join(dir, seg)
+	data, err := os.ReadFile(manifestPath(segDir))
 	if err != nil {
 		if errors.Is(err, os.ErrNotExist) {
-			return nil, fmt.Errorf("storage: %q holds no segment (no %s): %w", dir, ManifestName, os.ErrNotExist)
+			return nil, fmt.Errorf("storage: %q holds no segment (no %s): %w", segDir, ManifestName, os.ErrNotExist)
 		}
 		return nil, fmt.Errorf("storage: %w", err)
 	}
+	return decodeManifest(segDir, seg, data)
+}
+
+// decodeManifest unmarshals and validates the manifest bytes of segment
+// seg; dir only labels errors. Table and blob names become file names and
+// chunk-cache keys, so every one must carry the segment's own prefix
+// "<seg>." — segment names hold no dot (decodeSegments), so no two segments
+// of a directory can then share a key — and every blob must name a file
+// inside the segment directory. The legacy "." segment keeps the prefix it
+// was built with: it is synthesized, never shipped, and always alone in its
+// generation.
+func decodeManifest(dir, seg string, data []byte) (*Manifest, error) {
 	var m Manifest
 	if err := json.Unmarshal(data, &m); err != nil {
-		return nil, fmt.Errorf("storage: corrupt manifest in %q: %w", dir, err)
+		return nil, fmt.Errorf("storage: corrupt manifest in %q: %v: %w", dir, err, ErrBadManifest)
 	}
 	if m.Magic != FormatMagic {
-		return nil, fmt.Errorf("storage: %q is not an index manifest (magic %q)", dir, m.Magic)
+		return nil, fmt.Errorf("storage: %q is not an index manifest (magic %q): %w", dir, m.Magic, ErrBadManifest)
 	}
 	if m.Version != FormatVersion {
-		return nil, fmt.Errorf("storage: index in %q has format version %d, this build reads version %d",
-			dir, m.Version, FormatVersion)
+		return nil, fmt.Errorf("storage: index in %q has format version %d, this build reads version %d: %w",
+			dir, m.Version, FormatVersion, ErrBadManifest)
+	}
+	prefix := m.Config.TablePrefix
+	if seg != "." && prefix != seg+"." {
+		return nil, fmt.Errorf("storage: manifest in %q has table prefix %q, want %q: %w", dir, prefix, seg+".", ErrBadManifest)
+	}
+	for _, st := range []*colbm.StoredTable{&m.TD, &m.D} {
+		if !strings.HasPrefix(st.Name, prefix) {
+			return nil, fmt.Errorf("storage: manifest in %q: table %q lacks prefix %q: %w", dir, st.Name, prefix, ErrBadManifest)
+		}
+		for _, col := range st.Columns {
+			if !strings.HasPrefix(col.Blob, prefix) || validShipName(col.Blob+blobExt) != nil {
+				return nil, fmt.Errorf("storage: manifest in %q: blob %q lacks prefix %q or leaves the segment directory: %w",
+					dir, col.Blob, prefix, ErrBadManifest)
+			}
+		}
 	}
 	return &m, nil
 }

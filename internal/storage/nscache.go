@@ -19,18 +19,18 @@ import (
 // prefetcher's headroom check must see the pool, not a slice of it.
 type CacheView struct {
 	ns string
-	m  *Manager
+	m  *colbm.Manager
 }
 
 // NewCacheView returns a view over m whose keys live under namespace ns
 // (any non-empty string; pick distinct namespaces for indexes whose blob
 // names may collide).
-func NewCacheView(m *Manager, ns string) *CacheView {
+func NewCacheView(m *colbm.Manager, ns string) *CacheView {
 	return &CacheView{ns: ns, m: m}
 }
 
 // Manager returns the shared manager behind the view.
-func (v *CacheView) Manager() *Manager { return v.m }
+func (v *CacheView) Manager() *colbm.Manager { return v.m }
 
 // GetChunk implements colbm.ChunkCache under the view's namespace.
 func (v *CacheView) GetChunk(key string, load func() (*colbm.CachedChunk, error)) (*colbm.CachedChunk, error) {
@@ -89,5 +89,5 @@ func (v *CacheView) Admit(key string, c *colbm.CachedChunk) bool {
 var (
 	_ colbm.ChunkCache = (*CacheView)(nil)
 	_ FetchCache       = (*CacheView)(nil)
-	_ FetchCache       = (*Manager)(nil)
+	_ FetchCache       = (*colbm.Manager)(nil)
 )

@@ -35,7 +35,7 @@ var errPrefetchDropped = errors.New("storage: prefetch queue full, run dropped")
 // FetchCache is the buffer-manager surface an opened directory reads
 // through: demand caching, the claim/deliver protocol of batched fetches
 // and the free-admission hook the prefetcher drives, and the by-prefix
-// eviction segment GC drops a removed segment's chunks with. *Manager
+// eviction segment GC drops a removed segment's chunks with. *colbm.Manager
 // implements it directly; CacheView implements it over a shared manager
 // with a private key namespace.
 type FetchCache interface {

@@ -12,14 +12,14 @@ import (
 // prefetchFixture builds a single-column table over a FileStore + Manager
 // with small chunks (chunkLen values each), returning the column with the
 // store's counters zeroed.
-func prefetchFixture(t *testing.T, nchunks, chunkLen int) (*colbm.Column, *FileStore, *Manager) {
+func prefetchFixture(t *testing.T, nchunks, chunkLen int) (*colbm.Column, *FileStore, *colbm.Manager) {
 	t.Helper()
 	fs, err := NewFileStore(t.TempDir())
 	if err != nil {
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { fs.Close() })
-	mgr := NewManager(0)
+	mgr := colbm.NewManager(0)
 	b := colbm.NewBuilder("T", fs, mgr, []colbm.ColumnSpec{
 		{Name: "v", Type: vector.Int64, Enc: colbm.EncPFOR, ChunkLen: chunkLen},
 	})
@@ -223,7 +223,7 @@ func TestPrefetcherStopsAtBudget(t *testing.T) {
 	}
 	t.Cleanup(func() { fs.Close() })
 	// Budget: roughly a third of the column; the tail must stop early.
-	mgr := NewManager(0)
+	mgr := colbm.NewManager(0)
 	b := colbm.NewBuilder("T", fs, mgr, []colbm.ColumnSpec{
 		{Name: "v", Type: vector.Int64, Enc: colbm.EncPFOR, ChunkLen: chunkLen},
 	})
@@ -244,7 +244,7 @@ func TestPrefetcherStopsAtBudget(t *testing.T) {
 	for ci := 0; ci < col.NumChunks(); ci++ {
 		colBytes += int64(col.Chunk(ci).Size)
 	}
-	mgr = NewManager(colBytes / 3)
+	mgr = colbm.NewManager(colBytes / 3)
 	tab2, err := colbm.OpenTable(tab.Stored(), fs, mgr)
 	if err != nil {
 		t.Fatal(err)

@@ -49,7 +49,7 @@ func splitRangeLayout(dir string, sm *SegmentsManifest) error {
 		// External dirs, so the elastic (live-ingest) path never sees one.
 		return nil
 	}
-	m, err := readManifest(filepath.Join(dir, sm.Segments[0].Name))
+	m, err := readManifest(dir, sm.Segments[0].Name)
 	if err != nil {
 		return err
 	}
@@ -293,7 +293,7 @@ func PrepareAbsorb(dstDir, srcDir string, cancel func() bool) (*AbsorbPrep, erro
 	var srcLenSum int64
 	srcManifests := make([]*Manifest, len(ssm.Segments))
 	for i, e := range ssm.Segments {
-		m, err := readManifest(filepath.Join(srcDir, e.Name))
+		m, err := readManifest(srcDir, e.Name)
 		if err != nil {
 			return nil, err
 		}
@@ -336,11 +336,7 @@ func PrepareAbsorb(dstDir, srcDir string, cancel func() bool) (*AbsorbPrep, erro
 	// The docid-base rewrite that makes the merged range contiguous: source
 	// docids are rebased to writer-local, and the writer re-globalizes
 	// them against its own DocIDBase.
-	segDirs := make([]string, len(ssm.Segments))
-	for i, e := range ssm.Segments {
-		segDirs[i] = filepath.Join(srcDir, e.Name)
-	}
-	if err := streamSegments(w, segDirs, srcBase, cancel); err != nil {
+	if err := streamSegments(w, srcDir, ssm.Segments, srcBase, cancel); err != nil {
 		return fail(err)
 	}
 

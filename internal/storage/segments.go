@@ -184,7 +184,7 @@ func ReadSegments(dir string) (*SegmentsManifest, error) {
 func ReadSegmentsRaw(dir string) ([]byte, *SegmentsManifest, error) {
 	data, err := os.ReadFile(segmentsPath(dir))
 	if errors.Is(err, os.ErrNotExist) {
-		m, merr := readManifest(dir)
+		m, merr := readManifest(dir, ".")
 		if errors.Is(merr, os.ErrNotExist) {
 			return nil, nil, fmt.Errorf("storage: %q is not a segmented index directory (no %s): %w",
 				dir, SegmentsManifestName, os.ErrNotExist)
@@ -210,13 +210,14 @@ func ReadSegmentsRaw(dir string) ([]byte, *SegmentsManifest, error) {
 	return data, sm, nil
 }
 
-// ErrBadManifest reports super-manifest bytes that fail validation —
-// malformed JSON, wrong magic or version, segment names that are not
-// distinct single path components, or segment entries whose docid ranges
-// are not contiguous and disjoint (overlaps, gaps, duplicates).
+// ErrBadManifest reports manifest bytes that fail validation — malformed
+// JSON, wrong magic or version; in SEGMENTS.json, segment names that are
+// not distinct dotless path components or docid ranges that are not
+// contiguous and disjoint (overlaps, gaps, duplicates); in a segment's
+// MANIFEST.json, table or blob names outside the segment's own prefix.
 // Manifests arrive off the wire and out of fuzzers as well as off local
 // disk, so every decode failure is this typed error, never a panic.
-var ErrBadManifest = errors.New("storage: invalid segments manifest")
+var ErrBadManifest = errors.New("storage: invalid manifest")
 
 // decodeSegments unmarshals and validates super-manifest bytes, whether
 // read locally or received over the wire; dir only labels errors.
@@ -238,9 +239,10 @@ func decodeSegments(dir string, data []byte) (*SegmentsManifest, error) {
 		// Names become paths under dir and chunk-cache key prefixes: one
 		// that climbs out of dir would read (or install) another
 		// directory's files, one that repeats would alias two segments'
-		// cached chunks.
-		if err := validShipName(e.Name); err != nil || seen[e.Name] {
-			return nil, fmt.Errorf("storage: segments manifest in %q: segment name %q is repeated or not a single path component: %w",
+		// cached chunks, and so would a dotted one ("a" and "a.TD" can
+		// both name a blob "a.TD.TD.docidc").
+		if err := validShipName(e.Name); err != nil || strings.Contains(e.Name, ".") || seen[e.Name] {
+			return nil, fmt.Errorf("storage: segments manifest in %q: segment name %q is repeated, dotted or not a single path component: %w",
 				dir, e.Name, ErrBadManifest)
 		}
 		seen[e.Name] = true
@@ -400,7 +402,7 @@ type mergedStats struct {
 func collectStats(dir string, sm *SegmentsManifest, batch *corpus.Collection) (*mergedStats, error) {
 	st := &mergedStats{df: make(map[string]int), nextBase: sm.BaseDocID}
 	for _, e := range sm.Segments {
-		m, err := readManifest(filepath.Join(dir, e.Name))
+		m, err := readManifest(dir, e.Name)
 		if err != nil {
 			return nil, err
 		}
@@ -542,8 +544,8 @@ func scanPostings(ix *ir.Index, delta int64, cancel func() bool,
 // Global-By-Value bounds a whole-collection build would compute. Segments
 // are scanned through their tf and docid columns (a sequential read; no
 // tokenization, no sorting — the part of a rebuild appends actually skip).
-func (st *mergedStats) segScoreBounds(segDir string, lo, hi *float64) error {
-	ix, err := openSegment(segDir, NewManager(scanPoolBytes), 0)
+func (st *mergedStats) segScoreBounds(dir, seg string, lo, hi *float64) error {
+	ix, err := openSegment(dir, seg, colbm.NewManager(scanPoolBytes), 0)
 	if err != nil {
 		return err
 	}
@@ -697,7 +699,7 @@ func AppendSegment(dir string, batch *corpus.Collection, cfg ir.BuildConfig) (ui
 		}
 		if !approxSkip {
 			for _, e := range sm.Segments {
-				if err := st.segScoreBounds(filepath.Join(dir, e.Name), &lo, &hi); err != nil {
+				if err := st.segScoreBounds(dir, e.Name, &lo, &hi); err != nil {
 					return 0, err
 				}
 			}
@@ -834,7 +836,7 @@ func SetBoundsPolicy(dir string, drift float64) error {
 
 // OpenSegmented opens the current generation of a segmented directory as
 // an ir.Snapshot: every segment opens lazily (manifest only) against the
-// one chunk cache the caller hands in — a *Manager, or a CacheView of a
+// one chunk cache the caller hands in — a *colbm.Manager, or a CacheView of a
 // manager shared with other directories — so the caller decides the byte
 // budget, the admission policy and what else shares them; collection-wide
 // statistics are recomputed from the manifests and patched in, and
@@ -867,9 +869,8 @@ func OpenSegmented(dir string, cache FetchCache, prefetchWorkers int) (*ir.Snaps
 		}
 		return nil, err
 	}
-	prefixes := make(map[string]bool, len(sm.Segments))
 	for _, e := range sm.Segments {
-		ix, err := openSegment(filepath.Join(dir, e.Name), cache, prefetchWorkers)
+		ix, err := openSegment(dir, e.Name, cache, prefetchWorkers)
 		if err != nil {
 			return fail(err)
 		}
@@ -877,15 +878,6 @@ func OpenSegmented(dir string, cache FetchCache, prefetchWorkers int) (*ir.Snaps
 			ix.Close()
 			return fail(fmt.Errorf("storage: segment %q covers docids [%d,%d), manifest says [%d,%d)",
 				e.Name, ix.DocBase(), ix.DocBase()+int64(ix.NumDocs()), e.DocBase, e.DocBase+int64(e.Docs)))
-		}
-		// Segments share the buffer manager: their chunk-cache namespaces
-		// (table prefixes) must be distinct or cursors would read one
-		// segment's cached chunks as another's.
-		if prefix := ix.Config().TablePrefix; prefixes[prefix] {
-			ix.Close()
-			return fail(fmt.Errorf("storage: segments in %q share table prefix %q (cache keys would alias)", dir, prefix))
-		} else {
-			prefixes[prefix] = true
 		}
 		segs = append(segs, ix)
 		virtual = append(virtual, !sm.External && e.StatsEpoch != sm.StatsEpoch)
@@ -963,7 +955,7 @@ func (sm *SegmentsManifest) findRun(names []string) (int, error) {
 	return 0, fmt.Errorf("storage: merge run %v not found in the current generation", names)
 }
 
-// streamSegments feeds the segment directories, in docid order, into w —
+// streamSegments feeds the segments of dir, in docid order, into w —
 // the rewrite both a merge and a partition absorb are. Documents go first
 // (posting scores read lengths by writer-local docid); postings follow
 // term-at-a-time in the sorted union of the sources' dictionaries, and
@@ -972,20 +964,20 @@ func (sm *SegmentsManifest) findRun(names []string) (int, error) {
 // writer-local (minus base) on the offset read path. Every source opens
 // once and keeps its cursors across terms; nothing is materialized beyond
 // one vector per cursor. cancel, when non-nil, is polled between terms.
-func streamSegments(w *ir.IndexWriter, segDirs []string, base int64, cancel func() bool) error {
+func streamSegments(w *ir.IndexWriter, dir string, segs []SegmentEntry, base int64, cancel func() bool) error {
 	type source struct {
 		ix            *ir.Index
 		docCur, tfCur *colbm.Cursor
 	}
-	srcs := make([]source, 0, len(segDirs))
+	srcs := make([]source, 0, len(segs))
 	defer func() {
 		for _, s := range srcs {
 			s.ix.Close()
 		}
 	}()
 	termSet := make(map[string]bool)
-	for _, segDir := range segDirs {
-		ix, err := openSegment(segDir, NewManager(scanPoolBytes), 0)
+	for _, e := range segs {
+		ix, err := openSegment(dir, e.Name, colbm.NewManager(scanPoolBytes), 0)
 		if err != nil {
 			return err
 		}
@@ -1122,11 +1114,7 @@ func BuildMergedSegment(dir string, names []string, into string, cancel func() b
 		return 0, err
 	}
 
-	segDirs := make([]string, len(run))
-	for i, e := range run {
-		segDirs[i] = filepath.Join(dir, e.Name)
-	}
-	if err := streamSegments(w, segDirs, runBase, cancel); err != nil {
+	if err := streamSegments(w, dir, run, runBase, cancel); err != nil {
 		return 0, err
 	}
 

@@ -6,7 +6,11 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
+
+	"repro/internal/colbm"
+	"repro/internal/ir"
 )
 
 // TestInstallManifestRefusesEscapingNames: a shipped manifest whose segment
@@ -31,6 +35,64 @@ func TestInstallManifestRefusesEscapingNames(t *testing.T) {
 	}
 	if _, err := os.Stat(filepath.Join(dir, SegmentsManifestName)); err == nil {
 		t.Error("a refused install left a super-manifest behind")
+	}
+}
+
+// TestOpenRefusesBlobNamesOfAnotherSegment: segments of a directory share
+// one buffer manager whose keys are blob names, so a segment manifest that
+// names its blobs under another segment's prefix would have both segments
+// served whichever copy of a chunk loaded first. Open must refuse it (and a
+// blob name that climbs out of the segment directory) as ErrBadManifest,
+// even when the table prefix itself is the segment's own.
+func TestOpenRefusesBlobNamesOfAnotherSegment(t *testing.T) {
+	coll := segTestCollection(t)
+	for name, rename := range map[string]func(blob string) string{
+		"other segment's prefix": func(b string) string { return "seg-000001." + strings.TrimPrefix(b, "seg-000002.") },
+		"escaping the segment":   func(b string) string { return "seg-000002./../" + b },
+	} {
+		t.Run(name, func(t *testing.T) {
+			dir := t.TempDir()
+			appendInBatches(t, dir, coll, 2)
+			segDir := filepath.Join(dir, "seg-000002")
+			m, err := readManifest(dir, "seg-000002")
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, st := range []*colbm.StoredTable{&m.TD, &m.D} {
+				st.Name = rename(st.Name)
+				for i := range st.Columns {
+					col := &st.Columns[i]
+					to := rename(col.Blob)
+					if !strings.Contains(to, "/") {
+						if err := os.Rename(filepath.Join(segDir, col.Blob+blobExt), filepath.Join(segDir, to+blobExt)); err != nil {
+							t.Fatal(err)
+						}
+					}
+					col.Blob = to
+				}
+			}
+			if err := writeManifest(segDir, m); err != nil {
+				t.Fatal(err)
+			}
+			snap, err := OpenSegmented(dir, colbm.NewManager(0), 0)
+			if err == nil {
+				snap.Close()
+			}
+			if !errors.Is(err, ErrBadManifest) {
+				t.Fatalf("OpenSegmented over seg-000002 with blob names %q...: %v, want ErrBadManifest", m.TD.Columns[0].Blob, err)
+			}
+		})
+	}
+}
+
+// TestDecodeSegmentsRefusesDottedNames: segment "a" may name a table
+// "a.TD.TD" under its own prefix "a.", which segment "a.TD" also owns, so
+// dotted segment names would let two segments share cache keys again.
+func TestDecodeSegmentsRefusesDottedNames(t *testing.T) {
+	data := []byte(`{"magic":"x100-segments","version":1,"segments":[` +
+		`{"name":"a","docs":10,"doc_base":0},{"name":"a.TD","docs":10,"doc_base":10}]}`)
+	if _, err := decodeSegments("dotted", data); !errors.Is(err, ErrBadManifest) {
+		t.Fatalf("decodeSegments with segments a and a.TD: %v, want ErrBadManifest", err)
 	}
 }
 
@@ -93,8 +155,8 @@ func FuzzDecodeSegments(f *testing.F) {
 		base := int64(0)
 		seen := map[string]bool{}
 		for i, e := range sm.Segments {
-			if e.Name == "" || e.Name == "." || e.Name == ".." || e.Name != filepath.Base(e.Name) || seen[e.Name] {
-				t.Fatalf("accepted segment %d named %q: not a distinct single path component", i, e.Name)
+			if e.Name == "" || strings.Contains(e.Name, ".") || e.Name != filepath.Base(e.Name) || seen[e.Name] {
+				t.Fatalf("accepted segment %d named %q: not a distinct dotless path component", i, e.Name)
 			}
 			seen[e.Name] = true
 			if e.Docs < 0 {
@@ -106,6 +168,69 @@ func FuzzDecodeSegments(f *testing.F) {
 				t.Fatalf("accepted non-contiguous segment %d: docid base %d, want %d", i, e.DocBase, base)
 			}
 			base += int64(e.Docs)
+		}
+	})
+}
+
+// FuzzDecodeManifest is the same property for a segment's MANIFEST.json,
+// which replicas read off shipped files: decodeManifest never panics,
+// fails only with ErrBadManifest, and every manifest it accepts keeps its
+// names inside the segment — the table prefix is "<segment>." (the legacy
+// "." segment keeps its own), every table and blob name starts with it,
+// and every blob file lies directly in the segment directory.
+func FuzzDecodeManifest(f *testing.F) {
+	stored := func(prefix, table string) colbm.StoredTable {
+		return colbm.StoredTable{Name: prefix + table, N: 1, Columns: []colbm.StoredColumn{
+			{N: 1, Blob: prefix + table + ".c", Chunks: []colbm.ChunkInfo{{Off: 0, Size: 8, N: 1}}},
+		}}
+	}
+	manifest := func(prefix, td string) []byte {
+		m := Manifest{Magic: FormatMagic, Version: FormatVersion, Config: ir.BuildConfig{TablePrefix: prefix},
+			Terms: map[string]ir.TermInfo{"t": {Start: 0, End: 1, Ftd: 1}},
+			TD:    stored(td, "TD"), D: stored(prefix, "D")}
+		data, err := json.Marshal(&m)
+		if err != nil {
+			f.Fatal(err)
+		}
+		return data
+	}
+	valid := manifest("seg-000001.", "seg-000001.")
+	f.Add(valid)
+	f.Add(valid[:len(valid)/2])
+	f.Add(manifest("", ""))                       // legacy: built without a prefix
+	f.Add(manifest("seg-000001.", "seg-000002.")) // another segment's blobs
+	f.Add(manifest("seg-000002.", "seg-000002."))
+	f.Add(manifest("seg-000001.", "seg-000001./../"))
+	f.Add(manifest("seg-000001.", "../seg-000001."))
+	f.Add([]byte(`{}`))
+	f.Add([]byte(`{"magic":"x100-index","version":99}`))
+	f.Add([]byte(`null`))
+	f.Add([]byte(``))
+
+	f.Fuzz(func(t *testing.T, data []byte) {
+		for _, seg := range []string{"seg-000001", "."} {
+			m, err := decodeManifest("fuzz", seg, data)
+			if err != nil {
+				if !errors.Is(err, ErrBadManifest) {
+					t.Fatalf("decodeManifest(%q) error %v does not wrap ErrBadManifest", seg, err)
+				}
+				continue
+			}
+			prefix := m.Config.TablePrefix
+			if seg != "." && prefix != seg+"." {
+				t.Fatalf("segment %q accepted with table prefix %q", seg, prefix)
+			}
+			for _, st := range []*colbm.StoredTable{&m.TD, &m.D} {
+				if !strings.HasPrefix(st.Name, prefix) {
+					t.Fatalf("segment %q accepted table %q outside prefix %q", seg, st.Name, prefix)
+				}
+				for _, col := range st.Columns {
+					file := filepath.Join("segdir", col.Blob+blobExt)
+					if !strings.HasPrefix(col.Blob, prefix) || filepath.Dir(file) != "segdir" {
+						t.Fatalf("segment %q accepted blob %q: outside prefix %q or the segment directory", seg, col.Blob, prefix)
+					}
+				}
+			}
 		}
 	})
 }

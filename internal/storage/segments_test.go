@@ -8,6 +8,7 @@ import (
 	"reflect"
 	"testing"
 
+	"repro/internal/colbm"
 	"repro/internal/corpus"
 	"repro/internal/ir"
 )
@@ -128,7 +129,7 @@ func TestSegmentedEquivalence(t *testing.T) {
 		t.Run(name, func(t *testing.T) {
 			dir := filepath.Join(t.TempDir(), "segix")
 			build(dir)
-			snap, err := OpenSegmented(dir, NewManager(0), 0)
+			snap, err := OpenSegmented(dir, colbm.NewManager(0), 0)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -158,7 +159,7 @@ func TestSegmentedStalenessFlags(t *testing.T) {
 	dir := filepath.Join(t.TempDir(), "segix")
 	appendInBatches(t, dir, coll, 3)
 
-	snap, err := OpenSegmented(dir, NewManager(0), 0)
+	snap, err := OpenSegmented(dir, colbm.NewManager(0), 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -184,7 +185,7 @@ func TestSegmentedStalenessFlags(t *testing.T) {
 	if _, err := CommitMerge(dir, names, into, epoch); err != nil {
 		t.Fatal(err)
 	}
-	snap, err = OpenSegmented(dir, NewManager(0), 0)
+	snap, err = OpenSegmented(dir, colbm.NewManager(0), 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -353,7 +354,7 @@ func TestSegmentedNewVocabularyEquivalence(t *testing.T) {
 	if _, err := AppendSegment(dir, batchB, ir.DefaultBuildConfig()); err != nil {
 		t.Fatal(err)
 	}
-	snap, err := OpenSegmented(dir, NewManager(0), 0)
+	snap, err := OpenSegmented(dir, colbm.NewManager(0), 0)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -10,6 +10,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/colbm"
 	"repro/internal/corpus"
 	"repro/internal/dist"
 	"repro/internal/ir"
@@ -131,7 +132,7 @@ func TestReconciledClusterMatchesCentralized(t *testing.T) {
 	shadowCfg := bc
 	shadowCfg.Stats = nil // match the append path: per-directory statistics
 	snapshotExpected := func(gen uint64) {
-		snap, err := storage.OpenSegmented(shadow, storage.NewManager(0), 0)
+		snap, err := storage.OpenSegmented(shadow, colbm.NewManager(0), 0)
 		if err != nil {
 			t.Fatalf("open shadow at generation %d: %v", gen, err)
 		}

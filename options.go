@@ -93,11 +93,11 @@ func WithIndexConfig(cfg IndexConfig) Option {
 	return func(c *engineConfig) { c.index = cfg }
 }
 
-// WithBufferPoolBytes caps the ColumnBM buffer pool at the given capacity
-// in bytes (0 = unbounded, everything stays hot once loaded). For an
-// engine over simulated storage this sizes the LRU chunk pool; for a
-// persisted index (WithStorageDir, OpenDir) it is the byte budget of the
-// real buffer manager — compressed chunks, clock eviction, singleflight.
+// WithBufferPoolBytes caps the ColumnBM buffer manager at the given
+// capacity in bytes (0 = unbounded, everything stays hot once loaded) —
+// compressed chunks, clock eviction, singleflight — whether the index is
+// built in memory over the simulated disk or persisted (WithStorageDir,
+// OpenDir).
 func WithBufferPoolBytes(capacityBytes int64) Option {
 	return func(c *engineConfig) {
 		if capacityBytes < 0 {

@@ -11,6 +11,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/colbm"
 	"repro/internal/storage"
 )
 
@@ -80,11 +81,11 @@ func (f *optionFixture) search(t *testing.T, eng *Engine, req SearchRequest) Sea
 }
 
 // servingManager is the buffer manager a persisted engine reads through.
-func servingManager(t *testing.T, eng *Engine) *storage.Manager {
+func servingManager(t *testing.T, eng *Engine) *colbm.Manager {
 	t.Helper()
-	mgr, ok := eng.Index().Cache.(*storage.Manager)
+	mgr, ok := eng.Index().Cache.(*colbm.Manager)
 	if !ok {
-		t.Fatalf("persisted engine reads through %T, want *storage.Manager", eng.Index().Cache)
+		t.Fatalf("persisted engine reads through %T, want *colbm.Manager", eng.Index().Cache)
 	}
 	return mgr
 }

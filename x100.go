@@ -15,11 +15,11 @@
 //	corpus   — synthetic GOV2-style collection + query workload (testbed)
 //	compress — PFOR, PFOR-DELTA, PDICT blocks; patched + naive decoders
 //	colbm    — column storage contracts (BlockStore, ChunkCache), the
-//	           simulated disk, and the LRU chunk pool
+//	           simulated disk, and the ColumnBM buffer manager every index
+//	           reads through (byte budget, clock eviction, singleflight)
 //	storage  — the persistent backends: FileStore (real aligned file
-//	           I/O), the ColumnBM buffer manager (byte budget, clock
-//	           eviction, singleflight), and the one on-disk layout
-//	           (SEGMENTS.json over immutable segment directories)
+//	           I/O) and the one on-disk layout (SEGMENTS.json over
+//	           immutable segment directories)
 //	engine   — vectorized operators (Scan, Select, Project, MergeJoin,
 //	           MergeOuterJoin, HashJoin, Aggregate, TopN, Sort)
 //	ir       — inverted index as relations, BM25 plans, Table 2 strategies
@@ -53,10 +53,10 @@
 // the on-disk form from then on, OpenDir(dir) opens a prebuilt index with
 // no collection in hand, and SaveIndex/LoadIndex expose the same round
 // trip for manually managed indexes. Every index directory has the same
-// layout and grows the same way: Engine.Add appends a segment. Persisted
-// queries run through the real ColumnBM buffer manager — compressed chunks
-// under a byte budget (WithBufferPoolBytes), clock eviction, singleflight
-// fetches.
+// layout and grows the same way: Engine.Add appends a segment. In-memory
+// and persisted queries alike run through the ColumnBM buffer manager —
+// compressed chunks under a byte budget (WithBufferPoolBytes), clock
+// eviction, singleflight fetches.
 //
 // Scale-out (§3.4, Table 3) goes through internal/dist: StartCluster
 // partitions a collection across loopback-TCP servers (BuildPartitions +
@@ -304,18 +304,18 @@ type (
 	// BlockStore stores named column blobs read with large sequential
 	// requests (SimDisk simulates one, storage.FileStore is real files).
 	BlockStore = colbm.BlockStore
-	// ChunkCache caches compressed column chunks (BufferPool is the LRU
-	// used with SimDisk, storage.Manager the real ColumnBM manager).
+	// ChunkCache caches compressed column chunks; BufferManager implements it.
 	ChunkCache = colbm.ChunkCache
 	// DiskParams models seek latency and sequential bandwidth.
 	DiskParams = colbm.DiskParams
 	// SimDisk is the virtual-clock disk that stores column blobs.
 	SimDisk = colbm.SimDisk
-	// BufferPool caches compressed chunks in RAM with LRU eviction.
-	BufferPool = colbm.BufferPool
+	// BufferManager is the ColumnBM buffer manager: compressed chunks in
+	// RAM under a byte budget, clock eviction, singleflight fetches.
+	BufferManager = colbm.Manager
 	// CacheAdmission selects how fetched chunks enter the buffer manager
 	// (AdmissionClock or the scan-resistant Admission2Q).
-	CacheAdmission = storage.AdmissionPolicy
+	CacheAdmission = colbm.AdmissionPolicy
 	// Table is a stored columnar table.
 	Table = colbm.Table
 	// TableBuilder bulk-builds a Table.
@@ -340,12 +340,12 @@ const (
 const (
 	// AdmissionClock inserts every fetched chunk straight into the main
 	// clock ring (the default; scans can flush the hot set).
-	AdmissionClock = storage.AdmissionClock
+	AdmissionClock = colbm.AdmissionClock
 	// Admission2Q quarantines first-touch chunks in a probationary FIFO
 	// and promotes only those referenced again after a remembered
 	// eviction, so cold scans recycle their own bytes instead of
 	// evicting the promoted working set.
-	Admission2Q = storage.Admission2Q
+	Admission2Q = colbm.Admission2Q
 )
 
 // DefaultDiskParams approximates the paper's 12-disk RAID.
@@ -354,12 +354,13 @@ func DefaultDiskParams() DiskParams { return colbm.DefaultDiskParams() }
 // NewSimDisk returns an empty virtual-clock disk.
 func NewSimDisk(p DiskParams) *SimDisk { return colbm.NewSimDisk(p) }
 
-// NewBufferPool returns an LRU pool (capacity 0 = unbounded).
-func NewBufferPool(capacity int64) *BufferPool { return colbm.NewBufferPool(capacity) }
+// NewBufferManager returns a buffer manager with the given byte budget
+// (0 = unbounded) and the default AdmissionClock policy.
+func NewBufferManager(budget int64) *BufferManager { return colbm.NewManager(budget) }
 
 // NewTableBuilder starts a bulk table build over any store/cache pair
-// (SimDisk+BufferPool for simulation, storage.FileStore+storage.Manager
-// for real persistence).
+// (SimDisk for simulation, storage.FileStore for real persistence, a
+// BufferManager in front of either).
 func NewTableBuilder(name string, store BlockStore, cache ChunkCache, specs []ColumnSpec) *TableBuilder {
 	return colbm.NewBuilder(name, store, cache, specs)
 }
@@ -384,7 +385,7 @@ var ErrNotSingleSegment = errors.New("repro: index directory does not hold exact
 // budget (0 = unbounded). Close the returned index when done, or wrap the
 // directory with OpenDir and let Engine.Close do it.
 func LoadIndex(dir string, poolBytes int64) (*Index, error) {
-	snap, err := storage.OpenSegmented(dir, storage.NewManager(poolBytes), 0)
+	snap, err := storage.OpenSegmented(dir, colbm.NewManager(poolBytes), 0)
 	if err != nil {
 		return nil, err
 	}

@@ -8,6 +8,7 @@ import (
 	"repro/internal/colbm"
 	"repro/internal/dist"
 	"repro/internal/engine"
+	"repro/internal/ir"
 )
 
 // Integration tests against the public facade: everything an application
@@ -93,7 +94,7 @@ func TestFacadeRelationalPlan(t *testing.T) {
 	// Build a small table and run a Figure-1-shaped plan through the
 	// facade's engine surface.
 	disk := NewSimDisk(DefaultDiskParams())
-	pool := NewBufferPool(0)
+	pool := NewBufferManager(0)
 	b := NewTableBuilder("t", disk, pool, []ColumnSpec{
 		{Name: "k", Type: TypeInt64, Enc: EncPFOR},
 		{Name: "flag", Type: TypeStr},
@@ -189,7 +190,7 @@ func TestFacadeCluster(t *testing.T) {
 
 func TestFacadeJoinsAndTopN(t *testing.T) {
 	disk := NewSimDisk(DefaultDiskParams())
-	pool := NewBufferPool(1 << 20)
+	pool := NewBufferManager(1 << 20)
 	b := NewTableBuilder("s", disk, pool, []ColumnSpec{
 		{Name: "k", Type: TypeInt64, Enc: colbm.EncPFORDelta},
 		{Name: "v", Type: TypeFloat64},
@@ -261,5 +262,53 @@ func TestFacadeSearcherExplain(t *testing.T) {
 	}
 	if !strings.Contains(plan, "Scan(TD[") {
 		t.Errorf("facade explain: %s", plan)
+	}
+}
+
+// TestInMemoryAndPersistedCachesAgree: an in-memory index and its
+// SaveIndex/LoadIndex copy cache chunks through the same buffer manager, so
+// the same queries under the same budget must hit, miss and evict exactly
+// alike — the chunk sizes are the same bytes and the eviction policy is one.
+func TestInMemoryAndPersistedCachesAgree(t *testing.T) {
+	cfg := DefaultCollectionConfig()
+	cfg.NumDocs, cfg.Vocab, cfg.AvgDocLen, cfg.NumTopics = 3000, 4000, 90, 25
+	coll := GenerateCollection(cfg)
+	queries := coll.EfficiencyQueries(40, 32)
+	run := func(ix *Index) colbm.CacheStats {
+		ix.Cache.Drop()
+		ix.Cache.ResetStats()
+		s := ir.NewSearcher(ix, 0)
+		for _, strat := range []Strategy{BM25TC, BM25TCMQ8} {
+			for _, q := range queries {
+				if _, _, err := s.Search(q.Terms, 20, strat); err != nil {
+					t.Fatalf("%v %v: %v", strat, q.Terms, err)
+				}
+			}
+		}
+		return ix.Cache.Stats()
+	}
+	for _, budget := range []int64{32 << 10, 128 << 10, 512 << 10} {
+		ic := DefaultIndexConfig()
+		ic.PoolBytes = budget
+		mem, err := BuildIndex(coll, ic)
+		if err != nil {
+			t.Fatal(err)
+		}
+		dir := t.TempDir()
+		if err := SaveIndex(dir, mem); err != nil {
+			t.Fatal(err)
+		}
+		disk, err := LoadIndex(dir, budget)
+		if err != nil {
+			t.Fatal(err)
+		}
+		m, d := run(mem), run(disk)
+		disk.Close()
+		if m.Evictions == 0 {
+			t.Errorf("budget %d KiB evicted nothing; the comparison is vacuous", budget>>10)
+		}
+		if m.Hits != d.Hits || m.Misses != d.Misses || m.Evictions != d.Evictions {
+			t.Errorf("budget %d KiB: in memory %+v, persisted %+v", budget>>10, m, d)
+		}
 	}
 }

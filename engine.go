@@ -195,8 +195,7 @@ func openDir(cfg engineConfig) (*Engine, error) {
 			return nil, err
 		}
 	}
-	mgr := colbm.NewManager(cfg.pool, colbm.WithAdmissionPolicy(cfg.cacheAdmission))
-	core, err := serving.OpenDir(cfg.storageDir, mgr, cfg.prefetchWorkers, cfg.Config)
+	core, err := serving.OpenDir(cfg.storageDir, colbm.NewManager(cfg.pool), cfg.Config)
 	if err != nil {
 		return nil, err
 	}
@@ -528,7 +527,7 @@ func (e *Engine) ExplainPlan(ctx context.Context, terms []string, k int, strat S
 // stop first (an in-progress merge build is canceled, not waited out);
 // then new calls fail with ErrEngineClosed, in-flight searches finish on
 // their generation, and Close blocks until every generation has drained
-// and released its storage (file handles, prefetch workers). For persisted
+// and released its storage (file handles). For persisted
 // engines a final sweep reclaims every unreferenced segment directory.
 // Closing twice is a no-op.
 func (e *Engine) Close() error {

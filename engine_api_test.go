@@ -3,6 +3,7 @@ package repro
 import (
 	"context"
 	"errors"
+	"math"
 	"reflect"
 	"strings"
 	"sync"
@@ -167,12 +168,13 @@ func TestOpenOptionValidation(t *testing.T) {
 	cfg := DefaultCollectionConfig()
 	cfg.NumDocs = 200
 	coll := GenerateCollection(cfg)
-	_, err := Open(coll, WithSearchers(0), WithVectorSize(-1), WithBufferPoolBytes(-5))
+	_, err := Open(coll, WithSearchers(0), WithVectorSize(-1), WithBufferPoolBytes(-5),
+		WithTraceSampling(math.NaN()))
 	if err == nil {
 		t.Fatal("invalid options accepted")
 	}
-	// All three problems are reported together.
-	for _, want := range []string{"searcher pool", "vector size", "buffer pool"} {
+	// All four problems are reported together.
+	for _, want := range []string{"searcher pool", "vector size", "buffer pool", "trace sampling"} {
 		if !strings.Contains(err.Error(), want) {
 			t.Errorf("error %q misses %q", err, want)
 		}

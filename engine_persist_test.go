@@ -129,61 +129,28 @@ func TestOpenDirServesWithoutCollection(t *testing.T) {
 	}
 }
 
-// TestEnginePrefetchEquivalence opens the same persisted index with and
-// without manifest-driven prefetch: identical rankings, and the prefetch
-// option is rejected where it cannot apply (no persisted storage).
-func TestEnginePrefetchEquivalence(t *testing.T) {
+// TestPersistedOnlyOptionsRefusedInMemory: every option that needs a
+// persisted index is a configuration error without one, at both in-memory
+// entry points alike, and set together they are reported together.
+func TestPersistedOnlyOptionsRefusedInMemory(t *testing.T) {
 	coll := smallCollection()
-	dir := filepath.Join(t.TempDir(), "ix")
-	ctx := context.Background()
-
-	plain, err := Open(coll, WithStorageDir(dir))
+	ix, err := BuildIndex(coll, DefaultIndexConfig())
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer plain.Close()
-	pre, err := OpenDir(dir, WithPrefetch(2), WithBufferPoolBytes(32<<20))
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, q := range coll.PrecisionQueries(3, 29) {
-		for _, strat := range []Strategy{BM25TC, BM25TCMQ8} {
-			want, err := plain.Search(ctx, SearchRequest{Terms: q.Terms, K: 10, Strategy: strat})
-			if err != nil {
-				t.Fatal(err)
-			}
-			got, err := pre.Search(ctx, SearchRequest{Terms: q.Terms, K: 10, Strategy: strat})
-			if err != nil {
-				t.Fatal(err)
-			}
-			if !reflect.DeepEqual(got.Hits, want.Hits) {
-				t.Errorf("query %v %v: prefetching engine diverged", q.Terms, strat)
-			}
-		}
-	}
-	// Close stops the read-ahead workers along with the store.
-	if err := pre.Close(); err != nil {
-		t.Fatal(err)
-	}
-
-	// Every option that needs a persisted index is a configuration error
-	// without one, at both in-memory entry points alike.
 	persistedOnly := map[string]Option{
-		"WithPrefetch":       WithPrefetch(2),
-		"WithCacheAdmission": WithCacheAdmission(Admission2Q),
-		"WithApproxBounds":   WithApproxBounds(0.1),
-		"WithAutoMerge":      WithAutoMerge(2),
+		"WithApproxBounds": WithApproxBounds(0.1),
+		"WithAutoMerge":    WithAutoMerge(2),
 	}
 	var all []Option
 	for name, opt := range persistedOnly {
 		all = append(all, opt)
 		_, err := Open(coll, opt)
 		refused(t, err, name)
-		_, err = OpenIndex(plain.Index(), opt)
+		_, err = OpenIndex(ix, opt)
 		refused(t, err, name)
 	}
-	// Set together they are reported together.
-	_, err = OpenIndex(plain.Index(), all...)
+	_, err = OpenIndex(ix, all...)
 	var joined interface{ Unwrap() []error }
 	if !errors.As(err, &joined) || len(joined.Unwrap()) != len(all) {
 		t.Errorf("OpenIndex with every persisted-only option: %v, want %d errors", err, len(all))

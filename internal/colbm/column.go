@@ -115,7 +115,7 @@ type Column struct {
 }
 
 // BlobName returns the name of the column's blob in the block store — the
-// handle a Prefetcher needs to issue reads of its own against the same
+// handle a caller needs to read the column's chunks directly from the same
 // store the cursors demand-page from.
 func (c *Column) BlobName() string { return c.blobName }
 
@@ -127,29 +127,6 @@ func (c *Column) NumChunks() int { return len(c.chunks) }
 func (c *Column) Chunk(ci int) ChunkInfo {
 	m := c.chunks[ci]
 	return ChunkInfo{Off: m.off, Size: m.size, N: m.n}
-}
-
-// ChunkSpan returns the chunk index range [lo, hi) covering the value rows
-// [startRow, endRow) — the extents a prefetcher must have resident before a
-// cursor scans that row range. An empty or out-of-range row interval yields
-// an empty span.
-func (c *Column) ChunkSpan(startRow, endRow int) (lo, hi int) {
-	if startRow < 0 {
-		startRow = 0
-	}
-	if endRow > c.N {
-		endRow = c.N
-	}
-	if startRow >= endRow || len(c.chunks) == 0 {
-		return 0, 0
-	}
-	chunkLen := c.Spec.chunkLen()
-	lo = startRow / chunkLen
-	hi = (endRow-1)/chunkLen + 1
-	if hi > len(c.chunks) {
-		hi = len(c.chunks)
-	}
-	return lo, hi
 }
 
 // DiskSize returns the column's on-disk footprint in bytes.

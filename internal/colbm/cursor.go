@@ -83,9 +83,9 @@ func (c *Cursor) ReadOffset(dst *vector.Vector, start, n int, delta int64) error
 	return nil
 }
 
-// ChunkKey is the cache key of chunk ci of a blob — the shared naming
-// contract between cursors (which demand-page) and prefetchers (which warm
-// the same cache ahead of them).
+// ChunkKey is the cache key of chunk ci of a blob — the naming contract
+// every reader of a ChunkCache shares, so a chunk loaded by one is a hit
+// for the others.
 func ChunkKey(blob string, ci int) string {
 	return fmt.Sprintf("%s#%d", blob, ci)
 }

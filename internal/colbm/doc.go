@@ -20,9 +20,9 @@
 //     aligned sequential reads against files on disk.
 //   - ChunkCache — compressed column chunks cached in RAM under a byte
 //     budget. Manager (here) is the ColumnBM buffer manager every index
-//     reads through, over SimDisk or FileStore alike: CLOCK eviction,
-//     optionally behind scan-resistant 2Q admission, and singleflight
-//     fetches.
+//     reads through, over SimDisk or FileStore alike: one policy (CLOCK
+//     eviction) and one fetch path (GetChunk, with singleflight), so a
+//     chunk is loaded only when a cursor demands it.
 //
 // # Tables, columns, cursors
 //
@@ -32,7 +32,5 @@
 // Cursor per column: it claims compressed chunks from the ChunkCache and
 // decompresses on demand into the caller's vectors. Cursor.ReadOffset
 // additionally rebases docid-like columns, which is what lets a segment
-// merge read postings from arbitrary source segments. The Prefetcher
-// contract lets an external read-ahead engine (storage.Prefetcher) claim
-// the chunk ranges a plan is about to scan before the cursors arrive.
+// merge read postings from arbitrary source segments.
 package colbm

@@ -27,12 +27,10 @@ type CachedChunk struct {
 // ChunkCache.
 //
 // Accounting identity: every successful GetChunk is counted exactly once
-// as a hit or a miss, so Hits+Misses is the number of completed lookups
-// (plus the keys a batched prefetch claimed through Manager.BeginFetch,
-// which count as misses — each costs a store fetch). Shared is not a third
-// outcome: a lookup that waited on another caller's load and got its
-// chunk paid no store fetch of its own, so it is a hit that is also
-// counted in Shared. Shared <= Hits as long as no load fails (a failed
+// as a hit or a miss, so Hits+Misses is the number of completed lookups.
+// Shared is not a third outcome: a lookup that waited on another caller's
+// load and got its chunk paid no store fetch of its own, so it is a hit
+// that is also counted in Shared. Shared <= Hits as long as no load fails (a failed
 // shared wait keeps its Shared count and retries as a fresh lookup).
 type CacheStats struct {
 	Hits, Misses int64
@@ -54,7 +52,7 @@ func (s CacheStats) HitRate() float64 {
 // ChunkCache is the caching contract column cursors read chunks through: a
 // keyed, size-budgeted cache of compressed chunks. Implementations must be
 // safe for concurrent use. Manager is the one implementation, for simulated
-// and persisted stores alike; storage.CacheView namespaces a shared one.
+// and persisted stores alike.
 type ChunkCache interface {
 	// GetChunk returns the cached chunk for key, calling load on a miss and
 	// retaining the result subject to the implementation's budget.
@@ -65,20 +63,4 @@ type ChunkCache interface {
 	Stats() CacheStats
 	// ResetStats zeroes the counters without evicting.
 	ResetStats()
-}
-
-// Prefetcher warms a ChunkCache ahead of a scan: a searcher about to read
-// the value rows [startRow, endRow) of a column hands the range over, and
-// the prefetcher arranges for the covering chunks (whose extents the index
-// manifest records) to be fetched — batched into large sequential reads, on
-// its own workers — before the cursor demand-pages them one at a time.
-// Prefetch is advisory and must never block the caller for the duration of
-// the I/O; implementations must be safe for concurrent use. A nil
-// Prefetcher means demand paging only. storage.Prefetcher is the real
-// implementation.
-type Prefetcher interface {
-	Prefetch(col *Column, startRow, endRow int)
-	// Close stops the workers and waits for in-flight fetches to settle;
-	// Prefetch calls after Close are no-ops.
-	Close() error
 }

@@ -20,10 +20,8 @@ import (
 type ClusterOption func(*clusterConfig)
 
 type clusterConfig struct {
-	replicas      int
-	ingest        bool
-	sharedPool    int64
-	sharedPoolSet bool
+	replicas int
+	ingest   bool
 }
 
 // WithReplicas serves every partition range with r servers instead of
@@ -35,22 +33,6 @@ type clusterConfig struct {
 // failover capacity. r < 1 is treated as 1.
 func WithReplicas(r int) ClusterOption {
 	return func(c *clusterConfig) { c.replicas = r }
-}
-
-// WithSharedPool serves every partition replica StartClusterFromDirs
-// opens through ONE cross-server buffer manager with the given byte
-// budget (0 = unbounded) instead of a private manager per replica. On a
-// single host running many partition servers, per-replica budgets
-// fragment memory — an idle partition hoards its slice while a hot one
-// thrashes; one shared pool lets residency follow the actual access skew.
-// Every server slot reads through its own cache-key namespace, so
-// co-located partitions whose blob names collide (every partition
-// directory allocates seg-000001) can never read each other's chunks;
-// replicas serving the same
-// directory share a namespace and therefore share cached chunks. Ignored
-// by in-memory StartCluster.
-func WithSharedPool(budgetBytes int64) ClusterOption {
-	return func(c *clusterConfig) { c.sharedPool, c.sharedPoolSet = budgetBytes, true }
 }
 
 // WithIngest gives every replica of a partition its own directory
@@ -81,16 +63,13 @@ func applyClusterOptions(opts []ClusterOption) clusterConfig {
 
 // slotMeta is the cluster-side record of one serving slot: the server,
 // its last known address (revival reuses it), the directory it serves
-// (empty for in-memory partitions), the cache namespace a reopen must
-// repeat under a shared pool (see slotCache), the logical host label
-// placement decisions are made against, and whether the directory is
-// cluster-owned — created by an elastic operation and deleted when the
-// slot retires.
+// (empty for in-memory partitions), the logical host label placement
+// decisions are made against, and whether the directory is cluster-owned —
+// created by an elastic operation and deleted when the slot retires.
 type slotMeta struct {
 	srv   *Server
 	addr  string
 	dir   string
-	ns    string
 	host  string
 	owned bool
 }
@@ -122,8 +101,7 @@ type Cluster struct {
 
 	ingest    bool   // started with WithIngest — elastic ops require it
 	baseDir   string // parent dir for cluster-owned partition copies
-	nextNS    int    // monotonic cache-namespace counter for elastic slots
-	poolBytes int64
+	poolBytes int64  // buffer-manager budget of every dir-backed slot
 
 	// shipHook, when set (SetShipHook), observes every chunk the replica
 	// bootstrap path lands — the chaos-injection point reconciler tests
@@ -133,28 +111,7 @@ type Cluster struct {
 	// warmReplica, when set (SetReplicaWarmer), runs against every freshly
 	// bootstrapped replica before it enters the serving rotation.
 	warmReplica func(*Server) error
-
-	// sharedMgr is the cross-server buffer manager (WithSharedPool), nil
-	// without one.
-	sharedMgr *colbm.Manager
 }
-
-// slotCache returns the chunk cache a dir-backed slot's server reads
-// through — the one place a cluster decides it, for first start, revival
-// and elastic placement alike: a view of the cross-server pool under the
-// slot's namespace (WithSharedPool), else a manager of the slot's own with
-// the cluster's per-replica budget.
-func slotCache(shared *colbm.Manager, poolBytes int64, ns string) storage.FetchCache {
-	if shared != nil {
-		return storage.NewCacheView(shared, ns)
-	}
-	return colbm.NewManager(poolBytes)
-}
-
-// SharedPool returns the cross-server buffer manager a WithSharedPool
-// cluster serves through (its Stats cover every co-located replica), or
-// nil when each replica has a private manager.
-func (cl *Cluster) SharedPool() *colbm.Manager { return cl.sharedMgr }
 
 // SetShipHook installs an observer called before every chunk the replica
 // bootstrap path writes (AddReplica shipping). An error return aborts the
@@ -503,26 +460,6 @@ func StartClusterFromDirs(dirs []string, poolBytes int64, opts ...ClusterOption)
 	ccfg := applyClusterOptions(opts)
 	servers := make([]*Server, len(dirs)*ccfg.replicas)
 	replicaDirs := make([]string, len(servers))
-	// One cross-server pool (WithSharedPool): every slot reads through a
-	// namespaced view of this manager instead of a private one. Slots
-	// serving the same directory share a namespace (and so share cached
-	// chunks); slots serving different directories get distinct namespaces
-	// so colliding blob names can never alias.
-	var shared *colbm.Manager
-	if ccfg.sharedPoolSet {
-		shared = colbm.NewManager(ccfg.sharedPool)
-	}
-	slotNS := make([]string, len(servers))
-	for i := range slotNS {
-		p, r := i/ccfg.replicas, i%ccfg.replicas
-		slotNS[i] = fmt.Sprintf("p%d/", p)
-		if ccfg.ingest && r > 0 {
-			// Ingest replicas past the first serve their own directory copy
-			// (see below) — same segment names, independently evolving
-			// generations — so each gets its own namespace.
-			slotNS[i] = fmt.Sprintf("p%d-r%d/", p, r)
-		}
-	}
 	errs := make([]error, len(servers))
 	var wg sync.WaitGroup
 	for p := range dirs {
@@ -546,7 +483,7 @@ func StartClusterFromDirs(dirs []string, poolBytes int64, opts ...ClusterOption)
 					}
 				}
 				replicaDirs[i] = dir
-				servers[i], errs[i] = serveSegmentedDir(dir, "127.0.0.1:0", slotCache(shared, poolBytes, slotNS[i]))
+				servers[i], errs[i] = serveSegmentedDir(dir, "127.0.0.1:0", colbm.NewManager(poolBytes))
 			}(p, r)
 		}
 	}
@@ -555,13 +492,12 @@ func StartClusterFromDirs(dirs []string, poolBytes int64, opts ...ClusterOption)
 		return nil, err
 	}
 	cl := assemble(servers, len(dirs), ccfg.replicas)
-	cl.sharedMgr = shared
 	cl.poolBytes = poolBytes
 	cl.baseDir = filepath.Dir(dirs[0])
 	for i := range servers {
 		p, r := i/ccfg.replicas, i%ccfg.replicas
 		sl := cl.slots[p][r]
-		sl.ns, sl.dir = slotNS[i], replicaDirs[i]
+		sl.dir = replicaDirs[i]
 	}
 	cl.ingest = ccfg.ingest
 	return cl, nil
@@ -595,7 +531,7 @@ func (cl *Cluster) ReviveReplica(p, r int) error {
 	var s *Server
 	var err error
 	for deadline := time.Now().Add(2 * time.Second); ; {
-		s, err = serveSegmentedDir(sl.dir, sl.addr, slotCache(cl.sharedMgr, cl.poolBytes, sl.ns))
+		s, err = serveSegmentedDir(sl.dir, sl.addr, colbm.NewManager(cl.poolBytes))
 		if err == nil || time.Now().After(deadline) {
 			break
 		}

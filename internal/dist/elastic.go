@@ -7,6 +7,7 @@ import (
 	"path/filepath"
 	"sync/atomic"
 
+	"repro/internal/colbm"
 	"repro/internal/storage"
 )
 
@@ -41,18 +42,6 @@ func (cl *Cluster) elasticDir(lo int64, host string) string {
 	return filepath.Join(cl.baseDir, fmt.Sprintf("elastic-lo%d-%s", lo, host))
 }
 
-// elasticCache returns the chunk cache (and, for revival, its namespace)
-// of a newly placed slot: under a shared pool a fresh namespace — elastic
-// slots serve independently evolving directories, so they must never alias
-// another slot's cached chunks.
-func (cl *Cluster) elasticCache() (storage.FetchCache, string) {
-	cl.mu.Lock()
-	defer cl.mu.Unlock()
-	ns := fmt.Sprintf("e%d/", cl.nextNS)
-	cl.nextNS++
-	return slotCache(cl.sharedMgr, cl.poolBytes, ns), ns
-}
-
 // retargetAll rebinds every broker to the given replica layout.
 func retargetAll(brokers []*Broker, groups [][]string) error {
 	var first error
@@ -64,8 +53,8 @@ func retargetAll(brokers []*Broker, groups [][]string) error {
 	return first
 }
 
-// freezeOne freezes Add routing for partition p (of n) on every broker;
-// p < 0 unfreezes everything.
+// freezeAll freezes Add routing for partitions ps (of n) on every broker;
+// indexes outside [0, n) are ignored.
 func freezeAll(ctx context.Context, brokers []*Broker, n int, ps ...int) error {
 	frozen := make([]bool, n)
 	for _, p := range ps {
@@ -138,8 +127,7 @@ func (cl *Cluster) AddReplica(ctx context.Context, p int, host string, brokers .
 		return err
 	}
 
-	cache, ns := cl.elasticCache()
-	srv, err := serveSegmentedDir(dst, "127.0.0.1:0", cache)
+	srv, err := serveSegmentedDir(dst, "127.0.0.1:0", colbm.NewManager(cl.poolBytes))
 	if err != nil {
 		return err
 	}
@@ -157,7 +145,7 @@ func (cl *Cluster) AddReplica(ctx context.Context, p int, host string, brokers .
 
 	cl.mu.Lock()
 	cl.slots[p] = append(cl.slots[p],
-		&slotMeta{srv: srv, addr: srv.Addr(), dir: dst, ns: ns, host: host, owned: true})
+		&slotMeta{srv: srv, addr: srv.Addr(), dir: dst, host: host, owned: true})
 	cl.rebuildViews()
 	groups := cl.currentGroupsLocked()
 	cl.mu.Unlock()
@@ -392,8 +380,7 @@ func (cl *Cluster) SplitPartition(ctx context.Context, p int, at int64, brokers 
 		return fail(fmt.Errorf("dist: partition %d already split below %d but right half %s is missing",
 			p, at, rightDir))
 	}
-	cache, ns := cl.elasticCache()
-	rsrv, err := serveSegmentedDir(rightDir, "127.0.0.1:0", cache)
+	rsrv, err := serveSegmentedDir(rightDir, "127.0.0.1:0", colbm.NewManager(cl.poolBytes))
 	if err != nil {
 		return fail(err)
 	}
@@ -426,7 +413,7 @@ func (cl *Cluster) SplitPartition(ctx context.Context, p int, at int64, brokers 
 	}
 
 	cl.mu.Lock()
-	rslot := &slotMeta{srv: rsrv, addr: rsrv.Addr(), dir: rightDir, ns: ns, host: left.host, owned: true}
+	rslot := &slotMeta{srv: rsrv, addr: rsrv.Addr(), dir: rightDir, host: left.host, owned: true}
 	next := make([][]*slotMeta, 0, len(cl.slots)+1)
 	next = append(next, cl.slots[:p+1]...)
 	next = append(next, []*slotMeta{rslot})

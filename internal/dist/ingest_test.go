@@ -210,7 +210,7 @@ func TestPinnedGenerationMatchesCentralized(t *testing.T) {
 	shadowCfg := bc
 	shadowCfg.Stats = nil // match the append path: per-directory statistics
 	snapshotExpected := func(gen uint64) {
-		snap, err := storage.OpenSegmented(shadow, colbm.NewManager(0), 0)
+		snap, err := storage.OpenSegmented(shadow, colbm.NewManager(0))
 		if err != nil {
 			t.Fatalf("open shadow at generation %d: %v", gen, err)
 		}

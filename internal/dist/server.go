@@ -9,6 +9,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"repro/internal/colbm"
 	"repro/internal/corpus"
 	"repro/internal/ir"
 	"repro/internal/serving"
@@ -95,10 +96,10 @@ func startServer(part *corpus.Collection, cfg ir.BuildConfig) (*Server, error) {
 
 // serveSegmentedDir opens a partition directory as a dir-backed server
 // listening on addr ("127.0.0.1:0" for an ephemeral port; a fixed address
-// revives a replica in place), reading through cache (see slotCache) with
-// demand paging only. The directory must hold at least one segment already.
-func serveSegmentedDir(dir, addr string, cache storage.FetchCache) (*Server, error) {
-	core, err := serving.OpenDir(dir, cache, 0, serving.Config{})
+// revives a replica in place), reading through cache, a buffer manager of
+// the server's own. The directory must hold at least one segment already.
+func serveSegmentedDir(dir, addr string, cache *colbm.Manager) (*Server, error) {
+	core, err := serving.OpenDir(dir, cache, serving.Config{})
 	if err != nil {
 		return nil, err
 	}

@@ -163,12 +163,6 @@ type Index struct {
 	Store colbm.BlockStore
 	Cache colbm.ChunkCache
 
-	// Prefetcher, when non-nil, receives the posting ranges a plan is about
-	// to scan so the covering chunks stream into the Cache ahead of the
-	// cursors (storage.OpenSegmented installs one per segment when prefetch
-	// is enabled). Nil means demand paging only.
-	Prefetcher colbm.Prefetcher
-
 	cfg BuildConfig
 }
 
@@ -362,20 +356,9 @@ func RestoreIndex(td, d *colbm.Table, terms map[string]TermInfo, params primitiv
 // therefore which strategies — this index supports.
 func (ix *Index) Config() BuildConfig { return ix.cfg }
 
-// Close releases the index's resources: the prefetch workers (if any) are
-// stopped first so no read-ahead lands on a closed store, then the store
-// itself is closed (a no-op for simulated disks, real file handles for
-// persisted indexes). The index is unusable afterwards.
-func (ix *Index) Close() error {
-	var err error
-	if ix.Prefetcher != nil {
-		err = ix.Prefetcher.Close()
-	}
-	if cerr := ix.Store.Close(); err == nil {
-		err = cerr
-	}
-	return err
-}
+// Close releases the index's store (a no-op for simulated disks, real
+// file handles for persisted indexes). The index is unusable afterwards.
+func (ix *Index) Close() error { return ix.Store.Close() }
 
 // NumDocs returns the collection size.
 func (ix *Index) NumDocs() int { return ix.D.N }

@@ -284,11 +284,6 @@ func (s *Searcher) searchBooleanAll(terms []string, k int, or bool) ([]Result, e
 		if len(infos) == 0 || (!or && missing) {
 			continue
 		}
-		strat := BoolAND
-		if or {
-			strat = BoolOR
-		}
-		sub.prefetchRanges(infos, strat)
 		res, err := sub.searchBoolean(infos, k-len(results), or)
 		if err != nil {
 			return nil, err
@@ -374,7 +369,6 @@ func (s *Searcher) rankedPass(terms []string, k int, strat Strategy, resolved in
 		if detail {
 			c0 = sub.ix.Cache.Stats()
 		}
-		sub.prefetchRanges(infos, strat)
 		var res []Result
 		var err error
 		switch strat {
@@ -404,57 +398,6 @@ func (s *Searcher) rankedPass(terms []string, k int, strat Strategy, resolved in
 		all = append(all, res...)
 	}
 	return all, nil
-}
-
-// prefetchRanges hands the posting ranges the strategy's plan is about to
-// scan — one per term, over each physical column the plan reads — to the
-// segment's prefetcher, so chunk data streams in ahead of the cursors. A
-// nil prefetcher (in-memory indexes, prefetch disabled) makes this a
-// no-op. Virtual segments read tf columns instead of their stale score
-// columns, and the read-ahead follows suit.
-func (s *segSearcher) prefetchRanges(infos []TermInfo, strat Strategy) {
-	pf := s.ix.Prefetcher
-	if pf == nil || len(infos) == 0 {
-		return
-	}
-	var names []string
-	switch strat {
-	case BoolAND, BoolOR:
-		names = []string{ColDocID32}
-	case BM25, BM25T:
-		names = []string{ColDocID32, ColTF32}
-	case BM25TC:
-		names = []string{ColDocIDC, ColTFC}
-	case BM25TCM:
-		names = []string{ColDocIDC, ColScore}
-	case BM25TCMQ8:
-		names = []string{ColDocIDC, ColQScore}
-	default:
-		return
-	}
-	if s.virtual && (strat == BM25TCM || strat == BM25TCMQ8) {
-		names = []string{ColDocIDC, ColTFC}
-	}
-	for _, name := range names {
-		col, err := s.ix.TD.Column(name)
-		if err != nil {
-			continue
-		}
-		for _, ti := range infos {
-			pf.Prefetch(col, ti.Start, ti.End)
-		}
-	}
-	// The unmaterialized ranked plans (and virtual materialized scoring)
-	// also merge-join the whole document table for lengths — a full
-	// sequential scan, the best case for read-ahead.
-	if strat == BM25 || strat == BM25T || strat == BM25TC ||
-		(s.virtual && (strat == BM25TCM || strat == BM25TCMQ8)) {
-		for _, name := range []string{"docid", "len"} {
-			if col, err := s.ix.D.Column(name); err == nil {
-				pf.Prefetch(col, 0, col.N)
-			}
-		}
-	}
 }
 
 // resolve maps query terms to range-index entries, dropping unknown terms

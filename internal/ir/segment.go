@@ -223,10 +223,9 @@ func (sn *Snapshot) DocName(docid int64) (string, error) {
 	return sn.subs[i].ix.DocName(docid)
 }
 
-// Close releases every segment's storage for owned snapshots (prefetch
-// workers first, then stores); a view that does not own its segments is
-// left untouched. The engine calls this when a generation's last in-flight
-// search drains.
+// Close releases every segment's storage for owned snapshots; a view that
+// does not own its segments is left untouched. The engine calls this when
+// a generation's last in-flight search drains.
 func (sn *Snapshot) Close() error {
 	if !sn.owned {
 		return nil

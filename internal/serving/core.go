@@ -84,15 +84,13 @@ type Core struct {
 	// Directory-backed state, zero for cores built with New: the segmented
 	// directory served, the chunk cache every generation opens against (it
 	// outlives them, so a refresh keeps unchanged segments' chunks warm, and
-	// a removed segment's frames are dropped from it), the read-ahead
-	// workers each segment opens with, the physical layout appends must
-	// match, and whether the directory's statistics are externally
-	// coordinated.
-	dir             string
-	chunks          storage.FetchCache
-	prefetchWorkers int
-	layout          ir.BuildConfig
-	external        bool
+	// a removed segment's frames are dropped from it), the physical layout
+	// appends must match, and whether the directory's statistics are
+	// externally coordinated.
+	dir      string
+	chunks   *colbm.Manager
+	layout   ir.BuildConfig
+	external bool
 
 	// commitMu serializes everything that rewrites SEGMENTS.json, swaps the
 	// current generation, or deletes segment directories.
@@ -143,22 +141,19 @@ func New(snap *ir.Snapshot, cfg Config) *Core {
 
 // OpenDir returns a core serving the current generation of an index
 // directory, with live-commit support (Refresh, Commit, Sweep). Every
-// generation the core opens reads through chunks — a *colbm.Manager of
-// the core's own or a storage.CacheView of one it shares; the caller built
-// it, so the caller chose its budget, admission policy and co-tenants —
-// with prefetchWorkers read-ahead workers per segment (0 = demand paging
-// only, see storage.OpenSegmented).
-func OpenDir(dir string, chunks storage.FetchCache, prefetchWorkers int, cfg Config) (*Core, error) {
+// generation the core opens reads through chunks, the buffer manager the
+// caller built (and so chose the budget of) for this core alone.
+func OpenDir(dir string, chunks *colbm.Manager, cfg Config) (*Core, error) {
 	sm, err := storage.ReadSegments(dir)
 	if err != nil {
 		return nil, err
 	}
-	snap, err := storage.OpenSegmented(dir, chunks, prefetchWorkers)
+	snap, err := storage.OpenSegmented(dir, chunks)
 	if err != nil {
 		return nil, err
 	}
 	c := newCore(cfg)
-	c.dir, c.chunks, c.prefetchWorkers, c.external = dir, chunks, prefetchWorkers, sm.External
+	c.dir, c.chunks, c.external = dir, chunks, sm.External
 	c.layout = snap.Primary().Config()
 	// Appends reproduce the physical layout, not a segment's identity.
 	c.layout.Stats, c.layout.DocIDBase, c.layout.TablePrefix = nil, 0, ""
@@ -322,7 +317,7 @@ func (c *Core) refreshLocked() error {
 	if sm.Generation <= cur.snap.Gen() {
 		return nil
 	}
-	snap, err := storage.OpenSegmented(c.dir, c.chunks, c.prefetchWorkers)
+	snap, err := storage.OpenSegmented(c.dir, c.chunks)
 	if err != nil {
 		return err
 	}

@@ -246,7 +246,7 @@ func TestApproxBoundsRankingEquivalence(t *testing.T) {
 	}
 	want := searchAll(t, ir.NewSearcher(plain, 0), queries, k)
 
-	snap, err := OpenSegmented(dir, colbm.NewManager(0), 0)
+	snap, err := OpenSegmented(dir, colbm.NewManager(0))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -20,9 +20,8 @@
 // WriteSegmentedIndex persists pre-built indexes as generation 1;
 // AppendSegment indexes a document batch into one fresh segment and
 // atomically commits generation+1; OpenSegmented opens every segment of
-// the newest generation against the one chunk cache its caller hands in
-// (a colbm.Manager, or a CacheView namespacing a shared one) and
-// recomputes collection-wide statistics exactly from the manifests
+// the newest generation against the one colbm.Manager its caller hands in
+// and recomputes collection-wide statistics exactly from the manifests
 // (directories marked External carry statistics coordinated elsewhere and
 // refuse local writers with ErrExternalStats);
 // PlanMerge/BuildMergedSegment/CommitMerge implement the tiered background
@@ -31,15 +30,6 @@
 // segment directories with the old one, which is what lets the serving
 // core (internal/serving) swap generations under a reference count without
 // dropping in-flight searches.
-//
-// # Prefetch
-//
-// Prefetcher is the manifest-driven read-ahead engine: a plan about to
-// scan a posting range claims the range's missing chunks (synchronously,
-// window by window, so concurrent cold scans cannot flood the manager),
-// and worker goroutines coalesce contiguous chunk runs into single large
-// store reads ahead of the cursors. Demand readers arriving for a claimed
-// chunk wait for the in-flight batch instead of duplicating the read.
 //
 // The package sits above internal/ir in the dependency order (it persists
 // and restores ir.Index values); below it, colbm defines the BlockStore

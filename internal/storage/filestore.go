@@ -75,16 +75,18 @@ func (fs *FileStore) Write(name string, data []byte) error {
 	delete(fs.sizes, name)
 	fs.mu.Unlock()
 
-	if err := atomicWriteFile(fs.dir, "."+name+".tmp-*", fs.path(name), data); err != nil {
+	if err := WriteFileAtomic(fs.dir, "."+name+".tmp-*", fs.path(name), data); err != nil {
 		return fmt.Errorf("storage: write %q: %w", name, err)
 	}
 	return nil
 }
 
-// atomicWriteFile writes data to dst (inside dir) via a temporary file and
-// rename, so a crash mid-write never leaves a plausible-looking half file
-// under the final name. Both blob and manifest writes go through it.
-func atomicWriteFile(dir, pattern, dst string, data []byte) error {
+// WriteFileAtomic writes data to dst (inside dir) via a temporary file
+// named by pattern (see os.CreateTemp) and a rename, so a crash mid-write
+// never leaves a plausible-looking half file under the final name. On any
+// failure the temporary file is removed. Blob, manifest and topology-spec
+// writes all go through it.
+func WriteFileAtomic(dir, pattern, dst string, data []byte) error {
 	tmp, err := os.CreateTemp(dir, pattern)
 	if err != nil {
 		return err
@@ -143,29 +145,20 @@ func (fs *FileStore) handle(name string) (*os.File, int64, error) {
 	return f, fi.Size(), nil
 }
 
-// Read returns size bytes of blob name starting at off. The returned
-// slice is private to the caller: a fresh sub-slice of the widened
-// positioned read.
+// Read returns size bytes of blob name starting at off. The request is
+// widened to readAlign boundaries (clipped at the end of the blob) and
+// served by one positioned read; DiskStats count the widened bytes. The
+// returned slice is private to the caller: a fresh sub-slice of that read.
 func (fs *FileStore) Read(name string, off, size int) ([]byte, error) {
-	data, _, _, err := fs.ReadSpan(name, off, size)
-	return data, err
-}
-
-// ReadSpan is Read surfacing the whole span the store touched to satisfy
-// the request: span covers [spanOff, spanOff+len(span)) of the blob and
-// contains data's bytes (data is a sub-slice of it), so a caller that knows
-// the blob's chunk layout can admit *adjacent* chunks the aligned read
-// already paid for.
-func (fs *FileStore) ReadSpan(name string, off, size int) (data, span []byte, spanOff int, err error) {
 	if off < 0 || size < 0 {
-		return nil, nil, 0, fmt.Errorf("storage: read [%d,%d) of blob %q", off, off+size, name)
+		return nil, fmt.Errorf("storage: read [%d,%d) of blob %q", off, off+size, name)
 	}
 	f, fileSize, err := fs.handle(name)
 	if err != nil {
-		return nil, nil, 0, err
+		return nil, err
 	}
 	if int64(off+size) > fileSize {
-		return nil, nil, 0, fmt.Errorf("storage: read [%d,%d) out of blob %q of %d bytes",
+		return nil, fmt.Errorf("storage: read [%d,%d) out of blob %q of %d bytes",
 			off, off+size, name, fileSize)
 	}
 	lo := int64(off) - int64(off)%readAlign
@@ -179,12 +172,12 @@ func (fs *FileStore) ReadSpan(name string, off, size int) (data, span []byte, sp
 	buf := make([]byte, hi-lo)
 	start := time.Now()
 	if _, err := f.ReadAt(buf, lo); err != nil {
-		return nil, nil, 0, fmt.Errorf("storage: read %q: %w", name, err)
+		return nil, fmt.Errorf("storage: read %q: %w", name, err)
 	}
 	fs.reads.Add(1)
 	fs.bytesRead.Add(int64(len(buf)))
 	fs.ioNanos.Add(time.Since(start).Nanoseconds())
-	return buf[int64(off)-lo : int64(off)-lo+int64(size)], buf, int(lo), nil
+	return buf[int64(off)-lo : int64(off)-lo+int64(size)], nil
 }
 
 // Size returns the stored size of a blob, or 0 if absent.

@@ -81,31 +81,37 @@ func TestFileStoreReadMatchesBlob(t *testing.T) {
 	}
 }
 
-// TestFileStoreReadSpan pins the ReadSpan surface the prefetcher's adjacent
-// admission depends on: the span covers the requested bytes at the
-// advertised offset and is alignment-widened.
-func TestFileStoreReadSpan(t *testing.T) {
-	data := pattern(3 * readAlign)
+// TestFileStoreReadCountsAlignedBytes pins what DiskStats report for a
+// Read: one read per request, charged the alignment-widened extent (offset
+// rounded down, end rounded up to readAlign and clipped at the end of the
+// blob), not the requested size.
+func TestFileStoreReadCountsAlignedBytes(t *testing.T) {
+	data := pattern(2*readAlign + 517)
 	fs := seededStore(t, map[string][]byte{"b": data})
-	got, span, spanOff, err := fs.ReadSpan("b", readAlign+100, 200)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(got, data[readAlign+100:readAlign+300]) {
-		t.Error("data wrong")
-	}
-	if spanOff != readAlign {
-		t.Errorf("spanOff %d, want %d (aligned down)", spanOff, readAlign)
-	}
-	if end := spanOff + len(span); end < readAlign+300 || end > len(data) {
-		t.Errorf("span end %d outside [%d,%d]", end, readAlign+300, len(data))
-	}
-	if !bytes.Equal(span, data[spanOff:spanOff+len(span)]) {
-		t.Error("span bytes wrong")
-	}
-	lo := readAlign + 100 - spanOff
-	if !bytes.Equal(span[lo:lo+200], got) {
-		t.Error("data not at its offset within span")
+	for _, r := range []struct {
+		off, size int
+		want      int64 // bytes the widened read covers
+	}{
+		{readAlign + 100, 200, readAlign}, // inside one page
+		{readAlign - 1, 2, 2 * readAlign}, // straddles a boundary
+		{2*readAlign + 10, 5, 517},        // tail page, clipped at EOF
+		{0, len(data), int64(len(data))},  // whole blob
+		{readAlign, readAlign, readAlign}, // already aligned
+		{2 * readAlign, 0, 0},             // empty read on a boundary
+		{3, 0, readAlign},                 // empty read mid-page
+	} {
+		fs.ResetStats()
+		got, err := fs.Read("b", r.off, r.size)
+		if err != nil {
+			t.Fatalf("read [%d,+%d): %v", r.off, r.size, err)
+		}
+		if !bytes.Equal(got, data[r.off:r.off+r.size]) {
+			t.Errorf("read [%d,+%d): bytes differ from the blob", r.off, r.size)
+		}
+		if st := fs.Stats(); st.Reads != 1 || st.BytesRead != r.want {
+			t.Errorf("read [%d,+%d): %d reads of %d bytes, want 1 of %d",
+				r.off, r.size, st.Reads, st.BytesRead, r.want)
+		}
 	}
 }
 

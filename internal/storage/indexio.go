@@ -112,11 +112,9 @@ func verifyIndexFiles(dir string, m *Manifest) error {
 // eagerly; column data stays on disk and streams in through cache as
 // queries touch it. Every segment of a generation opens against the one
 // cache its directory reads through, so the byte budget covers the whole
-// directory, not each segment separately. prefetchWorkers > 0 attaches a
-// manifest-driven Prefetcher with that many read-ahead workers. The caller
-// owns the returned index: Close it to release the file handles and stop
-// any prefetch workers.
-func openSegment(dir, seg string, cache FetchCache, prefetchWorkers int) (*ir.Index, error) {
+// directory, not each segment separately. The caller owns the returned
+// index: Close it to release the file handles.
+func openSegment(dir, seg string, cache *colbm.Manager) (*ir.Index, error) {
 	m, err := readManifest(dir, seg)
 	if err != nil {
 		return nil, err
@@ -139,10 +137,6 @@ func openSegment(dir, seg string, cache FetchCache, prefetchWorkers int) (*ir.In
 		}
 		tables = append(tables, t)
 	}
-	ix := ir.RestoreIndex(tables[0], tables[1], m.Terms, m.Params,
-		m.ScoreLo, m.ScoreHi, fs, cache, m.Config)
-	if prefetchWorkers > 0 {
-		ix.Prefetcher = NewPrefetcher(fs, cache, prefetchWorkers)
-	}
-	return ix, nil
+	return ir.RestoreIndex(tables[0], tables[1], m.Terms, m.Params,
+		m.ScoreLo, m.ScoreHi, fs, cache, m.Config), nil
 }

@@ -157,7 +157,7 @@ func InstallManifest(dir string, manifest []byte) (uint64, error) {
 			return 0, err
 		}
 	}
-	if err := atomicWriteFile(dir, ".segments-*", segmentsPath(dir), manifest); err != nil {
+	if err := WriteFileAtomic(dir, ".segments-*", segmentsPath(dir), manifest); err != nil {
 		return 0, fmt.Errorf("storage: install segments manifest: %w", err)
 	}
 	return sm.Generation, nil

@@ -165,7 +165,7 @@ func TestMergeStreamsBoundedMemory(t *testing.T) {
 	}
 
 	// The merge must still be a correct one.
-	snap, err := OpenSegmented(dir, colbm.NewManager(0), 0)
+	snap, err := OpenSegmented(dir, colbm.NewManager(0))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -262,12 +262,12 @@ func TestShipAndInstallRoundTrip(t *testing.T) {
 	}
 
 	queries := c.PrecisionQueries(5, 19)
-	snapP, err := OpenSegmented(primary, colbm.NewManager(0), 0)
+	snapP, err := OpenSegmented(primary, colbm.NewManager(0))
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer snapP.Close()
-	snapR, err := OpenSegmented(replica, colbm.NewManager(0), 0)
+	snapR, err := OpenSegmented(replica, colbm.NewManager(0))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -60,7 +60,7 @@ func writeManifest(dir string, m *Manifest) error {
 	if err != nil {
 		return fmt.Errorf("storage: encode manifest: %w", err)
 	}
-	if err := atomicWriteFile(dir, ".manifest-*", manifestPath(dir), data); err != nil {
+	if err := WriteFileAtomic(dir, ".manifest-*", manifestPath(dir), data); err != nil {
 		return fmt.Errorf("storage: write manifest: %w", err)
 	}
 	return nil

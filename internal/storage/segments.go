@@ -350,7 +350,7 @@ func writeSegments(dir string, sm *SegmentsManifest) error {
 	if err != nil {
 		return fmt.Errorf("storage: encode segments manifest: %w", err)
 	}
-	if err := atomicWriteFile(dir, ".segments-*", segmentsPath(dir), data); err != nil {
+	if err := WriteFileAtomic(dir, ".segments-*", segmentsPath(dir), data); err != nil {
 		return fmt.Errorf("storage: write segments manifest: %w", err)
 	}
 	return nil
@@ -545,7 +545,7 @@ func scanPostings(ix *ir.Index, delta int64, cancel func() bool,
 // are scanned through their tf and docid columns (a sequential read; no
 // tokenization, no sorting — the part of a rebuild appends actually skip).
 func (st *mergedStats) segScoreBounds(dir, seg string, lo, hi *float64) error {
-	ix, err := openSegment(dir, seg, colbm.NewManager(scanPoolBytes), 0)
+	ix, err := openSegment(dir, seg, colbm.NewManager(scanPoolBytes))
 	if err != nil {
 		return err
 	}
@@ -836,23 +836,15 @@ func SetBoundsPolicy(dir string, drift float64) error {
 
 // OpenSegmented opens the current generation of a segmented directory as
 // an ir.Snapshot: every segment opens lazily (manifest only) against the
-// one chunk cache the caller hands in — a *colbm.Manager, or a CacheView of a
-// manager shared with other directories — so the caller decides the byte
-// budget, the admission policy and what else shares them; collection-wide
-// statistics are recomputed from the manifests and patched in, and
-// segments whose baked columns lag the statistics epoch are flagged for
-// virtual scoring. A caller that reopens the directory generation after
-// generation passes the same cache each time: chunk keys are
-// segment-name-scoped and segment names are never reused, so the unchanged
-// segments stay warm and stale entries cannot alias. The returned snapshot
-// owns the segments' storage.
-//
-// prefetchWorkers > 0 turns on manifest-driven chunk prefetch with that
-// many read-ahead workers per segment: before a plan scans a posting
-// range, the searcher hands the range's chunk extents (recorded in the
-// manifest) to a Prefetcher that batch-fetches the missing chunks in large
-// sequential reads, ahead of the scanning cursor. 0 is demand paging only.
-func OpenSegmented(dir string, cache FetchCache, prefetchWorkers int) (*ir.Snapshot, error) {
+// one buffer manager the caller hands in, so the caller decides the byte
+// budget; collection-wide statistics are recomputed from the manifests and
+// patched in, and segments whose baked columns lag the statistics epoch
+// are flagged for virtual scoring. A caller that reopens the directory
+// generation after generation passes the same manager each time: chunk
+// keys are segment-name-scoped and segment names are never reused, so the
+// unchanged segments stay warm and stale entries cannot alias. The
+// returned snapshot owns the segments' storage.
+func OpenSegmented(dir string, cache *colbm.Manager) (*ir.Snapshot, error) {
 	sm, err := ReadSegments(dir)
 	if err != nil {
 		return nil, err
@@ -870,7 +862,7 @@ func OpenSegmented(dir string, cache FetchCache, prefetchWorkers int) (*ir.Snaps
 		return nil, err
 	}
 	for _, e := range sm.Segments {
-		ix, err := openSegment(dir, e.Name, cache, prefetchWorkers)
+		ix, err := openSegment(dir, e.Name, cache)
 		if err != nil {
 			return fail(err)
 		}
@@ -977,7 +969,7 @@ func streamSegments(w *ir.IndexWriter, dir string, segs []SegmentEntry, base int
 	}()
 	termSet := make(map[string]bool)
 	for _, e := range segs {
-		ix, err := openSegment(dir, e.Name, colbm.NewManager(scanPoolBytes), 0)
+		ix, err := openSegment(dir, e.Name, colbm.NewManager(scanPoolBytes))
 		if err != nil {
 			return err
 		}

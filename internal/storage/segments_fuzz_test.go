@@ -74,7 +74,7 @@ func TestOpenRefusesBlobNamesOfAnotherSegment(t *testing.T) {
 			if err := writeManifest(segDir, m); err != nil {
 				t.Fatal(err)
 			}
-			snap, err := OpenSegmented(dir, colbm.NewManager(0), 0)
+			snap, err := OpenSegmented(dir, colbm.NewManager(0))
 			if err == nil {
 				snap.Close()
 			}

@@ -129,7 +129,7 @@ func TestSegmentedEquivalence(t *testing.T) {
 		t.Run(name, func(t *testing.T) {
 			dir := filepath.Join(t.TempDir(), "segix")
 			build(dir)
-			snap, err := OpenSegmented(dir, colbm.NewManager(0), 0)
+			snap, err := OpenSegmented(dir, colbm.NewManager(0))
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -159,7 +159,7 @@ func TestSegmentedStalenessFlags(t *testing.T) {
 	dir := filepath.Join(t.TempDir(), "segix")
 	appendInBatches(t, dir, coll, 3)
 
-	snap, err := OpenSegmented(dir, colbm.NewManager(0), 0)
+	snap, err := OpenSegmented(dir, colbm.NewManager(0))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -185,7 +185,7 @@ func TestSegmentedStalenessFlags(t *testing.T) {
 	if _, err := CommitMerge(dir, names, into, epoch); err != nil {
 		t.Fatal(err)
 	}
-	snap, err = OpenSegmented(dir, colbm.NewManager(0), 0)
+	snap, err = OpenSegmented(dir, colbm.NewManager(0))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -354,7 +354,7 @@ func TestSegmentedNewVocabularyEquivalence(t *testing.T) {
 	if _, err := AppendSegment(dir, batchB, ir.DefaultBuildConfig()); err != nil {
 		t.Fatal(err)
 	}
-	snap, err := OpenSegmented(dir, colbm.NewManager(0), 0)
+	snap, err := OpenSegmented(dir, colbm.NewManager(0))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -9,18 +9,10 @@ type BlockStore = colbm.BlockStore
 // DiskStats aggregates the read activity of a BlockStore.
 type DiskStats = colbm.DiskStats
 
-// ChunkCache is colbm's caching contract; colbm.Manager implements it, and
-// CacheView (here) namespaces a shared one.
-type ChunkCache = colbm.ChunkCache
-
-// CacheStats reports hit/miss/eviction counters and occupancy.
-type CacheStats = colbm.CacheStats
-
 // Manager and NewManager name the buffer manager that moved to colbm. They
 // remain only because bench/ (frozen by BENCHMARK.json) still calls
 // storage.NewManager; everything else uses colbm.NewManager.
 type Manager = colbm.Manager
 
-// NewManager returns colbm.NewManager(budget) under the default admission
-// policy.
+// NewManager returns colbm.NewManager(budget).
 func NewManager(budget int64) *Manager { return colbm.NewManager(budget) }

@@ -133,7 +133,7 @@ func saveIndex(t *testing.T, dir string, ix *ir.Index) string {
 // openSole opens a one-segment directory and returns its segment; closing
 // the segment releases everything the open acquired.
 func openSole(dir string, budget int64) (*ir.Index, error) {
-	snap, err := OpenSegmented(dir, colbm.NewManager(budget), 0)
+	snap, err := OpenSegmented(dir, colbm.NewManager(budget))
 	if err != nil {
 		return nil, err
 	}
@@ -257,7 +257,7 @@ func TestOpenSegmentLazyAndValidating(t *testing.T) {
 
 	// Not an index dir: the error says what is absent, and matches
 	// os.ErrNotExist so callers can tell "build it" from "it is broken".
-	if _, err := OpenSegmented(t.TempDir(), colbm.NewManager(0), 0); !errors.Is(err, os.ErrNotExist) {
+	if _, err := OpenSegmented(t.TempDir(), colbm.NewManager(0)); !errors.Is(err, os.ErrNotExist) {
 		t.Errorf("OpenSegmented on an empty directory: %v, want os.ErrNotExist", err)
 	}
 	// Saving over a directory that already serves an index is refused.
@@ -279,7 +279,7 @@ func TestOpenSegmentLazyAndValidating(t *testing.T) {
 	if err := os.WriteFile(filepath.Join(segDir, ManifestName), bumped, 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := OpenSegmented(dir, colbm.NewManager(0), 0); err == nil {
+	if _, err := OpenSegmented(dir, colbm.NewManager(0)); err == nil {
 		t.Error("open accepted a future segment format version")
 	}
 	// Restore, then truncate a column file: size check must catch it.
@@ -290,7 +290,7 @@ func TestOpenSegmentLazyAndValidating(t *testing.T) {
 	if err := os.Truncate(col, 10); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := OpenSegmented(dir, colbm.NewManager(0), 0); err == nil {
+	if _, err := OpenSegmented(dir, colbm.NewManager(0)); err == nil {
 		t.Error("open accepted a truncated column file")
 	}
 }
@@ -318,7 +318,7 @@ func TestOpenNamesCorruptFiles(t *testing.T) {
 		if err := os.Truncate(filepath.Join(segDir, victim), 7); err != nil {
 			t.Fatal(err)
 		}
-		_, err := OpenSegmented(dir, colbm.NewManager(0), 0)
+		_, err := OpenSegmented(dir, colbm.NewManager(0))
 		if err == nil || !strings.Contains(err.Error(), victim) {
 			t.Errorf("truncated column error does not name %q: %v", victim, err)
 		}
@@ -329,7 +329,7 @@ func TestOpenNamesCorruptFiles(t *testing.T) {
 		if err := os.Remove(filepath.Join(segDir, victim)); err != nil {
 			t.Fatal(err)
 		}
-		_, err := OpenSegmented(dir, colbm.NewManager(0), 0)
+		_, err := OpenSegmented(dir, colbm.NewManager(0))
 		if err == nil || !strings.Contains(err.Error(), victim) {
 			t.Errorf("missing column error does not name %q: %v", victim, err)
 		}
@@ -340,14 +340,14 @@ func TestOpenNamesCorruptFiles(t *testing.T) {
 		if err := os.WriteFile(filepath.Join(segDir, stray), []byte("junk"), 0o644); err != nil {
 			t.Fatal(err)
 		}
-		_, err := OpenSegmented(dir, colbm.NewManager(0), 0)
+		_, err := OpenSegmented(dir, colbm.NewManager(0))
 		if err == nil || !strings.Contains(err.Error(), stray) {
 			t.Errorf("stray column error does not name %q: %v", stray, err)
 		}
 	})
 	t.Run("clean", func(t *testing.T) {
 		dir, _, _ := write(t)
-		snap, err := OpenSegmented(dir, colbm.NewManager(0), 0)
+		snap, err := OpenSegmented(dir, colbm.NewManager(0))
 		if err != nil {
 			t.Fatalf("clean directory rejected: %v", err)
 		}

@@ -15,6 +15,8 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+
+	"repro/internal/storage"
 )
 
 const (
@@ -146,21 +148,7 @@ func Save(dir string, s *Spec) error {
 	if err != nil {
 		return err
 	}
-	tmp, err := os.CreateTemp(dir, SpecFileName+".tmp-*")
-	if err != nil {
-		return err
-	}
-	name := tmp.Name()
-	if _, err := tmp.Write(data); err != nil {
-		tmp.Close()
-		os.Remove(name)
-		return err
-	}
-	if err := tmp.Close(); err != nil {
-		os.Remove(name)
-		return err
-	}
-	return os.Rename(name, filepath.Join(dir, SpecFileName))
+	return storage.WriteFileAtomic(dir, SpecFileName+".tmp-*", filepath.Join(dir, SpecFileName), data)
 }
 
 // Load reads and validates dir/TOPOLOGY.json.

@@ -116,6 +116,26 @@ func TestSpecSaveLoadRoundTrip(t *testing.T) {
 	}
 }
 
+// TestSaveFailedRenameLeavesNoTempFile: when the final rename fails (here
+// TOPOLOGY.json is a directory), Save reports the error and removes the
+// temporary file it wrote.
+func TestSaveFailedRenameLeavesNoTempFile(t *testing.T) {
+	dir := t.TempDir()
+	if err := os.Mkdir(filepath.Join(dir, SpecFileName), 0o755); err != nil {
+		t.Fatal(err)
+	}
+	if err := Save(dir, validSpec()); err == nil {
+		t.Fatal("Save over a directory named TOPOLOGY.json succeeded")
+	}
+	tmps, err := filepath.Glob(filepath.Join(dir, "*.tmp-*"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(tmps) != 0 {
+		t.Errorf("failed Save left %v behind", tmps)
+	}
+}
+
 func TestLoadRejectsCorruptSpec(t *testing.T) {
 	dir := t.TempDir()
 	if err := os.WriteFile(filepath.Join(dir, SpecFileName), []byte(`{"magic":"x100-topology"`), 0o644); err != nil {

@@ -29,11 +29,8 @@ type engineConfig struct {
 	autoMerge     int    // WithAutoMerge: background merge above this segment count (0 = off)
 	mergeThrottle int    // WithMergeThrottle: pause merges above this many inflight queries (-1 = off)
 
-	prefetchWorkers int // WithPrefetch: read-ahead workers (0 = disabled)
-
-	cacheAdmission CacheAdmission // WithCacheAdmission: buffer-manager admission policy
-	approxSet      bool           // WithApproxBounds given
-	approxBounds   float64        // quantization-bounds drift fraction (0 = exact)
+	approxSet    bool    // WithApproxBounds given
+	approxBounds float64 // quantization-bounds drift fraction (0 = exact)
 
 	opsAddr string // WithOpsServer: HTTP ops endpoint listen address ("" = off)
 
@@ -62,8 +59,6 @@ func (c *engineConfig) refusePersistedOnly() {
 		set  bool
 		name string
 	}{
-		{c.prefetchWorkers > 0, "WithPrefetch"},
-		{c.cacheAdmission != AdmissionClock, "WithCacheAdmission"},
 		{c.approxSet, "WithApproxBounds"},
 		{c.autoMerge > 0, "WithAutoMerge"},
 	} {
@@ -218,41 +213,6 @@ func WithAdmissionControl(maxQueue int) Option {
 	}
 }
 
-// WithPrefetch enables manifest-driven chunk prefetch with the given
-// number of read-ahead workers: before a plan scans a term's posting
-// range, the covering chunk extents (recorded in the index manifest) are
-// batch-fetched in large sequential reads ahead of the scanning cursor,
-// instead of demand-paging chunk by chunk. It applies to persisted indexes
-// only (Open with WithStorageDir, or OpenDir) — an in-memory engine has no
-// manifest to drive it and rejects the option.
-func WithPrefetch(workers int) Option {
-	return func(c *engineConfig) {
-		if workers < 1 {
-			c.errs = append(c.errs, fmt.Errorf("repro: prefetch workers %d < 1", workers))
-			return
-		}
-		c.prefetchWorkers = workers
-	}
-}
-
-// WithCacheAdmission selects the buffer manager's admission policy.
-// AdmissionClock (the default) inserts every fetched chunk into the main
-// clock ring; Admission2Q is the scan-resistant choice — a chunk enters a
-// probationary FIFO first and is promoted to the main ring only when it
-// is referenced again after a probationary eviction the ghost list still
-// remembers, so a cold scan (even one that re-touches its chunks in
-// passing) recycles its own probationary bytes instead of flushing the
-// hot set. Persisted indexes only.
-func WithCacheAdmission(p CacheAdmission) Option {
-	return func(c *engineConfig) {
-		if p != AdmissionClock && p != Admission2Q {
-			c.errs = append(c.errs, fmt.Errorf("repro: unknown cache admission policy %d", p))
-			return
-		}
-		c.cacheAdmission = p
-	}
-}
-
 // WithApproxBounds switches the index directory's quantized score
 // bounds from exact to approximate: instead of re-scanning every existing
 // segment's postings on each append to recompute exact collection-wide
@@ -325,7 +285,7 @@ func WithSlowQueryThreshold(d time.Duration) Option {
 // traces land in the same log SlowQueries and /debug/slow read.
 func WithTraceSampling(rate float64) Option {
 	return func(c *engineConfig) {
-		if rate < 0 || rate > 1 {
+		if rate < 0 || rate > 1 || math.IsNaN(rate) {
 			c.errs = append(c.errs, fmt.Errorf("repro: trace sampling rate %v outside [0, 1]", rate))
 			return
 		}

@@ -220,30 +220,6 @@ var optionRows = map[string]func(t *testing.T, f *optionFixture){
 			t.Errorf("admission off, but service estimate %v", got)
 		}
 	},
-	// Prefetcher.Stats(): a cold query's ranges are claimed ahead of the scan.
-	"WithPrefetch": func(t *testing.T, f *optionFixture) {
-		dir := f.dir(t)
-		eng := f.openDir(t, dir, WithPrefetch(2))
-		f.search(t, eng, SearchRequest{})
-		pf, ok := eng.Index().Prefetcher.(*storage.Prefetcher)
-		if !ok || pf.Stats().Ranges == 0 || pf.Stats().Chunks == 0 {
-			t.Errorf("cold query under WithPrefetch read nothing ahead: %T %+v", eng.Index().Prefetcher, pf.Stats())
-		}
-		if f.openDir(t, dir).Index().Prefetcher != nil {
-			t.Error("default engine has a prefetcher")
-		}
-	},
-	// Manager.Policy() of the serving buffer manager. (What 2Q buys:
-	// TestManager2QHotSetSurvivesScan in internal/storage.)
-	"WithCacheAdmission": func(t *testing.T, f *optionFixture) {
-		dir := f.dir(t)
-		if got := servingManager(t, f.openDir(t, dir, WithCacheAdmission(Admission2Q))).Policy(); got != Admission2Q {
-			t.Errorf("serving manager runs policy %v, want 2Q", got)
-		}
-		if got := servingManager(t, f.openDir(t, dir)).Policy(); got != AdmissionClock {
-			t.Errorf("default serving manager runs policy %v, want CLOCK", got)
-		}
-	},
 	// SegmentsManifest.BoundsDrift: the policy is a directory property.
 	// (What it buys: TestApproxBoundsSkipAndRebake in internal/storage.)
 	"WithApproxBounds": func(t *testing.T, f *optionFixture) {

@@ -313,9 +313,6 @@ type (
 	// BufferManager is the ColumnBM buffer manager: compressed chunks in
 	// RAM under a byte budget, clock eviction, singleflight fetches.
 	BufferManager = colbm.Manager
-	// CacheAdmission selects how fetched chunks enter the buffer manager
-	// (AdmissionClock or the scan-resistant Admission2Q).
-	CacheAdmission = colbm.AdmissionPolicy
 	// Table is a stored columnar table.
 	Table = colbm.Table
 	// TableBuilder bulk-builds a Table.
@@ -336,18 +333,6 @@ const (
 	TypeStr     = vector.Str
 )
 
-// Buffer-manager admission policies (WithCacheAdmission).
-const (
-	// AdmissionClock inserts every fetched chunk straight into the main
-	// clock ring (the default; scans can flush the hot set).
-	AdmissionClock = colbm.AdmissionClock
-	// Admission2Q quarantines first-touch chunks in a probationary FIFO
-	// and promotes only those referenced again after a remembered
-	// eviction, so cold scans recycle their own bytes instead of
-	// evicting the promoted working set.
-	Admission2Q = colbm.Admission2Q
-)
-
 // DefaultDiskParams approximates the paper's 12-disk RAID.
 func DefaultDiskParams() DiskParams { return colbm.DefaultDiskParams() }
 
@@ -355,7 +340,8 @@ func DefaultDiskParams() DiskParams { return colbm.DefaultDiskParams() }
 func NewSimDisk(p DiskParams) *SimDisk { return colbm.NewSimDisk(p) }
 
 // NewBufferManager returns a buffer manager with the given byte budget
-// (0 = unbounded) and the default AdmissionClock policy.
+// (0 = unbounded): CLOCK eviction, and chunks enter only when a reader
+// demands them.
 func NewBufferManager(budget int64) *BufferManager { return colbm.NewManager(budget) }
 
 // NewTableBuilder starts a bulk table build over any store/cache pair
@@ -385,7 +371,7 @@ var ErrNotSingleSegment = errors.New("repro: index directory does not hold exact
 // budget (0 = unbounded). Close the returned index when done, or wrap the
 // directory with OpenDir and let Engine.Close do it.
 func LoadIndex(dir string, poolBytes int64) (*Index, error) {
-	snap, err := storage.OpenSegmented(dir, colbm.NewManager(poolBytes), 0)
+	snap, err := storage.OpenSegmented(dir, colbm.NewManager(poolBytes))
 	if err != nil {
 		return nil, err
 	}

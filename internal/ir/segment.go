@@ -122,12 +122,17 @@ func SingleSnapshot(ix *Index) *Snapshot {
 }
 
 // patchMergedStats recomputes the collection-wide BM25 inputs over the
-// segment set and installs them into every segment in place: global df is
-// the per-term sum of posting-range widths (End-Start is always the local
+// segment set and installs them into every segment: global df is the
+// per-term sum of posting-range widths (End-Start is always the local
 // posting count, whatever Ftd a historical build baked), Params come from
 // exact integer totals, and the quantization bounds are the recorded
 // collection-wide ones. After the patch, dynamic (tf-reading) plans on any
 // segment score exactly as a single whole-collection index would.
+//
+// Each segment gets a fresh term map rather than having its Ftd written in
+// place: a segment's dictionary is its decoded manifest's, which the
+// storage layer shares with every other open of the same segment — the
+// previous generation's in-flight searches among them.
 func (sn *Snapshot) patchMergedStats(cfg SnapshotConfig) error {
 	df := make(map[string]int)
 	for _, sub := range sn.subs {
@@ -144,10 +149,12 @@ func (sn *Snapshot) patchMergedStats(cfg SnapshotConfig) error {
 	params.AvgDocLn = float64(lenSum) / float64(sn.numDocs)
 	for _, sub := range sn.subs {
 		sub.ix.Params = params
+		terms := make(map[string]TermInfo, len(sub.ix.Terms))
 		for t, ti := range sub.ix.Terms {
 			ti.Ftd = df[t]
-			sub.ix.Terms[t] = ti
+			terms[t] = ti
 		}
+		sub.ix.Terms = terms
 		if cfg.HasBounds {
 			sub.ix.ScoreLo, sub.ix.ScoreHi = cfg.ScoreLo, cfg.ScoreHi
 		}

@@ -31,6 +31,12 @@
 // core (internal/serving) swap generations under a reference count without
 // dropping in-flight searches.
 //
+// Segment manifests are decoded once per distinct content while a segment
+// holding them is open (see manifestMemo), so a decoded *Manifest is shared
+// across generations and nobody writes into it (ir.Snapshot patches
+// statistics into fresh term maps). With its generation open, an append or
+// a merge decodes only the one segment it writes.
+//
 // The package sits above internal/ir in the dependency order (it persists
 // and restores ir.Index values); below it, colbm defines the BlockStore
 // and ChunkCache contracts and the buffer manager that both the simulated

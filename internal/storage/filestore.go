@@ -37,6 +37,10 @@ type FileStore struct {
 	sizes  map[string]int64
 	closed bool
 
+	// release, when set, runs once at Close: an opened segment's store
+	// drops the segment's hold on its memoized manifest (acquireManifest).
+	release func()
+
 	reads, bytesRead, ioNanos atomic.Int64
 }
 
@@ -242,6 +246,9 @@ func (fs *FileStore) Close() error {
 		return nil
 	}
 	fs.closed = true
+	if fs.release != nil {
+		fs.release()
+	}
 	var first error
 	for _, f := range fs.files {
 		if err := f.Close(); err != nil && first == nil {

@@ -108,22 +108,25 @@ func verifyIndexFiles(dir string, m *Manifest) error {
 }
 
 // openSegment opens segment seg of the index directory dir for querying
-// ("." is the legacy one-segment layout). Only the manifest is read
-// eagerly; column data stays on disk and streams in through cache as
+// ("." is the legacy one-segment layout) from its decoded manifest m. No
+// column data is read: it stays on disk and streams in through cache as
 // queries touch it. Every segment of a generation opens against the one
 // cache its directory reads through, so the byte budget covers the whole
 // directory, not each segment separately. The caller owns the returned
-// index: Close it to release the file handles.
-func openSegment(dir, seg string, cache *colbm.Manager) (*ir.Index, error) {
-	m, err := readManifest(dir, seg)
-	if err != nil {
-		return nil, err
-	}
+// index: Close it to release the file handles. release, when non-nil, runs
+// when that store closes (at once if the open fails) — OpenSegmented passes
+// acquireManifest's, so the memoized manifest lives as long as the segment.
+// The index shares m's term dictionary, which nobody writes.
+func openSegment(dir, seg string, m *Manifest, cache *colbm.Manager, release func()) (*ir.Index, error) {
 	segDir := filepath.Join(dir, seg)
 	fs, err := NewFileStore(segDir)
 	if err != nil {
+		if release != nil {
+			release()
+		}
 		return nil, err
 	}
+	fs.release = release
 	if err := verifyIndexFiles(segDir, m); err != nil {
 		fs.Close()
 		return nil, err

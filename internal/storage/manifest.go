@@ -1,12 +1,15 @@
 package storage
 
 import (
+	"bytes"
 	"encoding/json"
 	"errors"
 	"fmt"
 	"os"
 	"path/filepath"
 	"strings"
+	"sync"
+	"sync/atomic"
 
 	"repro/internal/colbm"
 	"repro/internal/ir"
@@ -67,18 +70,115 @@ func writeManifest(dir string, m *Manifest) error {
 }
 
 // readManifest loads and validates the manifest of segment seg of the
-// index directory dir ("." is the legacy one-segment layout).
+// index directory dir ("." is the legacy one-segment layout). While an open
+// segment of that directory holds a decode of exactly these bytes, that
+// decode is returned instead of a new one: a *Manifest may be shared, so
+// every caller treats it as immutable.
 func readManifest(dir, seg string) (*Manifest, error) {
+	m, _, err := loadManifest(dir, seg, false)
+	return m, err
+}
+
+// acquireManifest is readManifest for a segment being opened: it also
+// takes a reference that keeps the decode in the manifest memo until
+// release runs (when the opened segment's store closes).
+func acquireManifest(dir, seg string) (m *Manifest, release func(), err error) {
+	return loadManifest(dir, seg, true)
+}
+
+func loadManifest(dir, seg string, hold bool) (*Manifest, func(), error) {
 	segDir := filepath.Join(dir, seg)
 	data, err := os.ReadFile(manifestPath(segDir))
 	if err != nil {
 		if errors.Is(err, os.ErrNotExist) {
-			return nil, fmt.Errorf("storage: %q holds no segment (no %s): %w", segDir, ManifestName, os.ErrNotExist)
+			return nil, nil, fmt.Errorf("storage: %q holds no segment (no %s): %w", segDir, ManifestName, os.ErrNotExist)
 		}
-		return nil, fmt.Errorf("storage: %w", err)
+		return nil, nil, fmt.Errorf("storage: %w", err)
 	}
-	return decodeManifest(segDir, seg, data)
+	e := memo.find(segDir, seg, data, hold)
+	if e == nil {
+		m, err := decodeManifest(segDir, seg, data)
+		if err != nil || !hold {
+			return m, nil, err
+		}
+		e = memo.add(segDir, seg, data, m)
+	}
+	if !hold {
+		return e.m, nil, nil
+	}
+	return e.m, func() { memo.release(segDir, e) }, nil
 }
+
+// manifestMemo shares decoded segment manifests, keyed by segment
+// directory: decoding a term dictionary costs O(vocabulary), and every
+// append, merge and refresh reads every segment's manifest. An entry lives
+// exactly as long as some open segment references it (openSegment's store
+// releases it on Close); reads that open nothing use it only while it is
+// live. A hit needs byte-identical content, so a rewritten, recreated or
+// shipped-over segment is decoded — and validated — afresh, and a decode
+// error is never kept.
+type manifestMemo struct {
+	mu      sync.Mutex
+	entries map[string]*memoEntry // keyed by segment directory path
+}
+
+type memoEntry struct {
+	seg  string // segment name the bytes were validated against
+	raw  []byte // the exact bytes m was decoded from
+	m    *Manifest
+	refs int // open segments holding the entry
+}
+
+func (e *memoEntry) decodedFrom(seg string, data []byte) bool {
+	return e != nil && e.seg == seg && bytes.Equal(e.raw, data)
+}
+
+var memo = manifestMemo{entries: make(map[string]*memoEntry)}
+
+// find returns segDir's entry if it was decoded from exactly data as
+// segment seg, taking a reference on it when hold is set.
+func (mm *manifestMemo) find(segDir, seg string, data []byte, hold bool) *memoEntry {
+	mm.mu.Lock()
+	defer mm.mu.Unlock()
+	e := mm.entries[segDir]
+	if !e.decodedFrom(seg, data) {
+		return nil
+	}
+	if hold {
+		e.refs++
+	}
+	return e
+}
+
+// add makes m, decoded from data, segDir's entry and takes a reference on
+// it. An identical entry that raced in first wins (m is dropped); a
+// different one is replaced — its holders keep their manifest, and it
+// leaves the memo when they release it.
+func (mm *manifestMemo) add(segDir, seg string, data []byte, m *Manifest) *memoEntry {
+	mm.mu.Lock()
+	defer mm.mu.Unlock()
+	e := mm.entries[segDir]
+	if !e.decodedFrom(seg, data) {
+		e = &memoEntry{seg: seg, raw: data, m: m}
+		mm.entries[segDir] = e
+	}
+	e.refs++
+	return e
+}
+
+// release drops one reference on e, forgetting it with the last one.
+func (mm *manifestMemo) release(segDir string, e *memoEntry) {
+	mm.mu.Lock()
+	defer mm.mu.Unlock()
+	e.refs--
+	if e.refs == 0 && mm.entries[segDir] == e {
+		delete(mm.entries, segDir)
+	}
+}
+
+// manifestDecodes counts decodeManifest calls: the work the memo exists
+// to avoid, which the decode-count tests pin per append and merge.
+var manifestDecodes atomic.Int64
 
 // decodeManifest unmarshals and validates the manifest bytes of segment
 // seg; dir only labels errors. Table and blob names become file names and
@@ -89,6 +189,7 @@ func readManifest(dir, seg string) (*Manifest, error) {
 // was built with: it is synthesized, never shipped, and always alone in its
 // generation.
 func decodeManifest(dir, seg string, data []byte) (*Manifest, error) {
+	manifestDecodes.Add(1)
 	var m Manifest
 	if err := json.Unmarshal(data, &m); err != nil {
 		return nil, fmt.Errorf("storage: corrupt manifest in %q: %v: %w", dir, err, ErrBadManifest)

@@ -293,22 +293,14 @@ func PrepareAbsorb(dstDir, srcDir string, cancel func() bool) (*AbsorbPrep, erro
 	var srcLenSum int64
 	srcManifests := make([]*Manifest, len(ssm.Segments))
 	for i, e := range ssm.Segments {
-		m, err := readManifest(srcDir, e.Name)
-		if err != nil {
+		if srcManifests[i], err = st.addSegment(srcDir, e); err != nil {
 			return nil, err
 		}
-		srcManifests[i] = m
-		for t, ti := range m.Terms {
-			st.df[t] += ti.End - ti.Start
-		}
-		st.numDocs += e.Docs
-		st.lenSum += e.DocLenSum
 		srcDocs += e.Docs
 		srcPostings += e.Postings
 		srcLenSum += e.DocLenSum
 	}
-	st.params.NumDocs = float64(st.numDocs)
-	st.params.AvgDocLn = float64(st.lenSum) / float64(st.numDocs)
+	st.setParams()
 	if len(st.segs) > 0 {
 		if err := compatibleLayout(srcManifests[0].Config, st.segs[0]); err != nil {
 			return nil, err
@@ -336,7 +328,7 @@ func PrepareAbsorb(dstDir, srcDir string, cancel func() bool) (*AbsorbPrep, erro
 	// The docid-base rewrite that makes the merged range contiguous: source
 	// docids are rebased to writer-local, and the writer re-globalizes
 	// them against its own DocIDBase.
-	if err := streamSegments(w, srcDir, ssm.Segments, srcBase, cancel); err != nil {
+	if err := streamSegments(w, srcDir, ssm.Segments, srcManifests, srcBase, cancel); err != nil {
 		return fail(err)
 	}
 

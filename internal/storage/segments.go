@@ -402,16 +402,11 @@ type mergedStats struct {
 func collectStats(dir string, sm *SegmentsManifest, batch *corpus.Collection) (*mergedStats, error) {
 	st := &mergedStats{df: make(map[string]int), nextBase: sm.BaseDocID}
 	for _, e := range sm.Segments {
-		m, err := readManifest(dir, e.Name)
+		m, err := st.addSegment(dir, e)
 		if err != nil {
 			return nil, err
 		}
 		st.segs = append(st.segs, m)
-		for t, ti := range m.Terms {
-			st.df[t] += ti.End - ti.Start
-		}
-		st.numDocs += e.Docs
-		st.lenSum += e.DocLenSum
 		st.nextBase = e.DocBase + int64(e.Docs)
 	}
 	if batch != nil {
@@ -425,12 +420,33 @@ func collectStats(dir string, sm *SegmentsManifest, batch *corpus.Collection) (*
 			st.lenSum += l
 		}
 	}
+	st.setParams()
+	return st, nil
+}
+
+// addSegment folds one committed segment of dir into the statistics — its
+// documents, its summed length and its per-term posting counts — and
+// returns the segment's manifest.
+func (st *mergedStats) addSegment(dir string, e SegmentEntry) (*Manifest, error) {
+	m, err := readManifest(dir, e.Name)
+	if err != nil {
+		return nil, err
+	}
+	for t, ti := range m.Terms {
+		st.df[t] += ti.End - ti.Start
+	}
+	st.numDocs += e.Docs
+	st.lenSum += e.DocLenSum
+	return m, nil
+}
+
+// setParams derives the BM25 parameters from the folded totals.
+func (st *mergedStats) setParams() {
 	st.params = primitives.BM25Params{
 		K1: okapiK1, B: okapiB,
 		NumDocs:  float64(st.numDocs),
 		AvgDocLn: float64(st.lenSum) / float64(st.numDocs),
 	}
-	return st, nil
 }
 
 // scanInt64Column reads an Int64 column sequentially in vector-sized
@@ -539,13 +555,15 @@ func scanPostings(ix *ir.Index, delta int64, cancel func() bool,
 	return nil
 }
 
-// scoreBounds folds a segment's (or batch's) Okapi weights under the new
-// statistics into the running collection-wide min/max — the exact
-// Global-By-Value bounds a whole-collection build would compute. Segments
-// are scanned through their tf and docid columns (a sequential read; no
-// tokenization, no sorting — the part of a rebuild appends actually skip).
-func (st *mergedStats) segScoreBounds(dir, seg string, lo, hi *float64) error {
-	ix, err := openSegment(dir, seg, colbm.NewManager(scanPoolBytes))
+// segScoreBounds folds a segment's (batchScoreBounds: a batch's) Okapi
+// weights under the new statistics into the running collection-wide
+// min/max — the exact Global-By-Value bounds a whole-collection build
+// would compute. Segments are scanned through their tf and docid columns
+// (a sequential read; no tokenization, no sorting — the part of a rebuild
+// appends actually skip), opened from the manifest m collectStats already
+// read.
+func (st *mergedStats) segScoreBounds(dir, seg string, m *Manifest, lo, hi *float64) error {
+	ix, err := openSegment(dir, seg, m, colbm.NewManager(scanPoolBytes), nil)
 	if err != nil {
 		return err
 	}
@@ -698,8 +716,8 @@ func AppendSegment(dir string, batch *corpus.Collection, cfg ir.BuildConfig) (ui
 			}
 		}
 		if !approxSkip {
-			for _, e := range sm.Segments {
-				if err := st.segScoreBounds(dir, e.Name, &lo, &hi); err != nil {
+			for i, e := range sm.Segments {
+				if err := st.segScoreBounds(dir, e.Name, st.segs[i], &lo, &hi); err != nil {
 					return 0, err
 				}
 			}
@@ -862,7 +880,11 @@ func OpenSegmented(dir string, cache *colbm.Manager) (*ir.Snapshot, error) {
 		return nil, err
 	}
 	for _, e := range sm.Segments {
-		ix, err := openSegment(dir, e.Name, cache)
+		m, release, err := acquireManifest(dir, e.Name)
+		if err != nil {
+			return fail(err)
+		}
+		ix, err := openSegment(dir, e.Name, m, cache, release)
 		if err != nil {
 			return fail(err)
 		}
@@ -954,9 +976,11 @@ func (sm *SegmentsManifest) findRun(names []string) (int, error) {
 // within a term the sources stream in order, so rewritten lists stay
 // docid-ordered with no sort. Docids are rebased from source-global to
 // writer-local (minus base) on the offset read path. Every source opens
-// once and keeps its cursors across terms; nothing is materialized beyond
-// one vector per cursor. cancel, when non-nil, is polled between terms.
-func streamSegments(w *ir.IndexWriter, dir string, segs []SegmentEntry, base int64, cancel func() bool) error {
+// once, from its manifest in ms (parallel to segs, as the caller read
+// them), and keeps its cursors across terms; nothing is materialized
+// beyond one vector per cursor. cancel, when non-nil, is polled between
+// terms.
+func streamSegments(w *ir.IndexWriter, dir string, segs []SegmentEntry, ms []*Manifest, base int64, cancel func() bool) error {
 	type source struct {
 		ix            *ir.Index
 		docCur, tfCur *colbm.Cursor
@@ -968,8 +992,8 @@ func streamSegments(w *ir.IndexWriter, dir string, segs []SegmentEntry, base int
 		}
 	}()
 	termSet := make(map[string]bool)
-	for _, e := range segs {
-		ix, err := openSegment(dir, e.Name, colbm.NewManager(scanPoolBytes))
+	for i, e := range segs {
+		ix, err := openSegment(dir, e.Name, ms[i], colbm.NewManager(scanPoolBytes), nil)
 		if err != nil {
 			return err
 		}
@@ -1106,7 +1130,7 @@ func BuildMergedSegment(dir string, names []string, into string, cancel func() b
 		return 0, err
 	}
 
-	if err := streamSegments(w, dir, run, runBase, cancel); err != nil {
+	if err := streamSegments(w, dir, run, st.segs[at:at+len(names)], runBase, cancel); err != nil {
 		return 0, err
 	}
 

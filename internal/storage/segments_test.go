@@ -27,10 +27,19 @@ func segTestCollection(t *testing.T) *corpus.Collection {
 // appends each as one segment.
 func appendInBatches(t *testing.T, dir string, c *corpus.Collection, n int) {
 	t.Helper()
-	docs := len(c.DocLens)
-	for i := 0; i < n; i++ {
-		lo, hi := i*docs/n, (i+1)*docs/n
-		batch, err := c.Slice(lo, hi)
+	cuts := make([]int, n+1)
+	for i := range cuts {
+		cuts[i] = i * len(c.DocLens) / n
+	}
+	appendRanges(t, dir, c, cuts...)
+}
+
+// appendRanges appends c's documents [cuts[i], cuts[i+1]) as one segment
+// each.
+func appendRanges(t *testing.T, dir string, c *corpus.Collection, cuts ...int) {
+	t.Helper()
+	for i := 0; i+1 < len(cuts); i++ {
+		batch, err := c.Slice(cuts[i], cuts[i+1])
 		if err != nil {
 			t.Fatal(err)
 		}

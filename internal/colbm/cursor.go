@@ -21,14 +21,25 @@ type Cursor struct {
 	col     *Column
 	decoder compress.Decoder // grows its scratch on the first block decode
 	scratch []int64
+
+	// load is fetch, bound once: the loader every chunk-cache lookup hands
+	// over, so that a hit allocates nothing. miss is the chunk it fetches.
+	load func() (*CachedChunk, error)
+	miss int
 }
 
 // NewCursor returns a cursor over the column. It allocates nothing else:
 // the decode scratch appears when a compressed chunk is first read, so a
 // cursor over a string or raw column never pays for one.
 func NewCursor(col *Column) *Cursor {
-	return &Cursor{col: col}
+	c := &Cursor{col: col}
+	c.load = c.fetch
+	return c
 }
+
+// Reset points the cursor at another column, keeping the decode scratch it
+// has grown — how an owner of many short-lived scans reuses one cursor.
+func (c *Cursor) Reset(col *Column) { c.col = col }
 
 // Read fills dst with n values starting at the global row position start.
 // dst must match the column's logical type and have capacity for n values;
@@ -183,14 +194,19 @@ func (c *Column) ParseChunk(ci int, raw []byte) (*CachedChunk, error) {
 // request — large sequential I/O — and cached in compressed form; the
 // cache (buffer manager) owns admission, eviction, and fetch deduplication.
 func (c *Cursor) loadChunk(ci int) (*CachedChunk, error) {
-	m := &c.col.chunks[ci]
-	return c.col.cache.GetChunk(m.key, func() (*CachedChunk, error) {
-		raw, err := c.col.store.Read(c.col.blobName, m.off, m.size)
-		if err != nil {
-			return nil, err
-		}
-		return c.col.ParseChunk(ci, raw)
-	})
+	c.miss = ci
+	return c.col.cache.GetChunk(c.col.chunks[ci].key, c.load)
+}
+
+// fetch reads chunk c.miss from the block store and parses it: the loader a
+// miss runs, synchronously, inside GetChunk.
+func (c *Cursor) fetch() (*CachedChunk, error) {
+	m := &c.col.chunks[c.miss]
+	raw, err := c.col.store.Read(c.col.blobName, m.off, m.size)
+	if err != nil {
+		return nil, err
+	}
+	return c.col.ParseChunk(c.miss, raw)
 }
 
 func (c *Cursor) readFromChunk(dst *vector.Vector, dstOff, ci, inChunk, n int) error {

@@ -273,3 +273,38 @@ func BenchmarkCursorReadStr(b *testing.B) {
 		})
 	}
 }
+
+// A read the chunk cache serves allocates nothing — the cursor hands the
+// cache a loader bound once, not a closure per read — and a cursor Reset to
+// another column keeps the decode scratch it grew.
+func TestCursorHitAllocatesNothing(t *testing.T) {
+	spec := ColumnSpec{Name: "id", Type: vector.Int64, Enc: EncPFORDelta, Bits: 8}
+	vals := make([]int64, 3000)
+	for i := range vals {
+		vals[i] = int64(5 * i)
+	}
+	a, _, _ := buildInt64Table(t, vals, spec)
+	for i := range vals {
+		vals[i] = int64(7 * i)
+	}
+	b, _, _ := buildInt64Table(t, vals, spec)
+	cur, v := NewCursor(a.MustColumn("id")), vector.New(vector.Int64, 1024)
+	for _, tc := range []struct {
+		tab  *Table
+		step int64
+	}{{a, 5}, {b, 7}} {
+		cur.Reset(tc.tab.MustColumn("id"))
+		read := func() {
+			if err := cur.Read(v, 1000, 1024); err != nil {
+				t.Fatal(err)
+			}
+		}
+		read() // the miss loads the chunk
+		if v.I64[0] != 1000*tc.step || v.I64[1023] != 2023*tc.step {
+			t.Fatalf("read %d..%d, want %d..%d", v.I64[0], v.I64[1023], 1000*tc.step, 2023*tc.step)
+		}
+		if n := testing.AllocsPerRun(100, read); n != 0 {
+			t.Errorf("a read served by the cache allocates %v times", n)
+		}
+	}
+}

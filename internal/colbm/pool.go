@@ -54,8 +54,9 @@ func (s CacheStats) HitRate() float64 {
 // safe for concurrent use. Manager is the one implementation, for simulated
 // and persisted stores alike.
 type ChunkCache interface {
-	// GetChunk returns the cached chunk for key, calling load on a miss and
-	// retaining the result subject to the implementation's budget.
+	// GetChunk returns the cached chunk for key, calling load on a miss
+	// (before it returns, never later) and retaining the result subject to
+	// the implementation's budget.
 	GetChunk(key string, load func() (*CachedChunk, error)) (*CachedChunk, error)
 	// Drop empties the cache (the "cold run" reset), keeping the counters.
 	Drop()

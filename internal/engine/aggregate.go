@@ -119,15 +119,24 @@ func (a *Aggregate) Open(ctx *ExecContext) error {
 	a.keyToGid = make(map[groupKey]int32)
 	a.keyCols = make([]*vector.Vector, len(a.groups))
 	for i, gi := range a.groupIdx {
-		a.keyCols[i] = vector.New(in[gi].Type, 0)
+		// Group keys are Int64 or Str; the representatives grow by append.
+		if in[gi].Type == vector.Int64 {
+			a.keyCols[i] = vector.NewInt64(nil)
+		} else {
+			a.keyCols[i] = vector.NewStr(nil)
+		}
 	}
 	a.accI = make([][]int64, len(a.aggs))
 	a.accF = make([][]float64, len(a.aggs))
-	a.vecSize = ctx.VectorSize
-	a.gids = make([]int32, a.vecSize)
+	a.ctx, a.vecSize = ctx, ctx.VectorSize
+	a.gids = a.take(vector.Int32, a.vecSize).I32
+	vecs := make([]*vector.Vector, len(a.schema))
+	for c, col := range a.schema {
+		vecs[c] = a.take(col.Type, a.vecSize)
+	}
+	a.out = &vector.Batch{Vecs: vecs}
 	a.done = false
 	a.emitPos = 0
-	a.out = nil
 	return nil
 }
 
@@ -152,11 +161,9 @@ func (a *Aggregate) Next() (*vector.Batch, error) {
 	if n > a.vecSize {
 		n = a.vecSize
 	}
-	vecs := make([]*vector.Vector, len(a.schema))
-	for c, col := range a.schema {
-		v := vector.New(col.Type, n)
+	vecs := a.out.Vecs
+	for _, v := range vecs {
 		v.SetLen(n)
-		vecs[c] = v
 	}
 	for r := 0; r < n; r++ {
 		gid := a.emitPos + r
@@ -174,7 +181,7 @@ func (a *Aggregate) Next() (*vector.Batch, error) {
 		}
 	}
 	a.emitPos += n
-	a.out = vector.NewBatch(vecs...)
+	a.out.Sel, a.out.N = nil, n
 	a.observe(start, a.out)
 	return a.out, nil
 }
@@ -212,8 +219,8 @@ func (a *Aggregate) consume() error {
 		}
 		// Translate tuples to group ids.
 		full := b.FullLen()
-		if cap(a.gids) < full {
-			a.gids = make([]int32, full)
+		if len(a.gids) < full {
+			a.gids = a.take(vector.Int32, full).I32
 		}
 		gids := a.gids[:full]
 		if len(a.groups) == 0 {
@@ -356,9 +363,10 @@ func (a *Aggregate) appendKeyRep(b *vector.Batch, pos int) {
 	}
 }
 
-// Close closes the child and drops state.
+// Close gives the buffers back, closes the child and drops state.
 func (a *Aggregate) Close() error {
-	a.keyToGid, a.keyCols, a.accI, a.accF, a.out = nil, nil, nil, nil, nil
+	a.release()
+	a.keyToGid, a.keyCols, a.accI, a.accF, a.out, a.gids = nil, nil, nil, nil, nil, nil
 	return a.child.Close()
 }
 

@@ -150,7 +150,7 @@ func TestBM25ComposedMatchesFused(t *testing.T) {
 		t.Errorf("bm25 string: %s", s)
 	}
 	if err := (&BM25{TF: NewColRef("tf"), DocLen: NewColRef("tf")}).Bind(
-		Schema{{Name: "tf", Type: vector.Float64}}, 8); err == nil {
+		Schema{{Name: "tf", Type: vector.Float64}}, &ExecContext{VectorSize: 8}); err == nil {
 		t.Error("BM25 over float tf bound")
 	}
 }

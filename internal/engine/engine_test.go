@@ -181,23 +181,24 @@ func TestProjectOverSelection(t *testing.T) {
 }
 
 func TestExprBindErrors(t *testing.T) {
+	ctx := &ExecContext{VectorSize: 8}
 	sch := Schema{{Name: "x", Type: vector.Int64}, {Name: "s", Type: vector.Str}}
-	if err := NewColRef("nope").Bind(sch, 8); err == nil {
+	if err := NewColRef("nope").Bind(sch, ctx); err == nil {
 		t.Error("unknown column bound")
 	}
-	if err := NewArith(Add, NewColRef("x"), &ConstFloat{Val: 1}).Bind(sch, 8); err == nil {
+	if err := NewArith(Add, NewColRef("x"), &ConstFloat{Val: 1}).Bind(sch, ctx); err == nil {
 		t.Error("mixed-type arith bound")
 	}
-	if err := NewArith(Add, NewColRef("s"), NewColRef("s")).Bind(sch, 8); err == nil {
+	if err := NewArith(Add, NewColRef("s"), NewColRef("s")).Bind(sch, ctx); err == nil {
 		t.Error("string arith bound")
 	}
-	if err := NewArith(Max, &ConstFloat{Val: 1}, &ConstFloat{Val: 2}).Bind(sch, 8); err == nil {
+	if err := NewArith(Max, &ConstFloat{Val: 1}, &ConstFloat{Val: 2}).Bind(sch, ctx); err == nil {
 		t.Error("float max bound")
 	}
-	if err := NewLog(NewColRef("x")).Bind(sch, 8); err == nil {
+	if err := NewLog(NewColRef("x")).Bind(sch, ctx); err == nil {
 		t.Error("log of int bound")
 	}
-	if err := NewToFloat(NewColRef("s")).Bind(sch, 8); err == nil {
+	if err := NewToFloat(NewColRef("s")).Bind(sch, ctx); err == nil {
 		t.Error("cast of string bound")
 	}
 }

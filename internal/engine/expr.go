@@ -8,15 +8,29 @@ import (
 )
 
 // Expr is a vectorized scalar expression. Bind resolves column references
-// against an input schema and allocates result buffers; Eval computes the
-// expression for all active positions of a batch, delegating the work to
-// package primitives, and returns a result vector aligned with the batch
-// (selection vectors pass through untouched).
+// against an input schema and takes its result vector from the context;
+// Eval computes the expression for all active positions of a batch,
+// delegating the work to package primitives, and returns a result vector
+// aligned with the batch (selection vectors pass through untouched). The
+// Project that bound an expression gives its vectors back when it closes.
 type Expr interface {
-	Bind(s Schema, vecSize int) error
+	Bind(s Schema, ctx *ExecContext) error
 	Type() vector.Type
 	Eval(b *vector.Batch) *vector.Vector
 	String() string
+}
+
+// vectorHolder is an expression holding context vectors from Bind on:
+// release gives its own back and its children's.
+type vectorHolder interface {
+	release(ctx *ExecContext)
+}
+
+// releaseExpr gives back the vectors an expression tree holds.
+func releaseExpr(ctx *ExecContext, e Expr) {
+	if h, ok := e.(vectorHolder); ok {
+		h.release(ctx)
+	}
 }
 
 // ColRef references an input column by name.
@@ -30,7 +44,7 @@ type ColRef struct {
 func NewColRef(name string) *ColRef { return &ColRef{Name: name} }
 
 // Bind resolves the column index.
-func (c *ColRef) Bind(s Schema, _ int) error {
+func (c *ColRef) Bind(s Schema, _ *ExecContext) error {
 	i := s.Index(c.Name)
 	if i < 0 {
 		return fmt.Errorf("engine: unknown column %q", c.Name)
@@ -54,9 +68,9 @@ type ConstFloat struct {
 	out *vector.Vector
 }
 
-// Bind allocates the broadcast buffer.
-func (c *ConstFloat) Bind(_ Schema, vecSize int) error {
-	c.out = vector.New(vector.Float64, vecSize)
+// Bind takes the broadcast buffer.
+func (c *ConstFloat) Bind(_ Schema, ctx *ExecContext) error {
+	c.out = ctx.vector(vector.Float64, ctx.VectorSize)
 	return nil
 }
 
@@ -75,15 +89,17 @@ func (c *ConstFloat) Eval(b *vector.Batch) *vector.Vector {
 
 func (c *ConstFloat) String() string { return fmt.Sprintf("%g", c.Val) }
 
+func (c *ConstFloat) release(ctx *ExecContext) { ctx.recycleOut(&c.out) }
+
 // ConstInt is an int64 literal broadcast over the vector.
 type ConstInt struct {
 	Val int64
 	out *vector.Vector
 }
 
-// Bind allocates the broadcast buffer.
-func (c *ConstInt) Bind(_ Schema, vecSize int) error {
-	c.out = vector.New(vector.Int64, vecSize)
+// Bind takes the broadcast buffer.
+func (c *ConstInt) Bind(_ Schema, ctx *ExecContext) error {
+	c.out = ctx.vector(vector.Int64, ctx.VectorSize)
 	return nil
 }
 
@@ -101,6 +117,8 @@ func (c *ConstInt) Eval(b *vector.Batch) *vector.Vector {
 }
 
 func (c *ConstInt) String() string { return fmt.Sprintf("%d", c.Val) }
+
+func (c *ConstInt) release(ctx *ExecContext) { ctx.recycleOut(&c.out) }
 
 // ArithOp enumerates binary arithmetic operators.
 type ArithOp uint8
@@ -146,11 +164,11 @@ type Arith struct {
 func NewArith(op ArithOp, l, r Expr) *Arith { return &Arith{Op: op, L: l, R: r} }
 
 // Bind binds the children and checks the operand types.
-func (a *Arith) Bind(s Schema, vecSize int) error {
-	if err := a.L.Bind(s, vecSize); err != nil {
+func (a *Arith) Bind(s Schema, ctx *ExecContext) error {
+	if err := a.L.Bind(s, ctx); err != nil {
 		return err
 	}
-	if err := a.R.Bind(s, vecSize); err != nil {
+	if err := a.R.Bind(s, ctx); err != nil {
 		return err
 	}
 	lt, rt := a.L.Type(), a.R.Type()
@@ -164,7 +182,7 @@ func (a *Arith) Bind(s Schema, vecSize int) error {
 		return fmt.Errorf("engine: %v supported on Int64 only", a.Op)
 	}
 	a.typ = lt
-	a.out = vector.New(lt, vecSize)
+	a.out = ctx.vector(lt, ctx.VectorSize)
 	return nil
 }
 
@@ -228,6 +246,12 @@ func (a *Arith) String() string {
 	return fmt.Sprintf("(%s %s %s)", a.L, a.Op, a.R)
 }
 
+func (a *Arith) release(ctx *ExecContext) {
+	ctx.recycleOut(&a.out)
+	releaseExpr(ctx, a.L)
+	releaseExpr(ctx, a.R)
+}
+
 // Log is the natural logarithm of a Float64 sub-expression.
 type Log struct {
 	Arg Expr
@@ -238,14 +262,14 @@ type Log struct {
 func NewLog(arg Expr) *Log { return &Log{Arg: arg} }
 
 // Bind binds the argument and checks it is Float64.
-func (l *Log) Bind(s Schema, vecSize int) error {
-	if err := l.Arg.Bind(s, vecSize); err != nil {
+func (l *Log) Bind(s Schema, ctx *ExecContext) error {
+	if err := l.Arg.Bind(s, ctx); err != nil {
 		return err
 	}
 	if l.Arg.Type() != vector.Float64 {
 		return fmt.Errorf("engine: log argument must be Float64, got %v", l.Arg.Type())
 	}
-	l.out = vector.New(vector.Float64, vecSize)
+	l.out = ctx.vector(vector.Float64, ctx.VectorSize)
 	return nil
 }
 
@@ -268,6 +292,11 @@ func (l *Log) Eval(b *vector.Batch) *vector.Vector {
 
 func (l *Log) String() string { return fmt.Sprintf("log(%s)", l.Arg) }
 
+func (l *Log) release(ctx *ExecContext) {
+	ctx.recycleOut(&l.out)
+	releaseExpr(ctx, l.Arg)
+}
+
 // ToFloat widens Int64 or UInt8 sub-expressions to Float64.
 type ToFloat struct {
 	Arg Expr
@@ -278,8 +307,8 @@ type ToFloat struct {
 func NewToFloat(arg Expr) *ToFloat { return &ToFloat{Arg: arg} }
 
 // Bind binds the argument and validates the source type.
-func (c *ToFloat) Bind(s Schema, vecSize int) error {
-	if err := c.Arg.Bind(s, vecSize); err != nil {
+func (c *ToFloat) Bind(s Schema, ctx *ExecContext) error {
+	if err := c.Arg.Bind(s, ctx); err != nil {
 		return err
 	}
 	switch c.Arg.Type() {
@@ -287,7 +316,7 @@ func (c *ToFloat) Bind(s Schema, vecSize int) error {
 	default:
 		return fmt.Errorf("engine: cannot cast %v to Float64", c.Arg.Type())
 	}
-	c.out = vector.New(vector.Float64, vecSize)
+	c.out = ctx.vector(vector.Float64, ctx.VectorSize)
 	return nil
 }
 
@@ -317,6 +346,11 @@ func (c *ToFloat) Eval(b *vector.Batch) *vector.Vector {
 
 func (c *ToFloat) String() string { return fmt.Sprintf("float(%s)", c.Arg) }
 
+func (c *ToFloat) release(ctx *ExecContext) {
+	ctx.recycleOut(&c.out)
+	releaseExpr(ctx, c.Arg)
+}
+
 // BM25 is the fused Okapi BM25 term-weight expression: given an Int64 tf
 // column, an Int64 doclen column and the per-term document frequency, it
 // computes w(D,T) in a single pass (see primitives.MapBM25TfLenCol). The
@@ -330,17 +364,17 @@ type BM25 struct {
 }
 
 // Bind binds the children and checks they are Int64.
-func (e *BM25) Bind(s Schema, vecSize int) error {
-	if err := e.TF.Bind(s, vecSize); err != nil {
+func (e *BM25) Bind(s Schema, ctx *ExecContext) error {
+	if err := e.TF.Bind(s, ctx); err != nil {
 		return err
 	}
-	if err := e.DocLen.Bind(s, vecSize); err != nil {
+	if err := e.DocLen.Bind(s, ctx); err != nil {
 		return err
 	}
 	if e.TF.Type() != vector.Int64 || e.DocLen.Type() != vector.Int64 {
 		return fmt.Errorf("engine: BM25 needs Int64 tf and doclen, got %v, %v", e.TF.Type(), e.DocLen.Type())
 	}
-	e.out = vector.New(vector.Float64, vecSize)
+	e.out = ctx.vector(vector.Float64, ctx.VectorSize)
 	return nil
 }
 
@@ -364,6 +398,12 @@ func (e *BM25) Eval(b *vector.Batch) *vector.Vector {
 
 func (e *BM25) String() string {
 	return fmt.Sprintf("bm25(%s, %s, ftd=%g)", e.TF, e.DocLen, e.Ftd)
+}
+
+func (e *BM25) release(ctx *ExecContext) {
+	ctx.recycleOut(&e.out)
+	releaseExpr(ctx, e.TF)
+	releaseExpr(ctx, e.DocLen)
 }
 
 // BM25Composed builds the Okapi weight from generic map primitives, the
@@ -402,17 +442,17 @@ type BM25Stored struct {
 }
 
 // Bind binds the children and checks they are Int64.
-func (e *BM25Stored) Bind(s Schema, vecSize int) error {
-	if err := e.TF.Bind(s, vecSize); err != nil {
+func (e *BM25Stored) Bind(s Schema, ctx *ExecContext) error {
+	if err := e.TF.Bind(s, ctx); err != nil {
 		return err
 	}
-	if err := e.DocLen.Bind(s, vecSize); err != nil {
+	if err := e.DocLen.Bind(s, ctx); err != nil {
 		return err
 	}
 	if e.TF.Type() != vector.Int64 || e.DocLen.Type() != vector.Int64 {
 		return fmt.Errorf("engine: BM25Stored needs Int64 tf and doclen, got %v, %v", e.TF.Type(), e.DocLen.Type())
 	}
-	e.out = vector.New(vector.Float64, vecSize)
+	e.out = ctx.vector(vector.Float64, ctx.VectorSize)
 	return nil
 }
 
@@ -443,4 +483,10 @@ func (e *BM25Stored) String() string {
 		return fmt.Sprintf("bm25q8(%s, %s, ftd=%g, [%g,%g])", e.TF, e.DocLen, e.Ftd, e.Lo, e.Hi)
 	}
 	return fmt.Sprintf("bm25f32(%s, %s, ftd=%g)", e.TF, e.DocLen, e.Ftd)
+}
+
+func (e *BM25Stored) release(ctx *ExecContext) {
+	ctx.recycleOut(&e.out)
+	releaseExpr(ctx, e.TF)
+	releaseExpr(ctx, e.DocLen)
 }

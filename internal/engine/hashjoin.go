@@ -71,7 +71,7 @@ func (j *HashJoin) Open(ctx *ExecContext) error {
 		j.schema = append(j.schema, Col{Name: j.rPrefix + c.Name, Type: c.Type})
 	}
 	j.nLeft = len(ls)
-	j.vecSize = ctx.VectorSize
+	j.ctx, j.vecSize = ctx, ctx.VectorSize
 
 	// Build phase: drain the right child into growable columns.
 	j.buildCols = make([]*vector.Vector, len(rs))
@@ -139,7 +139,7 @@ func (j *HashJoin) Open(ctx *ExecContext) error {
 
 	vecs := make([]*vector.Vector, len(j.schema))
 	for i, c := range j.schema {
-		vecs[i] = vector.New(c.Type, j.vecSize)
+		vecs[i] = j.take(c.Type, j.vecSize)
 	}
 	j.out = &vector.Batch{Vecs: vecs}
 	j.lBatch, j.lPos, j.lDone = nil, 0, false
@@ -211,8 +211,10 @@ func (j *HashJoin) emitPair(at, lPos, rRow int) {
 	}
 }
 
-// Close closes both children and drops the build table.
+// Close gives the output vectors back, closes both children and drops the
+// build table.
 func (j *HashJoin) Close() error {
+	j.release()
 	err1 := j.left.Close()
 	err2 := j.right.Close()
 	j.buildCols, j.buildIdx, j.out, j.lBatch = nil, nil, nil, nil

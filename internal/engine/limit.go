@@ -37,7 +37,8 @@ func (l *Limit) Open(ctx *ExecContext) error {
 	l.schema = l.child.Schema()
 	l.remaining = l.n
 	l.done = false
-	l.sel = make([]int32, ctx.VectorSize)
+	l.ctx = ctx
+	l.sel = l.take(vector.Int32, ctx.VectorSize).I32
 	return nil
 }
 
@@ -76,8 +77,12 @@ func (l *Limit) Next() (*vector.Batch, error) {
 	return b, nil
 }
 
-// Close closes the child.
-func (l *Limit) Close() error { return l.child.Close() }
+// Close gives the selection buffer back and closes the child.
+func (l *Limit) Close() error {
+	l.release()
+	l.sel = nil
+	return l.child.Close()
+}
 
 // Children returns the input.
 func (l *Limit) Children() []Operator { return []Operator{l.child} }

@@ -35,7 +35,6 @@ type MergeJoin struct {
 
 	out        *vector.Batch
 	lIdx, rIdx []int32 // phase-1 output: positions (inner) or output slots (outer)
-	ctx        *ExecContext
 	vecSize    int
 	nLeft      int // columns contributed by the left side
 }
@@ -58,7 +57,8 @@ func NewMergeOuterJoin(left, right Operator, leftKey, rightKey, lPrefix, rPrefix
 	return j
 }
 
-// Open opens both children and builds the output schema and buffers.
+// Open opens both children, builds the output schema and takes the output
+// and position buffers from the context.
 func (j *MergeJoin) Open(ctx *ExecContext) error {
 	if err := j.left.Open(ctx); err != nil {
 		return err
@@ -74,7 +74,7 @@ func (j *MergeJoin) Open(ctx *ExecContext) error {
 	if ls[j.lKeyIdx].Type != vector.Int64 || rs[j.rKeyIdx].Type != vector.Int64 {
 		return fmt.Errorf("engine: merge join keys must be Int64")
 	}
-	j.schema = j.schema[:0]
+	j.schema = make(Schema, 0, len(ls)+len(rs))
 	for _, c := range ls {
 		j.schema = append(j.schema, Col{Name: j.lPrefix + c.Name, Type: c.Type})
 	}
@@ -86,10 +86,10 @@ func (j *MergeJoin) Open(ctx *ExecContext) error {
 	j.ctx, j.vecSize = ctx, ctx.VectorSize
 	vecs := make([]*vector.Vector, len(j.schema))
 	for i, c := range j.schema {
-		vecs[i] = vector.New(c.Type, j.vecSize)
+		vecs[i] = j.take(c.Type, j.vecSize)
 	}
 	j.out = &vector.Batch{Vecs: vecs}
-	j.lIdx, j.rIdx = make([]int32, j.vecSize), make([]int32, j.vecSize)
+	j.lIdx, j.rIdx = j.take(vector.Int32, j.vecSize).I32, j.take(vector.Int32, j.vecSize).I32
 	j.lBatch, j.rBatch = nil, nil
 	j.lPos, j.rPos = 0, 0
 	j.lDone, j.rDone = false, false
@@ -416,11 +416,12 @@ func scatter[T any](dst, src []T, slot []int32) {
 	}
 }
 
-// Close closes both children.
+// Close gives the buffers back and closes both children.
 func (j *MergeJoin) Close() error {
+	j.release()
 	err1 := j.left.Close()
 	err2 := j.right.Close()
-	j.lBatch, j.rBatch, j.out = nil, nil, nil
+	j.lBatch, j.rBatch, j.out, j.lIdx, j.rIdx = nil, nil, nil, nil, nil
 	if err1 != nil {
 		return err1
 	}

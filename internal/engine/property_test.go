@@ -257,9 +257,9 @@ func (s joinSide) op(t *testing.T) Operator {
 
 // drainJoin runs a join to the end, returning its rows and the size of
 // every batch it produced.
-func drainJoin(t *testing.T, op Operator, vecSize int) (rows [][]any, batches []int) {
+func drainJoin(t *testing.T, op Operator, ctx *ExecContext) (rows [][]any, batches []int) {
 	t.Helper()
-	err := Drain(op, &ExecContext{VectorSize: vecSize}, func(b *vector.Batch) error {
+	err := Drain(op, ctx, func(b *vector.Batch) error {
 		batches = append(batches, b.N)
 		for i := 0; i < b.N; i++ {
 			rows = append(rows, b.Row(i))
@@ -285,6 +285,7 @@ func testMergeJoinMatchesTupleReference(t *testing.T) {
 		{"empty right", 400, 0},
 		{"both empty", 0, 0},
 	}
+	ctxs := contexts{}
 	for _, sh := range shapes {
 		left, right := randJoinSide(rng, sh.nl, 4000), randJoinSide(rng, sh.nr, 4000)
 		for _, outer := range []bool{false, true} {
@@ -296,8 +297,8 @@ func testMergeJoinMatchesTupleReference(t *testing.T) {
 				}
 				got := build(left.op(t), right.op(t), "k", "k", "l.", "r.")
 				want := tupleMergeJoin{build(left.op(t), right.op(t), "k", "k", "l.", "r.")}
-				gotRows, gotBatches := drainJoin(t, got, vs)
-				wantRows, wantBatches := drainJoin(t, want, vs)
+				gotRows, gotBatches := drainJoin(t, got, ctxs.of(vs))
+				wantRows, wantBatches := drainJoin(t, want, ctxs.of(vs))
 				if !reflect.DeepEqual(gotRows, wantRows) {
 					t.Fatalf("%s: %d rows differ from the reference's %d", name, len(gotRows), len(wantRows))
 				}
@@ -317,6 +318,17 @@ func testMergeJoinMatchesTupleReference(t *testing.T) {
 	}
 }
 
+// contexts holds one context per vector size, so that each plan a test
+// runs at that size takes the vectors the previous ones gave back.
+type contexts map[int]*ExecContext
+
+func (c contexts) of(vs int) *ExecContext {
+	if c[vs] == nil {
+		c[vs] = &ExecContext{VectorSize: vs}
+	}
+	return c[vs]
+}
+
 func sameRows(a, b [][]int64) bool {
 	if len(a) == 0 && len(b) == 0 {
 		return true
@@ -328,6 +340,7 @@ func sameRows(a, b [][]int64) bool {
 // deterministic tie-breaking by arrival order.
 func TestTopNMatchesSortOracleProperty(t *testing.T) {
 	rng := rand.New(rand.NewSource(72))
+	ctxs := contexts{}
 	for trial := 0; trial < 60; trial++ {
 		n := 1 + rng.Intn(500)
 		k := 1 + rng.Intn(40)
@@ -357,7 +370,7 @@ func TestTopNMatchesSortOracleProperty(t *testing.T) {
 		op := NewTopN(
 			valuesOp(t, []string{"id", "score"}, ids, scores),
 			k, []OrderSpec{{Col: "score", Desc: true}})
-		got := collectInts(t, op, &ExecContext{VectorSize: 1 + rng.Intn(100)})
+		got := collectInts(t, op, ctxs.of(1+rng.Intn(100)))
 		if !sameRows(got, want) {
 			t.Fatalf("trial %d: topn mismatch\n got %v\nwant %v", trial, got, want)
 		}
@@ -438,6 +451,7 @@ func TestAggregateMatchesOracleProperty(t *testing.T) {
 // unbounded n — in rows, order and counters.
 func TestTopNSelectThenHeapMatchesOracle(t *testing.T) {
 	rng := rand.New(rand.NewSource(77))
+	ctxs := contexts{}
 	for trial := 0; trial < 200; trial++ {
 		rows := rng.Intn(3000)
 		names := []string{"id", "keep", "i1", "i2", "f1", "f2", "s"}
@@ -503,7 +517,7 @@ func TestTopNSelectThenHeapMatchesOracle(t *testing.T) {
 		if n == 1<<62 && rng.Intn(2) == 0 {
 			op = NewSort(child, order)
 		}
-		got, err := Collect(op, &ExecContext{VectorSize: vs})
+		got, err := Collect(op, ctxs.of(vs))
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -24,7 +24,6 @@ type Scan struct {
 	batch   *vector.Batch
 	pos     int
 	vecSize int
-	ctx     *ExecContext
 }
 
 // NewScan builds a full-table scan over the named columns.
@@ -49,17 +48,17 @@ func NewRangeScan(table *colbm.Table, cols []string, start, end int) (*Scan, err
 	return s, nil
 }
 
-// Open allocates cursors and the output batch.
+// Open takes the cursors and the output vectors from the context.
 func (s *Scan) Open(ctx *ExecContext) error {
 	s.ctx = ctx
 	s.vecSize = ctx.VectorSize
 	s.pos = s.start
-	s.cursors = s.cursors[:0]
+	s.cursors = make([]*colbm.Cursor, len(s.cols))
 	vecs := make([]*vector.Vector, len(s.cols))
 	for i, name := range s.cols {
 		col := s.table.MustColumn(name)
-		s.cursors = append(s.cursors, colbm.NewCursor(col))
-		vecs[i] = vector.New(col.Spec.Type, s.vecSize)
+		s.cursors[i] = ctx.cursor(col)
+		vecs[i] = s.take(col.Spec.Type, s.vecSize)
 	}
 	s.batch = &vector.Batch{Vecs: vecs}
 	return nil
@@ -92,8 +91,12 @@ func (s *Scan) Next() (*vector.Batch, error) {
 	return s.batch, nil
 }
 
-// Close releases the cursors.
+// Close gives the cursors and vectors back to the context.
 func (s *Scan) Close() error {
+	if s.ctx != nil {
+		s.ctx.cursors = append(s.ctx.cursors, s.cursors...)
+		s.release()
+	}
 	s.cursors = nil
 	s.batch = nil
 	return nil
@@ -120,7 +123,6 @@ type Values struct {
 	pos     int
 	vecSize int
 	batch   *vector.Batch
-	ctx     *ExecContext
 }
 
 // NewValues wraps fully materialized columns as an operator.
@@ -141,14 +143,14 @@ func NewValues(names []string, cols []*vector.Vector) (*Values, error) {
 	return v, nil
 }
 
-// Open resets the read position.
+// Open resets the read position and takes the output vectors.
 func (v *Values) Open(ctx *ExecContext) error {
 	v.ctx = ctx
 	v.vecSize = ctx.VectorSize
 	v.pos = 0
 	vecs := make([]*vector.Vector, len(v.cols))
 	for i, c := range v.cols {
-		vecs[i] = vector.New(c.Type(), v.vecSize)
+		vecs[i] = v.take(c.Type(), v.vecSize)
 	}
 	v.batch = &vector.Batch{Vecs: vecs}
 	return nil
@@ -186,8 +188,9 @@ func (v *Values) Next() (*vector.Batch, error) {
 	return v.batch, nil
 }
 
-// Close releases buffers.
+// Close gives the output vectors back.
 func (v *Values) Close() error {
+	v.release()
 	v.batch = nil
 	return nil
 }

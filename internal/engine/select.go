@@ -31,7 +31,8 @@ func (s *Select) Open(ctx *ExecContext) error {
 	if err := s.pred.Bind(s.schema); err != nil {
 		return err
 	}
-	s.sel = make([]int32, ctx.VectorSize)
+	s.ctx = ctx
+	s.sel = s.take(vector.Int32, ctx.VectorSize).I32
 	return nil
 }
 
@@ -58,8 +59,12 @@ func (s *Select) Next() (*vector.Batch, error) {
 	}
 }
 
-// Close closes the child.
-func (s *Select) Close() error { return s.child.Close() }
+// Close gives the selection buffer back and closes the child.
+func (s *Select) Close() error {
+	s.release()
+	s.sel = nil
+	return s.child.Close()
+}
 
 // Children returns the input.
 func (s *Select) Children() []Operator { return []Operator{s.child} }
@@ -89,15 +94,16 @@ func NewProject(child Operator, projs []Projection) *Project {
 	return &Project{child: child, projs: projs}
 }
 
-// Open binds all expressions.
+// Open binds all expressions, which take their output vectors from ctx.
 func (p *Project) Open(ctx *ExecContext) error {
 	if err := p.child.Open(ctx); err != nil {
 		return err
 	}
+	p.ctx = ctx
 	in := p.child.Schema()
-	p.schema = p.schema[:0]
+	p.schema = make(Schema, 0, len(p.projs))
 	for _, pr := range p.projs {
-		if err := pr.Expr.Bind(in, ctx.VectorSize); err != nil {
+		if err := pr.Expr.Bind(in, ctx); err != nil {
 			return err
 		}
 		p.schema = append(p.schema, Col{Name: pr.Name, Type: pr.Expr.Type()})
@@ -125,8 +131,16 @@ func (p *Project) Next() (*vector.Batch, error) {
 	return p.batch, nil
 }
 
-// Close closes the child.
-func (p *Project) Close() error { return p.child.Close() }
+// Close gives the expressions' output vectors back and closes the child.
+func (p *Project) Close() error {
+	if p.ctx != nil {
+		for _, pr := range p.projs {
+			releaseExpr(p.ctx, pr.Expr)
+		}
+	}
+	p.batch = nil
+	return p.child.Close()
+}
 
 // Children returns the input.
 func (p *Project) Children() []Operator { return []Operator{p.child} }

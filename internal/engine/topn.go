@@ -94,35 +94,42 @@ func (t *TopN) Open(ctx *ExecContext) error {
 		t.orderIdx = append(t.orderIdx, i)
 		t.orderType = append(t.orderType, typ)
 	}
-	t.vecSize = ctx.VectorSize
+	t.ctx, t.vecSize = ctx, ctx.VectorSize
 	t.done = false
 	t.emitPos = 0
 	t.arrived = 0
 	t.vals = make([]*vector.Vector, len(in))
 	vecs := make([]*vector.Vector, len(in))
 	for i, c := range in {
-		t.vals[i] = vector.New(c.Type, 0)
-		vecs[i] = vector.New(c.Type, t.vecSize)
+		vecs[i] = t.take(c.Type, t.vecSize)
 	}
 	t.out = &vector.Batch{Vecs: vecs}
 	t.keys, t.seq, t.heap = nil, nil, nil
 	t.growSlots(min(t.n, t.vecSize))
-	t.first, t.surv = make([]float64, t.vecSize), make([]int32, t.vecSize)
-	t.cand = make([]float64, len(t.order))
+	t.first, t.surv = t.take(vector.Float64, t.vecSize).F64, t.take(vector.Int32, t.vecSize).I32
+	t.cand = t.take(vector.Float64, len(t.order)).F64[:len(t.order)]
 	return nil
 }
 
-// growSlots moves the retained rows to slot storage for capn rows.
+// growSlots moves the retained rows to slot storage for capn rows, taken
+// from the context; the storage it outgrew stays held until Close.
 func (t *TopN) growSlots(capn int) {
-	for c, v := range t.vals {
-		grown := vector.New(v.Type(), capn)
-		grown.CopyFrom(v)
+	for c, col := range t.schema {
+		grown := t.take(col.Type, capn)
+		if old := t.vals[c]; old != nil {
+			grown.CopyFrom(old)
+		}
 		grown.SetLen(capn)
 		t.vals[c] = grown
 	}
-	t.keys = append(make([]float64, 0, capn*len(t.order)), t.keys...)[:capn*len(t.order)]
-	t.seq = append(make([]int64, 0, capn), t.seq...)[:capn]
-	t.heap = append(make([]int32, 0, capn), t.heap...)
+	nk := len(t.order)
+	keys := t.take(vector.Float64, capn*nk).F64[:capn*nk]
+	seq := t.take(vector.Int64, capn).I64[:capn]
+	heap := t.take(vector.Int32, capn).I32[:len(t.heap):capn]
+	copy(keys, t.keys)
+	copy(seq, t.seq)
+	copy(heap, t.heap)
+	t.keys, t.seq, t.heap = keys, seq, heap
 }
 
 // Next drains the child on first call, then emits the retained rows in
@@ -174,8 +181,8 @@ func (t *TopN) consume() error {
 // push offers one batch: the select loop first, then the survivors one by
 // one against the current worst row.
 func (t *TopN) push(b *vector.Batch) {
-	if cap(t.first) < b.N {
-		t.first, t.surv = make([]float64, b.N), make([]int32, b.N)
+	if len(t.first) < b.N {
+		t.first, t.surv = t.take(vector.Float64, b.N).F64, t.take(vector.Int32, b.N).I32
 	}
 	thr := math.Inf(-1)
 	if len(t.heap) == t.n {
@@ -331,9 +338,11 @@ func (t *TopN) siftDown(i, n int) {
 	}
 }
 
-// Close closes the child.
+// Close gives the slot storage and buffers back and closes the child.
 func (t *TopN) Close() error {
+	t.release()
 	t.keys, t.seq, t.vals, t.heap, t.out = nil, nil, nil, nil, nil
+	t.first, t.surv, t.cand = nil, nil, nil
 	return t.child.Close()
 }
 

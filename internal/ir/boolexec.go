@@ -30,12 +30,8 @@ func (s *Searcher) SearchBool(expr BoolExpr, k int) ([]Result, QueryStats, error
 		}
 		results = append(results, res...)
 	}
-	for i := range results {
-		name, err := s.snap.DocName(results[i].DocID)
-		if err != nil {
-			return nil, stats, err
-		}
-		results[i].Name = name
+	if err := s.resolveNames(results); err != nil {
+		return nil, stats, err
 	}
 	stats.Wall = time.Since(start)
 	stats.SimIO = s.simIO() - io0

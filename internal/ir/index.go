@@ -374,16 +374,30 @@ func (ix *Index) DocBase() int64 { return ix.cfg.DocIDBase }
 // of the materialized plans). The document table stores this index's docid
 // range only, so the global id maps to row docid-DocBase.
 func (ix *Index) DocName(docid int64) (string, error) {
-	col, err := ix.D.Column("name")
-	if err != nil {
+	return (&nameReader{ix: ix}).name(docid)
+}
+
+// nameReader resolves the index's docids to document names through one
+// cursor and one vector, made on the first lookup, so that every lookup
+// after it allocates the name and nothing else.
+type nameReader struct {
+	ix  *Index
+	cur *colbm.Cursor
+	v   *vector.Vector
+}
+
+func (r *nameReader) name(docid int64) (string, error) {
+	if r.cur == nil {
+		col, err := r.ix.D.Column("name")
+		if err != nil {
+			return "", err
+		}
+		r.cur, r.v = colbm.NewCursor(col), vector.New(vector.Str, 1)
+	}
+	if err := r.cur.Read(r.v, int(docid-r.ix.cfg.DocIDBase), 1); err != nil {
 		return "", err
 	}
-	row := docid - ix.cfg.DocIDBase
-	v := vector.New(vector.Str, 1)
-	if err := colbm.NewCursor(col).Read(v, int(row), 1); err != nil {
-		return "", err
-	}
-	return v.S[0], nil
+	return r.v.S[0], nil
 }
 
 // BitsPerPosting reports the stored bits per TD tuple for a column, the

@@ -24,7 +24,7 @@ var (
 	sharedIx   *Index
 )
 
-func getIndex(t *testing.T) (*corpus.Collection, *Index) {
+func getIndex(t testing.TB) (*corpus.Collection, *Index) {
 	t.Helper()
 	if sharedIx == nil {
 		sharedColl = testCollection()

@@ -137,12 +137,14 @@ type Searcher struct {
 }
 
 // segSearcher executes plans against one segment. All segments of a
-// Searcher share one ExecContext (vector size, interrupt hook).
+// Searcher share one ExecContext (vector size, interrupt hook, and the
+// vectors and cursors one plan gives back for the next).
 type segSearcher struct {
 	ix      *Index
 	virtual bool
 	ctx     *engine.ExecContext
 	tr      *trace.Trace // mirrors the owning Searcher's per-request trace
+	names   nameReader
 }
 
 // NewSearcher returns a searcher over a single index with the given vector
@@ -160,7 +162,7 @@ func NewSnapshotSearcher(snap *Snapshot, vectorSize int) *Searcher {
 	}
 	s := &Searcher{snap: snap, ctx: ctx}
 	for _, sub := range snap.subs {
-		s.subs = append(s.subs, &segSearcher{ix: sub.ix, virtual: sub.virtual, ctx: ctx})
+		s.subs = append(s.subs, &segSearcher{ix: sub.ix, virtual: sub.virtual, ctx: ctx, names: nameReader{ix: sub.ix}})
 	}
 	return s
 }
@@ -199,13 +201,7 @@ func (s *Searcher) Search(terms []string, k int, strat Strategy) ([]Result, Quer
 	results, err := s.searchInner(terms, k, strat, &stats)
 	if err == nil {
 		rn := s.tr.Begin("resolve.names")
-		for i := range results {
-			var name string
-			if name, err = s.snap.DocName(results[i].DocID); err != nil {
-				break
-			}
-			results[i].Name = name
-		}
+		err = s.resolveNames(results)
 		s.tr.SetAttr(rn, "names", int64(len(results)))
 		s.tr.End(rn)
 	}
@@ -238,6 +234,21 @@ func (s *Searcher) SearchContext(ctx context.Context, terms []string, k int, str
 		defer s.setTrace(nil)
 	}
 	return s.Search(terms, k, strat)
+}
+
+// resolveNames fills in the results' document names, each through the
+// owning segment's name reader.
+func (s *Searcher) resolveNames(results []Result) error {
+	for i := range results {
+		si, err := s.snap.segmentOf(results[i].DocID)
+		if err != nil {
+			return err
+		}
+		if results[i].Name, err = s.subs[si].names.name(results[i].DocID); err != nil {
+			return err
+		}
+	}
+	return nil
 }
 
 func (s *Searcher) setTrace(t *trace.Trace) {
@@ -501,7 +512,7 @@ func (s *segSearcher) combinedPlan(infos []TermInfo, outer bool, cols planCols) 
 			{Name: "docid", Expr: engine.NewColRef(cols.doc)},
 		}
 		if val != "" {
-			projs = append(projs, engine.Projection{Name: vcol(i), Expr: engine.NewColRef(val)})
+			projs = append(projs, engine.Projection{Name: vcol(i).v, Expr: engine.NewColRef(val)})
 		}
 		return engine.NewProject(scan, projs), nil
 	}
@@ -528,16 +539,39 @@ func (s *segSearcher) combinedPlan(infos []TermInfo, outer bool, cols planCols) 
 		}}
 		if val != "" {
 			for j := 0; j < i; j++ {
-				projs = append(projs, engine.Projection{Name: vcol(j), Expr: engine.NewColRef("l." + vcol(j))})
+				projs = append(projs, engine.Projection{Name: vcol(j).v, Expr: engine.NewColRef(vcol(j).l)})
 			}
-			projs = append(projs, engine.Projection{Name: vcol(i), Expr: engine.NewColRef("r." + vcol(i))})
+			projs = append(projs, engine.Projection{Name: vcol(i).v, Expr: engine.NewColRef(vcol(i).r)})
 		}
 		plan = engine.NewProject(join, projs)
 	}
 	return plan, nil
 }
 
-func vcol(i int) string { return fmt.Sprintf("v%d", i) }
+// termCol names term i's value column in the join cascade, v<i>, and the
+// names it has in a join's output as the left or the right input's column.
+type termCol struct{ v, l, r string }
+
+// termCols holds the first 64 terms' names, so that a plan does not format
+// them per query; a query with more terms formats the rest.
+var termCols = func() (t [64]termCol) {
+	for i := range t {
+		t[i] = newTermCol(i)
+	}
+	return t
+}()
+
+func newTermCol(i int) termCol {
+	v := fmt.Sprintf("v%d", i)
+	return termCol{v: v, l: "l." + v, r: "r." + v}
+}
+
+func vcol(i int) termCol {
+	if i < len(termCols) {
+		return termCols[i]
+	}
+	return newTermCol(i)
+}
 
 // scoredPass is one pass of the unmaterialized ranked plan: (outer-)join
 // cascade over [docid, tf], merge-join with the document table for
@@ -546,7 +580,7 @@ func vcol(i int) string { return fmt.Sprintf("v%d", i) }
 func (s *segSearcher) scoredPass(infos []TermInfo, k int, compressed, inner bool, stats *QueryStats) ([]Result, error) {
 	return s.joinedPass(infos, k, compressed, inner, stats, func(i int, ti TermInfo) engine.Expr {
 		return &engine.BM25{
-			TF:     engine.NewColRef(vcol(i)),
+			TF:     engine.NewColRef(vcol(i).v),
 			DocLen: engine.NewColRef("d.len"),
 			Ftd:    float64(ti.Ftd),
 			Params: s.ix.Params,
@@ -564,7 +598,7 @@ func (s *segSearcher) scoredPass(infos []TermInfo, k int, compressed, inner bool
 func (s *segSearcher) virtualPass(infos []TermInfo, k int, quantized, inner bool, stats *QueryStats) ([]Result, error) {
 	return s.joinedPass(infos, k, true, inner, stats, func(i int, ti TermInfo) engine.Expr {
 		return &engine.BM25Stored{
-			TF:        engine.NewColRef(vcol(i)),
+			TF:        engine.NewColRef(vcol(i).v),
 			DocLen:    engine.NewColRef("d.len"),
 			Ftd:       float64(ti.Ftd),
 			Params:    s.ix.Params,
@@ -643,7 +677,7 @@ func (s *segSearcher) materializedPass(infos []TermInfo, k int, quantized, inner
 	}
 	var scoreExpr engine.Expr
 	for i := range infos {
-		var term engine.Expr = engine.NewColRef(vcol(i))
+		var term engine.Expr = engine.NewColRef(vcol(i).v)
 		if quantized {
 			term = engine.NewToFloat(term)
 		}

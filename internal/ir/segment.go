@@ -217,17 +217,16 @@ func (sn *Snapshot) hasTerm(t string) bool {
 	return false
 }
 
-// DocName resolves a global docid to its document name by routing to the
-// owning segment.
-func (sn *Snapshot) DocName(docid int64) (string, error) {
+// segmentOf returns the position of the segment owning a global docid.
+func (sn *Snapshot) segmentOf(docid int64) (int, error) {
 	i := sort.Search(len(sn.subs), func(i int) bool {
 		ix := sn.subs[i].ix
 		return ix.DocBase()+int64(ix.NumDocs()) > docid
 	})
 	if i == len(sn.subs) || docid < sn.subs[i].ix.DocBase() {
-		return "", fmt.Errorf("ir: docid %d outside the snapshot's ranges", docid)
+		return 0, fmt.Errorf("ir: docid %d outside the snapshot's ranges", docid)
 	}
-	return sn.subs[i].ix.DocName(docid)
+	return i, nil
 }
 
 // Close releases every segment's storage for owned snapshots; a view that

@@ -4,7 +4,18 @@ import (
 	"os"
 	"path/filepath"
 	"strings"
+	"testing"
+
+	"repro/internal/engine"
 )
+
+// TestMain runs every test of the package with engine.PoisonVectors on, so
+// that the segmented equivalence tests — DocID and Score bit-exact against
+// a monolithic build — run every plan on garbage-filled recycled vectors.
+func TestMain(m *testing.M) {
+	engine.PoisonVectors = true
+	os.Exit(m.Run())
+}
 
 // Test-only views of the manifest memo, for the engine-level tests of
 // package storage_test: they drive a repro.Engine, and repro imports this

@@ -98,7 +98,7 @@ func (b *PlanBuilder) Project(projs ...Projection) *PlanBuilder {
 		if p.Expr == nil {
 			return b.fail(fmt.Errorf("repro: projection %q has nil expression", p.Name))
 		}
-		if err := p.Expr.Bind(b.schema, 1); err != nil {
+		if err := p.Expr.Bind(b.schema, &ExecContext{VectorSize: 1}); err != nil {
 			return b.fail(fmt.Errorf("repro: projection %q: %w", p.Name, err))
 		}
 		if seen[p.Name] {

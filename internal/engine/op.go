@@ -8,7 +8,8 @@
 //
 // Operators available: Scan (with range pushdown for the inverted-list
 // term index), Select, Project, MergeJoin and MergeOuterJoin (ordered
-// inverted-list combination), HashJoin (the ablation alternative),
+// inverted-list combination), FetchJoin (positional lookup in a table dense
+// on its key, X100's Fetch1Join), HashJoin (the ablation alternative),
 // Aggregate (hash and scalar), TopN, Sort, and Values (in-memory source).
 package engine
 

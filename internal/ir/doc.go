@@ -3,10 +3,11 @@
 // [term, docid, tf] relation ordered on (term, docid), with the term
 // column replaced by a range index; keyword search is relational algebra
 // (merge joins over posting ranges); ranking is a projection computing
-// Okapi BM25 followed by TopN; and the performance-optimization ladder of
-// Table 2 (two-pass, compression, score materialization, 8-bit
-// quantization) is a set of alternative physical plans over alternative
-// column encodings.
+// Okapi BM25 — document lengths fetched by position from the document
+// table, which is dense on docid — followed by TopN; and the
+// performance-optimization ladder of Table 2 (two-pass, compression, score
+// materialization, 8-bit quantization) is a set of alternative physical
+// plans over alternative column encodings.
 //
 // # Strategies
 //

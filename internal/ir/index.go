@@ -1,6 +1,7 @@
 package ir
 
 import (
+	"errors"
 	"fmt"
 	"math"
 
@@ -298,7 +299,8 @@ func assembleIndex(bc BuildConfig, store colbm.BlockStore, cache colbm.ChunkCach
 	}
 
 	// D table: docid (dense, delta-compresses to nearly nothing), length,
-	// name.
+	// name. Row i is document DocIDBase + i: plans fetch a document's row
+	// by position, and RestoreIndex checks a persisted table keeps it.
 	db := colbm.NewBuilder(bc.TablePrefix+"D", store, cache, []colbm.ColumnSpec{
 		{Name: "docid", Type: vector.Int64, Enc: colbm.EncPFORDelta, Bits: 8, ChunkLen: bc.ChunkLen},
 		{Name: "len", Type: vector.Int64, Enc: colbm.EncPFOR, Bits: 8, ChunkLen: bc.ChunkLen},
@@ -335,9 +337,15 @@ func assembleIndex(bc BuildConfig, store colbm.BlockStore, cache colbm.ChunkCach
 // reopened over a block store and chunk cache, plus the scalar state the
 // manifest carries. The storage package's segment opener, under
 // storage.OpenSegmented, is the only intended caller; Build remains the
-// constructor for in-memory indexes.
+// constructor for in-memory indexes. The document table's docid column is
+// decoded once and must be dense — row i holds cfg.DocIDBase + i, what
+// every plan's positional fetch of D assumes — or the error wraps
+// ErrDocTableNotDense.
 func RestoreIndex(td, d *colbm.Table, terms map[string]TermInfo, params primitives.BM25Params,
-	scoreLo, scoreHi float64, store colbm.BlockStore, cache colbm.ChunkCache, cfg BuildConfig) *Index {
+	scoreLo, scoreHi float64, store colbm.BlockStore, cache colbm.ChunkCache, cfg BuildConfig) (*Index, error) {
+	if err := checkDense(d, cfg.DocIDBase); err != nil {
+		return nil, err
+	}
 	return &Index{
 		TD:      td,
 		D:       d,
@@ -348,7 +356,34 @@ func RestoreIndex(td, d *colbm.Table, terms map[string]TermInfo, params primitiv
 		Store:   store,
 		Cache:   cache,
 		cfg:     cfg,
+	}, nil
+}
+
+// ErrDocTableNotDense is returned, wrapped, for a document table whose row
+// i does not hold docid DocIDBase + i.
+var ErrDocTableNotDense = errors.New("ir: document table is not dense on docid")
+
+// checkDense reads d's docid column through one cursor and checks row i
+// holds base + i.
+func checkDense(d *colbm.Table, base int64) error {
+	col, err := d.Column("docid")
+	if err != nil {
+		return err
 	}
+	cur, v := colbm.NewCursor(col), vector.New(vector.Int64, vector.DefaultSize)
+	for pos := 0; pos < col.N; pos += vector.DefaultSize {
+		n := min(vector.DefaultSize, col.N-pos)
+		if err := cur.Read(v, pos, n); err != nil {
+			return err
+		}
+		for i, id := range v.I64[:n] {
+			if want := base + int64(pos+i); id != want {
+				return fmt.Errorf("%w: row %d of table %q holds docid %d, want %d",
+					ErrDocTableNotDense, pos+i, d.Name, id, want)
+			}
+		}
+	}
+	return nil
 }
 
 // Config returns the build configuration, letting callers (the Engine

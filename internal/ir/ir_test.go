@@ -4,6 +4,7 @@ import (
 	"math"
 	"reflect"
 	"sort"
+	"strings"
 	"testing"
 
 	"repro/internal/corpus"
@@ -600,6 +601,22 @@ func TestExplainPlan(t *testing.T) {
 		if _, err := s.ExplainPlan(q.Terms, 20, strat); err != nil {
 			t.Errorf("explain %v: %v", strat, err)
 		}
+	}
+
+	// What is explained is what runs: BM25TC fetches D by position and
+	// scans none of it; a fresh segment's BM25TCMQ8 reads qscore and no D;
+	// a virtual segment's reads tf and fetches D, like BM25TC.
+	if !strings.Contains(plan, "FetchJoin(") || strings.Contains(plan, "Scan("+ix.D.Name) {
+		t.Errorf("BM25TC plan does not fetch D by position:\n%s", plan)
+	}
+	fresh, err := s.ExplainPlan(q.Terms, 20, BM25TCMQ8)
+	if err != nil || !strings.Contains(fresh, ColQScore) || strings.Contains(fresh, "FetchJoin(") {
+		t.Errorf("fresh BM25TCMQ8 plan (%v) does not read %s alone:\n%s", err, ColQScore, fresh)
+	}
+	virtual, err := NewSnapshotSearcher(segmentedSnapshot(t, c), 0).ExplainPlan(q.Terms, 20, BM25TCMQ8)
+	if err != nil || !strings.Contains(virtual, ColTFC) || strings.Contains(virtual, ColQScore) ||
+		!strings.Contains(virtual, "FetchJoin(") {
+		t.Errorf("virtual BM25TCMQ8 plan (%v) does not read %s with D fetched:\n%s", err, ColTFC, virtual)
 	}
 }
 

@@ -574,8 +574,8 @@ func vcol(i int) termCol {
 }
 
 // scoredPass is one pass of the unmaterialized ranked plan: (outer-)join
-// cascade over [docid, tf], merge-join with the document table for
-// lengths, project the summed Okapi BM25 score, TopN. inner selects the
+// cascade over [docid, tf], document lengths fetched from the document
+// table, project the summed Okapi BM25 score, TopN. inner selects the
 // conjunctive (first-pass) shape.
 func (s *segSearcher) scoredPass(infos []TermInfo, k int, compressed, inner bool, stats *QueryStats) ([]Result, error) {
 	return s.joinedPass(infos, k, compressed, inner, stats, func(i int, ti TermInfo) engine.Expr {
@@ -609,6 +609,27 @@ func (s *segSearcher) virtualPass(infos []TermInfo, k int, quantized, inner bool
 	})
 }
 
+// docLen is the document-table column a tf-reading plan fetches.
+var docLen = []string{"len"}
+
+// tfPlan is the tf-reading plan below the score projection: the join
+// cascade over [docid, tf] with each candidate's length fetched from the
+// document table by position — row docid - DocBase, since D is dense on
+// docid — as d.len. A query decodes only the strides of D.len its
+// candidates fall in, not the whole table.
+func (s *segSearcher) tfPlan(infos []TermInfo, compressed, outer bool) (engine.Operator, error) {
+	cols := planCols{doc: s.docCol(compressed), tf: s.tfCol(compressed)}
+	plan, err := s.combinedPlan(infos, outer, cols)
+	if err != nil {
+		return nil, err
+	}
+	fetch, err := engine.NewFetchJoin(plan, "docid", s.ix.D, docLen, "d.", s.ix.DocBase())
+	if err != nil {
+		return nil, err
+	}
+	return fetch, nil
+}
+
 // joinedPass executes the tf-reading ranked plan shape with a caller-chosen
 // per-term weight expression.
 func (s *segSearcher) joinedPass(infos []TermInfo, k int, compressed, inner bool, stats *QueryStats,
@@ -617,19 +638,11 @@ func (s *segSearcher) joinedPass(infos []TermInfo, k int, compressed, inner bool
 		return nil, nil
 	}
 	pb := s.tr.Begin("plan.build")
-	cols := planCols{doc: s.docCol(compressed), tf: s.tfCol(compressed)}
-	plan, err := s.combinedPlan(infos, !inner, cols)
+	joined, err := s.tfPlan(infos, compressed, !inner)
 	if err != nil {
 		s.tr.End(pb)
 		return nil, err
 	}
-
-	dScan, err := engine.NewScan(s.ix.D, []string{"docid", "len"})
-	if err != nil {
-		s.tr.End(pb)
-		return nil, err
-	}
-	joined := engine.NewMergeJoin(plan, dScan, "docid", "docid", "", "d.")
 
 	var scoreExpr engine.Expr
 	for i, ti := range infos {
@@ -792,6 +805,9 @@ func (s *Searcher) ExplainPlan(terms []string, k int, strat Strategy) (string, e
 	if len(infos) == 0 {
 		return "(empty plan: no known query terms)", nil
 	}
+	// Ranked strategies show the disjunctive scoring plan, the interesting
+	// one, as this segment runs it: a virtual segment scores the
+	// materialized strategies from tf, like BM25TC.
 	var op engine.Operator
 	var err error
 	switch strat {
@@ -799,20 +815,18 @@ func (s *Searcher) ExplainPlan(terms []string, k int, strat Strategy) (string, e
 		op, err = sub.combinedPlan(infos, false, planCols{doc: sub.docCol(false)})
 	case BoolOR:
 		op, err = sub.combinedPlan(infos, true, planCols{doc: sub.docCol(false)})
-	default:
-		// Show the disjunctive scoring plan, the interesting one.
-		quant := strat == BM25TCMQ8
-		if strat == BM25TCM || strat == BM25TCMQ8 {
-			cols := planCols{doc: sub.docCol(true), score: ColScore}
-			if quant {
-				cols.score = ColQScore
-			}
-			op, err = sub.combinedPlan(infos, true, cols)
-		} else {
-			compressed := strat == BM25TC
-			cols := planCols{doc: sub.docCol(compressed), tf: sub.tfCol(compressed)}
-			op, err = sub.combinedPlan(infos, true, cols)
+	case BM25TCM, BM25TCMQ8:
+		if sub.virtual {
+			op, err = sub.tfPlan(infos, true, true)
+			break
 		}
+		cols := planCols{doc: sub.docCol(true), score: ColScore}
+		if strat == BM25TCMQ8 {
+			cols.score = ColQScore
+		}
+		op, err = sub.combinedPlan(infos, true, cols)
+	default:
+		op, err = sub.tfPlan(infos, strat == BM25TC, true)
 	}
 	if err != nil {
 		return "", err

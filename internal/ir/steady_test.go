@@ -11,7 +11,7 @@ import (
 // segmentedSnapshot is the live index's shape: a large seed segment and
 // three small appended ones, the first three virtual (their baked scores
 // predate the last append, so materialized strategies score them at query
-// time through the document-table join).
+// time from tf and document lengths fetched from the document table).
 func segmentedSnapshot(tb testing.TB, c *corpus.Collection) *Snapshot {
 	tb.Helper()
 	n := len(c.DocLens)

@@ -108,15 +108,18 @@ func verifyIndexFiles(dir string, m *Manifest) error {
 }
 
 // openSegment opens segment seg of the index directory dir for querying
-// ("." is the legacy one-segment layout) from its decoded manifest m. No
-// column data is read: it stays on disk and streams in through cache as
-// queries touch it. Every segment of a generation opens against the one
-// cache its directory reads through, so the byte budget covers the whole
-// directory, not each segment separately. The caller owns the returned
-// index: Close it to release the file handles. release, when non-nil, runs
-// when that store closes (at once if the open fails) — OpenSegmented passes
-// acquireManifest's, so the memoized manifest lives as long as the segment.
-// The index shares m's term dictionary, which nobody writes.
+// ("." is the legacy one-segment layout) from its decoded manifest m. The
+// only column data read is the document table's docid column, once, to
+// check it is dense (ir.RestoreIndex; a segment that is not fails naming
+// its directory, with ir.ErrDocTableNotDense). The rest stays on disk and
+// streams in through cache as queries touch it. Every segment of a
+// generation opens against the one cache its directory reads through, so
+// the byte budget covers the whole directory, not each segment separately.
+// The caller owns the returned index: Close it to release the file handles.
+// release, when non-nil, runs when that store closes (at once if the open
+// fails) — OpenSegmented passes acquireManifest's, so the memoized manifest
+// lives as long as the segment. The index shares m's term dictionary, which
+// nobody writes.
 func openSegment(dir, seg string, m *Manifest, cache *colbm.Manager, release func()) (*ir.Index, error) {
 	segDir := filepath.Join(dir, seg)
 	fs, err := NewFileStore(segDir)
@@ -140,6 +143,11 @@ func openSegment(dir, seg string, m *Manifest, cache *colbm.Manager, release fun
 		}
 		tables = append(tables, t)
 	}
-	return ir.RestoreIndex(tables[0], tables[1], m.Terms, m.Params,
-		m.ScoreLo, m.ScoreHi, fs, cache, m.Config), nil
+	ix, err := ir.RestoreIndex(tables[0], tables[1], m.Terms, m.Params,
+		m.ScoreLo, m.ScoreHi, fs, cache, m.Config)
+	if err != nil {
+		fs.Close()
+		return nil, fmt.Errorf("storage: segment %q: %w", segDir, err)
+	}
+	return ix, nil
 }

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"testing"
 
@@ -82,6 +83,51 @@ func TestOpenRefusesBlobNamesOfAnotherSegment(t *testing.T) {
 				t.Fatalf("OpenSegmented over seg-000002 with blob names %q...: %v, want ErrBadManifest", m.TD.Columns[0].Blob, err)
 			}
 		})
+	}
+}
+
+// TestOpenRefusesNonDenseDocTable: plans fetch a document's length from
+// row docid - DocIDBase of the document table, so a segment whose D.docid
+// column is not DocIDBase + row — here, one gap before its last document,
+// written through colbm.NewBuilder with a manifest that agrees — must fail
+// to open with ir.ErrDocTableNotDense naming the segment, and serve no
+// ranking.
+func TestOpenRefusesNonDenseDocTable(t *testing.T) {
+	dir := t.TempDir()
+	appendInBatches(t, dir, segTestCollection(t), 2)
+	segDir := filepath.Join(dir, "seg-000002")
+	m, err := readManifest(dir, "seg-000002")
+	if err != nil {
+		t.Fatal(err)
+	}
+	fs, err := NewFileStore(segDir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer fs.Close()
+	i := slices.IndexFunc(m.D.Columns, func(c colbm.StoredColumn) bool { return c.Spec.Name == "docid" })
+	b := colbm.NewBuilder(m.D.Name, fs, colbm.NewManager(0), []colbm.ColumnSpec{m.D.Columns[i].Spec})
+	ids := make([]int64, m.D.N)
+	for row := range ids {
+		ids[row] = m.Config.DocIDBase + int64(row)
+	}
+	ids[len(ids)-1]++
+	b.SetInt64("docid", ids)
+	tab, err := b.Build()
+	if err != nil {
+		t.Fatal(err)
+	}
+	m.D.Columns[i] = tab.Stored().Columns[0]
+	if err := writeManifest(segDir, m); err != nil {
+		t.Fatal(err)
+	}
+
+	snap, err := OpenSegmented(dir, colbm.NewManager(0))
+	if err == nil {
+		snap.Close()
+	}
+	if !errors.Is(err, ir.ErrDocTableNotDense) || !strings.Contains(err.Error(), segDir) {
+		t.Fatalf("OpenSegmented with a gap in seg-000002's D.docid: %v, want ir.ErrDocTableNotDense naming %s", err, segDir)
 	}
 }
 

@@ -51,20 +51,8 @@ type (
 	// BatchStats aggregates one SearchMany call — the throughput-side
 	// accounting that complements the per-request QueryStats.
 	BatchStats = serving.BatchStats
-	// CachePolicy selects how the engine result cache evicts (see
-	// WithResultCachePolicy).
-	CachePolicy = serving.CachePolicy
 	// ResultCacheStats reports the engine result cache counters.
 	ResultCacheStats = serving.ResultCacheStats
-)
-
-// Result cache eviction policies.
-const (
-	// CachePolicyLRU evicts the least-recently-used entry (the default).
-	CachePolicyLRU = serving.CachePolicyLRU
-	// CachePolicyCost evicts the cheapest-to-recompute entry among the
-	// least-recently-used tail.
-	CachePolicyCost = serving.CachePolicyCost
 )
 
 // Engine is the long-lived, concurrency-safe entry point to the system: a
@@ -498,13 +486,17 @@ func (e *Engine) SearchBool(ctx context.Context, expr BoolExpr, k int) ([]Result
 }
 
 // ExplainPlan renders the relational plan a query would run under a
-// strategy, annotated after a binding pass — the demo display of §4.
+// strategy, annotated after a binding pass — the demo display of §4. k
+// zero means DefaultK; a negative k is rejected, exactly as in Search.
 func (e *Engine) ExplainPlan(ctx context.Context, terms []string, k int, strat Strategy) (string, error) {
 	if ctx == nil {
 		ctx = context.Background()
 	}
-	if k <= 0 {
+	if k == 0 {
 		k = DefaultK
+	}
+	if k < 0 {
+		return "", fmt.Errorf("repro: search request k=%d", k)
 	}
 	g, err := e.core.Acquire()
 	if err != nil {

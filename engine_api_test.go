@@ -3,6 +3,7 @@ package repro
 import (
 	"context"
 	"errors"
+	"fmt"
 	"math"
 	"reflect"
 	"strings"
@@ -221,9 +222,9 @@ func TestEngineStrategyResolution(t *testing.T) {
 }
 
 // TestEngineNegativeK guards validation consistency across the public
-// entry points: Search and SearchBool must both reject a negative k (the
-// old SearchBool silently coerced it to DefaultK) and both treat zero as
-// DefaultK.
+// entry points: Search, SearchBool and ExplainPlan must all reject a
+// negative k (SearchBool and ExplainPlan used to coerce it to DefaultK)
+// and all treat zero as DefaultK.
 func TestEngineNegativeK(t *testing.T) {
 	coll, eng := engineFixture(t)
 	ctx := context.Background()
@@ -243,11 +244,17 @@ func TestEngineNegativeK(t *testing.T) {
 	if _, _, err := eng.SearchBool(ctx, expr, -1); err == nil {
 		t.Error("SearchBool accepted k=-1")
 	}
+	if _, err := eng.ExplainPlan(ctx, q.Terms, -1, BM25TC); err == nil {
+		t.Error("ExplainPlan accepted k=-1")
+	}
 	if resp, err := eng.Search(ctx, SearchRequest{Terms: q.Terms}); err != nil || len(resp.Hits) > DefaultK {
 		t.Errorf("Search k=0: %d hits, err %v", len(resp.Hits), err)
 	}
 	if res, _, err := eng.SearchBool(ctx, expr, 0); err != nil || len(res) > DefaultK {
 		t.Errorf("SearchBool k=0: %d hits, err %v", len(res), err)
+	}
+	if plan, err := eng.ExplainPlan(ctx, q.Terms, 0, BM25TC); err != nil || !strings.Contains(plan, fmt.Sprintf("TopN(%d;", DefaultK)) {
+		t.Errorf("ExplainPlan k=0: err %v, plan\n%s", err, plan)
 	}
 }
 

@@ -12,25 +12,16 @@ import (
 // MergeJoin, OR to MergeOuterJoin, leaves to posting-range scans. Results
 // are unranked, in ascending docid order, truncated to k by a Limit
 // operator that stops pulling posting data as soon as k matches exist.
-// Segments cover ascending docid ranges, so evaluating them in order and
-// stopping at k matches yields the global first-k.
 func (s *Searcher) SearchBool(expr BoolExpr, k int) ([]Result, QueryStats, error) {
 	var stats QueryStats
 	io0 := s.simIO()
 	start := time.Now()
 
-	var results []Result
-	for _, sub := range s.subs {
-		if len(results) >= k {
-			break
-		}
-		res, err := sub.searchBoolExpr(expr, k-len(results))
-		if err != nil {
-			return nil, stats, err
-		}
-		results = append(results, res...)
+	results, err := s.searchBool(expr, k)
+	if err == nil {
+		err = s.resolveNames(results)
 	}
-	if err := s.resolveNames(results); err != nil {
+	if err != nil {
 		return nil, stats, err
 	}
 	stats.Wall = time.Since(start)
@@ -48,32 +39,62 @@ func (s *Searcher) SearchBoolContext(ctx context.Context, expr BoolExpr, k int) 
 	return s.SearchBool(expr, k)
 }
 
-// ExplainBool renders the compiled plan of a boolean query (the first
-// segment's; every segment runs the same shape over its own ranges).
+// ExplainBool renders the compiled plan of a boolean query, on the segment
+// ExplainPlan would pick for its terms.
 func (s *Searcher) ExplainBool(expr BoolExpr, k int) (string, error) {
-	plan, err := s.subs[0].boolPlan(expr)
+	sub, _ := s.explainSegment(Terms(expr))
+	root, err := sub.boolRoot(expr, k)
 	if err != nil {
 		return "", err
 	}
-	limited := engine.NewLimit(plan, k)
-	if err := limited.Open(s.ctx); err != nil {
-		return "", err
-	}
-	defer limited.Close()
-	return engine.Explain(limited), nil
+	return s.explain(root)
 }
 
-// searchBoolExpr compiles and runs a boolean query against one segment,
-// returning up to k matches in docid order (names unresolved).
-func (s *segSearcher) searchBoolExpr(expr BoolExpr, k int) ([]Result, error) {
-	plan, err := s.boolPlan(expr)
+// boolChain is the boolean query the BoolAND and BoolOR strategies run for
+// a keyword query: its terms, in order, joined by a left-deep chain of AND
+// (or OR). terms must not be empty. The matches come in docid order, with
+// no score to rank by: the near-zero p@20 of the BoolAND/BoolOR rows in
+// Table 2 is the point.
+func boolChain(terms []string, or bool) BoolExpr {
+	var e BoolExpr = &BoolTerm{Term: terms[0]}
+	for _, t := range terms[1:] {
+		if or {
+			e = &BoolOr{L: e, R: &BoolTerm{Term: t}}
+		} else {
+			e = &BoolAnd{L: e, R: &BoolTerm{Term: t}}
+		}
+	}
+	return e
+}
+
+// searchBool returns the first k matches of a boolean query in docid order
+// (names unresolved). Segments cover ascending docid ranges, so evaluating
+// them in order and stopping at k matches yields the global first k.
+func (s *Searcher) searchBool(expr BoolExpr, k int) ([]Result, error) {
+	var results []Result
+	for _, sub := range s.subs {
+		if len(results) >= k {
+			break
+		}
+		res, err := sub.searchBool(expr, k-len(results))
+		if err != nil {
+			return nil, err
+		}
+		results = append(results, res...)
+	}
+	return results, nil
+}
+
+// searchBool runs a boolean query against one segment, returning up to k
+// matches in docid order.
+func (s *segSearcher) searchBool(expr BoolExpr, k int) ([]Result, error) {
+	root, err := s.boolRoot(expr, k)
 	if err != nil {
 		return nil, err
 	}
-	limited := engine.NewLimit(plan, k)
 	var results []Result
-	err = engine.Drain(limited, s.ctx, func(b *vector.Batch) error {
-		idx := limited.Schema().MustIndex("docid")
+	err = engine.Drain(root, s.ctx, func(b *vector.Batch) error {
+		idx := root.Schema().MustIndex("docid")
 		for i := 0; i < b.N; i++ {
 			pos := i
 			if b.Sel != nil {
@@ -86,7 +107,19 @@ func (s *segSearcher) searchBoolExpr(expr BoolExpr, k int) ([]Result, error) {
 	if err != nil {
 		return nil, err
 	}
+	recordOps(s.tr, root)
 	return results, nil
+}
+
+// boolRoot is the complete plan of a boolean query on one segment — the
+// tree searchBool drains and ExplainPlan/ExplainBool render: the compiled
+// expression under Limit(k).
+func (s *segSearcher) boolRoot(expr BoolExpr, k int) (engine.Operator, error) {
+	plan, err := s.boolPlan(expr)
+	if err != nil {
+		return nil, err
+	}
+	return engine.NewLimit(plan, k), nil
 }
 
 // boolPlan compiles a boolean expression to an operator tree with output
@@ -101,12 +134,12 @@ func (s *segSearcher) boolPlan(expr BoolExpr) (engine.Operator, error) {
 			return engine.NewValues([]string{"docid"},
 				[]*vector.Vector{vector.NewInt64(nil)})
 		}
-		scan, err := engine.NewRangeScan(s.ix.TD, []string{s.docCol(false)}, ti.Start, ti.End)
+		scan, err := engine.NewRangeScan(s.ix.TD, []string{ColDocID32}, ti.Start, ti.End)
 		if err != nil {
 			return nil, err
 		}
 		return engine.NewProject(scan, []engine.Projection{
-			{Name: "docid", Expr: engine.NewColRef(s.docCol(false))},
+			{Name: "docid", Expr: engine.NewColRef(ColDocID32)},
 		}), nil
 	case *BoolAnd:
 		l, err := s.boolPlan(e.L)

@@ -184,6 +184,56 @@ func TestSearchBoolUnknownTerm(t *testing.T) {
 	}
 }
 
+// TestBoolStrategiesMatchSearchBool: the BoolAND and BoolOR strategies
+// return exactly what SearchBool returns for the left-deep AND / OR chain of
+// the query's terms — same documents, same order, same names — on a single
+// segment and on a segmented snapshot, for unknown and duplicated terms,
+// and for k below and far beyond the number of matches.
+func TestBoolStrategiesMatchSearchBool(t *testing.T) {
+	c, ix := getIndex(t)
+	queries := [][]string{{"zzzznotaterm"}}
+	for _, q := range append(c.PrecisionQueries(30, 85), c.EfficiencyQueries(60, 86)...) {
+		queries = append(queries, q.Terms)
+	}
+	for _, q := range queries[1:6] {
+		queries = append(queries,
+			append(append([]string(nil), q...), "zzzznotaterm"),
+			append(append([]string(nil), q...), q[0]))
+	}
+	chain := func(terms []string, or bool) BoolExpr {
+		var e BoolExpr = &BoolTerm{Term: terms[0]}
+		for _, term := range terms[1:] {
+			if or {
+				e = &BoolOr{L: e, R: &BoolTerm{Term: term}}
+			} else {
+				e = &BoolAnd{L: e, R: &BoolTerm{Term: term}}
+			}
+		}
+		return e
+	}
+	for _, snap := range []*Snapshot{SingleSnapshot(ix), segmentedSnapshot(t, c)} {
+		s := NewSnapshotSearcher(snap, 0)
+		for _, terms := range queries {
+			for _, k := range []int{1, 20, 1000, 100000} {
+				for _, strat := range []Strategy{BoolAND, BoolOR} {
+					got, _, err := s.Search(terms, k, strat)
+					if err != nil {
+						t.Fatal(err)
+					}
+					want, _, err := s.SearchBool(chain(terms, strat == BoolOR), k)
+					if err != nil {
+						t.Fatal(err)
+					}
+					if !reflect.DeepEqual(got, want) {
+						t.Fatalf("%d segments, %v k=%d %v: Search %v != SearchBool %v",
+							snap.NumSegments(), strat, k, terms, got, want)
+					}
+				}
+			}
+		}
+	}
+}
+
 func TestExplainBool(t *testing.T) {
 	_, ix := getIndex(t)
 	s := NewSearcher(ix, 0)

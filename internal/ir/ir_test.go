@@ -1,6 +1,7 @@
 package ir
 
 import (
+	"context"
 	"math"
 	"reflect"
 	"sort"
@@ -9,6 +10,7 @@ import (
 
 	"repro/internal/corpus"
 	"repro/internal/primitives"
+	"repro/internal/trace"
 )
 
 func testCollection() *corpus.Collection {
@@ -602,21 +604,76 @@ func TestExplainPlan(t *testing.T) {
 			t.Errorf("explain %v: %v", strat, err)
 		}
 	}
+}
 
-	// What is explained is what runs: BM25TC fetches D by position and
-	// scans none of it; a fresh segment's BM25TCMQ8 reads qscore and no D;
-	// a virtual segment's reads tf and fetches D, like BM25TC.
-	if !strings.Contains(plan, "FetchJoin(") || strings.Contains(plan, "Scan("+ix.D.Name) {
-		t.Errorf("BM25TC plan does not fetch D by position:\n%s", plan)
-	}
-	fresh, err := s.ExplainPlan(q.Terms, 20, BM25TCMQ8)
-	if err != nil || !strings.Contains(fresh, ColQScore) || strings.Contains(fresh, "FetchJoin(") {
-		t.Errorf("fresh BM25TCMQ8 plan (%v) does not read %s alone:\n%s", err, ColQScore, fresh)
-	}
-	virtual, err := NewSnapshotSearcher(segmentedSnapshot(t, c), 0).ExplainPlan(q.Terms, 20, BM25TCMQ8)
-	if err != nil || !strings.Contains(virtual, ColTFC) || strings.Contains(virtual, ColQScore) ||
-		!strings.Contains(virtual, "FetchJoin(") {
-		t.Errorf("virtual BM25TCMQ8 plan (%v) does not read %s with D fetched:\n%s", err, ColTFC, virtual)
+// TestExplainedPlanIsExecutedPlan: what ExplainPlan renders is the plan
+// that runs. Under every strategy, on a freshly baked and on a virtual
+// segment, the operator tree ExplainPlan shows equals, operator for
+// operator and expression for expression, the operator spans a traced
+// search of the same query records for the same segment — a ranked
+// strategy's disjunctive pass (k beyond the collection size starves the
+// conjunctive one), a boolean strategy's Limit plan.
+func TestExplainedPlanIsExecutedPlan(t *testing.T) {
+	c, ix := getIndex(t)
+	q := c.PrecisionQueries(1, 84)[0]
+	k := ix.NumDocs() + 1
+	for _, sh := range []struct {
+		name string
+		snap *Snapshot
+	}{
+		{"fresh", SingleSnapshot(ix)},
+		{"virtual", segmentedSnapshot(t, c)},
+	} {
+		s := NewSnapshotSearcher(sh.snap, 0)
+		if s.subs[0].virtual != (sh.name == "virtual") {
+			t.Fatalf("%s fixture: segment 0 virtual=%v", sh.name, s.subs[0].virtual)
+		}
+		for _, strat := range AllStrategies {
+			explained, err := s.ExplainPlan(q.Terms, k, strat)
+			if err != nil {
+				t.Fatalf("%s %v: %v", sh.name, strat, err)
+			}
+			var lines []string
+			for _, line := range strings.SplitAfter(explained, "\n") {
+				if at := strings.Index(line, "  [calls="); at >= 0 {
+					lines = append(lines, line[:at])
+				}
+			}
+
+			tr := trace.New(1, "query")
+			if _, _, err := s.SearchContext(trace.NewContext(context.Background(), tr), q.Terms, k, strat); err != nil {
+				t.Fatalf("%s %v: %v", sh.name, strat, err)
+			}
+			root, _ := tr.Finish()
+			// A boolean search records one operator tree per segment under
+			// the root, segment 0's first; a ranked pass records each under
+			// its segment span.
+			parent := &root
+			if strat != BoolAND && strat != BoolOR {
+				parent = root.Find("pass.disjunctive").Find("segment")
+				if si, _ := parent.Attr("segment"); si.Val != 0 {
+					t.Fatalf("%s %v: ran segment %d first, want segment 0", sh.name, strat, si.Val)
+				}
+			}
+			var executed []string
+			var walk func(sp *trace.Span, depth int)
+			walk = func(sp *trace.Span, depth int) {
+				executed = append(executed, strings.Repeat("  ", depth)+sp.Name)
+				for i := range sp.Children {
+					walk(&sp.Children[i], depth+1)
+				}
+			}
+			for i := range parent.Children {
+				if parent.Children[i].Name != "plan.build" {
+					walk(&parent.Children[i], 0)
+					break
+				}
+			}
+			if len(lines) < 2 || !reflect.DeepEqual(lines, executed) {
+				t.Errorf("%s %v: explained plan\n%s\nis not the executed plan\n%s",
+					sh.name, strat, strings.Join(lines, "\n"), strings.Join(executed, "\n"))
+			}
+		}
 	}
 }
 

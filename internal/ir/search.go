@@ -267,10 +267,11 @@ func (s *Searcher) searchInner(terms []string, k int, strat Strategy, stats *Que
 		strat = resolved
 	}
 	switch strat {
-	case BoolAND:
-		return s.searchBooleanAll(terms, k, false)
-	case BoolOR:
-		return s.searchBooleanAll(terms, k, true)
+	case BoolAND, BoolOR:
+		if len(terms) == 0 {
+			return nil, nil
+		}
+		return s.searchBool(boolChain(terms, strat == BoolOR), k)
 	case BM25:
 		return s.searchRanked(terms, k, strat, false, stats)
 	case BM25T, BM25TC, BM25TCM, BM25TCMQ8:
@@ -278,30 +279,6 @@ func (s *Searcher) searchInner(terms []string, k int, strat Strategy, stats *Que
 	default:
 		return nil, fmt.Errorf("ir: unknown strategy %d", strat)
 	}
-}
-
-// searchBooleanAll evaluates unranked boolean retrieval across the segment
-// set. Segments cover ascending docid ranges, so collecting the first
-// matches segment by segment yields the global first-k in docid order; a
-// segment whose dictionary is missing a conjunction term contributes
-// nothing (none of its documents can contain the term) and is skipped.
-func (s *Searcher) searchBooleanAll(terms []string, k int, or bool) ([]Result, error) {
-	var results []Result
-	for _, sub := range s.subs {
-		if len(results) >= k {
-			break
-		}
-		infos, missing := sub.resolve(terms)
-		if len(infos) == 0 || (!or && missing) {
-			continue
-		}
-		res, err := sub.searchBoolean(infos, k-len(results), or)
-		if err != nil {
-			return nil, err
-		}
-		results = append(results, res...)
-	}
-	return results, nil
 }
 
 // searchRanked runs a ranked strategy over the segment set. With twoPass,
@@ -357,7 +334,7 @@ func (s *Searcher) rankedPass(terms []string, k int, strat Strategy, resolved in
 	defer s.tr.End(ps)
 	var all []Result
 	for si, sub := range s.subs {
-		infos, _ := sub.resolve(terms)
+		infos := sub.resolve(terms)
 		if len(infos) == 0 {
 			continue
 		}
@@ -380,20 +357,13 @@ func (s *Searcher) rankedPass(terms []string, k int, strat Strategy, resolved in
 		if detail {
 			c0 = sub.ix.Cache.Stats()
 		}
-		var res []Result
-		var err error
-		switch strat {
-		case BM25, BM25T:
-			res, err = sub.scoredPass(infos, k, false, inner, stats)
-		case BM25TC:
-			res, err = sub.scoredPass(infos, k, true, inner, stats)
-		case BM25TCM:
-			res, err = sub.materializedPass(infos, k, false, inner, stats)
-		case BM25TCMQ8:
-			res, err = sub.materializedPass(infos, k, true, inner, stats)
-		default:
-			return nil, fmt.Errorf("ir: unranked strategy %v in ranked pass", strat)
+		pb := s.tr.Begin("plan.build")
+		top, err := sub.rankedPlan(infos, k, strat, inner)
+		s.tr.End(pb)
+		if err != nil {
+			return nil, err
 		}
+		res, err := sub.drainTop(top, stats)
 		if err != nil {
 			return nil, err
 		}
@@ -411,110 +381,35 @@ func (s *Searcher) rankedPass(terms []string, k int, strat Strategy, resolved in
 	return all, nil
 }
 
-// resolve maps query terms to range-index entries, dropping unknown terms
-// and reporting whether any were missing.
-func (s *segSearcher) resolve(terms []string) ([]TermInfo, bool) {
+// resolve maps query terms to range-index entries, dropping unknown terms.
+func (s *segSearcher) resolve(terms []string) []TermInfo {
 	infos := make([]TermInfo, 0, len(terms))
-	missing := false
 	for _, t := range terms {
 		if ti, ok := s.ix.Terms[t]; ok {
 			infos = append(infos, ti)
-		} else {
-			missing = true
 		}
 	}
-	return infos, missing
-}
-
-// searchBoolean evaluates unranked boolean retrieval: a cascade of
-// MergeJoins (AND) or MergeOuterJoins (OR) over posting ranges, taking the
-// first k matches in docid order (there is no score to rank by — the
-// near-zero p@20 of the BoolAND/BoolOR rows in Table 2 is the point).
-func (s *segSearcher) searchBoolean(infos []TermInfo, k int, or bool) ([]Result, error) {
-	if len(infos) == 0 {
-		return nil, nil
-	}
-	op, err := s.combinedPlan(infos, or, planCols{doc: s.docCol(false)})
-	if err != nil {
-		return nil, err
-	}
-	if err := op.Open(s.ctx); err != nil {
-		return nil, err
-	}
-	defer op.Close()
-	docidIdx := op.Schema().MustIndex("docid")
-	var results []Result
-	for len(results) < k {
-		b, err := op.Next()
-		if err != nil {
-			return nil, err
-		}
-		if b == nil {
-			break
-		}
-		for i := 0; i < b.N && len(results) < k; i++ {
-			pos := i
-			if b.Sel != nil {
-				pos = int(b.Sel[i])
-			}
-			results = append(results, Result{DocID: b.Vecs[docidIdx].I64[pos]})
-		}
-	}
-	recordOps(s.tr, op)
-	return results, nil
-}
-
-// planCols names the physical columns a plan reads.
-type planCols struct {
-	doc   string
-	tf    string // empty when scores are pre-computed
-	score string // empty unless materialized
-}
-
-func (s *segSearcher) docCol(compressed bool) string {
-	if compressed {
-		return ColDocIDC
-	}
-	return ColDocID32
-}
-
-func (s *segSearcher) tfCol(compressed bool) string {
-	if compressed {
-		return ColTFC
-	}
-	return ColTF32
+	return infos
 }
 
 // combinedPlan builds the left-deep (outer-)join cascade over the posting
 // ranges of the query terms, producing schema [docid, v_0, ..., v_{n-1}]
-// where v_i is term i's tf or materialized score column (absent entirely
-// for boolean plans). After each join the docid is reconciled with
-// MAX(left, right), the paper's D.docid=MAX(TD1.docid, TD2.docid) trick —
-// for inner joins both sides agree, for outer joins the missing side reads
-// as zero and MAX picks the present one.
-func (s *segSearcher) combinedPlan(infos []TermInfo, outer bool, cols planCols) (engine.Operator, error) {
-	scanCols := []string{cols.doc}
-	val := ""
-	if cols.tf != "" {
-		scanCols = append(scanCols, cols.tf)
-		val = cols.tf
-	} else if cols.score != "" {
-		scanCols = append(scanCols, cols.score)
-		val = cols.score
-	}
-
+// where v_i is term i's val column (tf or a baked score) read beside the
+// doc column. After each join the docid is reconciled with MAX(left,
+// right), the paper's D.docid=MAX(TD1.docid, TD2.docid) trick — for inner
+// joins both sides agree, for outer joins the missing side reads as zero
+// and MAX picks the present one.
+func (s *segSearcher) combinedPlan(infos []TermInfo, outer bool, doc, val string) (engine.Operator, error) {
+	scanCols := []string{doc, val}
 	leaf := func(i int) (engine.Operator, error) {
 		scan, err := engine.NewRangeScan(s.ix.TD, scanCols, infos[i].Start, infos[i].End)
 		if err != nil {
 			return nil, err
 		}
-		projs := []engine.Projection{
-			{Name: "docid", Expr: engine.NewColRef(cols.doc)},
-		}
-		if val != "" {
-			projs = append(projs, engine.Projection{Name: vcol(i).v, Expr: engine.NewColRef(val)})
-		}
-		return engine.NewProject(scan, projs), nil
+		return engine.NewProject(scan, []engine.Projection{
+			{Name: "docid", Expr: engine.NewColRef(doc)},
+			{Name: vcol(i).v, Expr: engine.NewColRef(val)},
+		}), nil
 	}
 
 	plan, err := leaf(0)
@@ -537,12 +432,10 @@ func (s *segSearcher) combinedPlan(infos []TermInfo, outer bool, cols planCols) 
 			Expr: engine.NewArith(engine.Max,
 				engine.NewColRef("l.docid"), engine.NewColRef("r.docid")),
 		}}
-		if val != "" {
-			for j := 0; j < i; j++ {
-				projs = append(projs, engine.Projection{Name: vcol(j).v, Expr: engine.NewColRef(vcol(j).l)})
-			}
-			projs = append(projs, engine.Projection{Name: vcol(i).v, Expr: engine.NewColRef(vcol(i).r)})
+		for j := 0; j < i; j++ {
+			projs = append(projs, engine.Projection{Name: vcol(j).v, Expr: engine.NewColRef(vcol(j).l)})
 		}
+		projs = append(projs, engine.Projection{Name: vcol(i).v, Expr: engine.NewColRef(vcol(i).r)})
 		plan = engine.NewProject(join, projs)
 	}
 	return plan, nil
@@ -573,143 +466,96 @@ func vcol(i int) termCol {
 	return newTermCol(i)
 }
 
-// scoredPass is one pass of the unmaterialized ranked plan: (outer-)join
-// cascade over [docid, tf], document lengths fetched from the document
-// table, project the summed Okapi BM25 score, TopN. inner selects the
-// conjunctive (first-pass) shape.
-func (s *segSearcher) scoredPass(infos []TermInfo, k int, compressed, inner bool, stats *QueryStats) ([]Result, error) {
-	return s.joinedPass(infos, k, compressed, inner, stats, func(i int, ti TermInfo) engine.Expr {
-		return &engine.BM25{
-			TF:     engine.NewColRef(vcol(i).v),
-			DocLen: engine.NewColRef("d.len"),
-			Ftd:    float64(ti.Ftd),
-			Params: s.ix.Params,
-		}
-	})
-}
-
-// virtualPass is the stale-segment materialized pass: the plan reads tf
-// like the unmaterialized strategies, but each term's weight expression
-// reproduces — bitwise — the value a freshly baked score (or quantized
-// score) column would hold under the current collection statistics. A
-// segment whose baked columns predate the latest append thereby ranks
-// identically to one baked afterwards, which is what lets appends leave
-// existing segments untouched.
-func (s *segSearcher) virtualPass(infos []TermInfo, k int, quantized, inner bool, stats *QueryStats) ([]Result, error) {
-	return s.joinedPass(infos, k, true, inner, stats, func(i int, ti TermInfo) engine.Expr {
-		return &engine.BM25Stored{
-			TF:        engine.NewColRef(vcol(i).v),
-			DocLen:    engine.NewColRef("d.len"),
-			Ftd:       float64(ti.Ftd),
-			Params:    s.ix.Params,
-			Quantized: quantized,
-			Lo:        s.ix.ScoreLo,
-			Hi:        s.ix.ScoreHi,
-		}
-	})
-}
-
 // docLen is the document-table column a tf-reading plan fetches.
 var docLen = []string{"len"}
 
-// tfPlan is the tf-reading plan below the score projection: the join
-// cascade over [docid, tf] with each candidate's length fetched from the
-// document table by position — row docid - DocBase, since D is dense on
-// docid — as d.len. A query decodes only the strides of D.len its
-// candidates fall in, not the whole table.
-func (s *segSearcher) tfPlan(infos []TermInfo, compressed, outer bool) (engine.Operator, error) {
-	cols := planCols{doc: s.docCol(compressed), tf: s.tfCol(compressed)}
-	plan, err := s.combinedPlan(infos, outer, cols)
+// rankedPlan builds one segment's plan for one pass of a ranked strategy.
+// It is the only place a ranked plan is built: rankedPass drains the tree
+// it returns and ExplainPlan renders it. The plan is the join cascade over
+// the query terms' postings, the left-associated sum ((w0 + w1) + w2)...
+// of the per-term weights projected as score, and TopN(k) by score, then
+// docid. inner selects the conjunctive (first-pass) shape.
+//
+// A plan reads baked scores only on a freshly baked BM25TCM/BM25TCMQ8
+// segment; every other plan reads tf and fetches each candidate's length
+// from the document table by position — row docid - DocBase, since D is
+// dense on docid — as d.len, decoding only the strides of D.len its
+// candidates fall in. A virtual segment's baked columns predate the latest
+// append, so its BM25TCM/BM25TCMQ8 plan recomputes from tf, bit for bit,
+// the value a fresh bake would store (BM25Stored); it thereby ranks
+// identically to a segment baked afterwards, which is what lets appends
+// leave existing segments untouched.
+func (s *segSearcher) rankedPlan(infos []TermInfo, k int, strat Strategy, inner bool) (engine.Operator, error) {
+	if strat < BM25 || strat > BM25TCMQ8 {
+		return nil, fmt.Errorf("ir: unranked strategy %v in ranked plan", strat)
+	}
+	baked := strat >= BM25TCM && !s.virtual
+	doc, val := ColDocID32, ColTF32
+	switch {
+	case baked && strat == BM25TCMQ8:
+		doc, val = ColDocIDC, ColQScore
+	case baked:
+		doc, val = ColDocIDC, ColScore
+	case strat >= BM25TC:
+		doc, val = ColDocIDC, ColTFC
+	}
+	plan, err := s.combinedPlan(infos, !inner, doc, val)
 	if err != nil {
 		return nil, err
 	}
-	fetch, err := engine.NewFetchJoin(plan, "docid", s.ix.D, docLen, "d.", s.ix.DocBase())
-	if err != nil {
-		return nil, err
+	if !baked {
+		if plan, err = engine.NewFetchJoin(plan, "docid", s.ix.D, docLen, "d.", s.ix.DocBase()); err != nil {
+			return nil, err
+		}
 	}
-	return fetch, nil
-}
-
-// joinedPass executes the tf-reading ranked plan shape with a caller-chosen
-// per-term weight expression.
-func (s *segSearcher) joinedPass(infos []TermInfo, k int, compressed, inner bool, stats *QueryStats,
-	weight func(i int, ti TermInfo) engine.Expr) ([]Result, error) {
-	if len(infos) == 0 {
-		return nil, nil
-	}
-	pb := s.tr.Begin("plan.build")
-	joined, err := s.tfPlan(infos, compressed, !inner)
-	if err != nil {
-		s.tr.End(pb)
-		return nil, err
-	}
-
-	var scoreExpr engine.Expr
+	var score engine.Expr
 	for i, ti := range infos {
-		w := weight(i, ti)
-		if scoreExpr == nil {
-			scoreExpr = w
+		w := s.weight(i, ti, strat, baked)
+		if score == nil {
+			score = w
 		} else {
-			scoreExpr = engine.NewArith(engine.Add, scoreExpr, w)
-		}
-	}
-	proj := engine.NewProject(joined, []engine.Projection{
-		{Name: "docid", Expr: engine.NewColRef("docid")},
-		{Name: "score", Expr: scoreExpr},
-	})
-	top := engine.NewTopN(proj, k, []engine.OrderSpec{
-		{Col: "score", Desc: true},
-		{Col: "docid", Desc: false},
-	})
-	s.tr.End(pb)
-	return s.drainTop(top, stats)
-}
-
-// materializedPass is one pass of the BM25TCM/BM25TCMQ8 plan. Freshly
-// baked segments scan [docid, score] (or quantized score) ranges with no
-// document-table join at all — per-document statistics are baked into the
-// materialized column; stale segments route through virtualPass instead.
-func (s *segSearcher) materializedPass(infos []TermInfo, k int, quantized, inner bool, stats *QueryStats) ([]Result, error) {
-	if len(infos) == 0 {
-		return nil, nil
-	}
-	if s.virtual {
-		return s.virtualPass(infos, k, quantized, inner, stats)
-	}
-	pb := s.tr.Begin("plan.build")
-	cols := planCols{doc: s.docCol(true)}
-	if quantized {
-		cols.score = ColQScore
-	} else {
-		cols.score = ColScore
-	}
-	plan, err := s.combinedPlan(infos, !inner, cols)
-	if err != nil {
-		s.tr.End(pb)
-		return nil, err
-	}
-	var scoreExpr engine.Expr
-	for i := range infos {
-		var term engine.Expr = engine.NewColRef(vcol(i).v)
-		if quantized {
-			term = engine.NewToFloat(term)
-		}
-		if scoreExpr == nil {
-			scoreExpr = term
-		} else {
-			scoreExpr = engine.NewArith(engine.Add, scoreExpr, term)
+			score = engine.NewArith(engine.Add, score, w)
 		}
 	}
 	proj := engine.NewProject(plan, []engine.Projection{
 		{Name: "docid", Expr: engine.NewColRef("docid")},
-		{Name: "score", Expr: scoreExpr},
+		{Name: "score", Expr: score},
 	})
-	top := engine.NewTopN(proj, k, []engine.OrderSpec{
+	return engine.NewTopN(proj, k, []engine.OrderSpec{
 		{Col: "score", Desc: true},
 		{Col: "docid", Desc: false},
-	})
-	s.tr.End(pb)
-	return s.drainTop(top, stats)
+	}), nil
+}
+
+// weight is term i's contribution to a ranked plan's score: the baked
+// score (widened to float when quantized), or the Okapi BM25 weight of
+// its tf and the fetched document length — pushed through the baked
+// column's storage representation on a virtual segment.
+func (s *segSearcher) weight(i int, ti TermInfo, strat Strategy, baked bool) engine.Expr {
+	v := engine.NewColRef(vcol(i).v)
+	switch {
+	case baked && strat == BM25TCMQ8:
+		return engine.NewToFloat(v)
+	case baked:
+		return v
+	case strat >= BM25TCM:
+		return &engine.BM25Stored{
+			TF:        v,
+			DocLen:    engine.NewColRef("d.len"),
+			Ftd:       float64(ti.Ftd),
+			Params:    s.ix.Params,
+			Quantized: strat == BM25TCMQ8,
+			Lo:        s.ix.ScoreLo,
+			Hi:        s.ix.ScoreHi,
+		}
+	default:
+		return &engine.BM25{
+			TF:     v,
+			DocLen: engine.NewColRef("d.len"),
+			Ftd:    float64(ti.Ftd),
+			Params: s.ix.Params,
+		}
+	}
 }
 
 // drainTop executes a TopN plan and converts its output.
@@ -778,10 +624,12 @@ func recordOp(t *trace.Trace, parent trace.SpanID, op engine.Operator) {
 }
 
 // ExplainPlan builds (without executing) the plan for a query under a
-// strategy and returns its textual form — the demo's plan display. The
-// plan is Opened to bind expressions, then explained. For a multi-segment
-// snapshot the first segment's plan is shown (every segment runs the same
-// shape over its own ranges).
+// strategy and returns its textual form — the demo's plan display. It is
+// the tree the query runs, from the same builder: a ranked strategy's
+// disjunctive pass (rankedPlan), a boolean one's left-deep AND / OR chain
+// under its Limit (boolRoot). The plan is Opened to bind expressions, then
+// explained. For a multi-segment snapshot it shows the plan of the segment
+// explainSegment picks.
 func (s *Searcher) ExplainPlan(terms []string, k int, strat Strategy) (string, error) {
 	if strat == StrategyDefault {
 		resolved, err := s.snap.Resolve(strat)
@@ -790,50 +638,42 @@ func (s *Searcher) ExplainPlan(terms []string, k int, strat Strategy) (string, e
 		}
 		strat = resolved
 	}
-	// Explain against the first segment that knows any of the terms (new
-	// vocabulary may exist only in recently appended segments); every
-	// segment runs the same plan shape over its own ranges.
-	sub := s.subs[0]
-	infos, _ := sub.resolve(terms)
-	for _, cand := range s.subs[1:] {
-		if len(infos) > 0 {
-			break
-		}
-		sub = cand
-		infos, _ = sub.resolve(terms)
-	}
+	sub, infos := s.explainSegment(terms)
 	if len(infos) == 0 {
 		return "(empty plan: no known query terms)", nil
 	}
-	// Ranked strategies show the disjunctive scoring plan, the interesting
-	// one, as this segment runs it: a virtual segment scores the
-	// materialized strategies from tf, like BM25TC.
-	var op engine.Operator
+	var root engine.Operator
 	var err error
 	switch strat {
-	case BoolAND:
-		op, err = sub.combinedPlan(infos, false, planCols{doc: sub.docCol(false)})
-	case BoolOR:
-		op, err = sub.combinedPlan(infos, true, planCols{doc: sub.docCol(false)})
-	case BM25TCM, BM25TCMQ8:
-		if sub.virtual {
-			op, err = sub.tfPlan(infos, true, true)
-			break
-		}
-		cols := planCols{doc: sub.docCol(true), score: ColScore}
-		if strat == BM25TCMQ8 {
-			cols.score = ColQScore
-		}
-		op, err = sub.combinedPlan(infos, true, cols)
+	case BoolAND, BoolOR:
+		root, err = sub.boolRoot(boolChain(terms, strat == BoolOR), k)
 	default:
-		op, err = sub.tfPlan(infos, strat == BM25TC, true)
+		root, err = sub.rankedPlan(infos, k, strat, false)
 	}
 	if err != nil {
 		return "", err
 	}
-	if err := op.Open(s.ctx); err != nil {
+	return s.explain(root)
+}
+
+// explainSegment picks the segment whose plan an explain shows: the first
+// that knows any of the terms (new vocabulary may exist only in recently
+// appended segments), else the first segment. It returns the terms it
+// knows.
+func (s *Searcher) explainSegment(terms []string) (*segSearcher, []TermInfo) {
+	for _, sub := range s.subs {
+		if infos := sub.resolve(terms); len(infos) > 0 {
+			return sub, infos
+		}
+	}
+	return s.subs[0], nil
+}
+
+// explain opens a plan to bind its expressions, renders it and closes it.
+func (s *Searcher) explain(root engine.Operator) (string, error) {
+	if err := root.Open(s.ctx); err != nil {
 		return "", err
 	}
-	defer op.Close()
-	return engine.Explain(op), nil
+	defer root.Close()
+	return engine.Explain(root), nil
 }

@@ -1,125 +1,9 @@
 package primitives
 
-// Aggregation primitives update per-group accumulators. Two shapes exist:
-//
-//   - Direct variants (no group column) fold a vector into a single
-//     accumulator and return the new value; the engine uses them for
-//     ungrouped aggregates.
-//   - Grouped variants take a gids vector holding, for each active tuple,
-//     the index of its group's accumulator slot; they are the inner loop of
-//     the hash-aggregation operator (Figure 1's "hash table maintenance"
-//     plus aggr_sum_flt_col).
-
-// --- direct ---
-
-// AggrSumFloat64Col returns acc plus the sum of the active values of a.
-func AggrSumFloat64Col(acc float64, a []float64, sel []int32, n int) float64 {
-	if sel == nil {
-		for i := 0; i < n; i++ {
-			acc += a[i]
-		}
-	} else {
-		for i := 0; i < n; i++ {
-			acc += a[sel[i]]
-		}
-	}
-	return acc
-}
-
-// AggrSumInt64Col returns acc plus the sum of the active values of a.
-func AggrSumInt64Col(acc int64, a []int64, sel []int32, n int) int64 {
-	if sel == nil {
-		for i := 0; i < n; i++ {
-			acc += a[i]
-		}
-	} else {
-		for i := 0; i < n; i++ {
-			acc += a[sel[i]]
-		}
-	}
-	return acc
-}
-
-// AggrCount returns acc plus the number of active tuples.
-func AggrCount(acc int64, n int) int64 { return acc + int64(n) }
-
-// AggrMinInt64Col returns the minimum of acc and the active values of a.
-func AggrMinInt64Col(acc int64, a []int64, sel []int32, n int) int64 {
-	if sel == nil {
-		for i := 0; i < n; i++ {
-			if a[i] < acc {
-				acc = a[i]
-			}
-		}
-	} else {
-		for i := 0; i < n; i++ {
-			v := a[sel[i]]
-			if v < acc {
-				acc = v
-			}
-		}
-	}
-	return acc
-}
-
-// AggrMaxInt64Col returns the maximum of acc and the active values of a.
-func AggrMaxInt64Col(acc int64, a []int64, sel []int32, n int) int64 {
-	if sel == nil {
-		for i := 0; i < n; i++ {
-			if a[i] > acc {
-				acc = a[i]
-			}
-		}
-	} else {
-		for i := 0; i < n; i++ {
-			v := a[sel[i]]
-			if v > acc {
-				acc = v
-			}
-		}
-	}
-	return acc
-}
-
-// AggrMaxFloat64Col returns the maximum of acc and the active values of a.
-func AggrMaxFloat64Col(acc float64, a []float64, sel []int32, n int) float64 {
-	if sel == nil {
-		for i := 0; i < n; i++ {
-			if a[i] > acc {
-				acc = a[i]
-			}
-		}
-	} else {
-		for i := 0; i < n; i++ {
-			v := a[sel[i]]
-			if v > acc {
-				acc = v
-			}
-		}
-	}
-	return acc
-}
-
-// AggrMinFloat64Col returns the minimum of acc and the active values of a.
-func AggrMinFloat64Col(acc float64, a []float64, sel []int32, n int) float64 {
-	if sel == nil {
-		for i := 0; i < n; i++ {
-			if a[i] < acc {
-				acc = a[i]
-			}
-		}
-	} else {
-		for i := 0; i < n; i++ {
-			v := a[sel[i]]
-			if v < acc {
-				acc = v
-			}
-		}
-	}
-	return acc
-}
-
-// --- grouped ---
+// Aggregation primitives update per-group accumulators. They take a gids
+// vector holding, for each active tuple, the index of its group's
+// accumulator slot; they are the inner loop of the hash-aggregation
+// operator (Figure 1's "hash table maintenance" plus aggr_sum_flt_col).
 
 // AggrSumFloat64ColGrouped adds each active value of a into
 // accs[gids[pos]]. gids is aligned with a (indexed by position, like any

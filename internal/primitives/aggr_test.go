@@ -5,50 +5,6 @@ import (
 	"testing"
 )
 
-func TestAggrDirect(t *testing.T) {
-	f := []float64{1.5, 2.5, 3.0}
-	if got := AggrSumFloat64Col(10, f, nil, 3); got != 17 {
-		t.Errorf("sum flt = %v", got)
-	}
-	if got := AggrSumFloat64Col(0, f, []int32{0, 2}, 2); got != 4.5 {
-		t.Errorf("sum flt selective = %v", got)
-	}
-	i := []int64{4, -2, 9}
-	if got := AggrSumInt64Col(1, i, nil, 3); got != 12 {
-		t.Errorf("sum int = %v", got)
-	}
-	if got := AggrSumInt64Col(0, i, []int32{1}, 1); got != -2 {
-		t.Errorf("sum int selective = %v", got)
-	}
-	if got := AggrCount(5, 7); got != 12 {
-		t.Errorf("count = %v", got)
-	}
-	if got := AggrMinInt64Col(100, i, nil, 3); got != -2 {
-		t.Errorf("min int = %v", got)
-	}
-	if got := AggrMaxInt64Col(-100, i, nil, 3); got != 9 {
-		t.Errorf("max int = %v", got)
-	}
-	if got := AggrMinInt64Col(100, i, []int32{0, 2}, 2); got != 4 {
-		t.Errorf("min int selective = %v", got)
-	}
-	if got := AggrMaxInt64Col(-100, i, []int32{1}, 1); got != -2 {
-		t.Errorf("max int selective = %v", got)
-	}
-	if got := AggrMaxFloat64Col(0, f, nil, 3); got != 3.0 {
-		t.Errorf("max flt = %v", got)
-	}
-	if got := AggrMinFloat64Col(99, f, nil, 3); got != 1.5 {
-		t.Errorf("min flt = %v", got)
-	}
-	if got := AggrMaxFloat64Col(0, f, []int32{0}, 1); got != 1.5 {
-		t.Errorf("max flt selective = %v", got)
-	}
-	if got := AggrMinFloat64Col(99, f, []int32{2}, 1); got != 3.0 {
-		t.Errorf("min flt selective = %v", got)
-	}
-}
-
 func TestAggrGrouped(t *testing.T) {
 	vals := []float64{1, 2, 3, 4}
 	gids := []int32{0, 1, 0, 1}
@@ -106,90 +62,5 @@ func TestAggrGrouped(t *testing.T) {
 	AggrMinInt64ColGrouped(imin, ivals, gids, []int32{2, 3}, 2)
 	if !reflect.DeepEqual(imin, []int64{30, 40}) {
 		t.Errorf("grouped min int selective: %v", imin)
-	}
-}
-
-func TestHashPrimitives(t *testing.T) {
-	a := []int64{1, 2, 1}
-	h := make([]uint64, 3)
-	MapHashInt64Col(h, a, nil, 3)
-	if h[0] != h[2] {
-		t.Error("equal keys must hash equal")
-	}
-	if h[0] == h[1] {
-		t.Error("different keys should hash differently (splitmix64 is injective on 64 bits)")
-	}
-
-	s := []string{"info", "retrieval", "info"}
-	hs := make([]uint64, 3)
-	MapHashStrCol(hs, s, nil, 3)
-	if hs[0] != hs[2] || hs[0] == hs[1] {
-		t.Errorf("str hash: %v", hs)
-	}
-
-	// Rehash must depend on both columns.
-	h1 := make([]uint64, 2)
-	MapHashInt64Col(h1, []int64{7, 7}, nil, 2)
-	MapRehashInt64Col(h1, []int64{1, 2}, nil, 2)
-	if h1[0] == h1[1] {
-		t.Error("rehash ignored second column")
-	}
-	hr := make([]uint64, 2)
-	MapHashStrCol(hr, []string{"x", "x"}, nil, 2)
-	MapRehashStrCol(hr, []string{"a", "b"}, nil, 2)
-	if hr[0] == hr[1] {
-		t.Error("str rehash ignored second column")
-	}
-
-	// Buckets stay within the mask.
-	buckets := make([]int32, 3)
-	MapBucketFromHash(buckets, h, 7, nil, 3)
-	for _, b := range buckets {
-		if b < 0 || b > 7 {
-			t.Errorf("bucket %d out of range", b)
-		}
-	}
-
-	// Selective variants leave unselected positions untouched.
-	h2 := []uint64{111, 222}
-	MapHashInt64Col(h2, []int64{5, 6}, []int32{1}, 1)
-	if h2[0] != 111 {
-		t.Error("selective hash touched unselected position")
-	}
-	hsel := []uint64{1, 1}
-	MapHashStrCol(hsel, []string{"p", "q"}, []int32{0}, 1)
-	if hsel[1] != 1 {
-		t.Error("selective str hash touched unselected position")
-	}
-	MapRehashInt64Col(h2, []int64{9, 9}, []int32{0}, 1)
-	MapRehashStrCol(hsel, []string{"z", "z"}, []int32{1}, 1)
-	b2 := []int32{-1, -1}
-	MapBucketFromHash(b2, h2, 3, []int32{1}, 1)
-	if b2[0] != -1 {
-		t.Error("selective bucket touched unselected position")
-	}
-}
-
-func TestRegistry(t *testing.T) {
-	if len(Catalog) < 40 {
-		t.Errorf("catalog unexpectedly small: %d", len(Catalog))
-	}
-	seen := map[string]bool{}
-	for _, in := range Catalog {
-		if seen[in.Name] {
-			t.Errorf("duplicate primitive name %q", in.Name)
-		}
-		seen[in.Name] = true
-		switch in.Kind {
-		case "select", "map", "aggr", "hash":
-		default:
-			t.Errorf("primitive %q has unknown kind %q", in.Name, in.Kind)
-		}
-	}
-	if in, ok := Lookup("aggr_sum_flt_col"); !ok || in.Go != "AggrSumFloat64Col" {
-		t.Errorf("Lookup(aggr_sum_flt_col) = %+v, %v", in, ok)
-	}
-	if _, ok := Lookup("no_such_primitive"); ok {
-		t.Error("Lookup of unknown name succeeded")
 	}
 }

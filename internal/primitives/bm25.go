@@ -59,28 +59,6 @@ func MapBM25TfLenCol(res []float64, tf, doclen []int64, ftd float64, p BM25Param
 	}
 }
 
-// MapBM25U8TfLenCol is MapBM25TfLenCol over uint8 term frequencies, the
-// shape produced when tf columns are stored PFOR-compressed with 8-bit
-// codewords and decoded straight into a narrow vector.
-func MapBM25U8TfLenCol(res []float64, tf []uint8, doclen []int64, ftd float64, p BM25Params, sel []int32, n int) {
-	idf := math.Log(p.NumDocs / ftd)
-	c0 := p.K1 * (1 - p.B)
-	c1 := p.K1 * p.B / p.AvgDocLn
-	num := p.K1 + 1
-	if sel == nil {
-		for i := 0; i < n; i++ {
-			f := float64(tf[i])
-			res[i] = idf * (num * f) / (f + c0 + c1*float64(doclen[i]))
-		}
-	} else {
-		for i := 0; i < n; i++ {
-			s := sel[i]
-			f := float64(tf[s])
-			res[s] = idf * (num * f) / (f + c0 + c1*float64(doclen[s]))
-		}
-	}
-}
-
 // MapBM25MatTfLenCol computes res[i] = float64(float32(w(D,T))) — the Okapi
 // weight pushed through the float32 storage representation of a
 // materialized score column. This is the *virtual materialization* kernel:
@@ -190,23 +168,6 @@ func QuantizeGlobalByValue(res []uint8, w []float64, lo, hi float64, q int, sel 
 				c = 255
 			}
 			res[s] = uint8(c)
-		}
-	}
-}
-
-// DequantizeGlobalByValue maps quantized codes back to the midpoint of
-// their bucket, the standard reconstruction for ranking with quantized
-// scores. Ordering of codes is preserved, which is all top-N needs.
-func DequantizeGlobalByValue(res []float64, w []uint8, lo, hi float64, q int, sel []int32, n int) {
-	step := (hi - lo + 1e-9) / float64(q)
-	if sel == nil {
-		for i := 0; i < n; i++ {
-			res[i] = lo + (float64(w[i])-0.5)*step
-		}
-	} else {
-		for i := 0; i < n; i++ {
-			s := sel[i]
-			res[s] = lo + (float64(w[s])-0.5)*step
 		}
 	}
 }

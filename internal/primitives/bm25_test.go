@@ -69,34 +69,6 @@ func TestMapBM25MatchesScalar(t *testing.T) {
 	}
 }
 
-func TestMapBM25U8MatchesInt64(t *testing.T) {
-	n := 100
-	tf8 := make([]uint8, n)
-	tf64 := make([]int64, n)
-	doclen := make([]int64, n)
-	rng := rand.New(rand.NewSource(1))
-	for i := 0; i < n; i++ {
-		tf8[i] = uint8(1 + rng.Intn(200))
-		tf64[i] = int64(tf8[i])
-		doclen[i] = 100 + int64(rng.Intn(900))
-	}
-	a := make([]float64, n)
-	b := make([]float64, n)
-	MapBM25U8TfLenCol(a, tf8, doclen, 1000, testParams, nil, n)
-	MapBM25TfLenCol(b, tf64, doclen, 1000, testParams, nil, n)
-	for i := range a {
-		if a[i] != b[i] {
-			t.Fatalf("u8 and int64 BM25 disagree at %d: %v vs %v", i, a[i], b[i])
-		}
-	}
-	// Selective u8 variant.
-	c := make([]float64, n)
-	MapBM25U8TfLenCol(c, tf8, doclen, 1000, testParams, []int32{3}, 1)
-	if c[3] != a[3] {
-		t.Error("selective u8 BM25 wrong")
-	}
-}
-
 func TestQuantizeGlobalByValue(t *testing.T) {
 	w := []float64{0, 2.5, 5, 7.5, 10}
 	res := make([]uint8, 5)
@@ -150,26 +122,6 @@ func TestQuantizationOrderPreservingProperty(t *testing.T) {
 					trial, w[idx[i]], codes[idx[i]], w[idx[i-1]], codes[idx[i-1]])
 			}
 		}
-	}
-}
-
-func TestDequantizeMidpoint(t *testing.T) {
-	w := []float64{1, 5, 9}
-	codes := make([]uint8, 3)
-	QuantizeGlobalByValue(codes, w, 1, 9, 256, nil, 3)
-	back := make([]float64, 3)
-	DequantizeGlobalByValue(back, codes, 1, 9, 256, nil, 3)
-	// Tolerance is two bucket widths: code 256 saturates to 255, making the
-	// top bucket twice as wide as the rest.
-	for i := range w {
-		if math.Abs(back[i]-w[i]) > 2*(9-1)/256.0 {
-			t.Errorf("dequantized %v too far from %v", back[i], w[i])
-		}
-	}
-	sel := []float64{-1, -1, -1}
-	DequantizeGlobalByValue(sel, codes, 1, 9, 256, []int32{1}, 1)
-	if sel[0] != -1 || math.Abs(sel[1]-w[1]) > 8/256.0 {
-		t.Errorf("selective dequantize: %v", sel)
 	}
 }
 

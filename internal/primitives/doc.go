@@ -1,7 +1,7 @@
 // Package primitives implements the vectorized kernels that do all data
 // processing in the X100-style engine: map_* value transformations,
-// select_* predicate evaluation producing selection vectors, aggr_*
-// aggregation updates, and hash_* hashing for hash-based operators.
+// select_* predicate evaluation producing selection vectors, and aggr_*
+// aggregation updates.
 //
 // Design rules, following Boncz et al. (CIDR 2005) and Héman et al.
 // (CIDR 2007):
@@ -16,8 +16,7 @@
 //     selection vectors (lists of qualifying positions).
 //   - Naming mirrors the paper: select_lt_int64_col_val is "select tuples
 //     where an int64 column is less than a constant". Go exports these as
-//     SelectLTInt64ColVal, etc. The Name registry maps the Go functions
-//     back to their X100-style names for annotated query plans.
+//     SelectLTInt64ColVal, etc.
 //
 // The amortization argument: a per-tuple interpreted engine pays
 // interpretation overhead (virtual calls, branch mispredictions) per value;

@@ -8,8 +8,8 @@ import "math"
 // its inputs); dense variants process 0..n-1.
 //
 // Following the X100 naming convention, the suffix encodes the argument
-// shapes: Col is a vector argument, Val a constant. For example
-// MapMulFloat64ValCol is "multiply a constant by a float64 column".
+// shapes: Col is a vector argument. For example MapMulFloat64ColCol is
+// "multiply two float64 columns".
 
 // --- float64 arithmetic, col (+|-|*|/) col ---
 
@@ -70,79 +70,6 @@ func MapDivFloat64ColCol(res, a, b []float64, sel []int32, n int) {
 	}
 }
 
-// --- float64 arithmetic, col vs val ---
-
-// MapAddFloat64ColVal computes res[i] = a[i] + v.
-func MapAddFloat64ColVal(res, a []float64, v float64, sel []int32, n int) {
-	if sel == nil {
-		for i := 0; i < n; i++ {
-			res[i] = a[i] + v
-		}
-	} else {
-		for i := 0; i < n; i++ {
-			s := sel[i]
-			res[s] = a[s] + v
-		}
-	}
-}
-
-// MapSubFloat64ColVal computes res[i] = a[i] - v.
-func MapSubFloat64ColVal(res, a []float64, v float64, sel []int32, n int) {
-	if sel == nil {
-		for i := 0; i < n; i++ {
-			res[i] = a[i] - v
-		}
-	} else {
-		for i := 0; i < n; i++ {
-			s := sel[i]
-			res[s] = a[s] - v
-		}
-	}
-}
-
-// MapMulFloat64ColVal computes res[i] = a[i] * v (the paper's
-// map_mul_flt_val_flt_col with arguments flipped; multiplication commutes).
-func MapMulFloat64ColVal(res, a []float64, v float64, sel []int32, n int) {
-	if sel == nil {
-		for i := 0; i < n; i++ {
-			res[i] = a[i] * v
-		}
-	} else {
-		for i := 0; i < n; i++ {
-			s := sel[i]
-			res[s] = a[s] * v
-		}
-	}
-}
-
-// MapDivFloat64ColVal computes res[i] = a[i] / v.
-func MapDivFloat64ColVal(res, a []float64, v float64, sel []int32, n int) {
-	if sel == nil {
-		for i := 0; i < n; i++ {
-			res[i] = a[i] / v
-		}
-	} else {
-		for i := 0; i < n; i++ {
-			s := sel[i]
-			res[s] = a[s] / v
-		}
-	}
-}
-
-// MapDivFloat64ValCol computes res[i] = v / a[i].
-func MapDivFloat64ValCol(res []float64, v float64, a []float64, sel []int32, n int) {
-	if sel == nil {
-		for i := 0; i < n; i++ {
-			res[i] = v / a[i]
-		}
-	} else {
-		for i := 0; i < n; i++ {
-			s := sel[i]
-			res[s] = v / a[s]
-		}
-	}
-}
-
 // --- int64 arithmetic ---
 
 // MapAddInt64ColCol computes res[i] = a[i] + b[i].
@@ -183,34 +110,6 @@ func MapMulInt64ColCol(res, a, b []int64, sel []int32, n int) {
 		for i := 0; i < n; i++ {
 			s := sel[i]
 			res[s] = a[s] * b[s]
-		}
-	}
-}
-
-// MapAddInt64ColVal computes res[i] = a[i] + v.
-func MapAddInt64ColVal(res, a []int64, v int64, sel []int32, n int) {
-	if sel == nil {
-		for i := 0; i < n; i++ {
-			res[i] = a[i] + v
-		}
-	} else {
-		for i := 0; i < n; i++ {
-			s := sel[i]
-			res[s] = a[s] + v
-		}
-	}
-}
-
-// MapMulInt64ColVal computes res[i] = a[i] * v.
-func MapMulInt64ColVal(res, a []int64, v int64, sel []int32, n int) {
-	if sel == nil {
-		for i := 0; i < n; i++ {
-			res[i] = a[i] * v
-		}
-	} else {
-		for i := 0; i < n; i++ {
-			s := sel[i]
-			res[s] = a[s] * v
 		}
 	}
 }
@@ -293,20 +192,6 @@ func MapInt64ToFloat64(res []float64, a []int64, sel []int32, n int) {
 	}
 }
 
-// MapInt32ToInt64 widens an int32 column to int64.
-func MapInt32ToInt64(res []int64, a []int32, sel []int32, n int) {
-	if sel == nil {
-		for i := 0; i < n; i++ {
-			res[i] = int64(a[i])
-		}
-	} else {
-		for i := 0; i < n; i++ {
-			s := sel[i]
-			res[s] = int64(a[s])
-		}
-	}
-}
-
 // MapUInt8ToFloat64 widens a quantized uint8 score column to float64.
 func MapUInt8ToFloat64(res []float64, a []uint8, sel []int32, n int) {
 	if sel == nil {
@@ -319,43 +204,4 @@ func MapUInt8ToFloat64(res []float64, a []uint8, sel []int32, n int) {
 			res[s] = float64(a[s])
 		}
 	}
-}
-
-// MapUInt8ToInt64 widens a uint8 column to int64.
-func MapUInt8ToInt64(res []int64, a []uint8, sel []int32, n int) {
-	if sel == nil {
-		for i := 0; i < n; i++ {
-			res[i] = int64(a[i])
-		}
-	} else {
-		for i := 0; i < n; i++ {
-			s := sel[i]
-			res[s] = int64(a[s])
-		}
-	}
-}
-
-// MapFloat64ToUInt8 narrows float64 to uint8 with saturation; the score
-// quantization write path uses it.
-func MapFloat64ToUInt8(res []uint8, a []float64, sel []int32, n int) {
-	if sel == nil {
-		for i := 0; i < n; i++ {
-			res[i] = satU8(a[i])
-		}
-	} else {
-		for i := 0; i < n; i++ {
-			s := sel[i]
-			res[s] = satU8(a[s])
-		}
-	}
-}
-
-func satU8(x float64) uint8 {
-	if x < 0 {
-		return 0
-	}
-	if x > 255 {
-		return 255
-	}
-	return uint8(x)
 }

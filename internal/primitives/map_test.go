@@ -43,41 +43,6 @@ func TestMapFloat64Selective(t *testing.T) {
 	}
 }
 
-func TestMapFloat64ColVal(t *testing.T) {
-	a := []float64{1, 2, 3}
-	res := make([]float64, 3)
-	MapAddFloat64ColVal(res, a, 10, nil, 3)
-	if !reflect.DeepEqual(res, []float64{11, 12, 13}) {
-		t.Errorf("add val: %v", res)
-	}
-	MapSubFloat64ColVal(res, a, 1, nil, 3)
-	if !reflect.DeepEqual(res, []float64{0, 1, 2}) {
-		t.Errorf("sub val: %v", res)
-	}
-	MapMulFloat64ColVal(res, a, 2, nil, 3)
-	if !reflect.DeepEqual(res, []float64{2, 4, 6}) {
-		t.Errorf("mul val: %v", res)
-	}
-	MapDivFloat64ColVal(res, a, 2, nil, 3)
-	if !reflect.DeepEqual(res, []float64{0.5, 1, 1.5}) {
-		t.Errorf("div val: %v", res)
-	}
-	MapDivFloat64ValCol(res, 6, a, nil, 3)
-	if !reflect.DeepEqual(res, []float64{6, 3, 2}) {
-		t.Errorf("val div col: %v", res)
-	}
-	// Selective variants.
-	res = []float64{-1, -1, -1}
-	MapMulFloat64ColVal(res, a, 2, []int32{2}, 1)
-	if res[0] != -1 || res[2] != 6 {
-		t.Errorf("selective mul val: %v", res)
-	}
-	MapDivFloat64ValCol(res, 6, a, []int32{0}, 1)
-	if res[0] != 6 {
-		t.Errorf("selective val div col: %v", res)
-	}
-}
-
 func TestMapInt64(t *testing.T) {
 	a := []int64{1, 2, 3}
 	b := []int64{7, 5, 3}
@@ -93,14 +58,6 @@ func TestMapInt64(t *testing.T) {
 	MapMulInt64ColCol(res, a, b, nil, 3)
 	if !reflect.DeepEqual(res, []int64{7, 10, 9}) {
 		t.Errorf("mul: %v", res)
-	}
-	MapAddInt64ColVal(res, a, 100, nil, 3)
-	if !reflect.DeepEqual(res, []int64{101, 102, 103}) {
-		t.Errorf("add val: %v", res)
-	}
-	MapMulInt64ColVal(res, a, -2, nil, 3)
-	if !reflect.DeepEqual(res, []int64{-2, -4, -6}) {
-		t.Errorf("mul val: %v", res)
 	}
 	MapMaxInt64ColCol(res, a, b, nil, 3)
 	if !reflect.DeepEqual(res, []int64{7, 5, 3}) {
@@ -144,23 +101,9 @@ func TestMapConversions(t *testing.T) {
 	if !reflect.DeepEqual(f, []float64{1, -2, 3}) {
 		t.Errorf("int->flt: %v", f)
 	}
-	i64 := make([]int64, 2)
-	MapInt32ToInt64(i64, []int32{-5, 6}, nil, 2)
-	if !reflect.DeepEqual(i64, []int64{-5, 6}) {
-		t.Errorf("i32->i64: %v", i64)
-	}
 	MapUInt8ToFloat64(f[:2], []uint8{0, 255}, nil, 2)
 	if f[0] != 0 || f[1] != 255 {
 		t.Errorf("u8->flt: %v", f[:2])
-	}
-	MapUInt8ToInt64(i64, []uint8{3, 200}, nil, 2)
-	if !reflect.DeepEqual(i64, []int64{3, 200}) {
-		t.Errorf("u8->i64: %v", i64)
-	}
-	u8 := make([]uint8, 4)
-	MapFloat64ToUInt8(u8, []float64{-3, 0.7, 200.2, 999}, nil, 4)
-	if !reflect.DeepEqual(u8, []uint8{0, 0, 200, 255}) {
-		t.Errorf("flt->u8 saturating: %v", u8)
 	}
 	// Selective conversion variants.
 	f3 := []float64{-1, -1, -1}
@@ -168,23 +111,9 @@ func TestMapConversions(t *testing.T) {
 	if f3[0] != -1 || f3[1] != 8 {
 		t.Errorf("selective int->flt: %v", f3)
 	}
-	u83 := []uint8{9, 9}
-	MapFloat64ToUInt8(u83, []float64{1, 300}, []int32{1}, 1)
-	if u83[0] != 9 || u83[1] != 255 {
-		t.Errorf("selective flt->u8: %v", u83)
-	}
-	i643 := []int64{0, 0}
-	MapUInt8ToInt64(i643, []uint8{1, 2}, []int32{0}, 1)
-	if i643[0] != 1 {
-		t.Errorf("selective u8->i64: %v", i643)
-	}
 	MapUInt8ToFloat64(f3, []uint8{5, 6, 7}, []int32{2}, 1)
 	if f3[2] != 7 {
 		t.Errorf("selective u8->flt: %v", f3)
-	}
-	MapInt32ToInt64(i643, []int32{5, 6}, []int32{1}, 1)
-	if i643[1] != 6 {
-		t.Errorf("selective i32->i64: %v", i643)
 	}
 }
 

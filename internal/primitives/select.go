@@ -151,44 +151,6 @@ func SelectBetweenInt64ColValVal(res []int32, col []int64, lo, hi int64, sel []i
 	return k
 }
 
-// --- int64 column vs column ---
-
-// SelectEQInt64ColCol emits positions where a[i] == b[i].
-func SelectEQInt64ColCol(res []int32, a, b []int64, sel []int32, n int) int {
-	k := 0
-	if sel == nil {
-		for i := 0; i < n; i++ {
-			res[k] = int32(i)
-			k += b2i(a[i] == b[i])
-		}
-	} else {
-		for i := 0; i < n; i++ {
-			s := sel[i]
-			res[k] = s
-			k += b2i(a[s] == b[s])
-		}
-	}
-	return k
-}
-
-// SelectLTInt64ColCol emits positions where a[i] < b[i].
-func SelectLTInt64ColCol(res []int32, a, b []int64, sel []int32, n int) int {
-	k := 0
-	if sel == nil {
-		for i := 0; i < n; i++ {
-			res[k] = int32(i)
-			k += b2i(a[i] < b[i])
-		}
-	} else {
-		for i := 0; i < n; i++ {
-			s := sel[i]
-			res[k] = s
-			k += b2i(a[s] < b[s])
-		}
-	}
-	return k
-}
-
 // --- float64 ---
 
 // SelectGTFloat64ColVal emits positions where col[i] > val.
@@ -249,27 +211,6 @@ func SelectEQStrColVal(res []int32, col []string, val string, sel []int32, n int
 				res[k] = s
 				k++
 			}
-		}
-	}
-	return k
-}
-
-// --- bool column ---
-
-// SelectTrueBoolCol emits positions where col[i] is true; used to turn a
-// computed boolean column into a selection vector.
-func SelectTrueBoolCol(res []int32, col []bool, sel []int32, n int) int {
-	k := 0
-	if sel == nil {
-		for i := 0; i < n; i++ {
-			res[k] = int32(i)
-			k += b2i(col[i])
-		}
-	} else {
-		for i := 0; i < n; i++ {
-			s := sel[i]
-			res[k] = s
-			k += b2i(col[s])
 		}
 	}
 	return k

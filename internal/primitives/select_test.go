@@ -81,24 +81,6 @@ func TestSelectBetween(t *testing.T) {
 	}
 }
 
-func TestSelectColCol(t *testing.T) {
-	a := []int64{1, 2, 3, 4}
-	b := []int64{1, 3, 3, 2}
-	res := make([]int32, 4)
-	k := SelectEQInt64ColCol(res, a, b, nil, 4)
-	if !reflect.DeepEqual(res[:k], []int32{0, 2}) {
-		t.Errorf("eq colcol: %v", res[:k])
-	}
-	k = SelectLTInt64ColCol(res, a, b, nil, 4)
-	if !reflect.DeepEqual(res[:k], []int32{1}) {
-		t.Errorf("lt colcol: %v", res[:k])
-	}
-	k = SelectEQInt64ColCol(res, a, b, []int32{2, 3}, 2)
-	if !reflect.DeepEqual(res[:k], []int32{2}) {
-		t.Errorf("eq colcol selective: %v", res[:k])
-	}
-}
-
 func TestSelectFloat64(t *testing.T) {
 	col := []float64{0.5, 2.5, 1.5, 3.5}
 	res := make([]int32, 4)
@@ -130,19 +112,6 @@ func TestSelectStr(t *testing.T) {
 	k = SelectEQStrColVal(res, col, "info", []int32{1, 2, 3}, 3)
 	if !reflect.DeepEqual(res[:k], []int32{2}) {
 		t.Errorf("eq str selective: %v", res[:k])
-	}
-}
-
-func TestSelectTrueBool(t *testing.T) {
-	col := []bool{true, false, true, true, false}
-	res := make([]int32, 5)
-	k := SelectTrueBoolCol(res, col, nil, 5)
-	if !reflect.DeepEqual(res[:k], []int32{0, 2, 3}) {
-		t.Errorf("true bool: %v", res[:k])
-	}
-	k = SelectTrueBoolCol(res, col, []int32{1, 3}, 2)
-	if !reflect.DeepEqual(res[:k], []int32{3}) {
-		t.Errorf("true bool selective: %v", res[:k])
 	}
 }
 

@@ -6,29 +6,9 @@ import (
 	"strconv"
 	"strings"
 	"sync"
-	"time"
 
 	"repro/internal/ir"
 )
-
-// CachePolicy selects how the result cache evicts.
-type CachePolicy int
-
-const (
-	// CachePolicyLRU evicts the least-recently-used entry (the default).
-	CachePolicyLRU CachePolicy = iota
-	// CachePolicyCost evicts the *cheapest-to-recompute* entry among the
-	// least-recently-used tail: each entry is weighted by the wall time
-	// of the execution that populated it, so one hit on an expensive
-	// entry saves more than many hits on cheap ones.
-	CachePolicyCost
-)
-
-// costSample bounds the cost-aware eviction scan: the victim is the
-// cheapest of the costSample least-recently-used entries, an O(1)
-// approximation of cost-weighted LRU (scanning the whole cache per
-// eviction would turn every put into O(n)).
-const costSample = 8
 
 // ResultCacheStats reports the result cache counters: lookups served
 // from the cache (without acquiring a searcher), lookups that went to the
@@ -53,7 +33,6 @@ func (s ResultCacheStats) HitRate() float64 {
 type resultCache struct {
 	mu      sync.Mutex
 	cap     int
-	policy  CachePolicy
 	entries map[string]*list.Element
 	lru     *list.List // front = most recent
 
@@ -63,15 +42,11 @@ type resultCache struct {
 type cacheEntry struct {
 	key  string
 	resp Response
-	// cost is the wall time of the execution that populated the entry —
-	// what a future hit saves, and what CachePolicyCost evicts by.
-	cost time.Duration
 }
 
-func newResultCache(entries int, policy CachePolicy) *resultCache {
+func newResultCache(entries int) *resultCache {
 	return &resultCache{
 		cap:     entries,
-		policy:  policy,
 		entries: make(map[string]*list.Element),
 		lru:     list.New(),
 	}
@@ -129,39 +104,16 @@ func (c *resultCache) put(key string, resp Response) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if el, ok := c.entries[key]; ok {
-		ent := el.Value.(*cacheEntry)
-		ent.resp, ent.cost = resp, resp.Stats.Wall
+		el.Value.(*cacheEntry).resp = resp
 		c.lru.MoveToFront(el)
 		return
 	}
-	c.entries[key] = c.lru.PushFront(&cacheEntry{key: key, resp: resp, cost: resp.Stats.Wall})
+	c.entries[key] = c.lru.PushFront(&cacheEntry{key: key, resp: resp})
 	for c.lru.Len() > c.cap {
-		c.evictOneLocked()
+		back := c.lru.Back()
+		delete(c.entries, back.Value.(*cacheEntry).key)
+		c.lru.Remove(back)
 	}
-}
-
-// evictOneLocked removes one entry. Under CachePolicyLRU that is the
-// back of the recency list; under CachePolicyCost it is the cheapest of
-// the costSample least-recently-used entries (the just-inserted front
-// entry is never a candidate — evicting what was stored a microsecond
-// ago would make the cache refuse new expensive entries forever).
-func (c *resultCache) evictOneLocked() {
-	back := c.lru.Back()
-	if c.policy == CachePolicyCost {
-		victim := back
-		for el, i := back, 0; el != nil && el != c.lru.Front() && i < costSample; el, i = el.Prev(), i+1 {
-			if el.Value.(*cacheEntry).cost < victim.Value.(*cacheEntry).cost {
-				victim = el
-			}
-		}
-		if victim != c.lru.Front() {
-			delete(c.entries, victim.Value.(*cacheEntry).key)
-			c.lru.Remove(victim)
-			return
-		}
-	}
-	delete(c.entries, back.Value.(*cacheEntry).key)
-	c.lru.Remove(back)
 }
 
 // stats returns a snapshot of the counters and occupancy.

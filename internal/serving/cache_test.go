@@ -7,10 +7,10 @@ import (
 	"repro/internal/ir"
 )
 
-// TestCostEvictionKeepsExpensiveEntries drives the resultCache directly:
-// under CachePolicyCost the victim is the cheapest of the LRU tail, so an
-// expensive old entry outlives cheap ones that plain LRU would keep.
-func TestCostEvictionKeepsExpensiveEntries(t *testing.T) {
+// TestResultCacheEvictsLeastRecentlyUsed drives the resultCache directly:
+// a full cache evicts the least-recently-used entry, whatever its
+// execution cost, and a hit renews an entry's recency.
+func TestResultCacheEvictsLeastRecentlyUsed(t *testing.T) {
 	put := func(c *resultCache, key string, cost time.Duration) {
 		c.put(key, Response{Stats: ir.QueryStats{Wall: cost}})
 	}
@@ -19,25 +19,16 @@ func TestCostEvictionKeepsExpensiveEntries(t *testing.T) {
 		return ok
 	}
 
-	lru := newResultCache(2, CachePolicyLRU)
-	put(lru, "expensive", 100*time.Millisecond)
-	put(lru, "cheap", time.Microsecond)
-	put(lru, "new", time.Millisecond)
-	if has(lru, "expensive") || !has(lru, "cheap") {
-		t.Error("LRU policy must evict the oldest regardless of cost")
+	c := newResultCache(2)
+	put(c, "expensive", 100*time.Millisecond)
+	put(c, "cheap", time.Microsecond)
+	put(c, "new", time.Millisecond)
+	if has(c, "expensive") || !has(c, "cheap") || !has(c, "new") {
+		t.Error("a full cache must evict the oldest entry regardless of cost")
 	}
-
-	cost := newResultCache(2, CachePolicyCost)
-	put(cost, "expensive", 100*time.Millisecond)
-	put(cost, "cheap", time.Microsecond)
-	put(cost, "new", time.Millisecond)
-	if !has(cost, "expensive") {
-		t.Error("cost policy evicted the most expensive entry")
-	}
-	if has(cost, "cheap") {
-		t.Error("cost policy kept the cheapest entry")
-	}
-	if !has(cost, "new") {
-		t.Error("cost policy evicted the just-inserted entry")
+	// "cheap" was read before "new", so it is now the older of the two.
+	put(c, "newest", time.Millisecond)
+	if has(c, "cheap") || !has(c, "new") || !has(c, "newest") {
+		t.Error("a hit did not renew the entry's recency")
 	}
 }

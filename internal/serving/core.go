@@ -44,8 +44,7 @@ type Config struct {
 	VectorSize int // tuples per vector in every query pipeline (0 = the searcher default)
 	Searchers  int // searcher pool size (< 1 = GOMAXPROCS)
 
-	ResultCache int         // result cache entries (0 = disabled)
-	CachePolicy CachePolicy // result cache eviction policy
+	ResultCache int // result cache entries (0 = disabled)
 
 	Admission      bool // shed requests that would miss their deadline queueing
 	AdmissionQueue int  // waiters allowed beyond the searcher pool (0 = no hard cap)
@@ -121,7 +120,7 @@ func newCore(cfg Config) *Core {
 		building: make(map[string]bool),
 	}
 	if cfg.ResultCache > 0 {
-		c.cache = newResultCache(cfg.ResultCache, cfg.CachePolicy)
+		c.cache = newResultCache(cfg.ResultCache)
 	}
 	if cfg.Admission {
 		c.qosCtl = qos.NewController(cfg.Searchers, cfg.AdmissionQueue)

@@ -41,10 +41,6 @@ type engineConfig struct {
 // can see on its own; every Open-family entry point calls it after the
 // option loop.
 func (c *engineConfig) crossValidate() {
-	if c.CachePolicy != CachePolicyLRU && c.ResultCache == 0 {
-		c.errs = append(c.errs,
-			fmt.Errorf("repro: WithResultCachePolicy needs a result cache (add WithResultCache)"))
-	}
 	if c.mergeThrottle >= 0 && c.autoMerge == 0 {
 		c.errs = append(c.errs,
 			fmt.Errorf("repro: WithMergeThrottle needs a background merger (add WithAutoMerge)"))
@@ -174,22 +170,6 @@ func WithResultCache(entries int) Option {
 			return
 		}
 		c.ResultCache = entries
-	}
-}
-
-// WithResultCachePolicy selects the result cache's eviction policy.
-// CachePolicyLRU (the default) evicts by pure recency; CachePolicyCost
-// weights eviction by the wall time the entry saves — among the
-// least-recently-used entries it evicts the *cheapest to recompute*, so
-// an expensive disjunctive query survives a burst of cheap lookups that
-// would flush it under pure LRU. Requires WithResultCache.
-func WithResultCachePolicy(p CachePolicy) Option {
-	return func(c *engineConfig) {
-		if p != CachePolicyLRU && p != CachePolicyCost {
-			c.errs = append(c.errs, fmt.Errorf("repro: unknown result cache policy %d", p))
-			return
-		}
-		c.CachePolicy = p
 	}
 }
 

@@ -199,13 +199,6 @@ var optionRows = map[string]func(t *testing.T, f *optionFixture){
 			t.Error("default engine served from a result cache")
 		}
 	},
-	// TestCostEvictionKeepsExpensiveEntries (internal/serving): which entry
-	// a full cache evicts. Here: it is refused without a cache.
-	"WithResultCachePolicy": func(t *testing.T, f *optionFixture) {
-		f.open(t, WithResultCache(8), WithResultCachePolicy(CachePolicyCost))
-		_, err := Open(f.coll, WithResultCachePolicy(CachePolicyCost))
-		refused(t, err, "WithResultCachePolicy")
-	},
 	// MetricsSnapshot().ServiceEstimate: the admission controller's EWMA,
 	// zero unless admission is on. (Shedding: qos_test.go.)
 	"WithAdmissionControl": func(t *testing.T, f *optionFixture) {

@@ -103,13 +103,7 @@ func TestAdmissionOptionValidation(t *testing.T) {
 	if _, err := Open(coll, WithAdmissionControl(-1)); err == nil {
 		t.Error("WithAdmissionControl(-1) accepted")
 	}
-	if _, err := Open(coll, WithResultCachePolicy(CachePolicyCost)); err == nil {
-		t.Error("cache policy without a result cache accepted")
-	}
-	if _, err := Open(coll, WithResultCachePolicy(CachePolicy(99)), WithResultCache(4)); err == nil {
-		t.Error("unknown cache policy accepted")
-	}
-	eng, err := Open(coll, WithResultCachePolicy(CachePolicyCost), WithResultCache(4), WithAdmissionControl(8))
+	eng, err := Open(coll, WithResultCache(4), WithAdmissionControl(8))
 	if err != nil {
 		t.Fatalf("valid QoS options rejected: %v", err)
 	}

@@ -300,7 +300,7 @@ func BenchmarkTable3ServerScaling(b *testing.B) {
 	for n := 1; n <= 4; n *= 2 {
 		b.Run(fmt.Sprintf("servers=%d", n), func(b *testing.B) {
 			sub := cl.Sub(n)
-			brk, err := dist.Dial(sub.Addrs)
+			brk, err := sub.NewBroker()
 			if err != nil {
 				b.Fatal(err)
 			}

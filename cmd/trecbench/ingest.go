@@ -51,7 +51,7 @@ func ingestExperiment(p params) error {
 	if err != nil {
 		return err
 	}
-	cl, err := dist.StartClusterFromDirs(dirs, 0, dist.WithReplicas(replicas), dist.WithIngest())
+	cl, err := dist.StartClusterFromDirs(dirs, 0, dist.WithReplicas(replicas))
 	if err != nil {
 		return err
 	}

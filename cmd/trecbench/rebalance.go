@@ -45,7 +45,7 @@ func rebalanceExperiment(p params) error {
 	if err != nil {
 		return err
 	}
-	cl, err := dist.StartClusterFromDirs(dirs, 0, dist.WithIngest())
+	cl, err := dist.StartClusterFromDirs(dirs, 0)
 	if err != nil {
 		return err
 	}

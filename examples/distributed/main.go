@@ -38,7 +38,7 @@ func main() {
 	}
 	defer cluster.Close()
 	fmt.Printf("cluster: %d partitions x %d replicas on %v\n\n",
-		cluster.Partitions(), cluster.Replicas(), cluster.Addrs)
+		cluster.Partitions(), cluster.Replicas(), cluster.CurrentGroups())
 
 	// The group-aware broker: one connection per replica, hedging armed.
 	// A partition whose primary has not answered within the budget has its
@@ -132,8 +132,9 @@ func main() {
 	// serve them from disk with a replica group per directory — a
 	// restarted fleet opens its directories and answers, with zero corpus
 	// re-parsing and the same global-statistics guarantee, so the merged
-	// ranking is still the centralized one. Replicas share the on-disk
-	// layout; each opens it with its own file handles and buffer manager.
+	// ranking is still the centralized one. The second replica of each
+	// partition serves its own hardlinked copy of the directory, with its
+	// own file handles and buffer manager.
 	base, err := os.MkdirTemp("", "dist-partitions-")
 	if err != nil {
 		log.Fatal(err)
@@ -208,9 +209,9 @@ func main() {
 		fmt.Printf("  %d. %-22s score=%.4f\n", i+1, r.Name, r.Score)
 	}
 
-	// Distributed live ingest: a cluster whose replicas serve segmented
-	// directories (BuildLivePartitions) and opt into WithClusterIngest
-	// accepts document batches while serving. Broker.Add routes each
+	// Distributed live ingest: a cluster whose partition directories own
+	// their statistics (BuildLivePartitions) accepts document batches while
+	// serving. Broker.Add routes each
 	// batch to the partition with the most room, the primary commits it
 	// as a new segment generation, and the committed files ship to the
 	// other replicas over dedicated ingest connections — queries never
@@ -226,8 +227,7 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	live, err := repro.StartClusterFromDirs(liveDirs, 0,
-		repro.WithClusterReplicas(2), repro.WithClusterIngest())
+	live, err := repro.StartClusterFromDirs(liveDirs, 0, repro.WithClusterReplicas(2))
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -630,20 +630,6 @@ type srvConn struct {
 	seq uint64
 }
 
-// Dial connects a broker to the given server addresses, one partition per
-// address — the unreplicated layout. For replica groups, use DialGroups
-// (or Cluster.NewBroker, which knows the cluster's groups).
-func Dial(addrs []string, opts ...BrokerOption) (*Broker, error) {
-	if len(addrs) == 0 {
-		return nil, errors.New("dist: Dial with no addresses")
-	}
-	groups := make([][]string, len(addrs))
-	for i, a := range addrs {
-		groups[i] = []string{a}
-	}
-	return DialGroups(groups, opts...)
-}
-
 // DialGroups connects a broker to a replicated cluster: groups[p] lists
 // the addresses of partition p's replica group. Every replica of a group
 // must serve the same partition index — the broker freely re-issues a

@@ -21,33 +21,17 @@ type ClusterOption func(*clusterConfig)
 
 type clusterConfig struct {
 	replicas int
-	ingest   bool
 }
 
 // WithReplicas serves every partition range with r servers instead of
 // one. In-memory clusters build r identical copies of each partition
-// index; persisted clusters open the partition directory r times, each
-// replica with its own file handles and buffer manager — replicas share
-// the on-disk segment layout, nothing else. Replication changes no
-// ranking (replicas are identical), it buys the broker hedge targets and
-// failover capacity. r < 1 is treated as 1.
+// index; persisted clusters give each replica past the first its own copy
+// of the partition directory (see StartClusterFromDirs), served with its
+// own file handles and buffer manager. Replication changes no ranking
+// (replicas are identical), it buys the broker hedge targets and failover
+// capacity. r < 1 is treated as 1.
 func WithReplicas(r int) ClusterOption {
 	return func(c *clusterConfig) { c.replicas = r }
-}
-
-// WithIngest gives every replica of a partition its own directory
-// (StartClusterFromDirs only): replica 0 serves the partition directory
-// itself and replicas 1..r-1 serve their own per-replica copy (<dir>-r<i>,
-// bootstrapped by file copy on first start, reused on revival) — real
-// replication, where Broker.Add commits on one node and ships segment
-// files to the others, instead of every replica reading one shared
-// directory — and enables the elastic operations (elastic.go). Every
-// dir-backed server answers the append/fetch/install verbs and refreshes
-// its serving snapshot across generations without dropping in-flight
-// searches; appends land only in directories that own their statistics
-// (see BuildLivePartitions).
-func WithIngest() ClusterOption {
-	return func(c *clusterConfig) { c.ingest = true }
 }
 
 func applyClusterOptions(opts []ClusterOption) clusterConfig {
@@ -76,30 +60,21 @@ type slotMeta struct {
 
 // Cluster is a set of partition servers on loopback TCP — every partition
 // range served by a replica group — plus the batch-run harness the
-// Table 3 experiments drive. The slot table is the source of truth; the
-// exported Servers/Addrs/Groups views are rebuilt after every topology
-// change (replica add/retire/move, partition split/merge — see
-// elastic.go), so a Cluster that started uniform need not stay so.
+// Table 3 experiments drive. The slot table is the cluster's only view of
+// its shape: topology changes (replica add/retire/move, partition
+// split/merge — see elastic.go) rewrite it, so a Cluster that started
+// uniform need not stay so. Read it through the accessors (Partitions,
+// GroupSize, Replica, CurrentGroups, Layout), which snapshot it under mu.
 type Cluster struct {
-	// Servers holds every server, group-major in slot order; Addrs is
-	// aligned with it. On a cluster that has not been reshaped, partition
-	// p's replica r is Servers[p*Replicas()+r] (see Replica).
-	Servers []*Server
-	Addrs   []string
-	// Groups lists each partition's replica addresses — the shape
-	// DialGroups and NewBroker consume.
-	Groups [][]string
-
 	replicas int
 	owner    bool // views produced by Sub must not close the servers
 
-	// mu guards the slot table and the views above; elastic serializes
-	// whole reshape operations (which release mu while shipping data).
+	// mu guards the slot table; elastic serializes whole reshape
+	// operations (which release mu while shipping data).
 	mu      sync.Mutex
 	elastic sync.Mutex
 	slots   [][]*slotMeta
 
-	ingest    bool   // started with WithIngest — elastic ops require it
 	baseDir   string // parent dir for cluster-owned partition copies
 	poolBytes int64  // buffer-manager budget of every dir-backed slot
 
@@ -150,25 +125,31 @@ func assemble(servers []*Server, partitions, replicas int) *Cluster {
 			cl.slots[p][r] = &slotMeta{srv: s, addr: s.Addr(), host: fmt.Sprintf("h%d", r)}
 		}
 	}
-	cl.rebuildViews()
 	return cl
 }
 
-// rebuildViews recomputes the exported flat views from the slot table.
-// Callers hold mu (or own the only reference during startup).
-func (cl *Cluster) rebuildViews() {
-	var servers []*Server
-	var addrs []string
-	groups := make([][]string, len(cl.slots))
-	for p, g := range cl.slots {
-		groups[p] = make([]string, len(g))
-		for r, sl := range g {
-			servers = append(servers, sl.srv)
-			addrs = append(addrs, sl.addr)
-			groups[p][r] = sl.addr
+// servers snapshots every slot's server, group-major in slot order.
+func (cl *Cluster) servers() []*Server {
+	cl.mu.Lock()
+	defer cl.mu.Unlock()
+	var out []*Server
+	for _, g := range cl.slots {
+		for _, sl := range g {
+			out = append(out, sl.srv)
 		}
 	}
-	cl.Servers, cl.Addrs, cl.Groups = servers, addrs, groups
+	return out
+}
+
+// dirBacked refuses a step that needs partition p's directory — an
+// elastic reshape or a revival — when the partition is served from memory
+// (StartCluster), the one kind of partition with nothing to ship, split,
+// merge or reopen.
+func dirBacked(p int, sl *slotMeta) error {
+	if sl.dir == "" {
+		return fmt.Errorf("dist: partition %d is served from memory (StartCluster) and has no directory to reshape or reopen", p)
+	}
+	return nil
 }
 
 // currentGroupsLocked snapshots the replica-group address lists (mu held).
@@ -184,7 +165,7 @@ func (cl *Cluster) currentGroupsLocked() [][]string {
 }
 
 // CurrentGroups returns a snapshot of each partition's replica addresses —
-// unlike the Groups field, safe to call while a reshape is in flight.
+// the shape DialGroups consumes; safe to call while a reshape is in flight.
 func (cl *Cluster) CurrentGroups() [][]string {
 	cl.mu.Lock()
 	defer cl.mu.Unlock()
@@ -270,11 +251,8 @@ func partitionLo(dir string) (int64, error) {
 	return sm.BaseDocID, nil
 }
 
-// NewBroker dials a broker over the cluster's replica groups. This is the
-// group-aware counterpart of Dial(cl.Addrs): with replication, Dial would
-// mistake every replica for its own partition and return duplicated
-// rankings — NewBroker is the only correct way to dial a replicated
-// cluster.
+// NewBroker dials a broker over the cluster's current replica groups
+// (DialGroups over CurrentGroups).
 func (cl *Cluster) NewBroker(opts ...BrokerOption) (*Broker, error) {
 	return DialGroups(cl.CurrentGroups(), opts...)
 }
@@ -362,8 +340,8 @@ func eachPartition(n int, baseDir string, build func(i int, dir string) error) (
 // partition directories in partition order. This is the offline half of a
 // persisted deployment: run it once, then any number of server processes
 // open the directories with StartClusterFromDirs — no corpus in sight.
-// Partition builds run in parallel. Replication needs nothing here: a
-// replica group's members all open the same directory.
+// Partition builds run in parallel. Replication needs nothing here:
+// StartClusterFromDirs copies a directory for each extra replica.
 func BuildPartitions(c *corpus.Collection, n int, cfg ir.BuildConfig, baseDir string) ([]string, error) {
 	return BuildSegmentedPartitions(c, n, 1, cfg, baseDir)
 }
@@ -446,12 +424,19 @@ func BuildLivePartitions(c *corpus.Collection, n int, cfg ir.BuildConfig, baseDi
 // StartClusterFromDirs opens persisted partition directories (from
 // BuildPartitions, BuildSegmentedPartitions or BuildLivePartitions — any
 // index directory) and starts one TCP server per partition replica
-// (WithReplicas; one by default — each replica opens the shared directory
-// with its own file handles and buffer manager).
+// (WithReplicas; one by default). Every replica owns its directory:
+// replica 0 serves dirs[p] itself and replica r > 0 serves its own copy
+// <dirs[p]>-r<r>, bootstrapped by storage.CopyDir (hardlinks where the
+// filesystem allows) on first start and reused on later starts — a
+// replica keeps its data and catches up by shipped segments. No replica
+// ever sweeps, appends to or installs into another's directory.
 // Nothing is rebuilt and no collection is needed: each server reads its
 // manifests and serves, with posting data streaming in through a buffer
 // manager with poolBytes budget (0 = unbounded) as queries arrive — the
-// cold-start path a production fleet restarts through. Opens run in
+// cold-start path a production fleet restarts through. Every server
+// answers the append/fetch/install verbs (appends land only in
+// directories that own their statistics — see BuildLivePartitions), and
+// the cluster supports the elastic operations (elastic.go). Opens run in
 // parallel.
 func StartClusterFromDirs(dirs []string, poolBytes int64, opts ...ClusterOption) (*Cluster, error) {
 	if len(dirs) == 0 {
@@ -469,12 +454,9 @@ func StartClusterFromDirs(dirs []string, poolBytes int64, opts ...ClusterOption)
 				defer wg.Done()
 				i := p*ccfg.replicas + r
 				dir := dirs[p]
-				if ccfg.ingest && r > 0 {
-					// Each ingest replica past the first serves its own copy:
-					// bootstrap by file copy on first start (bulk catch-up
-					// is a local concern, not the wire protocol's), reuse
-					// the directory on later starts — a revived replica
-					// keeps its data and catches up by shipped segments.
+				if r > 0 {
+					// Bulk catch-up on first start is a local file copy, not
+					// the wire protocol's concern.
 					dir = fmt.Sprintf("%s-r%d", dirs[p], r)
 					if _, err := storage.ReadSegments(dir); errors.Is(err, os.ErrNotExist) {
 						if errs[i] = storage.CopyDir(dirs[p], dir); errs[i] != nil {
@@ -499,7 +481,6 @@ func StartClusterFromDirs(dirs []string, poolBytes int64, opts ...ClusterOption)
 		sl := cl.slots[p][r]
 		sl.dir = replicaDirs[i]
 	}
-	cl.ingest = ccfg.ingest
 	return cl, nil
 }
 
@@ -511,19 +492,18 @@ func (cl *Cluster) KillReplica(p, r int) error {
 	return cl.Replica(p, r).Close()
 }
 
-// ReviveReplica restarts a killed replica of an ingest cluster on its
-// original address, serving its original directory: the data it had at
-// death, however many generations behind the group has moved since.
-// Brokers redial lazily, so the revived node starts taking traffic on
-// the next attempt routed its way — refusing queries pinned past its
-// generation until an Add's ship path (or a shared-directory refresh)
-// catches it up.
+// ReviveReplica restarts a killed replica on its original address,
+// serving its own directory: the data it had at death, however many
+// generations behind the group has moved since. Brokers redial lazily, so
+// the revived node starts taking traffic on the next attempt routed its
+// way — refusing queries pinned past its generation until an Add's ship
+// path catches it up.
 func (cl *Cluster) ReviveReplica(p, r int) error {
 	cl.mu.Lock()
 	sl := cl.slots[p][r]
 	cl.mu.Unlock()
-	if sl.dir == "" {
-		return fmt.Errorf("dist: partition %d replica %d not revivable (in-memory partition, no directory to reopen)", p, r)
+	if err := dirBacked(p, sl); err != nil {
+		return err
 	}
 	// The old listener's port can linger briefly after Close; retry the
 	// bind rather than failing a revival that would succeed a moment
@@ -542,7 +522,6 @@ func (cl *Cluster) ReviveReplica(p, r int) error {
 	}
 	cl.mu.Lock()
 	sl.srv = s
-	cl.rebuildViews()
 	cl.mu.Unlock()
 	return nil
 }
@@ -581,22 +560,22 @@ func (cl *Cluster) Sub(n int) *Cluster {
 	if n > len(cl.slots) {
 		n = len(cl.slots)
 	}
-	sub := &Cluster{
+	return &Cluster{
 		replicas: cl.replicas,
 		slots:    cl.slots[:n],
 	}
-	sub.rebuildViews()
-	return sub
 }
 
 // WarmAll runs the queries on every server locally (no network) at result
 // depth k, leaving all buffer pools hot — the precondition of the Table 3
-// measurements. Every replica warms (each has its own pool). Servers warm
-// in parallel.
+// measurements. Every replica of a snapshot of the slot table warms (each
+// has its own pool), so a concurrent reshape cannot race the walk. Servers
+// warm in parallel.
 func (cl *Cluster) WarmAll(strat ir.Strategy, queries []corpus.Query, k int) error {
-	errs := make([]error, len(cl.Servers))
+	servers := cl.servers()
+	errs := make([]error, len(servers))
 	var wg sync.WaitGroup
-	for i, s := range cl.Servers {
+	for i, s := range servers {
 		wg.Add(1)
 		go func(i int, s *Server) {
 			defer wg.Done()

@@ -138,8 +138,8 @@ type wireResponse struct {
 type wireStatus struct {
 	// Gen is the serving generation; DiskGen the generation of the on-disk
 	// manifest (ahead of Gen when a refresh is pending). A replica whose
-	// DiskGen already matches the primary's commit only needs an install
-	// commit (shared/bootstrapped directories), not file shipping.
+	// DiskGen already matches the primary's commit (an earlier ship landed)
+	// only needs an install commit, not file shipping.
 	Gen     uint64
 	DiskGen uint64
 	// DocBase/NumDocs describe the partition's docid range (routing).

@@ -36,7 +36,7 @@ func TestDistributedMatchesCentralized(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer cl.Close()
-	brk, err := Dial(cl.Addrs)
+	brk, err := cl.NewBroker()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -99,8 +99,8 @@ func TestRunStreamsAndSub(t *testing.T) {
 	}
 
 	sub := cl.Sub(2)
-	if len(sub.Addrs) != 2 {
-		t.Fatalf("sub view: %v", sub.Addrs)
+	if got := sub.CurrentGroups(); len(got) != 2 {
+		t.Fatalf("sub view: %v", got)
 	}
 	if err := sub.Close(); err != nil {
 		t.Fatal(err)
@@ -122,7 +122,7 @@ func TestWireCarriesFullStats(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer cl.Close()
-	brk, err := Dial(cl.Addrs)
+	brk, err := cl.NewBroker()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -174,7 +174,7 @@ func TestBrokerSearchMany(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer cl.Close()
-	brk, err := Dial(cl.Addrs)
+	brk, err := cl.NewBroker()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -222,7 +222,7 @@ func TestServerCloseWithOpenConnections(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	brk, err := Dial(cl.Addrs)
+	brk, err := cl.NewBroker()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -254,7 +254,7 @@ func TestBrokerCancellation(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer cl.Close()
-	brk, err := Dial(cl.Addrs)
+	brk, err := cl.NewBroker()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -302,12 +302,12 @@ func TestPersistedClusterMatchesCentralized(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer cl.Close()
-	for _, srv := range cl.Servers {
+	for _, srv := range cl.servers() {
 		if srv.Index().Store.Simulated() {
 			t.Fatal("persisted server is serving from a simulated store")
 		}
 	}
-	brk, err := Dial(cl.Addrs)
+	brk, err := cl.NewBroker()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -358,12 +358,12 @@ func TestSegmentedPartitionsMatchCentralized(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer cl.Close()
-	for _, srv := range cl.Servers {
+	for _, srv := range cl.servers() {
 		if n := srv.Snapshot().NumSegments(); n != 2 {
 			t.Fatalf("partition serves %d segments, want 2", n)
 		}
 	}
-	brk, err := Dial(cl.Addrs)
+	brk, err := cl.NewBroker()
 	if err != nil {
 		t.Fatal(err)
 	}

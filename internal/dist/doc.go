@@ -17,9 +17,10 @@
 //     union with no deduplication.
 //
 // Replication adds nothing to merge correctness: replicas of a partition
-// serve the same immutable index (in-memory replicas build identical
-// copies; persisted replicas open the same directory), so *which* replica
-// answers never changes the ranking — the property failover and hedging
+// serve the same index (in-memory replicas build identical copies;
+// persisted replicas serve their own copies of the partition directory,
+// kept at the same generation by shipping), so *which* replica answers
+// never changes the ranking — the property failover and hedging
 // rely on to re-issue work freely.
 //
 // # Replica groups, hedging, failover

@@ -22,17 +22,11 @@ import (
 // changes bracket their single atomic manifest commit with a broker seal,
 // so no query ever runs against a half-committed layout.
 //
-// All operations require a WithIngest cluster (elastic state lives in
-// partition directories) and are serialized per cluster; each is
-// resumable — killed between prepare and commit it leaves the cluster
-// exactly as it was, and a re-run converges on the same deterministic
-// destination directories.
-
-// errNotElastic reports an elastic call on a cluster without directory-
-// backed ingest servers.
-func errNotElastic() error {
-	return fmt.Errorf("dist: elastic operations need a cluster started with WithIngest")
-}
+// All operations need directory-backed partitions (StartClusterFromDirs —
+// elastic state lives in partition directories; see dirBacked) and are
+// serialized per cluster; each is resumable — killed between prepare and
+// commit it leaves the cluster exactly as it was, and a re-run converges
+// on the same deterministic destination directories.
 
 // elasticDir is the deterministic destination for a cluster-owned
 // partition copy: one directory per (docid base, host), so a reconciler
@@ -92,15 +86,15 @@ func (cl *Cluster) AddReplica(ctx context.Context, p int, host string, brokers .
 	defer cl.elastic.Unlock()
 
 	cl.mu.Lock()
-	if !cl.ingest {
-		cl.mu.Unlock()
-		return errNotElastic()
-	}
 	if p < 0 || p >= len(cl.slots) {
 		cl.mu.Unlock()
 		return fmt.Errorf("dist: partition %d out of range", p)
 	}
 	src := cl.slots[p][0]
+	if err := dirBacked(p, src); err != nil {
+		cl.mu.Unlock()
+		return err
+	}
 	for _, sl := range cl.slots[p] {
 		if !sl.srv.isClosed() {
 			src = sl
@@ -146,7 +140,6 @@ func (cl *Cluster) AddReplica(ctx context.Context, p int, host string, brokers .
 	cl.mu.Lock()
 	cl.slots[p] = append(cl.slots[p],
 		&slotMeta{srv: srv, addr: srv.Addr(), dir: dst, host: host, owned: true})
-	cl.rebuildViews()
 	groups := cl.currentGroupsLocked()
 	cl.mu.Unlock()
 	return retargetAll(brokers, groups)
@@ -288,7 +281,6 @@ func (cl *Cluster) retireLocked(ctx context.Context, p, r int, brokers ...*Broke
 	}
 	sl := cl.slots[p][r]
 	cl.slots[p] = append(append([]*slotMeta{}, cl.slots[p][:r]...), cl.slots[p][r+1:]...)
-	cl.rebuildViews()
 	groups := cl.currentGroupsLocked()
 	cl.mu.Unlock()
 	if err := retargetAll(brokers, groups); err != nil {
@@ -331,13 +323,13 @@ func (cl *Cluster) SplitPartition(ctx context.Context, p int, at int64, brokers 
 	defer cl.elastic.Unlock()
 
 	cl.mu.Lock()
-	if !cl.ingest {
-		cl.mu.Unlock()
-		return errNotElastic()
-	}
 	if p < 0 || p >= len(cl.slots) {
 		cl.mu.Unlock()
 		return fmt.Errorf("dist: partition %d out of range", p)
+	}
+	if err := dirBacked(p, cl.slots[p][0]); err != nil {
+		cl.mu.Unlock()
+		return err
 	}
 	if len(cl.slots[p]) != 1 {
 		cl.mu.Unlock()
@@ -419,7 +411,6 @@ func (cl *Cluster) SplitPartition(ctx context.Context, p int, at int64, brokers 
 	next = append(next, []*slotMeta{rslot})
 	next = append(next, cl.slots[p+1:]...)
 	cl.slots = next
-	cl.rebuildViews()
 	groups := cl.currentGroupsLocked()
 	cl.mu.Unlock()
 
@@ -466,13 +457,13 @@ func (cl *Cluster) MergePartitions(ctx context.Context, p int, brokers ...*Broke
 	defer cl.elastic.Unlock()
 
 	cl.mu.Lock()
-	if !cl.ingest {
-		cl.mu.Unlock()
-		return errNotElastic()
-	}
 	if p < 0 || p+1 >= len(cl.slots) {
 		cl.mu.Unlock()
 		return fmt.Errorf("dist: cannot merge partition %d with its right neighbor: out of range", p)
+	}
+	if err := dirBacked(p, cl.slots[p][0]); err != nil {
+		cl.mu.Unlock()
+		return err
 	}
 	if len(cl.slots[p]) != 1 || len(cl.slots[p+1]) != 1 {
 		cl.mu.Unlock()
@@ -525,7 +516,6 @@ func (cl *Cluster) MergePartitions(ctx context.Context, p int, brokers ...*Broke
 	nextSlots = append(nextSlots, cl.slots[:p+1]...)
 	nextSlots = append(nextSlots, cl.slots[p+2:]...)
 	cl.slots = nextSlots
-	cl.rebuildViews()
 	groups := cl.currentGroupsLocked()
 	cl.mu.Unlock()
 

@@ -68,13 +68,13 @@ func TestReplicatedClusterMatchesCentralized(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer cl.Close()
-	if cl.Partitions() != 3 || cl.Replicas() != 2 || len(cl.Servers) != 6 {
+	if cl.Partitions() != 3 || cl.Replicas() != 2 || len(cl.servers()) != 6 {
 		t.Fatalf("cluster shape: %d partitions, %d replicas, %d servers",
-			cl.Partitions(), cl.Replicas(), len(cl.Servers))
+			cl.Partitions(), cl.Replicas(), len(cl.servers()))
 	}
-	for p := 0; p < 3; p++ {
-		if len(cl.Groups[p]) != 2 {
-			t.Fatalf("group %d: %v", p, cl.Groups[p])
+	for p, g := range cl.CurrentGroups() {
+		if len(g) != 2 || cl.GroupSize(p) != 2 {
+			t.Fatalf("group %d: %v", p, g)
 		}
 	}
 

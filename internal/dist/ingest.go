@@ -41,8 +41,8 @@ type AddStats struct {
 	Replicated int
 	Lagging    int
 	// ShippedFiles/ShippedBytes count segment file data relayed
-	// primary -> broker -> replicas (zero when every replica shares the
-	// primary's directory or was already current).
+	// primary -> broker -> replicas (zero when every replica was already
+	// current).
 	ShippedFiles int
 	ShippedBytes int64
 }
@@ -224,9 +224,8 @@ func (b *Broker) Add(ctx context.Context, docs []Doc) (AddStats, error) {
 	ratchetGen(m.gens[gi], res.Gen)
 
 	// Replicate: bring every other group member to the committed
-	// generation — manifest install only when its directory already has
-	// the segments (shared dir, or already shipped), file shipping first
-	// when it does not.
+	// generation — file shipping for the segments its directory lacks,
+	// then the manifest install.
 	for ri := range ig.conns {
 		if ri == primary {
 			continue
@@ -267,8 +266,10 @@ func (b *Broker) route(ctx context.Context, m *membership, st *ingestState) (int
 	bestGi, bestDocs := -1, 0
 	var bestRIs []int
 	var lastErr error
+	frozen := 0
 	for gi, ig := range st.groups {
 		if m.groups[gi].frozen {
+			frozen++
 			continue
 		}
 		var ris []int
@@ -301,7 +302,10 @@ func (b *Broker) route(ctx context.Context, m *membership, st *ingestState) (int
 		if lastErr != nil {
 			return -1, nil, fmt.Errorf("dist: no ingest-capable partition reachable: %w", lastErr)
 		}
-		return -1, nil, errors.New("dist: no ingest-capable partitions (start the cluster with WithIngest)")
+		if frozen == len(st.groups) {
+			return -1, nil, errors.New("dist: every partition is frozen for a split or merge; retry once it commits")
+		}
+		return -1, nil, fmt.Errorf("dist: no partition takes appends: %w", storage.ErrExternalStats)
 	}
 	return bestGi, bestRIs, nil
 }

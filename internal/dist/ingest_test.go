@@ -2,9 +2,10 @@ package dist
 
 import (
 	"context"
+	"errors"
 	"fmt"
+	"os"
 	"path/filepath"
-	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -51,7 +52,7 @@ func TestLiveIngestRoutingAndConvergence(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cl, err := StartClusterFromDirs(dirs, 0, WithReplicas(2), WithIngest())
+	cl, err := StartClusterFromDirs(dirs, 0, WithReplicas(2))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -74,7 +75,7 @@ func TestLiveIngestRoutingAndConvergence(t *testing.T) {
 			t.Fatalf("add: replicated %d lagging %d, want 2/0 (stats %+v)", st.Replicated, st.Lagging, st)
 		}
 		if st.ShippedBytes == 0 || st.ShippedFiles == 0 {
-			t.Fatalf("add shipped nothing (stats %+v) — replicas share a directory?", st)
+			t.Fatalf("add shipped nothing (stats %+v)", st)
 		}
 		perPartition[st.Partition]++
 		added += st.Docs
@@ -135,7 +136,20 @@ func TestLiveIngestRoutingAndConvergence(t *testing.T) {
 		t.Error("no query result came from partition 1's docid range")
 	}
 
-	// Adding through a broker over a non-ingest cluster fails loudly.
+	// With every partition frozen for a range operation, Add reports the
+	// freeze, not a statistics refusal.
+	if err := brk.freeze(ctx, []bool{true, true}); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := brk.Add(ctx, liveBatches(t, c, 2600, 2650, 50)[0]); err == nil || errors.Is(err, storage.ErrExternalStats) {
+		t.Errorf("Add with every partition frozen: %v, want the freeze refusal", err)
+	}
+	if err := brk.freeze(ctx, nil); err != nil {
+		t.Fatal(err)
+	}
+
+	// Adding through a broker over global-statistics partitions fails with
+	// the storage refusal those directories carry.
 	plainDirs, err := BuildSegmentedPartitions(seed, 1, 2, ir.DefaultBuildConfig(), t.TempDir())
 	if err != nil {
 		t.Fatal(err)
@@ -150,9 +164,8 @@ func TestLiveIngestRoutingAndConvergence(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer plainBrk.Close()
-	if _, err := plainBrk.Add(ctx, liveBatches(t, c, 2600, 2650, 50)[0]); err == nil ||
-		!strings.Contains(err.Error(), "WithIngest") {
-		t.Errorf("Add on non-ingest cluster: %v, want WithIngest hint", err)
+	if _, err := plainBrk.Add(ctx, liveBatches(t, c, 2600, 2650, 50)[0]); !errors.Is(err, storage.ErrExternalStats) {
+		t.Errorf("Add on global-statistics partitions: %v, want storage.ErrExternalStats", err)
 	}
 }
 
@@ -186,7 +199,7 @@ func TestPinnedGenerationMatchesCentralized(t *testing.T) {
 	}
 	shadow := shadowDirs[0]
 
-	cl, err := StartClusterFromDirs(dirs, 0, WithReplicas(3), WithIngest())
+	cl, err := StartClusterFromDirs(dirs, 0, WithReplicas(3))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -368,4 +381,67 @@ func TestPinnedGenerationMatchesCentralized(t *testing.T) {
 	if distinct < 3 {
 		t.Errorf("queries observed only %d distinct generations; ingest was not live under load", distinct)
 	}
+}
+
+// TestReplicaCloseKeepsPeerBuild: the replicas of a directory-backed
+// partition never share a directory, so one replica's sweeps (at Close,
+// after an install) cannot remove a segment another replica is still
+// building. A segment directory allocated — not yet committed — in replica
+// 0's directory must survive replica 1's death, revival and install.
+func TestReplicaCloseKeepsPeerBuild(t *testing.T) {
+	c := testCollection(t)
+	seed, err := c.Slice(0, 1500)
+	if err != nil {
+		t.Fatal(err)
+	}
+	dirs, err := BuildLivePartitions(seed, 1, ir.DefaultBuildConfig(), t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	cl, err := StartClusterFromDirs(dirs, 0, WithReplicas(2))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer cl.Close()
+
+	layout, err := cl.Layout()
+	if err != nil {
+		t.Fatal(err)
+	}
+	reps := layout[0].Replicas
+	if len(reps) != 2 || reps[0].Dir == "" || reps[0].Dir == reps[1].Dir {
+		t.Fatalf("replica directories %+v, want two distinct ones", reps)
+	}
+
+	building, err := storage.AllocSegmentDir(reps[0].Dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	survives := func(when string) {
+		t.Helper()
+		if _, err := os.Stat(filepath.Join(reps[0].Dir, building)); err != nil {
+			t.Fatalf("replica 0's uncommitted segment %s gone %s: %v", building, when, err)
+		}
+	}
+	if err := cl.KillReplica(0, 1); err != nil {
+		t.Fatal(err)
+	}
+	survives("after replica 1 closed")
+	if err := cl.ReviveReplica(0, 1); err != nil {
+		t.Fatal(err)
+	}
+
+	brk, err := cl.NewBroker()
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer brk.Close()
+	st, err := brk.Add(context.Background(), liveBatches(t, c, 1500, 1600, 100)[0])
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st.Replicated != 2 || st.Lagging != 0 {
+		t.Fatalf("add: replicated %d lagging %d, want 2/0 (stats %+v)", st.Replicated, st.Lagging, st)
+	}
+	survives("after an Add replicated to replica 1")
 }

@@ -71,7 +71,7 @@ func TestPartialResultsDegradedRanking(t *testing.T) {
 	}
 
 	// The degraded ranking must equal a broker serving only the survivors.
-	sbrk, err := DialGroups(cl.Groups[:2])
+	sbrk, err := DialGroups(cl.CurrentGroups()[:2])
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -100,7 +100,7 @@ func TestPartialResultsDegradedRanking(t *testing.T) {
 
 	// Without the option the same outage is still a hard error (pinned by
 	// TestDeadReplicaGroupError; re-checked here against this cluster).
-	hbrk, err := DialGroups(cl.Groups)
+	hbrk, err := cl.NewBroker()
 	if err == nil {
 		defer hbrk.Close()
 		if _, _, err := hbrk.SearchMany(context.Background(), reqs); err == nil {

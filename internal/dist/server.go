@@ -309,29 +309,31 @@ func (s *Server) serve(conn net.Conn) {
 			time.Sleep(d)
 		}
 		s.inflight.Add(1)
-		var resp wireResponse
-		switch req.Verb {
-		case verbSearch:
-			resp = s.handleSearch(&req)
-		case verbStatus:
-			resp = s.handleStatus(&req)
-		case verbAppend:
-			resp = s.handleAppend(&req)
-		case verbFetch:
-			resp = s.handleFetch(&req)
-		case verbInstallChunk, verbInstallCommit:
-			resp = s.handleInstall(&req)
-		case verbManifest:
-			resp = s.handleManifest(&req)
-		default:
-			resp = wireResponse{Seq: req.Seq, Err: fmt.Sprintf("dist: unknown verb %d", req.Verb)}
-		}
-		err := enc.Encode(resp)
+		err := enc.Encode(s.dispatch(&req))
 		s.inflight.Add(-1)
 		if err != nil {
 			return
 		}
 	}
+}
+
+// dispatch answers one decoded request through its verb's handler.
+func (s *Server) dispatch(req *wireRequest) wireResponse {
+	switch req.Verb {
+	case verbSearch:
+		return s.handleSearch(req)
+	case verbStatus:
+		return s.handleStatus(req)
+	case verbAppend:
+		return s.handleAppend(req)
+	case verbFetch:
+		return s.handleFetch(req)
+	case verbInstallChunk, verbInstallCommit:
+		return s.handleInstall(req)
+	case verbManifest:
+		return s.handleManifest(req)
+	}
+	return wireResponse{Seq: req.Seq, Err: fmt.Sprintf("dist: unknown verb %d", req.Verb)}
 }
 
 // handleSearch executes one wire request on one generation. A batch of

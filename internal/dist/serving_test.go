@@ -25,7 +25,7 @@ func TestShippedMergeDropsReplacedSegmentChunks(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cl, err := StartClusterFromDirs(dirs, 0, WithReplicas(2), WithIngest())
+	cl, err := StartClusterFromDirs(dirs, 0, WithReplicas(2))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -136,7 +136,7 @@ func TestServerMetrics(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	for i, srv := range cl.Servers {
+	for i, srv := range cl.servers() {
 		m := srv.Metrics()
 		if m.Queries.Count != int64(len(queries)) || m.PoolWait.Count != int64(len(queries)) {
 			t.Errorf("server %d: %d queries, %d pool waits, want %d each",

@@ -11,7 +11,8 @@ import (
 // every server evicts chunks while it answers, and requires the broker's
 // merge to equal the centralized ranking exactly. Every partition directory
 // allocates "seg-000001" (chunk keys and all), whether it holds one segment
-// or several; replicas of one directory open it with identical keys too.
+// or several; each replica serves its own copy of the directory, with the
+// same segment names and so identical keys too.
 func TestTightPoolClusterMatchesCentralized(t *testing.T) {
 	c := testCollection(t)
 	central, err := ir.Build(c, ir.DefaultBuildConfig())
@@ -44,7 +45,7 @@ func TestTightPoolClusterMatchesCentralized(t *testing.T) {
 				t.Fatal(err)
 			}
 			defer cl.Close()
-			brk, err := DialGroups(cl.Groups)
+			brk, err := cl.NewBroker()
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -79,7 +80,7 @@ func TestTightPoolClusterMatchesCentralized(t *testing.T) {
 				}
 			}
 
-			for i, srv := range cl.Servers {
+			for i, srv := range cl.servers() {
 				st := srv.Metrics().Storage
 				if st.Evictions == 0 {
 					t.Errorf("server %d never evicted under a %d-byte pool: %+v", i, pool, st)

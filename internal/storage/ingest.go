@@ -119,9 +119,9 @@ func WriteSegmentFileChunk(dir, seg, file string, off int64, data []byte) error 
 // InstallManifest commits shipped super-manifest bytes as the directory's
 // new generation, under the writer lock. The install is idempotent and
 // monotonic: a directory already at or past the shipped generation is
-// left untouched (re-ships and shared-directory topologies hit this),
-// and every segment the manifest references must already be fully
-// present — ship the files first. Returns the directory's generation
+// left untouched (a re-shipped install hits this), and every segment the
+// manifest references must already be fully present — ship the files
+// first. Returns the directory's generation
 // after the call (the shipped one, or the newer one already installed).
 func InstallManifest(dir string, manifest []byte) (uint64, error) {
 	sm, err := decodeSegments(dir, manifest)

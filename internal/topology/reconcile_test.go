@@ -109,7 +109,7 @@ func TestReconciledClusterMatchesCentralized(t *testing.T) {
 	}
 	shadow := shadowDirs[0]
 
-	cl, err := dist.StartClusterFromDirs(dirs, 0, dist.WithIngest())
+	cl, err := dist.StartClusterFromDirs(dirs, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -354,7 +354,7 @@ func TestReconcilerChaosMidMoveConverges(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cl, err := dist.StartClusterFromDirs(dirs, 0, dist.WithIngest())
+	cl, err := dist.StartClusterFromDirs(dirs, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -507,7 +507,7 @@ func TestSplitMergeReconcileRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cl, err := dist.StartClusterFromDirs(dirs, 0, dist.WithIngest())
+	cl, err := dist.StartClusterFromDirs(dirs, 0)
 	if err != nil {
 		t.Fatal(err)
 	}

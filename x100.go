@@ -208,18 +208,18 @@ type (
 	// ClusterRequest is one query of a broker batch (Broker.SearchMany
 	// ships a whole batch in one round trip per server).
 	ClusterRequest = dist.Request
-	// ClusterOption tunes cluster startup (replication factor, live
-	// ingest).
+	// ClusterOption tunes cluster startup (the replication factor).
 	ClusterOption = dist.ClusterOption
 	// BrokerOption tunes a broker at dial time (hedge budget).
 	BrokerOption = dist.BrokerOption
 )
 
 // WithClusterReplicas serves every partition range with r servers instead
-// of one: identical in-memory copies for StartCluster, r independent
-// opens of the shared partition directory for StartClusterFromDirs. The
-// extra replicas change no ranking — they give a group-aware broker
-// (Cluster.NewBroker) hedge targets and failover capacity.
+// of one: identical in-memory copies for StartCluster; for
+// StartClusterFromDirs, replica 0 serves the partition directory and each
+// other replica its own directory copy. The extra replicas change no
+// ranking — they give a group-aware broker (Cluster.NewBroker) hedge
+// targets and failover capacity.
 func WithClusterReplicas(r int) ClusterOption { return dist.WithReplicas(r) }
 
 // WithHedgeBudget arms hedged fan-out on a broker dialed over replica
@@ -265,24 +265,18 @@ func BuildPartitions(c *Collection, n int, cfg IndexConfig, baseDir string) ([]s
 
 // StartClusterFromDirs serves persisted partition directories, each
 // replica through a buffer manager of its own with poolBytes budget (0 =
-// unbounded). WithClusterReplicas(r) opens every directory r times (a
-// replica group sharing the on-disk files).
-func StartClusterFromDirs(dirs []string, poolBytes int64, opts ...ClusterOption) (*Cluster, error) {
-	return dist.StartClusterFromDirs(dirs, poolBytes, opts...)
-}
-
-// WithClusterIngest gives every replica of a partition its own directory
-// copy (StartClusterFromDirs only): Broker.Add then routes
+// unbounded). Under WithClusterReplicas(r), replica i > 0 of a partition
+// serves its own copy <dir>-r<i> (hardlinked on first start, reused
+// after). On partitions from BuildLivePartitions, Broker.Add routes
 // document batches to the least-loaded partition, whose primary commits
 // them as a new index generation; the committed segment files ship to
 // the group's other replicas, which install and refresh without dropping
 // in-flight searches. Queries through the broker pin the highest
 // generation it has observed per partition — a replica still behind
 // refuses (and the broker fails over) rather than answering with missing
-// documents, so a reader always sees its own writes. Partition layouts
-// come from BuildLivePartitions.
-func WithClusterIngest() ClusterOption {
-	return dist.WithIngest()
+// documents, so a reader always sees its own writes.
+func StartClusterFromDirs(dirs []string, poolBytes int64, opts ...ClusterOption) (*Cluster, error) {
+	return dist.StartClusterFromDirs(dirs, poolBytes, opts...)
 }
 
 // BuildLivePartitions lays out n live-ingest partition directories under

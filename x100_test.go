@@ -162,7 +162,7 @@ func TestFacadeCluster(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer cluster.Close()
-	broker, err := dist.Dial(cluster.Addrs)
+	broker, err := cluster.NewBroker()
 	if err != nil {
 		t.Fatal(err)
 	}

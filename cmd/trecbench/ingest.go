@@ -17,7 +17,7 @@ import (
 // batches into it. The cluster is seeded with half the collection via
 // BuildLivePartitions; the other half arrives as a sequence of Add
 // calls, each of which indexes a new segment on the owning partition's
-// primary and ships the committed files to the other replicas.
+// primary, from which the other replicas pull the committed files.
 //
 // The claim under test (servePhases asserts it) is that live ingest is a
 // background activity: segment installs swap atomically under the
@@ -98,7 +98,7 @@ func ingestExperiment(p params) error {
 		}
 		fmt.Printf("%d adds (%d docs) across %d partitions: add p50 %.2f ms, p99 %.2f ms\n",
 			len(addLats), added, len(partsHit), loadgen.Ms(loadgen.Percentile(addLats, 50)), loadgen.Ms(loadgen.Percentile(addLats, 99)))
-		fmt.Printf("shipped %d files / %.2f MB to replicas, %d lagging installs, gens %v\n",
+		fmt.Printf("shipped %d files / %.2f MB to replicas, %d lagging pulls, gens %v\n",
 			shippedFiles, float64(shippedBytes)/(1<<20), lagging, brk.PartitionGens())
 		return nil
 	}
@@ -107,7 +107,7 @@ func ingestExperiment(p params) error {
 	}
 	fmt.Println("\n(shape: during-ingest p99 tracks quiesced-after p99 — segment installs")
 	fmt.Println(" swap under the epoch-refcounted refresh, so a search never waits on an")
-	fmt.Println(" install; shipping runs on separate ingest connections, so bulk transfer")
-	fmt.Println(" never queues behind or ahead of a query round trip)")
+	fmt.Println(" install; a replica pulls from the primary on a connection of its own, so")
+	fmt.Println(" bulk transfer never queues behind or ahead of a query round trip)")
 	return nil
 }

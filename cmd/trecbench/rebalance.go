@@ -19,10 +19,10 @@ import (
 // whole time.
 //
 // The claim under test (servePhases asserts it) is that reconciliation is
-// a background activity: replica bootstrap ships segments on ingest
-// connections and installs them under the epoch-refcounted refresh,
-// retirement drains in-flight requests before closing, and the broker
-// retargets between steps.
+// a background activity: a new replica pulls segments from a live peer
+// on a connection of its own and installs them under the epoch-refcounted
+// refresh, retirement drains in-flight requests before closing, and the
+// broker retargets between steps.
 func rebalanceExperiment(p params) error {
 	header("Online rebalancing: topology reconcile while serving")
 	cfg := corpus.DefaultConfig()
@@ -121,8 +121,8 @@ func rebalanceExperiment(p params) error {
 	for _, part := range final.Partitions {
 		fmt.Printf(" [lo=%d x%d %v]", part.Lo, part.Replicas, part.Hosts)
 	}
-	fmt.Println("\n\n(shape: during-reconcile p99 tracks quiesced p99 — replica bootstrap")
-	fmt.Println(" ships on ingest connections and installs under the epoch-refcounted")
+	fmt.Println("\n\n(shape: during-reconcile p99 tracks quiesced p99 — a new replica pulls")
+	fmt.Println(" from a peer on a connection of its own and installs under the epoch-refcounted")
 	fmt.Println(" refresh, retirement drains before closing, and the broker retargets")
 	fmt.Println(" between steps, so a search never waits on a reconfiguration)")
 	return nil

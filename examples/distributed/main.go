@@ -213,9 +213,9 @@ func main() {
 	// their statistics (BuildLivePartitions) accepts document batches while
 	// serving. Broker.Add routes each
 	// batch to the partition with the most room, the primary commits it
-	// as a new segment generation, and the committed files ship to the
-	// other replicas over dedicated ingest connections — queries never
-	// wait on an install, and the broker pins every query at the newest
+	// as a new segment generation, and the other replicas pull the
+	// committed files straight from the primary — queries never wait on
+	// an install, and the broker pins every query at the newest
 	// generation it has seen, so an Add is visible to the very next
 	// search through this broker (read-your-writes).
 	liveBase, err := os.MkdirTemp("", "dist-live-")

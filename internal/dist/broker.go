@@ -330,10 +330,10 @@ type Broker struct {
 	healthExtra func() any
 
 	// ingest is the distributed-Add state (nil until the first Add):
-	// per-group status/append/ship connections, separate from the query
-	// connections so a segment ship never serializes behind — or blocks —
-	// query round trips on the same conn. Tagged with the membership it
-	// was built from and rebuilt when the membership moves on.
+	// per-group status/append/pull connections, separate from the query
+	// connections so an append or a pull never serializes behind — or
+	// blocks — query round trips on the same conn. Tagged with the
+	// membership it was built from and rebuilt when the membership moves on.
 	ingestMu sync.Mutex
 	ingest   *ingestState
 
@@ -894,9 +894,8 @@ func (b *Broker) SearchMany(ctx context.Context, reqs []Request) ([]BatchResult,
 		PerServer: make([]time.Duration, len(m.groups)),
 		Gens:      make([]uint64, len(m.groups)),
 	}
-	out := make([]BatchResult, len(reqs))
 	if len(reqs) == 0 {
-		return out, timing, nil
+		return []BatchResult{}, timing, nil
 	}
 	if b.admit != nil {
 		if err := b.admit.Admit(ctx); err != nil {
@@ -959,8 +958,7 @@ func (b *Broker) SearchMany(ctx context.Context, reqs []Request) ([]BatchResult,
 		}(gi, g)
 	}
 
-	var firstErr error
-	downGroups := 0
+	reps := make([]groupReply, len(m.groups))
 	for range m.groups {
 		r := <-replies
 		if r.span != nil {
@@ -968,16 +966,56 @@ func (b *Broker) SearchMany(ctx context.Context, reqs []Request) ([]BatchResult,
 		}
 		timing.Hedged += r.hedged
 		timing.Retried += r.retried
+		timing.Gens[r.gi] = r.resp.Gen
+		reps[r.gi] = r
+	}
+	b.hedged.Add(int64(timing.Hedged))
+	b.retried.Add(int64(timing.Retried))
+	ms := t.Begin("merge")
+	out, down, firstErr := mergeReplies(reqs, reps)
+	t.End(ms)
+	// Under WithPartialResults a down group is routed around as long as one
+	// survives, unless the caller itself gave up (a context error is not an
+	// outage): the batch answers degraded instead of failing.
+	if firstErr != nil && b.partial && ctx.Err() == nil && down < len(m.groups) {
+		timing.DegradedGroups = down
+		b.degraded.Add(int64(down))
+		for qi := range out {
+			out[qi].Degraded = true
+		}
+		firstErr = nil
+	}
+	timing.Total = time.Since(start)
+	if firstErr != nil {
+		if ctxErr := ctx.Err(); ctxErr != nil {
+			finish(&timing, ctxErr)
+			return nil, timing, ctxErr
+		}
+		finish(&timing, firstErr)
+		return nil, timing, firstErr
+	}
+	finish(&timing, nil)
+	return out, timing, nil
+}
+
+// mergeReplies folds the partition groups' replies to one batch into the
+// batch's results: each answer's hits and stats land in its request's
+// entry, a per-query error fails that request, and every request's hits
+// are merged into its global ranking — partitions are disjoint, so that
+// is a plain top-k selection ordered like the single-node TopN (score
+// desc, docid asc). A group fails as a whole when its call errored or it
+// answered a different number of queries than reqs; mergeReplies returns
+// how many groups failed and the first failure in partition order.
+func mergeReplies(reqs []Request, reps []groupReply) ([]BatchResult, int, error) {
+	out := make([]BatchResult, len(reqs))
+	var firstErr error
+	down := 0
+	for _, r := range reps {
 		if r.err == nil && len(r.resp.Queries) != len(reqs) {
 			r.err = fmt.Errorf("answered %d of %d queries", len(r.resp.Queries), len(reqs))
 		}
-		timing.Gens[r.gi] = r.resp.Gen
 		if r.err != nil {
-			// Under WithPartialResults a down group is routed around unless
-			// the caller itself gave up (a context error is not an outage).
-			if b.partial && ctx.Err() == nil {
-				downGroups++
-			}
+			down++
 			if firstErr == nil {
 				firstErr = fmt.Errorf("dist: partition %d: %w", r.gi, r.err)
 			}
@@ -998,32 +1036,6 @@ func (b *Broker) SearchMany(ctx context.Context, reqs []Request) ([]BatchResult,
 			mergeStats(&out[qi].Stats, a)
 		}
 	}
-	b.hedged.Add(int64(timing.Hedged))
-	b.retried.Add(int64(timing.Retried))
-	if firstErr != nil && downGroups > 0 && downGroups < len(m.groups) {
-		// Partial mode with at least one survivor: answer degraded instead
-		// of failing the batch.
-		timing.DegradedGroups = downGroups
-		b.degraded.Add(int64(downGroups))
-		for qi := range out {
-			out[qi].Degraded = true
-		}
-		firstErr = nil
-	}
-	timing.Total = time.Since(start)
-	if firstErr != nil {
-		if ctxErr := ctx.Err(); ctxErr != nil {
-			finish(&timing, ctxErr)
-			return nil, timing, ctxErr
-		}
-		finish(&timing, firstErr)
-		return nil, timing, firstErr
-	}
-
-	// Global ranking per query: partitions are disjoint, so each merge is a
-	// plain top-k selection ordered like the single-node TopN (score desc,
-	// docid asc).
-	ms := t.Begin("merge")
 	for qi := range out {
 		if out[qi].Err != nil {
 			out[qi].Results = nil
@@ -1041,9 +1053,7 @@ func (b *Broker) SearchMany(ctx context.Context, reqs []Request) ([]BatchResult,
 		}
 		out[qi].Results = merged
 	}
-	t.End(ms)
-	finish(&timing, nil)
-	return out, timing, nil
+	return out, down, firstErr
 }
 
 // attemptRec is the trace-side record of one replica attempt. It is

@@ -78,24 +78,42 @@ type Cluster struct {
 	baseDir   string // parent dir for cluster-owned partition copies
 	poolBytes int64  // buffer-manager budget of every dir-backed slot
 
-	// shipHook, when set (SetShipHook), observes every chunk the replica
-	// bootstrap path lands — the chaos-injection point reconciler tests
-	// cancel mid-ship through.
-	shipHook func(seg, file string, off int64) error
+	// hook is shared with every server the cluster starts, so one
+	// SetShipHook reaches every pull.
+	hook *shipHook
 
 	// warmReplica, when set (SetReplicaWarmer), runs against every freshly
 	// bootstrapped replica before it enters the serving rotation.
 	warmReplica func(*Server) error
 }
 
-// SetShipHook installs an observer called before every chunk the replica
-// bootstrap path writes (AddReplica shipping). An error return aborts the
-// ship at that chunk — the failure-injection point for reconciler chaos
-// tests. Pass nil to clear.
+// shipHook holds the observer SetShipHook installs — the chaos-injection
+// point tests cut a pull through.
+type shipHook struct {
+	mu sync.Mutex
+	fn func(seg, file string, off int64) error
+}
+
+// load returns the current observer (nil when none is set, or for a
+// server started outside a cluster).
+func (h *shipHook) load() func(seg, file string, off int64) error {
+	if h == nil {
+		return nil
+	}
+	h.mu.Lock()
+	defer h.mu.Unlock()
+	return h.fn
+}
+
+// SetShipHook installs an observer called before every chunk any pull
+// writes: AddReplica's, and every replica's catch-up pull during
+// Broker.Add, on every server the cluster starts. An error return aborts
+// that pull at that chunk — the failure-injection point for chaos tests.
+// Pass nil to clear.
 func (cl *Cluster) SetShipHook(fn func(seg, file string, off int64) error) {
-	cl.mu.Lock()
-	cl.shipHook = fn
-	cl.mu.Unlock()
+	cl.hook.mu.Lock()
+	cl.hook.fn = fn
+	cl.hook.mu.Unlock()
 }
 
 // SetReplicaWarmer installs a warm-up pass run on every replica AddReplica
@@ -111,12 +129,14 @@ func (cl *Cluster) SetReplicaWarmer(fn func(*Server) error) {
 	cl.mu.Unlock()
 }
 
-// assemble wires a flat, group-major server slice into a Cluster.
-func assemble(servers []*Server, partitions, replicas int) *Cluster {
+// assemble wires a flat, group-major server slice, whose servers share
+// hook, into a Cluster.
+func assemble(servers []*Server, partitions, replicas int, hook *shipHook) *Cluster {
 	cl := &Cluster{
 		replicas: replicas,
 		owner:    true,
 		slots:    make([][]*slotMeta, partitions),
+		hook:     hook,
 	}
 	for p := 0; p < partitions; p++ {
 		cl.slots[p] = make([]*slotMeta, replicas)
@@ -287,7 +307,7 @@ func StartCluster(c *corpus.Collection, n int, cfg ir.BuildConfig, opts ...Clust
 	if err := closeOnError(servers, errs); err != nil {
 		return nil, err
 	}
-	return assemble(servers, n, ccfg.replicas), nil
+	return assemble(servers, n, ccfg.replicas, new(shipHook)), nil
 }
 
 // closeOnError tears down whatever servers did start when any of a
@@ -428,13 +448,13 @@ func BuildLivePartitions(c *corpus.Collection, n int, cfg ir.BuildConfig, baseDi
 // replica 0 serves dirs[p] itself and replica r > 0 serves its own copy
 // <dirs[p]>-r<r>, bootstrapped by storage.CopyDir (hardlinks where the
 // filesystem allows) on first start and reused on later starts — a
-// replica keeps its data and catches up by shipped segments. No replica
-// ever sweeps, appends to or installs into another's directory.
+// replica keeps its data and catches up by pulling segments from a peer.
+// No replica ever sweeps, appends to or installs into another's directory.
 // Nothing is rebuilt and no collection is needed: each server reads its
 // manifests and serves, with posting data streaming in through a buffer
 // manager with poolBytes budget (0 = unbounded) as queries arrive — the
 // cold-start path a production fleet restarts through. Every server
-// answers the append/fetch/install verbs (appends land only in
+// answers the append/fetch/pull verbs (appends and pulls land only in
 // directories that own their statistics — see BuildLivePartitions), and
 // the cluster supports the elastic operations (elastic.go). Opens run in
 // parallel.
@@ -443,6 +463,7 @@ func StartClusterFromDirs(dirs []string, poolBytes int64, opts ...ClusterOption)
 		return nil, fmt.Errorf("dist: no partition directories")
 	}
 	ccfg := applyClusterOptions(opts)
+	hook := new(shipHook)
 	servers := make([]*Server, len(dirs)*ccfg.replicas)
 	replicaDirs := make([]string, len(servers))
 	errs := make([]error, len(servers))
@@ -465,7 +486,7 @@ func StartClusterFromDirs(dirs []string, poolBytes int64, opts ...ClusterOption)
 					}
 				}
 				replicaDirs[i] = dir
-				servers[i], errs[i] = serveSegmentedDir(dir, "127.0.0.1:0", colbm.NewManager(poolBytes))
+				servers[i], errs[i] = serveSegmentedDir(dir, "127.0.0.1:0", colbm.NewManager(poolBytes), hook)
 			}(p, r)
 		}
 	}
@@ -473,7 +494,7 @@ func StartClusterFromDirs(dirs []string, poolBytes int64, opts ...ClusterOption)
 	if err := closeOnError(servers, errs); err != nil {
 		return nil, err
 	}
-	cl := assemble(servers, len(dirs), ccfg.replicas)
+	cl := assemble(servers, len(dirs), ccfg.replicas, hook)
 	cl.poolBytes = poolBytes
 	cl.baseDir = filepath.Dir(dirs[0])
 	for i := range servers {
@@ -496,8 +517,8 @@ func (cl *Cluster) KillReplica(p, r int) error {
 // serving its own directory: the data it had at death, however many
 // generations behind the group has moved since. Brokers redial lazily, so
 // the revived node starts taking traffic on the next attempt routed its
-// way — refusing queries pinned past its generation until an Add's ship
-// path catches it up.
+// way — refusing queries pinned past its generation until an Add's pull
+// catches it up.
 func (cl *Cluster) ReviveReplica(p, r int) error {
 	cl.mu.Lock()
 	sl := cl.slots[p][r]
@@ -511,7 +532,7 @@ func (cl *Cluster) ReviveReplica(p, r int) error {
 	var s *Server
 	var err error
 	for deadline := time.Now().Add(2 * time.Second); ; {
-		s, err = serveSegmentedDir(sl.dir, sl.addr, colbm.NewManager(cl.poolBytes))
+		s, err = serveSegmentedDir(sl.dir, sl.addr, colbm.NewManager(cl.poolBytes), cl.hook)
 		if err == nil || time.Now().After(deadline) {
 			break
 		}
@@ -563,6 +584,7 @@ func (cl *Cluster) Sub(n int) *Cluster {
 	return &Cluster{
 		replicas: cl.replicas,
 		slots:    cl.slots[:n],
+		hook:     cl.hook,
 	}
 }
 

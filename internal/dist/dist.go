@@ -12,13 +12,12 @@ import (
 // servers from before the ingest protocol interoperate: gob omits absent
 // fields and the extra payload pointers decode as nil.
 const (
-	verbSearch        = iota // execute Queries
-	verbStatus               // report generation / docid range / segment set
-	verbAppend               // index Append.Docs as a new committed segment
-	verbFetch                // read a chunk (or list the files) of a committed segment
-	verbInstallChunk         // write one shipped chunk into a segment being installed
-	verbInstallCommit        // install a shipped manifest and refresh serving
-	verbManifest             // read the current committed manifest bytes (replica bootstrap)
+	verbSearch   = iota // execute Queries
+	verbStatus          // report generation / docid range / ingest capability
+	verbAppend          // index Append.Docs as a new committed segment
+	verbFetch           // read a chunk (or list the files) of a committed segment
+	verbManifest        // read the current committed manifest bytes
+	verbPull            // catch this replica's directory up with the server at Pull.From
 )
 
 // wireRequest is one broker -> server message: a batch of queries the
@@ -61,9 +60,9 @@ type wireRequest struct {
 
 	// Per-verb payloads; nil for verbs that do not use them (gob encodes
 	// nil pointers as absent).
-	Append  *wireAppend
-	Fetch   *wireFetch
-	Install *wireInstall
+	Append *wireAppend
+	Fetch  *wireFetch
+	Pull   *wirePull
 }
 
 // wireDoc is one live document on the wire.
@@ -80,7 +79,7 @@ type wireAppend struct {
 
 // wireFetch reads Len bytes of a committed segment file at Off
 // (verbFetch); with File empty it lists the segment's files instead —
-// the two reads the shipping path needs from a primary.
+// the two reads a pull needs from its source.
 type wireFetch struct {
 	Seg  string
 	File string
@@ -88,15 +87,10 @@ type wireFetch struct {
 	Len  int
 }
 
-// wireInstall carries one shipped chunk (verbInstallChunk: Seg/File/Off/
-// Data) or the committed manifest bytes (verbInstallCommit: Manifest)
-// into a replica's directory.
-type wireInstall struct {
-	Seg      string
-	File     string
-	Off      int64
-	Data     []byte
-	Manifest []byte
+// wirePull asks a replica to pull its directory up to the committed
+// generation of the server listening at From (verbPull).
+type wirePull struct {
+	From string
 }
 
 // wireQuery is one query inside a batch.
@@ -121,35 +115,29 @@ type wireResponse struct {
 	// request's PinGen even after a refresh attempt. No queries were
 	// executed; the broker retries elsewhere.
 	Stale bool
-	// Err reports a failed control verb (status/append/fetch/install);
-	// per-query errors ride in Queries for verbSearch.
+	// Err reports a failed control verb (status/append/fetch/manifest/
+	// pull); per-query errors ride in Queries for verbSearch.
 	Err string
 
 	// Per-verb payloads.
 	Status *wireStatus
 	Append *wireAppendResult
-	// Data is the verbFetch chunk payload; Files answers a verbFetch file
-	// listing (File == "").
+	Pull   *wirePullResult
+	// Data is the verbFetch chunk payload (and verbManifest's manifest
+	// bytes); Files answers a verbFetch file listing (File == "").
 	Data  []byte
 	Files []wireFileInfo
 }
 
 // wireStatus answers verbStatus: where this replica stands.
 type wireStatus struct {
-	// Gen is the serving generation; DiskGen the generation of the on-disk
-	// manifest (ahead of Gen when a refresh is pending). A replica whose
-	// DiskGen already matches the primary's commit (an earlier ship landed)
-	// only needs an install commit, not file shipping.
-	Gen     uint64
-	DiskGen uint64
+	// Gen is the serving generation.
+	Gen uint64
 	// DocBase/NumDocs describe the partition's docid range (routing).
 	DocBase int64
 	NumDocs int
-	// Segs names the segment directories of the on-disk manifest; the
-	// shipping diff sends only what a lagging replica is missing.
-	Segs []string
 	// Ingest reports whether this server is dir-backed and non-External —
-	// i.e. can accept appends and installs.
+	// i.e. can accept appends and pulls.
 	Ingest bool
 }
 
@@ -160,15 +148,20 @@ type wireFileInfo struct {
 }
 
 // wireAppendResult answers verbAppend: the committed generation, the new
-// segment's name and files (so the broker can ship it to the group's
-// other replicas without re-asking), and the exact committed manifest
-// bytes replicas will install.
+// segment's name, and the partition's document count after the commit.
 type wireAppendResult struct {
-	Gen      uint64
-	Seg      string
-	Files    []wireFileInfo
-	Manifest []byte
-	NumDocs  int
+	Gen     uint64
+	Seg     string
+	NumDocs int
+}
+
+// wirePullResult answers verbPull, and is what a pull returns in process:
+// the generation the directory stands at afterwards, and the segment
+// files and bytes the pull wrote to get there.
+type wirePullResult struct {
+	Gen   uint64
+	Files int
+	Bytes int64
 }
 
 // wireAnswer is one query's results plus the complete per-query stats.

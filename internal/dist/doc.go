@@ -19,9 +19,22 @@
 // Replication adds nothing to merge correctness: replicas of a partition
 // serve the same index (in-memory replicas build identical copies;
 // persisted replicas serve their own copies of the partition directory,
-// kept at the same generation by shipping), so *which* replica answers
-// never changes the ranking — the property failover and hedging
+// kept at the same generation by pulling from a peer), so *which* replica
+// answers never changes the ranking — the property failover and hedging
 // rely on to re-issue work freely.
+//
+// # Ingest and catch-up
+//
+// Broker.Add appends a batch on one replica of the owning group (the
+// primary), which commits it as a new generation. Every replica directory
+// then catches up the same way, through one pull: fetch the source's
+// committed manifest, copy the segments the local SEGMENTS.json lacks
+// chunk by chunk, and install the manifest, which is the commit point.
+// Broker.Add has each other group member pull from the primary (the
+// verbPull request); Cluster.AddReplica pulls into the new replica's
+// directory before its server starts. Segment bytes travel source to
+// replica once, never through the broker, and SetShipHook observes every
+// chunk of every pull.
 //
 // # Replica groups, hedging, failover
 //

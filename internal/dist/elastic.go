@@ -13,10 +13,10 @@ import (
 
 // Elastic cluster operations: the reconfiguration steps a topology
 // reconciler composes to move a live ingest cluster from one shape to
-// another — add a replica by shipping the partition over the chunked
-// fetch/install path, retire one with drain-then-close, move one between
-// hosts, split a partition's docid range at a segment boundary, or merge
-// an adjacent partition back in by rewriting its segments' docid bases.
+// another — add a replica by pulling the partition from a live peer,
+// retire one with drain-then-close, move one between hosts, split a
+// partition's docid range at a segment boundary, or merge an adjacent
+// partition back in by rewriting its segments' docid bases.
 // Every step keeps the cluster serving: replica-set changes go through
 // Broker.Retarget (no barrier — the ranges are unchanged), and range
 // changes bracket their single atomic manifest commit with a broker seal,
@@ -71,14 +71,14 @@ func unfreezeAll(brokers []*Broker) {
 }
 
 // AddReplica grows partition p's replica group by one: the partition's
-// current committed state is shipped over the wire from a live group
-// member into a fresh cluster-owned directory on the given host (same
-// chunked fetch + manifest-install path an Add uses to replicate, so a
-// torn ship can never serve: the install verifies every referenced file
-// before committing), a server starts on it, and every given broker is
+// current committed state is pulled over the wire from a live group
+// member into a fresh cluster-owned directory on the given host (the
+// same pull every replica runs to catch up during an Add, so a torn ship
+// can never serve: the install verifies every referenced file before
+// committing), a server starts on it, and every given broker is
 // retargeted to the grown group. Queries and Adds keep flowing
 // throughout; the new replica answers as soon as retarget publishes it.
-// An empty host picks the next free default label. The ship loop re-syncs
+// An empty host picks the next free default label. The pull repeats
 // until the source stands still, so a replica added under live ingest
 // starts current, not a generation behind.
 func (cl *Cluster) AddReplica(ctx context.Context, p int, host string, brokers ...*Broker) error {
@@ -117,11 +117,25 @@ func (cl *Cluster) AddReplica(ctx context.Context, p int, host string, brokers .
 		return err
 	}
 	dst := cl.elasticDir(lo, host)
-	if err := cl.bootstrapReplica(ctx, src.addr, dst); err != nil {
-		return err
+	sc := &srvConn{addr: src.addr}
+	defer sc.close()
+	// The source may commit more while a pull ships: pull again until a
+	// pull ends at the generation the previous one installed.
+	for tries, last := 0, uint64(0); ; tries++ {
+		res, err := pull(ctx, sc, dst, cl.hook.load(), storage.InstallManifest)
+		if err != nil {
+			return err
+		}
+		if tries > 0 && res.Gen == last {
+			break
+		}
+		if tries >= 32 {
+			return fmt.Errorf("dist: replica %s cannot catch up with %s", dst, src.addr)
+		}
+		last = res.Gen
 	}
 
-	srv, err := serveSegmentedDir(dst, "127.0.0.1:0", colbm.NewManager(cl.poolBytes))
+	srv, err := serveSegmentedDir(dst, "127.0.0.1:0", colbm.NewManager(cl.poolBytes), cl.hook)
 	if err != nil {
 		return err
 	}
@@ -143,120 +157,6 @@ func (cl *Cluster) AddReplica(ctx context.Context, p int, host string, brokers .
 	groups := cl.currentGroupsLocked()
 	cl.mu.Unlock()
 	return retargetAll(brokers, groups)
-}
-
-// bootstrapReplica ships the source server's committed state into dst:
-// manifest bytes via the manifest verb, missing segments via chunked
-// fetches, then the verified manifest install — looping until the source
-// generation stands still. Resumable: segments dst's committed manifest
-// already references are skipped (they were verified at install), and a
-// partially shipped segment is simply re-shipped.
-func (cl *Cluster) bootstrapReplica(ctx context.Context, srcAddr, dst string) error {
-	sc := &srvConn{addr: srcAddr}
-	defer sc.close()
-	fetchManifest := func() ([]byte, uint64, error) {
-		resp, err := sc.roundTrip(ctx, wireRequest{Verb: verbManifest})
-		if err != nil {
-			return nil, 0, err
-		}
-		if resp.Err != "" {
-			return nil, 0, fmt.Errorf("dist: %s: %s", srcAddr, resp.Err)
-		}
-		return resp.Data, resp.Gen, nil
-	}
-	for tries := 0; ; tries++ {
-		manifest, gen, err := fetchManifest()
-		if err != nil {
-			return err
-		}
-		have := map[string]bool{}
-		if sm, err := storage.ReadSegments(dst); err == nil {
-			if sm.Generation >= gen {
-				return nil // already caught up (an earlier run's install)
-			}
-			for _, e := range sm.Segments {
-				have[e.Name] = true
-			}
-		}
-		names, err := storage.ManifestSegNames(manifest)
-		if err != nil {
-			return err
-		}
-		for _, seg := range names {
-			if have[seg] {
-				continue
-			}
-			if err := cl.shipSegment(ctx, sc, seg, dst); err != nil {
-				return err
-			}
-		}
-		if _, err := storage.InstallManifest(dst, manifest); err != nil {
-			return err
-		}
-		// The source may have committed more generations while we shipped;
-		// go around until it stands still.
-		if _, cur, err := fetchManifest(); err != nil {
-			return err
-		} else if cur == gen {
-			return nil
-		}
-		if tries >= 32 {
-			return fmt.Errorf("dist: bootstrap of %s cannot catch up with %s", dst, srcAddr)
-		}
-	}
-}
-
-// shipSegment copies one committed segment from the source connection
-// into dst, chunk by chunk. Nothing here commits; a cancellation leaves
-// at most a partial segment directory the next install ignores and the
-// next run overwrites.
-func (cl *Cluster) shipSegment(ctx context.Context, sc *srvConn, seg, dst string) error {
-	resp, err := sc.roundTrip(ctx, wireRequest{Verb: verbFetch, Fetch: &wireFetch{Seg: seg}})
-	if err != nil {
-		return err
-	}
-	if resp.Err != "" {
-		return fmt.Errorf("dist: fetch %s: %s", seg, resp.Err)
-	}
-	cl.mu.Lock()
-	hook := cl.shipHook
-	cl.mu.Unlock()
-	for _, f := range resp.Files {
-		if f.Size == 0 {
-			if err := storage.WriteSegmentFileChunk(dst, seg, f.Name, 0, nil); err != nil {
-				return err
-			}
-			continue
-		}
-		for off := int64(0); off < f.Size; {
-			n := shipChunk
-			if rem := f.Size - off; rem < int64(n) {
-				n = int(rem)
-			}
-			r, err := sc.roundTrip(ctx, wireRequest{Verb: verbFetch,
-				Fetch: &wireFetch{Seg: seg, File: f.Name, Off: off, Len: n}})
-			if err != nil {
-				return err
-			}
-			if r.Err != "" {
-				return fmt.Errorf("dist: fetch %s/%s: %s", seg, f.Name, r.Err)
-			}
-			if len(r.Data) != n {
-				return fmt.Errorf("dist: short fetch of %s/%s at %d: %d of %d bytes",
-					seg, f.Name, off, len(r.Data), n)
-			}
-			if hook != nil {
-				if err := hook(seg, f.Name, off); err != nil {
-					return err
-				}
-			}
-			if err := storage.WriteSegmentFileChunk(dst, seg, f.Name, off, r.Data); err != nil {
-				return err
-			}
-			off += int64(n)
-		}
-	}
-	return nil
 }
 
 // RetireReplica shrinks partition p's replica group by removing slot r:
@@ -372,7 +272,7 @@ func (cl *Cluster) SplitPartition(ctx context.Context, p int, at int64, brokers 
 		return fail(fmt.Errorf("dist: partition %d already split below %d but right half %s is missing",
 			p, at, rightDir))
 	}
-	rsrv, err := serveSegmentedDir(rightDir, "127.0.0.1:0", colbm.NewManager(cl.poolBytes))
+	rsrv, err := serveSegmentedDir(rightDir, "127.0.0.1:0", colbm.NewManager(cl.poolBytes), cl.hook)
 	if err != nil {
 		return fail(err)
 	}

@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"os"
 	"sync"
 	"time"
 
@@ -15,10 +16,9 @@ import (
 // engine-side type.
 type Doc = corpus.Doc
 
-// shipChunk is the segment-shipping transfer unit: one verbFetch from
-// the primary and one verbInstallChunk to the replica per chunk. Small
-// enough that a ship never monopolizes a connection for long, large
-// enough that a segment is a handful of round trips.
+// shipChunk is the pull transfer unit: one verbFetch from the source per
+// chunk. Small enough that a pull never monopolizes the source connection
+// for long, large enough that a segment is a handful of round trips.
 const shipChunk = 256 << 10
 
 // AddStats reports one distributed Add: where the batch landed and what
@@ -35,24 +35,95 @@ type AddStats struct {
 	TotalDocs int
 	// Replicated counts group members at generation Gen when Add
 	// returned (the primary included); Lagging counts members that could
-	// not be brought up to date (down, or a ship/install failed). A
-	// lagging replica cannot corrupt results — queries pin Gen, so it
-	// refuses with Stale until it catches up on a later Add or refresh.
+	// not be brought up to date (down, or their pull failed). A lagging
+	// replica cannot corrupt results — queries pin Gen, so it refuses
+	// with Stale until it catches up on a later Add or refresh.
 	Replicated int
 	Lagging    int
-	// ShippedFiles/ShippedBytes count segment file data relayed
-	// primary -> broker -> replicas (zero when every replica was already
-	// current).
+	// ShippedFiles/ShippedBytes count segment file data the other group
+	// members pulled from the primary (zero when every replica was
+	// already current).
 	ShippedFiles int
 	ShippedBytes int64
 }
 
+// pull brings the partition directory dir up to the committed generation
+// of the server behind src: it fetches the source's manifest, ships every
+// segment dir's own SEGMENTS.json lacks chunk by chunk (calling hook, when
+// set, before each chunk is written — an error aborts the pull there),
+// and commits the manifest through install(dir, manifest). Nothing before
+// install commits: an aborted pull leaves at most partial segment
+// directories no manifest references, which the next pull re-ships.
+func pull(ctx context.Context, src *srvConn, dir string, hook func(seg, file string, off int64) error,
+	install func(dir string, manifest []byte) (uint64, error)) (wirePullResult, error) {
+	var res wirePullResult
+	resp, err := control(ctx, src, wireRequest{Verb: verbManifest})
+	if err != nil {
+		return res, err
+	}
+	manifest := resp.Data
+	names, err := storage.ManifestSegNames(manifest)
+	if err != nil {
+		return res, err
+	}
+	have := make(map[string]bool)
+	switch sm, err := storage.ReadSegments(dir); {
+	case err == nil:
+		for _, name := range sm.Names() {
+			have[name] = true
+		}
+	case !errors.Is(err, os.ErrNotExist):
+		return res, err
+	}
+	for _, seg := range names {
+		if have[seg] {
+			continue
+		}
+		resp, err := control(ctx, src, wireRequest{Verb: verbFetch, Fetch: &wireFetch{Seg: seg}})
+		if err != nil {
+			return res, err
+		}
+		for _, f := range resp.Files {
+			// A zero-length file is one empty chunk: it must still exist.
+			for off := int64(0); off == 0 || off < f.Size; off += shipChunk {
+				n := int(min(shipChunk, f.Size-off))
+				var data []byte
+				if n > 0 {
+					r, err := control(ctx, src, wireRequest{Verb: verbFetch,
+						Fetch: &wireFetch{Seg: seg, File: f.Name, Off: off, Len: n}})
+					if err != nil {
+						return res, err
+					}
+					if len(r.Data) != n {
+						return res, fmt.Errorf("dist: %s: short fetch of %s/%s at %d: %d of %d bytes",
+							src.addr, seg, f.Name, off, len(r.Data), n)
+					}
+					data = r.Data
+				}
+				if hook != nil {
+					if err := hook(seg, f.Name, off); err != nil {
+						return res, err
+					}
+				}
+				if err := storage.WriteSegmentFileChunk(dir, seg, f.Name, off, data); err != nil {
+					return res, err
+				}
+				res.Bytes += int64(len(data))
+			}
+			res.Files++
+		}
+	}
+	res.Gen, err = install(dir, manifest)
+	return res, err
+}
+
 // ingestState is the broker's lazily-created distributed-Add machinery:
 // one ingest connection per replica, separate from the query connections.
-// A query round trip holds its connection's lock end to end, so shipping
-// megabytes of segment files over the query connections would stall
-// searches behind bulk transfer; the split keeps ingest and serving
-// traffic on independent streams to the same servers.
+// A round trip holds its connection's lock end to end, and an append or
+// a pull lasts as long as the segment build or transfer behind it, so
+// running them on the query connections would stall searches; the split
+// keeps ingest and serving traffic on independent streams to the same
+// servers.
 type ingestState struct {
 	mem    *membership // the layout this state was built from
 	groups []*ingestGroup
@@ -128,7 +199,7 @@ func control(ctx context.Context, sc *srvConn, req wireRequest) (wireResponse, e
 }
 
 // status asks one replica where it stands (generation, docid range,
-// segment set, ingest capability).
+// ingest capability).
 func status(ctx context.Context, sc *srvConn) (*wireStatus, error) {
 	resp, err := control(ctx, sc, wireRequest{Verb: verbStatus})
 	if err != nil {
@@ -142,9 +213,10 @@ func status(ctx context.Context, sc *srvConn) (*wireStatus, error) {
 
 // Add routes one document batch to the owning partition and replicates
 // the commit: the partition's primary indexes the batch as a new
-// committed generation, and the freshly committed segment files are
-// shipped to the group's other replicas, which install the manifest and
-// refresh without dropping in-flight searches. The owning partition is
+// committed generation, and each of the group's other replicas pulls the
+// segment files it lacks straight from the primary, installs the
+// primary's manifest and refreshes without dropping in-flight searches.
+// The owning partition is
 // the ingest-capable group with the fewest documents (appends balance
 // across partitions; a partition's docid range is fixed at cluster
 // build, so growth lands where there is room). The broker's generation
@@ -154,10 +226,10 @@ func status(ctx context.Context, sc *srvConn) (*wireStatus, error) {
 //
 // Add succeeds when any replica of the owning group commits the batch.
 // Replicas that cannot be brought current (down, mid-revival, failed
-// install) are reported in AddStats.Lagging, not errors: generation
+// pull) are reported in AddStats.Lagging, not errors: generation
 // pinning already guarantees they refuse to answer queries until they
-// catch up, which happens on the next Add to the group (the ship diff
-// resends whatever is missing) or on their own refresh.
+// catch up, which happens on the next Add to the group (its pull ships
+// whatever the replica's directory lacks) or on their own refresh.
 func (b *Broker) Add(ctx context.Context, docs []Doc) (AddStats, error) {
 	var stats AddStats
 	if len(docs) == 0 {
@@ -223,14 +295,15 @@ func (b *Broker) Add(ctx context.Context, docs []Doc) (AddStats, error) {
 	stats.Replicated = 1
 	ratchetGen(m.gens[gi], res.Gen)
 
-	// Replicate: bring every other group member to the committed
-	// generation — file shipping for the segments its directory lacks,
-	// then the manifest install.
-	for ri := range ig.conns {
+	// Replicate: every other group member pulls the segments its directory
+	// lacks straight from the primary and installs the primary's manifest.
+	from := &wirePull{From: ig.conns[primary].addr}
+	for ri, sc := range ig.conns {
 		if ri == primary {
 			continue
 		}
-		if err := b.replicate(ctx, ig, primary, ri, res, &stats); err != nil {
+		resp, err := control(ctx, sc, wireRequest{Verb: verbPull, Pull: from})
+		if err != nil || resp.Pull == nil || resp.Pull.Gen < res.Gen {
 			if ctx.Err() != nil {
 				return stats, ctx.Err()
 			}
@@ -238,6 +311,8 @@ func (b *Broker) Add(ctx context.Context, docs []Doc) (AddStats, error) {
 			continue
 		}
 		stats.Replicated++
+		stats.ShippedFiles += resp.Pull.Files
+		stats.ShippedBytes += resp.Pull.Bytes
 	}
 	return stats, nil
 }
@@ -308,86 +383,6 @@ func (b *Broker) route(ctx context.Context, m *membership, st *ingestState) (int
 		return -1, nil, fmt.Errorf("dist: no partition takes appends: %w", storage.ErrExternalStats)
 	}
 	return bestGi, bestRIs, nil
-}
-
-// replicate brings one replica to the primary's just-committed
-// generation: diff its on-disk segment set against the committed
-// manifest, ship whatever is missing chunk by chunk (primary -> broker
-// -> replica), then install the manifest — the commit point — which the
-// replica follows with a serving refresh.
-func (b *Broker) replicate(ctx context.Context, ig *ingestGroup, primary, ri int, res *wireAppendResult, stats *AddStats) error {
-	dst := ig.conns[ri]
-	ws, err := status(ctx, dst)
-	if err != nil {
-		return err
-	}
-	if ws.DiskGen < res.Gen {
-		// Ship segments the replica's directory is missing. The committed
-		// manifest names them; the new segment's files came back with the
-		// append, older ones (a revived replica catching up) are listed
-		// from the primary on demand.
-		have := make(map[string]bool, len(ws.Segs))
-		for _, s := range ws.Segs {
-			have[s] = true
-		}
-		segs, err := storage.ManifestSegNames(res.Manifest)
-		if err != nil {
-			return err
-		}
-		for _, seg := range segs {
-			if have[seg] {
-				continue
-			}
-			files, err := b.segFileList(ctx, ig.conns[primary], seg, res)
-			if err != nil {
-				return err
-			}
-			for _, f := range files {
-				if err := b.shipFile(ctx, ig.conns[primary], dst, seg, f, stats); err != nil {
-					return err
-				}
-				stats.ShippedFiles++
-			}
-		}
-	}
-	_, err = control(ctx, dst, wireRequest{Verb: verbInstallCommit, Install: &wireInstall{Manifest: res.Manifest}})
-	return err
-}
-
-// segFileList returns the file set of one committed segment: from the
-// append result when it is the fresh segment, from the primary's
-// directory otherwise.
-func (b *Broker) segFileList(ctx context.Context, src *srvConn, seg string, res *wireAppendResult) ([]wireFileInfo, error) {
-	if seg == res.Seg {
-		return res.Files, nil
-	}
-	resp, err := control(ctx, src, wireRequest{Verb: verbFetch, Fetch: &wireFetch{Seg: seg}})
-	if err != nil {
-		return nil, err
-	}
-	return resp.Files, nil
-}
-
-// shipFile relays one segment file from the primary to a replica in
-// shipChunk pieces.
-func (b *Broker) shipFile(ctx context.Context, src, dst *srvConn, seg string, f wireFileInfo, stats *AddStats) error {
-	for off := int64(0); off < f.Size; off += shipChunk {
-		n := int(min(int64(shipChunk), f.Size-off))
-		resp, err := control(ctx, src, wireRequest{Verb: verbFetch, Fetch: &wireFetch{Seg: seg, File: f.Name, Off: off, Len: n}})
-		if err != nil {
-			return err
-		}
-		if len(resp.Data) != n {
-			return fmt.Errorf("dist: %s: short fetch of %s/%s at %d: %d of %d bytes",
-				src.addr, seg, f.Name, off, len(resp.Data), n)
-		}
-		if _, err := control(ctx, dst, wireRequest{Verb: verbInstallChunk,
-			Install: &wireInstall{Seg: seg, File: f.Name, Off: off, Data: resp.Data}}); err != nil {
-			return err
-		}
-		stats.ShippedBytes += int64(n)
-	}
-	return nil
 }
 
 // PartitionGens reports the broker's generation table: the highest

@@ -4,8 +4,10 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"net"
 	"os"
 	"path/filepath"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -444,4 +446,293 @@ func TestReplicaCloseKeepsPeerBuild(t *testing.T) {
 		t.Fatalf("add: replicated %d lagging %d, want 2/0 (stats %+v)", st.Replicated, st.Lagging, st)
 	}
 	survives("after an Add replicated to replica 1")
+}
+
+// shadowRankings ranks the queries against the committed generation of a
+// directory opened on its own — the centralized answer a 1-partition
+// cluster fed the same batches must reproduce exactly.
+func shadowRankings(t *testing.T, dir string, queries []corpus.Query, k int) [][]ir.Result {
+	t.Helper()
+	snap, err := storage.OpenSegmented(dir, colbm.NewManager(0))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer snap.Close()
+	s := ir.NewSnapshotSearcher(snap, 0)
+	want := make([][]ir.Result, len(queries))
+	for i, q := range queries {
+		if want[i], _, err = s.Search(q.Terms, k, ir.BM25TCMQ8); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return want
+}
+
+// TestAddReplicationCutMidShipCatchesUp: the cluster's ship hook reaches
+// the pulls that replicate a Broker.Add, not only AddReplica's. With every
+// chunk cut, an Add commits on its primary alone; the lagging replicas
+// refuse queries pinned at the new generation as Stale and the broker
+// fails over, so answers still match a centralized index at that
+// generation. Once the hook clears, the next Add brings every replica
+// current.
+func TestAddReplicationCutMidShipCatchesUp(t *testing.T) {
+	c := testCollection(t)
+	seed, err := c.Slice(0, 1500)
+	if err != nil {
+		t.Fatal(err)
+	}
+	bc := ir.DefaultBuildConfig()
+	dirs, err := BuildLivePartitions(seed, 1, bc, filepath.Join(t.TempDir(), "live"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	shadowDirs, err := BuildLivePartitions(seed, 1, bc, filepath.Join(t.TempDir(), "shadow"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	cl, err := StartClusterFromDirs(dirs, 0, WithReplicas(3))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer cl.Close()
+	brk, err := cl.NewBroker()
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer brk.Close()
+	ctx := context.Background()
+
+	const k = 10
+	queries := c.PrecisionQueries(6, 41)
+	reqs := make([]Request, len(queries))
+	for i, q := range queries {
+		reqs[i] = Request{Terms: q.Terms, K: k, Strategy: ir.BM25TCMQ8}
+	}
+	shadowCfg := bc
+	shadowCfg.Stats = nil // the append path's per-directory statistics
+	add := func(batch []Doc) (AddStats, [][]ir.Result) {
+		t.Helper()
+		bcoll, err := corpus.FromDocs(batch)
+		if err != nil {
+			t.Fatal(err)
+		}
+		gen, err := storage.AppendSegment(shadowDirs[0], bcoll, shadowCfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		st, err := brk.Add(ctx, batch)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if st.Gen != gen {
+			t.Fatalf("cluster committed generation %d, shadow %d", st.Gen, gen)
+		}
+		return st, shadowRankings(t, shadowDirs[0], queries, k)
+	}
+	batches := liveBatches(t, c, 1500, 1700, 100)
+
+	var cut atomic.Int64
+	cl.SetShipHook(func(seg, file string, off int64) error {
+		cut.Add(1)
+		return errors.New("replication cut")
+	})
+	st, want := add(batches[0])
+	if st.Replicated != 1 || st.Lagging != 2 {
+		t.Fatalf("cut add: replicated %d lagging %d, want 1/2 (stats %+v)", st.Replicated, st.Lagging, st)
+	}
+	if n := cut.Load(); n != 2 {
+		t.Errorf("hook cut %d chunks, want one per lagging replica", n)
+	}
+	behind := 0
+	for r := 0; r < cl.GroupSize(0); r++ {
+		if cl.Replica(0, r).Gen() < st.Gen {
+			behind++
+		}
+	}
+	if behind != 2 {
+		t.Fatalf("%d replicas behind generation %d, want 2", behind, st.Gen)
+	}
+	// Round-robin makes each replica the first one tried once.
+	for round := 0; round < cl.GroupSize(0); round++ {
+		res, timing, err := brk.SearchMany(ctx, reqs)
+		if err != nil {
+			t.Fatalf("round %d: %v", round, err)
+		}
+		if timing.Gens[0] != st.Gen {
+			t.Fatalf("round %d answered at generation %d, want %d", round, timing.Gens[0], st.Gen)
+		}
+		assertRankingsEqual(t, fmt.Sprintf("cut round %d", round), res, want)
+	}
+
+	cl.SetShipHook(nil)
+	st, want = add(batches[1])
+	if st.Replicated != 3 || st.Lagging != 0 {
+		t.Fatalf("add after the cut: replicated %d lagging %d, want 3/0 (stats %+v)", st.Replicated, st.Lagging, st)
+	}
+	wctx, cancel := context.WithTimeout(ctx, 10*time.Second)
+	defer cancel()
+	if err := brk.WaitConverged(wctx); err != nil {
+		t.Fatal(err)
+	}
+	res, _, err := brk.SearchMany(ctx, reqs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	assertRankingsEqual(t, "after catch-up", res, want)
+}
+
+// TestConcurrentPullsRunOneAtATime: two brokers can ask one replica to
+// pull at the same time. The replica runs the pulls one after the other —
+// otherwise the first install's sweep could delete a segment the second
+// is still writing — so with the first pull parked mid-ship the second
+// waits, and both then report the source's generation over a directory
+// that reads and opens.
+func TestConcurrentPullsRunOneAtATime(t *testing.T) {
+	c := testCollection(t)
+	seed, err := c.Slice(0, 1500)
+	if err != nil {
+		t.Fatal(err)
+	}
+	dirs, err := BuildLivePartitions(seed, 1, ir.DefaultBuildConfig(), t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	cl, err := StartClusterFromDirs(dirs, 0, WithReplicas(2))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer cl.Close()
+	brk, err := cl.NewBroker()
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer brk.Close()
+	ctx := context.Background()
+
+	// Leave replica 1 one segment behind.
+	cl.SetShipHook(func(string, string, int64) error { return errors.New("replication cut") })
+	st, err := brk.Add(ctx, liveBatches(t, c, 1500, 1600, 100)[0])
+	if err != nil || st.Lagging != 1 {
+		t.Fatalf("cut add: %v (stats %+v)", err, st)
+	}
+
+	var started, holding, overlap atomic.Bool
+	parked, release := make(chan struct{}), make(chan struct{})
+	cl.SetShipHook(func(string, string, int64) error {
+		if started.CompareAndSwap(false, true) {
+			holding.Store(true)
+			close(parked)
+			<-release
+			holding.Store(false)
+		} else if holding.Load() {
+			overlap.Store(true)
+		}
+		return nil
+	})
+	replica := cl.Replica(0, 1)
+	type reply struct {
+		resp wireResponse
+		err  error
+	}
+	replies := make(chan reply, 2)
+	pullReq := wireRequest{Verb: verbPull, Pull: &wirePull{From: cl.Replica(0, 0).Addr()}}
+	send := func() {
+		sc := &srvConn{addr: replica.Addr()}
+		defer sc.close()
+		resp, err := control(ctx, sc, pullReq)
+		replies <- reply{resp, err}
+	}
+	go send()
+	<-parked
+	go send()
+	// Release the first pull once the second request is in the replica too.
+	for replica.inflight.Load() < 2 {
+		time.Sleep(time.Millisecond)
+	}
+	close(release)
+	for i := 0; i < 2; i++ {
+		r := <-replies
+		if r.err != nil {
+			t.Fatal(r.err)
+		}
+		if r.resp.Pull == nil || r.resp.Pull.Gen != st.Gen {
+			t.Fatalf("pull answered %+v, want generation %d", r.resp.Pull, st.Gen)
+		}
+	}
+	if overlap.Load() {
+		t.Error("the second pull shipped while the first was parked")
+	}
+
+	dir := dirs[0] + "-r1"
+	sm, err := storage.ReadSegments(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if sm.Generation != st.Gen {
+		t.Errorf("replica directory at generation %d, want %d", sm.Generation, st.Gen)
+	}
+	snap, err := storage.OpenSegmented(dir, colbm.NewManager(0))
+	if err != nil {
+		t.Fatal(err)
+	}
+	snap.Close()
+}
+
+// TestPullRefusedBeforeDialing: a server whose directory takes no commits
+// — an in-memory index, or an External directory (BuildPartitions' global
+// statistics) — refuses a pull with the ErrExternalStats refusal before it
+// dials the source.
+func TestPullRefusedBeforeDialing(t *testing.T) {
+	c := testCollection(t)
+	src, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var accepts atomic.Int64
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		for {
+			conn, err := src.Accept()
+			if err != nil {
+				return
+			}
+			accepts.Add(1)
+			conn.Close()
+		}
+	}()
+
+	mem, err := startServer(c, ir.DefaultBuildConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer mem.Close()
+	dirs, err := BuildPartitions(c, 1, ir.DefaultBuildConfig(), t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	ext, err := serveSegmentedDir(dirs[0], "127.0.0.1:0", colbm.NewManager(0), nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ext.Close()
+
+	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+	defer cancel()
+	for name, srv := range map[string]*Server{"in-memory": mem, "external": ext} {
+		sc := &srvConn{addr: srv.Addr()}
+		resp, err := sc.roundTrip(ctx, wireRequest{Verb: verbPull, Pull: &wirePull{From: src.Addr().String()}})
+		sc.close()
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		if !strings.Contains(resp.Err, storage.ErrExternalStats.Error()) {
+			t.Errorf("%s server answered a pull with %q, want the ErrExternalStats refusal", name, resp.Err)
+		}
+	}
+	src.Close()
+	<-done
+	if n := accepts.Load(); n != 0 {
+		t.Errorf("the pull source saw %d connections, want none", n)
+	}
 }

@@ -21,27 +21,37 @@ import (
 // same generation registry, searcher pool, query pipeline and metrics a
 // repro.Engine wraps) over the partition's docid range, plus what only a
 // network node needs: a TCP accept loop, gob framing, fault injection,
-// Drain, and the ingest/ship verbs. Every connection is served by its own
+// Drain, and the ingest verbs. Every connection is served by its own
 // goroutine and every query runs through the core's pipeline, so one
 // server handles concurrent query streams with bounded parallelism — the
 // Table 3 multi-stream regime.
 //
 // A dir-backed server (serveSegmentedDir; every StartClusterFromDirs
 // server) additionally serves the ingest verbs: it can append a
-// document batch as a new committed generation, accept shipped segment
-// files and manifest installs from its group's primary, and refresh its
-// serving snapshot to the directory's newest generation — all through
-// the core's Commit/Refresh/Sweep, so in-flight searches are never
-// dropped and replaced segments are reclaimed once no generation reads
-// them.
+// document batch as a new committed generation, serve its committed
+// segments to peers, and pull the segments its own directory lacks from
+// a peer and install that peer's manifest — all through the core's
+// Commit/Refresh/Sweep, so in-flight searches are never dropped and
+// replaced segments are reclaimed once no generation reads them.
 type Server struct {
 	core *serving.Core
 	ln   net.Listener
+	// hook is the cluster's ship hook, consulted by every pull this
+	// server runs (nil outside a cluster).
+	hook *shipHook
 
 	mu     sync.Mutex
 	closed bool
 	conns  map[net.Conn]struct{}
 	wg     sync.WaitGroup
+	// ctx bounds every pull; Close cancels it, so a pull blocked on its
+	// source cannot hold Close up.
+	ctx    context.Context
+	cancel context.CancelFunc
+
+	// pullMu runs one pull at a time: one pull's install sweep would
+	// otherwise delete segments a concurrent pull is still writing.
+	pullMu sync.Mutex
 
 	// inflight counts requests between decode and response — what Drain
 	// waits out before a retire closes the server.
@@ -91,31 +101,33 @@ func startServer(part *corpus.Collection, cfg ir.BuildConfig) (*Server, error) {
 		ix.Close()
 		return nil, err
 	}
-	return serve(serving.New(snap, serving.Config{}), "127.0.0.1:0")
+	return serve(serving.New(snap, serving.Config{}), "127.0.0.1:0", nil)
 }
 
 // serveSegmentedDir opens a partition directory as a dir-backed server
 // listening on addr ("127.0.0.1:0" for an ephemeral port; a fixed address
 // revives a replica in place), reading through cache, a buffer manager of
-// the server's own. The directory must hold at least one segment already.
-func serveSegmentedDir(dir, addr string, cache *colbm.Manager) (*Server, error) {
+// the server's own, with hook observing its pulls. The directory must
+// hold at least one segment already.
+func serveSegmentedDir(dir, addr string, cache *colbm.Manager, hook *shipHook) (*Server, error) {
 	core, err := serving.OpenDir(dir, cache, serving.Config{})
 	if err != nil {
 		return nil, err
 	}
-	return serve(core, addr)
+	return serve(core, addr, hook)
 }
 
 // serve begins accepting on addr in front of a core built with the
 // defaults of a zero-option Engine; on failure the core is closed so its
 // storage is released.
-func serve(core *serving.Core, addr string) (*Server, error) {
+func serve(core *serving.Core, addr string, hook *shipHook) (*Server, error) {
 	ln, err := net.Listen("tcp", addr)
 	if err != nil {
 		core.Close()
 		return nil, err
 	}
-	s := &Server{core: core, ln: ln, conns: make(map[net.Conn]struct{})}
+	s := &Server{core: core, ln: ln, hook: hook, conns: make(map[net.Conn]struct{})}
+	s.ctx, s.cancel = context.WithCancel(context.Background())
 	s.wg.Add(1)
 	go s.acceptLoop()
 	return s, nil
@@ -214,11 +226,12 @@ func (s *Server) fault() (FaultMode, time.Duration) {
 }
 
 // Close stops accepting, closes every open broker connection (which
-// aborts their blocked reads), waits for the connection goroutines to
-// exit, and closes the core: every serving generation's storage is
-// released once its last in-flight search drains. A request already
-// executing finishes but its reply may be lost — the broker sees a
-// dropped connection, the same failure mode as a server crash.
+// aborts their blocked reads), cancels any pull in progress, waits for
+// the connection goroutines to exit, and closes the core: every serving
+// generation's storage is released once its last in-flight search
+// drains. A request already executing finishes but its reply may be
+// lost — the broker sees a dropped connection, the same failure mode as
+// a server crash.
 func (s *Server) Close() error {
 	s.mu.Lock()
 	if s.closed {
@@ -230,6 +243,7 @@ func (s *Server) Close() error {
 		conn.Close()
 	}
 	s.mu.Unlock()
+	s.cancel()
 	err := s.ln.Close()
 	s.wg.Wait()
 	if cerr := s.core.Close(); err == nil {
@@ -328,10 +342,10 @@ func (s *Server) dispatch(req *wireRequest) wireResponse {
 		return s.handleAppend(req)
 	case verbFetch:
 		return s.handleFetch(req)
-	case verbInstallChunk, verbInstallCommit:
-		return s.handleInstall(req)
 	case verbManifest:
 		return s.handleManifest(req)
+	case verbPull:
+		return s.handlePull(req)
 	}
 	return wireResponse{Seq: req.Seq, Err: fmt.Sprintf("dist: unknown verb %d", req.Verb)}
 }
@@ -433,9 +447,9 @@ func (s *Server) answerQuery(ctx context.Context, g *serving.Gen, req *wireReque
 	return a
 }
 
-// handleStatus answers verbStatus: serving and on-disk generations, the
-// partition's docid range, and the on-disk segment set — everything the
-// broker's routing table and shipping diff need.
+// handleStatus answers verbStatus: the serving generation, the
+// partition's on-disk docid range and whether it takes appends —
+// everything the broker's routing needs.
 func (s *Server) handleStatus(req *wireRequest) wireResponse {
 	resp := wireResponse{Seq: req.Seq}
 	st := &wireStatus{}
@@ -447,7 +461,6 @@ func (s *Server) handleStatus(req *wireRequest) wireResponse {
 			resp.Err = err.Error()
 			return resp
 		}
-		st.DiskGen = sm.Generation
 		st.DocBase = sm.BaseDocID
 		if len(sm.Segments) > 0 {
 			st.DocBase = sm.Segments[0].DocBase
@@ -455,7 +468,6 @@ func (s *Server) handleStatus(req *wireRequest) wireResponse {
 		for _, e := range sm.Segments {
 			st.NumDocs += e.Docs
 		}
-		st.Segs = sm.Names()
 		st.Ingest = s.core.Writable() == nil
 	}
 	resp.Status = st
@@ -464,9 +476,9 @@ func (s *Server) handleStatus(req *wireRequest) wireResponse {
 
 // handleAppend indexes the carried document batch as one new committed
 // segment of this server's directory (the primary half of a distributed
-// Add), refreshes serving, and replies with everything the broker needs
-// to replicate the commit: the new generation, the new segment's name
-// and file list, and the exact committed manifest bytes.
+// Add), refreshes serving, and replies with the new generation and
+// segment name; the group's other replicas then pull the segment from
+// here.
 func (s *Server) handleAppend(req *wireRequest) wireResponse {
 	resp := wireResponse{Seq: req.Seq}
 	dir := s.core.Dir()
@@ -485,15 +497,14 @@ func (s *Server) handleAppend(req *wireRequest) wireResponse {
 	}
 
 	var gen uint64
-	var manifest []byte
 	var sm *storage.SegmentsManifest
 	err = s.core.Commit(func() (err error) {
 		if gen, err = storage.AppendSegment(dir, batch, s.core.Layout()); err != nil {
 			return err
 		}
-		// Re-read inside the commit lock: the manifest bytes must be the
+		// Re-read inside the commit lock: the segment list must be the
 		// exact generation this append committed.
-		manifest, sm, err = storage.ReadSegmentsRaw(dir)
+		sm, err = storage.ReadSegments(dir)
 		return err
 	})
 	if err != nil {
@@ -501,27 +512,17 @@ func (s *Server) handleAppend(req *wireRequest) wireResponse {
 		return resp
 	}
 
-	seg := sm.Segments[len(sm.Segments)-1].Name
-	files, err := storage.SegmentFiles(dir, seg)
-	if err != nil {
-		resp.Err = err.Error()
-		return resp
-	}
-	res := &wireAppendResult{Gen: gen, Seg: seg, Manifest: manifest}
+	res := &wireAppendResult{Gen: gen, Seg: sm.Segments[len(sm.Segments)-1].Name}
 	for _, e := range sm.Segments {
 		res.NumDocs += e.Docs
-	}
-	res.Files = make([]wireFileInfo, len(files))
-	for i, f := range files {
-		res.Files[i] = wireFileInfo{Name: f.Name, Size: f.Size}
 	}
 	resp.Gen = gen
 	resp.Append = res
 	return resp
 }
 
-// handleFetch serves the primary side of segment shipping: a chunk read
-// of a committed segment file, or (File empty) the segment's file list.
+// handleFetch serves the source side of a pull: a chunk read of a
+// committed segment file, or (File empty) the segment's file list.
 func (s *Server) handleFetch(req *wireRequest) wireResponse {
 	resp := wireResponse{Seq: req.Seq}
 	dir := s.core.Dir()
@@ -555,51 +556,57 @@ func (s *Server) handleFetch(req *wireRequest) wireResponse {
 	return resp
 }
 
-// handleInstall serves the replica side of segment shipping: chunk
-// writes land in the directory without committing anything; the commit
-// is the manifest install, which goes through the core's commit lock and
-// the storage writer lock (so it can never interleave with a local
-// append), refreshes serving to the new generation, and sweeps segment
-// directories — and their cached chunks — no live generation references
-// anymore.
-func (s *Server) handleInstall(req *wireRequest) wireResponse {
+// handlePull serves the replica side of replication: it pulls the
+// segments this server's directory lacks from the server at Pull.From
+// and installs that server's manifest. The install is the commit: it
+// goes through the core's commit lock and the storage writer lock (so it
+// can never interleave with a local append), refreshes serving to the new
+// generation, and is followed by a sweep of segment directories — and
+// their cached chunks — no live generation references anymore. The pull
+// runs under the caller's forwarded deadline and stops when the server
+// closes.
+func (s *Server) handlePull(req *wireRequest) wireResponse {
 	resp := wireResponse{Seq: req.Seq}
-	dir := s.core.Dir()
 	if err := s.core.Writable(); err != nil {
-		resp.Err = err.Error() // before any chunk lands
+		resp.Err = err.Error() // before dialing the source
 		return resp
 	}
-	in := req.Install
-	if in == nil {
-		resp.Err = "dist: install with no payload"
+	if req.Pull == nil {
+		resp.Err = "dist: pull with no payload"
 		return resp
 	}
-	if req.Verb == verbInstallChunk {
-		if err := storage.WriteSegmentFileChunk(dir, in.Seg, in.File, in.Off, in.Data); err != nil {
-			resp.Err = err.Error()
-		}
-		return resp
+	ctx := s.ctx
+	if req.TimeoutNanos > 0 {
+		var cancel context.CancelFunc
+		ctx, cancel = context.WithTimeout(ctx, time.Duration(req.TimeoutNanos))
+		defer cancel()
 	}
-	var gen uint64
-	err := s.core.Commit(func() (err error) {
-		gen, err = storage.InstallManifest(dir, in.Manifest)
-		return err
+	s.pullMu.Lock()
+	defer s.pullMu.Unlock()
+	src := &srvConn{addr: req.Pull.From}
+	defer src.close()
+	res, err := pull(ctx, src, s.core.Dir(), s.hook.load(), func(dir string, manifest []byte) (gen uint64, err error) {
+		err = s.core.Commit(func() (err error) {
+			gen, err = storage.InstallManifest(dir, manifest)
+			return err
+		})
+		return gen, err
 	})
 	if err != nil {
 		resp.Err = err.Error()
 		return resp
 	}
 	// Best-effort reclaim of segments no generation serves anymore
-	// (replaced by shipped merges, or orphaned by a lost race).
+	// (replaced by pulled merges, or orphaned by an aborted pull).
 	s.core.Sweep()
-	resp.Gen = gen
+	resp.Gen = res.Gen
+	resp.Pull = &res
 	return resp
 }
 
 // handleManifest answers verbManifest: the exact committed manifest
-// bytes of this server's directory and their generation — what a replica
-// bootstrap needs before it can fetch segments and install (only appends
-// return manifest bytes otherwise, and a bootstrap has no append to ride).
+// bytes of this server's directory and their generation — the first
+// thing a pull from this server fetches, and the bytes it installs.
 func (s *Server) handleManifest(req *wireRequest) wireResponse {
 	resp := wireResponse{Seq: req.Seq}
 	dir := s.core.Dir()

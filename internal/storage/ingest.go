@@ -20,8 +20,8 @@ import (
 // directory.
 
 // SegmentFileInfo names one file of a committed segment and its size —
-// the shipping manifest a primary hands the broker so chunk transfers
-// know exactly what to move.
+// the listing a source hands a pulling replica so chunk transfers know
+// exactly what to move.
 type SegmentFileInfo struct {
 	Name string `json:"name"`
 	Size int64  `json:"size"`

@@ -269,8 +269,8 @@ func BuildPartitions(c *Collection, n int, cfg IndexConfig, baseDir string) ([]s
 // serves its own copy <dir>-r<i> (hardlinked on first start, reused
 // after). On partitions from BuildLivePartitions, Broker.Add routes
 // document batches to the least-loaded partition, whose primary commits
-// them as a new index generation; the committed segment files ship to
-// the group's other replicas, which install and refresh without dropping
+// them as a new index generation; the group's other replicas pull the
+// committed segment files from it, install and refresh without dropping
 // in-flight searches. Queries through the broker pin the highest
 // generation it has observed per partition — a replica still behind
 // refuses (and the broker fails over) rather than answering with missing

@@ -41,7 +41,8 @@ func FuzzWireRequest(f *testing.F) {
 		{Seq: 6, Verb: verbFetch, Fetch: &wireFetch{Seg: "seg-000001", File: "x", Off: 8, Len: 16}},
 		{Seq: 7, Verb: verbManifest},
 		{Seq: 8, Verb: verbPull, Pull: &wirePull{From: "127.0.0.1:1"}},
-		{Seq: 9, Verb: 99},
+		{Seq: 9, Verb: verbPull},
+		{Seq: 10, Verb: 99},
 	} {
 		var buf bytes.Buffer
 		if err := gob.NewEncoder(&buf).Encode(req); err != nil {

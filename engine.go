@@ -29,9 +29,9 @@ const StrategyDefault = ir.StrategyDefault
 // ErrEngineClosed is returned by every entry point of a closed engine.
 var ErrEngineClosed = serving.ErrClosed
 
-// ErrReadOnly is matched by the error Engine.Add (and WithAutoMerge,
-// WithApproxBounds) report for an index that serves but takes no local
-// writes: its statistics are coordinated outside its directory.
+// ErrReadOnly is matched by the error Engine.Add (and WithAutoMerge)
+// report for an index that serves but takes no local writes: its
+// statistics are coordinated outside its directory.
 var ErrReadOnly = storage.ErrExternalStats
 
 // The request and response types of the serving core, under the names the
@@ -176,13 +176,6 @@ func OpenDir(dir string, opts ...Option) (*Engine, error) {
 // of every persisted engine — through one buffer manager that lives as long
 // as the engine, so a refresh keeps the unchanged segments' chunks warm.
 func openDir(cfg engineConfig) (*Engine, error) {
-	// The bounds policy is a directory property; declare it before the
-	// generation is read so the first Add already appends under it.
-	if cfg.approxSet {
-		if err := storage.SetBoundsPolicy(cfg.storageDir, cfg.approxBounds); err != nil {
-			return nil, err
-		}
-	}
 	core, err := serving.OpenDir(cfg.storageDir, colbm.NewManager(cfg.pool), cfg.Config)
 	if err != nil {
 		return nil, err

@@ -139,8 +139,7 @@ func TestPersistedOnlyOptionsRefusedInMemory(t *testing.T) {
 		t.Fatal(err)
 	}
 	persistedOnly := map[string]Option{
-		"WithApproxBounds": WithApproxBounds(0.1),
-		"WithAutoMerge":    WithAutoMerge(2),
+		"WithAutoMerge": WithAutoMerge(2),
 	}
 	var all []Option
 	for name, opt := range persistedOnly {

@@ -116,9 +116,9 @@ func CollectionStats(c *corpus.Collection) *GlobalStats {
 			continue
 		}
 		st.Ftd[c.TermStrings[termID]] = len(list)
-		ftd := float64(len(list))
+		idf := params.IDF(float64(len(list)))
 		for _, p := range list {
-			w := params.Weight(float64(p.TF), float64(c.DocLens[p.DocID]), ftd)
+			w := params.WeightIDF(idf, float64(p.TF), float64(c.DocLens[p.DocID]))
 			if w < lo {
 				lo = w
 			}
@@ -153,6 +153,11 @@ type Index struct {
 
 	Terms  map[string]TermInfo
 	Params primitives.BM25Params
+
+	// Skylines holds, for quantized layouts, the terms' (tf, len)
+	// skylines in posting row order (see Skyline); a term over
+	// SkylineCap has none.
+	Skylines []Skyline
 
 	// Quantization bounds: min and max w(D,T) over the collection (the L
 	// and U of the paper's Global-By-Value formula).
@@ -193,6 +198,7 @@ func Build(c *corpus.Collection, bc BuildConfig) (*Index, error) {
 	docids := make([]int64, 0, total)
 	tfs := make([]int64, 0, total)
 	terms := make(map[string]TermInfo, len(c.Postings))
+	order := make([]string, 0, len(c.Postings))
 	var scores []float64
 	if bc.Materialized || bc.Quantized {
 		scores = make([]float64, 0, total)
@@ -212,13 +218,13 @@ func Build(c *corpus.Collection, bc BuildConfig) (*Index, error) {
 				ftdInt = g
 			}
 		}
-		ftd := float64(ftdInt)
+		idf := params.IDF(float64(ftdInt))
 		maxScore := 0.0
 		for _, p := range list {
 			docids = append(docids, p.DocID+bc.DocIDBase)
 			tfs = append(tfs, p.TF)
 			if scores != nil {
-				w := params.Weight(float64(p.TF), float64(c.DocLens[p.DocID]), ftd)
+				w := params.WeightIDF(idf, float64(p.TF), float64(c.DocLens[p.DocID]))
 				scores = append(scores, w)
 				if w < lo {
 					lo = w
@@ -234,6 +240,7 @@ func Build(c *corpus.Collection, bc BuildConfig) (*Index, error) {
 		terms[c.TermStrings[termID]] = TermInfo{
 			Start: start, End: len(docids), Ftd: ftdInt, MaxScore: maxScore,
 		}
+		order = append(order, c.TermStrings[termID])
 	}
 	if scores == nil {
 		lo, hi = 0, 1
@@ -243,17 +250,19 @@ func Build(c *corpus.Collection, bc BuildConfig) (*Index, error) {
 		// quantized scores are comparable across servers (§3.4).
 		lo, hi = bc.Stats.ScoreLo, bc.Stats.ScoreHi
 	}
-	return assembleIndex(bc, store, cache, params, terms, docids, tfs, scores, lo, hi, c.DocLens, c.DocNames)
+	return assembleIndex(bc, store, cache, params, terms, order, docids, tfs, scores, lo, hi, c.DocLens, c.DocNames)
 }
 
 // assembleIndex encodes fully flattened posting rows into the physical TD
 // and D tables — the shared tail of Build (which flattens from a
 // Collection) and IndexWriter.Finish (which accumulated the rows
-// streamingly). Both docid columns alias the same flattened slice; the
-// builder encodes chunk-at-a-time, so this is the only place the whole
-// run exists as Go slices.
+// streamingly); order lists the terms in posting row order. Both docid
+// columns alias the same flattened slice; the builder encodes
+// chunk-at-a-time, so this is the only place the whole run exists as Go
+// slices, and the one place term skylines are computed (for quantized
+// layouts, whose bounds they serve).
 func assembleIndex(bc BuildConfig, store colbm.BlockStore, cache colbm.ChunkCache,
-	params primitives.BM25Params, terms map[string]TermInfo,
+	params primitives.BM25Params, terms map[string]TermInfo, order []string,
 	docids, tfs []int64, scores []float64, lo, hi float64,
 	docLens []int64, docNames []string) (*Index, error) {
 	// TD table.
@@ -320,7 +329,7 @@ func assembleIndex(bc BuildConfig, store colbm.BlockStore, cache colbm.ChunkCach
 		return nil, err
 	}
 
-	return &Index{
+	ix := &Index{
 		TD:      td,
 		D:       d,
 		Terms:   terms,
@@ -330,7 +339,11 @@ func assembleIndex(bc BuildConfig, store colbm.BlockStore, cache colbm.ChunkCach
 		Store:   store,
 		Cache:   cache,
 		cfg:     bc,
-	}, nil
+	}
+	if bc.Quantized {
+		ix.Skylines = buildSkylines(order, terms, docids, tfs, docLens, bc.DocIDBase)
+	}
+	return ix, nil
 }
 
 // RestoreIndex reassembles an Index from persisted components: the tables

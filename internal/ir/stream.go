@@ -41,6 +41,7 @@ type IndexWriter struct {
 	tfs    []int64
 	scores []float64
 	terms  map[string]TermInfo
+	order  []string // terms in the order they streamed
 
 	lo, hi float64
 
@@ -49,6 +50,7 @@ type IndexWriter struct {
 	term  string
 	start int
 	ftd   int
+	idf   float64
 	maxW  float64
 }
 
@@ -129,6 +131,8 @@ func (w *IndexWriter) BeginTerm(term string) error {
 	}
 	w.sealTerm()
 	w.open, w.term, w.start, w.ftd, w.maxW = true, term, len(w.docids), ftd, 0
+	w.idf = w.params.IDF(float64(ftd))
+	w.order = append(w.order, term)
 	return nil
 }
 
@@ -155,7 +159,6 @@ func (w *IndexWriter) Postings(docids, tfs []int64) error {
 	if len(w.docids)+len(docids) > w.numPostings {
 		return fmt.Errorf("ir: more postings than the declared %d", w.numPostings)
 	}
-	ftd := float64(w.ftd)
 	for i, d := range docids {
 		if d < 0 || d >= int64(w.numDocs) {
 			return fmt.Errorf("ir: local docid %d outside [0,%d)", d, w.numDocs)
@@ -163,7 +166,7 @@ func (w *IndexWriter) Postings(docids, tfs []int64) error {
 		w.docids = append(w.docids, d+w.bc.DocIDBase)
 		w.tfs = append(w.tfs, tfs[i])
 		if w.scores != nil {
-			s := w.params.Weight(float64(tfs[i]), float64(w.docLens[d]), ftd)
+			s := w.params.WeightIDF(w.idf, float64(tfs[i]), float64(w.docLens[d]))
 			w.scores = append(w.scores, s)
 			if s < w.lo {
 				w.lo = s
@@ -200,6 +203,6 @@ func (w *IndexWriter) Finish() (*Index, error) {
 	}
 	store := colbm.NewSimDisk(w.bc.Disk)
 	cache := colbm.NewManager(w.bc.PoolBytes)
-	return assembleIndex(w.bc, store, cache, w.params, w.terms,
+	return assembleIndex(w.bc, store, cache, w.params, w.terms, w.order,
 		w.docids, w.tfs, w.scores, lo, hi, w.docLens, w.docNames)
 }

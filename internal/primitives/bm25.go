@@ -30,7 +30,17 @@ type BM25Params struct {
 // triple; the reference implementation the vectorized forms are tested
 // against.
 func (p BM25Params) Weight(tf, doclen, ftd float64) float64 {
-	idf := math.Log(p.NumDocs / ftd)
+	return p.WeightIDF(p.IDF(ftd), tf, doclen)
+}
+
+// IDF is Weight's idf factor, log(fD / ftd). Loops over one term's
+// postings compute it once and call WeightIDF per posting.
+func (p BM25Params) IDF(ftd float64) float64 { return math.Log(p.NumDocs / ftd) }
+
+// WeightIDF is Weight with the term's idf given: the same operations in
+// the same order, so WeightIDF(IDF(ftd), tf, doclen) == Weight(tf, doclen,
+// ftd) bit for bit.
+func (p BM25Params) WeightIDF(idf, tf, doclen float64) float64 {
 	norm := (1 - p.B) + p.B*doclen/p.AvgDocLn
 	return idf * ((p.K1 + 1) * tf) / (tf + p.K1*norm)
 }

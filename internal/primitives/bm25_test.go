@@ -33,6 +33,39 @@ func TestBM25WeightReference(t *testing.T) {
 	}
 }
 
+// TestWeightIDFMatchesWeight: splitting the idf out of Weight must not move
+// a bit. Every baked score column and every quantization bound goes through
+// one form or the other, and both must equal the one-expression Okapi weight
+// the columns were always baked with — over a grid that includes b = 0 and
+// ftd = fD (idf 0).
+func TestWeightIDFMatchesWeight(t *testing.T) {
+	oneExpr := func(p BM25Params, tf, doclen, ftd float64) float64 {
+		idf := math.Log(p.NumDocs / ftd)
+		norm := (1 - p.B) + p.B*doclen/p.AvgDocLn
+		return idf * ((p.K1 + 1) * tf) / (tf + p.K1*norm)
+	}
+	for _, n := range []float64{1, 7, 1000, 25e6} {
+		for _, b := range []float64{0, 0.3, 0.75, 1} {
+			for _, avgdl := range []float64{1, 13.7, 200, 900} {
+				p := BM25Params{K1: 1.2, B: b, NumDocs: n, AvgDocLn: avgdl}
+				for _, ftd := range []float64{1, math.Ceil(n / 3), n} {
+					idf := p.IDF(ftd)
+					for _, tf := range []float64{1, 2, 3, 17, 400} {
+						for _, dl := range []float64{1, 5, 200, 901, 1e5} {
+							want := oneExpr(p, tf, dl, ftd)
+							w, split := p.Weight(tf, dl, ftd), p.WeightIDF(idf, tf, dl)
+							if math.Float64bits(w) != math.Float64bits(want) || math.Float64bits(split) != math.Float64bits(want) {
+								t.Fatalf("%+v tf=%v len=%v ftd=%v: Weight %v, WeightIDF %v, one expression %v",
+									p, tf, dl, ftd, w, split, want)
+							}
+						}
+					}
+				}
+			}
+		}
+	}
+}
+
 func TestMapBM25MatchesScalar(t *testing.T) {
 	rng := rand.New(rand.NewSource(42))
 	n := 257

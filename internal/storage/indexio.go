@@ -27,15 +27,16 @@ func writeSegment(dir string, ix *ir.Index) error {
 	defer fs.Close()
 
 	m := &Manifest{
-		Magic:   FormatMagic,
-		Version: FormatVersion,
-		Config:  ix.Config(),
-		Params:  ix.Params,
-		ScoreLo: ix.ScoreLo,
-		ScoreHi: ix.ScoreHi,
-		Terms:   ix.Terms,
-		TD:      ix.TD.Stored(),
-		D:       ix.D.Stored(),
+		Magic:    FormatMagic,
+		Version:  FormatVersion,
+		Config:   ix.Config(),
+		Params:   ix.Params,
+		ScoreLo:  ix.ScoreLo,
+		ScoreHi:  ix.ScoreHi,
+		Terms:    ix.Terms,
+		Skylines: encodeSkylines(ix.Terms, ix.Skylines),
+		TD:       ix.TD.Stored(),
+		D:        ix.D.Stored(),
 	}
 	// The stats override is a build-time input only (its idf and score
 	// bounds are already baked into Params/ScoreLo/ScoreHi and the stored
@@ -149,5 +150,6 @@ func openSegment(dir, seg string, m *Manifest, cache *colbm.Manager, release fun
 		fs.Close()
 		return nil, fmt.Errorf("storage: segment %q: %w", segDir, err)
 	}
+	ix.Skylines = m.skylines
 	return ix, nil
 }

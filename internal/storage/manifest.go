@@ -47,6 +47,18 @@ type Manifest struct {
 	ScoreHi float64 `json:"score_hi"`
 	// Terms is the range index: term -> posting row range + statistics.
 	Terms map[string]ir.TermInfo `json:"terms"`
+	// Skylines are a quantized segment's term skylines (ir.Skyline), in
+	// the varint encoding of encodeSkylines. From them an append derives
+	// the segment's exact score bounds under new statistics without
+	// reading its postings. Optional: a term without one — over
+	// ir.SkylineCap, or in a manifest written before skylines — is scanned.
+	Skylines []byte `json:"skylines,omitempty"`
+	// skylines is Skylines decoded and validated (decodeManifest), in
+	// posting row order. When there are any, byRow lists every dictionary
+	// term with its posting count: the terms of skylines first, in the same
+	// order, then the terms without one.
+	skylines []ir.Skyline
+	byRow    []termRows
 
 	// TD and D describe the posting and document tables.
 	TD colbm.StoredTable `json:"td"`
@@ -187,7 +199,8 @@ var manifestDecodes atomic.Int64
 // of a directory can then share a key — and every blob must name a file
 // inside the segment directory. The legacy "." segment keeps the prefix it
 // was built with: it is synthesized, never shipped, and always alone in its
-// generation.
+// generation. Skylines must name dictionary terms, hold 1..ir.SkylineCap
+// positive points per side, and keep sweep order.
 func decodeManifest(dir, seg string, data []byte) (*Manifest, error) {
 	manifestDecodes.Add(1)
 	var m Manifest
@@ -216,5 +229,10 @@ func decodeManifest(dir, seg string, data []byte) (*Manifest, error) {
 			}
 		}
 	}
+	sky, byRow, err := decodeSkylines(m.Terms, m.Skylines)
+	if err != nil {
+		return nil, fmt.Errorf("storage: manifest in %q: skylines: %v: %w", dir, err, ErrBadManifest)
+	}
+	m.skylines, m.byRow = sky, byRow
 	return &m, nil
 }

@@ -293,9 +293,10 @@ func PrepareAbsorb(dstDir, srcDir string, cancel func() bool) (*AbsorbPrep, erro
 	var srcLenSum int64
 	srcManifests := make([]*Manifest, len(ssm.Segments))
 	for i, e := range ssm.Segments {
-		if srcManifests[i], err = st.addSegment(srcDir, e); err != nil {
+		if srcManifests[i], err = readManifest(srcDir, e.Name); err != nil {
 			return nil, err
 		}
+		st.addSegment(e, srcManifests[i])
 		srcDocs += e.Docs
 		srcPostings += e.Postings
 		srcLenSum += e.DocLenSum

@@ -60,8 +60,8 @@ const (
 const segDirPrefix = "seg-"
 
 // scanPoolBytes is the private chunk-cache budget of the maintenance scans
-// (bounds re-scan, merge, absorb) that stream a segment once, outside any
-// serving buffer manager.
+// (the bounds scan of terms without a skyline, merge, absorb) that stream
+// a segment once, outside any serving buffer manager.
 const scanPoolBytes = 64 << 20
 
 // Okapi constants, identical to the ones ir.Build bakes in.
@@ -114,30 +114,13 @@ type SegmentsManifest struct {
 
 	// HasBounds/ScoreLo/ScoreHi are the collection-wide Global-By-Value
 	// quantization bounds segments are baked (and virtually scored)
-	// against as of StatsEpoch: exact by default, or — under a bounds
-	// policy (BoundsDrift > 0) — the tolerated *envelope*, exact bounds
-	// widened by the drift fraction at the last exact scan.
+	// against as of StatsEpoch: always exact. (Directories written while an
+	// approximate-bounds mode existed may also carry bounds_drift, has_obs,
+	// obs_lo and obs_hi; decoding ignores them and the next commit drops
+	// them.)
 	HasBounds bool    `json:"has_bounds,omitempty"`
 	ScoreLo   float64 `json:"score_lo,omitempty"`
 	ScoreHi   float64 `json:"score_hi,omitempty"`
-
-	// BoundsDrift > 0 enables the approximate-bounds mode for quantized
-	// layouts: instead of recomputing exact bounds with a tf-scan of
-	// every existing segment on each append (O(existing postings)), an
-	// append folds only its batch into the observed bounds (O(batch))
-	// and keeps quantizing against the recorded envelope while the
-	// observation stays inside it. Only when a batch escapes the
-	// envelope does the append fall back to the exact scan and record a
-	// fresh envelope (exact bounds widened by BoundsDrift of their range
-	// on each side). Set with SetBoundsPolicy / engine WithApproxBounds.
-	BoundsDrift float64 `json:"bounds_drift,omitempty"`
-	// HasObs/ObsLo/ObsHi track the union of observed score bounds since
-	// the envelope was last derived from an exact scan — the cheap
-	// invariant ObsLo >= ScoreLo && ObsHi <= ScoreHi is what lets an
-	// append skip the scan.
-	HasObs bool    `json:"has_obs,omitempty"`
-	ObsLo  float64 `json:"obs_lo,omitempty"`
-	ObsHi  float64 `json:"obs_hi,omitempty"`
 
 	// BaseDocID is the global docid the directory's first segment starts
 	// at (0 for standalone directories). Live dist partitions stride their
@@ -285,10 +268,10 @@ func InitSegmented(dir string, baseDocID int64) error {
 }
 
 // ErrExternalStats is the one refusal a directory gives a local writer
-// (append, merge, bounds policy): its collection statistics are
-// coordinated outside it — a dist partition built with global statistics,
-// or an index saved from such a build — so a local commit would silently
-// break the score comparability those statistics guarantee. The directory
+// (append, merge): its collection statistics are coordinated outside it —
+// a dist partition built with global statistics, or an index saved from
+// such a build — so a local commit would silently break the score
+// comparability those statistics guarantee. The directory
 // serves and ships; change it by rebuilding where the statistics live.
 var ErrExternalStats = errors.New("the index does not own its statistics (they are coordinated outside its directory); it serves but takes no local appends, merges or installs")
 
@@ -389,30 +372,42 @@ func segSeq(name string) uint64 {
 // mergedStats recomputes the collection-wide statistics over existing
 // segment manifests plus an optional un-indexed batch: exact integer
 // document and length totals, and global document frequencies as the sum
-// of per-segment posting-range widths.
+// of per-segment posting-range widths. Terms are numbered as they are
+// first counted (slot), so the bounds fold reads a segment's document
+// frequencies by slot instead of hashing every term of every segment
+// again.
 type mergedStats struct {
 	numDocs  int
 	lenSum   int64
-	df       map[string]int
+	slot     map[string]int // term -> index into df
+	df       []int
 	params   primitives.BM25Params
 	segs     []*Manifest // manifest per existing segment, entry order
+	segSlots [][]int     // per segment: the slot of each term of its byRow, nil when it has none
 	nextBase int64       // docid base for the next appended segment
 }
 
 func collectStats(dir string, sm *SegmentsManifest, batch *corpus.Collection) (*mergedStats, error) {
-	st := &mergedStats{df: make(map[string]int), nextBase: sm.BaseDocID}
+	st := &mergedStats{nextBase: sm.BaseDocID}
+	vocab := 0
 	for _, e := range sm.Segments {
-		m, err := st.addSegment(dir, e)
+		m, err := readManifest(dir, e.Name)
 		if err != nil {
 			return nil, err
 		}
 		st.segs = append(st.segs, m)
+		vocab = max(vocab, len(m.Terms))
+	}
+	// The largest dictionary is a lower bound on the merged one.
+	st.slot = make(map[string]int, vocab)
+	for i, e := range sm.Segments {
+		st.addSegment(e, st.segs[i])
 		st.nextBase = e.DocBase + int64(e.Docs)
 	}
 	if batch != nil {
 		for termID, list := range batch.Postings {
 			if len(list) > 0 {
-				st.df[batch.TermStrings[termID]] += len(list)
+				st.count(batch.TermStrings[termID], len(list))
 			}
 		}
 		st.numDocs += len(batch.DocLens)
@@ -424,20 +419,37 @@ func collectStats(dir string, sm *SegmentsManifest, batch *corpus.Collection) (*
 	return st, nil
 }
 
-// addSegment folds one committed segment of dir into the statistics — its
-// documents, its summed length and its per-term posting counts — and
-// returns the segment's manifest.
-func (st *mergedStats) addSegment(dir string, e SegmentEntry) (*Manifest, error) {
-	m, err := readManifest(dir, e.Name)
-	if err != nil {
-		return nil, err
+// count adds n postings to term t's document frequency and returns its
+// slot.
+func (st *mergedStats) count(t string, n int) int {
+	i, ok := st.slot[t]
+	if !ok {
+		i = len(st.df)
+		st.slot[t] = i
+		st.df = append(st.df, 0)
 	}
-	for t, ti := range m.Terms {
-		st.df[t] += ti.End - ti.Start
+	st.df[i] += n
+	return i
+}
+
+// addSegment folds one committed segment, entry e with manifest m, into
+// the statistics: its documents, its summed length and its per-term
+// posting counts.
+func (st *mergedStats) addSegment(e SegmentEntry, m *Manifest) {
+	var slots []int
+	if m.byRow != nil {
+		slots = make([]int, len(m.byRow))
+		for j, r := range m.byRow {
+			slots[j] = st.count(r.term, r.rows)
+		}
+	} else {
+		for t, ti := range m.Terms {
+			st.count(t, ti.End-ti.Start)
+		}
 	}
+	st.segSlots = append(st.segSlots, slots)
 	st.numDocs += e.Docs
 	st.lenSum += e.DocLenSum
-	return m, nil
 }
 
 // setParams derives the BM25 parameters from the folded totals.
@@ -520,28 +532,21 @@ func postingCursors(ix *ir.Index) (docCur, tfCur *colbm.Cursor, err error) {
 	return colbm.NewCursor(docCol), colbm.NewCursor(tfCol), nil
 }
 
-// scanPostings streams a segment's postings term at a time through its
+// scanPostings streams the named terms' postings of a segment through its
 // docid and tf columns (compressed or fixed, per the segment's layout),
 // docids shifted by delta, handing each vector of parallel (docids, tfs)
-// to fn — the read discipline both the append-time bounds scan and the
-// merge rebuild share. cancel, when non-nil, is polled between terms.
-func scanPostings(ix *ir.Index, delta int64, cancel func() bool,
-	fn func(term string, docids, tfs []int64)) error {
+// to fn.
+func scanPostings(ix *ir.Index, terms []string, delta int64, fn func(term string, docids, tfs []int64)) error {
 	docCur, tfCur, err := postingCursors(ix)
 	if err != nil {
 		return err
 	}
 	docVec := vector.New(vector.Int64, vector.DefaultSize)
 	tfVec := vector.New(vector.Int64, vector.DefaultSize)
-	for t, ti := range ix.Terms {
-		if cancel != nil && cancel() {
-			return ErrBuildCanceled
-		}
+	for _, t := range terms {
+		ti := ix.Terms[t]
 		for pos := ti.Start; pos < ti.End; {
-			n := ti.End - pos
-			if n > vector.DefaultSize {
-				n = vector.DefaultSize
-			}
+			n := min(ti.End-pos, vector.DefaultSize)
 			if err := docCur.ReadOffset(docVec, pos, n, delta); err != nil {
 				return err
 			}
@@ -555,20 +560,66 @@ func scanPostings(ix *ir.Index, delta int64, cancel func() bool,
 	return nil
 }
 
-// segScoreBounds folds a segment's (batchScoreBounds: a batch's) Okapi
-// weights under the new statistics into the running collection-wide
-// min/max — the exact Global-By-Value bounds a whole-collection build
-// would compute. Segments are scanned through their tf and docid columns
-// (a sequential read; no tokenization, no sorting — the part of a rebuild
-// appends actually skip), opened from the manifest m collectStats already
-// read.
-func (st *mergedStats) segScoreBounds(dir, seg string, m *Manifest, lo, hi *float64) error {
+// scoreBounds returns the exact Global-By-Value bounds of the existing
+// segments plus batch under the merged statistics — what a
+// whole-collection build would compute. A term with a skyline in its
+// segment's manifest costs its skyline points, which include the postings
+// of its extreme weights (ir.Skyline); the terms without one — over
+// ir.SkylineCap, or in a manifest written before skylines — are read from
+// the segment's tf and docid columns and its document lengths
+// (scanScoreBounds), and the batch is read whole. Either way the result is
+// the same, bit for bit. ok is false when there is no posting at all.
+func (st *mergedStats) scoreBounds(dir string, sm *SegmentsManifest, batch *corpus.Collection) (lo, hi float64, ok bool, err error) {
+	lo, hi = math.Inf(1), math.Inf(-1)
+	idf := make([]float64, len(st.df))
+	for i, f := range st.df {
+		idf[i] = st.params.IDF(float64(f))
+	}
+	for i, e := range sm.Segments {
+		m, slots := st.segs[i], st.segSlots[i]
+		for j, sky := range m.skylines {
+			for _, side := range [2][]ir.SkyPoint{sky.Upper, sky.Lower} {
+				for _, p := range side {
+					foldBounds(st.params.WeightIDF(idf[slots[j]], float64(p.TF), float64(p.Len)), &lo, &hi)
+				}
+			}
+		}
+		var scan []string
+		if m.byRow != nil {
+			for _, r := range m.byRow[len(m.skylines):] {
+				scan = append(scan, r.term)
+			}
+		} else {
+			for t := range m.Terms {
+				scan = append(scan, t)
+			}
+		}
+		if len(scan) > 0 {
+			if err := st.scanScoreBounds(dir, e.Name, m, scan, idf, &lo, &hi); err != nil {
+				return 0, 0, false, err
+			}
+		}
+	}
+	for termID, list := range batch.Postings {
+		if len(list) == 0 {
+			continue
+		}
+		termIDF := idf[st.slot[batch.TermStrings[termID]]]
+		for _, p := range list {
+			foldBounds(st.params.WeightIDF(termIDF, float64(p.TF), float64(batch.DocLens[p.DocID])), &lo, &hi)
+		}
+	}
+	return lo, hi, lo <= hi, nil
+}
+
+// scanScoreBounds folds the Okapi weights of the named terms of segment
+// seg, read from its columns, into [lo, hi]; idf is per slot.
+func (st *mergedStats) scanScoreBounds(dir, seg string, m *Manifest, terms []string, idf []float64, lo, hi *float64) error {
 	ix, err := openSegment(dir, seg, m, colbm.NewManager(scanPoolBytes), nil)
 	if err != nil {
 		return err
 	}
 	defer ix.Close()
-
 	lenCol, err := ix.D.Column("len")
 	if err != nil {
 		return err
@@ -579,46 +630,25 @@ func (st *mergedStats) segScoreBounds(dir, seg string, m *Manifest, lo, hi *floa
 	}); err != nil {
 		return err
 	}
-
 	// Stored docids are global; rebase to local document-table rows.
-	return scanPostings(ix, -ix.DocBase(), nil, func(t string, docids, tfs []int64) {
-		ftd := float64(st.df[t])
+	return scanPostings(ix, terms, -ix.DocBase(), func(t string, docids, tfs []int64) {
+		termIDF := idf[st.slot[t]]
 		for i := range docids {
-			w := st.params.Weight(float64(tfs[i]), float64(lens[docids[i]]), ftd)
-			if w < *lo {
-				*lo = w
-			}
-			if w > *hi {
-				*hi = w
-			}
+			foldBounds(st.params.WeightIDF(termIDF, float64(tfs[i]), float64(lens[docids[i]])), lo, hi)
 		}
 	})
 }
 
-func (st *mergedStats) batchScoreBounds(batch *corpus.Collection, lo, hi *float64) {
-	for termID, list := range batch.Postings {
-		if len(list) == 0 {
-			continue
-		}
-		ftd := float64(st.df[batch.TermStrings[termID]])
-		for _, p := range list {
-			w := st.params.Weight(float64(p.TF), float64(batch.DocLens[p.DocID]), ftd)
-			if w < *lo {
-				*lo = w
-			}
-			if w > *hi {
-				*hi = w
-			}
-		}
-	}
-}
-
 // globalStats assembles the ir build override from the merged view.
 func (st *mergedStats) globalStats(hasBounds bool, lo, hi float64) *ir.GlobalStats {
+	ftd := make(map[string]int, len(st.slot))
+	for t, i := range st.slot {
+		ftd[t] = st.df[i]
+	}
 	return &ir.GlobalStats{
 		NumDocs:        st.params.NumDocs,
 		AvgDocLen:      st.params.AvgDocLn,
-		Ftd:            st.df,
+		Ftd:            ftd,
 		HasScoreBounds: hasBounds,
 		ScoreLo:        lo,
 		ScoreHi:        hi,
@@ -650,13 +680,9 @@ func compatibleLayout(cfg ir.BuildConfig, m *Manifest) error {
 // bounds, and previously baked segments — now one epoch behind — serve
 // materialized strategies through the query-time kernels until a merge
 // re-bakes them. Cost is O(batch) to index plus, for quantized layouts,
-// one sequential tf-scan of the existing segments to recompute the exact
-// collection-wide score bounds — unless the directory carries an
-// approximate-bounds policy (SetBoundsPolicy) with a still-valid
-// envelope, in which case the scan is skipped and the whole append is
-// O(batch): the batch's scores are folded into the observed bounds, and
-// only when they escape the committed envelope does the append fall back
-// to the exact scan and re-bake a fresh, drift-widened envelope.
+// O(Σ skyline points) to re-derive the exact collection-wide score bounds
+// from the existing segments' term skylines (scoreBounds; a term without
+// a skyline is read from its segment's columns instead).
 //
 // Commits are read-modify-write on SEGMENTS.json, guarded two ways: the
 // engine serializes its own appends/merges in process, and the on-disk
@@ -698,40 +724,10 @@ func AppendSegment(dir string, batch *corpus.Collection, cfg ir.BuildConfig) (ui
 	}
 
 	hasBounds := false
-	approxSkip := false
-	lo, hi := math.Inf(1), math.Inf(-1)
-	obsLo, obsHi := lo, hi
+	var lo, hi float64
 	if cfg.Quantized {
-		if sm.BoundsDrift > 0 && sm.HasBounds && sm.HasObs {
-			// Approximate-bounds mode with a live envelope: fold the batch
-			// into the observed union and skip the tf-scan entirely while
-			// the union stays inside the committed envelope — the envelope
-			// (and therefore every baked quantization grid) is unchanged,
-			// so the append costs O(batch) instead of O(existing postings).
-			obsLo, obsHi = sm.ObsLo, sm.ObsHi
-			st.batchScoreBounds(batch, &obsLo, &obsHi)
-			if obsLo >= sm.ScoreLo && obsHi <= sm.ScoreHi {
-				hasBounds, approxSkip = true, true
-				lo, hi = sm.ScoreLo, sm.ScoreHi
-			}
-		}
-		if !approxSkip {
-			for i, e := range sm.Segments {
-				if err := st.segScoreBounds(dir, e.Name, st.segs[i], &lo, &hi); err != nil {
-					return 0, err
-				}
-			}
-			st.batchScoreBounds(batch, &lo, &hi)
-			hasBounds = lo <= hi
-			obsLo, obsHi = lo, hi
-			if sm.BoundsDrift > 0 && hasBounds {
-				// Re-baked envelope: the exact bounds widened by the
-				// declared drift, so subsequent appends can keep skipping
-				// the scan until observed scores escape it.
-				margin := sm.BoundsDrift * (hi - lo)
-				lo -= margin
-				hi += margin
-			}
+		if lo, hi, hasBounds, err = st.scoreBounds(dir, sm, batch); err != nil {
+			return 0, err
 		}
 	}
 
@@ -792,11 +788,6 @@ func AppendSegment(dir string, batch *corpus.Collection, cfg ir.BuildConfig) (ui
 	if !hasBounds {
 		sm.ScoreLo, sm.ScoreHi = 0, 0
 	}
-	if sm.BoundsDrift > 0 && cfg.Quantized && hasBounds {
-		sm.HasObs, sm.ObsLo, sm.ObsHi = true, obsLo, obsHi
-	} else {
-		sm.HasObs, sm.ObsLo, sm.ObsHi = false, 0, 0
-	}
 	sm.Segments = append(sm.Segments, SegmentEntry{
 		Name:       name,
 		Docs:       len(batch.DocLens),
@@ -810,46 +801,6 @@ func AppendSegment(dir string, batch *corpus.Collection, cfg ir.BuildConfig) (ui
 		return 0, err
 	}
 	return sm.Generation, nil
-}
-
-// SetBoundsPolicy declares the directory's quantization-bounds policy:
-// drift > 0 switches quantized appends to approximate bounds (the next
-// append's exact scan bakes an envelope widened by drift × the score
-// range, and appends after that skip the scan while observed scores stay
-// inside it); drift == 0 reverts to exact bounds on every append. The
-// committed bounds themselves are untouched here — only the policy
-// changes, so the directory never serves a grid its segments were not
-// baked against. No-op when the policy already matches.
-//
-// The change commits under the writer lock with a generation bump, so
-// concurrent appends built against the old policy fail their CAS instead
-// of clobbering it.
-func SetBoundsPolicy(dir string, drift float64) error {
-	if drift < 0 || math.IsNaN(drift) || math.IsInf(drift, 0) {
-		return fmt.Errorf("storage: bounds drift must be a finite fraction >= 0, got %v", drift)
-	}
-	unlock, err := acquireWriterLock(dir)
-	if err != nil {
-		return err
-	}
-	defer unlock()
-	sm, err := ReadSegments(dir)
-	if err != nil {
-		return err
-	}
-	if sm.External {
-		return fmt.Errorf("storage: bounds policy of %q: %w", dir, ErrExternalStats)
-	}
-	if sm.BoundsDrift == drift {
-		return nil
-	}
-	sm.BoundsDrift = drift
-	if drift == 0 {
-		// Exact mode keeps no observed record; the next append re-scans.
-		sm.HasObs, sm.ObsLo, sm.ObsHi = false, 0, 0
-	}
-	sm.Generation++
-	return writeSegments(dir, sm)
 }
 
 // OpenSegmented opens the current generation of a segmented directory as

@@ -223,17 +223,20 @@ func FuzzDecodeSegments(f *testing.F) {
 // fails only with ErrBadManifest, and every manifest it accepts keeps its
 // names inside the segment — the table prefix is "<segment>." (the legacy
 // "." segment keeps its own), every table and blob name starts with it,
-// and every blob file lies directly in the segment directory.
+// and every blob file lies directly in the segment directory. Accepted
+// skylines name dictionary terms, hold 1..ir.SkylineCap positive points a
+// side in sweep order, and come with every term counted by row.
 func FuzzDecodeManifest(f *testing.F) {
 	stored := func(prefix, table string) colbm.StoredTable {
 		return colbm.StoredTable{Name: prefix + table, N: 1, Columns: []colbm.StoredColumn{
 			{N: 1, Blob: prefix + table + ".c", Chunks: []colbm.ChunkInfo{{Off: 0, Size: 8, N: 1}}},
 		}}
 	}
-	manifest := func(prefix, td string) []byte {
+	terms := map[string]ir.TermInfo{"t": {Start: 0, End: 1, Ftd: 1}, "u": {Start: 1, End: 3, Ftd: 2}}
+	manifest := func(prefix, td string, sky ...ir.Skyline) []byte {
 		m := Manifest{Magic: FormatMagic, Version: FormatVersion, Config: ir.BuildConfig{TablePrefix: prefix},
-			Terms: map[string]ir.TermInfo{"t": {Start: 0, End: 1, Ftd: 1}},
-			TD:    stored(td, "TD"), D: stored(prefix, "D")}
+			Terms: terms, Skylines: encodeSkylines(terms, sky),
+			TD: stored(td, "TD"), D: stored(prefix, "D")}
 		data, err := json.Marshal(&m)
 		if err != nil {
 			f.Fatal(err)
@@ -248,6 +251,9 @@ func FuzzDecodeManifest(f *testing.F) {
 	f.Add(manifest("seg-000002.", "seg-000002."))
 	f.Add(manifest("seg-000001.", "seg-000001./../"))
 	f.Add(manifest("seg-000001.", "../seg-000001."))
+	f.Add(manifest("seg-000001.", "seg-000001.",
+		ir.Skyline{Term: "t", Upper: []ir.SkyPoint{{TF: 1, Len: 3}}, Lower: []ir.SkyPoint{{TF: 1, Len: 3}}},
+		ir.Skyline{Term: "u", Upper: []ir.SkyPoint{{TF: 4, Len: 9}, {TF: 2, Len: 5}}, Lower: []ir.SkyPoint{{TF: 2, Len: 5}, {TF: 4, Len: 9}}}))
 	f.Add([]byte(`{}`))
 	f.Add([]byte(`{"magic":"x100-index","version":99}`))
 	f.Add([]byte(`null`))
@@ -274,6 +280,27 @@ func FuzzDecodeManifest(f *testing.F) {
 					file := filepath.Join("segdir", col.Blob+blobExt)
 					if !strings.HasPrefix(col.Blob, prefix) || filepath.Dir(file) != "segdir" {
 						t.Fatalf("segment %q accepted blob %q: outside prefix %q or the segment directory", seg, col.Blob, prefix)
+					}
+				}
+			}
+			if m.skylines != nil && len(m.byRow) != len(m.Terms) {
+				t.Fatalf("accepted %d skylines with %d of %d terms counted by row", len(m.skylines), len(m.byRow), len(m.Terms))
+			}
+			for _, sky := range m.skylines {
+				if _, ok := m.Terms[sky.Term]; !ok {
+					t.Fatalf("accepted a skyline for %q, not in the dictionary", sky.Term)
+				}
+				for dir, side := range map[int64][]ir.SkyPoint{-1: sky.Upper, 1: sky.Lower} {
+					if len(side) < 1 || len(side) > ir.SkylineCap {
+						t.Fatalf("accepted a skyline side of %d points", len(side))
+					}
+					for i, p := range side {
+						if p.TF <= 0 || p.Len <= 0 {
+							t.Fatalf("accepted skyline point %+v", p)
+						}
+						if i > 0 && (dir*(p.TF-side[i-1].TF) <= 0 || dir*(p.Len-side[i-1].Len) <= 0) {
+							t.Fatalf("accepted skyline side %v out of sweep order", side)
+						}
 					}
 				}
 			}

@@ -2,6 +2,7 @@ package repro
 
 import (
 	"context"
+	"encoding/json"
 	"errors"
 	"os"
 	"path/filepath"
@@ -36,6 +37,38 @@ func flattenToV1(t *testing.T, dir string) {
 	}
 	for _, gone := range []string{seg, filepath.Join(dir, storage.SegmentsManifestName)} {
 		if err := os.Remove(gone); err != nil {
+			t.Fatal(err)
+		}
+	}
+}
+
+// stripSkylines deletes the skylines field from every segment manifest of
+// dir: the shape segments had before manifests carried them, whose
+// quantization bounds an append reads from the postings instead.
+func stripSkylines(t *testing.T, dir string) {
+	t.Helper()
+	sm, err := storage.ReadSegments(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, e := range sm.Segments {
+		path := filepath.Join(dir, e.Name, storage.ManifestName)
+		raw, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var fields map[string]json.RawMessage
+		if err := json.Unmarshal(raw, &fields); err != nil {
+			t.Fatal(err)
+		}
+		if _, ok := fields["skylines"]; !ok {
+			t.Fatalf("segment %s has no skylines to strip", e.Name)
+		}
+		delete(fields, "skylines")
+		if raw, err = json.Marshal(fields); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(path, raw, 0o644); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -120,6 +153,7 @@ func TestEveryDirectoryShape(t *testing.T) {
 	}{
 		{"v1-top-level-manifest", func(t *testing.T, dir string) { save(t, dir); flattenToV1(t, dir) }, false},
 		{"SaveIndex", save, true},
+		{"SaveIndex-without-skylines", func(t *testing.T, dir string) { save(t, dir); stripSkylines(t, dir) }, true},
 		{"Open-WithStorageDir", func(t *testing.T, dir string) {
 			eng, err := Open(seed, WithStorageDir(dir))
 			if err != nil {

@@ -29,9 +29,6 @@ type engineConfig struct {
 	autoMerge     int    // WithAutoMerge: background merge above this segment count (0 = off)
 	mergeThrottle int    // WithMergeThrottle: pause merges above this many inflight queries (-1 = off)
 
-	approxSet    bool    // WithApproxBounds given
-	approxBounds float64 // quantization-bounds drift fraction (0 = exact)
-
 	opsAddr string // WithOpsServer: HTTP ops endpoint listen address ("" = off)
 
 	errs []error
@@ -47,21 +44,13 @@ func (c *engineConfig) crossValidate() {
 	}
 }
 
-// refusePersistedOnly appends one error per option that is set but only
-// means something over a persisted index directory; Open without
+// refusePersistedOnly appends an error for WithAutoMerge, the one option
+// that only means something over a persisted index directory; Open without
 // WithStorageDir and OpenIndex — the two in-memory entry points — call it.
 func (c *engineConfig) refusePersistedOnly() {
-	for _, o := range []struct {
-		set  bool
-		name string
-	}{
-		{c.approxSet, "WithApproxBounds"},
-		{c.autoMerge > 0, "WithAutoMerge"},
-	} {
-		if o.set {
-			c.errs = append(c.errs,
-				fmt.Errorf("repro: %s needs a persisted index (Open with WithStorageDir, or OpenDir)", o.name))
-		}
+	if c.autoMerge > 0 {
+		c.errs = append(c.errs,
+			fmt.Errorf("repro: WithAutoMerge needs a persisted index (Open with WithStorageDir, or OpenDir)"))
 	}
 }
 
@@ -190,27 +179,6 @@ func WithAdmissionControl(maxQueue int) Option {
 		}
 		c.Admission = true
 		c.AdmissionQueue = maxQueue
-	}
-}
-
-// WithApproxBounds switches the index directory's quantized score
-// bounds from exact to approximate: instead of re-scanning every existing
-// segment's postings on each append to recompute exact collection-wide
-// bounds, the directory commits an *envelope* — exact bounds widened by
-// drift × the score range — and subsequent appends skip the scan entirely
-// while their observed scores stay inside it, making Add O(batch). When a
-// batch's scores escape the envelope the append falls back to one exact
-// scan and re-bakes a fresh envelope. Quantization buckets scores into
-// the envelope's grid, so rankings stay within the declared drift of the
-// exact grid's. drift 0 reverts to exact bounds on every append.
-// Persisted indexes only (WithStorageDir, or OpenDir).
-func WithApproxBounds(drift float64) Option {
-	return func(c *engineConfig) {
-		if drift < 0 || math.IsNaN(drift) || math.IsInf(drift, 0) {
-			c.errs = append(c.errs, fmt.Errorf("repro: bounds drift %v is not a finite fraction >= 0", drift))
-			return
-		}
-		c.approxSet, c.approxBounds = true, drift
 	}
 }
 

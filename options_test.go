@@ -213,16 +213,6 @@ var optionRows = map[string]func(t *testing.T, f *optionFixture){
 			t.Errorf("admission off, but service estimate %v", got)
 		}
 	},
-	// SegmentsManifest.BoundsDrift: the policy is a directory property.
-	// (What it buys: TestApproxBoundsSkipAndRebake in internal/storage.)
-	"WithApproxBounds": func(t *testing.T, f *optionFixture) {
-		dir := filepath.Join(t.TempDir(), "ix")
-		f.open(t, WithStorageDir(dir), WithApproxBounds(0.25))
-		sm, err := storage.ReadSegments(dir)
-		if err != nil || sm.BoundsDrift != 0.25 {
-			t.Errorf("directory bounds drift %v (%v), want 0.25", sm.BoundsDrift, err)
-		}
-	},
 	// The next_calls attribute of a traced query's operator spans: smaller
 	// vectors, more Next calls for the same tuples.
 	"WithVectorSize": func(t *testing.T, f *optionFixture) {

@@ -2,6 +2,7 @@ package colbm
 
 import (
 	"container/list"
+	"slices"
 	"strings"
 	"sync"
 )
@@ -29,8 +30,25 @@ type Manager struct {
 
 	inflight map[string]*fetch
 
-	hits, misses, shared, evictions int64
+	// free holds the read buffers of evicted chunks, oldest first, for
+	// later misses to read into; freeBytes is their summed length, at most
+	// budget/freeShare.
+	free      [][]byte
+	freeBytes int64
+
+	hits, misses, shared, evictions, recycled int64
 }
+
+// freeShare bounds the free list at a quarter of the budget.
+const freeShare = 4
+
+// evicted is added to an evicted chunk's pin count; no pin count reaches it.
+const evicted = 1 << 32
+
+// poisonRecycled makes the manager fill every buffer it recycles with 0xA5,
+// so a reader of a recycled buffer sees garbage rather than the old bytes.
+// It is a test hook: the package's TestMain sets it before any manager runs.
+var poisonRecycled bool
 
 // frame is one resident chunk plus its CLOCK reference bit.
 type frame struct {
@@ -50,6 +68,10 @@ type fetch struct {
 	// reference bit already set — otherwise the most contended chunk would
 	// be the first eviction candidate.
 	sharers int
+	// pins counts the cursors among the load's callers, whose pins the
+	// chunk enters with; keep records a GetChunk caller among them.
+	pins int64
+	keep bool
 }
 
 // NewManager returns a buffer manager with the given budget in bytes. A
@@ -72,8 +94,22 @@ func (m *Manager) Budget() int64 { return m.budget }
 // the same key waits on that load and shares its result, so a thundering
 // herd of cold queries costs one disk fetch per chunk, not one per query.
 // A failed shared load does not fail the waiters: they retry, and one of
-// them becomes the loader.
+// them becomes the loader. The chunk returned is never recycled.
 func (m *Manager) GetChunk(key string, load func() (*CachedChunk, error)) (*CachedChunk, error) {
+	return m.get(key, load, false)
+}
+
+// acquire is GetChunk for a cursor: the chunk comes back pinned, and its
+// buffer may be recycled once it is evicted and released.
+func (m *Manager) acquire(key string, load func() (*CachedChunk, error)) (*CachedChunk, error) {
+	return m.get(key, load, true)
+}
+
+// get is the one lookup behind GetChunk and acquire. A bounded manager pins
+// a cursor's chunk and marks any other caller's chunk never to be recycled;
+// an unbounded one never evicts, so it does neither.
+func (m *Manager) get(key string, load func() (*CachedChunk, error), cursor bool) (*CachedChunk, error) {
+	bounded := m.budget > 0
 	var fl *fetch
 	for {
 		m.mu.Lock()
@@ -81,11 +117,23 @@ func (m *Manager) GetChunk(key string, load func() (*CachedChunk, error)) (*Cach
 			f.ref = true
 			m.hits++
 			c := f.chunk
+			if bounded {
+				if cursor {
+					c.pins.Add(1)
+				} else {
+					c.buf = nil
+				}
+			}
 			m.mu.Unlock()
 			return c, nil
 		}
 		if wait, ok := m.inflight[key]; ok {
 			wait.sharers++
+			if cursor {
+				wait.pins++
+			} else {
+				wait.keep = true
+			}
 			m.shared++
 			m.mu.Unlock()
 			<-wait.done
@@ -112,6 +160,17 @@ func (m *Manager) GetChunk(key string, load func() (*CachedChunk, error)) (*Cach
 	m.mu.Lock()
 	delete(m.inflight, key)
 	if fl.err == nil && fl.chunk != nil {
+		if bounded {
+			if cursor {
+				fl.pins++
+			} else {
+				fl.keep = true
+			}
+			if fl.keep {
+				fl.chunk.buf = nil
+			}
+			fl.chunk.pins.Add(fl.pins)
+		}
 		m.insertLocked(key, fl.chunk, fl.sharers > 0)
 	}
 	m.mu.Unlock()
@@ -158,8 +217,64 @@ func (m *Manager) evictOneLocked() {
 		m.removeLocked(f)
 		m.evictions++
 		m.hand = next
+		if c := f.chunk; c.buf != nil && c.pins.Add(evicted) == evicted {
+			m.recycleLocked(c) // no cursor pins it; otherwise the last release does this
+		}
 		return
 	}
+}
+
+// release ends a cursor's pin. The last pin of an evicted chunk recycles
+// its buffer.
+func (m *Manager) release(c *CachedChunk) {
+	if m.budget > 0 && c.pins.Add(-1) == evicted {
+		m.mu.Lock()
+		m.recycleLocked(c)
+		m.mu.Unlock()
+	}
+}
+
+// recycleLocked moves an evicted, unpinned chunk's buffer onto the free
+// list, dropping the oldest buffers past the bound.
+func (m *Manager) recycleLocked(c *CachedChunk) {
+	buf := c.buf[:cap(c.buf)]
+	c.buf = nil
+	if poisonRecycled {
+		for i := range buf {
+			buf[i] = 0xA5
+		}
+	}
+	m.free = append(m.free, buf)
+	m.freeBytes += int64(len(buf))
+	for m.freeBytes > m.budget/freeShare {
+		m.freeBytes -= int64(len(m.free[0]))
+		m.free = slices.Delete(m.free, 0, 1)
+	}
+}
+
+// buffer returns a read buffer of length n for a cursor's miss: the
+// smallest free buffer that holds n bytes and is at most a quarter larger,
+// or a fresh one.
+func (m *Manager) buffer(n int) []byte {
+	if m.budget > 0 {
+		m.mu.Lock()
+		best := -1
+		for i, b := range m.free {
+			if l := len(b); l >= n && l-n <= n/4 && (best < 0 || l < len(m.free[best])) {
+				best = i
+			}
+		}
+		if best >= 0 {
+			b := m.free[best]
+			m.free = slices.Delete(m.free, best, best+1)
+			m.freeBytes -= int64(len(b))
+			m.recycled++
+			m.mu.Unlock()
+			return b[:n]
+		}
+		m.mu.Unlock()
+	}
+	return make([]byte, n)
 }
 
 // removeLocked unlinks a frame from the map, the ring, and the byte count.
@@ -207,7 +322,7 @@ func (m *Manager) Drop() {
 func (m *Manager) ResetStats() {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	m.hits, m.misses, m.shared, m.evictions = 0, 0, 0, 0
+	m.hits, m.misses, m.shared, m.evictions, m.recycled = 0, 0, 0, 0, 0
 }
 
 // Stats returns a snapshot of the manager counters.
@@ -221,6 +336,8 @@ func (m *Manager) Stats() CacheStats {
 		Evictions: m.evictions,
 		Used:      m.used,
 		Cap:       m.budget,
+		Recycled:  m.recycled,
+		FreeBytes: m.freeBytes,
 	}
 }
 

@@ -124,6 +124,166 @@ func TestManagerStatsAccounting(t *testing.T) {
 	if st := m.Stats(); st.Misses != 3 || st.Used != 20 {
 		t.Errorf("failed load polluted the cache: %+v", st)
 	}
+
+	// Under churn, a bounded manager serves some misses from its free list
+	// (Recycled, a subset of Misses) and keeps that list within a quarter
+	// of the budget; an unbounded one evicts nothing, so recycles nothing.
+	for _, budget := range []int64{0, 400} {
+		m := NewManager(budget)
+		for i := 0; i < 40; i++ {
+			c, err := m.acquire(fmt.Sprintf("k%d", i%9), cursorLoad(m, int64(80+i%3*5)))
+			if err != nil {
+				t.Fatal(err)
+			}
+			m.release(c)
+			st := m.Stats()
+			if st.Recycled > st.Misses || st.FreeBytes > budget/freeShare {
+				t.Fatalf("budget %d after %d lookups: %+v", budget, i+1, st)
+			}
+		}
+		if st := m.Stats(); (st.Recycled > 0) != (budget > 0) {
+			t.Errorf("budget %d: %d misses recycled", budget, st.Recycled)
+		}
+		m.ResetStats()
+		if st := m.Stats(); st.Recycled != 0 {
+			t.Errorf("ResetStats kept Recycled: %+v", st)
+		}
+	}
+}
+
+// cursorLoad returns a loader that does what a cursor's miss does: it reads
+// a chunk of size bytes, each of them byte(size), into a buffer from the
+// manager, in which the chunk then lives.
+func cursorLoad(m *Manager, size int64) func() (*CachedChunk, error) {
+	return func() (*CachedChunk, error) {
+		buf := m.buffer(int(size))
+		for i := range buf {
+			buf[i] = byte(size)
+		}
+		return &CachedChunk{Raw: buf, Size: size, buf: buf}, nil
+	}
+}
+
+// intact reports whether every byte of the chunk is still what cursorLoad
+// wrote: a recycled buffer is poisoned (TestMain) and then refilled.
+func intact(c *CachedChunk) bool {
+	for _, b := range c.Raw {
+		if b != byte(c.Size) {
+			return false
+		}
+	}
+	return true
+}
+
+// The pin protocol: an evicted chunk's buffer is recycled when the last
+// cursor releases it and not before, the next miss of a fitting size reads
+// into it, and a chunk any GetChunk caller got — on a hit, or by sharing a
+// cursor's in-flight load — is never recycled.
+func TestManagerRecyclesOnlyReleasedCursorChunks(t *testing.T) {
+	m := NewManager(400) // four 90-byte chunks; a free list of 100 bytes
+	a, err := m.acquire("a", cursorLoad(m, 90))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, k := range []string{"b", "c", "d", "e"} {
+		c, err := m.acquire(k, cursorLoad(m, 90))
+		if err != nil {
+			t.Fatal(err)
+		}
+		m.release(c)
+	}
+	if st := m.Stats(); st.Evictions != 1 || st.FreeBytes != 0 || !intact(a) {
+		t.Fatalf("a evicted while pinned: %+v, bytes intact %v", st, intact(a))
+	}
+	m.release(a)
+	if st := m.Stats(); st.FreeBytes != 90 || a.Raw[0] != 0xA5 {
+		t.Fatalf("a released after its eviction: %+v, first byte %#x", st, a.Raw[0])
+	}
+	f, err := m.acquire("f", cursorLoad(m, 80)) // evicts b, released: recycled at once
+	if err != nil {
+		t.Fatal(err)
+	}
+	m.release(f)
+	if st := m.Stats(); st.Recycled != 1 || st.FreeBytes != 90 || &f.Raw[0] != &a.Raw[0] {
+		t.Fatalf("miss after a's release: %+v; read into a's buffer %v", st, &f.Raw[0] == &a.Raw[0])
+	}
+
+	// A GetChunk hit on a cursor's chunk, and a GetChunk caller sharing a
+	// cursor's load, each keep their chunk's bytes through any churn.
+	hit, err := m.GetChunk("c", func() (*CachedChunk, error) { return nil, fmt.Errorf("c not resident") })
+	if err != nil {
+		t.Fatal(err)
+	}
+	started, proceed := make(chan struct{}), make(chan struct{})
+	loaded := make(chan *CachedChunk)
+	go func() {
+		c, err := m.acquire("g", func() (*CachedChunk, error) {
+			close(started)
+			<-proceed
+			return cursorLoad(m, 90)()
+		})
+		if err != nil {
+			t.Error(err)
+		}
+		m.release(c)
+		loaded <- c
+	}()
+	<-started
+	shared := make(chan *CachedChunk)
+	go func() {
+		c, err := m.GetChunk("g", func() (*CachedChunk, error) { return nil, fmt.Errorf("g loaded twice") })
+		if err != nil {
+			t.Error(err)
+		}
+		shared <- c
+	}()
+	for m.Stats().Shared == 0 {
+		time.Sleep(time.Millisecond)
+	}
+	close(proceed)
+	g := <-shared
+	if g != <-loaded {
+		t.Fatal("the sharer got another chunk than the loader")
+	}
+	for i := 0; i < 50; i++ {
+		c, err := m.acquire(fmt.Sprintf("churn%d", i), cursorLoad(m, 85))
+		if err != nil {
+			t.Fatal(err)
+		}
+		m.release(c)
+	}
+	// A chunk larger than the whole budget evicts every frame left, so c
+	// and g are gone whichever frames CLOCK kept through the churn.
+	big, err := m.acquire("big", cursorLoad(m, 500))
+	if err != nil {
+		t.Fatal(err)
+	}
+	m.release(big)
+	if st := m.Stats(); st.Recycled < 40 || st.Used != 500 || !intact(hit) || !intact(g) {
+		t.Fatalf("after 50 misses: %+v; GetChunk hit intact %v, shared load intact %v", st, intact(hit), intact(g))
+	}
+}
+
+// The free list is best fit — the smallest buffer that holds the request and
+// is at most a quarter larger — and drops its oldest buffer past the bound.
+func TestManagerFreeListBestFitAndBound(t *testing.T) {
+	m := NewManager(1000) // bound 250
+	m.mu.Lock()
+	for _, n := range []int{120, 100, 110} {
+		m.recycleLocked(&CachedChunk{buf: make([]byte, n)})
+	}
+	m.mu.Unlock()
+	if st := m.Stats(); st.FreeBytes != 210 {
+		t.Fatalf("the oldest buffer (120) should have made room: %+v", st)
+	}
+	for _, tc := range []struct{ n, cap int }{{96, 100}, {50, 50}, {100, 110}, {100, 100}} {
+		if b := m.buffer(tc.n); len(b) != tc.n || cap(b) != tc.cap {
+			t.Errorf("buffer(%d): len %d cap %d, want cap %d", tc.n, len(b), cap(b), tc.cap)
+		}
+	}
+	if st := m.Stats(); st.Recycled != 2 || st.FreeBytes != 0 {
+		t.Errorf("after the fits: %+v", st)
+	}
 }
 
 // TestManagerSingleflight drives many concurrent readers at the same cold

@@ -23,9 +23,11 @@ type Cursor struct {
 	scratch []int64
 
 	// load is fetch, bound once: the loader every chunk-cache lookup hands
-	// over, so that a hit allocates nothing. miss is the chunk it fetches.
-	load func() (*CachedChunk, error)
-	miss int
+	// over, so that a hit allocates nothing. miss is the chunk it fetches,
+	// and alloc, bound on the first miss, gives it the buffer to read into.
+	load  func() (*CachedChunk, error)
+	alloc func(int) []byte
+	miss  int
 }
 
 // NewCursor returns a cursor over the column. It allocates nothing else:
@@ -108,7 +110,9 @@ func ChunkKey(blob string, ci int) string {
 // raw. Bytes that cannot be a chunk of the column's type are an error here
 // rather than an out-of-range slice in a later read. The raw slice must be
 // owned by the chunk — callers batching several chunks out of one large
-// read must hand each chunk a private copy.
+// read must hand each chunk a private copy. A block's code section is viewed
+// in place where raw allows it (see compress.Unmarshal), as it does when raw
+// comes from BlockStore.Read.
 func ParseCachedChunk(spec *ColumnSpec, raw []byte) (*CachedChunk, error) {
 	ch := &CachedChunk{Size: int64(len(raw))}
 	switch {
@@ -189,31 +193,48 @@ func (c *Column) ParseChunk(ci int, raw []byte) (*CachedChunk, error) {
 	return ch, nil
 }
 
-// loadChunk returns the cached chunk ci, fetching it through the chunk
-// cache on a miss. The whole chunk is read from the block store in one
-// request — large sequential I/O — and cached in compressed form; the
-// cache (buffer manager) owns admission, eviction, and fetch deduplication.
+// loadChunk returns the cached chunk ci pinned, fetching it through the
+// chunk cache on a miss; the caller releases it. The whole chunk is read
+// from the block store in one request — large sequential I/O — and cached
+// in compressed form; the cache (buffer manager) owns admission, eviction,
+// fetch deduplication and the recycling of read buffers.
 func (c *Cursor) loadChunk(ci int) (*CachedChunk, error) {
 	c.miss = ci
-	return c.col.cache.GetChunk(c.col.chunks[ci].key, c.load)
+	return c.col.cache.acquire(c.col.chunks[ci].key, c.load)
 }
 
-// fetch reads chunk c.miss from the block store and parses it: the loader a
-// miss runs, synchronously, inside GetChunk.
+// fetch reads chunk c.miss from the block store into a buffer from the
+// cache and parses it in place: the loader a miss runs, synchronously,
+// inside the cache lookup.
 func (c *Cursor) fetch() (*CachedChunk, error) {
+	if c.alloc == nil {
+		c.alloc = c.buffer
+	}
 	m := &c.col.chunks[c.miss]
-	raw, err := c.col.store.Read(c.col.blobName, m.off, m.size)
+	raw, buf, err := c.col.store.ReadInto(c.col.blobName, m.off, m.size, c.alloc)
 	if err != nil {
 		return nil, err
 	}
-	return c.col.ParseChunk(c.miss, raw)
+	ch, err := c.col.ParseChunk(c.miss, raw)
+	if err != nil {
+		return nil, err
+	}
+	ch.buf = buf
+	return ch, nil
 }
 
+// buffer is alloc: a read buffer from the cache of the column the cursor
+// reads now, which Reset may change.
+func (c *Cursor) buffer(n int) []byte { return c.col.cache.buffer(n) }
+
+// readFromChunk copies or decodes n values of chunk ci into dst, holding
+// the chunk pinned for just that long.
 func (c *Cursor) readFromChunk(dst *vector.Vector, dstOff, ci, inChunk, n int) error {
 	e, err := c.loadChunk(ci)
 	if err != nil {
 		return err
 	}
+	defer c.col.cache.release(e)
 	switch c.col.Spec.Type {
 	case vector.Int64:
 		if e.Block != nil {

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"sync"
 	"time"
+	"unsafe"
 )
 
 // DiskParams models a sequential-I/O-optimized storage device.
@@ -37,10 +38,17 @@ type DiskStats struct {
 type BlockStore interface {
 	// Write stores a named blob, replacing any previous content.
 	Write(name string, data []byte) error
-	// Read returns size bytes of blob name starting at off. The returned
-	// slice is owned by the caller: implementations must not alias internal
-	// state (a misbehaving decoder must not be able to corrupt the store).
+	// Read returns size bytes of blob name starting at off: ReadInto with a
+	// fresh buffer. The returned slice is owned by the caller:
+	// implementations must not alias internal state (a misbehaving decoder
+	// must not be able to corrupt the store).
 	Read(name string, off, size int) ([]byte, error)
+	// ReadInto reads size bytes of blob name starting at off into a buffer
+	// from alloc (a fresh one when alloc is nil), placed by AlignedBuffer:
+	// data, the bytes read, starts on an 8-byte boundary and has at least 8
+	// bytes of capacity past its end. buf is the whole buffer alloc gave,
+	// for the caller to reuse once nothing references data.
+	ReadInto(name string, off, size int, alloc func(n int) []byte) (data, buf []byte, err error)
 	// Size returns the stored size of a blob, or 0 if absent.
 	Size(name string) int
 	// TotalSize returns the summed size of all blobs (the on-disk footprint
@@ -57,6 +65,26 @@ type BlockStore interface {
 	// Close releases underlying resources (file handles); the store is
 	// unusable afterwards.
 	Close() error
+}
+
+// ReadSlack is what a BlockStore asks of alloc beyond the bytes it reads:
+// up to 7 bytes ahead of them, which put the requested first byte on an
+// 8-byte boundary, and 8 after, which let compress.Unmarshal view a code
+// section that ends with the read as whole words.
+const ReadSlack = 15
+
+// AlignedBuffer returns buf, a buffer from alloc (a fresh one when alloc is
+// nil) of n+ReadSlack bytes, and span, the n bytes of it placed so that
+// span[lead] lies on an 8-byte boundary and at least 8 bytes of capacity
+// follow span. alloc(k) must return a slice of length k.
+func AlignedBuffer(alloc func(int) []byte, n, lead int) (span, buf []byte) {
+	if alloc == nil {
+		buf = make([]byte, n+ReadSlack)
+	} else {
+		buf = alloc(n + ReadSlack)
+	}
+	p := int(-(uintptr(unsafe.Pointer(&buf[0])) + uintptr(lead)) & 7)
+	return buf[p : p+n], buf
 }
 
 // SimDisk is a virtual-clock BlockStore holding named immutable blobs in
@@ -110,22 +138,31 @@ func (d *SimDisk) TotalSize() int64 {
 // copy: callers (and the decoders above them) may scribble on it without
 // corrupting the stored blob, matching the contract of a real disk read.
 func (d *SimDisk) Read(name string, off, size int) ([]byte, error) {
+	data, _, err := d.ReadInto(name, off, size, nil)
+	return data, err
+}
+
+// ReadInto is Read into a buffer from alloc: it copies the bytes into the
+// span AlignedBuffer places, and charges the virtual clock as Read does.
+func (d *SimDisk) ReadInto(name string, off, size int, alloc func(int) []byte) ([]byte, []byte, error) {
 	d.mu.Lock()
-	defer d.mu.Unlock()
 	blob, ok := d.blobs[name]
 	if !ok {
-		return nil, fmt.Errorf("colbm: no such blob %q", name)
+		d.mu.Unlock()
+		return nil, nil, fmt.Errorf("colbm: no such blob %q", name)
 	}
 	if off < 0 || size < 0 || off+size > len(blob) {
-		return nil, fmt.Errorf("colbm: read [%d,%d) out of blob %q of %d bytes", off, off+size, name, len(blob))
+		d.mu.Unlock()
+		return nil, nil, fmt.Errorf("colbm: read [%d,%d) out of blob %q of %d bytes", off, off+size, name, len(blob))
 	}
 	d.stats.Reads++
 	d.stats.BytesRead += int64(size)
 	d.stats.IOTime += d.params.SeekLatency +
 		time.Duration(float64(size)/d.params.Bandwidth*float64(time.Second))
-	out := make([]byte, size)
-	copy(out, blob[off:off+size])
-	return out, nil
+	d.mu.Unlock()
+	span, buf := AlignedBuffer(alloc, size, 0)
+	copy(span, blob[off:off+size])
+	return span, buf, nil
 }
 
 // Stats returns a snapshot of the disk counters.

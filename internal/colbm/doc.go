@@ -22,7 +22,10 @@
 //     budget. Manager (here) is the ColumnBM buffer manager every index
 //     reads through, over SimDisk or FileStore alike: one policy (CLOCK
 //     eviction) and one fetch path (GetChunk, with singleflight), so a
-//     chunk is loaded only when a cursor demands it.
+//     chunk is loaded only when a cursor demands it. A cursor's miss reads
+//     into a buffer the manager recycles from evicted chunks, and the
+//     cursor pins the chunk while it decodes, so no buffer is reused under
+//     a reader.
 //
 // # Tables, columns, cursors
 //

@@ -3,6 +3,7 @@ package compress
 import (
 	"encoding/binary"
 	"fmt"
+	"unsafe"
 )
 
 // EntryStride is the spacing of entry points: one per 128 values, as in
@@ -197,9 +198,13 @@ func (bl *Block) Marshal() []byte {
 	return buf
 }
 
-// Unmarshal parses a marshaled block. The returned block owns fresh slices
-// (the code words must be 64-bit aligned, so a copy is unavoidable); the
-// input buffer is not retained.
+// Unmarshal parses a marshaled block. Entries, Boundary, Dict and ExcVals
+// are validated copies. Words is a view of the code section in place, which
+// retains buf, when the host is little-endian, the section starts on an
+// 8-byte boundary and cap(buf) covers all PackedWords(N, B) words; the bits
+// of that view past N·B are then whatever follows the section in buf, which
+// no decoder reads. Otherwise Words is a word-wise copy and buf is not
+// retained. A caller that reuses buf must first drop the block.
 func Unmarshal(buf []byte) (*Block, error) {
 	if len(buf) < 40 {
 		return nil, fmt.Errorf("compress: block truncated (%d bytes)", len(buf))
@@ -268,8 +273,11 @@ func Unmarshal(buf []byte) (*Block, error) {
 	}
 
 	cb := codeSectionBytes(bl.N, bl.B)
-	bl.Words = make([]uint64, PackedWords(bl.N, bl.B))
-	getCodeSection(bl.Words, buf[off:off+cb])
+	nw := PackedWords(bl.N, bl.B)
+	if bl.Words = viewCodeSection(buf, off, nw); bl.Words == nil {
+		bl.Words = make([]uint64, nw)
+		getCodeSection(bl.Words, buf[off:off+cb])
+	}
 	off += cb
 
 	end := len(buf)
@@ -307,4 +315,18 @@ func getCodeSection(words []uint64, sec []byte) {
 	for i := full * 8; i < len(sec); i++ {
 		words[full] |= uint64(sec[i]) << (uint(i%8) * 8)
 	}
+}
+
+// viewCodeSection returns the nw code words starting at buf[off] in place,
+// or nil where that cannot be done: on a big-endian host, when buf[off] is
+// not 8-byte aligned, or when the capacity of buf ends before the last word.
+func viewCodeSection(buf []byte, off, nw int) []uint64 {
+	if !hostLittleEndian || nw == 0 || cap(buf)-off < nw*8 {
+		return nil
+	}
+	p := unsafe.Pointer(&buf[off])
+	if uintptr(p)%8 != 0 {
+		return nil
+	}
+	return unsafe.Slice((*uint64)(p), nw)
 }

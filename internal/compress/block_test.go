@@ -2,9 +2,11 @@ package compress
 
 import (
 	"bytes"
+	"fmt"
 	"math/rand"
 	"reflect"
 	"testing"
+	"unsafe"
 )
 
 // putCodeSectionBytewise and getCodeSectionBytewise copy the code section a
@@ -27,9 +29,26 @@ func codeSectionOf(bl *Block, buf []byte) []byte {
 	return buf[off : off+codeSectionBytes(bl.N, bl.B)]
 }
 
+// placed returns a copy of data whose first byte lies mis bytes past an
+// 8-byte boundary. Its capacity runs 16 bytes past its end, or, when exact,
+// ends with it.
+func placed(data []byte, mis int, exact bool) []byte {
+	back := make([]byte, len(data)+32)
+	s := int(-uintptr(unsafe.Pointer(&back[0]))&7) + mis
+	out := back[s : s+len(data)]
+	if exact {
+		out = out[:len(data):len(data)]
+	}
+	copy(out, data)
+	return out
+}
+
 // Every width 1..MaxBits at every length 0..130, which puts the end of the
 // code section at each byte offset within a word the width can reach: the
-// word-wise copies agree with the byte loop both ways.
+// word-wise copies agree with the byte loop both ways, and the block that
+// Unmarshal returns, viewed (aligned input) or copied (misaligned), marshals
+// back to the same code section. Its Words are not compared: in a view the
+// bits past N·B are the bytes that follow the section.
 func TestMarshalUnmarshalMatchByteLoop(t *testing.T) {
 	rng := rand.New(rand.NewSource(29))
 	for b := uint(1); b <= MaxBits; b++ {
@@ -52,29 +71,96 @@ func TestMarshalUnmarshalMatchByteLoop(t *testing.T) {
 			if !bytes.Equal(sec, wantSec) {
 				t.Fatalf("b=%d n=%d: Marshal code section differs from the byte loop", b, n)
 			}
-			got, err := Unmarshal(buf)
-			if err != nil {
-				t.Fatalf("b=%d n=%d: %v", b, n, err)
-			}
+			words := make([]uint64, PackedWords(n, b))
+			getCodeSection(words, sec)
 			wantWords := make([]uint64, PackedWords(n, b))
 			getCodeSectionBytewise(wantWords, sec)
-			if !reflect.DeepEqual(got.Words, wantWords) {
-				t.Fatalf("b=%d n=%d: Unmarshal words differ from the byte loop", b, n)
+			if !reflect.DeepEqual(words, wantWords) {
+				t.Fatalf("b=%d n=%d: getCodeSection words differ from the byte loop", b, n)
 			}
-			out := make([]int64, n)
-			if err := NewDecoder(n).Decode(got, out); err != nil {
-				t.Fatal(err)
-			}
-			if !reflect.DeepEqual(out, vals) {
-				t.Fatalf("b=%d n=%d: round trip through Marshal/Unmarshal lost values", b, n)
+			for mis := 0; mis < 2; mis++ {
+				got, err := Unmarshal(placed(buf, mis, false))
+				if err != nil {
+					t.Fatalf("b=%d n=%d: %v", b, n, err)
+				}
+				if !bytes.Equal(codeSectionOf(got, got.Marshal()), sec) {
+					t.Fatalf("b=%d n=%d misaligned by %d: the unmarshaled code section marshals back to other bytes", b, n, mis)
+				}
+				out := make([]int64, n)
+				if err := NewDecoder(n).Decode(got, out); err != nil {
+					t.Fatal(err)
+				}
+				if !reflect.DeepEqual(out, vals) {
+					t.Fatalf("b=%d n=%d: round trip through Marshal/Unmarshal lost values", b, n)
+				}
 			}
 		}
+	}
+}
+
+// For every width, with and without exceptions, one block decodes to the
+// same values from a buffer at each of the 8 byte misalignments, with spare
+// capacity and with its capacity cut to its length. Unmarshal views the code
+// section exactly when the host is little-endian, the section lies on an
+// 8-byte boundary and the capacity covers its last word.
+func TestUnmarshalViewMatchesCopy(t *testing.T) {
+	rng := rand.New(rand.NewSource(43))
+	const n = 300
+	views, copies := 0, 0
+	for b := uint(1); b <= MaxBits; b++ {
+		for _, exc := range []bool{false, true} {
+			vals := make([]int64, n)
+			for i := range vals {
+				vals[i] = rng.Int63n(1 << b)
+				if exc && rng.Intn(10) == 0 {
+					vals[i] += 1 << 40
+				}
+			}
+			bl, err := EncodePFOR(vals, b, 0, Patched)
+			if err != nil {
+				t.Fatal(err)
+			}
+			buf := bl.Marshal()
+			off := 40 + 8*(len(bl.Entries)+len(bl.Boundary)+len(bl.Dict))
+			nw := PackedWords(n, b)
+			for mis := 0; mis < 8; mis++ {
+				for _, exact := range []bool{false, true} {
+					in := placed(buf, mis, exact)
+					got, err := Unmarshal(in)
+					if err != nil {
+						t.Fatal(err)
+					}
+					wantView := hostLittleEndian && mis == 0 && cap(in)-off >= nw*8
+					isView := &got.Words[0] == (*uint64)(unsafe.Pointer(&in[off]))
+					if isView != wantView {
+						t.Fatalf("b=%d exc=%v misaligned by %d, exact=%v: view %v, want %v", b, exc, mis, exact, isView, wantView)
+					}
+					if isView {
+						views++
+					} else {
+						copies++
+					}
+					out := make([]int64, n)
+					if err := NewDecoder(n).Decode(got, out); err != nil {
+						t.Fatal(err)
+					}
+					if !reflect.DeepEqual(out, vals) {
+						t.Fatalf("b=%d exc=%v misaligned by %d, exact=%v: decoded values differ", b, exc, mis, exact)
+					}
+				}
+			}
+		}
+	}
+	if hostLittleEndian && (views == 0 || copies == 0) {
+		t.Errorf("%d views and %d copies: one side of the condition went untested", views, copies)
 	}
 }
 
 // FuzzUnmarshal: whatever bytes arrive as a block, Unmarshal returns an
 // error or a block that marshals back to the same bytes — so every section
 // length it allocated from was checked against len(data) — and never panics.
+// An 8-byte aligned copy (a view, where the capacity allows) and a copy
+// offset by one (copied words) are accepted alike and decode alike.
 func FuzzUnmarshal(f *testing.F) {
 	vals := make([]int64, 300)
 	for i := range vals {
@@ -107,7 +193,11 @@ func FuzzUnmarshal(f *testing.F) {
 	f.Add(make([]byte, 40))
 
 	f.Fuzz(func(t *testing.T, data []byte) {
-		bl, err := Unmarshal(data)
+		bl, err := Unmarshal(placed(data, 0, false))
+		shifted, errShifted := Unmarshal(placed(data, 1, false))
+		if (err == nil) != (errShifted == nil) {
+			t.Fatalf("aligned input: %v; offset by one: %v", err, errShifted)
+		}
 		if err != nil {
 			return
 		}
@@ -115,6 +205,11 @@ func FuzzUnmarshal(f *testing.F) {
 		want[6], want[7] = 0, 0 // header padding, not kept
 		if got := bl.Marshal(); !bytes.Equal(got, want) {
 			t.Fatalf("accepted block of %d bytes marshals back to %d different bytes", len(data), len(got))
+		}
+		a, c := make([]int64, bl.N), make([]int64, bl.N)
+		errA, errC := NewDecoder(bl.N).Decode(bl, a), NewDecoder(bl.N).Decode(shifted, c)
+		if fmt.Sprint(errA) != fmt.Sprint(errC) || !reflect.DeepEqual(a, c) {
+			t.Fatalf("aligned and offset copies decode differently: %v / %v", errA, errC)
 		}
 	})
 }

@@ -451,7 +451,8 @@ type Metrics struct {
 	// ResultCache is the result cache's counters and occupancy.
 	ResultCache ResultCacheStats
 	// Storage is the chunk-cache snapshot of the serving generation (hits,
-	// misses, singleflight shares, evictions, occupancy) — the buffer
+	// misses, singleflight shares, evictions, occupancy, recycled read
+	// buffers and the free list they come from) — the buffer
 	// manager shared across generations for a directory-backed core.
 	Storage colbm.CacheStats
 	// Gen is the serving generation (0 without a generation-stamped

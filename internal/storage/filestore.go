@@ -149,20 +149,34 @@ func (fs *FileStore) handle(name string) (*os.File, int64, error) {
 	return f, fi.Size(), nil
 }
 
-// Read returns size bytes of blob name starting at off. The request is
+// Read returns size bytes of blob name starting at off: ReadInto with a
+// fresh buffer. The returned slice is private to the caller, starts on an
+// 8-byte boundary, and keeps the whole widened read reachable — at most
+// 2·4 KiB + 16 B more than size — for as long as it is held, as a cached
+// chunk holds it while resident.
+func (fs *FileStore) Read(name string, off, size int) ([]byte, error) {
+	data, _, err := fs.ReadInto(name, off, size, nil)
+	return data, err
+}
+
+// ReadInto reads size bytes of blob name starting at off. The request is
 // widened to readAlign boundaries (clipped at the end of the blob) and
 // served by one positioned read; DiskStats count the widened bytes. The
-// returned slice is private to the caller: a fresh sub-slice of that read.
-func (fs *FileStore) Read(name string, off, size int) ([]byte, error) {
+// widened span lands in a buffer from alloc (a fresh one when alloc is nil)
+// where colbm.AlignedBuffer places it: data, the requested bytes, starts on
+// an 8-byte boundary with at least 8 bytes of capacity past its end. buf,
+// the whole buffer, is at most 2·readAlign + colbm.ReadSlack bytes longer
+// than size, and a cached chunk read into it retains all of it.
+func (fs *FileStore) ReadInto(name string, off, size int, alloc func(int) []byte) (data, buf []byte, err error) {
 	if off < 0 || size < 0 {
-		return nil, fmt.Errorf("storage: read [%d,%d) of blob %q", off, off+size, name)
+		return nil, nil, fmt.Errorf("storage: read [%d,%d) of blob %q", off, off+size, name)
 	}
 	f, fileSize, err := fs.handle(name)
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 	if int64(off+size) > fileSize {
-		return nil, fmt.Errorf("storage: read [%d,%d) out of blob %q of %d bytes",
+		return nil, nil, fmt.Errorf("storage: read [%d,%d) out of blob %q of %d bytes",
 			off, off+size, name, fileSize)
 	}
 	lo := int64(off) - int64(off)%readAlign
@@ -173,15 +187,16 @@ func (fs *FileStore) Read(name string, off, size int) ([]byte, error) {
 	if hi > fileSize {
 		hi = fileSize
 	}
-	buf := make([]byte, hi-lo)
+	head := int(int64(off) - lo)
+	span, buf := colbm.AlignedBuffer(alloc, int(hi-lo), head)
 	start := time.Now()
-	if _, err := f.ReadAt(buf, lo); err != nil {
-		return nil, fmt.Errorf("storage: read %q: %w", name, err)
+	if _, err := f.ReadAt(span, lo); err != nil {
+		return nil, nil, fmt.Errorf("storage: read %q: %w", name, err)
 	}
 	fs.reads.Add(1)
-	fs.bytesRead.Add(int64(len(buf)))
+	fs.bytesRead.Add(int64(len(span)))
 	fs.ioNanos.Add(time.Since(start).Nanoseconds())
-	return buf[int64(off)-lo : int64(off)-lo+int64(size)], nil
+	return span[head : head+size], buf, nil
 }
 
 // Size returns the stored size of a blob, or 0 if absent.

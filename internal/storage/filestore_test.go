@@ -3,6 +3,9 @@ package storage
 import (
 	"bytes"
 	"testing"
+	"unsafe"
+
+	"repro/internal/colbm"
 )
 
 // seededStore opens a store over a fresh directory holding the given blobs.
@@ -78,6 +81,45 @@ func TestFileStoreReadMatchesBlob(t *testing.T) {
 	}
 	if _, err := fs.Read("big", -1, 2); err == nil {
 		t.Error("read at a negative offset succeeded")
+	}
+}
+
+// aligned reports whether data starts on an 8-byte boundary with at least 8
+// bytes of capacity past its end: what compress.Unmarshal needs to view a
+// block's code section in place.
+func aligned(data []byte) bool {
+	return uintptr(unsafe.Pointer(unsafe.SliceData(data)))%8 == 0 && cap(data)-len(data) >= 8
+}
+
+// Both block stores read into the buffer alloc hands them, wherever in
+// memory it starts, and place the requested bytes 8-byte aligned with 8
+// bytes of slack; Read does the same into a fresh buffer.
+func TestReadIntoPlacesDataAligned(t *testing.T) {
+	blob := pattern(3*readAlign + 517)
+	fs := seededStore(t, map[string][]byte{"b": blob})
+	sim := colbm.NewSimDisk(colbm.DefaultDiskParams())
+	sim.Write("b", blob)
+	for _, st := range []colbm.BlockStore{fs, sim} {
+		for _, r := range []struct{ off, size int }{{0, len(blob)}, {13, 517}, {readAlign - 3, readAlign + 9}, {len(blob) - 5, 5}} {
+			want := blob[r.off : r.off+r.size]
+			if got, err := st.Read("b", r.off, r.size); err != nil || !bytes.Equal(got, want) || !aligned(got) {
+				t.Fatalf("%T.Read(%d, %d): err %v, equal %v, aligned %v", st, r.off, r.size, err, bytes.Equal(got, want), aligned(got))
+			}
+			for skew := 0; skew < 8; skew++ {
+				var given []byte
+				alloc := func(n int) []byte {
+					given = make([]byte, n+skew)[skew:]
+					return given
+				}
+				data, buf, err := st.ReadInto("b", r.off, r.size, alloc)
+				if err != nil || !bytes.Equal(data, want) || !aligned(data) {
+					t.Fatalf("%T.ReadInto(%d, %d) skewed by %d: err %v, equal %v, aligned %v", st, r.off, r.size, skew, err, bytes.Equal(data, want), aligned(data))
+				}
+				if &buf[0] != &given[0] || len(buf) != len(given) {
+					t.Fatalf("%T.ReadInto(%d, %d): buf is not the buffer alloc gave", st, r.off, r.size)
+				}
+			}
+		}
 	}
 }
 

@@ -2,10 +2,8 @@ package dist
 
 import (
 	"context"
-	"encoding/gob"
 	"errors"
 	"fmt"
-	"net"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -179,134 +177,14 @@ func WithOpsServer(addr string) BrokerOption {
 	return func(c *brokerConfig) { c.opsAddr = addr }
 }
 
-// Failure cooldown: after n consecutive failures a replica is parked for
-// min(n, maxBackoffShifts) doublings of replicaBackoff, so a dead server
-// stops being everyone's first choice while still being retried as a last
-// resort (cooling replicas stay in the candidate order, after healthy
-// ones).
-const (
-	replicaBackoff   = 250 * time.Millisecond
-	maxBackoffShifts = 5 // caps the cooldown at 8s
-)
-
-// replica is one server connection plus the broker-side accounting that
-// steers primary selection, hedge targets, and failover order.
-type replica struct {
-	conn *srvConn
-
-	mu        sync.Mutex
-	ewma      time.Duration // moving response-time estimate; 0 = unmeasured
-	fails     int           // consecutive failures
-	downUntil time.Time     // cooldown deadline while failing
-}
-
-// observeSuccess folds a measured response time into the moving estimate
-// and clears any failure state.
-func (r *replica) observeSuccess(d time.Duration) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	r.fails = 0
-	r.downUntil = time.Time{}
-	if r.ewma == 0 {
-		r.ewma = d
-	} else {
-		r.ewma = (3*r.ewma + d) / 4
-	}
-}
-
-// observeFailure opens (or extends) the failure cooldown.
-func (r *replica) observeFailure(now time.Time) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	r.fails++
-	shift := r.fails - 1
-	if shift > maxBackoffShifts {
-		shift = maxBackoffShifts
-	}
-	r.downUntil = now.Add(replicaBackoff << shift)
-}
-
-// snapshot reads the replica's accounting once, under one lock: the
-// exported status plus the cooldown deadline candidate ordering needs.
-func (r *replica) snapshot(now time.Time) (ReplicaStatus, time.Time) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return ReplicaStatus{
-		Addr:    r.conn.addr,
-		Healthy: !now.Before(r.downUntil) || r.fails == 0,
-		EWMA:    r.ewma,
-		Fails:   r.fails,
-	}, r.downUntil
-}
-
-func (r *replica) status(now time.Time) ReplicaStatus {
-	st, _ := r.snapshot(now)
-	return st
-}
-
-// group is one partition's replica set plus the round-robin cursor that
-// spreads primary duty across healthy replicas and, when hedging is on,
-// the group's hedge-budget source.
-type group struct {
-	replicas []*replica
-	rr       uint32
-	hedger   *qos.Hedger // nil = hedging off
-	// frozen marks a partition undergoing a range operation (split or
-	// merge prepare): queries keep serving, but Add routing skips it so
-	// no commit lands between the reconciler's prepare and its commit.
-	frozen bool
-}
-
-// candidates returns the replicas in attempt order for one call: the
-// round-robin primary first, then the remaining healthy replicas by
-// ascending latency estimate (unmeasured ones first, so every replica
-// gets measured), then cooling-down replicas by soonest recovery — they
-// are retries of last resort, never skipped entirely, because a group
-// must exhaust every member before a query is failed.
-func (g *group) candidates(now time.Time) []*replica {
-	if len(g.replicas) == 1 {
-		return g.replicas
-	}
-	// One consistent snapshot per replica; sorting must not re-read state
-	// that observeSuccess/observeFailure may be changing under it.
-	type cand struct {
-		r    *replica
-		ewma time.Duration
-		down time.Time
-	}
-	var healthy, cooling []cand
-	for _, r := range g.replicas {
-		st, down := r.snapshot(now)
-		if st.Healthy {
-			healthy = append(healthy, cand{r: r, ewma: st.EWMA})
-		} else {
-			cooling = append(cooling, cand{r: r, down: down})
-		}
-	}
-	order := make([]*replica, 0, len(g.replicas))
-	if len(healthy) > 0 {
-		pi := int((atomic.AddUint32(&g.rr, 1) - 1) % uint32(len(healthy)))
-		order = append(order, healthy[pi].r)
-		rest := append(append([]cand{}, healthy[:pi]...), healthy[pi+1:]...)
-		sort.SliceStable(rest, func(i, j int) bool { return rest[i].ewma < rest[j].ewma })
-		for _, c := range rest {
-			order = append(order, c.r)
-		}
-	}
-	sort.SliceStable(cooling, func(i, j int) bool { return cooling[i].down.Before(cooling[j].down) })
-	for _, c := range cooling {
-		order = append(order, c.r)
-	}
-	return order
-}
-
 // Broker fans query batches out to one replica per partition group and
 // merges the local top-k lists into the global ranking, hedging and
-// failing over inside each group. It keeps one persistent connection per
-// replica; it is safe for concurrent use — requests to the same replica
-// serialize on that connection while different replicas proceed in
-// parallel. For independent throughput streams (Table 3), use one Broker
-// per stream so streams do not share connections.
+// failing over inside each group. It keeps one persistent query
+// connection per replica, plus an ingest connection for Adds; it is safe
+// for concurrent use — requests to the same replica serialize on that
+// connection while different replicas proceed in parallel. For
+// independent throughput streams (Table 3), use one Broker per stream so
+// streams do not share connections.
 type Broker struct {
 	// mem is the broker's current view of the cluster shape — replica
 	// groups and pinned generations — behind one atomic pointer so the
@@ -328,14 +206,6 @@ type Broker struct {
 	// progress through it.
 	healthMu    sync.Mutex
 	healthExtra func() any
-
-	// ingest is the distributed-Add state (nil until the first Add):
-	// per-group status/append/pull connections, separate from the query
-	// connections so an append or a pull never serializes behind — or
-	// blocks — query round trips on the same conn. Tagged with the
-	// membership it was built from and rebuilt when the membership moves on.
-	ingestMu sync.Mutex
-	ingest   *ingestState
 
 	// Cumulative serving counters behind MetricsSnapshot.
 	calls    metrics.Counter // SearchMany invocations (admitted)
@@ -412,7 +282,7 @@ func (m *membership) drain(ctx context.Context) error {
 
 // newMembership dials one replica group per address list, building the
 // next membership. Replicas whose address already exists in old are
-// adopted — connection, latency estimate, and cooldown state carry over
+// adopted — connections, latency estimate, and cooldown state carry over
 // — so a reconfiguration never cold-starts the surviving fleet. gens
 // supplies each partition's pinning entry (nil entries get a fresh
 // zero); a carried-over pointer also carries the group's adaptive-hedge
@@ -482,7 +352,7 @@ func (b *Broker) newMembership(lists [][]string, old *membership, gens []*atomic
 				continue
 			}
 			sc := &srvConn{addr: addr}
-			r := &replica{conn: sc}
+			r := &replica{conn: sc, ingest: &srvConn{addr: addr}}
 			if err := sc.dial(); err != nil {
 				dialErr = err
 				r.observeFailure(time.Now())
@@ -611,23 +481,10 @@ func closeRetired(old, next *membership) {
 	for _, g := range old.groups {
 		for _, r := range g.replicas {
 			if !kept[r.conn.addr] {
-				r.conn.close()
+				r.close()
 			}
 		}
 	}
-}
-
-// srvConn is one persistent server connection. A broken connection (I/O
-// error, cancellation mid-round-trip) is closed and lazily redialed on
-// next use, so a canceled query does not poison the broker.
-type srvConn struct {
-	addr string
-
-	mu  sync.Mutex
-	c   net.Conn
-	enc *gob.Encoder
-	dec *gob.Decoder
-	seq uint64
 }
 
 // DialGroups connects a broker to a replicated cluster: groups[p] lists
@@ -673,107 +530,10 @@ func DialGroups(groups [][]string, opts ...BrokerOption) (*Broker, error) {
 	return b, nil
 }
 
-func (sc *srvConn) dial() error {
-	c, err := net.Dial("tcp", sc.addr)
-	if err != nil {
-		return fmt.Errorf("dist: dial %s: %w", sc.addr, err)
-	}
-	sc.c = c
-	sc.enc = gob.NewEncoder(c)
-	sc.dec = gob.NewDecoder(c)
-	return nil
-}
-
-func (sc *srvConn) close() {
-	sc.mu.Lock()
-	defer sc.mu.Unlock()
-	if sc.c != nil {
-		sc.c.Close()
-		sc.c = nil
-	}
-}
-
-// roundTrip sends one request and decodes the reply, honoring ctx: a
-// deadline bounds the socket I/O and is forwarded to the server, and a
-// cancel unblocks the wait by expiring the connection. The reply must
-// echo the request's sequence number; a mismatch (a desynchronized stream
-// serving some earlier request's answer) drops the connection and fails
-// the call, which the caller treats like any replica failure.
-func (sc *srvConn) roundTrip(ctx context.Context, req wireRequest) (wireResponse, error) {
-	sc.mu.Lock()
-	defer sc.mu.Unlock()
-	var resp wireResponse
-	if sc.c == nil {
-		if err := sc.dial(); err != nil {
-			return resp, err
-		}
-	}
-	sc.seq++
-	req.Seq = sc.seq
-	if d, ok := ctx.Deadline(); ok {
-		req.TimeoutNanos = time.Until(d).Nanoseconds()
-		if req.TimeoutNanos <= 0 {
-			return resp, context.DeadlineExceeded
-		}
-		sc.c.SetDeadline(d)
-	} else {
-		sc.c.SetDeadline(time.Time{})
-	}
-	// A cancel must unblock the blocking gob I/O: expire the connection.
-	stop := make(chan struct{})
-	watchDone := make(chan struct{})
-	go func() {
-		defer close(watchDone)
-		select {
-		case <-ctx.Done():
-			sc.c.SetDeadline(time.Unix(1, 0))
-		case <-stop:
-		}
-	}()
-	err := sc.enc.Encode(req)
-	if err == nil {
-		err = sc.dec.Decode(&resp)
-	}
-	if err == nil && resp.Seq != req.Seq {
-		err = fmt.Errorf("reply for request %d to request %d", resp.Seq, req.Seq)
-	}
-	close(stop)
-	<-watchDone
-	if err != nil {
-		// The stream may hold a half-read reply; drop the connection and
-		// redial on next use.
-		sc.c.Close()
-		sc.c = nil
-		if ctxErr := ctx.Err(); ctxErr != nil {
-			return resp, ctxErr
-		}
-		return resp, fmt.Errorf("dist: %s: %w", sc.addr, err)
-	}
-	return resp, nil
-}
-
-// ratchetGen folds an observed generation into the partition's table
-// entry, monotonically: generations only grow, so a late answer from an
-// older generation can never move pinning backwards.
-func ratchetGen(gen *atomic.Uint64, v uint64) {
-	for {
-		cur := gen.Load()
-		if v <= cur || gen.CompareAndSwap(cur, v) {
-			return
-		}
-	}
-}
-
 // Close stops the ops endpoint (if any) and closes every replica
 // connection.
 func (b *Broker) Close() error {
 	b.ops.Close()
-	b.ingestMu.Lock()
-	if b.ingest != nil {
-		b.ingest.close()
-		b.ingest = nil
-	}
-	b.ingestMu.Unlock()
 	m := b.mem.Swap(nil)
 	if m == nil {
 		return nil
@@ -784,7 +544,7 @@ func (b *Broker) Close() error {
 		}
 		for _, r := range g.replicas {
 			if r != nil {
-				r.conn.close()
+				r.close()
 			}
 		}
 	}
@@ -849,20 +609,6 @@ func (b *Broker) SearchContext(ctx context.Context, terms []string, k int, strat
 	}
 	timing.Stats = res[0].Stats
 	return res[0].Results, timing, nil
-}
-
-// groupReply is one partition group's outcome for a batch.
-type groupReply struct {
-	gi      int
-	resp    wireResponse
-	err     error
-	hedged  int
-	retried int
-	// span is the group's fan-out subtree (attempts, hedges, server
-	// subtrees) when the call is traced. It is built entirely inside
-	// searchGroup's goroutine and handed over by the channel send, so the
-	// collecting goroutine may graft it without synchronization.
-	span *trace.Span
 }
 
 // SearchMany fans a whole batch of queries out in ONE round trip per
@@ -948,14 +694,14 @@ func (b *Broker) SearchMany(ctx context.Context, reqs []Request) ([]BatchResult,
 		rootStart = t.StartTime()
 	}
 	replies := make(chan groupReply, len(m.groups))
-	for gi, g := range m.groups {
-		go func(gi int, g *group) {
+	for gi := range m.groups {
+		go func(gi int) {
 			t0 := time.Now()
-			rep := b.searchGroup(ctx, m, gi, g, wreq, rootStart)
+			rep := call(ctx, m, gi, wreq, callPolicy{search: true, pin: true, root: rootStart})
 			rep.gi = gi
 			timing.PerServer[gi] = time.Since(t0)
 			replies <- rep
-		}(gi, g)
+		}(gi)
 	}
 
 	reps := make([]groupReply, len(m.groups))
@@ -1054,210 +800,6 @@ func mergeReplies(reqs []Request, reps []groupReply) ([]BatchResult, int, error)
 		out[qi].Results = merged
 	}
 	return out, down, firstErr
-}
-
-// attemptRec is the trace-side record of one replica attempt. It is
-// created and mutated only by searchGroup's select loop — the attempt
-// goroutine reports through the channel, never by touching the record —
-// so building the group's span tree needs no locking.
-type attemptRec struct {
-	addr  string
-	start time.Duration // offset from the call's trace root
-	end   time.Duration // zero until the attempt reports back
-	hedge bool
-	retry bool
-	win   bool
-	err   string
-	subs  []trace.Span // the winner's server subtrees, root-shifted
-}
-
-// searchGroup runs one partition's slice of a batch against its replica
-// group: primary first, a hedge re-issue if the hedge budget (fixed, or
-// the group's live latency quantile under adaptive hedging) expires
-// before an answer lands, and failover re-issues as attempts fail. The
-// first successful answer wins and outstanding attempts are canceled.
-// The group errors only when every replica has been tried and failed.
-// When the call is traced (wreq.TraceSampled), every attempt — the
-// winner, the stalled hedge victim, failed retries — becomes a span in
-// rep.span, with offsets relative to rootStart.
-func (b *Broker) searchGroup(ctx context.Context, m *membership, gi int, g *group, wreq wireRequest, rootStart time.Time) groupReply {
-	// Pin the highest generation this broker has seen the partition at:
-	// a replica still behind it (replication skew, or freshly revived)
-	// answers Stale, which the failure path below absorbs like any other
-	// failed attempt. wreq is this goroutine's copy.
-	wreq.PinGen = m.gens[gi].Load()
-	traced := wreq.TraceSampled
-	groupStart := time.Since(rootStart)
-	order := g.candidates(time.Now())
-	gctx, cancel := context.WithCancel(ctx)
-	defer cancel() // cancels the losers of a hedge race
-
-	var budget time.Duration // hedging is off without a hedger
-	if g.hedger != nil {
-		budget = g.hedger.Budget() // 0 while an adaptive group is still cold
-	}
-
-	type attempt struct {
-		ai   int // index into recs
-		resp wireResponse
-		err  error
-		r    *replica
-		d    time.Duration
-	}
-	ch := make(chan attempt, len(order))
-	var recs []*attemptRec
-	next := 0
-	launch := func(hedge, retry bool) {
-		r := order[next]
-		next++
-		ai := len(recs)
-		if traced {
-			recs = append(recs, &attemptRec{
-				addr:  r.conn.addr,
-				start: time.Since(rootStart),
-				hedge: hedge,
-				retry: retry,
-			})
-		}
-		go func(r *replica) {
-			t0 := time.Now()
-			resp, err := r.conn.roundTrip(gctx, wreq)
-			ch <- attempt{ai: ai, resp: resp, err: err, r: r, d: time.Since(t0)}
-		}(r)
-	}
-	launch(false, false)
-	inflight := 1
-
-	var rep groupReply
-	// done builds the group span from the attempt records on every exit
-	// path; attempts still in flight (a stalled primary losing a hedge
-	// race, outstanding retries) appear with canceled=1 and a duration
-	// running to the group's end — exactly the spans that explain where a
-	// hedge saved the call.
-	done := func(rep groupReply) groupReply {
-		if traced {
-			rep.span = buildGroupSpan(gi, groupStart, time.Since(rootStart), recs)
-		}
-		return rep
-	}
-	var hedgeC <-chan time.Time
-	if budget > 0 && len(order) > 1 {
-		t := time.NewTimer(budget)
-		defer t.Stop()
-		hedgeC = t.C
-	}
-	var firstErr error
-	for {
-		select {
-		case a := <-ch:
-			inflight--
-			if a.err == nil && a.resp.Stale {
-				// A refused answer is a failed attempt: cool the replica down
-				// and re-issue elsewhere. (Its reported generation is older
-				// than the pin by definition, so there is nothing to ratchet.)
-				a.err = fmt.Errorf("dist: %s: replica at generation %d, behind pinned %d",
-					a.r.conn.addr, a.resp.Gen, wreq.PinGen)
-			}
-			if traced {
-				rec := recs[a.ai]
-				rec.end = rec.start + a.d
-				if a.err != nil {
-					rec.err = a.err.Error()
-				}
-			}
-			if a.err == nil {
-				ratchetGen(m.gens[gi], a.resp.Gen)
-				a.r.observeSuccess(a.d)
-				if g.hedger != nil {
-					g.hedger.Observe(a.d)
-				}
-				if traced {
-					rec := recs[a.ai]
-					rec.win = true
-					// Server subtrees arrive with server-local offsets; shift
-					// them onto the call timeline under this attempt.
-					for qi := range a.resp.Queries {
-						for _, sp := range a.resp.Queries[qi].Trace {
-							sp.Shift(rec.start)
-							rec.subs = append(rec.subs, sp)
-						}
-					}
-				}
-				rep.resp = a.resp
-				return done(rep)
-			}
-			if ctxErr := ctx.Err(); ctxErr != nil {
-				rep.err = ctxErr
-				return done(rep)
-			}
-			a.r.observeFailure(time.Now())
-			if firstErr == nil {
-				firstErr = a.err
-			}
-			if next < len(order) {
-				launch(false, true)
-				rep.retried++
-				inflight++
-			} else if inflight == 0 {
-				rep.err = fmt.Errorf("replica group down (all %d replicas failed): %w",
-					len(order), firstErr)
-				return done(rep)
-			}
-		case <-hedgeC:
-			hedgeC = nil // one hedge per partition per call
-			// The hedger may veto the hedge: past the rate cap the slow
-			// attempt rides unhedged, bounding duplicated work at the cap
-			// even when the whole group turns slow.
-			if next < len(order) && g.hedger.TryHedge() {
-				launch(true, false)
-				rep.hedged++
-				inflight++
-			}
-		case <-ctx.Done():
-			rep.err = ctx.Err()
-			return done(rep)
-		}
-	}
-}
-
-// buildGroupSpan converts a group's attempt records into its span
-// subtree: group → attempt... → server subtrees under the winner.
-func buildGroupSpan(gi int, start, end time.Duration, recs []*attemptRec) *trace.Span {
-	gs := &trace.Span{
-		Name:     "group",
-		Start:    start,
-		Duration: end - start,
-		Attrs:    []trace.Attr{{Key: "partition", Val: int64(gi)}},
-	}
-	for _, rec := range recs {
-		as := trace.Span{
-			Name:  "attempt",
-			Start: rec.start,
-			Attrs: []trace.Attr{{Key: "addr", Str: rec.addr}},
-		}
-		if rec.end > 0 {
-			as.Duration = rec.end - rec.start
-		} else {
-			// Never reported back: canceled when the group finished.
-			as.Duration = end - rec.start
-			as.Attrs = append(as.Attrs, trace.Attr{Key: "canceled", Val: 1})
-		}
-		if rec.hedge {
-			as.Attrs = append(as.Attrs, trace.Attr{Key: "hedge", Val: 1})
-		}
-		if rec.retry {
-			as.Attrs = append(as.Attrs, trace.Attr{Key: "retry", Val: 1})
-		}
-		if rec.win {
-			as.Attrs = append(as.Attrs, trace.Attr{Key: "winner", Val: 1})
-		}
-		if rec.err != "" {
-			as.Attrs = append(as.Attrs, trace.Attr{Key: "error", Str: rec.err})
-		}
-		as.Children = append(as.Children, rec.subs...)
-		gs.Children = append(gs.Children, as)
-	}
-	return gs
 }
 
 // GroupMetrics is one partition group's slice of a BrokerMetrics

@@ -47,15 +47,17 @@ type wireRequest struct {
 	TraceID      uint64
 	TraceSampled bool
 
-	// PinGen, for verbSearch against a dir-backed (ingesting) partition,
-	// is the generation the broker has already seen this partition commit
-	// or answer at. A server serving an *older* generation must not answer
-	// — it would silently miss documents the caller already observed — so
-	// it refreshes from its directory and, still behind, refuses with
-	// Stale, which the broker treats exactly like a failed attempt
-	// (failover/hedging absorbs replication skew). Serving a newer
-	// generation is fine: generations only grow, and the answer reports
-	// the one it ran at. 0 pins nothing.
+	// PinGen, for verbSearch and verbAppend against a dir-backed
+	// (ingesting) partition, is the generation the broker has already
+	// seen this partition commit or answer at. A server serving an
+	// *older* generation must not answer — it would silently miss
+	// documents the caller already observed — and must not append — it
+	// would fork the partition's history — so a search refreshes from
+	// its directory and, still behind, refuses with Stale, and an append
+	// refuses with Stale at once; the broker treats either exactly like a
+	// failed attempt (failover/hedging absorbs replication skew). Serving
+	// a newer generation is fine: generations only grow, and the answer
+	// reports the one it ran at. 0 pins nothing.
 	PinGen uint64
 
 	// Per-verb payloads; nil for verbs that do not use them (gob encodes
@@ -111,12 +113,13 @@ type wireResponse struct {
 	// per-partition generation table, so pinning ratchets forward with
 	// every answer, not just every Add.
 	Gen uint64
-	// Stale marks a refused verbSearch: the server's generation trails the
-	// request's PinGen even after a refresh attempt. No queries were
-	// executed; the broker retries elsewhere.
+	// Stale marks a refused verbSearch or verbAppend: the server's
+	// generation trails the request's PinGen. Nothing was executed; the
+	// broker retries elsewhere.
 	Stale bool
 	// Err reports a failed control verb (status/append/fetch/manifest/
-	// pull); per-query errors ride in Queries for verbSearch.
+	// pull), which srvConn.roundTrip returns as an error; per-query errors
+	// ride in Queries for verbSearch.
 	Err string
 
 	// Per-verb payloads.

@@ -36,6 +36,13 @@
 // replica once, never through the broker, and SetShipHook observes every
 // chunk of every pull.
 //
+// Every broker round trip — search, status probe, append, pull — goes
+// through one call path, on the replica's query connection for searches
+// and its ingest connection for the rest. So the append is pinned like a
+// search (a replica behind the partition's pinned generation refuses it
+// as Stale and the append fails over, or fails), and a replica that an
+// Add cannot reach is cooled down for queries too.
+//
 // # Replica groups, hedging, failover
 //
 // Table 3's finding is that per-query latency tracks the *slowest*

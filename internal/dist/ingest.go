@@ -5,7 +5,6 @@ import (
 	"errors"
 	"fmt"
 	"os"
-	"sync"
 	"time"
 
 	"repro/internal/corpus"
@@ -36,8 +35,8 @@ type AddStats struct {
 	// Replicated counts group members at generation Gen when Add
 	// returned (the primary included); Lagging counts members that could
 	// not be brought up to date (down, or their pull failed). A lagging
-	// replica cannot corrupt results — queries pin Gen, so it refuses
-	// with Stale until it catches up on a later Add or refresh.
+	// replica cannot corrupt results — queries and appends pin Gen, so it
+	// refuses with Stale until it catches up on a later Add or refresh.
 	Replicated int
 	Lagging    int
 	// ShippedFiles/ShippedBytes count segment file data the other group
@@ -57,7 +56,7 @@ type AddStats struct {
 func pull(ctx context.Context, src *srvConn, dir string, hook func(seg, file string, off int64) error,
 	install func(dir string, manifest []byte) (uint64, error)) (wirePullResult, error) {
 	var res wirePullResult
-	resp, err := control(ctx, src, wireRequest{Verb: verbManifest})
+	resp, err := src.roundTrip(ctx, wireRequest{Verb: verbManifest})
 	if err != nil {
 		return res, err
 	}
@@ -79,7 +78,7 @@ func pull(ctx context.Context, src *srvConn, dir string, hook func(seg, file str
 		if have[seg] {
 			continue
 		}
-		resp, err := control(ctx, src, wireRequest{Verb: verbFetch, Fetch: &wireFetch{Seg: seg}})
+		resp, err := src.roundTrip(ctx, wireRequest{Verb: verbFetch, Fetch: &wireFetch{Seg: seg}})
 		if err != nil {
 			return res, err
 		}
@@ -89,7 +88,7 @@ func pull(ctx context.Context, src *srvConn, dir string, hook func(seg, file str
 				n := int(min(shipChunk, f.Size-off))
 				var data []byte
 				if n > 0 {
-					r, err := control(ctx, src, wireRequest{Verb: verbFetch,
+					r, err := src.roundTrip(ctx, wireRequest{Verb: verbFetch,
 						Fetch: &wireFetch{Seg: seg, File: f.Name, Off: off, Len: n}})
 					if err != nil {
 						return res, err
@@ -117,98 +116,17 @@ func pull(ctx context.Context, src *srvConn, dir string, hook func(seg, file str
 	return res, err
 }
 
-// ingestState is the broker's lazily-created distributed-Add machinery:
-// one ingest connection per replica, separate from the query connections.
-// A round trip holds its connection's lock end to end, and an append or
-// a pull lasts as long as the segment build or transfer behind it, so
-// running them on the query connections would stall searches; the split
-// keeps ingest and serving traffic on independent streams to the same
-// servers.
-type ingestState struct {
-	mem    *membership // the layout this state was built from
-	groups []*ingestGroup
-}
-
-// ingestGroup is one partition's ingest side: its replica connections
-// and a mutex serializing Adds routed to this partition (concurrent Adds
-// to different partitions proceed in parallel; two Adds to the same
-// primary would just contend on the storage writer lock anyway).
-type ingestGroup struct {
-	mu    sync.Mutex
-	conns []*srvConn
-}
-
-func (st *ingestState) close() {
-	for _, ig := range st.groups {
-		for _, sc := range ig.conns {
-			sc.close()
-		}
+// status asks replica ri of partition gi where it stands (generation,
+// docid range, ingest capability), through the call path.
+func status(ctx context.Context, m *membership, gi, ri int) (*wireStatus, error) {
+	rep := call(ctx, m, gi, wireRequest{Verb: verbStatus}, callPolicy{order: m.groups[gi].replicas[ri : ri+1]})
+	if rep.err != nil {
+		return nil, rep.err
 	}
-}
-
-// ingestFor returns the broker's ingest state for the given membership,
-// creating it on first use and rebuilding it when the membership has
-// moved on (a topology change retired or added replicas; connections to
-// surviving addresses are carried over, the rest close).
-func (b *Broker) ingestFor(m *membership) *ingestState {
-	b.ingestMu.Lock()
-	defer b.ingestMu.Unlock()
-	if b.ingest != nil && b.ingest.mem == m {
-		return b.ingest
+	if rep.resp.Status == nil {
+		return nil, fmt.Errorf("dist: %s: status reply with no payload", rep.r.conn.addr)
 	}
-	reuse := make(map[string]*srvConn)
-	if b.ingest != nil {
-		for _, ig := range b.ingest.groups {
-			for _, sc := range ig.conns {
-				reuse[sc.addr] = sc
-			}
-		}
-	}
-	st := &ingestState{mem: m, groups: make([]*ingestGroup, len(m.groups))}
-	for gi, g := range m.groups {
-		ig := &ingestGroup{conns: make([]*srvConn, len(g.replicas))}
-		for ri, r := range g.replicas {
-			if sc, ok := reuse[r.conn.addr]; ok {
-				ig.conns[ri] = sc
-				delete(reuse, r.conn.addr)
-			} else {
-				ig.conns[ri] = &srvConn{addr: r.conn.addr}
-			}
-		}
-		st.groups[gi] = ig
-	}
-	for _, sc := range reuse {
-		sc.close()
-	}
-	b.ingest = st
-	return st
-}
-
-// control runs one ingest round trip and lifts the response's Err field
-// into a Go error, so callers handle transport and application failures
-// uniformly.
-func control(ctx context.Context, sc *srvConn, req wireRequest) (wireResponse, error) {
-	resp, err := sc.roundTrip(ctx, req)
-	if err != nil {
-		return resp, err
-	}
-	if resp.Err != "" {
-		return resp, fmt.Errorf("dist: %s: %s", sc.addr, resp.Err)
-	}
-	return resp, nil
-}
-
-// status asks one replica where it stands (generation, docid range,
-// ingest capability).
-func status(ctx context.Context, sc *srvConn) (*wireStatus, error) {
-	resp, err := control(ctx, sc, wireRequest{Verb: verbStatus})
-	if err != nil {
-		return nil, err
-	}
-	if resp.Status == nil {
-		return nil, fmt.Errorf("dist: %s: status reply with no payload", sc.addr)
-	}
-	return resp.Status, nil
+	return rep.resp.Status, nil
 }
 
 // Add routes one document batch to the owning partition and replicates
@@ -224,12 +142,17 @@ func status(ctx context.Context, sc *srvConn) (*wireStatus, error) {
 // subsequent query through this broker pins a generation that includes
 // the batch — read-your-writes.
 //
-// Add succeeds when any replica of the owning group commits the batch.
-// Replicas that cannot be brought current (down, mid-revival, failed
-// pull) are reported in AddStats.Lagging, not errors: generation
-// pinning already guarantees they refuse to answer queries until they
-// catch up, which happens on the next Add to the group (its pull ships
-// whatever the replica's directory lacks) or on their own refresh.
+// Every round trip goes through the broker's one call path, so it feeds
+// replica health like a query does, and the append is pinned like a
+// query: a replica behind the partition's pinned generation refuses it
+// as Stale, so a batch never commits on a directory that lacks one the
+// broker already acknowledged. Add succeeds when any reachable replica
+// of the owning group commits the batch. Replicas that cannot be brought
+// current (down, mid-revival, failed pull) are reported in
+// AddStats.Lagging, not errors: generation pinning already guarantees
+// they refuse queries and appends until they catch up, which happens on
+// the next Add to the group (its pull ships whatever the replica's
+// directory lacks) or on their own refresh.
 func (b *Broker) Add(ctx context.Context, docs []Doc) (AddStats, error) {
 	var stats AddStats
 	if len(docs) == 0 {
@@ -244,66 +167,50 @@ func (b *Broker) Add(ctx context.Context, docs []Doc) (AddStats, error) {
 		return stats, err
 	}
 	defer m.release()
-	st := b.ingestFor(m)
 
-	// Route: least-loaded ingest-capable partition. Statuses come over
-	// the ingest connections; a partition with every replica unreachable
-	// is simply not a candidate.
-	gi, ingestRIs, err := b.route(ctx, m, st)
+	// Route: least-loaded ingest-capable partition; a partition with every
+	// replica unreachable is simply not a candidate.
+	gi, reachable, err := b.route(ctx, m)
 	if err != nil {
 		return stats, err
 	}
 	stats.Partition = gi
 	stats.Docs = len(docs)
 
-	ig := st.groups[gi]
-	ig.mu.Lock()
-	defer ig.mu.Unlock()
+	g := m.groups[gi]
+	g.addMu.Lock()
+	defer g.addMu.Unlock()
 
-	// Append on the first replica that takes it — a dead primary fails
-	// over to the next group member, which becomes the ship source.
+	// Append on the first reachable replica, in replica-index order, that
+	// takes it — a dead primary fails over to the next group member,
+	// which becomes the pull source.
 	wdocs := make([]wireDoc, len(docs))
 	for i, d := range docs {
 		wdocs[i] = wireDoc{Name: d.Name, Tokens: d.Tokens}
 	}
-	var res *wireAppendResult
-	primary := -1
-	var appendErr error
-	for _, ri := range ingestRIs {
-		resp, err := control(ctx, ig.conns[ri], wireRequest{Verb: verbAppend, Append: &wireAppend{Docs: wdocs}})
-		if err != nil {
-			appendErr = err
-			if ctx.Err() != nil {
-				return stats, ctx.Err()
-			}
-			continue
-		}
-		if resp.Append == nil {
-			appendErr = fmt.Errorf("dist: %s: append reply with no payload", ig.conns[ri].addr)
-			continue
-		}
-		res = resp.Append
-		primary = ri
-		break
+	rep := call(ctx, m, gi, wireRequest{Verb: verbAppend, Append: &wireAppend{Docs: wdocs}},
+		callPolicy{pin: true, order: reachable})
+	if rep.err != nil {
+		return stats, fmt.Errorf("dist: partition %d: append: %w", gi, rep.err)
 	}
+	res := rep.resp.Append
 	if res == nil {
-		return stats, fmt.Errorf("dist: partition %d: append failed on every replica: %w", gi, appendErr)
+		return stats, fmt.Errorf("dist: %s: append reply with no payload", rep.r.conn.addr)
 	}
 	stats.Gen = res.Gen
 	stats.Segment = res.Seg
 	stats.TotalDocs = res.NumDocs
 	stats.Replicated = 1
-	ratchetGen(m.gens[gi], res.Gen)
 
 	// Replicate: every other group member pulls the segments its directory
 	// lacks straight from the primary and installs the primary's manifest.
-	from := &wirePull{From: ig.conns[primary].addr}
-	for ri, sc := range ig.conns {
-		if ri == primary {
+	from := &wirePull{From: rep.r.conn.addr}
+	for ri, r := range g.replicas {
+		if r == rep.r {
 			continue
 		}
-		resp, err := control(ctx, sc, wireRequest{Verb: verbPull, Pull: from})
-		if err != nil || resp.Pull == nil || resp.Pull.Gen < res.Gen {
+		pr := call(ctx, m, gi, wireRequest{Verb: verbPull, Pull: from}, callPolicy{order: g.replicas[ri : ri+1]})
+		if pr.err != nil || pr.resp.Pull == nil || pr.resp.Pull.Gen < res.Gen {
 			if ctx.Err() != nil {
 				return stats, ctx.Err()
 			}
@@ -311,8 +218,8 @@ func (b *Broker) Add(ctx context.Context, docs []Doc) (AddStats, error) {
 			continue
 		}
 		stats.Replicated++
-		stats.ShippedFiles += resp.Pull.Files
-		stats.ShippedBytes += resp.Pull.Bytes
+		stats.ShippedFiles += pr.resp.Pull.Files
+		stats.ShippedBytes += pr.resp.Pull.Bytes
 	}
 	return stats, nil
 }
@@ -336,21 +243,22 @@ func (b *Broker) AddMany(ctx context.Context, batches [][]Doc) ([]AddStats, erro
 // least one reachable ingest-capable replica, the one serving the fewest
 // documents. Partitions frozen for a range operation are skipped — no
 // commit may land between a split/merge prepare and its commit. Returns
-// the group index and its reachable ingest replicas in try order.
-func (b *Broker) route(ctx context.Context, m *membership, st *ingestState) (int, []int, error) {
+// the group index and its reachable ingest replicas in replica-index
+// order.
+func (b *Broker) route(ctx context.Context, m *membership) (int, []*replica, error) {
 	bestGi, bestDocs := -1, 0
-	var bestRIs []int
+	var best []*replica
 	var lastErr error
 	frozen := 0
-	for gi, ig := range st.groups {
-		if m.groups[gi].frozen {
+	for gi, g := range m.groups {
+		if g.frozen {
 			frozen++
 			continue
 		}
-		var ris []int
+		var reachable []*replica
 		docs := 0
-		for ri, sc := range ig.conns {
-			ws, err := status(ctx, sc)
+		for ri, r := range g.replicas {
+			ws, err := status(ctx, m, gi, ri)
 			if err != nil {
 				lastErr = err
 				if ctx.Err() != nil {
@@ -361,28 +269,28 @@ func (b *Broker) route(ctx context.Context, m *membership, st *ingestState) (int
 			if !ws.Ingest {
 				continue
 			}
-			ris = append(ris, ri)
+			reachable = append(reachable, r)
 			if ws.NumDocs > docs {
 				docs = ws.NumDocs // replicas may be skewed; size by the freshest
 			}
 		}
-		if len(ris) == 0 {
+		if len(reachable) == 0 {
 			continue
 		}
 		if bestGi < 0 || docs < bestDocs {
-			bestGi, bestDocs, bestRIs = gi, docs, ris
+			bestGi, bestDocs, best = gi, docs, reachable
 		}
 	}
 	if bestGi < 0 {
 		if lastErr != nil {
 			return -1, nil, fmt.Errorf("dist: no ingest-capable partition reachable: %w", lastErr)
 		}
-		if frozen == len(st.groups) {
+		if frozen == len(m.groups) {
 			return -1, nil, errors.New("dist: every partition is frozen for a split or merge; retry once it commits")
 		}
 		return -1, nil, fmt.Errorf("dist: no partition takes appends: %w", storage.ErrExternalStats)
 	}
-	return bestGi, bestRIs, nil
+	return bestGi, best, nil
 }
 
 // PartitionGens reports the broker's generation table: the highest
@@ -410,21 +318,20 @@ func (b *Broker) WaitConverged(ctx context.Context) error {
 		if err != nil {
 			return err
 		}
-		st := b.ingestFor(m)
 		behind := ""
-		for gi, ig := range st.groups {
+		for gi, g := range m.groups {
 			want := m.gens[gi].Load()
 			if want == 0 {
 				continue
 			}
-			for _, sc := range ig.conns {
-				ws, err := status(ctx, sc)
+			for ri, r := range g.replicas {
+				ws, err := status(ctx, m, gi, ri)
 				if err != nil {
-					behind = fmt.Sprintf("%s: %v", sc.addr, err)
+					behind = fmt.Sprintf("%s: %v", r.conn.addr, err)
 					continue
 				}
 				if ws.Gen < want {
-					behind = fmt.Sprintf("%s at generation %d, want %d", sc.addr, ws.Gen, want)
+					behind = fmt.Sprintf("%s at generation %d, want %d", r.conn.addr, ws.Gen, want)
 				}
 			}
 		}

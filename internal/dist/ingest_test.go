@@ -1,6 +1,7 @@
 package dist
 
 import (
+	"bytes"
 	"context"
 	"errors"
 	"fmt"
@@ -639,7 +640,7 @@ func TestConcurrentPullsRunOneAtATime(t *testing.T) {
 	send := func() {
 		sc := &srvConn{addr: replica.Addr()}
 		defer sc.close()
-		resp, err := control(ctx, sc, pullReq)
+		resp, err := sc.roundTrip(ctx, pullReq)
 		replies <- reply{resp, err}
 	}
 	go send()
@@ -721,18 +722,171 @@ func TestPullRefusedBeforeDialing(t *testing.T) {
 	defer cancel()
 	for name, srv := range map[string]*Server{"in-memory": mem, "external": ext} {
 		sc := &srvConn{addr: srv.Addr()}
-		resp, err := sc.roundTrip(ctx, wireRequest{Verb: verbPull, Pull: &wirePull{From: src.Addr().String()}})
+		_, err := sc.roundTrip(ctx, wireRequest{Verb: verbPull, Pull: &wirePull{From: src.Addr().String()}})
 		sc.close()
-		if err != nil {
-			t.Fatalf("%s: %v", name, err)
-		}
-		if !strings.Contains(resp.Err, storage.ErrExternalStats.Error()) {
-			t.Errorf("%s server answered a pull with %q, want the ErrExternalStats refusal", name, resp.Err)
+		if err == nil || !strings.Contains(err.Error(), storage.ErrExternalStats.Error()) {
+			t.Errorf("%s server answered a pull with %v, want the ErrExternalStats refusal", name, err)
 		}
 	}
 	src.Close()
 	<-done
 	if n := accepts.Load(); n != 0 {
 		t.Errorf("the pull source saw %d connections, want none", n)
+	}
+}
+
+// TestLaggingReplicaRefusesAppend: an append is pinned like a query. With
+// replica 0 dead and replica 1 one generation behind (its pull of the last
+// Add was cut), an Add must fail rather than commit on replica 1: that
+// would acknowledge a second batch under the generation and segment name
+// replica 0 already holds, and no later pull, which compares segment
+// names, would ever repair the fork. Once replica 0 is back, the next Add
+// lands and both replicas rank exactly like a centralized directory fed
+// the acknowledged batches.
+func TestLaggingReplicaRefusesAppend(t *testing.T) {
+	c := testCollection(t)
+	seed, err := c.Slice(0, 1500)
+	if err != nil {
+		t.Fatal(err)
+	}
+	bc := ir.DefaultBuildConfig()
+	dirs, err := BuildLivePartitions(seed, 1, bc, filepath.Join(t.TempDir(), "live"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	shadowDirs, err := BuildLivePartitions(seed, 1, bc, filepath.Join(t.TempDir(), "shadow"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	cl, err := StartClusterFromDirs(dirs, 0, WithReplicas(2))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer cl.Close()
+	brk, err := cl.NewBroker()
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer brk.Close()
+	ctx := context.Background()
+
+	shadowCfg := bc
+	shadowCfg.Stats = nil // the append path's per-directory statistics
+	acked := func(batch []Doc, gen uint64) {
+		t.Helper()
+		bcoll, err := corpus.FromDocs(batch)
+		if err != nil {
+			t.Fatal(err)
+		}
+		shadowGen, err := storage.AppendSegment(shadowDirs[0], bcoll, shadowCfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if shadowGen != gen {
+			t.Fatalf("cluster committed generation %d, shadow %d", gen, shadowGen)
+		}
+	}
+	batches := liveBatches(t, c, 1500, 1800, 100)
+
+	cl.SetShipHook(func(string, string, int64) error { return errors.New("replication cut") })
+	st, err := brk.Add(ctx, batches[0])
+	if err != nil || st.Lagging != 1 {
+		t.Fatalf("cut add: %v (stats %+v)", err, st)
+	}
+	acked(batches[0], st.Gen)
+	cl.SetShipHook(nil)
+
+	if err := cl.KillReplica(0, 0); err != nil {
+		t.Fatal(err)
+	}
+	manifest := filepath.Join(dirs[0]+"-r1", storage.SegmentsManifestName)
+	before, err := os.ReadFile(manifest)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st, err := brk.Add(ctx, batches[1]); err == nil {
+		t.Fatalf("Add acknowledged on a replica behind the pinned generation (stats %+v)", st)
+	}
+	after, err := os.ReadFile(manifest)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(before, after) {
+		t.Fatal("the refused append changed the lagging replica's SEGMENTS.json")
+	}
+
+	if err := cl.ReviveReplica(0, 0); err != nil {
+		t.Fatal(err)
+	}
+	st, err = brk.Add(ctx, batches[2])
+	if err != nil {
+		t.Fatal(err)
+	}
+	acked(batches[2], st.Gen)
+	wctx, cancel := context.WithTimeout(ctx, 10*time.Second)
+	defer cancel()
+	if err := brk.WaitConverged(wctx); err != nil {
+		t.Fatal(err)
+	}
+
+	const k = 100
+	queries := c.EfficiencyQueries(100, 3)
+	reqs := make([]Request, len(queries))
+	for i, q := range queries {
+		reqs[i] = Request{Terms: q.Terms, K: k, Strategy: ir.BM25TCMQ8}
+	}
+	want := shadowRankings(t, shadowDirs[0], queries, k)
+	for r := 0; r < cl.GroupSize(0); r++ {
+		one, err := DialGroups([][]string{{cl.Replica(0, r).Addr()}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		res, _, err := one.SearchMany(ctx, reqs)
+		one.Close()
+		if err != nil {
+			t.Fatal(err)
+		}
+		assertRankingsEqual(t, fmt.Sprintf("replica %d", r), res, want)
+	}
+}
+
+// TestIngestVerbsFeedReplicaHealth: status probes, appends and pulls go
+// through the same call path as queries, so a replica an Add cannot reach
+// is cooled down for queries too, while the Add's round trips leave every
+// replica's search latency estimate alone.
+func TestIngestVerbsFeedReplicaHealth(t *testing.T) {
+	c := testCollection(t)
+	seed, err := c.Slice(0, 1500)
+	if err != nil {
+		t.Fatal(err)
+	}
+	dirs, err := BuildLivePartitions(seed, 1, ir.DefaultBuildConfig(), t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	cl, err := StartClusterFromDirs(dirs, 0, WithReplicas(2))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer cl.Close()
+	brk, err := cl.NewBroker()
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer brk.Close()
+
+	if err := cl.KillReplica(0, 1); err != nil {
+		t.Fatal(err)
+	}
+	st, err := brk.Add(context.Background(), liveBatches(t, c, 1500, 1600, 100)[0])
+	if err != nil || st.Lagging != 1 {
+		t.Fatalf("add: %v (stats %+v)", err, st)
+	}
+	reps := brk.Replicas()[0]
+	if reps[1].Fails < 1 || reps[1].Healthy {
+		t.Errorf("dead replica after an Add: %+v, want failures and a cooldown", reps[1])
+	}
+	if reps[0].EWMA != 0 || reps[0].Fails != 0 || !reps[0].Healthy {
+		t.Errorf("primary after an Add and no search: %+v, want healthy with no latency estimate", reps[0])
 	}
 }

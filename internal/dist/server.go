@@ -478,7 +478,7 @@ func (s *Server) handleStatus(req *wireRequest) wireResponse {
 // segment of this server's directory (the primary half of a distributed
 // Add), refreshes serving, and replies with the new generation and
 // segment name; the group's other replicas then pull the segment from
-// here.
+// here. A directory behind the request's PinGen refuses with Stale.
 func (s *Server) handleAppend(req *wireRequest) wireResponse {
 	resp := wireResponse{Seq: req.Seq}
 	dir := s.core.Dir()
@@ -499,6 +499,17 @@ func (s *Server) handleAppend(req *wireRequest) wireResponse {
 	var gen uint64
 	var sm *storage.SegmentsManifest
 	err = s.core.Commit(func() (err error) {
+		// Like a pinned search, a pinned append refuses on a directory
+		// behind the pin: it lacks a batch the broker already acknowledged,
+		// and committing here would fork the partition's history under a
+		// generation a peer already holds.
+		if sm, err = storage.ReadSegments(dir); err != nil {
+			return err
+		}
+		if sm.Generation < req.PinGen {
+			resp.Stale = true
+			return fmt.Errorf("dist: replica at generation %d, behind pinned %d", sm.Generation, req.PinGen)
+		}
 		if gen, err = storage.AppendSegment(dir, batch, s.core.Layout()); err != nil {
 			return err
 		}

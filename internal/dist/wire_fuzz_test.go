@@ -15,7 +15,8 @@ import (
 // connection delivers: arbitrary bytes gob-decoded into a wireRequest and
 // dispatched through an in-memory server's verb handlers never panic, and
 // every answer echoes the request's sequence number, carries one entry per
-// query of a search, and encodes back onto the wire.
+// query of a search, commits no append pinned past the server's
+// generation, and encodes back onto the wire.
 func FuzzWireRequest(f *testing.F) {
 	cfg := corpus.DefaultConfig()
 	cfg.NumDocs = 400
@@ -43,6 +44,7 @@ func FuzzWireRequest(f *testing.F) {
 		{Seq: 8, Verb: verbPull, Pull: &wirePull{From: "127.0.0.1:1"}},
 		{Seq: 9, Verb: verbPull},
 		{Seq: 10, Verb: 99},
+		{Seq: 11, Verb: verbAppend, Append: &wireAppend{Docs: []wireDoc{{Name: "d", Tokens: terms}}}, PinGen: 5},
 	} {
 		var buf bytes.Buffer
 		if err := gob.NewEncoder(&buf).Encode(req); err != nil {
@@ -62,6 +64,9 @@ func FuzzWireRequest(f *testing.F) {
 		}
 		if req.Verb == verbSearch && len(resp.Queries) != len(req.Queries) {
 			t.Fatalf("%d answers to %d queries", len(resp.Queries), len(req.Queries))
+		}
+		if req.Verb == verbAppend && req.PinGen > srv.Gen() && resp.Append != nil {
+			t.Fatalf("append pinned at generation %d committed on a server at %d", req.PinGen, srv.Gen())
 		}
 		if err := gob.NewEncoder(io.Discard).Encode(resp); err != nil {
 			t.Fatalf("response does not encode: %v", err)

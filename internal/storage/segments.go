@@ -14,7 +14,6 @@ import (
 	"repro/internal/colbm"
 	"repro/internal/corpus"
 	"repro/internal/ir"
-	"repro/internal/primitives"
 	"repro/internal/vector"
 )
 
@@ -63,12 +62,6 @@ const segDirPrefix = "seg-"
 // (the bounds scan of terms without a skyline, merge, absorb) that stream
 // a segment once, outside any serving buffer manager.
 const scanPoolBytes = 64 << 20
-
-// Okapi constants, identical to the ones ir.Build bakes in.
-const (
-	okapiK1 = 1.2
-	okapiB  = 0.75
-)
 
 // SegmentEntry describes one segment of the current generation.
 type SegmentEntry struct {
@@ -369,291 +362,10 @@ func segSeq(name string) uint64 {
 	return seq
 }
 
-// mergedStats recomputes the collection-wide statistics over existing
-// segment manifests plus an optional un-indexed batch: exact integer
-// document and length totals, and global document frequencies as the sum
-// of per-segment posting-range widths. Terms are numbered as they are
-// first counted (slot), so the bounds fold reads a segment's document
-// frequencies by slot instead of hashing every term of every segment
-// again.
-type mergedStats struct {
-	numDocs  int
-	lenSum   int64
-	slot     map[string]int // term -> index into df
-	df       []int
-	params   primitives.BM25Params
-	segs     []*Manifest // manifest per existing segment, entry order
-	segSlots [][]int     // per segment: the slot of each term of its byRow, nil when it has none
-	nextBase int64       // docid base for the next appended segment
-}
-
-func collectStats(dir string, sm *SegmentsManifest, batch *corpus.Collection) (*mergedStats, error) {
-	st := &mergedStats{nextBase: sm.BaseDocID}
-	vocab := 0
-	for _, e := range sm.Segments {
-		m, err := readManifest(dir, e.Name)
-		if err != nil {
-			return nil, err
-		}
-		st.segs = append(st.segs, m)
-		vocab = max(vocab, len(m.Terms))
-	}
-	// The largest dictionary is a lower bound on the merged one.
-	st.slot = make(map[string]int, vocab)
-	for i, e := range sm.Segments {
-		st.addSegment(e, st.segs[i])
-		st.nextBase = e.DocBase + int64(e.Docs)
-	}
-	if batch != nil {
-		for termID, list := range batch.Postings {
-			if len(list) > 0 {
-				st.count(batch.TermStrings[termID], len(list))
-			}
-		}
-		st.numDocs += len(batch.DocLens)
-		for _, l := range batch.DocLens {
-			st.lenSum += l
-		}
-	}
-	st.setParams()
-	return st, nil
-}
-
-// count adds n postings to term t's document frequency and returns its
-// slot.
-func (st *mergedStats) count(t string, n int) int {
-	i, ok := st.slot[t]
-	if !ok {
-		i = len(st.df)
-		st.slot[t] = i
-		st.df = append(st.df, 0)
-	}
-	st.df[i] += n
-	return i
-}
-
-// addSegment folds one committed segment, entry e with manifest m, into
-// the statistics: its documents, its summed length and its per-term
-// posting counts.
-func (st *mergedStats) addSegment(e SegmentEntry, m *Manifest) {
-	var slots []int
-	if m.byRow != nil {
-		slots = make([]int, len(m.byRow))
-		for j, r := range m.byRow {
-			slots[j] = st.count(r.term, r.rows)
-		}
-	} else {
-		for t, ti := range m.Terms {
-			st.count(t, ti.End-ti.Start)
-		}
-	}
-	st.segSlots = append(st.segSlots, slots)
-	st.numDocs += e.Docs
-	st.lenSum += e.DocLenSum
-}
-
-// setParams derives the BM25 parameters from the folded totals.
-func (st *mergedStats) setParams() {
-	st.params = primitives.BM25Params{
-		K1: okapiK1, B: okapiB,
-		NumDocs:  float64(st.numDocs),
-		AvgDocLn: float64(st.lenSum) / float64(st.numDocs),
-	}
-}
-
-// scanInt64Column reads an Int64 column sequentially in vector-sized
-// steps, handing each batch of values to fn — the one read discipline
-// every segmented-layer column scan (length sums, merge streaming) goes
-// through.
-func scanInt64Column(col *colbm.Column, fn func(vals []int64)) error {
-	v := vector.New(vector.Int64, vector.DefaultSize)
-	cur := colbm.NewCursor(col)
-	for pos := 0; pos < col.N; pos += v.Len() {
-		n := col.N - pos
-		if n > vector.DefaultSize {
-			n = vector.DefaultSize
-		}
-		if err := cur.Read(v, pos, n); err != nil {
-			return err
-		}
-		fn(v.I64[:n])
-	}
-	return nil
-}
-
-// scanStrColumn is scanInt64Column for string columns.
-func scanStrColumn(col *colbm.Column, fn func(vals []string)) error {
-	v := vector.New(vector.Str, vector.DefaultSize)
-	cur := colbm.NewCursor(col)
-	for pos := 0; pos < col.N; pos += v.Len() {
-		n := col.N - pos
-		if n > vector.DefaultSize {
-			n = vector.DefaultSize
-		}
-		if err := cur.Read(v, pos, n); err != nil {
-			return err
-		}
-		fn(v.S[:n])
-	}
-	return nil
-}
-
-// sumInt64Column folds an Int64 column into its exact total.
-func sumInt64Column(col *colbm.Column) (int64, error) {
-	var sum int64
-	err := scanInt64Column(col, func(vals []int64) {
-		for _, v := range vals {
-			sum += v
-		}
-	})
-	return sum, err
-}
-
 // ErrBuildCanceled aborts a segment build whose cancel hook fired (an
 // engine shutting down mid-merge); the partially written directory is the
 // caller's to remove.
 var ErrBuildCanceled = errors.New("storage: segment build canceled")
-
-// postingCursors returns cursors over a segment's docid and tf columns —
-// compressed or fixed-width, whichever its layout stores.
-func postingCursors(ix *ir.Index) (docCur, tfCur *colbm.Cursor, err error) {
-	docName, tfName := ir.ColDocIDC, ir.ColTFC
-	if !ix.Config().Compressed {
-		docName, tfName = ir.ColDocID32, ir.ColTF32
-	}
-	docCol, err := ix.TD.Column(docName)
-	if err != nil {
-		return nil, nil, err
-	}
-	tfCol, err := ix.TD.Column(tfName)
-	if err != nil {
-		return nil, nil, err
-	}
-	return colbm.NewCursor(docCol), colbm.NewCursor(tfCol), nil
-}
-
-// scanPostings streams the named terms' postings of a segment through its
-// docid and tf columns (compressed or fixed, per the segment's layout),
-// docids shifted by delta, handing each vector of parallel (docids, tfs)
-// to fn.
-func scanPostings(ix *ir.Index, terms []string, delta int64, fn func(term string, docids, tfs []int64)) error {
-	docCur, tfCur, err := postingCursors(ix)
-	if err != nil {
-		return err
-	}
-	docVec := vector.New(vector.Int64, vector.DefaultSize)
-	tfVec := vector.New(vector.Int64, vector.DefaultSize)
-	for _, t := range terms {
-		ti := ix.Terms[t]
-		for pos := ti.Start; pos < ti.End; {
-			n := min(ti.End-pos, vector.DefaultSize)
-			if err := docCur.ReadOffset(docVec, pos, n, delta); err != nil {
-				return err
-			}
-			if err := tfCur.Read(tfVec, pos, n); err != nil {
-				return err
-			}
-			fn(t, docVec.I64[:n], tfVec.I64[:n])
-			pos += n
-		}
-	}
-	return nil
-}
-
-// scoreBounds returns the exact Global-By-Value bounds of the existing
-// segments plus batch under the merged statistics — what a
-// whole-collection build would compute. A term with a skyline in its
-// segment's manifest costs its skyline points, which include the postings
-// of its extreme weights (ir.Skyline); the terms without one — over
-// ir.SkylineCap, or in a manifest written before skylines — are read from
-// the segment's tf and docid columns and its document lengths
-// (scanScoreBounds), and the batch is read whole. Either way the result is
-// the same, bit for bit. ok is false when there is no posting at all.
-func (st *mergedStats) scoreBounds(dir string, sm *SegmentsManifest, batch *corpus.Collection) (lo, hi float64, ok bool, err error) {
-	lo, hi = math.Inf(1), math.Inf(-1)
-	idf := make([]float64, len(st.df))
-	for i, f := range st.df {
-		idf[i] = st.params.IDF(float64(f))
-	}
-	for i, e := range sm.Segments {
-		m, slots := st.segs[i], st.segSlots[i]
-		for j, sky := range m.skylines {
-			for _, side := range [2][]ir.SkyPoint{sky.Upper, sky.Lower} {
-				for _, p := range side {
-					foldBounds(st.params.WeightIDF(idf[slots[j]], float64(p.TF), float64(p.Len)), &lo, &hi)
-				}
-			}
-		}
-		var scan []string
-		if m.byRow != nil {
-			for _, r := range m.byRow[len(m.skylines):] {
-				scan = append(scan, r.term)
-			}
-		} else {
-			for t := range m.Terms {
-				scan = append(scan, t)
-			}
-		}
-		if len(scan) > 0 {
-			if err := st.scanScoreBounds(dir, e.Name, m, scan, idf, &lo, &hi); err != nil {
-				return 0, 0, false, err
-			}
-		}
-	}
-	for termID, list := range batch.Postings {
-		if len(list) == 0 {
-			continue
-		}
-		termIDF := idf[st.slot[batch.TermStrings[termID]]]
-		for _, p := range list {
-			foldBounds(st.params.WeightIDF(termIDF, float64(p.TF), float64(batch.DocLens[p.DocID])), &lo, &hi)
-		}
-	}
-	return lo, hi, lo <= hi, nil
-}
-
-// scanScoreBounds folds the Okapi weights of the named terms of segment
-// seg, read from its columns, into [lo, hi]; idf is per slot.
-func (st *mergedStats) scanScoreBounds(dir, seg string, m *Manifest, terms []string, idf []float64, lo, hi *float64) error {
-	ix, err := openSegment(dir, seg, m, colbm.NewManager(scanPoolBytes), nil)
-	if err != nil {
-		return err
-	}
-	defer ix.Close()
-	lenCol, err := ix.D.Column("len")
-	if err != nil {
-		return err
-	}
-	lens := make([]int64, 0, ix.NumDocs())
-	if err := scanInt64Column(lenCol, func(vals []int64) {
-		lens = append(lens, vals...)
-	}); err != nil {
-		return err
-	}
-	// Stored docids are global; rebase to local document-table rows.
-	return scanPostings(ix, terms, -ix.DocBase(), func(t string, docids, tfs []int64) {
-		termIDF := idf[st.slot[t]]
-		for i := range docids {
-			foldBounds(st.params.WeightIDF(termIDF, float64(tfs[i]), float64(lens[docids[i]])), lo, hi)
-		}
-	})
-}
-
-// globalStats assembles the ir build override from the merged view.
-func (st *mergedStats) globalStats(hasBounds bool, lo, hi float64) *ir.GlobalStats {
-	ftd := make(map[string]int, len(st.slot))
-	for t, i := range st.slot {
-		ftd[t] = st.df[i]
-	}
-	return &ir.GlobalStats{
-		NumDocs:        st.params.NumDocs,
-		AvgDocLen:      st.params.AvgDocLn,
-		Ftd:            ftd,
-		HasScoreBounds: hasBounds,
-		ScoreLo:        lo,
-		ScoreHi:        hi,
-	}
-}
 
 // compatibleLayout verifies an append's build configuration matches the
 // physical layout the directory's segments already use — mixed layouts

@@ -25,8 +25,14 @@
 // (directories marked External carry statistics coordinated elsewhere and
 // refuse local writers with ErrExternalStats);
 // PlanMerge/BuildMergedSegment/CommitMerge implement the tiered background
-// merge; SweepSegments garbage-collects directories no generation
-// references. Every mutation is a new generation sharing all unchanged
+// merge; PrepareSplit/CommitSplit and PrepareAbsorb/CommitAbsorb reshape
+// partition ranges; SweepSegments garbage-collects directories no
+// generation references. Every write of SEGMENTS.json goes through one
+// commit door (commitSegments: writer lock, re-read, the caller's check,
+// atomic write). An append, either split half and an absorb change the
+// collection, so they move a directory owning its statistics to a new
+// epoch with freshly folded quantization bounds; a merge, an install and a
+// copy do not. Every mutation is a new generation sharing all unchanged
 // segment directories with the old one, which is what lets the serving
 // core (internal/serving) swap generations under a reference count without
 // dropping in-flight searches.

@@ -15,9 +15,9 @@ import (
 // directory, then the primary's exact SEGMENTS.json bytes are installed
 // as the replica's new generation. Segments are immutable, so file
 // shipping needs no coordination — only the manifest install is a commit,
-// and it goes through the same writer lock local appends use, so a
-// shipped install and a local append can never interleave on one
-// directory.
+// and it goes through the same commit door (commitSegments) local appends
+// use, so a shipped install and a local append can never interleave on
+// one directory.
 
 // SegmentFileInfo names one file of a committed segment and its size —
 // the listing a source hands a pulling replica so chunk transfers know
@@ -131,36 +131,24 @@ func InstallManifest(dir string, manifest []byte) (uint64, error) {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return 0, fmt.Errorf("storage: %w", err)
 	}
-	unlock, err := acquireWriterLock(dir)
-	if err != nil {
-		return 0, err
-	}
-	defer unlock()
-	switch cur, err := ReadSegments(dir); {
-	case err == nil:
-		if cur.Generation >= sm.Generation {
-			return cur.Generation, nil
+	return commitSegments(dir, func(cur *SegmentsManifest) ([]byte, error) {
+		if cur != nil && cur.Generation >= sm.Generation {
+			return nil, nil
 		}
-	case errors.Is(err, os.ErrNotExist):
-	default:
-		return 0, err
-	}
-	for _, e := range sm.Segments {
-		m, err := readManifest(dir, e.Name)
-		if err != nil {
-			return 0, fmt.Errorf("storage: install of generation %d references segment %q not present in %q (ship its files first): %w",
-				sm.Generation, e.Name, dir, err)
+		for _, e := range sm.Segments {
+			m, err := readManifest(dir, e.Name)
+			if err != nil {
+				return nil, fmt.Errorf("storage: install of generation %d references segment %q not present in %q (ship its files first): %w",
+					sm.Generation, e.Name, dir, err)
+			}
+			// Size-check every column file now: a truncated ship must fail
+			// the install, not the first query paging the chunk in.
+			if err := verifyIndexFiles(filepath.Join(dir, e.Name), m); err != nil {
+				return nil, err
+			}
 		}
-		// Size-check every column file now: a truncated ship must fail the
-		// install, not the first query that pages the missing chunk in.
-		if err := verifyIndexFiles(filepath.Join(dir, e.Name), m); err != nil {
-			return 0, err
-		}
-	}
-	if err := WriteFileAtomic(dir, ".segments-*", segmentsPath(dir), manifest); err != nil {
-		return 0, fmt.Errorf("storage: install segments manifest: %w", err)
-	}
-	return sm.Generation, nil
+		return manifest, nil
+	})
 }
 
 // ManifestSegNames decodes committed manifest bytes (as shipped on the

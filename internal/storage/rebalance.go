@@ -18,47 +18,17 @@ import (
 // left neighbor by rewriting their docid bases. Both follow the same
 // prepare/commit discipline the rest of the segmented layer uses — all
 // heavy I/O happens in a prepare step that touches nothing a reader can
-// see, and the commit is one atomic SEGMENTS.json write under the writer
-// lock, so a reconciler killed between the two leaves the directory
-// exactly as it was and a re-run converges.
+// see, and the commit is one atomic SEGMENTS.json write through the commit
+// door (commitSegments), so a reconciler killed between the two leaves the
+// directory exactly as it was and a re-run converges. Like an append, each
+// split half and an absorbing destination move to a new statistics epoch
+// (newEpoch) with bounds folded over the segments they now hold.
 
 // ErrNotSegmentBoundary reports a split point that falls inside a
 // segment. Segments are immutable, so a partition can only split where
 // one segment ends and the next begins; appending more documents creates
 // new boundaries.
 var ErrNotSegmentBoundary = errors.New("storage: split point is not a segment boundary")
-
-// ErrRangeOpUnsupported reports a directory whose layout cannot be
-// split or merged in place: quantized non-External layouts bake scores
-// against collection-wide bounds that a range change invalidates.
-var ErrRangeOpUnsupported = errors.New("storage: partition range op unsupported for this layout")
-
-// splitRangeLayout rejects layouts whose baked columns cannot survive a
-// range change. Quantized grids are derived from collection-wide score
-// bounds; shrinking or growing the collection invalidates the recorded
-// bounds, and unlike BM25 the virtual kernels quantize against the
-// manifest bounds rather than recomputing them — so the directory would
-// keep serving a grid for a collection that no longer exists.
-func splitRangeLayout(dir string, sm *SegmentsManifest) error {
-	if len(sm.Segments) == 0 {
-		return fmt.Errorf("storage: %q has no segments to reshape", dir)
-	}
-	if sm.External {
-		// External stats are coordinated outside the directory and stay
-		// valid whatever this directory holds — but appends are refused on
-		// External dirs, so the elastic (live-ingest) path never sees one.
-		return nil
-	}
-	m, err := readManifest(dir, sm.Segments[0].Name)
-	if err != nil {
-		return err
-	}
-	if m.Config.Quantized {
-		return fmt.Errorf("storage: %q uses a quantized layout whose bounds a range change would invalidate: %w",
-			dir, ErrRangeOpUnsupported)
-	}
-	return nil
-}
 
 // splitIndex locates the split point as a segment boundary: the index of
 // the first segment whose DocBase is at. A point inside a segment (or at
@@ -82,25 +52,37 @@ func splitIndex(dir string, sm *SegmentsManifest, at int64) (int, error) {
 // CopyDir clones an index directory into dst — the local bootstrap of a
 // replica that will then evolve on its own. Segment files are hardlinked
 // where the filesystem allows (see linkOrCopyFile), copied as a stream
-// otherwise. The writer lock file is skipped: a copied lock would wedge
-// the clone's commits behind a writer that never existed there.
+// otherwise. src's SEGMENTS.json is read first and installed last
+// (InstallManifest size-checks every segment it names), so a copy cut
+// short leaves dst holding no index. The writer lock and manifest temp
+// files are skipped: a copied lock would wedge the clone's writers.
 func CopyDir(src, dst string) error {
-	return filepath.WalkDir(src, func(p string, d fs.DirEntry, err error) error {
+	manifest, err := os.ReadFile(segmentsPath(src))
+	legacy := errors.Is(err, os.ErrNotExist) // a pre-segment layout: no commit point to order
+	if err != nil && !legacy {
+		return fmt.Errorf("storage: %w", err)
+	}
+	err = filepath.WalkDir(src, func(p string, d fs.DirEntry, err error) error {
 		if err != nil {
 			return fmt.Errorf("storage: %w", err)
 		}
 		target := filepath.Join(dst, strings.TrimPrefix(p, src))
-		switch {
+		switch name := d.Name(); {
 		case d.IsDir():
 			if err := os.MkdirAll(target, 0o755); err != nil {
 				return fmt.Errorf("storage: %w", err)
 			}
 			return nil
-		case d.Name() == WriterLockName:
+		case name == WriterLockName || name == SegmentsManifestName || strings.HasPrefix(name, ".segments-"):
 			return nil
 		}
 		return linkOrCopyFile(p, target)
 	})
+	if err != nil || legacy {
+		return err
+	}
+	_, err = InstallManifest(dst, manifest)
+	return err
 }
 
 // linkOrCopyFile hardlinks src to dst, falling back to a byte copy on
@@ -133,16 +115,13 @@ func linkOrCopyFile(src, dst string) error {
 // live (an existing rightDir — a crashed earlier attempt — is wiped and
 // rebuilt). The split point must be a segment boundary.
 //
-// For non-External directories the right manifest's statistics epoch is
-// set past every copied segment's baked epoch, so the new partition
-// serves materialized strategies through the virtual kernels against its
-// own recomputed local statistics instead of the pre-split collection's.
+// The right manifest moves to a new statistics epoch with bounds folded
+// over its own segments (reshaped), so the new partition scores through
+// the virtual kernels against its own statistics, not the pre-split
+// collection's.
 func PrepareSplit(dir, rightDir string, at int64) error {
 	sm, err := ReadSegments(dir)
 	if err != nil {
-		return err
-	}
-	if err := splitRangeLayout(dir, sm); err != nil {
 		return err
 	}
 	idx, err := splitIndex(dir, sm, at)
@@ -155,24 +134,8 @@ func PrepareSplit(dir, rightDir string, at int64) error {
 	if err := os.MkdirAll(rightDir, 0o755); err != nil {
 		return fmt.Errorf("storage: %w", err)
 	}
-	rsm := &SegmentsManifest{
-		Magic:      SegmentsMagic,
-		Version:    SegmentsFormatVersion,
-		Generation: 1,
-		StatsEpoch: sm.StatsEpoch,
-		NextSeq:    sm.NextSeq,
-		External:   sm.External,
-		HasBounds:  sm.HasBounds,
-		ScoreLo:    sm.ScoreLo,
-		ScoreHi:    sm.ScoreHi,
-		BaseDocID:  at,
-		Segments:   append([]SegmentEntry(nil), sm.Segments[idx:]...),
-	}
-	if !sm.External {
-		// Past every baked epoch: all copied segments score virtually
-		// against the new partition's own statistics.
-		rsm.StatsEpoch = sm.StatsEpoch + 1
-	}
+	rsm := *sm
+	rsm.Generation, rsm.BaseDocID, rsm.Segments = 1, at, sm.Segments[idx:]
 	for _, e := range rsm.Segments {
 		srcSeg, dstSeg := filepath.Join(dir, e.Name), filepath.Join(rightDir, e.Name)
 		if err := os.MkdirAll(dstSeg, 0o755); err != nil {
@@ -188,7 +151,26 @@ func PrepareSplit(dir, rightDir string, at int64) error {
 			}
 		}
 	}
-	return writeSegments(rightDir, rsm)
+	if err := rsm.reshaped(rightDir); err != nil {
+		return err
+	}
+	return commitFresh(rightDir, &rsm)
+}
+
+// reshaped moves a split half — a directory that now holds exactly
+// sm.Segments, read from dir — to a new statistics epoch whose bounds are
+// folded over those segments alone.
+func (sm *SegmentsManifest) reshaped(dir string) error {
+	st, err := collectStats(dir, sm, nil)
+	if err != nil {
+		return err
+	}
+	b, err := st.scoreBounds(st.segs[0].m.Config.Quantized, nil)
+	if err != nil {
+		return err
+	}
+	sm.newEpoch(b)
+	return nil
 }
 
 // CommitSplit shrinks the source directory to the range below at: one
@@ -199,42 +181,26 @@ func PrepareSplit(dir, rightDir string, at int64) error {
 // directories stay on disk for readers of older generations;
 // SweepSegments reclaims them once unreferenced.
 func CommitSplit(dir string, at int64) (uint64, error) {
-	unlock, err := acquireWriterLock(dir)
-	if err != nil {
-		return 0, err
-	}
-	defer unlock()
-	sm, err := ReadSegments(dir)
-	if err != nil {
-		return 0, err
-	}
-	if err := splitRangeLayout(dir, sm); err != nil {
-		return 0, err
-	}
-	idx := len(sm.Segments)
-	for i, e := range sm.Segments {
-		if e.DocBase >= at {
-			idx = i
-			break
+	return commitSegments(dir, func(sm *SegmentsManifest) ([]byte, error) {
+		if sm == nil || len(sm.Segments) == 0 {
+			return nil, fmt.Errorf("storage: %q has no segments to reshape", dir)
 		}
-	}
-	if idx == len(sm.Segments) {
-		return sm.Generation, nil // already split
-	}
-	if sm.Segments[idx].DocBase != at || idx == 0 {
-		return 0, fmt.Errorf("storage: %q cannot commit split at docid %d: %w", dir, at, ErrNotSegmentBoundary)
-	}
-	sm.Segments = sm.Segments[:idx]
-	sm.Generation++
-	if !sm.External {
-		// The collection shrank: remaining baked columns reflect the
-		// pre-split statistics and must serve virtually until re-baked.
-		sm.StatsEpoch++
-	}
-	if err := writeSegments(dir, sm); err != nil {
-		return 0, err
-	}
-	return sm.Generation, nil
+		if sm.Segments[len(sm.Segments)-1].DocBase < at {
+			return nil, nil // already split
+		}
+		idx, err := splitIndex(dir, sm, at)
+		if err != nil {
+			return nil, err
+		}
+		// The collection shrank: the remaining segments serve virtually
+		// against statistics and bounds of their own until re-baked.
+		sm.Segments = sm.Segments[:idx]
+		sm.Generation++
+		if err := sm.reshaped(dir); err != nil {
+			return nil, err
+		}
+		return sm.encode()
+	})
 }
 
 // AbsorbPrep is the handoff between PrepareAbsorb and CommitAbsorb: one
@@ -242,8 +208,8 @@ func CommitSplit(dir string, at int64) (uint64, error) {
 // collection rebased into the destination's docid space.
 type AbsorbPrep struct {
 	dstDir, srcDir string
-	name           string       // freshly allocated segment dir in dstDir
-	entry          SegmentEntry // manifest entry to splice at commit
+	entry          SegmentEntry // manifest entry to splice at commit, naming the segment built in dstDir
+	bounds         bounds       // merged quantization bounds the segment is baked against
 	dstGen, srcGen uint64       // generations the build is valid against
 }
 
@@ -253,12 +219,11 @@ type AbsorbPrep struct {
 // half of merging two adjacent partitions. Nothing is committed: dstDir's
 // manifest is untouched (the built segment is unreferenced until
 // CommitAbsorb) and srcDir is only read. Both directories must use the
-// same physical layout; quantized non-External layouts are refused (see
-// ErrRangeOpUnsupported). cancel, when non-nil, is polled while
-// streaming.
+// same physical layout. cancel, when non-nil, is polled while streaming.
 //
-// The new segment is baked against the *merged* collection's statistics,
-// so its score columns are exact for the post-merge partition; the
+// The new segment is baked against the *merged* collection's statistics
+// and quantization bounds (folded over both directories' segments), so its
+// score columns are exact for the post-merge partition; the
 // destination's existing segments fall one epoch behind at commit and
 // serve materialized strategies virtually until a merge re-bakes them —
 // exactly the append discipline.
@@ -271,41 +236,31 @@ func PrepareAbsorb(dstDir, srcDir string, cancel func() bool) (*AbsorbPrep, erro
 	if err != nil {
 		return nil, err
 	}
-	if err := splitRangeLayout(dstDir, dsm); err != nil {
-		return nil, err
-	}
-	if err := splitRangeLayout(srcDir, ssm); err != nil {
-		return nil, err
+	if len(dsm.Segments) == 0 || len(ssm.Segments) == 0 {
+		return nil, fmt.Errorf("storage: cannot absorb %q into %q: both need segments", srcDir, dstDir)
 	}
 	if dsm.External != ssm.External {
 		return nil, fmt.Errorf("storage: cannot absorb %q into %q: external-statistics modes differ", srcDir, dstDir)
 	}
 
-	// Merged statistics: the destination's segments plus the source's,
-	// counted exactly the way one whole-collection build would.
+	// Merged statistics and bounds: the destination's segments plus the
+	// source's, folded exactly the way one whole-collection build would.
 	st, err := collectStats(dstDir, dsm, nil)
 	if err != nil {
 		return nil, err
 	}
-	dstNext := st.nextBase
-	srcBase := ssm.Segments[0].DocBase
-	var srcDocs, srcPostings int
-	var srcLenSum int64
-	srcManifests := make([]*Manifest, len(ssm.Segments))
-	for i, e := range ssm.Segments {
-		if srcManifests[i], err = readManifest(srcDir, e.Name); err != nil {
-			return nil, err
-		}
-		st.addSegment(e, srcManifests[i])
-		srcDocs += e.Docs
-		srcPostings += e.Postings
-		srcLenSum += e.DocLenSum
+	if err := st.addSegments(srcDir, ssm.Segments); err != nil {
+		return nil, err
 	}
 	st.setParams()
-	if len(st.segs) > 0 {
-		if err := compatibleLayout(srcManifests[0].Config, st.segs[0]); err != nil {
-			return nil, err
-		}
+	src := st.segs[len(dsm.Segments):]
+	bc := src[0].m.Config
+	if err := compatibleLayout(bc, st.segs[0].m); err != nil {
+		return nil, err
+	}
+	b, err := st.scoreBounds(bc.Quantized, nil)
+	if err != nil {
+		return nil, err
 	}
 
 	name, err := AllocSegmentDir(dstDir)
@@ -318,10 +273,11 @@ func PrepareAbsorb(dstDir, srcDir string, cancel func() bool) (*AbsorbPrep, erro
 		return nil, err
 	}
 
-	bc := srcManifests[0].Config
-	bc.Stats = st.globalStats(false, 0, 0)
-	bc.DocIDBase = dstNext
-	w, err := ir.NewIndexWriter(bc, srcDocs, srcPostings)
+	entry := spanning(name, ssm.Segments)
+	entry.DocBase = dsm.nextDocID()
+	bc.Stats = st.globalStats(b)
+	bc.DocIDBase = entry.DocBase
+	w, err := ir.NewIndexWriter(bc, entry.Docs, entry.Postings)
 	if err != nil {
 		return fail(err)
 	}
@@ -329,7 +285,7 @@ func PrepareAbsorb(dstDir, srcDir string, cancel func() bool) (*AbsorbPrep, erro
 	// The docid-base rewrite that makes the merged range contiguous: source
 	// docids are rebased to writer-local, and the writer re-globalizes
 	// them against its own DocIDBase.
-	if err := streamSegments(w, srcDir, ssm.Segments, srcManifests, srcBase, cancel); err != nil {
+	if err := streamSegments(w, src, ssm.Segments[0].DocBase, cancel); err != nil {
 		return fail(err)
 	}
 
@@ -343,26 +299,13 @@ func PrepareAbsorb(dstDir, srcDir string, cancel func() bool) (*AbsorbPrep, erro
 	if err != nil {
 		return fail(err)
 	}
-	return &AbsorbPrep{
-		dstDir: dstDir,
-		srcDir: srcDir,
-		name:   name,
-		entry: SegmentEntry{
-			Name:      name,
-			Docs:      srcDocs,
-			Postings:  srcPostings,
-			DocBase:   dstNext,
-			DocLenSum: srcLenSum,
-		},
-		dstGen: dsm.Generation,
-		srcGen: ssm.Generation,
-	}, nil
+	return &AbsorbPrep{dstDir, srcDir, entry, b, dsm.Generation, ssm.Generation}, nil
 }
 
 // Abandon removes the prepared (uncommitted) segment — the cleanup path
 // when the merge is called off after a successful prepare.
 func (p *AbsorbPrep) Abandon() {
-	os.RemoveAll(filepath.Join(p.dstDir, p.name))
+	os.RemoveAll(filepath.Join(p.dstDir, p.entry.Name))
 }
 
 // CommitAbsorb splices the prepared segment into the destination's
@@ -374,42 +317,27 @@ func (p *AbsorbPrep) Abandon() {
 // success the destination covers both ranges; the source directory is
 // unchanged and is the caller's to retire.
 func CommitAbsorb(p *AbsorbPrep) (uint64, error) {
-	unlock, err := acquireWriterLock(p.dstDir)
+	gen, err := commitSegments(p.dstDir, func(sm *SegmentsManifest) ([]byte, error) {
+		if sm.generation() != p.dstGen {
+			return nil, fmt.Errorf("storage: %q advanced from generation %d to %d during absorb: %w",
+				p.dstDir, p.dstGen, sm.generation(), ErrConcurrentWriter)
+		}
+		if ssm, err := ReadSegments(p.srcDir); err != nil {
+			return nil, err
+		} else if ssm.Generation != p.srcGen {
+			return nil, fmt.Errorf("storage: absorb source %q advanced from generation %d to %d: %w",
+				p.srcDir, p.srcGen, ssm.Generation, ErrConcurrentWriter)
+		}
+		sm.Generation++
+		sm.newEpoch(p.bounds)
+		p.entry.StatsEpoch = sm.StatsEpoch
+		sm.claim(p.entry.Name)
+		sm.Segments = append(sm.Segments, p.entry)
+		return sm.encode()
+	})
 	if err != nil {
 		p.Abandon()
 		return 0, err
 	}
-	defer unlock()
-	sm, err := ReadSegments(p.dstDir)
-	if err != nil {
-		p.Abandon()
-		return 0, err
-	}
-	if sm.Generation != p.dstGen {
-		p.Abandon()
-		return 0, fmt.Errorf("storage: %q advanced from generation %d to %d during absorb: %w",
-			p.dstDir, p.dstGen, sm.Generation, ErrConcurrentWriter)
-	}
-	if ssm, err := ReadSegments(p.srcDir); err != nil {
-		p.Abandon()
-		return 0, err
-	} else if ssm.Generation != p.srcGen {
-		p.Abandon()
-		return 0, fmt.Errorf("storage: absorb source %q advanced from generation %d to %d: %w",
-			p.srcDir, p.srcGen, ssm.Generation, ErrConcurrentWriter)
-	}
-	sm.Generation++
-	if !sm.External {
-		sm.StatsEpoch++
-	}
-	p.entry.StatsEpoch = sm.StatsEpoch
-	if seq := segSeq(p.name); seq >= sm.NextSeq {
-		sm.NextSeq = seq + 1
-	}
-	sm.Segments = append(sm.Segments, p.entry)
-	if err := writeSegments(p.dstDir, sm); err != nil {
-		p.Abandon()
-		return 0, err
-	}
-	return sm.Generation, nil
+	return gen, nil
 }

@@ -9,7 +9,6 @@ import (
 	"path/filepath"
 	"sort"
 	"strings"
-	"time"
 
 	"repro/internal/colbm"
 	"repro/internal/corpus"
@@ -243,16 +242,13 @@ func decodeSegments(dir string, data []byte) (*SegmentsManifest, error) {
 // this (AppendSegment initializes at docid 0 on first use); live dist
 // partitions do, to claim disjoint global docid ranges up front.
 func InitSegmented(dir string, baseDocID int64) error {
-	if err := os.MkdirAll(dir, 0o755); err != nil {
-		return fmt.Errorf("storage: %w", err)
-	}
-	if _, err := ReadSegments(dir); !errors.Is(err, os.ErrNotExist) {
-		return fmt.Errorf("storage: %q already holds an index", dir)
-	}
 	if baseDocID < 0 {
 		return fmt.Errorf("storage: negative base docid %d", baseDocID)
 	}
-	return writeSegments(dir, &SegmentsManifest{
+	if err := os.MkdirAll(dir, 0o755); err != nil {
+		return fmt.Errorf("storage: %w", err)
+	}
+	return commitFresh(dir, &SegmentsManifest{
 		Magic:     SegmentsMagic,
 		Version:   SegmentsFormatVersion,
 		NextSeq:   1,
@@ -268,68 +264,12 @@ func InitSegmented(dir string, baseDocID int64) error {
 // serves and ships; change it by rebuilding where the statistics live.
 var ErrExternalStats = errors.New("the index does not own its statistics (they are coordinated outside its directory); it serves but takes no local appends, merges or installs")
 
-// ErrConcurrentWriter reports that another writer committed a generation
-// of SEGMENTS.json between this writer's read and its commit (or is
-// holding the writer lock past the acquisition timeout). The losing
-// append has already cleaned up its segment directory; callers retry by
-// re-running the append against the new generation.
-var ErrConcurrentWriter = errors.New("storage: concurrent segments writer")
-
-// segmentsLockName is the cross-handle commit lock file. It exists for
-// writers the in-process engine lock cannot see: a second Engine handle
-// on the same directory, another process, or a shipped install racing a
-// local append. Creation with O_EXCL is the acquisition; the file holds
-// the owner's pid. A lock left behind by a crashed process must be
-// removed manually (the acquisition error names the path).
-const segmentsLockName = "SEGMENTS.lock"
-
-// WriterLockName is the commit lock's file name, exported so tooling
-// that clones or inspects partition directories can recognize (and skip)
-// it — a copied lock file would wedge the destination's writers behind a
-// writer that never existed there.
-const WriterLockName = segmentsLockName
-
-// writerLockWait bounds how long an acquirer spins on a held lock before
-// giving up with ErrConcurrentWriter. Commits hold the lock for one
-// manifest read-modify-write — milliseconds — so a lock held for seconds
-// is either a crashed writer or severe contention; both should surface.
-const writerLockWait = 2 * time.Second
-
-// acquireWriterLock takes the directory's commit lock, returning the
-// release func. It spins (2ms steps) while another writer holds the
-// lock, failing with ErrConcurrentWriter after writerLockWait.
-func acquireWriterLock(dir string) (func(), error) {
-	path := filepath.Join(dir, segmentsLockName)
-	deadline := time.Now().Add(writerLockWait)
-	for {
-		f, err := os.OpenFile(path, os.O_CREATE|os.O_EXCL|os.O_WRONLY, 0o644)
-		if err == nil {
-			fmt.Fprintf(f, "%d\n", os.Getpid())
-			f.Close()
-			return func() { os.Remove(path) }, nil
-		}
-		if !errors.Is(err, os.ErrExist) {
-			return nil, fmt.Errorf("storage: writer lock: %w", err)
-		}
-		if time.Now().After(deadline) {
-			return nil, fmt.Errorf("storage: writer lock %q held for over %v (crashed writer? remove the file manually): %w",
-				path, writerLockWait, ErrConcurrentWriter)
-		}
-		time.Sleep(2 * time.Millisecond)
+// nextDocID is the global docid of the directory's next appended document.
+func (sm *SegmentsManifest) nextDocID() int64 {
+	if n := len(sm.Segments); n > 0 {
+		return sm.Segments[n-1].DocBase + int64(sm.Segments[n-1].Docs)
 	}
-}
-
-// writeSegments serializes the super-manifest atomically (temp + rename):
-// the commit point of every append and merge.
-func writeSegments(dir string, sm *SegmentsManifest) error {
-	data, err := json.Marshal(sm)
-	if err != nil {
-		return fmt.Errorf("storage: encode segments manifest: %w", err)
-	}
-	if err := WriteFileAtomic(dir, ".segments-*", segmentsPath(dir), data); err != nil {
-		return fmt.Errorf("storage: write segments manifest: %w", err)
-	}
-	return nil
+	return sm.BaseDocID
 }
 
 // AllocSegmentDir creates and returns a fresh, uniquely named segment
@@ -354,12 +294,6 @@ func AllocSegmentDir(dir string) (string, error) {
 			return "", fmt.Errorf("storage: %w", err)
 		}
 	}
-}
-
-func segSeq(name string) uint64 {
-	var seq uint64
-	fmt.Sscanf(strings.TrimPrefix(name, segDirPrefix), "%d", &seq)
-	return seq
 }
 
 // ErrBuildCanceled aborts a segment build whose cancel hook fired (an
@@ -430,17 +364,13 @@ func AppendSegment(dir string, batch *corpus.Collection, cfg ir.BuildConfig) (ui
 		return 0, err
 	}
 	if len(st.segs) > 0 {
-		if err := compatibleLayout(cfg, st.segs[0]); err != nil {
+		if err := compatibleLayout(cfg, st.segs[0].m); err != nil {
 			return 0, err
 		}
 	}
-
-	hasBounds := false
-	var lo, hi float64
-	if cfg.Quantized {
-		if lo, hi, hasBounds, err = st.scoreBounds(dir, sm, batch); err != nil {
-			return 0, err
-		}
+	b, err := st.scoreBounds(cfg.Quantized, batch)
+	if err != nil {
+		return 0, err
 	}
 
 	name, err := AllocSegmentDir(dir)
@@ -449,8 +379,8 @@ func AppendSegment(dir string, batch *corpus.Collection, cfg ir.BuildConfig) (ui
 	}
 	segDir := filepath.Join(dir, name)
 	bc := cfg
-	bc.Stats = st.globalStats(hasBounds, lo, hi)
-	bc.DocIDBase = st.nextBase
+	bc.Stats = st.globalStats(b)
+	bc.DocIDBase = sm.nextDocID()
 	ix, err := ir.Build(batch, bc)
 	if err == nil {
 		err = writeSegment(segDir, ix)
@@ -460,59 +390,36 @@ func AppendSegment(dir string, batch *corpus.Collection, cfg ir.BuildConfig) (ui
 		return 0, err
 	}
 
-	// Commit: take the cross-handle writer lock, re-read the manifest, and
-	// fail if any other writer committed since our read — its commit
-	// invalidates the statistics (and possibly the docid base) this
-	// segment was built with.
-	unlock, err := acquireWriterLock(dir)
-	if err != nil {
-		os.RemoveAll(segDir)
-		return 0, err
-	}
-	defer unlock()
-	switch cur, err := ReadSegments(dir); {
-	case err == nil:
-		if cur.Generation != startGen {
-			os.RemoveAll(segDir)
-			return 0, fmt.Errorf("storage: %q advanced from generation %d to %d during append: %w",
-				dir, startGen, cur.Generation, ErrConcurrentWriter)
-		}
-	case errors.Is(err, os.ErrNotExist):
-		if startGen != 0 {
-			os.RemoveAll(segDir)
-			return 0, fmt.Errorf("storage: segments manifest vanished from %q during append", dir)
-		}
-	default:
-		os.RemoveAll(segDir)
-		return 0, err
-	}
-
 	var batchLen int64
 	for _, l := range batch.DocLens {
 		batchLen += l
 	}
-	sm.Generation++
-	sm.StatsEpoch++
-	if seq := segSeq(name); seq >= sm.NextSeq {
-		sm.NextSeq = seq + 1
-	}
-	sm.HasBounds, sm.ScoreLo, sm.ScoreHi = hasBounds, lo, hi
-	if !hasBounds {
-		sm.ScoreLo, sm.ScoreHi = 0, 0
-	}
-	sm.Segments = append(sm.Segments, SegmentEntry{
-		Name:       name,
-		Docs:       len(batch.DocLens),
-		Postings:   batch.NumPostings(),
-		DocBase:    bc.DocIDBase,
-		DocLenSum:  batchLen,
-		StatsEpoch: sm.StatsEpoch,
+	gen, err := commitSegments(dir, func(cur *SegmentsManifest) ([]byte, error) {
+		// Any commit since our read (a vanished manifest reads as
+		// generation 0) invalidates the statistics and possibly the docid
+		// base this segment was built with.
+		if cur.generation() != startGen {
+			return nil, fmt.Errorf("storage: %q advanced from generation %d to %d during append: %w",
+				dir, startGen, cur.generation(), ErrConcurrentWriter)
+		}
+		sm.Generation++
+		sm.newEpoch(b)
+		sm.claim(name)
+		sm.Segments = append(sm.Segments, SegmentEntry{
+			Name:       name,
+			Docs:       len(batch.DocLens),
+			Postings:   batch.NumPostings(),
+			DocBase:    bc.DocIDBase,
+			DocLenSum:  batchLen,
+			StatsEpoch: sm.StatsEpoch,
+		})
+		return sm.encode()
 	})
-	if err := writeSegments(dir, sm); err != nil {
+	if err != nil {
 		os.RemoveAll(segDir)
 		return 0, err
 	}
-	return sm.Generation, nil
+	return gen, nil
 }
 
 // OpenSegmented opens the current generation of a segmented directory as
@@ -632,18 +539,29 @@ func (sm *SegmentsManifest) findRun(names []string) (int, error) {
 	return 0, fmt.Errorf("storage: merge run %v not found in the current generation", names)
 }
 
-// streamSegments feeds the segments of dir, in docid order, into w —
+// spanning is the manifest entry of one segment, named name, holding
+// exactly the documents and postings of run and starting where run starts.
+func spanning(name string, run []SegmentEntry) SegmentEntry {
+	e := SegmentEntry{Name: name, DocBase: run[0].DocBase}
+	for _, r := range run {
+		e.Docs += r.Docs
+		e.Postings += r.Postings
+		e.DocLenSum += r.DocLenSum
+	}
+	return e
+}
+
+// streamSegments feeds the folded segments segs, in docid order, into w —
 // the rewrite both a merge and a partition absorb are. Documents go first
 // (posting scores read lengths by writer-local docid); postings follow
 // term-at-a-time in the sorted union of the sources' dictionaries, and
 // within a term the sources stream in order, so rewritten lists stay
 // docid-ordered with no sort. Docids are rebased from source-global to
 // writer-local (minus base) on the offset read path. Every source opens
-// once, from its manifest in ms (parallel to segs, as the caller read
-// them), and keeps its cursors across terms; nothing is materialized
-// beyond one vector per cursor. cancel, when non-nil, is polled between
-// terms.
-func streamSegments(w *ir.IndexWriter, dir string, segs []SegmentEntry, ms []*Manifest, base int64, cancel func() bool) error {
+// once, from the manifest the caller folded, and keeps its cursors across
+// terms; nothing is materialized beyond one vector per cursor. cancel,
+// when non-nil, is polled between terms.
+func streamSegments(w *ir.IndexWriter, segs []foldedSeg, base int64, cancel func() bool) error {
 	type source struct {
 		ix            *ir.Index
 		docCur, tfCur *colbm.Cursor
@@ -655,8 +573,8 @@ func streamSegments(w *ir.IndexWriter, dir string, segs []SegmentEntry, ms []*Ma
 		}
 	}()
 	termSet := make(map[string]bool)
-	for i, e := range segs {
-		ix, err := openSegment(dir, e.Name, ms[i], colbm.NewManager(scanPoolBytes), nil)
+	for _, s := range segs {
+		ix, err := openSegment(s.dir, s.name, s.m, colbm.NewManager(scanPoolBytes), nil)
 		if err != nil {
 			return err
 		}
@@ -774,26 +692,19 @@ func BuildMergedSegment(dir string, names []string, into string, cancel func() b
 	if err != nil {
 		return 0, err
 	}
-	run := sm.Segments[at : at+len(names)]
-	runBase := run[0].DocBase
-
-	var docs, postings int
-	for _, e := range run {
-		docs += e.Docs
-		postings += e.Postings
-	}
+	run := spanning(into, sm.Segments[at:at+len(names)])
 
 	// The merged layout is the run's layout with per-segment identity
 	// stripped (manifest configs carry no Stats — writeSegment clears it).
-	bc := st.segs[at].Config
-	bc.Stats = st.globalStats(sm.HasBounds, sm.ScoreLo, sm.ScoreHi)
-	bc.DocIDBase = runBase
-	w, err := ir.NewIndexWriter(bc, docs, postings)
+	bc := st.segs[at].m.Config
+	bc.Stats = st.globalStats(bounds{sm.HasBounds, sm.ScoreLo, sm.ScoreHi})
+	bc.DocIDBase = run.DocBase
+	w, err := ir.NewIndexWriter(bc, run.Docs, run.Postings)
 	if err != nil {
 		return 0, err
 	}
 
-	if err := streamSegments(w, dir, run, st.segs[at:at+len(names)], runBase, cancel); err != nil {
+	if err := streamSegments(w, st.segs[at:at+len(names)], run.DocBase, cancel); err != nil {
 		return 0, err
 	}
 
@@ -824,43 +735,25 @@ func BuildMergedSegment(dir string, names []string, into string, cancel func() b
 // the build only add segments after the run, and findRun re-validates
 // the run still exists in the generation being spliced.
 func CommitMerge(dir string, names []string, into string, bakedEpoch uint64) (uint64, error) {
-	unlock, err := acquireWriterLock(dir)
-	if err != nil {
-		return 0, err
-	}
-	defer unlock()
-	sm, err := ReadSegments(dir)
-	if err != nil {
-		return 0, err
-	}
-	at, err := sm.findRun(names)
-	if err != nil {
-		return 0, err
-	}
-	run := sm.Segments[at : at+len(names)]
-	merged := SegmentEntry{
-		Name:       into,
-		DocBase:    run[0].DocBase,
-		StatsEpoch: bakedEpoch,
-	}
-	for _, e := range run {
-		merged.Docs += e.Docs
-		merged.Postings += e.Postings
-		merged.DocLenSum += e.DocLenSum
-	}
-	segs := make([]SegmentEntry, 0, len(sm.Segments)-len(names)+1)
-	segs = append(segs, sm.Segments[:at]...)
-	segs = append(segs, merged)
-	segs = append(segs, sm.Segments[at+len(names):]...)
-	sm.Segments = segs
-	sm.Generation++
-	if seq := segSeq(into); seq >= sm.NextSeq {
-		sm.NextSeq = seq + 1
-	}
-	if err := writeSegments(dir, sm); err != nil {
-		return 0, err
-	}
-	return sm.Generation, nil
+	return commitSegments(dir, func(sm *SegmentsManifest) ([]byte, error) {
+		if sm == nil {
+			return nil, fmt.Errorf("storage: merge in %q: %w", dir, os.ErrNotExist)
+		}
+		at, err := sm.findRun(names)
+		if err != nil {
+			return nil, err
+		}
+		merged := spanning(into, sm.Segments[at:at+len(names)])
+		merged.StatsEpoch = bakedEpoch
+		segs := make([]SegmentEntry, 0, len(sm.Segments)-len(names)+1)
+		segs = append(segs, sm.Segments[:at]...)
+		segs = append(segs, merged)
+		segs = append(segs, sm.Segments[at+len(names):]...)
+		sm.Segments = segs
+		sm.Generation++
+		sm.claim(into)
+		return sm.encode()
+	})
 }
 
 // SweepSegments garbage-collects segment directories that are neither
@@ -911,7 +804,7 @@ func WriteSegmentedIndex(dir string, segs []*ir.Index) error {
 		return errors.New("storage: WriteSegmentedIndex with no segments")
 	}
 	if _, err := ReadSegments(dir); !errors.Is(err, os.ErrNotExist) {
-		return fmt.Errorf("storage: %q already holds an index (a generation-1 manifest over it would orphan what it serves)", dir)
+		return fmt.Errorf("storage: %q already holds an index", dir)
 	}
 	external := segs[0].Config().Stats != nil
 	if !external && len(segs) > 1 {
@@ -958,9 +851,7 @@ func WriteSegmentedIndex(dir string, segs []*ir.Index) error {
 			DocLenSum:  lenSum,
 			StatsEpoch: sm.StatsEpoch,
 		})
-		if seq := segSeq(name); seq >= sm.NextSeq {
-			sm.NextSeq = seq + 1
-		}
+		sm.claim(name)
 	}
-	return writeSegments(dir, sm)
+	return commitFresh(dir, sm)
 }

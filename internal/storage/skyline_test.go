@@ -260,11 +260,11 @@ func TestSkylineBoundsMatchScan(t *testing.T) {
 						for term, i := range st.slot {
 							st.df[i] = df[term]
 						}
-						lo, hi, ok, err := st.scoreBounds(dir, dsm, batches[2])
-						if err != nil || !ok {
-							t.Fatalf("scoreBounds: %v (ok %v)", err, ok)
+						b, err := st.scoreBounds(true, batches[2])
+						if err != nil || !b.ok {
+							t.Fatalf("scoreBounds: %v (ok %v)", err, b.ok)
 						}
-						return lo, hi
+						return b.lo, b.hi
 					}
 					skyLo, skyHi := bounds(withSky)
 					scanLo, scanHi := bounds(stripped)

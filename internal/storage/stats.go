@@ -17,39 +17,35 @@ const (
 )
 
 // mergedStats recomputes the collection-wide statistics over existing
-// segment manifests plus an optional un-indexed batch: exact integer
-// document and length totals, and global document frequencies as the sum
-// of per-segment posting-range widths. Terms are numbered as they are
-// first counted (slot), so the bounds fold reads a segment's document
-// frequencies by slot instead of hashing every term of every segment
-// again.
+// segment manifests — of one directory or several — plus an optional
+// un-indexed batch: exact integer document and length totals, and global
+// document frequencies as the sum of per-segment posting-range widths.
+// Terms are numbered as they are first counted (slot), so the bounds fold
+// reads a segment's document frequencies by slot instead of hashing every
+// term of every segment again.
 type mergedStats struct {
-	numDocs  int
-	lenSum   int64
-	slot     map[string]int // term -> index into df
-	df       []int
-	params   primitives.BM25Params
-	segs     []*Manifest // manifest per existing segment, entry order
-	segSlots [][]int     // per segment: the slot of each term of its byRow, nil when it has none
-	nextBase int64       // docid base for the next appended segment
+	numDocs int
+	lenSum  int64
+	slot    map[string]int // term -> index into df
+	df      []int
+	params  primitives.BM25Params
+	segs    []foldedSeg // every folded segment, in fold order
 }
 
+// foldedSeg is one segment folded into mergedStats: where it lives, its
+// manifest, and the slot of each term of its byRow (nil when it has none).
+type foldedSeg struct {
+	dir, name string
+	m         *Manifest
+	slots     []int
+}
+
+// collectStats folds the segments of sm, read from dir, and batch when it
+// is not nil.
 func collectStats(dir string, sm *SegmentsManifest, batch *corpus.Collection) (*mergedStats, error) {
-	st := &mergedStats{nextBase: sm.BaseDocID}
-	vocab := 0
-	for _, e := range sm.Segments {
-		m, err := readManifest(dir, e.Name)
-		if err != nil {
-			return nil, err
-		}
-		st.segs = append(st.segs, m)
-		vocab = max(vocab, len(m.Terms))
-	}
-	// The largest dictionary is a lower bound on the merged one.
-	st.slot = make(map[string]int, vocab)
-	for i, e := range sm.Segments {
-		st.addSegment(e, st.segs[i])
-		st.nextBase = e.DocBase + int64(e.Docs)
+	st := &mergedStats{}
+	if err := st.addSegments(dir, sm.Segments); err != nil {
+		return nil, err
 	}
 	if batch != nil {
 		for termID, list := range batch.Postings {
@@ -79,24 +75,39 @@ func (st *mergedStats) count(t string, n int) int {
 	return i
 }
 
-// addSegment folds one committed segment, entry e with manifest m, into
-// the statistics: its documents, its summed length and its per-term
-// posting counts.
-func (st *mergedStats) addSegment(e SegmentEntry, m *Manifest) {
-	var slots []int
-	if m.byRow != nil {
-		slots = make([]int, len(m.byRow))
-		for j, r := range m.byRow {
-			slots[j] = st.count(r.term, r.rows)
+// addSegments folds committed segments of dir into the statistics: their
+// documents, summed lengths and per-term posting counts. The BM25
+// parameters are the caller's to re-derive (setParams).
+func (st *mergedStats) addSegments(dir string, segs []SegmentEntry) error {
+	first, vocab := len(st.segs), 0
+	for _, e := range segs {
+		m, err := readManifest(dir, e.Name)
+		if err != nil {
+			return err
 		}
-	} else {
-		for t, ti := range m.Terms {
-			st.count(t, ti.End-ti.Start)
-		}
+		st.segs = append(st.segs, foldedSeg{dir: dir, name: e.Name, m: m})
+		vocab = max(vocab, len(m.Terms))
 	}
-	st.segSlots = append(st.segSlots, slots)
-	st.numDocs += e.Docs
-	st.lenSum += e.DocLenSum
+	if st.slot == nil {
+		// The largest dictionary is a lower bound on the merged one.
+		st.slot = make(map[string]int, vocab)
+	}
+	for i, e := range segs {
+		s := &st.segs[first+i]
+		if s.m.byRow != nil {
+			s.slots = make([]int, len(s.m.byRow))
+			for j, r := range s.m.byRow {
+				s.slots[j] = st.count(r.term, r.rows)
+			}
+		} else {
+			for t, ti := range s.m.Terms {
+				st.count(t, ti.End-ti.Start)
+			}
+		}
+		st.numDocs += e.Docs
+		st.lenSum += e.DocLenSum
+	}
+	return nil
 }
 
 // setParams derives the BM25 parameters from the folded totals.
@@ -202,62 +213,77 @@ func scanPostings(ix *ir.Index, terms []string, delta int64, fn func(term string
 	return nil
 }
 
-// scoreBounds returns the exact Global-By-Value bounds of the existing
-// segments plus batch under the merged statistics — what a
-// whole-collection build would compute. A term with a skyline in its
+// bounds are Global-By-Value quantization bounds; ok is false when there
+// are none (a layout without quantized columns, or no posting at all).
+type bounds struct {
+	ok     bool
+	lo, hi float64
+}
+
+// scoreBounds returns the exact Global-By-Value bounds of the folded
+// segments plus batch (when not nil) under the merged statistics — what a
+// whole-collection build would compute — or none unless the layout is
+// quantized. A term with a skyline in its
 // segment's manifest costs its skyline points, which include the postings
 // of its extreme weights (ir.Skyline); the terms without one — over
 // ir.SkylineCap, or in a manifest written before skylines — are read from
 // the segment's tf and docid columns and its document lengths
 // (scanScoreBounds), and the batch is read whole. Either way the result is
-// the same, bit for bit. ok is false when there is no posting at all.
-func (st *mergedStats) scoreBounds(dir string, sm *SegmentsManifest, batch *corpus.Collection) (lo, hi float64, ok bool, err error) {
-	lo, hi = math.Inf(1), math.Inf(-1)
+// the same, bit for bit.
+func (st *mergedStats) scoreBounds(quantized bool, batch *corpus.Collection) (bounds, error) {
+	if !quantized {
+		return bounds{}, nil
+	}
+	lo, hi := math.Inf(1), math.Inf(-1)
 	idf := make([]float64, len(st.df))
 	for i, f := range st.df {
 		idf[i] = st.params.IDF(float64(f))
 	}
-	for i, e := range sm.Segments {
-		m, slots := st.segs[i], st.segSlots[i]
-		for j, sky := range m.skylines {
+	for _, s := range st.segs {
+		for j, sky := range s.m.skylines {
 			for _, side := range [2][]ir.SkyPoint{sky.Upper, sky.Lower} {
 				for _, p := range side {
-					foldBounds(st.params.WeightIDF(idf[slots[j]], float64(p.TF), float64(p.Len)), &lo, &hi)
+					foldBounds(st.params.WeightIDF(idf[s.slots[j]], float64(p.TF), float64(p.Len)), &lo, &hi)
 				}
 			}
 		}
 		var scan []string
-		if m.byRow != nil {
-			for _, r := range m.byRow[len(m.skylines):] {
+		if s.m.byRow != nil {
+			for _, r := range s.m.byRow[len(s.m.skylines):] {
 				scan = append(scan, r.term)
 			}
 		} else {
-			for t := range m.Terms {
+			for t := range s.m.Terms {
 				scan = append(scan, t)
 			}
 		}
 		if len(scan) > 0 {
-			if err := st.scanScoreBounds(dir, e.Name, m, scan, idf, &lo, &hi); err != nil {
-				return 0, 0, false, err
+			if err := st.scanScoreBounds(s, scan, idf, &lo, &hi); err != nil {
+				return bounds{}, err
 			}
 		}
 	}
-	for termID, list := range batch.Postings {
-		if len(list) == 0 {
-			continue
-		}
-		termIDF := idf[st.slot[batch.TermStrings[termID]]]
-		for _, p := range list {
-			foldBounds(st.params.WeightIDF(termIDF, float64(p.TF), float64(batch.DocLens[p.DocID])), &lo, &hi)
+	if batch != nil {
+		for termID, list := range batch.Postings {
+			if len(list) == 0 {
+				continue
+			}
+			termIDF := idf[st.slot[batch.TermStrings[termID]]]
+			for _, p := range list {
+				foldBounds(st.params.WeightIDF(termIDF, float64(p.TF), float64(batch.DocLens[p.DocID])), &lo, &hi)
+			}
 		}
 	}
-	return lo, hi, lo <= hi, nil
+	if lo > hi {
+		return bounds{}, nil
+	}
+	return bounds{true, lo, hi}, nil
 }
 
 // scanScoreBounds folds the Okapi weights of the named terms of segment
-// seg, read from its columns, into [lo, hi]; idf is per slot.
-func (st *mergedStats) scanScoreBounds(dir, seg string, m *Manifest, terms []string, idf []float64, lo, hi *float64) error {
-	ix, err := openSegment(dir, seg, m, colbm.NewManager(scanPoolBytes), nil)
+// s, read from its columns, into [lo, hi]; idf is per slot.
+func (st *mergedStats) scanScoreBounds(s foldedSeg, terms []string, idf []float64, lo, hi *float64) error {
+	ix, err := openSegment(s.dir, s.name, s.m, colbm.NewManager(scanPoolBytes), nil)
 	if err != nil {
 		return err
 	}
@@ -282,7 +308,7 @@ func (st *mergedStats) scanScoreBounds(dir, seg string, m *Manifest, terms []str
 }
 
 // globalStats assembles the ir build override from the merged view.
-func (st *mergedStats) globalStats(hasBounds bool, lo, hi float64) *ir.GlobalStats {
+func (st *mergedStats) globalStats(b bounds) *ir.GlobalStats {
 	ftd := make(map[string]int, len(st.slot))
 	for t, i := range st.slot {
 		ftd[t] = st.df[i]
@@ -291,8 +317,8 @@ func (st *mergedStats) globalStats(hasBounds bool, lo, hi float64) *ir.GlobalSta
 		NumDocs:        st.params.NumDocs,
 		AvgDocLen:      st.params.AvgDocLn,
 		Ftd:            ftd,
-		HasScoreBounds: hasBounds,
-		ScoreLo:        lo,
-		ScoreHi:        hi,
+		HasScoreBounds: b.ok,
+		ScoreLo:        b.lo,
+		ScoreHi:        b.hi,
 	}
 }

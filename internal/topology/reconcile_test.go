@@ -489,9 +489,10 @@ func TestReconcilerChaosMidMoveConverges(t *testing.T) {
 // merge it back — under a concurrent query worker, and asserts the round
 // trip is lossless: document counts and range starts are exact at every
 // stage, and the post-merge rankings are bit-identical (names and scores)
-// to the pre-split ones. Quantized layouts are refused by range surgery
-// (their baked grids assume collection-wide bounds), so this cluster is
-// built without them and queried with the materialized-score strategy.
+// to the pre-split ones under the materialized-score and the quantized
+// strategy. The cluster uses the default (quantized) layout: each range
+// change re-derives the quantization bounds of the ranges it leaves, so
+// the merged partition quantizes exactly as it did before the split.
 func TestSplitMergeReconcileRoundTrip(t *testing.T) {
 	c := testCollection(t)
 	const seedDocs, streamEnd, batchSize = 1200, 1800, 200
@@ -500,7 +501,6 @@ func TestSplitMergeReconcileRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 	bc := ir.DefaultBuildConfig()
-	bc.Quantized = false
 
 	liveBase := filepath.Join(t.TempDir(), "live")
 	dirs, err := dist.BuildLivePartitions(seed, 1, bc, liveBase)
@@ -531,20 +531,23 @@ func TestSplitMergeReconcileRoundTrip(t *testing.T) {
 
 	queries := c.PrecisionQueries(6, 17)
 	const k = 10
+	strategies := []ir.Strategy{ir.BM25TCM, ir.BM25TCMQ8}
 	type nameScore struct {
 		Name  string
 		Score float64
 	}
 	search := func(stage string) [][]nameScore {
 		t.Helper()
-		out := make([][]nameScore, len(queries))
-		for qi, q := range queries {
-			res, _, err := brk.Search(q.Terms, k, ir.BM25TCM)
-			if err != nil {
-				t.Fatalf("%s query %v: %v", stage, q.Terms, err)
-			}
-			for _, r := range res {
-				out[qi] = append(out[qi], nameScore{r.Name, r.Score})
+		out := make([][]nameScore, len(strategies)*len(queries))
+		for si, strat := range strategies {
+			for qi, q := range queries {
+				res, _, err := brk.Search(q.Terms, k, strat)
+				if err != nil {
+					t.Fatalf("%s %v query %v: %v", stage, strat, q.Terms, err)
+				}
+				for _, r := range res {
+					out[si*len(queries)+qi] = append(out[si*len(queries)+qi], nameScore{r.Name, r.Score})
+				}
 			}
 		}
 		return out
@@ -560,11 +563,11 @@ func TestSplitMergeReconcileRoundTrip(t *testing.T) {
 	go func() {
 		defer qwg.Done()
 		for i := 0; !stop.Load(); i++ {
-			q := queries[i%len(queries)]
-			res, _, err := brk.Search(q.Terms, k, ir.BM25TCM)
+			q, strat := queries[i%len(queries)], strategies[i%len(strategies)]
+			res, _, err := brk.Search(q.Terms, k, strat)
 			if err != nil {
 				select {
-				case qerr <- fmt.Errorf("mid-reshape query %v: %v", q.Terms, err):
+				case qerr <- fmt.Errorf("mid-reshape %v query %v: %v", strat, q.Terms, err):
 				default:
 				}
 				return
@@ -627,15 +630,16 @@ func TestSplitMergeReconcileRoundTrip(t *testing.T) {
 	// rankings exactly, name by name and score by score. (Docids are
 	// compared by name: the absorb rebases the upper range's docids.)
 	after := search("post-merge")
-	for qi := range queries {
-		if len(after[qi]) != len(before[qi]) {
-			t.Fatalf("query %v: %d results after round trip, want %d",
-				queries[qi].Terms, len(after[qi]), len(before[qi]))
+	for i := range before {
+		strat, q := strategies[i/len(queries)], queries[i%len(queries)]
+		if len(after[i]) != len(before[i]) {
+			t.Fatalf("%v query %v: %d results after round trip, want %d",
+				strat, q.Terms, len(after[i]), len(before[i]))
 		}
-		for ri := range before[qi] {
-			if after[qi][ri] != before[qi][ri] {
-				t.Errorf("query %v rank %d: %+v after round trip, want %+v",
-					queries[qi].Terms, ri, after[qi][ri], before[qi][ri])
+		for ri := range before[i] {
+			if after[i][ri] != before[i][ri] {
+				t.Errorf("%v query %v rank %d: %+v after round trip, want %+v",
+					strat, q.Terms, ri, after[i][ri], before[i][ri])
 			}
 		}
 	}

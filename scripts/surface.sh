@@ -20,9 +20,9 @@ engine_options=$(grep -cE '^func With[A-Z]' options.go)
 # Functional-option types: each is one more place a knob can be declared.
 option_types=$(grep -hE '^type ([A-Z][A-Za-z]*)?Option func\(' "${files[@]}" | wc -l)
 # Error messages that refuse an operation because of the directory's
-# layout or the server's mode, not because of the data.
+# layout, its statistics or the server's mode, not because of the data.
 refusals=$(grep -hE 'errors\.New\(|fmt\.Errorf\(|resp\.Err = ' "${files[@]}" |
-	grep -cE 'needs? a segmented|monolithic|not a live ingest' || true)
+	grep -cE 'needs? a segmented|monolithic|not a live ingest|does not own its statistics|served from memory|in-memory index|unsupported for this layout' || true)
 # ... and those that refuse an option because of how the engine was opened.
 persisted_refusals=$(grep -hE 'errors\.New\(|fmt\.Errorf\(' "${files[@]}" |
 	grep -cE 'needs a persisted index|cannot reconfigure' || true)

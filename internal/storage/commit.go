@@ -134,11 +134,9 @@ func (sm *SegmentsManifest) claim(name string) {
 }
 
 // newEpoch records a commit that changed the directory's collection (an
-// append, either half of a split, an absorb): a directory owning its
-// statistics moves to a new statistics epoch — every segment baked before
-// it now scores materialized strategies virtually — whose quantization
-// bounds are b. External directories keep the epoch and bounds coordinated
-// outside them.
+// append, a split half, an absorb): a directory owning its statistics
+// moves to a new epoch with quantization bounds b, so every segment baked
+// before it scores virtually. External directories keep theirs.
 func (sm *SegmentsManifest) newEpoch(b bounds) {
 	if sm.External {
 		return

@@ -33,10 +33,10 @@ type Timing struct {
 	// it — a down group is then an error instead).
 	DegradedGroups int
 	// Stats are the query stats merged across servers for single-query
-	// Search: Wall is the slowest server's (latency tracks max), SimIO and
-	// Candidates are summed, SecondPass is set when any server needed the
-	// second pass. SearchMany reports stats per query in its BatchResults
-	// instead and leaves this zero.
+	// Search: Wall is the slowest server's (latency tracks max), Candidates
+	// are summed, SecondPass is set when any server needed the second
+	// pass. SearchMany reports stats per query in its BatchResults instead
+	// and leaves this zero.
 	Stats ir.QueryStats
 	// Trace is the stitched span tree of the whole distributed call —
 	// broker fan-out, per-group attempts (hedges and retries included,
@@ -44,8 +44,7 @@ type Timing struct {
 	// merge — present when any request in the batch set Request.Trace.
 	Trace *trace.Span
 	// Gens reports, per partition group, the generation the winning
-	// replica answered at (0 for partitions without generation-stamped
-	// directories, or for groups that failed). On an ingesting cluster
+	// replica answered at (0 for groups that failed). On an ingesting cluster
 	// this is the consistency evidence: the merged ranking reflects
 	// exactly these generations, each at least the broker's pinned
 	// generation for its partition.
@@ -875,13 +874,12 @@ func (b *Broker) MetricsSnapshot() BrokerMetrics {
 }
 
 // mergeStats folds one server's answer into a query's cross-server stats:
-// per-query latency tracks the slowest server (max wall), while I/O and
-// candidate work add up, and a second pass anywhere marks the query.
+// per-query latency tracks the slowest server (max wall), while candidate
+// work adds up, and a second pass anywhere marks the query.
 func mergeStats(dst *ir.QueryStats, a *wireAnswer) {
 	if w := time.Duration(a.WallNanos); w > dst.Wall {
 		dst.Wall = w
 	}
-	dst.SimIO += time.Duration(a.SimIONanos)
 	dst.SecondPass = dst.SecondPass || a.SecondPass
 	dst.Candidates += a.Candidates
 }

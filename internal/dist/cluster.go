@@ -24,12 +24,11 @@ type clusterConfig struct {
 }
 
 // WithReplicas serves every partition range with r servers instead of
-// one. In-memory clusters build r identical copies of each partition
-// index; persisted clusters give each replica past the first its own copy
-// of the partition directory (see StartClusterFromDirs), served with its
-// own file handles and buffer manager. Replication changes no ranking
-// (replicas are identical), it buys the broker hedge targets and failover
-// capacity. r < 1 is treated as 1.
+// one. Each replica past the first serves its own copy of the partition
+// directory (see StartClusterFromDirs), with its own file handles and
+// buffer manager. Replication changes no ranking (replicas are
+// identical), it buys the broker hedge targets and failover capacity.
+// r < 1 is treated as 1.
 func WithReplicas(r int) ClusterOption {
 	return func(c *clusterConfig) { c.replicas = r }
 }
@@ -46,10 +45,10 @@ func applyClusterOptions(opts []ClusterOption) clusterConfig {
 }
 
 // slotMeta is the cluster-side record of one serving slot: the server,
-// its last known address (revival reuses it), the directory it serves
-// (empty for in-memory partitions), the logical host label placement
-// decisions are made against, and whether the directory is cluster-owned —
-// created by an elastic operation and deleted when the slot retires.
+// its last known address (revival reuses it), the directory it serves,
+// the logical host label placement decisions are made against, and
+// whether the directory is cluster-owned — created by an elastic
+// operation and deleted when the slot retires.
 type slotMeta struct {
 	srv   *Server
 	addr  string
@@ -76,7 +75,10 @@ type Cluster struct {
 	slots   [][]*slotMeta
 
 	baseDir   string // parent dir for cluster-owned partition copies
-	poolBytes int64  // buffer-manager budget of every dir-backed slot
+	poolBytes int64  // buffer-manager budget of every slot
+	// root, set by StartCluster, is the temporary directory its partitions
+	// were built in; the owning Close removes it.
+	root string
 
 	// hook is shared with every server the cluster starts, so one
 	// SetShipHook reaches every pull.
@@ -129,25 +131,6 @@ func (cl *Cluster) SetReplicaWarmer(fn func(*Server) error) {
 	cl.mu.Unlock()
 }
 
-// assemble wires a flat, group-major server slice, whose servers share
-// hook, into a Cluster.
-func assemble(servers []*Server, partitions, replicas int, hook *shipHook) *Cluster {
-	cl := &Cluster{
-		replicas: replicas,
-		owner:    true,
-		slots:    make([][]*slotMeta, partitions),
-		hook:     hook,
-	}
-	for p := 0; p < partitions; p++ {
-		cl.slots[p] = make([]*slotMeta, replicas)
-		for r := 0; r < replicas; r++ {
-			s := servers[p*replicas+r]
-			cl.slots[p][r] = &slotMeta{srv: s, addr: s.Addr(), host: fmt.Sprintf("h%d", r)}
-		}
-	}
-	return cl
-}
-
 // servers snapshots every slot's server, group-major in slot order.
 func (cl *Cluster) servers() []*Server {
 	cl.mu.Lock()
@@ -159,17 +142,6 @@ func (cl *Cluster) servers() []*Server {
 		}
 	}
 	return out
-}
-
-// dirBacked refuses a step that needs partition p's directory — an
-// elastic reshape or a revival — when the partition is served from memory
-// (StartCluster), the one kind of partition with nothing to ship, split,
-// merge or reopen.
-func dirBacked(p int, sl *slotMeta) error {
-	if sl.dir == "" {
-		return fmt.Errorf("dist: partition %d is served from memory (StartCluster) and has no directory to reshape or reopen", p)
-	}
-	return nil
 }
 
 // currentGroupsLocked snapshots the replica-group address lists (mu held).
@@ -219,8 +191,7 @@ func (cl *Cluster) Replica(p, r int) *Server {
 }
 
 // ReplicaPlacement is one slot of a partition's layout: its address, the
-// logical host label it is placed on, and the directory it serves ("" for
-// in-memory partitions).
+// logical host label it is placed on, and the directory it serves.
 type ReplicaPlacement struct {
 	Addr string
 	Host string
@@ -234,23 +205,19 @@ type PartitionLayout struct {
 	Replicas []ReplicaPlacement
 }
 
-// Layout reports the cluster's live shape — each partition's docid base
-// (read from its manifest; the partition index for in-memory partitions)
-// and replica placements. This is what the topology reconciler diffs a
-// desired spec against.
+// Layout reports the cluster's live shape — each partition's first docid
+// (read from its manifest) and replica placements. This is what the
+// topology reconciler diffs a desired spec against.
 func (cl *Cluster) Layout() ([]PartitionLayout, error) {
 	cl.mu.Lock()
 	defer cl.mu.Unlock()
 	out := make([]PartitionLayout, len(cl.slots))
 	for p, g := range cl.slots {
-		pl := PartitionLayout{Lo: int64(p)}
-		if d := g[0].dir; d != "" {
-			lo, err := partitionLo(d)
-			if err != nil {
-				return nil, err
-			}
-			pl.Lo = lo
+		lo, err := partitionLo(g[0].dir)
+		if err != nil {
+			return nil, err
 		}
+		pl := PartitionLayout{Lo: lo}
 		for _, sl := range g {
 			pl.Replicas = append(pl.Replicas, ReplicaPlacement{Addr: sl.addr, Host: sl.host, Dir: sl.dir})
 		}
@@ -280,52 +247,27 @@ func (cl *Cluster) NewBroker(opts ...BrokerOption) (*Broker, error) {
 // StartCluster range-partitions the collection across n partitions,
 // builds every partition index with the collection's *global* statistics
 // (so per-node BM25 scores are comparable and the merged top-k equals the
-// centralized one), and starts one TCP server per partition replica
-// (WithReplicas; one by default). Index builds run in parallel.
+// centralized one) into a temporary directory the cluster owns
+// (BuildPartitions), and serves those directories exactly as
+// StartClusterFromDirs does, with cfg.PoolBytes as every server's
+// buffer-manager budget — one TCP server per partition replica
+// (WithReplicas; one by default). Close removes the directory.
 func StartCluster(c *corpus.Collection, n int, cfg ir.BuildConfig, opts ...ClusterOption) (*Cluster, error) {
-	if n < 1 {
-		return nil, fmt.Errorf("dist: cluster size %d < 1", n)
+	root, err := os.MkdirTemp("", "x100-cluster-")
+	if err != nil {
+		return nil, fmt.Errorf("dist: %w", err)
 	}
-	ccfg := applyClusterOptions(opts)
-	cfg.Stats = ir.CollectionStats(c)
-	parts := partition(c, n)
-
-	servers := make([]*Server, n*ccfg.replicas)
-	errs := make([]error, len(servers))
-	var wg sync.WaitGroup
-	for p := range parts {
-		for r := 0; r < ccfg.replicas; r++ {
-			wg.Add(1)
-			go func(p, r int) {
-				defer wg.Done()
-				i := p*ccfg.replicas + r
-				servers[i], errs[i] = startServer(parts[p], cfg)
-			}(p, r)
-		}
+	dirs, err := BuildPartitions(c, n, cfg, root)
+	var cl *Cluster
+	if err == nil {
+		cl, err = StartClusterFromDirs(dirs, cfg.PoolBytes, opts...)
 	}
-	wg.Wait()
-	if err := closeOnError(servers, errs); err != nil {
+	if err != nil {
+		os.RemoveAll(root)
 		return nil, err
 	}
-	return assemble(servers, n, ccfg.replicas, new(shipHook)), nil
-}
-
-// closeOnError tears down whatever servers did start when any of a
-// parallel startup's slots failed, returning the first error. It must
-// run before assemble, which assumes every slot is live.
-func closeOnError(servers []*Server, errs []error) error {
-	for _, err := range errs {
-		if err == nil {
-			continue
-		}
-		for _, s := range servers {
-			if s != nil {
-				s.Close()
-			}
-		}
-		return err
-	}
-	return nil
+	cl.root = root
+	return cl, nil
 }
 
 // eachPartition runs build(i, baseDir/part-<i>) for the n partitions in
@@ -463,44 +405,51 @@ func StartClusterFromDirs(dirs []string, poolBytes int64, opts ...ClusterOption)
 		return nil, fmt.Errorf("dist: no partition directories")
 	}
 	ccfg := applyClusterOptions(opts)
-	hook := new(shipHook)
-	servers := make([]*Server, len(dirs)*ccfg.replicas)
-	replicaDirs := make([]string, len(servers))
-	errs := make([]error, len(servers))
+	cl := &Cluster{
+		replicas:  ccfg.replicas,
+		owner:     true,
+		slots:     make([][]*slotMeta, len(dirs)),
+		baseDir:   filepath.Dir(dirs[0]),
+		poolBytes: poolBytes,
+		hook:      new(shipHook),
+	}
+	// start serves partition p's replica r; replica 0 serves dirs[p]
+	// itself.
+	start := func(p, r int) error {
+		dir := dirs[p]
+		if r > 0 {
+			// Bulk catch-up on first start is a local file copy, not the
+			// wire protocol's concern.
+			dir = fmt.Sprintf("%s-r%d", dirs[p], r)
+			if _, err := storage.ReadSegments(dir); errors.Is(err, os.ErrNotExist) {
+				if err := storage.CopyDir(dirs[p], dir); err != nil {
+					return err
+				}
+			}
+		}
+		s, err := serveSegmentedDir(dir, "127.0.0.1:0", colbm.NewManager(poolBytes), cl.hook)
+		if err != nil {
+			return err
+		}
+		cl.slots[p][r] = &slotMeta{srv: s, addr: s.Addr(), dir: dir, host: fmt.Sprintf("h%d", r)}
+		return nil
+	}
+	errs := make([]error, len(dirs)*ccfg.replicas)
 	var wg sync.WaitGroup
 	for p := range dirs {
-		for r := 0; r < ccfg.replicas; r++ {
+		cl.slots[p] = make([]*slotMeta, ccfg.replicas)
+		for r := range cl.slots[p] {
 			wg.Add(1)
 			go func(p, r int) {
 				defer wg.Done()
-				i := p*ccfg.replicas + r
-				dir := dirs[p]
-				if r > 0 {
-					// Bulk catch-up on first start is a local file copy, not
-					// the wire protocol's concern.
-					dir = fmt.Sprintf("%s-r%d", dirs[p], r)
-					if _, err := storage.ReadSegments(dir); errors.Is(err, os.ErrNotExist) {
-						if errs[i] = storage.CopyDir(dirs[p], dir); errs[i] != nil {
-							return
-						}
-					}
-				}
-				replicaDirs[i] = dir
-				servers[i], errs[i] = serveSegmentedDir(dir, "127.0.0.1:0", colbm.NewManager(poolBytes), hook)
+				errs[p*ccfg.replicas+r] = start(p, r)
 			}(p, r)
 		}
 	}
 	wg.Wait()
-	if err := closeOnError(servers, errs); err != nil {
+	if err := errors.Join(errs...); err != nil {
+		cl.Close() // the servers that did start
 		return nil, err
-	}
-	cl := assemble(servers, len(dirs), ccfg.replicas, hook)
-	cl.poolBytes = poolBytes
-	cl.baseDir = filepath.Dir(dirs[0])
-	for i := range servers {
-		p, r := i/ccfg.replicas, i%ccfg.replicas
-		sl := cl.slots[p][r]
-		sl.dir = replicaDirs[i]
 	}
 	return cl, nil
 }
@@ -523,9 +472,6 @@ func (cl *Cluster) ReviveReplica(p, r int) error {
 	cl.mu.Lock()
 	sl := cl.slots[p][r]
 	cl.mu.Unlock()
-	if err := dirBacked(p, sl); err != nil {
-		return err
-	}
 	// The old listener's port can linger briefly after Close; retry the
 	// bind rather than failing a revival that would succeed a moment
 	// later.
@@ -547,8 +493,9 @@ func (cl *Cluster) ReviveReplica(p, r int) error {
 	return nil
 }
 
-// Close shuts every server down (no-op on Sub views, which share their
-// parent's servers).
+// Close shuts every server down and, for a StartCluster cluster, removes
+// the directory its partitions were built in (no-op on Sub views, which
+// share their parent's servers).
 func (cl *Cluster) Close() error {
 	if !cl.owner {
 		return nil
@@ -559,12 +506,17 @@ func (cl *Cluster) Close() error {
 	var first error
 	for _, g := range slots {
 		for _, sl := range g {
-			if sl.srv == nil {
+			if sl == nil {
 				continue
 			}
 			if err := sl.srv.Close(); err != nil && first == nil {
 				first = err
 			}
+		}
+	}
+	if cl.root != "" {
+		if err := os.RemoveAll(cl.root); err != nil && first == nil {
+			first = err
 		}
 	}
 	return first

@@ -3,7 +3,6 @@ package dist
 import (
 	"time"
 
-	"repro/internal/corpus"
 	"repro/internal/ir"
 	"repro/internal/trace"
 )
@@ -47,9 +46,9 @@ type wireRequest struct {
 	TraceID      uint64
 	TraceSampled bool
 
-	// PinGen, for verbSearch and verbAppend against a dir-backed
-	// (ingesting) partition, is the generation the broker has already
-	// seen this partition commit or answer at. A server serving an
+	// PinGen, for verbSearch and verbAppend against an ingesting
+	// partition, is the generation the broker has already seen this
+	// partition commit or answer at. A server serving an
 	// *older* generation must not answer — it would silently miss
 	// documents the caller already observed — and must not append — it
 	// would fork the partition's history — so a search refreshes from
@@ -73,7 +72,7 @@ type wireDoc struct {
 	Tokens []string
 }
 
-// wireAppend asks a dir-backed primary to index a document batch as one
+// wireAppend asks a partition's primary to index a document batch as one
 // new committed segment (verbAppend).
 type wireAppend struct {
 	Docs []wireDoc
@@ -108,10 +107,9 @@ type wireResponse struct {
 	Seq     uint64
 	Queries []wireAnswer
 
-	// Gen is the generation the server answered at (0 for servers without
-	// a generation-stamped directory). Brokers fold it into their
-	// per-partition generation table, so pinning ratchets forward with
-	// every answer, not just every Add.
+	// Gen is the generation the server answered at. Brokers fold it into
+	// their per-partition generation table, so pinning ratchets forward
+	// with every answer, not just every Add.
 	Gen uint64
 	// Stale marks a refused verbSearch or verbAppend: the server's
 	// generation trails the request's PinGen. Nothing was executed; the
@@ -139,8 +137,8 @@ type wireStatus struct {
 	// DocBase/NumDocs describe the partition's docid range (routing).
 	DocBase int64
 	NumDocs int
-	// Ingest reports whether this server is dir-backed and non-External —
-	// i.e. can accept appends and pulls.
+	// Ingest reports whether this server's directory owns its statistics
+	// (is not External) — i.e. can accept appends and pulls.
 	Ingest bool
 }
 
@@ -174,7 +172,6 @@ type wirePullResult struct {
 type wireAnswer struct {
 	Results    []wireResult
 	WallNanos  int64
-	SimIONanos int64
 	SecondPass bool
 	Candidates int64
 	Err        string
@@ -207,8 +204,7 @@ type Request struct {
 
 // BatchResult is one request's outcome within Broker.SearchMany: the
 // globally merged ranking, the stats merged across servers (wall = slowest
-// server, I/O and candidates summed, second-pass ORed), or a per-request
-// error.
+// server, candidates summed, second-pass ORed), or a per-request error.
 type BatchResult struct {
 	Results []ir.Result
 	Stats   ir.QueryStats
@@ -254,39 +250,4 @@ type RunStats struct {
 	MinServer time.Duration
 	AvgServer time.Duration
 	MaxServer time.Duration
-}
-
-// partition splits a collection into n contiguous docid ranges. Each part
-// shares the document tables (lengths, names, topics) of the full
-// collection — docids stay global, which keeps per-server name resolution
-// and cross-server score merging trivial — while posting lists are
-// filtered to the part's docid range, so each server stores and scans only
-// its shard of the inverted file.
-func partition(c *corpus.Collection, n int) []*corpus.Collection {
-	numDocs := len(c.DocLens)
-	parts := make([]*corpus.Collection, n)
-	for i := 0; i < n; i++ {
-		lo := int64(i * numDocs / n)
-		hi := int64((i + 1) * numDocs / n)
-		part := &corpus.Collection{
-			Cfg:         c.Cfg,
-			TermStrings: c.TermStrings,
-			DocLens:     c.DocLens,
-			DocNames:    c.DocNames,
-			TopicOfDoc:  c.TopicOfDoc,
-			Topics:      c.Topics,
-			Postings:    make([][]corpus.Posting, len(c.Postings)),
-		}
-		for t, list := range c.Postings {
-			var sub []corpus.Posting
-			for _, p := range list {
-				if p.DocID >= lo && p.DocID < hi {
-					sub = append(sub, p)
-				}
-			}
-			part.Postings[t] = sub
-		}
-		parts[i] = part
-	}
-	return parts
 }

@@ -16,12 +16,16 @@
 //  2. partitions are disjoint docid ranges, so merging is a simple top-k
 //     union with no deduplication.
 //
+// Every partition server serves a partition directory: StartCluster builds
+// them (BuildPartitions) into a temporary directory the cluster owns, and
+// StartClusterFromDirs serves directories built elsewhere. Merging two
+// such partitions keeps the global statistics they were built with.
+//
 // Replication adds nothing to merge correctness: replicas of a partition
-// serve the same index (in-memory replicas build identical copies;
-// persisted replicas serve their own copies of the partition directory,
-// kept at the same generation by pulling from a peer), so *which* replica
-// answers never changes the ranking — the property failover and hedging
-// rely on to re-issue work freely.
+// serve their own copies of the partition directory, kept at the same
+// generation by pulling from a peer, so *which* replica answers never
+// changes the ranking — the property failover and hedging rely on to
+// re-issue work freely.
 //
 // # Ingest and catch-up
 //
@@ -46,9 +50,8 @@
 // # Replica groups, hedging, failover
 //
 // Table 3's finding is that per-query latency tracks the *slowest*
-// partition server. Replica groups (WithReplicas on StartCluster, the
-// replicas argument threaded through StartClusterFromDirs's cluster
-// options) are the defense: the broker tracks per-replica health
+// partition server. Replica groups (WithReplicas, a cluster option of
+// StartCluster and StartClusterFromDirs) are the defense: the broker tracks per-replica health
 // (consecutive failures open a cooldown) and a moving latency estimate
 // (EWMA of response times), rotates primaries round-robin to spread load,
 // and

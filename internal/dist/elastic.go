@@ -22,11 +22,10 @@ import (
 // changes bracket their single atomic manifest commit with a broker seal,
 // so no query ever runs against a half-committed layout.
 //
-// All operations need directory-backed partitions (StartClusterFromDirs —
-// elastic state lives in partition directories; see dirBacked) and are
-// serialized per cluster; each is resumable — killed between prepare and
-// commit it leaves the cluster exactly as it was, and a re-run converges
-// on the same deterministic destination directories.
+// Elastic state lives in the partition directories every server serves.
+// The operations are serialized per cluster; each is resumable — killed
+// between prepare and commit it leaves the cluster exactly as it was, and
+// a re-run converges on the same deterministic destination directories.
 
 // elasticDir is the deterministic destination for a cluster-owned
 // partition copy: one directory per (docid base, host), so a reconciler
@@ -91,10 +90,6 @@ func (cl *Cluster) AddReplica(ctx context.Context, p int, host string, brokers .
 		return fmt.Errorf("dist: partition %d out of range", p)
 	}
 	src := cl.slots[p][0]
-	if err := dirBacked(p, src); err != nil {
-		cl.mu.Unlock()
-		return err
-	}
 	for _, sl := range cl.slots[p] {
 		if !sl.srv.isClosed() {
 			src = sl
@@ -227,10 +222,6 @@ func (cl *Cluster) SplitPartition(ctx context.Context, p int, at int64, brokers 
 		cl.mu.Unlock()
 		return fmt.Errorf("dist: partition %d out of range", p)
 	}
-	if err := dirBacked(p, cl.slots[p][0]); err != nil {
-		cl.mu.Unlock()
-		return err
-	}
 	if len(cl.slots[p]) != 1 {
 		cl.mu.Unlock()
 		return fmt.Errorf("dist: partition %d has %d replicas; a split needs exactly one (retire the others first)",
@@ -360,10 +351,6 @@ func (cl *Cluster) MergePartitions(ctx context.Context, p int, brokers ...*Broke
 	if p < 0 || p+1 >= len(cl.slots) {
 		cl.mu.Unlock()
 		return fmt.Errorf("dist: cannot merge partition %d with its right neighbor: out of range", p)
-	}
-	if err := dirBacked(p, cl.slots[p][0]); err != nil {
-		cl.mu.Unlock()
-		return err
 	}
 	if len(cl.slots[p]) != 1 || len(cl.slots[p+1]) != 1 {
 		cl.mu.Unlock()

@@ -2,52 +2,100 @@ package dist
 
 import (
 	"context"
-	"strings"
+	"errors"
+	"os"
+	"path/filepath"
 	"sync"
 	"testing"
 
 	"repro/internal/ir"
 )
 
-// TestInMemoryPartitionsRefuseReshape: the operations that need a
-// partition directory refuse an in-memory (StartCluster) partition with an
-// error naming it, while retiring a replica — which needs no directory —
-// still works.
-func TestInMemoryPartitionsRefuseReshape(t *testing.T) {
+// TestStartClusterReshapesMatchCentralized: a StartCluster cluster serves
+// directories it owns, so every elastic step works on it — add a replica,
+// kill and revive one, retire one, merge two partitions — and after each
+// step BM25, BM25TCM and BM25TCMQ8 still merge to exactly the centralized
+// ranking (the merge keeps the collection-wide statistics the partitions
+// were built with). Close removes the directory the cluster built.
+func TestStartClusterReshapesMatchCentralized(t *testing.T) {
 	c := testCollection(t)
-	cl, err := StartCluster(c, 2, ir.DefaultBuildConfig(), WithReplicas(2))
+	central, err := ir.Build(c, ir.DefaultBuildConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	s := ir.NewSearcher(central, 0)
+	cl, err := StartCluster(c, 3, ir.DefaultBuildConfig())
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer cl.Close()
+	brk, err := cl.NewBroker()
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer brk.Close()
 	ctx := context.Background()
+	queries := c.PrecisionQueries(40, 3)
 
-	for _, tc := range []struct {
+	check := func(step string) {
+		t.Helper()
+		for _, strat := range []ir.Strategy{ir.BM25, ir.BM25TCM, ir.BM25TCMQ8} {
+			for _, q := range queries {
+				want, _, err := s.Search(q.Terms, 20, strat)
+				if err != nil {
+					t.Fatal(err)
+				}
+				got, _, err := brk.Search(q.Terms, 20, strat)
+				if err != nil {
+					t.Fatalf("%s: %v query %v: %v", step, strat, q.Terms, err)
+				}
+				if len(got) != len(want) {
+					t.Fatalf("%s: %v query %v: %d results, want %d", step, strat, q.Terms, len(got), len(want))
+				}
+				for i := range want {
+					if got[i].DocID != want[i].DocID || got[i].Score != want[i].Score {
+						t.Fatalf("%s: %v query %v rank %d: got (%d, %v), want (%d, %v)", step, strat, q.Terms, i,
+							got[i].DocID, got[i].Score, want[i].DocID, want[i].Score)
+					}
+				}
+			}
+		}
+	}
+
+	check("start")
+	for _, step := range []struct {
 		name string
 		op   func() error
-		want string
 	}{
-		{"AddReplica", func() error { return cl.AddReplica(ctx, 1, "") }, "partition 1 "},
-		{"SplitPartition", func() error { return cl.SplitPartition(ctx, 1, 1) }, "partition 1 "},
-		{"MergePartitions", func() error { return cl.MergePartitions(ctx, 0) }, "partition 0 "},
-		{"ReviveReplica", func() error { return cl.ReviveReplica(1, 1) }, "partition 1 "},
+		{"AddReplica", func() error { return cl.AddReplica(ctx, 1, "", brk) }},
+		{"KillReplica+ReviveReplica", func() error {
+			if err := cl.KillReplica(1, 0); err != nil {
+				return err
+			}
+			return cl.ReviveReplica(1, 0)
+		}},
+		{"RetireReplica", func() error { return cl.RetireReplica(ctx, 1, 1, brk) }},
+		{"MergePartitions", func() error { return cl.MergePartitions(ctx, 0, brk) }},
 	} {
-		t.Run(tc.name, func(t *testing.T) {
-			err := tc.op()
-			if err == nil {
-				t.Fatal("succeeded on an in-memory partition")
-			}
-			if !strings.Contains(err.Error(), tc.want) || !strings.Contains(err.Error(), "memory") {
-				t.Errorf("error does not name in-memory %q: %v", tc.want, err)
-			}
-		})
+		if err := step.op(); err != nil {
+			t.Fatalf("%s: %v", step.name, err)
+		}
+		check(step.name)
+	}
+	if n := cl.Partitions(); n != 2 {
+		t.Errorf("%d partitions after the merge, want 2", n)
 	}
 
-	if err := cl.RetireReplica(ctx, 1, 1); err != nil {
-		t.Fatalf("RetireReplica on an in-memory partition: %v", err)
+	layout, err := cl.Layout()
+	if err != nil {
+		t.Fatal(err)
 	}
-	if n := cl.GroupSize(1); n != 1 {
-		t.Errorf("partition 1 has %d replicas after a retire, want 1", n)
+	root := filepath.Dir(layout[0].Replicas[0].Dir)
+	if err := cl.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := os.Stat(root); !errors.Is(err, os.ErrNotExist) {
+		t.Errorf("cluster directory %s after Close: %v, want it removed", root, err)
 	}
 }
 

@@ -680,9 +680,8 @@ func TestConcurrentPullsRunOneAtATime(t *testing.T) {
 }
 
 // TestPullRefusedBeforeDialing: a server whose directory takes no commits
-// — an in-memory index, or an External directory (BuildPartitions' global
-// statistics) — refuses a pull with the ErrExternalStats refusal before it
-// dials the source.
+// — an External directory (BuildPartitions' global statistics) — refuses a
+// pull with the ErrExternalStats refusal before it dials the source.
 func TestPullRefusedBeforeDialing(t *testing.T) {
 	c := testCollection(t)
 	src, err := net.Listen("tcp", "127.0.0.1:0")
@@ -703,11 +702,6 @@ func TestPullRefusedBeforeDialing(t *testing.T) {
 		}
 	}()
 
-	mem, err := startServer(c, ir.DefaultBuildConfig())
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer mem.Close()
 	dirs, err := BuildPartitions(c, 1, ir.DefaultBuildConfig(), t.TempDir())
 	if err != nil {
 		t.Fatal(err)
@@ -720,13 +714,11 @@ func TestPullRefusedBeforeDialing(t *testing.T) {
 
 	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
 	defer cancel()
-	for name, srv := range map[string]*Server{"in-memory": mem, "external": ext} {
-		sc := &srvConn{addr: srv.Addr()}
-		_, err := sc.roundTrip(ctx, wireRequest{Verb: verbPull, Pull: &wirePull{From: src.Addr().String()}})
-		sc.close()
-		if err == nil || !strings.Contains(err.Error(), storage.ErrExternalStats.Error()) {
-			t.Errorf("%s server answered a pull with %v, want the ErrExternalStats refusal", name, err)
-		}
+	sc := &srvConn{addr: ext.Addr()}
+	_, err = sc.roundTrip(ctx, wireRequest{Verb: verbPull, Pull: &wirePull{From: src.Addr().String()}})
+	sc.close()
+	if err == nil || !strings.Contains(err.Error(), storage.ErrExternalStats.Error()) {
+		t.Errorf("external server answered a pull with %v, want the ErrExternalStats refusal", err)
 	}
 	src.Close()
 	<-done

@@ -19,20 +19,21 @@ import (
 
 // Server is one partition node: a serving core (internal/serving — the
 // same generation registry, searcher pool, query pipeline and metrics a
-// repro.Engine wraps) over the partition's docid range, plus what only a
-// network node needs: a TCP accept loop, gob framing, fault injection,
+// repro.Engine wraps) over the partition directory it owns, plus what only
+// a network node needs: a TCP accept loop, gob framing, fault injection,
 // Drain, and the ingest verbs. Every connection is served by its own
 // goroutine and every query runs through the core's pipeline, so one
 // server handles concurrent query streams with bounded parallelism — the
 // Table 3 multi-stream regime.
 //
-// A dir-backed server (serveSegmentedDir; every StartClusterFromDirs
-// server) additionally serves the ingest verbs: it can append a
-// document batch as a new committed generation, serve its committed
-// segments to peers, and pull the segments its own directory lacks from
-// a peer and install that peer's manifest — all through the core's
+// Every server (serveSegmentedDir) answers the ingest verbs: it can append
+// a document batch as a new committed generation, serve its committed
+// segments to peers, and pull the segments its own directory lacks from a
+// peer and install that peer's manifest — all through the core's
 // Commit/Refresh/Sweep, so in-flight searches are never dropped and
-// replaced segments are reclaimed once no generation reads them.
+// replaced segments are reclaimed once no generation reads them. A
+// directory that does not own its statistics (External) serves the reads
+// and refuses the appends and pulls.
 type Server struct {
 	core *serving.Core
 	ln   net.Listener
@@ -89,38 +90,17 @@ const (
 	FaultDrop
 )
 
-// startServer builds the partition index and begins accepting on an
-// ephemeral loopback port.
-func startServer(part *corpus.Collection, cfg ir.BuildConfig) (*Server, error) {
-	ix, err := ir.Build(part, cfg)
-	if err != nil {
-		return nil, err
-	}
-	snap, err := ir.NewSnapshot([]*ir.Index{ix}, ir.SnapshotConfig{Owned: true})
-	if err != nil {
-		ix.Close()
-		return nil, err
-	}
-	return serve(serving.New(snap, serving.Config{}), "127.0.0.1:0", nil)
-}
-
-// serveSegmentedDir opens a partition directory as a dir-backed server
-// listening on addr ("127.0.0.1:0" for an ephemeral port; a fixed address
-// revives a replica in place), reading through cache, a buffer manager of
-// the server's own, with hook observing its pulls. The directory must
-// hold at least one segment already.
+// serveSegmentedDir opens a partition directory as a server listening on
+// addr ("127.0.0.1:0" for an ephemeral port; a fixed address revives a
+// replica in place), reading through cache, a buffer manager of the
+// server's own, with hook observing its pulls. The directory must hold at
+// least one segment already. The core is built with the defaults of a
+// zero-option Engine; on failure it is closed so its storage is released.
 func serveSegmentedDir(dir, addr string, cache *colbm.Manager, hook *shipHook) (*Server, error) {
 	core, err := serving.OpenDir(dir, cache, serving.Config{})
 	if err != nil {
 		return nil, err
 	}
-	return serve(core, addr, hook)
-}
-
-// serve begins accepting on addr in front of a core built with the
-// defaults of a zero-option Engine; on failure the core is closed so its
-// storage is released.
-func serve(core *serving.Core, addr string, hook *shipHook) (*Server, error) {
 	ln, err := net.Listen("tcp", addr)
 	if err != nil {
 		core.Close()
@@ -136,8 +116,7 @@ func serve(core *serving.Core, addr string, hook *shipHook) (*Server, error) {
 // Addr returns the server's listen address.
 func (s *Server) Addr() string { return s.ln.Addr().String() }
 
-// Gen returns the serving generation (0 for servers without a
-// generation-stamped directory, or after Close).
+// Gen returns the serving generation (0 after Close).
 func (s *Server) Gen() uint64 {
 	if snap := s.core.Snapshot(); snap != nil {
 		return snap.Gen()
@@ -409,12 +388,12 @@ func (s *Server) handleSearch(req *wireRequest) wireResponse {
 }
 
 // answerQuery runs one query of a wire request through the core's
-// pipeline and forwards the full per-query stats (wall, simulated I/O,
-// second pass, candidates) onto the wire. When the request carries a
-// sampled trace context, the query gets a server-local root span riding
-// ctx — the pipeline's pool wait and execution spans and the searcher's
-// per-operator breakdown land under it — shipped back for the broker to
-// graft under the attempt that carried it.
+// pipeline and forwards the full per-query stats (wall, second pass,
+// candidates) onto the wire. When the request carries a sampled trace
+// context, the query gets a server-local root span riding ctx — the
+// pipeline's pool wait and execution spans and the searcher's per-operator
+// breakdown land under it — shipped back for the broker to graft under the
+// attempt that carried it.
 func (s *Server) answerQuery(ctx context.Context, g *serving.Gen, req *wireRequest, q *wireQuery) wireAnswer {
 	var t *trace.Trace
 	if req.TraceSampled {
@@ -425,7 +404,6 @@ func (s *Server) answerQuery(ctx context.Context, g *serving.Gen, req *wireReque
 	r, err := g.Search(ctx, serving.Request{Terms: q.Terms, K: q.K, Strategy: ir.Strategy(q.Strategy)})
 	a := wireAnswer{
 		WallNanos:  r.Stats.Wall.Nanoseconds(),
-		SimIONanos: r.Stats.SimIO.Nanoseconds(),
 		SecondPass: r.Stats.SecondPass,
 		Candidates: r.Stats.Candidates,
 	}
@@ -452,23 +430,19 @@ func (s *Server) answerQuery(ctx context.Context, g *serving.Gen, req *wireReque
 // everything the broker's routing needs.
 func (s *Server) handleStatus(req *wireRequest) wireResponse {
 	resp := wireResponse{Seq: req.Seq}
-	st := &wireStatus{}
-	st.Gen = s.Gen()
+	st := &wireStatus{Gen: s.Gen(), Ingest: s.core.Writable() == nil}
 	resp.Gen = st.Gen
-	if dir := s.core.Dir(); dir != "" {
-		sm, err := storage.ReadSegments(dir)
-		if err != nil {
-			resp.Err = err.Error()
-			return resp
-		}
-		st.DocBase = sm.BaseDocID
-		if len(sm.Segments) > 0 {
-			st.DocBase = sm.Segments[0].DocBase
-		}
-		for _, e := range sm.Segments {
-			st.NumDocs += e.Docs
-		}
-		st.Ingest = s.core.Writable() == nil
+	sm, err := storage.ReadSegments(s.core.Dir())
+	if err != nil {
+		resp.Err = err.Error()
+		return resp
+	}
+	st.DocBase = sm.BaseDocID
+	if len(sm.Segments) > 0 {
+		st.DocBase = sm.Segments[0].DocBase
+	}
+	for _, e := range sm.Segments {
+		st.NumDocs += e.Docs
 	}
 	resp.Status = st
 	return resp
@@ -537,10 +511,6 @@ func (s *Server) handleAppend(req *wireRequest) wireResponse {
 func (s *Server) handleFetch(req *wireRequest) wireResponse {
 	resp := wireResponse{Seq: req.Seq}
 	dir := s.core.Dir()
-	if dir == "" {
-		resp.Err = "dist: server has no partition directory to fetch from"
-		return resp
-	}
 	f := req.Fetch
 	if f == nil {
 		resp.Err = "dist: fetch with no payload"
@@ -620,12 +590,7 @@ func (s *Server) handlePull(req *wireRequest) wireResponse {
 // thing a pull from this server fetches, and the bytes it installs.
 func (s *Server) handleManifest(req *wireRequest) wireResponse {
 	resp := wireResponse{Seq: req.Seq}
-	dir := s.core.Dir()
-	if dir == "" {
-		resp.Err = "dist: server has no partition directory"
-		return resp
-	}
-	manifest, sm, err := storage.ReadSegmentsRaw(dir)
+	manifest, sm, err := storage.ReadSegmentsRaw(s.core.Dir())
 	if err != nil {
 		resp.Err = err.Error()
 		return resp

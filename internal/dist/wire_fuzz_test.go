@@ -7,13 +7,16 @@ import (
 	"math"
 	"testing"
 
+	"repro/internal/colbm"
 	"repro/internal/corpus"
 	"repro/internal/ir"
 )
 
 // FuzzWireRequest is the server's hardening property against whatever a
 // connection delivers: arbitrary bytes gob-decoded into a wireRequest and
-// dispatched through an in-memory server's verb handlers never panic, and
+// dispatched through the verb handlers of a server over a BuildPartitions
+// directory (so the fetch and manifest seeds reach real segment files)
+// never panic, and
 // every answer echoes the request's sequence number, carries one entry per
 // query of a search, commits no append pinned past the server's
 // generation, and encodes back onto the wire.
@@ -23,7 +26,11 @@ func FuzzWireRequest(f *testing.F) {
 	cfg.Vocab = 600
 	cfg.NumTopics = 5
 	c := corpus.Generate(cfg)
-	srv, err := startServer(c, ir.DefaultBuildConfig())
+	dirs, err := BuildPartitions(c, 1, ir.DefaultBuildConfig(), f.TempDir())
+	if err != nil {
+		f.Fatal(err)
+	}
+	srv, err := serveSegmentedDir(dirs[0], "127.0.0.1:0", colbm.NewManager(0), nil)
 	if err != nil {
 		f.Fatal(err)
 	}
@@ -83,7 +90,7 @@ func FuzzWireResponse(f *testing.F) {
 	for _, resp := range []wireResponse{
 		{Seq: 1, Gen: 3, Queries: []wireAnswer{
 			{Results: []wireResult{{DocID: 4, Name: "d4", Score: 1.5}, {DocID: 2, Score: 1.5}, {DocID: 9, Score: 2}},
-				WallNanos: 10, SimIONanos: 5, SecondPass: true, Candidates: 3},
+				WallNanos: 10, SecondPass: true, Candidates: 3},
 			{Err: "dist: injected fault"},
 		}},
 		{Seq: 2, Stale: true, Err: "dist: replica behind", Queries: []wireAnswer{{Err: "stale"}}},

@@ -63,7 +63,8 @@ func SegmentFiles(dir, seg string) ([]SegmentFileInfo, error) {
 
 // ReadSegmentFileAt reads up to n bytes of one segment file starting at
 // off — the fetch side of a chunked transfer. A short read at end of
-// file is returned, not an error.
+// file is returned, not an error; n is a request from a peer, so the
+// buffer is sized by what the file holds past off, not by n.
 func ReadSegmentFileAt(dir, seg, file string, off int64, n int) ([]byte, error) {
 	if err := validShipName(seg); err != nil {
 		return nil, err
@@ -79,7 +80,11 @@ func ReadSegmentFileAt(dir, seg, file string, off int64, n int) ([]byte, error) 
 		return nil, fmt.Errorf("storage: %w", err)
 	}
 	defer f.Close()
-	buf := make([]byte, n)
+	fi, err := f.Stat()
+	if err != nil {
+		return nil, fmt.Errorf("storage: %w", err)
+	}
+	buf := make([]byte, max(0, min(int64(n), fi.Size()-off)))
 	m, err := f.ReadAt(buf, off)
 	if err != nil && !errors.Is(err, io.EOF) {
 		return nil, fmt.Errorf("storage: %w", err)

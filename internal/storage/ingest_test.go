@@ -3,6 +3,7 @@ package storage
 import (
 	"bytes"
 	"errors"
+	"math"
 	"os"
 	"path/filepath"
 	"runtime"
@@ -221,8 +222,17 @@ func TestShipAndInstallRoundTrip(t *testing.T) {
 		}
 	}
 
-	// Truncate one shipped file: the install must refuse.
+	// A read past what a file holds is sized by the file, not the request.
 	seg0 := sm.Segments[0].Name
+	files0, err := SegmentFiles(primary, seg0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if data, err := ReadSegmentFileAt(primary, seg0, files0[0].Name, 1, math.MaxInt); err != nil || int64(len(data)) != files0[0].Size-1 {
+		t.Fatalf("oversized read: %d bytes, %v; want %d", len(data), err, files0[0].Size-1)
+	}
+
+	// Truncate one shipped file: the install must refuse.
 	files, err := SegmentFiles(replica, seg0)
 	if err != nil {
 		t.Fatal(err)

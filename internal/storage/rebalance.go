@@ -226,7 +226,11 @@ type AbsorbPrep struct {
 // score columns are exact for the post-merge partition; the
 // destination's existing segments fall one epoch behind at commit and
 // serve materialized strategies virtually until a merge re-bakes them —
-// exactly the append discipline.
+// exactly the append discipline. External directories (BuildPartitions)
+// are the exception: their segments were baked against statistics
+// coordinated outside both directories, and the new segment is baked
+// against those same statistics (externalStats), so a merged cluster keeps
+// ranking exactly like the centralized index.
 func PrepareAbsorb(dstDir, srcDir string, cancel func() bool) (*AbsorbPrep, error) {
 	dsm, err := ReadSegments(dstDir)
 	if err != nil {
@@ -258,7 +262,15 @@ func PrepareAbsorb(dstDir, srcDir string, cancel func() bool) (*AbsorbPrep, erro
 	if err := compatibleLayout(bc, st.segs[0].m); err != nil {
 		return nil, err
 	}
-	b, err := st.scoreBounds(bc.Quantized, nil)
+	var b bounds
+	if dsm.External {
+		// The folded statistics are the two partitions' own; the segments
+		// were baked against the collection's, coordinated outside both
+		// directories, and the absorbed segment keeps those.
+		bc.Stats, err = externalStats(dstDir, srcDir, st.segs, src)
+	} else if b, err = st.scoreBounds(bc.Quantized, nil); err == nil {
+		bc.Stats = st.globalStats(b)
+	}
 	if err != nil {
 		return nil, err
 	}
@@ -275,7 +287,6 @@ func PrepareAbsorb(dstDir, srcDir string, cancel func() bool) (*AbsorbPrep, erro
 
 	entry := spanning(name, ssm.Segments)
 	entry.DocBase = dsm.nextDocID()
-	bc.Stats = st.globalStats(b)
 	bc.DocIDBase = entry.DocBase
 	w, err := ir.NewIndexWriter(bc, entry.Docs, entry.Postings)
 	if err != nil {
@@ -300,6 +311,35 @@ func PrepareAbsorb(dstDir, srcDir string, cancel func() bool) (*AbsorbPrep, erro
 		return fail(err)
 	}
 	return &AbsorbPrep{dstDir, srcDir, entry, b, dsm.Generation, ssm.Generation}, nil
+}
+
+// externalStats returns the statistics External segments were baked
+// against: the BM25 parameters and quantization bounds every segment of
+// segs must share — segments baked for different collections refuse — and
+// the global document frequency of every term of src.
+func externalStats(dstDir, srcDir string, segs, src []foldedSeg) (*ir.GlobalStats, error) {
+	m := segs[0].m
+	for _, s := range segs[1:] {
+		if s.m.Params != m.Params || s.m.ScoreLo != m.ScoreLo || s.m.ScoreHi != m.ScoreHi {
+			return nil, fmt.Errorf("storage: cannot absorb %q into %q: external statistics differ (%s: %+v in [%v, %v]; %s: %+v in [%v, %v])",
+				srcDir, dstDir, filepath.Join(segs[0].dir, segs[0].name), m.Params, m.ScoreLo, m.ScoreHi,
+				filepath.Join(s.dir, s.name), s.m.Params, s.m.ScoreLo, s.m.ScoreHi)
+		}
+	}
+	ftd := make(map[string]int)
+	for _, s := range src {
+		for t, ti := range s.m.Terms {
+			ftd[t] = ti.Ftd
+		}
+	}
+	return &ir.GlobalStats{
+		NumDocs:        m.Params.NumDocs,
+		AvgDocLen:      m.Params.AvgDocLn,
+		Ftd:            ftd,
+		HasScoreBounds: true,
+		ScoreLo:        m.ScoreLo,
+		ScoreHi:        m.ScoreHi,
+	}, nil
 }
 
 // Abandon removes the prepared (uncommitted) segment — the cleanup path

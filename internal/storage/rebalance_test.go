@@ -5,6 +5,7 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"strings"
 	"testing"
 
 	"repro/internal/colbm"
@@ -138,6 +139,57 @@ func TestAbsorbMatchesFreshBuild(t *testing.T) {
 		t.Fatal(err)
 	}
 	sameRankings(t, "absorbed", dst, freshBuild(t, coll, 0, 800), rangeQueries(coll), 20)
+}
+
+// externalBuild writes c's documents [lo, hi) as a new External directory
+// built against stats — what dist.BuildPartitions writes for one partition.
+func externalBuild(t *testing.T, c *corpus.Collection, lo, hi int, stats *ir.GlobalStats) string {
+	t.Helper()
+	sub, err := c.Slice(lo, hi)
+	if err != nil {
+		t.Fatal(err)
+	}
+	bc := ir.DefaultBuildConfig()
+	bc.Stats, bc.DocIDBase = stats, int64(lo)
+	ix, err := ir.Build(sub, bc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	dir := filepath.Join(t.TempDir(), "ext")
+	if err := WriteSegmentedIndex(dir, []*ir.Index{ix}); err != nil {
+		t.Fatal(err)
+	}
+	return dir
+}
+
+// TestAbsorbExternalKeepsCoordinatedStats: absorbing one External
+// directory into another bakes the new segment against the statistics
+// both were built with, not the two partitions' own (which cover half the
+// collection), so the result ranks exactly like one External build of
+// both ranges; directories built against different statistics refuse to
+// merge.
+func TestAbsorbExternalKeepsCoordinatedStats(t *testing.T) {
+	coll := rangeCollection()
+	stats := ir.CollectionStats(coll)
+	dst := externalBuild(t, coll, 0, 200, stats)
+	src := externalBuild(t, coll, 200, 400, stats)
+	prep, err := PrepareAbsorb(dst, src, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := CommitAbsorb(prep); err != nil {
+		t.Fatal(err)
+	}
+	sameRankings(t, "absorbed", dst, externalBuild(t, coll, 0, 400, stats), rangeQueries(coll), 20)
+
+	half, err := coll.Slice(400, 800)
+	if err != nil {
+		t.Fatal(err)
+	}
+	other := externalBuild(t, coll, 400, 800, ir.CollectionStats(half))
+	if _, err := PrepareAbsorb(dst, other, nil); err == nil || !strings.Contains(err.Error(), "external statistics differ") {
+		t.Errorf("absorbing a directory built against other statistics: %v, want a refusal", err)
+	}
 }
 
 // TestCommitAbsorbAfterDestinationAdvanced pins the absorb CAS: a

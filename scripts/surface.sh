@@ -2,16 +2,23 @@
 # Surface counts (ROADMAP: "lines, options and refusals go down"): run from
 # anywhere, prints one markdown table for the tree it lives in.
 #
-#	scripts/surface.sh [--max-options N]
+#	scripts/surface.sh [--max-options N] [--max-refusals N]
 #
-# Report only, except under --max-options: more than N exported With*
-# options exits 1, so CI lets the count fall in any change but rise only in
-# one that edits N in the same diff.
+# Report only, except under the bounds: more than N exported With* options
+# (--max-options), or more than N layout/mode refusal messages
+# (--max-refusals), exits 1, so CI lets each count fall in any change but
+# rise only in one that edits N in the same diff.
 set -euo pipefail
-max_options=
-if [[ ${1:-} == --max-options ]]; then
-	max_options=${2:?usage: scripts/surface.sh [--max-options N]}
-fi
+usage='usage: scripts/surface.sh [--max-options N] [--max-refusals N]'
+max_options= max_refusals=
+while (($#)); do
+	case $1 in
+	--max-options) max_options=${2:?$usage} ;;
+	--max-refusals) max_refusals=${2:?$usage} ;;
+	*) echo "$usage" >&2 && exit 2 ;;
+	esac
+	shift 2
+done
 cd "$(dirname "${BASH_SOURCE[0]}")/.."
 mapfile -t files < <(find . -name '*.go' ! -name '*_test.go' ! -path './bench/*' | sort)
 lines=$(cat "${files[@]}" | wc -l)
@@ -45,7 +52,13 @@ cat <<EOF
 | upload-artifact steps in ci.yml | $uploads |
 | registered trecbench experiments | $experiments |
 EOF
+status=0
 if [[ -n $max_options ]] && ((options > max_options)); then
 	echo "surface.sh: $options exported With* options, the bound is $max_options: delete one, or raise --max-options in ci.yml in this same change and say why" >&2
-	exit 1
+	status=1
 fi
+if [[ -n $max_refusals ]] && ((refusals > max_refusals)); then
+	echo "surface.sh: $refusals layout/mode refusal messages, the bound is $max_refusals: merge the mode that refuses, or raise --max-refusals in ci.yml in this same change and say why" >&2
+	status=1
+fi
+exit $status

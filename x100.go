@@ -59,10 +59,11 @@
 // eviction, singleflight fetches.
 //
 // Scale-out (§3.4, Table 3) goes through internal/dist: StartCluster
-// partitions a collection across loopback-TCP servers (BuildPartitions +
-// StartClusterFromDirs is the persisted variant), Cluster.NewBroker returns
-// a Broker whose Search broadcasts and merges top-k; the context-aware
-// Broker.SearchContext composes with each server's searcher pool. With
+// partitions a collection across loopback-TCP servers (it is
+// BuildPartitions into a directory the cluster owns, then
+// StartClusterFromDirs), Cluster.NewBroker returns a Broker whose Search
+// broadcasts and merges top-k; the context-aware Broker.SearchContext
+// composes with each server's searcher pool. With
 // WithClusterReplicas every partition range is served by a replica group,
 // and a group-aware broker (Cluster.NewBroker) adds the tail-latency
 // defenses: hedged fan-out under WithHedgeBudget and transparent failover
@@ -215,9 +216,8 @@ type (
 )
 
 // WithClusterReplicas serves every partition range with r servers instead
-// of one: identical in-memory copies for StartCluster; for
-// StartClusterFromDirs, replica 0 serves the partition directory and each
-// other replica its own directory copy. The extra replicas change no
+// of one: replica 0 serves the partition directory and each other replica
+// its own directory copy. The extra replicas change no
 // ranking — they give a group-aware broker (Cluster.NewBroker) hedge
 // targets and failover capacity.
 func WithClusterReplicas(r int) ClusterOption { return dist.WithReplicas(r) }
@@ -250,7 +250,8 @@ func WithBrokerAdmission(limit, maxQueue int) BrokerOption {
 }
 
 // StartCluster partitions a collection across n TCP partition ranges
-// (each served by WithClusterReplicas servers; one by default).
+// (each served by WithClusterReplicas servers; one by default), built into
+// a temporary directory the cluster owns and removes on Close.
 func StartCluster(c *Collection, n int, cfg IndexConfig, opts ...ClusterOption) (*Cluster, error) {
 	return dist.StartCluster(c, n, cfg, opts...)
 }

@@ -16,10 +16,9 @@ import (
 // connection delivers: arbitrary bytes gob-decoded into a wireRequest and
 // dispatched through the verb handlers of a server over a BuildPartitions
 // directory (so the fetch and manifest seeds reach real segment files)
-// never panic, and
-// every answer echoes the request's sequence number, carries one entry per
-// query of a search, commits no append pinned past the server's
-// generation, and encodes back onto the wire.
+// never panic, and every answer echoes the request's sequence number,
+// carries one entry per query of a search, commits no append pinned past
+// the server's generation, and encodes back onto the wire.
 func FuzzWireRequest(f *testing.F) {
 	cfg := corpus.DefaultConfig()
 	cfg.NumDocs = 400

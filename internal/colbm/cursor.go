@@ -47,15 +47,24 @@ func (c *Cursor) Reset(col *Column) { c.col = col }
 // dst must match the column's logical type and have capacity for n values;
 // its length is set to n.
 func (c *Cursor) Read(dst *vector.Vector, start, n int) error {
+	return c.ReadAt(dst, 0, start, n)
+}
+
+// ReadAt is Read into dst from position off on: it fills dst[off:off+n]
+// with the n values starting at row start, leaves dst[:off] as it is and
+// sets the length to off+n. dst must have capacity for off+n values. A
+// scan that skips rows reads the runs it keeps one after another into one
+// vector this way.
+func (c *Cursor) ReadAt(dst *vector.Vector, off, start, n int) error {
 	if dst.Type() != c.col.Spec.Type {
 		return fmt.Errorf("colbm: cursor type mismatch: column %q is %v, destination is %v",
 			c.col.Spec.Name, c.col.Spec.Type, dst.Type())
 	}
-	if start < 0 || n < 0 || start+n > c.col.N {
+	if start < 0 || n < 0 || off < 0 || start+n > c.col.N {
 		return fmt.Errorf("colbm: read [%d,%d) out of column %q of %d values",
 			start, start+n, c.col.Spec.Name, c.col.N)
 	}
-	dst.SetLen(n)
+	dst.SetLen(off + n)
 	chunkLen := c.col.Spec.chunkLen()
 	written := 0
 	for written < n {
@@ -66,7 +75,7 @@ func (c *Cursor) Read(dst *vector.Vector, start, n int) error {
 		if take > n-written {
 			take = n - written
 		}
-		if err := c.readFromChunk(dst, written, ci, inChunk, take); err != nil {
+		if err := c.readFromChunk(dst, off+written, ci, inChunk, take); err != nil {
 			return err
 		}
 		written += take

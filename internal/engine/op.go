@@ -7,7 +7,8 @@
 // paid once per vector instead of once per value.
 //
 // Operators available: Scan (with range pushdown for the inverted-list
-// term index), Select, Project, MergeJoin and MergeOuterJoin (ordered
+// term index, and a Bound that skips strides the TopN above cannot use),
+// Select, Project, MergeJoin and MergeOuterJoin (ordered
 // inverted-list combination), FetchJoin (positional lookup in a table dense
 // on its key, X100's Fetch1Join), HashJoin (the ablation alternative),
 // Aggregate (hash and scalar), TopN, Sort, and Values (in-memory source).

@@ -9,6 +9,7 @@ import (
 	"sort"
 	"testing"
 
+	"repro/internal/colbm"
 	"repro/internal/vector"
 )
 
@@ -594,4 +595,95 @@ func TestMatchWindowMatchesMatchInner(t *testing.T) {
 	if len(ctx.slots) > maxWindow {
 		t.Fatalf("slot array grew to %d, cap %d", len(ctx.slots), maxWindow)
 	}
+}
+
+// Invariant: a bounded scan is the same plan minus work. Scan + Project +
+// TopN(k; score DESC, docid ASC) over a random range of a stored table —
+// strictly increasing docids, scores with heavy ties, ranges starting
+// mid-stride and mid-chunk — returns exactly the rows of the same plan
+// built without a bound, at vector sizes 128, 1000 and 1024, with Rest
+// both exact and loose. The score is the stored value plus a constant,
+// which Rest bounds.
+func TestBoundedScanMatchesUnboundedProperty(t *testing.T) {
+	rng := rand.New(rand.NewSource(73))
+	const n = 9000
+	docids, scores := make([]int64, n), make([]uint8, n)
+	var d int64
+	for i := range docids {
+		d += 1 + rng.Int63n(4)
+		docids[i] = d
+		switch {
+		case i/BoundStride%5 == 0: // whole strides of one tied low value
+			scores[i] = 2
+		case rng.Intn(50) == 0:
+			scores[i] = uint8(200 + rng.Intn(56))
+		default:
+			scores[i] = uint8(1 + rng.Intn(3))
+		}
+	}
+	b := colbm.NewBuilder("TD", colbm.NewSimDisk(colbm.DefaultDiskParams()), colbm.NewManager(0), []colbm.ColumnSpec{
+		{Name: "docid", Type: vector.Int64, Enc: colbm.EncPFORDelta, Bits: 8, ChunkLen: 2048},
+		{Name: "score", Type: vector.UInt8, ChunkLen: 2048},
+	})
+	b.SetInt64("docid", docids)
+	b.SetUInt8("score", scores)
+	tab, err := b.Build()
+	if err != nil {
+		t.Fatal(err)
+	}
+	// maxima of [start, end) by global stride.
+	maxima := func(start, end int) []float64 {
+		m := make([]float64, (end-1)/BoundStride-start/BoundStride+1)
+		for i := start; i < end; i++ {
+			j := i/BoundStride - start/BoundStride
+			m[j] = max(m[j], float64(scores[i]))
+		}
+		return m
+	}
+	ctxs := contexts{}
+	var scanned, read int64
+	for trial := 0; trial < 300; trial++ {
+		start := rng.Intn(n)
+		end := start + 1 + rng.Intn(n-start)
+		k := []int{1, 3, 20, 100}[rng.Intn(4)]
+		vs := []int{128, 1000, 1024}[rng.Intn(3)]
+		c := float64(rng.Intn(4))
+		rest := c + float64(rng.Intn(2)*rng.Intn(5))
+		plan := func(bounded bool) ([][]any, *Scan) {
+			scan, err := NewRangeScan(tab, []string{"docid", "score"}, start, end)
+			if err != nil {
+				t.Fatal(err)
+			}
+			proj := NewProject(scan, []Projection{
+				{Name: "docid", Expr: NewColRef("docid")},
+				{Name: "score", Expr: NewArith(Add, NewToFloat(NewColRef("score")), &ConstFloat{Val: c})},
+			})
+			top := NewTopN(proj, k, []OrderSpec{{Col: "score", Desc: true}, {Col: "docid"}})
+			if bounded {
+				if err := scan.SetBound(Bound{Col: "score", Max: maxima(start, end), Rest: rest, Floor: top.Floor()}); err != nil {
+					t.Fatal(err)
+				}
+			}
+			rows, err := Collect(top, ctxs.of(vs))
+			if err != nil {
+				t.Fatal(err)
+			}
+			return rows, scan
+		}
+		want, full := plan(false)
+		got, bounded := plan(true)
+		if !reflect.DeepEqual(got, want) {
+			t.Fatalf("trial %d [%d,%d) k=%d vs=%d c=%v rest=%v: bounded plan\n%v\nunbounded\n%v",
+				trial, start, end, k, vs, c, rest, got, want)
+		}
+		if full.Stats().Tuples != int64(end-start) {
+			t.Fatalf("trial %d: unbounded scan read %d of %d rows", trial, full.Stats().Tuples, end-start)
+		}
+		scanned += full.Stats().Tuples
+		read += bounded.Stats().Tuples
+	}
+	if read >= scanned {
+		t.Errorf("bounded scans read %d of %d rows: the bound skipped nothing", read, scanned)
+	}
+	t.Logf("bounded scans read %d of %d rows", read, scanned)
 }

@@ -5,6 +5,7 @@ import (
 	"time"
 
 	"repro/internal/colbm"
+	"repro/internal/compress"
 	"repro/internal/vector"
 )
 
@@ -14,16 +15,51 @@ import (
 // access path of the paper — "the term column replaced by a range index
 // onto [docid,tf]" — is a Scan over the term's row range, constructed by
 // the IR layer via NewRangeScan.
+//
+// A scan under a top-k may carry a Bound, with which it skips the strides
+// of its range none of whose rows can enter the top-k.
 type Scan struct {
 	base
 	table      *colbm.Table
 	cols       []string
 	start, end int
+	bound      Bound
 
 	cursors []*colbm.Cursor
 	batch   *vector.Batch
 	pos     int
 	vecSize int
+}
+
+// BoundStride is the row granularity of a scan bound: stride j of a table
+// is its rows [j*BoundStride, (j+1)*BoundStride). It is PFOR-DELTA's entry
+// point spacing, so a run of kept strides starts decoding at an entry
+// point.
+const BoundStride = compress.EntryStride
+
+// Bound is what a scan needs to skip the strides of its range whose rows
+// cannot enter the top-k of the TopN it feeds. A row's score there is its
+// value in column Col plus what the plan's other inputs add, which is at
+// most Rest; Floor is the TopN's published threshold (TopN.Floor). The
+// scan skips stride j once Max[j] + Rest <= *Floor.
+//
+// Skipping on "<=" is exact only where the TopN orders by score
+// descending, then by a key on which the rows arrive ascending (a docid
+// the scan and the joins above it deliver in order): a row tying the floor
+// arrives after every row the TopN holds and loses the tie. A stride's
+// rows left out of an outer join still reach the TopN through the other
+// inputs, scored lower than they would have been, and lose all the same.
+type Bound struct {
+	// Col names the column the maxima are of, for Describe.
+	Col string
+	// Max[j] is the largest value of Col over the scan's rows in table
+	// stride start/BoundStride + j: one entry per stride the range
+	// touches, indexed by global stride, not by offset into the range.
+	Max []float64
+	// Rest bounds what the rest of the plan adds to a row's value of Col.
+	Rest float64
+	// Floor is read before each stride; −∞ keeps every stride.
+	Floor *float64
 }
 
 // NewScan builds a full-table scan over the named columns.
@@ -72,23 +108,68 @@ func (s *Scan) Next() (*vector.Batch, error) {
 	if err := s.ctx.Interrupted(); err != nil {
 		return nil, err
 	}
-	if s.pos >= s.end {
+	n := 0
+	for n < s.vecSize {
+		from, to := s.nextRun(s.vecSize - n)
+		s.pos = from
+		if from == to {
+			break
+		}
+		for i, cur := range s.cursors {
+			if err := cur.ReadAt(s.batch.Vecs[i], n, from, to-from); err != nil {
+				return nil, err
+			}
+		}
+		n += to - from
+		s.pos = to
+	}
+	if n == 0 {
 		s.batch = nil
 		return nil, nil
 	}
-	n := s.end - s.pos
-	if n > s.vecSize {
-		n = s.vecSize
-	}
-	for i, cur := range s.cursors {
-		if err := cur.Read(s.batch.Vecs[i], s.pos, n); err != nil {
-			return nil, err
-		}
-	}
-	s.pos += n
 	s.batch.Sel = nil
 	s.batch.N = n
 	return s.batch, nil
+}
+
+// nextRun returns the next run of rows to read, [from, to): it starts at
+// the first row at or after pos whose stride the bound keeps, spans kept
+// strides only and holds at most room rows. from == to means the range is
+// done.
+func (s *Scan) nextRun(room int) (from, to int) {
+	from = s.pos
+	if s.bound.Floor == nil {
+		return from, min(s.end, from+room)
+	}
+	floor := *s.bound.Floor
+	first := s.start / BoundStride
+	keep := func(row int) bool {
+		return s.bound.Max[row/BoundStride-first]+s.bound.Rest > floor
+	}
+	for from < s.end && !keep(from) {
+		from = (from/BoundStride + 1) * BoundStride
+	}
+	from = min(from, s.end)
+	to = from
+	for to < s.end && to-from < room && keep(to) {
+		to = (to/BoundStride + 1) * BoundStride
+	}
+	return from, min(to, s.end, from+room)
+}
+
+// SetBound makes the scan skip the strides b rules out. b.Max must hold
+// one maximum for each stride the scan's range touches.
+func (s *Scan) SetBound(b Bound) error {
+	strides := 0
+	if s.end > s.start {
+		strides = (s.end-1)/BoundStride - s.start/BoundStride + 1
+	}
+	if len(b.Max) != strides || b.Floor == nil {
+		return fmt.Errorf("engine: bound of %d maxima (floor set: %v) for scan %s, which touches %d strides",
+			len(b.Max), b.Floor != nil, s.Describe(), strides)
+	}
+	s.bound = b
+	return nil
 }
 
 // Close gives the cursors and vectors back to the context.
@@ -105,12 +186,16 @@ func (s *Scan) Close() error {
 // Children returns no inputs: Scan is a leaf.
 func (s *Scan) Children() []Operator { return nil }
 
-// Describe names the operator and its range.
+// Describe names the operator, its range and its bound.
 func (s *Scan) Describe() string {
-	if s.start == 0 && s.end == s.table.N {
-		return fmt.Sprintf("Scan(%s; %v)", s.table.Name, s.cols)
+	d := fmt.Sprintf("Scan(%s; %v", s.table.Name, s.cols)
+	if s.start != 0 || s.end != s.table.N {
+		d = fmt.Sprintf("Scan(%s[%d:%d]; %v", s.table.Name, s.start, s.end, s.cols)
 	}
-	return fmt.Sprintf("Scan(%s[%d:%d]; %v)", s.table.Name, s.start, s.end, s.cols)
+	if s.bound.Floor != nil {
+		d += fmt.Sprintf("; skip stride if max(%s)+%g <= floor", s.bound.Col, s.bound.Rest)
+	}
+	return d + ")"
 }
 
 // Values is an in-memory source operator: it serves a fixed set of column

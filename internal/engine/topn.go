@@ -36,6 +36,9 @@ func (o OrderSpec) String() string {
 // on every key and may enter the heap. Retained rows live in slots, written
 // in place, so nothing is allocated after Open (Sort's unbounded N aside,
 // whose slots grow by doubling).
+//
+// After each input batch a full TopN publishes that threshold to its floor
+// (Floor), from which the scans below it can skip what cannot beat it.
 type TopN struct {
 	base
 	child Operator
@@ -58,6 +61,7 @@ type TopN struct {
 	surv    []int32   // per batch: the rows not below the threshold
 	cand    []float64 // the order keys of the row being compared
 	arrived int64     // rows consumed so far
+	floor   float64   // the published threshold: −∞ until n rows are held
 
 	out     *vector.Batch
 	vecSize int
@@ -67,7 +71,7 @@ type TopN struct {
 
 // NewTopN builds a top-n node.
 func NewTopN(child Operator, n int, order []OrderSpec) *TopN {
-	return &TopN{child: child, n: n, order: order}
+	return &TopN{child: child, n: n, order: order, floor: math.Inf(-1)}
 }
 
 // Open binds the ordering columns.
@@ -98,6 +102,7 @@ func (t *TopN) Open(ctx *ExecContext) error {
 	t.done = false
 	t.emitPos = 0
 	t.arrived = 0
+	t.floor = math.Inf(-1)
 	t.vals = make([]*vector.Vector, len(in))
 	vecs := make([]*vector.Vector, len(in))
 	for i, c := range in {
@@ -231,6 +236,21 @@ func (t *TopN) push(b *vector.Batch) {
 		t.siftDown(0, len(t.heap))
 	}
 	t.arrived += int64(b.N)
+	if len(t.heap) == t.n {
+		t.floor = t.slotKeys(t.heap[0])[0]
+	}
+}
+
+// Floor returns the cell the TopN publishes its threshold to, for a Bound
+// of the scans below it: −∞ until n rows are held, then the first key of
+// the worst held row, the value a later row must beat on that key (an
+// equal row still wins on a later key or loses on arrival order). Only a
+// descending first key has a floor; the cell is nil otherwise.
+func (t *TopN) Floor() *float64 {
+	if len(t.order) == 0 || !t.order[0].Desc {
+		return nil
+	}
+	return &t.floor
 }
 
 // selectKeys is the select loop: it writes the direction-adjusted first key

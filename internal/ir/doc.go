@@ -18,7 +18,9 @@
 // float score column; BM25TCMQ8 reads the 8-bit Global-By-Value quantized
 // score column. One Index carries every physical column its BuildConfig
 // enabled, so a single index serves the whole ladder and each strategy
-// reads only what it needs.
+// reads only what it needs. On a freshly baked segment, BM25TCMQ8 also
+// prunes by max score (§5): its scans skip the 128-row posting strides
+// whose best quantized score cannot enter the top-k.
 //
 // # Segments and snapshots
 //
@@ -39,5 +41,6 @@
 // of searchers, doubling as admission control — at most Size() plans
 // execute at once; Engine.Search and the dist partition servers both
 // query through a pool. Everything underneath (buffer manager, block
-// stores) is internally synchronized.
+// stores, an Index's cache of per-stride score maxima) is internally
+// synchronized.
 package ir

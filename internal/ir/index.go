@@ -169,6 +169,11 @@ type Index struct {
 	Store colbm.BlockStore
 	Cache colbm.ChunkCache
 
+	// maxima caches the terms' per-stride qscore maxima, computed on first
+	// use by a bounded BM25TCMQ8 plan; nil on an Index not made by Build or
+	// RestoreIndex, whose plans then run unbounded.
+	maxima *strideMaxima
+
 	cfg BuildConfig
 }
 
@@ -338,6 +343,7 @@ func assembleIndex(bc BuildConfig, store colbm.BlockStore, cache colbm.ChunkCach
 		ScoreHi: hi,
 		Store:   store,
 		Cache:   cache,
+		maxima:  newStrideMaxima(),
 		cfg:     bc,
 	}
 	if bc.Quantized {
@@ -368,6 +374,7 @@ func RestoreIndex(td, d *colbm.Table, terms map[string]TermInfo, params primitiv
 		ScoreHi: scoreHi,
 		Store:   store,
 		Cache:   cache,
+		maxima:  newStrideMaxima(),
 		cfg:     cfg,
 	}, nil
 }

@@ -9,6 +9,7 @@ import (
 	"testing"
 
 	"repro/internal/corpus"
+	"repro/internal/engine"
 	"repro/internal/primitives"
 	"repro/internal/trace"
 )
@@ -437,6 +438,35 @@ func TestSingleTermRunsOnePass(t *testing.T) {
 				strat, st.Candidates, ftd)
 		}
 	}
+	// With k below ftd, Candidates still counts the tuples TopN took in,
+	// not the k it kept: every posting where the scan reads them all, and
+	// between k and ftd where a bounded BM25TCMQ8 scan skips strides.
+	var long string
+	var longFtd int
+	for tm, ti := range ix.Terms {
+		if n := ti.End - ti.Start; n > 4*engine.BoundStride {
+			long, longFtd = tm, n
+			break
+		}
+	}
+	const few = 5
+	for _, strat := range []Strategy{BM25T, BM25TC, BM25TCM, BM25TCMQ8} {
+		res, st, err := s.Search([]string{long}, few, strat)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(res) != few {
+			t.Errorf("%v: %d results at k=%d", strat, len(res), few)
+		}
+		lo := int64(longFtd)
+		if strat == BM25TCMQ8 {
+			lo = few
+		}
+		if st.Candidates < lo || st.Candidates > int64(longFtd) {
+			t.Errorf("%v k=%d: %d candidates scored, want %d to %d of the %d postings",
+				strat, few, st.Candidates, lo, longFtd, longFtd)
+		}
+	}
 	// Multi-term queries must still fall back to the second pass when the
 	// conjunction starves: at k beyond the collection size the first pass
 	// can never satisfy it.
@@ -612,11 +642,34 @@ func TestExplainPlan(t *testing.T) {
 // operator and expression for expression, the operator spans a traced
 // search of the same query records for the same segment — a ranked
 // strategy's disjunctive pass (k beyond the collection size starves the
-// conjunctive one), a boolean strategy's Limit plan.
+// conjunctive one), a boolean strategy's Limit plan. BM25TCMQ8 is also
+// explained for a 1-term and a 3-term query, whose scans show their bound
+// on the fresh segment only.
 func TestExplainedPlanIsExecutedPlan(t *testing.T) {
 	c, ix := getIndex(t)
 	q := c.PrecisionQueries(1, 84)[0]
 	k := ix.NumDocs() + 1
+	var one, three []string
+	for _, eq := range c.EfficiencyQueries(200, 85) {
+		switch {
+		case len(eq.Terms) == 1 && one == nil:
+			one = eq.Terms
+		case len(eq.Terms) == 3 && three == nil:
+			three = eq.Terms
+		}
+	}
+	if one == nil || three == nil {
+		t.Fatal("no 1-term or 3-term efficiency query")
+	}
+	type run struct {
+		strat Strategy
+		terms []string
+	}
+	var runs []run
+	for _, strat := range AllStrategies {
+		runs = append(runs, run{strat, q.Terms})
+	}
+	runs = append(runs, run{BM25TCMQ8, one}, run{BM25TCMQ8, three})
 	for _, sh := range []struct {
 		name string
 		snap *Snapshot
@@ -628,10 +681,18 @@ func TestExplainedPlanIsExecutedPlan(t *testing.T) {
 		if s.subs[0].virtual != (sh.name == "virtual") {
 			t.Fatalf("%s fixture: segment 0 virtual=%v", sh.name, s.subs[0].virtual)
 		}
-		for _, strat := range AllStrategies {
-			explained, err := s.ExplainPlan(q.Terms, k, strat)
+		for _, r := range runs {
+			strat := r.strat
+			explained, err := s.ExplainPlan(r.terms, k, strat)
 			if err != nil {
 				t.Fatalf("%s %v: %v", sh.name, strat, err)
+			}
+			want := 0
+			if strat == BM25TCMQ8 && sh.name == "fresh" {
+				want = len(r.terms)
+			}
+			if bounds := strings.Count(explained, "skip stride if max(qscore)+"); bounds != want {
+				t.Errorf("%s %v %v: %d bounded scans, want %d:\n%s", sh.name, strat, r.terms, bounds, want, explained)
 			}
 			var lines []string
 			for _, line := range strings.SplitAfter(explained, "\n") {
@@ -641,7 +702,7 @@ func TestExplainedPlanIsExecutedPlan(t *testing.T) {
 			}
 
 			tr := trace.New(1, "query")
-			if _, _, err := s.SearchContext(trace.NewContext(context.Background(), tr), q.Terms, k, strat); err != nil {
+			if _, _, err := s.SearchContext(trace.NewContext(context.Background(), tr), r.terms, k, strat); err != nil {
 				t.Fatalf("%s %v: %v", sh.name, strat, err)
 			}
 			root, _ := tr.Finish()
@@ -650,7 +711,12 @@ func TestExplainedPlanIsExecutedPlan(t *testing.T) {
 			// its segment span.
 			parent := &root
 			if strat != BoolAND && strat != BoolOR {
-				parent = root.Find("pass.disjunctive").Find("segment")
+				pass := root.Find("pass.disjunctive")
+				if len(r.terms) == 1 {
+					// One term has one plan, run as the conjunctive pass.
+					pass = root.Find("pass.conjunctive")
+				}
+				parent = pass.Find("segment")
 				if si, _ := parent.Attr("segment"); si.Val != 0 {
 					t.Fatalf("%s %v: ran segment %d first, want segment 0", sh.name, strat, si.Val)
 				}
@@ -670,8 +736,8 @@ func TestExplainedPlanIsExecutedPlan(t *testing.T) {
 				}
 			}
 			if len(lines) < 2 || !reflect.DeepEqual(lines, executed) {
-				t.Errorf("%s %v: explained plan\n%s\nis not the executed plan\n%s",
-					sh.name, strat, strings.Join(lines, "\n"), strings.Join(executed, "\n"))
+				t.Errorf("%s %v %v: explained plan\n%s\nis not the executed plan\n%s",
+					sh.name, strat, r.terms, strings.Join(lines, "\n"), strings.Join(executed, "\n"))
 			}
 		}
 	}

@@ -399,13 +399,15 @@ func (s *segSearcher) resolve(terms []string) []TermInfo {
 // right), the paper's D.docid=MAX(TD1.docid, TD2.docid) trick — for inner
 // joins both sides agree, for outer joins the missing side reads as zero
 // and MAX picks the present one.
-func (s *segSearcher) combinedPlan(infos []TermInfo, outer bool, doc, val string) (engine.Operator, error) {
+// Term i's scan is left in scans[i].
+func (s *segSearcher) combinedPlan(infos []TermInfo, outer bool, doc, val string, scans []*engine.Scan) (engine.Operator, error) {
 	scanCols := []string{doc, val}
 	leaf := func(i int) (engine.Operator, error) {
 		scan, err := engine.NewRangeScan(s.ix.TD, scanCols, infos[i].Start, infos[i].End)
 		if err != nil {
 			return nil, err
 		}
+		scans[i] = scan
 		return engine.NewProject(scan, []engine.Projection{
 			{Name: "docid", Expr: engine.NewColRef(doc)},
 			{Name: vcol(i).v, Expr: engine.NewColRef(val)},
@@ -485,7 +487,11 @@ var docLen = []string{"len"}
 // the value a fresh bake would store (BM25Stored); it thereby ranks
 // identically to a segment baked afterwards, which is what lets appends
 // leave existing segments untouched.
-func (s *segSearcher) rankedPlan(infos []TermInfo, k int, strat Strategy, inner bool) (engine.Operator, error) {
+//
+// A BM25TCMQ8 plan over baked columns bounds its scans (bindBounds): once
+// TopN holds k rows, each scan skips the strides of its term whose largest
+// qscore, plus the other terms' largest, cannot beat the k-th score.
+func (s *segSearcher) rankedPlan(infos []TermInfo, k int, strat Strategy, inner bool) (*engine.TopN, error) {
 	if strat < BM25 || strat > BM25TCMQ8 {
 		return nil, fmt.Errorf("ir: unranked strategy %v in ranked plan", strat)
 	}
@@ -499,7 +505,13 @@ func (s *segSearcher) rankedPlan(infos []TermInfo, k int, strat Strategy, inner 
 	case strat >= BM25TC:
 		doc, val = ColDocIDC, ColTFC
 	}
-	plan, err := s.combinedPlan(infos, !inner, doc, val)
+	var scanBuf [8]*engine.Scan
+	scans := scanBuf[:]
+	if len(infos) > len(scans) {
+		scans = make([]*engine.Scan, len(infos))
+	}
+	scans = scans[:len(infos)]
+	plan, err := s.combinedPlan(infos, !inner, doc, val, scans)
 	if err != nil {
 		return nil, err
 	}
@@ -521,10 +533,16 @@ func (s *segSearcher) rankedPlan(infos []TermInfo, k int, strat Strategy, inner 
 		{Name: "docid", Expr: engine.NewColRef("docid")},
 		{Name: "score", Expr: score},
 	})
-	return engine.NewTopN(proj, k, []engine.OrderSpec{
+	top := engine.NewTopN(proj, k, []engine.OrderSpec{
 		{Col: "score", Desc: true},
 		{Col: "docid", Desc: false},
-	}), nil
+	})
+	if baked && strat == BM25TCMQ8 && s.ix.maxima != nil {
+		if err := s.bindBounds(scans, infos, top.Floor()); err != nil {
+			return nil, err
+		}
+	}
+	return top, nil
 }
 
 // weight is term i's contribution to a ranked plan's score: the baked
@@ -559,7 +577,7 @@ func (s *segSearcher) weight(i int, ti TermInfo, strat Strategy, baked bool) eng
 }
 
 // drainTop executes a TopN plan and converts its output.
-func (s *segSearcher) drainTop(top engine.Operator, stats *QueryStats) ([]Result, error) {
+func (s *segSearcher) drainTop(top *engine.TopN, stats *QueryStats) ([]Result, error) {
 	var results []Result
 	err := engine.Drain(top, s.ctx, func(b *vector.Batch) error {
 		di := top.Schema().MustIndex("docid")
@@ -581,8 +599,8 @@ func (s *segSearcher) drainTop(top engine.Operator, stats *QueryStats) ([]Result
 	}
 	recordOps(s.tr, top)
 	if stats != nil {
-		// Tuples that reached TopN = candidates scored.
-		stats.Candidates += top.Stats().Tuples
+		// The tuples TopN's input delivered are the candidates scored.
+		stats.Candidates += top.Children()[0].Stats().Tuples
 	}
 	return results, nil
 }

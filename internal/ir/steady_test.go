@@ -11,11 +11,14 @@ import (
 // segmentedSnapshot is the live index's shape: a large seed segment and
 // three small appended ones, the first three virtual (their baked scores
 // predate the last append, so materialized strategies score them at query
-// time from tf and document lengths fetched from the document table).
+// time from tf and document lengths fetched from the document table). The
+// last is baked at the whole collection's statistics, as the append that
+// made it would have.
 func segmentedSnapshot(tb testing.TB, c *corpus.Collection) *Snapshot {
 	tb.Helper()
 	n := len(c.DocLens)
 	cuts := []int{0, n * 7 / 10, n * 8 / 10, n * 9 / 10, n}
+	stats := CollectionStats(c)
 	var segs []*Index
 	for i := 0; i+1 < len(cuts); i++ {
 		batch, err := c.Slice(cuts[i], cuts[i+1])
@@ -25,6 +28,9 @@ func segmentedSnapshot(tb testing.TB, c *corpus.Collection) *Snapshot {
 		bc := DefaultBuildConfig()
 		bc.DocIDBase = int64(cuts[i])
 		bc.TablePrefix = fmt.Sprintf("seg%d/", i)
+		if i+2 == len(cuts) {
+			bc.Stats = stats
+		}
 		ix, err := Build(batch, bc)
 		if err != nil {
 			tb.Fatal(err)
@@ -35,7 +41,6 @@ func segmentedSnapshot(tb testing.TB, c *corpus.Collection) *Snapshot {
 	for _, l := range c.DocLens {
 		lenSum += int64(l)
 	}
-	stats := CollectionStats(c)
 	snap, err := NewSnapshot(segs, SnapshotConfig{
 		Virtual:    []bool{true, true, true, false},
 		MergeStats: true,

@@ -464,11 +464,9 @@ func (e *Engine) SearchBool(ctx context.Context, expr BoolExpr, k int) ([]Result
 	if ctx == nil {
 		ctx = context.Background()
 	}
-	if k == 0 {
-		k = DefaultK
-	}
-	if k < 0 {
-		return nil, QueryStats{}, fmt.Errorf("repro: search request k=%d", k)
+	k, err := serving.ResolveK(k)
+	if err != nil {
+		return nil, QueryStats{}, err
 	}
 	g, err := e.core.Acquire()
 	if err != nil {
@@ -485,11 +483,9 @@ func (e *Engine) ExplainPlan(ctx context.Context, terms []string, k int, strat S
 	if ctx == nil {
 		ctx = context.Background()
 	}
-	if k == 0 {
-		k = DefaultK
-	}
-	if k < 0 {
-		return "", fmt.Errorf("repro: search request k=%d", k)
+	k, err := serving.ResolveK(k)
+	if err != nil {
+		return "", err
 	}
 	g, err := e.core.Acquire()
 	if err != nil {

@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -13,6 +14,7 @@ import (
 	"repro/internal/metrics"
 	"repro/internal/obs"
 	"repro/internal/qos"
+	"repro/internal/serving"
 	"repro/internal/trace"
 )
 
@@ -669,8 +671,16 @@ func (b *Broker) SearchMany(ctx context.Context, reqs []Request) ([]BatchResult,
 			tm.Trace = root
 		}
 	}
+	// K is resolved before fan-out: each server would turn K = 0 into
+	// DefaultK alike, but the merge cuts the union of their lists to K. A
+	// negative K goes out as it came, for every server to refuse.
+	reqs = slices.Clone(reqs)
 	wreq := wireRequest{Queries: make([]wireQuery, len(reqs))}
-	for i, r := range reqs {
+	for i := range reqs {
+		r := &reqs[i]
+		if k, err := serving.ResolveK(r.K); err == nil {
+			r.K = k
+		}
 		wreq.Queries[i] = wireQuery{Terms: r.Terms, K: r.K, Strategy: int(r.Strategy)}
 	}
 	if t != nil {

@@ -22,6 +22,16 @@
 // prunes by max score (§5): its scans skip the 128-row posting strides
 // whose best quantized score cannot enter the top-k.
 //
+// # Building
+//
+// IndexWriter is the one build path and the only place a build computes
+// Okapi weights; Build streams a corpus.Collection through it in term-id
+// order, the segmented merge streams existing segments in ascending term
+// order. TD rows are grouped by term, docids ascending within each. A
+// BuildConfig.Stats override must carry every indexed term's document
+// frequency, and its score bounds are a floor and a ceiling that the build
+// widens by the weights it computes.
+//
 // # Segments and snapshots
 //
 // Search runs over a Snapshot: an ordered set of one or more immutable

@@ -98,24 +98,25 @@ type GlobalStats struct {
 	ScoreLo, ScoreHi float64
 }
 
+// OkapiParams returns the BM25 parameters for a collection of numDocs
+// documents of mean length avgDocLen, with the Okapi constants k1 = 1.2
+// and b = 0.75: the one declaration of the constants every baked weight,
+// quantization bound and query-time kernel uses.
+func OkapiParams(numDocs, avgDocLen float64) primitives.BM25Params {
+	return primitives.BM25Params{K1: 1.2, B: 0.75, NumDocs: numDocs, AvgDocLn: avgDocLen}
+}
+
 // CollectionStats extracts the global statistics of a collection, for
-// distribution to partition indexes. It computes the global score bounds
-// with the same Okapi constants Build uses.
+// distribution to partition indexes, including the collection-wide score
+// bounds every partition quantizes against.
 func CollectionStats(c *corpus.Collection) *GlobalStats {
-	st := &GlobalStats{
-		NumDocs:   float64(len(c.DocLens)),
-		AvgDocLen: c.AvgDocLen(),
-		Ftd:       make(map[string]int),
-	}
-	params := primitives.BM25Params{
-		K1: 1.2, B: 0.75, NumDocs: st.NumDocs, AvgDocLn: st.AvgDocLen,
-	}
+	st := localStats(c)
+	params := OkapiParams(st.NumDocs, st.AvgDocLen)
 	lo, hi := math.Inf(1), math.Inf(-1)
-	for termID, list := range c.Postings {
+	for _, list := range c.Postings {
 		if len(list) == 0 {
 			continue
 		}
-		st.Ftd[c.TermStrings[termID]] = len(list)
 		idf := params.IDF(float64(len(list)))
 		for _, p := range list {
 			w := params.WeightIDF(idf, float64(p.TF), float64(c.DocLens[p.DocID]))
@@ -130,6 +131,22 @@ func CollectionStats(c *corpus.Collection) *GlobalStats {
 	if lo <= hi {
 		st.HasScoreBounds = true
 		st.ScoreLo, st.ScoreHi = lo, hi
+	}
+	return st
+}
+
+// localStats is a collection's own statistics without score bounds: what
+// Build scores against when the caller gives none.
+func localStats(c *corpus.Collection) *GlobalStats {
+	st := &GlobalStats{
+		NumDocs:   float64(len(c.DocLens)),
+		AvgDocLen: c.AvgDocLen(),
+		Ftd:       make(map[string]int),
+	}
+	for termID, list := range c.Postings {
+		if len(list) > 0 {
+			st.Ftd[c.TermStrings[termID]] = len(list)
+		}
 	}
 	return st
 }
@@ -177,99 +194,59 @@ type Index struct {
 	cfg BuildConfig
 }
 
-// Build constructs an index from a generated collection.
+// Build constructs an index from a collection by streaming its non-empty
+// posting lists through an IndexWriter in term-id order: a generated
+// collection numbers its terms by frequency rank, which keeps the frequent
+// terms' rows together. Scores use bc.Stats when set — every term must
+// then be in Stats.Ftd — and the collection's own statistics otherwise;
+// Config().Stats stays what the caller passed.
 func Build(c *corpus.Collection, bc BuildConfig) (*Index, error) {
-	if bc.Materialized && !bc.Compressed {
-		return nil, fmt.Errorf("ir: materialized scores require the compressed docid column")
+	st := bc.Stats
+	if st == nil {
+		st = localStats(c)
 	}
-	store := colbm.NewSimDisk(bc.Disk)
-	cache := colbm.NewManager(bc.PoolBytes)
-
-	numDocs := len(c.DocLens)
-	params := primitives.BM25Params{
-		K1:       1.2,
-		B:        0.75,
-		NumDocs:  float64(numDocs),
-		AvgDocLn: c.AvgDocLen(),
+	w, err := newIndexWriter(bc, st, len(c.DocLens), c.NumPostings())
+	if err != nil {
+		return nil, err
 	}
-	if bc.Stats != nil {
-		params.NumDocs = bc.Stats.NumDocs
-		params.AvgDocLn = bc.Stats.AvgDocLen
+	if err := w.AddDocLens(c.DocLens); err != nil {
+		return nil, err
 	}
-
-	// Flatten postings in term order; rows arrive already sorted on
-	// (term, docid) because corpus posting lists are docid-ordered.
-	total := c.NumPostings()
-	docids := make([]int64, 0, total)
-	tfs := make([]int64, 0, total)
-	terms := make(map[string]TermInfo, len(c.Postings))
-	order := make([]string, 0, len(c.Postings))
-	var scores []float64
-	if bc.Materialized || bc.Quantized {
-		scores = make([]float64, 0, total)
+	if err := w.AddDocNames(c.DocNames); err != nil {
+		return nil, err
 	}
-	lo, hi := math.Inf(1), math.Inf(-1)
-	for termID, list := range c.Postings {
+	docids, tfs := make([]int64, vector.DefaultSize), make([]int64, vector.DefaultSize)
+	for id, list := range c.Postings {
 		if len(list) == 0 {
 			continue
 		}
-		start := len(docids)
-		// The global document frequency drives idf; under a stats
-		// override the local list length remains the range width but the
-		// scoring ftd comes from the global map.
-		ftdInt := len(list)
-		if bc.Stats != nil {
-			if g, ok := bc.Stats.Ftd[c.TermStrings[termID]]; ok {
-				ftdInt = g
+		if err := w.BeginTerm(c.TermStrings[id]); err != nil {
+			return nil, err
+		}
+		for len(list) > 0 {
+			n := min(len(list), len(docids))
+			for i, p := range list[:n] {
+				docids[i], tfs[i] = p.DocID, p.TF
 			}
-		}
-		idf := params.IDF(float64(ftdInt))
-		maxScore := 0.0
-		for _, p := range list {
-			docids = append(docids, p.DocID+bc.DocIDBase)
-			tfs = append(tfs, p.TF)
-			if scores != nil {
-				w := params.WeightIDF(idf, float64(p.TF), float64(c.DocLens[p.DocID]))
-				scores = append(scores, w)
-				if w < lo {
-					lo = w
-				}
-				if w > hi {
-					hi = w
-				}
-				if w > maxScore {
-					maxScore = w
-				}
+			if err := w.Postings(docids[:n], tfs[:n]); err != nil {
+				return nil, err
 			}
+			list = list[n:]
 		}
-		terms[c.TermStrings[termID]] = TermInfo{
-			Start: start, End: len(docids), Ftd: ftdInt, MaxScore: maxScore,
-		}
-		order = append(order, c.TermStrings[termID])
 	}
-	if scores == nil {
-		lo, hi = 0, 1
-	}
-	if bc.Stats != nil && bc.Stats.HasScoreBounds {
-		// Partition builds quantize against the collection-wide bounds so
-		// quantized scores are comparable across servers (§3.4).
-		lo, hi = bc.Stats.ScoreLo, bc.Stats.ScoreHi
-	}
-	return assembleIndex(bc, store, cache, params, terms, order, docids, tfs, scores, lo, hi, c.DocLens, c.DocNames)
+	return w.Finish()
 }
 
-// assembleIndex encodes fully flattened posting rows into the physical TD
-// and D tables — the shared tail of Build (which flattens from a
-// Collection) and IndexWriter.Finish (which accumulated the rows
-// streamingly); order lists the terms in posting row order. Both docid
-// columns alias the same flattened slice; the builder encodes
+// assemble encodes the writer's flattened posting rows into the physical
+// TD and D tables, quantizing against [lo, hi] — the tail of Finish. Both
+// docid columns alias the same flattened slice; the builder encodes
 // chunk-at-a-time, so this is the only place the whole run exists as Go
 // slices, and the one place term skylines are computed (for quantized
 // layouts, whose bounds they serve).
-func assembleIndex(bc BuildConfig, store colbm.BlockStore, cache colbm.ChunkCache,
-	params primitives.BM25Params, terms map[string]TermInfo, order []string,
-	docids, tfs []int64, scores []float64, lo, hi float64,
-	docLens []int64, docNames []string) (*Index, error) {
+func (w *IndexWriter) assemble(lo, hi float64) (*Index, error) {
+	bc, docids, tfs, scores, docLens := w.bc, w.docids, w.tfs, w.scores, w.docLens
+	store := colbm.NewSimDisk(bc.Disk)
+	cache := colbm.NewManager(bc.PoolBytes)
 	// TD table.
 	var tdSpecs []colbm.ColumnSpec
 	if bc.Uncompressed {
@@ -326,7 +303,7 @@ func assembleIndex(bc BuildConfig, store colbm.BlockStore, cache colbm.ChunkCach
 	}
 	db.SetInt64("docid", dense)
 	db.SetInt64("len", docLens)
-	for _, n := range docNames {
+	for _, n := range w.docNames {
 		db.AppendStr("name", n)
 	}
 	d, err := db.Build()
@@ -337,8 +314,8 @@ func assembleIndex(bc BuildConfig, store colbm.BlockStore, cache colbm.ChunkCach
 	ix := &Index{
 		TD:      td,
 		D:       d,
-		Terms:   terms,
-		Params:  params,
+		Terms:   w.terms,
+		Params:  w.params,
 		ScoreLo: lo,
 		ScoreHi: hi,
 		Store:   store,
@@ -347,7 +324,7 @@ func assembleIndex(bc BuildConfig, store colbm.BlockStore, cache colbm.ChunkCach
 		cfg:     bc,
 	}
 	if bc.Quantized {
-		ix.Skylines = buildSkylines(order, terms, docids, tfs, docLens, bc.DocIDBase)
+		ix.Skylines = buildSkylines(w.order, w.terms, docids, tfs, docLens, bc.DocIDBase)
 	}
 	return ix, nil
 }

@@ -4,31 +4,37 @@ import (
 	"fmt"
 	"math"
 
-	"repro/internal/colbm"
 	"repro/internal/primitives"
 )
 
-// IndexWriter builds an index incrementally, for callers that stream rows
-// out of existing storage instead of holding a corpus.Collection: the
-// segmented merge feeds it one input segment's postings at a time, so the
-// run is never materialized as per-term Posting slices. The writer holds
-// exactly the flattened row arrays the physical tables encode from —
-// pre-sized once from the declared totals, so peak memory is the final
-// row footprint with no intermediate copies and no append regrowth.
+// IndexWriter is the one code path that turns postings into an index and
+// the one place a build computes Okapi weights. Build streams a
+// corpus.Collection through it; the segmented merge, split and absorb feed
+// it one input segment's postings at a time, so their run is never
+// materialized as per-term Posting slices. The writer holds exactly the
+// flattened row arrays the physical tables encode from — pre-sized once
+// from the declared totals, so peak memory is the final row footprint with
+// no intermediate copies and no append regrowth.
 //
 // Protocol: add every document (AddDocLens, then AddDocNames, both in
-// merged-local docid order) before the first BeginTerm — scoring reads
-// document lengths by local docid as postings arrive. Then, per term in
-// ascending term order: BeginTerm(t) followed by any number of Postings
-// calls carrying local docids ascending across the term. Finish seals the
-// last term and encodes the tables.
+// local docid order) before the first BeginTerm — scoring reads document
+// lengths by local docid as postings arrive. Then, once per term:
+// BeginTerm(t) followed by any number of Postings calls carrying local
+// docids ascending across the term. The TD rows hold the terms in the
+// order they arrive; the merge streams them ascending, Build in the
+// collection's term-id order. Finish seals the last term and encodes the
+// tables.
 //
-// Statistics are mandatory (bc.Stats non-nil): a streaming caller is by
-// definition rebuilding part of a larger collection, and every term's
-// global document frequency must be present in Stats.Ftd — the writer
-// cannot fall back to list lengths it never sees whole.
+// Statistics are mandatory (bc.Stats non-nil; Build alone resolves a nil
+// one to the collection's own): a streaming caller is by definition
+// rebuilding part of a larger collection, and every term's global document
+// frequency must be present in Stats.Ftd — the writer refuses a term it is
+// missing rather than fall back to a list length it never sees whole.
+// Stats' score bounds, when present, are a floor and a ceiling: the index
+// quantizes against them widened by the weights the writer computes.
 type IndexWriter struct {
 	bc     BuildConfig
+	stats  *GlobalStats
 	params primitives.BM25Params
 
 	numDocs     int
@@ -59,22 +65,25 @@ type IndexWriter struct {
 // contract, not a hint: the writer allocates its row arrays once from
 // them and rejects rows beyond either bound.
 func NewIndexWriter(bc BuildConfig, numDocs, numPostings int) (*IndexWriter, error) {
-	if bc.Materialized && !bc.Compressed {
-		return nil, fmt.Errorf("ir: materialized scores require the compressed docid column")
-	}
 	if bc.Stats == nil {
 		return nil, fmt.Errorf("ir: streaming builds need a global statistics override (Stats is nil)")
 	}
 	if numDocs <= 0 || numPostings <= 0 {
 		return nil, fmt.Errorf("ir: streaming build of %d documents / %d postings", numDocs, numPostings)
 	}
+	return newIndexWriter(bc, bc.Stats, numDocs, numPostings)
+}
+
+// newIndexWriter is NewIndexWriter scoring against st, which may differ
+// from bc.Stats (Build resolves a nil one), for any non-negative counts.
+func newIndexWriter(bc BuildConfig, st *GlobalStats, numDocs, numPostings int) (*IndexWriter, error) {
+	if bc.Materialized && !bc.Compressed {
+		return nil, fmt.Errorf("ir: materialized scores require the compressed docid column")
+	}
 	w := &IndexWriter{
-		bc: bc,
-		params: primitives.BM25Params{
-			K1: 1.2, B: 0.75,
-			NumDocs:  bc.Stats.NumDocs,
-			AvgDocLn: bc.Stats.AvgDocLen,
-		},
+		bc:          bc,
+		stats:       st,
+		params:      OkapiParams(st.NumDocs, st.AvgDocLen),
 		numDocs:     numDocs,
 		numPostings: numPostings,
 		docLens:     make([]int64, 0, numDocs),
@@ -113,19 +122,16 @@ func (w *IndexWriter) AddDocNames(names []string) error {
 }
 
 // BeginTerm seals the posting list in progress and opens the next term's.
-// Terms must arrive in strictly ascending order — the TD table is sorted
-// on (term, docid) and the writer never re-sorts.
+// Each term arrives once; the TD table holds the terms in the order they
+// arrive, and the writer never re-sorts.
 func (w *IndexWriter) BeginTerm(term string) error {
 	if len(w.docLens) != w.numDocs {
 		return fmt.Errorf("ir: BeginTerm with %d of %d document lengths added", len(w.docLens), w.numDocs)
 	}
-	if w.open && term <= w.term {
-		return fmt.Errorf("ir: term %q does not follow %q in sorted order", term, w.term)
-	}
-	if _, dup := w.terms[term]; dup {
+	if _, dup := w.terms[term]; dup || w.open && term == w.term {
 		return fmt.Errorf("ir: term %q streamed twice", term)
 	}
-	ftd, ok := w.bc.Stats.Ftd[term]
+	ftd, ok := w.stats.Ftd[term]
 	if !ok {
 		return fmt.Errorf("ir: term %q missing from the global document-frequency map", term)
 	}
@@ -146,9 +152,9 @@ func (w *IndexWriter) sealTerm() {
 
 // Postings appends rows to the open term's list: parallel local docids
 // (the writer adds DocIDBase) and term frequencies. Scores — when the
-// layout materializes or quantizes them — are computed here against the
-// global statistics, folding into the running bounds and the term's
-// MaxScore exactly as the batch build does.
+// layout materializes or quantizes them — are computed here, and only
+// here, against the global statistics, folding into the running bounds and
+// the term's MaxScore.
 func (w *IndexWriter) Postings(docids, tfs []int64) error {
 	if !w.open {
 		return fmt.Errorf("ir: Postings before BeginTerm")
@@ -184,7 +190,9 @@ func (w *IndexWriter) Postings(docids, tfs []int64) error {
 
 // Finish seals the last term and encodes the physical tables, returning
 // the built index. The declared document and posting totals must have
-// been reached exactly.
+// been reached exactly. The quantization bounds are the computed weights'
+// min and max widened by Stats' bounds; a layout that scores nothing and
+// has no Stats bounds gets [0, 1].
 func (w *IndexWriter) Finish() (*Index, error) {
 	w.sealTerm()
 	if len(w.docLens) != w.numDocs || len(w.docNames) != w.numDocs {
@@ -195,14 +203,10 @@ func (w *IndexWriter) Finish() (*Index, error) {
 		return nil, fmt.Errorf("ir: finished with %d of %d declared postings", len(w.docids), w.numPostings)
 	}
 	lo, hi := w.lo, w.hi
-	if w.scores == nil {
+	if w.stats.HasScoreBounds {
+		lo, hi = min(lo, w.stats.ScoreLo), max(hi, w.stats.ScoreHi)
+	} else if w.scores == nil {
 		lo, hi = 0, 1
 	}
-	if w.bc.Stats.HasScoreBounds {
-		lo, hi = w.bc.Stats.ScoreLo, w.bc.Stats.ScoreHi
-	}
-	store := colbm.NewSimDisk(w.bc.Disk)
-	cache := colbm.NewManager(w.bc.PoolBytes)
-	return assembleIndex(w.bc, store, cache, w.params, w.terms, w.order,
-		w.docids, w.tfs, w.scores, lo, hi, w.docLens, w.docNames)
+	return w.assemble(lo, hi)
 }

@@ -19,6 +19,18 @@ import (
 // the first page).
 const DefaultK = 20
 
+// ResolveK resolves a requested result depth: zero means DefaultK, and a
+// negative k is an error.
+func ResolveK(k int) (int, error) {
+	if k == 0 {
+		return DefaultK, nil
+	}
+	if k < 0 {
+		return 0, fmt.Errorf("repro: search request k=%d", k)
+	}
+	return k, nil
+}
+
 // Request is one keyword query.
 type Request struct {
 	// Terms are the query keywords. At least one is required.
@@ -223,12 +235,9 @@ func (g *Gen) validate(req Request) (int, ir.Strategy, error) {
 	if len(req.Terms) == 0 {
 		return 0, 0, errors.New("repro: search request has no terms")
 	}
-	k := req.K
-	if k == 0 {
-		k = DefaultK
-	}
-	if k < 0 {
-		return 0, 0, fmt.Errorf("repro: search request k=%d", k)
+	k, err := ResolveK(req.K)
+	if err != nil {
+		return 0, 0, err
 	}
 	strat, err := g.snap.Resolve(req.Strategy)
 	if err != nil {

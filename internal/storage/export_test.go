@@ -1,11 +1,13 @@
 package storage
 
 import (
+	"math"
 	"os"
 	"path/filepath"
 	"strings"
 	"testing"
 
+	"repro/internal/corpus"
 	"repro/internal/engine"
 )
 
@@ -37,4 +39,31 @@ func MemoEntries(dir string) int {
 		}
 	}
 	return n
+}
+
+// scoreBounds is segmentBounds with an un-indexed batch folded in under the
+// same statistics: the whole collection's bounds, which
+// TestSkylineBoundsMatchScan compares with a fold over every posting.
+func (st *mergedStats) scoreBounds(quantized bool, batch *corpus.Collection) (bounds, error) {
+	b, err := st.segmentBounds(quantized)
+	if err != nil || !quantized {
+		return b, err
+	}
+	lo, hi := math.Inf(1), math.Inf(-1)
+	if b.ok {
+		lo, hi = b.lo, b.hi
+	}
+	for termID, list := range batch.Postings {
+		if len(list) == 0 {
+			continue
+		}
+		idf := st.params.IDF(float64(st.df[st.slot[batch.TermStrings[termID]]]))
+		for _, p := range list {
+			foldBounds(st.params.WeightIDF(idf, float64(p.TF), float64(batch.DocLens[p.DocID])), &lo, &hi)
+		}
+	}
+	if lo > hi {
+		return bounds{}, nil
+	}
+	return bounds{true, lo, hi}, nil
 }

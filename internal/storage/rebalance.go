@@ -165,7 +165,7 @@ func (sm *SegmentsManifest) reshaped(dir string) error {
 	if err != nil {
 		return err
 	}
-	b, err := st.scoreBounds(st.segs[0].m.Config.Quantized, nil)
+	b, err := st.segmentBounds(st.segs[0].m.Config.Quantized)
 	if err != nil {
 		return err
 	}
@@ -268,7 +268,7 @@ func PrepareAbsorb(dstDir, srcDir string, cancel func() bool) (*AbsorbPrep, erro
 		// were baked against the collection's, coordinated outside both
 		// directories, and the absorbed segment keeps those.
 		bc.Stats, err = externalStats(dstDir, srcDir, st.segs, src)
-	} else if b, err = st.scoreBounds(bc.Quantized, nil); err == nil {
+	} else if b, err = st.segmentBounds(bc.Quantized); err == nil {
 		bc.Stats = st.globalStats(b)
 	}
 	if err != nil {

@@ -326,9 +326,10 @@ func compatibleLayout(cfg ir.BuildConfig, m *Manifest) error {
 // bounds, and previously baked segments — now one epoch behind — serve
 // materialized strategies through the query-time kernels until a merge
 // re-bakes them. Cost is O(batch) to index plus, for quantized layouts,
-// O(Σ skyline points) to re-derive the exact collection-wide score bounds
-// from the existing segments' term skylines (scoreBounds; a term without
-// a skyline is read from its segment's columns instead).
+// O(Σ skyline points) to re-derive the existing segments' exact score
+// bounds from their term skylines (segmentBounds; a term without a skyline
+// is read from its segment's columns instead), which the batch's build
+// widens by its own weights.
 //
 // Commits are read-modify-write on SEGMENTS.json, guarded two ways: the
 // engine serializes its own appends/merges in process, and the on-disk
@@ -368,7 +369,7 @@ func AppendSegment(dir string, batch *corpus.Collection, cfg ir.BuildConfig) (ui
 			return 0, err
 		}
 	}
-	b, err := st.scoreBounds(cfg.Quantized, batch)
+	existing, err := st.segmentBounds(cfg.Quantized)
 	if err != nil {
 		return 0, err
 	}
@@ -379,7 +380,7 @@ func AppendSegment(dir string, batch *corpus.Collection, cfg ir.BuildConfig) (ui
 	}
 	segDir := filepath.Join(dir, name)
 	bc := cfg
-	bc.Stats = st.globalStats(b)
+	bc.Stats = st.globalStats(existing)
 	bc.DocIDBase = sm.nextDocID()
 	ix, err := ir.Build(batch, bc)
 	if err == nil {
@@ -388,6 +389,12 @@ func AppendSegment(dir string, batch *corpus.Collection, cfg ir.BuildConfig) (ui
 	if err != nil {
 		os.RemoveAll(segDir)
 		return 0, err
+	}
+	// The build widened the existing segments' bounds by the batch's own
+	// weights: its bounds are the whole collection's.
+	var b bounds
+	if cfg.Quantized && ix.ScoreLo <= ix.ScoreHi {
+		b = bounds{true, ix.ScoreLo, ix.ScoreHi}
 	}
 
 	var batchLen int64

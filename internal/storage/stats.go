@@ -10,12 +10,6 @@ import (
 	"repro/internal/vector"
 )
 
-// Okapi constants, identical to the ones ir.Build bakes in.
-const (
-	okapiK1 = 1.2
-	okapiB  = 0.75
-)
-
 // mergedStats recomputes the collection-wide statistics over existing
 // segment manifests — of one directory or several — plus an optional
 // un-indexed batch: exact integer document and length totals, and global
@@ -112,11 +106,7 @@ func (st *mergedStats) addSegments(dir string, segs []SegmentEntry) error {
 
 // setParams derives the BM25 parameters from the folded totals.
 func (st *mergedStats) setParams() {
-	st.params = primitives.BM25Params{
-		K1: okapiK1, B: okapiB,
-		NumDocs:  float64(st.numDocs),
-		AvgDocLn: float64(st.lenSum) / float64(st.numDocs),
-	}
+	st.params = ir.OkapiParams(float64(st.numDocs), float64(st.lenSum)/float64(st.numDocs))
 }
 
 // scanInt64Column reads an Int64 column sequentially in vector-sized
@@ -220,17 +210,17 @@ type bounds struct {
 	lo, hi float64
 }
 
-// scoreBounds returns the exact Global-By-Value bounds of the folded
-// segments plus batch (when not nil) under the merged statistics — what a
-// whole-collection build would compute — or none unless the layout is
-// quantized. A term with a skyline in its
-// segment's manifest costs its skyline points, which include the postings
-// of its extreme weights (ir.Skyline); the terms without one — over
-// ir.SkylineCap, or in a manifest written before skylines — are read from
-// the segment's tf and docid columns and its document lengths
-// (scanScoreBounds), and the batch is read whole. Either way the result is
-// the same, bit for bit.
-func (st *mergedStats) scoreBounds(quantized bool, batch *corpus.Collection) (bounds, error) {
+// segmentBounds returns the exact Global-By-Value bounds of the folded
+// segments under the merged statistics — what a build of their postings
+// would compute — or none unless the layout is quantized. A term with a
+// skyline in its segment's manifest costs its skyline points, which
+// include the postings of its extreme weights (ir.Skyline); the terms
+// without one — over ir.SkylineCap, or in a manifest written before
+// skylines — are read from the segment's tf and docid columns and its
+// document lengths (scanScoreBounds). Either way the result is the same,
+// bit for bit. An append's batch is not folded here: its build widens
+// these bounds by the weights it computes (ir.IndexWriter).
+func (st *mergedStats) segmentBounds(quantized bool) (bounds, error) {
 	if !quantized {
 		return bounds{}, nil
 	}
@@ -260,17 +250,6 @@ func (st *mergedStats) scoreBounds(quantized bool, batch *corpus.Collection) (bo
 		if len(scan) > 0 {
 			if err := st.scanScoreBounds(s, scan, idf, &lo, &hi); err != nil {
 				return bounds{}, err
-			}
-		}
-	}
-	if batch != nil {
-		for termID, list := range batch.Postings {
-			if len(list) == 0 {
-				continue
-			}
-			termIDF := idf[st.slot[batch.TermStrings[termID]]]
-			for _, p := range list {
-				foldBounds(st.params.WeightIDF(termIDF, float64(p.TF), float64(batch.DocLens[p.DocID])), &lo, &hi)
 			}
 		}
 	}

@@ -126,8 +126,9 @@ func WriteSegmentFileChunk(dir, seg, file string, off int64, data []byte) error 
 // monotonic: a directory already at or past the shipped generation is
 // left untouched (a re-shipped install hits this), and every segment the
 // manifest references must already be fully present — ship the files
-// first. Returns the directory's generation
-// after the call (the shipped one, or the newer one already installed).
+// first. Its manifest decodes stay parked for the open that follows. It
+// returns the directory's generation after the call (the shipped one, or
+// the newer one already installed).
 func InstallManifest(dir string, manifest []byte) (uint64, error) {
 	sm, err := decodeSegments(dir, manifest)
 	if err != nil {
@@ -136,16 +137,18 @@ func InstallManifest(dir string, manifest []byte) (uint64, error) {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return 0, fmt.Errorf("storage: %w", err)
 	}
-	return commitSegments(dir, func(cur *SegmentsManifest) ([]byte, error) {
+	var held []func()
+	gen, err := commitSegments(dir, func(cur *SegmentsManifest) ([]byte, error) {
 		if cur != nil && cur.Generation >= sm.Generation {
 			return nil, nil
 		}
 		for _, e := range sm.Segments {
-			m, err := readManifest(dir, e.Name)
+			m, release, err := acquireManifest(dir, e.Name)
 			if err != nil {
 				return nil, fmt.Errorf("storage: install of generation %d references segment %q not present in %q (ship its files first): %w",
 					sm.Generation, e.Name, dir, err)
 			}
+			held = append(held, release)
 			// Size-check every column file now: a truncated ship must fail
 			// the install, not the first query paging the chunk in.
 			if err := verifyIndexFiles(filepath.Join(dir, e.Name), m); err != nil {
@@ -154,6 +157,13 @@ func InstallManifest(dir string, manifest []byte) (uint64, error) {
 		}
 		return manifest, nil
 	})
+	if held != nil { // a no-op install leaves an earlier one's decodes parked
+		memo.park(dir, held)
+	}
+	if err != nil {
+		memo.park(dir, nil) // a failed install keeps nothing
+	}
+	return gen, err
 }
 
 // ManifestSegNames decodes committed manifest bytes (as shipped on the

@@ -125,13 +125,15 @@ func loadManifest(dir, seg string, hold bool) (*Manifest, func(), error) {
 // directory: decoding a term dictionary costs O(vocabulary), and every
 // append, merge and refresh reads every segment's manifest. An entry lives
 // exactly as long as some open segment references it (openSegment's store
-// releases it on Close); reads that open nothing use it only while it is
-// live. A hit needs byte-identical content, so a rewritten, recreated or
+// releases it on Close) or an install has parked it for the open that
+// follows (park); reads that open nothing use it only while it is live. A
+// hit needs byte-identical content, so a rewritten, recreated or
 // shipped-over segment is decoded — and validated — afresh, and a decode
 // error is never kept.
 type manifestMemo struct {
 	mu      sync.Mutex
 	entries map[string]*memoEntry // keyed by segment directory path
+	parked  map[string][]func()   // keyed by index directory path
 }
 
 type memoEntry struct {
@@ -145,7 +147,21 @@ func (e *memoEntry) decodedFrom(seg string, data []byte) bool {
 	return e != nil && e.seg == seg && bytes.Equal(e.raw, data)
 }
 
-var memo = manifestMemo{entries: make(map[string]*memoEntry)}
+var memo = manifestMemo{entries: make(map[string]*memoEntry), parked: make(map[string][]func())}
+
+// park keeps refs, references an install took on the manifests of dir's
+// segments, until dir is next installed or opened, so that open reuses
+// the install's decodes; it releases whatever was parked for dir before.
+func (mm *manifestMemo) park(dir string, refs []func()) {
+	mm.mu.Lock()
+	if refs, mm.parked[dir] = mm.parked[dir], refs; mm.parked[dir] == nil {
+		delete(mm.parked, dir)
+	}
+	mm.mu.Unlock()
+	for _, release := range refs {
+		release()
+	}
+}
 
 // find returns segDir's entry if it was decoded from exactly data as
 // segment seg, taking a reference on it when hold is set.

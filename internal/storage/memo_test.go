@@ -290,3 +290,47 @@ func TestManifestMemoConcurrentUse(t *testing.T) {
 		t.Errorf("%d manifests memoized after every segment closed, want 0", n)
 	}
 }
+
+// TestInstallDecodesReusedByOpen: bootstrapping a replica — install the
+// shipped manifest, then open the directory — decodes each segment manifest
+// once. The install parks its decodes for the open, a no-op re-install
+// leaves them parked, and the open takes them over, so closing it leaves
+// nothing memoized; a failed install parks nothing.
+func TestInstallDecodesReusedByOpen(t *testing.T) {
+	coll := segTestCollection(t)
+	src := filepath.Join(t.TempDir(), "src")
+	appendRanges(t, src, coll, 0, 400, 800)
+	manifest, err := os.ReadFile(segmentsPath(src))
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	empty := filepath.Join(t.TempDir(), "empty")
+	if _, err := InstallManifest(empty, manifest); err == nil {
+		t.Fatal("install with no segment files shipped succeeded")
+	}
+	if n := MemoEntries(empty); n != 0 {
+		t.Errorf("%d manifests memoized after a failed install, want 0", n)
+	}
+
+	dst := filepath.Join(t.TempDir(), "dst")
+	var snap *ir.Snapshot
+	got := decodesDuring(func() {
+		if err := CopyDir(src, dst); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := InstallManifest(dst, manifest); err != nil {
+			t.Fatal(err)
+		}
+		if snap, err = OpenSegmented(dst, colbm.NewManager(0)); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if got != 2 {
+		t.Errorf("install + re-install + open of 2 segments decoded %d manifests, want 2", got)
+	}
+	snap.Close()
+	if n := MemoEntries(dst); n != 0 {
+		t.Errorf("%d manifests memoized after the opened replica closed, want 0", n)
+	}
+}

@@ -440,6 +440,7 @@ func AppendSegment(dir string, batch *corpus.Collection, cfg ir.BuildConfig) (ui
 // unchanged segments stay warm and stale entries cannot alias. The
 // returned snapshot owns the segments' storage.
 func OpenSegmented(dir string, cache *colbm.Manager) (*ir.Snapshot, error) {
+	defer memo.park(dir, nil) // the segments opened below hold their own references
 	sm, err := ReadSegments(dir)
 	if err != nil {
 		return nil, err

@@ -44,11 +44,15 @@ func (e Encoding) String() string {
 	}
 }
 
-// DefaultChunkLen is the number of values per storage chunk. 128Ki values
-// at ~1-2 bytes per compressed value yields chunks in the hundreds of
-// kilobytes to megabyte range, matching the paper's "disk accesses in
-// blocks of several megabytes" granularity once a scan touches a few
-// columns.
+// DefaultChunkLen is the number of values per storage chunk of a column
+// whose spec leaves ChunkLen at 0. 128Ki values at ~1-2 bytes per
+// compressed value yields chunks in the hundreds of kilobytes to megabyte
+// range, matching the paper's "disk accesses in blocks of several
+// megabytes" granularity for a scan of the whole table. A column read a
+// range at a time (ir's posting columns, one posting list per scan) records
+// a smaller length in its spec. A persisted spec that records 0 was cut at
+// this length, so it must not change: OpenTable refuses chunks its spec
+// does not describe.
 const DefaultChunkLen = 128 * 1024
 
 // ColumnSpec describes one column of a stored table.
@@ -92,6 +96,20 @@ func (s *ColumnSpec) chunkLen() int {
 		return s.ChunkLen
 	}
 	return DefaultChunkLen
+}
+
+// check refuses a spec no column can be stored under: a type colbm does not
+// store, or a chunk length that is not a whole number of entry strides.
+func (s *ColumnSpec) check() error {
+	switch s.Type {
+	case vector.Int64, vector.Float64, vector.UInt8, vector.Str:
+	default:
+		return fmt.Errorf("colbm: column %q has unsupported type %v", s.Name, s.Type)
+	}
+	if n := s.chunkLen(); n%compress.EntryStride != 0 {
+		return fmt.Errorf("colbm: column %q chunk length %d not a multiple of %d", s.Name, n, compress.EntryStride)
+	}
+	return nil
 }
 
 type chunkMeta struct {

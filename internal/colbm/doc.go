@@ -29,9 +29,9 @@
 //
 // # Tables, columns, cursors
 //
-// A Table is a named set of stored columns sharing row count and chunk
-// length; Builder bulk-builds one, encoding each column per its
-// ColumnSpec (raw, fixed-32, PFOR, PFOR-DELTA, PDICT). Readers open a
+// A Table is a named set of stored columns sharing a row count, each cut
+// into chunks of its spec's length; Builder bulk-builds one, encoding each
+// column per its ColumnSpec (raw, fixed-32, PFOR, PFOR-DELTA, PDICT). Readers open a
 // Cursor per column: it claims compressed chunks from the ChunkCache and
 // decompresses on demand into the caller's vectors. Cursor.ReadOffset
 // additionally rebases docid-like columns, which is what lets a segment

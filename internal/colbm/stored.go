@@ -1,6 +1,9 @@
 package colbm
 
-import "fmt"
+import (
+	"fmt"
+	"math"
+)
 
 // ChunkInfo is the persistable form of one chunk's metadata: its byte
 // extent inside the column blob and the number of values it encodes.
@@ -56,35 +59,57 @@ func (t *Table) Stored() StoredTable {
 
 // OpenTable reassembles a table from persisted metadata over a block store
 // and chunk cache. No column data is read here: chunks load lazily through
-// cursors (and therefore through the cache) on first access.
+// cursors (and therefore through the cache) on first access. A cursor finds
+// row p in chunk p / chunkLen, so the metadata must lay the chunks out as
+// the Builder does: every chunk but the last holds exactly the spec's chunk
+// length of values, the last holds 1 to that many, and an empty column has
+// one empty chunk. Anything else is an error naming the column.
 func OpenTable(st StoredTable, store BlockStore, cache ChunkCache) (*Table, error) {
 	if store == nil || cache == nil {
 		return nil, fmt.Errorf("colbm: OpenTable(%q) needs a store and a cache", st.Name)
 	}
 	t := &Table{Name: st.Name, N: st.N, cols: map[string]*Column{}, store: store, cache: cache}
+	blobs := map[string]string{}
 	for _, sc := range st.Columns {
 		if sc.N != st.N {
 			return nil, fmt.Errorf("colbm: stored column %q has %d values, table %q has %d rows",
 				sc.Spec.Name, sc.N, st.Name, st.N)
 		}
+		if err := sc.Spec.check(); err != nil {
+			return nil, err
+		}
+		chunkLen := sc.Spec.chunkLen()
+		chunks := sc.N / chunkLen
+		if sc.N%chunkLen != 0 || sc.N == 0 {
+			chunks++
+		}
+		if sc.N < 0 || len(sc.Chunks) != chunks {
+			return nil, fmt.Errorf("colbm: stored column %q has %d chunks for %d values of %d per chunk",
+				sc.Spec.Name, len(sc.Chunks), sc.N, chunkLen)
+		}
 		col := &Column{Spec: sc.Spec, N: sc.N, blobName: sc.Blob, store: store, cache: cache}
-		values, off := 0, 0
-		for _, ch := range sc.Chunks {
-			if ch.Off != off || ch.Size < 0 || ch.N < 0 {
+		off := 0
+		for i, ch := range sc.Chunks {
+			if ch.Off != off || ch.Size < 0 || ch.Size > math.MaxInt-off {
 				return nil, fmt.Errorf("colbm: stored column %q has a non-contiguous chunk layout at offset %d",
 					sc.Spec.Name, ch.Off)
 			}
+			if want := min(chunkLen, sc.N-i*chunkLen); ch.N != want {
+				return nil, fmt.Errorf("colbm: stored column %q chunk %d holds %d values, want %d of %d per chunk",
+					sc.Spec.Name, i, ch.N, want, chunkLen)
+			}
 			col.chunks = append(col.chunks, chunkMeta{off: ch.Off, size: ch.Size, n: ch.N, key: ChunkKey(sc.Blob, len(col.chunks))})
-			values += ch.N
 			off += ch.Size
-		}
-		if values != sc.N {
-			return nil, fmt.Errorf("colbm: stored column %q chunks cover %d values, want %d",
-				sc.Spec.Name, values, sc.N)
 		}
 		if _, dup := t.cols[sc.Spec.Name]; dup {
 			return nil, fmt.Errorf("colbm: stored table %q has duplicate column %q", st.Name, sc.Spec.Name)
 		}
+		// Cache keys derive from the blob, so two columns over one blob would
+		// each hit chunks parsed for the other's type.
+		if other, dup := blobs[sc.Blob]; dup {
+			return nil, fmt.Errorf("colbm: stored column %q reads the blob %q of column %q", sc.Spec.Name, sc.Blob, other)
+		}
+		blobs[sc.Blob] = sc.Spec.Name
 		t.cols[sc.Spec.Name] = col
 	}
 	return t, nil

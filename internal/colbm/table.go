@@ -119,6 +119,9 @@ func (b *Builder) Build() (*Table, error) {
 	n := -1
 	for i := range b.specs {
 		spec := b.specs[i]
+		if err := spec.check(); err != nil {
+			return nil, err
+		}
 		var colN int
 		switch spec.Type {
 		case vector.Int64:
@@ -129,8 +132,6 @@ func (b *Builder) Build() (*Table, error) {
 			colN = len(b.u8[spec.Name])
 		case vector.Str:
 			colN = len(b.str[spec.Name])
-		default:
-			return nil, fmt.Errorf("colbm: column %q has unsupported type %v", spec.Name, spec.Type)
 		}
 		if n == -1 {
 			n = colN
@@ -152,9 +153,6 @@ func (b *Builder) Build() (*Table, error) {
 
 func (b *Builder) buildColumn(spec *ColumnSpec, n int) (*Column, error) {
 	chunkLen := spec.chunkLen()
-	if chunkLen%128 != 0 {
-		return nil, fmt.Errorf("colbm: column %q chunk length %d not a multiple of 128", spec.Name, chunkLen)
-	}
 	blobName := b.name + "." + spec.Name
 	col := &Column{
 		Spec:     *spec,

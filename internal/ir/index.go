@@ -29,11 +29,20 @@ const (
 	ColQScore  = "qscore"
 )
 
+// postingChunkLen is the values per storage chunk of every column but the
+// names when BuildConfig.ChunkLen is 0: 16 Ki values, 128 PFOR-DELTA entry
+// strides. A query does not scan TD end to end; each term is a range scan
+// over its own rows (the range index), and a bounded scan skips the strides
+// the top-k cannot reach. Chunks sized to a posting list rather than to a
+// table scan make a miss read about the term it serves, not 128 Ki rows
+// around it. D.docid and D.len are fetched by position, so they take the
+// same size.
+const postingChunkLen = 16 * 1024
+
 // nameChunkLen is the values per storage chunk of the document table's name
-// column. The posting columns are scanned, so they take colbm's large chunks;
-// names are read one at a time, after top-k (Index.DocName), so their chunk
-// is sized for a point lookup: a miss reads a page or two of the column, not
-// all of it.
+// column. Names are read one at a time, after top-k (Index.DocName), so
+// their chunk is sized for a point lookup: a miss reads a page or two of the
+// column, not all of it.
 const nameChunkLen = 256
 
 // TermInfo is the range-index entry for one term: its posting rows occupy
@@ -56,7 +65,7 @@ type BuildConfig struct {
 	Materialized bool // score column (requires Compressed for docidc)
 	Quantized    bool // qscore column
 
-	ChunkLen  int // values per storage chunk of every column but the names (nameChunkLen); 0 = colbm default
+	ChunkLen  int // values per storage chunk of every column but the names (nameChunkLen); 0 = postingChunkLen
 	PoolBytes int64
 	Disk      colbm.DiskParams
 
@@ -245,27 +254,31 @@ func Build(c *corpus.Collection, bc BuildConfig) (*Index, error) {
 // layouts, whose bounds they serve).
 func (w *IndexWriter) assemble(lo, hi float64) (*Index, error) {
 	bc, docids, tfs, scores, docLens := w.bc, w.docids, w.tfs, w.scores, w.docLens
+	chunkLen := bc.ChunkLen
+	if chunkLen == 0 {
+		chunkLen = postingChunkLen
+	}
 	store := colbm.NewSimDisk(bc.Disk)
 	cache := colbm.NewManager(bc.PoolBytes)
 	// TD table.
 	var tdSpecs []colbm.ColumnSpec
 	if bc.Uncompressed {
 		tdSpecs = append(tdSpecs,
-			colbm.ColumnSpec{Name: ColDocID32, Type: vector.Int64, Enc: colbm.EncFixed32, ChunkLen: bc.ChunkLen},
-			colbm.ColumnSpec{Name: ColTF32, Type: vector.Int64, Enc: colbm.EncFixed32, ChunkLen: bc.ChunkLen})
+			colbm.ColumnSpec{Name: ColDocID32, Type: vector.Int64, Enc: colbm.EncFixed32, ChunkLen: chunkLen},
+			colbm.ColumnSpec{Name: ColTF32, Type: vector.Int64, Enc: colbm.EncFixed32, ChunkLen: chunkLen})
 	}
 	if bc.Compressed {
 		tdSpecs = append(tdSpecs,
-			colbm.ColumnSpec{Name: ColDocIDC, Type: vector.Int64, Enc: colbm.EncPFORDelta, Bits: 8, ChunkLen: bc.ChunkLen},
-			colbm.ColumnSpec{Name: ColTFC, Type: vector.Int64, Enc: colbm.EncPFOR, Bits: 8, ChunkLen: bc.ChunkLen})
+			colbm.ColumnSpec{Name: ColDocIDC, Type: vector.Int64, Enc: colbm.EncPFORDelta, Bits: 8, ChunkLen: chunkLen},
+			colbm.ColumnSpec{Name: ColTFC, Type: vector.Int64, Enc: colbm.EncPFOR, Bits: 8, ChunkLen: chunkLen})
 	}
 	if bc.Materialized {
 		tdSpecs = append(tdSpecs,
-			colbm.ColumnSpec{Name: ColScore, Type: vector.Float64, ChunkLen: bc.ChunkLen})
+			colbm.ColumnSpec{Name: ColScore, Type: vector.Float64, ChunkLen: chunkLen})
 	}
 	if bc.Quantized {
 		tdSpecs = append(tdSpecs,
-			colbm.ColumnSpec{Name: ColQScore, Type: vector.UInt8, ChunkLen: bc.ChunkLen})
+			colbm.ColumnSpec{Name: ColQScore, Type: vector.UInt8, ChunkLen: chunkLen})
 	}
 	tdb := colbm.NewBuilder(bc.TablePrefix+"TD", store, cache, tdSpecs)
 	if bc.Uncompressed {
@@ -293,8 +306,8 @@ func (w *IndexWriter) assemble(lo, hi float64) (*Index, error) {
 	// name. Row i is document DocIDBase + i: plans fetch a document's row
 	// by position, and RestoreIndex checks a persisted table keeps it.
 	db := colbm.NewBuilder(bc.TablePrefix+"D", store, cache, []colbm.ColumnSpec{
-		{Name: "docid", Type: vector.Int64, Enc: colbm.EncPFORDelta, Bits: 8, ChunkLen: bc.ChunkLen},
-		{Name: "len", Type: vector.Int64, Enc: colbm.EncPFOR, Bits: 8, ChunkLen: bc.ChunkLen},
+		{Name: "docid", Type: vector.Int64, Enc: colbm.EncPFORDelta, Bits: 8, ChunkLen: chunkLen},
+		{Name: "len", Type: vector.Int64, Enc: colbm.EncPFOR, Bits: 8, ChunkLen: chunkLen},
 		{Name: "name", Type: vector.Str, ChunkLen: nameChunkLen},
 	})
 	dense := make([]int64, len(docLens))

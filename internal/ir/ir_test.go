@@ -8,6 +8,7 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/colbm"
 	"repro/internal/corpus"
 	"repro/internal/engine"
 	"repro/internal/primitives"
@@ -611,6 +612,64 @@ func TestDocNameMissReadsOneSmallChunk(t *testing.T) {
 		if got, err := ix.DocName(int64(id)); err != nil || got != want {
 			t.Fatalf("DocName(%d) = %q, %v; want %q", id, got, err, want)
 		}
+	}
+}
+
+// TestColdTermReadsItsOwnChunks pins the posting columns' chunking: a cold
+// single-term BM25TCMQ8 query reads the postingChunkLen-value chunks its
+// term's rows lie in, under a quarter of the docidc and qscore bytes the
+// same query reads when those columns are cut into colbm's 128 Ki-value
+// chunks.
+func TestColdTermReadsItsOwnChunks(t *testing.T) {
+	cfg := corpus.DefaultConfig()
+	cfg.NumDocs, cfg.Vocab, cfg.AvgDocLen, cfg.NumTopics = 14000, 8000, 90, 40
+	c := corpus.Generate(cfg)
+	if c.NumPostings() <= 4*colbm.DefaultChunkLen {
+		t.Fatalf("%d postings fill no 4 chunks of %d", c.NumPostings(), colbm.DefaultChunkLen)
+	}
+	build := func(chunkLen int) *Index {
+		ix, err := Build(c, BuildConfig{Compressed: true, Quantized: true, ChunkLen: chunkLen, Disk: colbm.DefaultDiskParams()})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return ix
+	}
+	ix, wide := build(0), build(colbm.DefaultChunkLen)
+
+	// The first term, in row order, of ≥ 1 000 postings that lies inside
+	// one postingChunkLen chunk of a full 128 Ki chunk.
+	var term string
+	var ti TermInfo
+	for s, info := range ix.Terms {
+		if info.End-info.Start >= 1000 && info.Start/postingChunkLen == (info.End-1)/postingChunkLen &&
+			info.End <= 4*colbm.DefaultChunkLen && (term == "" || info.Start < ti.Start) {
+			term, ti = s, info
+		}
+	}
+	if term == "" {
+		t.Fatal("no term of >= 1000 postings inside one chunk")
+	}
+	var whole int64
+	for _, name := range []string{ColDocIDC, ColQScore} {
+		col := wide.TD.MustColumn(name)
+		for ci := ti.Start / colbm.DefaultChunkLen; ci <= (ti.End-1)/colbm.DefaultChunkLen; ci++ {
+			whole += int64(col.Chunk(ci).Size)
+		}
+	}
+	cold := func(ix *Index) int64 {
+		ix.Cache.Drop()
+		ix.Store.ResetStats()
+		if _, _, err := NewSearcher(ix, 0).Search([]string{term}, 1, BM25TCMQ8); err != nil {
+			t.Fatal(err)
+		}
+		return ix.Store.Stats().BytesRead
+	}
+	if got := cold(wide); got < whole {
+		t.Fatalf("under 128 Ki chunks the query read %d bytes, less than its docidc and qscore chunks' %d", got, whole)
+	}
+	if got := cold(ix); got*4 >= whole {
+		t.Errorf("a cold query on %q (%d postings) read %d bytes, not under a quarter of the %d its 128 Ki chunks hold",
+			term, ti.End-ti.Start, got, whole)
 	}
 }
 

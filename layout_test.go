@@ -9,6 +9,7 @@ import (
 	"reflect"
 	"testing"
 
+	"repro/internal/colbm"
 	"repro/internal/ir"
 	"repro/internal/storage"
 )
@@ -225,4 +226,176 @@ func TestEveryDirectoryShape(t *testing.T) {
 			t.Errorf("Add on a global-statistics partition: %v, want ErrReadOnly", err)
 		}
 	})
+}
+
+// segmentManifests decodes the manifest of every segment of dir.
+func segmentManifests(t *testing.T, dir string) []storage.Manifest {
+	t.Helper()
+	sm, err := storage.ReadSegments(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var out []storage.Manifest
+	for _, e := range sm.Segments {
+		raw, err := os.ReadFile(filepath.Join(dir, e.Name, storage.ManifestName))
+		if err != nil {
+			t.Fatal(err)
+		}
+		var m storage.Manifest
+		if err := json.Unmarshal(raw, &m); err != nil {
+			t.Fatal(err)
+		}
+		out = append(out, m)
+	}
+	return out
+}
+
+// postingColumns calls fn for every column of the manifest but the names,
+// which keep their own point-lookup chunk length.
+func postingColumns(m *storage.Manifest, fn func(col *colbm.StoredColumn)) {
+	for _, table := range []*colbm.StoredTable{&m.TD, &m.D} {
+		for i := range table.Columns {
+			if table.Columns[i].Spec.Name != "name" {
+				fn(&table.Columns[i])
+			}
+		}
+	}
+}
+
+// TestUnrecordedChunkLengthMeans128Ki: a manifest whose posting columns
+// record chunk length 0 was cut into colbm.DefaultChunkLen-value chunks,
+// as every directory was before the posting columns took 16 Ki-value
+// chunks. Such a directory opens and ranks bit-exactly like a fresh build,
+// takes an Engine.Add whose new segment records 16 Ki chunks, and a merge
+// rewrites it into 16 Ki chunks only. It is not a shape of
+// TestEveryDirectoryShape because its seed must span several 128 Ki chunks,
+// more postings than that test's collection holds.
+func TestUnrecordedChunkLengthMeans128Ki(t *testing.T) {
+	const postingChunkLen = 16 << 10 // ir's chunk length when BuildConfig.ChunkLen is 0
+	cfg := DefaultCollectionConfig()
+	cfg.NumDocs, cfg.Vocab, cfg.AvgDocLen, cfg.NumTopics = 6000, 4000, 90, 25
+	whole := GenerateCollection(cfg)
+	total := len(whole.DocLens)
+	seed, err := whole.Slice(0, 3*total/4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	extra, err := whole.Docs(3*total/4, total)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if seed.NumPostings() <= colbm.DefaultChunkLen {
+		t.Fatalf("seed of %d postings fills one chunk of %d", seed.NumPostings(), colbm.DefaultChunkLen)
+	}
+	ctx := context.Background()
+	queries := whole.EfficiencyQueries(40, 71)
+	ranked := func(c *Collection) [][]Result {
+		ix, err := BuildIndex(c, DefaultIndexConfig())
+		if err != nil {
+			t.Fatal(err)
+		}
+		s := ir.NewSearcher(ix, 0)
+		var out [][]Result
+		for _, strat := range rankedStrategies {
+			for _, q := range queries {
+				hits, _, err := s.Search(q.Terms, 20, strat)
+				if err != nil {
+					t.Fatal(err)
+				}
+				out = append(out, hits)
+			}
+		}
+		return out
+	}
+	agree := func(t *testing.T, eng *Engine, want [][]Result) {
+		t.Helper()
+		i := 0
+		for _, strat := range rankedStrategies {
+			for _, q := range queries {
+				resp, err := eng.Search(ctx, SearchRequest{Terms: q.Terms, K: 20, Strategy: strat})
+				if err != nil {
+					t.Fatalf("%v %v: %v", strat, q.Terms, err)
+				}
+				if !reflect.DeepEqual(resp.Hits, want[i]) {
+					t.Errorf("%v %v diverged from a fresh build:\n got %v\nwant %v", strat, q.Terms, resp.Hits, want[i])
+				}
+				i++
+			}
+		}
+	}
+	chunkLens := func(t *testing.T, m *storage.Manifest, want int) {
+		t.Helper()
+		postingColumns(m, func(col *colbm.StoredColumn) {
+			if col.Spec.ChunkLen != want {
+				t.Errorf("%s records chunk length %d, want %d", col.Blob, col.Spec.ChunkLen, want)
+			}
+		})
+	}
+
+	// A directory of 128 Ki chunks whose manifests record 0.
+	dir := filepath.Join(t.TempDir(), "ix")
+	ic := DefaultIndexConfig()
+	ic.ChunkLen = colbm.DefaultChunkLen
+	ix, err := BuildIndex(seed, ic)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := SaveIndex(dir, ix); err != nil {
+		t.Fatal(err)
+	}
+	sm, err := storage.ReadSegments(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	m := segmentManifests(t, dir)[0]
+	m.Config.ChunkLen = 0
+	postingColumns(&m, func(col *colbm.StoredColumn) {
+		if col.Spec.ChunkLen != colbm.DefaultChunkLen {
+			t.Fatalf("column %s built at chunk length %d", col.Spec.Name, col.Spec.ChunkLen)
+		}
+		col.Spec.ChunkLen = 0
+	})
+	if len(m.TD.Columns[0].Chunks) < 2 {
+		t.Fatalf("column %s has one chunk", m.TD.Columns[0].Spec.Name)
+	}
+	raw, err := json.Marshal(&m)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(filepath.Join(dir, sm.Segments[0].Name, storage.ManifestName), raw, 0o644); err != nil {
+		t.Fatal(err)
+	}
+
+	eng, err := OpenDir(dir, WithBufferPoolBytes(32<<20))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer eng.Close()
+	agree(t, eng, ranked(seed))
+
+	if err := eng.Add(ctx, extra); err != nil {
+		t.Fatalf("Add: %v", err)
+	}
+	if err := eng.Refresh(ctx); err != nil {
+		t.Fatal(err)
+	}
+	ms := segmentManifests(t, dir)
+	if len(ms) != 2 {
+		t.Fatalf("%d segments after Add, want 2", len(ms))
+	}
+	chunkLens(t, &ms[0], 0)
+	chunkLens(t, &ms[1], postingChunkLen)
+	wantWhole := ranked(whole)
+	agree(t, eng, wantWhole)
+
+	merged, err := eng.mergeOnce(1, func() bool { return false })
+	if err != nil || !merged {
+		t.Fatalf("merge: %v, %v", merged, err)
+	}
+	ms = segmentManifests(t, dir)
+	if len(ms) != 1 {
+		t.Fatalf("%d segments after the merge, want 1", len(ms))
+	}
+	chunkLens(t, &ms[0], postingChunkLen)
+	agree(t, eng, wantWhole)
 }

@@ -269,6 +269,8 @@ func TestFacadeSearcherExplain(t *testing.T) {
 // SaveIndex/LoadIndex copy cache chunks through the same buffer manager, so
 // the same queries under the same budget must hit, miss and evict exactly
 // alike — the chunk sizes are the same bytes and the eviction policy is one.
+// The budgets are fractions of the index's store, so each one evicts
+// whatever the chunk length.
 func TestInMemoryAndPersistedCachesAgree(t *testing.T) {
 	cfg := DefaultCollectionConfig()
 	cfg.NumDocs, cfg.Vocab, cfg.AvgDocLen, cfg.NumTopics = 3000, 4000, 90, 25
@@ -287,7 +289,12 @@ func TestInMemoryAndPersistedCachesAgree(t *testing.T) {
 		}
 		return ix.Cache.Stats()
 	}
-	for _, budget := range []int64{32 << 10, 128 << 10, 512 << 10} {
+	probe, err := BuildIndex(coll, DefaultIndexConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	store := probe.Store.TotalSize()
+	for _, budget := range []int64{store / 64, store / 16, store / 8} {
 		ic := DefaultIndexConfig()
 		ic.PoolBytes = budget
 		mem, err := BuildIndex(coll, ic)

@@ -1,6 +1,6 @@
 // Benchmarks of paths that cross packages — the Engine API, the Table 2
-// and Table 3 runs, persisted storage, live appends — plus two
-// design-choice ablations (merge vs hash join, fused vs composed BM25).
+// and Table 3 runs, persisted storage, live appends — plus the merge join
+// over posting lists and the fused-vs-composed BM25 ablation.
 // Run everything:
 //
 //	go test -bench=. -benchmem
@@ -15,6 +15,7 @@ import (
 	"context"
 	"fmt"
 	"math/rand"
+	"path/filepath"
 	"runtime"
 	"sync"
 	"testing"
@@ -63,6 +64,23 @@ func fixtures(b *testing.B) (*corpus.Collection, *ir.Index, []corpus.Query) {
 	return fixColl, fixIx, fixEff
 }
 
+// fixtureEngine serves the fixture index from a directory of its own,
+// with a GOMAXPROCS-wide searcher pool and the given options.
+func fixtureEngine(b *testing.B, opts ...Option) (*Engine, []corpus.Query) {
+	b.Helper()
+	_, ix, eff := fixtures(b)
+	dir := filepath.Join(b.TempDir(), "ix")
+	if err := SaveIndex(dir, ix); err != nil {
+		b.Fatal(err)
+	}
+	eng, err := OpenDir(dir, append([]Option{WithSearchers(runtime.GOMAXPROCS(0))}, opts...)...)
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.Cleanup(func() { eng.Close() })
+	return eng, eff
+}
+
 // ---- Engine API: concurrent sessioned search ----
 
 // BenchmarkEngineSearchParallel pushes hot queries through the
@@ -70,12 +88,7 @@ func fixtures(b *testing.B) (*corpus.Collection, *ir.Index, []corpus.Query) {
 // path of the redesigned API (searcher pool + context plumbing) versus
 // the single-owner Searcher the other Table 2 benchmarks use.
 func BenchmarkEngineSearchParallel(b *testing.B) {
-	_, ix, eff := fixtures(b)
-	eng, err := OpenIndex(ix, WithSearchers(runtime.GOMAXPROCS(0)))
-	if err != nil {
-		b.Fatal(err)
-	}
-	defer eng.Close()
+	eng, eff := fixtureEngine(b)
 	ctx := context.Background()
 	b.ResetTimer()
 	b.RunParallel(func(pb *testing.PB) {
@@ -97,13 +110,7 @@ func BenchmarkEngineSearchParallel(b *testing.B) {
 // delta against BenchmarkEngineSearchParallel is the recording overhead
 // the observability layer charges the hot path (acceptance bar: <5%).
 func BenchmarkEngineSearchParallelTraced(b *testing.B) {
-	_, ix, eff := fixtures(b)
-	eng, err := OpenIndex(ix, WithSearchers(runtime.GOMAXPROCS(0)),
-		WithSlowQueryThreshold(time.Hour))
-	if err != nil {
-		b.Fatal(err)
-	}
-	defer eng.Close()
+	eng, eff := fixtureEngine(b, WithSlowQueryThreshold(time.Hour))
 	ctx := context.Background()
 	b.ResetTimer()
 	b.RunParallel(func(pb *testing.PB) {
@@ -125,7 +132,7 @@ func BenchmarkEngineSearchParallelTraced(b *testing.B) {
 // result cache (served without checking out a searcher at all; the hit
 // rate is reported and enforced).
 func BenchmarkEngineSearchMany(b *testing.B) {
-	_, ix, eff := fixtures(b)
+	_, _, eff := fixtures(b)
 	const batch = 64
 	reqs := make([]SearchRequest, batch)
 	for i := range reqs {
@@ -133,12 +140,7 @@ func BenchmarkEngineSearchMany(b *testing.B) {
 	}
 	ctx := context.Background()
 	open := func(b *testing.B, opts ...Option) *Engine {
-		b.Helper()
-		eng, err := OpenIndex(ix, append([]Option{WithSearchers(runtime.GOMAXPROCS(0))}, opts...)...)
-		if err != nil {
-			b.Fatal(err)
-		}
-		b.Cleanup(func() { eng.Close() })
+		eng, _ := fixtureEngine(b, opts...)
 		return eng
 	}
 	b.Run("sequential", func(b *testing.B) {
@@ -381,11 +383,10 @@ func BenchmarkVectorSize(b *testing.B) {
 	}
 }
 
-// ---- ablation: merge join vs hash join over posting lists ----
+// ---- merge join over posting lists ----
 
 // BenchmarkJoinAblation intersects two realistic posting lists with the
-// ordered MergeJoin (exploiting the (term,docid) storage order) and with
-// the HashJoin that ignores it.
+// ordered MergeJoin, which exploits the (term,docid) storage order.
 func BenchmarkJoinAblation(b *testing.B) {
 	rng := rand.New(rand.NewSource(9))
 	mk := func(n int) ([]int64, []int64) {
@@ -422,11 +423,6 @@ func BenchmarkJoinAblation(b *testing.B) {
 	b.Run("MergeJoin", func(b *testing.B) {
 		run(b, func() engine.Operator {
 			return engine.NewMergeJoin(values(lk, lv), values(rk, rv), "docid", "docid", "l.", "r.")
-		})
-	})
-	b.Run("HashJoin", func(b *testing.B) {
-		run(b, func() engine.Operator {
-			return engine.NewHashJoin(values(lk, lv), values(rk, rv), "docid", "docid", "l.", "r.")
 		})
 	})
 }

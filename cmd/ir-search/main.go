@@ -164,8 +164,7 @@ func main() {
 				if len(results) == 0 {
 					fmt.Println("no results")
 				}
-				fmt.Printf("    [boolean; %.2f ms wall, %.2f ms simulated I/O]\n",
-					float64(st.Wall.Microseconds())/1000, float64(st.SimIO.Microseconds())/1000)
+				fmt.Printf("    [boolean; %.2f ms wall]\n", float64(st.Wall.Microseconds())/1000)
 				continue
 			}
 			ctx, cancel := queryCtx()
@@ -183,9 +182,7 @@ func main() {
 			if len(resp.Hits) == 0 {
 				fmt.Println("no results")
 			}
-			fmt.Printf("    [%v; %.2f ms wall, %.2f ms simulated I/O", resp.Strategy,
-				float64(resp.Stats.Wall.Microseconds())/1000,
-				float64(resp.Stats.SimIO.Microseconds())/1000)
+			fmt.Printf("    [%v; %.2f ms wall", resp.Strategy, float64(resp.Stats.Wall.Microseconds())/1000)
 			if resp.Stats.SecondPass {
 				fmt.Print(", second pass")
 			}

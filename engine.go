@@ -30,8 +30,9 @@ const StrategyDefault = ir.StrategyDefault
 var ErrEngineClosed = serving.ErrClosed
 
 // ErrReadOnly is matched by the error Engine.Add (and WithAutoMerge)
-// report for an index that serves but takes no local writes: its
-// statistics are coordinated outside its directory.
+// report for the one kind of index that serves but takes no local writes:
+// a directory whose statistics are coordinated outside it (a dist
+// partition).
 var ErrReadOnly = storage.ErrExternalStats
 
 // The request and response types of the serving core, under the names the
@@ -80,6 +81,10 @@ type Engine struct {
 	merger *merger
 	merges atomic.Int64
 
+	// root is the temporary index directory Open made for a collection
+	// given without WithStorageDir; Close removes it ("" otherwise).
+	root string
+
 	closeOnce sync.Once
 	closeErr  error
 }
@@ -97,11 +102,12 @@ func (e *Engine) InflightQueries() int64 { return e.core.Inflight() }
 //		repro.WithVectorSize(1024),
 //		repro.WithSearchers(8))
 //
-// With WithStorageDir the index lives on real disk: an existing index
-// directory is served as-is (the collection is not re-indexed), a missing
-// or empty one is populated by indexing the collection as the directory's
-// first segment — after which queries run against the persisted form
-// either way, and Engine.Add, Refresh and WithAutoMerge work on it.
+// The index always lives on real disk and is served the way OpenDir
+// serves a directory. With WithStorageDir an existing index directory is
+// served as-is (the collection is not re-indexed) and a missing or empty
+// one is populated by indexing the collection as the directory's first
+// segment. Without it the collection is indexed into a temporary
+// directory the engine owns and Close removes.
 func Open(coll *Collection, opts ...Option) (*Engine, error) {
 	if coll == nil {
 		return nil, errors.New("repro: Open with nil collection")
@@ -110,32 +116,40 @@ func Open(coll *Collection, opts ...Option) (*Engine, error) {
 	for _, opt := range opts {
 		opt(&cfg)
 	}
-	if cfg.storageDir == "" {
-		cfg.refusePersistedOnly()
-	}
 	cfg.crossValidate()
 	if len(cfg.errs) > 0 {
 		return nil, errors.Join(cfg.errs...)
 	}
 	// One pool budget however it arrived: WithBufferPoolBytes wins over
-	// IndexConfig.PoolBytes, and both the in-memory build and the persisted
-	// engine's buffer manager (openDir) are sized from the result.
+	// IndexConfig.PoolBytes, and openDir sizes the buffer manager from it.
 	if !cfg.poolSet {
 		cfg.pool = cfg.index.PoolBytes
 	}
 	bc := cfg.index
 	bc.PoolBytes = cfg.pool
+	var root string
 	if cfg.storageDir == "" {
-		ix, err := BuildIndex(coll, bc)
-		if err != nil {
-			return nil, err
+		var err error
+		if root, err = os.MkdirTemp("", "x100-engine-"); err != nil {
+			return nil, fmt.Errorf("repro: %w", err)
 		}
-		snap, err := ir.NewSnapshot([]*ir.Index{ix}, ir.SnapshotConfig{Owned: true})
-		if err != nil {
-			return nil, err
-		}
-		return newEngine(serving.New(snap, cfg.Config), cfg)
+		cfg.storageDir = root
 	}
+	e, err := populateAndOpen(coll, bc, cfg)
+	if err != nil {
+		if root != "" {
+			os.RemoveAll(root)
+		}
+		return nil, err
+	}
+	e.root = root
+	return e, nil
+}
+
+// populateAndOpen indexes the collection as the first segment of
+// cfg.storageDir unless the directory already holds an index, then serves
+// it.
+func populateAndOpen(coll *Collection, bc IndexConfig, cfg engineConfig) (*Engine, error) {
 	if _, err := storage.ReadSegments(cfg.storageDir); errors.Is(err, os.ErrNotExist) {
 		if _, err := storage.AppendSegment(cfg.storageDir, coll, bc); err != nil {
 			return nil, err
@@ -173,8 +187,8 @@ func OpenDir(dir string, opts ...Option) (*Engine, error) {
 }
 
 // openDir serves cfg.storageDir's current generation — the one open path
-// of every persisted engine — through one buffer manager that lives as long
-// as the engine, so a refresh keeps the unchanged segments' chunks warm.
+// of every engine — through one buffer manager that lives as long as the
+// engine, so a refresh keeps the unchanged segments' chunks warm.
 func openDir(cfg engineConfig) (*Engine, error) {
 	core, err := serving.OpenDir(cfg.storageDir, colbm.NewManager(cfg.pool), cfg.Config)
 	if err != nil {
@@ -196,31 +210,6 @@ func openDir(cfg engineConfig) (*Engine, error) {
 		e.merger.notify() // an already-oversized directory merges right away
 	}
 	return e, nil
-}
-
-// OpenIndex wraps an already-built index in an Engine. Options that shape
-// index construction (WithIndexConfig, WithBufferPoolBytes, WithStorageDir)
-// are rejected here — the index's physical layout is fixed, and the caller
-// keeps ownership of its storage (Close will not release it) — and so is
-// every option Open refuses without a persisted directory.
-func OpenIndex(ix *Index, opts ...Option) (*Engine, error) {
-	if ix == nil {
-		return nil, errors.New("repro: OpenIndex with nil index")
-	}
-	cfg := defaultEngineConfig()
-	for _, opt := range opts {
-		opt(&cfg)
-	}
-	if cfg.poolSet || cfg.storageDir != "" || cfg.index != DefaultIndexConfig() {
-		cfg.errs = append(cfg.errs,
-			errors.New("repro: OpenIndex cannot reconfigure index storage (WithIndexConfig/WithBufferPoolBytes/WithStorageDir)"))
-	}
-	cfg.refusePersistedOnly()
-	cfg.crossValidate()
-	if len(cfg.errs) > 0 {
-		return nil, errors.Join(cfg.errs...)
-	}
-	return newEngine(serving.New(ir.SingleSnapshot(ix), cfg.Config), cfg)
 }
 
 func newEngine(core *serving.Core, cfg engineConfig) (*Engine, error) {
@@ -276,7 +265,8 @@ type SegmentStats struct {
 	// scores at query time because their baked columns predate the latest
 	// append; the next merge re-bakes them.
 	Virtual int
-	// Generation of the serving snapshot (0 for in-memory engines).
+	// Generation of the serving snapshot: the index directory's generation,
+	// 1 for a freshly built one.
 	Generation uint64
 	// Merges completed by this engine's background merger.
 	Merges int64
@@ -363,11 +353,11 @@ func (e *Engine) searchMany(ctx context.Context, reqs []SearchRequest, fn func(i
 // Add indexes a batch of live documents as one fresh immutable segment and
 // refreshes the engine to the new generation — the incremental-update path
 // that replaces "rebuild the whole index" for a growing collection. Every
-// persisted engine accepts it except one whose statistics are coordinated
-// elsewhere (a dist partition directory, an in-memory engine): those refuse
-// with an error matching ErrReadOnly. Concurrent Adds serialize; concurrent
-// Searches proceed against the prior generation until the refresh lands.
-// The background merger (WithAutoMerge) is nudged afterwards.
+// engine accepts it except one over a directory whose statistics are
+// coordinated elsewhere (a dist partition): that one refuses with an error
+// matching ErrReadOnly. Concurrent Adds serialize; concurrent Searches
+// proceed against the prior generation until the refresh lands. The
+// background merger (WithAutoMerge) is nudged afterwards.
 func (e *Engine) Add(ctx context.Context, docs []Doc) error {
 	if ctx == nil {
 		ctx = context.Background()
@@ -393,8 +383,7 @@ func (e *Engine) Add(ctx context.Context, docs []Doc) error {
 // generation exists (another process appended, a merge committed), swaps
 // it in without dropping in-flight searches: running queries finish on the
 // old snapshot, whose storage closes when the last one drains. The result
-// cache needs no flush — the generation is part of every cache key. An
-// in-memory engine has no directory and nothing newer to find.
+// cache needs no flush — the generation is part of every cache key.
 func (e *Engine) Refresh(ctx context.Context) error {
 	if ctx == nil {
 		ctx = context.Background()
@@ -508,9 +497,9 @@ func (e *Engine) ExplainPlan(ctx context.Context, terms []string, k int, strat S
 // stop first (an in-progress merge build is canceled, not waited out);
 // then new calls fail with ErrEngineClosed, in-flight searches finish on
 // their generation, and Close blocks until every generation has drained
-// and released its storage (file handles). For persisted
-// engines a final sweep reclaims every unreferenced segment directory.
-// Closing twice is a no-op.
+// and released its storage (file handles). A final sweep then reclaims
+// every unreferenced segment directory, and an engine Open built into a
+// temporary directory removes that directory. Closing twice is a no-op.
 func (e *Engine) Close() error {
 	e.closeOnce.Do(func() {
 		e.ops.Close()
@@ -518,6 +507,11 @@ func (e *Engine) Close() error {
 			e.merger.stop()
 		}
 		e.closeErr = e.core.Close()
+		if e.root != "" {
+			if err := os.RemoveAll(e.root); e.closeErr == nil {
+				e.closeErr = err
+			}
+		}
 	})
 	return e.closeErr
 }

@@ -19,14 +19,20 @@ import (
 // cancellation mid-query, option validation, strategy resolution, and the
 // fluent plan builder's build-time validation.
 
-func engineFixture(t *testing.T, opts ...Option) (*Collection, *Engine) {
-	t.Helper()
+// fixtureCollection is the 3000-document collection the facade tests
+// search.
+func fixtureCollection() *Collection {
 	cfg := DefaultCollectionConfig()
 	cfg.NumDocs = 3000
 	cfg.Vocab = 4000
 	cfg.AvgDocLen = 90
 	cfg.NumTopics = 25
-	coll := GenerateCollection(cfg)
+	return GenerateCollection(cfg)
+}
+
+func engineFixture(t *testing.T, opts ...Option) (*Collection, *Engine) {
+	t.Helper()
+	coll := fixtureCollection()
 	eng, err := Open(coll, opts...)
 	if err != nil {
 		t.Fatal(err)
@@ -76,7 +82,7 @@ func TestEngineSearchQuickstart(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !strings.Contains(plan, "Scan(TD[") {
+	if !strings.Contains(plan, ".TD[") {
 		t.Errorf("explain: %s", plan)
 	}
 }
@@ -198,6 +204,7 @@ func TestEngineStrategyResolution(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	defer eng.Close()
 	q := coll.EfficiencyQueries(1, 8)[0]
 	resp, err := eng.Search(context.Background(), SearchRequest{Terms: q.Terms, Strategy: BM25TCMQ8})
 	if err != nil {
@@ -213,6 +220,7 @@ func TestEngineStrategyResolution(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	defer eng2.Close()
 	if _, err := eng2.Search(context.Background(), SearchRequest{Terms: q.Terms, Strategy: BoolAND}); err == nil {
 		t.Error("BoolAND ran without uncompressed columns")
 	}

@@ -7,6 +7,7 @@ import (
 	"path/filepath"
 	"reflect"
 	"testing"
+	"time"
 
 	"repro/internal/ir"
 	"repro/internal/storage"
@@ -14,7 +15,7 @@ import (
 
 // Tests for the persistent storage path of the public API: WithStorageDir,
 // OpenDir, SaveIndex/LoadIndex, and the guarantee that a persisted engine
-// answers exactly like an in-memory one.
+// answers exactly like the ir.Build reference over the same documents.
 
 func smallCollection() *Collection {
 	cfg := DefaultCollectionConfig()
@@ -23,6 +24,51 @@ func smallCollection() *Collection {
 	cfg.AvgDocLen = 80
 	cfg.NumTopics = 20
 	return GenerateCollection(cfg)
+}
+
+// TestOpenWithoutDirIsAnOrdinaryEngine: Open without WithStorageDir builds
+// into a directory the engine owns, so it appends, merges and ranks like
+// any other engine — exactly as the ir.Build reference over the same
+// documents — and Close leaves no directory behind.
+func TestOpenWithoutDirIsAnOrdinaryEngine(t *testing.T) {
+	coll := segColl(t)
+	ctx := context.Background()
+	total := len(coll.DocLens)
+	first, err := coll.Slice(0, total/4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	eng, err := Open(first, WithAutoMerge(2))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer eng.Close()
+	dir := eng.core.Dir()
+	for i := 1; i < 4; i++ {
+		docs, err := coll.Docs(i*total/4, (i+1)*total/4)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := eng.Add(ctx, docs); err != nil {
+			t.Fatalf("Add %d: %v", i, err)
+		}
+	}
+	for deadline := time.Now().Add(10 * time.Second); ; time.Sleep(5 * time.Millisecond) {
+		if st := eng.SegmentStats(); st.Merges > 0 && st.Segments <= 2 {
+			break
+		} else if time.Now().After(deadline) {
+			t.Fatalf("merger never bounded the engine's directory: %+v", st)
+		}
+	}
+	requireReferenceRanking(t, eng, coll,
+		append(coll.PrecisionQueries(4, 51), coll.EfficiencyQueries(4, 52)...),
+		[]Strategy{BM25, BM25T, BM25TC, BM25TCM, BM25TCMQ8})
+	if err := eng.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := os.Stat(dir); !errors.Is(err, os.ErrNotExist) {
+		t.Errorf("engine directory %q survived Close (stat: %v)", dir, err)
+	}
 }
 
 func TestEngineWithStorageDir(t *testing.T) {
@@ -82,14 +128,14 @@ func TestOpenDirServesWithoutCollection(t *testing.T) {
 	dir := filepath.Join(t.TempDir(), "ix")
 	ctx := context.Background()
 
-	memEng, err := Open(coll)
+	ref, err := BuildIndex(coll, DefaultIndexConfig())
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer memEng.Close()
-	if err := SaveIndex(dir, memEng.Index()); err != nil {
+	if err := SaveIndex(dir, ref); err != nil {
 		t.Fatal(err)
 	}
+	s := ir.NewSearcher(ref, 0)
 
 	// OpenDir needs only the directory; no corpus parsing anywhere.
 	eng, err := OpenDir(dir, WithBufferPoolBytes(32<<20), WithSearchers(2))
@@ -98,7 +144,7 @@ func TestOpenDirServesWithoutCollection(t *testing.T) {
 	}
 	defer eng.Close()
 	for _, q := range coll.PrecisionQueries(3, 23) {
-		want, err := memEng.Search(ctx, SearchRequest{Terms: q.Terms, K: 10, Strategy: BM25TCMQ8})
+		want, _, err := s.Search(q.Terms, 10, BM25TCMQ8)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -106,8 +152,8 @@ func TestOpenDirServesWithoutCollection(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if !reflect.DeepEqual(got.Hits, want.Hits) {
-			t.Errorf("query %v: persisted engine diverged from in-memory", q.Terms)
+		if !reflect.DeepEqual(got.Hits, want) {
+			t.Errorf("query %v: persisted engine diverged from the ir.Build reference", q.Terms)
 		}
 	}
 	if hr := eng.Index().Cache.Stats().HitRate(); hr <= 0 {
@@ -126,33 +172,6 @@ func TestOpenDirServesWithoutCollection(t *testing.T) {
 	// And a bad directory fails loudly.
 	if _, err := OpenDir(t.TempDir()); err == nil {
 		t.Error("OpenDir accepted a directory without an index")
-	}
-}
-
-// TestPersistedOnlyOptionsRefusedInMemory: every option that needs a
-// persisted index is a configuration error without one, at both in-memory
-// entry points alike, and set together they are reported together.
-func TestPersistedOnlyOptionsRefusedInMemory(t *testing.T) {
-	coll := smallCollection()
-	ix, err := BuildIndex(coll, DefaultIndexConfig())
-	if err != nil {
-		t.Fatal(err)
-	}
-	persistedOnly := map[string]Option{
-		"WithAutoMerge": WithAutoMerge(2),
-	}
-	var all []Option
-	for name, opt := range persistedOnly {
-		all = append(all, opt)
-		_, err := Open(coll, opt)
-		refused(t, err, name)
-		_, err = OpenIndex(ix, opt)
-		refused(t, err, name)
-	}
-	_, err = OpenIndex(ix, all...)
-	var joined interface{ Unwrap() []error }
-	if !errors.As(err, &joined) || len(joined.Unwrap()) != len(all) {
-		t.Errorf("OpenIndex with every persisted-only option: %v, want %d errors", err, len(all))
 	}
 }
 

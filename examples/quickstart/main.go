@@ -36,7 +36,7 @@ func main() {
 		log.Fatal(err)
 	}
 	defer eng.Close()
-	fmt.Printf("engine: %.1f MB on (simulated) disk, %d searchers\n\n",
+	fmt.Printf("engine: %.1f MB on disk, %d searchers\n\n",
 		float64(eng.Index().Store.TotalSize())/1e6, eng.Searchers())
 
 	// 3. Pick a realistic query from the built-in workload generator.

@@ -97,38 +97,6 @@ func TestSelectBindErrors(t *testing.T) {
 	op.Close()
 }
 
-func TestAndPredicate(t *testing.T) {
-	op := NewSelect(
-		valuesOp(t, []string{"x", "y"},
-			[]int64{1, 5, 9, 5, 2}, []int64{10, 20, 30, 5, 50}),
-		&And{Preds: []Predicate{
-			&CmpIntColVal{Col: "x", Op: GE, Val: 5},
-			&CmpIntColVal{Col: "y", Op: GT, Val: 10},
-		}})
-	rows := collectInts(t, op, NewContext())
-	want := [][]int64{{5, 20}, {9, 30}}
-	if !reflect.DeepEqual(rows, want) {
-		t.Errorf("got %v want %v", rows, want)
-	}
-	// Empty And passes everything.
-	op2 := NewSelect(valuesOp(t, []string{"x"}, []int64{1, 2}), &And{})
-	if got := collectInts(t, op2, NewContext()); len(got) != 2 {
-		t.Errorf("empty And filtered: %v", got)
-	}
-	// Three conjuncts exercise the double-buffer swap.
-	op3 := NewSelect(
-		valuesOp(t, []string{"x"}, []int64{1, 2, 3, 4, 5, 6, 7, 8}),
-		&And{Preds: []Predicate{
-			&CmpIntColVal{Col: "x", Op: GT, Val: 1},
-			&CmpIntColVal{Col: "x", Op: LT, Val: 8},
-			&CmpIntColVal{Col: "x", Op: NE, Val: 5},
-		}})
-	want3 := [][]int64{{2}, {3}, {4}, {6}, {7}}
-	if got := collectInts(t, op3, NewContext()); !reflect.DeepEqual(got, want3) {
-		t.Errorf("3-way And: %v", got)
-	}
-}
-
 func TestProjectArithmetic(t *testing.T) {
 	op := NewProject(
 		valuesOp(t, []string{"a", "b"}, []int64{1, 2, 3}, []int64{10, 20, 30}),
@@ -210,9 +178,6 @@ func TestExprStrings(t *testing.T) {
 	if s := e.String(); !strings.Contains(s, "log(float(x))") {
 		t.Errorf("expr string = %q", s)
 	}
-	if s := (&ConstInt{Val: 7}).String(); s != "7" {
-		t.Errorf("const int string = %q", s)
-	}
 }
 
 func TestMergeJoinInner(t *testing.T) {
@@ -287,39 +252,6 @@ func TestMergeJoinKeyErrors(t *testing.T) {
 		t.Error("missing key column accepted")
 	}
 	j.Close()
-}
-
-func TestHashJoinMatchesMergeJoin(t *testing.T) {
-	lKeys := []int64{1, 4, 6, 8, 12, 100}
-	lVals := []int64{10, 40, 60, 80, 120, 1000}
-	rKeys := []int64{2, 4, 8, 9, 100}
-	rVals := []int64{21, 42, 82, 92, 1002}
-
-	mj := NewMergeJoin(
-		valuesOp(t, []string{"k", "v"}, lKeys, lVals),
-		valuesOp(t, []string{"k", "v"}, rKeys, rVals),
-		"k", "k", "l.", "r.")
-	hj := NewHashJoin(
-		valuesOp(t, []string{"k", "v"}, lKeys, lVals),
-		valuesOp(t, []string{"k", "v"}, rKeys, rVals),
-		"k", "k", "l.", "r.")
-	a := collectInts(t, mj, NewContext())
-	b := collectInts(t, hj, NewContext())
-	if !reflect.DeepEqual(a, b) {
-		t.Errorf("merge %v != hash %v", a, b)
-	}
-}
-
-func TestHashJoinDuplicateBuildKeys(t *testing.T) {
-	// Hash join supports duplicate build keys (unlike our merge join).
-	l := valuesOp(t, []string{"k"}, []int64{7})
-	r := valuesOp(t, []string{"k", "v"}, []int64{7, 7, 8}, []int64{1, 2, 3})
-	j := NewHashJoin(l, r, "k", "k", "l.", "r.")
-	rows := collectInts(t, j, NewContext())
-	want := [][]int64{{7, 7, 1}, {7, 7, 2}}
-	if !reflect.DeepEqual(rows, want) {
-		t.Errorf("got %v want %v", rows, want)
-	}
 }
 
 func TestAggregateGrouped(t *testing.T) {
@@ -496,7 +428,7 @@ func TestScanFromStorage(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	scan, err := NewScan(tab, []string{"id", "val"})
+	scan, err := NewRangeScan(tab, []string{"id", "val"}, 0, n)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -527,7 +459,7 @@ func TestScanFromStorage(t *testing.T) {
 	if _, err := NewRangeScan(tab, []string{"id"}, 0, n+1); err == nil {
 		t.Error("overlong range accepted")
 	}
-	if _, err := NewScan(tab, []string{"missing"}); err == nil {
+	if _, err := NewRangeScan(tab, []string{"missing"}, 0, n); err == nil {
 		t.Error("missing column accepted")
 	}
 }

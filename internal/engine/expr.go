@@ -91,35 +91,6 @@ func (c *ConstFloat) String() string { return fmt.Sprintf("%g", c.Val) }
 
 func (c *ConstFloat) release(ctx *ExecContext) { ctx.recycleOut(&c.out) }
 
-// ConstInt is an int64 literal broadcast over the vector.
-type ConstInt struct {
-	Val int64
-	out *vector.Vector
-}
-
-// Bind takes the broadcast buffer.
-func (c *ConstInt) Bind(_ Schema, ctx *ExecContext) error {
-	c.out = ctx.vector(vector.Int64, ctx.VectorSize)
-	return nil
-}
-
-// Type returns Int64.
-func (c *ConstInt) Type() vector.Type { return vector.Int64 }
-
-// Eval fills the active positions with the constant.
-func (c *ConstInt) Eval(b *vector.Batch) *vector.Vector {
-	n := b.FullLen()
-	c.out.SetLen(n)
-	for i := 0; i < n; i++ {
-		c.out.I64[i] = c.Val
-	}
-	return c.out
-}
-
-func (c *ConstInt) String() string { return fmt.Sprintf("%d", c.Val) }
-
-func (c *ConstInt) release(ctx *ExecContext) { ctx.recycleOut(&c.out) }
-
 // ArithOp enumerates binary arithmetic operators.
 type ArithOp uint8
 

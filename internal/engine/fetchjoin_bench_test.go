@@ -29,7 +29,7 @@ func BenchmarkFetchJoin(b *testing.B) {
 				return NewFetchJoin(child, "docid", tab, []string{"len"}, "d.", 0)
 			}},
 			{"scan-merge", func(child Operator) (Operator, error) {
-				scan, err := NewScan(tab, []string{"docid", "len"})
+				scan, err := NewRangeScan(tab, []string{"docid", "len"}, 0, tab.N)
 				return NewMergeJoin(child, scan, "docid", "docid", "", "d."), err
 			}},
 		}

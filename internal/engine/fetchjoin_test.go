@@ -90,7 +90,7 @@ func checkFetchJoin(t *testing.T, name string, tab *colbm.Table, base int64, c c
 	if err != nil {
 		t.Fatal(err)
 	}
-	scan, err := NewScan(tab, append([]string{"docid"}, fetchCols...))
+	scan, err := NewRangeScan(tab, append([]string{"docid"}, fetchCols...), 0, tab.N)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -10,8 +10,8 @@
 // term index, and a Bound that skips strides the TopN above cannot use),
 // Select, Project, MergeJoin and MergeOuterJoin (ordered
 // inverted-list combination), FetchJoin (positional lookup in a table dense
-// on its key, X100's Fetch1Join), HashJoin (the ablation alternative),
-// Aggregate (hash and scalar), TopN, Sort, and Values (in-memory source).
+// on its key, X100's Fetch1Join), Aggregate (hash and scalar), TopN, Sort,
+// and Values (in-memory source).
 package engine
 
 import (

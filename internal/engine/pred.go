@@ -76,162 +76,3 @@ func (p *CmpIntColVal) Apply(b *vector.Batch, res []int32) int {
 func (p *CmpIntColVal) String() string {
 	return fmt.Sprintf("%s %s %d", p.Col, p.Op, p.Val)
 }
-
-// CmpFloatColVal compares a Float64 column with a constant (GT/GE only,
-// the shapes score thresholds need).
-type CmpFloatColVal struct {
-	Col string
-	Op  CmpOp
-	Val float64
-	idx int
-}
-
-// Bind resolves the column.
-func (p *CmpFloatColVal) Bind(s Schema) error {
-	p.idx = s.Index(p.Col)
-	if p.idx < 0 {
-		return fmt.Errorf("engine: unknown column %q", p.Col)
-	}
-	if s[p.idx].Type != vector.Float64 {
-		return fmt.Errorf("engine: column %q is %v, want Float64", p.Col, s[p.idx].Type)
-	}
-	if p.Op != GT && p.Op != GE {
-		return fmt.Errorf("engine: float comparison %v not supported", p.Op)
-	}
-	return nil
-}
-
-// Apply dispatches to the float select primitives.
-func (p *CmpFloatColVal) Apply(b *vector.Batch, res []int32) int {
-	col := b.Vecs[p.idx].F64
-	if p.Op == GT {
-		return primitives.SelectGTFloat64ColVal(res, col, p.Val, b.Sel, b.N)
-	}
-	return primitives.SelectGEFloat64ColVal(res, col, p.Val, b.Sel, b.N)
-}
-
-func (p *CmpFloatColVal) String() string {
-	return fmt.Sprintf("%s %s %g", p.Col, p.Op, p.Val)
-}
-
-// CmpStrColVal is string equality against a constant.
-type CmpStrColVal struct {
-	Col string
-	Val string
-	idx int
-}
-
-// Bind resolves the column.
-func (p *CmpStrColVal) Bind(s Schema) error {
-	p.idx = s.Index(p.Col)
-	if p.idx < 0 {
-		return fmt.Errorf("engine: unknown column %q", p.Col)
-	}
-	if s[p.idx].Type != vector.Str {
-		return fmt.Errorf("engine: column %q is %v, want Str", p.Col, s[p.idx].Type)
-	}
-	return nil
-}
-
-// Apply uses the string-equality select primitive.
-func (p *CmpStrColVal) Apply(b *vector.Batch, res []int32) int {
-	return primitives.SelectEQStrColVal(res, b.Vecs[p.idx].S, p.Val, b.Sel, b.N)
-}
-
-func (p *CmpStrColVal) String() string {
-	return fmt.Sprintf("%s = %q", p.Col, p.Val)
-}
-
-// BetweenInt selects lo <= col < hi, the range-index predicate shape.
-type BetweenInt struct {
-	Col    string
-	Lo, Hi int64
-	idx    int
-}
-
-// Bind resolves the column.
-func (p *BetweenInt) Bind(s Schema) error {
-	p.idx = s.Index(p.Col)
-	if p.idx < 0 {
-		return fmt.Errorf("engine: unknown column %q", p.Col)
-	}
-	if s[p.idx].Type != vector.Int64 {
-		return fmt.Errorf("engine: column %q is %v, want Int64", p.Col, s[p.idx].Type)
-	}
-	return nil
-}
-
-// Apply uses the fused between primitive.
-func (p *BetweenInt) Apply(b *vector.Batch, res []int32) int {
-	return primitives.SelectBetweenInt64ColValVal(res, b.Vecs[p.idx].I64, p.Lo, p.Hi, b.Sel, b.N)
-}
-
-func (p *BetweenInt) String() string {
-	return fmt.Sprintf("%d <= %s < %d", p.Lo, p.Col, p.Hi)
-}
-
-// And conjoins predicates by chaining their selection vectors.
-type And struct {
-	Preds []Predicate
-	buf   []int32
-}
-
-// Bind binds all conjuncts.
-func (p *And) Bind(s Schema) error {
-	for _, c := range p.Preds {
-		if err := c.Bind(s); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// Apply runs each conjunct over the survivors of the previous one.
-func (p *And) Apply(b *vector.Batch, res []int32) int {
-	if len(p.Preds) == 0 {
-		// Vacuous truth: pass everything through.
-		n := b.N
-		if b.Sel == nil {
-			for i := 0; i < n; i++ {
-				res[i] = int32(i)
-			}
-		} else {
-			copy(res, b.Sel[:n])
-		}
-		return n
-	}
-	if cap(p.buf) < len(res) {
-		p.buf = make([]int32, len(res))
-	}
-	// Evaluate the first conjunct against the batch's own selection, then
-	// temporarily install each intermediate result as the batch selection
-	// for the following conjunct.
-	savedSel, savedN := b.Sel, b.N
-	defer func() { b.Sel, b.N = savedSel, savedN }()
-	cur := res
-	n := p.Preds[0].Apply(b, cur)
-	for _, c := range p.Preds[1:] {
-		b.SetSel(cur, n)
-		next := p.buf
-		if &cur[0] == &p.buf[0] {
-			next = res
-		}
-		n = c.Apply(b, next)
-		cur = next
-	}
-	if &cur[0] != &res[0] {
-		copy(res, cur[:n])
-	}
-	return n
-}
-
-func (p *And) String() string {
-	s := ""
-	for i, c := range p.Preds {
-		if i > 0 {
-			s += " and "
-		}
-		s += c.String()
-	}
-	return s
-}

@@ -378,35 +378,6 @@ func TestTopNMatchesSortOracleProperty(t *testing.T) {
 	}
 }
 
-// HashJoin and MergeJoin agree on arbitrary sorted-unique inputs.
-func TestHashMergeJoinAgreeProperty(t *testing.T) {
-	rng := rand.New(rand.NewSource(73))
-	for trial := 0; trial < 40; trial++ {
-		lKeys := randSortedUnique(rng, 1+rng.Intn(200), 500)
-		rKeys := randSortedUnique(rng, 1+rng.Intn(200), 500)
-		lVals := make([]int64, len(lKeys))
-		rVals := make([]int64, len(rKeys))
-		for i := range lVals {
-			lVals[i] = rng.Int63n(99)
-		}
-		for i := range rVals {
-			rVals[i] = rng.Int63n(99)
-		}
-		ctx := &ExecContext{VectorSize: 1 + rng.Intn(64)}
-		a := collectInts(t, NewMergeJoin(
-			valuesOp(t, []string{"k", "v"}, lKeys, lVals),
-			valuesOp(t, []string{"k", "v"}, rKeys, rVals),
-			"k", "k", "l.", "r."), ctx)
-		b := collectInts(t, NewHashJoin(
-			valuesOp(t, []string{"k", "v"}, lKeys, lVals),
-			valuesOp(t, []string{"k", "v"}, rKeys, rVals),
-			"k", "k", "l.", "r."), ctx)
-		if !sameRows(a, b) {
-			t.Fatalf("trial %d: hash/merge disagree\nmerge %v\nhash %v", trial, a, b)
-		}
-	}
-}
-
 // Aggregate equals a scalar oracle over random groups.
 func TestAggregateMatchesOracleProperty(t *testing.T) {
 	rng := rand.New(rand.NewSource(74))

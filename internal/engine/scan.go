@@ -62,11 +62,6 @@ type Bound struct {
 	Floor *float64
 }
 
-// NewScan builds a full-table scan over the named columns.
-func NewScan(table *colbm.Table, cols []string) (*Scan, error) {
-	return NewRangeScan(table, cols, 0, table.N)
-}
-
 // NewRangeScan builds a scan over rows [start, end).
 func NewRangeScan(table *colbm.Table, cols []string, start, end int) (*Scan, error) {
 	if start < 0 || end < start || end > table.N {

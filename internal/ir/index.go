@@ -346,9 +346,9 @@ func (w *IndexWriter) assemble(lo, hi float64) (*Index, error) {
 // reopened over a block store and chunk cache, plus the scalar state the
 // manifest carries. The storage package's segment opener, under
 // storage.OpenSegmented, is the only intended caller; Build remains the
-// constructor for in-memory indexes. The document table's docid column is
-// decoded once and must be dense — row i holds cfg.DocIDBase + i, what
-// every plan's positional fetch of D assumes — or the error wraps
+// constructor of a fresh index over a SimDisk. The document table's docid
+// column is decoded once and must be dense — row i holds cfg.DocIDBase + i,
+// what every plan's positional fetch of D assumes — or the error wraps
 // ErrDocTableNotDense.
 func RestoreIndex(td, d *colbm.Table, terms map[string]TermInfo, params primitives.BM25Params,
 	scoreLo, scoreHi float64, store colbm.BlockStore, cache colbm.ChunkCache, cfg BuildConfig) (*Index, error) {

@@ -129,89 +129,3 @@ func SelectNEInt64ColVal(res []int32, col []int64, val int64, sel []int32, n int
 	}
 	return k
 }
-
-// SelectBetweenInt64ColValVal emits positions where lo <= col[i] < hi.
-// Range-index scans over the TD table's term ranges use this form.
-func SelectBetweenInt64ColValVal(res []int32, col []int64, lo, hi int64, sel []int32, n int) int {
-	k := 0
-	if sel == nil {
-		for i := 0; i < n; i++ {
-			v := col[i]
-			res[k] = int32(i)
-			k += b2i(v >= lo && v < hi)
-		}
-	} else {
-		for i := 0; i < n; i++ {
-			s := sel[i]
-			v := col[s]
-			res[k] = s
-			k += b2i(v >= lo && v < hi)
-		}
-	}
-	return k
-}
-
-// --- float64 ---
-
-// SelectGTFloat64ColVal emits positions where col[i] > val.
-func SelectGTFloat64ColVal(res []int32, col []float64, val float64, sel []int32, n int) int {
-	k := 0
-	if sel == nil {
-		for i := 0; i < n; i++ {
-			res[k] = int32(i)
-			k += b2i(col[i] > val)
-		}
-	} else {
-		for i := 0; i < n; i++ {
-			s := sel[i]
-			res[k] = s
-			k += b2i(col[s] > val)
-		}
-	}
-	return k
-}
-
-// SelectGEFloat64ColVal emits positions where col[i] >= val.
-func SelectGEFloat64ColVal(res []int32, col []float64, val float64, sel []int32, n int) int {
-	k := 0
-	if sel == nil {
-		for i := 0; i < n; i++ {
-			res[k] = int32(i)
-			k += b2i(col[i] >= val)
-		}
-	} else {
-		for i := 0; i < n; i++ {
-			s := sel[i]
-			res[k] = s
-			k += b2i(col[s] >= val)
-		}
-	}
-	return k
-}
-
-// --- string ---
-
-// SelectEQStrColVal emits positions where col[i] == val. String comparisons
-// are inherently branchy; term lookups in the paper avoid them entirely by
-// replacing the term column with a range index, so this primitive only runs
-// over the small term dictionary.
-func SelectEQStrColVal(res []int32, col []string, val string, sel []int32, n int) int {
-	k := 0
-	if sel == nil {
-		for i := 0; i < n; i++ {
-			if col[i] == val {
-				res[k] = int32(i)
-				k++
-			}
-		}
-	} else {
-		for i := 0; i < n; i++ {
-			s := sel[i]
-			if col[s] == val {
-				res[k] = s
-				k++
-			}
-		}
-	}
-	return k
-}

@@ -68,53 +68,6 @@ func TestSelectInt64ColValAll(t *testing.T) {
 	}
 }
 
-func TestSelectBetween(t *testing.T) {
-	col := []int64{0, 10, 20, 30, 40, 50}
-	res := make([]int32, len(col))
-	k := SelectBetweenInt64ColValVal(res, col, 10, 40, nil, len(col))
-	if !reflect.DeepEqual(res[:k], []int32{1, 2, 3}) {
-		t.Errorf("between dense: %v", res[:k])
-	}
-	k = SelectBetweenInt64ColValVal(res, col, 10, 40, []int32{0, 3, 5}, 3)
-	if !reflect.DeepEqual(res[:k], []int32{3}) {
-		t.Errorf("between selective: %v", res[:k])
-	}
-}
-
-func TestSelectFloat64(t *testing.T) {
-	col := []float64{0.5, 2.5, 1.5, 3.5}
-	res := make([]int32, 4)
-	k := SelectGTFloat64ColVal(res, col, 1.5, nil, 4)
-	if !reflect.DeepEqual(res[:k], []int32{1, 3}) {
-		t.Errorf("gt flt: %v", res[:k])
-	}
-	k = SelectGEFloat64ColVal(res, col, 1.5, nil, 4)
-	if !reflect.DeepEqual(res[:k], []int32{1, 2, 3}) {
-		t.Errorf("ge flt: %v", res[:k])
-	}
-	k = SelectGTFloat64ColVal(res, col, 1.5, []int32{0, 1}, 2)
-	if !reflect.DeepEqual(res[:k], []int32{1}) {
-		t.Errorf("gt flt selective: %v", res[:k])
-	}
-	k = SelectGEFloat64ColVal(res, col, 2.5, []int32{0, 1, 2}, 3)
-	if !reflect.DeepEqual(res[:k], []int32{1}) {
-		t.Errorf("ge flt selective: %v", res[:k])
-	}
-}
-
-func TestSelectStr(t *testing.T) {
-	col := []string{"info", "retrieval", "info", "storing"}
-	res := make([]int32, 4)
-	k := SelectEQStrColVal(res, col, "info", nil, 4)
-	if !reflect.DeepEqual(res[:k], []int32{0, 2}) {
-		t.Errorf("eq str: %v", res[:k])
-	}
-	k = SelectEQStrColVal(res, col, "info", []int32{1, 2, 3}, 3)
-	if !reflect.DeepEqual(res[:k], []int32{2}) {
-		t.Errorf("eq str selective: %v", res[:k])
-	}
-}
-
 // Property: selection output is always strictly ascending and a subsequence
 // of the input selection, for random data.
 func TestSelectAscendingProperty(t *testing.T) {
@@ -137,7 +90,7 @@ func TestSelectAscendingProperty(t *testing.T) {
 	}
 }
 
-// Property: chaining two selects equals one conjunctive select.
+// Property: chaining two selects selects the conjunction of their predicates.
 func TestSelectCompositionProperty(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	for trial := 0; trial < 100; trial++ {
@@ -153,11 +106,9 @@ func TestSelectCompositionProperty(t *testing.T) {
 		s2 := make([]int32, n)
 		k2 := SelectLTInt64ColVal(s2, col, hi, s1[:k1], k1)
 
-		s3 := make([]int32, n)
-		k3 := SelectBetweenInt64ColValVal(s3, col, lo, hi, nil, n)
-
-		if k2 != k3 || !reflect.DeepEqual(s2[:k2], s3[:k3]) {
-			t.Fatalf("trial %d: chained %v != fused %v", trial, s2[:k2], s3[:k3])
+		want := refSelect(col, func(x int64) bool { return x >= lo && x < hi }, nil, n)
+		if !eqSel(s2, want, k2) {
+			t.Fatalf("trial %d: chained %v != conjunction %v", trial, s2[:k2], want)
 		}
 	}
 }

@@ -8,9 +8,8 @@
 //     reference-counted so a swap never drops an in-flight search, plus
 //     the set of live generations and in-progress builds that answers "is
 //     this segment directory still in use";
-//   - directory refresh and segment GC for cores opened over a segmented
-//     directory: Refresh, Commit (run a storage commit under the commit
-//     lock, then refresh) and Sweep;
+//   - directory refresh and segment GC: Refresh, Commit (run a storage
+//     commit under the commit lock, then refresh) and Sweep;
 //   - the query pipeline (search.go): validate, result cache, admission,
 //     pool wait, execute, cache put, metrics, trace — for one request and
 //     for a sub-batched worker fan-out.
@@ -80,12 +79,11 @@ type Core struct {
 	cur    atomic.Pointer[Gen]
 	closed atomic.Bool
 
-	// Directory-backed state, zero for cores built with New: the segmented
-	// directory served, the chunk cache every generation opens against (it
-	// outlives them, so a refresh keeps unchanged segments' chunks warm, and
-	// a removed segment's frames are dropped from it), the physical layout
-	// appends must match, and whether the directory's statistics are
-	// externally coordinated.
+	// The segmented directory served, the chunk cache every generation
+	// opens against (it outlives them, so a refresh keeps unchanged
+	// segments' chunks warm, and a removed segment's frames are dropped from
+	// it), the physical layout appends must match, and whether the
+	// directory's statistics are externally coordinated.
 	dir      string
 	chunks   *colbm.Manager
 	layout   ir.BuildConfig
@@ -128,20 +126,11 @@ func newCore(cfg Config) *Core {
 	return c
 }
 
-// New returns a core serving snap, which it takes ownership of (Close
-// releases its storage if the snapshot owns it). The core has no
-// directory: Refresh is a no-op, Commit refuses (see Writable), and Sweep
-// must not be used.
-func New(snap *ir.Snapshot, cfg Config) *Core {
-	c := newCore(cfg)
-	c.installLocked(snap, nil)
-	return c
-}
-
 // OpenDir returns a core serving the current generation of an index
-// directory, with live-commit support (Refresh, Commit, Sweep). Every
-// generation the core opens reads through chunks, the buffer manager the
-// caller built (and so chose the budget of) for this core alone.
+// directory, with live-commit support (Refresh, Commit, Sweep) — the one
+// way to make a core. Every generation the core opens reads through
+// chunks, the buffer manager the caller built (and so chose the budget of)
+// for this core alone.
 func OpenDir(dir string, chunks *colbm.Manager, cfg Config) (*Core, error) {
 	sm, err := storage.ReadSegments(dir)
 	if err != nil {
@@ -160,7 +149,7 @@ func OpenDir(dir string, chunks *colbm.Manager, cfg Config) (*Core, error) {
 	return c, nil
 }
 
-// Dir returns the segmented directory served ("" for cores built with New).
+// Dir returns the segmented directory served.
 func (c *Core) Dir() string { return c.dir }
 
 // Layout returns the physical index layout appends to Dir must use.
@@ -170,12 +159,8 @@ func (c *Core) Layout() ir.BuildConfig { return c.layout }
 // directory whose statistics are its own; an error matching
 // storage.ErrExternalStats — the one refusal every append, merge and
 // install path reports — for a directory marked External (dist partitions
-// built with global statistics) and for a core built with New, whose index
-// lives wherever the caller built it.
+// built with global statistics).
 func (c *Core) Writable() error {
-	if c.dir == "" {
-		return fmt.Errorf("serving: in-memory index: %w", storage.ErrExternalStats)
-	}
 	if c.external {
 		return fmt.Errorf("serving: %q: %w", c.dir, storage.ErrExternalStats)
 	}
@@ -192,9 +177,8 @@ type Gen struct {
 	c    *Core
 	snap *ir.Snapshot
 	pool *ir.SearcherPool
-	// segs are the segment directory names this generation references
-	// (empty for cores without a directory) — what segment GC must keep
-	// while the generation is live.
+	// segs are the segment directory names this generation references —
+	// what segment GC must keep while the generation is live.
 	segs []string
 
 	refs      atomic.Int64
@@ -211,11 +195,11 @@ func (g *Gen) Snapshot() *ir.Snapshot { return g.snap }
 func (g *Gen) Pool() *ir.SearcherPool { return g.pool }
 
 // Release drops one reference; the last one out closes the snapshot's
-// storage, leaves the live set, and — on a directory-backed core —
-// reclaims the segments only this generation still referenced. A late
-// acquirer that lost the swap race may push the count 0->1->0 again; the
-// Once keeps the close single-shot, and the loser never uses the
-// generation (its re-check of the current pointer fails first).
+// storage, leaves the live set, and reclaims the segments only this
+// generation still referenced. A late acquirer that lost the swap race may
+// push the count 0->1->0 again; the Once keeps the close single-shot, and
+// the loser never uses the generation (its re-check of the current
+// pointer fails first).
 func (g *Gen) Release() {
 	if g.refs.Add(-1) != 0 {
 		return
@@ -293,12 +277,8 @@ func (c *Core) installLocked(snap *ir.Snapshot, segs []string) {
 
 // Refresh re-reads the directory's super-manifest and, if a newer
 // generation was committed (by Commit, another handle, or another
-// process), opens and installs it. A core without a directory has nothing
-// to refresh.
+// process), opens and installs it.
 func (c *Core) Refresh() error {
-	if c.dir == "" {
-		return nil
-	}
 	c.commitMu.Lock()
 	defer c.commitMu.Unlock()
 	return c.refreshLocked()
@@ -398,8 +378,8 @@ func (c *Core) sweep(only []string) {
 // Close stops serving: Acquire fails with ErrClosed from now on, searches
 // already running finish on their generation, and Close blocks until
 // every generation has drained and released its storage, returning the
-// first storage-close error. A directory-backed core then sweeps the
-// directory one last time. Closing twice is a no-op.
+// first storage-close error, and then sweeps the directory one last time.
+// Closing twice is a no-op.
 func (c *Core) Close() error {
 	if !c.closed.CompareAndSwap(false, true) {
 		return nil
@@ -426,9 +406,7 @@ func (c *Core) Close() error {
 			err = old.closeErr
 		}
 	}
-	if c.dir != "" {
-		c.Sweep()
-	}
+	c.Sweep()
 	return err
 }
 
@@ -453,10 +431,9 @@ type Metrics struct {
 	// Storage is the chunk-cache snapshot of the serving generation (hits,
 	// misses, singleflight shares, evictions, occupancy, recycled read
 	// buffers and the free list they come from) — the buffer
-	// manager shared across generations for a directory-backed core.
+	// manager shared across generations.
 	Storage colbm.CacheStats
-	// Gen is the serving generation (0 without a generation-stamped
-	// directory).
+	// Gen is the serving generation.
 	Gen uint64
 }
 

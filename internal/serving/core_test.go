@@ -3,6 +3,7 @@ package serving
 import (
 	"context"
 	"errors"
+	"path/filepath"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -10,6 +11,7 @@ import (
 	"repro/internal/colbm"
 	"repro/internal/corpus"
 	"repro/internal/ir"
+	"repro/internal/storage"
 )
 
 // countingStore counts Close calls on a generation's storage; reads fall
@@ -26,14 +28,19 @@ func (s *countingStore) Close() error {
 }
 
 // TestGenerationSwapProtocol races searchers, installs and Close over one
-// core: no search may run on a generation whose storage already closed,
-// every installed snapshot's storage closes exactly once (whether it was
-// superseded, drained by Close, or refused because Close won the race),
-// and Close reports the first storage-close error.
+// core opened over an index directory: no search may run on a generation
+// whose storage already closed, every installed snapshot's storage closes
+// exactly once (whether it was superseded, drained by Close, or refused
+// because Close won the race), and Close reports the first storage-close
+// error.
 func TestGenerationSwapProtocol(t *testing.T) {
 	cfg := corpus.DefaultConfig()
 	cfg.NumDocs, cfg.Vocab, cfg.AvgDocLen, cfg.NumTopics = 400, 800, 40, 8
 	coll := corpus.Generate(cfg)
+	dir := filepath.Join(t.TempDir(), "ix")
+	if _, err := storage.AppendSegment(dir, coll, ir.DefaultBuildConfig()); err != nil {
+		t.Fatal(err)
+	}
 	base, err := ir.Build(coll, ir.DefaultBuildConfig())
 	if err != nil {
 		t.Fatal(err)
@@ -52,10 +59,18 @@ func TestGenerationSwapProtocol(t *testing.T) {
 	}
 	storeOf := func(g *Gen) *countingStore { return g.Snapshot().Primary().Store.(*countingStore) }
 
+	core, err := OpenDir(dir, colbm.NewManager(0), Config{Searchers: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	// The directory's own generation 1 drains as the first install
+	// replaces it. Pin that install, generation 2, so it is still live when
+	// Close starts: its close error must come back from Close, not vanish
+	// with an early drain.
 	errBoom := errors.New("boom")
-	core := New(newSnap(1, errBoom), Config{Searchers: 2})
-	// Pin generation 1 so it is still live when Close starts: its close
-	// error must come back from Close, not vanish with an early drain.
+	if err := core.Install(newSnap(2, errBoom), nil); err != nil {
+		t.Fatal(err)
+	}
 	pinned, err := core.Acquire()
 	if err != nil {
 		t.Fatal(err)
@@ -63,7 +78,7 @@ func TestGenerationSwapProtocol(t *testing.T) {
 	const installs = 40
 	snaps := make([]*ir.Snapshot, installs)
 	for i := range snaps {
-		snaps[i] = newSnap(uint64(i+2), nil)
+		snaps[i] = newSnap(uint64(i+3), nil)
 	}
 
 	req := Request{Terms: coll.PrecisionQueries(1, 3)[0].Terms, K: 5}
@@ -107,7 +122,7 @@ func TestGenerationSwapProtocol(t *testing.T) {
 	wg.Add(1)
 	go func() {
 		defer wg.Done()
-		// Let go of generation 1 only once Close has begun.
+		// Let go of generation 2 only once Close has begun.
 		for {
 			g, err := core.Acquire()
 			if err != nil {
@@ -119,12 +134,12 @@ func TestGenerationSwapProtocol(t *testing.T) {
 	}()
 	<-halfway
 	if err := core.Close(); !errors.Is(err, errBoom) {
-		t.Errorf("Close returned %v, want the first generation's close error", err)
+		t.Errorf("Close returned %v, want the pinned generation's close error", err)
 	}
 	wg.Wait()
 	for i, st := range stores {
 		if n := st.closes.Load(); n != 1 {
-			t.Errorf("snapshot %d: storage closed %d times, want exactly once", i+1, n)
+			t.Errorf("generation %d: storage closed %d times, want exactly once", i+2, n)
 		}
 	}
 	if err := core.Close(); err != nil {

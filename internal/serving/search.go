@@ -54,8 +54,8 @@ type Request struct {
 type Response struct {
 	// Hits are the ranked documents, names resolved.
 	Hits []ir.Result
-	// Stats carries per-query wall time, simulated I/O, second-pass and
-	// candidate-count accounting.
+	// Stats carries per-query wall time, second-pass and candidate-count
+	// accounting.
 	Stats ir.QueryStats
 	// Strategy is the strategy that actually executed (after resolving
 	// StrategyDefault and physical-column substitutions).
@@ -91,10 +91,7 @@ type BatchStats struct {
 
 	// Wall is the wall time of the whole batch; with W workers active it is
 	// roughly the summed per-query time divided by W, which is the point.
-	// SimIO sums the per-query simulated I/O charges (zero on real stores,
-	// whose read time is inside the per-query wall times).
-	Wall  time.Duration
-	SimIO time.Duration
+	Wall time.Duration
 }
 
 // subBatchPerWorker bounds how many requests one worker runs per
@@ -158,7 +155,6 @@ func (g *Gen) SearchMany(ctx context.Context, reqs []Request, fn func(int, Batch
 				bs.SecondPass++
 			}
 			bs.Candidates += r.Response.Stats.Candidates
-			bs.SimIO += r.Response.Stats.SimIO
 		}
 		accMu.Unlock()
 		if out != nil {

@@ -2,7 +2,7 @@ package repro
 
 import "time"
 
-// merger is the background merge loop of a persisted engine (enabled with
+// merger is the background merge loop of an engine (enabled with
 // WithAutoMerge): every Add nudges it, and while the tiered policy finds
 // the segment count above its bound it merges the cheapest adjacent run —
 // building off to the side with no locks held, committing a new generation

@@ -44,16 +44,6 @@ func (c *engineConfig) crossValidate() {
 	}
 }
 
-// refusePersistedOnly appends an error for WithAutoMerge, the one option
-// that only means something over a persisted index directory; Open without
-// WithStorageDir and OpenIndex — the two in-memory entry points — call it.
-func (c *engineConfig) refusePersistedOnly() {
-	if c.autoMerge > 0 {
-		c.errs = append(c.errs,
-			fmt.Errorf("repro: WithAutoMerge needs a persisted index (Open with WithStorageDir, or OpenDir)"))
-	}
-}
-
 // Option configures an Engine at Open time.
 type Option func(*engineConfig)
 
@@ -65,19 +55,17 @@ func defaultEngineConfig() engineConfig {
 	}
 }
 
-// WithIndexConfig replaces the physical index configuration (which columns
-// are stored, chunk length, storage simulation: IndexConfig.Disk is the
-// simulated disk model). WithBufferPoolBytes, before or after, overrides
-// IndexConfig.PoolBytes.
+// WithIndexConfig replaces the physical index configuration Open builds
+// with (which columns are stored, chunk length). WithBufferPoolBytes,
+// before or after, overrides IndexConfig.PoolBytes.
 func WithIndexConfig(cfg IndexConfig) Option {
 	return func(c *engineConfig) { c.index = cfg }
 }
 
 // WithBufferPoolBytes caps the ColumnBM buffer manager at the given
 // capacity in bytes (0 = unbounded, everything stays hot once loaded) —
-// compressed chunks, clock eviction, singleflight — whether the index is
-// built in memory over the simulated disk or persisted (WithStorageDir,
-// OpenDir).
+// compressed chunks, clock eviction, singleflight — over the engine's
+// index files, whichever entry point opened them.
 func WithBufferPoolBytes(capacityBytes int64) Option {
 	return func(c *engineConfig) {
 		if capacityBytes < 0 {
@@ -88,14 +76,13 @@ func WithBufferPoolBytes(capacityBytes int64) Option {
 	}
 }
 
-// WithStorageDir routes the engine's index through real persistent storage
-// rooted at dir. If dir already holds an index directory, Open serves it
-// directly — zero corpus re-parsing, zero index building; otherwise Open
-// indexes the collection as the directory's first segment and serves the
-// persisted form. Either way queries
-// run against FileStore-backed columns through the real buffer manager
-// (size it with WithBufferPoolBytes). Use OpenDir to open an existing
-// index directory without a collection in hand.
+// WithStorageDir names the directory Open keeps the engine's index in, and
+// which outlives the engine (without it Open uses a temporary directory
+// that Close removes). If dir already holds an index directory, Open
+// serves it directly — zero corpus re-parsing, zero index building;
+// otherwise Open indexes the collection as the directory's first segment.
+// Use OpenDir to open an existing index directory without a collection in
+// hand.
 func WithStorageDir(dir string) Option {
 	return func(c *engineConfig) {
 		if dir == "" {
@@ -107,7 +94,7 @@ func WithStorageDir(dir string) Option {
 }
 
 // WithSegments does nothing: every index directory is segmented, so every
-// persisted engine already accepts Engine.Add and WithAutoMerge. It remains
+// engine already accepts Engine.Add and WithAutoMerge. It remains
 // only because bench/ (frozen by BENCHMARK.json) still passes it.
 func WithSegments() Option { return func(*engineConfig) {} }
 
@@ -116,7 +103,7 @@ func WithSegments() Option { return func(*engineConfig) {} }
 // cheapest adjacent run of segments is merged into one — re-baking
 // materialized score columns against current collection statistics — and
 // the replaced directories are garbage-collected once no in-flight search
-// references them. maxSegments must be at least 1; persisted indexes only.
+// references them. maxSegments must be at least 1.
 func WithAutoMerge(maxSegments int) Option {
 	return func(c *engineConfig) {
 		if maxSegments < 1 {

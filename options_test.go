@@ -142,15 +142,21 @@ var optionRows = map[string]func(t *testing.T, f *optionFixture){
 			t.Errorf("OpenDir: serving manager budget %d, want %d", got, n)
 		}
 	},
-	// SegmentStats.Generation (0 in memory) and the FileStore behind Index().
+	// storage.ReadSegments(dir) after Close: the named directory outlives
+	// the engine. (Without the option Open's own directory does not:
+	// TestOpenWithoutDirIsAnOrdinaryEngine.)
 	"WithStorageDir": func(t *testing.T, f *optionFixture) {
-		eng := f.open(t, WithStorageDir(filepath.Join(t.TempDir(), "ix")))
+		dir := filepath.Join(t.TempDir(), "ix")
+		eng := f.open(t, WithStorageDir(dir))
 		if _, ok := eng.Index().Store.(*storage.FileStore); !ok || eng.SegmentStats().Generation != 1 {
-			t.Errorf("persisted engine: store %T at generation %d, want a FileStore at generation 1",
+			t.Errorf("engine: store %T at generation %d, want a FileStore at generation 1",
 				eng.Index().Store, eng.SegmentStats().Generation)
 		}
-		if got := f.open(t).SegmentStats().Generation; got != 0 {
-			t.Errorf("in-memory engine reports generation %d", got)
+		if err := eng.Close(); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := storage.ReadSegments(dir); err != nil {
+			t.Errorf("the storage directory did not outlive Close: %v", err)
 		}
 	},
 	// No effect, by design: bench/workloads.go still passes it, and bench/

@@ -121,15 +121,12 @@ type JoinSpec struct {
 	// Outer selects the full outer merge join (the boolean-OR /
 	// zero-padding shape BM25 plans rely on).
 	Outer bool
-	// Hash selects the hash join ablation instead of the merge join; both
-	// sides may then arrive in any order. Incompatible with Outer.
-	Hash bool
 }
 
-// Join combines this plan (left) with another (right). Keys must be Int64
-// on both sides; for merge joins both inputs must be strictly increasing
-// on their keys (the inverted-list invariant, checked at run time). The
-// right builder's accumulated errors propagate into this one.
+// Join merge-joins this plan (left) with another (right). Keys must be
+// Int64 on both sides, and both inputs must be strictly increasing on
+// their keys (the inverted-list invariant, checked at run time). The right
+// builder's accumulated errors propagate into this one.
 func (b *PlanBuilder) Join(right *PlanBuilder, on JoinSpec) *PlanBuilder {
 	if b.broken {
 		return b
@@ -141,9 +138,6 @@ func (b *PlanBuilder) Join(right *PlanBuilder, on JoinSpec) *PlanBuilder {
 		b.errs = append(b.errs, right.errs...)
 		b.broken = true
 		return b
-	}
-	if on.Hash && on.Outer {
-		return b.fail(errors.New("repro: hash join does not support Outer"))
 	}
 	checkKey := func(side string, s engine.Schema, key string) error {
 		i := s.Index(key)
@@ -176,12 +170,9 @@ func (b *PlanBuilder) Join(right *PlanBuilder, on JoinSpec) *PlanBuilder {
 		seen[name] = true
 		out = append(out, engine.Col{Name: name, Type: c.Type})
 	}
-	switch {
-	case on.Hash:
-		b.op = engine.NewHashJoin(b.op, right.op, on.LeftKey, on.RightKey, on.LeftPrefix, on.RightPrefix)
-	case on.Outer:
+	if on.Outer {
 		b.op = engine.NewMergeOuterJoin(b.op, right.op, on.LeftKey, on.RightKey, on.LeftPrefix, on.RightPrefix)
-	default:
+	} else {
 		b.op = engine.NewMergeJoin(b.op, right.op, on.LeftKey, on.RightKey, on.LeftPrefix, on.RightPrefix)
 	}
 	b.schema = out

@@ -12,6 +12,8 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/corpus"
+	"repro/internal/ir"
 	"repro/internal/storage"
 )
 
@@ -26,10 +28,38 @@ func segColl(t *testing.T) *Collection {
 	return GenerateCollection(cfg)
 }
 
+// requireReferenceRanking requires eng to rank every query under every
+// strategy exactly as the ir.Build reference index over coll does: the
+// same docids with bit-identical scores.
+func requireReferenceRanking(t *testing.T, eng *Engine, coll *Collection, queries []corpus.Query, strats []Strategy) {
+	t.Helper()
+	ref, err := BuildIndex(coll, DefaultIndexConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	s := ir.NewSearcher(ref, 0)
+	for _, q := range queries {
+		for _, strat := range strats {
+			want, _, err := s.Search(q.Terms, 10, strat)
+			if err != nil {
+				t.Fatal(err)
+			}
+			got, err := eng.Search(context.Background(), SearchRequest{Terms: q.Terms, K: 10, Strategy: strat})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !reflect.DeepEqual(got.Hits, want) {
+				t.Errorf("%v %v: engine diverged from the ir.Build reference:\n got %v\nwant %v",
+					strat, q.Terms, got.Hits, want)
+			}
+		}
+	}
+}
+
 // TestEngineSegmentedLifecycle drives the live-update path end to end:
 // Open a half collection as a segmented directory, Add the other half in
-// batches through the engine, and require the final ranking to equal an
-// in-memory engine over the whole collection — exactly, scores included —
+// batches through the engine, and require the final ranking to equal the
+// ir.Build reference over the whole collection — exactly, scores included —
 // for every strategy. Along the way the result cache must invalidate per
 // generation and SegmentStats must track the growth.
 func TestEngineSegmentedLifecycle(t *testing.T) {
@@ -92,33 +122,9 @@ func TestEngineSegmentedLifecycle(t *testing.T) {
 		t.Log("note: ranking unchanged by appends for this query (legal, just unlikely)")
 	}
 
-	// Exact equivalence with a whole-collection in-memory engine.
-	mem, err := Open(coll)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer mem.Close()
-	for _, q := range append(coll.PrecisionQueries(4, 33), coll.EfficiencyQueries(4, 34)...) {
-		for _, strat := range AllStrategies {
-			want, err := mem.Search(ctx, SearchRequest{Terms: q.Terms, K: 10, Strategy: strat})
-			if err != nil {
-				t.Fatal(err)
-			}
-			got, err := eng.Search(ctx, SearchRequest{Terms: q.Terms, K: 10, Strategy: strat})
-			if err != nil {
-				t.Fatal(err)
-			}
-			if !reflect.DeepEqual(got.Hits, want.Hits) {
-				t.Errorf("%v %v: segmented engine diverged from monolithic:\n got %v\nwant %v",
-					strat, q.Terms, got.Hits, want.Hits)
-			}
-		}
-	}
-
-	// Add without a segmented directory fails loudly.
-	if err := mem.Add(ctx, []Doc{{Name: "d", Tokens: []string{"x"}}}); err == nil {
-		t.Error("in-memory engine accepted Add")
-	}
+	// Exact equivalence with a whole-collection build.
+	requireReferenceRanking(t, eng, coll,
+		append(coll.PrecisionQueries(4, 33), coll.EfficiencyQueries(4, 34)...), AllStrategies)
 }
 
 // TestEngineCloseRacesInFlightSearch closes the engine while searches are
@@ -290,24 +296,7 @@ func TestSegmentedMergeRacesSearchAndRefresh(t *testing.T) {
 	wg.Wait()
 
 	// The full collection is still served, exactly.
-	mem, err := Open(coll)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer mem.Close()
-	for _, q := range coll.PrecisionQueries(3, 44) {
-		want, err := mem.Search(ctx, SearchRequest{Terms: q.Terms, K: 10})
-		if err != nil {
-			t.Fatal(err)
-		}
-		got, err := eng.Search(ctx, SearchRequest{Terms: q.Terms, K: 10})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !reflect.DeepEqual(got.Hits, want.Hits) {
-			t.Errorf("query %v: merged engine diverged from monolithic", q.Terms)
-		}
-	}
+	requireReferenceRanking(t, eng, coll, coll.PrecisionQueries(3, 44), []Strategy{BM25TCMQ8})
 	if err := eng.Close(); err != nil {
 		t.Fatal(err)
 	}

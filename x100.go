@@ -21,7 +21,7 @@
 //	           I/O) and the one on-disk layout (SEGMENTS.json over
 //	           immutable segment directories)
 //	engine   — vectorized operators (Scan, Select, Project, MergeJoin,
-//	           MergeOuterJoin, HashJoin, Aggregate, TopN, Sort)
+//	           MergeOuterJoin, FetchJoin, Aggregate, TopN, Sort)
 //	ir       — inverted index as relations, BM25 plans, Table 2 strategies
 //	serving  — the serving core Engine and dist.Server both wrap:
 //	           generation registry, refresh and segment GC, the query
@@ -49,14 +49,15 @@
 //		Aggregate([]string{"returnflag"}, repro.AggSpec{Op: repro.AggCount, Name: "n"}).
 //		Build()
 //
-// Indexes persist: Open(coll, WithStorageDir(dir)) builds once and serves
-// the on-disk form from then on, OpenDir(dir) opens a prebuilt index with
-// no collection in hand, and SaveIndex/LoadIndex expose the same round
-// trip for manually managed indexes. Every index directory has the same
-// layout and grows the same way: Engine.Add appends a segment. In-memory
-// and persisted queries alike run through the ColumnBM buffer manager —
-// compressed chunks under a byte budget (WithBufferPoolBytes), clock
-// eviction, singleflight fetches.
+// Every engine serves an index directory from real files. Open(coll)
+// builds into a temporary directory the engine removes at Close;
+// Open(coll, WithStorageDir(dir)) builds once and serves the on-disk form
+// from then on; OpenDir(dir) opens a prebuilt index with no collection in
+// hand; and SaveIndex/LoadIndex expose the same round trip for manually
+// managed indexes. Every index directory has the same layout and grows
+// the same way: Engine.Add appends a segment. Queries run through the
+// ColumnBM buffer manager — compressed chunks under a byte budget
+// (WithBufferPoolBytes), clock eviction, singleflight fetches.
 //
 // Scale-out (§3.4, Table 3) goes through internal/dist: StartCluster
 // partitions a collection across loopback-TCP servers (it is

@@ -14,28 +14,8 @@ import (
 // Integration tests against the public facade: everything an application
 // would do, end to end, through one import.
 
-func facadeFixture(t *testing.T) (*Collection, *Index) {
-	t.Helper()
-	cfg := DefaultCollectionConfig()
-	cfg.NumDocs = 3000
-	cfg.Vocab = 4000
-	cfg.AvgDocLen = 90
-	cfg.NumTopics = 25
-	coll := GenerateCollection(cfg)
-	ix, err := BuildIndex(coll, DefaultIndexConfig())
-	if err != nil {
-		t.Fatal(err)
-	}
-	return coll, ix
-}
-
 func TestFacadeEndToEndSearch(t *testing.T) {
-	coll, ix := facadeFixture(t)
-	eng, err := OpenIndex(ix)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer eng.Close()
+	coll, eng := engineFixture(t)
 	ctx := context.Background()
 	q := coll.PrecisionQueries(1, 5)[0]
 
@@ -64,14 +44,9 @@ func TestFacadeEndToEndSearch(t *testing.T) {
 }
 
 func TestFacadeBooleanLanguage(t *testing.T) {
-	_, ix := facadeFixture(t)
-	eng, err := OpenIndex(ix)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer eng.Close()
+	_, eng := engineFixture(t)
 	var terms []string
-	for term := range ix.Terms {
+	for term := range eng.Index().Terms {
 		terms = append(terms, term)
 		if len(terms) == 2 {
 			break
@@ -156,7 +131,7 @@ func TestFacadeCompression(t *testing.T) {
 }
 
 func TestFacadeCluster(t *testing.T) {
-	coll, _ := facadeFixture(t)
+	coll := fixtureCollection()
 	cluster, err := StartCluster(coll, 2, DefaultIndexConfig())
 	if err != nil {
 		t.Fatal(err)
@@ -249,24 +224,19 @@ func TestFacadeJoinsAndTopN(t *testing.T) {
 }
 
 func TestFacadeSearcherExplain(t *testing.T) {
-	coll, ix := facadeFixture(t)
-	eng, err := OpenIndex(ix, WithVectorSize(512))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer eng.Close()
+	coll, eng := engineFixture(t, WithVectorSize(512))
 	q := coll.PrecisionQueries(1, 9)[0]
 	plan, err := eng.ExplainPlan(context.Background(), q.Terms, 10, BM25TCMQ8)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !strings.Contains(plan, "Scan(TD[") {
+	if !strings.Contains(plan, ".TD[") {
 		t.Errorf("facade explain: %s", plan)
 	}
 }
 
-// TestInMemoryAndPersistedCachesAgree: an in-memory index and its
-// SaveIndex/LoadIndex copy cache chunks through the same buffer manager, so
+// TestInMemoryAndPersistedCachesAgree: an ir.Build index over SimDisk and
+// its SaveIndex/LoadIndex copy cache chunks through the same buffer manager, so
 // the same queries under the same budget must hit, miss and evict exactly
 // alike — the chunk sizes are the same bytes and the eviction policy is one.
 // The budgets are fractions of the index's store, so each one evicts

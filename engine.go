@@ -5,7 +5,6 @@ import (
 	"errors"
 	"fmt"
 	"os"
-	"path/filepath"
 	"sync"
 	"sync/atomic"
 
@@ -418,7 +417,7 @@ func (e *Engine) mergeOnce(maxSegments int, cancel func() bool) (bool, error) {
 	defer built()
 	bakedEpoch, err := storage.BuildMergedSegment(dir, names, into, cancel)
 	if err != nil {
-		os.RemoveAll(filepath.Join(dir, into))
+		storage.DiscardSegment(dir, into)
 		if errors.Is(err, storage.ErrBuildCanceled) {
 			return false, nil
 		}
@@ -430,7 +429,7 @@ func (e *Engine) mergeOnce(maxSegments int, cancel func() bool) (bool, error) {
 	})
 	if errors.Is(err, serving.ErrClosed) {
 		// The engine closed while the build ran; nothing was committed.
-		os.RemoveAll(filepath.Join(dir, into))
+		storage.DiscardSegment(dir, into)
 		return false, nil
 	}
 	if err != nil {

@@ -224,21 +224,6 @@ func (b *Broker) Add(ctx context.Context, docs []Doc) (AddStats, error) {
 	return stats, nil
 }
 
-// AddMany routes and replicates a sequence of batches, stopping at the
-// first failed Add. Batches may land on different partitions — routing
-// re-balances as partitions grow.
-func (b *Broker) AddMany(ctx context.Context, batches [][]Doc) ([]AddStats, error) {
-	out := make([]AddStats, 0, len(batches))
-	for i, docs := range batches {
-		st, err := b.Add(ctx, docs)
-		if err != nil {
-			return out, fmt.Errorf("dist: batch %d: %w", i, err)
-		}
-		out = append(out, st)
-	}
-	return out, nil
-}
-
 // route picks the owning partition for a new batch: among groups with at
 // least one reachable ingest-capable replica, the one serving the fewest
 // documents. Partitions frozen for a range operation are skipped — no

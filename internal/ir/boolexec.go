@@ -42,7 +42,7 @@ func (s *Searcher) SearchBoolContext(ctx context.Context, expr BoolExpr, k int) 
 // ExplainBool renders the compiled plan of a boolean query, on the segment
 // ExplainPlan would pick for its terms.
 func (s *Searcher) ExplainBool(expr BoolExpr, k int) (string, error) {
-	sub, _ := s.explainSegment(Terms(expr))
+	sub := s.explainSegment(Terms(expr))
 	root, err := sub.boolRoot(expr, k)
 	if err != nil {
 		return "", err

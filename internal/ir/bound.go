@@ -18,16 +18,20 @@ type termBound struct {
 	top float64
 }
 
-// strideMaxima caches the termBounds of one index, by the term's first TD
-// row. Segments are immutable, so an entry holds for the life of the index
-// and is never invalidated. Index holds the cache behind a pointer, so
-// copies of an Index share it.
-type strideMaxima struct {
+// StrideMaxima caches the termBounds of one segment, by the term's first
+// TD row. Segments are immutable, so an entry holds for the life of the
+// segment and is never invalidated: the storage layer keeps one cache per
+// decoded manifest and hands it to every Index it opens from that
+// manifest (RestoreIndex), so the next generation starts with the maxima
+// the last one computed. Index holds the cache behind a pointer, so copies
+// of an Index share it.
+type StrideMaxima struct {
 	mu    sync.Mutex
 	terms map[int]*termBound
 }
 
-func newStrideMaxima() *strideMaxima { return &strideMaxima{terms: map[int]*termBound{}} }
+// NewStrideMaxima returns an empty cache.
+func NewStrideMaxima() *StrideMaxima { return &StrideMaxima{terms: map[int]*termBound{}} }
 
 // qscoreBound returns ti's bound, read once through a cursor over the
 // qscore column on first use.

@@ -35,7 +35,10 @@
 // # Segments and snapshots
 //
 // Search runs over a Snapshot: an ordered set of one or more immutable
-// Index segments (disjoint docid ranges) plus collection-wide statistics.
+// Index segments (disjoint docid ranges) plus collection-wide statistics:
+// the BM25 parameters are patched into the segments when the snapshot is
+// made, and a query term's document frequency is summed over the
+// segments' dictionaries once per query, so no dictionary is copied.
 // The multi-segment Searcher plans each segment separately, applies a
 // global two-pass gate (the disjunctive second pass runs only when the
 // merged conjunctive yield falls short), and merges per-segment results
@@ -51,6 +54,6 @@
 // of searchers, doubling as admission control — at most Size() plans
 // execute at once; Engine.Search and the dist partition servers both
 // query through a pool. Everything underneath (buffer manager, block
-// stores, an Index's cache of per-stride score maxima) is internally
+// stores, a segment's cache of per-stride score maxima) is internally
 // synchronized.
 package ir

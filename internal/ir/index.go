@@ -198,7 +198,7 @@ type Index struct {
 	// maxima caches the terms' per-stride qscore maxima, computed on first
 	// use by a bounded BM25TCMQ8 plan; nil on an Index not made by Build or
 	// RestoreIndex, whose plans then run unbounded.
-	maxima *strideMaxima
+	maxima *StrideMaxima
 
 	cfg BuildConfig
 }
@@ -333,7 +333,7 @@ func (w *IndexWriter) assemble(lo, hi float64) (*Index, error) {
 		ScoreHi: hi,
 		Store:   store,
 		Cache:   cache,
-		maxima:  newStrideMaxima(),
+		maxima:  NewStrideMaxima(),
 		cfg:     bc,
 	}
 	if bc.Quantized {
@@ -349,9 +349,11 @@ func (w *IndexWriter) assemble(lo, hi float64) (*Index, error) {
 // constructor of a fresh index over a SimDisk. The document table's docid
 // column is decoded once and must be dense — row i holds cfg.DocIDBase + i,
 // what every plan's positional fetch of D assumes — or the error wraps
-// ErrDocTableNotDense.
+// ErrDocTableNotDense. maxima is the segment's stride-maxima cache, shared
+// with every other Index restored from the same segment.
 func RestoreIndex(td, d *colbm.Table, terms map[string]TermInfo, params primitives.BM25Params,
-	scoreLo, scoreHi float64, store colbm.BlockStore, cache colbm.ChunkCache, cfg BuildConfig) (*Index, error) {
+	scoreLo, scoreHi float64, store colbm.BlockStore, cache colbm.ChunkCache, cfg BuildConfig,
+	maxima *StrideMaxima) (*Index, error) {
 	if err := checkDense(d, cfg.DocIDBase); err != nil {
 		return nil, err
 	}
@@ -364,7 +366,7 @@ func RestoreIndex(td, d *colbm.Table, terms map[string]TermInfo, params primitiv
 		ScoreHi: scoreHi,
 		Store:   store,
 		Cache:   cache,
-		maxima:  newStrideMaxima(),
+		maxima:  maxima,
 		cfg:     cfg,
 	}, nil
 }

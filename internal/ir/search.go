@@ -145,6 +145,11 @@ type segSearcher struct {
 	ctx     *engine.ExecContext
 	tr      *trace.Trace // mirrors the owning Searcher's per-request trace
 	names   nameReader
+	// infos are the current query's terms this segment holds, in query
+	// order, with the query's df (Searcher.resolve); hit marks whether the
+	// term being resolved is among them.
+	infos []TermInfo
+	hit   bool
 }
 
 // NewSearcher returns a searcher over a single index with the given vector
@@ -290,23 +295,18 @@ func (s *Searcher) searchInner(terms []string, k int, strat Strategy, stats *Que
 // yield, so the segment set must too, or a segment-local fallback could
 // promote disjunctive-only documents a single index would not rank.
 func (s *Searcher) searchRanked(terms []string, k int, strat Strategy, twoPass bool, stats *QueryStats) ([]Result, error) {
-	resolved := 0
-	for _, t := range terms {
-		if s.snap.hasTerm(t) {
-			resolved++
-		}
-	}
+	resolved := s.resolve(terms)
 	if resolved == 0 {
 		return nil, nil
 	}
 	if !twoPass {
-		all, err := s.rankedPass(terms, k, strat, resolved, false, stats)
+		all, err := s.rankedPass(k, strat, resolved, false, stats)
 		if err != nil {
 			return nil, err
 		}
 		return mergeTopK(all, k), nil
 	}
-	all, err := s.rankedPass(terms, k, strat, resolved, true, stats)
+	all, err := s.rankedPass(k, strat, resolved, true, stats)
 	if err != nil {
 		return nil, err
 	}
@@ -314,7 +314,7 @@ func (s *Searcher) searchRanked(terms []string, k int, strat Strategy, twoPass b
 		return mergeTopK(all, k), nil
 	}
 	stats.SecondPass = true
-	all, err = s.rankedPass(terms, k, strat, resolved, false, stats)
+	all, err = s.rankedPass(k, strat, resolved, false, stats)
 	if err != nil {
 		return nil, err
 	}
@@ -322,10 +322,10 @@ func (s *Searcher) searchRanked(terms []string, k int, strat Strategy, twoPass b
 }
 
 // rankedPass runs one conjunctive or disjunctive pass of a ranked strategy
-// on every segment, concatenating the per-segment top-k candidates.
-// resolved is the number of query terms (duplicates kept) present in the
-// merged dictionary.
-func (s *Searcher) rankedPass(terms []string, k int, strat Strategy, resolved int, inner bool, stats *QueryStats) ([]Result, error) {
+// on every segment over the terms resolve found there, concatenating the
+// per-segment top-k candidates. resolved is the number of query terms
+// (duplicates kept) present in the merged dictionary.
+func (s *Searcher) rankedPass(k int, strat Strategy, resolved int, inner bool, stats *QueryStats) ([]Result, error) {
 	passName := "pass.disjunctive"
 	if inner {
 		passName = "pass.conjunctive"
@@ -334,7 +334,7 @@ func (s *Searcher) rankedPass(terms []string, k int, strat Strategy, resolved in
 	defer s.tr.End(ps)
 	var all []Result
 	for si, sub := range s.subs {
-		infos := sub.resolve(terms)
+		infos := sub.infos
 		if len(infos) == 0 {
 			continue
 		}
@@ -381,15 +381,45 @@ func (s *Searcher) rankedPass(terms []string, k int, strat Strategy, resolved in
 	return all, nil
 }
 
-// resolve maps query terms to range-index entries, dropping unknown terms.
-func (s *segSearcher) resolve(terms []string) []TermInfo {
-	infos := make([]TermInfo, 0, len(terms))
+// resolve looks the query terms up in every segment's dictionary, once
+// per query: each segment's infos become the range-index entries of the
+// terms it holds, in query order, and the count of query terms (duplicates
+// kept) that some segment holds is returned — the merged-dictionary
+// membership the two-pass gate needs. On a snapshot that merges
+// statistics, every entry's Ftd becomes the term's collection df: the sum
+// of its posting-range widths over the segments (End-Start is always a
+// segment's local posting count, whatever Ftd its build baked). Other
+// snapshots keep the baked Ftd, the global df a dist partition was built
+// with.
+func (s *Searcher) resolve(terms []string) int {
+	for _, sub := range s.subs {
+		sub.infos = sub.infos[:0]
+	}
+	resolved := 0
 	for _, t := range terms {
-		if ti, ok := s.ix.Terms[t]; ok {
-			infos = append(infos, ti)
+		found, df := false, 0
+		for _, sub := range s.subs {
+			var ti TermInfo
+			ti, sub.hit = sub.ix.Terms[t]
+			if sub.hit {
+				sub.infos = append(sub.infos, ti)
+				found, df = true, df+ti.End-ti.Start
+			}
+		}
+		if !found {
+			continue
+		}
+		resolved++
+		if !s.snap.mergeStats {
+			continue
+		}
+		for _, sub := range s.subs {
+			if sub.hit {
+				sub.infos[len(sub.infos)-1].Ftd = df
+			}
 		}
 	}
-	return infos
+	return resolved
 }
 
 // combinedPlan builds the left-deep (outer-)join cascade over the posting
@@ -656,7 +686,8 @@ func (s *Searcher) ExplainPlan(terms []string, k int, strat Strategy) (string, e
 		}
 		strat = resolved
 	}
-	sub, infos := s.explainSegment(terms)
+	sub := s.explainSegment(terms)
+	infos := sub.infos
 	if len(infos) == 0 {
 		return "(empty plan: no known query terms)", nil
 	}
@@ -674,17 +705,18 @@ func (s *Searcher) ExplainPlan(terms []string, k int, strat Strategy) (string, e
 	return s.explain(root)
 }
 
-// explainSegment picks the segment whose plan an explain shows: the first
-// that knows any of the terms (new vocabulary may exist only in recently
-// appended segments), else the first segment. It returns the terms it
-// knows.
-func (s *Searcher) explainSegment(terms []string) (*segSearcher, []TermInfo) {
+// explainSegment resolves the terms and picks the segment whose plan an
+// explain shows: the first that knows any of them (new vocabulary may
+// exist only in recently appended segments), else the first segment. The
+// terms it knows are in its infos.
+func (s *Searcher) explainSegment(terms []string) *segSearcher {
+	s.resolve(terms)
 	for _, sub := range s.subs {
-		if infos := sub.resolve(terms); len(infos) > 0 {
-			return sub, infos
+		if len(sub.infos) > 0 {
+			return sub
 		}
 	}
-	return s.subs[0], nil
+	return s.subs[0]
 }
 
 // explain opens a plan to bind its expressions, renders it and closes it.

@@ -17,12 +17,13 @@ import (
 // Statistics: BM25 needs collection-wide document frequencies, document
 // counts and mean lengths, or per-segment scores are not comparable and
 // the merged ranking diverges from a single-index build. A snapshot built
-// with MergeStats recomputes the merged view at construction time — global
-// df per term is the sum of per-segment posting-range widths, the merged
-// Params come from exact integer document/length totals — and patches every
-// segment's in-memory Params/TermInfo, mirroring how dist bakes global
+// with MergeStats patches every segment's in-memory Params at construction
+// time — from exact integer document/length totals — and its searchers
+// take a query term's global df as the sum of the per-segment
+// posting-range widths (Searcher.resolve), mirroring how dist bakes global
 // stats into partition builds. Snapshots over externally coordinated
-// segments (dist partitions, plain single indexes) skip the patch.
+// segments (dist partitions, plain single indexes) skip the patch and
+// score with each segment's baked df.
 //
 // A Snapshot is immutable after construction and safe for concurrent use
 // through SearcherPool. Closing it (owned snapshots only) releases every
@@ -31,6 +32,9 @@ type Snapshot struct {
 	subs  []snapSeg
 	gen   uint64
 	owned bool
+	// mergeStats: a term's df is the sum of its posting counts over the
+	// segments, not a segment's baked Ftd (SnapshotConfig.MergeStats).
+	mergeStats bool
 
 	numDocs     int
 	numPostings int
@@ -55,8 +59,9 @@ type SnapshotConfig struct {
 	// none). Must be empty or len(segs).
 	Virtual []bool
 	// MergeStats recomputes collection-wide statistics over the segment
-	// set and patches each segment's Params and per-term document
-	// frequencies (self-contained segmented directories). Leave false when
+	// set: each segment's Params are patched, and per-term document
+	// frequencies are summed over the segments at query time
+	// (self-contained segmented directories). Leave false when
 	// the segments were built with externally guaranteed global statistics
 	// (dist partitions) or for plain single-index views.
 	MergeStats bool
@@ -83,7 +88,7 @@ func NewSnapshot(segs []*Index, cfg SnapshotConfig) (*Snapshot, error) {
 	if len(cfg.Virtual) != 0 && len(cfg.Virtual) != len(segs) {
 		return nil, fmt.Errorf("ir: snapshot has %d segments but %d virtual flags", len(segs), len(cfg.Virtual))
 	}
-	sn := &Snapshot{gen: cfg.Gen, owned: cfg.Owned, subs: make([]snapSeg, len(segs))}
+	sn := &Snapshot{gen: cfg.Gen, owned: cfg.Owned, mergeStats: cfg.MergeStats, subs: make([]snapSeg, len(segs))}
 	next := segs[0].DocBase()
 	for i, ix := range segs {
 		if ix == nil {
@@ -121,25 +126,17 @@ func SingleSnapshot(ix *Index) *Snapshot {
 	}
 }
 
-// patchMergedStats recomputes the collection-wide BM25 inputs over the
-// segment set and installs them into every segment: global df is the
-// per-term sum of posting-range widths (End-Start is always the local
-// posting count, whatever Ftd a historical build baked), Params come from
-// exact integer totals, and the quantization bounds are the recorded
-// collection-wide ones. After the patch, dynamic (tf-reading) plans on any
+// patchMergedStats installs the collection-wide BM25 inputs into every
+// segment: Params from exact integer totals, and the recorded
+// collection-wide quantization bounds. After the patch, and with the
+// per-query df of Searcher.resolve, dynamic (tf-reading) plans on any
 // segment score exactly as a single whole-collection index would.
 //
-// Each segment gets a fresh term map rather than having its Ftd written in
-// place: a segment's dictionary is its decoded manifest's, which the
-// storage layer shares with every other open of the same segment — the
-// previous generation's in-flight searches among them.
+// Dictionaries are left alone: a segment's is its decoded manifest's,
+// which the storage layer shares with every other open of the same
+// segment — the previous generation's in-flight searches among them — so
+// a commit costs nothing per term of the segments it did not write.
 func (sn *Snapshot) patchMergedStats(cfg SnapshotConfig) error {
-	df := make(map[string]int)
-	for _, sub := range sn.subs {
-		for t, ti := range sub.ix.Terms {
-			df[t] += ti.End - ti.Start
-		}
-	}
 	lenSum := cfg.DocLenSum
 	if lenSum <= 0 {
 		return errors.New("ir: snapshot with MergeStats needs the exact DocLenSum (non-empty segments always have one)")
@@ -149,12 +146,6 @@ func (sn *Snapshot) patchMergedStats(cfg SnapshotConfig) error {
 	params.AvgDocLn = float64(lenSum) / float64(sn.numDocs)
 	for _, sub := range sn.subs {
 		sub.ix.Params = params
-		terms := make(map[string]TermInfo, len(sub.ix.Terms))
-		for t, ti := range sub.ix.Terms {
-			ti.Ftd = df[t]
-			terms[t] = ti
-		}
-		sub.ix.Terms = terms
 		if cfg.HasBounds {
 			sub.ix.ScoreLo, sub.ix.ScoreHi = cfg.ScoreLo, cfg.ScoreHi
 		}
@@ -204,17 +195,6 @@ func (sn *Snapshot) Primary() *Index { return sn.subs[0].ix }
 // columns (uniform across segments by construction).
 func (sn *Snapshot) Resolve(strat Strategy) (Strategy, error) {
 	return sn.subs[0].ix.Resolve(strat)
-}
-
-// hasTerm reports whether any segment's dictionary holds the term — the
-// merged-dictionary membership test the two-pass gate needs.
-func (sn *Snapshot) hasTerm(t string) bool {
-	for _, sub := range sn.subs {
-		if _, ok := sub.ix.Terms[t]; ok {
-			return true
-		}
-	}
-	return false
 }
 
 // segmentOf returns the position of the segment owning a global docid.

@@ -13,25 +13,31 @@ import (
 // BenchmarkAppendSegment measures one 500-document append onto a directory
 // of a large seed segment plus three small ones, each op starting from the
 // same generation (the commit is rolled back off the clock). "unheld" is
-// an offline append (cmd/indexer -append): every existing manifest is
-// decoded once. "held" has the generation open, as a serving engine does:
-// the appender reads the decodes the open segments hold. decodes/op is the
-// manifest decode count per append.
+// an offline append (cmd/indexer -append) onto a directory another process
+// wrote: every existing manifest is decoded once. "held" has the
+// generation open, as a serving engine does: the appender reads the
+// manifests the open segments hold. decodes/op is the manifest decode
+// count per append.
 func BenchmarkAppendSegment(b *testing.B) {
 	cfg := corpus.DefaultConfig()
 	cfg.NumDocs = 12000
 	cfg.Vocab = 20000
 	cfg.AvgDocLen = 100
 	coll := corpus.Generate(cfg)
+	// Built under another path and moved: the memo holds none of dir's
+	// manifests, as if another process had written it.
 	dir := filepath.Join(b.TempDir(), "segix")
 	for _, cut := range [][2]int{{0, 10000}, {10000, 10500}, {10500, 11000}, {11000, 11500}} {
 		batch, err := coll.Slice(cut[0], cut[1])
 		if err != nil {
 			b.Fatal(err)
 		}
-		if _, err := AppendSegment(dir, batch, ir.DefaultBuildConfig()); err != nil {
+		if _, err := AppendSegment(dir+".build", batch, ir.DefaultBuildConfig()); err != nil {
 			b.Fatal(err)
 		}
+	}
+	if err := os.Rename(dir+".build", dir); err != nil {
+		b.Fatal(err)
 	}
 	batch, err := coll.Slice(11500, 12000)
 	if err != nil {

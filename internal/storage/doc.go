@@ -38,10 +38,12 @@
 // dropping in-flight searches.
 //
 // Segment manifests are decoded once per distinct content while a segment
-// holding them is open (see manifestMemo), so a decoded *Manifest is shared
-// across generations and nobody writes into it (ir.Snapshot patches
-// statistics into fresh term maps). With its generation open, an append or
-// a merge decodes only the one segment it writes.
+// holding them is open (see manifestMemo), and a segment's writer hands
+// the manifest it wrote to the memo, so a *Manifest is shared across
+// generations and nobody writes into it (ir.Snapshot patches only each
+// segment's Params; df is summed per query). With its generation open, an
+// append or a merge decodes no manifest at all; ManifestDecodes counts the
+// decodes that remain.
 //
 // The package sits above internal/ir in the dependency order (it persists
 // and restores ir.Index values); below it, colbm defines the BlockStore

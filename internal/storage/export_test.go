@@ -23,9 +23,6 @@ func TestMain(m *testing.M) {
 // package storage_test: they drive a repro.Engine, and repro imports this
 // package, so they cannot live inside it.
 
-// ManifestDecodes returns how many segment manifests have been decoded.
-func ManifestDecodes() int64 { return manifestDecodes.Load() }
-
 // MemoEntries returns how many memoized manifests belong to dir or to one
 // of its segments.
 func MemoEntries(dir string) int {

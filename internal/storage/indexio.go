@@ -16,6 +16,12 @@ import (
 // and already persisted (FileStore-backed) indexes can be written anywhere.
 // The manifest is written last: a crashed or interrupted write leaves a
 // directory openSegment refuses, never a torn segment.
+//
+// The manifest written is handed to the memo (handOff) with the bytes it
+// encodes to, after the validation a decode would run, so whatever reads
+// the segment next in this process — the open that serves it, an append's
+// statistics pass, a merge — decodes nothing. Its dictionary and skylines
+// are the index's own, which nothing writes after the build.
 func writeSegment(dir string, ix *ir.Index) error {
 	if ix == nil {
 		return fmt.Errorf("storage: writeSegment(nil index)")
@@ -37,6 +43,7 @@ func writeSegment(dir string, ix *ir.Index) error {
 		Skylines: encodeSkylines(ix.Terms, ix.Skylines),
 		TD:       ix.TD.Stored(),
 		D:        ix.D.Stored(),
+		skylines: ix.Skylines,
 	}
 	// The stats override is a build-time input only (its idf and score
 	// bounds are already baked into Params/ScoreLo/ScoreHi and the stored
@@ -47,8 +54,8 @@ func writeSegment(dir string, ix *ir.Index) error {
 	// whatever prefix (if any) the index was built under: segments of one
 	// directory share a buffer manager whose keys are blob-derived, and
 	// segment GC drops a removed segment's cached chunks by that prefix.
-	built := m.Config.TablePrefix
-	m.Config.TablePrefix = filepath.Base(dir) + "."
+	built, seg := m.Config.TablePrefix, filepath.Base(dir)
+	m.Config.TablePrefix = seg + "."
 	rename := func(s string) string { return m.Config.TablePrefix + strings.TrimPrefix(s, built) }
 	for _, table := range []*colbm.StoredTable{&m.TD, &m.D} {
 		table.Name = rename(table.Name)
@@ -64,7 +71,15 @@ func writeSegment(dir string, ix *ir.Index) error {
 			}
 		}
 	}
-	return writeManifest(dir, m)
+	if err := m.validate(dir, seg); err != nil {
+		return err
+	}
+	data, err := writeManifest(dir, m)
+	if err != nil {
+		return err
+	}
+	memo.handOff(dir, seg, data, m)
+	return nil
 }
 
 // verifyIndexFiles cross-checks a manifest against the directory's column
@@ -120,7 +135,7 @@ func verifyIndexFiles(dir string, m *Manifest) error {
 // release, when non-nil, runs when that store closes (at once if the open
 // fails) — OpenSegmented passes acquireManifest's, so the memoized manifest
 // lives as long as the segment. The index shares m's term dictionary, which
-// nobody writes.
+// nobody writes, and m's stride-maxima cache.
 func openSegment(dir, seg string, m *Manifest, cache *colbm.Manager, release func()) (*ir.Index, error) {
 	segDir := filepath.Join(dir, seg)
 	fs, err := NewFileStore(segDir)
@@ -145,7 +160,7 @@ func openSegment(dir, seg string, m *Manifest, cache *colbm.Manager, release fun
 		tables = append(tables, t)
 	}
 	ix, err := ir.RestoreIndex(tables[0], tables[1], m.Terms, m.Params,
-		m.ScoreLo, m.ScoreHi, fs, cache, m.Config)
+		m.ScoreLo, m.ScoreHi, fs, cache, m.Config, m.maxima)
 	if err != nil {
 		fs.Close()
 		return nil, fmt.Errorf("storage: segment %q: %w", segDir, err)

@@ -137,31 +137,39 @@ func InstallManifest(dir string, manifest []byte) (uint64, error) {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return 0, fmt.Errorf("storage: %w", err)
 	}
-	var held []func()
+	type ref struct {
+		segDir string
+		e      *memoEntry
+	}
+	var held []ref
 	gen, err := commitSegments(dir, func(cur *SegmentsManifest) ([]byte, error) {
 		if cur != nil && cur.Generation >= sm.Generation {
 			return nil, nil
 		}
 		for _, e := range sm.Segments {
-			m, release, err := acquireManifest(dir, e.Name)
+			segDir := filepath.Join(dir, e.Name)
+			me, err := loadManifest(dir, e.Name, true)
 			if err != nil {
 				return nil, fmt.Errorf("storage: install of generation %d references segment %q not present in %q (ship its files first): %w",
 					sm.Generation, e.Name, dir, err)
 			}
-			held = append(held, release)
+			held = append(held, ref{segDir, me})
 			// Size-check every column file now: a truncated ship must fail
 			// the install, not the first query paging the chunk in.
-			if err := verifyIndexFiles(filepath.Join(dir, e.Name), m); err != nil {
+			if err := verifyIndexFiles(segDir, me.m); err != nil {
 				return nil, err
 			}
 		}
 		return manifest, nil
 	})
-	if held != nil { // a no-op install leaves an earlier one's decodes parked
-		memo.park(dir, held)
-	}
-	if err != nil {
-		memo.park(dir, nil) // a failed install keeps nothing
+	// A no-op install leaves an earlier one's references parked; a failed
+	// one keeps nothing of its own.
+	for _, r := range held {
+		if err != nil {
+			memo.release(r.segDir, r.e)
+		} else {
+			memo.park(r.segDir, r.e)
+		}
 	}
 	return gen, err
 }

@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -53,12 +54,16 @@ type Manifest struct {
 	// reading its postings. Optional: a term without one — over
 	// ir.SkylineCap, or in a manifest written before skylines — is scanned.
 	Skylines []byte `json:"skylines,omitempty"`
-	// skylines is Skylines decoded and validated (decodeManifest), in
-	// posting row order. When there are any, byRow lists every dictionary
-	// term with its posting count: the terms of skylines first, in the same
-	// order, then the terms without one.
+	// skylines is Skylines decoded and validated (validate), in posting
+	// row order. When there are any, byRow lists every dictionary term with
+	// its posting count: the terms of skylines first, in the same order,
+	// then the terms without one.
 	skylines []ir.Skyline
 	byRow    []termRows
+	// maxima is the segment's stride-maxima cache: every Index opened from
+	// this manifest shares it (openSegment), so a segment's qscore maxima
+	// are computed once while any generation holds the manifest.
+	maxima *ir.StrideMaxima
 
 	// TD and D describe the posting and document tables.
 	TD colbm.StoredTable `json:"td"`
@@ -69,102 +74,166 @@ type Manifest struct {
 func manifestPath(dir string) string { return filepath.Join(dir, ManifestName) }
 
 // writeManifest serializes the manifest into dir, via a temp file and
-// rename so a torn write never yields a plausible manifest.
-func writeManifest(dir string, m *Manifest) error {
+// rename so a torn write never yields a plausible manifest, and returns
+// the bytes written.
+func writeManifest(dir string, m *Manifest) ([]byte, error) {
 	data, err := json.Marshal(m)
 	if err != nil {
-		return fmt.Errorf("storage: encode manifest: %w", err)
+		return nil, fmt.Errorf("storage: encode manifest: %w", err)
 	}
 	if err := WriteFileAtomic(dir, ".manifest-*", manifestPath(dir), data); err != nil {
-		return fmt.Errorf("storage: write manifest: %w", err)
+		return nil, fmt.Errorf("storage: write manifest: %w", err)
 	}
-	return nil
+	return data, nil
 }
 
 // readManifest loads and validates the manifest of segment seg of the
-// index directory dir ("." is the legacy one-segment layout). While an open
-// segment of that directory holds a decode of exactly these bytes, that
-// decode is returned instead of a new one: a *Manifest may be shared, so
-// every caller treats it as immutable.
+// index directory dir ("." is the legacy one-segment layout). While the
+// memo holds a manifest of exactly these bytes — an open segment's decode,
+// or a writer's or an install's parked handoff — that manifest is returned
+// instead of a new decode: a *Manifest may be shared, so every caller
+// treats it as immutable.
 func readManifest(dir, seg string) (*Manifest, error) {
-	m, _, err := loadManifest(dir, seg, false)
-	return m, err
+	e, err := loadManifest(dir, seg, false)
+	if err != nil {
+		return nil, err
+	}
+	return e.m, nil
 }
 
 // acquireManifest is readManifest for a segment being opened: it also
-// takes a reference that keeps the decode in the manifest memo until
-// release runs (when the opened segment's store closes).
+// takes a reference that keeps the manifest in the memo until release
+// runs (when the opened segment's store closes).
 func acquireManifest(dir, seg string) (m *Manifest, release func(), err error) {
-	return loadManifest(dir, seg, true)
+	e, err := loadManifest(dir, seg, true)
+	if err != nil {
+		return nil, nil, err
+	}
+	segDir := filepath.Join(dir, seg)
+	return e.m, func() { memo.release(segDir, e) }, nil
 }
 
-func loadManifest(dir, seg string, hold bool) (*Manifest, func(), error) {
+// loadManifest reads segment seg's manifest bytes and returns the memo
+// entry that matches them, decoding them when none does; with hold it
+// takes a reference on the entry. Without hold, a fresh decode is returned
+// in an entry the memo does not keep.
+func loadManifest(dir, seg string, hold bool) (*memoEntry, error) {
 	segDir := filepath.Join(dir, seg)
 	data, err := os.ReadFile(manifestPath(segDir))
 	if err != nil {
 		if errors.Is(err, os.ErrNotExist) {
-			return nil, nil, fmt.Errorf("storage: %q holds no segment (no %s): %w", segDir, ManifestName, os.ErrNotExist)
+			return nil, fmt.Errorf("storage: %q holds no segment (no %s): %w", segDir, ManifestName, os.ErrNotExist)
 		}
-		return nil, nil, fmt.Errorf("storage: %w", err)
+		return nil, fmt.Errorf("storage: %w", err)
 	}
-	e := memo.find(segDir, seg, data, hold)
-	if e == nil {
-		m, err := decodeManifest(segDir, seg, data)
-		if err != nil || !hold {
-			return m, nil, err
-		}
-		e = memo.add(segDir, seg, data, m)
+	if e := memo.find(segDir, seg, data, hold); e != nil {
+		return e, nil
+	}
+	m, err := decodeManifest(segDir, seg, data)
+	if err != nil {
+		return nil, err
 	}
 	if !hold {
-		return e.m, nil, nil
+		return &memoEntry{seg: seg, raw: data, m: m}, nil
 	}
-	return e.m, func() { memo.release(segDir, e) }, nil
+	return memo.add(segDir, seg, data, m), nil
 }
 
-// manifestMemo shares decoded segment manifests, keyed by segment
-// directory: decoding a term dictionary costs O(vocabulary), and every
-// append, merge and refresh reads every segment's manifest. An entry lives
-// exactly as long as some open segment references it (openSegment's store
-// releases it on Close) or an install has parked it for the open that
-// follows (park); reads that open nothing use it only while it is live. A
-// hit needs byte-identical content, so a rewritten, recreated or
-// shipped-over segment is decoded — and validated — afresh, and a decode
-// error is never kept.
+// manifestMemo shares segment manifests, keyed by segment directory:
+// decoding a term dictionary costs O(vocabulary), and every append, merge
+// and refresh reads every segment's manifest. An entry lives exactly as
+// long as some open segment references it (openSegment's store releases
+// it on Close) or a reference is parked on it for the open that follows
+// (park): a writer parks the manifest it just wrote (writeSegment), an
+// install the decodes it made. Reads that open nothing use an entry only
+// while it is live. A hit needs byte-identical content, so a rewritten,
+// recreated or shipped-over segment is decoded — and validated — afresh,
+// and a decode error is never kept.
 type manifestMemo struct {
 	mu      sync.Mutex
 	entries map[string]*memoEntry // keyed by segment directory path
-	parked  map[string][]func()   // keyed by index directory path
+	parked  []parkedRef           // oldest first, at most maxParked
 }
+
+// parkedRef is a reference parked on e for the segment directory segDir.
+type parkedRef struct {
+	segDir string
+	e      *memoEntry
+}
+
+// maxParked bounds the parked references. A segment's open normally takes
+// its parked reference over within the same commit, so a handful are
+// parked at a time; the bound keeps a process that writes segments it
+// never opens (offline appends, an index saved for another process) from
+// holding their manifests for good. A reference that falls off the end
+// costs a decode at the open, nothing else.
+const maxParked = 16
 
 type memoEntry struct {
 	seg  string // segment name the bytes were validated against
-	raw  []byte // the exact bytes m was decoded from
+	raw  []byte // the exact bytes m was decoded from, or encoded into
 	m    *Manifest
-	refs int // open segments holding the entry
+	refs int // open segments and parked references holding the entry
 }
 
 func (e *memoEntry) decodedFrom(seg string, data []byte) bool {
 	return e != nil && e.seg == seg && bytes.Equal(e.raw, data)
 }
 
-var memo = manifestMemo{entries: make(map[string]*memoEntry), parked: make(map[string][]func())}
+var memo = manifestMemo{entries: make(map[string]*memoEntry)}
 
-// park keeps refs, references an install took on the manifests of dir's
-// segments, until dir is next installed or opened, so that open reuses
-// the install's decodes; it releases whatever was parked for dir before.
-func (mm *manifestMemo) park(dir string, refs []func()) {
+// handOff makes m — validated, and encoded into exactly data — segDir's
+// entry and parks a reference on it, so the open (or append, or merge)
+// that next reads the segment decodes nothing.
+func (mm *manifestMemo) handOff(segDir, seg string, data []byte, m *Manifest) {
+	mm.park(segDir, mm.add(segDir, seg, data, m))
+}
+
+// park keeps a reference taken on e until segDir is next opened
+// (unpark), swept or discarded, or parked again, or until maxParked later
+// references push it out; it releases whatever was parked for segDir
+// before. Parking is per segment, so an install, an append and a
+// concurrent merge never drop each other's references.
+func (mm *manifestMemo) park(segDir string, e *memoEntry) {
 	mm.mu.Lock()
-	if refs, mm.parked[dir] = mm.parked[dir], refs; mm.parked[dir] == nil {
-		delete(mm.parked, dir)
+	drop := mm.takeLocked(segDir)
+	mm.parked = append(mm.parked, parkedRef{segDir, e})
+	if len(mm.parked) > maxParked {
+		drop = append(drop, mm.parked[0])
+		mm.parked = slices.Delete(mm.parked, 0, 1)
 	}
 	mm.mu.Unlock()
-	for _, release := range refs {
-		release()
+	mm.releaseAll(drop)
+}
+
+// unpark releases the reference parked for segDir, if any.
+func (mm *manifestMemo) unpark(segDir string) {
+	mm.mu.Lock()
+	drop := mm.takeLocked(segDir)
+	mm.mu.Unlock()
+	mm.releaseAll(drop)
+}
+
+// takeLocked removes the reference parked for segDir, if any, and returns
+// it for the caller to release once it has unlocked mm.
+func (mm *manifestMemo) takeLocked(segDir string) []parkedRef {
+	i := slices.IndexFunc(mm.parked, func(r parkedRef) bool { return r.segDir == segDir })
+	if i < 0 {
+		return nil
+	}
+	r := mm.parked[i]
+	mm.parked = slices.Delete(mm.parked, i, i+1)
+	return []parkedRef{r}
+}
+
+func (mm *manifestMemo) releaseAll(refs []parkedRef) {
+	for _, r := range refs {
+		mm.release(r.segDir, r.e)
 	}
 }
 
-// find returns segDir's entry if it was decoded from exactly data as
-// segment seg, taking a reference on it when hold is set.
+// find returns segDir's entry if it holds exactly data as segment seg,
+// taking a reference on it when hold is set.
 func (mm *manifestMemo) find(segDir, seg string, data []byte, hold bool) *memoEntry {
 	mm.mu.Lock()
 	defer mm.mu.Unlock()
@@ -178,10 +247,10 @@ func (mm *manifestMemo) find(segDir, seg string, data []byte, hold bool) *memoEn
 	return e
 }
 
-// add makes m, decoded from data, segDir's entry and takes a reference on
-// it. An identical entry that raced in first wins (m is dropped); a
-// different one is replaced — its holders keep their manifest, and it
-// leaves the memo when they release it.
+// add makes m, decoded from (or encoded into) data, segDir's entry and
+// takes a reference on it. An identical entry that raced in first wins (m
+// is dropped); a different one is replaced — its holders keep their
+// manifest, and it leaves the memo when they release it.
 func (mm *manifestMemo) add(segDir, seg string, data []byte, m *Manifest) *memoEntry {
 	mm.mu.Lock()
 	defer mm.mu.Unlock()
@@ -208,47 +277,63 @@ func (mm *manifestMemo) release(segDir string, e *memoEntry) {
 // to avoid, which the decode-count tests pin per append and merge.
 var manifestDecodes atomic.Int64
 
-// decodeManifest unmarshals and validates the manifest bytes of segment
-// seg; dir only labels errors. Table and blob names become file names and
-// chunk-cache keys, so every one must carry the segment's own prefix
-// "<seg>." — segment names hold no dot (decodeSegments), so no two segments
-// of a directory can then share a key — and every blob must name a file
-// inside the segment directory. The legacy "." segment keeps the prefix it
-// was built with: it is synthesized, never shipped, and always alone in its
-// generation. Skylines must name dictionary terms, hold 1..ir.SkylineCap
-// positive points per side, and keep sweep order.
+// ManifestDecodes returns how many segment manifests this process has
+// decoded: with the memo, that is the manifests of segments it did not
+// write itself and held no open decode of.
+func ManifestDecodes() int64 { return manifestDecodes.Load() }
+
+// decodeManifest unmarshals the manifest bytes of segment seg and
+// validates them (validate); dir only labels errors.
 func decodeManifest(dir, seg string, data []byte) (*Manifest, error) {
 	manifestDecodes.Add(1)
 	var m Manifest
 	if err := json.Unmarshal(data, &m); err != nil {
 		return nil, fmt.Errorf("storage: corrupt manifest in %q: %v: %w", dir, err, ErrBadManifest)
 	}
+	if err := m.validate(dir, seg); err != nil {
+		return nil, err
+	}
+	return &m, nil
+}
+
+// validate checks a manifest of segment seg — decoded, or about to be
+// handed to the memo by its writer — and fills in what it derives: the
+// decoded skylines (kept when the writer set them), byRow, and an empty
+// stride-maxima cache; dir only labels errors. Table and blob names become
+// file names and chunk-cache keys, so every one must carry the segment's
+// own prefix "<seg>." — segment names hold no dot (decodeSegments), so no
+// two segments of a directory can then share a key — and every blob must
+// name a file inside the segment directory. The legacy "." segment keeps
+// the prefix it was built with: it is synthesized, never shipped, and
+// always alone in its generation. Skylines must name dictionary terms,
+// hold 1..ir.SkylineCap positive points per side, and keep sweep order
+// (checkSkylines).
+func (m *Manifest) validate(dir, seg string) error {
 	if m.Magic != FormatMagic {
-		return nil, fmt.Errorf("storage: %q is not an index manifest (magic %q): %w", dir, m.Magic, ErrBadManifest)
+		return fmt.Errorf("storage: %q is not an index manifest (magic %q): %w", dir, m.Magic, ErrBadManifest)
 	}
 	if m.Version != FormatVersion {
-		return nil, fmt.Errorf("storage: index in %q has format version %d, this build reads version %d: %w",
+		return fmt.Errorf("storage: index in %q has format version %d, this build reads version %d: %w",
 			dir, m.Version, FormatVersion, ErrBadManifest)
 	}
 	prefix := m.Config.TablePrefix
 	if seg != "." && prefix != seg+"." {
-		return nil, fmt.Errorf("storage: manifest in %q has table prefix %q, want %q: %w", dir, prefix, seg+".", ErrBadManifest)
+		return fmt.Errorf("storage: manifest in %q has table prefix %q, want %q: %w", dir, prefix, seg+".", ErrBadManifest)
 	}
 	for _, st := range []*colbm.StoredTable{&m.TD, &m.D} {
 		if !strings.HasPrefix(st.Name, prefix) {
-			return nil, fmt.Errorf("storage: manifest in %q: table %q lacks prefix %q: %w", dir, st.Name, prefix, ErrBadManifest)
+			return fmt.Errorf("storage: manifest in %q: table %q lacks prefix %q: %w", dir, st.Name, prefix, ErrBadManifest)
 		}
 		for _, col := range st.Columns {
 			if !strings.HasPrefix(col.Blob, prefix) || validShipName(col.Blob+blobExt) != nil {
-				return nil, fmt.Errorf("storage: manifest in %q: blob %q lacks prefix %q or leaves the segment directory: %w",
+				return fmt.Errorf("storage: manifest in %q: blob %q lacks prefix %q or leaves the segment directory: %w",
 					dir, col.Blob, prefix, ErrBadManifest)
 			}
 		}
 	}
-	sky, byRow, err := decodeSkylines(m.Terms, m.Skylines)
-	if err != nil {
-		return nil, fmt.Errorf("storage: manifest in %q: skylines: %v: %w", dir, err, ErrBadManifest)
+	if err := m.checkSkylines(); err != nil {
+		return fmt.Errorf("storage: manifest in %q: skylines: %v: %w", dir, err, ErrBadManifest)
 	}
-	m.skylines, m.byRow = sky, byRow
-	return &m, nil
+	m.maxima = ir.NewStrideMaxima()
+	return nil
 }

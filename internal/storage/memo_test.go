@@ -1,10 +1,16 @@
 package storage
 
 import (
+	"bytes"
+	"encoding/json"
 	"errors"
+	"fmt"
+	"math/rand"
 	"os"
 	"path/filepath"
 	"reflect"
+	"slices"
+	"strings"
 	"sync"
 	"testing"
 
@@ -19,29 +25,76 @@ func decodesDuring(fn func()) int64 {
 	return ManifestDecodes() - before
 }
 
-// TestBareAppendDecodesEachSegmentOnce: an append onto a directory no
-// reader holds open (cmd/indexer -append, repro.AppendSegment) decodes each
-// existing segment's manifest exactly once — the bounds re-scan opens
-// segments from the manifests the statistics pass already read — and
-// leaves nothing memoized.
+// foreignDir builds an index with build into a scratch path and moves it
+// to dir: the memo then holds none of dir's manifests, as if another
+// process had written the directory.
+func foreignDir(t *testing.T, dir string, build func(tmp string)) {
+	t.Helper()
+	tmp := dir + ".build"
+	build(tmp)
+	if err := os.Rename(tmp, dir); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestBareAppendDecodesEachSegmentOnce: an append onto a directory this
+// process did not write and no reader holds open (cmd/indexer -append onto
+// an existing index) decodes each existing segment's manifest exactly once
+// — the bounds re-scan opens segments from the manifests the statistics
+// pass already read — and leaves only the manifest it wrote memoized,
+// parked for whoever reads the segment next. Appends onto what the process
+// wrote itself decode nothing.
 func TestBareAppendDecodesEachSegmentOnce(t *testing.T) {
 	coll := segTestCollection(t)
 	dir := filepath.Join(t.TempDir(), "segix")
-	appendRanges(t, dir, coll, 0, 400, 800, 1200)
+	foreignDir(t, dir, func(tmp string) { appendRanges(t, tmp, coll, 0, 400, 800, 1200) })
 	got := decodesDuring(func() { appendRanges(t, dir, coll, 1200, 1600) })
 	if got != 3 {
 		t.Errorf("append onto 3 unheld segments decoded %d manifests, want 3", got)
 	}
-	if n := MemoEntries(dir); n != 0 {
-		t.Errorf("%d manifests memoized with no segment open, want 0", n)
+	if n := MemoEntries(dir); n != 1 {
+		t.Errorf("%d manifests memoized with no segment open, want 1 (the written segment's)", n)
+	}
+	if got := decodesDuring(func() { appendRanges(t, dir, coll, 0, 400) }); got != 3 {
+		t.Errorf("append onto 3 unheld segments and 1 written one decoded %d manifests, want 3", got)
+	}
+	own := filepath.Join(t.TempDir(), "own")
+	if got := decodesDuring(func() { appendRanges(t, own, coll, 0, 400, 800, 1200) }); got != 0 {
+		t.Errorf("3 appends onto the segments they wrote decoded %d manifests, want 0", got)
+	}
+}
+
+// TestParkedManifestsBounded: a process that writes segments it never
+// opens keeps at most maxParked of their manifests memoized, the newest;
+// an older one is decoded again when something reads it.
+func TestParkedManifestsBounded(t *testing.T) {
+	coll := segTestCollection(t)
+	root := t.TempDir()
+	dir := func(i int) string { return filepath.Join(root, fmt.Sprintf("ix%02d", i)) }
+	for i := 0; i < maxParked+4; i++ {
+		appendRanges(t, dir(i), coll, 20*i, 20*i+20)
+	}
+	if n := MemoEntries(root); n != maxParked {
+		t.Errorf("%d manifests memoized after %d unopened writes, want %d", n, maxParked+4, maxParked)
+	}
+	for i, want := range map[int]int64{0: 1, maxParked + 3: 0} {
+		sm, err := ReadSegments(dir(i))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := decodesDuring(func() { _, err = readManifest(dir(i), sm.Names()[0]) }); err != nil || got != want {
+			t.Errorf("read of write %d: %d decodes, %v; want %d, nil", i, got, err, want)
+		}
 	}
 }
 
 // TestHeldGenerationIsolatedFromLaterCommits: generations N, N+1 (an
-// append) and N+2 (a merge) share the decoded manifests of the segments
-// they have in common, and each still scores as its own collection would —
-// N's term statistics, Params and rankings stay DocID+Score bit-exact to a
-// centralized build of N's documents after N+1 and N+2 patched theirs.
+// append) and N+2 (a merge) share the manifests of the segments they have
+// in common — one dictionary map per segment, across generations — and
+// decode none of the segments their commits wrote; each still scores as
+// its own collection would — N's document frequencies (as its plans use
+// them), Params and rankings stay DocID+Score bit-exact to a centralized
+// build of N's documents after N+1 and N+2 installed theirs.
 func TestHeldGenerationIsolatedFromLaterCommits(t *testing.T) {
 	coll := segTestCollection(t)
 	queries := append(coll.PrecisionQueries(6, 11), coll.EfficiencyQueries(6, 12)...)
@@ -94,8 +147,13 @@ func TestHeldGenerationIsolatedFromLaterCommits(t *testing.T) {
 		}
 		genN2 = open()
 	})
-	if decodes != 2 {
-		t.Errorf("append + merge with generation N held decoded %d manifests, want 2 (the two new segments)", decodes)
+	if decodes != 0 {
+		t.Errorf("append + merge with generation N held decoded %d manifests, want 0 (their writers handed theirs over)", decodes)
+	}
+	for i, seg := range genN.Segments() {
+		if next := genN1.Segments()[i]; reflect.ValueOf(seg.Terms).UnsafePointer() != reflect.ValueOf(next.Terms).UnsafePointer() {
+			t.Errorf("segment %d: generations N and N+1 hold different dictionary maps", i)
+		}
 	}
 
 	for _, c := range []struct {
@@ -107,11 +165,17 @@ func TestHeldGenerationIsolatedFromLaterCommits(t *testing.T) {
 			if seg.Params != c.ref.Params {
 				t.Errorf("generation %s segment %d Params %+v, want %+v", c.name, i, seg.Params, c.ref.Params)
 			}
-			for term, ti := range seg.Terms {
-				if want := c.ref.Terms[term].Ftd; ti.Ftd != want {
-					t.Errorf("generation %s segment %d term %q Ftd %d, want %d", c.name, i, term, ti.Ftd, want)
-					break
-				}
+		}
+		// The df a plan scores with is the one its BM25 weight renders.
+		s := ir.NewSnapshotSearcher(c.snap, 0)
+		for term, ti := range c.ref.Terms {
+			plan, err := s.ExplainPlan([]string{term}, 10, ir.BM25)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if want := fmt.Sprintf("ftd=%d)", ti.Ftd); !strings.Contains(plan, want) {
+				t.Errorf("generation %s term %q: plan does not score with %s:\n%s", c.name, term, want, plan)
+				break
 			}
 		}
 		want := searchAll(t, ir.NewSearcher(c.ref, 0), queries, 10)
@@ -153,7 +217,11 @@ func TestMemoDecodesChangedContent(t *testing.T) {
 		}
 		changed := *held
 		changed.ScoreHi++
-		if err := writeManifest(filepath.Join(dir, "seg-000002"), &changed); err != nil {
+		rewritten, err := json.Marshal(&changed)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(path, rewritten, 0o644); err != nil {
 			t.Fatal(err)
 		}
 		var got *Manifest
@@ -180,7 +248,9 @@ func TestMemoDecodesChangedContent(t *testing.T) {
 		if err := os.RemoveAll(dir); err != nil {
 			t.Fatal(err)
 		}
-		appendRanges(t, dir, coll, 0, 400, 1600) // same names, other contents
+		// Same names, other contents, written elsewhere: a handoff under
+		// dir's path would skip the decode.
+		foreignDir(t, dir, func(tmp string) { appendRanges(t, tmp, coll, 0, 400, 1600) })
 		var snap *ir.Snapshot
 		if n := decodesDuring(func() { snap, err = OpenSegmented(dir, colbm.NewManager(0)) }); err != nil || n != 2 {
 			t.Fatalf("open of the recreated directory: %d decodes, %v; want 2, nil", n, err)
@@ -332,5 +402,135 @@ func TestInstallDecodesReusedByOpen(t *testing.T) {
 	snap.Close()
 	if n := MemoEntries(dst); n != 0 {
 		t.Errorf("%d manifests memoized after the opened replica closed, want 0", n)
+	}
+}
+
+// handedMatchesDecode requires the manifest the writer of segment seg of
+// dir just handed to the memo to equal, field by field, what
+// decodeManifest makes of the bytes on disk. byRow is compared as a set: past the terms
+// with a skyline its order is a map's.
+func handedMatchesDecode(t *testing.T, dir, seg string) {
+	t.Helper()
+	segDir := filepath.Join(dir, seg)
+	memo.mu.Lock()
+	e := memo.entries[segDir]
+	memo.mu.Unlock()
+	if e == nil {
+		t.Fatalf("%s: no manifest handed over", segDir)
+	}
+	raw, err := os.ReadFile(manifestPath(segDir))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(e.raw, raw) {
+		t.Fatalf("%s: handed-over bytes differ from the file's", segDir)
+	}
+	d, err := decodeManifest(segDir, seg, raw)
+	if err != nil {
+		t.Fatal(err)
+	}
+	h := e.m
+	if n := reflect.TypeOf(Manifest{}).NumField(); n != 13 {
+		t.Fatalf("Manifest has %d fields, this comparison knows 13", n)
+	}
+	rowSet := func(rows []termRows) []termRows {
+		rows = slices.Clone(rows)
+		slices.SortFunc(rows, func(a, b termRows) int { return strings.Compare(a.term, b.term) })
+		return rows
+	}
+	for _, f := range []struct {
+		name string
+		h, d any
+	}{
+		{"Magic", h.Magic, d.Magic}, {"Version", h.Version, d.Version},
+		{"Config", h.Config, d.Config}, {"Params", h.Params, d.Params},
+		{"ScoreLo", h.ScoreLo, d.ScoreLo}, {"ScoreHi", h.ScoreHi, d.ScoreHi},
+		{"Terms", h.Terms, d.Terms}, {"Skylines", h.Skylines, d.Skylines},
+		{"skylines", h.skylines, d.skylines}, {"byRow", rowSet(h.byRow), rowSet(d.byRow)},
+		{"TD", h.TD, d.TD}, {"D", h.D, d.D},
+	} {
+		if !reflect.DeepEqual(f.h, f.d) {
+			t.Errorf("%s: handed-over %s differs from the decoded one", segDir, f.name)
+		}
+	}
+	if h.maxima == nil || d.maxima == nil {
+		t.Errorf("%s: a manifest without a stride-maxima cache", segDir)
+	}
+}
+
+// TestHandedManifestMatchesDecode: over random appends, merges and splits,
+// under a quantized and an unquantized layout, every segment a writer
+// wrote — appended, merged, or linked into a split's right half — was
+// handed to the memo as exactly the manifest a decode of its bytes gives.
+func TestHandedManifestMatchesDecode(t *testing.T) {
+	coll := segTestCollection(t)
+	rng := rand.New(rand.NewSource(56))
+	plain := ir.BuildConfig{Compressed: true}
+	for trial, cfg := range []ir.BuildConfig{ir.DefaultBuildConfig(), plain, ir.DefaultBuildConfig()} {
+		dirs := []string{filepath.Join(t.TempDir(), "segix")}
+		next := 0
+		for op := 0; op < 12; op++ {
+			dir := dirs[rng.Intn(len(dirs))]
+			sm, err := ReadSegments(dir)
+			if err != nil && !errors.Is(err, os.ErrNotExist) {
+				t.Fatal(err)
+			}
+			n := 0
+			if sm != nil {
+				n = len(sm.Segments)
+			}
+			switch kind := rng.Intn(4); {
+			case kind == 0 && n >= 2: // merge an adjacent run
+				at := rng.Intn(n - 1)
+				names := sm.Names()[at : at+2+rng.Intn(n-at-1)]
+				into, err := AllocSegmentDir(dir)
+				if err != nil {
+					t.Fatal(err)
+				}
+				epoch, err := BuildMergedSegment(dir, names, into, nil)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if _, err := CommitMerge(dir, names, into, epoch); err != nil {
+					t.Fatal(err)
+				}
+				handedMatchesDecode(t, dir, into)
+			case kind == 1 && n >= 2: // split off the segments from a boundary on
+				at := sm.Segments[1+rng.Intn(n-1)].DocBase
+				right := filepath.Join(t.TempDir(), fmt.Sprintf("right%d", op))
+				if err := PrepareSplit(dir, right, at); err != nil {
+					t.Fatal(err)
+				}
+				if _, err := CommitSplit(dir, at); err != nil {
+					t.Fatal(err)
+				}
+				rsm, err := ReadSegments(right)
+				if err != nil {
+					t.Fatal(err)
+				}
+				for _, name := range rsm.Names() {
+					handedMatchesDecode(t, right, name)
+				}
+				dirs = append(dirs, right)
+			default: // append a batch of 20..219 documents
+				size := 20 + rng.Intn(200)
+				if next+size > len(coll.DocLens) {
+					next = 0
+				}
+				batch, err := coll.Slice(next, next+size)
+				if err != nil {
+					t.Fatal(err)
+				}
+				next += size
+				if _, err := AppendSegment(dir, batch, cfg); err != nil {
+					t.Fatalf("trial %d op %d: %v", trial, op, err)
+				}
+				sm, err := ReadSegments(dir)
+				if err != nil {
+					t.Fatal(err)
+				}
+				handedMatchesDecode(t, dir, sm.Segments[len(sm.Segments)-1].Name)
+			}
+		}
 	}
 }

@@ -150,6 +150,14 @@ func PrepareSplit(dir, rightDir string, at int64) error {
 				return err
 			}
 		}
+		// The linked manifest is byte for byte the source's: hand its
+		// decode over, so the right half's statistics pass and open decode
+		// nothing either.
+		me, err := loadManifest(dir, e.Name, false)
+		if err != nil {
+			return err
+		}
+		memo.handOff(dstSeg, e.Name, me.raw, me.m)
 	}
 	if err := rsm.reshaped(rightDir); err != nil {
 		return err
@@ -281,7 +289,7 @@ func PrepareAbsorb(dstDir, srcDir string, cancel func() bool) (*AbsorbPrep, erro
 	}
 	segDir := filepath.Join(dstDir, name)
 	fail := func(err error) (*AbsorbPrep, error) {
-		os.RemoveAll(segDir)
+		DiscardSegment(dstDir, name)
 		return nil, err
 	}
 
@@ -345,7 +353,7 @@ func externalStats(dstDir, srcDir string, segs, src []foldedSeg) (*ir.GlobalStat
 // Abandon removes the prepared (uncommitted) segment — the cleanup path
 // when the merge is called off after a successful prepare.
 func (p *AbsorbPrep) Abandon() {
-	os.RemoveAll(filepath.Join(p.dstDir, p.entry.Name))
+	DiscardSegment(p.dstDir, p.entry.Name)
 }
 
 // CommitAbsorb splices the prepared segment into the destination's

@@ -37,10 +37,11 @@ import (
 // collection-wide quantities; every append changes them. The manifest
 // tracks a StatsEpoch that increments per append, and each segment records
 // the epoch whose statistics its *baked* score/qscore columns reflect.
-// Query-time statistics (df, document counts, mean length) are recomputed
-// from the manifests on open — exact integer sums — and patched into every
-// segment, so tf-reading strategies always score as a single
-// whole-collection index would; segments whose baked columns lag the
+// Query-time statistics are exact integer sums: document counts and mean
+// length are recomputed from the manifests on open and patched into every
+// segment, and a query term's df is summed over the segments' dictionaries
+// per query (ir.Snapshot), so tf-reading strategies always score as a
+// single whole-collection index would; segments whose baked columns lag the
 // current epoch are flagged and score materialized strategies through the
 // virtual kernels (see ir.Snapshot) until a merge re-bakes them.
 const (
@@ -387,7 +388,7 @@ func AppendSegment(dir string, batch *corpus.Collection, cfg ir.BuildConfig) (ui
 		err = writeSegment(segDir, ix)
 	}
 	if err != nil {
-		os.RemoveAll(segDir)
+		DiscardSegment(dir, name)
 		return 0, err
 	}
 	// The build widened the existing segments' bounds by the batch's own
@@ -423,7 +424,7 @@ func AppendSegment(dir string, batch *corpus.Collection, cfg ir.BuildConfig) (ui
 		return sm.encode()
 	})
 	if err != nil {
-		os.RemoveAll(segDir)
+		DiscardSegment(dir, name)
 		return 0, err
 	}
 	return gen, nil
@@ -440,7 +441,6 @@ func AppendSegment(dir string, batch *corpus.Collection, cfg ir.BuildConfig) (ui
 // unchanged segments stay warm and stale entries cannot alias. The
 // returned snapshot owns the segments' storage.
 func OpenSegmented(dir string, cache *colbm.Manager) (*ir.Snapshot, error) {
-	defer memo.park(dir, nil) // the segments opened below hold their own references
 	sm, err := ReadSegments(dir)
 	if err != nil {
 		return nil, err
@@ -466,6 +466,9 @@ func OpenSegmented(dir string, cache *colbm.Manager) (*ir.Snapshot, error) {
 		if err != nil {
 			return fail(err)
 		}
+		// The open segment holds its own reference now: a writer's or an
+		// install's parked one has served its purpose.
+		memo.unpark(filepath.Join(dir, e.Name))
 		if ix.DocBase() != e.DocBase || ix.NumDocs() != e.Docs {
 			ix.Close()
 			return fail(fmt.Errorf("storage: segment %q covers docids [%d,%d), manifest says [%d,%d)",
@@ -789,12 +792,22 @@ func SweepSegments(dir string, inUse func(name string) bool) ([]string, error) {
 		if keep[name] || (inUse != nil && inUse(name)) {
 			continue
 		}
-		if err := os.RemoveAll(filepath.Join(dir, name)); err != nil {
+		if err := DiscardSegment(dir, name); err != nil {
 			return removed, fmt.Errorf("storage: sweep %q: %w", name, err)
 		}
 		removed = append(removed, name)
 	}
 	return removed, nil
+}
+
+// DiscardSegment removes segment directory name of dir — a build that
+// failed or was called off, or one no generation references any more —
+// and drops the manifest reference its writer or an install parked in the
+// memo. Only segments no commit references may be discarded.
+func DiscardSegment(dir, name string) error {
+	segDir := filepath.Join(dir, name)
+	memo.unpark(segDir)
+	return os.RemoveAll(segDir)
 }
 
 // WriteSegmentedIndex persists pre-built indexes as the segments of a new

@@ -72,7 +72,7 @@ func TestOpenRefusesBlobNamesOfAnotherSegment(t *testing.T) {
 					col.Blob = to
 				}
 			}
-			if err := writeManifest(segDir, m); err != nil {
+			if _, err := writeManifest(segDir, m); err != nil {
 				t.Fatal(err)
 			}
 			snap, err := OpenSegmented(dir, colbm.NewManager(0))
@@ -118,7 +118,7 @@ func TestOpenRefusesNonDenseDocTable(t *testing.T) {
 		t.Fatal(err)
 	}
 	m.D.Columns[i] = tab.Stored().Columns[0]
-	if err := writeManifest(segDir, m); err != nil {
+	if _, err := writeManifest(segDir, m); err != nil {
 		t.Fatal(err)
 	}
 

@@ -163,7 +163,7 @@ func stripSkylines(t *testing.T, dir string) {
 		}
 		bare := *m
 		bare.Skylines = nil
-		if err := writeManifest(filepath.Join(dir, e.Name), &bare); err != nil {
+		if _, err := writeManifest(filepath.Join(dir, e.Name), &bare); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -395,7 +395,7 @@ func TestDecodeManifestRejectsBadSkylines(t *testing.T) {
 	} {
 		bad := *m
 		bad.Skylines = data
-		if err := writeManifest(filepath.Join(dir, seg), &bad); err != nil {
+		if _, err := writeManifest(filepath.Join(dir, seg), &bad); err != nil {
 			t.Fatal(err)
 		}
 		raw, err := os.ReadFile(manifestPath(filepath.Join(dir, seg)))
@@ -409,7 +409,7 @@ func TestDecodeManifestRejectsBadSkylines(t *testing.T) {
 	// A full cap on both sides is accepted.
 	good := *m
 	good.Skylines = encode(m.Terms, ir.Skyline{Term: term, Upper: stair(ir.SkylineCap, -1), Lower: stair(ir.SkylineCap, 1)})
-	if err := writeManifest(filepath.Join(dir, seg), &good); err != nil {
+	if _, err := writeManifest(filepath.Join(dir, seg), &good); err != nil {
 		t.Fatal(err)
 	}
 	raw, err := os.ReadFile(manifestPath(filepath.Join(dir, seg)))

@@ -4,6 +4,7 @@ import (
 	"time"
 
 	"repro/internal/obs"
+	"repro/internal/storage"
 	"repro/internal/trace"
 )
 
@@ -71,6 +72,8 @@ func (o engineOps) OpsMetrics() []obs.Metric {
 			Kind: obs.Gauge, Value: float64(o.e.NumDocs())},
 		{Name: "repro_engine_segments", Help: "segments in the serving generation",
 			Kind: obs.Gauge, Value: float64(seg.Segments)},
+		{Name: "repro_storage_manifest_decodes_total", Help: "segment manifests this process decoded (not written or held by it)",
+			Kind: obs.Counter, Value: float64(storage.ManifestDecodes())},
 	}
 }
 

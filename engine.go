@@ -22,7 +22,8 @@ import (
 const DefaultK = serving.DefaultK
 
 // StrategyDefault (the Strategy zero value) asks the engine to run the
-// strongest strategy the index supports.
+// strongest strategy, BM25TCMQ8. There is one index layout, so every
+// strategy runs on every segment.
 const StrategyDefault = ir.StrategyDefault
 
 // ErrEngineClosed is returned by every entry point of a closed engine.
@@ -106,7 +107,9 @@ func (e *Engine) InflightQueries() int64 { return e.core.Inflight() }
 // served as-is (the collection is not re-indexed) and a missing or empty
 // one is populated by indexing the collection as the directory's first
 // segment. Without it the collection is indexed into a temporary
-// directory the engine owns and Close removes.
+// directory the engine owns and Close removes. Every index stores every
+// column of the one layout, so every strategy runs on it;
+// WithBufferPoolBytes is the one way to size the buffer pool.
 func Open(coll *Collection, opts ...Option) (*Engine, error) {
 	if coll == nil {
 		return nil, errors.New("repro: Open with nil collection")
@@ -119,12 +122,7 @@ func Open(coll *Collection, opts ...Option) (*Engine, error) {
 	if len(cfg.errs) > 0 {
 		return nil, errors.Join(cfg.errs...)
 	}
-	// One pool budget however it arrived: WithBufferPoolBytes wins over
-	// IndexConfig.PoolBytes, and openDir sizes the buffer manager from it.
-	if !cfg.poolSet {
-		cfg.pool = cfg.index.PoolBytes
-	}
-	bc := cfg.index
+	bc := DefaultIndexConfig()
 	bc.PoolBytes = cfg.pool
 	var root string
 	if cfg.storageDir == "" {
@@ -161,17 +159,14 @@ func populateAndOpen(coll *Collection, bc IndexConfig, cfg engineConfig) (*Engin
 // WithStorageDir, SaveIndex, AppendSegment, cmd/indexer -out, or
 // dist.BuildPartitions) and serves it without any collection in hand: only
 // the manifests are read up front, and posting data streams in through the
-// buffer manager as queries touch it. Options that shape index
-// construction (WithIndexConfig, WithStorageDir) are rejected — the
-// directory already fixes the physical layout.
+// buffer manager as queries touch it. Every segment stores the one layout,
+// so every strategy runs on it; a segment whose posting table lacks a
+// column fails the open, naming the segment and the column. WithStorageDir
+// is rejected: the directory is the argument.
 func OpenDir(dir string, opts ...Option) (*Engine, error) {
 	cfg := defaultEngineConfig()
 	for _, opt := range opts {
 		opt(&cfg)
-	}
-	if cfg.index != DefaultIndexConfig() {
-		cfg.errs = append(cfg.errs,
-			errors.New("repro: OpenDir cannot reconfigure index storage (WithIndexConfig)"))
 	}
 	if cfg.storageDir != "" {
 		cfg.errs = append(cfg.errs,
@@ -321,23 +316,6 @@ func (e *Engine) Search(ctx context.Context, req SearchRequest) (SearchResponse,
 // context expired mid-batch, with the already-completed results still
 // returned.
 func (e *Engine) SearchMany(ctx context.Context, reqs []SearchRequest) ([]BatchResult, BatchStats, error) {
-	return e.searchMany(ctx, reqs, nil)
-}
-
-// SearchManyFunc is SearchMany delivering each result as it completes:
-// fn(i, res) fires once per request, from worker goroutines (make it
-// safe for concurrent use), in completion order. Sub-batch splitting makes
-// delivery incremental for large batches — every result of sub-batch n
-// arrives before any request of sub-batch n+1 starts. No results slice is
-// allocated or retained (each result is dropped after delivery, so a
-// million-request batch holds worker-count responses at a time); the
-// aggregate accounting arrives in BatchStats.
-func (e *Engine) SearchManyFunc(ctx context.Context, reqs []SearchRequest, fn func(i int, res BatchResult)) (BatchStats, error) {
-	_, bs, err := e.searchMany(ctx, reqs, fn)
-	return bs, err
-}
-
-func (e *Engine) searchMany(ctx context.Context, reqs []SearchRequest, fn func(int, BatchResult)) ([]BatchResult, BatchStats, error) {
 	if ctx == nil {
 		ctx = context.Background()
 	}
@@ -346,7 +324,7 @@ func (e *Engine) searchMany(ctx context.Context, reqs []SearchRequest, fn func(i
 		return nil, BatchStats{Queries: len(reqs)}, err
 	}
 	defer g.Release()
-	return g.SearchMany(ctx, reqs, fn)
+	return g.SearchMany(ctx, reqs)
 }
 
 // Add indexes a batch of live documents as one fresh immutable segment and

@@ -191,41 +191,30 @@ func TestOpenOptionValidation(t *testing.T) {
 	}
 }
 
+// TestEngineStrategyResolution: there is one index layout, so the default
+// strategy is the strongest one, every strategy runs as asked and reports
+// itself, and only a value outside the ladder is refused.
 func TestEngineStrategyResolution(t *testing.T) {
 	cfg := DefaultCollectionConfig()
 	cfg.NumDocs = 500
 	coll := GenerateCollection(cfg)
-
-	// An index without quantized scores substitutes the nearest supported
-	// ranked strategy and reports it.
-	ic := DefaultIndexConfig()
-	ic.Quantized = false
-	eng, err := Open(coll, WithIndexConfig(ic))
+	eng, err := Open(coll)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer eng.Close()
+	ctx := context.Background()
 	q := coll.EfficiencyQueries(1, 8)[0]
-	resp, err := eng.Search(context.Background(), SearchRequest{Terms: q.Terms, Strategy: BM25TCMQ8})
-	if err != nil {
-		t.Fatal(err)
+	if resp, err := eng.Search(ctx, SearchRequest{Terms: q.Terms}); err != nil || resp.Strategy != BM25TCMQ8 {
+		t.Errorf("default strategy: %v, %v; want BM25TCMQ8", resp.Strategy, err)
 	}
-	if resp.Strategy != BM25TCM {
-		t.Errorf("substituted strategy: %v", resp.Strategy)
+	for _, strat := range AllStrategies {
+		if resp, err := eng.Search(ctx, SearchRequest{Terms: q.Terms, Strategy: strat}); err != nil || resp.Strategy != strat {
+			t.Errorf("%v ran as %v, %v", strat, resp.Strategy, err)
+		}
 	}
-
-	// Boolean strategies have no substitute without uncompressed columns.
-	ic = IndexConfig{Compressed: true, Disk: DefaultDiskParams()}
-	eng2, err := Open(coll, WithIndexConfig(ic))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer eng2.Close()
-	if _, err := eng2.Search(context.Background(), SearchRequest{Terms: q.Terms, Strategy: BoolAND}); err == nil {
-		t.Error("BoolAND ran without uncompressed columns")
-	}
-	if resp, err := eng2.Search(context.Background(), SearchRequest{Terms: q.Terms}); err != nil || resp.Strategy != BM25TC {
-		t.Errorf("default on compressed-only index: %v %v", resp.Strategy, err)
+	if _, err := eng.Search(ctx, SearchRequest{Terms: q.Terms, Strategy: BM25TCMQ8 + 1}); err == nil {
+		t.Error("a strategy outside the ladder ran")
 	}
 }
 

@@ -160,12 +160,7 @@ func TestOpenDirServesWithoutCollection(t *testing.T) {
 		t.Errorf("buffer manager saw no traffic (hit rate %v)", hr)
 	}
 
-	// Every construction-shaping option is rejected.
-	ic := DefaultIndexConfig()
-	ic.Disk.SeekLatency *= 2
-	if _, err := OpenDir(dir, WithIndexConfig(ic)); err == nil {
-		t.Error("OpenDir accepted WithIndexConfig")
-	}
+	// The directory is OpenDir's argument, not an option.
 	if _, err := OpenDir(dir, WithStorageDir(dir)); err == nil {
 		t.Error("OpenDir accepted WithStorageDir")
 	}

@@ -64,8 +64,8 @@ func main() {
 		fmt.Println()
 	}
 
-	// 5. Leaving the strategy unset runs the strongest one the index
-	// supports; the response reports what actually executed.
+	// 5. Leaving the strategy unset runs the strongest one, BM25TCMQ8;
+	// the response reports what actually executed.
 	resp, err := eng.Search(ctx, repro.SearchRequest{Terms: query.Terms})
 	if err != nil {
 		log.Fatal(err)

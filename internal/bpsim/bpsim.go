@@ -6,8 +6,8 @@
 // if-then-else, observed through Pentium 4 performance counters. Go offers
 // no portable access to such counters, so this package substitutes a
 // software model: decoders emit their data-dependent branch outcomes as a
-// trace, and a standard predictor (two-bit saturating counter, optionally
-// gshare with global history) replays the trace and reports the miss rate.
+// trace, and a standard predictor (a two-bit saturating counter) replays
+// the trace and reports the miss rate.
 // The characteristic rise-and-fall of the NAIVE curve — near-zero misses at
 // exception rates 0 and 1, worst case near 0.5 — is predictor mathematics
 // and survives the substitution.
@@ -39,53 +39,6 @@ func (p *TwoBit) Update(taken bool) {
 	}
 }
 
-// GShare is a global-history predictor: the branch PC is XOR-folded with an
-// h-bit global history register to index a table of two-bit counters.
-// Modern cores use far more elaborate TAGE-class predictors, but gshare
-// captures the property that matters here: correlated patterns are learned,
-// uncorrelated (data-dependent) branches are not.
-type GShare struct {
-	table   []uint8
-	history uint32
-	mask    uint32
-}
-
-// NewGShare returns a gshare predictor with 2^bits counters.
-func NewGShare(bits uint) *GShare {
-	size := 1 << bits
-	t := make([]uint8, size)
-	for i := range t {
-		t[i] = 1
-	}
-	return &GShare{table: t, mask: uint32(size - 1)}
-}
-
-func (g *GShare) index(pc uint32) uint32 { return (pc ^ g.history) & g.mask }
-
-// Predict returns the prediction for branch site pc.
-func (g *GShare) Predict(pc uint32) bool { return g.table[g.index(pc)] >= 2 }
-
-// Update trains the indexed counter and shifts the outcome into the global
-// history.
-func (g *GShare) Update(pc uint32, taken bool) {
-	i := g.index(pc)
-	if taken {
-		if g.table[i] < 3 {
-			g.table[i]++
-		}
-	} else if g.table[i] > 0 {
-		g.table[i]--
-	}
-	g.history = g.history<<1 | b2u(taken)&g.mask
-}
-
-func b2u(b bool) uint32 {
-	if b {
-		return 1
-	}
-	return 0
-}
-
 // Result aggregates a replayed trace.
 type Result struct {
 	Branches int
@@ -110,22 +63,6 @@ func ReplayTwoBit(trace []bool) Result {
 			r.Misses++
 		}
 		p.Update(taken)
-		r.Branches++
-	}
-	return r
-}
-
-// ReplayGShare replays a single-site trace through gshare with the given
-// history table size.
-func ReplayGShare(trace []bool, bits uint) Result {
-	g := NewGShare(bits)
-	const pc = 0x40abcd // arbitrary static branch address
-	var r Result
-	for _, taken := range trace {
-		if g.Predict(pc) != taken {
-			r.Misses++
-		}
-		g.Update(pc, taken)
 		r.Branches++
 	}
 	return r

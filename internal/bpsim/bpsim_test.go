@@ -72,42 +72,9 @@ func TestTwoBitRandomTraceShape(t *testing.T) {
 	}
 }
 
-func TestGShareLearnsPattern(t *testing.T) {
-	// A periodic pattern is predictable with enough history.
-	trace := make([]bool, 50000)
-	for i := range trace {
-		trace[i] = i%4 == 0
-	}
-	r := ReplayGShare(trace, 12)
-	if r.MissRate() > 0.05 {
-		t.Errorf("gshare failed to learn period-4 pattern: miss rate %v", r.MissRate())
-	}
-	// The same pattern defeats a single two-bit counter.
-	r2 := ReplayTwoBit(trace)
-	if r2.MissRate() < r.MissRate() {
-		t.Errorf("two-bit (%v) should not beat gshare (%v) on periodic data",
-			r2.MissRate(), r.MissRate())
-	}
-}
-
-func TestGShareRandomStillBad(t *testing.T) {
-	rng := rand.New(rand.NewSource(7))
-	trace := make([]bool, 100000)
-	for i := range trace {
-		trace[i] = rng.Float64() < 0.5
-	}
-	r := ReplayGShare(trace, 12)
-	if r.MissRate() < 0.35 {
-		t.Errorf("gshare predicted random data: miss rate %v", r.MissRate())
-	}
-}
-
 func TestEmptyTrace(t *testing.T) {
 	if r := ReplayTwoBit(nil); r.MissRate() != 0 || r.Branches != 0 {
 		t.Errorf("empty trace: %+v", r)
-	}
-	if r := ReplayGShare(nil, 4); r.MissRate() != 0 {
-		t.Errorf("empty gshare trace: %+v", r)
 	}
 }
 
@@ -127,14 +94,4 @@ func TestPredictorStateMachines(t *testing.T) {
 	if !p.Predict() {
 		t.Error("one not-taken from saturation should stay taken")
 	}
-
-	g := NewGShare(4)
-	if g.Predict(0) {
-		t.Error("gshare initial prediction should be not-taken")
-	}
-	g.Update(0, true)
-	g.Update(0, true)
-	// After history shifts the indexed counter changes; just exercise the
-	// paths.
-	g.Predict(0)
 }

@@ -39,17 +39,6 @@ func (s *Searcher) SearchBoolContext(ctx context.Context, expr BoolExpr, k int) 
 	return s.SearchBool(expr, k)
 }
 
-// ExplainBool renders the compiled plan of a boolean query, on the segment
-// ExplainPlan would pick for its terms.
-func (s *Searcher) ExplainBool(expr BoolExpr, k int) (string, error) {
-	sub := s.explainSegment(Terms(expr))
-	root, err := sub.boolRoot(expr, k)
-	if err != nil {
-		return "", err
-	}
-	return s.explain(root)
-}
-
 // boolChain is the boolean query the BoolAND and BoolOR strategies run for
 // a keyword query: its terms, in order, joined by a left-deep chain of AND
 // (or OR). terms must not be empty. The matches come in docid order, with
@@ -112,7 +101,7 @@ func (s *segSearcher) searchBool(expr BoolExpr, k int) ([]Result, error) {
 }
 
 // boolRoot is the complete plan of a boolean query on one segment — the
-// tree searchBool drains and ExplainPlan/ExplainBool render: the compiled
+// tree searchBool drains and ExplainPlan renders: the compiled
 // expression under Limit(k).
 func (s *segSearcher) boolRoot(expr BoolExpr, k int) (engine.Operator, error) {
 	plan, err := s.boolPlan(expr)

@@ -2,7 +2,6 @@ package ir
 
 import (
 	"reflect"
-	"strings"
 	"testing"
 )
 
@@ -230,31 +229,6 @@ func TestBoolStrategiesMatchSearchBool(t *testing.T) {
 					}
 				}
 			}
-		}
-	}
-}
-
-func TestExplainBool(t *testing.T) {
-	_, ix := getIndex(t)
-	s := NewSearcher(ix, 0)
-	var terms []string
-	for tm := range ix.Terms {
-		terms = append(terms, tm)
-		if len(terms) == 3 {
-			break
-		}
-	}
-	expr, err := ParseBoolQuery(terms[0] + " AND (" + terms[1] + " OR " + terms[2] + ")")
-	if err != nil {
-		t.Fatal(err)
-	}
-	plan, err := s.ExplainBool(expr, 20)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, want := range []string{"Limit(20)", "MergeJoin", "MergeOuterJoin", "Scan(TD["} {
-		if !strings.Contains(plan, want) {
-			t.Errorf("plan missing %q:\n%s", want, plan)
 		}
 	}
 }

@@ -12,39 +12,35 @@ import (
 )
 
 // TestBuildWithoutPostings pins Build on collections with no postings: it
-// indexes the documents and no term, a layout without score columns keeps
-// the [0, 1] bounds, one with them has none (ScoreLo > ScoreHi), and a
-// search finds nothing.
+// indexes the documents and no term, has no score bounds (ScoreLo >
+// ScoreHi), and a search finds nothing.
 func TestBuildWithoutPostings(t *testing.T) {
 	for _, c := range []*corpus.Collection{
 		{DocLens: []int64{3, 4}, DocNames: []string{"a", "b"}, TermStrings: []string{"x"}, Postings: [][]corpus.Posting{nil}},
 		{},
 	} {
-		for _, bc := range []BuildConfig{DefaultBuildConfig(), {Compressed: true}} {
-			ix, err := Build(c, bc)
-			if err != nil {
-				t.Fatalf("%d documents, %+v: %v", len(c.DocLens), bc, err)
+		ix, err := Build(c, DefaultBuildConfig())
+		if err != nil {
+			t.Fatalf("%d documents: %v", len(c.DocLens), err)
+		}
+		if ix.NumDocs() != len(c.DocLens) || ix.NumPostings() != 0 || len(ix.Terms) != 0 {
+			t.Fatalf("%d documents: index has %d documents, %d postings, %d terms",
+				len(c.DocLens), ix.NumDocs(), ix.NumPostings(), len(ix.Terms))
+		}
+		if ix.Params.NumDocs != float64(len(c.DocLens)) || ix.Params.AvgDocLn != c.AvgDocLen() {
+			t.Fatalf("%d documents: params %+v", len(c.DocLens), ix.Params)
+		}
+		if ix.ScoreLo <= ix.ScoreHi {
+			t.Fatalf("%d documents: bounds [%v, %v]", len(c.DocLens), ix.ScoreLo, ix.ScoreHi)
+		}
+		if len(c.DocLens) > 0 {
+			if name, err := ix.DocName(1); err != nil || name != "b" {
+				t.Fatalf("DocName(1) = %q, %v", name, err)
 			}
-			if ix.NumDocs() != len(c.DocLens) || ix.NumPostings() != 0 || len(ix.Terms) != 0 {
-				t.Fatalf("%d documents: index has %d documents, %d postings, %d terms",
-					len(c.DocLens), ix.NumDocs(), ix.NumPostings(), len(ix.Terms))
-			}
-			if ix.Params.NumDocs != float64(len(c.DocLens)) || ix.Params.AvgDocLn != c.AvgDocLen() {
-				t.Fatalf("%d documents: params %+v", len(c.DocLens), ix.Params)
-			}
-			scored := bc.Materialized || bc.Quantized
-			if scored && ix.ScoreLo <= ix.ScoreHi || !scored && (ix.ScoreLo != 0 || ix.ScoreHi != 1) {
-				t.Fatalf("%d documents, scored %v: bounds [%v, %v]", len(c.DocLens), scored, ix.ScoreLo, ix.ScoreHi)
-			}
-			if len(c.DocLens) > 0 {
-				if name, err := ix.DocName(1); err != nil || name != "b" {
-					t.Fatalf("DocName(1) = %q, %v", name, err)
-				}
-			}
-			res, _, err := NewSearcher(ix, 1).Search([]string{"x"}, 10, BM25TC)
-			if err != nil || len(res) != 0 {
-				t.Fatalf("search: %v, %v", res, err)
-			}
+		}
+		res, _, err := NewSearcher(ix, 1).Search([]string{"x"}, 10, BM25TC)
+		if err != nil || len(res) != 0 {
+			t.Fatalf("search: %v, %v", res, err)
 		}
 	}
 }

@@ -16,9 +16,9 @@
 // columns (T adds the conjunctive-first two-pass heuristic); BM25TC reads
 // the PFOR/PFOR-DELTA compressed columns; BM25TCM reads the materialized
 // float score column; BM25TCMQ8 reads the 8-bit Global-By-Value quantized
-// score column. One Index carries every physical column its BuildConfig
-// enabled, so a single index serves the whole ladder and each strategy
-// reads only what it needs. On a freshly baked segment, BM25TCMQ8 also
+// score column. There is one layout: every Index carries all six TD
+// columns, so every strategy runs on every segment and each reads only
+// what it needs. On a freshly baked segment, BM25TCMQ8 also
 // prunes by max score (§5): its scans skip the 128-row posting strides
 // whose best quantized score cannot enter the top-k.
 //

@@ -13,8 +13,8 @@ import (
 
 // Column names of the TD (term-document) table. Each storage treatment of
 // the paper's ladder is a separate physical column over the same logical
-// rows, so one index serves every strategy and reads touch only what a
-// strategy needs:
+// rows. There is one layout: every index stores all six columns, so every
+// strategy runs on every segment and reads touch only what it needs:
 //
 //	docid32/tf32  — uncompressed 32-bit baseline (runs BoolAND..BM25T)
 //	docidc/tfc    — PFOR-DELTA / PFOR with 8-bit codewords (run BM25TC)
@@ -28,6 +28,10 @@ const (
 	ColScore   = "score"
 	ColQScore  = "qscore"
 )
+
+// tdColumns lists the TD table's columns in the order the build writes
+// them; RestoreIndex refuses a posting table without any one of them.
+var tdColumns = [...]string{ColDocID32, ColTF32, ColDocIDC, ColTFC, ColScore, ColQScore}
 
 // postingChunkLen is the values per storage chunk of every column but the
 // names when BuildConfig.ChunkLen is 0: 16 Ki values, 128 PFOR-DELTA entry
@@ -49,22 +53,17 @@ const nameChunkLen = 256
 // TD rows [Start, End), and Ftd documents contain the term (equal to
 // End-Start except under a distributed global-statistics override).
 // MaxScore is the largest w(D,T) in the term's posting list, the per-term
-// bound of max-score pruning (§5, Buckley & Lewit); it is populated when
-// scores are materialized and persisted with the range index.
+// bound of max-score pruning (§5, Buckley & Lewit); the build computes it
+// and it is persisted with the range index.
 type TermInfo struct {
 	Start, End int
 	Ftd        int
 	MaxScore   float64
 }
 
-// BuildConfig selects which physical columns the index carries and how
-// storage is simulated.
+// BuildConfig sets how an index's columns are chunked and how storage is
+// simulated; which columns it carries is fixed (tdColumns).
 type BuildConfig struct {
-	Uncompressed bool // docid32/tf32 columns
-	Compressed   bool // docidc/tfc columns
-	Materialized bool // score column (requires Compressed for docidc)
-	Quantized    bool // qscore column
-
 	ChunkLen  int // values per storage chunk of every column but the names (nameChunkLen); 0 = postingChunkLen
 	PoolBytes int64
 	Disk      colbm.DiskParams
@@ -160,16 +159,10 @@ func localStats(c *corpus.Collection) *GlobalStats {
 	return st
 }
 
-// DefaultBuildConfig enables every column so a single index serves all
-// Table 2 strategies.
+// DefaultBuildConfig is the build configuration every caller uses: the
+// default chunk length over the default simulated disk.
 func DefaultBuildConfig() BuildConfig {
-	return BuildConfig{
-		Uncompressed: true,
-		Compressed:   true,
-		Materialized: true,
-		Quantized:    true,
-		Disk:         colbm.DefaultDiskParams(),
-	}
+	return BuildConfig{Disk: colbm.DefaultDiskParams()}
 }
 
 // Index is a searchable inverted-file index stored in ColumnBM.
@@ -180,9 +173,8 @@ type Index struct {
 	Terms  map[string]TermInfo
 	Params primitives.BM25Params
 
-	// Skylines holds, for quantized layouts, the terms' (tf, len)
-	// skylines in posting row order (see Skyline); a term over
-	// SkylineCap has none.
+	// Skylines holds the terms' (tf, len) skylines in posting row order
+	// (see Skyline); a term over SkylineCap has none.
 	Skylines []Skyline
 
 	// Quantization bounds: min and max w(D,T) over the collection (the L
@@ -214,10 +206,7 @@ func Build(c *corpus.Collection, bc BuildConfig) (*Index, error) {
 	if st == nil {
 		st = localStats(c)
 	}
-	w, err := newIndexWriter(bc, st, len(c.DocLens), c.NumPostings())
-	if err != nil {
-		return nil, err
-	}
+	w := newIndexWriter(bc, st, len(c.DocLens), c.NumPostings())
 	if err := w.AddDocLens(c.DocLens); err != nil {
 		return nil, err
 	}
@@ -250,8 +239,7 @@ func Build(c *corpus.Collection, bc BuildConfig) (*Index, error) {
 // TD and D tables, quantizing against [lo, hi] — the tail of Finish. Both
 // docid columns alias the same flattened slice; the builder encodes
 // chunk-at-a-time, so this is the only place the whole run exists as Go
-// slices, and the one place term skylines are computed (for quantized
-// layouts, whose bounds they serve).
+// slices, and the one place term skylines are computed.
 func (w *IndexWriter) assemble(lo, hi float64) (*Index, error) {
 	bc, docids, tfs, scores, docLens := w.bc, w.docids, w.tfs, w.scores, w.docLens
 	chunkLen := bc.ChunkLen
@@ -260,43 +248,23 @@ func (w *IndexWriter) assemble(lo, hi float64) (*Index, error) {
 	}
 	store := colbm.NewSimDisk(bc.Disk)
 	cache := colbm.NewManager(bc.PoolBytes)
-	// TD table.
-	var tdSpecs []colbm.ColumnSpec
-	if bc.Uncompressed {
-		tdSpecs = append(tdSpecs,
-			colbm.ColumnSpec{Name: ColDocID32, Type: vector.Int64, Enc: colbm.EncFixed32, ChunkLen: chunkLen},
-			colbm.ColumnSpec{Name: ColTF32, Type: vector.Int64, Enc: colbm.EncFixed32, ChunkLen: chunkLen})
-	}
-	if bc.Compressed {
-		tdSpecs = append(tdSpecs,
-			colbm.ColumnSpec{Name: ColDocIDC, Type: vector.Int64, Enc: colbm.EncPFORDelta, Bits: 8, ChunkLen: chunkLen},
-			colbm.ColumnSpec{Name: ColTFC, Type: vector.Int64, Enc: colbm.EncPFOR, Bits: 8, ChunkLen: chunkLen})
-	}
-	if bc.Materialized {
-		tdSpecs = append(tdSpecs,
-			colbm.ColumnSpec{Name: ColScore, Type: vector.Float64, ChunkLen: chunkLen})
-	}
-	if bc.Quantized {
-		tdSpecs = append(tdSpecs,
-			colbm.ColumnSpec{Name: ColQScore, Type: vector.UInt8, ChunkLen: chunkLen})
-	}
-	tdb := colbm.NewBuilder(bc.TablePrefix+"TD", store, cache, tdSpecs)
-	if bc.Uncompressed {
-		tdb.SetInt64(ColDocID32, docids)
-		tdb.SetInt64(ColTF32, tfs)
-	}
-	if bc.Compressed {
-		tdb.SetInt64(ColDocIDC, docids)
-		tdb.SetInt64(ColTFC, tfs)
-	}
-	if bc.Materialized {
-		tdb.SetFloat64(ColScore, scores)
-	}
-	if bc.Quantized {
-		q := make([]uint8, len(scores))
-		primitives.QuantizeGlobalByValue(q, scores, lo, hi, 256, nil, len(scores))
-		tdb.SetUInt8(ColQScore, q)
-	}
+	// TD table, in tdColumns order.
+	tdb := colbm.NewBuilder(bc.TablePrefix+"TD", store, cache, []colbm.ColumnSpec{
+		{Name: ColDocID32, Type: vector.Int64, Enc: colbm.EncFixed32, ChunkLen: chunkLen},
+		{Name: ColTF32, Type: vector.Int64, Enc: colbm.EncFixed32, ChunkLen: chunkLen},
+		{Name: ColDocIDC, Type: vector.Int64, Enc: colbm.EncPFORDelta, Bits: 8, ChunkLen: chunkLen},
+		{Name: ColTFC, Type: vector.Int64, Enc: colbm.EncPFOR, Bits: 8, ChunkLen: chunkLen},
+		{Name: ColScore, Type: vector.Float64, ChunkLen: chunkLen},
+		{Name: ColQScore, Type: vector.UInt8, ChunkLen: chunkLen},
+	})
+	tdb.SetInt64(ColDocID32, docids)
+	tdb.SetInt64(ColTF32, tfs)
+	tdb.SetInt64(ColDocIDC, docids)
+	tdb.SetInt64(ColTFC, tfs)
+	tdb.SetFloat64(ColScore, scores)
+	q := make([]uint8, len(scores))
+	primitives.QuantizeGlobalByValue(q, scores, lo, hi, 256, nil, len(scores))
+	tdb.SetUInt8(ColQScore, q)
 	td, err := tdb.Build()
 	if err != nil {
 		return nil, err
@@ -324,22 +292,19 @@ func (w *IndexWriter) assemble(lo, hi float64) (*Index, error) {
 		return nil, err
 	}
 
-	ix := &Index{
-		TD:      td,
-		D:       d,
-		Terms:   w.terms,
-		Params:  w.params,
-		ScoreLo: lo,
-		ScoreHi: hi,
-		Store:   store,
-		Cache:   cache,
-		maxima:  NewStrideMaxima(),
-		cfg:     bc,
-	}
-	if bc.Quantized {
-		ix.Skylines = buildSkylines(w.order, w.terms, docids, tfs, docLens, bc.DocIDBase)
-	}
-	return ix, nil
+	return &Index{
+		TD:       td,
+		D:        d,
+		Terms:    w.terms,
+		Params:   w.params,
+		Skylines: buildSkylines(w.order, w.terms, docids, tfs, docLens, bc.DocIDBase),
+		ScoreLo:  lo,
+		ScoreHi:  hi,
+		Store:    store,
+		Cache:    cache,
+		maxima:   NewStrideMaxima(),
+		cfg:      bc,
+	}, nil
 }
 
 // RestoreIndex reassembles an Index from persisted components: the tables
@@ -349,11 +314,18 @@ func (w *IndexWriter) assemble(lo, hi float64) (*Index, error) {
 // constructor of a fresh index over a SimDisk. The document table's docid
 // column is decoded once and must be dense — row i holds cfg.DocIDBase + i,
 // what every plan's positional fetch of D assumes — or the error wraps
-// ErrDocTableNotDense. maxima is the segment's stride-maxima cache, shared
+// ErrDocTableNotDense. The posting table must carry every TD column, since
+// any strategy may read any of them; the error names the first missing
+// one. maxima is the segment's stride-maxima cache, shared
 // with every other Index restored from the same segment.
 func RestoreIndex(td, d *colbm.Table, terms map[string]TermInfo, params primitives.BM25Params,
 	scoreLo, scoreHi float64, store colbm.BlockStore, cache colbm.ChunkCache, cfg BuildConfig,
 	maxima *StrideMaxima) (*Index, error) {
+	for _, name := range tdColumns {
+		if _, err := td.Column(name); err != nil {
+			return nil, err
+		}
+	}
 	if err := checkDense(d, cfg.DocIDBase); err != nil {
 		return nil, err
 	}
@@ -398,9 +370,7 @@ func checkDense(d *colbm.Table, base int64) error {
 	return nil
 }
 
-// Config returns the build configuration, letting callers (the Engine
-// facade, the distributed broker) discover which physical columns — and
-// therefore which strategies — this index supports.
+// Config returns the build configuration the index was made with.
 func (ix *Index) Config() BuildConfig { return ix.cfg }
 
 // Close releases the index's store (a no-op for simulated disks, real

@@ -85,13 +85,6 @@ func TestMaxScorePopulated(t *testing.T) {
 	}
 }
 
-func TestBuildRequiresDocidForMaterialized(t *testing.T) {
-	bc := BuildConfig{Materialized: true}
-	if _, err := Build(testCollection(), bc); err == nil {
-		t.Error("materialized without compressed accepted")
-	}
-}
-
 func TestCompressionRatiosMatchPaperShape(t *testing.T) {
 	_, ix := getIndex(t)
 	docidBits, err := ix.BitsPerPosting(ColDocIDC)
@@ -628,7 +621,9 @@ func TestColdTermReadsItsOwnChunks(t *testing.T) {
 		t.Fatalf("%d postings fill no 4 chunks of %d", c.NumPostings(), colbm.DefaultChunkLen)
 	}
 	build := func(chunkLen int) *Index {
-		ix, err := Build(c, BuildConfig{Compressed: true, Quantized: true, ChunkLen: chunkLen, Disk: colbm.DefaultDiskParams()})
+		bc := DefaultBuildConfig()
+		bc.ChunkLen = chunkLen
+		ix, err := Build(c, bc)
 		if err != nil {
 			t.Fatal(err)
 		}

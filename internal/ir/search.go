@@ -21,8 +21,8 @@ type Strategy int
 //
 // StrategyDefault — deliberately the zero value, so an unset request field
 // gets sensible behaviour — asks the searcher to run the strongest
-// strategy the index's physical columns support (BM25TCMQ8 on a
-// default-built index).
+// strategy, BM25TCMQ8. There is one index layout, so every strategy runs
+// on every segment.
 const (
 	StrategyDefault Strategy = iota
 	BoolAND
@@ -42,54 +42,18 @@ func (s Strategy) String() string {
 	return [...]string{"Default", "BoolAND", "BoolOR", "BM25", "BM25T", "BM25TC", "BM25TCM", "BM25TCMQ8"}[s]
 }
 
-// Resolve maps a requested strategy to the one the index can actually run:
-// StrategyDefault becomes the strongest supported run, and a ranked
-// strategy whose physical column is absent falls back to the nearest
-// supported variant (preferring the milder optimization, the one whose
-// plan shape is closest). Boolean strategies have no substitute — they
-// need the uncompressed posting columns and error without them.
+// Resolve maps a requested strategy to the one that runs: StrategyDefault
+// becomes BM25TCMQ8, and every other strategy runs as asked, since every
+// index stores the whole ladder's columns. An out-of-range value is an
+// error.
 func (ix *Index) Resolve(strat Strategy) (Strategy, error) {
 	if strat < StrategyDefault || strat > BM25TCMQ8 {
 		return 0, fmt.Errorf("ir: unknown strategy %v", strat)
 	}
-	supported := func(s Strategy) bool {
-		switch s {
-		case BoolAND, BoolOR, BM25, BM25T:
-			return ix.cfg.Uncompressed
-		case BM25TC:
-			return ix.cfg.Compressed
-		case BM25TCM:
-			return ix.cfg.Materialized
-		case BM25TCMQ8:
-			return ix.cfg.Quantized
-		}
-		return false
-	}
 	if strat == StrategyDefault {
-		for s := BM25TCMQ8; s >= BM25; s-- {
-			if supported(s) {
-				return s, nil
-			}
-		}
-		return 0, fmt.Errorf("ir: index stores no ranked posting columns")
+		return BM25TCMQ8, nil
 	}
-	if supported(strat) {
-		return strat, nil
-	}
-	if strat == BoolAND || strat == BoolOR {
-		return 0, fmt.Errorf("ir: %v requires the uncompressed posting columns", strat)
-	}
-	for s := strat - 1; s >= BM25; s-- {
-		if supported(s) {
-			return s, nil
-		}
-	}
-	for s := strat + 1; s <= BM25TCMQ8; s++ {
-		if supported(s) {
-			return s, nil
-		}
-	}
-	return 0, fmt.Errorf("ir: no supported substitute for strategy %v", strat)
+	return strat, nil
 }
 
 // AllStrategies lists the Table 2 runs in order.

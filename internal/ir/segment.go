@@ -191,8 +191,8 @@ func (sn *Snapshot) Segments() []*Index {
 // for physical configuration, compression ratios, BM25 constants.
 func (sn *Snapshot) Primary() *Index { return sn.subs[0].ix }
 
-// Resolve maps a requested strategy against the snapshot's physical
-// columns (uniform across segments by construction).
+// Resolve maps a requested strategy to the one that runs (Index.Resolve);
+// every segment stores the same columns.
 func (sn *Snapshot) Resolve(strat Strategy) (Strategy, error) {
 	return sn.subs[0].ix.Resolve(strat)
 }

@@ -61,7 +61,7 @@ type IndexWriter struct {
 }
 
 // NewIndexWriter starts a streaming build for exactly numDocs documents
-// and numPostings posting rows under the given layout. The counts are a
+// and numPostings posting rows under the given configuration. The counts are a
 // contract, not a hint: the writer allocates its row arrays once from
 // them and rejects rows beyond either bound.
 func NewIndexWriter(bc BuildConfig, numDocs, numPostings int) (*IndexWriter, error) {
@@ -71,16 +71,13 @@ func NewIndexWriter(bc BuildConfig, numDocs, numPostings int) (*IndexWriter, err
 	if numDocs <= 0 || numPostings <= 0 {
 		return nil, fmt.Errorf("ir: streaming build of %d documents / %d postings", numDocs, numPostings)
 	}
-	return newIndexWriter(bc, bc.Stats, numDocs, numPostings)
+	return newIndexWriter(bc, bc.Stats, numDocs, numPostings), nil
 }
 
 // newIndexWriter is NewIndexWriter scoring against st, which may differ
 // from bc.Stats (Build resolves a nil one), for any non-negative counts.
-func newIndexWriter(bc BuildConfig, st *GlobalStats, numDocs, numPostings int) (*IndexWriter, error) {
-	if bc.Materialized && !bc.Compressed {
-		return nil, fmt.Errorf("ir: materialized scores require the compressed docid column")
-	}
-	w := &IndexWriter{
+func newIndexWriter(bc BuildConfig, st *GlobalStats, numDocs, numPostings int) *IndexWriter {
+	return &IndexWriter{
 		bc:          bc,
 		stats:       st,
 		params:      OkapiParams(st.NumDocs, st.AvgDocLen),
@@ -90,14 +87,11 @@ func newIndexWriter(bc BuildConfig, st *GlobalStats, numDocs, numPostings int) (
 		docNames:    make([]string, 0, numDocs),
 		docids:      make([]int64, 0, numPostings),
 		tfs:         make([]int64, 0, numPostings),
+		scores:      make([]float64, 0, numPostings),
 		terms:       make(map[string]TermInfo),
 		lo:          math.Inf(1),
 		hi:          math.Inf(-1),
 	}
-	if bc.Materialized || bc.Quantized {
-		w.scores = make([]float64, 0, numPostings)
-	}
-	return w, nil
 }
 
 // AddDocLens appends document lengths in local docid order.
@@ -151,9 +145,8 @@ func (w *IndexWriter) sealTerm() {
 }
 
 // Postings appends rows to the open term's list: parallel local docids
-// (the writer adds DocIDBase) and term frequencies. Scores — when the
-// layout materializes or quantizes them — are computed here, and only
-// here, against the global statistics, folding into the running bounds and
+// (the writer adds DocIDBase) and term frequencies. Scores are computed
+// here, and only here, against the global statistics, folding into the running bounds and
 // the term's MaxScore.
 func (w *IndexWriter) Postings(docids, tfs []int64) error {
 	if !w.open {
@@ -171,18 +164,16 @@ func (w *IndexWriter) Postings(docids, tfs []int64) error {
 		}
 		w.docids = append(w.docids, d+w.bc.DocIDBase)
 		w.tfs = append(w.tfs, tfs[i])
-		if w.scores != nil {
-			s := w.params.WeightIDF(w.idf, float64(tfs[i]), float64(w.docLens[d]))
-			w.scores = append(w.scores, s)
-			if s < w.lo {
-				w.lo = s
-			}
-			if s > w.hi {
-				w.hi = s
-			}
-			if s > w.maxW {
-				w.maxW = s
-			}
+		s := w.params.WeightIDF(w.idf, float64(tfs[i]), float64(w.docLens[d]))
+		w.scores = append(w.scores, s)
+		if s < w.lo {
+			w.lo = s
+		}
+		if s > w.hi {
+			w.hi = s
+		}
+		if s > w.maxW {
+			w.maxW = s
 		}
 	}
 	return nil
@@ -191,8 +182,7 @@ func (w *IndexWriter) Postings(docids, tfs []int64) error {
 // Finish seals the last term and encodes the physical tables, returning
 // the built index. The declared document and posting totals must have
 // been reached exactly. The quantization bounds are the computed weights'
-// min and max widened by Stats' bounds; a layout that scores nothing and
-// has no Stats bounds gets [0, 1].
+// min and max widened by Stats' bounds.
 func (w *IndexWriter) Finish() (*Index, error) {
 	w.sealTerm()
 	if len(w.docLens) != w.numDocs || len(w.docNames) != w.numDocs {
@@ -205,8 +195,6 @@ func (w *IndexWriter) Finish() (*Index, error) {
 	lo, hi := w.lo, w.hi
 	if w.stats.HasScoreBounds {
 		lo, hi = min(lo, w.stats.ScoreLo), max(hi, w.stats.ScoreHi)
-	} else if w.scores == nil {
-		lo, hi = 0, 1
 	}
 	return w.assemble(lo, hi)
 }

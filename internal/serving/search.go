@@ -38,9 +38,8 @@ type Request struct {
 	// K is the number of results wanted; 0 means DefaultK.
 	K int
 	// Strategy selects the Table 2 run. The zero value, StrategyDefault,
-	// runs the strongest strategy the index's physical columns support; an
-	// explicit ranked strategy the index cannot run is substituted with the
-	// nearest supported one (the response reports what actually ran).
+	// runs the strongest one, BM25TCMQ8 (the response reports what ran);
+	// every other strategy runs as asked.
 	Strategy ir.Strategy
 	// Trace requests this query's span trace in the response regardless
 	// of the slow-query threshold or sampling rate — the "explain why THIS
@@ -58,7 +57,7 @@ type Response struct {
 	// accounting.
 	Stats ir.QueryStats
 	// Strategy is the strategy that actually executed (after resolving
-	// StrategyDefault and physical-column substitutions).
+	// StrategyDefault).
 	Strategy ir.Strategy
 	// Cached marks a response served from the result cache: Hits are a
 	// private copy, Stats are those of the execution that populated the
@@ -118,24 +117,19 @@ func (g *Gen) Search(ctx context.Context, req Request) (Response, error) {
 
 // SearchMany executes a batch of requests on this generation, fanning them
 // across the searcher pool in sub-batches. Results are returned in request
-// order — or, when fn is given, delivered as fn(i, res) from worker
-// goroutines in completion order with nothing retained. Failures are
-// recorded per request; the error return is ctx.Err() when the context
-// expired mid-batch, with the already-completed results still returned.
-func (g *Gen) SearchMany(ctx context.Context, reqs []Request, fn func(int, BatchResult)) ([]BatchResult, BatchStats, error) {
+// order. Failures are recorded per request; the error return is ctx.Err()
+// when the context expired mid-batch, with the already-completed results
+// still returned.
+func (g *Gen) SearchMany(ctx context.Context, reqs []Request) ([]BatchResult, BatchStats, error) {
 	c := g.c
 	bs := BatchStats{Queries: len(reqs)}
-	var out []BatchResult
-	if fn == nil {
-		out = make([]BatchResult, len(reqs))
-	}
+	out := make([]BatchResult, len(reqs))
 	if len(reqs) == 0 {
 		return out, bs, nil
 	}
 
-	// Per-result accounting happens at delivery time (under a mutex — the
-	// work it guards is trivial next to a query), so the streaming path
-	// need not retain anything.
+	// Per-result accounting happens at delivery time, under a mutex — the
+	// work it guards is trivial next to a query.
 	var accMu sync.Mutex
 	deliver := func(i int, r BatchResult) {
 		accMu.Lock()
@@ -157,12 +151,7 @@ func (g *Gen) SearchMany(ctx context.Context, reqs []Request, fn func(int, Batch
 			bs.Candidates += r.Response.Stats.Candidates
 		}
 		accMu.Unlock()
-		if out != nil {
-			out[i] = r
-		}
-		if fn != nil {
-			fn(i, r)
-		}
+		out[i] = r
 	}
 
 	start := time.Now()
@@ -226,7 +215,7 @@ func (g *Gen) runSubBatch(ctx context.Context, reqs []Request, lo, hi, workers i
 
 // validate checks a request and resolves its defaults: the terms must be
 // non-empty, K zero means DefaultK, negative K is rejected, and the
-// strategy is resolved against the index's physical columns.
+// strategy is resolved (ir.Index.Resolve).
 func (g *Gen) validate(req Request) (int, ir.Strategy, error) {
 	if len(req.Terms) == 0 {
 		return 0, 0, errors.New("repro: search request has no terms")

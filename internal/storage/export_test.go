@@ -41,9 +41,9 @@ func MemoEntries(dir string) int {
 // scoreBounds is segmentBounds with an un-indexed batch folded in under the
 // same statistics: the whole collection's bounds, which
 // TestSkylineBoundsMatchScan compares with a fold over every posting.
-func (st *mergedStats) scoreBounds(quantized bool, batch *corpus.Collection) (bounds, error) {
-	b, err := st.segmentBounds(quantized)
-	if err != nil || !quantized {
+func (st *mergedStats) scoreBounds(batch *corpus.Collection) (bounds, error) {
+	b, err := st.segmentBounds()
+	if err != nil {
 		return b, err
 	}
 	lo, hi := math.Inf(1), math.Inf(-1)

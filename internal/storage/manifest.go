@@ -38,8 +38,8 @@ type Manifest struct {
 	Magic   string `json:"magic"`
 	Version int    `json:"version"`
 
-	// Config is the build configuration the index was constructed with; it
-	// determines which strategies the reopened index supports.
+	// Config is the build configuration the index was constructed with: its
+	// chunk length is what an append to the directory builds with.
 	Config ir.BuildConfig `json:"config"`
 	// Params are the Okapi BM25 constants and collection statistics.
 	Params primitives.BM25Params `json:"params"`
@@ -48,7 +48,7 @@ type Manifest struct {
 	ScoreHi float64 `json:"score_hi"`
 	// Terms is the range index: term -> posting row range + statistics.
 	Terms map[string]ir.TermInfo `json:"terms"`
-	// Skylines are a quantized segment's term skylines (ir.Skyline), in
+	// Skylines are the segment's term skylines (ir.Skyline), in
 	// the varint encoding of encodeSkylines. From them an append derives
 	// the segment's exact score bounds under new statistics without
 	// reading its postings. Optional: a term without one — over

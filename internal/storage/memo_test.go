@@ -459,14 +459,15 @@ func handedMatchesDecode(t *testing.T, dir, seg string) {
 }
 
 // TestHandedManifestMatchesDecode: over random appends, merges and splits,
-// under a quantized and an unquantized layout, every segment a writer
+// under the default and a small chunk length, every segment a writer
 // wrote — appended, merged, or linked into a split's right half — was
 // handed to the memo as exactly the manifest a decode of its bytes gives.
 func TestHandedManifestMatchesDecode(t *testing.T) {
 	coll := segTestCollection(t)
 	rng := rand.New(rand.NewSource(56))
-	plain := ir.BuildConfig{Compressed: true}
-	for trial, cfg := range []ir.BuildConfig{ir.DefaultBuildConfig(), plain, ir.DefaultBuildConfig()} {
+	small := ir.DefaultBuildConfig()
+	small.ChunkLen = 4096
+	for trial, cfg := range []ir.BuildConfig{ir.DefaultBuildConfig(), small, ir.DefaultBuildConfig()} {
 		dirs := []string{filepath.Join(t.TempDir(), "segix")}
 		next := 0
 		for op := 0; op < 12; op++ {

@@ -173,7 +173,7 @@ func (sm *SegmentsManifest) reshaped(dir string) error {
 	if err != nil {
 		return err
 	}
-	b, err := st.segmentBounds(st.segs[0].m.Config.Quantized)
+	b, err := st.segmentBounds()
 	if err != nil {
 		return err
 	}
@@ -227,7 +227,7 @@ type AbsorbPrep struct {
 // half of merging two adjacent partitions. Nothing is committed: dstDir's
 // manifest is untouched (the built segment is unreferenced until
 // CommitAbsorb) and srcDir is only read. Both directories must use the
-// same physical layout. cancel, when non-nil, is polled while streaming.
+// same chunk length. cancel, when non-nil, is polled while streaming.
 //
 // The new segment is baked against the *merged* collection's statistics
 // and quantization bounds (folded over both directories' segments), so its
@@ -276,7 +276,7 @@ func PrepareAbsorb(dstDir, srcDir string, cancel func() bool) (*AbsorbPrep, erro
 		// were baked against the collection's, coordinated outside both
 		// directories, and the absorbed segment keeps those.
 		bc.Stats, err = externalStats(dstDir, srcDir, st.segs, src)
-	} else if b, err = st.segmentBounds(bc.Quantized); err == nil {
+	} else if b, err = st.segmentBounds(); err == nil {
 		bc.Stats = st.globalStats(b)
 	}
 	if err != nil {

@@ -302,18 +302,12 @@ func AllocSegmentDir(dir string) (string, error) {
 // caller's to remove.
 var ErrBuildCanceled = errors.New("storage: segment build canceled")
 
-// compatibleLayout verifies an append's build configuration matches the
-// physical layout the directory's segments already use — mixed layouts
-// would leave some strategies runnable on only part of the collection.
+// compatibleLayout verifies an append's chunk length matches the one the
+// directory's segments already use.
 func compatibleLayout(cfg ir.BuildConfig, m *Manifest) error {
-	have := m.Config
-	if cfg.Uncompressed != have.Uncompressed || cfg.Compressed != have.Compressed ||
-		cfg.Materialized != have.Materialized || cfg.Quantized != have.Quantized ||
-		cfg.ChunkLen != have.ChunkLen {
-		return fmt.Errorf("storage: append layout %+v does not match the directory's existing segments", struct {
-			Uncompressed, Compressed, Materialized, Quantized bool
-			ChunkLen                                          int
-		}{cfg.Uncompressed, cfg.Compressed, cfg.Materialized, cfg.Quantized, cfg.ChunkLen})
+	if cfg.ChunkLen != m.Config.ChunkLen {
+		return fmt.Errorf("storage: append chunk length %d does not match the directory's existing segments (%d)",
+			cfg.ChunkLen, m.Config.ChunkLen)
 	}
 	return nil
 }
@@ -326,11 +320,11 @@ func compatibleLayout(cfg ir.BuildConfig, m *Manifest) error {
 // the commit records the new statistics epoch and exact quantization
 // bounds, and previously baked segments — now one epoch behind — serve
 // materialized strategies through the query-time kernels until a merge
-// re-bakes them. Cost is O(batch) to index plus, for quantized layouts,
-// O(Σ skyline points) to re-derive the existing segments' exact score
-// bounds from their term skylines (segmentBounds; a term without a skyline
-// is read from its segment's columns instead), which the batch's build
-// widens by its own weights.
+// re-bakes them. Cost is O(batch) to index plus O(Σ skyline points) to
+// re-derive the existing segments' exact score bounds from their term
+// skylines (segmentBounds; a term without a skyline is read from its
+// segment's columns instead), which the batch's build widens by its own
+// weights.
 //
 // Commits are read-modify-write on SEGMENTS.json, guarded two ways: the
 // engine serializes its own appends/merges in process, and the on-disk
@@ -370,7 +364,7 @@ func AppendSegment(dir string, batch *corpus.Collection, cfg ir.BuildConfig) (ui
 			return 0, err
 		}
 	}
-	existing, err := st.segmentBounds(cfg.Quantized)
+	existing, err := st.segmentBounds()
 	if err != nil {
 		return 0, err
 	}
@@ -394,7 +388,7 @@ func AppendSegment(dir string, batch *corpus.Collection, cfg ir.BuildConfig) (ui
 	// The build widened the existing segments' bounds by the batch's own
 	// weights: its bounds are the whole collection's.
 	var b bounds
-	if cfg.Quantized && ix.ScoreLo <= ix.ScoreHi {
+	if ix.ScoreLo <= ix.ScoreHi {
 		b = bounds{true, ix.ScoreLo, ix.ScoreHi}
 	}
 
@@ -837,11 +831,10 @@ func WriteSegmentedIndex(dir string, segs []*ir.Index) error {
 		Generation: 1,
 		StatsEpoch: 1,
 		External:   external,
-		HasBounds:  external || segs[0].Config().Quantized,
+		HasBounds:  true,
+		ScoreLo:    segs[0].ScoreLo,
+		ScoreHi:    segs[0].ScoreHi,
 		NextSeq:    1,
-	}
-	if sm.HasBounds {
-		sm.ScoreLo, sm.ScoreHi = segs[0].ScoreLo, segs[0].ScoreHi
 	}
 	next := segs[0].DocBase()
 	for _, ix := range segs {

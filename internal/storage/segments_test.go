@@ -281,14 +281,15 @@ func TestAppendSegmentGuards(t *testing.T) {
 		t.Errorf("AppendSegment on a pre-segment directory: %v, want ErrExternalStats", err)
 	}
 
-	// Layout mismatches are rejected.
+	// A chunk-length mismatch is rejected.
 	dir := filepath.Join(t.TempDir(), "segix")
 	if _, err := AppendSegment(dir, batch, ir.DefaultBuildConfig()); err != nil {
 		t.Fatal(err)
 	}
-	narrow := ir.BuildConfig{Compressed: true}
-	if _, err := AppendSegment(dir, batch, narrow); err == nil {
-		t.Error("AppendSegment accepted a mismatched physical layout")
+	small := ir.DefaultBuildConfig()
+	small.ChunkLen = 4096
+	if _, err := AppendSegment(dir, batch, small); err == nil {
+		t.Error("AppendSegment accepted a mismatched chunk length")
 	}
 
 	// A saved index built with a statistics override is External and

@@ -8,7 +8,7 @@ import (
 	"repro/internal/ir"
 )
 
-// Skyline encoding. A quantized segment's manifest carries its terms'
+// Skyline encoding. A segment's manifest carries its terms'
 // skylines (ir.Skyline) as one varint string, Manifest.Skylines. Terms
 // appear in posting row order and are named by the row their list starts
 // at (TermInfo.Start). Per term that has a skyline:

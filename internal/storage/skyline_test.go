@@ -260,7 +260,7 @@ func TestSkylineBoundsMatchScan(t *testing.T) {
 						for term, i := range st.slot {
 							st.df[i] = df[term]
 						}
-						b, err := st.scoreBounds(true, batches[2])
+						b, err := st.scoreBounds(batches[2])
 						if err != nil || !b.ok {
 							t.Fatalf("scoreBounds: %v (ok %v)", err, b.ok)
 						}

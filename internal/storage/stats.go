@@ -157,18 +157,14 @@ func sumInt64Column(col *colbm.Column) (int64, error) {
 	return sum, err
 }
 
-// postingCursors returns cursors over a segment's docid and tf columns —
-// compressed or fixed-width, whichever its layout stores.
+// postingCursors returns cursors over a segment's compressed docid and tf
+// columns.
 func postingCursors(ix *ir.Index) (docCur, tfCur *colbm.Cursor, err error) {
-	docName, tfName := ir.ColDocIDC, ir.ColTFC
-	if !ix.Config().Compressed {
-		docName, tfName = ir.ColDocID32, ir.ColTF32
-	}
-	docCol, err := ix.TD.Column(docName)
+	docCol, err := ix.TD.Column(ir.ColDocIDC)
 	if err != nil {
 		return nil, nil, err
 	}
-	tfCol, err := ix.TD.Column(tfName)
+	tfCol, err := ix.TD.Column(ir.ColTFC)
 	if err != nil {
 		return nil, nil, err
 	}
@@ -176,8 +172,7 @@ func postingCursors(ix *ir.Index) (docCur, tfCur *colbm.Cursor, err error) {
 }
 
 // scanPostings streams the named terms' postings of a segment through its
-// docid and tf columns (compressed or fixed, per the segment's layout),
-// docids shifted by delta, handing each vector of parallel (docids, tfs)
+// compressed docid and tf columns, docids shifted by delta, handing each vector of parallel (docids, tfs)
 // to fn.
 func scanPostings(ix *ir.Index, terms []string, delta int64, fn func(term string, docids, tfs []int64)) error {
 	docCur, tfCur, err := postingCursors(ix)
@@ -204,7 +199,7 @@ func scanPostings(ix *ir.Index, terms []string, delta int64, fn func(term string
 }
 
 // bounds are Global-By-Value quantization bounds; ok is false when there
-// are none (a layout without quantized columns, or no posting at all).
+// are none (no posting at all).
 type bounds struct {
 	ok     bool
 	lo, hi float64
@@ -212,7 +207,7 @@ type bounds struct {
 
 // segmentBounds returns the exact Global-By-Value bounds of the folded
 // segments under the merged statistics — what a build of their postings
-// would compute — or none unless the layout is quantized. A term with a
+// would compute. A term with a
 // skyline in its segment's manifest costs its skyline points, which
 // include the postings of its extreme weights (ir.Skyline); the terms
 // without one — over ir.SkylineCap, or in a manifest written before
@@ -220,10 +215,7 @@ type bounds struct {
 // document lengths (scanScoreBounds). Either way the result is the same,
 // bit for bit. An append's batch is not folded here: its build widens
 // these bounds by the weights it computes (ir.IndexWriter).
-func (st *mergedStats) segmentBounds(quantized bool) (bounds, error) {
-	if !quantized {
-		return bounds{}, nil
-	}
+func (st *mergedStats) segmentBounds() (bounds, error) {
 	lo, hi := math.Inf(1), math.Inf(-1)
 	idf := make([]float64, len(st.df))
 	for i, f := range st.df {

@@ -7,6 +7,8 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"strconv"
+	"strings"
 	"testing"
 
 	"repro/internal/colbm"
@@ -43,10 +45,9 @@ func flattenToV1(t *testing.T, dir string) {
 	}
 }
 
-// stripSkylines deletes the skylines field from every segment manifest of
-// dir: the shape segments had before manifests carried them, whose
-// quantization bounds an append reads from the postings instead.
-func stripSkylines(t *testing.T, dir string) {
+// editManifests rewrites every segment manifest of dir through edit, which
+// gets the manifest's top-level JSON fields.
+func editManifests(t *testing.T, dir string, edit func(seg string, fields map[string]json.RawMessage)) {
 	t.Helper()
 	sm, err := storage.ReadSegments(dir)
 	if err != nil {
@@ -62,10 +63,7 @@ func stripSkylines(t *testing.T, dir string) {
 		if err := json.Unmarshal(raw, &fields); err != nil {
 			t.Fatal(err)
 		}
-		if _, ok := fields["skylines"]; !ok {
-			t.Fatalf("segment %s has no skylines to strip", e.Name)
-		}
-		delete(fields, "skylines")
+		edit(e.Name, fields)
 		if raw, err = json.Marshal(fields); err != nil {
 			t.Fatal(err)
 		}
@@ -75,12 +73,45 @@ func stripSkylines(t *testing.T, dir string) {
 	}
 }
 
+// stripSkylines deletes the skylines field from every segment manifest of
+// dir: the shape segments had before manifests carried them, whose
+// quantization bounds an append reads from the postings instead.
+func stripSkylines(t *testing.T, dir string) {
+	t.Helper()
+	editManifests(t, dir, func(seg string, fields map[string]json.RawMessage) {
+		if _, ok := fields["skylines"]; !ok {
+			t.Fatalf("segment %s has no skylines to strip", seg)
+		}
+		delete(fields, "skylines")
+	})
+}
+
+// addLayoutFlags writes the four column switches builds recorded in each
+// segment's build configuration before every index stored every column.
+func addLayoutFlags(t *testing.T, dir string) {
+	t.Helper()
+	editManifests(t, dir, func(seg string, fields map[string]json.RawMessage) {
+		var config map[string]json.RawMessage
+		if err := json.Unmarshal(fields["config"], &config); err != nil {
+			t.Fatal(err)
+		}
+		for _, flag := range []string{"Uncompressed", "Compressed", "Materialized", "Quantized"} {
+			config[flag] = json.RawMessage("true")
+		}
+		raw, err := json.Marshal(config)
+		if err != nil {
+			t.Fatal(err)
+		}
+		fields["config"] = raw
+	})
+}
+
 // TestEveryDirectoryShape opens every kind of index directory the system
 // has ever written through the one open path and requires DocID+Score
-// bit-exact agreement with an in-memory ir.Build, for every ranked
-// strategy. Then the write side: directories that own their statistics
-// (SaveIndex, Open with WithStorageDir) take Engine.Add with no layout
-// option and keep agreeing with a build over the grown collection;
+// bit-exact agreement with an in-memory ir.Build, for every ranked and
+// boolean strategy. Then the write side: directories that own their
+// statistics (SaveIndex, Open with WithStorageDir) take Engine.Add with no
+// layout option and keep agreeing with a build over the grown collection;
 // directories whose statistics live elsewhere (a pre-segment directory, a
 // dist partition) refuse with the one typed error.
 func TestEveryDirectoryShape(t *testing.T) {
@@ -105,7 +136,7 @@ func TestEveryDirectoryShape(t *testing.T) {
 		}
 		s := ir.NewSearcher(ix, 0)
 		want := map[Strategy][][]Result{}
-		for _, strat := range rankedStrategies {
+		for _, strat := range AllStrategies {
 			for _, q := range queries {
 				hits, _, err := s.Search(q.Terms, 10, strat)
 				if err != nil {
@@ -118,7 +149,7 @@ func TestEveryDirectoryShape(t *testing.T) {
 	}
 	agree := func(t *testing.T, want map[Strategy][][]Result, search func([]string, Strategy) ([]Result, error)) {
 		t.Helper()
-		for _, strat := range rankedStrategies {
+		for _, strat := range AllStrategies {
 			for i, q := range queries {
 				got, err := search(q.Terms, strat)
 				if err != nil {
@@ -155,6 +186,7 @@ func TestEveryDirectoryShape(t *testing.T) {
 		{"v1-top-level-manifest", func(t *testing.T, dir string) { save(t, dir); flattenToV1(t, dir) }, false},
 		{"SaveIndex", save, true},
 		{"SaveIndex-without-skylines", func(t *testing.T, dir string) { save(t, dir); stripSkylines(t, dir) }, true},
+		{"SaveIndex-with-layout-flags", func(t *testing.T, dir string) { save(t, dir); addLayoutFlags(t, dir) }, true},
 		{"Open-WithStorageDir", func(t *testing.T, dir string) {
 			eng, err := Open(seed, WithStorageDir(dir))
 			if err != nil {
@@ -248,6 +280,71 @@ func segmentManifests(t *testing.T, dir string) []storage.Manifest {
 		out = append(out, m)
 	}
 	return out
+}
+
+// rewriteManifest replaces the MANIFEST.json of segment seg of dir with m.
+func rewriteManifest(t *testing.T, dir, seg string, m *storage.Manifest) {
+	t.Helper()
+	raw, err := json.Marshal(m)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(filepath.Join(dir, seg, storage.ManifestName), raw, 0o644); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestOpenRefusesAMissingPostingColumn: there is one layout, and any
+// strategy may read any TD column, so a segment whose manifest lacks one
+// (and whose directory lacks its file) fails the open with an error that
+// names the segment and the column, rather than the first query that
+// reads it.
+func TestOpenRefusesAMissingPostingColumn(t *testing.T) {
+	coll := smallCollection()
+	docs, err := coll.Docs(0, len(coll.DocLens))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, name := range []string{ir.ColDocID32, ir.ColTF32, ir.ColDocIDC, ir.ColTFC, ir.ColScore, ir.ColQScore} {
+		t.Run(name, func(t *testing.T) {
+			dir := filepath.Join(t.TempDir(), "ix")
+			if err := AppendSegment(dir, docs, DefaultIndexConfig()); err != nil {
+				t.Fatal(err)
+			}
+			sm, err := storage.ReadSegments(dir)
+			if err != nil {
+				t.Fatal(err)
+			}
+			seg := sm.Segments[0].Name
+			m := segmentManifests(t, dir)[0]
+			var kept []colbm.StoredColumn
+			var blob string
+			for _, col := range m.TD.Columns {
+				if col.Spec.Name == name {
+					blob = col.Blob
+				} else {
+					kept = append(kept, col)
+				}
+			}
+			if blob == "" {
+				t.Fatalf("segment %s has no %s column to drop", seg, name)
+			}
+			m.TD.Columns = kept
+			rewriteManifest(t, dir, seg, &m)
+			if err := os.Remove(filepath.Join(dir, seg, blob+".col")); err != nil {
+				t.Fatal(err)
+			}
+
+			eng, err := OpenDir(dir)
+			if err == nil {
+				eng.Close()
+				t.Fatalf("OpenDir served a segment without its %s column", name)
+			}
+			if msg := err.Error(); !strings.Contains(msg, seg) || !strings.Contains(msg, strconv.Quote(name)) {
+				t.Errorf("the refusal does not name segment %s and column %q: %v", seg, name, err)
+			}
+		})
+	}
 }
 
 // postingColumns calls fn for every column of the manifest but the names,
@@ -358,13 +455,7 @@ func TestUnrecordedChunkLengthMeans128Ki(t *testing.T) {
 	if len(m.TD.Columns[0].Chunks) < 2 {
 		t.Fatalf("column %s has one chunk", m.TD.Columns[0].Spec.Name)
 	}
-	raw, err := json.Marshal(&m)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := os.WriteFile(filepath.Join(dir, sm.Segments[0].Name, storage.ManifestName), raw, 0o644); err != nil {
-		t.Fatal(err)
-	}
+	rewriteManifest(t, dir, sm.Segments[0].Name, &m)
 
 	eng, err := OpenDir(dir, WithBufferPoolBytes(32<<20))
 	if err != nil {

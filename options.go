@@ -20,10 +20,7 @@ type engineConfig struct {
 	// configuration, handed to it as is.
 	serving.Config
 
-	index IndexConfig
-
-	poolSet bool  // WithBufferPoolBytes given (overrides index.PoolBytes)
-	pool    int64 // buffer pool capacity in bytes
+	pool int64 // WithBufferPoolBytes: buffer pool capacity in bytes
 
 	storageDir    string // WithStorageDir: persist to / serve from this directory
 	autoMerge     int    // WithAutoMerge: background merge above this segment count (0 = off)
@@ -50,16 +47,8 @@ type Option func(*engineConfig)
 func defaultEngineConfig() engineConfig {
 	return engineConfig{
 		Config:        serving.Config{Searchers: runtime.GOMAXPROCS(0)},
-		index:         DefaultIndexConfig(),
 		mergeThrottle: -1,
 	}
-}
-
-// WithIndexConfig replaces the physical index configuration Open builds
-// with (which columns are stored, chunk length). WithBufferPoolBytes,
-// before or after, overrides IndexConfig.PoolBytes.
-func WithIndexConfig(cfg IndexConfig) Option {
-	return func(c *engineConfig) { c.index = cfg }
 }
 
 // WithBufferPoolBytes caps the ColumnBM buffer manager at the given
@@ -72,7 +61,7 @@ func WithBufferPoolBytes(capacityBytes int64) Option {
 			c.errs = append(c.errs, fmt.Errorf("repro: negative buffer pool capacity %d", capacityBytes))
 			return
 		}
-		c.poolSet, c.pool = true, capacityBytes
+		c.pool = capacityBytes
 	}
 }
 

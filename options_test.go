@@ -104,33 +104,16 @@ func refused(t *testing.T, err error, option string) {
 // asserts the option's refusal here and names the test that drives the
 // scenario.
 var optionRows = map[string]func(t *testing.T, f *optionFixture){
-	// SearchResponse.Strategy: without quantized columns the strongest
-	// strategy resolves one rung down the Table 2 ladder.
-	"WithIndexConfig": func(t *testing.T, f *optionFixture) {
-		ic := DefaultIndexConfig()
-		ic.Quantized = false
-		if got := f.search(t, f.open(t, WithIndexConfig(ic)), SearchRequest{}).Strategy; got != BM25TCM {
-			t.Errorf("without quantized columns the default strategy is %v, want BM25TCM", got)
-		}
-		if got := f.search(t, f.open(t), SearchRequest{}).Strategy; got != BM25TCMQ8 {
-			t.Errorf("default index resolves to %v, want BM25TCMQ8", got)
-		}
-	},
-	// Manager.Budget() of the serving buffer manager — one budget whichever
-	// way it arrives, WithBufferPoolBytes winning over IndexConfig.PoolBytes.
+	// Manager.Budget() of the serving buffer manager, whichever entry point
+	// opened it.
 	"WithBufferPoolBytes": func(t *testing.T, f *optionFixture) {
 		const n = 3 << 20
-		ic := DefaultIndexConfig()
-		ic.PoolBytes = n
 		for name, tc := range map[string]struct {
 			opts []Option
 			want int64
 		}{
-			"default":              {nil, 0},
-			"WithBufferPoolBytes":  {[]Option{WithBufferPoolBytes(n)}, n},
-			"IndexConfig":          {[]Option{WithIndexConfig(ic)}, n},
-			"option beats config":  {[]Option{WithIndexConfig(ic), WithBufferPoolBytes(2 * n)}, 2 * n},
-			"whatever their order": {[]Option{WithBufferPoolBytes(2 * n), WithIndexConfig(ic)}, 2 * n},
+			"default":             {nil, 0},
+			"WithBufferPoolBytes": {[]Option{WithBufferPoolBytes(n)}, n},
 		} {
 			dir := filepath.Join(t.TempDir(), "ix")
 			eng := f.open(t, append(tc.opts, WithStorageDir(dir))...)

@@ -40,24 +40,14 @@ func (b *PlanBuilder) fail(err error) *PlanBuilder {
 // From starts a plan with a full scan of the named columns (all stored
 // columns when none are given).
 func From(t *Table, cols ...string) *PlanBuilder {
-	if t == nil {
-		b := &PlanBuilder{}
-		return b.fail(errors.New("repro: From(nil table)"))
-	}
-	return FromRange(t, 0, t.N, cols...)
-}
-
-// FromRange starts a plan with a scan of rows [start, end) — the
-// range-index access path the IR layer uses for posting lists.
-func FromRange(t *Table, start, end int, cols ...string) *PlanBuilder {
 	b := &PlanBuilder{}
 	if t == nil {
-		return b.fail(errors.New("repro: FromRange(nil table)"))
+		return b.fail(errors.New("repro: From(nil table)"))
 	}
 	if len(cols) == 0 {
 		cols = t.ColumnNames()
 	}
-	scan, err := engine.NewRangeScan(t, cols, start, end)
+	scan, err := engine.NewRangeScan(t, cols, 0, t.N)
 	if err != nil {
 		return b.fail(err)
 	}
@@ -308,7 +298,7 @@ func (b *PlanBuilder) Run(ctx context.Context, fn func(*Batch) error) error {
 	if err != nil {
 		return err
 	}
-	return DrainContext(ctx, op, fn)
+	return engine.Drain(op, execContextFor(ctx), fn)
 }
 
 // Collect builds the plan and materializes all rows as boxed values
@@ -329,12 +319,6 @@ func execContextFor(ctx context.Context) *ExecContext {
 		ec.Interrupt = ctx.Err
 	}
 	return ec
-}
-
-// DrainContext runs an operator to completion under a context, invoking fn
-// on every batch; a canceled context aborts between vectors.
-func DrainContext(ctx context.Context, op Operator, fn func(*Batch) error) error {
-	return engine.Drain(op, execContextFor(ctx), fn)
 }
 
 // CollectContext drains an operator into boxed rows under a context.

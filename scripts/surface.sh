@@ -2,19 +2,22 @@
 # Surface counts (ROADMAP: "lines, options and refusals go down"): run from
 # anywhere, prints one markdown table for the tree it lives in.
 #
-#	scripts/surface.sh [--max-options N] [--max-refusals N]
+#	scripts/surface.sh [--max-options N] [--max-refusals N] [--max-persisted-refusals N]
 #
 # Report only, except under the bounds: more than N exported With* options
-# (--max-options), or more than N layout/mode refusal messages
-# (--max-refusals), exits 1, so CI lets each count fall in any change but
-# rise only in one that edits N in the same diff.
+# (--max-options), more than N layout/mode refusal messages
+# (--max-refusals), or more than N persisted-only / cannot-reconfigure
+# refusal messages (--max-persisted-refusals), exits 1, so CI lets each
+# count fall in any change but rise only in one that edits N in the same
+# diff.
 set -euo pipefail
-usage='usage: scripts/surface.sh [--max-options N] [--max-refusals N]'
-max_options= max_refusals=
+usage='usage: scripts/surface.sh [--max-options N] [--max-refusals N] [--max-persisted-refusals N]'
+max_options= max_refusals= max_persisted_refusals=
 while (($#)); do
 	case $1 in
 	--max-options) max_options=${2:?$usage} ;;
 	--max-refusals) max_refusals=${2:?$usage} ;;
+	--max-persisted-refusals) max_persisted_refusals=${2:?$usage} ;;
 	*) echo "$usage" >&2 && exit 2 ;;
 	esac
 	shift 2
@@ -59,6 +62,10 @@ if [[ -n $max_options ]] && ((options > max_options)); then
 fi
 if [[ -n $max_refusals ]] && ((refusals > max_refusals)); then
 	echo "surface.sh: $refusals layout/mode refusal messages, the bound is $max_refusals: merge the mode that refuses, or raise --max-refusals in ci.yml in this same change and say why" >&2
+	status=1
+fi
+if [[ -n $max_persisted_refusals ]] && ((persisted_refusals > max_persisted_refusals)); then
+	echo "surface.sh: $persisted_refusals persisted-only / cannot-reconfigure refusal messages, the bound is $max_persisted_refusals: let every entry point take the option, or raise --max-persisted-refusals in ci.yml in this same change and say why" >&2
 	status=1
 fi
 exit $status

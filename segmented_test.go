@@ -8,7 +8,6 @@ import (
 	"reflect"
 	"strings"
 	"sync"
-	"sync/atomic"
 	"testing"
 	"time"
 
@@ -324,61 +323,54 @@ func TestSegmentedMergeRacesSearchAndRefresh(t *testing.T) {
 
 // TestSearchManySubBatchOrdering pins the adaptive batch sizing contract:
 // a batch larger than workers*subBatchPerWorker splits into sub-batches,
-// and every result of an earlier sub-batch is delivered before any
-// request of a later one is scheduled — first-result latency no longer
-// waits on the tail of a giant batch.
+// and every request of an earlier sub-batch completes before any request
+// of a later one is scheduled — first-result latency no longer waits on
+// the tail of a giant batch. The result cache makes the barrier visible:
+// each later sub-batch repeats the one before it in reverse order, so the
+// first request the second sub-batch schedules is the last one the first
+// scheduled, and every repeat is a cache hit only if the first sub-batch
+// had finished.
 func TestSearchManySubBatchOrdering(t *testing.T) {
 	coll := segColl(t)
-	eng, err := Open(coll, WithSearchers(2))
+	const workers = 2
+	eng, err := Open(coll, WithSearchers(workers), WithResultCache(64))
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer eng.Close()
 
-	const workers = 2
 	chunk := workers * 8 // the serving core's subBatchPerWorker; SubBatches below pins it
 	n := 3 * chunk
-	queries := coll.EfficiencyQueries(n, 45)
+	queries := coll.EfficiencyQueries(chunk, 45)
 	reqs := make([]SearchRequest, n)
 	for i, q := range queries {
 		reqs[i] = SearchRequest{Terms: q.Terms, K: 10}
 	}
+	for i := chunk; i < n; i++ {
+		reqs[i] = reqs[i/chunk*chunk-1-i%chunk]
+	}
 
-	var seq atomic.Int64
-	order := make([]int64, n)
-	bs, err := eng.SearchManyFunc(context.Background(), reqs, func(i int, res BatchResult) {
-		if res.Err != nil {
-			t.Errorf("request %d: %v", i, res.Err)
-		}
-		order[i] = seq.Add(1)
-	})
+	out, bs, err := eng.SearchMany(context.Background(), reqs)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if bs.SubBatches != 3 {
 		t.Fatalf("batch of %d split into %d sub-batches, want 3", n, bs.SubBatches)
 	}
-	maxOf := func(lo, hi int) int64 {
-		var m int64
-		for i := lo; i < hi; i++ {
-			if order[i] > m {
-				m = order[i]
-			}
+	for i, res := range out {
+		if res.Err != nil {
+			t.Fatalf("request %d: %v", i, res.Err)
 		}
-		return m
-	}
-	minOf := func(lo, hi int) int64 {
-		m := int64(1 << 62)
-		for i := lo; i < hi; i++ {
-			if order[i] < m {
-				m = order[i]
-			}
+		if i >= chunk && !res.Response.Cached {
+			t.Errorf("request %d (sub-batch %d) missed the cache: it was scheduled before the sub-batch it repeats finished",
+				i, i/chunk)
 		}
-		return m
-	}
-	for c := 0; c+1 < 3; c++ {
-		if maxOf(c*chunk, (c+1)*chunk) >= minOf((c+1)*chunk, min((c+2)*chunk, n)) {
-			t.Errorf("sub-batch %d completed after sub-batch %d started", c, c+1)
+		want, err := eng.Search(context.Background(), reqs[i])
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(res.Response.Hits, want.Hits) {
+			t.Errorf("request %d: SearchMany hits differ from Search's", i)
 		}
 	}
 }

@@ -109,7 +109,8 @@ type Doc = corpus.Doc
 type (
 	// Index is a searchable inverted-file index stored in ColumnBM.
 	Index = ir.Index
-	// IndexConfig selects physical columns and storage simulation.
+	// IndexConfig sets the chunk length and storage simulation; every
+	// index stores the same columns.
 	IndexConfig = ir.BuildConfig
 	// Strategy is a Table 2 run (retrieval model + optimizations).
 	Strategy = ir.Strategy
@@ -120,7 +121,8 @@ type (
 )
 
 // The Table 2 strategies. StrategyDefault (the Strategy zero value,
-// defined in engine.go) resolves to the strongest one the index supports.
+// defined in engine.go) resolves to BM25TCMQ8; every strategy runs on
+// every index.
 const (
 	BoolAND   = ir.BoolAND
 	BoolOR    = ir.BoolOR
@@ -134,8 +136,8 @@ const (
 // AllStrategies lists the Table 2 runs in order.
 var AllStrategies = ir.AllStrategies
 
-// DefaultIndexConfig enables every physical column so one index serves all
-// strategies.
+// DefaultIndexConfig is the build configuration of every index: the
+// default chunk length over the default simulated disk.
 func DefaultIndexConfig() IndexConfig { return ir.DefaultBuildConfig() }
 
 // BuildIndex constructs an index from a collection.

@@ -1,8 +1,8 @@
 // Command indexer builds an index from a synthetic collection and reports
-// its physical statistics: per-column sizes, bits per posting, and buffer
-// pool behaviour under a chosen capacity. It is the index-construction
-// half of the system (what the paper does once for GOV2 before running
-// queries). With -out it also persists the index as an index directory
+// its physical statistics: per-column sizes, bits per posting, the total
+// on-disk size, the BM25 parameters and the quantization bounds. It is the
+// index-construction half of the system (what the paper does once for
+// GOV2 before running queries). With -out it also persists the index as an index directory
 // (SEGMENTS.json over immutable segment subdirectories), so ir-search
 // -index (or any OpenDir caller) can serve it later with zero corpus
 // re-parsing; -append adds the generated collection as one MORE segment of
@@ -29,7 +29,6 @@ func main() {
 		vocab     = flag.Int("vocab", 30000, "vocabulary size")
 		avgLen    = flag.Int("avglen", 200, "average document length in tokens")
 		seed      = flag.Int64("seed", 2007, "collection seed")
-		poolBytes = flag.Int64("pool", 0, "buffer pool capacity in bytes (0 = unbounded)")
 		out       = flag.String("out", "", "persist the index into this directory")
 		appendSeg = flag.Bool("append", false, "append the generated collection as one new segment of the index directory at -out")
 	)
@@ -51,7 +50,7 @@ func main() {
 			fmt.Fprintln(os.Stderr, "indexer: -append needs -out")
 			os.Exit(1)
 		}
-		gen, err := storage.AppendSegment(*out, c, ir.DefaultBuildConfig())
+		gen, err := storage.AppendSegment(*out, c)
 		if err != nil {
 			fmt.Fprintln(os.Stderr, "indexer:", err)
 			os.Exit(1)
@@ -72,9 +71,7 @@ func main() {
 		return
 	}
 
-	bc := ir.DefaultBuildConfig()
-	bc.PoolBytes = *poolBytes
-	ix, err := ir.Build(c, bc)
+	ix, err := ir.Build(c, ir.DefaultBuildConfig())
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "indexer:", err)
 		os.Exit(1)

@@ -47,7 +47,7 @@ func ingestExperiment(p params) error {
 	const partitions, replicas = 2, 2
 	fmt.Printf("seeding %d partitions x %d replicas with %d of %d docs ...\n",
 		partitions, replicas, seedDocs, docs)
-	dirs, err := dist.BuildLivePartitions(seedColl, partitions, ir.DefaultBuildConfig(), baseDir)
+	dirs, err := dist.BuildLivePartitions(seedColl, partitions, baseDir)
 	if err != nil {
 		return err
 	}

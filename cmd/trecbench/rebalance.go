@@ -41,7 +41,7 @@ func rebalanceExperiment(p params) error {
 
 	const partitions = 2
 	fmt.Printf("seeding %d single-replica partitions with %d docs ...\n", partitions, p.docs)
-	dirs, err := dist.BuildLivePartitions(c, partitions, ir.DefaultBuildConfig(), baseDir)
+	dirs, err := dist.BuildLivePartitions(c, partitions, baseDir)
 	if err != nil {
 		return err
 	}

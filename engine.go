@@ -122,8 +122,6 @@ func Open(coll *Collection, opts ...Option) (*Engine, error) {
 	if len(cfg.errs) > 0 {
 		return nil, errors.Join(cfg.errs...)
 	}
-	bc := DefaultIndexConfig()
-	bc.PoolBytes = cfg.pool
 	var root string
 	if cfg.storageDir == "" {
 		var err error
@@ -132,7 +130,7 @@ func Open(coll *Collection, opts ...Option) (*Engine, error) {
 		}
 		cfg.storageDir = root
 	}
-	e, err := populateAndOpen(coll, bc, cfg)
+	e, err := populateAndOpen(coll, cfg)
 	if err != nil {
 		if root != "" {
 			os.RemoveAll(root)
@@ -146,9 +144,9 @@ func Open(coll *Collection, opts ...Option) (*Engine, error) {
 // populateAndOpen indexes the collection as the first segment of
 // cfg.storageDir unless the directory already holds an index, then serves
 // it.
-func populateAndOpen(coll *Collection, bc IndexConfig, cfg engineConfig) (*Engine, error) {
+func populateAndOpen(coll *Collection, cfg engineConfig) (*Engine, error) {
 	if _, err := storage.ReadSegments(cfg.storageDir); errors.Is(err, os.ErrNotExist) {
-		if _, err := storage.AppendSegment(cfg.storageDir, coll, bc); err != nil {
+		if _, err := storage.AppendSegment(cfg.storageDir, coll); err != nil {
 			return nil, err
 		}
 	}
@@ -347,7 +345,7 @@ func (e *Engine) Add(ctx context.Context, docs []Doc) error {
 		return err
 	}
 	err = e.core.Commit(func() error {
-		_, err := storage.AppendSegment(e.core.Dir(), batch, e.core.Layout())
+		_, err := storage.AppendSegment(e.core.Dir(), batch)
 		return err
 	})
 	if err == nil && e.merger != nil {

@@ -223,7 +223,7 @@ func main() {
 		log.Fatal(err)
 	}
 	defer os.RemoveAll(liveBase)
-	liveDirs, err := repro.BuildLivePartitions(coll, 2, repro.DefaultIndexConfig(), liveBase)
+	liveDirs, err := repro.BuildLivePartitions(coll, 2, liveBase)
 	if err != nil {
 		log.Fatal(err)
 	}

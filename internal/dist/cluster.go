@@ -249,9 +249,9 @@ func (cl *Cluster) NewBroker(opts ...BrokerOption) (*Broker, error) {
 // (so per-node BM25 scores are comparable and the merged top-k equals the
 // centralized one) into a temporary directory the cluster owns
 // (BuildPartitions), and serves those directories exactly as
-// StartClusterFromDirs does, with cfg.PoolBytes as every server's
-// buffer-manager budget — one TCP server per partition replica
-// (WithReplicas; one by default). Close removes the directory.
+// StartClusterFromDirs does with an unbounded buffer-manager budget — one
+// TCP server per partition replica (WithReplicas; one by default). Close
+// removes the directory.
 func StartCluster(c *corpus.Collection, n int, cfg ir.BuildConfig, opts ...ClusterOption) (*Cluster, error) {
 	root, err := os.MkdirTemp("", "x100-cluster-")
 	if err != nil {
@@ -260,7 +260,7 @@ func StartCluster(c *corpus.Collection, n int, cfg ir.BuildConfig, opts ...Clust
 	dirs, err := BuildPartitions(c, n, cfg, root)
 	var cl *Cluster
 	if err == nil {
-		cl, err = StartClusterFromDirs(dirs, cfg.PoolBytes, opts...)
+		cl, err = StartClusterFromDirs(dirs, 0, opts...)
 	}
 	if err != nil {
 		os.RemoveAll(root)
@@ -363,9 +363,10 @@ const LiveDocIDStride = 1 << 24
 // is what lets a cluster ingest without a global-statistics coordinator.
 // (The trade: cross-partition score comparability drifts with skew
 // between partitions' statistics. A 1-partition layout — any replica
-// count — keeps partition-local statistics exactly global.)
-func BuildLivePartitions(c *corpus.Collection, n int, cfg ir.BuildConfig, baseDir string) ([]string, error) {
-	cfg.Stats = nil // partition-local: AppendSegment computes per-directory stats
+// count — keeps partition-local statistics exactly global.) Each seed
+// segment is an ordinary append (storage.AppendSegment), built the way
+// every appended segment is.
+func BuildLivePartitions(c *corpus.Collection, n int, baseDir string) ([]string, error) {
 	numDocs := len(c.DocLens)
 	return eachPartition(n, baseDir, func(i int, dir string) error {
 		if err := storage.InitSegmented(dir, int64(i)*LiveDocIDStride); err != nil {
@@ -377,7 +378,7 @@ func BuildLivePartitions(c *corpus.Collection, n int, cfg ir.BuildConfig, baseDi
 		}
 		sub, err := c.Slice(lo, hi)
 		if err == nil {
-			_, err = storage.AppendSegment(dir, sub, cfg)
+			_, err = storage.AppendSegment(dir, sub)
 		}
 		return err
 	})

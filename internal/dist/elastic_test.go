@@ -104,7 +104,7 @@ func TestStartClusterReshapesMatchCentralized(t *testing.T) {
 // table instead of reading it while a reshape rewrites it.
 func TestWarmAllDuringAddReplica(t *testing.T) {
 	c := testCollection(t)
-	dirs, err := BuildLivePartitions(c, 1, ir.DefaultBuildConfig(), t.TempDir())
+	dirs, err := BuildLivePartitions(c, 1, t.TempDir())
 	if err != nil {
 		t.Fatal(err)
 	}

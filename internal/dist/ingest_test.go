@@ -51,7 +51,7 @@ func TestLiveIngestRoutingAndConvergence(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	dirs, err := BuildLivePartitions(seed, 2, ir.DefaultBuildConfig(), t.TempDir())
+	dirs, err := BuildLivePartitions(seed, 2, t.TempDir())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -190,13 +190,12 @@ func TestPinnedGenerationMatchesCentralized(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	bc := ir.DefaultBuildConfig()
 
-	dirs, err := BuildLivePartitions(seed, 1, bc, filepath.Join(t.TempDir(), "live"))
+	dirs, err := BuildLivePartitions(seed, 1, filepath.Join(t.TempDir(), "live"))
 	if err != nil {
 		t.Fatal(err)
 	}
-	shadowDirs, err := BuildLivePartitions(seed, 1, bc, filepath.Join(t.TempDir(), "shadow"))
+	shadowDirs, err := BuildLivePartitions(seed, 1, filepath.Join(t.TempDir(), "shadow"))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -223,8 +222,6 @@ func TestPinnedGenerationMatchesCentralized(t *testing.T) {
 	// expectation exists.
 	expected := make(map[uint64][][]ir.Result)
 	var expMu sync.RWMutex
-	shadowCfg := bc
-	shadowCfg.Stats = nil // match the append path: per-directory statistics
 	snapshotExpected := func(gen uint64) {
 		snap, err := storage.OpenSegmented(shadow, colbm.NewManager(0))
 		if err != nil {
@@ -329,7 +326,7 @@ func TestPinnedGenerationMatchesCentralized(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		shadowGen, err := storage.AppendSegment(shadow, bcoll, shadowCfg)
+		shadowGen, err := storage.AppendSegment(shadow, bcoll)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -397,7 +394,7 @@ func TestReplicaCloseKeepsPeerBuild(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	dirs, err := BuildLivePartitions(seed, 1, ir.DefaultBuildConfig(), t.TempDir())
+	dirs, err := BuildLivePartitions(seed, 1, t.TempDir())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -482,12 +479,11 @@ func TestAddReplicationCutMidShipCatchesUp(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	bc := ir.DefaultBuildConfig()
-	dirs, err := BuildLivePartitions(seed, 1, bc, filepath.Join(t.TempDir(), "live"))
+	dirs, err := BuildLivePartitions(seed, 1, filepath.Join(t.TempDir(), "live"))
 	if err != nil {
 		t.Fatal(err)
 	}
-	shadowDirs, err := BuildLivePartitions(seed, 1, bc, filepath.Join(t.TempDir(), "shadow"))
+	shadowDirs, err := BuildLivePartitions(seed, 1, filepath.Join(t.TempDir(), "shadow"))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -509,15 +505,13 @@ func TestAddReplicationCutMidShipCatchesUp(t *testing.T) {
 	for i, q := range queries {
 		reqs[i] = Request{Terms: q.Terms, K: k, Strategy: ir.BM25TCMQ8}
 	}
-	shadowCfg := bc
-	shadowCfg.Stats = nil // the append path's per-directory statistics
 	add := func(batch []Doc) (AddStats, [][]ir.Result) {
 		t.Helper()
 		bcoll, err := corpus.FromDocs(batch)
 		if err != nil {
 			t.Fatal(err)
 		}
-		gen, err := storage.AppendSegment(shadowDirs[0], bcoll, shadowCfg)
+		gen, err := storage.AppendSegment(shadowDirs[0], bcoll)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -594,7 +588,7 @@ func TestConcurrentPullsRunOneAtATime(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	dirs, err := BuildLivePartitions(seed, 1, ir.DefaultBuildConfig(), t.TempDir())
+	dirs, err := BuildLivePartitions(seed, 1, t.TempDir())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -741,12 +735,11 @@ func TestLaggingReplicaRefusesAppend(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	bc := ir.DefaultBuildConfig()
-	dirs, err := BuildLivePartitions(seed, 1, bc, filepath.Join(t.TempDir(), "live"))
+	dirs, err := BuildLivePartitions(seed, 1, filepath.Join(t.TempDir(), "live"))
 	if err != nil {
 		t.Fatal(err)
 	}
-	shadowDirs, err := BuildLivePartitions(seed, 1, bc, filepath.Join(t.TempDir(), "shadow"))
+	shadowDirs, err := BuildLivePartitions(seed, 1, filepath.Join(t.TempDir(), "shadow"))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -762,15 +755,13 @@ func TestLaggingReplicaRefusesAppend(t *testing.T) {
 	defer brk.Close()
 	ctx := context.Background()
 
-	shadowCfg := bc
-	shadowCfg.Stats = nil // the append path's per-directory statistics
 	acked := func(batch []Doc, gen uint64) {
 		t.Helper()
 		bcoll, err := corpus.FromDocs(batch)
 		if err != nil {
 			t.Fatal(err)
 		}
-		shadowGen, err := storage.AppendSegment(shadowDirs[0], bcoll, shadowCfg)
+		shadowGen, err := storage.AppendSegment(shadowDirs[0], bcoll)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -852,7 +843,7 @@ func TestIngestVerbsFeedReplicaHealth(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	dirs, err := BuildLivePartitions(seed, 1, ir.DefaultBuildConfig(), t.TempDir())
+	dirs, err := BuildLivePartitions(seed, 1, t.TempDir())
 	if err != nil {
 		t.Fatal(err)
 	}

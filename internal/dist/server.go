@@ -484,7 +484,7 @@ func (s *Server) handleAppend(req *wireRequest) wireResponse {
 			resp.Stale = true
 			return fmt.Errorf("dist: replica at generation %d, behind pinned %d", sm.Generation, req.PinGen)
 		}
-		if gen, err = storage.AppendSegment(dir, batch, s.core.Layout()); err != nil {
+		if gen, err = storage.AppendSegment(dir, batch); err != nil {
 			return err
 		}
 		// Re-read inside the commit lock: the segment list must be the

@@ -21,7 +21,7 @@ func TestShippedMergeDropsReplacedSegmentChunks(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	dirs, err := BuildLivePartitions(seed, 1, ir.DefaultBuildConfig(), t.TempDir())
+	dirs, err := BuildLivePartitions(seed, 1, t.TempDir())
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -23,8 +23,9 @@ import (
 type BoolExpr interface {
 	// String renders the expression with explicit parentheses.
 	String() string
-	// terms appends the distinct term leaves, in first-occurrence order.
-	terms(acc []string) []string
+	// node seals the interface: boolPlan compiles only this package's
+	// nodes, and panics on any other.
+	node()
 }
 
 // BoolTerm is a single keyword leaf.
@@ -40,19 +41,9 @@ func (t *BoolTerm) String() string { return t.Term }
 func (a *BoolAnd) String() string  { return "(" + a.L.String() + " AND " + a.R.String() + ")" }
 func (o *BoolOr) String() string   { return "(" + o.L.String() + " OR " + o.R.String() + ")" }
 
-func (t *BoolTerm) terms(acc []string) []string {
-	for _, s := range acc {
-		if s == t.Term {
-			return acc
-		}
-	}
-	return append(acc, t.Term)
-}
-func (a *BoolAnd) terms(acc []string) []string { return a.R.terms(a.L.terms(acc)) }
-func (o *BoolOr) terms(acc []string) []string  { return o.R.terms(o.L.terms(acc)) }
-
-// Terms returns the distinct terms of the expression.
-func Terms(e BoolExpr) []string { return e.terms(nil) }
+func (*BoolTerm) node() {}
+func (*BoolAnd) node()  {}
+func (*BoolOr) node()   {}
 
 // ParseBoolQuery parses the §3.2 query language. Grammar (AND binds
 // tighter than OR; both left-associative; bare adjacency is conjunction,

@@ -45,16 +45,6 @@ func TestParseBoolQueryErrors(t *testing.T) {
 	}
 }
 
-func TestBoolTerms(t *testing.T) {
-	e, err := ParseBoolQuery("a AND (b OR a) AND c")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := Terms(e); !reflect.DeepEqual(got, []string{"a", "b", "c"}) {
-		t.Errorf("Terms = %v", got)
-	}
-}
-
 // SearchBool must agree with the set-algebra oracle over the raw postings.
 func TestSearchBoolAgainstOracle(t *testing.T) {
 	c, ix := getIndex(t)

@@ -61,12 +61,18 @@ type TermInfo struct {
 	MaxScore   float64
 }
 
-// BuildConfig sets how an index's columns are chunked and how storage is
-// simulated; which columns it carries is fixed (tdColumns).
+// BuildConfig holds what one build needs beyond its documents: where its
+// docids start, what it scores against and how its tables are named. Which
+// columns an index carries is fixed (tdColumns), and so is how they are
+// chunked (postingChunkLen) and the disk an in-memory build simulates
+// (colbm.DefaultDiskParams); only tests set ChunkLen or PoolBytes.
 type BuildConfig struct {
-	ChunkLen  int // values per storage chunk of every column but the names (nameChunkLen); 0 = postingChunkLen
-	PoolBytes int64
-	Disk      colbm.DiskParams
+	ChunkLen int // values per storage chunk of every column but the names (nameChunkLen); 0 = postingChunkLen
+
+	// PoolBytes is the in-memory build's chunk-cache budget (0 =
+	// unbounded). It describes the building process, not the index, so a
+	// persisted segment does not record it.
+	PoolBytes int64 `json:"-"`
 
 	// DocIDBase is the global docid of the collection's first document.
 	// Segmented indexes assign each segment a disjoint docid range by
@@ -160,10 +166,9 @@ func localStats(c *corpus.Collection) *GlobalStats {
 }
 
 // DefaultBuildConfig is the build configuration every caller uses: the
-// default chunk length over the default simulated disk.
-func DefaultBuildConfig() BuildConfig {
-	return BuildConfig{Disk: colbm.DefaultDiskParams()}
-}
+// zero value, the default chunk length with the collection's own
+// statistics from docid 0.
+func DefaultBuildConfig() BuildConfig { return BuildConfig{} }
 
 // Index is a searchable inverted-file index stored in ColumnBM.
 type Index struct {
@@ -246,7 +251,7 @@ func (w *IndexWriter) assemble(lo, hi float64) (*Index, error) {
 	if chunkLen == 0 {
 		chunkLen = postingChunkLen
 	}
-	store := colbm.NewSimDisk(bc.Disk)
+	store := colbm.NewSimDisk(colbm.DefaultDiskParams())
 	cache := colbm.NewManager(bc.PoolBytes)
 	// TD table, in tdColumns order.
 	tdb := colbm.NewBuilder(bc.TablePrefix+"TD", store, cache, []colbm.ColumnSpec{

@@ -82,11 +82,10 @@ type Core struct {
 	// The segmented directory served, the chunk cache every generation
 	// opens against (it outlives them, so a refresh keeps unchanged
 	// segments' chunks warm, and a removed segment's frames are dropped from
-	// it), the physical layout appends must match, and whether the
-	// directory's statistics are externally coordinated.
+	// it), and whether the directory's statistics are externally
+	// coordinated.
 	dir      string
 	chunks   *colbm.Manager
-	layout   ir.BuildConfig
 	external bool
 
 	// commitMu serializes everything that rewrites SEGMENTS.json, swaps the
@@ -142,18 +141,12 @@ func OpenDir(dir string, chunks *colbm.Manager, cfg Config) (*Core, error) {
 	}
 	c := newCore(cfg)
 	c.dir, c.chunks, c.external = dir, chunks, sm.External
-	c.layout = snap.Primary().Config()
-	// Appends reproduce the physical layout, not a segment's identity.
-	c.layout.Stats, c.layout.DocIDBase, c.layout.TablePrefix = nil, 0, ""
 	c.installLocked(snap, sm.Names())
 	return c, nil
 }
 
 // Dir returns the segmented directory served.
 func (c *Core) Dir() string { return c.dir }
-
-// Layout returns the physical index layout appends to Dir must use.
-func (c *Core) Layout() ir.BuildConfig { return c.layout }
 
 // Writable reports whether Commit can write this core's index: nil for a
 // directory whose statistics are its own; an error matching

@@ -7,7 +7,6 @@ import (
 
 	"repro/internal/colbm"
 	"repro/internal/corpus"
-	"repro/internal/ir"
 )
 
 // BenchmarkAppendSegment measures one 500-document append onto a directory
@@ -32,7 +31,7 @@ func BenchmarkAppendSegment(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		if _, err := AppendSegment(dir+".build", batch, ir.DefaultBuildConfig()); err != nil {
+		if _, err := AppendSegment(dir+".build", batch); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -51,7 +50,7 @@ func BenchmarkAppendSegment(b *testing.B) {
 		b.ReportAllocs()
 		decodes := ManifestDecodes()
 		for i := 0; i < b.N; i++ {
-			if _, err := AppendSegment(dir, batch, ir.DefaultBuildConfig()); err != nil {
+			if _, err := AppendSegment(dir, batch); err != nil {
 				b.Fatal(err)
 			}
 			b.StopTimer()

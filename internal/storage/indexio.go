@@ -48,8 +48,10 @@ func writeSegment(dir string, ix *ir.Index) error {
 	// The stats override is a build-time input only (its idf and score
 	// bounds are already baked into Params/ScoreLo/ScoreHi and the stored
 	// columns); persisting it would duplicate the collection-wide term map
-	// into every partition manifest.
-	m.Config.Stats = nil
+	// into every partition manifest. The build's pool budget describes the
+	// process that built it, and is not encoded; clearing it keeps the
+	// handed-off manifest equal to its decode.
+	m.Config.Stats, m.Config.PoolBytes = nil, 0
 	// On disk a segment's table and blob names carry its directory name,
 	// whatever prefix (if any) the index was built under: segments of one
 	// directory share a buffer manager whose keys are blob-derived, and

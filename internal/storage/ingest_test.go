@@ -47,7 +47,7 @@ func TestConcurrentAppendSecondWriterFails(t *testing.T) {
 		go func(i int) {
 			defer wg.Done()
 			<-start
-			_, errs[i] = AppendSegment(dir, batches[i], ir.DefaultBuildConfig())
+			_, errs[i] = AppendSegment(dir, batches[i])
 		}(i)
 	}
 	close(start)

@@ -296,7 +296,7 @@ func TestCorruptManifestFailsEveryRead(t *testing.T) {
 		}
 		t.Errorf("open over a corrupted manifest: %v, want ErrBadManifest", err)
 	}
-	if _, err := AppendSegment(dir, coll, ir.DefaultBuildConfig()); !errors.Is(err, ErrBadManifest) {
+	if _, err := AppendSegment(dir, coll); !errors.Is(err, ErrBadManifest) {
 		t.Errorf("append over a corrupted manifest: %v, want ErrBadManifest", err)
 	}
 }
@@ -459,17 +459,35 @@ func handedMatchesDecode(t *testing.T, dir, seg string) {
 }
 
 // TestHandedManifestMatchesDecode: over random appends, merges and splits,
-// under the default and a small chunk length, every segment a writer
-// wrote — appended, merged, or linked into a split's right half — was
+// in a directory started empty or seeded with a segment saved from a
+// small-chunk build with a bounded pool, every segment a writer wrote —
+// saved, appended, merged, or linked into a split's right half — was
 // handed to the memo as exactly the manifest a decode of its bytes gives.
 func TestHandedManifestMatchesDecode(t *testing.T) {
 	coll := segTestCollection(t)
 	rng := rand.New(rand.NewSource(56))
-	small := ir.DefaultBuildConfig()
-	small.ChunkLen = 4096
-	for trial, cfg := range []ir.BuildConfig{ir.DefaultBuildConfig(), small, ir.DefaultBuildConfig()} {
+	for trial, seeded := range []bool{false, true, false} {
 		dirs := []string{filepath.Join(t.TempDir(), "segix")}
 		next := 0
+		if seeded {
+			next = 300
+			seed, err := coll.Slice(0, next)
+			if err != nil {
+				t.Fatal(err)
+			}
+			ix, err := ir.Build(seed, ir.BuildConfig{ChunkLen: 4096, PoolBytes: 1 << 20})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := WriteSegmentedIndex(dirs[0], []*ir.Index{ix}); err != nil {
+				t.Fatal(err)
+			}
+			sm, err := ReadSegments(dirs[0])
+			if err != nil {
+				t.Fatal(err)
+			}
+			handedMatchesDecode(t, dirs[0], sm.Segments[0].Name)
+		}
 		for op := 0; op < 12; op++ {
 			dir := dirs[rng.Intn(len(dirs))]
 			sm, err := ReadSegments(dir)
@@ -523,7 +541,7 @@ func TestHandedManifestMatchesDecode(t *testing.T) {
 					t.Fatal(err)
 				}
 				next += size
-				if _, err := AppendSegment(dir, batch, cfg); err != nil {
+				if _, err := AppendSegment(dir, batch); err != nil {
 					t.Fatalf("trial %d op %d: %v", trial, op, err)
 				}
 				sm, err := ReadSegments(dir)

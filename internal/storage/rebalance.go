@@ -226,8 +226,11 @@ type AbsorbPrep struct {
 // documents directly follow the destination's last document — the heavy
 // half of merging two adjacent partitions. Nothing is committed: dstDir's
 // manifest is untouched (the built segment is unreferenced until
-// CommitAbsorb) and srcDir is only read. Both directories must use the
-// same chunk length. cancel, when non-nil, is polled while streaming.
+// CommitAbsorb) and srcDir is only read. Like an append, the new segment
+// is built the one way every segment is (default chunk length), whatever
+// chunk length the source's segments were written with; the directory
+// supplies its docid base and statistics. cancel, when non-nil, is polled
+// while streaming.
 //
 // The new segment is baked against the *merged* collection's statistics
 // and quantization bounds (folded over both directories' segments), so its
@@ -266,10 +269,7 @@ func PrepareAbsorb(dstDir, srcDir string, cancel func() bool) (*AbsorbPrep, erro
 	}
 	st.setParams()
 	src := st.segs[len(dsm.Segments):]
-	bc := src[0].m.Config
-	if err := compatibleLayout(bc, st.segs[0].m); err != nil {
-		return nil, err
-	}
+	var bc ir.BuildConfig
 	var b bounds
 	if dsm.External {
 		// The folded statistics are the two partitions' own; the segments

@@ -302,25 +302,18 @@ func AllocSegmentDir(dir string) (string, error) {
 // caller's to remove.
 var ErrBuildCanceled = errors.New("storage: segment build canceled")
 
-// compatibleLayout verifies an append's chunk length matches the one the
-// directory's segments already use.
-func compatibleLayout(cfg ir.BuildConfig, m *Manifest) error {
-	if cfg.ChunkLen != m.Config.ChunkLen {
-		return fmt.Errorf("storage: append chunk length %d does not match the directory's existing segments (%d)",
-			cfg.ChunkLen, m.Config.ChunkLen)
-	}
-	return nil
-}
-
 // AppendSegment indexes a document batch into one fresh immutable segment
 // of the segmented directory and commits a new generation. A directory
 // without a super-manifest is initialized (first segment at docid 0).
-// Existing segments are not touched: the new segment is built with the
-// *merged* collection statistics (so its baked score columns are current),
-// the commit records the new statistics epoch and exact quantization
-// bounds, and previously baked segments — now one epoch behind — serve
-// materialized strategies through the query-time kernels until a merge
-// re-bakes them. Cost is O(batch) to index plus O(Σ skyline points) to
+// The caller hands in documents only: the directory supplies the docid
+// base and the statistics, and the segment is built the one way every
+// segment is (ir.BuildConfig's defaults), so it may sit beside segments
+// written with another chunk length. Existing segments are not touched:
+// the new segment is built with the *merged* collection statistics (so its
+// baked score columns are current), the commit records the new statistics
+// epoch and exact quantization bounds, and previously baked segments — now
+// one epoch behind — serve materialized strategies through the query-time
+// kernels until a merge re-bakes them. Cost is O(batch) to index plus O(Σ skyline points) to
 // re-derive the existing segments' exact score bounds from their term
 // skylines (segmentBounds; a term without a skyline is read from its
 // segment's columns instead), which the batch's build widens by its own
@@ -333,12 +326,9 @@ func compatibleLayout(cfg ir.BuildConfig, m *Manifest) error {
 // process, a shipped install). A writer that loses the race removes its
 // built segment and returns ErrConcurrentWriter instead of clobbering
 // the other commit.
-func AppendSegment(dir string, batch *corpus.Collection, cfg ir.BuildConfig) (uint64, error) {
+func AppendSegment(dir string, batch *corpus.Collection) (uint64, error) {
 	if batch == nil || len(batch.DocLens) == 0 {
 		return 0, errors.New("storage: AppendSegment with an empty batch")
-	}
-	if cfg.Stats != nil || cfg.DocIDBase != 0 {
-		return 0, errors.New("storage: AppendSegment derives Stats and DocIDBase itself; leave them zero")
 	}
 	sm, err := ReadSegments(dir)
 	if errors.Is(err, os.ErrNotExist) {
@@ -359,11 +349,6 @@ func AppendSegment(dir string, batch *corpus.Collection, cfg ir.BuildConfig) (ui
 	if err != nil {
 		return 0, err
 	}
-	if len(st.segs) > 0 {
-		if err := compatibleLayout(cfg, st.segs[0].m); err != nil {
-			return 0, err
-		}
-	}
 	existing, err := st.segmentBounds()
 	if err != nil {
 		return 0, err
@@ -374,9 +359,7 @@ func AppendSegment(dir string, batch *corpus.Collection, cfg ir.BuildConfig) (ui
 		return 0, err
 	}
 	segDir := filepath.Join(dir, name)
-	bc := cfg
-	bc.Stats = st.globalStats(existing)
-	bc.DocIDBase = sm.nextDocID()
+	bc := ir.BuildConfig{DocIDBase: sm.nextDocID(), Stats: st.globalStats(existing)}
 	ix, err := ir.Build(batch, bc)
 	if err == nil {
 		err = writeSegment(segDir, ix)
@@ -666,11 +649,12 @@ func streamSegments(w *ir.IndexWriter, segs []foldedSeg, base int64, cancel func
 // from global to merged-local with the offset read path) into an
 // ir.IndexWriter — the merged run is never materialized as intermediate
 // posting lists, so peak memory is the writer's exactly pre-sized output
-// rows plus one vector per cursor. Nothing is committed: the manifest is
-// untouched until CommitMerge, and concurrent appends stay legal (they
-// only ever add segments after the run; if one lands mid-build, the
-// merged segment simply commits one epoch stale and serves virtually
-// until the next merge). cancel, when non-nil, is polled while streaming;
+// rows plus one vector per cursor. The merged segment takes the default
+// chunk length, whatever its inputs were written with. Nothing is
+// committed: the manifest is untouched until CommitMerge, and concurrent
+// appends stay legal (they only ever add segments after the run; if one
+// lands mid-build, the merged segment simply commits one epoch stale and
+// serves virtually until the next merge). cancel, when non-nil, is polled while streaming;
 // a true return abandons the build with ErrBuildCanceled so a
 // shutting-down engine never waits out a long merge it is about to
 // discard — and the poll doubles as the merge-throttle yield point, so a
@@ -699,12 +683,10 @@ func BuildMergedSegment(dir string, names []string, into string, cancel func() b
 	}
 	run := spanning(into, sm.Segments[at:at+len(names)])
 
-	// The merged layout is the run's layout with per-segment identity
-	// stripped (manifest configs carry no Stats — writeSegment clears it).
-	bc := st.segs[at].m.Config
-	bc.Stats = st.globalStats(bounds{sm.HasBounds, sm.ScoreLo, sm.ScoreHi})
-	bc.DocIDBase = run.DocBase
-	w, err := ir.NewIndexWriter(bc, run.Docs, run.Postings)
+	w, err := ir.NewIndexWriter(ir.BuildConfig{
+		DocIDBase: run.DocBase,
+		Stats:     st.globalStats(bounds{sm.HasBounds, sm.ScoreLo, sm.ScoreHi}),
+	}, run.Docs, run.Postings)
 	if err != nil {
 		return 0, err
 	}

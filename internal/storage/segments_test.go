@@ -43,7 +43,7 @@ func appendRanges(t *testing.T, dir string, c *corpus.Collection, cuts ...int) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if _, err := AppendSegment(dir, batch, ir.DefaultBuildConfig()); err != nil {
+		if _, err := AppendSegment(dir, batch); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -277,19 +277,8 @@ func TestAppendSegmentGuards(t *testing.T) {
 	if err := writeSegment(legacy, ix); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := AppendSegment(legacy, batch, ir.DefaultBuildConfig()); !errors.Is(err, ErrExternalStats) {
+	if _, err := AppendSegment(legacy, batch); !errors.Is(err, ErrExternalStats) {
 		t.Errorf("AppendSegment on a pre-segment directory: %v, want ErrExternalStats", err)
-	}
-
-	// A chunk-length mismatch is rejected.
-	dir := filepath.Join(t.TempDir(), "segix")
-	if _, err := AppendSegment(dir, batch, ir.DefaultBuildConfig()); err != nil {
-		t.Fatal(err)
-	}
-	small := ir.DefaultBuildConfig()
-	small.ChunkLen = 4096
-	if _, err := AppendSegment(dir, batch, small); err == nil {
-		t.Error("AppendSegment accepted a mismatched chunk length")
 	}
 
 	// A saved index built with a statistics override is External and
@@ -304,14 +293,14 @@ func TestAppendSegmentGuards(t *testing.T) {
 	if err := WriteSegmentedIndex(ext, []*ir.Index{extIx}); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := AppendSegment(ext, batch, ir.DefaultBuildConfig()); !errors.Is(err, ErrExternalStats) {
+	if _, err := AppendSegment(ext, batch); !errors.Is(err, ErrExternalStats) {
 		t.Errorf("AppendSegment on an external-stats directory: %v, want ErrExternalStats", err)
 	}
 	own := filepath.Join(t.TempDir(), "own")
 	if err := WriteSegmentedIndex(own, []*ir.Index{ix}); err != nil {
 		t.Fatal(err)
 	}
-	if gen, err := AppendSegment(own, batch, ir.DefaultBuildConfig()); err != nil || gen != 2 {
+	if gen, err := AppendSegment(own, batch); err != nil || gen != 2 {
 		t.Errorf("AppendSegment on a saved own-statistics index: generation %d, %v; want 2, nil", gen, err)
 	}
 }
@@ -358,10 +347,10 @@ func TestSegmentedNewVocabularyEquivalence(t *testing.T) {
 	ms := ir.NewSearcher(mono, 0)
 
 	dir := filepath.Join(t.TempDir(), "segix")
-	if _, err := AppendSegment(dir, battchA, ir.DefaultBuildConfig()); err != nil {
+	if _, err := AppendSegment(dir, battchA); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := AppendSegment(dir, batchB, ir.DefaultBuildConfig()); err != nil {
+	if _, err := AppendSegment(dir, batchB); err != nil {
 		t.Fatal(err)
 	}
 	snap, err := OpenSegmented(dir, colbm.NewManager(0))

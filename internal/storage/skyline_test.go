@@ -196,7 +196,7 @@ func TestSkylineBoundsMatchScan(t *testing.T) {
 			withSky, stripped := filepath.Join(t.TempDir(), "sky"), filepath.Join(t.TempDir(), "bare")
 			for _, dir := range []string{withSky, stripped} {
 				for _, b := range batches[:2] {
-					if _, err := AppendSegment(dir, b, ir.DefaultBuildConfig()); err != nil {
+					if _, err := AppendSegment(dir, b); err != nil {
 						t.Fatal(err)
 					}
 				}
@@ -320,7 +320,7 @@ func TestSkylineBoundsMatchScan(t *testing.T) {
 				t.Fatal(err)
 			}
 			for _, dir := range []string{withSky, stripped} {
-				if _, err := AppendSegment(dir, batch, ir.DefaultBuildConfig()); err != nil {
+				if _, err := AppendSegment(dir, batch); err != nil {
 					t.Fatal(err)
 				}
 			}

@@ -96,14 +96,13 @@ func TestReconciledClusterMatchesCentralized(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	bc := ir.DefaultBuildConfig()
 
 	liveBase := filepath.Join(t.TempDir(), "live")
-	dirs, err := dist.BuildLivePartitions(seed, 1, bc, liveBase)
+	dirs, err := dist.BuildLivePartitions(seed, 1, liveBase)
 	if err != nil {
 		t.Fatal(err)
 	}
-	shadowDirs, err := dist.BuildLivePartitions(seed, 1, bc, filepath.Join(t.TempDir(), "shadow"))
+	shadowDirs, err := dist.BuildLivePartitions(seed, 1, filepath.Join(t.TempDir(), "shadow"))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -129,8 +128,6 @@ func TestReconciledClusterMatchesCentralized(t *testing.T) {
 	// generation g; the shadow commits each batch before the cluster does.
 	expected := make(map[uint64][][]ir.Result)
 	var expMu sync.RWMutex
-	shadowCfg := bc
-	shadowCfg.Stats = nil // match the append path: per-directory statistics
 	snapshotExpected := func(gen uint64) {
 		snap, err := storage.OpenSegmented(shadow, colbm.NewManager(0))
 		if err != nil {
@@ -262,7 +259,7 @@ func TestReconciledClusterMatchesCentralized(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		shadowGen, err := storage.AppendSegment(shadow, bcoll, shadowCfg)
+		shadowGen, err := storage.AppendSegment(shadow, bcoll)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -350,7 +347,7 @@ func TestReconcilerChaosMidMoveConverges(t *testing.T) {
 		t.Fatal(err)
 	}
 	liveBase := filepath.Join(t.TempDir(), "live")
-	dirs, err := dist.BuildLivePartitions(seed, 1, ir.DefaultBuildConfig(), liveBase)
+	dirs, err := dist.BuildLivePartitions(seed, 1, liveBase)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -500,10 +497,9 @@ func TestSplitMergeReconcileRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	bc := ir.DefaultBuildConfig()
 
 	liveBase := filepath.Join(t.TempDir(), "live")
-	dirs, err := dist.BuildLivePartitions(seed, 1, bc, liveBase)
+	dirs, err := dist.BuildLivePartitions(seed, 1, liveBase)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -86,18 +86,29 @@ func stripSkylines(t *testing.T, dir string) {
 	})
 }
 
-// addLayoutFlags writes the four column switches builds recorded in each
-// segment's build configuration before every index stored every column.
-func addLayoutFlags(t *testing.T, dir string) {
+// addRetiredConfigKeys writes what builds recorded in each segment's build
+// configuration before every index stored every column and before a
+// segment stopped recording the writing process's pool budget and
+// simulated disk: the four column switches and the PoolBytes and Disk
+// keys. A freshly written configuration must carry neither of the last
+// two.
+func addRetiredConfigKeys(t *testing.T, dir string) {
 	t.Helper()
 	editManifests(t, dir, func(seg string, fields map[string]json.RawMessage) {
 		var config map[string]json.RawMessage
 		if err := json.Unmarshal(fields["config"], &config); err != nil {
 			t.Fatal(err)
 		}
+		for _, key := range []string{"PoolBytes", "Disk"} {
+			if v, ok := config[key]; ok {
+				t.Fatalf("segment %s records %s %s", seg, key, v)
+			}
+		}
 		for _, flag := range []string{"Uncompressed", "Compressed", "Materialized", "Quantized"} {
 			config[flag] = json.RawMessage("true")
 		}
+		config["PoolBytes"] = json.RawMessage("33554432")
+		config["Disk"] = json.RawMessage(`{"SeekLatency":4000000,"Bandwidth":400000000}`)
 		raw, err := json.Marshal(config)
 		if err != nil {
 			t.Fatal(err)
@@ -110,10 +121,11 @@ func addLayoutFlags(t *testing.T, dir string) {
 // has ever written through the one open path and requires DocID+Score
 // bit-exact agreement with an in-memory ir.Build, for every ranked and
 // boolean strategy. Then the write side: directories that own their
-// statistics (SaveIndex, Open with WithStorageDir) take Engine.Add with no
-// layout option and keep agreeing with a build over the grown collection;
-// directories whose statistics live elsewhere (a pre-segment directory, a
-// dist partition) refuse with the one typed error.
+// statistics (SaveIndex, at any chunk length, and Open with WithStorageDir)
+// take Engine.Add with no layout option, write its segment and a merge of
+// both at the one chunk length, and keep agreeing with a build over the
+// grown collection; directories whose statistics live elsewhere (a
+// pre-segment directory, a dist partition) refuse with the one typed error.
 func TestEveryDirectoryShape(t *testing.T) {
 	whole := smallCollection()
 	total := len(whole.DocLens)
@@ -169,15 +181,23 @@ func TestEveryDirectoryShape(t *testing.T) {
 	}
 	wantSeed, wantWhole := reference(seed), reference(whole)
 
-	save := func(t *testing.T, dir string) {
-		ix, err := BuildIndex(seed, DefaultIndexConfig())
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := SaveIndex(dir, ix); err != nil {
-			t.Fatal(err)
+	saveWith := func(cfg IndexConfig) func(t *testing.T, dir string) {
+		return func(t *testing.T, dir string) {
+			ix, err := BuildIndex(seed, cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := SaveIndex(dir, ix); err != nil {
+				t.Fatal(err)
+			}
+			want := cfg.ChunkLen
+			if want == 0 {
+				want = postingChunkLen
+			}
+			requireChunkLen(t, &segmentManifests(t, dir)[0], want)
 		}
 	}
+	save := saveWith(DefaultIndexConfig())
 	for _, shape := range []struct {
 		name     string
 		write    func(t *testing.T, dir string)
@@ -185,8 +205,9 @@ func TestEveryDirectoryShape(t *testing.T) {
 	}{
 		{"v1-top-level-manifest", func(t *testing.T, dir string) { save(t, dir); flattenToV1(t, dir) }, false},
 		{"SaveIndex", save, true},
+		{"SaveIndex-4096-value-chunks", saveWith(IndexConfig{ChunkLen: 4096}), true},
 		{"SaveIndex-without-skylines", func(t *testing.T, dir string) { save(t, dir); stripSkylines(t, dir) }, true},
-		{"SaveIndex-with-layout-flags", func(t *testing.T, dir string) { save(t, dir); addLayoutFlags(t, dir) }, true},
+		{"SaveIndex-with-layout-flags", func(t *testing.T, dir string) { save(t, dir); addRetiredConfigKeys(t, dir) }, true},
 		{"Open-WithStorageDir", func(t *testing.T, dir string) {
 			eng, err := Open(seed, WithStorageDir(dir))
 			if err != nil {
@@ -227,6 +248,17 @@ func TestEveryDirectoryShape(t *testing.T) {
 			if _, err := LoadIndex(dir, 0); !errors.Is(err, ErrNotSingleSegment) {
 				t.Errorf("LoadIndex on a two-segment directory: %v, want ErrNotSingleSegment", err)
 			}
+			requireChunkLen(t, &segmentManifests(t, dir)[1], postingChunkLen)
+
+			if merged, err := eng.mergeOnce(1, func() bool { return false }); err != nil || !merged {
+				t.Fatalf("merge: %v, %v", merged, err)
+			}
+			ms := segmentManifests(t, dir)
+			if len(ms) != 1 {
+				t.Fatalf("%d segments after the merge, want 1", len(ms))
+			}
+			requireChunkLen(t, &ms[0], postingChunkLen)
+			agree(t, wantWhole, engineSearch(eng))
 		})
 	}
 
@@ -308,7 +340,7 @@ func TestOpenRefusesAMissingPostingColumn(t *testing.T) {
 	for _, name := range []string{ir.ColDocID32, ir.ColTF32, ir.ColDocIDC, ir.ColTFC, ir.ColScore, ir.ColQScore} {
 		t.Run(name, func(t *testing.T) {
 			dir := filepath.Join(t.TempDir(), "ix")
-			if err := AppendSegment(dir, docs, DefaultIndexConfig()); err != nil {
+			if err := AppendSegment(dir, docs); err != nil {
 				t.Fatal(err)
 			}
 			sm, err := storage.ReadSegments(dir)
@@ -359,6 +391,20 @@ func postingColumns(m *storage.Manifest, fn func(col *colbm.StoredColumn)) {
 	}
 }
 
+// postingChunkLen is ir's chunk length when BuildConfig.ChunkLen is 0.
+const postingChunkLen = 16 << 10
+
+// requireChunkLen fails the test unless every posting column of the
+// manifest records chunk length want.
+func requireChunkLen(t *testing.T, m *storage.Manifest, want int) {
+	t.Helper()
+	postingColumns(m, func(col *colbm.StoredColumn) {
+		if col.Spec.ChunkLen != want {
+			t.Errorf("%s records chunk length %d, want %d", col.Blob, col.Spec.ChunkLen, want)
+		}
+	})
+}
+
 // TestUnrecordedChunkLengthMeans128Ki: a manifest whose posting columns
 // record chunk length 0 was cut into colbm.DefaultChunkLen-value chunks,
 // as every directory was before the posting columns took 16 Ki-value
@@ -368,7 +414,6 @@ func postingColumns(m *storage.Manifest, fn func(col *colbm.StoredColumn)) {
 // TestEveryDirectoryShape because its seed must span several 128 Ki chunks,
 // more postings than that test's collection holds.
 func TestUnrecordedChunkLengthMeans128Ki(t *testing.T) {
-	const postingChunkLen = 16 << 10 // ir's chunk length when BuildConfig.ChunkLen is 0
 	cfg := DefaultCollectionConfig()
 	cfg.NumDocs, cfg.Vocab, cfg.AvgDocLen, cfg.NumTopics = 6000, 4000, 90, 25
 	whole := GenerateCollection(cfg)
@@ -420,14 +465,6 @@ func TestUnrecordedChunkLengthMeans128Ki(t *testing.T) {
 			}
 		}
 	}
-	chunkLens := func(t *testing.T, m *storage.Manifest, want int) {
-		t.Helper()
-		postingColumns(m, func(col *colbm.StoredColumn) {
-			if col.Spec.ChunkLen != want {
-				t.Errorf("%s records chunk length %d, want %d", col.Blob, col.Spec.ChunkLen, want)
-			}
-		})
-	}
 
 	// A directory of 128 Ki chunks whose manifests record 0.
 	dir := filepath.Join(t.TempDir(), "ix")
@@ -474,8 +511,8 @@ func TestUnrecordedChunkLengthMeans128Ki(t *testing.T) {
 	if len(ms) != 2 {
 		t.Fatalf("%d segments after Add, want 2", len(ms))
 	}
-	chunkLens(t, &ms[0], 0)
-	chunkLens(t, &ms[1], postingChunkLen)
+	requireChunkLen(t, &ms[0], 0)
+	requireChunkLen(t, &ms[1], postingChunkLen)
 	wantWhole := ranked(whole)
 	agree(t, eng, wantWhole)
 
@@ -487,6 +524,6 @@ func TestUnrecordedChunkLengthMeans128Ki(t *testing.T) {
 	if len(ms) != 1 {
 		t.Fatalf("%d segments after the merge, want 1", len(ms))
 	}
-	chunkLens(t, &ms[0], postingChunkLen)
+	requireChunkLen(t, &ms[0], postingChunkLen)
 	agree(t, eng, wantWhole)
 }

@@ -7,7 +7,7 @@ import (
 )
 
 // ErrOverloaded is the sentinel shed requests wrap: when admission
-// control (WithAdmissionControl on the engine, WithBrokerAdmission on a
+// control (WithAdmissionControl on the engine, dist.WithAdmission on a
 // cluster broker) rejects a request rather than queueing it past its
 // deadline, the returned error matches errors.Is(err, ErrOverloaded).
 // Callers typically retry against another frontend or surface a "server

@@ -43,7 +43,7 @@ func (f *optionFixture) threeSegments(t *testing.T) string {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if err := AppendSegment(dir, docs, DefaultIndexConfig()); err != nil {
+		if err := AppendSegment(dir, docs); err != nil {
 			t.Fatal(err)
 		}
 	}

@@ -109,8 +109,10 @@ type Doc = corpus.Doc
 type (
 	// Index is a searchable inverted-file index stored in ColumnBM.
 	Index = ir.Index
-	// IndexConfig sets the chunk length and storage simulation; every
-	// index stores the same columns.
+	// IndexConfig is a build's docid base, statistics override and table
+	// prefix (its chunk length and pool budget are for tests); the
+	// columns and the simulated disk are fixed, and the zero value is the
+	// default.
 	IndexConfig = ir.BuildConfig
 	// Strategy is a Table 2 run (retrieval model + optimizations).
 	Strategy = ir.Strategy
@@ -136,8 +138,8 @@ const (
 // AllStrategies lists the Table 2 runs in order.
 var AllStrategies = ir.AllStrategies
 
-// DefaultIndexConfig is the build configuration of every index: the
-// default chunk length over the default simulated disk.
+// DefaultIndexConfig is the build configuration of every index: the zero
+// IndexConfig.
 func DefaultIndexConfig() IndexConfig { return ir.DefaultBuildConfig() }
 
 // BuildIndex constructs an index from a collection.
@@ -244,17 +246,10 @@ func WithAdaptiveHedge(quantile float64) BrokerOption { return dist.WithAdaptive
 // flagged Degraded instead of the batch failing.
 func WithPartialResults() BrokerOption { return dist.WithPartialResults() }
 
-// WithBrokerAdmission turns on broker-side load shedding: at most limit
-// concurrent calls at full rate, deadline-doomed or over-queued calls
-// rejected with an error matching ErrOverloaded (see the engine-side
-// WithAdmissionControl for the model).
-func WithBrokerAdmission(limit, maxQueue int) BrokerOption {
-	return dist.WithAdmission(limit, maxQueue)
-}
-
 // StartCluster partitions a collection across n TCP partition ranges
 // (each served by WithClusterReplicas servers; one by default), built into
-// a temporary directory the cluster owns and removes on Close.
+// a temporary directory the cluster owns and removes on Close, every
+// replica served through an unbounded buffer pool.
 func StartCluster(c *Collection, n int, cfg IndexConfig, opts ...ClusterOption) (*Cluster, error) {
 	return dist.StartCluster(c, n, cfg, opts...)
 }
@@ -292,8 +287,8 @@ func StartClusterFromDirs(dirs []string, poolBytes int64, opts ...ClusterOption)
 // coordinator; with a single partition (any replica count) local
 // statistics are exactly global and distributed rankings stay
 // bit-identical to a centralized engine's.
-func BuildLivePartitions(c *Collection, n int, cfg IndexConfig, baseDir string) ([]string, error) {
-	return dist.BuildLivePartitions(c, n, cfg, baseDir)
+func BuildLivePartitions(c *Collection, n int, baseDir string) ([]string, error) {
+	return dist.BuildLivePartitions(c, n, baseDir)
 }
 
 // Storage surface: the BlockStore/ChunkCache contracts, their simulated
@@ -385,12 +380,12 @@ func LoadIndex(dir string, poolBytes int64) (*Index, error) {
 // commits a new generation — the offline counterpart of Engine.Add for
 // ingest pipelines that run without a serving engine. Readers pick the new
 // generation up via Engine.Refresh (or the next OpenDir).
-func AppendSegment(dir string, docs []Doc, cfg IndexConfig) error {
+func AppendSegment(dir string, docs []Doc) error {
 	batch, err := corpus.FromDocs(docs)
 	if err != nil {
 		return err
 	}
-	_, err = storage.AppendSegment(dir, batch, cfg)
+	_, err = storage.AppendSegment(dir, batch)
 	return err
 }
 

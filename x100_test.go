@@ -4,6 +4,7 @@ import (
 	"context"
 	"strings"
 	"testing"
+	"time"
 
 	"repro/internal/colbm"
 	"repro/internal/dist"
@@ -241,6 +242,33 @@ func TestFacadeSearcherExplain(t *testing.T) {
 // alike — the chunk sizes are the same bytes and the eviction policy is one.
 // The budgets are fractions of the index's store, so each one evicts
 // whatever the chunk length.
+// TestZeroIndexConfigChargesFiniteIO: an in-memory build always simulates
+// the default disk, so a zero IndexConfig builds the index the default one
+// does, and one read through either store charges the same positive time.
+func TestZeroIndexConfigChargesFiniteIO(t *testing.T) {
+	coll := smallCollection()
+	var charged []time.Duration
+	for _, cfg := range []IndexConfig{{}, DefaultIndexConfig()} {
+		ix, err := BuildIndex(coll, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		col, err := ix.TD.Column(ir.ColDocIDC)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ix.Store.ResetStats()
+		if _, err := ix.Store.Read(col.BlobName(), 0, 16); err != nil {
+			t.Fatal(err)
+		}
+		charged = append(charged, ix.Store.Stats().IOTime)
+	}
+	if charged[0] <= 0 || charged[0] != charged[1] {
+		t.Errorf("a 16-byte read charged %v under IndexConfig{} and %v under DefaultIndexConfig(); want the same positive time",
+			charged[0], charged[1])
+	}
+}
+
 func TestInMemoryAndPersistedCachesAgree(t *testing.T) {
 	cfg := DefaultCollectionConfig()
 	cfg.NumDocs, cfg.Vocab, cfg.AvgDocLen, cfg.NumTopics = 3000, 4000, 90, 25

@@ -257,7 +257,7 @@ func clusterFixture(b *testing.B) (*dist.Cluster, []corpus.Query) {
 	b.Helper()
 	coll, _, eff := fixtures(b)
 	clusterOnce.Do(func() {
-		cl, err := dist.StartCluster(coll, 4, ir.DefaultBuildConfig())
+		cl, err := dist.StartCluster(coll, 4)
 		if err != nil {
 			panic(err)
 		}

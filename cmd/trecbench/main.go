@@ -323,7 +323,7 @@ func table3(p params) error {
 
 	// Sequential baseline: one server holding the full collection.
 	fmt.Printf("building 1-server full-collection baseline ...\n")
-	single, err := dist.StartCluster(c, 1, ir.DefaultBuildConfig())
+	single, err := dist.StartCluster(c, 1)
 	if err != nil {
 		return err
 	}
@@ -340,7 +340,7 @@ func table3(p params) error {
 	// and the fixed-partition-size "using less servers" rows (queries over
 	// the first n partitions only), exactly as in Table 3.
 	fmt.Printf("building %d-server cluster ...\n", servers)
-	cl, err := dist.StartCluster(c, servers, ir.DefaultBuildConfig())
+	cl, err := dist.StartCluster(c, servers)
 	if err != nil {
 		return err
 	}
@@ -480,7 +480,7 @@ func hedgeExperiment(p params) error {
 		partitions = 2
 	}
 	fmt.Printf("building %d partitions x 2 replicas ...\n", partitions)
-	cl, err := dist.StartCluster(c, partitions, ir.DefaultBuildConfig(), dist.WithReplicas(2))
+	cl, err := dist.StartCluster(c, partitions, dist.WithReplicas(2))
 	if err != nil {
 		return err
 	}

@@ -1,6 +1,7 @@
 package main
 
 import (
+	"fmt"
 	"math/rand"
 	"slices"
 	"strings"
@@ -71,6 +72,10 @@ func TestP99Ratio(t *testing.T) {
 		ratio, err := p99Ratio([3]phase{{"before", flat(200, ms)}, {"during", tc.during}, {"after", tc.after}}, 3)
 		if (err != nil) != tc.wantErr {
 			t.Errorf("%s: ratio %.2f, err %v, want error %t", tc.name, ratio, err, tc.wantErr)
+		}
+		// A failure carries the phase table it was judged on.
+		if err != nil && !strings.Contains(err.Error(), fmt.Sprintf("before: 200 queries, p50 1.00 ms, p99 1.00 ms; during: %d queries", len(tc.during))) {
+			t.Errorf("%s: error %q does not name every phase's queries, p50 and p99", tc.name, err)
 		}
 	}
 }

@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"runtime"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -108,19 +109,33 @@ func servePhases(ctx context.Context, brk *dist.Broker, queries []corpus.Query, 
 
 // p99Ratio returns the during-phase p99 over the quiesced-after p99, and
 // an error when a phase is too thin to have a p99 or the ratio is not
-// within bound.
+// within bound. The error carries every phase's query count, p50 and p99,
+// so a failing run records the whole phase table, not just the ratio.
 func p99Ratio(phases [3]phase, bound float64) (float64, error) {
 	for _, ph := range phases {
 		if len(ph.lats) < minPhaseSamples {
-			return 0, fmt.Errorf("%s collected %d queries, need %d for a p99", ph.name, len(ph.lats), minPhaseSamples)
+			return 0, fmt.Errorf("%s collected %d queries, need %d for a p99 (%s)",
+				ph.name, len(ph.lats), minPhaseSamples, phaseSummary(phases))
 		}
 	}
 	during, after := phases[1], phases[2]
 	ratio := float64(loadgen.Percentile(during.lats, 99)) / float64(loadgen.Percentile(after.lats, 99))
 	if !(ratio <= bound) { // also catches the NaN of 0/0
-		return ratio, fmt.Errorf("%s p99 is %.2fx the %s p99, bound %.1fx", during.name, ratio, after.name, bound)
+		return ratio, fmt.Errorf("%s p99 is %.2fx the %s p99, bound %.1fx (%s)",
+			during.name, ratio, after.name, bound, phaseSummary(phases))
 	}
 	return ratio, nil
+}
+
+// phaseSummary is the phase table on one line: each phase's query count,
+// p50 and p99.
+func phaseSummary(phases [3]phase) string {
+	rows := make([]string, len(phases))
+	for i, ph := range phases {
+		rows[i] = fmt.Sprintf("%s: %d queries, p50 %.2f ms, p99 %.2f ms", ph.name, len(ph.lats),
+			loadgen.Ms(loadgen.Percentile(ph.lats, 50)), loadgen.Ms(loadgen.Percentile(ph.lats, 99)))
+	}
+	return strings.Join(rows, "; ")
 }
 
 // queryLoad drives closed-loop query workers against the broker until

@@ -47,7 +47,7 @@ func qpsExperiment(p params) error {
 		partitions = 2
 	}
 	fmt.Printf("building %d partitions x 2 replicas ...\n", partitions)
-	cl, err := dist.StartCluster(c, partitions, ir.DefaultBuildConfig(), dist.WithReplicas(2))
+	cl, err := dist.StartCluster(c, partitions, dist.WithReplicas(2))
 	if err != nil {
 		return err
 	}

@@ -31,8 +31,7 @@ func main() {
 
 	// 4 partition ranges x 2 replicas = 8 servers. Replicas build the same
 	// partition index, so which replica answers never matters.
-	cluster, err := repro.StartCluster(coll, 4, repro.DefaultIndexConfig(),
-		repro.WithClusterReplicas(2))
+	cluster, err := repro.StartCluster(coll, 4, repro.WithClusterReplicas(2))
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -140,7 +139,7 @@ func main() {
 		log.Fatal(err)
 	}
 	defer os.RemoveAll(base)
-	dirs, err := repro.BuildPartitions(coll, 4, repro.DefaultIndexConfig(), base)
+	dirs, err := repro.BuildPartitions(coll, 4, base)
 	if err != nil {
 		log.Fatal(err)
 	}

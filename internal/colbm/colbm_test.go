@@ -16,7 +16,7 @@ func newTestEnv() (*SimDisk, *Manager) {
 
 func TestSimDiskAccounting(t *testing.T) {
 	d := NewSimDisk(DiskParams{SeekLatency: time.Millisecond, Bandwidth: 1e6})
-	d.Write("a", make([]byte, 1000))
+	WriteBlob(d, "a", make([]byte, 1000))
 	if _, err := d.Read("a", 0, 500); err != nil {
 		t.Fatal(err)
 	}
@@ -43,12 +43,64 @@ func TestSimDiskErrors(t *testing.T) {
 	if _, err := d.Read("missing", 0, 1); err == nil {
 		t.Error("read of missing blob succeeded")
 	}
-	d.Write("a", make([]byte, 10))
+	WriteBlob(d, "a", make([]byte, 10))
 	if _, err := d.Read("a", 5, 10); err == nil {
 		t.Error("out-of-range read succeeded")
 	}
 	if _, err := d.Read("a", -1, 2); err == nil {
 		t.Error("negative offset accepted")
+	}
+}
+
+// A SimDisk blob written as several chunks reads back at any offset and
+// length as their concatenation, across chunk boundaries; CopyBlob hands
+// the chunks on as they are held; nothing is visible before Close, and an
+// aborted blob never is.
+func TestSimDiskChunkedBlob(t *testing.T) {
+	d := NewSimDisk(DefaultDiskParams())
+	var whole []byte
+	w, err := d.Create("a")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, n := range []int{5, 0, 9, 1, 13} {
+		chunk := make([]byte, n)
+		for j := range chunk {
+			chunk[j] = byte(10*i + j)
+		}
+		whole = append(whole, chunk...)
+		w.Append(chunk)
+		clear(chunk) // the writer keeps its own copy
+	}
+	if d.Size("a") != 0 {
+		t.Fatal("blob visible before Close")
+	}
+	if err := w.Close(); err != nil {
+		t.Fatal(err)
+	}
+	for off := 0; off <= len(whole); off++ {
+		for size := 0; off+size <= len(whole); size++ {
+			got, err := d.Read("a", off, size)
+			if err != nil || !reflect.DeepEqual(got, whole[off:off+size]) {
+				t.Fatalf("Read(%d, %d) = %v, %v; want %v", off, size, got, err, whole[off:off+size])
+			}
+		}
+	}
+	dst := NewSimDisk(DefaultDiskParams())
+	cw, _ := dst.Create("b")
+	if err := CopyBlob(cw, d, "a", len(whole)-2); err != nil {
+		t.Fatal(err)
+	}
+	cw.Close()
+	if got, err := dst.Read("b", 0, len(whole)-2); err != nil || !reflect.DeepEqual(got, whole[:len(whole)-2]) {
+		t.Fatalf("copied blob = %v, %v; want %v", got, err, whole[:len(whole)-2])
+	}
+	aw, _ := d.Create("c")
+	aw.Append([]byte{1, 2, 3})
+	aw.Abort()
+	aw.Close()
+	if d.Size("c") != 0 {
+		t.Error("an aborted blob was published")
 	}
 }
 
@@ -406,7 +458,7 @@ func TestFixed32Column(t *testing.T) {
 
 func TestSimDiskReadReturnsCopy(t *testing.T) {
 	d := NewSimDisk(DefaultDiskParams())
-	d.Write("a", []byte{10, 20, 30, 40})
+	WriteBlob(d, "a", []byte{10, 20, 30, 40})
 	got, err := d.Read("a", 1, 2)
 	if err != nil {
 		t.Fatal(err)

@@ -165,102 +165,135 @@ func (c *Column) BitsPerValue() float64 {
 	return float64(c.DiskSize()*8) / float64(c.N)
 }
 
-// encodeChunk serializes n values of the column type.
-func encodeChunk(spec *ColumnSpec, i64 []int64, f64 []float64, u8 []uint8, str []string) ([]byte, error) {
+// chunkEncoder encodes a column's chunks into buffers it reuses from chunk
+// to chunk (and from column to column): the block encoder's working
+// buffers, the encoded bytes, and the values of a column made by a fill
+// function. One encoder serves one goroutine.
+type chunkEncoder struct {
+	enc compress.Encoder
+	dst []byte
+	i64 []int64
+	u8  []uint8
+}
+
+// encode serializes values [start, end) of the column; the returned bytes
+// are valid until the next call.
+func (e *chunkEncoder) encode(spec *ColumnSpec, d *columnData, start, end int) ([]byte, error) {
+	n := end - start
+	var err error
 	switch spec.Type {
 	case vector.Int64:
-		switch spec.Enc {
-		case EncNone:
-			buf := make([]byte, 8*len(i64))
-			for i, v := range i64 {
-				binary.LittleEndian.PutUint64(buf[i*8:], uint64(v))
-			}
-			return buf, nil
-		case EncFixed32:
-			buf := make([]byte, 4*len(i64))
-			for i, v := range i64 {
-				if v < -1<<31 || v >= 1<<31 {
-					return nil, fmt.Errorf("colbm: column %q value %d exceeds fixed32 range", spec.Name, v)
-				}
-				binary.LittleEndian.PutUint32(buf[i*4:], uint32(int32(v)))
-			}
-			return buf, nil
-		case EncPFOR:
-			bl, err := encodePFORChunk(i64, spec, false)
-			if err != nil {
-				return nil, err
-			}
-			return bl.Marshal(), nil
-		case EncPFORDelta:
-			bl, err := encodePFORChunk(i64, spec, true)
-			if err != nil {
-				return nil, err
-			}
-			return bl.Marshal(), nil
-		case EncPDict:
-			var bl *compress.Block
-			var err error
-			if spec.Bits > 0 {
-				bl, err = compress.EncodePDict(i64, spec.Bits, spec.Layout)
-			} else {
-				bl, err = compress.EncodePDictAuto(i64, spec.Layout)
-			}
-			if err != nil {
-				return nil, err
-			}
-			return bl.Marshal(), nil
+		var vals []int64
+		if d.fillI64 != nil {
+			e.i64 = grow(e.i64, n)
+			d.fillI64(e.i64, start)
+			vals = e.i64
+		} else {
+			vals = d.i64[start:end]
 		}
+		e.dst, err = e.encodeInt64(spec, vals)
+		return e.dst, err
 	case vector.Float64:
 		if spec.Enc != EncNone {
 			return nil, fmt.Errorf("colbm: float column %q cannot use encoding %v", spec.Name, spec.Enc)
 		}
-		buf := make([]byte, 4*len(f64))
-		for i, v := range f64 {
+		buf := grow(e.dst, 4*n)
+		for i, v := range d.f64[start:end] {
 			binary.LittleEndian.PutUint32(buf[i*4:], floatBits32(v))
 		}
+		e.dst = buf
 		return buf, nil
 	case vector.UInt8:
 		if spec.Enc != EncNone {
 			return nil, fmt.Errorf("colbm: uint8 column %q cannot use encoding %v", spec.Name, spec.Enc)
 		}
-		return append([]byte(nil), u8...), nil
+		if d.fillU8 == nil {
+			e.dst = append(e.dst[:0], d.u8[start:end]...)
+			return e.dst, nil
+		}
+		e.dst = grow(e.dst, n)
+		d.fillU8(e.dst, start)
+		return e.dst, nil
 	case vector.Str:
 		if spec.Enc != EncNone {
 			return nil, fmt.Errorf("colbm: string column %q cannot use encoding %v", spec.Name, spec.Enc)
 		}
+		str := d.str[start:end]
 		total := 0
 		for _, s := range str {
 			total += len(s)
 		}
-		buf := make([]byte, 4*len(str)+total)
+		buf := grow(e.dst, 4*len(str)+total)
 		off := 4 * len(str)
 		for i, s := range str {
 			binary.LittleEndian.PutUint32(buf[i*4:], uint32(len(s)))
 			copy(buf[off:], s)
 			off += len(s)
 		}
+		e.dst = buf
 		return buf, nil
 	}
 	return nil, fmt.Errorf("colbm: unsupported column type %v", spec.Type)
 }
 
-func encodePFORChunk(vals []int64, spec *ColumnSpec, delta bool) (*compress.Block, error) {
-	if spec.Bits > 0 {
-		base := int64(0)
-		if !delta {
+// encodeInt64 serializes one chunk of an Int64 column into e.dst.
+func (e *chunkEncoder) encodeInt64(spec *ColumnSpec, vals []int64) ([]byte, error) {
+	var bl *compress.Block
+	var err error
+	switch spec.Enc {
+	case EncNone:
+		buf := grow(e.dst, 8*len(vals))
+		for i, v := range vals {
+			binary.LittleEndian.PutUint64(buf[i*8:], uint64(v))
+		}
+		return buf, nil
+	case EncFixed32:
+		buf := grow(e.dst, 4*len(vals))
+		for i, v := range vals {
+			if v < -1<<31 || v >= 1<<31 {
+				return buf, fmt.Errorf("colbm: column %q value %d exceeds fixed32 range", spec.Name, v)
+			}
+			binary.LittleEndian.PutUint32(buf[i*4:], uint32(int32(v)))
+		}
+		return buf, nil
+	case EncPFOR:
+		switch {
+		case spec.Bits > 0:
 			// With a fixed width, anchor the frame at the chunk minimum so
 			// small positive values (term frequencies) code directly.
-			base = minInt64(vals)
+			bl, err = e.enc.PFOR(vals, spec.Bits, minInt64(vals), spec.Layout)
+		default:
+			b, base := compress.ChoosePFOR(vals)
+			bl, err = e.enc.PFOR(vals, b, base, spec.Layout)
 		}
-		if delta {
-			return compress.EncodePFORDelta(vals, spec.Bits, 0, spec.Layout)
+	case EncPFORDelta:
+		if spec.Bits > 0 {
+			bl, err = e.enc.PFORDelta(vals, spec.Bits, 0, spec.Layout)
+		} else {
+			bl, err = e.enc.PFORDeltaAuto(vals, spec.Layout)
 		}
-		return compress.EncodePFOR(vals, spec.Bits, base, spec.Layout)
+	case EncPDict:
+		b := spec.Bits
+		if b == 0 {
+			b = compress.ChoosePDict(vals)
+		}
+		bl, err = e.enc.PDict(vals, b, spec.Layout)
+	default:
+		return e.dst, fmt.Errorf("colbm: unsupported column type %v", spec.Type)
 	}
-	if delta {
-		return compress.EncodePFORDeltaAuto(vals, spec.Layout)
+	if err != nil {
+		return e.dst, err
 	}
-	return compress.EncodePFORAuto(vals, spec.Layout)
+	return bl.AppendMarshal(e.dst[:0]), nil
+}
+
+// grow returns buf resized to n bytes or values, reusing its array when it
+// is large enough.
+func grow[T any](buf []T, n int) []T {
+	if cap(buf) < n {
+		return make([]T, n)
+	}
+	return buf[:n]
 }
 
 func minInt64(vals []int64) int64 {

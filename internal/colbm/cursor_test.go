@@ -90,7 +90,7 @@ func corruptBlob(t *testing.T, disk *SimDisk, pool *Manager, col *Column, fn fun
 		t.Fatal(err)
 	}
 	blob = fn(blob)
-	disk.Write(col.BlobName(), blob)
+	WriteBlob(disk, col.BlobName(), blob)
 	col.chunks[0].size = len(blob)
 	pool.Drop()
 }
@@ -232,7 +232,7 @@ func FuzzParseCachedChunk(f *testing.F) {
 
 		// Read every value back through a cursor over a one-chunk column.
 		disk, pool := newTestEnv()
-		disk.Write("f.c", data)
+		WriteBlob(disk, "f.c", data)
 		spec.ChunkLen = n + 1
 		col := &Column{Spec: spec, N: n, blobName: "f.c", store: disk, cache: pool,
 			chunks: []chunkMeta{{size: len(data), n: n, key: ChunkKey("f.c", 0)}}}

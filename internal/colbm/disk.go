@@ -2,6 +2,7 @@ package colbm
 
 import (
 	"fmt"
+	"sort"
 	"sync"
 	"time"
 	"unsafe"
@@ -31,13 +32,15 @@ type DiskStats struct {
 }
 
 // BlockStore is the storage contract of ColumnBM: named immutable blobs
-// (one per column), written once at index-build time and read back with
-// large sequential requests at chunk granularity. Implementations must be
-// safe for concurrent use. The two implementations are SimDisk (simulated,
-// in this package) and storage.FileStore (real files).
+// (one per column), written once at index-build time as a stream of chunks
+// and read back with large sequential requests at chunk granularity.
+// Implementations must be safe for concurrent use. The two
+// implementations are SimDisk (simulated, in this package) and
+// storage.FileStore (real files).
 type BlockStore interface {
-	// Write stores a named blob, replacing any previous content.
-	Write(name string, data []byte) error
+	// Create starts writing blob name. Nothing is visible under the name
+	// until the writer's Close, which replaces any previous content.
+	Create(name string) (ChunkWriter, error)
 	// Read returns size bytes of blob name starting at off: ReadInto with a
 	// fresh buffer. The returned slice is owned by the caller:
 	// implementations must not alias internal state (a misbehaving decoder
@@ -67,6 +70,62 @@ type BlockStore interface {
 	Close() error
 }
 
+// ChunkWriter streams one blob into its BlockStore, a chunk at a time, as
+// the chunks are encoded. A ChunkWriter is used by one goroutine.
+type ChunkWriter interface {
+	// Append adds chunk to the end of the blob. The writer does not retain
+	// chunk: the caller may reuse it once Append returns.
+	Append(chunk []byte) error
+	// Close publishes the blob under its name. After a failed Append it
+	// publishes nothing, discards what was written and returns that
+	// failure.
+	Close() error
+	// Abort discards the blob unpublished; after Close it does nothing.
+	Abort()
+}
+
+// WriteBlob stores data as blob name of s in one piece, replacing any
+// previous content.
+func WriteBlob(s BlockStore, name string, data []byte) error {
+	w, err := s.Create(name)
+	if err != nil {
+		return err
+	}
+	w.Append(data)
+	return w.Close()
+}
+
+// CopyBlob streams size bytes of blob name of src into w without reading
+// the blob whole: a SimDisk hands over the chunks it holds, any other
+// store is read in pieces of at most copyPiece bytes through one buffer.
+// It does not close w.
+func CopyBlob(w ChunkWriter, src BlockStore, name string, size int) error {
+	if d, ok := src.(*SimDisk); ok {
+		return d.copyTo(w, name, size)
+	}
+	var buf []byte
+	alloc := func(n int) []byte {
+		if cap(buf) < n {
+			buf = make([]byte, n)
+		}
+		return buf[:n]
+	}
+	for off := 0; off < size; off += copyPiece {
+		data, b, err := src.ReadInto(name, off, min(copyPiece, size-off), alloc)
+		if err != nil {
+			return err
+		}
+		buf = b
+		if err := w.Append(data); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// copyPiece is the read size of CopyBlob from a store other than a SimDisk.
+const copyPiece = 1 << 20
+
 // ReadSlack is what a BlockStore asks of alloc beyond the bytes it reads:
 // up to 7 bytes ahead of them, which put the requested first byte on an
 // 8-byte boundary, and 8 after, which let compress.Unmarshal view a code
@@ -88,29 +147,108 @@ func AlignedBuffer(alloc func(int) []byte, n, lead int) (span, buf []byte) {
 }
 
 // SimDisk is a virtual-clock BlockStore holding named immutable blobs in
-// memory. Read charges simulated time instead of sleeping, so experiments
-// can separate CPU cost (measured wall time) from I/O cost (simulated
-// time) deterministically.
+// memory, each as the chunks it was written in. Read charges simulated
+// time instead of sleeping, so experiments can separate CPU cost (measured
+// wall time) from I/O cost (simulated time) deterministically.
 type SimDisk struct {
 	params DiskParams
 
 	mu    sync.Mutex
-	blobs map[string][]byte
+	blobs map[string]*simBlob
 	stats DiskStats
 }
 
-// NewSimDisk returns an empty disk with the given parameters.
-func NewSimDisk(params DiskParams) *SimDisk {
-	return &SimDisk{params: params, blobs: make(map[string][]byte)}
+// simBlob is one stored blob: its chunks, each kept once, and their
+// cumulative end offsets.
+type simBlob struct {
+	chunks [][]byte
+	ends   []int
 }
 
-// Write stores a named blob. Writing is a load-time operation and is not
-// charged to the virtual clock (the experiments measure query time, not
-// index-build time, matching the TREC efficiency task). It never fails.
-func (d *SimDisk) Write(name string, data []byte) error {
+func (b *simBlob) size() int {
+	if len(b.ends) == 0 {
+		return 0
+	}
+	return b.ends[len(b.ends)-1]
+}
+
+// chunkAt returns the index of the chunk holding byte off.
+func (b *simBlob) chunkAt(off int) int { return sort.SearchInts(b.ends, off+1) }
+
+// NewSimDisk returns an empty disk with the given parameters.
+func NewSimDisk(params DiskParams) *SimDisk {
+	return &SimDisk{params: params, blobs: make(map[string]*simBlob)}
+}
+
+// Create starts writing a named blob. Writing is a load-time operation and
+// is not charged to the virtual clock (the experiments measure query time,
+// not index-build time, matching the TREC efficiency task). Neither Create
+// nor the writer's methods fail.
+func (d *SimDisk) Create(name string) (ChunkWriter, error) {
+	return &simWriter{d: d, name: name, blob: new(simBlob)}, nil
+}
+
+// simWriter keeps a private copy of every chunk appended and publishes the
+// blob at Close.
+type simWriter struct {
+	d    *SimDisk
+	name string
+	blob *simBlob
+}
+
+func (w *simWriter) Append(chunk []byte) error {
+	if len(chunk) > 0 && w.blob != nil {
+		w.blob.chunks = append(w.blob.chunks, append([]byte(nil), chunk...))
+		w.blob.ends = append(w.blob.ends, w.blob.size()+len(chunk))
+	}
+	return nil
+}
+
+func (w *simWriter) Close() error {
+	if w.blob != nil {
+		w.d.mu.Lock()
+		w.d.blobs[w.name] = w.blob
+		w.d.mu.Unlock()
+		w.blob = nil
+	}
+	return nil
+}
+
+func (w *simWriter) Abort() { w.blob = nil }
+
+// blob returns the named blob after checking [off, off+size) lies in it,
+// and charges the read to the virtual clock.
+func (d *SimDisk) blob(name string, off, size int) (*simBlob, error) {
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	d.blobs[name] = data
+	b, ok := d.blobs[name]
+	if !ok {
+		return nil, fmt.Errorf("colbm: no such blob %q", name)
+	}
+	if off < 0 || size < 0 || off+size > b.size() {
+		return nil, fmt.Errorf("colbm: read [%d,%d) out of blob %q of %d bytes", off, off+size, name, b.size())
+	}
+	d.stats.Reads++
+	d.stats.BytesRead += int64(size)
+	d.stats.IOTime += d.params.SeekLatency +
+		time.Duration(float64(size)/d.params.Bandwidth*float64(time.Second))
+	return b, nil
+}
+
+// copyTo appends the first size bytes of blob name to w, the stored chunks
+// themselves, charging one read as Read does.
+func (d *SimDisk) copyTo(w ChunkWriter, name string, size int) error {
+	b, err := d.blob(name, 0, size)
+	if err != nil {
+		return err
+	}
+	for i, c := range b.chunks {
+		if start := b.ends[i] - len(c); start < size {
+			if err := w.Append(c[:min(len(c), size-start)]); err != nil {
+				return err
+			}
+		}
+	}
 	return nil
 }
 
@@ -118,7 +256,10 @@ func (d *SimDisk) Write(name string, data []byte) error {
 func (d *SimDisk) Size(name string) int {
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	return len(d.blobs[name])
+	if b, ok := d.blobs[name]; ok {
+		return b.size()
+	}
+	return 0
 }
 
 // TotalSize returns the summed size of all blobs (the on-disk footprint of
@@ -128,7 +269,7 @@ func (d *SimDisk) TotalSize() int64 {
 	defer d.mu.Unlock()
 	var total int64
 	for _, b := range d.blobs {
-		total += int64(len(b))
+		total += int64(b.size())
 	}
 	return total
 }
@@ -142,26 +283,19 @@ func (d *SimDisk) Read(name string, off, size int) ([]byte, error) {
 	return data, err
 }
 
-// ReadInto is Read into a buffer from alloc: it copies the bytes into the
-// span AlignedBuffer places, and charges the virtual clock as Read does.
+// ReadInto is Read into a buffer from alloc: it copies the bytes, from
+// however many stored chunks they span, into the span AlignedBuffer places,
+// and charges the virtual clock as Read does.
 func (d *SimDisk) ReadInto(name string, off, size int, alloc func(int) []byte) ([]byte, []byte, error) {
-	d.mu.Lock()
-	blob, ok := d.blobs[name]
-	if !ok {
-		d.mu.Unlock()
-		return nil, nil, fmt.Errorf("colbm: no such blob %q", name)
+	b, err := d.blob(name, off, size)
+	if err != nil {
+		return nil, nil, err
 	}
-	if off < 0 || size < 0 || off+size > len(blob) {
-		d.mu.Unlock()
-		return nil, nil, fmt.Errorf("colbm: read [%d,%d) out of blob %q of %d bytes", off, off+size, name, len(blob))
-	}
-	d.stats.Reads++
-	d.stats.BytesRead += int64(size)
-	d.stats.IOTime += d.params.SeekLatency +
-		time.Duration(float64(size)/d.params.Bandwidth*float64(time.Second))
-	d.mu.Unlock()
 	span, buf := AlignedBuffer(alloc, size, 0)
-	copy(span, blob[off:off+size])
+	for i, n := b.chunkAt(off), 0; n < size; i++ {
+		c := b.chunks[i][off+n-(b.ends[i]-len(b.chunks[i])):]
+		n += copy(span[n:], c)
+	}
 	return span, buf, nil
 }
 

@@ -3,6 +3,7 @@ package compress
 import (
 	"encoding/binary"
 	"fmt"
+	"slices"
 	"unsafe"
 )
 
@@ -150,10 +151,18 @@ const blockMagic = 0x5846 // "XF"
 // (PFORDelta boundaries or the PDict dictionary), the densely packed
 // forward-growing code section, and finally the exception section written
 // backwards from the end of the block.
-func (bl *Block) Marshal() []byte {
-	buf := make([]byte, bl.CompressedSize())
+func (bl *Block) Marshal() []byte { return bl.AppendMarshal(nil) }
+
+// AppendMarshal appends the marshaled block (Marshal) to dst and returns
+// the extended slice; an encoder that reuses dst from block to block
+// marshals without allocating.
+func (bl *Block) AppendMarshal(dst []byte) []byte {
+	size := bl.CompressedSize()
+	dst = slices.Grow(dst, size)
+	buf := dst[len(dst) : len(dst)+size]
 	le := binary.LittleEndian
 
+	buf[6], buf[7] = 0, 0 // header padding
 	le.PutUint16(buf[0:], blockMagic)
 	buf[2] = byte(bl.Scheme)
 	buf[3] = byte(bl.Layout)
@@ -195,7 +204,7 @@ func (bl *Block) Marshal() []byte {
 			le.PutUint64(buf[p:], uint64(v))
 		}
 	}
-	return buf
+	return dst[:len(dst)+size]
 }
 
 // Unmarshal parses a marshaled block. Entries, Boundary, Dict and ExcVals

@@ -14,44 +14,26 @@ import (
 // (the top code point is reserved, mirroring the PFOR codeable window, so
 // Naive and Patched layouts have identical exception sets).
 func EncodePDict(vals []int64, b uint, layout Layout) (*Block, error) {
+	return detach(new(Encoder).PDict(vals, b, layout))
+}
+
+// PDict is EncodePDict into the encoder's reused buffers; the dictionary
+// itself is built fresh for every block.
+func (e *Encoder) PDict(vals []int64, b uint, layout Layout) (*Block, error) {
 	if b == 0 || b > 16 {
 		return nil, fmt.Errorf("compress: PDICT bit width %d out of range 1..16", b)
 	}
-	n := len(vals)
-	maxDict := int(uint32(1)<<b - 1)
-
-	dict, codeOf := buildDict(vals, maxDict)
-
-	in := layoutInput{
-		codes:    make([]uint32, n),
-		codeable: make([]bool, n),
-		logical:  vals,
-	}
+	dict, codeOf := buildDict(vals, int(uint32(1)<<b-1))
+	codes, codeable := e.codeBuffers(len(vals))
 	for i, v := range vals {
-		if c, ok := codeOf[v]; ok {
-			in.codes[i] = c
-			in.codeable[i] = true
-		}
+		codes[i], codeable[i] = codeOf[v]
 	}
-	codes, excVals, entries := buildLayout(in, b, layout)
-
+	bl := e.finish(PDict, layout, b, vals)
 	// Pad the dictionary to the full code space so that LOOP1's
 	// unconditional dict[code] lookup can never go out of bounds when the
 	// code slot holds a chain link.
-	padded := make([]int64, int(uint32(1)<<b))
-	copy(padded, dict)
-
-	bl := &Block{
-		Scheme:   PDict,
-		Layout:   layout,
-		N:        n,
-		B:        b,
-		Words:    packCodes(codes, b),
-		Entries:  entries,
-		ExcVals:  excVals,
-		Dict:     padded,
-		excWidth: chooseExcWidth(excVals),
-	}
+	bl.Dict = make([]int64, int(uint32(1)<<b))
+	copy(bl.Dict, dict)
 	return bl, nil
 }
 

@@ -16,35 +16,22 @@ import (
 // code). Under Naive the top code point is reserved as MAXCODE, so the
 // codeable window is one smaller.
 func EncodePFOR(vals []int64, b uint, base int64, layout Layout) (*Block, error) {
+	return detach(new(Encoder).PFOR(vals, b, base, layout))
+}
+
+// PFOR is EncodePFOR into the encoder's reused buffers.
+func (e *Encoder) PFOR(vals []int64, b uint, base int64, layout Layout) (*Block, error) {
 	if b == 0 || b > MaxBits {
 		return nil, fmt.Errorf("compress: PFOR bit width %d out of range 1..%d", b, MaxBits)
 	}
-	n := len(vals)
-	in := layoutInput{
-		codes:    make([]uint32, n),
-		codeable: make([]bool, n),
-		logical:  vals,
-	}
+	codes, codeable := e.codeBuffers(len(vals))
 	maxOffset := codeableMax(b, layout)
 	for i, v := range vals {
 		d := v - base
-		if d >= 0 && d <= maxOffset {
-			in.codes[i] = uint32(d)
-			in.codeable[i] = true
-		}
+		codes[i], codeable[i] = uint32(d), d >= 0 && d <= maxOffset
 	}
-	codes, excVals, entries := buildLayout(in, b, layout)
-	bl := &Block{
-		Scheme:   PFOR,
-		Layout:   layout,
-		N:        n,
-		B:        b,
-		Base:     base,
-		Words:    packCodes(codes, b),
-		Entries:  entries,
-		ExcVals:  excVals,
-		excWidth: chooseExcWidth(excVals),
-	}
+	bl := e.finish(PFOR, layout, b, vals)
+	bl.Base = base
 	return bl, nil
 }
 

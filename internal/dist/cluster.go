@@ -252,12 +252,12 @@ func (cl *Cluster) NewBroker(opts ...BrokerOption) (*Broker, error) {
 // StartClusterFromDirs does with an unbounded buffer-manager budget — one
 // TCP server per partition replica (WithReplicas; one by default). Close
 // removes the directory.
-func StartCluster(c *corpus.Collection, n int, cfg ir.BuildConfig, opts ...ClusterOption) (*Cluster, error) {
+func StartCluster(c *corpus.Collection, n int, opts ...ClusterOption) (*Cluster, error) {
 	root, err := os.MkdirTemp("", "x100-cluster-")
 	if err != nil {
 		return nil, fmt.Errorf("dist: %w", err)
 	}
-	dirs, err := BuildPartitions(c, n, cfg, root)
+	dirs, err := BuildPartitions(c, n, ir.DefaultBuildConfig(), root)
 	var cl *Cluster
 	if err == nil {
 		cl, err = StartClusterFromDirs(dirs, 0, opts...)

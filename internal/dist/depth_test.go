@@ -36,7 +36,7 @@ func TestDefaultKMatchesCentralized(t *testing.T) {
 		t.Fatal(err)
 	}
 	s := ir.NewSearcher(central, 0)
-	cl, err := StartCluster(c, 3, ir.DefaultBuildConfig())
+	cl, err := StartCluster(c, 3)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -82,7 +82,7 @@ func TestBoolDeepMatchesCentralized(t *testing.T) {
 		t.Fatal(err)
 	}
 	s := ir.NewSearcher(central, 0)
-	cl, err := StartCluster(c, parts, ir.DefaultBuildConfig())
+	cl, err := StartCluster(c, parts)
 	if err != nil {
 		t.Fatal(err)
 	}

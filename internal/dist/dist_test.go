@@ -31,7 +31,7 @@ func TestDistributedMatchesCentralized(t *testing.T) {
 	}
 	s := ir.NewSearcher(central, 0)
 
-	cl, err := StartCluster(c, 3, ir.DefaultBuildConfig())
+	cl, err := StartCluster(c, 3)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -75,7 +75,7 @@ func TestDistributedMatchesCentralized(t *testing.T) {
 
 func TestRunStreamsAndSub(t *testing.T) {
 	c := testCollection(t)
-	cl, err := StartCluster(c, 4, ir.DefaultBuildConfig())
+	cl, err := StartCluster(c, 4)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -117,7 +117,7 @@ func TestRunStreamsAndSub(t *testing.T) {
 // must aggregate into RunStats.
 func TestWireCarriesFullStats(t *testing.T) {
 	c := testCollection(t)
-	cl, err := StartCluster(c, 2, ir.DefaultBuildConfig())
+	cl, err := StartCluster(c, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -169,7 +169,7 @@ func TestWireCarriesFullStats(t *testing.T) {
 // query-at-a-time path produces.
 func TestBrokerSearchMany(t *testing.T) {
 	c := testCollection(t)
-	cl, err := StartCluster(c, 3, ir.DefaultBuildConfig())
+	cl, err := StartCluster(c, 3)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -218,7 +218,7 @@ func TestBrokerSearchMany(t *testing.T) {
 // not wait for brokers to hang up on their own.
 func TestServerCloseWithOpenConnections(t *testing.T) {
 	c := testCollection(t)
-	cl, err := StartCluster(c, 2, ir.DefaultBuildConfig())
+	cl, err := StartCluster(c, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -249,7 +249,7 @@ func TestServerCloseWithOpenConnections(t *testing.T) {
 
 func TestBrokerCancellation(t *testing.T) {
 	c := testCollection(t)
-	cl, err := StartCluster(c, 2, ir.DefaultBuildConfig())
+	cl, err := StartCluster(c, 2)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -24,7 +24,7 @@ func TestStartClusterReshapesMatchCentralized(t *testing.T) {
 		t.Fatal(err)
 	}
 	s := ir.NewSearcher(central, 0)
-	cl, err := StartCluster(c, 3, ir.DefaultBuildConfig())
+	cl, err := StartCluster(c, 3)
 	if err != nil {
 		t.Fatal(err)
 	}

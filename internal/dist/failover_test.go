@@ -63,7 +63,7 @@ func TestReplicatedClusterMatchesCentralized(t *testing.T) {
 	queries := c.PrecisionQueries(8, 41)
 	want := centralizedRankings(t, c, queries, 10)
 
-	cl, err := StartCluster(c, 3, ir.DefaultBuildConfig(), WithReplicas(2))
+	cl, err := StartCluster(c, 3, WithReplicas(2))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -111,7 +111,7 @@ func TestFailoverMidBatch(t *testing.T) {
 	queries := c.PrecisionQueries(6, 43)
 	want := centralizedRankings(t, c, queries, 10)
 
-	cl, err := StartCluster(c, 2, ir.DefaultBuildConfig(), WithReplicas(2))
+	cl, err := StartCluster(c, 2, WithReplicas(2))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -186,7 +186,7 @@ func TestFailoverMidBatch(t *testing.T) {
 // how many replicas were tried — not hang, not return a partial ranking.
 func TestDeadReplicaGroupError(t *testing.T) {
 	c := testCollection(t)
-	cl, err := StartCluster(c, 2, ir.DefaultBuildConfig(), WithReplicas(2))
+	cl, err := StartCluster(c, 2, WithReplicas(2))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -232,7 +232,7 @@ func TestHedgeBeatsStalledPrimary(t *testing.T) {
 	queries := c.PrecisionQueries(4, 53)
 	want := centralizedRankings(t, c, queries, 10)
 
-	cl, err := StartCluster(c, 2, ir.DefaultBuildConfig(), WithReplicas(2))
+	cl, err := StartCluster(c, 2, WithReplicas(2))
 	if err != nil {
 		t.Fatal(err)
 	}

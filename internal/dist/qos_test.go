@@ -24,7 +24,7 @@ func TestPartialResultsDegradedRanking(t *testing.T) {
 		reqs[i] = Request{Terms: q.Terms, K: 10, Strategy: ir.BM25TCMQ8}
 	}
 
-	cl, err := StartCluster(c, 3, ir.DefaultBuildConfig(), WithReplicas(2))
+	cl, err := StartCluster(c, 3, WithReplicas(2))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -114,7 +114,7 @@ func TestPartialResultsDegradedRanking(t *testing.T) {
 // a per-query error — not trigger failover, not kill the connection.
 func TestFaultErrorPropagates(t *testing.T) {
 	c := testCollection(t)
-	cl, err := StartCluster(c, 1, ir.DefaultBuildConfig())
+	cl, err := StartCluster(c, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -163,7 +163,7 @@ func TestBrokerConcurrentKillRevive(t *testing.T) {
 		reqs[i] = Request{Terms: queries[i].Terms, K: 10, Strategy: ir.BM25TCMQ8}
 	}
 
-	cl, err := StartCluster(c, 3, ir.DefaultBuildConfig(), WithReplicas(2))
+	cl, err := StartCluster(c, 3, WithReplicas(2))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -252,7 +252,7 @@ func TestBrokerConcurrentKillRevive(t *testing.T) {
 func TestAdmissionShedsAtSaturation(t *testing.T) {
 	c := testCollection(t)
 	queries := c.EfficiencyQueries(32, 71)
-	cl, err := StartCluster(c, 1, ir.DefaultBuildConfig())
+	cl, err := StartCluster(c, 1)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -28,7 +28,7 @@ func TestTracedSearchStitchesServerSubtrees(t *testing.T) {
 	c := testCollection(t)
 	queries := c.PrecisionQueries(2, 61)
 
-	cl, err := StartCluster(c, 2, ir.DefaultBuildConfig())
+	cl, err := StartCluster(c, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -108,7 +108,7 @@ func TestTracedHedgeShowsBothAttempts(t *testing.T) {
 	c := testCollection(t)
 	queries := c.PrecisionQueries(2, 67)
 
-	cl, err := StartCluster(c, 1, ir.DefaultBuildConfig(), WithReplicas(2))
+	cl, err := StartCluster(c, 1, WithReplicas(2))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -205,8 +205,16 @@ type Index struct {
 // collection numbers its terms by frequency rank, which keeps the frequent
 // terms' rows together. Scores use bc.Stats when set — every term must
 // then be in Stats.Ftd — and the collection's own statistics otherwise;
-// Config().Stats stays what the caller passed.
+// Config().Stats stays what the caller passed. The columns go to a fresh
+// SimDisk over colbm.DefaultDiskParams.
 func Build(c *corpus.Collection, bc BuildConfig) (*Index, error) {
+	return BuildInto(c, bc, colbm.NewSimDisk(colbm.DefaultDiskParams()))
+}
+
+// BuildInto is Build writing the columns into store, under the table names
+// bc.TablePrefix gives them: storage builds a segment straight into its
+// directory this way.
+func BuildInto(c *corpus.Collection, bc BuildConfig, store colbm.BlockStore) (*Index, error) {
 	st := bc.Stats
 	if st == nil {
 		st = localStats(c)
@@ -237,21 +245,22 @@ func Build(c *corpus.Collection, bc BuildConfig) (*Index, error) {
 			list = list[n:]
 		}
 	}
-	return w.Finish()
+	return w.FinishInto(store)
 }
 
 // assemble encodes the writer's flattened posting rows into the physical
-// TD and D tables, quantizing against [lo, hi] — the tail of Finish. Both
-// docid columns alias the same flattened slice; the builder encodes
-// chunk-at-a-time, so this is the only place the whole run exists as Go
-// slices, and the one place term skylines are computed.
-func (w *IndexWriter) assemble(lo, hi float64) (*Index, error) {
+// TD and D tables in store, quantizing against [lo, hi] — the tail of
+// Finish. Both docid columns of TD encode from the same flattened slice,
+// and the columns derived from the rows (TD's qscore, D's dense docid) are
+// produced a chunk at a time as the builder encodes them: the writer's row
+// arrays are the only place the whole run exists as Go slices. This is the
+// one place term skylines are computed.
+func (w *IndexWriter) assemble(store colbm.BlockStore, lo, hi float64) (*Index, error) {
 	bc, docids, tfs, scores, docLens := w.bc, w.docids, w.tfs, w.scores, w.docLens
 	chunkLen := bc.ChunkLen
 	if chunkLen == 0 {
 		chunkLen = postingChunkLen
 	}
-	store := colbm.NewSimDisk(colbm.DefaultDiskParams())
 	cache := colbm.NewManager(bc.PoolBytes)
 	// TD table, in tdColumns order.
 	tdb := colbm.NewBuilder(bc.TablePrefix+"TD", store, cache, []colbm.ColumnSpec{
@@ -267,9 +276,9 @@ func (w *IndexWriter) assemble(lo, hi float64) (*Index, error) {
 	tdb.SetInt64(ColDocIDC, docids)
 	tdb.SetInt64(ColTFC, tfs)
 	tdb.SetFloat64(ColScore, scores)
-	q := make([]uint8, len(scores))
-	primitives.QuantizeGlobalByValue(q, scores, lo, hi, 256, nil, len(scores))
-	tdb.SetUInt8(ColQScore, q)
+	tdb.SetUInt8Func(ColQScore, len(scores), func(dst []uint8, off int) {
+		primitives.QuantizeGlobalByValue(dst, scores[off:], lo, hi, 256, nil, len(dst))
+	})
 	td, err := tdb.Build()
 	if err != nil {
 		return nil, err
@@ -283,15 +292,13 @@ func (w *IndexWriter) assemble(lo, hi float64) (*Index, error) {
 		{Name: "len", Type: vector.Int64, Enc: colbm.EncPFOR, Bits: 8, ChunkLen: chunkLen},
 		{Name: "name", Type: vector.Str, ChunkLen: nameChunkLen},
 	})
-	dense := make([]int64, len(docLens))
-	for i := range dense {
-		dense[i] = bc.DocIDBase + int64(i)
-	}
-	db.SetInt64("docid", dense)
+	db.SetInt64Func("docid", len(docLens), func(dst []int64, off int) {
+		for i := range dst {
+			dst[i] = bc.DocIDBase + int64(off+i)
+		}
+	})
 	db.SetInt64("len", docLens)
-	for _, n := range w.docNames {
-		db.AppendStr("name", n)
-	}
+	db.AppendStr("name", w.docNames...)
 	d, err := db.Build()
 	if err != nil {
 		return nil, err

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 
+	"repro/internal/colbm"
 	"repro/internal/primitives"
 )
 
@@ -13,8 +14,10 @@ import (
 // it one input segment's postings at a time, so their run is never
 // materialized as per-term Posting slices. The writer holds exactly the
 // flattened row arrays the physical tables encode from — pre-sized once
-// from the declared totals, so peak memory is the final row footprint with
-// no intermediate copies and no append regrowth.
+// from the declared totals, so they never regrow. Finish encodes the
+// columns from them a chunk at a time straight into the block store (the
+// segment's own directory, for a storage build): the rows and the bytes
+// the store keeps are the build's only whole-column memory.
 //
 // Protocol: add every document (AddDocLens, then AddDocNames, both in
 // local docid order) before the first BeginTerm — scoring reads document
@@ -179,11 +182,17 @@ func (w *IndexWriter) Postings(docids, tfs []int64) error {
 	return nil
 }
 
-// Finish seals the last term and encodes the physical tables, returning
-// the built index. The declared document and posting totals must have
-// been reached exactly. The quantization bounds are the computed weights'
-// min and max widened by Stats' bounds.
+// Finish seals the last term and encodes the physical tables into a fresh
+// SimDisk, returning the built index. The declared document and posting
+// totals must have been reached exactly. The quantization bounds are the
+// computed weights' min and max widened by Stats' bounds.
 func (w *IndexWriter) Finish() (*Index, error) {
+	return w.FinishInto(colbm.NewSimDisk(colbm.DefaultDiskParams()))
+}
+
+// FinishInto is Finish writing the tables into store, under the table
+// names the writer's BuildConfig.TablePrefix gives them.
+func (w *IndexWriter) FinishInto(store colbm.BlockStore) (*Index, error) {
 	w.sealTerm()
 	if len(w.docLens) != w.numDocs || len(w.docNames) != w.numDocs {
 		return nil, fmt.Errorf("ir: finished with %d lengths / %d names of %d documents",
@@ -196,5 +205,5 @@ func (w *IndexWriter) Finish() (*Index, error) {
 	if w.stats.HasScoreBounds {
 		lo, hi = min(lo, w.stats.ScoreLo), max(hi, w.stats.ScoreHi)
 	}
-	return w.assemble(lo, hi)
+	return w.assemble(store, lo, hi)
 }

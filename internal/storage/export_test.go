@@ -64,3 +64,14 @@ func (st *mergedStats) scoreBounds(batch *corpus.Collection) (bounds, error) {
 	}
 	return bounds{true, lo, hi}, nil
 }
+
+// setChunkHook installs fn as chunkHook, the failure-injection point every
+// chunk a FileStore writer (or WriteFileAtomic) appends goes through; nil
+// clears it.
+func setChunkHook(fn func(file string, off int64) error) {
+	if fn == nil {
+		chunkHook.Store(nil)
+		return
+	}
+	chunkHook.Store(&fn)
+}

@@ -63,52 +63,121 @@ func (fs *FileStore) path(name string) string {
 	return filepath.Join(fs.dir, name+blobExt)
 }
 
-// Write stores a blob as <dir>/<name>.col, replacing any previous content.
-// The data lands under a temporary name first and is renamed into place,
-// so a crashed write never leaves a plausible-looking half file.
-func (fs *FileStore) Write(name string, data []byte) error {
-	fs.mu.Lock()
-	if fs.closed {
-		fs.mu.Unlock()
-		return fmt.Errorf("storage: write %q on closed store", name)
+// Create starts writing a blob as <dir>/<name>.col. The chunks land in a
+// temporary file in the directory, which the writer's Close renames into
+// place, so a crashed or failed write never leaves a plausible-looking half
+// file under the blob's name. A read handle the store holds on a previous
+// blob of that name is dropped once the new one is in place.
+func (fs *FileStore) Create(name string) (colbm.ChunkWriter, error) {
+	fs.mu.RLock()
+	closed := fs.closed
+	fs.mu.RUnlock()
+	if closed {
+		return nil, fmt.Errorf("storage: write %q on closed store", name)
 	}
-	if f, ok := fs.files[name]; ok { // invalidate a stale read handle
+	w, err := createAtomic(fs.dir, "."+name+".tmp-*", fs.path(name))
+	if err != nil {
+		return nil, fmt.Errorf("storage: write %q: %w", name, err)
+	}
+	w.published = func() { fs.forget(name) }
+	return w, nil
+}
+
+// forget closes and drops the read handle of blob name, if the store holds
+// one: the file under that name was replaced.
+func (fs *FileStore) forget(name string) {
+	fs.mu.Lock()
+	defer fs.mu.Unlock()
+	if f, ok := fs.files[name]; ok {
 		f.Close()
 		delete(fs.files, name)
 	}
 	delete(fs.sizes, name)
-	fs.mu.Unlock()
+}
 
-	if err := WriteFileAtomic(fs.dir, "."+name+".tmp-*", fs.path(name), data); err != nil {
-		return fmt.Errorf("storage: write %q: %w", name, err)
+// WriteFileAtomic writes data to dst (inside dir) via a temporary file
+// named by pattern (see os.CreateTemp) and a rename (createAtomic).
+// Manifest and topology-spec writes go through it.
+func WriteFileAtomic(dir, pattern, dst string, data []byte) error {
+	w, err := createAtomic(dir, pattern, dst)
+	if err != nil {
+		return err
+	}
+	w.Append(data)
+	return w.Close()
+}
+
+// atomicFile is a file being written under a temporary name in its final
+// directory and renamed to its final name at Close — the one way this
+// package puts a file in place, so a crash mid-write never leaves a
+// plausible-looking half file under the final name. It is the
+// colbm.ChunkWriter of a FileStore blob. On any failure, and on Abort, the
+// temporary file is removed.
+type atomicFile struct {
+	f   *os.File
+	dst string
+	off int64
+	err error // the first failed Append
+	// published, when set, runs after the rename.
+	published func()
+}
+
+// chunkHook, when set, is called before every chunk an atomicFile appends,
+// with the destination's base name and the chunk's offset in it; an error
+// fails that Append. It is the failure-injection point of the
+// failed-build tests (setChunkHook).
+var chunkHook atomic.Pointer[func(file string, off int64) error]
+
+func createAtomic(dir, pattern, dst string) (*atomicFile, error) {
+	f, err := os.CreateTemp(dir, pattern)
+	if err != nil {
+		return nil, err
+	}
+	return &atomicFile{f: f, dst: dst}, nil
+}
+
+func (a *atomicFile) Append(chunk []byte) error {
+	if a.err == nil {
+		if h := chunkHook.Load(); h != nil {
+			a.err = (*h)(filepath.Base(a.dst), a.off)
+		}
+	}
+	if a.err == nil {
+		_, a.err = a.f.Write(chunk)
+		a.off += int64(len(chunk))
+	}
+	return a.err
+}
+
+func (a *atomicFile) Close() error {
+	f := a.f
+	if f == nil {
+		return nil
+	}
+	a.f = nil
+	err := a.err
+	if cerr := f.Close(); err == nil {
+		err = cerr
+	}
+	if err == nil {
+		err = os.Rename(f.Name(), a.dst)
+	}
+	if err != nil {
+		os.Remove(f.Name())
+		return err
+	}
+	if a.published != nil {
+		a.published()
 	}
 	return nil
 }
 
-// WriteFileAtomic writes data to dst (inside dir) via a temporary file
-// named by pattern (see os.CreateTemp) and a rename, so a crash mid-write
-// never leaves a plausible-looking half file under the final name. On any
-// failure the temporary file is removed. Blob, manifest and topology-spec
-// writes all go through it.
-func WriteFileAtomic(dir, pattern, dst string, data []byte) error {
-	tmp, err := os.CreateTemp(dir, pattern)
-	if err != nil {
-		return err
+func (a *atomicFile) Abort() {
+	if a.f != nil {
+		a.f.Close()
+		os.Remove(a.f.Name())
+		a.f = nil
 	}
-	if _, err := tmp.Write(data); err != nil {
-		tmp.Close()
-		os.Remove(tmp.Name())
-		return err
-	}
-	if err := tmp.Close(); err != nil {
-		os.Remove(tmp.Name())
-		return err
-	}
-	if err := os.Rename(tmp.Name(), dst); err != nil {
-		os.Remove(tmp.Name())
-		return err
-	}
-	return nil
 }
 
 // handle returns an open file and its size, opening lazily on first use.

@@ -17,7 +17,7 @@ func seededStore(t *testing.T, blobs map[string][]byte) *FileStore {
 	}
 	t.Cleanup(func() { fs.Close() })
 	for name, data := range blobs {
-		if err := fs.Write(name, data); err != nil {
+		if err := colbm.WriteBlob(fs, name, data); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -98,7 +98,7 @@ func TestReadIntoPlacesDataAligned(t *testing.T) {
 	blob := pattern(3*readAlign + 517)
 	fs := seededStore(t, map[string][]byte{"b": blob})
 	sim := colbm.NewSimDisk(colbm.DefaultDiskParams())
-	sim.Write("b", blob)
+	colbm.WriteBlob(sim, "b", blob)
 	for _, st := range []colbm.BlockStore{fs, sim} {
 		for _, r := range []struct{ off, size int }{{0, len(blob)}, {13, 517}, {readAlign - 3, readAlign + 9}, {len(blob) - 5, 5}} {
 			want := blob[r.off : r.off+r.size]
@@ -167,7 +167,7 @@ func TestFileStoreRewriteDropsHandle(t *testing.T) {
 		t.Fatal(err)
 	}
 	fresh := bytes.Repeat([]byte{0xAB}, 2*readAlign)
-	if err := fs.Write("b", fresh); err != nil {
+	if err := colbm.WriteBlob(fs, "b", fresh); err != nil {
 		t.Fatal(err)
 	}
 	got, err := fs.Read("b", 0, len(fresh))

@@ -11,11 +11,14 @@ import (
 )
 
 // writeSegment persists one index into dir as a segment: one <blob>.col
-// file per column plus MANIFEST.json. Column data is copied blob-at-a-time
-// through the index's block store, so both freshly built (SimDisk-backed)
-// and already persisted (FileStore-backed) indexes can be written anywhere.
-// The manifest is written last: a crashed or interrupted write leaves a
-// directory openSegment refuses, never a torn segment.
+// file per column plus MANIFEST.json. A segment this package builds itself
+// (buildSegment) already has its columns in dir, written there chunk by
+// chunk under the segment's table prefix as the build encoded them, and
+// only the manifest is written. An index built elsewhere — ir.Build's
+// SimDisk, or another directory's files — has each column streamed into
+// its file in dir (colbm.CopyBlob) under the segment's prefix, never read
+// whole. The manifest is written last: a crashed or interrupted write
+// leaves a directory openSegment refuses, never a torn segment.
 //
 // The manifest written is handed to the memo (handOff) with the bytes it
 // encodes to, after the validation a decode would run, so whatever reads
@@ -26,12 +29,6 @@ func writeSegment(dir string, ix *ir.Index) error {
 	if ix == nil {
 		return fmt.Errorf("storage: writeSegment(nil index)")
 	}
-	fs, err := NewFileStore(dir)
-	if err != nil {
-		return err
-	}
-	defer fs.Close()
-
 	m := &Manifest{
 		Magic:    FormatMagic,
 		Version:  FormatVersion,
@@ -58,19 +55,9 @@ func writeSegment(dir string, ix *ir.Index) error {
 	// segment GC drops a removed segment's cached chunks by that prefix.
 	built, seg := m.Config.TablePrefix, filepath.Base(dir)
 	m.Config.TablePrefix = seg + "."
-	rename := func(s string) string { return m.Config.TablePrefix + strings.TrimPrefix(s, built) }
-	for _, table := range []*colbm.StoredTable{&m.TD, &m.D} {
-		table.Name = rename(table.Name)
-		for i := range table.Columns {
-			col := &table.Columns[i]
-			data, err := ix.Store.Read(col.Blob, 0, col.DiskSize())
-			if err != nil {
-				return fmt.Errorf("storage: persist column %q: %w", col.Blob, err)
-			}
-			col.Blob = rename(col.Blob)
-			if err := fs.Write(col.Blob, data); err != nil {
-				return err
-			}
+	if fs, ok := ix.Store.(*FileStore); !ok || fs.Dir() != dir || built != m.Config.TablePrefix {
+		if err := copyColumns(dir, ix.Store, m, built); err != nil {
+			return err
 		}
 	}
 	if err := m.validate(dir, seg); err != nil {
@@ -82,6 +69,56 @@ func writeSegment(dir string, ix *ir.Index) error {
 	}
 	memo.handOff(dir, seg, data, m)
 	return nil
+}
+
+// copyColumns streams every column of m from src into a file of dir,
+// renaming its table and blob from the prefix built to m's.
+func copyColumns(dir string, src colbm.BlockStore, m *Manifest, built string) error {
+	fs, err := NewFileStore(dir)
+	if err != nil {
+		return err
+	}
+	defer fs.Close()
+	rename := func(s string) string { return m.Config.TablePrefix + strings.TrimPrefix(s, built) }
+	for _, table := range []*colbm.StoredTable{&m.TD, &m.D} {
+		table.Name = rename(table.Name)
+		for i := range table.Columns {
+			col := &table.Columns[i]
+			w, err := fs.Create(rename(col.Blob))
+			if err != nil {
+				return err
+			}
+			if err := colbm.CopyBlob(w, src, col.Blob, col.DiskSize()); err != nil {
+				w.Abort()
+				return fmt.Errorf("storage: persist column %q: %w", col.Blob, err)
+			}
+			if err := w.Close(); err != nil {
+				return err
+			}
+			col.Blob = rename(col.Blob)
+		}
+	}
+	return nil
+}
+
+// buildSegment finishes a build of segment name of dir straight into the
+// segment's directory: build writes its columns through a FileStore there
+// (under the TablePrefix "<name>.", which the caller set on the build's
+// configuration), and writeSegment adds the manifest. The index is closed
+// on return; its statistics and bounds stay readable.
+func buildSegment(dir, name string, build func(colbm.BlockStore) (*ir.Index, error)) (*ir.Index, error) {
+	segDir := filepath.Join(dir, name)
+	fs, err := NewFileStore(segDir)
+	if err != nil {
+		return nil, err
+	}
+	ix, err := build(fs)
+	if err != nil {
+		fs.Close()
+		return nil, err
+	}
+	defer ix.Close()
+	return ix, writeSegment(segDir, ix)
 }
 
 // verifyIndexFiles cross-checks a manifest against the directory's column

@@ -287,7 +287,6 @@ func PrepareAbsorb(dstDir, srcDir string, cancel func() bool) (*AbsorbPrep, erro
 	if err != nil {
 		return nil, err
 	}
-	segDir := filepath.Join(dstDir, name)
 	fail := func(err error) (*AbsorbPrep, error) {
 		DiscardSegment(dstDir, name)
 		return nil, err
@@ -295,7 +294,7 @@ func PrepareAbsorb(dstDir, srcDir string, cancel func() bool) (*AbsorbPrep, erro
 
 	entry := spanning(name, ssm.Segments)
 	entry.DocBase = dsm.nextDocID()
-	bc.DocIDBase = entry.DocBase
+	bc.DocIDBase, bc.TablePrefix = entry.DocBase, name+"."
 	w, err := ir.NewIndexWriter(bc, entry.Docs, entry.Postings)
 	if err != nil {
 		return fail(err)
@@ -311,11 +310,7 @@ func PrepareAbsorb(dstDir, srcDir string, cancel func() bool) (*AbsorbPrep, erro
 	if cancel != nil && cancel() {
 		return fail(ErrBuildCanceled)
 	}
-	ix, err := w.Finish()
-	if err == nil {
-		err = writeSegment(segDir, ix)
-	}
-	if err != nil {
+	if _, err := buildSegment(dstDir, name, w.FinishInto); err != nil {
 		return fail(err)
 	}
 	return &AbsorbPrep{dstDir, srcDir, entry, b, dsm.Generation, ssm.Generation}, nil

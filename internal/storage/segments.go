@@ -358,12 +358,10 @@ func AppendSegment(dir string, batch *corpus.Collection) (uint64, error) {
 	if err != nil {
 		return 0, err
 	}
-	segDir := filepath.Join(dir, name)
-	bc := ir.BuildConfig{DocIDBase: sm.nextDocID(), Stats: st.globalStats(existing)}
-	ix, err := ir.Build(batch, bc)
-	if err == nil {
-		err = writeSegment(segDir, ix)
-	}
+	bc := ir.BuildConfig{DocIDBase: sm.nextDocID(), Stats: st.globalStats(existing), TablePrefix: name + "."}
+	ix, err := buildSegment(dir, name, func(store colbm.BlockStore) (*ir.Index, error) {
+		return ir.BuildInto(batch, bc, store)
+	})
 	if err != nil {
 		DiscardSegment(dir, name)
 		return 0, err
@@ -684,8 +682,9 @@ func BuildMergedSegment(dir string, names []string, into string, cancel func() b
 	run := spanning(into, sm.Segments[at:at+len(names)])
 
 	w, err := ir.NewIndexWriter(ir.BuildConfig{
-		DocIDBase: run.DocBase,
-		Stats:     st.globalStats(bounds{sm.HasBounds, sm.ScoreLo, sm.ScoreHi}),
+		DocIDBase:   run.DocBase,
+		Stats:       st.globalStats(bounds{sm.HasBounds, sm.ScoreLo, sm.ScoreHi}),
+		TablePrefix: into + ".",
 	}, run.Docs, run.Postings)
 	if err != nil {
 		return 0, err
@@ -700,11 +699,7 @@ func BuildMergedSegment(dir string, names []string, into string, cancel func() b
 	if cancel != nil && cancel() {
 		return 0, ErrBuildCanceled
 	}
-	ix, err := w.Finish()
-	if err == nil {
-		err = writeSegment(filepath.Join(dir, into), ix)
-	}
-	if err != nil {
+	if _, err := buildSegment(dir, into, w.FinishInto); err != nil {
 		return 0, err
 	}
 	return sm.StatsEpoch, nil

@@ -26,7 +26,7 @@ func TestFileStoreRoundTrip(t *testing.T) {
 	for i := range data {
 		data[i] = byte(i * 31)
 	}
-	if err := fs.Write("TD.docidc", data); err != nil {
+	if err := colbm.WriteBlob(fs, "TD.docidc", data); err != nil {
 		t.Fatal(err)
 	}
 	if got := fs.Size("TD.docidc"); got != len(data) {
@@ -90,7 +90,7 @@ func TestFileStoreAlignedRequests(t *testing.T) {
 	}
 	defer fs.Close()
 	data := make([]byte, 4*readAlign)
-	if err := fs.Write("b", data); err != nil {
+	if err := colbm.WriteBlob(fs, "b", data); err != nil {
 		t.Fatal(err)
 	}
 	fs.ResetStats()

@@ -263,7 +263,7 @@ func TestEveryDirectoryShape(t *testing.T) {
 	}
 
 	t.Run("BuildPartitions", func(t *testing.T) {
-		dirs, err := BuildPartitions(seed, 2, DefaultIndexConfig(), t.TempDir())
+		dirs, err := BuildPartitions(seed, 2, t.TempDir())
 		if err != nil {
 			t.Fatal(err)
 		}

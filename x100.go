@@ -250,16 +250,16 @@ func WithPartialResults() BrokerOption { return dist.WithPartialResults() }
 // (each served by WithClusterReplicas servers; one by default), built into
 // a temporary directory the cluster owns and removes on Close, every
 // replica served through an unbounded buffer pool.
-func StartCluster(c *Collection, n int, cfg IndexConfig, opts ...ClusterOption) (*Cluster, error) {
-	return dist.StartCluster(c, n, cfg, opts...)
+func StartCluster(c *Collection, n int, opts ...ClusterOption) (*Cluster, error) {
+	return dist.StartCluster(c, n, opts...)
 }
 
 // BuildPartitions builds the collection's n partition indexes with global
 // statistics and persists each under baseDir/part-<i>; the returned
 // directories feed StartClusterFromDirs (possibly in another process —
 // the point is that no corpus re-parsing happens at serve time).
-func BuildPartitions(c *Collection, n int, cfg IndexConfig, baseDir string) ([]string, error) {
-	return dist.BuildPartitions(c, n, cfg, baseDir)
+func BuildPartitions(c *Collection, n int, baseDir string) ([]string, error) {
+	return dist.BuildPartitions(c, n, DefaultIndexConfig(), baseDir)
 }
 
 // StartClusterFromDirs serves persisted partition directories, each

@@ -133,7 +133,7 @@ func TestFacadeCompression(t *testing.T) {
 
 func TestFacadeCluster(t *testing.T) {
 	coll := fixtureCollection()
-	cluster, err := StartCluster(coll, 2, DefaultIndexConfig())
+	cluster, err := StartCluster(coll, 2)
 	if err != nil {
 		t.Fatal(err)
 	}

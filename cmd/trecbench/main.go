@@ -56,7 +56,7 @@ var registry = []experiment{
 	{"vecsize", vecsize}, // §4 vector-size ablation
 	// Chaos and overload scenarios.
 	{"hedge", hedgeExperiment},         // replica groups: hedged tail latency + failover
-	{"qps", qpsExperiment},             // open-loop QoS: shedding, adaptive hedge, partial results
+	{"qps", qpsExperiment},             // open-loop QoS: shedding, partial results
 	{"ingest", ingestExperiment},       // Broker.Add while serving, p99 held to 3x quiesced
 	{"rebalance", rebalanceExperiment}, // topology reconcile while serving, p99 held to 3x quiesced
 }
@@ -459,11 +459,12 @@ func vecsize(p params) error {
 // every 10th request it sees — the kind of fault a latency estimate alone
 // cannot route around, because the replica is fast between stalls). The
 // same hot query stream runs through an unhedged broker and through one
-// armed with a hedge budget, and the per-query latency distribution is
-// compared: unhedged p99 absorbs the full stall, hedged p99 sits near the
-// budget because the slice is re-issued to the healthy replica and the
-// first answer wins. A final round kills a whole replica per partition
-// mid-service and shows the broker failing over without dropping a query.
+// under WithHedging, whose groups arm their own budgets from the
+// latencies they observe — nothing is calibrated by hand. Unhedged p99
+// absorbs the full stall; hedged p99 sits near the budget because the
+// slice is re-issued to the healthy replica and the first answer wins. A
+// final round kills a whole replica per partition mid-service and shows
+// the broker failing over without dropping a query.
 func hedgeExperiment(p params) error {
 	docs, nq, servers, seed := p.docs, p.queries, p.servers, p.seed
 	header("Replica groups: hedged fan-out vs an intermittent straggler, then failover")
@@ -493,78 +494,79 @@ func hedgeExperiment(p params) error {
 		return err
 	}
 
-	// Calibrate the hedge budget against the healthy cluster: a small
-	// multiple of the unperturbed p50, floored at 1ms, is "just above
-	// normal" — hedges then fire only in the tail.
-	calBrk, err := cl.NewBroker()
+	// Both brokers get the same unmeasured lead-in on the healthy cluster:
+	// it arms the hedged broker's groups (a group hedges nothing before 32
+	// observed wins) and gives the healthy p50 the fault is sized from.
+	unhedged, err := cl.NewBroker()
 	if err != nil {
 		return err
 	}
-	cal, _, err := runLatencies(ctx, calBrk, queries[:min(len(queries), 200)], 20, strat)
-	calBrk.Close()
+	defer unhedged.Close()
+	hedged, err := cl.NewBroker(dist.WithHedging())
 	if err != nil {
 		return err
 	}
-	budget := 4 * loadgen.Percentile(cal, 50)
-	if budget < time.Millisecond {
-		budget = time.Millisecond
+	defer hedged.Close()
+	lead := queries[:min(len(queries), 64)]
+	healthy, _, err := runLatencies(ctx, unhedged, lead, 20, strat)
+	if err != nil {
+		return err
+	}
+	if _, _, err := runLatencies(ctx, hedged, lead, 20, strat); err != nil {
+		return err
 	}
 
 	// The fault: replica 0 of partition 0 stalls every 10th request it
-	// serves, for many multiples of the budget. Round-robin primary duty
-	// sends it half the stream, so roughly 5% of queries hit a stall —
-	// squarely inside the p99.
-	stall := 20 * budget
-	if stall < 25*time.Millisecond {
-		stall = 25 * time.Millisecond
-	}
-	cl.Replica(0, 0).SetStall(10, stall)
-	fmt.Printf("straggler: partition 0 replica 0 stalls %.1f ms every 10th request; hedge budget %.2f ms\n\n",
-		float64(stall.Microseconds())/1000, float64(budget.Microseconds())/1000)
+	// serves, for 80 healthy p50s (at least 25 ms). Round-robin primary
+	// duty sends it half the stream, so roughly 5% of queries hit a stall
+	// — squarely inside the p99.
+	stall := max(80*loadgen.Percentile(healthy, 50), 25*time.Millisecond)
+	cl.Replica(0, 0).SetFault(10, dist.FaultStall, stall)
+	fmt.Printf("straggler: partition 0 replica 0 stalls %.1f ms every 10th request\n\n",
+		loadgen.Ms(stall))
 
-	fmt.Printf("%-26s %10s %10s %10s %10s %8s %8s\n",
-		"broker", "p50 ms", "p90 ms", "p99 ms", "max ms", "hedged", "retried")
+	fmt.Printf("%-10s %10s %10s %10s %10s %8s %10s %8s %14s\n",
+		"broker", "p50 ms", "p90 ms", "p99 ms", "max ms", "hedged", "hedge rate", "retried", "budgets ms")
 	for _, mode := range []struct {
 		name string
-		opts []dist.BrokerOption
+		brk  *dist.Broker
 	}{
-		{"unhedged", nil},
-		{fmt.Sprintf("hedged (%.2f ms)", float64(budget.Microseconds())/1000),
-			[]dist.BrokerOption{dist.WithHedgeBudget(budget)}},
+		{"unhedged", unhedged},
+		{"hedged", hedged},
 	} {
-		brk, err := cl.NewBroker(mode.opts...)
+		lats, timing, err := runLatencies(ctx, mode.brk, queries, 20, strat)
 		if err != nil {
 			return err
 		}
-		lats, timing, err := runLatencies(ctx, brk, queries, 20, strat)
-		brk.Close()
-		if err != nil {
-			return err
+		m := mode.brk.MetricsSnapshot()
+		// Hedge rate per opportunity: every call gives each partition group
+		// one chance to hedge its slice, and the rate cap is enforced per
+		// group over every call, lead-in included — so the hedges and the
+		// denominator (calls x groups) are the broker's totals.
+		rate := float64(m.Hedged) / float64(m.Calls*int64(len(m.Groups)))
+		budgets := ""
+		for gi, g := range m.Groups {
+			if gi > 0 {
+				budgets += "/"
+			}
+			budgets += fmt.Sprintf("%.2f", loadgen.Ms(g.HedgeBudget))
 		}
-		fmt.Printf("%-26s %10.2f %10.2f %10.2f %10.2f %8d %8d\n",
+		fmt.Printf("%-10s %10.2f %10.2f %10.2f %10.2f %8d %9.2f%% %8d %14s\n",
 			mode.name, loadgen.Ms(loadgen.Percentile(lats, 50)), loadgen.Ms(loadgen.Percentile(lats, 90)),
 			loadgen.Ms(loadgen.Percentile(lats, 99)), loadgen.Ms(loadgen.Percentile(lats, 100)),
-			timing.Hedged, timing.Retried)
+			m.Hedged, rate*100, timing.Retried, budgets)
 	}
 
 	// Failover: kill one whole replica of every partition while the hedged
 	// broker keeps serving — every query must still be answered, with the
 	// retry counter recording the transparent re-issues.
 	fmt.Printf("\nkilling replica 0 of every partition, same broker keeps serving ...\n")
-	brk, err := cl.NewBroker(dist.WithHedgeBudget(budget))
-	if err != nil {
-		return err
-	}
-	defer brk.Close()
-	if _, _, err := brk.SearchContext(ctx, queries[0].Terms, 20, strat); err != nil {
-		return err
-	}
 	for p := 0; p < cl.Partitions(); p++ {
-		cl.Replica(p, 0).SetStall(0, 0)
+		cl.Replica(p, 0).SetFault(0, dist.FaultNone, 0)
 		cl.Replica(p, 0).Close()
 	}
 	kill := queries[:min(len(queries), 400)]
-	lats, timing, err := runLatencies(ctx, brk, kill, 20, strat)
+	lats, timing, err := runLatencies(ctx, hedged, kill, 20, strat)
 	if err != nil {
 		return err
 	}
@@ -574,8 +576,9 @@ func hedgeExperiment(p params) error {
 
 	fmt.Println("\n(shape: the unhedged p99 absorbs the full stall because per-query latency")
 	fmt.Println(" tracks the slowest partition server; the hedged p99 sits near the hedge")
-	fmt.Println(" budget because the stalled slice is re-issued to the healthy replica and")
-	fmt.Println(" the first answer wins. Killing a replica outright is absorbed the same")
+	fmt.Println(" budget — 4x each group's own median — because the stalled slice is")
+	fmt.Println(" re-issued to the healthy replica and the first answer wins, at a hedge")
+	fmt.Println(" rate the 5% cap bounds. Killing a replica outright is absorbed the same")
 	fmt.Println(" way: the broker retries the slice on the surviving replica and only a")
 	fmt.Println(" whole dead replica group would surface an error)")
 	return nil

@@ -16,7 +16,7 @@ import (
 // qpsExperiment measures the serving-QoS subsystem under open-loop load —
 // the regime closed-loop harnesses (Table 3's RunStreams) cannot show,
 // because a closed loop slows its own arrivals when the system slows down.
-// Three sections:
+// Two sections (hedging against a straggler is the hedge experiment's):
 //
 //  1. Throughput vs p99: a Poisson arrival stream swept across fractions
 //     of the measured capacity, through a plain broker and through one
@@ -24,16 +24,12 @@ import (
 //     capacity the plain broker's queue (and p99) grows with the run
 //     length while the shedding broker rejects the excess and keeps the
 //     admitted p99 near the SLO.
-//  2. Adaptive vs fixed hedge budget against an intermittent straggler:
-//     the adaptive budget calibrates itself per group from observed
-//     latencies (no hand-tuned constant) and its hedge rate stays under
-//     the cap.
-//  3. Partial results: a whole replica group is killed; a broker opted
+//  2. Partial results: a whole replica group is killed; a broker opted
 //     into WithPartialResults keeps answering from the survivors with
 //     every result flagged Degraded.
 func qpsExperiment(p params) error {
 	docs, nq, servers, seed := p.docs, p.queries, p.servers, p.seed
-	header("Serving QoS: open-loop load, admission control, adaptive hedging, partial results")
+	header("Serving QoS: open-loop load, admission control, partial results")
 	cfg := corpus.DefaultConfig()
 	cfg.NumDocs = docs
 	cfg.Seed = seed
@@ -122,66 +118,7 @@ func qpsExperiment(p params) error {
 	fmt.Println(" shedding broker's admitted p99 stays near the SLO and the excess shows")
 	fmt.Println(" up as shed count instead of latency)")
 
-	// Section 2: adaptive hedge budget vs a hand-tuned fixed one, against
-	// the intermittent straggler of the hedge experiment.
-	fixed := 4 * p50
-	if fixed < time.Millisecond {
-		fixed = time.Millisecond
-	}
-	stall := 20 * fixed
-	if stall < 25*time.Millisecond {
-		stall = 25 * time.Millisecond
-	}
-	cl.Replica(0, 0).SetStall(10, stall)
-	fmt.Printf("\nstraggler: partition 0 replica 0 stalls %.1f ms every 10th request\n",
-		float64(stall.Microseconds())/1000)
-	fmt.Printf("%-22s %10s %10s %10s %8s %10s\n",
-		"hedge policy", "p50 ms", "p99 ms", "max ms", "hedged", "hedge rate")
-	for _, mode := range []struct {
-		name string
-		opts []dist.BrokerOption
-	}{
-		{"none", nil},
-		{fmt.Sprintf("fixed (%.2f ms)", float64(fixed.Microseconds())/1000),
-			[]dist.BrokerOption{dist.WithHedgeBudget(fixed)}},
-		{"adaptive (p95, cap 5%)", []dist.BrokerOption{dist.WithAdaptiveHedge(0)}},
-	} {
-		brk, err := cl.NewBroker(mode.opts...)
-		if err != nil {
-			return err
-		}
-		// The adaptive budget needs warmup observations before it arms;
-		// give every policy the same unmeasured lead-in.
-		for _, q := range queries[:min(len(queries), 64)] {
-			if _, _, err := brk.SearchContext(ctx, q.Terms, 20, strat); err != nil {
-				brk.Close()
-				return err
-			}
-		}
-		lats, _, err := runLatencies(ctx, brk, queries, 20, strat)
-		if err != nil {
-			brk.Close()
-			return err
-		}
-		m := brk.MetricsSnapshot()
-		brk.Close()
-		// Hedge rate per opportunity: every call gives each partition group
-		// one chance to hedge its slice, and the adaptive cap is enforced
-		// per group — so the denominator is calls x groups.
-		rate := 0.0
-		if opps := m.Calls * int64(len(m.Groups)); opps > 0 {
-			rate = float64(m.Hedged) / float64(opps)
-		}
-		fmt.Printf("%-22s %10.2f %10.2f %10.2f %8d %9.2f%%\n",
-			mode.name, loadgen.Ms(loadgen.Percentile(lats, 50)), loadgen.Ms(loadgen.Percentile(lats, 99)),
-			loadgen.Ms(loadgen.Percentile(lats, 100)), m.Hedged, rate*100)
-	}
-	cl.Replica(0, 0).SetStall(0, 0)
-	fmt.Println("\n(shape: the adaptive budget lands near the fixed hand-tuned one — it is")
-	fmt.Println(" the p95 of each group's own observed wins — so its p99 matches without")
-	fmt.Println(" anyone choosing a constant, and the rate cap keeps duplicated work <= 5%)")
-
-	// Section 3: kill a whole replica group; a partial-results broker keeps
+	// Section 2: kill a whole replica group; a partial-results broker keeps
 	// serving degraded rankings from the survivors.
 	fmt.Printf("\nkilling both replicas of partition %d ...\n", partitions-1)
 	pbrk, err := cl.NewBroker(dist.WithPartialResults())

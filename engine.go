@@ -89,11 +89,6 @@ type Engine struct {
 	closeErr  error
 }
 
-// InflightQueries reports how many ranked searches are executing right
-// now — the live load signal WithMergeThrottle compares against its
-// threshold.
-func (e *Engine) InflightQueries() int64 { return e.core.Inflight() }
-
 // Open builds an index over the collection and returns an Engine
 // configured by the options. All option errors are reported together.
 //
@@ -118,7 +113,6 @@ func Open(coll *Collection, opts ...Option) (*Engine, error) {
 	for _, opt := range opts {
 		opt(&cfg)
 	}
-	cfg.crossValidate()
 	if len(cfg.errs) > 0 {
 		return nil, errors.Join(cfg.errs...)
 	}
@@ -170,7 +164,6 @@ func OpenDir(dir string, opts ...Option) (*Engine, error) {
 		cfg.errs = append(cfg.errs,
 			errors.New("repro: OpenDir already names the index directory; drop WithStorageDir"))
 	}
-	cfg.crossValidate()
 	if len(cfg.errs) > 0 {
 		return nil, errors.Join(cfg.errs...)
 	}

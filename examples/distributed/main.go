@@ -6,7 +6,7 @@
 // collection-wide statistics (idf and quantization bounds), the merged
 // ranking equals the centralized one — and because replicas of a
 // partition serve the same index, the broker may freely hedge a slow
-// partition's work onto another replica (WithHedgeBudget) or fail over
+// partition's work onto another replica (WithHedging) or fail over
 // when a replica dies, without changing a single ranked result.
 package main
 
@@ -40,9 +40,10 @@ func main() {
 		cluster.Partitions(), cluster.Replicas(), cluster.CurrentGroups())
 
 	// The group-aware broker: one connection per replica, hedging armed.
-	// A partition whose primary has not answered within the budget has its
-	// work re-issued to the other replica; the first answer wins.
-	broker, err := cluster.NewBroker(repro.WithHedgeBudget(20 * time.Millisecond))
+	// A partition whose primary has not answered within 4x its recent
+	// median has its work re-issued to the other replica; the first
+	// answer wins.
+	broker, err := cluster.NewBroker(repro.WithHedging())
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -149,12 +150,11 @@ func main() {
 		log.Fatal(err)
 	}
 	defer cluster2.Close()
-	// This broker opts into the QoS surface: the hedge budget calibrates
-	// itself to each group's observed p95 (no constant to tune), and a
-	// whole replica group going dark degrades the answer instead of
-	// failing it.
+	// This broker opts into the QoS surface: hedging (each group's budget
+	// follows its own observed median; no constant to tune), and a whole
+	// replica group going dark degrades the answer instead of failing it.
 	broker2, err := cluster2.NewBroker(
-		repro.WithAdaptiveHedge(0.95),
+		repro.WithHedging(),
 		repro.WithPartialResults())
 	if err != nil {
 		log.Fatal(err)

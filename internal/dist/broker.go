@@ -68,10 +68,7 @@ type ReplicaStatus struct {
 type BrokerOption func(*brokerConfig)
 
 type brokerConfig struct {
-	hedgeBudget time.Duration
-
-	adaptive      bool    // WithAdaptiveHedge given
-	hedgeQuantile float64 // latency quantile the adaptive budget tracks
+	hedging bool // WithHedging given
 
 	partial bool // WithPartialResults given
 
@@ -83,35 +80,19 @@ type brokerConfig struct {
 	opsAddr   string        // WithOpsServer: HTTP ops endpoint listen address
 }
 
-// WithHedgeBudget arms hedged fan-out: when a partition's primary replica
-// has not answered within d, the broker re-issues that partition's batch
-// slice to the next-best replica of the group and takes whichever answer
-// lands first, canceling the loser. The budget should sit just above the
-// expected response time (a small multiple of the p50) so hedges fire only
-// in the tail; 0 (the default) disables hedging. Partitions with a single
-// replica never hedge. Hedging at a fixed budget is uncapped — the budget
-// is the operator's explicit choice. See WithAdaptiveHedge for a budget
-// that calibrates itself.
-func WithHedgeBudget(d time.Duration) BrokerOption {
-	return func(c *brokerConfig) { c.hedgeBudget = d }
-}
-
-// WithAdaptiveHedge replaces the fixed hedge budget with a self-
-// calibrating one: each partition group tracks the latency distribution
-// of its own recent wins in a sliding-window histogram, and the hedge
-// timer arms at the given quantile of that distribution (<= 0 defaults
-// to 0.95) — "slower than 95% of recent calls" is the definition of a
-// straggler, at whatever absolute latency the group currently runs at.
-// A group stays unhedged until it has enough samples to trust the
-// quantile, and a 5% hedge-rate cap bounds the duplicated work even when
+// WithHedging arms hedged fan-out: when a partition's primary replica
+// has not answered within the group's hedge budget, the broker re-issues
+// that partition's batch slice to the next-best replica of the group and
+// takes whichever answer lands first, canceling the loser. Each group
+// sets its own budget at 4x the median of its recent wins in a sliding
+// window — "slower than expected" at whatever latency the group runs
+// at, with nothing to tune. A group stays unhedged until it has 32
+// samples, and a 5% hedge-rate cap bounds the duplicated work even when
 // the distribution degrades: a group whose every request turns slow gets
-// at most 5% extra load, not a doubling — what makes adaptive hedging safe
-// to leave on. Overrides WithHedgeBudget.
-func WithAdaptiveHedge(quantile float64) BrokerOption {
-	return func(c *brokerConfig) {
-		c.adaptive = true
-		c.hedgeQuantile = quantile
-	}
+// at most 5% extra load, not a doubling. Partitions with a single
+// replica never hedge.
+func WithHedging() BrokerOption {
+	return func(c *brokerConfig) { c.hedging = true }
 }
 
 // WithPartialResults opts the broker into degraded answers: when an
@@ -286,7 +267,7 @@ func (m *membership) drain(ctx context.Context) error {
 // adopted — connections, latency estimate, and cooldown state carry over
 // — so a reconfiguration never cold-starts the surviving fleet. gens
 // supplies each partition's pinning entry (nil entries get a fresh
-// zero); a carried-over pointer also carries the group's adaptive-hedge
+// zero); a carried-over pointer also carries the group's hedge
 // tracker, since pointer identity marks "same partition, new shape".
 // frozen, when non-nil, marks per-group Add-routing freezes.
 //
@@ -339,10 +320,8 @@ func (b *Broker) newMembership(lists [][]string, old *membership, gens []*atomic
 		}
 		if h, ok := oldHedger[gen]; ok && h != nil {
 			g.hedger = h
-		} else if b.cfg.adaptive {
-			g.hedger = qos.NewHedger(b.cfg.hedgeQuantile)
-		} else if b.cfg.hedgeBudget > 0 {
-			g.hedger = qos.NewFixedHedger(b.cfg.hedgeBudget)
+		} else if b.cfg.hedging {
+			g.hedger = qos.NewHedger()
 		}
 		live := 0
 		var dialErr error
@@ -617,7 +596,7 @@ func (b *Broker) SearchContext(ctx context.Context, terms []string, k int, strat
 // its searcher pool — and merges every query's per-server top-k lists into
 // the global rankings. Within each replica group the broker picks a
 // primary (round-robin over healthy replicas), hedges when the primary
-// exceeds the hedge budget (fixed or adaptive), and fails over to the
+// exceeds the group's hedge budget, and fails over to the
 // remaining replicas when a connection breaks; a query errors at the
 // transport level only when a whole replica group is down — unless
 // WithPartialResults is on, in which case the survivors answer and every
@@ -815,9 +794,8 @@ func mergeReplies(reqs []Request, reps []groupReply) ([]BatchResult, int, error)
 // snapshot.
 type GroupMetrics struct {
 	// HedgeBudget is the delay the group's next hedge timer would arm
-	// (the fixed budget, or the live quantile; 0 = hedging off or an
-	// adaptive group still cold); HedgeCalls and Hedges are the windowed
-	// counters the hedge-rate cap is enforced against.
+	// (0 = hedging off or the group still cold); HedgeCalls and Hedges
+	// are the windowed counters the hedge-rate cap is enforced against.
 	HedgeBudget time.Duration
 	HedgeCalls  int64
 	Hedges      int64

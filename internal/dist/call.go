@@ -313,15 +313,15 @@ type attemptRec struct {
 
 // call is every broker round trip to partition gi's replica group: the
 // first replica of pol's order gets req, a hedge re-issue follows if the
-// hedge budget (fixed, or the group's live latency quantile under
-// adaptive hedging) expires before a search's answer lands, and failover
-// re-issues follow as attempts fail. The first successful answer wins and
-// outstanding attempts are canceled. The call errors only when every
-// replica in the order has been tried and failed. Every attempt feeds its
-// replica's health; a Stale refusal of a pinned request counts as a
-// failure. When the request is traced (req.TraceSampled), every attempt —
-// the winner, the stalled hedge victim, failed retries — becomes a span
-// in the reply's span, with offsets relative to pol.root.
+// group's hedge budget (a multiple of its live median) expires before a
+// search's answer lands, and failover re-issues follow as attempts fail.
+// The first successful answer wins and outstanding attempts are canceled.
+// The call errors only when every replica in the order has been tried and
+// failed. Every attempt feeds its replica's health; a Stale refusal of a
+// pinned request counts as a failure. When the request is traced
+// (req.TraceSampled), every attempt — the winner, the stalled hedge
+// victim, failed retries — becomes a span in the reply's span, with
+// offsets relative to pol.root.
 func call(ctx context.Context, m *membership, gi int, req wireRequest, pol callPolicy) groupReply {
 	g := m.groups[gi]
 	if pol.pin {
@@ -342,7 +342,7 @@ func call(ctx context.Context, m *membership, gi int, req wireRequest, pol callP
 
 	var budget time.Duration // hedging is off without a hedger
 	if pol.search && g.hedger != nil {
-		budget = g.hedger.Budget() // 0 while an adaptive group is still cold
+		budget = g.hedger.Budget() // 0 while the group is still cold
 	}
 
 	type attempt struct {

@@ -569,7 +569,7 @@ func (cl *Cluster) WarmAll(strat ir.Strategy, queries []corpus.Query, k int) err
 // RunStreams runs the query batch through the cluster with the given
 // number of concurrent streams, each stream owning its own group-aware
 // broker (connections are not shared between streams; broker options such
-// as WithHedgeBudget apply to every stream). Queries are dealt
+// as WithHedging apply to every stream). Queries are dealt
 // round-robin. It returns the Table 3 aggregates, including how often the
 // hedge/retry defenses fired.
 func (cl *Cluster) RunStreams(queries []corpus.Query, streams, k int, strat ir.Strategy, opts ...BrokerOption) (RunStats, error) {

@@ -56,10 +56,10 @@
 // (EWMA of response times), rotates primaries round-robin to spread load,
 // and
 //
-//   - *hedges*: with WithHedgeBudget(d), when a partition's primary has
-//     not answered within d, the same batch slice is re-issued to the
-//     next-best replica and whichever answer lands first wins — the loser
-//     is canceled;
+//   - *hedges*: with WithHedging, when a partition's primary has not
+//     answered within 4x the group's recent median, the same batch slice
+//     is re-issued to the next-best replica and whichever answer lands
+//     first wins — the loser is canceled;
 //   - *fails over*: a replica connection breaking mid-query re-issues the
 //     slice on the next live replica of the group transparently. Only
 //     when every replica of a group has failed does the batch error, and

@@ -125,7 +125,7 @@ func TestFailoverMidBatch(t *testing.T) {
 	// Pin the batch inside replica 0 of each group (a fresh broker's
 	// round-robin primary), then kill those servers while they hold it.
 	for p := 0; p < cl.Partitions(); p++ {
-		cl.Replica(p, 0).SetStall(1, 400*time.Millisecond)
+		cl.Replica(p, 0).SetFault(1, FaultStall, 400*time.Millisecond)
 	}
 	killed := make(chan struct{})
 	go func() {
@@ -223,6 +223,37 @@ func TestDeadReplicaGroupError(t *testing.T) {
 	}
 }
 
+// hedgeWarmup is the qos hedger's warm-up: a group arms no budget before
+// it has observed this many winning round trips.
+const hedgeWarmup = 32
+
+// warmHedging runs hedgeWarmup healthy calls through brk — an even count,
+// so each group's round-robin primary is replica 0 again for the next
+// call — and checks that every group stays cold (no budget, no hedge)
+// until the warm-up is done and is armed after it.
+func warmHedging(t *testing.T, brk *Broker, terms []string) {
+	t.Helper()
+	for i := 0; i < hedgeWarmup; i++ {
+		m := brk.MetricsSnapshot()
+		if m.Hedged != 0 {
+			t.Fatalf("after %d healthy calls: %d hedges while cold", i, m.Hedged)
+		}
+		for gi, g := range m.Groups {
+			if g.HedgeBudget != 0 {
+				t.Fatalf("after %d healthy calls: group %d armed %v while cold", i, gi, g.HedgeBudget)
+			}
+		}
+		if _, _, err := brk.SearchContext(context.Background(), terms, 10, ir.BM25TCMQ8); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for gi, g := range brk.MetricsSnapshot().Groups {
+		if g.HedgeBudget <= 0 {
+			t.Fatalf("group %d: no hedge budget after %d healthy calls", gi, hedgeWarmup)
+		}
+	}
+}
+
 // TestHedgeBeatsStalledPrimary: a primary that stalls far beyond the
 // hedge budget must not set the query's latency — the hedge re-issue to
 // the healthy replica answers first, Hedged records the fire, and the
@@ -237,16 +268,17 @@ func TestHedgeBeatsStalledPrimary(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer cl.Close()
-	brk, err := cl.NewBroker(WithHedgeBudget(10 * time.Millisecond))
+	brk, err := cl.NewBroker(WithHedging())
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer brk.Close()
+	warmHedging(t, brk, queries[0].Terms)
 
-	// A fresh broker's first primary is replica 0 of each group; stall
+	// The warmed broker's next primary is replica 0 of each group; stall
 	// partition 0's copy on every request, far beyond the hedge budget.
 	const stall = 3 * time.Second
-	cl.Replica(0, 0).SetStall(1, stall)
+	cl.Replica(0, 0).SetFault(1, FaultStall, stall)
 
 	reqs := make([]Request, len(queries))
 	for i, q := range queries {
@@ -260,9 +292,6 @@ func TestHedgeBeatsStalledPrimary(t *testing.T) {
 	}
 	if timing.Hedged == 0 {
 		t.Error("stalled primary but Hedged == 0")
-	}
-	if got := brk.MetricsSnapshot().Groups[0].HedgeBudget; got != 10*time.Millisecond {
-		t.Errorf("GroupMetrics.HedgeBudget = %v, want the fixed 10ms", got)
 	}
 	if took >= stall {
 		t.Errorf("hedge did not beat the stall: batch took %v", took)

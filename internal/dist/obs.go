@@ -50,7 +50,7 @@ func (o brokerOps) OpsMetrics() []obs.Metric {
 		g := &m.Groups[gi]
 		part := []obs.Label{{Key: "partition", Value: strconv.Itoa(gi)}}
 		ms = append(ms, obs.Metric{
-			Name: "repro_broker_hedge_budget_seconds", Help: "adaptive hedge budget",
+			Name: "repro_broker_hedge_budget_seconds", Help: "hedge budget",
 			Kind: obs.Gauge, Labels: part, Value: obs.Seconds(g.HedgeBudget),
 		})
 		for _, rs := range g.Replicas {

@@ -143,8 +143,8 @@ func TestFaultErrorPropagates(t *testing.T) {
 		t.Fatalf("every-2nd-request fault: %d faulted, %d ok", faulted, ok)
 	}
 
-	// SetStall's disable form must clear any mode.
-	cl.Replica(0, 0).SetStall(0, 0)
+	// FaultNone must clear any mode.
+	cl.Replica(0, 0).SetFault(0, FaultNone, 0)
 	if _, _, err := brk.Search(q.Terms, 10, ir.BM25TCMQ8); err != nil {
 		t.Fatalf("fault cleared but search failed: %v", err)
 	}
@@ -168,7 +168,7 @@ func TestBrokerConcurrentKillRevive(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer cl.Close()
-	brk, err := cl.NewBroker(WithAdaptiveHedge(0), WithPartialResults())
+	brk, err := cl.NewBroker(WithHedging(), WithPartialResults())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -259,7 +259,7 @@ func TestAdmissionShedsAtSaturation(t *testing.T) {
 	defer cl.Close()
 	// Every request stalls 5ms: capacity ~200 q/s on the single serialized
 	// connection, independent of host speed.
-	cl.Replica(0, 0).SetStall(1, 5*time.Millisecond)
+	cl.Replica(0, 0).SetFault(1, FaultStall, 5*time.Millisecond)
 
 	const (
 		rate = 400 // 2x the stall-bound capacity

@@ -58,7 +58,7 @@ type Server struct {
 	// waits out before a retire closes the server.
 	inflight atomic.Int64
 
-	// Failure injection (SetFault/SetStall): every faultEvery-th request
+	// Failure injection (SetFault): every faultEvery-th request
 	// suffers faultMode — a stall (the induced straggler hedging defends
 	// against), an injected per-query error, or a dropped connection (the
 	// crash look-alike failover defends against).
@@ -154,20 +154,6 @@ func (s *Server) Warm(strat ir.Strategy, queries []corpus.Query, k int) error {
 		}
 	}
 	return nil
-}
-
-// SetStall injects a latency fault: every n-th request to this server
-// stalls for d before executing (n <= 1 stalls every request; d <= 0
-// disables). This is the failure-injection hook behind the hedging
-// experiments — an intermittently slow replica that a latency estimate
-// alone cannot route around, only a hedge can beat. It is shorthand for
-// SetFault(n, FaultStall, d).
-func (s *Server) SetStall(n int, d time.Duration) {
-	if d <= 0 {
-		s.SetFault(0, FaultNone, 0)
-		return
-	}
-	s.SetFault(n, FaultStall, d)
 }
 
 // SetFault injects a fault on every n-th request (n <= 1 faults every

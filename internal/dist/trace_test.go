@@ -114,15 +114,16 @@ func TestTracedHedgeShowsBothAttempts(t *testing.T) {
 	}
 	defer cl.Close()
 	brk, err := cl.NewBroker(
-		WithHedgeBudget(10*time.Millisecond),
+		WithHedging(),
 		WithTraceSampling(1),
 	)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer brk.Close()
+	warmHedging(t, brk, queries[0].Terms)
 
-	// A fresh broker's first primary is replica 0; stall it far beyond
+	// The warmed broker's next primary is replica 0; stall it far beyond
 	// the hedge budget on every request.
 	const stall = 3 * time.Second
 	cl.Replica(0, 0).SetFault(1, FaultStall, stall)

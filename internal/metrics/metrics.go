@@ -7,7 +7,7 @@
 //
 // The engine uses it for searcher-pool wait and per-request latency,
 // the storage layer's counters are surfaced through the same snapshot
-// API, and the dist broker feeds its adaptive hedge budget from a
+// API, and the dist broker feeds its hedge budget from a
 // per-group Histogram (see internal/qos).
 package metrics
 

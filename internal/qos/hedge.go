@@ -1,7 +1,6 @@
 package qos
 
 import (
-	"math"
 	"sync"
 	"time"
 
@@ -10,73 +9,53 @@ import (
 
 const (
 	// hedgeWarmup is the minimum number of windowed latency samples
-	// before an adaptive budget is issued; a cold hedger never hedges.
+	// before a budget is issued; a cold hedger never hedges.
 	hedgeWarmup = 32
 	// hedgeDecayAt halves the rate-cap counters once the call count
 	// reaches it, so the cap tracks the recent hedge rate instead of the
 	// lifetime average.
 	hedgeDecayAt = 4096
-	// hedgeWindow / hedgeSlices size the latency histogram the budget
-	// quantile is computed over.
+	// hedgeWindow / hedgeSlices size the latency histogram the budget's
+	// median is computed over.
 	hedgeWindow = 30 * time.Second
 	hedgeSlices = 6
-	// hedgeRateCap is the fraction of calls an adaptive hedger may
-	// duplicate.
+	// hedgeMultiple is how many windowed medians an attempt may take
+	// before it is presumed a straggler.
+	hedgeMultiple = 4
+	// hedgeRateCap is the fraction of calls a hedger may duplicate.
 	hedgeRateCap = 0.05
 )
 
-// Hedger computes a replica group's hedge budget. The adaptive source
-// (NewHedger) replaces a hand-tuned constant with a live latency quantile
-// (default p95) of the group's recent wins — "if this attempt is slower
-// than 95% of recent attempts, assume it hit a straggler and duplicate
-// it"; the fixed source (NewFixedHedger) is that hand-tuned constant. A
-// hedge-rate cap bounds the duplicated work of the adaptive source:
-// TryHedge refuses once hedges exceed hedgeRateCap of calls, so a
-// pathological group (every request slow) degrades to at most 5% extra
-// load instead of doubling it.
+// Hedger computes a replica group's hedge budget: hedgeMultiple times the
+// median of the group's recent wins in a sliding window — "slower than
+// expected" at whatever latency the group currently runs at (Dean &
+// Barroso, "The Tail at Scale"). The median is the quantile the tail
+// cannot move: a budget set at a high quantile sits inside the tail
+// noise it should ignore, which spends the rate cap on ordinary slow
+// calls and leaves the real stragglers unhedged. A hedge-rate cap bounds
+// the duplicated work: TryHedge refuses once hedges exceed hedgeRateCap
+// of calls, so a pathological group (every request slow) degrades to at
+// most 5% extra load instead of doubling it.
 type Hedger struct {
-	fixed    time.Duration // > 0: the constant budget source
-	quantile float64
-	rateCap  float64
-	hist     *metrics.Histogram
+	hist *metrics.Histogram
 
 	mu     sync.Mutex
 	calls  int64
 	hedges int64
 }
 
-// NewHedger returns a hedger targeting the given latency quantile
-// (<=0 or >=1 defaults to 0.95) under the hedge-rate cap: at most 5% of
-// calls hedge.
-func NewHedger(quantile float64) *Hedger {
-	if quantile <= 0 || quantile >= 1 {
-		quantile = 0.95
-	}
-	return &Hedger{
-		quantile: quantile,
-		rateCap:  hedgeRateCap,
-		hist:     metrics.NewHistogram(hedgeWindow, hedgeSlices),
-	}
+// NewHedger returns a cold hedger: it issues no budget until its window
+// holds hedgeWarmup samples.
+func NewHedger() *Hedger {
+	return &Hedger{hist: metrics.NewHistogram(hedgeWindow, hedgeSlices)}
 }
 
-// NewFixedHedger returns a hedger whose budget is the constant d from the
-// first call on (no warm-up: there is no quantile to trust), uncapped — a
-// fixed budget is an explicit operator choice.
-func NewFixedHedger(d time.Duration) *Hedger {
-	return &Hedger{fixed: d, rateCap: math.Inf(1)}
-}
-
-// Observe records the latency of a completed (winning) attempt; a fixed
-// budget has no distribution to feed.
-func (h *Hedger) Observe(d time.Duration) {
-	if h.fixed == 0 {
-		h.hist.Observe(d)
-	}
-}
+// Observe records the latency of a completed (winning) attempt.
+func (h *Hedger) Observe(d time.Duration) { h.hist.Observe(d) }
 
 // Budget registers one call and returns the hedge delay it should arm,
 // or 0 if the hedger is still cold (not enough windowed samples to
-// trust a quantile).
+// trust a median).
 func (h *Hedger) Budget() time.Duration {
 	h.mu.Lock()
 	h.calls++
@@ -89,13 +68,10 @@ func (h *Hedger) Budget() time.Duration {
 }
 
 func (h *Hedger) budget() time.Duration {
-	if h.fixed > 0 {
-		return h.fixed
-	}
 	if h.hist.Count() < hedgeWarmup {
 		return 0
 	}
-	return h.hist.Quantile(h.quantile)
+	return hedgeMultiple * h.hist.Quantile(0.5)
 }
 
 // TryHedge asks permission to launch one hedge. It returns false when
@@ -104,7 +80,7 @@ func (h *Hedger) budget() time.Duration {
 func (h *Hedger) TryHedge() bool {
 	h.mu.Lock()
 	defer h.mu.Unlock()
-	if float64(h.hedges+1) > h.rateCap*float64(h.calls) {
+	if float64(h.hedges+1) > hedgeRateCap*float64(h.calls) {
 		return false
 	}
 	h.hedges++

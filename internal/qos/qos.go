@@ -1,9 +1,8 @@
 // Package qos holds the serving quality-of-service machinery: an
 // admission controller that sheds load *before* it queues (deadline- and
 // queue-depth-based, returning a typed ErrOverloaded the client can
-// retry against another frontend) and an adaptive hedge budget that
-// replaces a hand-tuned constant with a latency-quantile target under a
-// hedge-rate cap.
+// retry against another frontend) and a hedge budget that follows a
+// replica group's own median latency under a hedge-rate cap.
 //
 // The admission model is the classic M/M/c-flavored estimate: with c
 // workers, an EWMA of per-request service time s, and q requests already

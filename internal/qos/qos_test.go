@@ -103,7 +103,7 @@ func TestAdmitBatchMonotoneTail(t *testing.T) {
 }
 
 func TestHedgerColdNoBudget(t *testing.T) {
-	h := NewHedger(0.95)
+	h := NewHedger()
 	for i := 0; i < hedgeWarmup-1; i++ {
 		h.Observe(time.Millisecond)
 	}
@@ -116,23 +116,37 @@ func TestHedgerColdNoBudget(t *testing.T) {
 	}
 }
 
+// TestHedgerBudgetTracksQuantile: the budget follows the window's
+// median, so neither a 5% tail near the median nor rare far stragglers
+// can drag it into the tail it is meant to hedge.
 func TestHedgerBudgetTracksQuantile(t *testing.T) {
-	h := NewHedger(0.95)
-	for i := 0; i < 100; i++ {
-		h.Observe(time.Millisecond)
+	const median, tail = time.Millisecond, 1800 * time.Microsecond
+	h := NewHedger()
+	for i := 0; i < 95; i++ {
+		h.Observe(median)
+	}
+	for i := 0; i < 5; i++ {
+		h.Observe(tail) // the slowest 5%, at 1.8x the median
+	}
+	// A histogram bucket may read up to 25% above its samples; a budget
+	// at or below the tail's bucket would hedge the tail itself.
+	b := h.Budget()
+	if b <= tail*5/4 {
+		t.Fatalf("budget = %v, want above the %v tail", b, tail)
 	}
 	for i := 0; i < 3; i++ {
-		h.Observe(100 * time.Millisecond) // <5% stragglers
+		h.Observe(100 * time.Millisecond) // <5% far stragglers
 	}
-	b := h.Budget()
-	// p95 should sit in the fast mode, not at the straggler tail.
-	if b < time.Millisecond || b > 5*time.Millisecond {
-		t.Fatalf("budget = %v, want ~1ms (p95 of fast mode)", b)
+	if b2 := h.Budget(); b2 != b {
+		t.Fatalf("far stragglers moved the budget %v -> %v", b, b2)
+	}
+	if b > 6*median {
+		t.Fatalf("budget = %v, want about %dx the %v median", b, hedgeMultiple, median)
 	}
 }
 
 func TestHedgerRateCap(t *testing.T) {
-	h := NewHedger(0.95)
+	h := NewHedger()
 	for i := 0; i < 64; i++ {
 		h.Observe(time.Millisecond)
 	}
@@ -153,24 +167,5 @@ func TestHedgerRateCap(t *testing.T) {
 	st := h.Stats()
 	if st.Calls == 0 || st.Hedges != int64(granted) {
 		t.Fatalf("stats = %+v, want %d hedges", st, granted)
-	}
-}
-
-// TestFixedHedgerConstantSource: a fixed budget is the same hedger with a
-// constant in place of the quantile — armed from the first call and
-// uncapped.
-func TestFixedHedgerConstantSource(t *testing.T) {
-	h := NewFixedHedger(7 * time.Millisecond)
-	for i := 0; i < 100; i++ {
-		if got := h.Budget(); got != 7*time.Millisecond {
-			t.Fatalf("call %d: budget %v, want the fixed 7ms", i, got)
-		}
-		h.Observe(time.Duration(i) * time.Millisecond) // must not move it
-		if !h.TryHedge() {
-			t.Fatalf("call %d: uncapped fixed hedger refused a hedge", i)
-		}
-	}
-	if st := h.Stats(); st.Budget != 7*time.Millisecond || st.Hedges != 100 {
-		t.Fatalf("stats = %+v, want the fixed budget and 100 hedges", st)
 	}
 }

@@ -72,8 +72,8 @@ type Core struct {
 	queries  *metrics.Histogram
 	poolWait *metrics.Histogram
 	shed     metrics.Counter
-	// inflight counts ranked searches currently executing — the always-on
-	// load signal (the engine's merge throttle reads it).
+	// inflight counts ranked searches currently executing (Metrics
+	// reports it).
 	inflight atomic.Int64
 
 	cur    atomic.Pointer[Gen]
@@ -159,9 +159,6 @@ func (c *Core) Writable() error {
 	}
 	return nil
 }
-
-// Inflight reports how many ranked searches are executing right now.
-func (c *Core) Inflight() int64 { return c.inflight.Load() }
 
 // Gen is one served index generation: an immutable snapshot plus its
 // searcher pool, reference-counted. Obtain one with Core.Acquire and

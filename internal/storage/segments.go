@@ -652,15 +652,13 @@ func streamSegments(w *ir.IndexWriter, segs []foldedSeg, base int64, cancel func
 // committed: the manifest is untouched until CommitMerge, and concurrent
 // appends stay legal (they only ever add segments after the run; if one
 // lands mid-build, the merged segment simply commits one epoch stale and
-// serves virtually until the next merge). cancel, when non-nil, is polled while streaming;
-// a true return abandons the build with ErrBuildCanceled so a
-// shutting-down engine never waits out a long merge it is about to
-// discard — and the poll doubles as the merge-throttle yield point, so a
-// throttled engine's merges park between terms, not mid-read. Returns the
-// statistics epoch the merged segment was baked against.
+// serves virtually until the next merge). cancel, when non-nil, is
+// polled while streaming; a true return abandons the build with
+// ErrBuildCanceled so a shutting-down engine never waits out a long merge
+// it is about to discard. Returns the statistics epoch the merged segment
+// was baked against.
 func BuildMergedSegment(dir string, names []string, into string, cancel func() bool) (uint64, error) {
-	// First poll before any I/O: a throttled merge parks here until query
-	// traffic drains, having touched nothing.
+	// First poll before any I/O: a canceled merge touches nothing.
 	if cancel != nil && cancel() {
 		return 0, ErrBuildCanceled
 	}

@@ -1,7 +1,5 @@
 package repro
 
-import "time"
-
 // merger is the background merge loop of an engine (enabled with
 // WithAutoMerge): every Add nudges it, and while the tiered policy finds
 // the segment count above its bound it merges the cheapest adjacent run —
@@ -61,38 +59,8 @@ func (m *merger) stopped() bool {
 	}
 }
 
-// mergeYieldStep is how long a throttled merge sleeps between inflight
-// re-checks — short enough that a throttled merge resumes almost
-// immediately after traffic drains, long enough to stay invisible next
-// to query execution times.
-const mergeYieldStep = 200 * time.Microsecond
-
-// mergeYield wraps the merger's cancellation poll with the merge
-// throttle (WithMergeThrottle): while more than the configured number of
-// queries are in flight, the poll parks instead of returning, so a merge
-// yields its CPU and disk bandwidth to query traffic at every
-// cancellation point of the build (storage polls between terms and
-// before the final encode). Engine shutdown still cancels promptly — the
-// park re-checks stopped() every step.
-func (e *Engine) mergeYield(stopped func() bool) func() bool {
-	if e.cfg.mergeThrottle < 0 {
-		return stopped
-	}
-	thr := int64(e.cfg.mergeThrottle)
-	return func() bool {
-		for e.core.Inflight() > thr {
-			if stopped() {
-				return true
-			}
-			time.Sleep(mergeYieldStep)
-		}
-		return stopped()
-	}
-}
-
 func (m *merger) loop() {
 	defer close(m.done)
-	cancel := m.e.mergeYield(m.stopped)
 	for {
 		select {
 		case <-m.stopCh:
@@ -100,7 +68,7 @@ func (m *merger) loop() {
 		case <-m.notifyCh:
 		}
 		for !m.stopped() {
-			merged, err := m.e.mergeOnce(m.maxSegments, cancel)
+			merged, err := m.e.mergeOnce(m.maxSegments, m.stopped)
 			if err != nil || !merged {
 				// Merge errors are not fatal to serving (the old generation
 				// keeps answering); the next Add retriggers.

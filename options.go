@@ -22,23 +22,12 @@ type engineConfig struct {
 
 	pool int64 // WithBufferPoolBytes: buffer pool capacity in bytes
 
-	storageDir    string // WithStorageDir: persist to / serve from this directory
-	autoMerge     int    // WithAutoMerge: background merge above this segment count (0 = off)
-	mergeThrottle int    // WithMergeThrottle: pause merges above this many inflight queries (-1 = off)
+	storageDir string // WithStorageDir: persist to / serve from this directory
+	autoMerge  int    // WithAutoMerge: background merge above this segment count (0 = off)
 
 	opsAddr string // WithOpsServer: HTTP ops endpoint listen address ("" = off)
 
 	errs []error
-}
-
-// crossValidate appends errors for option combinations no single option
-// can see on its own; every Open-family entry point calls it after the
-// option loop.
-func (c *engineConfig) crossValidate() {
-	if c.mergeThrottle >= 0 && c.autoMerge == 0 {
-		c.errs = append(c.errs,
-			fmt.Errorf("repro: WithMergeThrottle needs a background merger (add WithAutoMerge)"))
-	}
 }
 
 // Option configures an Engine at Open time.
@@ -46,8 +35,7 @@ type Option func(*engineConfig)
 
 func defaultEngineConfig() engineConfig {
 	return engineConfig{
-		Config:        serving.Config{Searchers: runtime.GOMAXPROCS(0)},
-		mergeThrottle: -1,
+		Config: serving.Config{Searchers: runtime.GOMAXPROCS(0)},
 	}
 }
 
@@ -100,25 +88,6 @@ func WithAutoMerge(maxSegments int) Option {
 			return
 		}
 		c.autoMerge = maxSegments
-	}
-}
-
-// WithMergeThrottle makes the background merger yield to query traffic:
-// while more than maxInflight queries are executing, an in-progress
-// merge parks at its next yield point (storage polls between term scans
-// and before the final encode) and resumes when traffic drains below the
-// threshold. maxInflight 0 means merges run only while the engine is
-// completely idle. The throttle trades merge completion latency for
-// query latency — a merge can be postponed indefinitely by sustained
-// traffic, during which appends keep serving (just with more segments
-// and virtual scoring). Requires WithAutoMerge.
-func WithMergeThrottle(maxInflight int) Option {
-	return func(c *engineConfig) {
-		if maxInflight < 0 {
-			c.errs = append(c.errs, fmt.Errorf("repro: negative merge-throttle threshold %d", maxInflight))
-			return
-		}
-		c.mergeThrottle = maxInflight
 	}
 }
 

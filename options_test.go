@@ -169,12 +169,6 @@ var optionRows = map[string]func(t *testing.T, f *optionFixture){
 			}
 		}
 	},
-	// TestMergeThrottleYieldsToSearches: SegmentStats.Merges stays 0 while
-	// InflightQueries() > 0. Here: it is refused without a merger.
-	"WithMergeThrottle": func(t *testing.T, f *optionFixture) {
-		_, err := OpenDir(f.dir(t), WithMergeThrottle(0))
-		refused(t, err, "WithMergeThrottle")
-	},
 	// SearchResponse.Cached and MetricsSnapshot().ResultCache.
 	"WithResultCache": func(t *testing.T, f *optionFixture) {
 		eng := f.open(t, WithResultCache(8))

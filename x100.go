@@ -67,7 +67,7 @@
 // composes with each server's searcher pool. With
 // WithClusterReplicas every partition range is served by a replica group,
 // and a group-aware broker (Cluster.NewBroker) adds the tail-latency
-// defenses: hedged fan-out under WithHedgeBudget and transparent failover
+// defenses: hedged fan-out under WithHedging and transparent failover
 // when a replica dies mid-query. See docs/ARCHITECTURE.md for the full
 // design.
 package repro
@@ -75,7 +75,6 @@ package repro
 import (
 	"errors"
 	"fmt"
-	"time"
 
 	"repro/internal/colbm"
 	"repro/internal/compress"
@@ -227,19 +226,13 @@ type (
 // targets and failover capacity.
 func WithClusterReplicas(r int) ClusterOption { return dist.WithReplicas(r) }
 
-// WithHedgeBudget arms hedged fan-out on a broker dialed over replica
-// groups: a partition whose primary replica has not answered within d has
-// its batch slice re-issued to the next-best replica, first answer wins,
-// loser canceled. Timing.Hedged / dist.RunStats.Hedged count the hedges
-// that fired. 0 disables hedging.
-func WithHedgeBudget(d time.Duration) BrokerOption { return dist.WithHedgeBudget(d) }
-
-// WithAdaptiveHedge replaces the fixed hedge budget with a live one:
-// each partition group arms its hedge timer at the given quantile
-// (<= 0: 0.95) of its own recent win latencies, and at most 5% of its
-// calls hedge. A cold group does not hedge until it has enough samples to
-// trust the quantile. Overrides WithHedgeBudget.
-func WithAdaptiveHedge(quantile float64) BrokerOption { return dist.WithAdaptiveHedge(quantile) }
+// WithHedging arms hedged fan-out on a broker dialed over replica groups:
+// a partition whose primary replica has not answered within 4x its
+// group's recent median latency has its batch slice re-issued to the
+// next-best replica, first answer wins, loser canceled. A group does not
+// hedge until it has 32 samples, and at most 5% of its calls hedge.
+// Timing.Hedged / dist.RunStats.Hedged count the hedges that fired.
+func WithHedging() BrokerOption { return dist.WithHedging() }
 
 // WithPartialResults opts a broker into degraded answers: when a whole
 // replica group is down, surviving partitions answer and every result is

@@ -27,6 +27,7 @@ import (
 	"repro/internal/engine"
 	"repro/internal/ir"
 	"repro/internal/primitives"
+	"repro/internal/storage"
 	"repro/internal/vector"
 )
 
@@ -619,4 +620,88 @@ func BenchmarkSegmentedLiveAppend(b *testing.B) {
 	st := eng.SegmentStats()
 	b.ReportMetric(float64(st.Segments), "segments")
 	b.ReportMetric(float64(st.Merges), "merges")
+}
+
+// BenchmarkEngineAdd measures one 500-document Engine.Add onto a seed
+// segment plus N appended ones, with no merger — how an Add's cost grows
+// with the segments beside it. Each op opens the directory at the same
+// generation (N-1 appended segments), makes one untimed Add, which folds
+// the collection statistics as an engine's first commit does and brings
+// the directory to N, and times the next Add; Close sweeps both.
+func BenchmarkEngineAdd(b *testing.B) {
+	const seedDocs, batchDocs, maxN = 8000, 500, 16
+	cfg := corpus.DefaultConfig()
+	cfg.NumDocs = seedDocs + (maxN+1)*batchDocs
+	cfg.Vocab = 20000
+	cfg.AvgDocLen = 100
+	coll := corpus.Generate(cfg)
+	slice := func(i int) *corpus.Collection { // the i-th batch after the seed
+		c, err := coll.Slice(seedDocs+i*batchDocs, seedDocs+(i+1)*batchDocs)
+		if err != nil {
+			b.Fatal(err)
+		}
+		return c
+	}
+	base := filepath.Join(b.TempDir(), "segix")
+	seed, err := coll.Slice(0, seedDocs)
+	if err != nil {
+		b.Fatal(err)
+	}
+	if _, err := storage.AppendSegment(base, seed, nil); err != nil {
+		b.Fatal(err)
+	}
+	// gens[n] is the committed SEGMENTS.json holding n appended segments.
+	gens := make([][]byte, maxN)
+	var st storage.RunningStats
+	for n := range gens {
+		raw, _, err := storage.ReadSegmentsRaw(base)
+		if err != nil {
+			b.Fatal(err)
+		}
+		gens[n] = raw
+		if n+1 < maxN {
+			if _, err := storage.AppendSegment(base, slice(n), &st); err != nil {
+				b.Fatal(err)
+			}
+		}
+	}
+	docs := func(i int) []Doc {
+		d, err := coll.Docs(seedDocs+i*batchDocs, seedDocs+(i+1)*batchDocs)
+		if err != nil {
+			b.Fatal(err)
+		}
+		return d
+	}
+	warm, timed := docs(maxN-1), docs(maxN)
+	ctx := context.Background()
+	for _, n := range []int{1, 8, 16} {
+		b.Run(fmt.Sprintf("segments=%d", n), func(b *testing.B) {
+			dir := filepath.Join(b.TempDir(), "segix")
+			if err := storage.CopyDir(base, dir); err != nil {
+				b.Fatal(err)
+			}
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				b.StopTimer()
+				if err := storage.WriteFileAtomic(dir, ".segments-*", filepath.Join(dir, storage.SegmentsManifestName), gens[n-1]); err != nil {
+					b.Fatal(err)
+				}
+				eng, err := OpenDir(dir, WithSearchers(1))
+				if err != nil {
+					b.Fatal(err)
+				}
+				if err := eng.Add(ctx, warm); err != nil {
+					b.Fatal(err)
+				}
+				b.StartTimer()
+				if err := eng.Add(ctx, timed); err != nil {
+					b.Fatal(err)
+				}
+				b.StopTimer()
+				if err := eng.Close(); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
 }

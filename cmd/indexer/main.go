@@ -50,7 +50,7 @@ func main() {
 			fmt.Fprintln(os.Stderr, "indexer: -append needs -out")
 			os.Exit(1)
 		}
-		gen, err := storage.AppendSegment(*out, c)
+		gen, err := storage.AppendSegment(*out, c, nil)
 		if err != nil {
 			fmt.Fprintln(os.Stderr, "indexer:", err)
 			os.Exit(1)

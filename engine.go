@@ -140,7 +140,7 @@ func Open(coll *Collection, opts ...Option) (*Engine, error) {
 // it.
 func populateAndOpen(coll *Collection, cfg engineConfig) (*Engine, error) {
 	if _, err := storage.ReadSegments(cfg.storageDir); errors.Is(err, os.ErrNotExist) {
-		if _, err := storage.AppendSegment(cfg.storageDir, coll); err != nil {
+		if _, err := storage.AppendSegment(cfg.storageDir, coll, nil); err != nil {
 			return nil, err
 		}
 	}
@@ -337,8 +337,8 @@ func (e *Engine) Add(ctx context.Context, docs []Doc) error {
 	if err != nil {
 		return err
 	}
-	err = e.core.Commit(func() error {
-		_, err := storage.AppendSegment(e.core.Dir(), batch)
+	err = e.core.Commit(func(st *storage.RunningStats) error {
+		_, err := storage.AppendSegment(e.core.Dir(), batch, st)
 		return err
 	})
 	if err == nil && e.merger != nil {
@@ -370,13 +370,9 @@ func (e *Engine) Refresh(ctx context.Context) error {
 // directories. Returns whether a merge happened.
 func (e *Engine) mergeOnce(maxSegments int, cancel func() bool) (bool, error) {
 	dir := e.core.Dir()
-	sm, err := storage.ReadSegments(dir)
-	if err != nil {
+	names, run, err := e.core.PlanMerge(maxSegments)
+	if err != nil || names == nil {
 		return false, err
-	}
-	names := sm.PlanMerge(maxSegments)
-	if names == nil {
-		return false, nil
 	}
 	into, err := storage.AllocSegmentDir(dir)
 	if err != nil {
@@ -384,7 +380,7 @@ func (e *Engine) mergeOnce(maxSegments int, cancel func() bool) (bool, error) {
 	}
 	built := e.core.Building(into)
 	defer built()
-	bakedEpoch, err := storage.BuildMergedSegment(dir, names, into, cancel)
+	bakedEpoch, err := storage.BuildMergedSegment(dir, names, into, cancel, run)
 	if err != nil {
 		storage.DiscardSegment(dir, into)
 		if errors.Is(err, storage.ErrBuildCanceled) {
@@ -392,8 +388,8 @@ func (e *Engine) mergeOnce(maxSegments int, cancel func() bool) (bool, error) {
 		}
 		return false, err
 	}
-	err = e.core.Commit(func() error {
-		_, err := storage.CommitMerge(dir, names, into, bakedEpoch)
+	err = e.core.Commit(func(st *storage.RunningStats) error {
+		_, err := storage.CommitMerge(dir, names, into, bakedEpoch, st)
 		return err
 	})
 	if errors.Is(err, serving.ErrClosed) {

@@ -2,7 +2,9 @@ package corpus
 
 import (
 	"fmt"
+	"slices"
 	"sort"
+	"strings"
 )
 
 // Live-update inputs. A running system does not re-generate its corpus: new
@@ -26,6 +28,12 @@ type Doc struct {
 // layer assigns the global docid base when the batch becomes a segment.
 // Terms are whatever strings the tokens carry — matching surface forms in
 // other segments share dictionary entries, new forms extend it.
+//
+// The inversion is the relational group-by on (term, doc): one map interns
+// every token to a batch-local id, a dense row counts each document's term
+// frequencies, and the (id, doc, tf) rows it emits — in docid order — are
+// counting-sorted by the ids renumbered in sorted surface order into
+// per-term lists that share one flat array, each docid-ordered.
 func FromDocs(docs []Doc) (*Collection, error) {
 	if len(docs) == 0 {
 		return nil, fmt.Errorf("corpus: FromDocs with no documents")
@@ -36,9 +44,16 @@ func FromDocs(docs []Doc) (*Collection, error) {
 		DocNames:   make([]string, len(docs)),
 		TopicOfDoc: make([]int, len(docs)),
 	}
-	termID := map[string]int{}
-	tf := map[string]int64{}
-	perDoc := make([]map[string]int64, len(docs))
+	tokens := 0 // bounds the rows: a document holds at most one per token
+	for _, doc := range docs {
+		tokens += len(doc.Tokens)
+	}
+	intern := make(map[string]int32)
+	var surface []string // by batch-local id, in first-seen order
+	var tf []int64       // the current document's counts, by batch-local id
+	var seen []int32     // ids the current document holds, in first-seen order
+	// The emitted rows: batch-local id, its tf, and the document.
+	ids, tfs, rowDoc := make([]int32, 0, tokens), make([]int64, 0, tokens), make([]int32, 0, tokens)
 	for d, doc := range docs {
 		if len(doc.Tokens) == 0 {
 			return nil, fmt.Errorf("corpus: document %d (%q) has no tokens", d, doc.Name)
@@ -46,38 +61,58 @@ func FromDocs(docs []Doc) (*Collection, error) {
 		c.DocNames[d] = doc.Name
 		c.DocLens[d] = int64(len(doc.Tokens))
 		c.TopicOfDoc[d] = -1
-		clear(tf)
 		for _, t := range doc.Tokens {
-			tf[t]++
-		}
-		m := make(map[string]int64, len(tf))
-		for t, f := range tf {
-			m[t] = f
-			if _, ok := termID[t]; !ok {
-				termID[t] = -1 // id assigned after sorting
+			id, ok := intern[t]
+			if !ok {
+				id = int32(len(surface))
+				intern[t] = id
+				surface = append(surface, t)
+				tf = append(tf, 0)
 			}
+			if tf[id] == 0 {
+				seen = append(seen, id)
+			}
+			tf[id]++
 		}
-		perDoc[d] = m
+		for _, id := range seen {
+			ids, tfs, rowDoc = append(ids, id), append(tfs, tf[id]), append(rowDoc, int32(d))
+			tf[id] = 0
+		}
+		seen = seen[:0]
 	}
 	// Deterministic term ids: sorted surface forms.
-	c.TermStrings = make([]string, 0, len(termID))
-	for t := range termID {
-		c.TermStrings = append(c.TermStrings, t)
+	order := make([]int32, len(surface))
+	for i := range order {
+		order[i] = int32(i)
 	}
-	sort.Strings(c.TermStrings)
-	for i, t := range c.TermStrings {
-		termID[t] = i
+	slices.SortFunc(order, func(a, b int32) int { return strings.Compare(surface[a], surface[b]) })
+	rank := make([]int32, len(surface))
+	c.TermStrings = make([]string, len(surface))
+	for r, id := range order {
+		rank[id] = int32(r)
+		c.TermStrings[r] = surface[id]
 	}
 	c.Cfg.Vocab = len(c.TermStrings)
-	c.Postings = make([][]Posting, len(c.TermStrings))
-	for d, m := range perDoc {
-		for t, f := range m {
-			id := termID[t]
-			c.Postings[id] = append(c.Postings[id], Posting{DocID: int64(d), TF: f})
-		}
+	// Counting sort by term: rows arrive in docid order and keep it within
+	// a term, so each list is docid-ordered as the index builder requires.
+	start := make([]int, len(surface)+1)
+	for _, id := range ids {
+		start[rank[id]+1]++
 	}
-	// Postings were appended in ascending docid order already (outer loop),
-	// so each list is docid-ordered as the index builder requires.
+	for r := range c.TermStrings {
+		start[r+1] += start[r]
+	}
+	flat := make([]Posting, len(ids))
+	next := slices.Clone(start[:len(surface)])
+	for i, id := range ids {
+		r := rank[id]
+		flat[next[r]] = Posting{DocID: int64(rowDoc[i]), TF: tfs[i]}
+		next[r]++
+	}
+	c.Postings = make([][]Posting, len(surface))
+	for r := range c.Postings {
+		c.Postings[r] = flat[start[r]:start[r+1]:start[r+1]]
+	}
 	return c, nil
 }
 

@@ -378,7 +378,7 @@ func BuildLivePartitions(c *corpus.Collection, n int, baseDir string) ([]string,
 		}
 		sub, err := c.Slice(lo, hi)
 		if err == nil {
-			_, err = storage.AppendSegment(dir, sub)
+			_, err = storage.AppendSegment(dir, sub, nil)
 		}
 		return err
 	})

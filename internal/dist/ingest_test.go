@@ -326,7 +326,7 @@ func TestPinnedGenerationMatchesCentralized(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		shadowGen, err := storage.AppendSegment(shadow, bcoll)
+		shadowGen, err := storage.AppendSegment(shadow, bcoll, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -511,7 +511,7 @@ func TestAddReplicationCutMidShipCatchesUp(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		gen, err := storage.AppendSegment(shadowDirs[0], bcoll)
+		gen, err := storage.AppendSegment(shadowDirs[0], bcoll, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -761,7 +761,7 @@ func TestLaggingReplicaRefusesAppend(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		shadowGen, err := storage.AppendSegment(shadowDirs[0], bcoll)
+		shadowGen, err := storage.AppendSegment(shadowDirs[0], bcoll, nil)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -458,7 +458,7 @@ func (s *Server) handleAppend(req *wireRequest) wireResponse {
 
 	var gen uint64
 	var sm *storage.SegmentsManifest
-	err = s.core.Commit(func() (err error) {
+	err = s.core.Commit(func(st *storage.RunningStats) (err error) {
 		// Like a pinned search, a pinned append refuses on a directory
 		// behind the pin: it lacks a batch the broker already acknowledged,
 		// and committing here would fork the partition's history under a
@@ -470,7 +470,7 @@ func (s *Server) handleAppend(req *wireRequest) wireResponse {
 			resp.Stale = true
 			return fmt.Errorf("dist: replica at generation %d, behind pinned %d", sm.Generation, req.PinGen)
 		}
-		if gen, err = storage.AppendSegment(dir, batch); err != nil {
+		if gen, err = storage.AppendSegment(dir, batch, st); err != nil {
 			return err
 		}
 		// Re-read inside the commit lock: the segment list must be the
@@ -553,7 +553,7 @@ func (s *Server) handlePull(req *wireRequest) wireResponse {
 	src := &srvConn{addr: req.Pull.From}
 	defer src.close()
 	res, err := pull(ctx, src, s.core.Dir(), s.hook.load(), func(dir string, manifest []byte) (gen uint64, err error) {
-		err = s.core.Commit(func() (err error) {
+		err = s.core.Commit(func(*storage.RunningStats) (err error) {
 			gen, err = storage.InstallManifest(dir, manifest)
 			return err
 		})

@@ -74,11 +74,11 @@ func TestShippedMergeDropsReplacedSegmentChunks(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	epoch, err := storage.BuildMergedSegment(dirs[0], names, into, func() bool { return false })
+	epoch, err := storage.BuildMergedSegment(dirs[0], names, into, func() bool { return false }, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := storage.CommitMerge(dirs[0], names, into, epoch); err != nil {
+	if _, err := storage.CommitMerge(dirs[0], names, into, epoch, nil); err != nil {
 		t.Fatal(err)
 	}
 	if st, err := brk.Add(ctx, batches[2]); err != nil || st.Replicated != 2 {

@@ -10,6 +10,9 @@
 //     this segment directory still in use";
 //   - directory refresh and segment GC: Refresh, Commit (run a storage
 //     commit under the commit lock, then refresh) and Sweep;
+//   - the directory's running collection statistics, which every append
+//     and merge reads and carries to the generation it commits (Commit,
+//     PlanMerge);
 //   - the query pipeline (search.go): validate, result cache, admission,
 //     pool wait, execute, cache put, metrics, trace — for one request and
 //     for a sub-batched worker fan-out.
@@ -91,6 +94,10 @@ type Core struct {
 	// commitMu serializes everything that rewrites SEGMENTS.json, swaps the
 	// current generation, or deletes segment directories.
 	commitMu sync.Mutex
+	// stats is the directory's running collection statistics, guarded by
+	// commitMu: folded by the first commit or merge plan that needs them,
+	// then carried by every commit that hands them to storage.
+	stats storage.RunningStats
 	// regMu guards the live-generation set and the set of segment
 	// directories being built; together they are the GC's in-use set.
 	regMu    sync.Mutex
@@ -296,9 +303,13 @@ func (c *Core) refreshLocked() error {
 
 // Commit runs fn — a storage commit that writes the directory's next
 // generation (append, merge, manifest install) — under the commit lock,
-// then refreshes serving to what it committed. fn does not run on a closed
-// core, nor on one that is not Writable.
-func (c *Core) Commit(fn func() error) error {
+// then refreshes serving to what it committed. fn gets the directory's
+// running statistics (storage.RunningStats) to hand to the storage call
+// that commits; a commit that does not take them leaves them describing
+// an older generation, and the next writer that needs them folds them
+// again. fn does not run on a closed core, nor on one that is not
+// Writable.
+func (c *Core) Commit(fn func(st *storage.RunningStats) error) error {
 	if err := c.Writable(); err != nil {
 		return err
 	}
@@ -307,10 +318,27 @@ func (c *Core) Commit(fn func() error) error {
 	if c.closed.Load() {
 		return ErrClosed
 	}
-	if err := fn(); err != nil {
+	if err := fn(&c.stats); err != nil {
 		return err
 	}
 	return c.refreshLocked()
+}
+
+// PlanMerge returns the run of segments a tiered merge to maxSegments
+// would merge in the directory's current generation (nil when none is
+// due) and the statistics a build of it reads — copied under the commit
+// lock, so the commits that land while the run builds
+// (storage.BuildMergedSegment) cannot change them.
+func (c *Core) PlanMerge(maxSegments int) ([]string, *storage.RunningStats, error) {
+	if err := c.Writable(); err != nil {
+		return nil, nil, err
+	}
+	c.commitMu.Lock()
+	defer c.commitMu.Unlock()
+	if c.closed.Load() {
+		return nil, nil, ErrClosed
+	}
+	return c.stats.PlanMerge(c.dir, maxSegments)
 }
 
 // Building marks a segment directory as under construction so no sweep

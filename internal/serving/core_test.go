@@ -38,7 +38,7 @@ func TestGenerationSwapProtocol(t *testing.T) {
 	cfg.NumDocs, cfg.Vocab, cfg.AvgDocLen, cfg.NumTopics = 400, 800, 40, 8
 	coll := corpus.Generate(cfg)
 	dir := filepath.Join(t.TempDir(), "ix")
-	if _, err := storage.AppendSegment(dir, coll); err != nil {
+	if _, err := storage.AppendSegment(dir, coll, nil); err != nil {
 		t.Fatal(err)
 	}
 	base, err := ir.Build(coll, ir.DefaultBuildConfig())

@@ -31,7 +31,7 @@ func BenchmarkAppendSegment(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		if _, err := AppendSegment(dir+".build", batch); err != nil {
+		if _, err := AppendSegment(dir+".build", batch, nil); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -50,7 +50,7 @@ func BenchmarkAppendSegment(b *testing.B) {
 		b.ReportAllocs()
 		decodes := ManifestDecodes()
 		for i := 0; i < b.N; i++ {
-			if _, err := AppendSegment(dir, batch); err != nil {
+			if _, err := AppendSegment(dir, batch, nil); err != nil {
 				b.Fatal(err)
 			}
 			b.StopTimer()

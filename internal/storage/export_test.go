@@ -41,7 +41,7 @@ func MemoEntries(dir string) int {
 // scoreBounds is segmentBounds with an un-indexed batch folded in under the
 // same statistics: the whole collection's bounds, which
 // TestSkylineBoundsMatchScan compares with a fold over every posting.
-func (st *mergedStats) scoreBounds(batch *corpus.Collection) (bounds, error) {
+func (st *RunningStats) scoreBounds(batch *corpus.Collection) (bounds, error) {
 	b, err := st.segmentBounds()
 	if err != nil {
 		return b, err

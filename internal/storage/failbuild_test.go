@@ -31,7 +31,7 @@ func TestFailedBuildCommitsNothing(t *testing.T) {
 	}
 	builds := map[string]func(dir string) error{
 		"append": func(dir string) error {
-			_, err := AppendSegment(dir, batch)
+			_, err := AppendSegment(dir, batch, nil)
 			return err
 		},
 		"merge": func(dir string) error {
@@ -43,9 +43,9 @@ func TestFailedBuildCommitsNothing(t *testing.T) {
 			if err != nil {
 				return err
 			}
-			epoch, err := BuildMergedSegment(dir, sm.Names(), into, nil)
+			epoch, err := BuildMergedSegment(dir, sm.Names(), into, nil, nil)
 			if err == nil {
-				_, err = CommitMerge(dir, sm.Names(), into, epoch)
+				_, err = CommitMerge(dir, sm.Names(), into, epoch, nil)
 			}
 			return err
 		},

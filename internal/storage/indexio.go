@@ -24,10 +24,12 @@ import (
 // encodes to, after the validation a decode would run, so whatever reads
 // the segment next in this process — the open that serves it, an append's
 // statistics pass, a merge — decodes nothing. Its dictionary and skylines
-// are the index's own, which nothing writes after the build.
-func writeSegment(dir string, ix *ir.Index) error {
+// are the index's own, which nothing writes after the build. The
+// manifest is returned, for the running statistics of the commit that
+// takes the segment in.
+func writeSegment(dir string, ix *ir.Index) (*Manifest, error) {
 	if ix == nil {
-		return fmt.Errorf("storage: writeSegment(nil index)")
+		return nil, fmt.Errorf("storage: writeSegment(nil index)")
 	}
 	m := &Manifest{
 		Magic:    FormatMagic,
@@ -57,18 +59,18 @@ func writeSegment(dir string, ix *ir.Index) error {
 	m.Config.TablePrefix = seg + "."
 	if fs, ok := ix.Store.(*FileStore); !ok || fs.Dir() != dir || built != m.Config.TablePrefix {
 		if err := copyColumns(dir, ix.Store, m, built); err != nil {
-			return err
+			return nil, err
 		}
 	}
 	if err := m.validate(dir, seg); err != nil {
-		return err
+		return nil, err
 	}
 	data, err := writeManifest(dir, m)
 	if err != nil {
-		return err
+		return nil, err
 	}
 	memo.handOff(dir, seg, data, m)
-	return nil
+	return m, nil
 }
 
 // copyColumns streams every column of m from src into a file of dir,
@@ -104,9 +106,9 @@ func copyColumns(dir string, src colbm.BlockStore, m *Manifest, built string) er
 // buildSegment finishes a build of segment name of dir straight into the
 // segment's directory: build writes its columns through a FileStore there
 // (under the TablePrefix "<name>.", which the caller set on the build's
-// configuration), and writeSegment adds the manifest. The index is closed
-// on return; its statistics and bounds stay readable.
-func buildSegment(dir, name string, build func(colbm.BlockStore) (*ir.Index, error)) (*ir.Index, error) {
+// configuration), and writeSegment adds the manifest, which is returned.
+// The index is closed on return.
+func buildSegment(dir, name string, build func(colbm.BlockStore) (*ir.Index, error)) (*Manifest, error) {
 	segDir := filepath.Join(dir, name)
 	fs, err := NewFileStore(segDir)
 	if err != nil {
@@ -118,7 +120,7 @@ func buildSegment(dir, name string, build func(colbm.BlockStore) (*ir.Index, err
 		return nil, err
 	}
 	defer ix.Close()
-	return ix, writeSegment(segDir, ix)
+	return writeSegment(segDir, ix)
 }
 
 // verifyIndexFiles cross-checks a manifest against the directory's column

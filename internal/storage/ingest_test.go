@@ -47,7 +47,7 @@ func TestConcurrentAppendSecondWriterFails(t *testing.T) {
 		go func(i int) {
 			defer wg.Done()
 			<-start
-			_, errs[i] = AppendSegment(dir, batches[i])
+			_, errs[i] = AppendSegment(dir, batches[i], nil)
 		}(i)
 	}
 	close(start)
@@ -141,12 +141,12 @@ func TestMergeStreamsBoundedMemory(t *testing.T) {
 	var before, after runtime.MemStats
 	runtime.GC()
 	runtime.ReadMemStats(&before)
-	epoch, err := BuildMergedSegment(dir, names, into, nil)
+	epoch, err := BuildMergedSegment(dir, names, into, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	runtime.ReadMemStats(&after)
-	if _, err := CommitMerge(dir, names, into, epoch); err != nil {
+	if _, err := CommitMerge(dir, names, into, epoch, nil); err != nil {
 		t.Fatal(err)
 	}
 

@@ -126,6 +126,7 @@ func loadManifest(dir, seg string, hold bool) (*memoEntry, error) {
 		}
 		return nil, fmt.Errorf("storage: %w", err)
 	}
+	manifestBytesRead.Add(int64(len(data)))
 	if e := memo.find(segDir, seg, data, hold); e != nil {
 		return e, nil
 	}
@@ -281,6 +282,15 @@ var manifestDecodes atomic.Int64
 // decoded: with the memo, that is the manifests of segments it did not
 // write itself and held no open decode of.
 func ManifestDecodes() int64 { return manifestDecodes.Load() }
+
+// manifestBytesRead counts the segment manifest bytes loadManifest read
+// from disk — decoded or matched against the memo — the per-commit cost
+// that grows with every segment's dictionary.
+var manifestBytesRead atomic.Int64
+
+// ManifestBytesRead returns how many bytes of segment manifests this
+// process has read from disk.
+func ManifestBytesRead() int64 { return manifestBytesRead.Load() }
 
 // decodeManifest unmarshals the manifest bytes of segment seg and
 // validates them (validate); dir only labels errors.

@@ -138,11 +138,11 @@ func TestHeldGenerationIsolatedFromLaterCommits(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		epoch, err := BuildMergedSegment(dir, names, into, nil)
+		epoch, err := BuildMergedSegment(dir, names, into, nil, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if _, err := CommitMerge(dir, names, into, epoch); err != nil {
+		if _, err := CommitMerge(dir, names, into, epoch, nil); err != nil {
 			t.Fatal(err)
 		}
 		genN2 = open()
@@ -296,7 +296,7 @@ func TestCorruptManifestFailsEveryRead(t *testing.T) {
 		}
 		t.Errorf("open over a corrupted manifest: %v, want ErrBadManifest", err)
 	}
-	if _, err := AppendSegment(dir, coll); !errors.Is(err, ErrBadManifest) {
+	if _, err := AppendSegment(dir, coll, nil); !errors.Is(err, ErrBadManifest) {
 		t.Errorf("append over a corrupted manifest: %v, want ErrBadManifest", err)
 	}
 }
@@ -506,11 +506,11 @@ func TestHandedManifestMatchesDecode(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				epoch, err := BuildMergedSegment(dir, names, into, nil)
+				epoch, err := BuildMergedSegment(dir, names, into, nil, nil)
 				if err != nil {
 					t.Fatal(err)
 				}
-				if _, err := CommitMerge(dir, names, into, epoch); err != nil {
+				if _, err := CommitMerge(dir, names, into, epoch, nil); err != nil {
 					t.Fatal(err)
 				}
 				handedMatchesDecode(t, dir, into)
@@ -541,7 +541,7 @@ func TestHandedManifestMatchesDecode(t *testing.T) {
 					t.Fatal(err)
 				}
 				next += size
-				if _, err := AppendSegment(dir, batch); err != nil {
+				if _, err := AppendSegment(dir, batch, nil); err != nil {
 					t.Fatalf("trial %d op %d: %v", trial, op, err)
 				}
 				sm, err := ReadSegments(dir)

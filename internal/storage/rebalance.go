@@ -169,7 +169,7 @@ func PrepareSplit(dir, rightDir string, at int64) error {
 // sm.Segments, read from dir — to a new statistics epoch whose bounds are
 // folded over those segments alone.
 func (sm *SegmentsManifest) reshaped(dir string) error {
-	st, err := collectStats(dir, sm, nil)
+	st, err := collectStats(dir, sm)
 	if err != nil {
 		return err
 	}
@@ -260,15 +260,17 @@ func PrepareAbsorb(dstDir, srcDir string, cancel func() bool) (*AbsorbPrep, erro
 
 	// Merged statistics and bounds: the destination's segments plus the
 	// source's, folded exactly the way one whole-collection build would.
-	st, err := collectStats(dstDir, dsm, nil)
+	st, err := collectStats(dstDir, dsm)
 	if err != nil {
 		return nil, err
 	}
 	if err := st.addSegments(srcDir, ssm.Segments); err != nil {
 		return nil, err
 	}
+	st.sm = nil // two directories' segments: no one generation
 	st.setParams()
 	src := st.segs[len(dsm.Segments):]
+	terms := runTerms(src)
 	var bc ir.BuildConfig
 	var b bounds
 	if dsm.External {
@@ -277,7 +279,7 @@ func PrepareAbsorb(dstDir, srcDir string, cancel func() bool) (*AbsorbPrep, erro
 		// directories, and the absorbed segment keeps those.
 		bc.Stats, err = externalStats(dstDir, srcDir, st.segs, src)
 	} else if b, err = st.segmentBounds(); err == nil {
-		bc.Stats = st.globalStats(b)
+		bc.Stats = st.globalStats(terms, b)
 	}
 	if err != nil {
 		return nil, err
@@ -303,7 +305,7 @@ func PrepareAbsorb(dstDir, srcDir string, cancel func() bool) (*AbsorbPrep, erro
 	// The docid-base rewrite that makes the merged range contiguous: source
 	// docids are rebased to writer-local, and the writer re-globalizes
 	// them against its own DocIDBase.
-	if err := streamSegments(w, src, ssm.Segments[0].DocBase, cancel); err != nil {
+	if err := streamSegments(w, src, terms, ssm.Segments[0].DocBase, cancel); err != nil {
 		return fail(err)
 	}
 

@@ -7,7 +7,7 @@ import (
 	"math"
 	"os"
 	"path/filepath"
-	"sort"
+	"slices"
 	"strings"
 
 	"repro/internal/colbm"
@@ -313,11 +313,18 @@ var ErrBuildCanceled = errors.New("storage: segment build canceled")
 // baked score columns are current), the commit records the new statistics
 // epoch and exact quantization bounds, and previously baked segments — now
 // one epoch behind — serve materialized strategies through the query-time
-// kernels until a merge re-bakes them. Cost is O(batch) to index plus O(Σ skyline points) to
-// re-derive the existing segments' exact score bounds from their term
-// skylines (segmentBounds; a term without a skyline is read from its
-// segment's columns instead), which the batch's build widens by its own
-// weights.
+// kernels until a merge re-bakes them.
+//
+// st is the directory's running statistics (RunningStats), which the
+// append carries to the generation it commits; nil folds them from the
+// directory into a value nobody keeps. Cost, with st describing the
+// generation the append reads: O(batch) to index and to add its delta to
+// the statistics, plus O(Σ skyline points) to re-derive the existing
+// segments' exact score bounds from the term skylines st holds
+// (segmentBounds; a term without a skyline is read from its segment's
+// columns instead), which the batch's build widens by its own weights.
+// What it reads of the directory is SEGMENTS.json. Otherwise a fold reads
+// every segment's MANIFEST.json first.
 //
 // Commits are read-modify-write on SEGMENTS.json, guarded two ways: the
 // engine serializes its own appends/merges in process, and the on-disk
@@ -326,7 +333,7 @@ var ErrBuildCanceled = errors.New("storage: segment build canceled")
 // process, a shipped install). A writer that loses the race removes its
 // built segment and returns ErrConcurrentWriter instead of clobbering
 // the other commit.
-func AppendSegment(dir string, batch *corpus.Collection) (uint64, error) {
+func AppendSegment(dir string, batch *corpus.Collection, st *RunningStats) (uint64, error) {
 	if batch == nil || len(batch.DocLens) == 0 {
 		return 0, errors.New("storage: AppendSegment with an empty batch")
 	}
@@ -338,18 +345,28 @@ func AppendSegment(dir string, batch *corpus.Collection) (uint64, error) {
 	if err != nil {
 		return 0, err
 	}
-	// The statistics collected below describe this generation exactly; the
+	// The statistics below describe this generation exactly; the
 	// commit-time CAS re-checks it so a concurrent commit (which would make
 	// them stale) fails this append instead of corrupting the directory.
 	startGen := sm.Generation
 	if sm.External {
 		return 0, fmt.Errorf("storage: append to %q: %w", dir, ErrExternalStats)
 	}
-	st, err := collectStats(dir, sm, batch)
-	if err != nil {
+	if st == nil {
+		st = new(RunningStats)
+	}
+	if err := st.sync(dir, sm); err != nil {
 		return 0, err
 	}
-	existing, err := st.segmentBounds()
+	// From here st holds the batch: it describes the committed generation
+	// once the commit lands, and nothing if it does not.
+	committed := false
+	defer func() {
+		if !committed {
+			st.drop()
+		}
+	}()
+	stats, err := st.batchStats(batch)
 	if err != nil {
 		return 0, err
 	}
@@ -358,8 +375,8 @@ func AppendSegment(dir string, batch *corpus.Collection) (uint64, error) {
 	if err != nil {
 		return 0, err
 	}
-	bc := ir.BuildConfig{DocIDBase: sm.nextDocID(), Stats: st.globalStats(existing), TablePrefix: name + "."}
-	ix, err := buildSegment(dir, name, func(store colbm.BlockStore) (*ir.Index, error) {
+	bc := ir.BuildConfig{DocIDBase: sm.nextDocID(), Stats: stats, TablePrefix: name + "."}
+	m, err := buildSegment(dir, name, func(store colbm.BlockStore) (*ir.Index, error) {
 		return ir.BuildInto(batch, bc, store)
 	})
 	if err != nil {
@@ -369,14 +386,15 @@ func AppendSegment(dir string, batch *corpus.Collection) (uint64, error) {
 	// The build widened the existing segments' bounds by the batch's own
 	// weights: its bounds are the whole collection's.
 	var b bounds
-	if ix.ScoreLo <= ix.ScoreHi {
-		b = bounds{true, ix.ScoreLo, ix.ScoreHi}
+	if m.ScoreLo <= m.ScoreHi {
+		b = bounds{true, m.ScoreLo, m.ScoreHi}
 	}
 
 	var batchLen int64
 	for _, l := range batch.DocLens {
 		batchLen += l
 	}
+	next := *sm
 	gen, err := commitSegments(dir, func(cur *SegmentsManifest) ([]byte, error) {
 		// Any commit since our read (a vanished manifest reads as
 		// generation 0) invalidates the statistics and possibly the docid
@@ -385,23 +403,25 @@ func AppendSegment(dir string, batch *corpus.Collection) (uint64, error) {
 			return nil, fmt.Errorf("storage: %q advanced from generation %d to %d during append: %w",
 				dir, startGen, cur.generation(), ErrConcurrentWriter)
 		}
-		sm.Generation++
-		sm.newEpoch(b)
-		sm.claim(name)
-		sm.Segments = append(sm.Segments, SegmentEntry{
+		next.Generation++
+		next.newEpoch(b)
+		next.claim(name)
+		next.Segments = append(slices.Clip(sm.Segments), SegmentEntry{
 			Name:       name,
 			Docs:       len(batch.DocLens),
 			Postings:   batch.NumPostings(),
 			DocBase:    bc.DocIDBase,
 			DocLenSum:  batchLen,
-			StatsEpoch: sm.StatsEpoch,
+			StatsEpoch: next.StatsEpoch,
 		})
-		return sm.encode()
+		return next.encode()
 	})
 	if err != nil {
 		DiscardSegment(dir, name)
 		return 0, err
 	}
+	st.committed(&next, len(st.segs), 0, name, m)
+	committed = true
 	return gen, nil
 }
 
@@ -540,14 +560,14 @@ func spanning(name string, run []SegmentEntry) SegmentEntry {
 // streamSegments feeds the folded segments segs, in docid order, into w —
 // the rewrite both a merge and a partition absorb are. Documents go first
 // (posting scores read lengths by writer-local docid); postings follow
-// term-at-a-time in the sorted union of the sources' dictionaries, and
-// within a term the sources stream in order, so rewritten lists stay
-// docid-ordered with no sort. Docids are rebased from source-global to
+// term-at-a-time in terms, the sorted union of the sources' dictionaries
+// (runTerms), and within a term the sources stream in order, so rewritten
+// lists stay docid-ordered with no sort. Docids are rebased from source-global to
 // writer-local (minus base) on the offset read path. Every source opens
 // once, from the manifest the caller folded, and keeps its cursors across
 // terms; nothing is materialized beyond one vector per cursor. cancel,
 // when non-nil, is polled between terms.
-func streamSegments(w *ir.IndexWriter, segs []foldedSeg, base int64, cancel func() bool) error {
+func streamSegments(w *ir.IndexWriter, segs []foldedSeg, terms []string, base int64, cancel func() bool) error {
 	type source struct {
 		ix            *ir.Index
 		docCur, tfCur *colbm.Cursor
@@ -558,7 +578,6 @@ func streamSegments(w *ir.IndexWriter, segs []foldedSeg, base int64, cancel func
 			s.ix.Close()
 		}
 	}()
-	termSet := make(map[string]bool)
 	for _, s := range segs {
 		ix, err := openSegment(s.dir, s.name, s.m, colbm.NewManager(scanPoolBytes), nil)
 		if err != nil {
@@ -570,9 +589,6 @@ func streamSegments(w *ir.IndexWriter, segs []foldedSeg, base int64, cancel func
 			return err
 		}
 		srcs = append(srcs, source{ix, docCur, tfCur})
-		for t := range ix.Terms {
-			termSet[t] = true
-		}
 
 		lenCol, err := ix.D.Column("len")
 		if err != nil {
@@ -602,11 +618,6 @@ func streamSegments(w *ir.IndexWriter, segs []foldedSeg, base int64, cancel func
 		}
 	}
 
-	terms := make([]string, 0, len(termSet))
-	for t := range termSet {
-		terms = append(terms, t)
-	}
-	sort.Strings(terms)
 	docVec := vector.New(vector.Int64, vector.DefaultSize)
 	tfVec := vector.New(vector.Int64, vector.DefaultSize)
 	for _, t := range terms {
@@ -641,54 +652,67 @@ func streamSegments(w *ir.IndexWriter, segs []foldedSeg, base int64, cancel func
 
 // BuildMergedSegment merges the named adjacent segments into the
 // preallocated segment directory `into` (from AllocSegmentDir), re-baking
-// score columns with the collection statistics current at build time.
-// Postings stream term-at-a-time, in sorted term order across the run's
-// dictionaries, straight from the input segments' cursors (docids rebased
-// from global to merged-local with the offset read path) into an
-// ir.IndexWriter — the merged run is never materialized as intermediate
-// posting lists, so peak memory is the writer's exactly pre-sized output
-// rows plus one vector per cursor. The merged segment takes the default
-// chunk length, whatever its inputs were written with. Nothing is
-// committed: the manifest is untouched until CommitMerge, and concurrent
-// appends stay legal (they only ever add segments after the run; if one
-// lands mid-build, the merged segment simply commits one epoch stale and
-// serves virtually until the next merge). cancel, when non-nil, is
-// polled while streaming; a true return abandons the build with
+// score columns with the collection statistics of the generation st
+// describes. Postings stream term-at-a-time, in sorted term order across
+// the run's dictionaries, straight from the input segments' cursors
+// (docids rebased from global to merged-local with the offset read path)
+// into an ir.IndexWriter — the merged run is never materialized as
+// intermediate posting lists, so peak memory is the writer's exactly
+// pre-sized output rows plus one vector per cursor. The merged segment
+// takes the default chunk length, whatever its inputs were written with.
+// Nothing is committed: the manifest is untouched until CommitMerge, and
+// concurrent appends stay legal (they only ever add segments after the
+// run; if one lands mid-build, the merged segment simply commits one epoch
+// stale and serves virtually until the next merge). cancel, when non-nil,
+// is polled while streaming; a true return abandons the build with
 // ErrBuildCanceled so a shutting-down engine never waits out a long merge
 // it is about to discard. Returns the statistics epoch the merged segment
 // was baked against.
-func BuildMergedSegment(dir string, names []string, into string, cancel func() bool) (uint64, error) {
+//
+// st is all the build reads of the collection — the run's manifests, the
+// document frequencies of its terms, the totals, the epoch and the bounds
+// — and must not change while it runs: nil folds the directory's current
+// generation; a holder that goes on committing passes the copy
+// RunningStats.PlanMerge returned.
+func BuildMergedSegment(dir string, names []string, into string, cancel func() bool, st *RunningStats) (uint64, error) {
 	// First poll before any I/O: a canceled merge touches nothing.
 	if cancel != nil && cancel() {
 		return 0, ErrBuildCanceled
 	}
-	sm, err := ReadSegments(dir)
-	if err != nil {
-		return 0, err
+	if st == nil {
+		sm, err := ReadSegments(dir)
+		if err != nil {
+			return 0, err
+		}
+		if sm.External {
+			return 0, fmt.Errorf("storage: merge in %q: %w", dir, ErrExternalStats)
+		}
+		if st, err = collectStats(dir, sm); err != nil {
+			return 0, err
+		}
 	}
-	if sm.External {
-		return 0, fmt.Errorf("storage: merge in %q: %w", dir, ErrExternalStats)
+	sm := st.sm
+	if sm == nil || st.dir != dir {
+		return 0, fmt.Errorf("storage: merge in %q handed statistics of no generation of it", dir)
 	}
 	at, err := sm.findRun(names)
 	if err != nil {
 		return 0, err
 	}
-	st, err := collectStats(dir, sm, nil)
-	if err != nil {
-		return 0, err
-	}
 	run := spanning(into, sm.Segments[at:at+len(names)])
+	segs := st.segs[at : at+len(names)]
+	terms := runTerms(segs)
 
 	w, err := ir.NewIndexWriter(ir.BuildConfig{
 		DocIDBase:   run.DocBase,
-		Stats:       st.globalStats(bounds{sm.HasBounds, sm.ScoreLo, sm.ScoreHi}),
+		Stats:       st.globalStats(terms, bounds{sm.HasBounds, sm.ScoreLo, sm.ScoreHi}),
 		TablePrefix: into + ".",
 	}, run.Docs, run.Postings)
 	if err != nil {
 		return 0, err
 	}
 
-	if err := streamSegments(w, st.segs[at:at+len(names)], run.DocBase, cancel); err != nil {
+	if err := streamSegments(w, segs, terms, run.DocBase, cancel); err != nil {
 		return 0, err
 	}
 
@@ -714,26 +738,50 @@ func BuildMergedSegment(dir string, names []string, into string, cancel func() b
 // manifest read; no generation CAS is needed — appends that landed since
 // the build only add segments after the run, and findRun re-validates
 // the run still exists in the generation being spliced.
-func CommitMerge(dir string, names []string, into string, bakedEpoch uint64) (uint64, error) {
-	return commitSegments(dir, func(sm *SegmentsManifest) ([]byte, error) {
+//
+// st, when not nil, is the directory's running statistics: describing the
+// generation the commit replaces, it is carried to the one it commits —
+// the merged segment's manifest, parked by its build, takes the run's
+// place — and is dropped otherwise.
+func CommitMerge(dir string, names []string, into string, bakedEpoch uint64, st *RunningStats) (uint64, error) {
+	var held bool
+	var next *SegmentsManifest
+	var at int
+	gen, err := commitSegments(dir, func(sm *SegmentsManifest) ([]byte, error) {
 		if sm == nil {
 			return nil, fmt.Errorf("storage: merge in %q: %w", dir, os.ErrNotExist)
 		}
-		at, err := sm.findRun(names)
-		if err != nil {
+		var err error
+		if at, err = sm.findRun(names); err != nil {
 			return nil, err
 		}
+		held = st != nil && st.describes(dir, sm)
 		merged := spanning(into, sm.Segments[at:at+len(names)])
 		merged.StatsEpoch = bakedEpoch
 		segs := make([]SegmentEntry, 0, len(sm.Segments)-len(names)+1)
 		segs = append(segs, sm.Segments[:at]...)
 		segs = append(segs, merged)
 		segs = append(segs, sm.Segments[at+len(names):]...)
-		sm.Segments = segs
-		sm.Generation++
-		sm.claim(into)
-		return sm.encode()
+		next = sm
+		next.Segments = segs
+		next.Generation++
+		next.claim(into)
+		return next.encode()
 	})
+	if err != nil || st == nil {
+		return gen, err
+	}
+	if !held {
+		st.drop()
+		return gen, nil
+	}
+	m, err := readManifest(dir, into)
+	if err != nil {
+		st.drop()
+		return gen, nil
+	}
+	st.committed(next, at, len(names), into, m)
+	return gen, nil
 }
 
 // SweepSegments garbage-collects segment directories that are neither
@@ -821,7 +869,7 @@ func WriteSegmentedIndex(dir string, segs []*ir.Index) error {
 		if err != nil {
 			return err
 		}
-		if err := writeSegment(filepath.Join(dir, name), ix); err != nil {
+		if _, err := writeSegment(filepath.Join(dir, name), ix); err != nil {
 			return err
 		}
 		lenCol, err := ix.D.Column("len")

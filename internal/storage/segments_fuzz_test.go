@@ -22,7 +22,7 @@ func TestInstallManifestRefusesEscapingNames(t *testing.T) {
 	base := t.TempDir()
 	victim := filepath.Join(base, "victim")
 	_, ix := buildSmallIndex(t)
-	if err := writeSegment(victim, ix); err != nil { // a well-formed segment to be lured into
+	if _, err := writeSegment(victim, ix); err != nil { // a well-formed segment to be lured into
 		t.Fatal(err)
 	}
 	dir := filepath.Join(base, "part")

@@ -43,7 +43,7 @@ func appendRanges(t *testing.T, dir string, c *corpus.Collection, cuts ...int) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if _, err := AppendSegment(dir, batch); err != nil {
+		if _, err := AppendSegment(dir, batch, nil); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -104,11 +104,11 @@ func TestSegmentedEquivalence(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			epoch, err := BuildMergedSegment(dir, names, into, nil)
+			epoch, err := BuildMergedSegment(dir, names, into, nil, nil)
 			if err != nil {
 				t.Fatal(err)
 			}
-			if _, err := CommitMerge(dir, names, into, epoch); err != nil {
+			if _, err := CommitMerge(dir, names, into, epoch, nil); err != nil {
 				t.Fatal(err)
 			}
 		},
@@ -125,11 +125,11 @@ func TestSegmentedEquivalence(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			epoch, err := BuildMergedSegment(dir, names, into, nil)
+			epoch, err := BuildMergedSegment(dir, names, into, nil, nil)
 			if err != nil {
 				t.Fatal(err)
 			}
-			if _, err := CommitMerge(dir, names, into, epoch); err != nil {
+			if _, err := CommitMerge(dir, names, into, epoch, nil); err != nil {
 				t.Fatal(err)
 			}
 		},
@@ -187,11 +187,11 @@ func TestSegmentedStalenessFlags(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	epoch, err := BuildMergedSegment(dir, names, into, nil)
+	epoch, err := BuildMergedSegment(dir, names, into, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := CommitMerge(dir, names, into, epoch); err != nil {
+	if _, err := CommitMerge(dir, names, into, epoch, nil); err != nil {
 		t.Fatal(err)
 	}
 	snap, err = OpenSegmented(dir, colbm.NewManager(0))
@@ -220,11 +220,11 @@ func TestSegmentedSweep(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	epoch, err := BuildMergedSegment(dir, old, into, nil)
+	epoch, err := BuildMergedSegment(dir, old, into, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := CommitMerge(dir, old, into, epoch); err != nil {
+	if _, err := CommitMerge(dir, old, into, epoch, nil); err != nil {
 		t.Fatal(err)
 	}
 	for _, name := range old {
@@ -274,10 +274,10 @@ func TestAppendSegmentGuards(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := writeSegment(legacy, ix); err != nil {
+	if _, err := writeSegment(legacy, ix); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := AppendSegment(legacy, batch); !errors.Is(err, ErrExternalStats) {
+	if _, err := AppendSegment(legacy, batch, nil); !errors.Is(err, ErrExternalStats) {
 		t.Errorf("AppendSegment on a pre-segment directory: %v, want ErrExternalStats", err)
 	}
 
@@ -293,14 +293,14 @@ func TestAppendSegmentGuards(t *testing.T) {
 	if err := WriteSegmentedIndex(ext, []*ir.Index{extIx}); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := AppendSegment(ext, batch); !errors.Is(err, ErrExternalStats) {
+	if _, err := AppendSegment(ext, batch, nil); !errors.Is(err, ErrExternalStats) {
 		t.Errorf("AppendSegment on an external-stats directory: %v, want ErrExternalStats", err)
 	}
 	own := filepath.Join(t.TempDir(), "own")
 	if err := WriteSegmentedIndex(own, []*ir.Index{ix}); err != nil {
 		t.Fatal(err)
 	}
-	if gen, err := AppendSegment(own, batch); err != nil || gen != 2 {
+	if gen, err := AppendSegment(own, batch, nil); err != nil || gen != 2 {
 		t.Errorf("AppendSegment on a saved own-statistics index: generation %d, %v; want 2, nil", gen, err)
 	}
 }
@@ -347,10 +347,10 @@ func TestSegmentedNewVocabularyEquivalence(t *testing.T) {
 	ms := ir.NewSearcher(mono, 0)
 
 	dir := filepath.Join(t.TempDir(), "segix")
-	if _, err := AppendSegment(dir, battchA); err != nil {
+	if _, err := AppendSegment(dir, battchA, nil); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := AppendSegment(dir, batchB); err != nil {
+	if _, err := AppendSegment(dir, batchB, nil); err != nil {
 		t.Fatal(err)
 	}
 	snap, err := OpenSegmented(dir, colbm.NewManager(0))

@@ -196,7 +196,7 @@ func TestSkylineBoundsMatchScan(t *testing.T) {
 			withSky, stripped := filepath.Join(t.TempDir(), "sky"), filepath.Join(t.TempDir(), "bare")
 			for _, dir := range []string{withSky, stripped} {
 				for _, b := range batches[:2] {
-					if _, err := AppendSegment(dir, b); err != nil {
+					if _, err := AppendSegment(dir, b, nil); err != nil {
 						t.Fatal(err)
 					}
 				}
@@ -252,10 +252,11 @@ func TestSkylineBoundsMatchScan(t *testing.T) {
 						if err != nil {
 							t.Fatal(err)
 						}
-						st, err := collectStats(dir, dsm, batches[2])
+						st, err := collectStats(dir, dsm)
 						if err != nil {
 							t.Fatal(err)
 						}
+						st.addBatch(batches[2])
 						st.params.K1, st.params.B, st.params.AvgDocLn, st.params.NumDocs = k1, b, avgdl, float64(n)
 						for term, i := range st.slot {
 							st.df[i] = df[term]
@@ -298,11 +299,11 @@ func TestSkylineBoundsMatchScan(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		epoch, err := BuildMergedSegment(dir, names, into, nil)
+		epoch, err := BuildMergedSegment(dir, names, into, nil, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if _, err := CommitMerge(dir, names, into, epoch); err != nil {
+		if _, err := CommitMerge(dir, names, into, epoch, nil); err != nil {
 			t.Fatal(err)
 		}
 		if m := checkStoredSkylines(t, dir, into); len(m.skylines) == 0 {
@@ -320,7 +321,7 @@ func TestSkylineBoundsMatchScan(t *testing.T) {
 				t.Fatal(err)
 			}
 			for _, dir := range []string{withSky, stripped} {
-				if _, err := AppendSegment(dir, batch); err != nil {
+				if _, err := AppendSegment(dir, batch, nil); err != nil {
 					t.Fatal(err)
 				}
 			}

@@ -70,7 +70,7 @@ func TestColumnFilesAreStable(t *testing.T) {
 	if a, b := segmentDigests(t, dir), segmentDigests(t, resaved); !reflect.DeepEqual(a, b) {
 		t.Errorf("a save of the opened index wrote other bytes:\n%v\nwant\n%v", b, a)
 	}
-	if _, err := AppendSegment(dir, slice(2000, 2500)); err != nil {
+	if _, err := AppendSegment(dir, slice(2000, 2500), nil); err != nil {
 		t.Fatal(err)
 	}
 	sm, err := ReadSegments(dir)
@@ -82,14 +82,14 @@ func TestColumnFilesAreStable(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	epoch, err := BuildMergedSegment(dir, names, into, nil)
+	epoch, err := BuildMergedSegment(dir, names, into, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := CommitMerge(dir, names, into, epoch); err != nil {
+	if _, err := CommitMerge(dir, names, into, epoch, nil); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := AppendSegment(other, slice(2500, 3000)); err != nil {
+	if _, err := AppendSegment(other, slice(2500, 3000), nil); err != nil {
 		t.Fatal(err)
 	}
 	prep, err := PrepareAbsorb(dir, other, nil)

@@ -155,7 +155,7 @@ func TestIndexRoundTripIdenticalTopK(t *testing.T) {
 	for name, write := range map[string]func(dir string){
 		"current": func(dir string) { saveIndex(t, dir, ix) },
 		"legacy": func(dir string) {
-			if err := writeSegment(dir, ix); err != nil {
+			if _, err := writeSegment(dir, ix); err != nil {
 				t.Fatal(err)
 			}
 		},

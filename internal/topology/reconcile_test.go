@@ -259,7 +259,7 @@ func TestReconciledClusterMatchesCentralized(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		shadowGen, err := storage.AppendSegment(shadow, bcoll)
+		shadowGen, err := storage.AppendSegment(shadow, bcoll, nil)
 		if err != nil {
 			t.Fatal(err)
 		}

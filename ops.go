@@ -74,6 +74,10 @@ func (o engineOps) OpsMetrics() []obs.Metric {
 			Kind: obs.Gauge, Value: float64(seg.Segments)},
 		{Name: "repro_storage_manifest_decodes_total", Help: "segment manifests this process decoded (not written or held by it)",
 			Kind: obs.Counter, Value: float64(storage.ManifestDecodes())},
+		{Name: "repro_storage_manifest_bytes_read_total", Help: "segment manifest bytes this process read from disk",
+			Kind: obs.Counter, Value: float64(storage.ManifestBytesRead())},
+		{Name: "repro_storage_stats_folds_total", Help: "collection-statistics folds over every segment's manifest",
+			Kind: obs.Counter, Value: float64(storage.StatsFolds())},
 	}
 }
 

@@ -378,7 +378,7 @@ func AppendSegment(dir string, docs []Doc) error {
 	if err != nil {
 		return err
 	}
-	_, err = storage.AppendSegment(dir, batch)
+	_, err = storage.AppendSegment(dir, batch, nil)
 	return err
 }
 

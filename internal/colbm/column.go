@@ -2,7 +2,10 @@ package colbm
 
 import (
 	"encoding/binary"
+	"errors"
 	"fmt"
+	"hash/crc32"
+	"sync/atomic"
 
 	"repro/internal/compress"
 	"repro/internal/vector"
@@ -116,18 +119,40 @@ type chunkMeta struct {
 	off  int    // byte offset in the column blob
 	size int    // byte size
 	n    int    // number of values
+	crc  uint32 // CRC32C of the chunk's bytes (Checksum)
 	key  string // ChunkKey(blob, index), formatted once
 }
+
+// castagnoli is the CRC32C polynomial table: the hardware-accelerated CRC.
+var castagnoli = crc32.MakeTable(crc32.Castagnoli)
+
+// Checksum returns the CRC32C of a chunk's bytes, the checksum every chunk
+// a Builder writes records in its metadata.
+func Checksum(b []byte) uint32 { return crc32.Checksum(b, castagnoli) }
+
+// ErrChunkChecksum is wrapped by the error of a chunk read whose bytes do
+// not match the CRC32C recorded for the chunk when it was written.
+var ErrChunkChecksum = errors.New("colbm: chunk checksum mismatch")
+
+// checksumFailures counts the chunk reads that failed their CRC32C.
+var checksumFailures atomic.Int64
+
+// ChecksumFailures returns how many chunk reads in this process failed
+// their CRC32C (ErrChunkChecksum).
+func ChecksumFailures() int64 { return checksumFailures.Load() }
 
 // Column is the immutable on-disk representation of one column: a named
 // blob of concatenated chunks plus in-memory chunk metadata. Reads go
 // through the chunk cache, which fetches whole chunks from the block store
-// on a miss.
+// on a miss. A checked column verifies each chunk's CRC32C as it enters
+// the cache (ParseChunk): every column a Builder writes is checked, and an
+// opened one is when its stored table records checksums.
 type Column struct {
 	Spec     ColumnSpec
 	N        int
 	blobName string
 	chunks   []chunkMeta
+	checked  bool
 	store    BlockStore
 	cache    ChunkCache
 }
@@ -144,7 +169,7 @@ func (c *Column) NumChunks() int { return len(c.chunks) }
 // blob and the number of values it encodes.
 func (c *Column) Chunk(ci int) ChunkInfo {
 	m := c.chunks[ci]
-	return ChunkInfo{Off: m.off, Size: m.size, N: m.n}
+	return ChunkInfo{Off: m.off, Size: m.size, N: m.n, CRC: m.crc}
 }
 
 // DiskSize returns the column's on-disk footprint in bytes.
@@ -167,13 +192,10 @@ func (c *Column) BitsPerValue() float64 {
 
 // chunkEncoder encodes a column's chunks into buffers it reuses from chunk
 // to chunk (and from column to column): the block encoder's working
-// buffers, the encoded bytes, and the values of a column made by a fill
-// function. One encoder serves one goroutine.
+// buffers and the encoded bytes. One encoder serves one goroutine.
 type chunkEncoder struct {
 	enc compress.Encoder
 	dst []byte
-	i64 []int64
-	u8  []uint8
 }
 
 // encode serializes values [start, end) of the column; the returned bytes
@@ -183,15 +205,7 @@ func (e *chunkEncoder) encode(spec *ColumnSpec, d *columnData, start, end int) (
 	var err error
 	switch spec.Type {
 	case vector.Int64:
-		var vals []int64
-		if d.fillI64 != nil {
-			e.i64 = grow(e.i64, n)
-			d.fillI64(e.i64, start)
-			vals = e.i64
-		} else {
-			vals = d.i64[start:end]
-		}
-		e.dst, err = e.encodeInt64(spec, vals)
+		e.dst, err = e.encodeInt64(spec, d.i64[start:end])
 		return e.dst, err
 	case vector.Float64:
 		if spec.Enc != EncNone {

@@ -187,11 +187,20 @@ func (s *ColumnSpec) values(ch *CachedChunk) int {
 }
 
 // ParseChunk is ParseCachedChunk for chunk ci of the column, which also
-// knows how many values the chunk must hold: a chunk whose bytes disagree
-// with the column's metadata is refused before it can enter a cache. Errors
-// name the chunk's cache key.
+// knows how many values the chunk must hold and, for a checked column, the
+// CRC32C of its bytes: a chunk whose bytes disagree with the column's
+// metadata is refused before it can enter a cache. A checksum mismatch
+// wraps ErrChunkChecksum and names the blob and the chunk's index; other
+// errors name the chunk's cache key.
 func (c *Column) ParseChunk(ci int, raw []byte) (*CachedChunk, error) {
 	m := c.chunks[ci]
+	if c.checked {
+		if got := Checksum(raw); got != m.crc {
+			checksumFailures.Add(1)
+			return nil, fmt.Errorf("%w: blob %q chunk %d: crc32c %08x, recorded %08x",
+				ErrChunkChecksum, c.blobName, ci, got, m.crc)
+		}
+	}
 	ch, err := ParseCachedChunk(&c.Spec, raw)
 	if err != nil {
 		return nil, fmt.Errorf("colbm: chunk %s: %w", m.key, err)

@@ -2,6 +2,7 @@ package colbm
 
 import (
 	"bytes"
+	"errors"
 	"fmt"
 	"strings"
 	"testing"
@@ -83,6 +84,8 @@ func TestStrReadTouchesNoHeaderWords(t *testing.T) {
 }
 
 // corruptBlob rewrites a column's blob through fn and empties the cache.
+// The chunk's metadata is made to agree with the new bytes — their size and
+// checksum — so that what refuses them is the parse behind the checksum.
 func corruptBlob(t *testing.T, disk *SimDisk, pool *Manager, col *Column, fn func(blob []byte) []byte) {
 	t.Helper()
 	blob, err := disk.Read(col.BlobName(), 0, disk.Size(col.BlobName()))
@@ -91,13 +94,15 @@ func corruptBlob(t *testing.T, disk *SimDisk, pool *Manager, col *Column, fn fun
 	}
 	blob = fn(blob)
 	WriteBlob(disk, col.BlobName(), blob)
-	col.chunks[0].size = len(blob)
+	col.chunks[0].size, col.chunks[0].crc = len(blob), Checksum(blob)
 	pool.Drop()
 }
 
 // Chunk bytes that disagree with the chunk's header or the column's
 // metadata are refused where they would enter the cache, with an error
-// naming the chunk; no read ever slices them out of range.
+// naming the chunk; no read ever slices them out of range. The checksum
+// catches such bytes first (TestChunkChecksumMismatch); these are bytes
+// the checksum agrees with, as a column stored without checksums has.
 func TestCorruptChunkIsAnErrorNotAPanic(t *testing.T) {
 	const n = 1000
 	for _, tc := range []struct {
@@ -306,5 +311,61 @@ func TestCursorHitAllocatesNothing(t *testing.T) {
 		if n := testing.AllocsPerRun(100, read); n != 0 {
 			t.Errorf("a read served by the cache allocates %v times", n)
 		}
+	}
+}
+
+// TestChunkChecksumMismatch: one flipped bit in any chunk a Builder wrote
+// fails the read that loads it with ErrChunkChecksum, naming the blob and
+// the chunk's index, and counts in ChecksumFailures; the same bytes behind
+// metadata stored without checksums (a format-1 segment's) are not
+// checked, and here decode into wrong values without an error.
+func TestChunkChecksumMismatch(t *testing.T) {
+	const n, chunkLen = 1000, 256
+	disk, pool := newTestEnv()
+	b := NewBuilder("t", disk, pool, []ColumnSpec{{Name: "c", Type: vector.Int64, Enc: EncNone, ChunkLen: chunkLen}})
+	for i := 0; i < n; i++ {
+		b.AppendInt64("c", int64(i))
+	}
+	tab, err := b.Build()
+	if err != nil {
+		t.Fatal(err)
+	}
+	col := tab.MustColumn("c")
+	blob, err := disk.Read(col.BlobName(), 0, disk.Size(col.BlobName()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	const ci = 2
+	blob[col.Chunk(ci).Off+5] ^= 0x10
+	WriteBlob(disk, col.BlobName(), blob)
+	pool.Drop()
+
+	before := ChecksumFailures()
+	v := vector.New(vector.Int64, n)
+	err = NewCursor(col).Read(v, 0, n)
+	if !errors.Is(err, ErrChunkChecksum) {
+		t.Fatalf("read of a flipped bit: %v, want ErrChunkChecksum", err)
+	}
+	if msg := err.Error(); !strings.Contains(msg, `"t.c"`) || !strings.Contains(msg, fmt.Sprintf("chunk %d", ci)) {
+		t.Errorf("error %q does not name blob t.c and chunk %d", msg, ci)
+	}
+	if got := ChecksumFailures() - before; got != 1 {
+		t.Errorf("ChecksumFailures rose by %d, want 1", got)
+	}
+	if err := NewCursor(col).Read(v, 0, 2*chunkLen); err != nil {
+		t.Errorf("the chunks before the flipped one: %v", err)
+	}
+
+	st := tab.Stored()
+	st.Checksums = false
+	unchecked, err := OpenTable(st, disk, NewManager(0))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := NewCursor(unchecked.MustColumn("c")).Read(v, 0, n); err != nil {
+		t.Fatalf("an unchecked column reported %v", err)
+	}
+	if v.I64[ci*chunkLen] == int64(ci*chunkLen) {
+		t.Error("the flipped bit did not reach the unchecked read")
 	}
 }

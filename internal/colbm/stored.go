@@ -6,11 +6,14 @@ import (
 )
 
 // ChunkInfo is the persistable form of one chunk's metadata: its byte
-// extent inside the column blob and the number of values it encodes.
+// extent inside the column blob, the number of values it encodes, and the
+// CRC32C of its bytes (Checksum), which a table stored without checksums
+// leaves 0.
 type ChunkInfo struct {
-	Off  int `json:"off"`
-	Size int `json:"size"`
-	N    int `json:"n"`
+	Off  int    `json:"off"`
+	Size int    `json:"size"`
+	N    int    `json:"n"`
+	CRC  uint32 `json:"crc"`
 }
 
 // StoredColumn is the persistable description of one column: everything
@@ -33,11 +36,16 @@ func (sc *StoredColumn) DiskSize() int {
 }
 
 // StoredTable is the persistable description of a table, one entry per
-// column in deterministic (name) order.
+// column in deterministic (name) order. Checksums reports whether every
+// chunk's CRC is recorded, and so verified on every read of a table
+// OpenTable reopens; it is not encoded, because what records it is the
+// format of whatever persists the description (every table a Builder
+// writes has them).
 type StoredTable struct {
-	Name    string         `json:"name"`
-	N       int            `json:"n"`
-	Columns []StoredColumn `json:"columns"`
+	Name      string         `json:"name"`
+	N         int            `json:"n"`
+	Columns   []StoredColumn `json:"columns"`
+	Checksums bool           `json:"-"`
 }
 
 // Stored returns the table's persistable metadata: the input half of the
@@ -45,14 +53,15 @@ type StoredTable struct {
 // each segment's manifest, and storage.OpenSegmented feeds it back through
 // OpenTable when it opens the segment).
 func (t *Table) Stored() StoredTable {
-	st := StoredTable{Name: t.Name, N: t.N}
+	st := StoredTable{Name: t.Name, N: t.N, Checksums: true}
 	for _, name := range t.ColumnNames() {
 		c := t.cols[name]
 		sc := StoredColumn{Spec: c.Spec, N: c.N, Blob: c.blobName}
 		for _, m := range c.chunks {
-			sc.Chunks = append(sc.Chunks, ChunkInfo{Off: m.off, Size: m.size, N: m.n})
+			sc.Chunks = append(sc.Chunks, ChunkInfo{Off: m.off, Size: m.size, N: m.n, CRC: m.crc})
 		}
 		st.Columns = append(st.Columns, sc)
+		st.Checksums = st.Checksums && c.checked
 	}
 	return st
 }
@@ -63,7 +72,8 @@ func (t *Table) Stored() StoredTable {
 // row p in chunk p / chunkLen, so the metadata must lay the chunks out as
 // the Builder does: every chunk but the last holds exactly the spec's chunk
 // length of values, the last holds 1 to that many, and an empty column has
-// one empty chunk. Anything else is an error naming the column.
+// one empty chunk. Anything else is an error naming the column. With
+// st.Checksums set, every chunk read verifies its recorded CRC32C.
 func OpenTable(st StoredTable, store BlockStore, cache ChunkCache) (*Table, error) {
 	if store == nil || cache == nil {
 		return nil, fmt.Errorf("colbm: OpenTable(%q) needs a store and a cache", st.Name)
@@ -87,7 +97,7 @@ func OpenTable(st StoredTable, store BlockStore, cache ChunkCache) (*Table, erro
 			return nil, fmt.Errorf("colbm: stored column %q has %d chunks for %d values of %d per chunk",
 				sc.Spec.Name, len(sc.Chunks), sc.N, chunkLen)
 		}
-		col := &Column{Spec: sc.Spec, N: sc.N, blobName: sc.Blob, store: store, cache: cache}
+		col := &Column{Spec: sc.Spec, N: sc.N, blobName: sc.Blob, checked: st.Checksums, store: store, cache: cache}
 		off := 0
 		for i, ch := range sc.Chunks {
 			if ch.Off != off || ch.Size < 0 || ch.Size > math.MaxInt-off {
@@ -98,7 +108,8 @@ func OpenTable(st StoredTable, store BlockStore, cache ChunkCache) (*Table, erro
 				return nil, fmt.Errorf("colbm: stored column %q chunk %d holds %d values, want %d of %d per chunk",
 					sc.Spec.Name, i, ch.N, want, chunkLen)
 			}
-			col.chunks = append(col.chunks, chunkMeta{off: ch.Off, size: ch.Size, n: ch.N, key: ChunkKey(sc.Blob, len(col.chunks))})
+			col.chunks = append(col.chunks, chunkMeta{off: ch.Off, size: ch.Size, n: ch.N, crc: ch.CRC,
+				key: ChunkKey(sc.Blob, len(col.chunks))})
 			off += ch.Size
 		}
 		if _, dup := t.cols[sc.Spec.Name]; dup {

@@ -79,9 +79,8 @@ type columnData struct {
 	u8  []uint8
 	str []string
 
-	n       int
-	fillI64 func(dst []int64, off int)
-	fillU8  func(dst []uint8, off int)
+	n      int
+	fillU8 func(dst []uint8, off int)
 }
 
 // NewBuilder starts a table build.
@@ -132,20 +131,15 @@ func (b *Builder) SetFloat64(col string, vals []float64) { b.cols[col] = &column
 // SetUInt8 replaces a UInt8 column's data wholesale.
 func (b *Builder) SetUInt8(col string, vals []uint8) { b.cols[col] = &columnData{u8: vals} }
 
-// SetInt64Func makes an Int64 column of n values that Build produces a
+// SetUInt8Func makes a UInt8 column of n values that Build produces a
 // chunk at a time: fill writes values [off, off+len(dst)) into dst.
-func (b *Builder) SetInt64Func(col string, n int, fill func(dst []int64, off int)) {
-	b.cols[col] = &columnData{n: n, fillI64: fill}
-}
-
-// SetUInt8Func is SetInt64Func for a UInt8 column.
 func (b *Builder) SetUInt8Func(col string, n int, fill func(dst []uint8, off int)) {
 	b.cols[col] = &columnData{n: n, fillU8: fill}
 }
 
 // len returns the number of values the column holds under type t.
 func (d *columnData) len(t vector.Type) int {
-	if d.fillI64 != nil && t == vector.Int64 || d.fillU8 != nil && t == vector.UInt8 {
+	if d.fillU8 != nil && t == vector.UInt8 {
 		return d.n
 	}
 	switch t {
@@ -200,6 +194,7 @@ func (b *Builder) buildColumn(enc *chunkEncoder, spec *ColumnSpec, n int) (*Colu
 		N:        n,
 		blobName: blobName,
 		chunks:   make([]chunkMeta, 0, max(1, (n+chunkLen-1)/chunkLen)),
+		checked:  true,
 		store:    b.store,
 		cache:    b.cache,
 	}
@@ -221,7 +216,8 @@ func (b *Builder) buildColumn(enc *chunkEncoder, spec *ColumnSpec, n int) (*Colu
 			w.Abort()
 			return nil, err
 		}
-		col.chunks = append(col.chunks, chunkMeta{off: off, size: len(chunk), n: end - start, key: ChunkKey(blobName, len(col.chunks))})
+		col.chunks = append(col.chunks, chunkMeta{off: off, size: len(chunk), n: end - start, crc: Checksum(chunk),
+			key: ChunkKey(blobName, len(col.chunks))})
 		off += len(chunk)
 		if n == 0 {
 			break

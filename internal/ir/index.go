@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"slices"
 
 	"repro/internal/colbm"
 	"repro/internal/corpus"
@@ -39,8 +40,8 @@ var tdColumns = [...]string{ColDocID32, ColTF32, ColDocIDC, ColTFC, ColScore, Co
 // over its own rows (the range index), and a bounded scan skips the strides
 // the top-k cannot reach. Chunks sized to a posting list rather than to a
 // table scan make a miss read about the term it serves, not 128 Ki rows
-// around it. D.docid and D.len are fetched by position, so they take the
-// same size.
+// around it. D.len is fetched by position, so it takes the same size, and
+// so does the dictionary T.
 const postingChunkLen = 16 * 1024
 
 // nameChunkLen is the values per storage chunk of the document table's name
@@ -173,13 +174,19 @@ func DefaultBuildConfig() BuildConfig { return BuildConfig{} }
 // Index is a searchable inverted-file index stored in ColumnBM.
 type Index struct {
 	TD *colbm.Table // posting table, ordered on (term, docid)
-	D  *colbm.Table // document table: docid, len, name
+	D  *colbm.Table // document table: len, name; row i is document DocBase()+i
+	// T is the term dictionary as a relation (dict.go), what Terms and
+	// Skylines are decoded from; nil for an index restored from a format-1
+	// segment, which stored its dictionary in the manifest.
+	T *colbm.Table
 
+	// Terms is the range index, resident: one map lookup per query term.
 	Terms  map[string]TermInfo
 	Params primitives.BM25Params
 
-	// Skylines holds the terms' (tf, len) skylines in posting row order
-	// (see Skyline); a term over SkylineCap has none.
+	// Skylines holds the terms' (tf, len) skylines (see Skyline), in T's
+	// order (the posting row order of a format-1 segment); a term over
+	// SkylineCap has none.
 	Skylines []Skyline
 
 	// Quantization bounds: min and max w(D,T) over the collection (the L
@@ -249,12 +256,13 @@ func BuildInto(c *corpus.Collection, bc BuildConfig, store colbm.BlockStore) (*I
 }
 
 // assemble encodes the writer's flattened posting rows into the physical
-// TD and D tables in store, quantizing against [lo, hi] — the tail of
+// TD, D and T tables in store, quantizing against [lo, hi] — the tail of
 // Finish. Both docid columns of TD encode from the same flattened slice,
-// and the columns derived from the rows (TD's qscore, D's dense docid) are
-// produced a chunk at a time as the builder encodes them: the writer's row
-// arrays are the only place the whole run exists as Go slices. This is the
-// one place term skylines are computed.
+// and TD's qscore is produced a chunk at a time as the builder encodes it:
+// the writer's row arrays are the only place the whole run exists as Go
+// slices. D stores no docid column: row i is document DocIDBase + i. T
+// holds the dictionary in sorted term order, whatever order the TD rows
+// keep. This is the one place term skylines are computed.
 func (w *IndexWriter) assemble(store colbm.BlockStore, lo, hi float64) (*Index, error) {
 	bc, docids, tfs, scores, docLens := w.bc, w.docids, w.tfs, w.scores, w.docLens
 	chunkLen := bc.ChunkLen
@@ -284,18 +292,11 @@ func (w *IndexWriter) assemble(store colbm.BlockStore, lo, hi float64) (*Index, 
 		return nil, err
 	}
 
-	// D table: docid (dense, delta-compresses to nearly nothing), length,
-	// name. Row i is document DocIDBase + i: plans fetch a document's row
-	// by position, and RestoreIndex checks a persisted table keeps it.
+	// D table: length, name. Row i is document DocIDBase + i: plans fetch
+	// a document's row by position.
 	db := colbm.NewBuilder(bc.TablePrefix+"D", store, cache, []colbm.ColumnSpec{
-		{Name: "docid", Type: vector.Int64, Enc: colbm.EncPFORDelta, Bits: 8, ChunkLen: chunkLen},
 		{Name: "len", Type: vector.Int64, Enc: colbm.EncPFOR, Bits: 8, ChunkLen: chunkLen},
 		{Name: "name", Type: vector.Str, ChunkLen: nameChunkLen},
-	})
-	db.SetInt64Func("docid", len(docLens), func(dst []int64, off int) {
-		for i := range dst {
-			dst[i] = bc.DocIDBase + int64(off+i)
-		}
 	})
 	db.SetInt64("len", docLens)
 	db.AppendStr("name", w.docNames...)
@@ -304,12 +305,26 @@ func (w *IndexWriter) assemble(store colbm.BlockStore, lo, hi float64) (*Index, 
 		return nil, err
 	}
 
+	// T table: the dictionary in sorted term order. An append's batch and
+	// a merge stream their terms sorted already.
+	order := w.order
+	if !slices.IsSorted(order) {
+		order = slices.Clone(order)
+		slices.Sort(order)
+	}
+	sky := buildSkylines(order, w.terms, docids, tfs, docLens, bc.DocIDBase)
+	t, err := buildDictionary(bc.TablePrefix+"T", store, cache, chunkLen, order, w.terms, sky)
+	if err != nil {
+		return nil, err
+	}
+
 	return &Index{
 		TD:       td,
 		D:        d,
+		T:        t,
 		Terms:    w.terms,
 		Params:   w.params,
-		Skylines: buildSkylines(w.order, w.terms, docids, tfs, docLens, bc.DocIDBase),
+		Skylines: sky,
 		ScoreLo:  lo,
 		ScoreHi:  hi,
 		Store:    store,
@@ -320,17 +335,18 @@ func (w *IndexWriter) assemble(store colbm.BlockStore, lo, hi float64) (*Index, 
 }
 
 // RestoreIndex reassembles an Index from persisted components: the tables
-// reopened over a block store and chunk cache, plus the scalar state the
-// manifest carries. The storage package's segment opener, under
-// storage.OpenSegmented, is the only intended caller; Build remains the
-// constructor of a fresh index over a SimDisk. The document table's docid
-// column is decoded once and must be dense — row i holds cfg.DocIDBase + i,
-// what every plan's positional fetch of D assumes — or the error wraps
+// reopened over a block store and chunk cache (dict is nil for a format-1
+// segment), plus the scalar state the manifest carries. The storage
+// package's segment opener, under storage.OpenSegmented, is the only
+// intended caller; Build remains the constructor of a fresh index over a
+// SimDisk. A document table that stores a docid column (format 1) has it
+// decoded once, and it must be dense — row i holds cfg.DocIDBase + i, what
+// every plan's positional fetch of D assumes — or the error wraps
 // ErrDocTableNotDense. The posting table must carry every TD column, since
 // any strategy may read any of them; the error names the first missing
 // one. maxima is the segment's stride-maxima cache, shared
 // with every other Index restored from the same segment.
-func RestoreIndex(td, d *colbm.Table, terms map[string]TermInfo, params primitives.BM25Params,
+func RestoreIndex(td, d, dict *colbm.Table, terms map[string]TermInfo, params primitives.BM25Params,
 	scoreLo, scoreHi float64, store colbm.BlockStore, cache colbm.ChunkCache, cfg BuildConfig,
 	maxima *StrideMaxima) (*Index, error) {
 	for _, name := range tdColumns {
@@ -338,12 +354,15 @@ func RestoreIndex(td, d *colbm.Table, terms map[string]TermInfo, params primitiv
 			return nil, err
 		}
 	}
-	if err := checkDense(d, cfg.DocIDBase); err != nil {
-		return nil, err
+	if _, err := d.Column("docid"); err == nil {
+		if err := checkDense(d, cfg.DocIDBase); err != nil {
+			return nil, err
+		}
 	}
 	return &Index{
 		TD:      td,
 		D:       d,
+		T:       dict,
 		Terms:   terms,
 		Params:  params,
 		ScoreLo: scoreLo,

@@ -139,12 +139,18 @@ func (w *IndexWriter) BeginTerm(term string) error {
 	return nil
 }
 
+// sealTerm records the open term in the dictionary. A term that got no
+// postings is not a dictionary entry: it is dropped from the stream order.
 func (w *IndexWriter) sealTerm() {
 	if !w.open {
 		return
 	}
-	w.terms[w.term] = TermInfo{Start: w.start, End: len(w.docids), Ftd: w.ftd, MaxScore: w.maxW}
 	w.open = false
+	if len(w.docids) == w.start {
+		w.order = w.order[:len(w.order)-1]
+		return
+	}
+	w.terms[w.term] = TermInfo{Start: w.start, End: len(w.docids), Ftd: w.ftd, MaxScore: w.maxW}
 }
 
 // Postings appends rows to the open term's list: parallel local docids

@@ -10,10 +10,14 @@
 //     directory is an ordered set of immutable segment subdirectories
 //     (each MANIFEST.json plus one blob file per column) under a
 //     generation-stamped SEGMENTS.json super-manifest. An index nobody
-//     has appended to is the one-segment case. Opening reads only the
-//     manifests (column files are eagerly verified to exist at their
-//     recorded sizes), and posting chunks stream in through the buffer
-//     manager as queries touch them.
+//     has appended to is the one-segment case. A segment stores the
+//     paper's three relations as columns: TD (postings), D (documents)
+//     and T (the term dictionary, with the skylines), every chunk with a
+//     CRC32C its reads verify (format 2; format 1, the dictionary inside
+//     the manifest and no checksums, stays readable). Opening reads only
+//     the manifests and T (column files are eagerly verified to exist at
+//     their recorded sizes), and posting chunks stream in through the
+//     buffer manager as queries touch them.
 //
 // # Index directories
 //

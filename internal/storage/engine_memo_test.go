@@ -95,7 +95,8 @@ func TestEngineDecodesOnlyNewManifests(t *testing.T) {
 // first Add, and carried from commit to commit after that — ten Adds
 // under WithAutoMerge(4) and the merges they trigger fold nothing more —
 // and every later Add reads one pass of the segments' manifests, the
-// refresh that opens the generation it committed.
+// refresh that opens the generation it committed: a few kilobytes per
+// segment, since no manifest holds a dictionary.
 func TestEngineCarriesStatistics(t *testing.T) {
 	ctx := context.Background()
 	cfg := repro.DefaultCollectionConfig()
@@ -142,7 +143,7 @@ func TestEngineCarriesStatistics(t *testing.T) {
 	folds := storage.StatsFolds()
 	for i := 0; i < 10; i++ {
 		settled()
-		pass, largest := manifestPass(t, dir)
+		pass, largest, segs := manifestPass(t, dir)
 		read := storage.ManifestBytesRead()
 		lo := 800 + 100*i
 		if err := eng.Add(ctx, mustDocs(t, coll, lo, lo+100)); err != nil {
@@ -154,6 +155,11 @@ func TestEngineCarriesStatistics(t *testing.T) {
 		// first Add also folds, one more pass.
 		if i > 0 && (read < pass || read > pass+largest) {
 			t.Errorf("Add %d read %d manifest bytes, want one pass: %d to %d", i, read, pass, pass+largest)
+		}
+		// A manifest holds no dictionary, only the parameters and the
+		// chunk lists of TD, D and T: 2.7 to 2.9 KB per segment here.
+		if perSeg := read / int64(segs+1); i > 0 && perSeg > maxManifestBytes {
+			t.Errorf("Add %d read %d manifest bytes per segment, want at most %d", i, perSeg, maxManifestBytes)
 		}
 	}
 	settled()
@@ -175,9 +181,14 @@ func mustDocs(t *testing.T, coll *repro.Collection, lo, hi int) []repro.Doc {
 	return docs
 }
 
+// maxManifestBytes bounds the MANIFEST.json bytes an Add reads per
+// segment of TestEngineCarriesStatistics' directory (segments of 100 to
+// 1 000 documents).
+const maxManifestBytes = 4 << 10
+
 // manifestPass returns the summed size of the manifests of dir's current
-// generation — one read of each — and the largest of them.
-func manifestPass(t *testing.T, dir string) (pass, largest int64) {
+// generation — one read of each — the largest of them, and their count.
+func manifestPass(t *testing.T, dir string) (pass, largest int64, n int) {
 	t.Helper()
 	sm, err := storage.ReadSegments(dir)
 	if err != nil {
@@ -191,5 +202,5 @@ func manifestPass(t *testing.T, dir string) (pass, largest int64) {
 		pass += fi.Size()
 		largest = max(largest, fi.Size())
 	}
-	return pass, largest
+	return pass, largest, len(sm.Names())
 }

@@ -49,11 +49,16 @@ func NewFileStore(dir string) (*FileStore, error) {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, fmt.Errorf("storage: %w", err)
 	}
+	return readStore(dir), nil
+}
+
+// readStore is a FileStore over dir for reading, which creates nothing.
+func readStore(dir string) *FileStore {
 	return &FileStore{
 		dir:   dir,
 		files: make(map[string]*os.File),
 		sizes: make(map[string]int64),
-	}, nil
+	}
 }
 
 // Dir returns the directory backing the store.

@@ -4,21 +4,23 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 
 	"repro/internal/colbm"
 	"repro/internal/ir"
 )
 
-// writeSegment persists one index into dir as a segment: one <blob>.col
-// file per column plus MANIFEST.json. A segment this package builds itself
-// (buildSegment) already has its columns in dir, written there chunk by
-// chunk under the segment's table prefix as the build encoded them, and
-// only the manifest is written. An index built elsewhere — ir.Build's
-// SimDisk, or another directory's files — has each column streamed into
-// its file in dir (colbm.CopyBlob) under the segment's prefix, never read
-// whole. The manifest is written last: a crashed or interrupted write
-// leaves a directory openSegment refuses, never a torn segment.
+// writeSegment persists one index into dir as a segment in the current
+// format: one <blob>.col file per column of TD, D and T plus MANIFEST.json.
+// A segment this package builds itself (buildSegment) already has its
+// columns in dir, written there chunk by chunk under the segment's table
+// prefix as the build encoded them, and only the manifest is written. An
+// index built elsewhere — ir.Build's SimDisk, or another directory's files
+// — has each column streamed into its file in dir under the segment's
+// prefix, never read whole (copyColumns). The manifest is written last: a
+// crashed or interrupted write leaves a directory openSegment refuses,
+// never a torn segment.
 //
 // The manifest written is handed to the memo (handOff) with the bytes it
 // encodes to, after the validation a decode would run, so whatever reads
@@ -32,17 +34,19 @@ func writeSegment(dir string, ix *ir.Index) (*Manifest, error) {
 		return nil, fmt.Errorf("storage: writeSegment(nil index)")
 	}
 	m := &Manifest{
-		Magic:    FormatMagic,
-		Version:  FormatVersion,
-		Config:   ix.Config(),
-		Params:   ix.Params,
-		ScoreLo:  ix.ScoreLo,
-		ScoreHi:  ix.ScoreHi,
-		Terms:    ix.Terms,
-		Skylines: encodeSkylines(ix.Terms, ix.Skylines),
-		TD:       ix.TD.Stored(),
-		D:        ix.D.Stored(),
-		skylines: ix.Skylines,
+		Magic:   FormatMagic,
+		Version: FormatVersion,
+		Config:  ix.Config(),
+		Params:  ix.Params,
+		ScoreLo: ix.ScoreLo,
+		ScoreHi: ix.ScoreHi,
+		Terms:   ix.Terms,
+		TD:      ix.TD.Stored(),
+		D:       ix.D.Stored(),
+	}
+	sky := ix.Skylines
+	if ix.T != nil {
+		m.T = ix.T.Stored()
 	}
 	// The stats override is a build-time input only (its idf and score
 	// bounds are already baked into Params/ScoreLo/ScoreHi and the stored
@@ -58,13 +62,15 @@ func writeSegment(dir string, ix *ir.Index) (*Manifest, error) {
 	built, seg := m.Config.TablePrefix, filepath.Base(dir)
 	m.Config.TablePrefix = seg + "."
 	if fs, ok := ix.Store.(*FileStore); !ok || fs.Dir() != dir || built != m.Config.TablePrefix {
-		if err := copyColumns(dir, ix.Store, m, built); err != nil {
+		var err error
+		if sky, err = copyColumns(dir, ix, m, built); err != nil {
 			return nil, err
 		}
 	}
 	if err := m.validate(dir, seg); err != nil {
 		return nil, err
 	}
+	m.setRows(sky, termsWithout(m.Terms, sky))
 	data, err := writeManifest(dir, m)
 	if err != nil {
 		return nil, err
@@ -73,34 +79,97 @@ func writeSegment(dir string, ix *ir.Index) (*Manifest, error) {
 	return m, nil
 }
 
-// copyColumns streams every column of m from src into a file of dir,
-// renaming its table and blob from the prefix built to m's.
-func copyColumns(dir string, src colbm.BlockStore, m *Manifest, built string) error {
+// copyColumns streams every column of m, the manifest of ix, from ix's
+// store into a file of dir, renaming its table and blob from the prefix
+// built to m's, and returns the skylines in the order of the T it writes.
+// An index restored from a format-1 segment is written in the current
+// format: its chunks get their checksums as they are copied (copyChunks),
+// D's docid column is left behind, and its dictionary is written as T
+// (ir.BuildDictionary) with its skylines in term order.
+func copyColumns(dir string, ix *ir.Index, m *Manifest, built string) ([]ir.Skyline, error) {
 	fs, err := NewFileStore(dir)
 	if err != nil {
-		return err
+		return nil, err
 	}
 	defer fs.Close()
+	sky, tables := ix.Skylines, m.tables()
+	if ix.T == nil {
+		m.D.Columns = slices.DeleteFunc(m.D.Columns, func(c colbm.StoredColumn) bool { return c.Spec.Name == "docid" })
+		sky = slices.Clone(sky)
+		slices.SortFunc(sky, func(a, b ir.Skyline) int { return strings.Compare(a.Term, b.Term) })
+		t, err := ir.BuildDictionary(m.Config.TablePrefix+"T", fs, colbm.NewManager(0), m.Config.ChunkLen, m.Terms, sky)
+		if err != nil {
+			return nil, fmt.Errorf("storage: persist the dictionary: %w", err)
+		}
+		m.T, tables = t.Stored(), tables[:2] // T is written in place
+	}
 	rename := func(s string) string { return m.Config.TablePrefix + strings.TrimPrefix(s, built) }
-	for _, table := range []*colbm.StoredTable{&m.TD, &m.D} {
+	for _, table := range tables {
 		table.Name = rename(table.Name)
 		for i := range table.Columns {
 			col := &table.Columns[i]
 			w, err := fs.Create(rename(col.Blob))
 			if err != nil {
-				return err
+				return nil, err
 			}
-			if err := colbm.CopyBlob(w, src, col.Blob, col.DiskSize()); err != nil {
+			if table.Checksums {
+				err = colbm.CopyBlob(w, ix.Store, col.Blob, col.DiskSize())
+			} else {
+				err = copyChunks(w, ix.Store, col)
+			}
+			if err != nil {
 				w.Abort()
-				return fmt.Errorf("storage: persist column %q: %w", col.Blob, err)
+				return nil, fmt.Errorf("storage: persist column %q: %w", col.Blob, err)
 			}
 			if err := w.Close(); err != nil {
-				return err
+				return nil, err
 			}
 			col.Blob = rename(col.Blob)
 		}
+		table.Checksums = true
+	}
+	return sky, nil
+}
+
+// copyChunks streams column col of src into w a chunk at a time, recording
+// each chunk's checksum in col.
+func copyChunks(w colbm.ChunkWriter, src colbm.BlockStore, col *colbm.StoredColumn) error {
+	var buf []byte
+	alloc := func(n int) []byte {
+		if cap(buf) < n {
+			buf = make([]byte, n)
+		}
+		return buf[:n]
+	}
+	for i := range col.Chunks {
+		ch := &col.Chunks[i]
+		data, b, err := src.ReadInto(col.Blob, ch.Off, ch.Size, alloc)
+		if err != nil {
+			return err
+		}
+		buf = b
+		ch.CRC = colbm.Checksum(data)
+		if err := w.Append(data); err != nil {
+			return err
+		}
 	}
 	return nil
+}
+
+// termsWithout returns the terms of the dictionary that have no skyline
+// in sky.
+func termsWithout(terms map[string]ir.TermInfo, sky []ir.Skyline) []string {
+	has := make(map[string]bool, len(sky))
+	for _, s := range sky {
+		has[s.Term] = true
+	}
+	rest := make([]string, 0, len(terms)-len(has))
+	for t := range terms {
+		if !has[t] {
+			rest = append(rest, t)
+		}
+	}
+	return rest
 }
 
 // buildSegment finishes a build of segment name of dir straight into the
@@ -130,8 +199,8 @@ func buildSegment(dir, name string, build func(colbm.BlockStore) (*ir.Index, err
 // alternative — a stray or truncated blob surfacing as a decode error in
 // the middle of some later query.
 func verifyIndexFiles(dir string, m *Manifest) error {
-	want := make(map[string]int, len(m.TD.Columns)+len(m.D.Columns))
-	for _, st := range []*colbm.StoredTable{&m.TD, &m.D} {
+	want := make(map[string]int, len(m.TD.Columns)+len(m.D.Columns)+len(m.T.Columns))
+	for _, st := range m.tables() {
 		for _, col := range st.Columns {
 			want[col.Blob] = col.DiskSize()
 		}
@@ -166,8 +235,8 @@ func verifyIndexFiles(dir string, m *Manifest) error {
 
 // openSegment opens segment seg of the index directory dir for querying
 // ("." is the legacy one-segment layout) from its decoded manifest m. The
-// only column data read is the document table's docid column, once, to
-// check it is dense (ir.RestoreIndex; a segment that is not fails naming
+// only column data read is a format-1 document table's docid column, once,
+// to check it is dense (ir.RestoreIndex; a segment that is not fails naming
 // its directory, with ir.ErrDocTableNotDense). The rest stays on disk and
 // streams in through cache as queries touch it. Every segment of a
 // generation opens against the one cache its directory reads through, so
@@ -191,16 +260,16 @@ func openSegment(dir, seg string, m *Manifest, cache *colbm.Manager, release fun
 		fs.Close()
 		return nil, err
 	}
-	var tables []*colbm.Table
-	for _, st := range []*colbm.StoredTable{&m.TD, &m.D} {
+	tables := make([]*colbm.Table, 3)
+	for i, st := range m.tables() {
 		t, err := colbm.OpenTable(*st, fs, cache)
 		if err != nil {
 			fs.Close()
 			return nil, err
 		}
-		tables = append(tables, t)
+		tables[i] = t
 	}
-	ix, err := ir.RestoreIndex(tables[0], tables[1], m.Terms, m.Params,
+	ix, err := ir.RestoreIndex(tables[0], tables[1], tables[2], m.Terms, m.Params,
 		m.ScoreLo, m.ScoreHi, fs, cache, m.Config, m.maxima)
 	if err != nil {
 		fs.Close()

@@ -20,11 +20,19 @@ import (
 // FormatMagic identifies a segment manifest.
 const FormatMagic = "x100-index"
 
-// FormatVersion is the current on-disk segment format version. Readers
-// reject other versions outright: the format carries compressed physical
-// blocks whose layout has no in-band schema, so cross-version guessing
-// would corrupt silently rather than fail loudly.
-const FormatVersion = 1
+// FormatVersion is the segment format version every write produces.
+// Format 2 stores the term dictionary as relation T, column files beside
+// TD's and D's, records a CRC32C per chunk of every column and drops D's
+// docid column. Format 1 (formatV1) — the dictionary and skylines inline
+// in the manifest, no checksums, a dense D.docid — stays readable;
+// nothing writes it. Readers reject every other version outright: the
+// format carries compressed physical blocks whose layout has no in-band
+// schema, so cross-version guessing would corrupt silently rather than
+// fail loudly.
+const FormatVersion = 2
+
+// formatV1 is the first segment format, read but never written.
+const formatV1 = 1
 
 // ManifestName is the manifest filename inside a segment directory.
 const ManifestName = "MANIFEST.json"
@@ -32,8 +40,9 @@ const ManifestName = "MANIFEST.json"
 // Manifest is the versioned root of one on-disk segment: everything about
 // the segment's index except the column data itself. The column blobs live
 // next to it as one <blob>.col file each; the manifest records their
-// logical structure (specs, chunk extents) so openSegment can reattach
-// cursors without reading a byte of posting data.
+// logical structure (specs, chunk extents and checksums) so openSegment can
+// reattach cursors without reading a byte of posting data. A decode reads
+// one table's data, the dictionary T, into Terms and the skylines.
 type Manifest struct {
 	Magic   string `json:"magic"`
 	Version int    `json:"version"`
@@ -46,18 +55,17 @@ type Manifest struct {
 	// ScoreLo/ScoreHi are the Global-By-Value quantization bounds.
 	ScoreLo float64 `json:"score_lo"`
 	ScoreHi float64 `json:"score_hi"`
-	// Terms is the range index: term -> posting row range + statistics.
-	Terms map[string]ir.TermInfo `json:"terms"`
-	// Skylines are the segment's term skylines (ir.Skyline), in
-	// the varint encoding of encodeSkylines. From them an append derives
-	// the segment's exact score bounds under new statistics without
-	// reading its postings. Optional: a term without one — over
-	// ir.SkylineCap, or in a manifest written before skylines — is scanned.
-	Skylines []byte `json:"skylines,omitempty"`
-	// skylines is Skylines decoded and validated (validate), in posting
-	// row order. When there are any, byRow lists every dictionary term with
-	// its posting count: the terms of skylines first, in the same order,
-	// then the terms without one.
+	// Terms is the range index: term -> posting row range + statistics,
+	// decoded from T (from the manifest's "terms" in format 1).
+	Terms map[string]ir.TermInfo `json:"-"`
+	// skylines are the segment's term skylines (ir.Skyline), in T's order
+	// (format 1: posting row order). From them an append derives the
+	// segment's exact score bounds under new statistics without reading
+	// its postings. A term without one — over ir.SkylineCap, or in a
+	// format-1 manifest written before skylines — is scanned. When there
+	// are any, byRow lists every dictionary term with its posting count:
+	// the terms of skylines first, in the same order, then the terms
+	// without one.
 	skylines []ir.Skyline
 	byRow    []termRows
 	// maxima is the segment's stride-maxima cache: every Index opened from
@@ -65,9 +73,34 @@ type Manifest struct {
 	// are computed once while any generation holds the manifest.
 	maxima *ir.StrideMaxima
 
-	// TD and D describe the posting and document tables.
+	// TD, D and T describe the posting, document and dictionary tables
+	// (format 1 has no T).
 	TD colbm.StoredTable `json:"td"`
 	D  colbm.StoredTable `json:"d"`
+	T  colbm.StoredTable `json:"t"`
+}
+
+// tables returns the manifest's stored tables: TD, D and, from format 2
+// on, T.
+func (m *Manifest) tables() []*colbm.StoredTable {
+	if m.Version == formatV1 {
+		return []*colbm.StoredTable{&m.TD, &m.D}
+	}
+	return []*colbm.StoredTable{&m.TD, &m.D, &m.T}
+}
+
+// formatV1Dictionary is what a format-1 manifest carried beside the
+// fields of Manifest: the range index, and the skylines in the varint
+// encoding decodeSkylines reads.
+type formatV1Dictionary struct {
+	Terms    map[string]ir.TermInfo `json:"terms,omitempty"`
+	Skylines []byte                 `json:"skylines,omitempty"`
+}
+
+// manifestJSON is the JSON of a manifest of either format.
+type manifestJSON struct {
+	*Manifest
+	*formatV1Dictionary
 }
 
 // manifestPath returns the manifest location inside dir.
@@ -292,45 +325,101 @@ var manifestBytesRead atomic.Int64
 // process has read from disk.
 func ManifestBytesRead() int64 { return manifestBytesRead.Load() }
 
-// decodeManifest unmarshals the manifest bytes of segment seg and
-// validates them (validate); dir only labels errors.
+// decodeManifest unmarshals the manifest bytes of segment seg, validates
+// them (validate) and decodes its dictionary: format 2 reads relation T
+// from the column files in dir, the segment directory (readDictionary);
+// format 1 carries it inline, with its skylines (decodeSkylines). Every
+// failure wraps ErrBadManifest, a chunk of T that fails its checksum also
+// colbm.ErrChunkChecksum.
 func decodeManifest(dir, seg string, data []byte) (*Manifest, error) {
 	manifestDecodes.Add(1)
 	var m Manifest
-	if err := json.Unmarshal(data, &m); err != nil {
+	var v1 formatV1Dictionary
+	if err := json.Unmarshal(data, &manifestJSON{&m, &v1}); err != nil {
 		return nil, fmt.Errorf("storage: corrupt manifest in %q: %v: %w", dir, err, ErrBadManifest)
 	}
 	if err := m.validate(dir, seg); err != nil {
 		return nil, err
 	}
+	if m.Version == formatV1 {
+		m.Terms = v1.Terms
+		if err := m.decodeSkylines(v1.Skylines); err != nil {
+			return nil, fmt.Errorf("storage: manifest in %q: skylines: %v: %w", dir, err, ErrBadManifest)
+		}
+		return &m, nil
+	}
+	if v1.Terms != nil || v1.Skylines != nil {
+		return nil, fmt.Errorf("storage: manifest in %q: format %d carries an inline dictionary: %w", dir, m.Version, ErrBadManifest)
+	}
+	for _, st := range m.tables() {
+		st.Checksums = true
+	}
+	if err := m.readDictionary(dir); err != nil {
+		return nil, fmt.Errorf("storage: manifest in %q: dictionary: %w: %w", dir, err, ErrBadManifest)
+	}
 	return &m, nil
 }
 
+// readDictionary decodes relation T from its column files in the segment
+// directory dir into Terms, skylines and byRow. The chunks read verify
+// their checksums and are cached nowhere else.
+func (m *Manifest) readDictionary(dir string) error {
+	fs := readStore(dir)
+	defer fs.Close()
+	t, err := colbm.OpenTable(m.T, fs, colbm.NewManager(0))
+	if err != nil {
+		return err
+	}
+	terms, sky, rest, err := ir.ReadDictionary(t, m.TD.N)
+	if err != nil {
+		return err
+	}
+	m.Terms = terms
+	m.setRows(sky, rest)
+	return nil
+}
+
+// setRows sets skylines to sky and derives byRow from them and rest, the
+// dictionary terms without a skyline. Without skylines both stay nil.
+func (m *Manifest) setRows(sky []ir.Skyline, rest []string) {
+	m.skylines, m.byRow = nil, nil
+	if len(sky) == 0 {
+		return
+	}
+	m.skylines = sky
+	m.byRow = make([]termRows, 0, len(sky)+len(rest))
+	for _, s := range sky {
+		ti := m.Terms[s.Term]
+		m.byRow = append(m.byRow, termRows{s.Term, ti.End - ti.Start})
+	}
+	for _, t := range rest {
+		ti := m.Terms[t]
+		m.byRow = append(m.byRow, termRows{t, ti.End - ti.Start})
+	}
+}
+
 // validate checks a manifest of segment seg — decoded, or about to be
-// handed to the memo by its writer — and fills in what it derives: the
-// decoded skylines (kept when the writer set them), byRow, and an empty
-// stride-maxima cache; dir only labels errors. Table and blob names become
+// handed to the memo by its writer — and gives it an empty stride-maxima
+// cache; dir only labels errors. Table and blob names become
 // file names and chunk-cache keys, so every one must carry the segment's
 // own prefix "<seg>." — segment names hold no dot (decodeSegments), so no
 // two segments of a directory can then share a key — and every blob must
 // name a file inside the segment directory. The legacy "." segment keeps
 // the prefix it was built with: it is synthesized, never shipped, and
-// always alone in its generation. Skylines must name dictionary terms,
-// hold 1..ir.SkylineCap positive points per side, and keep sweep order
-// (checkSkylines).
+// always alone in its generation.
 func (m *Manifest) validate(dir, seg string) error {
 	if m.Magic != FormatMagic {
 		return fmt.Errorf("storage: %q is not an index manifest (magic %q): %w", dir, m.Magic, ErrBadManifest)
 	}
-	if m.Version != FormatVersion {
-		return fmt.Errorf("storage: index in %q has format version %d, this build reads version %d: %w",
-			dir, m.Version, FormatVersion, ErrBadManifest)
+	if m.Version != FormatVersion && m.Version != formatV1 {
+		return fmt.Errorf("storage: index in %q has format version %d, this build reads versions %d and %d: %w",
+			dir, m.Version, formatV1, FormatVersion, ErrBadManifest)
 	}
 	prefix := m.Config.TablePrefix
 	if seg != "." && prefix != seg+"." {
 		return fmt.Errorf("storage: manifest in %q has table prefix %q, want %q: %w", dir, prefix, seg+".", ErrBadManifest)
 	}
-	for _, st := range []*colbm.StoredTable{&m.TD, &m.D} {
+	for _, st := range m.tables() {
 		if !strings.HasPrefix(st.Name, prefix) {
 			return fmt.Errorf("storage: manifest in %q: table %q lacks prefix %q: %w", dir, st.Name, prefix, ErrBadManifest)
 		}
@@ -340,9 +429,6 @@ func (m *Manifest) validate(dir, seg string) error {
 					dir, col.Blob, prefix, ErrBadManifest)
 			}
 		}
-	}
-	if err := m.checkSkylines(); err != nil {
-		return fmt.Errorf("storage: manifest in %q: skylines: %v: %w", dir, err, ErrBadManifest)
 	}
 	m.maxima = ir.NewStrideMaxima()
 	return nil

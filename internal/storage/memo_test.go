@@ -445,7 +445,7 @@ func handedMatchesDecode(t *testing.T, dir, seg string) {
 		{"Magic", h.Magic, d.Magic}, {"Version", h.Version, d.Version},
 		{"Config", h.Config, d.Config}, {"Params", h.Params, d.Params},
 		{"ScoreLo", h.ScoreLo, d.ScoreLo}, {"ScoreHi", h.ScoreHi, d.ScoreHi},
-		{"Terms", h.Terms, d.Terms}, {"Skylines", h.Skylines, d.Skylines},
+		{"Terms", h.Terms, d.Terms}, {"T", h.T, d.T},
 		{"skylines", h.skylines, d.skylines}, {"byRow", rowSet(h.byRow), rowSet(d.byRow)},
 		{"TD", h.TD, d.TD}, {"D", h.D, d.D},
 	} {

@@ -11,7 +11,9 @@ import (
 	"testing"
 
 	"repro/internal/colbm"
+	"repro/internal/corpus"
 	"repro/internal/ir"
+	"repro/internal/vector"
 )
 
 // TestInstallManifestRefusesEscapingNames: a shipped manifest whose segment
@@ -59,7 +61,7 @@ func TestOpenRefusesBlobNamesOfAnotherSegment(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			for _, st := range []*colbm.StoredTable{&m.TD, &m.D} {
+			for _, st := range m.tables() {
 				st.Name = rename(st.Name)
 				for i := range st.Columns {
 					col := &st.Columns[i]
@@ -87,40 +89,35 @@ func TestOpenRefusesBlobNamesOfAnotherSegment(t *testing.T) {
 }
 
 // TestOpenRefusesNonDenseDocTable: plans fetch a document's length from
-// row docid - DocIDBase of the document table, so a segment whose D.docid
-// column is not DocIDBase + row — here, one gap before its last document,
-// written through colbm.NewBuilder with a manifest that agrees — must fail
-// to open with ir.ErrDocTableNotDense naming the segment, and serve no
-// ranking.
+// row docid - DocIDBase of the document table, so a format-1 segment whose
+// D.docid column is not DocIDBase + row — here, one gap before its last
+// document, written through colbm.NewBuilder with a manifest that agrees —
+// must fail to open with ir.ErrDocTableNotDense naming the segment, and
+// serve no ranking. (Format 2 stores no D.docid: row i is the document.)
 func TestOpenRefusesNonDenseDocTable(t *testing.T) {
 	dir := t.TempDir()
 	appendInBatches(t, dir, segTestCollection(t), 2)
 	segDir := filepath.Join(dir, "seg-000002")
-	m, err := readManifest(dir, "seg-000002")
-	if err != nil {
-		t.Fatal(err)
-	}
-	fs, err := NewFileStore(segDir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer fs.Close()
-	i := slices.IndexFunc(m.D.Columns, func(c colbm.StoredColumn) bool { return c.Spec.Name == "docid" })
-	b := colbm.NewBuilder(m.D.Name, fs, colbm.NewManager(0), []colbm.ColumnSpec{m.D.Columns[i].Spec})
-	ids := make([]int64, m.D.N)
-	for row := range ids {
-		ids[row] = m.Config.DocIDBase + int64(row)
-	}
-	ids[len(ids)-1]++
-	b.SetInt64("docid", ids)
-	tab, err := b.Build()
-	if err != nil {
-		t.Fatal(err)
-	}
-	m.D.Columns[i] = tab.Stored().Columns[0]
-	if _, err := writeManifest(segDir, m); err != nil {
-		t.Fatal(err)
-	}
+	toFormatV1(t, dir, "seg-000002", func(m *Manifest) {
+		fs, err := NewFileStore(segDir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer fs.Close()
+		spec := colbm.ColumnSpec{Name: "docid", Type: vector.Int64, Enc: colbm.EncPFORDelta, Bits: 8, ChunkLen: m.D.Columns[0].Spec.ChunkLen}
+		b := colbm.NewBuilder(m.D.Name, fs, colbm.NewManager(0), []colbm.ColumnSpec{spec})
+		ids := make([]int64, m.D.N)
+		for row := range ids {
+			ids[row] = m.Config.DocIDBase + int64(row)
+		}
+		ids[len(ids)-1]++
+		b.SetInt64("docid", ids)
+		tab, err := b.Build()
+		if err != nil {
+			t.Fatal(err)
+		}
+		m.D.Columns = append(slices.Clone(m.D.Columns), tab.Stored().Columns[0])
+	})
 
 	snap, err := OpenSegmented(dir, colbm.NewManager(0))
 	if err == nil {
@@ -225,7 +222,9 @@ func FuzzDecodeSegments(f *testing.F) {
 // "." segment keeps its own), every table and blob name starts with it,
 // and every blob file lies directly in the segment directory. Accepted
 // skylines name dictionary terms, hold 1..ir.SkylineCap positive points a
-// side in sweep order, and come with every term counted by row.
+// side in sweep order, and come with every term counted by row. The seeds
+// are format-1 manifests and the format-2 manifests of a real segment,
+// whose T files the decode reads from the segment directory.
 func FuzzDecodeManifest(f *testing.F) {
 	stored := func(prefix, table string) colbm.StoredTable {
 		return colbm.StoredTable{Name: prefix + table, N: 1, Columns: []colbm.StoredColumn{
@@ -234,14 +233,9 @@ func FuzzDecodeManifest(f *testing.F) {
 	}
 	terms := map[string]ir.TermInfo{"t": {Start: 0, End: 1, Ftd: 1}, "u": {Start: 1, End: 3, Ftd: 2}}
 	manifest := func(prefix, td string, sky ...ir.Skyline) []byte {
-		m := Manifest{Magic: FormatMagic, Version: FormatVersion, Config: ir.BuildConfig{TablePrefix: prefix},
-			Terms: terms, Skylines: encodeSkylines(terms, sky),
-			TD: stored(td, "TD"), D: stored(prefix, "D")}
-		data, err := json.Marshal(&m)
-		if err != nil {
-			f.Fatal(err)
-		}
-		return data
+		m := Manifest{Magic: FormatMagic, Version: formatV1, Config: ir.BuildConfig{TablePrefix: prefix},
+			Terms: terms, TD: stored(td, "TD"), D: stored(prefix, "D")}
+		return encodeFormatV1(f, &m, encodeSkylines(terms, sky))
 	}
 	valid := manifest("seg-000001.", "seg-000001.")
 	f.Add(valid)
@@ -259,9 +253,42 @@ func FuzzDecodeManifest(f *testing.F) {
 	f.Add([]byte(`null`))
 	f.Add([]byte(``))
 
+	// Format 2: a real segment, its manifest, and the same with its T
+	// described under another segment's prefix, with a wrong row count and
+	// with a chunk's checksum changed.
+	dir := f.TempDir()
+	cfg := corpus.DefaultConfig()
+	cfg.NumDocs, cfg.Vocab, cfg.AvgDocLen, cfg.NumTopics = 200, 400, 30, 4
+	if _, err := AppendSegment(dir, corpus.Generate(cfg), nil); err != nil {
+		f.Fatal(err)
+	}
+	segDir := filepath.Join(dir, "seg-000001")
+	v2, err := os.ReadFile(manifestPath(segDir))
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Add(v2)
+	for _, edit := range []func(m *Manifest){
+		func(m *Manifest) { m.T.Name = "seg-000002.T" },
+		func(m *Manifest) { m.T.N++ },
+		func(m *Manifest) { m.T.Columns[0].Chunks[0].CRC++ },
+		func(m *Manifest) { m.TD.N-- },
+	} {
+		m, err := decodeManifest(segDir, "seg-000001", v2)
+		if err != nil {
+			f.Fatal(err)
+		}
+		edit(m)
+		data, err := json.Marshal(m)
+		if err != nil {
+			f.Fatal(err)
+		}
+		f.Add(data)
+	}
+
 	f.Fuzz(func(t *testing.T, data []byte) {
 		for _, seg := range []string{"seg-000001", "."} {
-			m, err := decodeManifest("fuzz", seg, data)
+			m, err := decodeManifest(segDir, seg, data)
 			if err != nil {
 				if !errors.Is(err, ErrBadManifest) {
 					t.Fatalf("decodeManifest(%q) error %v does not wrap ErrBadManifest", seg, err)
@@ -272,7 +299,7 @@ func FuzzDecodeManifest(f *testing.F) {
 			if seg != "." && prefix != seg+"." {
 				t.Fatalf("segment %q accepted with table prefix %q", seg, prefix)
 			}
-			for _, st := range []*colbm.StoredTable{&m.TD, &m.D} {
+			for _, st := range m.tables() {
 				if !strings.HasPrefix(st.Name, prefix) {
 					t.Fatalf("segment %q accepted table %q outside prefix %q", seg, st.Name, prefix)
 				}

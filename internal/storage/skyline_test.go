@@ -148,8 +148,9 @@ func checkStoredSkylines(t *testing.T, dir, seg string) *Manifest {
 	return m
 }
 
-// stripSkylines rewrites every segment manifest of dir without its
-// skylines: the shape of a directory written before they existed.
+// stripSkylines rewrites every segment of dir without its skylines —
+// T again with every skyline value empty — the shape of a directory
+// written before they existed.
 func stripSkylines(t *testing.T, dir string) {
 	t.Helper()
 	sm, err := ReadSegments(dir)
@@ -161,9 +162,19 @@ func stripSkylines(t *testing.T, dir string) {
 		if err != nil {
 			t.Fatal(err)
 		}
+		segDir := filepath.Join(dir, e.Name)
+		fs, err := NewFileStore(segDir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		tab, err := ir.BuildDictionary(m.T.Name, fs, colbm.NewManager(0), m.Config.ChunkLen, m.Terms, nil)
+		fs.Close()
+		if err != nil {
+			t.Fatal(err)
+		}
 		bare := *m
-		bare.Skylines = nil
-		if _, err := writeManifest(filepath.Join(dir, e.Name), &bare); err != nil {
+		bare.T = tab.Stored()
+		if _, err := writeManifest(segDir, &bare); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -351,9 +362,10 @@ func TestSkylineBoundsMatchScan(t *testing.T) {
 
 // TestDecodeManifestRejectsBadSkylines: skylines come off disk and off the
 // wire with the rest of a manifest, so decodeManifest refuses, as
-// ErrBadManifest, a skyline for a term the dictionary lacks, a point with
-// tf or len ≤ 0, points out of sweep order, a side over ir.SkylineCap, and
-// a truncated encoding.
+// ErrBadManifest, a format-1 manifest with a skyline for a term the
+// dictionary lacks, a point with tf or len ≤ 0, points out of sweep order,
+// a side over ir.SkylineCap, and a truncated encoding. (Format 2's
+// skylines are T's, which ir.ReadDictionary checks the same way.)
 func TestDecodeManifestRejectsBadSkylines(t *testing.T) {
 	dir := t.TempDir()
 	_, ix := buildSmallIndex(t)
@@ -381,6 +393,7 @@ func TestDecodeManifestRejectsBadSkylines(t *testing.T) {
 		return pts
 	}
 	one := []ir.SkyPoint{{TF: 1, Len: 5}}
+	cut := func(b []byte) []byte { return b[:len(b)-1] }
 	encode := func(terms map[string]ir.TermInfo, s ir.Skyline) []byte {
 		return encodeSkylines(terms, []ir.Skyline{s})
 	}
@@ -392,31 +405,15 @@ func TestDecodeManifestRejectsBadSkylines(t *testing.T) {
 		"lower out of sweep order":   encode(m.Terms, ir.Skyline{Term: term, Upper: one, Lower: []ir.SkyPoint{{TF: 1, Len: 5}, {TF: 2, Len: 5}}}),
 		"upper falls below tf 1":     encode(m.Terms, ir.Skyline{Term: term, Upper: []ir.SkyPoint{{TF: 2, Len: 9}, {TF: -1, Len: 3}}, Lower: one}),
 		"side over the cap":          encode(m.Terms, ir.Skyline{Term: term, Upper: stair(ir.SkylineCap+1, -1), Lower: one}),
-		"truncated":                  m.Skylines[:len(m.Skylines)-1],
+		"truncated":                  cut(encode(m.Terms, m.skylines[0])),
 	} {
-		bad := *m
-		bad.Skylines = data
-		if _, err := writeManifest(filepath.Join(dir, seg), &bad); err != nil {
-			t.Fatal(err)
-		}
-		raw, err := os.ReadFile(manifestPath(filepath.Join(dir, seg)))
-		if err != nil {
-			t.Fatal(err)
-		}
+		raw := encodeFormatV1(t, m, data)
 		if _, err := decodeManifest(dir, seg, raw); !errors.Is(err, ErrBadManifest) || !strings.Contains(err.Error(), "skylines") {
 			t.Errorf("%s: decodeManifest returned %v, want ErrBadManifest about skylines", name, err)
 		}
 	}
 	// A full cap on both sides is accepted.
-	good := *m
-	good.Skylines = encode(m.Terms, ir.Skyline{Term: term, Upper: stair(ir.SkylineCap, -1), Lower: stair(ir.SkylineCap, 1)})
-	if _, err := writeManifest(filepath.Join(dir, seg), &good); err != nil {
-		t.Fatal(err)
-	}
-	raw, err := os.ReadFile(manifestPath(filepath.Join(dir, seg)))
-	if err != nil {
-		t.Fatal(err)
-	}
+	raw := encodeFormatV1(t, m, encode(m.Terms, ir.Skyline{Term: term, Upper: stair(ir.SkylineCap, -1), Lower: stair(ir.SkylineCap, 1)}))
 	if got, err := decodeManifest(dir, seg, raw); err != nil || len(got.skylines) != 1 || len(got.byRow) != len(m.Terms) {
 		t.Errorf("a skyline with %d points a side: %v", ir.SkylineCap, err)
 	}

@@ -73,16 +73,39 @@ func editManifests(t *testing.T, dir string, edit func(seg string, fields map[st
 	}
 }
 
-// stripSkylines deletes the skylines field from every segment manifest of
-// dir: the shape segments had before manifests carried them, whose
-// quantization bounds an append reads from the postings instead.
+// stripSkylines rewrites the dictionary T of a one-segment directory with
+// every skyline empty: the shape segments had before they carried
+// skylines, whose quantization bounds an append reads from the postings
+// instead.
 func stripSkylines(t *testing.T, dir string) {
 	t.Helper()
+	ix, err := LoadIndex(dir, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ix.Close()
+	if len(ix.Skylines) == 0 {
+		t.Fatal("the segment has no skylines to strip")
+	}
+	sm, err := storage.ReadSegments(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	fs, err := storage.NewFileStore(filepath.Join(dir, sm.Segments[0].Name))
+	if err != nil {
+		t.Fatal(err)
+	}
+	tab, err := ir.BuildDictionary(ix.T.Name, fs, colbm.NewManager(0), ix.Config().ChunkLen, ix.Terms, nil)
+	fs.Close()
+	if err != nil {
+		t.Fatal(err)
+	}
 	editManifests(t, dir, func(seg string, fields map[string]json.RawMessage) {
-		if _, ok := fields["skylines"]; !ok {
-			t.Fatalf("segment %s has no skylines to strip", seg)
+		raw, err := json.Marshal(tab.Stored())
+		if err != nil {
+			t.Fatal(err)
 		}
-		delete(fields, "skylines")
+		fields["t"] = raw
 	})
 }
 
@@ -261,6 +284,8 @@ func TestEveryDirectoryShape(t *testing.T) {
 			agree(t, wantWhole, engineSearch(eng))
 		})
 	}
+
+	t.Run("v1-segments-fixture", testFormatV1Cross)
 
 	t.Run("BuildPartitions", func(t *testing.T) {
 		dirs, err := BuildPartitions(seed, 2, t.TempDir())
@@ -526,4 +551,219 @@ func TestUnrecordedChunkLengthMeans128Ki(t *testing.T) {
 	}
 	requireChunkLen(t, &ms[0], postingChunkLen)
 	agree(t, eng, wantWhole)
+}
+
+// v1Fixture is a directory written by the last build that wrote segment
+// format 1 (dictionary and skylines in MANIFEST.json, D.docid, no
+// checksums): SaveIndex of v1FixtureCollection's documents [0, 200), then
+// AppendSegment of [200, 300).
+const v1Fixture = "testdata/v1-segments"
+
+// v1FixtureCollection is the collection v1Fixture was written from.
+func v1FixtureCollection() *Collection {
+	cfg := DefaultCollectionConfig()
+	cfg.NumDocs, cfg.Vocab, cfg.AvgDocLen, cfg.NumTopics = 400, 900, 40, 8
+	return GenerateCollection(cfg)
+}
+
+// copyTree copies the directory src to dst file by file.
+func copyTree(t *testing.T, src, dst string) {
+	t.Helper()
+	err := filepath.WalkDir(src, func(path string, d os.DirEntry, err error) error {
+		if err != nil {
+			return err
+		}
+		rel, err := filepath.Rel(src, path)
+		if err != nil {
+			return err
+		}
+		if d.IsDir() {
+			return os.MkdirAll(filepath.Join(dst, rel), 0o755)
+		}
+		data, err := os.ReadFile(path)
+		if err != nil {
+			return err
+		}
+		return os.WriteFile(filepath.Join(dst, rel), data, 0o644)
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+}
+
+// segmentVersions returns the format version of every segment of dir.
+func segmentVersions(t *testing.T, dir string) []int {
+	t.Helper()
+	var out []int
+	for _, m := range segmentManifests(t, dir) {
+		out = append(out, m.Version)
+	}
+	return out
+}
+
+// testFormatV1Cross is the format-1 × format-2 cross of
+// TestEveryDirectoryShape on a directory the format-1 writer wrote: it
+// reopens, takes an Engine.Add (a format-2 segment beside two format-1
+// ones), reopens again, merges all three into one format-2 segment, splits
+// the mixed directory between its two format-1 segments, absorbs the right
+// half back, and ships the mixed directory to a replica (what a replica
+// pull does). Every directory ranks every query under every strategy bit
+// for bit like an in-memory build of its documents.
+func testFormatV1Cross(t *testing.T) {
+	coll := v1FixtureCollection()
+	queries := append(coll.PrecisionQueries(6, 71), coll.EfficiencyQueries(6, 72)...)
+	ctx := context.Background()
+	reference := func(lo, hi int) map[Strategy][][]Result {
+		t.Helper()
+		c, err := coll.Slice(lo, hi)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ix, err := BuildIndex(c, IndexConfig{DocIDBase: int64(lo)})
+		if err != nil {
+			t.Fatal(err)
+		}
+		s := ir.NewSearcher(ix, 0)
+		want := map[Strategy][][]Result{}
+		for _, strat := range AllStrategies {
+			for _, q := range queries {
+				hits, _, err := s.Search(q.Terms, 10, strat)
+				if err != nil {
+					t.Fatal(err)
+				}
+				want[strat] = append(want[strat], hits)
+			}
+		}
+		return want
+	}
+	agree := func(label, dir string, want map[Strategy][][]Result) {
+		t.Helper()
+		eng, err := OpenDir(dir)
+		if err != nil {
+			t.Fatalf("%s: %v", label, err)
+		}
+		defer eng.Close()
+		for _, strat := range AllStrategies {
+			for i, q := range queries {
+				resp, err := eng.Search(ctx, SearchRequest{Terms: q.Terms, K: 10, Strategy: strat})
+				if err != nil {
+					t.Fatalf("%s: %v %v: %v", label, strat, q.Terms, err)
+				}
+				if !reflect.DeepEqual(resp.Hits, want[strat][i]) {
+					t.Errorf("%s: %v %v diverged from the in-memory build:\n got %v\nwant %v", label, strat, q.Terms, resp.Hits, want[strat][i])
+				}
+			}
+		}
+	}
+	wantSeed, wantWhole := reference(0, 300), reference(0, 400)
+
+	dir := filepath.Join(t.TempDir(), "ix")
+	copyTree(t, v1Fixture, dir)
+	if v := segmentVersions(t, dir); !reflect.DeepEqual(v, []int{1, 1}) {
+		t.Fatalf("the fixture's segment formats are %v, want [1 1]", v)
+	}
+	agree("reopened", dir, wantSeed)
+
+	eng, err := OpenDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	extra, err := coll.Docs(300, 400)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := eng.Add(ctx, extra); err != nil {
+		t.Fatalf("Add onto format 1: %v", err)
+	}
+	if err := eng.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if v := segmentVersions(t, dir); !reflect.DeepEqual(v, []int{1, 1, storage.FormatVersion}) {
+		t.Fatalf("after the Add the segment formats are %v, want [1 1 %d]", v, storage.FormatVersion)
+	}
+	agree("appended", dir, wantWhole)
+	mixed := filepath.Join(t.TempDir(), "mixed")
+	copyTree(t, dir, mixed)
+
+	eng, err = OpenDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if merged, err := eng.mergeOnce(1, func() bool { return false }); err != nil || !merged {
+		t.Fatalf("merge: %v, %v", merged, err)
+	}
+	if err := eng.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if v := segmentVersions(t, dir); !reflect.DeepEqual(v, []int{storage.FormatVersion}) {
+		t.Fatalf("after the merge the segment formats are %v, want [%d]", v, storage.FormatVersion)
+	}
+	agree("merged", dir, wantWhole)
+
+	// A replica pull ships every file of every segment, then installs the
+	// primary's SEGMENTS.json.
+	replica := filepath.Join(t.TempDir(), "replica")
+	raw, sm, err := storage.ReadSegmentsRaw(mixed)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, seg := range sm.Names() {
+		files, err := storage.SegmentFiles(mixed, seg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, f := range files {
+			data, err := storage.ReadSegmentFileAt(mixed, seg, f.Name, 0, int(f.Size))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := storage.WriteSegmentFileChunk(replica, seg, f.Name, 0, data); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	if _, err := storage.InstallManifest(replica, raw); err != nil {
+		t.Fatalf("install on the replica: %v", err)
+	}
+	agree("pulled", replica, wantWhole)
+
+	// Split between the two format-1 segments, then absorb the right half
+	// (a format-1 and a format-2 segment) back.
+	right := filepath.Join(t.TempDir(), "right")
+	if err := storage.PrepareSplit(mixed, right, 200); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := storage.CommitSplit(mixed, 200); err != nil {
+		t.Fatal(err)
+	}
+	agree("left half", mixed, reference(0, 200))
+	agree("right half", right, reference(200, 400))
+
+	// The left half is one format-1 segment: a save of it, opened, writes
+	// format 2 — T from its dictionary, checksums over its chunks, no
+	// D.docid.
+	ix, err := LoadIndex(mixed, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	resaved := filepath.Join(t.TempDir(), "resaved")
+	err = SaveIndex(resaved, ix)
+	ix.Close()
+	if err != nil {
+		t.Fatal(err)
+	}
+	ms := segmentManifests(t, resaved)
+	if ms[0].Version != storage.FormatVersion || len(ms[0].T.Columns) == 0 || len(ms[0].D.Columns) != 2 {
+		t.Fatalf("a save of a format-1 segment wrote format %d with %d T and %d D columns, want format %d, T and D's len and name",
+			ms[0].Version, len(ms[0].T.Columns), len(ms[0].D.Columns), storage.FormatVersion)
+	}
+	agree("resaved left half", resaved, reference(0, 200))
+	prep, err := storage.PrepareAbsorb(mixed, right, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := storage.CommitAbsorb(prep); err != nil {
+		t.Fatal(err)
+	}
+	agree("absorbed", mixed, wantWhole)
 }

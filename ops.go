@@ -3,6 +3,7 @@ package repro
 import (
 	"time"
 
+	"repro/internal/colbm"
 	"repro/internal/obs"
 	"repro/internal/storage"
 	"repro/internal/trace"
@@ -78,6 +79,8 @@ func (o engineOps) OpsMetrics() []obs.Metric {
 			Kind: obs.Counter, Value: float64(storage.ManifestBytesRead())},
 		{Name: "repro_storage_stats_folds_total", Help: "collection-statistics folds over every segment's manifest",
 			Kind: obs.Counter, Value: float64(storage.StatsFolds())},
+		{Name: "repro_storage_chunk_checksum_failures_total", Help: "chunk reads whose bytes failed their recorded CRC32C",
+			Kind: obs.Counter, Value: float64(colbm.ChecksumFailures())},
 	}
 }
 

@@ -146,6 +146,7 @@ func TestEngineOpsServer(t *testing.T) {
 		"repro_engine_docs",
 		"repro_engine_result_cache_misses_total 1",
 		"# TYPE repro_storage_manifest_decodes_total counter",
+		"# TYPE repro_storage_chunk_checksum_failures_total counter",
 	} {
 		if !strings.Contains(metrics, want) {
 			t.Errorf("/metrics missing %q:\n%s", want, metrics)

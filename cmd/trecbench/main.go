@@ -306,7 +306,9 @@ func table2(p params) error {
 }
 
 // table3 reproduces the distributed runs: speedup from 1..N servers and
-// multi-stream throughput on N servers, hot data.
+// multi-stream throughput on N servers, hot data. It fails when any
+// N-server ranking differs from the 1-server ranking: partitioning must
+// not change an answer.
 func table3(p params) error {
 	docs, nq, servers, seed := p.docs, p.queries, p.servers, p.seed
 	header("Table 3: performance of the distributed runs (hot data)")
@@ -330,8 +332,8 @@ func table3(p params) error {
 	if err := single.WarmAll(strat, warm, 20); err != nil {
 		return err
 	}
+	defer single.Close()
 	seqStats, err := single.RunStreams(queries, 1, 20, strat)
-	single.Close()
 	if err != nil {
 		return err
 	}
@@ -348,6 +350,10 @@ func table3(p params) error {
 	if err := cl.WarmAll(strat, warm, 20); err != nil {
 		return err
 	}
+	if err := sameRankings(single, cl, queries, 20, strat); err != nil {
+		return err
+	}
+	fmt.Printf("%d-server rankings equal the 1-server rankings on all %d queries\n", servers, len(queries))
 
 	fmt.Printf("\nFull run (hot data)\n")
 	fmt.Printf("%-28s %10s %10s | %8s %8s %8s\n",
@@ -381,6 +387,44 @@ func table3(p params) error {
 	fmt.Println(" latency tracks the slowest server — max >> min across partitions — while")
 	fmt.Println(" amortized per-query time keeps falling as concurrent streams are added,")
 	fmt.Println(" i.e. throughput scales even though latency does not)")
+	return nil
+}
+
+// sameRankings runs the queries through a broker of each cluster and
+// returns an error at the first ranking that differs in DocID or Score.
+func sameRankings(a, b *dist.Cluster, queries []corpus.Query, k int, strat ir.Strategy) error {
+	reqs := make([]dist.Request, len(queries))
+	for i, q := range queries {
+		reqs[i] = dist.Request{Terms: q.Terms, K: k, Strategy: strat}
+	}
+	var outs [2][]dist.BatchResult
+	for i, cl := range []*dist.Cluster{a, b} {
+		brk, err := cl.NewBroker()
+		if err != nil {
+			return err
+		}
+		outs[i], _, err = brk.SearchMany(context.Background(), reqs)
+		brk.Close()
+		if err != nil {
+			return err
+		}
+	}
+	for qi, q := range queries {
+		x, y := outs[0][qi], outs[1][qi]
+		if x.Err != nil || y.Err != nil {
+			return fmt.Errorf("query %v: %v, %v", q.Terms, x.Err, y.Err)
+		}
+		if len(x.Results) != len(y.Results) {
+			return fmt.Errorf("query %v: %d results on %d servers, %d on 1",
+				q.Terms, len(y.Results), b.Partitions(), len(x.Results))
+		}
+		for r, want := range x.Results {
+			if got := y.Results[r]; got.DocID != want.DocID || got.Score != want.Score {
+				return fmt.Errorf("query %v rank %d: (%d, %v) on %d servers, (%d, %v) on 1",
+					q.Terms, r, got.DocID, got.Score, b.Partitions(), want.DocID, want.Score)
+			}
+		}
+	}
 	return nil
 }
 

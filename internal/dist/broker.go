@@ -5,7 +5,6 @@ import (
 	"errors"
 	"fmt"
 	"slices"
-	"sort"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -18,10 +17,11 @@ import (
 	"repro/internal/trace"
 )
 
-// Timing reports one fan-out round trip: the end-to-end total and each
+// Timing reports one call's fan-out: the end-to-end total and each
 // partition group's response time (request written to the winning
-// replica's response decoded). The max-vs-min spread across PerServer is
-// the Table 3 story: per-query latency tracks the slowest partition.
+// replica's response decoded, summed over the call's rounds). The
+// max-vs-min spread across PerServer is the Table 3 story: per-query
+// latency tracks the slowest partition.
 type Timing struct {
 	Total     time.Duration
 	PerServer []time.Duration
@@ -35,10 +35,10 @@ type Timing struct {
 	// it — a down group is then an error instead).
 	DegradedGroups int
 	// Stats are the query stats merged across servers for single-query
-	// Search: Wall is the slowest server's (latency tracks max), Candidates
-	// are summed, SecondPass is set when any server needed the second
-	// pass. SearchMany reports stats per query in its BatchResults instead
-	// and leaves this zero.
+	// Search: Wall is the slowest server's per round (latency tracks max),
+	// Candidates are summed, SecondPass is set when the broker sent the
+	// query to round 2, the disjunctive pass. SearchMany reports stats per
+	// query in its BatchResults instead and leaves this zero.
 	Stats ir.QueryStats
 	// Trace is the stitched span tree of the whole distributed call —
 	// broker fan-out, per-group attempts (hedges and retries included,
@@ -594,10 +594,13 @@ func (b *Broker) SearchContext(ctx context.Context, terms []string, k int, strat
 // SearchMany fans a whole batch of queries out in ONE round trip per
 // partition — each server executes its slice of work concurrently through
 // its searcher pool — and merges every query's per-server top-k lists into
-// the global rankings. Within each replica group the broker picks a
-// primary (round-robin over healthy replicas), hedges when the primary
-// exceeds the group's hedge budget, and fails over to the
-// remaining replicas when a connection breaks; a query errors at the
+// the global rankings; the two-pass queries whose conjunctive yield over
+// the whole collection falls short of k take a second round trip, the
+// disjunctive round, which hedges, fails over and pins like the first.
+// Within each replica group the broker picks a primary (round-robin over
+// healthy replicas), hedges when the primary exceeds the group's hedge
+// budget, and fails over to the remaining replicas when a connection
+// breaks or a reply does not fit its request; a query errors at the
 // transport level only when a whole replica group is down — unless
 // WithPartialResults is on, in which case the survivors answer and every
 // result is flagged Degraded. With WithAdmission, a call that would miss
@@ -654,17 +657,10 @@ func (b *Broker) SearchMany(ctx context.Context, reqs []Request) ([]BatchResult,
 	// DefaultK alike, but the merge cuts the union of their lists to K. A
 	// negative K goes out as it came, for every server to refuse.
 	reqs = slices.Clone(reqs)
-	wreq := wireRequest{Queries: make([]wireQuery, len(reqs))}
 	for i := range reqs {
-		r := &reqs[i]
-		if k, err := serving.ResolveK(r.K); err == nil {
-			r.K = k
+		if k, err := serving.ResolveK(reqs[i].K); err == nil {
+			reqs[i].K = k
 		}
-		wreq.Queries[i] = wireQuery{Terms: r.Terms, K: r.K, Strategy: int(r.Strategy)}
-	}
-	if t != nil {
-		wreq.TraceID = t.ID()
-		wreq.TraceSampled = true
 	}
 	start := time.Now()
 	defer func() {
@@ -677,117 +673,206 @@ func (b *Broker) SearchMany(ctx context.Context, reqs []Request) ([]BatchResult,
 		}
 	}()
 
+	fail := func(err error) ([]BatchResult, Timing, error) {
+		timing.Total = time.Since(start)
+		finish(&timing, err)
+		return nil, timing, err
+	}
 	rootStart := start
 	if t != nil {
 		rootStart = t.StartTime()
+	}
+	// The paper's two-pass top-k, gated over the whole collection: round 1
+	// asks every partition for each query's first pass, and ir.Gate
+	// decides over all of their conjunctive answers which two-pass queries
+	// are done; the rest go out as round 2, the disjunctive pass, whose
+	// merge is their answer. Both rounds of a query must read the same
+	// generation of every partition, so a query whose round 2 met another
+	// generation than its round 1 reruns from round 1.
+	out := make([]BatchResult, len(reqs))
+	down := make([]bool, len(m.groups))
+	todo := make([]int, len(reqs))
+	for i := range todo {
+		todo[i] = i
+	}
+	for span := ""; len(todo) > 0; span = "rerun" {
+		reps1 := b.fanOut(ctx, m, t, span, wireRound(reqs, todo, false, t), rootStart, &timing)
+		if err := b.settle(ctx, reps1, down); err != nil {
+			return fail(err)
+		}
+		ms := t.Begin("merge")
+		var again []int
+		for j, qi := range todo {
+			out[qi].Results, out[qi].Err = nil, nil
+			round, err := answers(reps1, j, &out[qi].Stats)
+			switch {
+			case err != nil:
+				out[qi].Err = err
+			case !reqs[qi].Strategy.TwoPass():
+				out[qi].Results = ir.MergeTopK(round, reqs[qi].K)
+			default:
+				top, disjunctive := ir.Gate(round, reqs[qi].K)
+				if disjunctive {
+					again = append(again, qi)
+				} else {
+					out[qi].Results = top
+				}
+			}
+		}
+		t.End(ms)
+		if len(again) == 0 {
+			break
+		}
+		reps2 := b.fanOut(ctx, m, t, "round2", wireRound(reqs, again, true, t), rootStart, &timing)
+		if err := b.settle(ctx, reps2, down); err != nil {
+			return fail(err)
+		}
+		ms = t.Begin("merge")
+		for j, qi := range again {
+			out[qi].Stats.SecondPass = true
+			round, err := answers(reps2, j, &out[qi].Stats)
+			out[qi].Results, out[qi].Err = ir.MergeTopK(round, reqs[qi].K), err
+		}
+		t.End(ms)
+		todo = nil
+		for gi := range reps2 {
+			if reps1[gi].err == nil && reps2[gi].err == nil && reps1[gi].resp.Gen != reps2[gi].resp.Gen {
+				todo = again
+				break
+			}
+		}
+	}
+	// Under WithPartialResults a down group is routed around as long as one
+	// survives (settle): the batch answers degraded instead of failing.
+	for _, d := range down {
+		if d {
+			timing.DegradedGroups++
+		}
+	}
+	if timing.DegradedGroups > 0 {
+		b.degraded.Add(int64(timing.DegradedGroups))
+		for qi := range out {
+			out[qi].Degraded = true
+		}
+	}
+	timing.Total = time.Since(start)
+	finish(&timing, nil)
+	return out, timing, nil
+}
+
+// wireRound is the wire request of one round for the queries qs of reqs:
+// in round 1 the conjunctive pass of a two-pass strategy and the whole of
+// any other, in round 2 the disjunctive pass.
+func wireRound(reqs []Request, qs []int, round2 bool, t *trace.Trace) wireRequest {
+	wreq := wireRequest{Queries: make([]wireQuery, len(qs))}
+	for j, qi := range qs {
+		r := &reqs[qi]
+		pass := ir.PassBoth
+		switch {
+		case round2:
+			pass = ir.PassDisjunctive
+		case r.Strategy.TwoPass():
+			pass = ir.PassConjunctive
+		}
+		wreq.Queries[j] = wireQuery{Terms: r.Terms, K: r.K, Strategy: int(r.Strategy), Pass: int(pass)}
+	}
+	if t != nil {
+		wreq.TraceID = t.ID()
+		wreq.TraceSampled = true
+	}
+	return wreq
+}
+
+// fanOut sends one round's request to every partition group at once and
+// returns their replies in partition order. Each group's span is grafted
+// under the trace root, or under a span of its own for a round with a
+// name, and its round trip, hedges, retries and answered generation land
+// in tm.
+func (b *Broker) fanOut(ctx context.Context, m *membership, t *trace.Trace, name string, wreq wireRequest, root time.Time, tm *Timing) []groupReply {
+	parent := trace.Root
+	if name != "" {
+		parent = t.Begin(name)
+		t.SetAttr(parent, "queries", int64(len(wreq.Queries)))
+		defer t.End(parent)
 	}
 	replies := make(chan groupReply, len(m.groups))
 	for gi := range m.groups {
 		go func(gi int) {
 			t0 := time.Now()
-			rep := call(ctx, m, gi, wreq, callPolicy{search: true, pin: true, root: rootStart})
+			rep := call(ctx, m, gi, wreq, callPolicy{search: true, pin: true, root: root})
 			rep.gi = gi
-			timing.PerServer[gi] = time.Since(t0)
+			tm.PerServer[gi] += time.Since(t0)
 			replies <- rep
 		}(gi)
 	}
-
 	reps := make([]groupReply, len(m.groups))
 	for range m.groups {
 		r := <-replies
 		if r.span != nil {
-			t.Graft(trace.Root, *r.span)
+			t.Graft(parent, *r.span)
 		}
-		timing.Hedged += r.hedged
-		timing.Retried += r.retried
-		timing.Gens[r.gi] = r.resp.Gen
+		tm.Hedged += r.hedged
+		tm.Retried += r.retried
+		b.hedged.Add(int64(r.hedged))
+		b.retried.Add(int64(r.retried))
+		tm.Gens[r.gi] = r.resp.Gen
 		reps[r.gi] = r
 	}
-	b.hedged.Add(int64(timing.Hedged))
-	b.retried.Add(int64(timing.Retried))
-	ms := t.Begin("merge")
-	out, down, firstErr := mergeReplies(reqs, reps)
-	t.End(ms)
-	// Under WithPartialResults a down group is routed around as long as one
-	// survives, unless the caller itself gave up (a context error is not an
-	// outage): the batch answers degraded instead of failing.
-	if firstErr != nil && b.partial && ctx.Err() == nil && down < len(m.groups) {
-		timing.DegradedGroups = down
-		b.degraded.Add(int64(down))
-		for qi := range out {
-			out[qi].Degraded = true
-		}
-		firstErr = nil
-	}
-	timing.Total = time.Since(start)
-	if firstErr != nil {
-		if ctxErr := ctx.Err(); ctxErr != nil {
-			finish(&timing, ctxErr)
-			return nil, timing, ctxErr
-		}
-		finish(&timing, firstErr)
-		return nil, timing, firstErr
-	}
-	finish(&timing, nil)
-	return out, timing, nil
+	return reps
 }
 
-// mergeReplies folds the partition groups' replies to one batch into the
-// batch's results: each answer's hits and stats land in its request's
-// entry, a per-query error fails that request, and every request's hits
-// are merged into its global ranking — partitions are disjoint, so that
-// is a plain top-k selection ordered like the single-node TopN (score
-// desc, docid asc). A group fails as a whole when its call errored or it
-// answered a different number of queries than reqs; mergeReplies returns
-// how many groups failed and the first failure in partition order.
-func mergeReplies(reqs []Request, reps []groupReply) ([]BatchResult, int, error) {
-	out := make([]BatchResult, len(reqs))
+// settle marks the groups that failed a round down and decides whether the
+// call goes on without them: only under WithPartialResults, only while one
+// group answered, and never once the caller itself gave up (a context
+// error is not an outage). Otherwise it returns the call's error — the
+// context's, or the first failure in partition order.
+func (b *Broker) settle(ctx context.Context, reps []groupReply, down []bool) error {
 	var firstErr error
-	down := 0
+	failed := 0
 	for _, r := range reps {
-		if r.err == nil && len(r.resp.Queries) != len(reqs) {
-			r.err = fmt.Errorf("answered %d of %d queries", len(r.resp.Queries), len(reqs))
+		if r.err == nil {
+			continue
 		}
+		down[r.gi] = true
+		failed++
+		if firstErr == nil {
+			firstErr = fmt.Errorf("dist: partition %d: %w", r.gi, r.err)
+		}
+	}
+	if firstErr == nil || b.partial && ctx.Err() == nil && failed < len(reps) {
+		return nil
+	}
+	if ctxErr := ctx.Err(); ctxErr != nil {
+		return ctxErr
+	}
+	return firstErr
+}
+
+// answers collects query j's answers from one round's replies, one shard
+// per group that answered, and folds their stats into st: the slowest
+// server's wall adds to the query's, and candidates add up. A per-query
+// error from any group fails the query (the first in partition order).
+func answers(reps []groupReply, j int, st *ir.QueryStats) ([]ir.Shard, error) {
+	round := make([]ir.Shard, 0, len(reps))
+	var wall time.Duration
+	for _, r := range reps {
 		if r.err != nil {
-			down++
-			if firstErr == nil {
-				firstErr = fmt.Errorf("dist: partition %d: %w", r.gi, r.err)
-			}
 			continue
 		}
-		for qi := range r.resp.Queries {
-			a := &r.resp.Queries[qi]
-			if a.Err != "" {
-				if out[qi].Err == nil {
-					out[qi].Err = fmt.Errorf("dist: partition %d: %s", r.gi, a.Err)
-				}
-				continue
-			}
-			for _, wr := range a.Results {
-				out[qi].Results = append(out[qi].Results,
-					ir.Result{DocID: wr.DocID, Name: wr.Name, Score: wr.Score})
-			}
-			mergeStats(&out[qi].Stats, a)
+		a := &r.resp.Queries[j]
+		if a.Err != "" {
+			return nil, fmt.Errorf("dist: partition %d: %s", r.gi, a.Err)
 		}
+		var hits []ir.Result
+		for _, wr := range a.Results {
+			hits = append(hits, ir.Result{DocID: wr.DocID, Name: wr.Name, Score: wr.Score})
+		}
+		round = append(round, ir.Shard{Hits: hits, Mask: a.Mask})
+		wall = max(wall, time.Duration(a.WallNanos))
+		st.Candidates += a.Candidates
 	}
-	for qi := range out {
-		if out[qi].Err != nil {
-			out[qi].Results = nil
-			continue
-		}
-		merged := out[qi].Results
-		sort.Slice(merged, func(i, j int) bool {
-			if merged[i].Score != merged[j].Score {
-				return merged[i].Score > merged[j].Score
-			}
-			return merged[i].DocID < merged[j].DocID
-		})
-		if k := reqs[qi].K; k > 0 && len(merged) > k {
-			merged = merged[:k]
-		}
-		out[qi].Results = merged
-	}
-	return out, down, firstErr
+	st.Wall += wall
+	return round, nil
 }
 
 // GroupMetrics is one partition group's slice of a BrokerMetrics
@@ -859,15 +944,4 @@ func (b *Broker) MetricsSnapshot() BrokerMetrics {
 		}
 	}
 	return m
-}
-
-// mergeStats folds one server's answer into a query's cross-server stats:
-// per-query latency tracks the slowest server (max wall), while candidate
-// work adds up, and a second pass anywhere marks the query.
-func mergeStats(dst *ir.QueryStats, a *wireAnswer) {
-	if w := time.Duration(a.WallNanos); w > dst.Wall {
-		dst.Wall = w
-	}
-	dst.SecondPass = dst.SecondPass || a.SecondPass
-	dst.Candidates += a.Candidates
 }

@@ -10,6 +10,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"repro/internal/ir"
 	"repro/internal/qos"
 	"repro/internal/trace"
 )
@@ -410,6 +411,11 @@ func call(ctx context.Context, m *membership, gi int, req wireRequest, pol callP
 				a.err = fmt.Errorf("dist: %s: replica at generation %d, behind pinned %d",
 					a.r.conn.addr, a.resp.Gen, req.PinGen)
 			}
+			if a.err == nil && pol.search {
+				if err := checkAnswers(&req, &a.resp); err != nil {
+					a.err = fmt.Errorf("dist: %s: %w", a.r.conn.addr, err)
+				}
+			}
 			if traced {
 				rec := recs[a.ai]
 				rec.end = rec.start + a.d
@@ -477,6 +483,28 @@ func call(ctx context.Context, m *membership, gi int, req wireRequest, pol callP
 			return done(rep)
 		}
 	}
+}
+
+// checkAnswers validates a search reply against its request before the
+// broker reads it: one answer per query and, for each query answered
+// without an error, at most k hits and, when it named a pass, a mask of
+// one entry per term. A reply that fails is a failed attempt, like a
+// dropped connection.
+func checkAnswers(req *wireRequest, resp *wireResponse) error {
+	if len(resp.Queries) != len(req.Queries) {
+		return fmt.Errorf("answered %d of %d queries", len(resp.Queries), len(req.Queries))
+	}
+	for i := range resp.Queries {
+		a, q := &resp.Queries[i], &req.Queries[i]
+		switch {
+		case a.Err != "":
+		case len(a.Results) > q.K:
+			return fmt.Errorf("query %d: %d hits for k=%d", i, len(a.Results), q.K)
+		case q.Pass != int(ir.PassBoth) && len(a.Mask) != len(q.Terms):
+			return fmt.Errorf("query %d: mask of %d terms for a query of %d", i, len(a.Mask), len(q.Terms))
+		}
+	}
+	return nil
 }
 
 // buildGroupSpan converts a group's attempt records into its span

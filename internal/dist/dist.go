@@ -94,11 +94,15 @@ type wirePull struct {
 	From string
 }
 
-// wireQuery is one query inside a batch.
+// wireQuery is one query inside a batch. Pass is the ir.Pass the server
+// runs: the broker asks for a two-pass strategy's conjunctive and
+// disjunctive passes one round at a time, gating the whole collection
+// itself (ir.Gate), and sends any other strategy as ir.PassBoth.
 type wireQuery struct {
 	Terms    []string
 	K        int
 	Strategy int
+	Pass     int
 }
 
 // wireResponse answers a wireRequest, one entry per query in request
@@ -166,13 +170,14 @@ type wirePullResult struct {
 }
 
 // wireAnswer is one query's results plus the complete per-query stats.
-// SecondPass and Candidates ride the wire alongside the timings so
-// broker-side accounting matches server-side reality (they used to be
-// silently dropped, under-reporting RunStats).
+// Candidates ride the wire alongside the timings so broker-side accounting
+// matches server-side reality. Mask marks the query's terms the partition
+// holds, one entry per term, for a query that named a pass: the input
+// ir.Gate needs besides the hits.
 type wireAnswer struct {
 	Results    []wireResult
+	Mask       []bool
 	WallNanos  int64
-	SecondPass bool
 	Candidates int64
 	Err        string
 	// Trace is the server-side span tree for this query when the request
@@ -203,8 +208,10 @@ type Request struct {
 }
 
 // BatchResult is one request's outcome within Broker.SearchMany: the
-// globally merged ranking, the stats merged across servers (wall = slowest
-// server, candidates summed, second-pass ORed), or a per-request error.
+// globally merged ranking, the stats merged across servers (wall = the
+// slowest server of each round, summed over the rounds; candidates summed;
+// SecondPass set when the broker sent the request to round 2), or a
+// per-request error.
 type BatchResult struct {
 	Results []ir.Result
 	Stats   ir.QueryStats
@@ -222,9 +229,10 @@ type RunStats struct {
 	Queries int // queries executed
 	Streams int // concurrent query streams
 
-	// SecondPass counts queries for which at least one server needed the
-	// disjunctive second pass; Candidates sums scored candidates across all
-	// servers and queries. Both arrive over the wire per answer.
+	// SecondPass counts queries the broker sent to round 2, the disjunctive
+	// pass, because their conjunctive yield over the whole collection fell
+	// short of k; Candidates sums scored candidates across all servers,
+	// rounds and queries, as they arrive over the wire per answer.
 	SecondPass int
 	Candidates int64
 

@@ -213,7 +213,9 @@ func TestPinnedGenerationMatchesCentralized(t *testing.T) {
 	defer brk.Close()
 	ctx := context.Background()
 
-	queries := c.PrecisionQueries(6, 31)
+	// Efficiency queries too: their conjunctive yield often falls short
+	// of k, so their two rounds must read one generation.
+	queries := append(c.PrecisionQueries(6, 31), c.EfficiencyQueries(10, 31)...)
 	const k = 10
 
 	// expected[g] is the centralized ranking of every query at shadow

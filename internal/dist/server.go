@@ -373,13 +373,14 @@ func (s *Server) handleSearch(req *wireRequest) wireResponse {
 	return resp
 }
 
-// answerQuery runs one query of a wire request through the core's
-// pipeline and forwards the full per-query stats (wall, second pass,
-// candidates) onto the wire. When the request carries a sampled trace
-// context, the query gets a server-local root span riding ctx — the
-// pipeline's pool wait and execution spans and the searcher's per-operator
-// breakdown land under it — shipped back for the broker to graft under the
-// attempt that carried it.
+// answerQuery runs the one pass a query of a wire request names through
+// the core's pipeline (an unknown pass is a per-query error) and forwards
+// the hits, the term mask and the per-query stats (wall, candidates) onto
+// the wire. When the request carries a sampled trace context, the query
+// gets a server-local root span riding ctx — the pipeline's pool wait and
+// execution spans and the searcher's per-operator breakdown land under it
+// — shipped back for the broker to graft under the attempt that carried
+// it.
 func (s *Server) answerQuery(ctx context.Context, g *serving.Gen, req *wireRequest, q *wireQuery) wireAnswer {
 	var t *trace.Trace
 	if req.TraceSampled {
@@ -387,10 +388,10 @@ func (s *Server) answerQuery(ctx context.Context, g *serving.Gen, req *wireReque
 		t.SetAttrStr(trace.Root, "addr", s.Addr())
 		ctx = trace.NewContext(ctx, t)
 	}
-	r, err := g.Search(ctx, serving.Request{Terms: q.Terms, K: q.K, Strategy: ir.Strategy(q.Strategy)})
+	r, err := g.Search(ctx, serving.Request{Terms: q.Terms, K: q.K, Strategy: ir.Strategy(q.Strategy), Pass: ir.Pass(q.Pass)})
 	a := wireAnswer{
+		Mask:       r.Mask,
 		WallNanos:  r.Stats.Wall.Nanoseconds(),
-		SecondPass: r.Stats.SecondPass,
 		Candidates: r.Stats.Candidates,
 	}
 	if t != nil {

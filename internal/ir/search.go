@@ -3,6 +3,7 @@ package ir
 import (
 	"context"
 	"fmt"
+	"slices"
 	"time"
 
 	"repro/internal/colbm"
@@ -90,14 +91,18 @@ func (s QueryStats) Total() time.Duration { return s.Wall + s.SimIO }
 // global, statistics are collection-wide after the snapshot's stats
 // patch), and per-segment top-k lists merge by (score, docid). The
 // two-pass gate is global — the conjunctive pass runs on every segment
-// first, and only if the merged conjunctive yield falls short of k does
-// any segment run the disjunctive pass — exactly the decision a single
+// first, and Gate decides over all of their answers whether any segment
+// runs the disjunctive pass — exactly the decision a single
 // whole-collection index would make.
 type Searcher struct {
 	snap *Snapshot
 	subs []*segSearcher
 	ctx  *engine.ExecContext
 	tr   *trace.Trace // per-request, installed by SearchContext; nil = no-op
+	// mask marks the current query's terms some segment holds (resolve);
+	// round holds one pass's per-segment answers.
+	mask  []bool
+	round []Shard
 }
 
 // segSearcher executes plans against one segment. All segments of a
@@ -110,9 +115,11 @@ type segSearcher struct {
 	tr      *trace.Trace // mirrors the owning Searcher's per-request trace
 	names   nameReader
 	// infos are the current query's terms this segment holds, in query
-	// order, with the query's df (Searcher.resolve); hit marks whether the
-	// term being resolved is among them.
+	// order, with the query's df (Searcher.resolve), and mask marks their
+	// positions in the query; hit marks whether the term being resolved is
+	// among them.
 	infos []TermInfo
+	mask  []bool
 	hit   bool
 }
 
@@ -163,25 +170,7 @@ next:
 // Search runs a keyword query under the given strategy, returning the top
 // k documents. Names are resolved only for the returned documents.
 func (s *Searcher) Search(terms []string, k int, strat Strategy) ([]Result, QueryStats, error) {
-	var stats QueryStats
-	io0 := s.simIO()
-	start := time.Now()
-
-	results, err := s.searchInner(terms, k, strat, &stats)
-	if err == nil {
-		rn := s.tr.Begin("resolve.names")
-		err = s.resolveNames(results)
-		s.tr.SetAttr(rn, "names", int64(len(results)))
-		s.tr.End(rn)
-	}
-	stats.Wall = time.Since(start)
-	// One disk-clock read, taken after name resolution: the post-TopN name
-	// lookups hit the disk too, so their I/O is part of the query's charge.
-	stats.SimIO = s.simIO() - io0
-	if err != nil {
-		return nil, stats, err
-	}
-	return results, stats, nil
+	return s.SearchContext(context.Background(), terms, k, strat)
 }
 
 // SearchContext is Search honoring context cancellation and deadlines: the
@@ -191,6 +180,16 @@ func (s *Searcher) Search(terms []string, k int, strat Strategy) ([]Result, Quer
 // context.DeadlineExceeded). The Searcher itself remains single-owner; use
 // a SearcherPool for concurrent callers.
 func (s *Searcher) SearchContext(ctx context.Context, terms []string, k int, strat Strategy) ([]Result, QueryStats, error) {
+	sh, stats, err := s.SearchPass(ctx, terms, k, strat, PassBoth)
+	return sh.Hits, stats, err
+}
+
+// SearchPass is SearchContext running one pass of a ranked strategy —
+// what a partition server answers a broker, which runs Gate over every
+// partition's conjunctive answer — or, with PassBoth, the whole strategy.
+// The answer of an explicit pass carries the mask of the query's terms the
+// snapshot holds.
+func (s *Searcher) SearchPass(ctx context.Context, terms []string, k int, strat Strategy, pass Pass) (Shard, QueryStats, error) {
 	if ctx != nil && ctx.Done() != nil {
 		s.ctx.Interrupt = ctx.Err
 		defer func() { s.ctx.Interrupt = nil }()
@@ -202,7 +201,29 @@ func (s *Searcher) SearchContext(ctx context.Context, terms []string, k int, str
 		s.setTrace(t)
 		defer s.setTrace(nil)
 	}
-	return s.Search(terms, k, strat)
+	var stats QueryStats
+	io0 := s.simIO()
+	start := time.Now()
+
+	results, err := s.searchInner(terms, k, strat, pass, &stats)
+	if err == nil {
+		rn := s.tr.Begin("resolve.names")
+		err = s.resolveNames(results)
+		s.tr.SetAttr(rn, "names", int64(len(results)))
+		s.tr.End(rn)
+	}
+	stats.Wall = time.Since(start)
+	// One disk-clock read, taken after name resolution: the post-TopN name
+	// lookups hit the disk too, so their I/O is part of the query's charge.
+	stats.SimIO = s.simIO() - io0
+	if err != nil {
+		return Shard{}, stats, err
+	}
+	sh := Shard{Hits: results}
+	if pass != PassBoth {
+		sh.Mask = slices.Clone(s.mask)
+	}
+	return sh, stats, nil
 }
 
 // resolveNames fills in the results' document names, each through the
@@ -227,7 +248,7 @@ func (s *Searcher) setTrace(t *trace.Trace) {
 	}
 }
 
-func (s *Searcher) searchInner(terms []string, k int, strat Strategy, stats *QueryStats) ([]Result, error) {
+func (s *Searcher) searchInner(terms []string, k int, strat Strategy, pass Pass, stats *QueryStats) ([]Result, error) {
 	if strat == StrategyDefault {
 		resolved, err := s.snap.Resolve(strat)
 		if err != nil {
@@ -235,81 +256,73 @@ func (s *Searcher) searchInner(terms []string, k int, strat Strategy, stats *Que
 		}
 		strat = resolved
 	}
+	if pass < PassBoth || pass > PassDisjunctive {
+		return nil, fmt.Errorf("ir: unknown pass %d", pass)
+	}
 	switch strat {
 	case BoolAND, BoolOR:
+		if pass != PassBoth {
+			return nil, fmt.Errorf("ir: %v has no pass %d", strat, pass)
+		}
 		if len(terms) == 0 {
 			return nil, nil
 		}
 		return s.searchBool(boolChain(terms, strat == BoolOR), k)
-	case BM25:
-		return s.searchRanked(terms, k, strat, false, stats)
-	case BM25T, BM25TC, BM25TCM, BM25TCMQ8:
-		return s.searchRanked(terms, k, strat, true, stats)
+	case BM25, BM25T, BM25TC, BM25TCM, BM25TCMQ8:
+		return s.searchRanked(terms, k, strat, pass, stats)
 	default:
 		return nil, fmt.Errorf("ir: unknown strategy %d", strat)
 	}
 }
 
-// searchRanked runs a ranked strategy over the segment set. With twoPass,
-// the conjunctive pass runs on every segment first; only if the merged
-// conjunctive matches fall short of k (and more than one query term
-// resolved anywhere — a single-term disjunctive pass is the identical
-// plan) does the disjunctive pass run. This is the global two-pass gate: a
-// single whole-collection index decides pass 2 on its global conjunctive
-// yield, so the segment set must too, or a segment-local fallback could
-// promote disjunctive-only documents a single index would not rank.
-func (s *Searcher) searchRanked(terms []string, k int, strat Strategy, twoPass bool, stats *QueryStats) ([]Result, error) {
+// searchRanked runs a ranked strategy, or one pass of it, over the segment
+// set. A two-pass strategy runs the conjunctive pass on every segment
+// first and asks Gate whether the disjunctive pass must run: a single
+// whole-collection index decides pass 2 on its global conjunctive yield,
+// so the segment set must too, or a segment-local fallback could promote
+// disjunctive-only documents a single index would not rank.
+func (s *Searcher) searchRanked(terms []string, k int, strat Strategy, pass Pass, stats *QueryStats) ([]Result, error) {
 	resolved := s.resolve(terms)
 	if resolved == 0 {
 		return nil, nil
 	}
-	if !twoPass {
-		all, err := s.rankedPass(k, strat, resolved, false, stats)
-		if err != nil {
-			return nil, err
-		}
-		return mergeTopK(all, k), nil
+	inner := pass == PassConjunctive || pass == PassBoth && strat.TwoPass()
+	round, err := s.rankedPass(k, strat, resolved, inner, stats)
+	if err != nil || !inner {
+		return MergeTopK(round, k), err
 	}
-	all, err := s.rankedPass(k, strat, resolved, true, stats)
-	if err != nil {
-		return nil, err
-	}
-	if len(all) >= k || resolved == 1 {
-		return mergeTopK(all, k), nil
+	top, disjunctive := Gate(round, k)
+	if !disjunctive || pass == PassConjunctive {
+		return top, nil
 	}
 	stats.SecondPass = true
-	all, err = s.rankedPass(k, strat, resolved, false, stats)
-	if err != nil {
-		return nil, err
-	}
-	return mergeTopK(all, k), nil
+	round, err = s.rankedPass(k, strat, resolved, false, stats)
+	return MergeTopK(round, k), err
 }
 
 // rankedPass runs one conjunctive or disjunctive pass of a ranked strategy
-// on every segment over the terms resolve found there, concatenating the
-// per-segment top-k candidates. resolved is the number of query terms
-// (duplicates kept) present in the merged dictionary.
-func (s *Searcher) rankedPass(k int, strat Strategy, resolved int, inner bool, stats *QueryStats) ([]Result, error) {
+// on every segment over the terms resolve found there, answering with
+// each segment's top-k candidates and mask. resolved is the number of
+// query terms (duplicates kept) present in the merged dictionary.
+func (s *Searcher) rankedPass(k int, strat Strategy, resolved int, inner bool, stats *QueryStats) ([]Shard, error) {
 	passName := "pass.disjunctive"
 	if inner {
 		passName = "pass.conjunctive"
 	}
 	ps := s.tr.Begin(passName)
 	defer s.tr.End(ps)
-	var all []Result
+	s.round = s.round[:0]
 	for si, sub := range s.subs {
 		infos := sub.infos
 		if len(infos) == 0 {
 			continue
 		}
-		// Conjunctive pass: a segment whose dictionary is missing a term
-		// the merged dictionary knows can hold no conjunctive match — the
-		// term simply has no postings in this docid range. Dropping the
-		// term locally (as the disjunctive pass legitimately does, the
-		// missing side scoring zero) would instead join over the remaining
-		// terms and surface pseudo-conjunctive matches a single
-		// whole-collection index would never rank in pass 1.
+		// Conjunctive pass: Gate drops the answer of a segment missing a
+		// term of the merged dictionary (joining over the terms it holds
+		// would surface pseudo-conjunctive matches), so such a segment
+		// runs no plan; its mask still goes to Gate.
 		if inner && len(infos) < resolved {
+			s.round = append(s.round, Shard{Mask: sub.mask})
 			continue
 		}
 		sg := s.tr.Begin("segment")
@@ -340,16 +353,17 @@ func (s *Searcher) rankedPass(k int, strat Strategy, resolved int, inner bool, s
 		}
 		s.tr.SetAttr(sg, "rows_out", int64(len(res)))
 		s.tr.End(sg)
-		all = append(all, res...)
+		s.round = append(s.round, Shard{Hits: res, Mask: sub.mask})
 	}
-	return all, nil
+	return s.round, nil
 }
 
 // resolve looks the query terms up in every segment's dictionary, once
 // per query: each segment's infos become the range-index entries of the
-// terms it holds, in query order, and the count of query terms (duplicates
-// kept) that some segment holds is returned — the merged-dictionary
-// membership the two-pass gate needs. On a snapshot that merges
+// terms it holds, in query order, each mask (the segment's, and the
+// searcher's for the union) marks the positions held, and the count of
+// query terms (duplicates kept) that some segment holds is returned — the
+// merged-dictionary membership the two-pass gate needs. On a snapshot that merges
 // statistics, every entry's Ftd becomes the term's collection df: the sum
 // of its posting-range widths over the segments (End-Start is always a
 // segment's local posting count, whatever Ftd its build baked). Other
@@ -357,19 +371,22 @@ func (s *Searcher) rankedPass(k int, strat Strategy, resolved int, inner bool, s
 // with.
 func (s *Searcher) resolve(terms []string) int {
 	for _, sub := range s.subs {
-		sub.infos = sub.infos[:0]
+		sub.infos, sub.mask = sub.infos[:0], sub.mask[:0]
 	}
+	s.mask = s.mask[:0]
 	resolved := 0
 	for _, t := range terms {
 		found, df := false, 0
 		for _, sub := range s.subs {
 			var ti TermInfo
 			ti, sub.hit = sub.ix.Terms[t]
+			sub.mask = append(sub.mask, sub.hit)
 			if sub.hit {
 				sub.infos = append(sub.infos, ti)
 				found, df = true, df+ti.End-ti.Start
 			}
 		}
+		s.mask = append(s.mask, found)
 		if !found {
 			continue
 		}

@@ -224,20 +224,3 @@ func (sn *Snapshot) Close() error {
 	}
 	return first
 }
-
-// mergeTopK orders merged per-segment candidates by (score desc, docid
-// asc) — the TopN order of every ranked plan — and truncates to k. Global
-// docids are unique across segments, so the order is total and the result
-// deterministic.
-func mergeTopK(all []Result, k int) []Result {
-	sort.Slice(all, func(i, j int) bool {
-		if all[i].Score != all[j].Score {
-			return all[i].Score > all[j].Score
-		}
-		return all[i].DocID < all[j].DocID
-	})
-	if len(all) > k {
-		all = all[:k]
-	}
-	return all
-}

@@ -41,6 +41,9 @@ type Request struct {
 	// runs the strongest one, BM25TCMQ8 (the response reports what ran);
 	// every other strategy runs as asked.
 	Strategy ir.Strategy
+	// Pass, when not ir.PassBoth, runs one pass of a ranked strategy: what a
+	// partition server answers a broker, which gates the whole collection.
+	Pass ir.Pass
 	// Trace requests this query's span trace in the response regardless
 	// of the slow-query threshold or sampling rate — the "explain why THIS
 	// request was slow" switch. The trace covers admission, cache lookup,
@@ -53,6 +56,9 @@ type Request struct {
 type Response struct {
 	// Hits are the ranked documents, names resolved.
 	Hits []ir.Result
+	// Mask marks the query's terms the generation holds, for a request
+	// that named one pass.
+	Mask []bool
 	// Stats carries per-query wall time, second-pass and candidate-count
 	// accounting.
 	Stats ir.QueryStats
@@ -240,7 +246,8 @@ func (g *Gen) validate(req Request) (int, ir.Strategy, error) {
 // cache hits are never shed — they consume no searcher. Either way every
 // claimed slot is released on every exit path, with successful executions
 // feeding their duration back into the service-time estimate the admission
-// model runs on.
+// model runs on. The cache keeps whole-strategy answers only: a one-pass
+// answer's mask is in the query's term order, which the cache key forgets.
 //
 // Tracing: a trace already riding ctx belongs to the caller (a partition
 // server's per-request root) — the pipeline's spans land under it and the
@@ -271,11 +278,15 @@ func (g *Gen) search(ctx context.Context, s **ir.Searcher, req Request, reserved
 		}
 		return finish(BatchResult{Err: err})
 	}
+	cache := c.cache
+	if req.Pass != ir.PassBoth {
+		cache = nil
+	}
 	var key string
-	if c.cache != nil {
+	if cache != nil {
 		cl := t.Begin("cache.lookup")
 		key = cacheKey(req.Terms, k, strat, g.snap.Gen())
-		hit, ok := c.cache.get(key)
+		hit, ok := cache.get(key)
 		t.End(cl)
 		if ok {
 			t.SetAttr(cl, "hit", 1)
@@ -312,7 +323,7 @@ func (g *Gen) search(ctx context.Context, s **ir.Searcher, req Request, reserved
 	}
 	ex := t.Begin("execute")
 	execStart := time.Now()
-	hits, stats, err := (*s).SearchContext(ctx, req.Terms, k, strat)
+	sh, stats, err := (*s).SearchPass(ctx, req.Terms, k, strat, req.Pass)
 	t.End(ex)
 	if ctl != nil {
 		if err != nil {
@@ -326,11 +337,11 @@ func (g *Gen) search(ctx context.Context, s **ir.Searcher, req Request, reserved
 	}
 	t.SetAttr(ex, "candidates", stats.Candidates)
 	c.queries.Observe(time.Since(start))
-	resp := Response{Hits: hits, Stats: stats, Strategy: strat}
-	if c.cache != nil {
+	resp := Response{Hits: sh.Hits, Mask: sh.Mask, Stats: stats, Strategy: strat}
+	if cache != nil {
 		// The cached copy carries no trace: a later hit gets its own trace
 		// describing the lookup, not this execution's.
-		c.cache.put(key, resp)
+		cache.put(key, resp)
 	}
 	return finish(BatchResult{Response: resp})
 }

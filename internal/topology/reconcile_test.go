@@ -121,7 +121,9 @@ func TestReconciledClusterMatchesCentralized(t *testing.T) {
 	rec := NewReconciler(cl, brk)
 	ctx := context.Background()
 
-	queries := c.PrecisionQueries(6, 31)
+	// Efficiency queries too: their conjunctive yield often falls short
+	// of k, so their two rounds must read one generation.
+	queries := append(c.PrecisionQueries(6, 31), c.EfficiencyQueries(10, 31)...)
 	const k = 10
 
 	// expected[g] is the centralized ranking of every query at shadow

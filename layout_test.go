@@ -161,7 +161,10 @@ func TestEveryDirectoryShape(t *testing.T) {
 		t.Fatal(err)
 	}
 	ctx := context.Background()
-	queries := whole.PrecisionQueries(6, 61)
+	// Efficiency queries besides precision ones: partitions short of k
+	// conjunctive matches where the whole collection is not are what the
+	// broker's collection-wide two-pass gate gets right.
+	queries := append(whole.PrecisionQueries(6, 61), whole.EfficiencyQueries(40, 62)...)
 
 	reference := func(c *Collection) map[Strategy][][]Result {
 		t.Helper()

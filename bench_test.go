@@ -126,12 +126,10 @@ func BenchmarkEngineSearchParallelTraced(b *testing.B) {
 	})
 }
 
-// BenchmarkEngineSearchMany compares three ways of serving the same
-// 64-query batch of hot queries: N sequential Engine.Search calls, one
+// BenchmarkEngineSearchMany compares two ways of serving the same
+// 64-query batch of hot queries: N sequential Engine.Search calls and one
 // Engine.SearchMany (fanned across the searcher pool — on a multi-core
-// runner throughput must beat sequential), and SearchMany against a warm
-// result cache (served without checking out a searcher at all; the hit
-// rate is reported and enforced).
+// runner throughput must beat sequential).
 func BenchmarkEngineSearchMany(b *testing.B) {
 	_, _, eff := fixtures(b)
 	const batch = 64
@@ -168,26 +166,6 @@ func BenchmarkEngineSearchMany(b *testing.B) {
 				b.Fatalf("%d of %d batched queries failed: %v", bs.Failed, bs.Queries, out)
 			}
 		}
-		b.ReportMetric(batch, "queries/op")
-	})
-	b.Run("cached", func(b *testing.B) {
-		eng := open(b, WithResultCache(2*batch))
-		if _, _, err := eng.SearchMany(ctx, reqs); err != nil {
-			b.Fatal(err) // prime the cache
-		}
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			_, bs, err := eng.SearchMany(ctx, reqs)
-			if err != nil {
-				b.Fatal(err)
-			}
-			if bs.CacheHits != batch {
-				b.Fatalf("cache hits %d of %d", bs.CacheHits, batch)
-			}
-		}
-		b.StopTimer()
-		st := eng.ResultCacheStats()
-		b.ReportMetric(st.HitRate()*100, "hit%")
 		b.ReportMetric(batch, "queries/op")
 	})
 }

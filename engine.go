@@ -43,8 +43,8 @@ type (
 	// Trace switch.
 	SearchRequest = serving.Request
 	// SearchResponse is the structured result of Engine.Search: Hits,
-	// Stats, the Strategy that actually ran, the Cached flag, and the span
-	// Trace when the request asked for one.
+	// Stats, the Strategy that actually ran, and the span Trace when the
+	// request asked for one.
 	SearchResponse = serving.Response
 	// BatchResult is one request's outcome within a SearchMany batch:
 	// either a response or a per-request error.
@@ -52,14 +52,12 @@ type (
 	// BatchStats aggregates one SearchMany call — the throughput-side
 	// accounting that complements the per-request QueryStats.
 	BatchStats = serving.BatchStats
-	// ResultCacheStats reports the engine result cache counters.
-	ResultCacheStats = serving.ResultCacheStats
 )
 
 // Engine is the long-lived, concurrency-safe entry point to the system: a
 // serving core (internal/serving — the generation registry, searcher
-// pool, result cache, admission control, metrics and tracing that a
-// dist.Server wraps too) plus what only a standalone engine needs: option
+// pool, query pipeline, metrics and tracing that a dist.Server wraps
+// too) plus what only a standalone engine needs: option
 // parsing, the Open* build-or-open dispatch, the background merge policy,
 // and the ops endpoint. Construct one with Open, close it with Close.
 //
@@ -275,13 +273,9 @@ func (e *Engine) SegmentStats() SegmentStats {
 // Search runs one keyword query. It is safe for concurrent use, honors ctx
 // cancellation and deadlines (a canceled context aborts the running plan
 // between vectors and returns ctx.Err()), and blocks while all pooled
-// searchers are busy. With WithResultCache enabled, a repeat query is
-// answered from the cache without acquiring a searcher (the response's
-// Cached flag reports it). With WithAdmissionControl enabled, a cache
-// miss that would miss its deadline just queueing is rejected up front
-// with an error matching ErrOverloaded instead of blocking. The query
-// runs against the generation current at call time; a concurrent Refresh
-// does not disturb it.
+// searchers are busy (nothing is shed: a request waits until a searcher
+// frees or its context ends). The query runs against the generation
+// current at call time; a concurrent Refresh does not disturb it.
 func (e *Engine) Search(ctx context.Context, req SearchRequest) (SearchResponse, error) {
 	if ctx == nil {
 		ctx = context.Background()
@@ -298,10 +292,9 @@ func (e *Engine) Search(ctx context.Context, req SearchRequest) (SearchResponse,
 // searcher pool: up to Searchers() requests run concurrently, each worker
 // holding one pooled searcher for at most one sub-batch (large batches
 // split, so early requests complete before the tail is scheduled and the
-// pool breathes between slices). Results are returned in request order,
-// failures are recorded per request, and the result cache (if enabled) is
-// consulted first — a fully cached batch never acquires a searcher at
-// all. The whole batch runs against one index generation: a concurrent
+// pool breathes between slices). Results are returned in request order
+// and failures are recorded per request. The whole batch runs against one
+// index generation: a concurrent
 // Refresh does not split it. The error return is reserved for batch-level
 // failure (a done context, a closed engine); it is ctx.Err() when the
 // context expired mid-batch, with the already-completed results still
@@ -404,11 +397,6 @@ func (e *Engine) mergeOnce(maxSegments int, cancel func() bool) (bool, error) {
 	e.core.Sweep()
 	return true, nil
 }
-
-// ResultCacheStats returns the hit/miss counters and occupancy of the
-// engine result cache. It is zero-valued when the engine was opened
-// without WithResultCache, and after Close.
-func (e *Engine) ResultCacheStats() ResultCacheStats { return e.core.ResultCacheStats() }
 
 // SearchBool runs a parsed §3.2 boolean query (see ParseBoolQuery) under
 // the same concurrency and cancellation regime as Search. k zero means

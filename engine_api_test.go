@@ -12,7 +12,6 @@ import (
 	"time"
 
 	"repro/internal/colbm"
-	"repro/internal/corpus"
 )
 
 // Tests for the context-aware Engine API: concurrent Search under -race,
@@ -133,7 +132,7 @@ func TestEngineSearchCancellation(t *testing.T) {
 
 	// Cancel mid-stream: a loop of queries on another goroutine must abort
 	// with context.Canceled once cancel fires (either mid-plan at a leaf
-	// poll or on the next request's admission).
+	// poll or in the next request's pool wait).
 	ctx, cancel = context.WithCancel(context.Background())
 	done := make(chan error, 1)
 	go func() {
@@ -255,90 +254,6 @@ func TestEngineNegativeK(t *testing.T) {
 	}
 }
 
-// TestEngineResultCache exercises the engine-level result cache: the
-// second identical query is a hit, term order does not matter, hits are
-// private copies, and — the point — a cached answer never touches the
-// searcher pool, proven by serving it while the engine's only searcher is
-// held hostage under an already-canceled context.
-func TestEngineResultCache(t *testing.T) {
-	coll, eng := engineFixture(t, WithSearchers(1), WithResultCache(8))
-	ctx := context.Background()
-	var q corpus.Query
-	for _, cand := range coll.EfficiencyQueries(20, 21) {
-		if len(cand.Terms) >= 2 {
-			q = cand
-			break
-		}
-	}
-	if len(q.Terms) < 2 {
-		t.Fatal("no multi-term query in the fixture")
-	}
-	req := SearchRequest{Terms: q.Terms, K: 10}
-
-	first, err := eng.Search(ctx, req)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if first.Cached {
-		t.Error("first lookup reported cached")
-	}
-	second, err := eng.Search(ctx, req)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !second.Cached {
-		t.Error("repeat lookup missed the cache")
-	}
-	if len(second.Hits) != len(first.Hits) || second.Strategy != first.Strategy {
-		t.Errorf("cached response diverged: %d hits %v, want %d hits %v",
-			len(second.Hits), second.Strategy, len(first.Hits), first.Strategy)
-	}
-	// Term order is normalized out of the key.
-	rev := append([]string(nil), q.Terms...)
-	for i, j := 0, len(rev)-1; i < j; i, j = i+1, j-1 {
-		rev[i], rev[j] = rev[j], rev[i]
-	}
-	if resp, err := eng.Search(ctx, SearchRequest{Terms: rev, K: 10}); err != nil || !resp.Cached {
-		t.Errorf("reordered terms missed the cache (cached=%v, err=%v)", resp.Cached, err)
-	}
-
-	// Hold the engine's ONLY searcher and cancel the context: a cold query
-	// cannot run, a cached one must still be answered.
-	g, err := eng.core.Acquire()
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer g.Release()
-	pool := g.Pool()
-	s, err := pool.Acquire(ctx)
-	if err != nil {
-		t.Fatal(err)
-	}
-	cctx, cancel := context.WithCancel(ctx)
-	cancel()
-	resp, err := eng.Search(cctx, req)
-	if err != nil || !resp.Cached {
-		t.Fatalf("cache hit needed a searcher: cached=%v err=%v", resp.Cached, err)
-	}
-	other := coll.PrecisionQueries(1, 22)[0]
-	if _, err := eng.Search(cctx, SearchRequest{Terms: other.Terms, K: 10}); !errors.Is(err, context.Canceled) {
-		t.Fatalf("cold query under canceled ctx and hostage searcher: %v", err)
-	}
-	pool.Release(s)
-
-	// Returned hits are private copies: mutating one must not poison the
-	// cache entry.
-	second.Hits[0].Name = "mutated"
-	if resp, err := eng.Search(ctx, req); err != nil || resp.Hits[0].Name == "mutated" {
-		t.Errorf("cache entry aliased a caller's slice (err %v)", err)
-	}
-
-	st := eng.ResultCacheStats()
-	if st.Hits < 3 || st.Misses < 1 || st.Entries < 1 || st.Cap != 8 {
-		t.Errorf("cache stats: %+v", st)
-	}
-}
-
 // TestEngineSearchMany checks the batched path end to end: request order
 // is preserved, results match sequential Search, an invalid request fails
 // alone without sinking the batch, and batch stats add up.
@@ -360,7 +275,7 @@ func TestEngineSearchMany(t *testing.T) {
 	if len(out) != len(reqs) {
 		t.Fatalf("%d results for %d requests", len(out), len(reqs))
 	}
-	if bs.Queries != len(reqs) || bs.Failed != 1 || bs.CacheHits != 0 {
+	if bs.Queries != len(reqs) || bs.Failed != 1 {
 		t.Errorf("batch stats: %+v", bs)
 	}
 	if bs.Candidates <= 0 || bs.Wall <= 0 {

@@ -103,20 +103,6 @@ func (c *Controller) Admit(ctx context.Context) error {
 	return nil
 }
 
-// AdmitBatch admits up to n requests sharing one context and returns
-// how many were admitted; the rejected remainder is the batch's tail
-// (admission is monotone in queue position, so if position i is shed,
-// every later position would be too). Each admitted request must be
-// paired with exactly one Done or Release.
-func (c *Controller) AdmitBatch(ctx context.Context, n int) (admitted int, err error) {
-	for i := 0; i < n; i++ {
-		if e := c.Admit(ctx); e != nil {
-			return i, e
-		}
-	}
-	return n, nil
-}
-
 // Done releases a slot and folds the request's execution time into the
 // service estimate. Pass the time actually spent *executing* (not
 // queueing): the queue model divides the queue length by the drain
@@ -129,8 +115,7 @@ func (c *Controller) Done(service time.Duration) {
 }
 
 // Release releases a slot without a service observation — for admitted
-// requests that never executed (validation errors, cache hits,
-// cancellations).
+// requests that never executed (validation errors, cancellations).
 func (c *Controller) Release() { c.inflight.Add(-1) }
 
 // Inflight returns the number of currently admitted requests.
@@ -138,6 +123,3 @@ func (c *Controller) Inflight() int64 { return c.inflight.Load() }
 
 // Shed returns the number of rejections so far.
 func (c *Controller) Shed() int64 { return c.shed.Load() }
-
-// ServiceEstimate returns the current EWMA of per-request service time.
-func (c *Controller) ServiceEstimate() time.Duration { return c.svc.Value() }

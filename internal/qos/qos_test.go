@@ -88,20 +88,6 @@ func TestDeadlineSheds(t *testing.T) {
 	}
 }
 
-func TestAdmitBatchMonotoneTail(t *testing.T) {
-	c := NewController(2, 4)
-	admitted, err := c.AdmitBatch(context.Background(), 10)
-	if admitted != 6 { // 2 executing + 4 queued
-		t.Fatalf("admitted = %d, want 6", admitted)
-	}
-	if !errors.Is(err, ErrOverloaded) {
-		t.Fatalf("batch tail rejection should be an overload, got %v", err)
-	}
-	if got := c.Inflight(); got != 6 {
-		t.Fatalf("inflight = %d, want 6", got)
-	}
-}
-
 func TestHedgerColdNoBudget(t *testing.T) {
 	h := NewHedger()
 	for i := 0; i < hedgeWarmup-1; i++ {

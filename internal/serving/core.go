@@ -13,9 +13,9 @@
 //   - the directory's running collection statistics, which every append
 //     and merge reads and carries to the generation it commits (Commit,
 //     PlanMerge);
-//   - the query pipeline (search.go): validate, result cache, admission,
-//     pool wait, execute, cache put, metrics, trace — for one request and
-//     for a sub-batched worker fan-out.
+//   - the query pipeline (search.go): validate, pool wait, execute,
+//     metrics, trace — for one request and for a sub-batched worker
+//     fan-out.
 package serving
 
 import (
@@ -30,7 +30,6 @@ import (
 	"repro/internal/colbm"
 	"repro/internal/ir"
 	"repro/internal/metrics"
-	"repro/internal/qos"
 	"repro/internal/storage"
 	"repro/internal/trace"
 )
@@ -40,16 +39,13 @@ var ErrClosed = errors.New("repro: engine is closed")
 
 // Config is the serving-side configuration of a core. The zero value is
 // what a partition server runs with and what a zero-option Engine resolves
-// to: GOMAXPROCS searchers, result cache off, admission off, no slow-query
-// log (the latency and pool-wait histograms are always on).
+// to: GOMAXPROCS searchers, no slow-query log (the latency and pool-wait
+// histograms are always on). A request that finds every searcher busy
+// waits in the pool; shedding load is the broker's job
+// (dist.WithAdmission).
 type Config struct {
 	VectorSize int // tuples per vector in every query pipeline (0 = the searcher default)
 	Searchers  int // searcher pool size (< 1 = GOMAXPROCS)
-
-	ResultCache int // result cache entries (0 = disabled)
-
-	Admission      bool // shed requests that would miss their deadline queueing
-	AdmissionQueue int  // waiters allowed beyond the searcher pool (0 = no hard cap)
 
 	SlowQuery time.Duration // keep traces of queries at or over this (0 = off)
 	TraceRate float64       // fraction of queries traced regardless of duration
@@ -68,15 +64,12 @@ type Config struct {
 // generation.
 type Core struct {
 	cfg    Config
-	cache  *resultCache    // nil unless cfg.ResultCache > 0
-	qosCtl *qos.Controller // nil unless cfg.Admission
 	tracer *trace.Tracer
 
 	queries  *metrics.Histogram
 	poolWait *metrics.Histogram
-	shed     metrics.Counter
-	// inflight counts ranked searches currently executing (Metrics
-	// reports it).
+	// inflight counts ranked searches in the pipeline, waiting for a
+	// searcher or executing (Metrics reports it).
 	inflight atomic.Int64
 
 	cur    atomic.Pointer[Gen]
@@ -115,7 +108,7 @@ func newCore(cfg Config) *Core {
 	if cfg.Searchers < 1 {
 		cfg.Searchers = runtime.GOMAXPROCS(0)
 	}
-	c := &Core{
+	return &Core{
 		cfg:      cfg,
 		tracer:   trace.NewTracer(cfg.SlowQuery, cfg.TraceRate, 0),
 		queries:  metrics.NewHistogram(metricsWindow, metricsSlices),
@@ -123,13 +116,6 @@ func newCore(cfg Config) *Core {
 		live:     make(map[*Gen]struct{}),
 		building: make(map[string]bool),
 	}
-	if cfg.ResultCache > 0 {
-		c.cache = newResultCache(cfg.ResultCache)
-	}
-	if cfg.Admission {
-		c.qosCtl = qos.NewController(cfg.Searchers, cfg.AdmissionQueue)
-	}
-	return c
 }
 
 // OpenDir returns a core serving the current generation of an index
@@ -430,22 +416,15 @@ func (c *Core) Close() error {
 
 // Metrics is one coherent snapshot of a core's serving-side metrics.
 type Metrics struct {
-	// Queries is the latency distribution of completed requests (cache
-	// hits included — they are real requests with real latencies).
+	// Queries is the latency distribution of completed requests.
 	Queries metrics.HistSnapshot
 	// PoolWait is the distribution of time spent waiting for a pooled
 	// searcher; a growing p99 here is the leading indicator of
 	// saturation, visible before request latency degrades.
 	PoolWait metrics.HistSnapshot
-	// Inflight is the number of ranked searches executing right now;
-	// ServiceEstimate is the EWMA of per-request execution time, zero
-	// unless admission control is on.
-	Inflight        int64
-	ServiceEstimate time.Duration
-	// Shed counts requests rejected by admission control.
-	Shed int64
-	// ResultCache is the result cache's counters and occupancy.
-	ResultCache ResultCacheStats
+	// Inflight is the number of ranked searches in the pipeline right
+	// now, waiting for a searcher or executing.
+	Inflight int64
 	// Storage is the chunk-cache snapshot of the serving generation (hits,
 	// misses, singleflight shares, evictions, occupancy, recycled read
 	// buffers and the free list they come from) — the buffer
@@ -465,29 +444,15 @@ func (c *Core) Metrics() Metrics {
 	}
 	defer g.Release()
 	m := Metrics{
-		Queries:     c.queries.Snapshot(),
-		PoolWait:    c.poolWait.Snapshot(),
-		Inflight:    c.inflight.Load(),
-		Shed:        c.shed.Load(),
-		ResultCache: c.ResultCacheStats(),
-		Gen:         g.snap.Gen(),
-	}
-	if c.qosCtl != nil {
-		m.ServiceEstimate = c.qosCtl.ServiceEstimate()
+		Queries:  c.queries.Snapshot(),
+		PoolWait: c.poolWait.Snapshot(),
+		Inflight: c.inflight.Load(),
+		Gen:      g.snap.Gen(),
 	}
 	if cache := g.snap.Primary().Cache; cache != nil {
 		m.Storage = cache.Stats()
 	}
 	return m
-}
-
-// ResultCacheStats returns the result cache's counters and occupancy
-// (zero without a result cache, and after Close).
-func (c *Core) ResultCacheStats() ResultCacheStats {
-	if c.cache == nil || c.closed.Load() {
-		return ResultCacheStats{}
-	}
-	return c.cache.stats()
 }
 
 // SlowQueries returns the kept query traces, worst first.

@@ -10,7 +10,6 @@ import (
 	"time"
 
 	"repro/internal/ir"
-	"repro/internal/qos"
 	"repro/internal/trace"
 )
 
@@ -46,9 +45,8 @@ type Request struct {
 	Pass ir.Pass
 	// Trace requests this query's span trace in the response regardless
 	// of the slow-query threshold or sampling rate — the "explain why THIS
-	// request was slow" switch. The trace covers admission, cache lookup,
-	// pool wait, and per-operator execution; it costs one tree build per
-	// traced request.
+	// request was slow" switch. The trace covers pool wait and
+	// per-operator execution; it costs one tree build per traced request.
 	Trace bool
 }
 
@@ -65,13 +63,8 @@ type Response struct {
 	// Strategy is the strategy that actually executed (after resolving
 	// StrategyDefault).
 	Strategy ir.Strategy
-	// Cached marks a response served from the result cache: Hits are a
-	// private copy, Stats are those of the execution that populated the
-	// entry, and no searcher was acquired.
-	Cached bool
 	// Trace is the query's span tree, present only when the request set
-	// Request.Trace (cached responses carry a fresh trace of the lookup,
-	// not the execution that populated the entry).
+	// Request.Trace.
 	Trace *trace.Span
 }
 
@@ -88,8 +81,6 @@ type BatchResult struct {
 type BatchStats struct {
 	Queries    int   // requests in the batch
 	Failed     int   // requests that returned a per-request error
-	Shed       int   // of Failed: requests rejected by admission control
-	CacheHits  int   // requests served from the result cache
 	SecondPass int   // requests whose plan needed the disjunctive second pass
 	Candidates int64 // summed scored candidates across the batch
 	SubBatches int   // sub-batches the batch was split into (adaptive sizing)
@@ -110,11 +101,10 @@ const subBatchPerWorker = 8
 
 // Search runs one keyword query on this generation through the pipeline
 // (see search): a one-request batch, so the single and batched paths
-// cannot diverge; the searcher (acquired only on a cache miss) goes
-// straight back to the pool.
+// cannot diverge; the searcher goes straight back to the pool.
 func (g *Gen) Search(ctx context.Context, req Request) (Response, error) {
 	var s *ir.Searcher
-	r := g.search(ctx, &s, req, false)
+	r := g.search(ctx, &s, req)
 	if s != nil {
 		g.pool.Release(s)
 	}
@@ -127,7 +117,6 @@ func (g *Gen) Search(ctx context.Context, req Request) (Response, error) {
 // when the context expired mid-batch, with the already-completed results
 // still returned.
 func (g *Gen) SearchMany(ctx context.Context, reqs []Request) ([]BatchResult, BatchStats, error) {
-	c := g.c
 	bs := BatchStats{Queries: len(reqs)}
 	out := make([]BatchResult, len(reqs))
 	if len(reqs) == 0 {
@@ -139,18 +128,9 @@ func (g *Gen) SearchMany(ctx context.Context, reqs []Request) ([]BatchResult, Ba
 	var accMu sync.Mutex
 	deliver := func(i int, r BatchResult) {
 		accMu.Lock()
-		switch {
-		case r.Err != nil:
+		if r.Err != nil {
 			bs.Failed++
-			if errors.Is(r.Err, qos.ErrOverloaded) {
-				bs.Shed++
-			}
-		case r.Response.Cached:
-			// A cache hit carries the stats of the execution that populated
-			// the entry; this batch did none of that work, so only the hit
-			// itself is accounted.
-			bs.CacheHits++
-		default:
+		} else {
 			if r.Response.Stats.SecondPass {
 				bs.SecondPass++
 			}
@@ -161,26 +141,10 @@ func (g *Gen) SearchMany(ctx context.Context, reqs []Request) ([]BatchResult, Ba
 	}
 
 	start := time.Now()
-	// With admission control on, the whole batch is admitted up front:
-	// request i's estimated queue wait grows with its position, so an
-	// oversized batch against a deadline sheds its tail *now* — the
-	// requests that were never going to execute in time cost an error
-	// each instead of scheduling work destined to be thrown away. The
-	// admitted prefix runs normally; every admitted request releases its
-	// slot in search.
-	admitN := len(reqs)
-	if c.qosCtl != nil {
-		var shedErr error
-		admitN, shedErr = c.qosCtl.AdmitBatch(ctx, len(reqs))
-		for i := admitN; i < len(reqs); i++ {
-			c.shed.Inc()
-			deliver(i, BatchResult{Err: shedErr})
-		}
-	}
-	workers := min(g.pool.Size(), admitN)
+	workers := min(g.pool.Size(), len(reqs))
 	chunk := workers * subBatchPerWorker
-	for lo := 0; lo < admitN; lo += chunk {
-		g.runSubBatch(ctx, reqs, lo, min(lo+chunk, admitN), workers, deliver)
+	for lo := 0; lo < len(reqs); lo += chunk {
+		g.runSubBatch(ctx, reqs, lo, min(lo+chunk, len(reqs)), workers, deliver)
 		bs.SubBatches++
 	}
 	bs.Wall = time.Since(start)
@@ -200,7 +164,7 @@ func (g *Gen) runSubBatch(ctx context.Context, reqs []Request, lo, hi, workers i
 		go func() {
 			defer wg.Done()
 			// The searcher is acquired lazily: a worker whose requests all
-			// hit the cache (or fail validation) never checks one out.
+			// fail validation never checks one out.
 			var s *ir.Searcher
 			defer func() {
 				if s != nil {
@@ -212,7 +176,7 @@ func (g *Gen) runSubBatch(ctx context.Context, reqs []Request, lo, hi, workers i
 				if i >= hi {
 					return
 				}
-				deliver(i, g.search(ctx, &s, reqs[i], true))
+				deliver(i, g.search(ctx, &s, reqs[i]))
 			}
 		}()
 	}
@@ -237,23 +201,15 @@ func (g *Gen) validate(req Request) (int, ir.Strategy, error) {
 	return k, strat, nil
 }
 
-// search is the query pipeline: validate, result-cache lookup, admission,
-// pool wait, execute, cache put, metrics, trace finish. It runs the
-// request on the caller's searcher, acquiring it on first need; *s may
-// remain nil when the cache answers. reserved says the caller already
-// holds an admission slot for this request (SearchMany admits batches up
-// front); the single-search path admits here, after the cache lookup, so
-// cache hits are never shed — they consume no searcher. Either way every
-// claimed slot is released on every exit path, with successful executions
-// feeding their duration back into the service-time estimate the admission
-// model runs on. The cache keeps whole-strategy answers only: a one-pass
-// answer's mask is in the query's term order, which the cache key forgets.
+// search is the query pipeline: validate, pool wait, execute, metrics,
+// trace finish. It runs the request on the caller's searcher, acquiring it
+// on first need; *s stays nil when validation or the pool wait fails.
 //
 // Tracing: a trace already riding ctx belongs to the caller (a partition
 // server's per-request root) — the pipeline's spans land under it and the
 // caller finishes it. Otherwise the core's tracer decides whether this
 // request records, and the pipeline finishes what it began.
-func (g *Gen) search(ctx context.Context, s **ir.Searcher, req Request, reserved bool) BatchResult {
+func (g *Gen) search(ctx context.Context, s **ir.Searcher, req Request) BatchResult {
 	c := g.c
 	c.inflight.Add(1)
 	defer c.inflight.Add(-1)
@@ -270,42 +226,9 @@ func (g *Gen) search(ctx context.Context, s **ir.Searcher, req Request, reserved
 		}
 		return c.finishTrace(t, req, r)
 	}
-	ctl := c.qosCtl
 	k, strat, err := g.validate(req)
 	if err != nil {
-		if reserved && ctl != nil {
-			ctl.Release()
-		}
 		return finish(BatchResult{Err: err})
-	}
-	cache := c.cache
-	if req.Pass != ir.PassBoth {
-		cache = nil
-	}
-	var key string
-	if cache != nil {
-		cl := t.Begin("cache.lookup")
-		key = cacheKey(req.Terms, k, strat, g.snap.Gen())
-		hit, ok := cache.get(key)
-		t.End(cl)
-		if ok {
-			t.SetAttr(cl, "hit", 1)
-			if reserved && ctl != nil {
-				ctl.Release()
-			}
-			c.queries.Observe(time.Since(start))
-			return finish(BatchResult{Response: hit})
-		}
-		t.SetAttr(cl, "hit", 0)
-	}
-	if ctl != nil && !reserved {
-		ad := t.Begin("admission")
-		err := ctl.Admit(ctx)
-		t.End(ad)
-		if err != nil {
-			c.shed.Inc()
-			return finish(BatchResult{Err: err})
-		}
 	}
 	if *s == nil {
 		pw := t.Begin("pool.wait")
@@ -313,37 +236,20 @@ func (g *Gen) search(ctx context.Context, s **ir.Searcher, req Request, reserved
 		sr, err := g.pool.Acquire(ctx)
 		t.End(pw)
 		if err != nil {
-			if ctl != nil {
-				ctl.Release()
-			}
 			return finish(BatchResult{Err: err})
 		}
 		c.poolWait.Observe(time.Since(waitStart))
 		*s = sr
 	}
 	ex := t.Begin("execute")
-	execStart := time.Now()
 	sh, stats, err := (*s).SearchPass(ctx, req.Terms, k, strat, req.Pass)
 	t.End(ex)
-	if ctl != nil {
-		if err != nil {
-			ctl.Release()
-		} else {
-			ctl.Done(time.Since(execStart))
-		}
-	}
 	if err != nil {
 		return finish(BatchResult{Err: err})
 	}
 	t.SetAttr(ex, "candidates", stats.Candidates)
 	c.queries.Observe(time.Since(start))
-	resp := Response{Hits: sh.Hits, Mask: sh.Mask, Stats: stats, Strategy: strat}
-	if cache != nil {
-		// The cached copy carries no trace: a later hit gets its own trace
-		// describing the lookup, not this execution's.
-		cache.put(key, resp)
-	}
-	return finish(BatchResult{Response: resp})
+	return finish(BatchResult{Response: Response{Hits: sh.Hits, Mask: sh.Mask, Stats: stats, Strategy: strat}})
 }
 
 // finishTrace closes a trace the pipeline began, applies the tracer's keep
@@ -360,8 +266,6 @@ func (c *Core) finishTrace(t *trace.Trace, req Request, r BatchResult) BatchResu
 	}
 	if r.Err != nil {
 		t.SetAttrStr(trace.Root, "error", r.Err.Error())
-	} else if r.Response.Cached {
-		t.SetAttr(trace.Root, "cached", 1)
 	}
 	root := c.tracer.Finish(t)
 	if req.Trace && root != nil && r.Err == nil {

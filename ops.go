@@ -45,22 +45,12 @@ func (o engineOps) OpsMetrics() []obs.Metric {
 	m := o.e.MetricsSnapshot()
 	seg := o.e.SegmentStats()
 	return []obs.Metric{
-		{Name: "repro_engine_query_seconds", Help: "request latency (cache hits included)",
+		{Name: "repro_engine_query_seconds", Help: "request latency",
 			Kind: obs.Summary, Hist: m.Queries},
 		{Name: "repro_engine_pool_wait_seconds", Help: "time waiting for a pooled searcher",
 			Kind: obs.Summary, Hist: m.PoolWait},
-		{Name: "repro_engine_inflight", Help: "currently admitted requests",
+		{Name: "repro_engine_inflight", Help: "ranked searches waiting for a searcher or executing",
 			Kind: obs.Gauge, Value: float64(m.Inflight)},
-		{Name: "repro_engine_service_estimate_seconds", Help: "EWMA of per-request execution time",
-			Kind: obs.Gauge, Value: obs.Seconds(m.ServiceEstimate)},
-		{Name: "repro_engine_shed_total", Help: "requests rejected by admission control",
-			Kind: obs.Counter, Value: float64(m.Shed)},
-		{Name: "repro_engine_result_cache_hits_total", Help: "result cache hits",
-			Kind: obs.Counter, Value: float64(m.ResultCache.Hits)},
-		{Name: "repro_engine_result_cache_misses_total", Help: "result cache misses",
-			Kind: obs.Counter, Value: float64(m.ResultCache.Misses)},
-		{Name: "repro_engine_result_cache_entries", Help: "result cache occupancy",
-			Kind: obs.Gauge, Value: float64(m.ResultCache.Entries)},
 		{Name: "repro_engine_chunk_cache_hits_total", Help: "chunk cache hits",
 			Kind: obs.Counter, Value: float64(m.Storage.Hits)},
 		{Name: "repro_engine_chunk_cache_misses_total", Help: "chunk cache misses",

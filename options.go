@@ -15,9 +15,9 @@ import (
 // the first knob — the "validating entry point" discipline this API
 // replaces the old bag of positional constructors with.
 type engineConfig struct {
-	// The serving-side knobs (searchers, vector size, result cache,
-	// admission, slow-query log, trace sampling) are the serving core's
-	// configuration, handed to it as is.
+	// The serving-side knobs (searchers, vector size, slow-query log,
+	// trace sampling) are the serving core's configuration, handed to it
+	// as is.
 	serving.Config
 
 	pool int64 // WithBufferPoolBytes: buffer pool capacity in bytes
@@ -91,42 +91,6 @@ func WithAutoMerge(maxSegments int) Option {
 	}
 }
 
-// WithResultCache enables the engine-level result cache with room for the
-// given number of responses. The cache is an LRU keyed on normalized terms
-// + k + resolved strategy; indexes are immutable, so entries never need
-// invalidation, and a hit is served without acquiring a searcher at all —
-// repeat queries cost a map lookup and a top-k copy. Hit/miss counters are
-// surfaced by Engine.ResultCacheStats.
-func WithResultCache(entries int) Option {
-	return func(c *engineConfig) {
-		if entries < 1 {
-			c.errs = append(c.errs, fmt.Errorf("repro: result cache size %d < 1", entries))
-			return
-		}
-		c.ResultCache = entries
-	}
-}
-
-// WithAdmissionControl turns on load shedding for Search and SearchMany:
-// instead of queueing without bound when every searcher is busy, a
-// request whose estimated queue wait (queue depth x EWMA service time /
-// pool width) exceeds its context deadline — or that finds more than
-// maxQueue requests already waiting, with maxQueue 0 meaning no hard cap
-// — is rejected immediately with an error matching ErrOverloaded. Shed
-// requests cost a counter bump instead of a slot in a collapsing queue,
-// which keeps the p99 of *admitted* requests bounded at any offered
-// load. Requests without deadlines are shed only by the hard cap.
-func WithAdmissionControl(maxQueue int) Option {
-	return func(c *engineConfig) {
-		if maxQueue < 0 {
-			c.errs = append(c.errs, fmt.Errorf("repro: negative admission queue cap %d", maxQueue))
-			return
-		}
-		c.Admission = true
-		c.AdmissionQueue = maxQueue
-	}
-}
-
 // WithVectorSize sets the number of tuples per vector in every query
 // pipeline (0 = the 1024 default; the paper's §4 ablation sweeps this).
 func WithVectorSize(n int) Option {
@@ -153,7 +117,7 @@ func WithSearchers(n int) Option {
 }
 
 // WithSlowQueryThreshold arms the slow-query log: every request records
-// a span trace (admission, pool wait, plan build, per-operator
+// a span trace (pool wait, plan build, per-operator
 // execution), and those that finish at or over d are kept in a bounded
 // in-memory log — Engine.SlowQueries returns the worst recent ones, and
 // the ops endpoint (WithOpsServer) renders them at /debug/slow. Whether

@@ -169,33 +169,6 @@ var optionRows = map[string]func(t *testing.T, f *optionFixture){
 			}
 		}
 	},
-	// SearchResponse.Cached and MetricsSnapshot().ResultCache.
-	"WithResultCache": func(t *testing.T, f *optionFixture) {
-		eng := f.open(t, WithResultCache(8))
-		f.search(t, eng, SearchRequest{})
-		if !f.search(t, eng, SearchRequest{}).Cached || eng.MetricsSnapshot().ResultCache.Hits != 1 {
-			t.Errorf("repeat query missed the result cache: %+v", eng.MetricsSnapshot().ResultCache)
-		}
-		eng = f.open(t)
-		f.search(t, eng, SearchRequest{})
-		if f.search(t, eng, SearchRequest{}).Cached || eng.MetricsSnapshot().ResultCache.Cap != 0 {
-			t.Error("default engine served from a result cache")
-		}
-	},
-	// MetricsSnapshot().ServiceEstimate: the admission controller's EWMA,
-	// zero unless admission is on. (Shedding: qos_test.go.)
-	"WithAdmissionControl": func(t *testing.T, f *optionFixture) {
-		eng := f.open(t, WithAdmissionControl(4))
-		f.search(t, eng, SearchRequest{})
-		if eng.MetricsSnapshot().ServiceEstimate <= 0 {
-			t.Error("admission on, but no service-time estimate after a query")
-		}
-		eng = f.open(t)
-		f.search(t, eng, SearchRequest{})
-		if got := eng.MetricsSnapshot().ServiceEstimate; got != 0 {
-			t.Errorf("admission off, but service estimate %v", got)
-		}
-	},
 	// The next_calls attribute of a traced query's operator spans: smaller
 	// vectors, more Next calls for the same tuples.
 	"WithVectorSize": func(t *testing.T, f *optionFixture) {

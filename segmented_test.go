@@ -59,8 +59,7 @@ func requireReferenceRanking(t *testing.T, eng *Engine, coll *Collection, querie
 // Open a half collection as a segmented directory, Add the other half in
 // batches through the engine, and require the final ranking to equal the
 // ir.Build reference over the whole collection — exactly, scores included —
-// for every strategy. Along the way the result cache must invalidate per
-// generation and SegmentStats must track the growth.
+// for every strategy. Along the way SegmentStats must track the growth.
 func TestEngineSegmentedLifecycle(t *testing.T) {
 	coll := segColl(t)
 	ctx := context.Background()
@@ -72,7 +71,7 @@ func TestEngineSegmentedLifecycle(t *testing.T) {
 		t.Fatal(err)
 	}
 	dir := filepath.Join(t.TempDir(), "segix")
-	eng, err := Open(first, WithStorageDir(dir), WithResultCache(16))
+	eng, err := Open(first, WithStorageDir(dir))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -90,9 +89,6 @@ func TestEngineSegmentedLifecycle(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if hit, err := eng.Search(ctx, req); err != nil || !hit.Cached {
-		t.Fatalf("repeat query within one generation missed the cache (cached=%v err=%v)", hit.Cached, err)
-	}
 
 	// Live appends: half the collection arrives in two batches.
 	for _, cut := range [][2]int{{half, 3 * total / 4}, {3 * total / 4, total}} {
@@ -108,14 +104,9 @@ func TestEngineSegmentedLifecycle(t *testing.T) {
 		t.Fatalf("after two adds: %+v", st)
 	}
 
-	// The generation is part of the cache key: the same request re-executes
-	// against the grown collection instead of serving the stale entry.
 	after, err := eng.Search(ctx, req)
 	if err != nil {
 		t.Fatal(err)
-	}
-	if after.Cached {
-		t.Error("post-append query served the previous generation's cache entry")
 	}
 	if reflect.DeepEqual(after.Hits, before.Hits) {
 		t.Log("note: ranking unchanged by appends for this query (legal, just unlikely)")
@@ -180,13 +171,12 @@ func TestEngineCloseRacesInFlightSearch(t *testing.T) {
 
 // TestClosedEngineMetricsAreZero pins the shutdown contract of the
 // metrics surface: an ops scrape can land at any moment relative to
-// Close, so a closed engine's MetricsSnapshot and ResultCacheStats must
-// return zero values rather than race the teardown of the segment
-// manager and chunk caches.
+// Close, so a closed engine's MetricsSnapshot must return the zero value
+// rather than race the teardown of the segment manager and chunk caches.
 func TestClosedEngineMetricsAreZero(t *testing.T) {
 	coll := segColl(t)
 	dir := filepath.Join(t.TempDir(), "segix")
-	eng, err := Open(coll, WithStorageDir(dir), WithResultCache(8))
+	eng, err := Open(coll, WithStorageDir(dir))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -203,9 +193,6 @@ func TestClosedEngineMetricsAreZero(t *testing.T) {
 	}
 	if got := eng.MetricsSnapshot(); !reflect.DeepEqual(got, EngineMetrics{}) {
 		t.Errorf("closed MetricsSnapshot = %+v, want zero value", got)
-	}
-	if got := eng.ResultCacheStats(); !reflect.DeepEqual(got, ResultCacheStats{}) {
-		t.Errorf("closed ResultCacheStats = %+v, want zero value", got)
 	}
 }
 
@@ -325,45 +312,78 @@ func TestSegmentedMergeRacesSearchAndRefresh(t *testing.T) {
 // a batch larger than workers*subBatchPerWorker splits into sub-batches,
 // and every request of an earlier sub-batch completes before any request
 // of a later one is scheduled — first-result latency no longer waits on
-// the tail of a giant batch. The result cache makes the barrier visible:
-// each later sub-batch repeats the one before it in reverse order, so the
-// first request the second sub-batch schedules is the last one the first
-// scheduled, and every repeat is a cache hit only if the first sub-batch
-// had finished.
+// the tail of a giant batch. Every request is traced (the slow log holds
+// exactly the two sub-batches' 32 traces) and each trace is mapped back to
+// its request by its distinct terms: the barrier holds when every
+// first-sub-batch trace ended no later than every second-sub-batch trace
+// began.
 func TestSearchManySubBatchOrdering(t *testing.T) {
 	coll := segColl(t)
 	const workers = 2
-	eng, err := Open(coll, WithSearchers(workers), WithResultCache(64))
+	eng, err := Open(coll, WithSearchers(workers), WithTraceSampling(1))
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer eng.Close()
 
 	chunk := workers * 8 // the serving core's subBatchPerWorker; SubBatches below pins it
-	n := 3 * chunk
-	queries := coll.EfficiencyQueries(chunk, 45)
-	reqs := make([]SearchRequest, n)
-	for i, q := range queries {
-		reqs[i] = SearchRequest{Terms: q.Terms, K: 10}
+	n := 2 * chunk
+	subBatch := make(map[string]int, n) // query terms -> sub-batch
+	var reqs []SearchRequest
+	for _, q := range coll.EfficiencyQueries(4*n, 45) {
+		key := strings.Join(q.Terms, " ")
+		if _, dup := subBatch[key]; dup {
+			continue
+		}
+		subBatch[key] = len(reqs) / chunk
+		reqs = append(reqs, SearchRequest{Terms: q.Terms, K: 10})
+		if len(reqs) == n {
+			break
+		}
 	}
-	for i := chunk; i < n; i++ {
-		reqs[i] = reqs[i/chunk*chunk-1-i%chunk]
+	if len(reqs) != n {
+		t.Fatalf("only %d distinct queries, want %d", len(reqs), n)
 	}
 
 	out, bs, err := eng.SearchMany(context.Background(), reqs)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if bs.SubBatches != 3 {
-		t.Fatalf("batch of %d split into %d sub-batches, want 3", n, bs.SubBatches)
+	if bs.SubBatches != 2 {
+		t.Fatalf("batch of %d split into %d sub-batches, want 2", n, bs.SubBatches)
 	}
+	traces := eng.SlowQueries()
+	if len(traces) != n {
+		t.Fatalf("%d traces kept, want one per request (%d)", len(traces), n)
+	}
+	var firstEnd, secondStart []time.Time
+	for _, qt := range traces {
+		a, ok := qt.Root.Attr("terms")
+		sb, known := subBatch[a.Str]
+		if !ok || !known {
+			t.Fatalf("trace %d has terms %q, which no request asked", qt.ID, a.Str)
+		}
+		if sb == 0 {
+			firstEnd = append(firstEnd, qt.At.Add(qt.Duration))
+		} else {
+			secondStart = append(secondStart, qt.At)
+		}
+	}
+	if len(firstEnd) != chunk || len(secondStart) != chunk {
+		t.Fatalf("traces per sub-batch %d and %d, want %d each", len(firstEnd), len(secondStart), chunk)
+	}
+	for _, end := range firstEnd {
+		for _, start := range secondStart {
+			if end.After(start) {
+				t.Fatalf("a second-sub-batch request began %v before a first-sub-batch one ended",
+					end.Sub(start))
+			}
+		}
+	}
+
 	for i, res := range out {
 		if res.Err != nil {
 			t.Fatalf("request %d: %v", i, res.Err)
-		}
-		if i >= chunk && !res.Response.Cached {
-			t.Errorf("request %d (sub-batch %d) missed the cache: it was scheduled before the sub-batch it repeats finished",
-				i, i/chunk)
 		}
 		want, err := eng.Search(context.Background(), reqs[i])
 		if err != nil {

@@ -14,7 +14,7 @@ import (
 // endpoint (Prometheus exposition, health, pprof, rendered slow log).
 
 func TestEngineSearchTrace(t *testing.T) {
-	coll, eng := engineFixture(t, WithResultCache(16), WithSearchers(2))
+	coll, eng := engineFixture(t, WithSearchers(2))
 	qs := coll.PrecisionQueries(2, 11)
 	ctx := context.Background()
 
@@ -27,9 +27,8 @@ func TestEngineSearchTrace(t *testing.T) {
 		t.Fatal("untraced request returned a trace")
 	}
 
-	// A forced trace (on a query the warm-up above did not cache) covers
-	// the whole request: execute, the scan pass, and the post-hoc
-	// per-operator breakdown.
+	// A forced trace covers the whole request: pool wait, execute, the
+	// scan pass, and the post-hoc per-operator breakdown.
 	resp, err = eng.Search(ctx, SearchRequest{Terms: qs[1].Terms, K: 10, Strategy: BM25TCMQ8, Trace: true})
 	if err != nil {
 		t.Fatal(err)
@@ -45,10 +44,8 @@ func TestEngineSearchTrace(t *testing.T) {
 	if ex == nil {
 		t.Fatalf("no execute span:\n%s", root.Render())
 	}
-	if cl := root.Find("cache.lookup"); cl == nil {
-		t.Fatalf("no cache.lookup span:\n%s", root.Render())
-	} else if hit, ok := cl.Attr("hit"); !ok || hit.Val != 0 {
-		t.Fatalf("first lookup should miss (hit=%+v ok=%v)", hit, ok)
+	if root.Find("pool.wait") == nil {
+		t.Fatalf("no pool.wait span:\n%s", root.Render())
 	}
 	ops := 0
 	ex.Walk(func(s *TraceSpan) {
@@ -66,25 +63,6 @@ func TestEngineSearchTrace(t *testing.T) {
 		}
 	})
 
-	// A repeat of the same request hits the result cache; its trace is a
-	// fresh tree for THIS request (the cached copy carries none) showing
-	// the hit.
-	resp, err = eng.Search(ctx, SearchRequest{Terms: qs[1].Terms, K: 10, Strategy: BM25TCMQ8, Trace: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !resp.Cached {
-		t.Fatal("repeat request missed the result cache")
-	}
-	if resp.Trace == nil {
-		t.Fatal("cache hit dropped the trace")
-	}
-	if hit, ok := resp.Trace.Find("cache.lookup").Attr("hit"); !ok || hit.Val != 1 {
-		t.Fatalf("cache-hit trace: hit=%+v ok=%v\n%s", hit, ok, resp.Trace.Render())
-	}
-	if _, ok := resp.Trace.Attr("cached"); !ok {
-		t.Fatalf("cache-hit trace lacks cached attr:\n%s", resp.Trace.Render())
-	}
 }
 
 func TestEngineSlowQueryLog(t *testing.T) {
@@ -111,15 +89,24 @@ func TestEngineOpsServer(t *testing.T) {
 	coll, eng := engineFixture(t,
 		WithOpsServer("127.0.0.1:0"),
 		WithSlowQueryThreshold(time.Nanosecond),
-		WithResultCache(8),
 	)
 	addr := eng.OpsAddr()
 	if addr == "" {
 		t.Fatal("WithOpsServer set but OpsAddr is empty")
 	}
 	q := coll.PrecisionQueries(1, 17)[0]
-	if _, err := eng.Search(context.Background(), SearchRequest{Terms: q.Terms, K: 10}); err != nil {
+	resp, err := eng.Search(context.Background(), SearchRequest{Terms: q.Terms, K: 10, Trace: true})
+	if err != nil {
 		t.Fatal(err)
+	}
+	// The pipeline has two stages: a forced trace's root holds exactly
+	// them.
+	var stages []string
+	for _, c := range resp.Trace.Children {
+		stages = append(stages, c.Name)
+	}
+	if strings.Join(stages, " ") != "pool.wait execute" {
+		t.Errorf("root stages %q, want [pool.wait execute]:\n%s", stages, resp.Trace.Render())
 	}
 
 	get := func(path string) string {
@@ -144,12 +131,23 @@ func TestEngineOpsServer(t *testing.T) {
 		"# TYPE repro_engine_query_seconds summary",
 		"repro_engine_query_seconds_count 1",
 		"repro_engine_docs",
-		"repro_engine_result_cache_misses_total 1",
 		"# TYPE repro_storage_manifest_decodes_total counter",
 		"# TYPE repro_storage_chunk_checksum_failures_total counter",
 	} {
 		if !strings.Contains(metrics, want) {
 			t.Errorf("/metrics missing %q:\n%s", want, metrics)
+		}
+	}
+	// The engine neither caches results nor sheds load.
+	for _, line := range strings.Split(metrics, "\n") {
+		name, ok := strings.CutPrefix(line, "# TYPE ")
+		if !ok {
+			continue
+		}
+		for _, gone := range []string{"result_cache", "shed", "service_estimate"} {
+			if strings.Contains(name, gone) {
+				t.Errorf("/metrics still exports %q", name)
+			}
 		}
 	}
 	health := get("/health")

@@ -25,7 +25,7 @@
 //	ir       — inverted index as relations, BM25 plans, Table 2 strategies
 //	serving  — the serving core Engine and dist.Server both wrap:
 //	           generation registry, refresh and segment GC, the query
-//	           pipeline (cache, admission, pool, metrics, tracing)
+//	           pipeline (pool, metrics, tracing)
 //	dist     — partitioned TCP cluster, broadcast + top-k merge (Table 3)
 //
 // Quick start:
